@@ -19,6 +19,14 @@ var classicGoldens = map[string]struct{ vk, proof string }{
 	"muladd":  {"d2f0d33c2c329fee79d96db83a69d0896fcc2aa10f2eed1781ade3ff482cacbd", "6b3aa6919443a1125991c5c756a758aa7216c840258ef4b49318e7b465161a33"},
 	"power5":  {"fcc7edf635b09124458e96b2ec89160226e288e0c51aea3f6f78fcf2ffe5d670", "f1b9590cb1908e48d70d81bf933c2c381002852f2d7b452a577211f7d70aa304"},
 	"power50": {"a21bae105b9940e8c5417c9a6c22e654140f15f17a626afa44bdf2c0e807a402", "287aba7720ffaba9320b179774ab00840bd7f60e0783e35a87c38277b14a4eb2"},
+	// Extended shapes, captured at commit 4713881 (the last one with a
+	// separate extended prover and verifier): the key digest also covers the
+	// extension commitments, table size and MDS, the proof digest the full
+	// wire encoding.
+	"lookup":   {"4ba506c3c9b2fbfc4466799a46b1e3b8a76cc9dbeec7f76822746b34a032e908", "72d6b6fc355431f378d715dca2b07e538783e7df86b754c63d7694fae0b27174"},
+	"mimc":     {"9ff1d3289b981428949c350f375a0f156a0c2ea68398619460eb043d8c1d362c", "84eddc34ccffbedb53077e60829e525ae57fffce69ffb74019a4fb9bf8bace19"},
+	"poseidon": {"f5f05f3387c80de0df80de47c565ee985bd6289b158ba7c4983141944e8f20b6", "5dce490d9c13f3a021aba11a3e4c3a5f5ba084451ed6632987420ccb7f646d19"},
+	"mixed":    {"23222f9dd003828a2fa3f2403bba595ba05ebb2ceff65845534e6535b9e303c0", "894b9e62525957146b5021397ad0804d234b44fe2e4880c8eeb9b319df59f587"},
 }
 
 func TestClassicProverBitIdentity(t *testing.T) {
@@ -29,6 +37,12 @@ func TestClassicProverBitIdentity(t *testing.T) {
 		{"muladd", buildMulAddCircuit},
 		{"power5", func() (*ConstraintSystem, []fr.Element) { return buildPowerCircuit(5) }},
 		{"power50", func() (*ConstraintSystem, []fr.Element) { return buildPowerCircuit(50) }},
+		{"lookup", func() (*ConstraintSystem, []fr.Element) {
+			return buildLookupCircuit(8, []uint64{0, 1, 42, 42, 255, 128, 42})
+		}},
+		{"mimc", func() (*ConstraintSystem, []fr.Element) { return buildMiMCCustomCircuit(5) }},
+		{"poseidon", func() (*ConstraintSystem, []fr.Element) { return buildPoseidonCustomCircuit(6) }},
+		{"mixed", buildMixedCircuit},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cs, witness := tc.build()
@@ -38,7 +52,7 @@ func TestClassicProverBitIdentity(t *testing.T) {
 			}
 			want := classicGoldens[tc.name]
 			if got := hex.EncodeToString(digestVKForTest(vk)); got != want.vk {
-				t.Errorf("verifying key drifted from pre-lookup prover:\n got %s\nwant %s", got, want.vk)
+				t.Errorf("verifying key drifted from the pinned prover:\n got %s\nwant %s", got, want.vk)
 			}
 			restore := randScalar
 			randScalar = seededScalarsForTest(0x90_1d)
@@ -51,7 +65,7 @@ func TestClassicProverBitIdentity(t *testing.T) {
 				t.Fatalf("pinned proof rejected: %v", err)
 			}
 			if got := hex.EncodeToString(digestProofForTest(proof)); got != want.proof {
-				t.Errorf("proof drifted from pre-lookup prover:\n got %s\nwant %s", got, want.proof)
+				t.Errorf("proof drifted from the pinned prover:\n got %s\nwant %s", got, want.proof)
 			}
 		})
 	}
@@ -91,6 +105,28 @@ func digestVKForTest(vk *VerifyingKey) []byte {
 	k2 := vk.K2.Bytes()
 	h.Write(k1[:])
 	h.Write(k2[:])
+	if !vk.Extended {
+		return h.Sum(nil)
+	}
+	if vk.Custom {
+		h.Write([]byte{1})
+	} else {
+		h.Write([]byte{0})
+	}
+	binary.BigEndian.PutUint64(u[:], uint64(vk.TableBits))
+	h.Write(u[:])
+	for _, p := range []interface{ Bytes() [64]byte }{
+		&vk.QLk, &vk.Tbl, &vk.QMimc, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2,
+	} {
+		b := p.Bytes()
+		h.Write(b[:])
+	}
+	for l := range vk.MDS {
+		for j := range vk.MDS[l] {
+			b := vk.MDS[l][j].Bytes()
+			h.Write(b[:])
+		}
+	}
 	return h.Sum(nil)
 }
 
@@ -110,6 +146,9 @@ func digestProofForTest(p *Proof) []byte {
 	for i := range evals {
 		b := evals[i].Bytes()
 		h.Write(b[:])
+	}
+	if p.Evals.Ext != nil {
+		h.Write(p.Bytes())
 	}
 	return h.Sum(nil)
 }
