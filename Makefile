@@ -1,7 +1,8 @@
 # Developer entry points. `make check` is the full pre-merge gate: it runs
 # vet, a full build, the repo's own static-analysis suite (zkdet-lint), the
-# complete test suite, and the race detector over the concurrency-bearing
-# packages (the parallel FFT/MSM/prover hot paths).
+# complete test suite, the nested benchmark module's vet and short tests,
+# and the race detector over the concurrency-bearing packages (the parallel
+# FFT/MSM/prover hot paths).
 
 GO ?= go
 
@@ -18,9 +19,9 @@ RACE_PKGS = ./internal/poly/... ./internal/bn254/... ./internal/plonk/... ./inte
 	./internal/storage/... ./internal/core/... ./internal/p2p/... ./cmd/zkdet-node/... \
 	./internal/wal/... ./internal/snapshot/... ./internal/ct/...
 
-.PHONY: check vet build lint audit test race fuzz-smoke bench bench-verify bench-p2p bench-exec bench-wal node-demo cluster-demo cluster-demo-durable
+.PHONY: check vet build lint audit test bench-module race fuzz-smoke bench bench-verify bench-p2p bench-exec bench-wal node-demo cluster-demo cluster-demo-durable
 
-check: vet build lint audit test race
+check: vet build lint audit test bench-module race
 
 vet:
 	$(GO) vet ./...
@@ -48,6 +49,14 @@ audit:
 
 test:
 	$(GO) test ./...
+
+# benchmark/ is its own Go module, so `./...` above never reaches it, yet it
+# imports this module's internal packages (plonk.Prove/Verify/Setup/Batch
+# among them): vet it and run its short tests so an API change here cannot
+# break it unnoticed.
+bench-module:
+	$(GO) vet -C benchmark ./...
+	$(GO) test -C benchmark -short ./...
 
 # Proving under the race detector is 5-10x slower than native (internal/core
 # re-proves full exchange lifecycles), so the default 10m per-package test

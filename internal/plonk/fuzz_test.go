@@ -47,7 +47,7 @@ func FuzzProofFromBytes(f *testing.F) {
 	f.Add(pM.Bytes())
 
 	f.Add([]byte("ZKPF"))
-	f.Add(make([]byte, LegacyProofSize))
+	f.Add(pC.Bytes()[headerSize:]) // headerless payload: must be rejected
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ProofFromBytes(data)

@@ -9,12 +9,14 @@ import (
 	"github.com/zkdet/zkdet/internal/fr"
 )
 
-// The lookup/custom-gate extension must leave circuits that use neither
-// feature byte-for-byte unchanged: same preprocessed commitments, same
-// proof points and evaluations, and hence the same verifier transcript.
-// These digests were captured from the pre-lookup prover (commit 396cf92)
-// with blinding pinned to the seeded stream below; any drift in the classic
-// path fails here. CI runs this as the lookup-identity job.
+// One prover serves every key shape, and each shape's output is pinned byte
+// for byte: same preprocessed commitments, same proof points and
+// evaluations, and hence the same verifier transcript. The classic digests
+// were captured from the pre-lookup prover (commit 396cf92), so circuits
+// that use neither lookups nor custom gates are still proved exactly as
+// before those features existed. Blinding is pinned to the seeded stream
+// below; any drift in the transcript, the blinding order or the opening
+// fold fails here. CI runs this as the lookup-identity job.
 var classicGoldens = map[string]struct{ vk, proof string }{
 	"muladd":  {"d2f0d33c2c329fee79d96db83a69d0896fcc2aa10f2eed1781ade3ff482cacbd", "6b3aa6919443a1125991c5c756a758aa7216c840258ef4b49318e7b465161a33"},
 	"power5":  {"fcc7edf635b09124458e96b2ec89160226e288e0c51aea3f6f78fcf2ffe5d670", "f1b9590cb1908e48d70d81bf933c2c381002852f2d7b452a577211f7d70aa304"},
@@ -29,21 +31,37 @@ var classicGoldens = map[string]struct{ vk, proof string }{
 	"mixed":    {"23222f9dd003828a2fa3f2403bba595ba05ebb2ceff65845534e6535b9e303c0", "894b9e62525957146b5021397ad0804d234b44fe2e4880c8eeb9b319df59f587"},
 }
 
+// goldenShapes builds one circuit per pinned row: three classic sizes and
+// the four extended shapes (lookup-only, MiMC and Poseidon custom gates,
+// lookup plus custom).
+var goldenShapes = []struct {
+	name  string
+	build func() (*ConstraintSystem, []fr.Element)
+}{
+	{"muladd", buildMulAddCircuit},
+	{"power5", func() (*ConstraintSystem, []fr.Element) { return buildPowerCircuit(5) }},
+	{"power50", func() (*ConstraintSystem, []fr.Element) { return buildPowerCircuit(50) }},
+	{"lookup", func() (*ConstraintSystem, []fr.Element) {
+		return buildLookupCircuit(8, []uint64{0, 1, 42, 42, 255, 128, 42})
+	}},
+	{"mimc", func() (*ConstraintSystem, []fr.Element) { return buildMiMCCustomCircuit(5) }},
+	{"poseidon", func() (*ConstraintSystem, []fr.Element) { return buildPoseidonCustomCircuit(6) }},
+	{"mixed", buildMixedCircuit},
+}
+
+// goldenCircuit builds the goldenShapes row of the given name.
+func goldenCircuit(t *testing.T, name string) (*ConstraintSystem, []fr.Element) {
+	for _, gs := range goldenShapes {
+		if gs.name == name {
+			return gs.build()
+		}
+	}
+	t.Fatalf("no golden shape %q", name)
+	return nil, nil
+}
+
 func TestClassicProverBitIdentity(t *testing.T) {
-	for _, tc := range []struct {
-		name  string
-		build func() (*ConstraintSystem, []fr.Element)
-	}{
-		{"muladd", buildMulAddCircuit},
-		{"power5", func() (*ConstraintSystem, []fr.Element) { return buildPowerCircuit(5) }},
-		{"power50", func() (*ConstraintSystem, []fr.Element) { return buildPowerCircuit(50) }},
-		{"lookup", func() (*ConstraintSystem, []fr.Element) {
-			return buildLookupCircuit(8, []uint64{0, 1, 42, 42, 255, 128, 42})
-		}},
-		{"mimc", func() (*ConstraintSystem, []fr.Element) { return buildMiMCCustomCircuit(5) }},
-		{"poseidon", func() (*ConstraintSystem, []fr.Element) { return buildPoseidonCustomCircuit(6) }},
-		{"mixed", buildMixedCircuit},
-	} {
+	for _, tc := range goldenShapes {
 		t.Run(tc.name, func(t *testing.T) {
 			cs, witness := tc.build()
 			pk, vk, err := Setup(cs, testSRSOnce())

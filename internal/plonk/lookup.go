@@ -6,10 +6,13 @@ import (
 	"github.com/zkdet/zkdet/internal/fr"
 )
 
-// This file holds the machinery shared by the extended prover and verifier:
+// This file holds the machinery shared by the prover and the verifier:
 // the point-wise evaluation of the aggregated constraint numerator (the
 // same formula runs on every coset point in the prover and once at ζ in
 // the verifier), and the LogUp witness builder.
+//
+// Every circuit carries C0–C2 (gate, permutation, L_1 boundary); a key with
+// lookups or custom gates adds C3–C13.
 //
 // The lookup argument is the log-derivative ("LogUp") formulation: for the
 // range table T and the a-wire column a, with qLk the lookup selector and
@@ -33,24 +36,26 @@ import (
 // lanes, C9–C11 Poseidon partial lanes, C12–C13 MiMC.
 const nbAlphaPowers = 14
 
-// extPointVals carries every polynomial's value at one evaluation point.
-type extPointVals struct {
+// pointVals carries every polynomial's value at one evaluation point. The
+// fields from aw down to k2c belong to the extension and stay zero for a
+// classic key.
+type pointVals struct {
 	x                      fr.Element // the point itself
 	a, b, c                fr.Element
-	aw, bw, cw             fr.Element // wires at ω·x (next row)
 	z, zw                  fr.Element
 	ql, qr, qo, qm, qc, pi fr.Element
 	s1, s2, s3             fr.Element
+	l1                     fr.Element // L_1(x)
+	aw, bw, cw             fr.Element // wires at ω·x (next row)
 	m, h, s, sw            fr.Element // LogUp columns; sw = S(ω·x)
 	qlk, tbl               fr.Element
 	qmimc, qposf, qposp    fr.Element
 	k0, k1c, k2c           fr.Element // per-row round constants
-	l1                     fr.Element // L_1(x)
 }
 
-// extChallenges bundles the transcript challenges and fixed key data the
-// constraint evaluation needs.
-type extChallenges struct {
+// challenges bundles the transcript challenges and fixed key data the
+// constraint evaluation needs; a classic key leaves β_L and mds unused.
+type challenges struct {
 	beta, gamma, betaL fr.Element
 	alphaPow           []fr.Element // α^0 … α^13
 	k1, k2             fr.Element   // permutation coset multipliers
@@ -65,10 +70,11 @@ func pow5(out, t *fr.Element) {
 	out.Mul(&t2, t)
 }
 
-// extNumerator evaluates the aggregated constraint numerator
+// quotientNumerator evaluates the aggregated constraint numerator
 // Σ_k α^k·C_k at one point. The prover divides this by Z_H on the coset;
-// the verifier compares it against t(ζ)·Z_H(ζ).
-func extNumerator(p *extPointVals, ch *extChallenges) fr.Element {
+// the verifier compares it against t(ζ)·Z_H(ζ). extended is the key's
+// shape: without it the stack ends at C2.
+func quotientNumerator(p *pointVals, ch *challenges, extended bool) fr.Element {
 	var acc, t, t2 fr.Element
 
 	// C0: gate + public input.
@@ -126,6 +132,9 @@ func extNumerator(p *extPointVals, ch *extChallenges) fr.Element {
 	t.Mul(&t, &p.l1)
 	t.Mul(&t, &ch.alphaPow[2])
 	acc.Add(&acc, &t)
+	if !extended {
+		return acc
+	}
 
 	// C3: H·(βL+a)·(βL+T) − qLk·(βL+T) + M·(βL+a).
 	var la, lt fr.Element

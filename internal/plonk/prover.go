@@ -80,25 +80,9 @@ type ExtEvals struct {
 	TExtra                         []fr.Element
 }
 
-// zetaList returns the extension evaluations at ζ in the canonical folding
-// order, appended after the classic evalList.
-func (e *ExtEvals) zetaList() []fr.Element {
-	out := []fr.Element{
-		e.M, e.H, e.S,
-		e.QLk, e.Tbl, e.QMimc, e.QPosF, e.QPosP,
-		e.K0, e.K1, e.K2,
-	}
-	return append(out, e.TExtra...)
-}
-
-// omegaList returns the evaluations opened at ζω beyond the classic
-// z(ζω), in the canonical folding order.
-func (e *ExtEvals) omegaList() []fr.Element {
-	return []fr.Element{e.SOmega, e.AOmega, e.BOmega, e.COmega}
-}
-
-// evalList returns the evaluations at ζ in the canonical folding order used
-// by both prover and verifier for the batched KZG opening.
+// evalList returns the evaluations at ζ every proof carries, in the
+// canonical folding order used by both prover and verifier for the batched
+// KZG opening.
 func (e *ProofEvals) evalList() []fr.Element {
 	return []fr.Element{
 		e.A, e.B, e.C, e.Z,
@@ -106,6 +90,30 @@ func (e *ProofEvals) evalList() []fr.Element {
 		e.S1, e.S2, e.S3,
 		e.TLo, e.TMid, e.THi,
 	}
+}
+
+// zetaList returns every evaluation at ζ in the canonical folding order:
+// evalList, then the extension's evaluations when the proof carries them.
+func (e *ProofEvals) zetaList() []fr.Element {
+	out := e.evalList()
+	if x := e.Ext; x != nil {
+		out = append(out,
+			x.M, x.H, x.S,
+			x.QLk, x.Tbl, x.QMimc, x.QPosF, x.QPosP,
+			x.K0, x.K1, x.K2)
+		out = append(out, x.TExtra...)
+	}
+	return out
+}
+
+// omegaList returns the evaluations opened at ζω in the canonical folding
+// order: z(ζω), then the extension's shifted openings.
+func (e *ProofEvals) omegaList() []fr.Element {
+	out := []fr.Element{e.ZOmega}
+	if x := e.Ext; x != nil {
+		out = append(out, x.SOmega, x.AOmega, x.BOmega, x.COmega)
+	}
+	return out
 }
 
 // bindTranscript absorbs the verifying key and public inputs so challenges
@@ -141,18 +149,62 @@ func bindTranscript(t *transcript.Transcript, vk *VerifyingKey, public []fr.Elem
 	}
 }
 
-// coset4 returns the preprocessed 4n coset domain, building it only for
-// proving keys that predate the Domain4 field (hand-constructed in tests).
-func coset4(pk *ProvingKey) (*poly.Domain, error) {
-	if pk.Domain4 != nil {
-		return pk.Domain4, nil
+// The absorbRound methods are the proof's half of the Fiat–Shamir
+// transcript, written once for the prover (which calls each as soon as the
+// round's commitments exist) and the verifier (which replays them in
+// order). An extended proof inserts "m" and β_L into round 1, "h" and "s"
+// into round 2, the extra quotient pieces into round 3 and the ζω openings
+// into round 4; a classic proof's label sequence is untouched by them.
+
+// absorbRound1 absorbs the wire commitments and squeezes β, γ and, for an
+// extended proof, the lookup challenge β_L.
+func (p *Proof) absorbRound1(tr *transcript.Transcript) *challenges {
+	ch := &challenges{}
+	tr.AppendPoint("a", &p.A)
+	tr.AppendPoint("b", &p.B)
+	tr.AppendPoint("c", &p.C)
+	if p.Evals.Ext != nil {
+		tr.AppendPoint("m", &p.M)
 	}
-	d, err := poly.NewDomain(4 * pk.Domain.N)
-	if err != nil {
-		return nil, fmt.Errorf("plonk: %w", err)
+	ch.beta = tr.ChallengeScalar("beta")
+	ch.gamma = tr.ChallengeScalar("gamma")
+	if p.Evals.Ext != nil {
+		ch.betaL = tr.ChallengeScalar("beta_l")
 	}
-	pk.Domain4 = d
-	return d, nil
+	return ch
+}
+
+// absorbRound2 absorbs [z] (and [H], [S]) and squeezes α.
+func (p *Proof) absorbRound2(tr *transcript.Transcript, ch *challenges) {
+	tr.AppendPoint("z", &p.Z)
+	if p.Evals.Ext != nil {
+		tr.AppendPoint("h", &p.H)
+		tr.AppendPoint("s", &p.S)
+	}
+	alpha := tr.ChallengeScalar("alpha")
+	ch.alphaPow = fr.Powers(&alpha, nbAlphaPowers)
+}
+
+// absorbRound3 absorbs the quotient pieces and squeezes ζ.
+func (p *Proof) absorbRound3(tr *transcript.Transcript) fr.Element {
+	tr.AppendPoint("t_lo", &p.TLo)
+	tr.AppendPoint("t_mid", &p.TMid)
+	tr.AppendPoint("t_hi", &p.THi)
+	for i := range p.TExtra {
+		tr.AppendPoint(fmt.Sprintf("t_%d", 3+i), &p.TExtra[i])
+	}
+	return tr.ChallengeScalar("zeta")
+}
+
+// absorbRound4 absorbs the evaluations and squeezes the opening fold v.
+func (p *Proof) absorbRound4(tr *transcript.Transcript) fr.Element {
+	ev := &p.Evals
+	tr.AppendScalars("evals", ev.zetaList())
+	tr.AppendScalar("z_omega", &ev.ZOmega)
+	if ev.Ext != nil {
+		tr.AppendScalars("evals-omega-ext", ev.omegaList()[1:])
+	}
+	return tr.ChallengeScalar("v")
 }
 
 // foldPolys returns ∑ coeffs[k]·ps[k] in a single pass, range-splitting the
@@ -185,22 +237,19 @@ func foldPolys(ps []poly.Polynomial, coeffs []fr.Element) poly.Polynomial {
 // circuit. The witness assigns every variable; its first NbPublic entries
 // must equal the public inputs passed to Verify.
 //
-// Circuits using lookups or custom gates take the extended path; all
-// others run the classic prover, byte-for-byte identical to the
-// pre-lookup implementation (pinned by TestClassicProverBitIdentity).
-func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
-	if pk.extended {
-		return proveExtended(pk, witness)
-	}
-	return proveClassic(pk, witness)
-}
-
-// proveClassic is the original evaluate-everything Plonk prover.
+// The five rounds are the same for every circuit; the key's shape (set by
+// Setup from the constraint system) only grows the column lists. A key with
+// lookups or custom gates adds the multiplicity commitment [M] before β/γ
+// (so the lookup challenge β_L can respond to it), the LogUp columns [H],
+// [S] alongside [z], eleven more coset columns and the ζω openings of S, a,
+// b, c; a custom-gate key also evaluates the quotient on the 8n coset and
+// splits it into 6 pieces instead of 3. A classic key adds none of these,
+// and its proofs are pinned byte-for-byte by TestClassicProverBitIdentity.
 //
-// Every O(n) and O(4n) loop below is range-split across the bounded worker
-// pool; the only serial remainders are the grand-product prefix scan and
-// the transcript, which are inherently sequential.
-func proveClassic(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
+// Every O(n) and O(big) loop below is range-split across the bounded worker
+// pool; the only serial remainders are the grand-product prefix scan, the
+// LogUp running sum and the transcript, which are inherently sequential.
+func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	if len(witness) != pk.nbVars {
 		return nil, fmt.Errorf("%w: got %d, want %d", ErrWitnessLength, len(witness), pk.nbVars)
 	}
@@ -226,99 +275,107 @@ func proveClassic(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	})
 
 	// Public-input polynomial: PI(ω^i) = -x_i.
-	piEvals := make([]fr.Element, n)
-	for i := range public {
-		piEvals[i].Neg(&public[i])
-	}
 	piPoly := make(poly.Polynomial, n)
-	copy(piPoly, piEvals)
+	for i := range public {
+		piPoly[i].Neg(&public[i])
+	}
 	if err := pk.Domain.IFFT(piPoly); err != nil {
 		return nil, err
 	}
 
-	// Round 1: blinded wire polynomials and their commitments.
-	blindWire := func(evals []fr.Element) (poly.Polynomial, error) {
-		p := make(poly.Polynomial, n+2)
+	// blind adds nbBlinds random coefficients times (X^n − 1) to the
+	// interpolation of evals, hiding as many evaluations of the
+	// polynomial outside the domain.
+	blind := func(evals []fr.Element, nbBlinds int) (poly.Polynomial, error) {
+		p := make(poly.Polynomial, nInt+nbBlinds)
 		copy(p, evals)
 		if err := pk.Domain.IFFT(p[:n]); err != nil {
 			return nil, err
 		}
-		b1, b2 := randScalar(), randScalar()
-		// + (b1 + b2·X)·(X^n - 1)
-		p[0].Sub(&p[0], &b1)
-		p[1].Sub(&p[1], &b2)
-		p[n].Add(&p[n], &b1)
-		p[n+1].Add(&p[n+1], &b2)
+		for j := 0; j < nbBlinds; j++ {
+			bj := randScalar()
+			p[j].Sub(&p[j], &bj)
+			p[nInt+j].Add(&p[nInt+j], &bj)
+		}
 		return p, nil
 	}
-	aPoly, err := blindWire(aV)
-	if err != nil {
-		return nil, err
-	}
-	bPoly, err := blindWire(bV)
-	if err != nil {
-		return nil, err
-	}
-	cPoly, err := blindWire(cV)
-	if err != nil {
-		return nil, err
-	}
 
-	commit := func(p poly.Polynomial) (kzg.Commitment, error) { return kzg.Commit(pk.SRS, p) }
+	// Round 1: blinded wire polynomials and their commitments — independent
+	// MSMs, the prover's dominant cost, run in parallel — plus, for an
+	// extended key, the lookup multiplicity polynomial [M] (committed
+	// before β_L exists).
+	aPoly, err := blind(aV, 2)
+	if err != nil {
+		return nil, err
+	}
+	bPoly, err := blind(bV, 2)
+	if err != nil {
+		return nil, err
+	}
+	cPoly, err := blind(cV, 2)
+	if err != nil {
+		return nil, err
+	}
 	proof := &Proof{}
-	// The three wire commitments are independent MSMs; run them in
-	// parallel (the prover's dominant cost).
-	if err = commitParallel(pk.SRS,
-		[]poly.Polynomial{aPoly, bPoly, cPoly},
-		[]*kzg.Commitment{&proof.A, &proof.B, &proof.C}); err != nil {
+	round1 := []poly.Polynomial{aPoly, bPoly, cPoly}
+	round1Cms := []*kzg.Commitment{&proof.A, &proof.B, &proof.C}
+	var mV []fr.Element
+	var mPoly poly.Polynomial
+	if pk.extended {
+		proof.Evals.Ext = &ExtEvals{}
+		if mV, err = buildMultiplicities(pk.gates, witness, pk.tableBits, n); err != nil {
+			return nil, err
+		}
+		if mPoly, err = blind(mV, 2); err != nil {
+			return nil, err
+		}
+		round1 = append(round1, mPoly)
+		round1Cms = append(round1Cms, &proof.M)
+	}
+	if err = commitParallel(pk.SRS, round1, round1Cms); err != nil {
 		return nil, err
 	}
 
 	tr := transcript.New("zkdet/plonk")
 	bindTranscript(tr, pk.VK, public)
-	tr.AppendPoint("a", &proof.A)
-	tr.AppendPoint("b", &proof.B)
-	tr.AppendPoint("c", &proof.C)
-	beta := tr.ChallengeScalar("beta")
-	gamma := tr.ChallengeScalar("gamma")
+	ch := proof.absorbRound1(tr)
+	ch.k1, ch.k2, ch.mds = fr.NewElement(permK1), fr.NewElement(permK2), pk.mds
 
 	// Round 2: grand-product polynomial z. The per-row numerator and
 	// denominator products are independent; only the prefix scan that
 	// turns them into z is serial.
 	omega := pk.Domain.Elements()
-	k1 := fr.NewElement(permK1)
-	k2 := fr.NewElement(permK2)
 	nums := make([]fr.Element, n)
 	dens := make([]fr.Element, n)
 	parallel.Execute(nInt, func(start, end int) {
 		for i := start; i < end; i++ {
 			var f1, f2, f3, t fr.Element
 			// (a + β·ω^i + γ)(b + β·k1·ω^i + γ)(c + β·k2·ω^i + γ)
-			f1.Mul(&beta, &omega[i])
+			f1.Mul(&ch.beta, &omega[i])
 			f1.Add(&f1, &aV[i])
-			f1.Add(&f1, &gamma)
-			t.Mul(&beta, &omega[i])
-			t.Mul(&t, &k1)
+			f1.Add(&f1, &ch.gamma)
+			t.Mul(&ch.beta, &omega[i])
+			t.Mul(&t, &ch.k1)
 			f2.Add(&bV[i], &t)
-			f2.Add(&f2, &gamma)
-			t.Mul(&beta, &omega[i])
-			t.Mul(&t, &k2)
+			f2.Add(&f2, &ch.gamma)
+			t.Mul(&ch.beta, &omega[i])
+			t.Mul(&t, &ch.k2)
 			f3.Add(&cV[i], &t)
-			f3.Add(&f3, &gamma)
+			f3.Add(&f3, &ch.gamma)
 			nums[i].Mul(&f1, &f2)
 			nums[i].Mul(&nums[i], &f3)
 
 			// (a + β·sσ1 + γ)(b + β·sσ2 + γ)(c + β·sσ3 + γ)
 			lbl := pk.sigmaLabel[i]
-			t.Mul(&beta, &lbl[0])
+			t.Mul(&ch.beta, &lbl[0])
 			f1.Add(&aV[i], &t)
-			f1.Add(&f1, &gamma)
-			t.Mul(&beta, &lbl[1])
+			f1.Add(&f1, &ch.gamma)
+			t.Mul(&ch.beta, &lbl[1])
 			f2.Add(&bV[i], &t)
-			f2.Add(&f2, &gamma)
-			t.Mul(&beta, &lbl[2])
+			f2.Add(&f2, &ch.gamma)
+			t.Mul(&ch.beta, &lbl[2])
 			f3.Add(&cV[i], &t)
-			f3.Add(&f3, &gamma)
+			f3.Add(&f3, &ch.gamma)
 			dens[i].Mul(&f1, &f2)
 			dens[i].Mul(&dens[i], &f3)
 		}
@@ -331,49 +388,78 @@ func proveClassic(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 		step.Mul(&nums[i], &dens[i])
 		zV[i+1].Mul(&zV[i], &step)
 	}
-
-	zPoly := make(poly.Polynomial, n+3)
-	copy(zPoly, zV)
-	if err := pk.Domain.IFFT(zPoly[:n]); err != nil {
-		return nil, err
-	}
-	zb1, zb2, zb3 := randScalar(), randScalar(), randScalar()
-	zPoly[0].Sub(&zPoly[0], &zb1)
-	zPoly[1].Sub(&zPoly[1], &zb2)
-	zPoly[2].Sub(&zPoly[2], &zb3)
-	zPoly[n].Add(&zPoly[n], &zb1)
-	zPoly[n+1].Add(&zPoly[n+1], &zb2)
-	zPoly[n+2].Add(&zPoly[n+2], &zb3)
-
-	if proof.Z, err = commit(zPoly); err != nil {
-		return nil, err
-	}
-	tr.AppendPoint("z", &proof.Z)
-	alpha := tr.ChallengeScalar("alpha")
-
-	// Round 3: quotient polynomial t over the 4n coset (preprocessed on
-	// the proving key, so its twiddle and coset tables are shared across
-	// proofs).
-	big := 4 * n
-	domain4, err := coset4(pk)
+	zPoly, err := blind(zV, 3)
 	if err != nil {
 		return nil, err
 	}
-	// The 13 coset evaluations are independent FFTs; run them with a
-	// bounded worker pool.
+	round2 := []poly.Polynomial{zPoly}
+	round2Cms := []*kzg.Commitment{&proof.Z}
+
+	// An extended key adds the LogUp helper and running-sum columns H, S
+	// (which need β_L).
+	var hPoly, sPoly poly.Polynomial
+	if pk.extended {
+		tblV := rangeTableValues(pk.tableBits, n)
+		hV, sV := buildLogUpColumns(pk.gates, aV, mV, tblV, ch.betaL)
+		// The LogUp telescoping sum must close: S_{n-1} + H_{n-1} wraps to
+		// S_0 = 0. If it doesn't, some lookup left the table.
+		var total fr.Element
+		total.Add(&sV[n-1], &hV[n-1])
+		if !total.IsZero() {
+			return nil, ErrUnsatisfied
+		}
+		if hPoly, err = blind(hV, 2); err != nil {
+			return nil, err
+		}
+		if sPoly, err = blind(sV, 3); err != nil {
+			return nil, err
+		}
+		round2 = append(round2, hPoly, sPoly)
+		round2Cms = append(round2Cms, &proof.H, &proof.S)
+	}
+	if err = commitParallel(pk.SRS, round2, round2Cms); err != nil {
+		return nil, err
+	}
+	proof.absorbRound2(tr, ch)
+
+	// Round 3: quotient polynomial t over a coset preprocessed on the
+	// proving key, so its twiddle and coset tables are shared across
+	// proofs. Custom gates carry degree-5 S-boxes, pushing the numerator
+	// past the 4n coset; they evaluate on 8n and split t into 6 pieces.
+	// Every other circuit stays on the 4n/3-piece shape.
+	domainE := pk.Domain4
+	nbPieces := 3
+	if pk.custom {
+		domainE = pk.Domain8
+		nbPieces = 6
+	}
+	if domainE == nil {
+		return nil, fmt.Errorf("plonk: proving key missing coset domain")
+	}
+	big := domainE.N
+	factor := big / n // coset index step corresponding to one ω step
+
+	// The coset evaluations (13 columns, 24 for an extended key) are
+	// independent FFTs; run them with a bounded worker pool.
 	cosetInputs := []poly.Polynomial{
 		aPoly, bPoly, cPoly, zPoly,
 		pk.QL, pk.QR, pk.QO, pk.QM, pk.QC,
 		pk.S1, pk.S2, pk.S3, piPoly,
 	}
-	cosetOutputs := make([][]fr.Element, len(cosetInputs))
+	if pk.extended {
+		cosetInputs = append(cosetInputs,
+			mPoly, hPoly, sPoly,
+			pk.QLk, pk.Tbl, pk.QMimc, pk.QPosF, pk.QPosP,
+			pk.KC0, pk.KC1, pk.KC2)
+	}
+	col := make([][]fr.Element, len(cosetInputs))
 	cosetErrs := make([]error, len(cosetInputs))
 	parallel.Execute(len(cosetInputs), func(start, end int) {
 		for i := start; i < end; i++ {
 			e := make([]fr.Element, big)
 			copy(e, cosetInputs[i])
-			cosetErrs[i] = domain4.FFTCoset(e)
-			cosetOutputs[i] = e
+			cosetErrs[i] = domainE.FFTCoset(e)
+			col[i] = e
 		}
 	})
 	for _, cerr := range cosetErrs {
@@ -381,33 +467,30 @@ func proveClassic(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 			return nil, cerr
 		}
 	}
-	aE, bE, cE, zE := cosetOutputs[0], cosetOutputs[1], cosetOutputs[2], cosetOutputs[3]
-	qlE, qrE, qoE, qmE, qcE := cosetOutputs[4], cosetOutputs[5], cosetOutputs[6], cosetOutputs[7], cosetOutputs[8]
-	s1E, s2E, s3E, piE := cosetOutputs[9], cosetOutputs[10], cosetOutputs[11], cosetOutputs[12]
 
-	// Coset points x_i = g·ω₄ⁱ, their Z_H values (period 4) and L1 values.
-	elems4 := domain4.Elements()
+	// Coset points x_i = g·ω_bigⁱ, their Z_H values (period big/n) and the
+	// denominators of L1(x) = Z_H(x) / (n·(x-1)).
+	elemsE := domainE.Elements()
 	xs := make([]fr.Element, big)
 	shift := fr.NewElement(fr.MultiplicativeGenerator)
 	parallel.Execute(int(big), func(start, end int) {
 		for i := start; i < end; i++ {
-			xs[i].Mul(&elems4[i], &shift)
+			xs[i].Mul(&elemsE[i], &shift)
 		}
 	})
 	var gN fr.Element
 	gN.ExpUint64(&shift, n)
-	w4n := domain4.Element(n) // primitive 4th root of unity
+	wEn := domainE.Element(n) // primitive (big/n)-th root of unity
 	one := fr.One()
-	zh := make([]fr.Element, 4)
+	zh := make([]fr.Element, factor)
 	cur := gN
-	for i := 0; i < 4; i++ {
+	for i := uint64(0); i < factor; i++ {
 		zh[i].Sub(&cur, &one)
-		cur.Mul(&cur, &w4n)
+		cur.Mul(&cur, &wEn)
 	}
-	zhInv := make([]fr.Element, 4)
+	zhInv := make([]fr.Element, factor)
 	copy(zhInv, zh)
 	fr.BatchInvert(zhInv)
-	// L1(x) = Z_H(x) / (n·(x-1)).
 	l1Den := make([]fr.Element, big)
 	nEl := fr.NewElement(n)
 	parallel.Execute(int(big), func(start, end int) {
@@ -418,143 +501,129 @@ func proveClassic(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	})
 	fr.BatchInvert(l1Den)
 
-	// The 4n quotient evaluations are independent; range-split them.
+	// The quotient evaluations are independent; range-split them.
 	tEvals := make([]fr.Element, big)
 	parallel.Execute(int(big), func(start, end int) {
 		for ii := start; ii < end; ii++ {
 			i := uint64(ii)
-			var gate, t1, t2 fr.Element
-			// Gate constraint.
-			t1.Mul(&qmE[i], &aE[i])
-			t1.Mul(&t1, &bE[i])
-			gate.Add(&gate, &t1)
-			t1.Mul(&qlE[i], &aE[i])
-			gate.Add(&gate, &t1)
-			t1.Mul(&qrE[i], &bE[i])
-			gate.Add(&gate, &t1)
-			t1.Mul(&qoE[i], &cE[i])
-			gate.Add(&gate, &t1)
-			gate.Add(&gate, &qcE[i])
-			gate.Add(&gate, &piE[i])
-
-			// Permutation constraint.
-			var p1, p2, f fr.Element
-			t1.Mul(&beta, &xs[i])
-			f.Add(&aE[i], &t1)
-			f.Add(&f, &gamma)
-			p1 = f
-			t1.Mul(&beta, &xs[i])
-			t1.Mul(&t1, &k1)
-			f.Add(&bE[i], &t1)
-			f.Add(&f, &gamma)
-			p1.Mul(&p1, &f)
-			t1.Mul(&beta, &xs[i])
-			t1.Mul(&t1, &k2)
-			f.Add(&cE[i], &t1)
-			f.Add(&f, &gamma)
-			p1.Mul(&p1, &f)
-			p1.Mul(&p1, &zE[i])
-
-			t1.Mul(&beta, &s1E[i])
-			f.Add(&aE[i], &t1)
-			f.Add(&f, &gamma)
-			p2 = f
-			t1.Mul(&beta, &s2E[i])
-			f.Add(&bE[i], &t1)
-			f.Add(&f, &gamma)
-			p2.Mul(&p2, &f)
-			t1.Mul(&beta, &s3E[i])
-			f.Add(&cE[i], &t1)
-			f.Add(&f, &gamma)
-			p2.Mul(&p2, &f)
-			zOmegaI := zE[(i+4)%big]
-			p2.Mul(&p2, &zOmegaI)
-
-			var perm fr.Element
-			perm.Sub(&p1, &p2)
-			perm.Mul(&perm, &alpha)
-
-			// L1 boundary constraint: α²·L1(x)·(z(x) - 1).
-			var l1v fr.Element
-			l1v.Mul(&zh[i%4], &l1Den[i])
-			t2.Sub(&zE[i], &one)
-			l1v.Mul(&l1v, &t2)
-			l1v.Mul(&l1v, &alpha)
-			l1v.Mul(&l1v, &alpha)
-
-			var num fr.Element
-			num.Add(&gate, &perm)
-			num.Add(&num, &l1v)
-			tEvals[i].Mul(&num, &zhInv[i%4])
+			j := (i + factor) % big // the coset index of ω·x_i
+			pv := pointVals{
+				x: xs[i],
+				a: col[0][i], b: col[1][i], c: col[2][i],
+				z: col[3][i], zw: col[3][j],
+				ql: col[4][i], qr: col[5][i], qo: col[6][i], qm: col[7][i], qc: col[8][i],
+				s1: col[9][i], s2: col[10][i], s3: col[11][i],
+				pi: col[12][i],
+			}
+			pv.l1.Mul(&zh[i%factor], &l1Den[i])
+			if pk.extended {
+				pv.aw, pv.bw, pv.cw = col[0][j], col[1][j], col[2][j]
+				pv.m, pv.h, pv.s, pv.sw = col[13][i], col[14][i], col[15][i], col[15][j]
+				pv.qlk, pv.tbl = col[16][i], col[17][i]
+				pv.qmimc, pv.qposf, pv.qposp = col[18][i], col[19][i], col[20][i]
+				pv.k0, pv.k1c, pv.k2c = col[21][i], col[22][i], col[23][i]
+			}
+			num := quotientNumerator(&pv, ch, pk.extended)
+			tEvals[i].Mul(&num, &zhInv[i%factor])
 		}
 	})
 	tPoly := make(poly.Polynomial, big)
 	copy(tPoly, tEvals)
-	if err := domain4.IFFTCoset(tPoly); err != nil {
+	if err := domainE.IFFTCoset(tPoly); err != nil {
 		return nil, err
 	}
 
-	// A satisfied circuit yields deg(t) ≤ 3n+5; anything above signals an
-	// unsatisfied witness (the division by Z_H was not exact).
-	for i := 3*n + 6; i < big; i++ {
+	// A satisfied circuit yields deg(t) ≤ 3n+5 (5n+5 with custom gates);
+	// anything above signals an unsatisfied witness (the division by Z_H
+	// was not exact).
+	maxLen := uint64(nbPieces)*n + 6
+	for i := maxLen; i < big; i++ {
 		if !tPoly[i].IsZero() {
 			return nil, ErrUnsatisfied
 		}
 	}
-	tLo := poly.Polynomial(tPoly[:n])
-	tMid := poly.Polynomial(tPoly[n : 2*n])
-	tHi := poly.Polynomial(tPoly[2*n : 3*n+6])
-	if err = commitParallel(pk.SRS,
-		[]poly.Polynomial{tLo, tMid, tHi},
-		[]*kzg.Commitment{&proof.TLo, &proof.TMid, &proof.THi}); err != nil {
+	pieces := make([]poly.Polynomial, nbPieces)
+	for p := 0; p < nbPieces-1; p++ {
+		pieces[p] = poly.Polynomial(tPoly[uint64(p)*n : uint64(p+1)*n])
+	}
+	pieces[nbPieces-1] = poly.Polynomial(tPoly[uint64(nbPieces-1)*n : maxLen])
+
+	proof.TExtra = make([]kzg.Commitment, nbPieces-3)
+	pieceCms := []*kzg.Commitment{&proof.TLo, &proof.TMid, &proof.THi}
+	for p := range proof.TExtra {
+		pieceCms = append(pieceCms, &proof.TExtra[p])
+	}
+	if err = commitParallel(pk.SRS, pieces, pieceCms); err != nil {
 		return nil, err
 	}
-	tr.AppendPoint("t_lo", &proof.TLo)
-	tr.AppendPoint("t_mid", &proof.TMid)
-	tr.AppendPoint("t_hi", &proof.THi)
-	zeta := tr.ChallengeScalar("zeta")
+	zeta := proof.absorbRound3(tr)
 
-	// Round 4: evaluations at ζ (and ζω for z) — 16 independent Horner
-	// walks, run on the worker pool.
+	// Round 4: evaluations at ζ (and ζω for z) — independent Horner walks,
+	// run on the worker pool. An extended key adds its own columns at ζ and
+	// the ω-shifted openings its constraints read (S for the running sum,
+	// a/b/c for the next-row custom gates).
 	var zetaOmega fr.Element
 	zetaOmega.Mul(&zeta, &pk.Domain.Gen)
 	ev := &proof.Evals
-	evalTasks := []struct {
+	type evalTask struct {
 		p   poly.Polynomial
 		at  *fr.Element
 		out *fr.Element
-	}{
+	}
+	evalTasks := []evalTask{
 		{aPoly, &zeta, &ev.A}, {bPoly, &zeta, &ev.B}, {cPoly, &zeta, &ev.C},
 		{zPoly, &zeta, &ev.Z}, {zPoly, &zetaOmega, &ev.ZOmega},
 		{pk.QL, &zeta, &ev.QL}, {pk.QR, &zeta, &ev.QR}, {pk.QO, &zeta, &ev.QO},
 		{pk.QM, &zeta, &ev.QM}, {pk.QC, &zeta, &ev.QC},
 		{pk.S1, &zeta, &ev.S1}, {pk.S2, &zeta, &ev.S2}, {pk.S3, &zeta, &ev.S3},
-		{tLo, &zeta, &ev.TLo}, {tMid, &zeta, &ev.TMid}, {tHi, &zeta, &ev.THi},
+		{pieces[0], &zeta, &ev.TLo}, {pieces[1], &zeta, &ev.TMid}, {pieces[2], &zeta, &ev.THi},
+	}
+	if ex := ev.Ext; ex != nil {
+		ex.TExtra = make([]fr.Element, nbPieces-3)
+		evalTasks = append(evalTasks, []evalTask{
+			{mPoly, &zeta, &ex.M}, {hPoly, &zeta, &ex.H}, {sPoly, &zeta, &ex.S},
+			{sPoly, &zetaOmega, &ex.SOmega},
+			{aPoly, &zetaOmega, &ex.AOmega}, {bPoly, &zetaOmega, &ex.BOmega}, {cPoly, &zetaOmega, &ex.COmega},
+			{pk.QLk, &zeta, &ex.QLk}, {pk.Tbl, &zeta, &ex.Tbl},
+			{pk.QMimc, &zeta, &ex.QMimc}, {pk.QPosF, &zeta, &ex.QPosF}, {pk.QPosP, &zeta, &ex.QPosP},
+			{pk.KC0, &zeta, &ex.K0}, {pk.KC1, &zeta, &ex.K1}, {pk.KC2, &zeta, &ex.K2},
+		}...)
+		for p := range ex.TExtra {
+			evalTasks = append(evalTasks, evalTask{pieces[3+p], &zeta, &ex.TExtra[p]})
+		}
 	}
 	parallel.Execute(len(evalTasks), func(start, end int) {
 		for i := start; i < end; i++ {
 			*evalTasks[i].out = evalTasks[i].p.Eval(evalTasks[i].at)
 		}
 	})
+	v := proof.absorbRound4(tr)
 
-	tr.AppendScalars("evals", ev.evalList())
-	tr.AppendScalar("z_omega", &ev.ZOmega)
-	v := tr.ChallengeScalar("v")
-
-	// Round 5: batched opening at ζ, single opening of z at ζω.
-	foldInputs := []poly.Polynomial{
+	// Round 5: batched opening at ζ, and a v-folded opening at ζω of z
+	// (and, for an extended key, S, a, b, c). The polynomial lists follow
+	// the order of ProofEvals.zetaList and omegaList.
+	foldZeta := []poly.Polynomial{
 		aPoly, bPoly, cPoly, zPoly,
 		pk.QL, pk.QR, pk.QO, pk.QM, pk.QC,
 		pk.S1, pk.S2, pk.S3,
-		tLo, tMid, tHi,
+		pieces[0], pieces[1], pieces[2],
 	}
-	folded := foldPolys(foldInputs, fr.Powers(&v, len(foldInputs)))
+	foldOmega := []poly.Polynomial{zPoly}
+	if pk.extended {
+		foldZeta = append(foldZeta,
+			mPoly, hPoly, sPoly,
+			pk.QLk, pk.Tbl, pk.QMimc, pk.QPosF, pk.QPosP,
+			pk.KC0, pk.KC1, pk.KC2)
+		foldZeta = append(foldZeta, pieces[3:]...)
+		foldOmega = append(foldOmega, sPoly, aPoly, bPoly, cPoly)
+	}
+	folded := foldPolys(foldZeta, fr.Powers(&v, len(foldZeta)))
 	wZeta, _ := poly.DivideByLinear(folded, &zeta)
-	if proof.WZeta, err = commit(wZeta); err != nil {
-		return nil, err
-	}
-	wZetaOmega, _ := poly.DivideByLinear(zPoly, &zetaOmega)
-	if proof.WZetaOmega, err = commit(wZetaOmega); err != nil {
+	foldedOmega := foldPolys(foldOmega, fr.Powers(&v, len(foldOmega)))
+	wZetaOmega, _ := poly.DivideByLinear(foldedOmega, &zetaOmega)
+	if err = commitParallel(pk.SRS,
+		[]poly.Polynomial{wZeta, wZetaOmega},
+		[]*kzg.Commitment{&proof.WZeta, &proof.WZetaOmega}); err != nil {
 		return nil, err
 	}
 	return proof, nil

@@ -2,7 +2,6 @@ package plonk
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 
 	"github.com/zkdet/zkdet/internal/bn254"
@@ -17,10 +16,9 @@ import (
 //	"ZKPF" | version=1 | flags | classic payload | [extension payload]
 //
 // flags bit 0 marks an extended (lookup/custom) proof, bit 1 a custom-gate
-// proof carrying three extra quotient pieces. The pre-versioning format —
-// the bare 1088-byte classic payload with no header — is recognised and
-// rejected with ErrLegacyEncoding so callers can migrate stored proofs
-// explicitly via ProofFromLegacyBytes.
+// proof carrying three extra quotient pieces. A blob without the header —
+// such as the bare 1088-byte classic payload that predates versioning — is
+// rejected.
 const (
 	proofVersion = 1
 
@@ -49,13 +47,6 @@ var proofMagic = [4]byte{'Z', 'K', 'P', 'F'}
 // extEvalsSize bytes, custom-gate proofs customExtraSize more — still
 // constant, whatever the circuit size.
 const ProofSize = headerSize + classicPayloadSize
-
-// LegacyProofSize is the byte length of the pre-versioning encoding: the
-// bare classic payload with no header.
-const LegacyProofSize = classicPayloadSize
-
-// ErrLegacyEncoding reports a proof blob in the pre-versioning format.
-var ErrLegacyEncoding = errors.New("plonk: legacy (unversioned) proof encoding")
 
 // appendG1 appends the 64-byte uncompressed encoding of pt. The point at
 // infinity — a legitimate commitment to the zero polynomial, e.g. [M] in a
@@ -139,13 +130,9 @@ func (p *Proof) Bytes() []byte {
 }
 
 // ProofFromBytes deserializes a versioned proof, validating that every
-// group element lies on the curve and every scalar is canonical. Blobs in
-// the pre-versioning format are rejected with ErrLegacyEncoding.
+// group element lies on the curve and every scalar is canonical.
 func ProofFromBytes(data []byte) (*Proof, error) {
 	if len(data) < headerSize || !bytes.Equal(data[:4], proofMagic[:]) {
-		if len(data) == LegacyProofSize {
-			return nil, fmt.Errorf("%w: decode with ProofFromLegacyBytes", ErrLegacyEncoding)
-		}
 		return nil, fmt.Errorf("plonk: proof encoding lacks %q header", proofMagic)
 	}
 	if v := data[4]; v != proofVersion {
@@ -225,20 +212,6 @@ func ProofFromBytes(data []byte) (*Proof, error) {
 		}
 	}
 	p.Evals.Ext = e
-	return p, nil
-}
-
-// ProofFromLegacyBytes deserializes the pre-versioning encoding: the bare
-// classic payload with no header. It exists so proofs stored before the
-// format was version-stamped remain readable.
-func ProofFromLegacyBytes(data []byte) (*Proof, error) {
-	if len(data) != LegacyProofSize {
-		return nil, fmt.Errorf("plonk: legacy proof must be %d bytes, got %d", LegacyProofSize, len(data))
-	}
-	p := &Proof{}
-	if _, err := decodeClassicPayload(p, data, 0); err != nil {
-		return nil, err
-	}
 	return p, nil
 }
 

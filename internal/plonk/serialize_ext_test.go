@@ -1,9 +1,6 @@
 package plonk
 
-import (
-	"errors"
-	"testing"
-)
+import "testing"
 
 // TestExtendedProofSerializationRoundTrip round-trips lookup-only and
 // custom-gate proofs through the versioned encoding, verifying the
@@ -106,58 +103,11 @@ func TestProofHeaderValidation(t *testing.T) {
 	if _, err := ProofFromBytes(bad); err == nil {
 		t.Fatal("extended flag with classic length accepted")
 	}
-}
 
-// TestLegacyProofDecoding is the regression test for the pre-versioning
-// format: a headerless classic payload is rejected by ProofFromBytes with
-// ErrLegacyEncoding, and ProofFromLegacyBytes still decodes it into a
-// verifying proof.
-func TestLegacyProofDecoding(t *testing.T) {
-	cs, witness := buildMulAddCircuit()
-	pk, vk, err := Setup(cs, testSRSOnce())
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, err := Prove(pk, witness)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Reconstruct the legacy encoding: the versioned classic payload minus
-	// its header is byte-identical to the old format.
-	legacy := proof.Bytes()[headerSize:]
-	if len(legacy) != LegacyProofSize {
-		t.Fatalf("legacy payload is %d bytes, want %d", len(legacy), LegacyProofSize)
-	}
-
-	if _, err := ProofFromBytes(legacy); !errors.Is(err, ErrLegacyEncoding) {
-		t.Fatalf("legacy blob: got %v, want ErrLegacyEncoding", err)
-	}
-
-	back, err := ProofFromLegacyBytes(legacy)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(vk, back, witness[:2]); err != nil {
-		t.Fatalf("legacy-decoded proof rejected: %v", err)
-	}
-
-	if _, err := ProofFromLegacyBytes(legacy[:100]); err == nil {
-		t.Fatal("short legacy blob accepted")
-	}
-
-	// An extended proof has no legacy encoding; its payload length alone
-	// must keep it out of the legacy path.
-	csL, wL := buildLookupCircuit(8, []uint64{1, 2})
-	pkL, _, err := Setup(csL, testSRSOnce())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pL, err := Prove(pkL, wL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ProofFromLegacyBytes(pL.Bytes()[headerSize:]); err == nil {
-		t.Fatal("extended payload decoded as legacy")
+	// The headerless payload that predates versioning has no decoder left;
+	// it must be turned away, not misread.
+	if _, err := ProofFromBytes(good[headerSize:]); err == nil {
+		t.Fatal("headerless 1088-byte payload accepted")
 	}
 }
 

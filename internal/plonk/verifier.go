@@ -36,40 +36,50 @@ func lagrangePrefix(omega []fr.Element, n uint64, zeta, zh *fr.Element) []fr.Ele
 	return out
 }
 
-// prepare replays the transcript, checks the quotient identity at ζ, and
-// reduces the two KZG opening checks to a single pairing statement. It is
-// everything Verify does except the pairing itself, so batch verification
-// can run it per proof and fold the statements.
+// foldScalars returns ∑ vals[i]·coeffs[i]; coeffs may be longer than vals.
+func foldScalars(vals, coeffs []fr.Element) fr.Element {
+	var acc, t fr.Element
+	for i := range vals {
+		t.Mul(&vals[i], &coeffs[i])
+		acc.Add(&acc, &t)
+	}
+	return acc
+}
+
+// prepare replays the transcript, checks the quotient identity at ζ — the
+// same quotientNumerator the prover ran on the coset — and reduces the two
+// KZG opening checks to a single pairing statement. It is everything Verify
+// does except the pairing itself, so batch verification can run it per
+// proof and fold the statements. The key's shape fixes which columns the
+// proof must open: an extended key adds the LogUp and custom-gate columns
+// at ζ and (S, a, b, c) at ζω, a custom-gate key three more quotient pieces.
 func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms, error) {
 	if len(public) != vk.NbPublic {
 		return pairingTerms{}, fmt.Errorf("%w: got %d, want %d", ErrWrongPublic, len(public), vk.NbPublic)
 	}
-	if vk.Extended != (proof.Evals.Ext != nil) {
+	ev := &proof.Evals
+	ex := ev.Ext
+	if vk.Extended != (ex != nil) {
 		return pairingTerms{}, fmt.Errorf("%w: extended=%v proof, extended=%v key",
-			ErrProofShape, proof.Evals.Ext != nil, vk.Extended)
+			ErrProofShape, ex != nil, vk.Extended)
 	}
-	if vk.Extended {
-		return prepareExtended(vk, proof, public)
+	nbExtra := 0
+	if vk.Custom {
+		nbExtra = 3
+	}
+	if len(proof.TExtra) != nbExtra || (ex != nil && len(ex.TExtra) != nbExtra) {
+		return pairingTerms{}, fmt.Errorf("%w: %d extra quotient pieces, want %d",
+			ErrProofShape, len(proof.TExtra), nbExtra)
 	}
 
 	// Reconstruct the challenges.
 	tr := transcript.New("zkdet/plonk")
 	bindTranscript(tr, vk, public)
-	tr.AppendPoint("a", &proof.A)
-	tr.AppendPoint("b", &proof.B)
-	tr.AppendPoint("c", &proof.C)
-	beta := tr.ChallengeScalar("beta")
-	gamma := tr.ChallengeScalar("gamma")
-	tr.AppendPoint("z", &proof.Z)
-	alpha := tr.ChallengeScalar("alpha")
-	tr.AppendPoint("t_lo", &proof.TLo)
-	tr.AppendPoint("t_mid", &proof.TMid)
-	tr.AppendPoint("t_hi", &proof.THi)
-	zeta := tr.ChallengeScalar("zeta")
-	ev := &proof.Evals
-	tr.AppendScalars("evals", ev.evalList())
-	tr.AppendScalar("z_omega", &ev.ZOmega)
-	v := tr.ChallengeScalar("v")
+	ch := proof.absorbRound1(tr)
+	ch.k1, ch.k2, ch.mds = vk.K1, vk.K2, vk.MDS
+	proof.absorbRound2(tr, ch)
+	zeta := proof.absorbRound3(tr)
+	v := proof.absorbRound4(tr)
 	tr.AppendPoint("w_zeta", &proof.WZeta)
 	tr.AppendPoint("w_zeta_omega", &proof.WZetaOmega)
 	u := tr.ChallengeScalar("u")
@@ -97,119 +107,93 @@ func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms,
 		t.Mul(&lag[i], &public[i])
 		pi.Sub(&pi, &t)
 	}
-	l1 := lag[0]
 
-	// Gate constraint value at ζ.
-	var gate, t fr.Element
-	t.Mul(&ev.QM, &ev.A)
-	t.Mul(&t, &ev.B)
-	gate.Add(&gate, &t)
-	t.Mul(&ev.QL, &ev.A)
-	gate.Add(&gate, &t)
-	t.Mul(&ev.QR, &ev.B)
-	gate.Add(&gate, &t)
-	t.Mul(&ev.QO, &ev.C)
-	gate.Add(&gate, &t)
-	gate.Add(&gate, &ev.QC)
-	gate.Add(&gate, &pi)
+	// The constraint stack at ζ.
+	pv := &pointVals{
+		x: zeta,
+		a: ev.A, b: ev.B, c: ev.C,
+		z: ev.Z, zw: ev.ZOmega,
+		ql: ev.QL, qr: ev.QR, qo: ev.QO, qm: ev.QM, qc: ev.QC, pi: pi,
+		s1: ev.S1, s2: ev.S2, s3: ev.S3,
+		l1: lag[0],
+	}
+	pieceEvals := []fr.Element{ev.TLo, ev.TMid, ev.THi}
+	if ex != nil {
+		pv.aw, pv.bw, pv.cw = ex.AOmega, ex.BOmega, ex.COmega
+		pv.m, pv.h, pv.s, pv.sw = ex.M, ex.H, ex.S, ex.SOmega
+		pv.qlk, pv.tbl = ex.QLk, ex.Tbl
+		pv.qmimc, pv.qposf, pv.qposp = ex.QMimc, ex.QPosF, ex.QPosP
+		pv.k0, pv.k1c, pv.k2c = ex.K0, ex.K1, ex.K2
+		pieceEvals = append(pieceEvals, ex.TExtra...)
+	}
+	rhs := quotientNumerator(pv, ch, vk.Extended)
 
-	// Permutation constraint value at ζ.
-	var p1, p2, f fr.Element
-	t.Mul(&beta, &zeta)
-	f.Add(&ev.A, &t)
-	f.Add(&f, &gamma)
-	p1 = f
-	t.Mul(&beta, &zeta)
-	t.Mul(&t, &vk.K1)
-	f.Add(&ev.B, &t)
-	f.Add(&f, &gamma)
-	p1.Mul(&p1, &f)
-	t.Mul(&beta, &zeta)
-	t.Mul(&t, &vk.K2)
-	f.Add(&ev.C, &t)
-	f.Add(&f, &gamma)
-	p1.Mul(&p1, &f)
-	p1.Mul(&p1, &ev.Z)
-
-	t.Mul(&beta, &ev.S1)
-	f.Add(&ev.A, &t)
-	f.Add(&f, &gamma)
-	p2 = f
-	t.Mul(&beta, &ev.S2)
-	f.Add(&ev.B, &t)
-	f.Add(&f, &gamma)
-	p2.Mul(&p2, &f)
-	t.Mul(&beta, &ev.S3)
-	f.Add(&ev.C, &t)
-	f.Add(&f, &gamma)
-	p2.Mul(&p2, &f)
-	p2.Mul(&p2, &ev.ZOmega)
-
-	var perm fr.Element
-	perm.Sub(&p1, &p2)
-	perm.Mul(&perm, &alpha)
-
-	var l1v fr.Element
-	l1v.Sub(&ev.Z, &one)
-	l1v.Mul(&l1v, &l1)
-	l1v.Mul(&l1v, &alpha)
-	l1v.Mul(&l1v, &alpha)
-
-	var rhs fr.Element
-	rhs.Add(&gate, &perm)
-	rhs.Add(&rhs, &l1v)
-
-	// t(ζ) = t_lo(ζ) + ζ^n·t_mid(ζ) + ζ^{2n}·t_hi(ζ).
-	var tEval, zeta2N fr.Element
-	zeta2N.Square(&zetaN)
-	tEval.Mul(&zetaN, &ev.TMid)
-	tEval.Add(&tEval, &ev.TLo)
-	t.Mul(&zeta2N, &ev.THi)
-	tEval.Add(&tEval, &t)
-
+	// t(ζ) = Σ_p ζ^{p·n}·t_p(ζ).
+	var tEval fr.Element
+	zetaPow := one
+	for p := range pieceEvals {
+		var t fr.Element
+		t.Mul(&zetaPow, &pieceEvals[p])
+		tEval.Add(&tEval, &t)
+		zetaPow.Mul(&zetaPow, &zetaN)
+	}
 	var lhs fr.Element
 	lhs.Mul(&tEval, &zh)
 	if !lhs.Equal(&rhs) {
 		return pairingTerms{}, fmt.Errorf("%w: quotient identity", ErrProofInvalid)
 	}
 
-	// Batched KZG check. Fold the ζ-opened commitments and values with v.
+	// Batched KZG check: fold the ζ-opened commitments and values with v,
+	// the ζω-opened ones with v inside the u-weighted term. Both lists
+	// follow ProofEvals.zetaList and omegaList.
 	cms := []kzg.Commitment{
 		proof.A, proof.B, proof.C, proof.Z,
 		vk.QL, vk.QR, vk.QO, vk.QM, vk.QC,
 		vk.S1, vk.S2, vk.S3,
 		proof.TLo, proof.TMid, proof.THi,
 	}
-	evals := ev.evalList()
-	foldVal := fr.Zero()
-	vPowers := fr.Powers(&v, len(cms))
-	for i := range evals {
-		var tv fr.Element
-		tv.Mul(&evals[i], &vPowers[i])
-		foldVal.Add(&foldVal, &tv)
+	omegaCms := []kzg.Commitment{proof.Z}
+	if ex != nil {
+		cms = append(cms,
+			proof.M, proof.H, proof.S,
+			vk.QLk, vk.Tbl, vk.QMimc, vk.QPosF, vk.QPosP,
+			vk.KC0, vk.KC1, vk.KC2)
+		cms = append(cms, proof.TExtra...)
+		omegaCms = append(omegaCms, proof.S, proof.A, proof.B, proof.C)
 	}
+	vPowers := fr.Powers(&v, len(cms))
+	foldVal := foldScalars(ev.zetaList(), vPowers)
+	foldValOmega := foldScalars(ev.omegaList(), vPowers)
 
 	// Combine the two opening checks with u:
 	// e(Fζ + ζ·Wζ + u·(Fζω + ζω·Wζω) - E, G2) · e(-(Wζ + u·Wζω), τG2) == 1
-	// where E = (valζ + u·z̄ω)·G1 and Fζω = [z]. The whole left-hand G1
-	// point — the v-fold of the 15 commitments plus the four correction
-	// terms — is one MSM instead of twenty serial scalar multiplications.
+	// where E = (valζ + u·valζω)·G1 and Fζω = [z] (+ v[S] + v²[a] + v³[b] +
+	// v⁴[c]). The whole left-hand G1 point — both folds plus the correction
+	// terms — is one MSM instead of a scalar multiplication per term.
 	g1 := bn254.G1Generator()
 	var zetaOmega fr.Element
 	zetaOmega.Mul(&zeta, &domain.Gen)
 	var uZOmega fr.Element
 	uZOmega.Mul(&u, &zetaOmega)
 	var eScalar fr.Element
-	eScalar.Mul(&u, &ev.ZOmega)
+	eScalar.Mul(&u, &foldValOmega)
 	eScalar.Add(&eScalar, &foldVal)
 	eScalar.Neg(&eScalar)
 
-	pts := make([]bn254.G1Affine, 0, len(cms)+4)
-	scs := make([]fr.Element, 0, len(cms)+4)
+	pts := make([]bn254.G1Affine, 0, len(cms)+len(omegaCms)+3)
+	scs := make([]fr.Element, 0, cap(pts))
 	pts = append(pts, cms...)
 	scs = append(scs, vPowers...)
-	pts = append(pts, proof.WZeta, proof.Z, proof.WZetaOmega, g1)
-	scs = append(scs, zeta, u, uZOmega, eScalar)
+	pts = append(pts, proof.WZeta)
+	scs = append(scs, zeta)
+	for i := range omegaCms {
+		var s fr.Element
+		s.Mul(&u, &vPowers[i])
+		pts = append(pts, omegaCms[i])
+		scs = append(scs, s)
+	}
+	pts = append(pts, proof.WZetaOmega, g1)
+	scs = append(scs, uZOmega, eScalar)
 
 	var terms pairingTerms
 	L, err := bn254.G1MSM(pts, scs)
