@@ -66,7 +66,8 @@ race:
 
 # Native Go fuzzing, smoke-length: 10s per target over the byte-level
 # attack surfaces (field-element decoding, transcript challenge
-# derivation). CI runs this; `go test -fuzz` with a longer -fuzztime digs
+# derivation, and the state-trie op stream against its from-scratch
+# rebuild). CI runs this; `go test -fuzz` with a longer -fuzztime digs
 # deeper locally.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzFromBytesRoundTrip$$' -fuzztime=10s ./internal/fr/
@@ -78,6 +79,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzLogUpWitness$$' -fuzztime=10s ./internal/plonk/
 	$(GO) test -run='^$$' -fuzz='^FuzzCommitmentDecode$$' -fuzztime=10s ./internal/ct/
 	$(GO) test -run='^$$' -fuzz='^FuzzCTProofDecode$$' -fuzztime=10s ./internal/ct/
+	$(GO) test -run='^$$' -fuzz='^FuzzStateTrieOps$$' -fuzztime=10s ./internal/chain/
 
 # Package-level prover-stack benchmarks (Domain.FFT, G1MSM, kzg.Commit,
 # plonk.Prove at 2^10..2^16); see EXPERIMENTS.md for recorded trajectories.
@@ -101,11 +103,14 @@ bench-p2p:
 
 # Execution-layer benchmark: sealed tx/s for the parallel batch engine vs
 # the serial reference at 1/2/4/8 workers and 100/1k/10k clients on a
-# conflict-light DataNFT workload; see EXPERIMENTS.md §Execution layer for
-# recorded numbers. `go run ./cmd/zkdet-bench -exec` prints the same sweep
-# as a table with speedups and engine counters.
+# conflict-light DataNFT workload, then SealBlock and ImportBlock of one
+# 256-tx block on a DataNFT store pre-filled to 1k/10k/100k slots (ns/op
+# flat across sizes is the commitment's O(block) claim); see EXPERIMENTS.md
+# §Execution layer for recorded numbers. `go run ./cmd/zkdet-bench -exec`
+# prints the sweep as a table with speedups and engine counters.
 bench-exec:
 	$(GO) test -run='^$$' -bench='BenchmarkExecThroughput$$' -benchtime=1x ./internal/bench/
+	$(GO) test -run='^$$' -bench='BenchmarkSealBlock$$|BenchmarkImportBlock$$' -benchtime=20x ./internal/bench/
 
 # Durability benchmarks: raw WAL append throughput by sync policy, durable
 # vs in-memory sealed tx/s (the ≤2x acceptance criterion at the default

@@ -357,10 +357,9 @@ func runExec() {
 			fmt.Sprintf("%.2fx", r.TxPerSec/serialRate[r.Clients]),
 			r.Speculated, r.Committed, r.Conflicts, r.Serial)
 	}
-	fmt.Println("(the parallel engine's gain on this box is algorithmic — per-tx effects apply from")
-	fmt.Println(" captured write sets instead of the serial path's full balance snapshot, so the")
-	fmt.Println(" advantage grows with the client population; on multi-core hardware the group")
-	fmt.Println(" speculation additionally spreads across cores)")
+	fmt.Println("(both paths now undo from pre-images, so the ratio is what speculation costs —")
+	fmt.Println(" overlay, read capture, commit-time validation — against what the extra cores")
+	fmt.Println(" buy; these transfers are too cheap for two cores to pay for it)")
 }
 
 func runCT(sys *core.System) {

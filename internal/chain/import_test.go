@@ -2,6 +2,7 @@ package chain
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -91,20 +92,52 @@ func TestImportBlockStructuralChecks(t *testing.T) {
 
 func TestImportBlockRollsBackOnStateMismatch(t *testing.T) {
 	a, b, alice, bob := twoChains(t)
-	blk, txs := sealTransfers(t, a, alice, bob, 3)
+	for _, c := range []*Chain{a, b} {
+		if _, err := c.Deploy("pa", &ptest{}, 500); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Block 1 gives the follower an event index and slots to preserve;
+	// block 2 — the one it will reject — overwrites a slot, adds events,
+	// and pays carol, an account the follower has never seen.
+	carol := AddressFromString("carol")
+	seal := func(txs ...Transaction) (Block, []Transaction) {
+		t.Helper()
+		for _, tx := range txs {
+			if _, err := a.Submit(tx); err != nil {
+				t.Fatal(err)
+			}
+		}
+		blk := a.SealBlock()
+		body, _ := a.BlockBody(blk.Number)
+		return blk, body
+	}
+	blk1, txs1 := seal(Transaction{From: alice, Contract: "pa", Method: "bump", Nonce: 0})
+	if _, err := b.ImportBlock(blk1, txs1); err != nil {
+		t.Fatal(err)
+	}
+	blk, txs := seal(
+		Transaction{From: alice, Contract: "pa", Method: "bump", Nonce: 1},
+		Transaction{From: alice, To: carol, Value: 7, Nonce: 2},
+		Transaction{From: bob, Contract: "pa", Method: "bump", Nonce: 0},
+		Transaction{From: bob, To: alice, Value: 1, Nonce: 1},
+	)
 
 	forged := blk
 	forged.StateRoot[0] ^= 0xff
-	balBefore := b.BalanceOf(bob)
-	nonceBefore := b.NonceOf(alice)
-	if _, err := b.ImportBlock(forged, txs); !errors.Is(err, ErrStateMismatch) {
-		t.Fatalf("forged root: %v, want ErrStateMismatch", err)
-	}
-	if b.BalanceOf(bob) != balBefore || b.NonceOf(alice) != nonceBefore {
-		t.Fatal("failed import leaked state")
-	}
-	if b.Height() != 0 {
-		t.Fatalf("failed import appended a block: height %d", b.Height())
+	for _, workers := range []int{1, 4} { // serial replay, then the overlay commit
+		b.SetExecWorkers(workers)
+		before := imageOf(b)
+		if _, err := b.ImportBlock(forged, txs); !errors.Is(err, ErrStateMismatch) {
+			t.Fatalf("forged root: %v, want ErrStateMismatch", err)
+		}
+		after := imageOf(b)
+		if !reflect.DeepEqual(before, after) {
+			t.Fatalf("failed import (workers %d) leaked state:\nbefore %+v\nafter  %+v", workers, before, after)
+		}
+		if _, seen := after.Accounts[carol]; seen {
+			t.Fatal("account created by the rejected block survived the rollback")
+		}
 	}
 	// The rollback left the follower able to import the honest block.
 	if _, err := b.ImportBlock(blk, txs); err != nil {
@@ -112,6 +145,9 @@ func TestImportBlockRollsBackOnStateMismatch(t *testing.T) {
 	}
 	if b.HeadHash() != a.HeadHash() {
 		t.Fatal("heads diverged after recovery")
+	}
+	if b.BalanceOf(carol) != 7 {
+		t.Fatal("honest import did not pay carol")
 	}
 }
 

@@ -103,24 +103,30 @@ func (c *Chain) ExportState() (*StateExport, error) {
 		exp.Accounts[a] = AccountState{Balance: acc.balance, Nonce: acc.nonce}
 	}
 	for name, st := range c.storages {
-		cp := make(map[string][]byte, len(st.data))
-		for k, v := range st.data {
-			vc := make([]byte, len(v))
-			copy(vc, v)
-			cp[k] = vc
-		}
-		exp.Storages[name] = cp
+		exp.Storages[name] = cloneSlots(st.data)
 	}
 	return exp, nil
+}
+
+// cloneSlots deep-copies a contract's slot map.
+func cloneSlots(data map[string][]byte) map[string][]byte {
+	cp := make(map[string][]byte, len(data))
+	for k, v := range data {
+		vc := make([]byte, len(v))
+		copy(vc, v)
+		cp[k] = vc
+	}
+	return cp
 }
 
 // RestoreState installs an exported state onto a freshly deployed genesis
 // chain (contracts deployed, no blocks sealed, no transactions processed).
 // The restore is self-verifying and atomic: headers must hash-link, bodies
-// must match their headers' transaction hashes, and the recomputed state
-// root must equal the export's checkpointed head root — any failure rolls
-// the chain back to its pre-restore genesis and returns an error, so
-// corrupt state is never half-loaded.
+// must match their headers' transaction hashes, and the state root
+// recomputed over storages built aside must equal the export's
+// checkpointed head root — all checked before anything is installed, so a
+// failure leaves the chain at its pre-restore genesis and corrupt state is
+// never half-loaded.
 //
 // Like SealBlock, every restored block is dispatched to the OnSeal hooks
 // in height order (with its receipts where retained), so indexers attached
@@ -153,33 +159,23 @@ func (c *Chain) RestoreState(exp *StateExport) error {
 		}
 	}
 
-	// Install state under the protection of the chain's own rollback
-	// snapshot, then verify the root before committing to the headers.
-	snap := c.snapshotLocked()
-	for name, st := range c.storages {
-		data, ok := exp.Storages[name]
-		if !ok {
-			data = map[string][]byte{}
-		}
-		cp := make(map[string][]byte, len(data))
-		for k, v := range data {
-			vc := make([]byte, len(v))
-			copy(vc, v)
-			cp[k] = vc
-		}
-		st.data = cp
-		st.invalidate()
+	// Build the candidate storages aside — each commitment from scratch —
+	// and verify their root before anything is installed, so a rejected
+	// export leaves the chain untouched.
+	cand := make(map[string]*Storage, len(c.storages))
+	for name := range c.storages {
+		cand[name] = newStorageFrom(cloneSlots(exp.Storages[name]))
 	}
+	if got, want := stateRootOf(cand), exp.StateRoot(); got != want {
+		c.mu.Unlock()
+		return fmt.Errorf("%w: recomputed %s, checkpoint %s", ErrStateRoot, got, want)
+	}
+	c.storages = cand
 	for a := range c.accounts {
 		delete(c.accounts, a)
 	}
 	for a, st := range exp.Accounts {
 		c.accounts[a] = &account{balance: st.Balance, nonce: st.Nonce}
-	}
-	if got, want := c.stateRootLocked(), exp.StateRoot(); got != want {
-		c.restoreLocked(snap)
-		c.mu.Unlock()
-		return fmt.Errorf("%w: recomputed %s, checkpoint %s", ErrStateRoot, got, want)
 	}
 
 	// Root verified: commit headers, bodies, receipts, and rebuild the

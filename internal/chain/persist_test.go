@@ -2,6 +2,7 @@ package chain
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -151,10 +152,16 @@ func TestRestoreRejectsTamperedStateAtomically(t *testing.T) {
 		break
 	}
 	dst := freshGenesis(t)
+	before := imageOf(dst)
 	if err := dst.RestoreState(exp); !errors.Is(err, ErrStateRoot) {
 		t.Fatalf("RestoreState on tampered storage = %v, want ErrStateRoot", err)
 	}
-	// Atomicity: the failed restore left a working genesis chain behind.
+	// Atomicity: the candidate state was built aside, so the failed restore
+	// touched no slot, account or index entry and left a working genesis
+	// chain behind.
+	if after := imageOf(dst); !reflect.DeepEqual(before, after) {
+		t.Fatalf("failed restore leaked state:\nbefore %+v\nafter  %+v", before, after)
+	}
 	if h := dst.Height(); h != 0 {
 		t.Fatalf("height after failed restore = %d, want 0", h)
 	}

@@ -1,53 +1,64 @@
 package chain
 
-import (
-	"crypto/sha256"
-	"sort"
-)
-
 // Storage is a contract's persistent key-value store. Reads and writes go
 // through a gas-metered view; values are opaque byte strings and an absent
 // or empty value is the "zero" slot of the EVM cost model.
 //
 // A Storage is one of three shapes:
 //
-//   - the root store (held in Chain.storages): owns the data map and the
-//     cached digest,
+//   - the root store (held in Chain.storages): owns the data map and its
+//     commitment,
 //   - a metered view (metered): shares the root's data, charges a gas
-//     meter, journals writes, and invalidates the root's digest cache, or
+//     meter, journals writes, and marks the slots it writes dirty on the
+//     root, or
 //   - an overlay view (ov != nil): used by the parallel executor; reads
 //     and writes are redirected to a speculative overlay (see execview.go)
 //     and never touch the root data until the engine commits them.
 type Storage struct {
 	data map[string][]byte
-	gas  *GasMeter // nil on the root store; set on metered views
-	jrnl *journal  // write journal for transaction rollback (metered views)
+	gas  *GasMeter     // nil on the root store; set on metered views
+	jrnl *journal      // write journal for transaction rollback (metered views)
 	ov   *storeOverlay // speculative overlay; nil outside parallel execution
 
 	// rootRef points from a metered view back to the root store so writes
-	// through the view can invalidate the digest cache; nil on the root.
+	// through the view can mark their slot dirty; nil on the root.
 	rootRef *Storage
 
-	// Cached content digest, maintained on the root store only. Every
-	// mutation path (Set, Delete, journal revert, snapshot restore, batch
-	// commit) goes through invalidate(), which keeps the state root
-	// O(touched contracts) per seal instead of O(total slots).
-	dig   [32]byte
-	digOK bool
+	// The commitment to data, on the root store only (see statetrie.go).
+	// Every path that mutates data — Set, Delete, journal revert, the
+	// parallel engine's overlay commit — marks the slot dirty, and digest()
+	// folds exactly the dirty slots into the trie: a seal costs
+	// O(slots written · log state), not O(state). mu is the owning Chain's.
+	trie  stateTrie           // guarded by mu
+	dirty map[string]struct{} // guarded by mu
 }
 
-// journal records pre-images of mutated slots so a reverted transaction can
-// undo exactly what it touched (instead of snapshotting the whole state).
+// journal records the pre-images of mutated storage slots and accounts so
+// an open undo scope — one transaction, or the whole block under
+// ImportBlock — can be rolled back by undoing exactly what it touched.
 type journal struct {
-	entries []journalEntry
+	slots    []slotEntry
+	accts    []acctEntry
+	accounts map[Address]*account // the chain's account table; nil on a storage-only journal
 }
 
-type journalEntry struct {
+type slotEntry struct {
 	store   *Storage
 	key     string
 	old     []byte
 	existed bool
 }
+
+type acctEntry struct {
+	addr    Address
+	old     account
+	existed bool
+}
+
+// journalMark is a position in a journal that revertTo can return to.
+type journalMark struct{ slots, accts int }
+
+func (j *journal) mark() journalMark { return journalMark{len(j.slots), len(j.accts)} }
 
 func (j *journal) record(s *Storage, key string) {
 	old, existed := s.data[key]
@@ -56,26 +67,59 @@ func (j *journal) record(s *Storage, key string) {
 		cp = make([]byte, len(old))
 		copy(cp, old)
 	}
-	j.entries = append(j.entries, journalEntry{store: s, key: key, old: cp, existed: existed})
+	j.slots = append(j.slots, slotEntry{store: s, key: key, old: cp, existed: existed})
 }
 
-// revert undoes every write, newest first.
-func (j *journal) revert() {
-	for i := len(j.entries) - 1; i >= 0; i-- {
-		e := j.entries[i]
+// recordAcct notes an account's pre-image; acc is nil when the account is
+// about to be created.
+func (j *journal) recordAcct(a Address, acc *account) {
+	e := acctEntry{addr: a, existed: acc != nil}
+	if acc != nil {
+		e.old = *acc
+	}
+	j.accts = append(j.accts, e)
+}
+
+// revertTo undoes every write recorded since the mark, newest first. An
+// account record is restored in place, so pointers to it stay valid; one
+// the scope created is deleted again.
+func (j *journal) revertTo(m journalMark) {
+	for i := len(j.slots) - 1; i >= m.slots; i-- {
+		e := j.slots[i]
 		if e.existed {
 			e.store.data[e.key] = e.old
 		} else {
 			delete(e.store.data, e.key)
 		}
-		e.store.invalidate()
+		e.store.root().markDirty(e.key)
 	}
-	j.entries = nil
+	clear(j.slots[m.slots:]) // drop the pre-image references
+	j.slots = j.slots[:m.slots]
+	for i := len(j.accts) - 1; i >= m.accts; i-- {
+		e := j.accts[i]
+		if e.existed {
+			*j.accounts[e.addr] = e.old
+		} else {
+			delete(j.accounts, e.addr)
+		}
+	}
+	j.accts = j.accts[:m.accts]
 }
 
 // NewStorage returns an empty store.
 func NewStorage() *Storage {
-	return &Storage{data: make(map[string][]byte)}
+	return newStorageFrom(make(map[string][]byte))
+}
+
+// newStorageFrom returns a root store owning data, its commitment built
+// from scratch. This is the only full walk: whole-map installs
+// (RestoreState) use it, and the tests pin the incremental path to it.
+func newStorageFrom(data map[string][]byte) *Storage {
+	s := &Storage{data: data, dirty: make(map[string]struct{})}
+	for k, v := range data {
+		s.trie.put(k, v)
+	}
+	return s
 }
 
 // metered returns a view that charges the given meter and journals writes.
@@ -84,7 +128,7 @@ func (s *Storage) metered(gas *GasMeter, j *journal) *Storage {
 	return &Storage{data: s.data, gas: gas, jrnl: j, ov: s.ov, rootRef: s.root()}
 }
 
-// root resolves the digest-cache owner of this view.
+// root resolves the commitment owner of this view.
 func (s *Storage) root() *Storage {
 	if s.rootRef != nil {
 		return s.rootRef
@@ -92,10 +136,10 @@ func (s *Storage) root() *Storage {
 	return s
 }
 
-// invalidate drops the root store's cached digest; called on every path
-// that mutates the underlying data.
-func (s *Storage) invalidate() {
-	s.root().digOK = false
+// markDirty notes, on the root store, that a slot of data changed since the
+// last digest(); caller holds the owning chain's mu.
+func (s *Storage) markDirty(key string) {
+	s.dirty[key] = struct{}{}
 }
 
 // Get reads a slot, charging SLOAD gas on metered views.
@@ -160,7 +204,7 @@ func (s *Storage) Set(key string, value []byte) error {
 	out := make([]byte, len(value))
 	copy(out, value)
 	s.data[key] = out
-	s.invalidate()
+	s.root().markDirty(key)
 	return nil
 }
 
@@ -179,7 +223,7 @@ func (s *Storage) Delete(key string) error {
 		s.jrnl.record(s, key)
 	}
 	delete(s.data, key)
-	s.invalidate()
+	s.root().markDirty(key)
 	return nil
 }
 
@@ -189,34 +233,20 @@ func (s *Storage) Has(key string) (bool, error) {
 	return len(v) > 0, err
 }
 
-// digest hashes the store contents deterministically, serving from the
-// cache when no slot changed since the last call.
+// digest returns the commitment to the store's contents, first folding the
+// slots written since the last call into the trie; caller holds the owning
+// chain's mu. The dirty set is drained in map order: the trie's shape and
+// root are a function of the resulting slot set alone (canonical shape, see
+// statetrie.go), so the fold order cannot reach the root.
 func (s *Storage) digest() [32]byte {
 	r := s.root()
-	if r.digOK {
-		return r.dig
+	for k := range r.dirty {
+		if v, ok := r.data[k]; ok {
+			r.trie.put(k, v)
+		} else {
+			r.trie.del(k)
+		}
 	}
-	d := r.digestFull()
-	r.dig, r.digOK = d, true
-	return d
-}
-
-// digestFull is the uncached full walk; the digest-cache test pins
-// digest() to it.
-func (s *Storage) digestFull() [32]byte {
-	keys := make([]string, 0, len(s.data))
-	for k := range s.data {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	h := sha256.New()
-	for _, k := range keys {
-		h.Write([]byte(k))
-		h.Write([]byte{0})
-		h.Write(s.data[k])
-		h.Write([]byte{1})
-	}
-	var out [32]byte
-	copy(out[:], h.Sum(nil))
-	return out
+	clear(r.dirty)
+	return r.trie.rootHash()
 }

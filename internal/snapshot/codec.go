@@ -23,9 +23,12 @@ var (
 	ErrBadSnapshot = errors.New("snapshot: malformed or corrupt snapshot file")
 )
 
+// snapVersion 2: the checkpointed state root is the Merkle-trie commitment
+// (chain/statetrie.go). A version-1 file carries roots of the old sorted
+// walk, which no restore can re-derive, so it is refused at the manifest.
 const (
 	snapMagic   = "ZKSNAP01"
-	snapVersion = 1
+	snapVersion = 2
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"strings"
 	"testing"
@@ -152,6 +153,25 @@ func TestCodecRoundTrip(t *testing.T) {
 	last := snap.State.Bodies[4]
 	if last.Receipts[0].Err == nil || !strings.Contains(last.Receipts[0].Err.Error(), "deliberate failure") {
 		t.Fatalf("reverted receipt error = %v", last.Receipts[0].Err)
+	}
+}
+
+// TestDecodeRefusesOldVersion: a snapshot written before the state root
+// became the trie commitment (version 1) is refused at the manifest with the
+// typed error, not decoded in full and failed at the state-root check.
+func TestDecodeRefusesOldVersion(t *testing.T) {
+	c := genesis(t)
+	c.SealBlock()
+	exp, err := c.ExportState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data := Encode(&Snapshot{State: exp})
+	binary.LittleEndian.PutUint32(data[len(snapMagic):], 1)
+	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.Checksum(data[:len(data)-4], crcTable))
+	_, err = Decode(data)
+	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "unsupported version 1") {
+		t.Fatalf("Decode of a version-1 snapshot = %v, want ErrBadSnapshot: unsupported version 1", err)
 	}
 }
 
