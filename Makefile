@@ -66,13 +66,14 @@ race:
 
 # Native Go fuzzing, smoke-length: 10s per target over the byte-level
 # attack surfaces (field-element decoding, transcript challenge
-# derivation, and the state-trie op stream against its from-scratch
-# rebuild). CI runs this; `go test -fuzz` with a longer -fuzztime digs
-# deeper locally.
+# derivation, the MSM bucket kernel on colliding points against the naive
+# sum, and the state-trie op stream against its from-scratch rebuild). CI
+# runs this; `go test -fuzz` with a longer -fuzztime digs deeper locally.
 fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzFromBytesRoundTrip$$' -fuzztime=10s ./internal/fr/
 	$(GO) test -run='^$$' -fuzz='^FuzzSetBytesCanonical$$' -fuzztime=10s ./internal/fr/
 	$(GO) test -run='^$$' -fuzz='^FuzzTranscriptChallenge$$' -fuzztime=10s ./internal/transcript/
+	$(GO) test -run='^$$' -fuzz='^FuzzG1MSM$$' -fuzztime=10s ./internal/bn254/
 	$(GO) test -run='^$$' -fuzz='^FuzzTornReplay$$' -fuzztime=10s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=10s ./internal/snapshot/
 	$(GO) test -run='^$$' -fuzz='^FuzzProofFromBytes$$' -fuzztime=10s ./internal/plonk/
@@ -82,7 +83,8 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzStateTrieOps$$' -fuzztime=10s ./internal/chain/
 
 # Package-level prover-stack benchmarks (Domain.FFT, G1MSM, kzg.Commit,
-# plonk.Prove at 2^10..2^16); see EXPERIMENTS.md for recorded trajectories.
+# plonk.Prove at 2^10..2^16, including 2^13, the π_e domain of the repo
+# benchmark's probes); see EXPERIMENTS.md for recorded trajectories.
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkFFT$$|BenchmarkG1MSM$$|BenchmarkCommit$$|BenchmarkProve$$' -benchmem \
 		./internal/poly/ ./internal/bn254/ ./internal/kzg/ ./internal/plonk/

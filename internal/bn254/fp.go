@@ -53,12 +53,9 @@ func MustFpFromDecimal(s string) Fp {
 // BigInt returns the canonical integer value of z.
 func (z *Fp) BigInt() *big.Int { return fpField.ToBig(&z.v) }
 
-// Bytes returns the canonical 32-byte big-endian encoding.
-func (z *Fp) Bytes() [32]byte {
-	var out [32]byte
-	copy(out[:], fpField.Bytes(&z.v))
-	return out
-}
+// Bytes returns the canonical 32-byte big-endian encoding. It does not
+// allocate.
+func (z *Fp) Bytes() [32]byte { return fpField.Bytes(&z.v) }
 
 // FpFromBytesCanonical decodes a canonical 32-byte big-endian encoding.
 func FpFromBytesCanonical(b []byte) (Fp, error) {

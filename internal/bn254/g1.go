@@ -237,11 +237,56 @@ func (p *G1Jac) AddAssign(q *G1Jac) *G1Jac {
 	return p
 }
 
-// AddMixed sets p = p + q for an affine q and returns p.
+// AddMixed sets p = p + q for an affine q and returns p (madd-2007-bl,
+// 7M + 4S against the general addition's 11M + 5S).
 func (p *G1Jac) AddMixed(q *G1Affine) *G1Jac {
-	var qj G1Jac
-	qj.FromAffine(q)
-	return p.AddAssign(&qj)
+	if q.IsInfinity() {
+		return p
+	}
+	if p.IsInfinity() {
+		return p.FromAffine(q)
+	}
+	var z1z1, u2, s2, h Fp
+	z1z1.Square(&p.Z)
+	u2.Mul(&q.X, &z1z1)
+	s2.Mul(&q.Y, &p.Z)
+	s2.Mul(&s2, &z1z1)
+	h.Sub(&u2, &p.X) // H = U2 - X1
+	if h.IsZero() {
+		if s2.Equal(&p.Y) {
+			return p.Double(p)
+		}
+		return p.SetInfinity()
+	}
+
+	var hh, i, j, r, v Fp
+	hh.Square(&h)
+	i.Double(&hh) // I = 4·HH
+	i.Double(&i)
+	j.Mul(&h, &i)    // J = H·I
+	r.Sub(&s2, &p.Y) // r = 2(S2 - Y1)
+	r.Double(&r)
+	v.Mul(&p.X, &i) // V = X1·I
+
+	var x3, y3, z3, t Fp
+	x3.Square(&r) // X3 = r² - J - 2V
+	x3.Sub(&x3, &j)
+	t.Double(&v)
+	x3.Sub(&x3, &t)
+	y3.Sub(&v, &x3) // Y3 = r(V - X3) - 2Y1·J
+	y3.Mul(&r, &y3)
+	t.Mul(&p.Y, &j)
+	t.Double(&t)
+	y3.Sub(&y3, &t)
+	z3.Add(&p.Z, &h) // Z3 = (Z1+H)² - Z1Z1 - HH
+	z3.Square(&z3)
+	z3.Sub(&z3, &z1z1)
+	z3.Sub(&z3, &hh)
+
+	p.X = x3
+	p.Y = y3
+	p.Z = z3
+	return p
 }
 
 // Neg sets p = -q and returns p.

@@ -3,6 +3,7 @@ package bn254
 import (
 	"fmt"
 	"math/bits"
+	"sync"
 
 	"github.com/zkdet/zkdet/internal/fr"
 	"github.com/zkdet/zkdet/internal/parallel"
@@ -45,80 +46,80 @@ func G1MSM(points []G1Affine, scalars []fr.Element) (G1Affine, error) {
 	return msmWithWindow(points, scalars, windowSize(len(points))), nil
 }
 
-// msmWithWindow is the Pippenger core with an explicit window width; tests
-// call it directly to exercise every windowSize breakpoint on small inputs.
-func msmWithWindow(points []G1Affine, scalars []fr.Element, c int) G1Affine {
-	// Convert once out of Montgomery form and bound the window count by the
-	// largest scalar: windows above the top set bit recode to all-zero
-	// digits, so materialising them would only add empty bucket reductions
-	// and c doublings each. Commitments to low-degree or small-coefficient
-	// polynomials hit this path hard.
-	bes := make([][32]byte, len(scalars))
-	parallel.Execute(len(scalars), func(start, end int) {
-		for i := start; i < end; i++ {
-			bes[i] = scalars[i].Bytes()
-		}
-	})
-	maxBits := 0
-	for i := range bes {
-		for j := 0; j < 32; j++ {
-			if bes[i][j] != 0 {
-				if n := 8*(31-j) + bits.Len8(bes[i][j]); n > maxBits {
-					maxBits = n
-				}
-				break
-			}
-		}
-	}
-	// One extra window absorbs the final carry of the signed-digit
-	// recoding (its digit is 0 or 1).
-	numWindows := (maxBits+c-1)/c + 1
+// scalarBits bounds the bit length of a canonical scalar (r < 2^254).
+const scalarBits = 254
 
-	// Signed windowed recoding: digits in [-2^(c-1), 2^(c-1)-1] with carry
-	// propagation, so each window needs only 2^(c-1) buckets (negative
-	// digits subtract the point, an affine negation that is a single field
-	// negation).
-	digits := make([][]int32, numWindows)
-	for w := range digits {
-		digits[w] = make([]int32, len(scalars))
-	}
-	parallel.Execute(len(scalars), func(start, end int) {
+// msmWithWindow is the Pippenger core with an explicit window width
+// (at most 16: digits are stored as int16); tests call it directly to
+// exercise every windowSize breakpoint on small inputs.
+func msmWithWindow(points []G1Affine, scalars []fr.Element, c int) G1Affine {
+	n := len(scalars)
+	// One pass per scalar: leave Montgomery form into canonical limbs, note
+	// the bit length, and recode into signed windowed digits in
+	// [-2^(c-1), 2^(c-1)-1] with carry propagation, so each window needs
+	// only 2^(c-1) buckets (a negative digit subtracts the point). One extra
+	// window absorbs the final carry (its digit is 0 or 1). The matrix is
+	// window-major so a bucket pass reads its digits sequentially.
+	maxWindows := (scalarBits+c-1)/c + 1
+	digits := make([]int16, maxWindows*n)
+	var mu sync.Mutex
+	maxBits := 0
+	parallel.Execute(n, func(start, end int) {
+		top := 0
 		for i := start; i < end; i++ {
+			l := scalars[i].Limbs()
+			bl := limbsBitLen(&l)
+			if bl > top {
+				top = bl
+			}
 			carry := 0
-			for w := 0; w < numWindows; w++ {
-				d := windowDigit(bes[i][:], w*c, c) + carry
+			for w := 0; w*c < bl || carry != 0; w++ {
+				d := limbWindow(&l, w*c, c) + carry
 				carry = 0
 				if d >= 1<<(c-1) {
 					d -= 1 << c
 					carry = 1
 				}
-				digits[w][i] = int32(d)
+				digits[w*n+i] = int16(d)
 			}
 		}
+		mu.Lock()
+		if top > maxBits {
+			maxBits = top
+		}
+		mu.Unlock()
 	})
+	// Bound the window count by the largest scalar: windows above its top
+	// bit hold all-zero digits, so walking them would only add empty bucket
+	// reductions and c doublings each. Commitments to low-degree or
+	// small-coefficient polynomials hit this path hard.
+	numWindows := (maxBits+c-1)/c + 1
 
 	// Two-dimensional task grid: windows × point chunks. Chunking only
 	// helps when the per-chunk ranges stay large enough to amortise the
 	// extra bucket reductions.
 	numChunks := (parallel.Workers() + numWindows - 1) / numWindows
-	if maxChunks := (len(points) + msmMinChunk - 1) / msmMinChunk; numChunks > maxChunks {
+	if maxChunks := (n + msmMinChunk - 1) / msmMinChunk; numChunks > maxChunks {
 		numChunks = maxChunks
 	}
 	if numChunks < 1 {
 		numChunks = 1
 	}
-	chunkLen := (len(points) + numChunks - 1) / numChunks
+	chunkLen := (n + numChunks - 1) / numChunks
 
 	partial := make([]G1Jac, numWindows*numChunks)
 	parallel.Execute(numWindows*numChunks, func(start, end int) {
+		// One bucket array per worker range, reused by every task in it.
+		buckets := make([]g1XYZZ, 1<<(c-1))
 		for task := start; task < end; task++ {
 			w := task / numChunks
 			lo := (task % numChunks) * chunkLen
 			hi := lo + chunkLen
-			if hi > len(points) {
-				hi = len(points)
+			if hi > n {
+				hi = n
 			}
-			partial[task] = bucketAccumulate(points[lo:hi], digits[w][lo:hi], c)
+			sum := bucketAccumulate(buckets, points[lo:hi], digits[w*n+lo:w*n+hi])
+			sum.toJacobian(&partial[task])
 		}
 	})
 
@@ -141,66 +142,79 @@ func msmWithWindow(points []G1Affine, scalars []fr.Element, c int) G1Affine {
 }
 
 // bucketAccumulate computes ∑ digit_i · P_i for one window over one point
-// chunk. Buckets hold |digit| ∈ [1, 2^(c-1)]; negative digits contribute
-// the negated point.
-func bucketAccumulate(points []G1Affine, digit []int32, c int) G1Jac {
-	buckets := make([]G1Jac, 1<<(c-1))
-	for i := range points {
-		d := digit[i]
-		if d == 0 {
-			continue
-		}
-		if d > 0 {
-			buckets[d-1].AddMixed(&points[i])
-		} else {
-			var neg G1Affine
-			neg.Neg(&points[i])
-			buckets[-d-1].AddMixed(&neg)
+// chunk, using (and first clearing) the caller's bucket array. Bucket b
+// holds the points of |digit| = b+1 ∈ [1, 2^(c-1)]; negative digits
+// contribute the negated point.
+func bucketAccumulate(buckets []g1XYZZ, points []G1Affine, digit []int16) g1XYZZ {
+	clear(buckets)
+	for i, d := range digit {
+		switch {
+		case d > 0:
+			buckets[d-1].addMixed(&points[i], false)
+		case d < 0:
+			buckets[-int(d)-1].addMixed(&points[i], true)
 		}
 	}
-	var running, sum G1Jac
-	running.SetInfinity()
-	sum.SetInfinity()
+	var running, sum g1XYZZ
 	for b := len(buckets) - 1; b >= 0; b-- {
-		running.AddAssign(&buckets[b])
-		sum.AddAssign(&running)
+		running.add(&buckets[b])
+		sum.add(&running)
 	}
 	return sum
 }
 
-// windowDigit extracts c bits starting at bit offset (counting from the
-// least-significant bit) of a 32-byte big-endian scalar. Offsets at or
-// beyond 256 yield zero.
-func windowDigit(be []byte, offset, c int) int {
-	d := 0
-	for k := 0; k < c; k++ {
-		bit := offset + k
-		if bit >= 256 {
-			break
-		}
-		byteIdx := 31 - bit/8
-		if be[byteIdx]>>(bit%8)&1 == 1 {
-			d |= 1 << k
+// limbsBitLen returns the bit length of a little-endian 256-bit integer.
+func limbsBitLen(l *[4]uint64) int {
+	for j := 3; j >= 0; j-- {
+		if l[j] != 0 {
+			return 64*j + bits.Len64(l[j])
 		}
 	}
-	return d
+	return 0
 }
 
-// windowSize picks the Pippenger window for n points.
+// limbWindow returns the c bits of l starting at bit offset (counting from
+// the least-significant bit); bits at or beyond 256 read as zero.
+func limbWindow(l *[4]uint64, offset, c int) int {
+	if offset >= 256 {
+		return 0
+	}
+	j, sh := offset/64, uint(offset%64)
+	v := l[j] >> sh
+	if sh+uint(c) > 64 && j < 3 {
+		v |= l[j+1] << (64 - sh)
+	}
+	return int(v & (1<<uint(c) - 1))
+}
+
+// windowSize picks the Pippenger window for n points: the fastest width in
+// a measured sweep of msmWithWindow over c = 2..16 with full-width scalars
+// (BenchmarkMSMWindow; table in EXPERIMENTS.md). A window costs n mixed
+// additions plus 2·2^(c-1) general additions of bucket reduction, so the
+// optimum sits where the reduction is a minor share of the window; the
+// curve is flat within ±1 of each entry.
 func windowSize(n int) int {
 	switch {
-	case n < 12:
+	case n < 20:
 		return 3
-	case n < 64:
+	case n < 48:
 		return 4
-	case n < 256:
+	case n < 112:
 		return 5
-	case n < 1024:
+	case n < 320:
+		return 6
+	case n < 640:
 		return 7
-	case n < 1<<14:
+	case n < 1536:
+		return 8
+	case n < 3072:
 		return 9
-	case n < 1<<18:
+	case n < 1<<14:
+		return 10
+	case n < 1<<16:
 		return 12
+	case n < 1<<18:
+		return 13
 	default:
 		return 14
 	}

@@ -22,20 +22,21 @@ import (
 // paper selects).
 type System struct {
 	srs *kzg.SRS
+	// setup is plonk.Setup; a field so a test can count its calls.
+	setup func(*plonk.ConstraintSystem, *kzg.SRS) (*plonk.ProvingKey, *plonk.VerifyingKey, error)
 
-	mu    sync.Mutex
-	cache map[string]*circuitKeys // guarded by mu
-}
-
-type circuitKeys struct {
-	pk *plonk.ProvingKey
-	vk *plonk.VerifyingKey
+	mu sync.Mutex
+	// cache holds one run-once setup per circuit shape: the first caller
+	// for a shape installs it under mu and every caller, first or not, gets
+	// the keys by calling it, so concurrent first callers share one
+	// plonk.Setup instead of each running (and discarding) their own.
+	cache map[string]func() (*plonk.ProvingKey, error) // guarded by mu
 }
 
 // NewSystem creates a proving system over an SRS (from kzg.Setup or a
 // ceremony). The SRS bounds the largest provable circuit.
 func NewSystem(srs *kzg.SRS) *System {
-	return &System{srs: srs, cache: make(map[string]*circuitKeys)}
+	return &System{srs: srs, setup: plonk.Setup, cache: make(map[string]func() (*plonk.ProvingKey, error))}
 }
 
 // NewTestSystem builds a System with a deterministic (insecure) SRS big
@@ -60,54 +61,58 @@ func (s *System) SRS() *kzg.SRS { return s.srs }
 // the circuit shape identified by key. Builders passed here must produce a
 // witness-independent gate structure for a fixed shape key, which all
 // circuits in this package do.
-func (s *System) keysFor(key string, b *circuit.Builder) (*circuitKeys, *plonk.ConstraintSystem, []fr.Element, error) {
+func (s *System) keysFor(key string, b *circuit.Builder) (*plonk.ProvingKey, *plonk.ConstraintSystem, []fr.Element, error) {
 	cs, witness, err := b.Compile()
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: compiling %s: %w", key, err)
 	}
 	s.mu.Lock()
-	ck, ok := s.cache[key]
-	s.mu.Unlock()
-	if ok {
-		return ck, cs, witness, nil
+	keys, ok := s.cache[key]
+	if !ok {
+		keys = sync.OnceValues(func() (*plonk.ProvingKey, error) {
+			pk, _, err := s.setup(cs, s.srs)
+			return pk, err
+		})
+		s.cache[key] = keys
 	}
-	pk, vk, err := plonk.Setup(cs, s.srs)
+	s.mu.Unlock()
+	pk, err := keys()
 	if err != nil {
 		return nil, nil, nil, fmt.Errorf("core: setup %s: %w", key, err)
 	}
-	ck = &circuitKeys{pk: pk, vk: vk}
-	s.mu.Lock()
-	s.cache[key] = ck
-	s.mu.Unlock()
-	return ck, cs, witness, nil
+	return pk, cs, witness, nil
 }
 
 // vkFor returns the verifying key for a circuit shape, building it (with a
 // zero witness) if the shape has not been set up yet.
 func (s *System) vkFor(key string, build func() *circuit.Builder) (*plonk.VerifyingKey, error) {
 	s.mu.Lock()
-	ck, ok := s.cache[key]
+	keys, ok := s.cache[key]
 	s.mu.Unlock()
 	if ok {
-		return ck.vk, nil
+		pk, err := keys()
+		if err != nil {
+			return nil, fmt.Errorf("core: setup %s: %w", key, err)
+		}
+		return pk.VK, nil
 	}
-	ck2, _, _, err := s.keysFor(key, build())
+	pk, _, _, err := s.keysFor(key, build())
 	if err != nil {
 		return nil, err
 	}
-	return ck2.vk, nil
+	return pk.VK, nil
 }
 
 // prove runs the standard compile→setup→check→prove pipeline.
 func (s *System) prove(key string, b *circuit.Builder) (*plonk.Proof, []fr.Element, error) {
-	ck, cs, witness, err := s.keysFor(key, b)
+	pk, cs, witness, err := s.keysFor(key, b)
 	if err != nil {
 		return nil, nil, err
 	}
 	if err := cs.IsSatisfied(witness); err != nil {
 		return nil, nil, fmt.Errorf("core: %s witness: %w", key, err)
 	}
-	proof, err := plonk.Prove(ck.pk, witness)
+	proof, err := plonk.Prove(pk, witness)
 	if err != nil {
 		return nil, nil, fmt.Errorf("core: proving %s: %w", key, err)
 	}

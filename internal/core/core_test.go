@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/zkdet/zkdet/internal/circuit"
 	"github.com/zkdet/zkdet/internal/fr"
+	"github.com/zkdet/zkdet/internal/kzg"
+	"github.com/zkdet/zkdet/internal/plonk"
 )
 
 // Shared test system: SRS large enough for every core test circuit.
@@ -506,5 +509,59 @@ func TestKeyCircuitVK(t *testing.T) {
 	}
 	if vk1.NbPublic != 3 {
 		t.Fatalf("π_k has %d public inputs, want 3", vk1.NbPublic)
+	}
+}
+
+// TestKeysForSetsUpOncePerShape releases 32 first callers of one uncached
+// circuit shape together — what zkdet-node's load mode does with its
+// clients at start — and counts plonk.Setup calls: exactly one per shape,
+// and every caller holds the same key. A second shape gets its own.
+func TestKeysForSetsUpOncePerShape(t *testing.T) {
+	sys := NewSystem(testSys().SRS())
+	var setups atomic.Int32
+	sys.setup = func(cs *plonk.ConstraintSystem, srs *kzg.SRS) (*plonk.ProvingKey, *plonk.VerifyingKey, error) {
+		setups.Add(1)
+		return plonk.Setup(cs, srs)
+	}
+	const callers = 32
+	pks := make([]*plonk.ProvingKey, callers)
+	vks := make([]*plonk.VerifyingKey, callers)
+	errs := make([]error, callers)
+	start := make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			if i%2 == 0 {
+				pks[i], _, _, errs[i] = sys.keysFor(keyCircuitShape, buildKeyCircuit(&KeyStatement{}, &KeyWitness{}))
+			} else {
+				vks[i], errs[i] = sys.KeyCircuitVK()
+			}
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	for i := range errs {
+		if errs[i] != nil {
+			t.Fatalf("caller %d: %v", i, errs[i])
+		}
+		if i%2 == 0 && pks[i] != pks[0] {
+			t.Fatalf("caller %d holds a different proving key", i)
+		}
+		if i%2 == 1 && vks[i] != pks[0].VK {
+			t.Fatalf("caller %d holds a different verifying key", i)
+		}
+	}
+	if n := setups.Load(); n != 1 {
+		t.Fatalf("plonk.Setup ran %d times for one shape, want 1", n)
+	}
+	z := fr.Zero()
+	if _, _, _, err := sys.keysFor("pi_t/dup/4", buildDuplicationCircuit(4, smallData(4), z, z, z, z)); err != nil {
+		t.Fatal(err)
+	}
+	if n := setups.Load(); n != 2 {
+		t.Fatalf("plonk.Setup ran %d times for two shapes, want 2", n)
 	}
 }

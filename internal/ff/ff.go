@@ -24,7 +24,7 @@ const Limbs = 4
 type Element [Limbs]uint64
 
 // Field holds a modulus and its derived Montgomery constants. A Field is
-// immutable after construction and safe for concurrent use.type
+// immutable after construction and safe for concurrent use.
 type Field struct {
 	modulus   [Limbs]uint64
 	r         Element // 2^256 mod p == Montgomery form of 1
@@ -139,22 +139,21 @@ func (f *Field) Double(z, x *Element) {
 	f.Add(z, x, x)
 }
 
-// Sub sets z = x - y mod p.
+// Sub sets z = x - y mod p. The borrow of x - y is a coin flip on field
+// data, so the modulus is added back under a mask instead of a branch the
+// predictor would miss half the time.
 func (f *Field) Sub(z, x, y *Element) {
-	var b uint64
+	var b, c uint64
 	var t Element
 	t[0], b = bits.Sub64(x[0], y[0], 0)
 	t[1], b = bits.Sub64(x[1], y[1], b)
 	t[2], b = bits.Sub64(x[2], y[2], b)
 	t[3], b = bits.Sub64(x[3], y[3], b)
-	if b != 0 {
-		var c uint64
-		t[0], c = bits.Add64(t[0], f.modulus[0], 0)
-		t[1], c = bits.Add64(t[1], f.modulus[1], c)
-		t[2], c = bits.Add64(t[2], f.modulus[2], c)
-		t[3], _ = bits.Add64(t[3], f.modulus[3], c)
-	}
-	*z = t
+	m := -b // all ones iff the subtraction borrowed
+	z[0], c = bits.Add64(t[0], f.modulus[0]&m, 0)
+	z[1], c = bits.Add64(t[1], f.modulus[1]&m, c)
+	z[2], c = bits.Add64(t[2], f.modulus[2]&m, c)
+	z[3], _ = bits.Add64(t[3], f.modulus[3]&m, c)
 }
 
 // Neg sets z = -x mod p.
@@ -227,6 +226,8 @@ func (f *Field) mulGeneric(z, x, y *Element) {
 func (f *Field) Square(z, x *Element) { f.Mul(z, x, x) }
 
 // reduceWithCarry reduces t (with an extra carry word) below p into z.
+// Whether a sum of two field elements reaches p is as unpredictable as
+// Sub's borrow, so the choice between t and t - p is a mask select.
 func (f *Field) reduceWithCarry(z, t *Element, carry uint64) {
 	var b uint64
 	var s Element
@@ -234,11 +235,13 @@ func (f *Field) reduceWithCarry(z, t *Element, carry uint64) {
 	s[1], b = bits.Sub64(t[1], f.modulus[1], b)
 	s[2], b = bits.Sub64(t[2], f.modulus[2], b)
 	s[3], b = bits.Sub64(t[3], f.modulus[3], b)
-	if carry != 0 || b == 0 {
-		*z = s
-		return
-	}
-	*z = *t
+	// Keep t only when the subtraction borrowed and no carry word covers it.
+	_, keep := bits.Sub64(carry, b, 0) // 1 iff carry == 0 && b == 1
+	m := -keep
+	z[0] = s[0] ^ ((s[0] ^ t[0]) & m)
+	z[1] = s[1] ^ ((s[1] ^ t[1]) & m)
+	z[2] = s[2] ^ ((s[2] ^ t[2]) & m)
+	z[3] = s[3] ^ ((s[3] ^ t[3]) & m)
 }
 
 // Exp sets z = x^e mod p for a non-negative big integer exponent.
@@ -324,11 +327,23 @@ func (f *Field) ToBig(x *Element) *big.Int {
 	return limbsToBig((*[Limbs]uint64)(&t))
 }
 
-// Bytes returns the canonical big-endian encoding of x, ByteLen bytes long.
-func (f *Field) Bytes(x *Element) []byte {
-	b := f.ToBig(x)
-	out := make([]byte, f.byteLen)
-	b.FillBytes(out)
+// Regular returns the canonical (non-Montgomery) value of x as little-endian
+// limbs, without allocating.
+func (f *Field) Regular(x *Element) [Limbs]uint64 {
+	one := Element{1}
+	var t Element
+	f.Mul(&t, x, &one) // Montgomery reduce: x * R^{-1}, already below p
+	return t
+}
+
+// Bytes returns the canonical big-endian encoding of x, left-padded to 32
+// bytes (the low ByteLen bytes carry the value). It does not allocate.
+func (f *Field) Bytes(x *Element) [8 * Limbs]byte {
+	t := f.Regular(x)
+	var out [8 * Limbs]byte
+	for i := 0; i < Limbs; i++ {
+		putBEUint64(out[8*(Limbs-1-i):], t[i])
+	}
 	return out
 }
 

@@ -1,6 +1,7 @@
 package ff
 
 import (
+	"bytes"
 	"crypto/rand"
 	"math/big"
 	"testing"
@@ -108,6 +109,15 @@ func TestEdgeValues(t *testing.T) {
 					var sum, prod Element
 					f.Add(&sum, &ea, &eb)
 					f.Mul(&prod, &ea, &eb)
+					// Sub in place over its first operand: both borrow
+					// outcomes, and x - x, on the values nearest 0 and p.
+					diff := ea
+					f.Sub(&diff, &diff, &eb)
+					wantDiff := new(big.Int).Sub(a, b)
+					wantDiff.Mod(wantDiff, mod)
+					if got := f.ToBig(&diff); got.Cmp(wantDiff) != 0 {
+						t.Fatalf("sub(%s,%s): got %s want %s", a, b, got, wantDiff)
+					}
 					wantSum := new(big.Int).Add(a, b)
 					wantSum.Mod(wantSum, mod)
 					wantProd := new(big.Int).Mul(a, b)
@@ -242,23 +252,40 @@ func TestBatchInverse(t *testing.T) {
 	f.BatchInverse(nil) // must not panic
 }
 
+// bytesViaBig is the big.Int encoder Bytes used to be, kept as its oracle.
+func bytesViaBig(f *Field, x *Element) []byte {
+	out := make([]byte, 8*Limbs)
+	f.ToBig(x).FillBytes(out)
+	return out
+}
+
 func TestBytesRoundTrip(t *testing.T) {
-	f := testFp
-	for i := 0; i < 50; i++ {
-		v := randomBig(t, f)
-		e := f.FromBig(v)
-		b := f.Bytes(&e)
-		if len(b) != f.ByteLen() {
-			t.Fatalf("bytes length %d want %d", len(b), f.ByteLen())
-		}
-		back, err := f.FromBytesCanonical(b)
-		if err != nil {
-			t.Fatalf("FromBytesCanonical: %v", err)
-		}
-		if !f.Equal(&back, &e) {
-			t.Fatal("bytes round trip mismatch")
+	for name, f := range testFields() {
+		pad := 8*Limbs - f.ByteLen()
+		edge := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(f.Modulus(), big.NewInt(1))}
+		for i := 0; i < 50+len(edge); i++ {
+			v := randomBig(t, f)
+			if i < len(edge) {
+				v = edge[i]
+			}
+			e := f.FromBig(v)
+			b := f.Bytes(&e)
+			if !bytes.Equal(b[:], bytesViaBig(f, &e)) {
+				t.Fatalf("%s: Bytes differs from the big.Int encoding of %s", name, v)
+			}
+			if r := f.Regular(&e); limbsToBig(&r).Cmp(v) != 0 {
+				t.Fatalf("%s: Regular = %v, want %s", name, r, v)
+			}
+			back, err := f.FromBytesCanonical(b[pad:])
+			if err != nil {
+				t.Fatalf("%s: FromBytesCanonical: %v", name, err)
+			}
+			if !f.Equal(&back, &e) {
+				t.Fatalf("%s: bytes round trip mismatch", name)
+			}
 		}
 	}
+	f := testFp
 	// Non-canonical: the modulus itself must be rejected.
 	modBytes := make([]byte, f.ByteLen())
 	f.Modulus().FillBytes(modBytes)
@@ -267,6 +294,10 @@ func TestBytesRoundTrip(t *testing.T) {
 	}
 	if _, err := f.FromBytesCanonical([]byte{1, 2, 3}); err == nil {
 		t.Fatal("FromBytesCanonical accepted wrong length")
+	}
+	e := f.FromUint64(7)
+	if n := testing.AllocsPerRun(100, func() { _ = f.Bytes(&e) }); n != 0 {
+		t.Fatalf("Bytes allocates %v times per call, want 0", n)
 	}
 }
 

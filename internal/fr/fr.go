@@ -110,12 +110,13 @@ func MustRandom() Element {
 // BigInt returns the canonical integer value of z.
 func (z *Element) BigInt() *big.Int { return field.ToBig(&z.v) }
 
-// Bytes returns the canonical 32-byte big-endian encoding.
-func (z *Element) Bytes() [Bytes]byte {
-	var out [Bytes]byte
-	copy(out[:], field.Bytes(&z.v))
-	return out
-}
+// Limbs returns the canonical (non-Montgomery) value of z as four
+// little-endian 64-bit limbs, without allocating.
+func (z *Element) Limbs() [4]uint64 { return field.Regular(&z.v) }
+
+// Bytes returns the canonical 32-byte big-endian encoding. It does not
+// allocate: every transcript absorb and scalar-table walk goes through it.
+func (z *Element) Bytes() [Bytes]byte { return field.Bytes(&z.v) }
 
 // String returns the canonical decimal representation.
 func (z Element) String() string { return field.ToBig(&z.v).String() }
@@ -123,8 +124,8 @@ func (z Element) String() string { return field.ToBig(&z.v).String() }
 // Uint64 returns the low 64 bits of the canonical value and whether the
 // value fits in a uint64.
 func (z *Element) Uint64() (uint64, bool) {
-	b := z.BigInt()
-	return b.Uint64(), b.IsUint64()
+	l := z.Limbs()
+	return l[0], l[1]|l[2]|l[3] == 0
 }
 
 // IsZero reports whether z == 0.

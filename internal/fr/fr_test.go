@@ -1,6 +1,7 @@
 package fr
 
 import (
+	"encoding/binary"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -42,9 +43,25 @@ func TestNewFromInt64(t *testing.T) {
 }
 
 func TestBytesRoundTrip(t *testing.T) {
-	for i := 0; i < 50; i++ {
+	minusOne := NewFromInt64(-1)
+	edge := []Element{Zero(), One(), minusOne, NewElement(1 << 63)}
+	for i := 0; i < 50+len(edge); i++ {
 		e := MustRandom()
+		if i < len(edge) {
+			e = edge[i]
+		}
 		b := e.Bytes()
+		// The big.Int encoder Bytes used to go through is its oracle.
+		var want [Bytes]byte
+		e.BigInt().FillBytes(want[:])
+		if b != want {
+			t.Fatalf("Bytes of %s differs from the big.Int encoding", e)
+		}
+		for j, l := range e.Limbs() {
+			if w := binary.BigEndian.Uint64(want[24-8*j:]); l != w {
+				t.Fatalf("Limbs of %s: limb %d = %#x, want %#x", e, j, l, w)
+			}
+		}
 		back, err := FromBytesCanonical(b[:])
 		if err != nil {
 			t.Fatalf("FromBytesCanonical: %v", err)
@@ -57,6 +74,10 @@ func TestBytesRoundTrip(t *testing.T) {
 	Modulus().FillBytes(modBytes[:])
 	if _, err := FromBytesCanonical(modBytes[:]); err == nil {
 		t.Fatal("accepted non-canonical bytes")
+	}
+	e := MustRandom()
+	if n := testing.AllocsPerRun(100, func() { _ = e.Bytes(); _ = e.Limbs() }); n != 0 {
+		t.Fatalf("Bytes+Limbs allocate %v times per call, want 0", n)
 	}
 }
 

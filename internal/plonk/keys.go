@@ -7,6 +7,7 @@ import (
 	"github.com/zkdet/zkdet/internal/bn254"
 	"github.com/zkdet/zkdet/internal/fr"
 	"github.com/zkdet/zkdet/internal/kzg"
+	"github.com/zkdet/zkdet/internal/parallel"
 	"github.com/zkdet/zkdet/internal/poly"
 )
 
@@ -53,6 +54,20 @@ type ProvingKey struct {
 	// sigma maps each of the 3n wire slots to its permuted slot's field
 	// label; used when building the grand-product polynomial z.
 	sigmaLabel [][3]fr.Element // per-row labels for the three wires
+
+	// Round-3 tables over the quotient coset x_i = g·ω_Eⁱ (4n points, 8n
+	// with custom gates), which depend on the key alone and not on any
+	// witness. Setup builds them eagerly and nothing writes them afterwards:
+	// a key is shared between concurrently proving goroutines (the
+	// marketplace caches one per circuit shape), so they must never be
+	// filled lazily. fixedCoset holds the coset evaluations of the
+	// preprocessed polynomials in preprocessed() order, cosetX the points
+	// x_i, cosetL1 the values L1(x_i) and zhInv the inverses of Z_H(x_i),
+	// which repeat with period 4 (or 8).
+	fixedCoset [][]fr.Element
+	cosetX     []fr.Element
+	cosetL1    []fr.Element
+	zhInv      []fr.Element
 
 	// Gate wiring and counts, retained to evaluate witnesses.
 	gates    []Gate
@@ -124,6 +139,100 @@ func (vk *VerifyingKey) verifierCache() (*poly.Domain, []fr.Element, [2]*bn254.G
 		vk.g2Lines[1] = bn254.NewG2LinePrecomp(&vk.G2[1])
 	})
 	return vk.domain, vk.lagOmega, vk.g2Lines, vk.domainErr
+}
+
+// preprocessed lists the key's selector and permutation polynomials — 8,
+// or 16 on an extended key — in the order shared by the verifying key's
+// commitments, fixedCoset and the prover's column indices.
+func (pk *ProvingKey) preprocessed() []poly.Polynomial {
+	ps := []poly.Polynomial{pk.QL, pk.QR, pk.QO, pk.QM, pk.QC, pk.S1, pk.S2, pk.S3}
+	if pk.extended {
+		ps = append(ps, pk.QLk, pk.Tbl, pk.QMimc, pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2)
+	}
+	return ps
+}
+
+// quotientDomain returns the coset domain round 3 evaluates the quotient
+// on and the number of degree-n pieces the quotient splits into. Custom
+// gates carry degree-5 S-boxes, pushing the numerator past the 4n coset;
+// they evaluate on 8n and split t into 6 pieces. Every other circuit stays
+// on the 4n/3-piece shape.
+func (pk *ProvingKey) quotientDomain() (*poly.Domain, int) {
+	if pk.custom {
+		return pk.Domain8, 6
+	}
+	return pk.Domain4, 3
+}
+
+// cosetEvals evaluates each polynomial over the coset of d: independent
+// FFTs, run on the bounded worker pool.
+func cosetEvals(d *poly.Domain, ps []poly.Polynomial) ([][]fr.Element, error) {
+	cols := make([][]fr.Element, len(ps))
+	errs := make([]error, len(ps))
+	parallel.Execute(len(ps), func(start, end int) {
+		for i := start; i < end; i++ {
+			e := make([]fr.Element, d.N)
+			copy(e, ps[i])
+			errs[i] = d.FFTCoset(e)
+			cols[i] = e
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
+	}
+	return cols, nil
+}
+
+// buildQuotientTables fills the key-resident round-3 tables; Setup calls it
+// once, before the key is published.
+func (pk *ProvingKey) buildQuotientTables() error {
+	domainE, _ := pk.quotientDomain()
+	var err error
+	if pk.fixedCoset, err = cosetEvals(domainE, pk.preprocessed()); err != nil {
+		return err
+	}
+	n, big := pk.Domain.N, domainE.N
+	factor := big / n // coset index step corresponding to one ω step
+
+	// Coset points x_i = g·ω_Eⁱ.
+	pk.cosetX = fr.Powers(&domainE.Gen, int(big))
+	parallel.Execute(int(big), func(start, end int) {
+		for i := start; i < end; i++ {
+			pk.cosetX[i].Mul(&pk.cosetX[i], &domainE.CosetShift)
+		}
+	})
+
+	// Z_H(x_i) = gⁿ·ω_E^(n·i) − 1 takes only big/n distinct values.
+	var cur fr.Element
+	cur.ExpUint64(&domainE.CosetShift, n)
+	wEn := domainE.Element(n) // primitive (big/n)-th root of unity
+	one := fr.One()
+	zh := make([]fr.Element, factor)
+	for i := range zh {
+		zh[i].Sub(&cur, &one)
+		cur.Mul(&cur, &wEn)
+	}
+	pk.zhInv = append([]fr.Element(nil), zh...)
+	fr.BatchInvert(pk.zhInv)
+
+	// L1(x) = Z_H(x) / (n·(x−1)).
+	pk.cosetL1 = make([]fr.Element, big)
+	nEl := fr.NewElement(n)
+	parallel.Execute(int(big), func(start, end int) {
+		for i := start; i < end; i++ {
+			pk.cosetL1[i].Sub(&pk.cosetX[i], &one)
+			pk.cosetL1[i].Mul(&pk.cosetL1[i], &nEl)
+		}
+	})
+	fr.BatchInvert(pk.cosetL1)
+	parallel.Execute(int(big), func(start, end int) {
+		for i := start; i < end; i++ {
+			pk.cosetL1[i].Mul(&pk.cosetL1[i], &zh[uint64(i)%factor])
+		}
+	})
+	return nil
 }
 
 // Setup preprocesses a constraint system against an SRS, producing the
@@ -319,6 +428,9 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 	if ifftErr != nil {
 		return nil, nil, ifftErr
 	}
+	if err := pk.buildQuotientTables(); err != nil {
+		return nil, nil, err
+	}
 
 	vk := &VerifyingKey{
 		N:         n,
@@ -332,13 +444,11 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 		MDS:       cs.mds,
 	}
 	// The preprocessed commitments are independent MSMs.
-	polys := []poly.Polynomial{pk.QL, pk.QR, pk.QO, pk.QM, pk.QC, pk.S1, pk.S2, pk.S3}
 	cms := []*kzg.Commitment{&vk.QL, &vk.QR, &vk.QO, &vk.QM, &vk.QC, &vk.S1, &vk.S2, &vk.S3}
 	if extended {
-		polys = append(polys, pk.QLk, pk.Tbl, pk.QMimc, pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2)
 		cms = append(cms, &vk.QLk, &vk.Tbl, &vk.QMimc, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2)
 	}
-	if err := commitParallel(srs, polys, cms); err != nil {
+	if err := commitParallel(srs, pk.preprocessed(), cms); err != nil {
 		return nil, nil, err
 	}
 	pk.VK = vk

@@ -29,7 +29,7 @@ func benchSquareChain(logN int) (*ConstraintSystem, []fr.Element) {
 }
 
 func BenchmarkProve(b *testing.B) {
-	for _, logN := range []int{10, 12, 14} {
+	for _, logN := range []int{10, 12, 13, 14} {
 		cs, witness := benchSquareChain(logN)
 		tau := fr.NewElement(0xbeef)
 		srs, err := kzg.NewSRSFromSecret((1<<logN)+9, &tau)

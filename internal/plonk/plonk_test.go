@@ -273,11 +273,12 @@ func TestZeroKnowledgeBlinding(t *testing.T) {
 	}
 }
 
-// TestProveConcurrentSharedKey proves against one *ProvingKey from several
-// goroutines at once, as the marketplace key cache does, for a classic and
-// a lookup key; the race detector watches the shared key.
+// TestProveConcurrentSharedKey proves against one *ProvingKey from eight
+// goroutines at once, as the marketplace key cache does, for a classic, a
+// lookup and a custom-gate (8n coset) key; the race detector watches the
+// shared key and its round-3 tables, which only Setup may write.
 func TestProveConcurrentSharedKey(t *testing.T) {
-	for _, shape := range []string{"muladd", "lookup"} {
+	for _, shape := range []string{"muladd", "lookup", "mixed"} {
 		t.Run(shape, func(t *testing.T) {
 			cs, witness := goldenCircuit(t, shape)
 			pk, vk, err := Setup(cs, testSRSOnce())
@@ -285,7 +286,7 @@ func TestProveConcurrentSharedKey(t *testing.T) {
 				t.Fatal(err)
 			}
 			var wg sync.WaitGroup
-			for g := 0; g < 4; g++ {
+			for g := 0; g < 8; g++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
@@ -300,6 +301,68 @@ func TestProveConcurrentSharedKey(t *testing.T) {
 				}()
 			}
 			wg.Wait()
+		})
+	}
+}
+
+// TestKeyResidentQuotientTables checks what Setup stores on the key for
+// round 3 against its definition, for every key shape (4n and 8n cosets):
+// each stored column is the coset FFT of the key's coefficient polynomial,
+// the coset points are g·ω_Eⁱ, L1 and 1/Z_H on them match the domain's own
+// evaluators.
+func TestKeyResidentQuotientTables(t *testing.T) {
+	for _, tc := range goldenShapes {
+		t.Run(tc.name, func(t *testing.T) {
+			cs, _ := tc.build()
+			pk, _, err := Setup(cs, testSRSOnce())
+			if err != nil {
+				t.Fatal(err)
+			}
+			domainE, _ := pk.quotientDomain()
+			n, big := pk.Domain.N, domainE.N
+			wantCols, wantBig := 8, 4*n
+			if pk.extended {
+				wantCols = 16
+			}
+			if pk.custom {
+				wantBig = 8 * n
+			}
+			if len(pk.fixedCoset) != wantCols || big != wantBig {
+				t.Fatalf("key holds %d columns on a %d-point coset, want %d on %d", len(pk.fixedCoset), big, wantCols, wantBig)
+			}
+			for k, p := range pk.preprocessed() {
+				fresh := make([]fr.Element, big)
+				copy(fresh, p)
+				if err := domainE.FFTCoset(fresh); err != nil {
+					t.Fatal(err)
+				}
+				if len(pk.fixedCoset[k]) != len(fresh) {
+					t.Fatalf("column %d has %d entries, want %d", k, len(pk.fixedCoset[k]), len(fresh))
+				}
+				for i := range fresh {
+					if !fresh[i].Equal(&pk.fixedCoset[k][i]) {
+						t.Fatalf("column %d differs from a fresh coset FFT at %d", k, i)
+					}
+				}
+			}
+			if uint64(len(pk.cosetX)) != big || uint64(len(pk.cosetL1)) != big || uint64(len(pk.zhInv)) != big/n {
+				t.Fatalf("table lengths %d/%d/%d", len(pk.cosetX), len(pk.cosetL1), len(pk.zhInv))
+			}
+			for i := uint64(0); i < big; i += big/64 + 1 {
+				x := domainE.Element(i)
+				x.Mul(&x, &domainE.CosetShift)
+				if !x.Equal(&pk.cosetX[i]) {
+					t.Fatalf("coset point %d is not g·ωⁱ", i)
+				}
+				if l1 := pk.Domain.LagrangeEval(0, &x); !l1.Equal(&pk.cosetL1[i]) {
+					t.Fatalf("L1 table wrong at %d", i)
+				}
+				zh := pk.Domain.VanishingEval(&x)
+				zh.Mul(&zh, &pk.zhInv[i%(big/n)])
+				if !zh.IsOne() {
+					t.Fatalf("zhInv table wrong at %d", i)
+				}
+			}
 		})
 	}
 }

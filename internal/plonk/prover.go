@@ -422,113 +422,53 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	}
 	proof.absorbRound2(tr, ch)
 
-	// Round 3: quotient polynomial t over a coset preprocessed on the
-	// proving key, so its twiddle and coset tables are shared across
-	// proofs. Custom gates carry degree-5 S-boxes, pushing the numerator
-	// past the 4n coset; they evaluate on 8n and split t into 6 pieces.
-	// Every other circuit stays on the 4n/3-piece shape.
-	domainE := pk.Domain4
-	nbPieces := 3
-	if pk.custom {
-		domainE = pk.Domain8
-		nbPieces = 6
-	}
-	if domainE == nil {
+	// Round 3: quotient polynomial t over the key's quotient coset. The
+	// coset evaluations of the selector and permutation polynomials, the
+	// coset points, L1 and 1/Z_H on them are constants of the key (Setup
+	// built them); only the witness-dependent columns — a, b, c, z, PI and,
+	// for an extended key, M, H, S — are transformed per proof.
+	domainE, nbPieces := pk.quotientDomain()
+	if domainE == nil || len(pk.fixedCoset) == 0 {
 		return nil, fmt.Errorf("plonk: proving key missing coset domain")
 	}
 	big := domainE.N
 	factor := big / n // coset index step corresponding to one ω step
 
-	// The coset evaluations (13 columns, 24 for an extended key) are
-	// independent FFTs; run them with a bounded worker pool.
-	cosetInputs := []poly.Polynomial{
-		aPoly, bPoly, cPoly, zPoly,
-		pk.QL, pk.QR, pk.QO, pk.QM, pk.QC,
-		pk.S1, pk.S2, pk.S3, piPoly,
-	}
+	wireInputs := []poly.Polynomial{aPoly, bPoly, cPoly, zPoly, piPoly}
 	if pk.extended {
-		cosetInputs = append(cosetInputs,
-			mPoly, hPoly, sPoly,
-			pk.QLk, pk.Tbl, pk.QMimc, pk.QPosF, pk.QPosP,
-			pk.KC0, pk.KC1, pk.KC2)
+		wireInputs = append(wireInputs, mPoly, hPoly, sPoly)
 	}
-	col := make([][]fr.Element, len(cosetInputs))
-	cosetErrs := make([]error, len(cosetInputs))
-	parallel.Execute(len(cosetInputs), func(start, end int) {
-		for i := start; i < end; i++ {
-			e := make([]fr.Element, big)
-			copy(e, cosetInputs[i])
-			cosetErrs[i] = domainE.FFTCoset(e)
-			col[i] = e
-		}
-	})
-	for _, cerr := range cosetErrs {
-		if cerr != nil {
-			return nil, cerr
-		}
+	wire, err := cosetEvals(domainE, wireInputs)
+	if err != nil {
+		return nil, err
 	}
-
-	// Coset points x_i = g·ω_bigⁱ, their Z_H values (period big/n) and the
-	// denominators of L1(x) = Z_H(x) / (n·(x-1)).
-	elemsE := domainE.Elements()
-	xs := make([]fr.Element, big)
-	shift := fr.NewElement(fr.MultiplicativeGenerator)
-	parallel.Execute(int(big), func(start, end int) {
-		for i := start; i < end; i++ {
-			xs[i].Mul(&elemsE[i], &shift)
-		}
-	})
-	var gN fr.Element
-	gN.ExpUint64(&shift, n)
-	wEn := domainE.Element(n) // primitive (big/n)-th root of unity
-	one := fr.One()
-	zh := make([]fr.Element, factor)
-	cur := gN
-	for i := uint64(0); i < factor; i++ {
-		zh[i].Sub(&cur, &one)
-		cur.Mul(&cur, &wEn)
-	}
-	zhInv := make([]fr.Element, factor)
-	copy(zhInv, zh)
-	fr.BatchInvert(zhInv)
-	l1Den := make([]fr.Element, big)
-	nEl := fr.NewElement(n)
-	parallel.Execute(int(big), func(start, end int) {
-		for i := start; i < end; i++ {
-			l1Den[i].Sub(&xs[i], &one)
-			l1Den[i].Mul(&l1Den[i], &nEl)
-		}
-	})
-	fr.BatchInvert(l1Den)
+	fixed := pk.fixedCoset
 
 	// The quotient evaluations are independent; range-split them.
-	tEvals := make([]fr.Element, big)
+	tPoly := make(poly.Polynomial, big)
 	parallel.Execute(int(big), func(start, end int) {
 		for ii := start; ii < end; ii++ {
 			i := uint64(ii)
 			j := (i + factor) % big // the coset index of ω·x_i
 			pv := pointVals{
-				x: xs[i],
-				a: col[0][i], b: col[1][i], c: col[2][i],
-				z: col[3][i], zw: col[3][j],
-				ql: col[4][i], qr: col[5][i], qo: col[6][i], qm: col[7][i], qc: col[8][i],
-				s1: col[9][i], s2: col[10][i], s3: col[11][i],
-				pi: col[12][i],
+				x: pk.cosetX[i], l1: pk.cosetL1[i],
+				a: wire[0][i], b: wire[1][i], c: wire[2][i],
+				z: wire[3][i], zw: wire[3][j],
+				pi: wire[4][i],
+				ql: fixed[0][i], qr: fixed[1][i], qo: fixed[2][i], qm: fixed[3][i], qc: fixed[4][i],
+				s1: fixed[5][i], s2: fixed[6][i], s3: fixed[7][i],
 			}
-			pv.l1.Mul(&zh[i%factor], &l1Den[i])
 			if pk.extended {
-				pv.aw, pv.bw, pv.cw = col[0][j], col[1][j], col[2][j]
-				pv.m, pv.h, pv.s, pv.sw = col[13][i], col[14][i], col[15][i], col[15][j]
-				pv.qlk, pv.tbl = col[16][i], col[17][i]
-				pv.qmimc, pv.qposf, pv.qposp = col[18][i], col[19][i], col[20][i]
-				pv.k0, pv.k1c, pv.k2c = col[21][i], col[22][i], col[23][i]
+				pv.aw, pv.bw, pv.cw = wire[0][j], wire[1][j], wire[2][j]
+				pv.m, pv.h, pv.s, pv.sw = wire[5][i], wire[6][i], wire[7][i], wire[7][j]
+				pv.qlk, pv.tbl = fixed[8][i], fixed[9][i]
+				pv.qmimc, pv.qposf, pv.qposp = fixed[10][i], fixed[11][i], fixed[12][i]
+				pv.k0, pv.k1c, pv.k2c = fixed[13][i], fixed[14][i], fixed[15][i]
 			}
 			num := quotientNumerator(&pv, ch, pk.extended)
-			tEvals[i].Mul(&num, &zhInv[i%factor])
+			tPoly[i].Mul(&num, &pk.zhInv[i%factor])
 		}
 	})
-	tPoly := make(poly.Polynomial, big)
-	copy(tPoly, tEvals)
 	if err := domainE.IFFTCoset(tPoly); err != nil {
 		return nil, err
 	}
