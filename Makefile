@@ -14,14 +14,17 @@ GO ?= go
 # cache, and the JSON-RPC daemon all serve concurrent callers.
 # internal/chain/... includes internal/chain/exec (the parallel batch
 # scheduler/commit-log) and the engine's bit-identity property tests.
-RACE_PKGS = ./internal/poly/... ./internal/bn254/... ./internal/plonk/... ./internal/kzg/... \
+# internal/ff and internal/fr are here for the multiplication dispatch:
+# NewField writes the kernel choice once, every prover goroutine reads it.
+RACE_PKGS = ./internal/ff/... ./internal/fr/... \
+	./internal/poly/... ./internal/bn254/... ./internal/plonk/... ./internal/kzg/... \
 	./internal/chain/... ./internal/node/... ./internal/indexer/... ./internal/contracts/... \
 	./internal/storage/... ./internal/core/... ./internal/p2p/... ./cmd/zkdet-node/... \
 	./internal/wal/... ./internal/snapshot/... ./internal/ct/...
 
-.PHONY: check vet build lint audit test bench-module race fuzz-smoke bench bench-verify bench-p2p bench-exec bench-wal node-demo cluster-demo cluster-demo-durable
+.PHONY: check vet build lint audit test test-fallback bench-module race fuzz-smoke bench bench-verify bench-p2p bench-exec bench-wal node-demo cluster-demo cluster-demo-durable
 
-check: vet build lint audit test bench-module race
+check: vet build lint audit test test-fallback bench-module race
 
 vet:
 	$(GO) vet ./...
@@ -50,6 +53,19 @@ audit:
 test:
 	$(GO) test ./...
 
+# On amd64 with ADX, ff.Field.Mul runs the assembly kernel (internal/ff/
+# mul_amd64.s) and the pure-Go mulUnrolled is reached only as a test oracle.
+# Every other GOARCH builds no assembly, so a 32-bit build of the same tests
+# — it runs on the amd64 host — keeps the fallback exercised end to end with
+# no build tag of our own: the field, FFT and curve suites, then the seven
+# prover goldens — that they pass under both kernels is the cross-kernel
+# bit-identity proof. arm64 cannot run here; it must at least build and vet.
+test-fallback:
+	GOARCH=386 $(GO) test ./internal/ff/ ./internal/fr/ ./internal/poly/ ./internal/bn254/
+	GOARCH=386 $(GO) test -run 'TestClassicProverBitIdentity' ./internal/plonk/
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/ff/
+
 # benchmark/ is its own Go module, so `./...` above never reaches it, yet it
 # imports this module's internal packages (plonk.Prove/Verify/Setup/Batch
 # among them): vet it and run its short tests so an API change here cannot
@@ -67,9 +83,12 @@ race:
 # Native Go fuzzing, smoke-length: 10s per target over the byte-level
 # attack surfaces (field-element decoding, transcript challenge
 # derivation, the MSM bucket kernel on colliding points against the naive
-# sum, and the state-trie op stream against its from-scratch rebuild). CI
-# runs this; `go test -fuzz` with a longer -fuzztime digs deeper locally.
+# sum, and the state-trie op stream against its from-scratch rebuild) and
+# the three field-multiplication kernels against big.Int (skipped, saying
+# so, on a host without ADX). CI runs this; `go test -fuzz` with a longer
+# -fuzztime digs deeper locally.
 fuzz-smoke:
+	$(GO) test -run='^$$' -fuzz='^FuzzFieldMul$$' -fuzztime=10s ./internal/ff/
 	$(GO) test -run='^$$' -fuzz='^FuzzFromBytesRoundTrip$$' -fuzztime=10s ./internal/fr/
 	$(GO) test -run='^$$' -fuzz='^FuzzSetBytesCanonical$$' -fuzztime=10s ./internal/fr/
 	$(GO) test -run='^$$' -fuzz='^FuzzTranscriptChallenge$$' -fuzztime=10s ./internal/transcript/
@@ -82,12 +101,13 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCTProofDecode$$' -fuzztime=10s ./internal/ct/
 	$(GO) test -run='^$$' -fuzz='^FuzzStateTrieOps$$' -fuzztime=10s ./internal/chain/
 
-# Package-level prover-stack benchmarks (Domain.FFT, G1MSM, kzg.Commit,
+# Package-level prover-stack benchmarks (the field multiplication as
+# latency, throughput and per kernel; Domain.FFT, G1MSM, kzg.Commit,
 # plonk.Prove at 2^10..2^16, including 2^13, the π_e domain of the repo
 # benchmark's probes); see EXPERIMENTS.md for recorded trajectories.
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkFFT$$|BenchmarkG1MSM$$|BenchmarkCommit$$|BenchmarkProve$$' -benchmem \
-		./internal/poly/ ./internal/bn254/ ./internal/kzg/ ./internal/plonk/
+	$(GO) test -run='^$$' -bench='BenchmarkMul$$|BenchmarkMulThroughput$$|BenchmarkMulKernels$$|BenchmarkFFT$$|BenchmarkG1MSM$$|BenchmarkCommit$$|BenchmarkProve$$' -benchmem \
+		./internal/ff/ ./internal/poly/ ./internal/bn254/ ./internal/kzg/ ./internal/plonk/
 
 # Verification-engine benchmarks: the pairing check naive/sparse/precomp,
 # single-proof plonk.Verify, and BatchVerify at N = 1, 4, 16, 64 (watch

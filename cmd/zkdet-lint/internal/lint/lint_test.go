@@ -125,6 +125,32 @@ func TestLockGuardFixture(t *testing.T)     { runFixture(t, LockGuard, "lockguar
 func TestPanicFreeFixture(t *testing.T)     { runFixture(t, PanicFree, "panicfree") }
 func TestDetReplayFixture(t *testing.T)     { runFixture(t, DetReplay, "detreplay") }
 
+// TestLoadHonoursBuildConstraints loads a package whose add is declared
+// once per architecture (add_amd64.go, body-less and backed by assembly, and
+// add_other.go behind //go:build !amd64). The loader must select files as
+// the go command does — parsing both twins is a redeclaration error — and
+// every analyzer must cope with the body-less declaration.
+func TestLoadHonoursBuildConstraints(t *testing.T) {
+	dir := fixtureDir(t, "buildsplit")
+	loader, err := NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadDir(dir, "fixture/buildsplit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(pkg.Files) != 2 {
+		t.Errorf("loaded %d files, want sum.go and one add_*.go", len(pkg.Files))
+	}
+	if pkg.Types.Scope().Lookup("add") == nil || pkg.Types.Scope().Lookup("kernel") == nil {
+		t.Error("neither architecture's add/kernel was loaded")
+	}
+	for _, d := range RunAnalyzers([]*Package{pkg}, All()) {
+		t.Errorf("unexpected diagnostic: %s", d)
+	}
+}
+
 // TestSuppression proves //lint:ignore silences a finding only when it
 // carries a justification.
 func TestSuppression(t *testing.T) {

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -136,16 +137,35 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 }
 
 func hasGoFiles(dir string) bool {
+	names, err := goFiles(dir)
+	return err == nil && len(names) > 0
+}
+
+// goFiles lists the non-test Go files of dir that the go command would
+// compile for the current GOOS/GOARCH: go/build applies the file-name
+// suffixes (_amd64.go, _linux.go) and the //go:build lines, so a package
+// split into per-architecture twins loads as the one package the compiler
+// sees rather than as a set of redeclarations.
+func goFiles(dir string) ([]string, error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return false
+		return nil, err
 	}
+	var names []string
 	for _, e := range ents {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") && !strings.HasSuffix(e.Name(), "_test.go") {
-			return true
+		name := e.Name()
+		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, fmt.Errorf("lint: build constraints of %s: %w", filepath.Join(dir, name), err)
+		}
+		if match {
+			names = append(names, name)
 		}
 	}
-	return false
+	return names, nil
 }
 
 // importPathFor maps a module directory to its import path.
@@ -164,8 +184,10 @@ func (l *Loader) importPathFor(dir string) (string, error) {
 }
 
 // LoadDir parses and type-checks the package in dir under the given import
-// path (pass "" to derive it from the module layout). Results are memoized
-// by import path.
+// path (pass "" to derive it from the module layout), from the files
+// goFiles selects. A func declared without a body — an assembly routine —
+// type-checks as declared; analyzers see its signature, never its body.
+// Results are memoized by import path.
 func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if path == "" {
 		p, err := l.importPathFor(dir)
@@ -177,16 +199,12 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if pkg, ok := l.loaded[path]; ok {
 		return pkg, nil
 	}
-	ents, err := os.ReadDir(dir)
+	names, err := goFiles(dir)
 	if err != nil {
 		return nil, err
 	}
 	var files []*ast.File
-	for _, e := range ents {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
+	for _, name := range names {
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err

@@ -36,6 +36,7 @@ type Field struct {
 	byteLen   int
 	modMinus1 [Limbs]uint64 // p-1 in plain form, used for Neg bound checks in tests
 	unrolled  bool          // use the no-carry unrolled CIOS multiplication
+	adx       bool          // unrolled, and this CPU runs the assembly form of it
 }
 
 // ErrNotInField reports a value that is not a canonical field element.
@@ -76,6 +77,7 @@ func NewField(modulus *big.Int) (*Field, error) {
 	}
 	f.inv = -inv
 	f.unrolled = canUseUnrolled(f.bitLen)
+	f.adx = f.unrolled && hasADX
 	return f, nil
 }
 
@@ -171,14 +173,22 @@ func (f *Field) Neg(z, x *Element) {
 	*z = t
 }
 
-// Mul sets z = x * y mod p using CIOS Montgomery multiplication (the
-// unrolled no-carry path for ≤254-bit moduli, the generic loop otherwise).
+// Mul sets z = x * y mod p using CIOS Montgomery multiplication. x and y
+// must be reduced (< p), which every constructor of this package guarantees
+// and every operation preserves; z is then reduced too, and may alias x or y.
+//
+// Three bodies compute the same limbs: for ≤254-bit moduli the no-carry
+// CIOS, in MULX/ADX assembly where NewField found the CPU has it and in Go
+// elsewhere, and the generic loop for wider moduli.
 func (f *Field) Mul(z, x, y *Element) {
-	if f.unrolled {
+	switch {
+	case f.adx:
+		mulADX(z, x, y, &f.modulus, f.inv)
+	case f.unrolled:
 		f.mulUnrolled(z, x, y)
-		return
+	default:
+		f.mulGeneric(z, x, y)
 	}
-	f.mulGeneric(z, x, y)
 }
 
 func (f *Field) mulGeneric(z, x, y *Element) {
@@ -304,6 +314,9 @@ func (f *Field) BatchInverse(xs []Element) {
 func (f *Field) FromUint64(v uint64) Element {
 	var z, t Element
 	t[0] = v
+	if f.bitLen <= 64 {
+		t[0] %= f.modulus[0] // Mul takes reduced operands
+	}
 	f.Mul(&z, &t, &f.r2)
 	return z
 }

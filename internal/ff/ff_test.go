@@ -381,14 +381,15 @@ func frFromQuickField(f *Field, a, b, c, d uint64) Element {
 	return f.FromBig(limbsToBig(&[Limbs]uint64{a, b, c, d}))
 }
 
+// BenchmarkMul times one dependent chain, each product feeding the next: the
+// latency of a multiplication. BenchmarkMulThroughput is its counterpart.
 func BenchmarkMul(b *testing.B) {
 	f := testFr
-	x := f.FromUint64(0xdeadbeefcafebabe)
+	z := f.FromUint64(0xdeadbeefcafebabe)
 	y := f.FromUint64(0x123456789abcdef0)
-	var z Element
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f.Mul(&z, &x, &y)
+		f.Mul(&z, &z, &y)
 	}
 }
 
