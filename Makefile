@@ -7,9 +7,9 @@
 GO ?= go
 
 # Packages that spawn worker pools or serve concurrent clients; these get
-# the race detector. contracts is here for the seal-time batch-verification
-# path: the block producer marks proofs pre-verified concurrently with
-# contract execution consuming the marks. storage/core/zkdet-node joined
+# the race detector. contracts is here for the block proof check: the chain
+# runs it with its state lock released, beside gossip screens on the same
+# checker and (on a devnet) a late EnableConfidential registering into it. storage/core/zkdet-node joined
 # once their lock annotations landed: the DHT repair path, the circuit-key
 # cache, and the JSON-RPC daemon all serve concurrent callers.
 # internal/chain/... includes internal/chain/exec (the parallel batch

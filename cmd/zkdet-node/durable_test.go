@@ -2,7 +2,14 @@ package main
 
 import (
 	"net/http/httptest"
+	"sync"
 	"testing"
+	"time"
+
+	"github.com/zkdet/zkdet/internal/chain"
+	"github.com/zkdet/zkdet/internal/core"
+	"github.com/zkdet/zkdet/internal/ct"
+	"github.com/zkdet/zkdet/internal/fr"
 )
 
 // bootDurable starts an in-process durable daemon WITHOUT registering a
@@ -188,5 +195,190 @@ func TestDurableCleanRestartUsesShutdownCheckpoint(t *testing.T) {
 	}
 	if rep.BlocksReplayed != 0 {
 		t.Fatalf("clean restart replayed %d blocks, want 0", rep.BlocksReplayed)
+	}
+}
+
+// crashDaemon kills a durable daemon the way SIGKILL would (listener gone,
+// WAL buffers abandoned, no checkpoint) after recording every receipt it
+// ever acknowledged, block by block.
+func crashDaemon(t *testing.T, srv *server, ts *httptest.Server) map[chain.Hash]*chain.Receipt {
+	t.Helper()
+	c := srv.mkt.Chain
+	acked := make(map[chain.Hash]*chain.Receipt)
+	for n := uint64(1); n <= c.Height(); n++ {
+		b, _ := c.BlockByNumber(n)
+		for _, h := range b.TxHashes {
+			r, ok := c.Receipt(h)
+			if !ok {
+				t.Fatalf("block %d lists %s but the chain has no receipt for it", n, h)
+			}
+			acked[h] = r
+		}
+	}
+	ts.Close()
+	srv.durable.Crash()
+	srv.node.Stop()
+	return acked
+}
+
+// TestDurableCrashRecoversProofsFromWALTail is the regression test for the
+// gas drift between sealing and replay: a durable daemon that settled one
+// exchange (real π_k) and moved one confidential note (π_ct range proofs)
+// is killed before any checkpoint, so a restart has nothing but the WAL
+// tail — and must replay those proofs through the same fold the producer
+// sealed them under. It used to fail to start at all (`replayed receipts
+// differ from the logged receipts: block 4: receipt 0 … drifted`), because
+// the producer charged the amortised schedule off process-local marks that
+// replay never saw.
+func TestDurableCrashRecoversProofsFromWALTail(t *testing.T) {
+	dir := t.TempDir()
+	ak := ct.AuditorKeyFromSecret(fr.NewElement(0x5ec7))
+	issuer, err := parseAddr("issuer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testCfg()
+	cfg.dataDir = dir
+	cfg.checkpointEvery = 1 << 20 // never checkpoint
+	// The confidential subsystem is part of this deployment's genesis: both
+	// processes deploy it before recovering anything.
+	cfg.genesis = func(m *core.Marketplace) error {
+		_, err := m.EnableConfidential(issuer, ak.PublicKey())
+		return err
+	}
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	c := newRPCClient(ts.URL)
+
+	fx, err := buildFixture(srv.mkt.Sys)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lat []time.Duration
+	var mu sync.Mutex
+	if _, ok, err := runClient(c, 0, fx, &lat, &mu); err != nil || !ok {
+		t.Fatalf("exchange lifecycle: provenance ok=%v, %v", ok, err)
+	}
+	for _, who := range []string{"issuer", "alice"} {
+		if err := c.call("zkdet_faucet", map[string]any{"address": who, "amount": 10_000_000}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var minted struct {
+		Notes []ctNoteOut `json:"notes"`
+	}
+	if err := c.call("zkdet_ctMint", map[string]any{
+		"pays": []map[string]any{{"value": 1200, "to": "alice"}},
+	}, &minted); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.call("zkdet_ctTransfer", map[string]any{
+		"sender": "alice",
+		"inputs": []map[string]any{{
+			"id": minted.Notes[0].ID, "value": 1200, "blinder": minted.Notes[0].Blinder,
+		}},
+		"pays": []map[string]any{{"value": 700, "to": "bob"}, {"value": 500, "to": "alice"}},
+	}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if s := srv.node.Stats(); s.ProofsPreverified != 3 || s.ProofsEvicted != 0 {
+		t.Fatalf("producer folded the proofs of %d transactions (evicted %d), want the settle, the mint and the transfer",
+			s.ProofsPreverified, s.ProofsEvicted)
+	}
+	wantHead, wantHash := srv.mkt.Chain.Height(), srv.mkt.Chain.HeadHash()
+	acked := crashDaemon(t, srv, ts)
+
+	srv2, err := newServer(cfg)
+	if err != nil {
+		t.Fatalf("restart on a proof-carrying WAL tail: %v", err)
+	}
+	ts2 := httptest.NewServer(srv2.handler())
+	t.Cleanup(func() {
+		ts2.Close()
+		srv2.close()
+	})
+	rep := srv2.recovery
+	if rep.SnapshotPath != "" || rep.BlocksReplayed != int(wantHead) || rep.Head != wantHead {
+		t.Fatalf("recovery %+v, want %d blocks replayed from the WAL alone", rep, wantHead)
+	}
+	if got := srv2.mkt.Chain.HeadHash(); got != wantHash {
+		t.Fatalf("recovered head %s, want %s", got, wantHash)
+	}
+	c2 := newRPCClient(ts2.URL)
+	folded := 0
+	for h, want := range acked {
+		var rec txResult
+		if err := c2.call("zkdet_receipt", map[string]any{"txHash": h.String()}, &rec); err != nil {
+			t.Fatalf("receipt %s lost across restart: %v", h, err)
+		}
+		wantReverted := ""
+		if want.Err != nil {
+			wantReverted = want.Err.Error()
+		}
+		if rec.GasUsed != want.GasUsed || rec.Reverted != wantReverted || len(rec.Logs) != len(want.Logs) {
+			t.Fatalf("receipt %s changed across restart: gas %d (was %d), reverted %q (was %q)",
+				h, rec.GasUsed, want.GasUsed, rec.Reverted, wantReverted)
+		}
+		if b, ok := srv2.mkt.Chain.BlockByNumber(rec.BlockNumber); ok && b.Fold > 0 {
+			folded++
+		}
+	}
+	if folded < 3 {
+		t.Fatalf("only %d recovered transactions sit in folded blocks; the proof-carrying ones did not replay through a fold", folded)
+	}
+}
+
+// TestDurableRecoversAfterUnknownContractTx: one transaction naming a
+// contract that does not exist used to advance its sender's nonce without
+// entering any block, so the sender's next, perfectly valid transaction was
+// sealed at a nonce the logged history could not reproduce and the daemon
+// never started again (`replaying block 2: chain: block transaction failed
+// to replay: tx 0: chain: bad nonce: got 1, want 0`).
+func TestDurableRecoversAfterUnknownContractTx(t *testing.T) {
+	dir := t.TempDir()
+	cfg := testCfg()
+	cfg.dataDir = dir
+	cfg.checkpointEvery = 1 << 20 // never checkpoint
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	c := newRPCClient(ts.URL)
+	if err := c.call("zkdet_faucet", map[string]any{"address": "mallory", "amount": 5_000}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.sendWait(txParams{From: "mallory", Contract: "no-such-contract", Method: "x"}); err == nil {
+		t.Fatal("transaction to a contract that does not exist was included")
+	}
+	if got := srv.mkt.Chain.NonceOf(mustAddr(t, "mallory")); got != 0 {
+		t.Fatalf("rejected transaction advanced mallory's nonce to %d", got)
+	}
+	res, err := c.sendWait(txParams{From: "mallory", To: "dave", Value: 123})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acked := crashDaemon(t, srv, ts)
+	if len(acked) != 1 {
+		t.Fatalf("%d transactions in blocks, want the transfer alone", len(acked))
+	}
+
+	srv2, ts2, c2 := bootDurable(t, dir)
+	t.Cleanup(func() {
+		ts2.Close()
+		srv2.close()
+	})
+	if rep := srv2.recovery; rep.BlocksReplayed == 0 || rep.Head != res.BlockNumber {
+		t.Fatalf("recovery %+v, want the transfer's block %d replayed", rep, res.BlockNumber)
+	}
+	var rec txResult
+	if err := c2.call("zkdet_receipt", map[string]any{"txHash": res.TxHash}, &rec); err != nil {
+		t.Fatalf("pre-crash receipt lost: %v", err)
+	}
+	if got := srv2.mkt.Chain.BalanceOf(mustAddr(t, "dave")); got != 123 {
+		t.Fatalf("dave's balance after recovery = %d, want 123", got)
 	}
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"net"
 	"net/http"
@@ -24,6 +25,10 @@ type serverConfig struct {
 	dataDir         string
 	role            string // "archive" or "full" (durable mode only)
 	checkpointEvery uint64 // snapshot cadence in blocks (durable mode only)
+	// genesis, when set, finishes the deployment before anything is
+	// recovered: where a deployment bakes the confidential subsystem in
+	// (enabling it over RPC is devnet-only; no restart can replay that).
+	genesis func(*core.Marketplace) error
 }
 
 func defaultServerConfig() serverConfig {
@@ -66,40 +71,47 @@ func newServer(cfg serverConfig) (*server, error) {
 	srv := &server{}
 	var mkt *core.Marketplace
 	if cfg.dataDir == "" {
-		if mkt, _, err = core.NewMarketplace(sys, cfg.storageNodes); err != nil {
-			return nil, fmt.Errorf("deploying marketplace: %w", err)
-		}
-		srv.ix = mkt.AttachIndexer()
+		mkt, _, err = core.NewMarketplace(sys, cfg.storageNodes)
 	} else {
-		role, err := snapshot.ParseRole(cfg.role)
-		if err != nil {
-			return nil, err
+		role, rerr := snapshot.ParseRole(cfg.role)
+		if rerr != nil {
+			return nil, rerr
 		}
-		d, err := snapshot.Open(snapshot.Options{
+		srv.durable, err = snapshot.Open(snapshot.Options{
 			Dir: cfg.dataDir, Role: role, CheckpointEvery: cfg.checkpointEvery,
 		})
 		if err != nil {
 			return nil, fmt.Errorf("opening data dir: %w", err)
 		}
-		bs := d.Blobs(storage.NewStore())
-		if mkt, _, err = core.NewMarketplaceWith(sys, chain.New(), bs); err != nil {
-			return nil, fmt.Errorf("deploying marketplace: %w", err)
-		}
-		srv.ix = mkt.AttachIndexer() // before Recover: the indexer re-sees restored blocks
-		rep, err := d.Recover(mkt.Chain)
-		if err != nil {
+		mkt, _, err = core.NewMarketplaceWith(sys, chain.New(), srv.durable.Blobs(storage.NewStore()))
+	}
+	if err == nil && cfg.genesis != nil {
+		err = cfg.genesis(mkt)
+	}
+	if err != nil {
+		return nil, fmt.Errorf("deploying marketplace: %w", err)
+	}
+	srv.ix = mkt.AttachIndexer() // before Recover: the indexer re-sees restored blocks
+	if d := srv.durable; d != nil {
+		if srv.recovery, err = d.Recover(mkt.Chain); err != nil {
 			return nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
 		}
 		if err := d.Attach(mkt.Chain); err != nil {
 			return nil, err
 		}
-		srv.durable, srv.recovery = d, rep
 	}
-	// Fold every block's proof-carrying transactions into one pairing
-	// check at seal time.
-	cfg.node.SealVerifier = mkt.ProofChecker()
+	// The marketplace genesis installed the chain's block verifier: the
+	// producer folds every block's proofs into one pairing check at seal
+	// time, and recovery above replayed them through the same fold.
 	n := node.New(mkt.Chain, cfg.node)
 	n.Start()
+	// Marketplace-level operations (the confidential RPCs) go through the
+	// mempool too: a producer owns its chain, and a transaction executed
+	// eagerly beside it would sit outside every fold.
+	mkt.Submitter = func(tx chain.Transaction) (*chain.Receipt, error) {
+		res, err := n.SubmitAndWait(context.Background(), tx, true)
+		return res.Receipt, err
+	}
 	srv.mkt, srv.node = mkt, n
 	return srv, nil
 }

@@ -28,8 +28,7 @@ import (
 
 // TxOutcome is the result of one batch member: the receipt of a processed
 // transaction, or the Go-level error of a malformed one (same contract as
-// Submit — an Err outcome touched nothing except the unknown-contract
-// nonce quirk).
+// Submit — an Err outcome touched nothing).
 type TxOutcome struct {
 	Receipt *Receipt
 	Err     error
@@ -83,24 +82,20 @@ func (c *Chain) submitBatchLocked(txs []Transaction, workers int) []TxOutcome {
 	// Phase 2: validate and commit in batch order.
 	clog := exec.NewCommitLog()
 	for i := range txs {
-		if eff := effs[i]; eff != nil && clog.Valid(eff.reads) {
-			c.applyEffectsLocked(eff)
-			clog.Record(i, eff.writes)
-			out[i] = TxOutcome{Receipt: eff.receipt, Err: eff.goErr}
+		eff := effs[i]
+		if eff != nil && clog.Valid(eff.reads) {
 			c.execStats.AddCommitted()
-			continue
+		} else {
+			if eff != nil {
+				c.execStats.AddConflict()
+			}
+			clog.MarkReexecuted(i)
+			eff = c.newTxView(nil, blockNum).run(txs[i])
+			c.execStats.AddSerial()
 		}
-		if effs[i] != nil {
-			c.execStats.AddConflict()
-		}
-		clog.MarkReexecuted(i)
-		v := c.newTxView(nil, blockNum)
-		eff := v.runTx(txs[i])
-		eff.finalize()
 		c.applyEffectsLocked(eff)
 		clog.Record(i, eff.writes)
 		out[i] = TxOutcome{Receipt: eff.receipt, Err: eff.goErr}
-		c.execStats.AddSerial()
 	}
 	return out
 }
@@ -117,9 +112,7 @@ func (c *Chain) speculateGroupLocked(members []int, txs []Transaction, sets []*e
 		if sets[i] == nil || !sets[i].Speculate {
 			return
 		}
-		v := c.newTxView(grp, blockNum)
-		eff := v.runTx(txs[i])
-		eff.finalize()
+		eff := c.newTxView(grp, blockNum).run(txs[i])
 		effs[i] = eff
 		grp.merge(i, eff)
 		c.execStats.AddSpeculated(1)

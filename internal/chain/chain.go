@@ -133,6 +133,12 @@ type Block struct {
 	Time      time.Time
 	TxHashes  []Hash
 	StateRoot Hash
+	// Fold is how many of the body's proof items the block's proof check
+	// validated before execution (see BlockVerifier) and charged the
+	// amortised schedule; it is hashed, so what a proof-carrying call pays
+	// is a function of the sealed block. Zero: the body executed one by one,
+	// every proof verified alone — what Submit + SealBlock produce.
+	Fold uint32
 }
 
 func (b *Block) hash() Hash {
@@ -145,6 +151,8 @@ func (b *Block) hash() Hash {
 		h.Write(t[:])
 	}
 	h.Write(b.StateRoot[:])
+	binary.BigEndian.PutUint32(buf[:4], b.Fold)
+	h.Write(buf[:4])
 	var out Hash
 	copy(out[:], h.Sum(nil))
 	return out
@@ -168,7 +176,7 @@ type Contract interface {
 }
 
 // execEnv is the state backend a CallContext executes against: the live
-// chain during serial execution (with c.mu held), or a speculative
+// chain during serial execution (liveTx, with c.mu held), or a speculative
 // transaction view (txView) during parallel batch execution. Contracts are
 // oblivious to which one they run on — that is what makes speculative
 // execution bit-identical to serial execution when no conflict occurs.
@@ -176,7 +184,8 @@ type execEnv interface {
 	blockNumber() uint64
 	transferValue(from, to Address, amount uint64) error
 	getContract(name string) (Contract, bool)
-	storeFor(name string) *Storage
+	meteredStore(name string, gas *GasMeter) *Storage
+	proofFold(verifier string, calldata []byte) (int, bool)
 }
 
 // blockNumber returns the current height; caller holds c.mu.
@@ -184,7 +193,12 @@ func (c *Chain) blockNumber() uint64 { return uint64(len(c.blocks)) }
 
 // transferValue moves native value between accounts; caller holds c.mu.
 func (c *Chain) transferValue(from, to Address, amount uint64) error {
-	return c.transferLocked(from, to, amount)
+	if bal := c.acct(from).balance; bal < amount {
+		return fmt.Errorf("%w: %d < %d", ErrInsufficientFund, bal, amount)
+	}
+	c.mutAcct(from).balance -= amount
+	c.mutAcct(to).balance += amount
+	return nil
 }
 
 // getContract looks up a deployed contract; caller holds c.mu.
@@ -193,19 +207,22 @@ func (c *Chain) getContract(name string) (Contract, bool) {
 	return ct, ok
 }
 
-// storeFor returns a contract's root storage; caller holds c.mu.
-func (c *Chain) storeFor(name string) *Storage { return c.storages[name] }
+// proofFold looks a verify call up in the proof table of the block being
+// applied (none outside applyBlock); caller holds c.mu.
+func (c *Chain) proofFold(verifier string, calldata []byte) (int, bool) {
+	n, ok := c.marks[ProofKey(verifier, calldata)]
+	return n, ok
+}
 
 // CallContext is passed to contract methods.
 type CallContext struct {
-	Sender  Address
-	Value   uint64
-	Gas     *GasMeter
-	Store   *Storage
-	env     execEnv
-	name    string
-	logs    []Event
-	journal *journal
+	Sender Address
+	Value  uint64
+	Gas    *GasMeter
+	Store  *Storage
+	env    execEnv
+	name   string
+	logs   []Event
 }
 
 // Emit records an event, charging log gas.
@@ -240,6 +257,14 @@ func (ctx *CallContext) Transfer(to Address, amount uint64) error {
 // BlockNumber returns the current block height.
 func (ctx *CallContext) BlockNumber() uint64 { return ctx.env.blockNumber() }
 
+// ProofFold reports whether the proof check of the block being applied
+// validated this exact verify calldata for the executing contract, and the
+// width of the fold that did — the same answer on every node that applies
+// the block. A verifier that gets ok skips its own pairing.
+func (ctx *CallContext) ProofFold(calldata []byte) (width int, ok bool) {
+	return ctx.env.proofFold(ctx.name, calldata)
+}
+
 // CallContract performs a gas-metered cross-contract call. The callee sees
 // this contract's escrow address as the sender; its storage shares the
 // caller's gas meter, and its events are folded into the outer receipt.
@@ -251,12 +276,11 @@ func (ctx *CallContext) CallContract(name, method string, args []byte) ([]byte, 
 		return nil, fmt.Errorf("%w: %s", ErrUnknownContract, name)
 	}
 	sub := &CallContext{
-		Sender:  contractAddress(ctx.name),
-		Gas:     ctx.Gas,
-		Store:   ctx.env.storeFor(name).metered(ctx.Gas, ctx.journal),
-		env:     ctx.env,
-		name:    name,
-		journal: ctx.journal,
+		Sender: contractAddress(ctx.name),
+		Gas:    ctx.Gas,
+		Store:  ctx.env.meteredStore(name, ctx.Gas),
+		env:    ctx.env,
+		name:   name,
 	}
 	ret, err := callee.Call(sub, method, args)
 	ctx.logs = append(ctx.logs, sub.logs...)
@@ -298,22 +322,30 @@ type Chain struct {
 	// importing nodes.
 	txs map[Hash]Transaction // guarded by mu
 
-	// sealMu serializes SealBlock/ImportBlock and the synchronous seal-hook
-	// dispatch. Hook dispatch deliberately happens under sealMu (not just
-	// the block append): it is what gives hooks the strict height-order
-	// guarantee even when producers and importers race. Hooks run with mu
-	// RELEASED, so a slow hook delays the next seal/import but can never
-	// deadlock them, and hooks may freely call back into chain reads and
-	// Submit. The one re-entrancy hooks must avoid is SealBlock/ImportBlock
-	// themselves (sealMu is not reentrant).
+	// sealMu serializes SealBlock/ProduceBlock/ImportBlock and the
+	// synchronous seal-hook dispatch. Hook dispatch deliberately happens
+	// under sealMu (not just the block append): it is what gives hooks the
+	// strict height-order guarantee even when producers and importers race.
+	// Hooks run with mu RELEASED, so a slow hook delays the next seal/import
+	// but can never deadlock them, and hooks may freely call back into chain
+	// reads and Submit. The one re-entrancy hooks must avoid is sealing and
+	// importing themselves (sealMu is not reentrant).
 	sealHooks []func(Block, []*Receipt) // guarded by sealMu
 	sealMu    sync.Mutex
 
-	// jrnl is the open undo scope, nil when none is: ImportBlock opens one
-	// for the whole block, submitLocked one per transaction when no block
-	// scope is open. Every account mutation and every storage write that
-	// lands in live state under an open scope records its pre-image here.
+	// jrnl is the open undo scope, nil when none is: applyBlock opens one
+	// for a whole block it may have to take back, submitLocked one per
+	// transaction when no block scope is open. Every account mutation and
+	// every storage write that lands in live state under an open scope
+	// records its pre-image here.
 	jrnl *journal // guarded by mu
+
+	// verifier checks a block's proofs before it executes, and marks is the
+	// table (ProofKey → fold width) that check produced for the block being
+	// applied: read through CallContext.ProofFold, never written during
+	// execution, nil outside applyBlock.
+	verifier BlockVerifier   // guarded by mu
+	marks    map[ProofID]int // guarded by mu
 
 	// execWorkers is the default worker count for batch execution
 	// (SubmitBatch, ImportBlock replay); 1 means serial. guarded by mu
@@ -355,7 +387,8 @@ func NewWithClock(clock func() time.Time) *Chain {
 }
 
 // OnSeal registers a hook invoked synchronously after every SealBlock (and
-// every successful ImportBlock) with the sealed block and its receipts.
+// every successful ProduceBlock or ImportBlock) with the sealed block and
+// its receipts.
 //
 // Ordering contract: hooks are dispatched while sealMu is still held, so a
 // hook observes blocks strictly in height order with no interleaving — by
@@ -364,8 +397,8 @@ func NewWithClock(clock func() time.Time) *Chain {
 // lock (mu) is released during dispatch, so hooks may call back into chain
 // reads and Submit; a slow hook therefore back-pressures sealing and
 // importing (they wait on sealMu) but cannot deadlock them. Hooks must not
-// call SealBlock or ImportBlock. Off-chain consumers (block buses,
-// indexers) attach here.
+// call SealBlock, ProduceBlock or ImportBlock. Off-chain consumers (block
+// buses, indexers) attach here.
 func (c *Chain) OnSeal(fn func(Block, []*Receipt)) {
 	c.sealMu.Lock()
 	defer c.sealMu.Unlock()
@@ -421,15 +454,6 @@ func (c *Chain) mutAcct(a Address) *account {
 	return acc
 }
 
-func (c *Chain) transferLocked(from, to Address, amount uint64) error {
-	if bal := c.acct(from).balance; bal < amount {
-		return fmt.Errorf("%w: %d < %d", ErrInsufficientFund, bal, amount)
-	}
-	c.mutAcct(from).balance -= amount
-	c.mutAcct(to).balance += amount
-	return nil
-}
-
 // Deploy registers a contract under a unique name, charging deployment gas
 // proportional to the (approximated Solidity byte-) code size.
 func (c *Chain) Deploy(name string, contract Contract, codeSize int) (uint64, error) {
@@ -455,88 +479,133 @@ func (c *Chain) Submit(tx Transaction) (*Receipt, error) {
 	return c.submitLocked(tx)
 }
 
-// submitLocked is Submit's body; caller holds c.mu. ImportBlock replays
-// remote transactions through the same path so every node runs the
-// identical state machine.
+// submitLocked is Submit's body: one transaction through execTx on the
+// journaled live backend; caller holds c.mu. Under an open block scope the
+// transaction reverts to its own mark in it; otherwise it opens a scope
+// for itself alone.
 func (c *Chain) submitLocked(tx Transaction) (*Receipt, error) {
-	// Under ImportBlock the block's undo scope is already open and this
-	// transaction only ever reverts to its own mark in it; otherwise open a
-	// scope for the transaction alone.
 	j := c.jrnl
 	if j == nil {
 		j = &journal{accounts: c.accounts}
 		c.jrnl = j
 		defer func() { c.jrnl = nil }()
 	}
-	if want := c.acct(tx.From).nonce; tx.Nonce != want {
-		return nil, fmt.Errorf("%w: got %d, want %d", ErrBadNonce, tx.Nonce, want)
+	res := execTx(&liveTx{Chain: c, j: j, start: j.mark()}, tx)
+	if res.goErr != nil {
+		return nil, res.goErr
+	}
+	c.commitTx(res.tx, res.hash, res.receipt)
+	return res.receipt, nil
+}
+
+// txState is the state execTx runs one transaction against. The two
+// backends are the journaled live chain (liveTx: writes land at once, undone
+// by reverting to a journal mark) and the speculative overlay (txView:
+// writes are buffered, kept or dropped when the engine commits); which one
+// runs a transaction is the batch engine's decision (batch.go).
+type txState interface {
+	execEnv
+	nonce(a Address) uint64
+	setNonce(a Address, n uint64)
+	// undo discards everything the transaction has done so far.
+	undo()
+}
+
+// txResult is what execTx produced: the receipt of a processed transaction
+// or the Go-level error of a malformed one, and the normalized body.
+type txResult struct {
+	tx      Transaction
+	hash    Hash
+	receipt *Receipt
+	goErr   error
+}
+
+// execTx is THE transaction body — nonce check, intrinsic gas, value move,
+// contract call, revert or keep — for every path that executes one: eager
+// Submit and both batch backends, hence sealing, import and WAL replay. A
+// Go-level error (bad nonce, intrinsic gas above the limit, unfunded value,
+// no recipient, unknown contract) leaves state untouched, so a transaction
+// is either in a block or never happened; a reverted call keeps the nonce
+// bump and nothing else.
+func execTx(st txState, tx Transaction) txResult {
+	fail := func(err error) txResult {
+		st.undo()
+		return txResult{tx: tx, goErr: err}
+	}
+	if want := st.nonce(tx.From); tx.Nonce != want {
+		return fail(fmt.Errorf("%w: got %d, want %d", ErrBadNonce, tx.Nonce, want))
 	}
 	if tx.GasLimit == 0 {
 		tx.GasLimit = DefaultGasLimit
 	}
-	txHash := tx.hash()
-	receipt := &Receipt{TxHash: txHash}
+	res := txResult{tx: tx, hash: tx.hash()}
+	res.receipt = &Receipt{TxHash: res.hash}
 	gas := NewGasMeter(tx.GasLimit)
 	// Intrinsic gas.
 	if err := gas.Charge(GasTxBase + uint64(len(tx.Args))*GasCalldataByte); err != nil {
-		return nil, err
+		return fail(err)
 	}
-
-	start := j.mark()
-	c.mutAcct(tx.From).nonce++
 
 	if tx.Contract == "" {
 		// Plain value transfer — tx.Method/Args ignored.
 		if tx.Value > 0 && tx.To == (Address{}) {
-			j.revertTo(start)
-			return nil, ErrNoRecipient
+			return fail(ErrNoRecipient)
 		}
-		if err := c.transferLocked(tx.From, tx.To, tx.Value); err != nil {
-			j.revertTo(start)
-			return nil, err
+		if err := st.transferValue(tx.From, tx.To, tx.Value); err != nil {
+			return fail(err)
 		}
-		receipt.GasUsed = gas.Used()
-		c.commitTx(tx, txHash, receipt)
-		return receipt, nil
+		st.setNonce(tx.From, tx.Nonce+1)
+		res.receipt.GasUsed = gas.Used()
+		return res
 	}
 
-	contract, ok := c.contracts[tx.Contract]
+	contract, ok := st.getContract(tx.Contract)
 	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrUnknownContract, tx.Contract)
+		return fail(fmt.Errorf("%w: %s", ErrUnknownContract, tx.Contract))
 	}
-
 	// Move value into the contract escrow before the call.
 	if tx.Value > 0 {
-		if err := c.transferLocked(tx.From, contractAddress(tx.Contract), tx.Value); err != nil {
-			j.revertTo(start)
-			return nil, err
+		if err := st.transferValue(tx.From, contractAddress(tx.Contract), tx.Value); err != nil {
+			return fail(err)
 		}
 	}
-
-	// The journal captures the pre-image of every slot the call mutates
-	// across all contracts it reaches, and of every account it moves value
-	// through, so a revert undoes exactly what the transaction touched.
 	ctx := &CallContext{
-		Sender:  tx.From,
-		Value:   tx.Value,
-		Gas:     gas,
-		Store:   c.storages[tx.Contract].metered(gas, j),
-		env:     c,
-		name:    tx.Contract,
-		journal: j,
+		Sender: tx.From,
+		Value:  tx.Value,
+		Gas:    gas,
+		Store:  st.meteredStore(tx.Contract, gas),
+		env:    st,
+		name:   tx.Contract,
 	}
 	ret, err := contract.Call(ctx, tx.Method, tx.Args)
-	receipt.GasUsed = gas.Used()
+	res.receipt.GasUsed = gas.Used()
 	if err != nil {
-		j.revertTo(start)
-		c.mutAcct(tx.From).nonce = tx.Nonce + 1 // nonce still advances on revert
-		receipt.Err = fmt.Errorf("%w: %s.%s: %w", ErrReverted, tx.Contract, tx.Method, err)
+		st.undo() // state rolled back, value refunded; the nonce still advances
+		res.receipt.Err = fmt.Errorf("%w: %s.%s: %w", ErrReverted, tx.Contract, tx.Method, err)
 	} else {
-		receipt.Return = ret
-		receipt.Logs = ctx.logs
+		res.receipt.Return, res.receipt.Logs = ret, ctx.logs
 	}
-	c.commitTx(tx, txHash, receipt)
-	return receipt, nil
+	st.setNonce(tx.From, tx.Nonce+1)
+	return res
+}
+
+// liveTx is the journaled live backend of one transaction: the chain
+// (caller holds c.mu) plus the journal mark the transaction reverts to.
+type liveTx struct {
+	*Chain
+	j     *journal
+	start journalMark
+}
+
+func (l *liveTx) nonce(a Address) uint64       { return l.acct(a).nonce }
+func (l *liveTx) setNonce(a Address, n uint64) { l.mutAcct(a).nonce = n }
+func (l *liveTx) undo()                        { l.j.revertTo(l.start) }
+
+// meteredStore implements execEnv; caller holds c.mu. Writes through the
+// view land in live state at once, their pre-images in the journal, so a
+// revert undoes exactly what the transaction touched in every contract.
+func (l *liveTx) meteredStore(name string, gas *GasMeter) *Storage {
+	return l.storages[name].metered(gas, l.j)
 }
 
 // commitTx records a processed transaction's body and receipt, queues it
@@ -576,30 +645,20 @@ func (c *Chain) Receipt(h Hash) (*Receipt, bool) {
 	return r, ok
 }
 
-// SealBlock commits pending transactions into a new hash-linked block and
-// dispatches it (with its receipts) to every OnSeal hook before returning,
-// so indexers are consistent with the chain by the time the sealer observes
-// the new block. Dispatch happens under sealMu with mu released — see the
-// OnSeal ordering contract.
+// SealBlock commits the eagerly executed pending transactions (Submit,
+// SubmitBatch) into a new hash-linked block — Fold zero: each of its proofs
+// was verified alone — and dispatches it (with its receipts) to every
+// OnSeal hook before returning, so indexers are consistent with the chain
+// by the time the sealer observes the new block. A block producer uses
+// ProduceBlock, which executes at seal. Dispatch happens under sealMu with
+// mu released — see the OnSeal ordering contract.
 func (c *Chain) SealBlock() Block {
 	c.sealMu.Lock()
 	defer c.sealMu.Unlock()
 
 	c.mu.Lock()
-	parent := c.blocks[len(c.blocks)-1]
-	b := Block{
-		Number:    parent.Number + 1,
-		Parent:    parent.hash(),
-		Time:      c.now(),
-		TxHashes:  c.pending,
-		StateRoot: c.stateRootLocked(),
-	}
-	receipts := make([]*Receipt, len(c.pending))
-	for i, h := range c.pending {
-		receipts[i] = c.receipts[h]
-	}
-	c.pending = nil
-	c.blocks = append(c.blocks, b)
+	b := c.nextBlockLocked(c.blocks[len(c.blocks)-1], c.now(), 0)
+	receipts := c.appendBlockLocked(b)
 	hooks := c.sealHooks
 	c.mu.Unlock()
 
@@ -607,6 +666,31 @@ func (c *Chain) SealBlock() Block {
 		fn(b, receipts)
 	}
 	return b
+}
+
+// nextBlockLocked is the block the pending set seals into on top of head;
+// caller holds c.mu.
+func (c *Chain) nextBlockLocked(head Block, at time.Time, fold uint32) Block {
+	return Block{
+		Number:    head.Number + 1,
+		Parent:    head.hash(),
+		Time:      at,
+		TxHashes:  c.pending,
+		StateRoot: c.stateRootLocked(),
+		Fold:      fold,
+	}
+}
+
+// appendBlockLocked makes b, built by nextBlockLocked, the head and
+// returns its receipts; caller holds sealMu and c.mu.
+func (c *Chain) appendBlockLocked(b Block) []*Receipt {
+	receipts := make([]*Receipt, len(b.TxHashes))
+	for i, h := range b.TxHashes {
+		receipts[i] = c.receipts[h]
+	}
+	c.pending = nil
+	c.blocks = append(c.blocks, b)
+	return receipts
 }
 
 // stateRootLocked commits to all contract storages.
@@ -676,42 +760,5 @@ func (c *Chain) EventsByName(contract, name string) []Event {
 	}
 	out := make([]Event, len(idx))
 	copy(out, idx)
-	return out
-}
-
-// eventsByNameScan is the pre-index implementation — an O(total receipts)
-// walk over every block — retained as the reference for correctness tests
-// and the scan-vs-index benchmark.
-func (c *Chain) eventsByNameScan(contract, name string) []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []Event
-	// Walk blocks then the pending set, preserving order.
-	appendFrom := func(h Hash) {
-		out = c.appendEventsFromLocked(out, h, contract, name)
-	}
-	for _, b := range c.blocks {
-		for _, h := range b.TxHashes {
-			appendFrom(h)
-		}
-	}
-	for _, h := range c.pending {
-		appendFrom(h)
-	}
-	return out
-}
-
-// appendEventsFromLocked appends tx h's events matching (contract, name) to
-// out; caller holds c.mu.
-func (c *Chain) appendEventsFromLocked(out []Event, h Hash, contract, name string) []Event {
-	r, ok := c.receipts[h]
-	if !ok {
-		return out
-	}
-	for _, ev := range r.Logs {
-		if ev.Contract == contract && ev.Name == name {
-			out = append(out, ev)
-		}
-	}
 	return out
 }

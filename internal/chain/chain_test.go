@@ -167,10 +167,45 @@ func TestValueTransferAndRevertRefund(t *testing.T) {
 	}
 }
 
+// TestUnknownContract: a call to a contract that does not exist is a
+// Go-level error, so it leaves no trace — in particular the sender's nonce
+// does not move (it used to, with no transaction in any block to account
+// for it, and the sealed stream then failed to replay).
 func TestUnknownContract(t *testing.T) {
 	c, alice := newTestChain(t)
+	bob := AddressFromString("bob")
+	for _, width := range []int{1, 4} {
+		batch := []Transaction{
+			{From: alice, Contract: "nope", Method: "x", Value: 7, Nonce: 0},
+			{From: bob, Contract: "nope", Method: "x", Nonce: 0},
+			{From: bob, Contract: "nope", Method: "y", Nonce: 0},
+			{From: alice, Contract: "nope", Method: "y", Nonce: 0},
+		}
+		for i, o := range c.SubmitBatch(batch, width) {
+			if !errors.Is(o.Err, ErrUnknownContract) {
+				t.Fatalf("width %d tx %d: unknown contract accepted: %v", width, i, o.Err)
+			}
+		}
+	}
 	if _, err := c.Submit(Transaction{From: alice, Contract: "nope", Method: "x", Nonce: 0}); !errors.Is(err, ErrUnknownContract) {
 		t.Fatal("unknown contract accepted")
+	}
+	if got := c.NonceOf(alice); got != 0 {
+		t.Fatalf("nonce advanced to %d with no transaction processed", got)
+	}
+	if got := c.BalanceOf(alice); got != 1_000_000 {
+		t.Fatalf("balance moved to %d", got)
+	}
+	// The same nonce is still good for a real transaction, and the block
+	// replays on a twin.
+	if _, err := c.Submit(Transaction{From: alice, To: bob, Value: 1, Nonce: 0}); err != nil {
+		t.Fatal(err)
+	}
+	b := c.SealBlock()
+	body, _ := c.BlockBody(b.Number)
+	twin, _ := newTestChain(t)
+	if _, err := twin.ImportBlock(b, body); err != nil {
+		t.Fatalf("block sealed after an unknown-contract submit does not replay: %v", err)
 	}
 }
 

@@ -209,3 +209,32 @@ func BenchmarkEventsByName(b *testing.B) {
 		})
 	}
 }
+
+// eventsByNameScan is the pre-index implementation of EventsByName — an
+// O(total receipts) walk over every block, then the pending set — kept
+// here as the oracle the index is pinned against.
+func (c *Chain) eventsByNameScan(contract, name string) []Event {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	var out []Event
+	appendFrom := func(h Hash) {
+		r, ok := c.receipts[h]
+		if !ok {
+			return
+		}
+		for _, ev := range r.Logs {
+			if ev.Contract == contract && ev.Name == name {
+				out = append(out, ev)
+			}
+		}
+	}
+	for _, b := range c.blocks {
+		for _, h := range b.TxHashes {
+			appendFrom(h)
+		}
+	}
+	for _, h := range c.pending {
+		appendFrom(h)
+	}
+	return out
+}

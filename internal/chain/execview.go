@@ -110,19 +110,9 @@ func (g *groupState) acct(a Address) *groupAcct {
 	return t
 }
 
-// merge folds a finished member's effects into the group overlay so the
-// next member observes them; idx is the member's batch index.
+// merge folds a finished member's surviving effects into the group overlay
+// so the next member observes them; idx is the member's batch index.
 func (g *groupState) merge(idx int, eff *txEffects) {
-	switch eff.keep {
-	case keepNothing:
-		return
-	case keepNonce:
-		ga := g.acct(eff.tx.From)
-		ga.nonceSet = true
-		ga.nonce = eff.tx.Nonce + 1
-		ga.nonceWriters = append(ga.nonceWriters, idx)
-		return
-	}
 	v := eff.view
 	for a, t := range v.accts.m {
 		if !t.nonceSet && !t.balAbs && t.balDelta == 0 {
@@ -255,22 +245,13 @@ func (x *txAccounts) acct(a Address) *txAcct {
 	return t
 }
 
-// baseNonce reads the committed nonce; caller holds c.mu (the engine holds
-// it for the whole batch).
-func (x *txAccounts) baseNonce(a Address) uint64 {
+// base reads the committed account record, the zero one when there is
+// none; caller holds c.mu (the engine holds it for the whole batch).
+func (x *txAccounts) base(a Address) account {
 	if acc, ok := x.c.accounts[a]; ok {
-		return acc.nonce
+		return *acc
 	}
-	return 0
-}
-
-// baseBalance reads the committed balance; caller holds c.mu (the engine
-// holds it for the whole batch).
-func (x *txAccounts) baseBalance(a Address) uint64 {
-	if acc, ok := x.c.accounts[a]; ok {
-		return acc.balance
-	}
-	return 0
+	return account{}
 }
 
 func (x *txAccounts) nonce(a Address) uint64 {
@@ -285,7 +266,7 @@ func (x *txAccounts) nonce(a Address) uint64 {
 		}
 	}
 	x.rec.read(resNonce(a), nil)
-	return x.baseNonce(a)
+	return x.base(a).nonce
 }
 
 func (x *txAccounts) setNonce(a Address, n uint64) {
@@ -316,11 +297,11 @@ func (x *txAccounts) observeBalance(a Address) uint64 {
 			if g.balAbs {
 				return g.bal
 			}
-			return x.baseBalance(a) + g.balDelta
+			return x.base(a).balance + g.balDelta
 		}
 	}
 	x.rec.read(resBal(a), nil)
-	return x.baseBalance(a)
+	return x.base(a).balance
 }
 
 // credit adds value without observing the balance — the commutative case.
@@ -333,7 +314,7 @@ func (x *txAccounts) credit(a Address, amount uint64) {
 	}
 }
 
-// transferValue mirrors Chain.transferLocked (same error text: receipts
+// transferValue mirrors Chain.transferValue (same error text: receipts
 // embed it) against the overlay.
 func (x *txAccounts) transferValue(from, to Address, amount uint64) error {
 	b := x.balance(from)
@@ -388,11 +369,11 @@ func (v *txView) getContract(name string) (Contract, bool) {
 	return ct, ok
 }
 
-// storeFor implements execEnv, returning (and caching) the overlay view of
-// a contract's storage.
-func (v *txView) storeFor(name string) *Storage {
+// meteredStore implements execEnv, returning a metered view of (and
+// caching) the overlay of a contract's storage.
+func (v *txView) meteredStore(name string, gas *GasMeter) *Storage {
 	if s, ok := v.stores[name]; ok {
-		return s
+		return s.metered(gas, nil)
 	}
 	var base map[string][]byte
 	if root, ok := v.c.storages[name]; ok {
@@ -411,179 +392,97 @@ func (v *txView) storeFor(name string) *Storage {
 	s := &Storage{ov: ov}
 	v.stores[name] = s
 	v.ovs[name] = ov
-	return s
+	return s.metered(gas, nil)
 }
 
-// keepLevel says which of a transaction's buffered effects survive, per
-// submitLocked's outcome paths.
-type keepLevel uint8
+// nonce, setNonce and undo make the view the overlay backend of execTx
+// (txState): nothing it does reaches live state, so undoing is dropping the
+// buffered writes — what is left in the view when the transaction ends is
+// what the engine may commit. The captured reads stay: they are what
+// validation checks.
+func (v *txView) nonce(a Address) uint64       { return v.accts.nonce(a) }
+func (v *txView) setNonce(a Address, n uint64) { v.accts.setNonce(a, n) }
 
-const (
-	keepNothing keepLevel = iota // malformed transaction: state untouched
-	keepNonce                    // revert (and the unknown-contract quirk): nonce advances
-	keepAll                      // success: everything
-)
+func (v *txView) undo() {
+	clear(v.accts.m)
+	for _, ov := range v.ovs {
+		clear(ov.txd)
+		clear(ov.txdel)
+	}
+}
 
-// txEffects is the buffered outcome of one view execution: the receipt (or
-// Go-level error), which effects to keep, and the captured read and write
+// proofFold implements execEnv: the block's proof table is fixed before
+// the batch starts and only read during it.
+func (v *txView) proofFold(verifier string, calldata []byte) (int, bool) {
+	return v.c.proofFold(verifier, calldata)
+}
+
+// txEffects is the buffered outcome of one view execution: execTx's result,
+// the view holding the surviving writes, and the captured read and write
 // sets the commit phase validates and records.
 type txEffects struct {
-	tx      Transaction // normalized (gas default applied)
-	hash    Hash
-	receipt *Receipt
-	goErr   error
-	keep    keepLevel
-	view    *txView
-	reads   []exec.Access
-	writes  []string
+	txResult
+	view   *txView
+	reads  []exec.Access
+	writes []string
 }
 
-// runTx executes one transaction against the view, mirroring
-// submitLocked's observable semantics path for path — same receipts, gas,
-// error strings, and net state effects. The one behavioral quirk
-// (submitLocked leaves the sender nonce advanced on the unknown-contract
-// error) is replicated, not fixed: import replay must stay bit-identical.
-func (v *txView) runTx(tx Transaction) *txEffects {
-	eff := &txEffects{view: v, tx: tx, keep: keepNothing}
-	senderNonce := v.accts.nonce(tx.From)
-	if tx.Nonce != senderNonce {
-		eff.goErr = fmt.Errorf("%w: got %d, want %d", ErrBadNonce, tx.Nonce, senderNonce)
-		return eff
-	}
-	if tx.GasLimit == 0 {
-		tx.GasLimit = DefaultGasLimit
-	}
-	eff.tx = tx
-	eff.hash = tx.hash()
-	receipt := &Receipt{TxHash: eff.hash}
-	gas := NewGasMeter(tx.GasLimit)
-	if err := gas.Charge(GasTxBase + uint64(len(tx.Args))*GasCalldataByte); err != nil {
-		eff.goErr = err
-		return eff
-	}
-
-	if tx.Contract == "" {
-		if tx.Value > 0 && tx.To == (Address{}) {
-			eff.goErr = ErrNoRecipient
-			return eff
-		}
-		if err := v.transferValue(tx.From, tx.To, tx.Value); err != nil {
-			eff.goErr = err
-			return eff
-		}
-		v.accts.setNonce(tx.From, tx.Nonce+1)
-		receipt.GasUsed = gas.Used()
-		eff.receipt = receipt
-		eff.keep = keepAll
-		return eff
-	}
-
-	contract, ok := v.getContract(tx.Contract)
-	if !ok {
-		v.accts.setNonce(tx.From, tx.Nonce+1)
-		eff.goErr = fmt.Errorf("%w: %s", ErrUnknownContract, tx.Contract)
-		eff.keep = keepNonce
-		return eff
-	}
-	if tx.Value > 0 {
-		if err := v.transferValue(tx.From, contractAddress(tx.Contract), tx.Value); err != nil {
-			eff.goErr = err
-			return eff
-		}
-	}
-	v.accts.setNonce(tx.From, tx.Nonce+1)
-	ctx := &CallContext{
-		Sender: tx.From,
-		Value:  tx.Value,
-		Gas:    gas,
-		Store:  v.storeFor(tx.Contract).metered(gas, nil),
-		env:    v,
-		name:   tx.Contract,
-	}
-	ret, err := contract.Call(ctx, tx.Method, tx.Args)
-	receipt.GasUsed = gas.Used()
-	if err != nil {
-		receipt.Err = fmt.Errorf("%w: %s.%s: %w", ErrReverted, tx.Contract, tx.Method, err)
-		eff.keep = keepNonce // state rolled back, nonce still advances
-	} else {
-		receipt.Return = ret
-		receipt.Logs = ctx.logs
-		eff.keep = keepAll
-	}
-	eff.receipt = receipt
-	return eff
-}
-
-// finalize freezes the captured read set and derives the written-resource
-// list matching exactly what applyEffectsLocked will mutate.
-func (eff *txEffects) finalize() {
-	eff.reads = eff.view.rec.accesses()
-	switch eff.keep {
-	case keepNothing:
-		return
-	case keepNonce:
-		eff.writes = []string{resNonce(eff.tx.From)}
-		return
-	}
-	v := eff.view
-	var ws []string
+// run executes one transaction against the view, then freezes the captured
+// read set and derives the written-resource list, matching exactly what
+// applyEffectsLocked will mutate.
+func (v *txView) run(tx Transaction) *txEffects {
+	eff := &txEffects{txResult: execTx(v, tx), view: v, reads: v.rec.accesses()}
 	for a, t := range v.accts.m {
 		if t.nonceSet {
-			ws = append(ws, resNonce(a))
+			eff.writes = append(eff.writes, resNonce(a))
 		}
 		if t.balAbs || t.balDelta > 0 {
-			ws = append(ws, resBal(a))
+			eff.writes = append(eff.writes, resBal(a))
 		}
 	}
 	for name, ov := range v.ovs {
 		for k := range ov.txd {
-			ws = append(ws, resStore(name, k))
+			eff.writes = append(eff.writes, resStore(name, k))
 		}
 		for k := range ov.txdel {
-			ws = append(ws, resStore(name, k))
+			eff.writes = append(eff.writes, resStore(name, k))
 		}
 	}
-	sort.Strings(ws)
-	eff.writes = ws
+	sort.Strings(eff.writes)
+	return eff
 }
 
 // applyEffectsLocked commits a finished execution's surviving effects to
-// live chain state, in batch order; caller holds c.mu. Under ImportBlock's
+// live chain state, in batch order; caller holds c.mu. Under applyBlock's
 // open undo scope every account and slot it overwrites is journaled first
 // (the slots of one transaction are distinct, so the map order the entries
-// land in cannot change what a revert restores); a producer's batch has no
-// scope open and pays nothing.
+// land in cannot change what a revert restores); with no scope open it
+// pays nothing.
 func (c *Chain) applyEffectsLocked(eff *txEffects) {
-	switch eff.keep {
-	case keepNothing:
-	case keepNonce:
-		c.mutAcct(eff.tx.From).nonce = eff.tx.Nonce + 1
-	case keepAll:
-		v := eff.view
-		for a, t := range v.accts.m {
-			if !t.nonceSet && !t.balAbs && t.balDelta == 0 {
-				continue
-			}
-			acc := c.mutAcct(a)
-			if t.nonceSet {
-				acc.nonce = t.nonce
-			}
-			if t.balAbs {
-				acc.balance = t.bal
-			} else {
-				acc.balance += t.balDelta
-			}
+	v := eff.view
+	for a, t := range v.accts.m {
+		if !t.nonceSet && !t.balAbs && t.balDelta == 0 {
+			continue
 		}
-		for name, ov := range v.ovs {
-			root := c.storages[name]
-			for k, val := range ov.txd {
-				c.touchSlotLocked(root, k)
-				root.data[k] = val
-			}
-			for k := range ov.txdel {
-				c.touchSlotLocked(root, k)
-				delete(root.data, k)
-			}
+		acc := c.mutAcct(a)
+		if t.nonceSet {
+			acc.nonce = t.nonce
+		}
+		if t.balAbs {
+			acc.balance = t.bal
+		} else {
+			acc.balance += t.balDelta
+		}
+	}
+	for name, ov := range v.ovs {
+		root := c.storages[name]
+		for k, val := range ov.txd {
+			c.touchSlotLocked(root, k)
+			root.data[k] = val
+		}
+		for k := range ov.txdel {
+			c.touchSlotLocked(root, k)
+			delete(root.data, k)
 		}
 	}
 	if eff.goErr == nil {

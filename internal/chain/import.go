@@ -1,8 +1,10 @@
 package chain
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
+	"time"
 )
 
 // Errors returned by the block import path.
@@ -10,7 +12,7 @@ var (
 	ErrNotNextBlock  = errors.New("chain: block does not extend the head")
 	ErrBadParent     = errors.New("chain: block parent hash mismatch")
 	ErrBadBody       = errors.New("chain: block body does not match header")
-	ErrPendingTxs    = errors.New("chain: cannot import with locally executed unsealed transactions")
+	ErrPendingTxs    = errors.New("chain: cannot apply a block over locally executed unsealed transactions")
 	ErrImportFailed  = errors.New("chain: block transaction failed to replay")
 	ErrStateMismatch = errors.New("chain: replayed block hash differs from imported header")
 )
@@ -72,13 +74,277 @@ func (c *Chain) BlockBody(n uint64) ([]Transaction, bool) {
 	return out, true
 }
 
-// abortImportLocked rolls a failed import back and closes its undo scope:
-// the block's journal restores every slot and account the replay touched
-// (dropping accounts it first created), and the transactions it committed — tracked in c.pending,
-// which ImportBlock asserted empty beforehand — are taken out of the event
-// index, the receipt table and the body table. Cost is proportional to the
-// block, not to the state. caller holds c.mu.
-func (c *Chain) abortImportLocked() {
+// BlockVerifier checks the proofs a block's transactions carry, once per
+// block the chain applies (produced, imported or replayed alike) and with
+// mu released: it reads deployment-time configuration and calldata, never
+// chain state, and answers the same for the same body on every node.
+// errs[i] != nil flags a transaction whose proof does not verify: a
+// producer leaves it out, an importer refuses the block.
+// contracts.BlockProofChecker implements it; core.NewMarketplaceWith
+// installs it, so a chain that has only run genesis already has it.
+type BlockVerifier interface {
+	CheckBlock(txs []*Transaction) (marks ProofMarks, errs []error)
+}
+
+// ProofMarks is one block's proof table: Width maps the ProofKey of every
+// validated verify call to the width of the fold that validated it (what
+// the call is charged for), Items counts the validated proof items (the
+// header records it as Fold) and Txs the transactions all of whose proofs
+// were validated.
+type ProofMarks struct {
+	Width map[ProofID]int
+	Items int
+	Txs   int
+}
+
+// ProofID identifies one verify call in a block's proof table: the verifier
+// contract's deployment name and a digest of the exact calldata it will see.
+type ProofID struct {
+	Verifier string
+	Calldata Hash
+}
+
+// ProofKey is the ProofID of a verify call.
+func ProofKey(verifier string, calldata []byte) ProofID {
+	return ProofID{Verifier: verifier, Calldata: sha256.Sum256(calldata)}
+}
+
+// SetBlockVerifier installs the chain's block verifier — genesis wiring,
+// like Deploy: every replica installs an equivalent one.
+func (c *Chain) SetBlockVerifier(v BlockVerifier) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.verifier = v
+}
+
+// Produced reports what ProduceBlock did with its candidates: the sealed
+// block (zero when no candidate made it), one outcome per candidate — the
+// receipt, or the error that kept it out, in which case it left no trace
+// in state — and how many transactions the block's fold validated and
+// rejected.
+type Produced struct {
+	Block          Block
+	Outcomes       []TxOutcome
+	ProofsVerified int
+	ProofsEvicted  int
+}
+
+// ProduceBlock is the block producer's atomic apply-and-seal: the
+// candidates' proofs are checked in one fold, the survivors execute on top
+// of the head and exactly the executed ones are sealed into the next block,
+// whose header records the fold. Like ImportBlock it refuses
+// (ErrPendingTxs) while eagerly submitted transactions are unsealed, and
+// dispatches the OnSeal hooks before returning.
+func (c *Chain) ProduceBlock(txs []Transaction) (Produced, error) {
+	return c.applyBlock(nil, txs)
+}
+
+// ImportBlock validates a sealed block against the local head and applies
+// its body through the routine that produced it — the follower half of a
+// replicated network, and what WAL replay feeds every logged block through
+// — arriving at the identical receipts, state root and block hash. A header
+// that does not extend the head or list the body, whose Fold is not what
+// the body's proof check validates (ErrBadBody), a proof that does not
+// verify or a transaction that does not execute (ErrImportFailed), or a
+// final hash that differs from the header (ErrStateMismatch) each roll
+// every mutation back; the caller can then treat the block, and the peer
+// that served it, as invalid. Refused while locally executed transactions
+// are unsealed: a producer must seal its own work first.
+func (c *Chain) ImportBlock(b Block, txs []Transaction) ([]*Receipt, error) {
+	p, err := c.applyBlock(&b, txs)
+	if err != nil {
+		return nil, err
+	}
+	receipts := make([]*Receipt, len(p.Outcomes))
+	for i := range p.Outcomes {
+		receipts[i] = p.Outcomes[i].Receipt
+	}
+	return receipts, nil
+}
+
+// applyBlock is the one routine that turns a body into the next block. hdr
+// is nil for a producer (a candidate that cannot be included is left out
+// and reported) and the sealed header for an importer (it fails the block).
+// The rest is shared: the proof check runs over the body with mu released,
+// the body executes through the batch engine against that check's table
+// (c.marks), and what executed is sealed. A producer that leaves a
+// candidate out re-runs the check without it, so the table is the check of
+// exactly the sealed body — what an importer recomputes and compares with
+// the header's Fold. Fold zero means the body was executed one by one
+// (Submit + SealBlock): it is applied with no table.
+func (c *Chain) applyBlock(hdr *Block, txs []Transaction) (Produced, error) {
+	c.sealMu.Lock()
+	defer c.sealMu.Unlock()
+
+	c.mu.Lock()
+	head := c.blocks[len(c.blocks)-1]
+	err := c.checkApplicableLocked(hdr, txs, head)
+	verifier := c.verifier
+	c.mu.Unlock()
+	if err != nil {
+		return Produced{}, err
+	}
+
+	if hdr != nil && hdr.Fold == 0 {
+		verifier = nil // sealed unfolded: every proof verifies alone, in its call
+	}
+
+	p := Produced{Outcomes: make([]TxOutcome, len(txs))}
+	body, at := txs, make([]int, len(txs)) // candidates still in the running,
+	for i := range at {                    // and where each sits in txs
+		at[i] = i
+	}
+	// drop takes the members errOf flags out of the body (into a fresh
+	// slice: txs is the caller's); for an importer the first one fails the
+	// block.
+	drop := func(errOf func(k int) error) (dropped int, err error) {
+		for k := range body {
+			e := errOf(k)
+			if e == nil {
+				continue
+			}
+			if hdr != nil {
+				return 0, fmt.Errorf("%w: tx %d: %v", ErrImportFailed, at[k], e)
+			}
+			p.Outcomes[at[k]].Err = e
+			dropped++
+		}
+		if dropped == 0 {
+			return 0, nil
+		}
+		keptTx, keptAt := make([]Transaction, 0, len(body)-dropped), make([]int, 0, len(body)-dropped)
+		for k := range body {
+			if errOf(k) == nil {
+				keptTx, keptAt = append(keptTx, body[k]), append(keptAt, at[k])
+			}
+		}
+		body, at = keptTx, keptAt
+		return dropped, nil
+	}
+
+	for hdr != nil || len(body) > 0 {
+		var marks ProofMarks
+		if verifier != nil {
+			ptrs := make([]*Transaction, len(body))
+			for k := range body {
+				ptrs[k] = &body[k]
+			}
+			var errs []error
+			marks, errs = verifier.CheckBlock(ptrs)
+			evicted, err := drop(func(k int) error { return errs[k] })
+			if err != nil {
+				return Produced{}, err
+			}
+			p.ProofsEvicted += evicted
+			if evicted > 0 {
+				continue
+			}
+		}
+		if hdr != nil && uint32(marks.Items) != hdr.Fold {
+			return Produced{}, fmt.Errorf("%w: header records a fold of %d, the body's proof check validates %d",
+				ErrBadBody, hdr.Fold, marks.Items)
+		}
+		b, receipts, outcomes, err := c.executeAndSeal(hdr, head, body, marks)
+		if err != nil {
+			return Produced{}, err
+		}
+		if _, err := drop(func(k int) error { return outcomes[k].Err }); err != nil {
+			return Produced{}, err
+		}
+		if b.Number == 0 {
+			continue // taken back: the table covered a candidate that is now out
+		}
+		for k, i := range at {
+			p.Outcomes[i].Receipt = receipts[k]
+		}
+		p.Block, p.ProofsVerified = b, marks.Txs
+		for _, fn := range c.sealHooks {
+			fn(b, receipts)
+		}
+		break
+	}
+	return p, nil
+}
+
+// executeAndSeal is applyBlock's step under the state lock: execute the
+// body against the proof table and seal what executed. A transaction that
+// fails at the Go level leaves state untouched, so a producer with no table
+// just seals the rest. An importer's body must execute in full, and a
+// producer's table must be the check of exactly the sealed body: those
+// blocks run under a block-scoped undo journal fed by both batch backends,
+// and a failure takes the block back — the zero Block is returned, and the
+// outcomes say which transactions failed.
+func (c *Chain) executeAndSeal(hdr *Block, head Block, body []Transaction, marks ProofMarks) (Block, []*Receipt, []TxOutcome, error) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if n := len(c.pending); n != 0 { // an eager Submit raced the proof check
+		return Block{}, nil, nil, fmt.Errorf("%w: %d pending", ErrPendingTxs, n)
+	}
+	strict := hdr != nil || marks.Items > 0
+	if strict {
+		// Sized for the usual few slot writes per transaction, so the common
+		// block journals without regrowing.
+		c.jrnl = &journal{accounts: c.accounts, slots: make([]slotEntry, 0, 4*len(body))}
+	}
+	c.marks = marks.Width
+	outcomes := c.submitBatchLocked(body, c.execWorkers)
+	c.marks = nil
+	if strict {
+		for i := range outcomes {
+			if outcomes[i].Err != nil {
+				c.abortBlockLocked()
+				return Block{}, nil, outcomes, nil
+			}
+		}
+	}
+	var at time.Time
+	if hdr != nil {
+		at = hdr.Time
+	} else {
+		at = c.now()
+	}
+	b := c.nextBlockLocked(head, at, uint32(marks.Items))
+	if hdr != nil && b.hash() != hdr.hash() {
+		c.abortBlockLocked()
+		return Block{}, nil, nil, fmt.Errorf("%w: block %d", ErrStateMismatch, hdr.Number)
+	}
+	c.jrnl = nil
+	return b, c.appendBlockLocked(b), outcomes, nil
+}
+
+// checkApplicableLocked is applyBlock's admission check; caller holds c.mu.
+// A sealed header must extend the head and list exactly the body's
+// transactions; nobody applies a block over eagerly executed unsealed work.
+func (c *Chain) checkApplicableLocked(hdr *Block, txs []Transaction, head Block) error {
+	if hdr != nil {
+		if hdr.Number != head.Number+1 {
+			return fmt.Errorf("%w: block %d on head %d", ErrNotNextBlock, hdr.Number, head.Number)
+		}
+		if hdr.Parent != head.hash() {
+			return fmt.Errorf("%w: block %d", ErrBadParent, hdr.Number)
+		}
+		if len(txs) != len(hdr.TxHashes) {
+			return fmt.Errorf("%w: %d transactions, header lists %d", ErrBadBody, len(txs), len(hdr.TxHashes))
+		}
+		for i := range txs {
+			if txs[i].hash() != hdr.TxHashes[i] {
+				return fmt.Errorf("%w: transaction %d hash mismatch", ErrBadBody, i)
+			}
+		}
+	}
+	if n := len(c.pending); n != 0 {
+		return fmt.Errorf("%w: %d pending", ErrPendingTxs, n)
+	}
+	return nil
+}
+
+// abortBlockLocked takes back a block applyBlock could not finish and
+// closes its undo scope: the journal restores every slot and account the
+// execution touched (dropping accounts it first created), and the
+// transactions it committed — c.pending, found empty beforehand — leave the
+// event index, the receipt table and the body table. Cost is proportional
+// to the block, not to the state. caller holds c.mu.
+func (c *Chain) abortBlockLocked() {
 	c.jrnl.revertTo(journalMark{})
 	c.jrnl = nil
 	for _, h := range c.pending {
@@ -94,99 +360,4 @@ func (c *Chain) abortImportLocked() {
 		delete(c.txs, h)
 	}
 	c.pending = nil
-}
-
-// ImportBlock validates a remotely sealed block against the local head,
-// replays its transactions through the same execution path Submit uses, and
-// appends it — the follower half of a replicated network: the sealer runs
-// SealBlock, every other node runs ImportBlock and arrives at the identical
-// state root and block hash.
-//
-// The header is checked structurally first (extends the head, parent hash
-// links, body matches the header's tx hashes). Replay failures — a
-// transaction that does not execute (bad nonce, unknown contract) or a
-// final block hash that differs from the header — roll every mutation back
-// and return an error; the caller can then treat the block (and the peer
-// that served it) as invalid. Like SealBlock, the OnSeal hooks are
-// dispatched in height order before returning.
-//
-// Importing is refused while locally executed unsealed transactions are
-// pending: a node acting as block producer must seal its own work first.
-func (c *Chain) ImportBlock(b Block, txs []Transaction) ([]*Receipt, error) {
-	c.sealMu.Lock()
-	defer c.sealMu.Unlock()
-
-	c.mu.Lock()
-	head := c.blocks[len(c.blocks)-1]
-	if b.Number != head.Number+1 {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: block %d on head %d", ErrNotNextBlock, b.Number, head.Number)
-	}
-	if b.Parent != head.hash() {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: block %d", ErrBadParent, b.Number)
-	}
-	if len(txs) != len(b.TxHashes) {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d transactions, header lists %d", ErrBadBody, len(txs), len(b.TxHashes))
-	}
-	for i := range txs {
-		if txs[i].hash() != b.TxHashes[i] {
-			c.mu.Unlock()
-			return nil, fmt.Errorf("%w: transaction %d hash mismatch", ErrBadBody, i)
-		}
-	}
-	if n := len(c.pending); n != 0 {
-		c.mu.Unlock()
-		return nil, fmt.Errorf("%w: %d pending", ErrPendingTxs, n)
-	}
-
-	// Replay through the batch engine (serial when execWorkers is 1) —
-	// identical outcomes to the Submit path by the engine's bit-identity
-	// contract — under a block-scoped undo journal fed by both the serial
-	// path and the overlay commit. A failed transaction aborts the import;
-	// transactions the batch executed after it are rolled back with
-	// everything else.
-	c.jrnl = &journal{accounts: c.accounts}
-	sealed, receipts, err := c.replayLocked(b, txs)
-	if err != nil {
-		c.abortImportLocked()
-		c.mu.Unlock()
-		return nil, err
-	}
-	c.jrnl = nil
-	c.pending = nil
-	c.blocks = append(c.blocks, sealed)
-	hooks := c.sealHooks
-	c.mu.Unlock()
-
-	for _, fn := range hooks {
-		fn(sealed, receipts)
-	}
-	return receipts, nil
-}
-
-// replayLocked executes an imported block's transactions on top of the head
-// and checks the outcome against the header; on error the caller rolls the
-// replay back. caller holds c.mu.
-func (c *Chain) replayLocked(b Block, txs []Transaction) (Block, []*Receipt, error) {
-	outcomes := c.submitBatchLocked(txs, c.execWorkers)
-	receipts := make([]*Receipt, len(txs))
-	for i := range outcomes {
-		if err := outcomes[i].Err; err != nil {
-			return Block{}, nil, fmt.Errorf("%w: tx %d: %v", ErrImportFailed, i, err)
-		}
-		receipts[i] = outcomes[i].Receipt
-	}
-	sealed := Block{
-		Number:    b.Number,
-		Parent:    b.Parent,
-		Time:      b.Time,
-		TxHashes:  c.pending,
-		StateRoot: c.stateRootLocked(),
-	}
-	if sealed.hash() != b.hash() {
-		return Block{}, nil, fmt.Errorf("%w: block %d", ErrStateMismatch, b.Number)
-	}
-	return sealed, receipts, nil
 }

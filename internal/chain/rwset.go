@@ -16,10 +16,12 @@ type RWDecl struct {
 // RWDeclarer is optionally implemented by contracts that can predict a
 // call's storage footprint from the call data alone. Returning ok == false
 // (or not implementing the interface) makes the call serial-only: it
-// executes exactly once, at commit time, in block order. Methods with
-// order-sensitive side effects outside chain state — consuming seal-time
-// proof-verification marks, dynamic value transfers — must return
-// ok == false, because a discarded speculation must not leave a trace.
+// executes exactly once, at commit time, in block order. Methods whose
+// footprint is only known at run time (dynamic value transfers) return
+// ok == false; so must any method with a side effect outside chain state,
+// because a discarded speculation must not leave a trace. (Reading the
+// block's proof table through CallContext.ProofFold is not one: the table
+// is fixed before the batch starts.)
 type RWDeclarer interface {
 	DeclareRW(sender Address, method string, args []byte, value uint64) (RWDecl, bool)
 }
@@ -45,7 +47,7 @@ func (c *Chain) staticRWSetLocked(tx *Transaction) *exec.RWSet {
 
 	ct, ok := c.contracts[tx.Contract]
 	if !ok {
-		// Unknown contract: only the sender nonce is touched.
+		// Unknown contract: a Go-level error, only the sender nonce is read.
 		return s
 	}
 	if tx.Value > 0 {

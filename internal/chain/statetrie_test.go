@@ -331,13 +331,7 @@ func TestStateRootDigestCacheMatchesFullWalk(t *testing.T) {
 			stage := fmt.Sprintf("seed %d round %d", seed, round)
 			txs := randomBatch(rng, senders, 10+rng.Intn(50))
 			for i := range txs {
-				switch {
-				case txs[i].Contract == "nope":
-					// The unknown-contract quirk advances the nonce without
-					// the transaction entering the block, so the sealed
-					// stream would not replay on the follower.
-					txs[i].Contract, txs[i].Method = "pa", "bump"
-				case txs[i].Method == "set" && rng.Intn(3) == 0:
+				if txs[i].Method == "set" && rng.Intn(3) == 0 {
 					txs[i].Method = "drop"
 				}
 			}

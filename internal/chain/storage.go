@@ -60,14 +60,11 @@ type journalMark struct{ slots, accts int }
 
 func (j *journal) mark() journalMark { return journalMark{len(j.slots), len(j.accts)} }
 
+// record notes a slot's pre-image. The old value is kept by reference:
+// every writer replaces a slot's slice, none mutates one in place.
 func (j *journal) record(s *Storage, key string) {
 	old, existed := s.data[key]
-	var cp []byte
-	if existed {
-		cp = make([]byte, len(old))
-		copy(cp, old)
-	}
-	j.slots = append(j.slots, slotEntry{store: s, key: key, old: cp, existed: existed})
+	j.slots = append(j.slots, slotEntry{store: s, key: key, old: old, existed: existed})
 }
 
 // recordAcct notes an account's pre-image; acc is nil when the account is

@@ -2,6 +2,8 @@ package contracts
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -126,79 +128,127 @@ func TestBatchVerifiedGasSchedule(t *testing.T) {
 	}
 }
 
-// TestBlockProofCheckerMarksAndEvicts drives the seal-time flow: a mix of
-// valid proofs, an invalid proof, and a non-proof transaction. The checker
-// must flag exactly the invalid one, and the marked transactions must then
-// execute on-chain at the amortised gas cost — consuming the mark, so a
-// replay pays full price.
-func TestBlockProofCheckerMarksAndEvicts(t *testing.T) {
-	ps := batchProofSystem()
-	proofs, publics := mintProofs(t, 3)
-
+// proofChain is a chain with one verifier contract deployed and a block
+// checker covering it installed — the minimal genesis that folds proofs.
+func proofChain(t testing.TB, vk *plonk.VerifyingKey) *chain.Chain {
+	t.Helper()
 	c := chain.New()
-	verifier := NewVerifier(ps.vk)
-	if _, err := c.Deploy("verifier", verifier, VerifierCodeSize); err != nil {
+	v := NewVerifier(vk)
+	if _, err := c.Deploy("verifier", v, VerifierCodeSize); err != nil {
 		t.Fatal(err)
 	}
-	alice := chain.AddressFromString("alice")
-
 	bc := NewBlockProofChecker()
-	bc.AddVerifier("verifier", verifier)
+	bc.AddVerifier("verifier", v)
+	c.SetBlockVerifier(bc)
+	return c
+}
 
-	txs := []*chain.Transaction{
-		{From: alice, Contract: "verifier", Method: "verify", Args: VerifyArgs(proofs[0], publics[0])},
-		{From: alice, Contract: "other", Method: "noop"},
-		{From: alice, Contract: "verifier", Method: "verify", Args: VerifyArgs(breakProof(proofs[1]), publics[1])},
-		{From: alice, Contract: "verifier", Method: "verify", Args: VerifyArgs(proofs[2], publics[2])},
+// sameReceipts fails unless two receipt lists agree field for field.
+func sameReceipts(t testing.TB, what string, got, want []*chain.Receipt) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d receipts, want %d", what, len(got), len(want))
 	}
-	verified, errs := bc.VerifyBatch(txs)
-	if verified != 2 {
-		t.Fatalf("verified = %d, want 2", verified)
-	}
-	if errs[0] != nil || errs[1] != nil || errs[3] != nil {
-		t.Fatalf("valid/non-proof txs flagged: %v", errs)
-	}
-	if !errors.Is(errs[2], ErrProofRejected) {
-		t.Fatalf("invalid proof not flagged: %v", errs[2])
-	}
-
-	// Marked transactions execute at the amortised cost (receipts also
-	// carry the intrinsic base + calldata gas).
-	intrinsic := uint64(chain.GasTxBase) + uint64(len(txs[0].Args))*chain.GasCalldataByte
-	r := call(t, c, alice, "verifier", "verify", 0, txs[0].Args)
-	mustSucceed(t, r)
-	if want := intrinsic + BatchVerifiedGas(2, 1); r.GasUsed != want {
-		t.Fatalf("pre-verified gas %d, want %d", r.GasUsed, want)
-	}
-	// The mark is consume-once: replaying the same calldata re-verifies at
-	// the standalone price.
-	r = call(t, c, alice, "verifier", "verify", 0, txs[0].Args)
-	mustSucceed(t, r)
-	if want := intrinsic + VerificationGas(1); r.GasUsed != want {
-		t.Fatalf("replay gas %d, want standalone %d", r.GasUsed, want)
+	for i := range want {
+		g, w := got[i], want[i]
+		if g.TxHash != w.TxHash || g.GasUsed != w.GasUsed || string(g.Return) != string(w.Return) ||
+			len(g.Logs) != len(w.Logs) || (g.Err == nil) != (w.Err == nil) || (g.Err != nil && g.Err.Error() != w.Err.Error()) {
+			t.Fatalf("%s: receipt %d differs: %+v, want %+v", what, i, g, w)
+		}
 	}
 }
 
-// TestBlockProofCheckerEscrowSettle checks that escrow settlements join the
-// seal-time batch: the checker recognises the embedded verify calldata,
-// and the settled exchange's inner verification runs at amortised gas.
-func TestBlockProofCheckerEscrowSettle(t *testing.T) {
-	// 3-public circuit matching the escrow's (kc, c, hv) statement.
-	tau := fr.NewElement(0xfade)
-	srs, err := kzg.NewSRSFromSecret(64, &tau)
+func intrinsicGas(args []byte) uint64 {
+	return uint64(chain.GasTxBase) + uint64(len(args))*chain.GasCalldataByte
+}
+
+// TestBlockProofCheckerMarksAndEvicts drives the producer flow over a mix
+// of valid proofs, an invalid proof, and a transaction that cannot execute:
+// the block holds exactly the valid ones, its header records their fold,
+// they are charged the amortised schedule for that width — and a follower
+// re-running the check over the body arrives at the same receipts, while
+// the table is gone once the block is sealed.
+func TestBlockProofCheckerMarksAndEvicts(t *testing.T) {
+	ps := batchProofSystem()
+	proofs, publics := mintProofs(t, 3)
+	c := proofChain(t, ps.vk)
+	sender := func(i int) chain.Address { return chain.AddressFromString(fmt.Sprintf("sender-%d", i)) }
+
+	txs := []chain.Transaction{
+		{From: sender(0), Contract: "verifier", Method: "verify", Args: VerifyArgs(proofs[0], publics[0])},
+		{From: sender(1), Contract: "other", Method: "noop"},
+		{From: sender(2), Contract: "verifier", Method: "verify", Args: VerifyArgs(breakProof(proofs[1]), publics[1])},
+		{From: sender(3), Contract: "verifier", Method: "verify", Args: VerifyArgs(proofs[2], publics[2])},
+	}
+	res, err := c.ProduceBlock(txs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cs := plonk.NewConstraintSystem(3)
-	minusOne := fr.NewFromInt64(-1)
-	cs.MustAddGate(plonk.Gate{QL: fr.One(), QR: fr.One(), QO: minusOne, A: 1, B: 2, C: 0})
-	witness := []fr.Element{fr.NewElement(30), fr.NewElement(10), fr.NewElement(20)}
-	pk, vk, err := plonk.Setup(cs, srs)
+	if len(res.Block.TxHashes) != 2 || res.ProofsVerified != 2 || res.ProofsEvicted != 1 || res.Block.Fold != 2 {
+		t.Fatalf("included %d, verified %d, evicted %d, fold %d; want 2, 2, 1, 2",
+			len(res.Block.TxHashes), res.ProofsVerified, res.ProofsEvicted, res.Block.Fold)
+	}
+	if !errors.Is(res.Outcomes[2].Err, ErrProofRejected) {
+		t.Fatalf("invalid proof not evicted: %v", res.Outcomes[2].Err)
+	}
+	if !errors.Is(res.Outcomes[1].Err, chain.ErrUnknownContract) {
+		t.Fatalf("unexecutable transaction: %v", res.Outcomes[1].Err)
+	}
+	for _, i := range []int{1, 2} {
+		if got := c.NonceOf(sender(i)); got != 0 {
+			t.Fatalf("sender %d left out of the block but its nonce is %d", i, got)
+		}
+	}
+	// Included transactions pay the amortised cost for the block's fold
+	// width (receipts also carry the intrinsic base + calldata gas).
+	var sealed []*chain.Receipt
+	for _, i := range []int{0, 3} {
+		r := res.Outcomes[i].Receipt
+		if r == nil || r.Err != nil {
+			t.Fatalf("tx %d: %+v", i, res.Outcomes[i])
+		}
+		if want := intrinsicGas(txs[i].Args) + BatchVerifiedGas(2, 1); r.GasUsed != want {
+			t.Fatalf("tx %d: folded gas %d, want %d", i, r.GasUsed, want)
+		}
+		sealed = append(sealed, r)
+	}
+
+	// A follower applies the block through the same routine and charges
+	// the same; one that folds nothing refuses the header's claim.
+	body, _ := c.BlockBody(res.Block.Number)
+	imported, err := proofChain(t, ps.vk).ImportBlock(res.Block, body)
 	if err != nil {
+		t.Fatalf("follower: %v", err)
+	}
+	sameReceipts(t, "follower", imported, sealed)
+	bare := chain.New()
+	if _, err := bare.Deploy("verifier", NewVerifier(ps.vk), VerifierCodeSize); err != nil {
 		t.Fatal(err)
 	}
+	if _, err := bare.ImportBlock(res.Block, body); !errors.Is(err, chain.ErrBadBody) {
+		t.Fatalf("chain with no block verifier accepted fold %d: %v", res.Block.Fold, err)
+	}
+
+	// The table belonged to that block: the same calldata submitted
+	// eagerly afterwards is verified alone, at the standalone price.
+	r := mustSucceed(t, call(t, c, sender(0), "verifier", "verify", 0, txs[0].Args))
+	if want := intrinsicGas(txs[0].Args) + VerificationGas(1); r.GasUsed != want {
+		t.Fatalf("eager replay gas %d, want standalone %d", r.GasUsed, want)
+	}
+	if b := c.SealBlock(); b.Fold != 0 {
+		t.Fatalf("eagerly executed block sealed with fold %d", b.Fold)
+	}
+}
+
+// escrowFixture deploys a 3-public verifier (the escrow's (kc, c, hv)
+// statement) and an escrow over it, opens n exchanges and returns the
+// chain with each exchange's settle transaction. The genesis is
+// deterministic, so two fixtures are replicas of each other.
+func escrowFixture(t *testing.T, n int) (*chain.Chain, []chain.Transaction) {
+	t.Helper()
+	ef := escrowProofSystem()
 	c := chain.New()
-	verifier := NewVerifier(vk)
+	verifier := NewVerifier(ef.vk)
 	escrow := NewEscrow("pik-verifier", 10)
 	if _, err := c.Deploy("pik-verifier", verifier, VerifierCodeSize); err != nil {
 		t.Fatal(err)
@@ -206,56 +256,208 @@ func TestBlockProofCheckerEscrowSettle(t *testing.T) {
 	if _, err := c.Deploy(EscrowName, escrow, EscrowCodeSize); err != nil {
 		t.Fatal(err)
 	}
-	buyer := chain.AddressFromString("buyer")
-	seller := chain.AddressFromString("seller")
-	c.Faucet(buyer, 1_000_000)
-	c.Faucet(seller, 1_000_000)
-
-	kcB := witness[0].Bytes()
-	cB := witness[1].Bytes()
-	hvB := witness[2].Bytes()
-
-	// Three exchanges with three distinct proofs of the same statement.
-	// Settles 1 and 2 go through the seal-time batch (n=2, so the pairing
-	// gas is halved); settle 3 executes unmarked as the full-price control.
-	settles := make([]*chain.Transaction, 3)
-	for i := range settles {
-		id := uint64(i + 1)
-		proof, err := plonk.Prove(pk, witness)
-		if err != nil {
-			t.Fatal(err)
-		}
-		mustSucceed(t, call(t, c, buyer, EscrowName, "open", 5000,
-			EncodeArgs(U64(id), seller[:], hvB[:], cB[:])))
-		settles[i] = &chain.Transaction{
-			From: seller, Contract: EscrowName, Method: "settle",
-			Args: EncodeArgs(U64(id), kcB[:], proof.Bytes(), kcB[:], cB[:], hvB[:]),
-		}
-	}
-
 	bc := NewBlockProofChecker()
 	bc.AddVerifier("pik-verifier", verifier)
 	bc.AddEscrow(EscrowName, escrow)
+	c.SetBlockVerifier(bc)
 
-	verified, errs := bc.VerifyBatch(settles[:2])
-	if verified != 2 {
-		t.Fatalf("verified = %d, want 2", verified)
+	buyer := chain.AddressFromString("buyer")
+	c.Faucet(buyer, 1_000_000)
+	kcB, cB, hvB := ef.witness[0].Bytes(), ef.witness[1].Bytes(), ef.witness[2].Bytes()
+	settles := make([]chain.Transaction, n)
+	for i := range settles {
+		id := uint64(i + 1)
+		seller := chain.AddressFromString(fmt.Sprintf("seller-%d", i))
+		mustSucceed(t, call(t, c, buyer, EscrowName, "open", 5000,
+			EncodeArgs(U64(id), seller[:], hvB[:], cB[:])))
+		settles[i] = chain.Transaction{
+			From: seller, Contract: EscrowName, Method: "settle",
+			Args: EncodeArgs(U64(id), kcB[:], ef.proofs[i].Bytes(), kcB[:], cB[:], hvB[:]),
+		}
 	}
-	if errs[0] != nil || errs[1] != nil {
-		t.Fatalf("valid settles flagged: %v", errs)
-	}
+	c.SealBlock()
+	return c, settles
+}
 
-	// The marked settles execute with the inner verify hitting the
-	// pre-verified mark; their gas must undercut the unmarked control by
-	// the non-amortised share of the pairing.
-	r0 := call(t, c, seller, EscrowName, "settle", 0, settles[0].Args)
-	mustSucceed(t, r0)
-	r1 := call(t, c, seller, EscrowName, "settle", 0, settles[1].Args)
-	mustSucceed(t, r1)
-	r2 := call(t, c, seller, EscrowName, "settle", 0, settles[2].Args)
-	mustSucceed(t, r2)
-	if r0.GasUsed >= r2.GasUsed || r1.GasUsed >= r2.GasUsed {
-		t.Fatalf("marked settles (%d, %d) not cheaper than unmarked (%d)",
-			r0.GasUsed, r1.GasUsed, r2.GasUsed)
+// escrowProofSystem proves the (kc, c, hv) toy statement a few times over,
+// once per process: every escrowFixture shares the proofs, so replicas see
+// byte-identical settle calldata.
+var escrowProofSystem = sync.OnceValue(func() (out struct {
+	vk      *plonk.VerifyingKey
+	witness []fr.Element
+	proofs  []*plonk.Proof
+}) {
+	tau := fr.NewElement(0xfade)
+	srs, err := kzg.NewSRSFromSecret(64, &tau)
+	if err != nil {
+		panic(err)
+	}
+	cs := plonk.NewConstraintSystem(3)
+	minusOne := fr.NewFromInt64(-1)
+	cs.MustAddGate(plonk.Gate{QL: fr.One(), QR: fr.One(), QO: minusOne, A: 1, B: 2, C: 0})
+	out.witness = []fr.Element{fr.NewElement(30), fr.NewElement(10), fr.NewElement(20)}
+	pk, vk, err := plonk.Setup(cs, srs)
+	if err != nil {
+		panic(err)
+	}
+	out.vk = vk
+	for i := 0; i < 4; i++ {
+		proof, err := plonk.Prove(pk, out.witness)
+		if err != nil {
+			panic(err)
+		}
+		out.proofs = append(out.proofs, proof)
+	}
+	return out
+})
+
+// TestBlockProofCheckerEscrowSettle checks that escrow settlements join the
+// block's fold: the checker recognises the embedded verify calldata, the
+// settled exchange's inner verification runs at the amortised gas of the
+// fold the header records, and the saving against an eagerly executed
+// control is exactly the schedules' difference.
+func TestBlockProofCheckerEscrowSettle(t *testing.T) {
+	c, settles := escrowFixture(t, 3)
+
+	// Settles 1 and 2 are produced as one block (fold width 2, so the
+	// pairing gas is halved); settle 3 executes eagerly as the full-price
+	// control.
+	res, err := c.ProduceBlock(settles[:2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Block.TxHashes) != 2 || res.ProofsVerified != 2 || res.Block.Fold != 2 {
+		t.Fatalf("included %d, verified %d, fold %d; want 2, 2, 2", len(res.Block.TxHashes), res.ProofsVerified, res.Block.Fold)
+	}
+	ctl := mustSucceed(t, call(t, c, settles[2].From, EscrowName, "settle", 0, settles[2].Args))
+	for i := range res.Outcomes {
+		r := res.Outcomes[i].Receipt
+		if r == nil || r.Err != nil {
+			t.Fatalf("settle %d: %+v", i, res.Outcomes[i])
+		}
+		if want := ctl.GasUsed - VerificationGas(3) + BatchVerifiedGas(2, 3); r.GasUsed != want {
+			t.Fatalf("folded settle %d gas %d, want control %d − standalone + amortised = %d",
+				i, r.GasUsed, ctl.GasUsed, want)
+		}
+	}
+}
+
+// TestProofMarksDoNotOutliveTheirBlock: a settlement whose proof the
+// block's fold validated but which reverts before it ever reaches the
+// verifier used to leave its consume-once mark behind on the verifier
+// object, and the next call with that calldata — in any later block, on
+// this node only — was then charged as if folded. The table is the
+// block's: the same calldata submitted eagerly in the next block is
+// verified alone and pays for it.
+func TestProofMarksDoNotOutliveTheirBlock(t *testing.T) {
+	c, settles := escrowFixture(t, 1)
+	parts, err := DecodeArgsVariadic(settles[0].Args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The same valid proof, aimed at an exchange nobody opened: the fold
+	// validates it, the escrow reverts on the missing exchange first.
+	parts[0] = U64(99)
+	orphan := settles[0]
+	orphan.Args = EncodeArgs(parts...)
+	res, err := c.ProduceBlock([]chain.Transaction{orphan})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Block.Fold != 1 || res.Outcomes[0].Receipt == nil || res.Outcomes[0].Receipt.Err == nil {
+		t.Fatalf("fold %d, outcome %+v; want a folded, reverted settlement", res.Block.Fold, res.Outcomes[0])
+	}
+	verifyArgs := EncodeArgs(parts[2:]...)
+	r := mustSucceed(t, call(t, c, orphan.From, "pik-verifier", "verify", 0, verifyArgs))
+	if want := intrinsicGas(verifyArgs) + VerificationGas(3); r.GasUsed != want {
+		t.Fatalf("verify after the block charged %d, want standalone %d (a mark outlived its block)", r.GasUsed, want)
+	}
+}
+
+// chainImage is everything an importer must leave untouched when it
+// refuses a block.
+type chainImage struct {
+	head, root chain.Hash
+	nonces     []uint64
+	receipts   []bool
+}
+
+func imageOf(c *chain.Chain, senders []chain.Address, txs []chain.Transaction) chainImage {
+	img := chainImage{head: c.HeadHash(), root: c.Head().StateRoot}
+	for _, s := range senders {
+		img.nonces = append(img.nonces, c.NonceOf(s), c.BalanceOf(s))
+	}
+	for i := range txs {
+		_, ok := c.Receipt(txs[i].Hash())
+		img.receipts = append(img.receipts, ok)
+	}
+	return img
+}
+
+// TestImportRefusesFoldDisagreement pins header/body agreement: the fold a
+// header records must be exactly what the body's proof check validates.
+// Too high, too low, non-zero over a proof-free body and non-zero on a
+// chain that folds nothing are each refused with the follower unchanged;
+// the honest header then still imports.
+func TestImportRefusesFoldDisagreement(t *testing.T) {
+	ps := batchProofSystem()
+	proofs, publics := mintProofs(t, 2)
+	alice, bob := chain.AddressFromString("alice"), chain.AddressFromString("bob")
+	senders := []chain.Address{alice, bob}
+	genesis := func(withVerifier bool) *chain.Chain {
+		c := chain.New()
+		if withVerifier {
+			c = proofChain(t, ps.vk)
+		} else if _, err := c.Deploy("verifier", NewVerifier(ps.vk), VerifierCodeSize); err != nil {
+			t.Fatal(err)
+		}
+		c.Faucet(alice, 1_000)
+		return c
+	}
+	producer := genesis(true)
+	proofTxs := []chain.Transaction{
+		{From: alice, Contract: "verifier", Method: "verify", Args: VerifyArgs(proofs[0], publics[0])},
+		{From: bob, Contract: "verifier", Method: "verify", Args: VerifyArgs(proofs[1], publics[1])},
+	}
+	folded, err := producer.ProduceBlock(proofTxs)
+	if err != nil || folded.Block.Fold != 2 {
+		t.Fatalf("produce: fold %d, %v", folded.Block.Fold, err)
+	}
+	plain, err := producer.ProduceBlock([]chain.Transaction{{From: alice, To: bob, Value: 5, Nonce: 1}})
+	if err != nil || plain.Block.Fold != 0 || len(plain.Block.TxHashes) != 1 {
+		t.Fatalf("produce plain: %+v, %v", plain, err)
+	}
+	foldedBody, _ := producer.BlockBody(folded.Block.Number)
+	plainBody, _ := producer.BlockBody(plain.Block.Number)
+	allTxs := append(append([]chain.Transaction{}, foldedBody...), plainBody...)
+
+	refuse := func(what string, f *chain.Chain, b chain.Block, body []chain.Transaction) {
+		t.Helper()
+		before := imageOf(f, senders, allTxs)
+		if _, err := f.ImportBlock(b, body); !errors.Is(err, chain.ErrBadBody) {
+			t.Fatalf("%s: err %v, want ErrBadBody", what, err)
+		}
+		if after := imageOf(f, senders, allTxs); !reflect.DeepEqual(before, after) {
+			t.Fatalf("%s: refused block left a trace:\n before %+v\n after  %+v", what, before, after)
+		}
+	}
+	follower := genesis(true)
+	lie := folded.Block
+	lie.Fold = 3
+	refuse("fold too high", follower, lie, foldedBody)
+	lie.Fold = 1
+	refuse("fold too low", follower, lie, foldedBody)
+	refuse("no verifier installed", genesis(false), folded.Block, foldedBody)
+	if _, err := follower.ImportBlock(folded.Block, foldedBody); err != nil {
+		t.Fatalf("honest folded block after the refusals: %v", err)
+	}
+	lie = plain.Block
+	lie.Fold = 1
+	refuse("fold over a proof-free body", follower, lie, plainBody)
+	if _, err := follower.ImportBlock(plain.Block, plainBody); err != nil {
+		t.Fatalf("honest plain block after the refusal: %v", err)
+	}
+	if follower.HeadHash() != producer.HeadHash() {
+		t.Fatal("follower and producer heads differ")
 	}
 }

@@ -2,6 +2,7 @@ package contracts
 
 import (
 	"fmt"
+	"sync"
 
 	"github.com/zkdet/zkdet/internal/chain"
 	"github.com/zkdet/zkdet/internal/ct"
@@ -9,15 +10,17 @@ import (
 )
 
 // BlockProofChecker batch-verifies the Plonk proofs carried by a block's
-// transactions before they execute. The block producer hands it the popped
-// transactions; it recognises the proof-carrying ones (direct verifier
-// calls, escrow settlements, and confidential-token transfers), folds the
-// proofs into as few pairing checks as possible, and marks the valid ones
-// pre-verified on their verifier contract — execution then charges the
-// amortised gas schedule and skips the pairing. Invalid proofs are
-// reported by index so the producer can evict them without wasting block
-// space; plonk.Batch's bisection isolates offenders in O(k·log n) pairing
-// checks.
+// transactions before they execute. It is the chain's block verifier
+// (chain.BlockVerifier): applyBlock hands it every body it is about to
+// apply — produced, imported or replayed — and it recognises the
+// proof-carrying transactions (direct verifier calls, escrow settlements,
+// confidential-token transfers), folds their proofs into as few pairing
+// checks as possible, and returns the table of validated verify calls with
+// the width of the fold each was part of; execution then charges those
+// calls the amortised gas schedule and skips the pairing. Invalid proofs
+// are reported by transaction index — a producer leaves them out, an
+// importer refuses the block — and plonk.Batch's bisection isolates
+// offenders in O(k·log n) pairing checks.
 //
 // A transaction can carry several proofs (a confidential transfer has one
 // π_ct per output); proofs under verifying keys that share an SRS (equal
@@ -25,14 +28,18 @@ import (
 // settlements and π_ct range proofs in the same block cost one pairing
 // check total when their keys came from the same ceremony.
 //
-// It implements the node package's SealVerifier interface structurally,
-// keeping the dependency pointing from the application layer down to the
-// node rather than the reverse.
+// The check is a pure function of the registered contracts' configuration
+// and the calldata: it reads no chain state and writes nothing, which lets
+// the chain run it with its state lock released and every replica
+// reproduce it.
 type BlockProofChecker struct {
-	verifiers map[string]*Verifier
-	escrows   map[string]*Escrow
-	cts       map[string]*ConfidentialToken
+	mu        sync.RWMutex                  // registration (genesis, the devnet's ctEnable) vs checks
+	verifiers map[string]*Verifier          // guarded by mu
+	escrows   map[string]*Escrow            // guarded by mu
+	cts       map[string]*ConfidentialToken // guarded by mu
 }
+
+var _ chain.BlockVerifier = (*BlockProofChecker)(nil)
 
 // NewBlockProofChecker returns an empty checker; register the deployed
 // contracts with AddVerifier/AddEscrow/AddConfidential.
@@ -47,12 +54,16 @@ func NewBlockProofChecker() *BlockProofChecker {
 // AddVerifier registers a deployed verifier contract under its deployment
 // name, enabling seal-time batching for direct verify transactions.
 func (bc *BlockProofChecker) AddVerifier(name string, v *Verifier) {
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
 	bc.verifiers[name] = v
 }
 
 // AddEscrow registers a deployed escrow so its settle transactions — which
 // call the escrow's verifier internally — join the seal-time batch too.
 func (bc *BlockProofChecker) AddEscrow(name string, e *Escrow) {
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
 	bc.escrows[name] = e
 }
 
@@ -62,47 +73,50 @@ func (bc *BlockProofChecker) AddEscrow(name string, e *Escrow) {
 // range proofs join the seal-time fold against the registered range
 // verifier.
 func (bc *BlockProofChecker) AddConfidential(name string, tok *ConfidentialToken) {
+	bc.mu.Lock()
+	defer bc.mu.Unlock()
 	bc.cts[name] = tok
 }
 
 // proofItem is one Plonk proof riding in a transaction, targeted at a
 // registered verifier contract.
 type proofItem struct {
+	name string // the verifier's deployment name
 	v    *Verifier
-	args []byte // verify calldata; digest(args) is the pre-verification key
+	args []byte // verify calldata; chain.ProofKey(name, args) is its table key
 }
 
 // extractAll recognises a proof-carrying transaction and returns every
 // Plonk proof it carries. A non-nil error means the transaction fails a
 // stateless pre-check (malformed or forged confidential transfer) and
-// should be dropped without wasting a pairing on it. ok is false for
-// transactions that carry no recognisable proof.
-func (bc *BlockProofChecker) extractAll(tx *chain.Transaction) ([]proofItem, bool, error) {
+// should be dropped without wasting a pairing on it; a transaction that
+// carries no recognisable proof yields nothing. caller holds bc.mu.
+func (bc *BlockProofChecker) extractAll(tx *chain.Transaction) ([]proofItem, error) {
 	if v, found := bc.verifiers[tx.Contract]; found && tx.Method == "verify" {
-		return []proofItem{{v: v, args: tx.Args}}, true, nil
+		return []proofItem{{name: tx.Contract, v: v, args: tx.Args}}, nil
 	}
 	if e, found := bc.escrows[tx.Contract]; found && tx.Method == "settle" {
 		parts, err := DecodeArgsVariadic(tx.Args)
 		if err != nil || len(parts) < 3 {
-			return nil, false, nil // malformed; let it revert on-chain
+			return nil, nil // malformed; let it revert on-chain
 		}
 		v, found := bc.verifiers[e.verifierName]
 		if !found {
-			return nil, false, nil
+			return nil, nil
 		}
 		// settle(id, kc, verifyParts…): the escrow forwards
 		// EncodeArgs(verifyParts…) to its verifier, so that is the
-		// calldata to batch and to mark pre-verified.
-		return []proofItem{{v: v, args: EncodeArgs(parts[2:]...)}}, true, nil
+		// calldata to fold and to enter in the table.
+		return []proofItem{{name: e.verifierName, v: v, args: EncodeArgs(parts[2:]...)}}, nil
 	}
 	if tok, found := bc.cts[tx.Contract]; found && (tx.Method == "mint" || tx.Method == "transfer") {
 		v, vfound := bc.verifiers[tok.rangeVerifierName]
 		if !vfound {
-			return nil, false, nil
+			return nil, nil
 		}
 		d, err := DecodeCTTransfer(tx.Args)
 		if err != nil {
-			return nil, true, fmt.Errorf("%w: %w", ErrCTProofRejected, err)
+			return nil, fmt.Errorf("%w: %w", ErrCTProofRejected, err)
 		}
 		// The sigma layer is stateless — input commitments ride in the
 		// calldata (execution cross-checks them against storage), so the
@@ -110,45 +124,37 @@ func (bc *BlockProofChecker) extractAll(tx *chain.Transaction) ([]proofItem, boo
 		// auditor ciphertexts without any chain state.
 		st := d.Statement(tx.From, tx.Method == "mint")
 		if err := ct.VerifySigma(tok.params, &tok.auditor, st, d.Proof); err != nil {
-			return nil, true, fmt.Errorf("%w: %w", ErrCTProofRejected, err)
+			return nil, fmt.Errorf("%w: %w", ErrCTProofRejected, err)
 		}
 		e := ct.Challenge(tok.params, &tok.auditor, st, d.Proof)
 		items := make([]proofItem, 0, len(d.Proof.Outputs))
 		for i := range d.Proof.Outputs {
 			op := &d.Proof.Outputs[i]
 			if op.Range == nil {
-				return nil, true, fmt.Errorf("%w: output %d missing range proof", ErrCTProofRejected, i)
+				return nil, fmt.Errorf("%w: output %d missing range proof", ErrCTProofRejected, i)
 			}
-			items = append(items, proofItem{v: v, args: VerifyArgs(op.Range, ct.RangePublics(e, op.ZV, op.PT))})
+			items = append(items, proofItem{name: tok.rangeVerifierName, v: v,
+				args: VerifyArgs(op.Range, ct.RangePublics(e, op.ZV, op.PT))})
 		}
-		return items, true, nil
+		return items, nil
 	}
-	return nil, false, nil
+	return nil, nil
 }
 
-// VerifyBatch batch-verifies the proofs carried by txs. It returns the
-// number of transactions whose proofs were all validated (and marked
-// pre-verified on their contracts) and a per-transaction error slice:
-// errs[i] != nil means transaction i carries a proof that fails
-// verification and should be dropped from the block. Transactions that
-// carry no recognisable proof are left untouched (nil error, not counted).
-func (bc *BlockProofChecker) VerifyBatch(txs []*chain.Transaction) (int, []error) {
-	return bc.checkBatch(txs, true)
-}
-
-// GossipCheck batch-verifies like VerifyBatch but never marks proofs
-// pre-verified. It is the network-boundary validator: a gossip layer
-// rejecting invalid payloads before re-propagation (and an importer
-// screening a remote block) must not alter execution-time gas charging,
-// which would make replicas charge different gas for the same transaction
-// and diverge at the out-of-gas boundary.
+// GossipCheck is CheckBlock's view for the network boundary: the number of
+// transactions whose proofs all verified and the per-transaction errors. A
+// gossip layer screens payloads with it before re-propagating them.
 func (bc *BlockProofChecker) GossipCheck(txs []*chain.Transaction) (int, []error) {
-	return bc.checkBatch(txs, false)
+	marks, errs := bc.CheckBlock(txs)
+	return marks.Txs, errs
 }
 
-// checkBatch is the shared verification core; mark selects whether valid
-// proofs are recorded pre-verified on their contracts.
-func (bc *BlockProofChecker) checkBatch(txs []*chain.Transaction, mark bool) (int, []error) {
+// CheckBlock implements chain.BlockVerifier: it folds the proofs carried
+// by txs and returns the table of validated verify calls, each with its
+// fold's width. errs[i] != nil means transaction i carries a proof that
+// fails verification and does not belong in a block. Transactions that
+// carry no recognisable proof are left alone (nil error, not counted).
+func (bc *BlockProofChecker) CheckBlock(txs []*chain.Transaction) (chain.ProofMarks, []error) {
 	errs := make([]error, len(txs))
 
 	// Collect every proof item in transaction order.
@@ -157,14 +163,12 @@ func (bc *BlockProofChecker) checkBatch(txs []*chain.Transaction, mark bool) (in
 		proofItem
 	}
 	var items []taggedItem
-	proofTx := make(map[int]int, len(txs)) // txIndex → item count
+	proofTx := make([]int, len(txs)) // item count per transaction
+	bc.mu.RLock()
 	for i, tx := range txs {
-		txItems, ok, err := bc.extractAll(tx)
+		txItems, err := bc.extractAll(tx)
 		if err != nil {
 			errs[i] = err
-			continue
-		}
-		if !ok {
 			continue
 		}
 		proofTx[i] = len(txItems)
@@ -172,6 +176,7 @@ func (bc *BlockProofChecker) checkBatch(txs []*chain.Transaction, mark bool) (in
 			items = append(items, taggedItem{txIndex: i, proofItem: it})
 		}
 	}
+	bc.mu.RUnlock()
 
 	// Fold items into batches grouped by SRS: verifying keys with an equal
 	// G2 tail share one pairing check via AddFor, so π_k and π_ct proofs
@@ -181,6 +186,7 @@ func (bc *BlockProofChecker) checkBatch(txs []*chain.Transaction, mark bool) (in
 		base    *Verifier
 		batch   *plonk.Batch
 		members []int // item indices, in batch position order
+		failed  bool  // folding itself failed (not a proof problem)
 	}
 	var groups []*g2group
 	sameSRS := func(a, b *plonk.VerifyingKey) bool {
@@ -220,7 +226,6 @@ func (bc *BlockProofChecker) checkBatch(txs []*chain.Transaction, mark bool) (in
 	}
 
 	// Check each fold; bisect to isolate offenders on failure.
-	unbatched := make(map[int]bool) // item idx → fold failed for non-proof reasons
 	for _, g := range groups {
 		if g.batch.Len() == 0 {
 			continue
@@ -228,11 +233,9 @@ func (bc *BlockProofChecker) checkBatch(txs []*chain.Transaction, mark bool) (in
 		if err := g.batch.Check(); err != nil {
 			offenders, berr := g.batch.Bisect()
 			if berr != nil {
-				// Folding itself failed (not a proof problem): leave the
-				// group un-batched; execution will verify each proof.
-				for _, idx := range g.members {
-					unbatched[idx] = true
-				}
+				// Leave the group out of the table; execution verifies each
+				// of its proofs alone.
+				g.failed = true
 				continue
 			}
 			for _, pos := range offenders {
@@ -242,36 +245,34 @@ func (bc *BlockProofChecker) checkBatch(txs []*chain.Transaction, mark bool) (in
 		}
 	}
 
-	// Second pass: mark surviving items, amortised over their own fold's
-	// survivor count. Marking is withheld from any transaction with a
-	// failed sibling item, so a half-valid confidential transfer never
-	// leaves partial amortised marks behind after eviction.
-	txUnbatched := make(map[int]bool)
-	for idx := range unbatched {
-		txUnbatched[items[idx].txIndex] = true
-	}
+	// Enter the surviving items in the table, each at the width of its own
+	// fold's survivor count. A transaction with a rejected sibling item gets
+	// nothing: it is not going into the block.
+	marks := chain.ProofMarks{Width: make(map[chain.ProofID]int, len(items))}
+	marked := make([]int, len(txs)) // items entered per transaction
 	for _, g := range groups {
+		if g.failed {
+			continue
+		}
 		survivors := 0
 		for _, idx := range g.members {
-			if errs[items[idx].txIndex] == nil && !unbatched[idx] {
+			if errs[items[idx].txIndex] == nil {
 				survivors++
 			}
 		}
-		if !mark || survivors == 0 {
-			continue
-		}
 		for _, idx := range g.members {
 			it := &items[idx]
-			if errs[it.txIndex] == nil && !unbatched[idx] && !txUnbatched[it.txIndex] {
-				it.v.markPreverified(verifyDigest(it.args), survivors)
+			if errs[it.txIndex] == nil {
+				marks.Width[chain.ProofKey(it.name, it.args)] = survivors
+				marks.Items++
+				marked[it.txIndex]++
 			}
 		}
 	}
-	verified := 0
 	for i, n := range proofTx {
-		if n > 0 && errs[i] == nil && !txUnbatched[i] {
-			verified++
+		if n > 0 && errs[i] == nil && marked[i] == n {
+			marks.Txs++
 		}
 	}
-	return verified, errs
+	return marks, errs
 }

@@ -58,8 +58,8 @@ type CTNote struct {
 // Every mint/transfer carries a ct.Proof: the sigma part (balance +
 // auditor-ciphertext consistency) is verified in-contract, and each
 // output's π_ct range proof is verified through the deployed Plonk
-// verifier contract — which is exactly what the seal-time
-// BlockProofChecker pre-verifies and amortizes.
+// verifier contract — which is exactly what the block's proof check
+// (BlockProofChecker) folds and amortizes.
 type ConfidentialToken struct {
 	issuer  chain.Address
 	auditor bn254.G1Affine
@@ -358,7 +358,7 @@ func (c *ConfidentialToken) mintOrTransfer(ctx *chain.CallContext, args []byte, 
 	}
 
 	// Range proofs: one π_ct per output through the verifier contract —
-	// amortized gas when the seal-time batch pre-verified the calldata.
+	// amortized gas when the block's proof table holds the calldata.
 	e := ct.Challenge(c.params, &c.auditor, st, d.Proof)
 	for i := range d.Proof.Outputs {
 		op := &d.Proof.Outputs[i]
@@ -586,17 +586,6 @@ func (c *ConfidentialToken) refund(ctx *chain.CallContext, exID uint64) error {
 		return err
 	}
 	return ctx.EmitIndexed("CTRefunded", U64(exID), EncodeArgs(U64(exID), U64(noteID)))
-}
-
-var _ chain.RWDeclarer = (*ConfidentialToken)(nil)
-
-// DeclareRW implements chain.RWDeclarer: always serial-only. mint and
-// transfer consume the range verifier's seal-time pre-verification marks
-// through a sub-call (the same spend-once side effect that pins the
-// Verifier contract serial), and the escrow methods resolve their
-// participants from storage at run time.
-func (c *ConfidentialToken) DeclareRW(sender chain.Address, method string, args []byte, value uint64) (chain.RWDecl, bool) {
-	return chain.RWDecl{}, false
 }
 
 // ReadCTNote decodes a note's public record from chain storage without

@@ -385,18 +385,17 @@ func TestCTTransferCalldataValidation(t *testing.T) {
 }
 
 // TestBlockProofCheckerConfidential covers the confidential path through
-// the seal-time checker: sigma forgeries die at the stateless pre-check,
-// valid transfers get every π_ct marked pre-verified (amortised gas), and
-// π_ct proofs fold together with proofs from other verifiers on the same
-// SRS via AddFor.
+// the block checker: sigma forgeries die at the stateless pre-check, valid
+// transfers get every π_ct entered in the block's table (amortised gas),
+// and π_ct proofs fold together with proofs from other verifiers on the
+// same SRS via AddFor.
 func TestBlockProofCheckerConfidential(t *testing.T) {
 	cs := ctSystem()
 	issuer := chain.AddressFromString("issuer")
 	alice := chain.AddressFromString("alice")
 	tok := NewConfidentialToken(issuer, cs.pub, testPiCTVerifier, "pik-verifier", 10)
-	rangeVerifier := NewVerifier(cs.vk)
 	bc := NewBlockProofChecker()
-	bc.AddVerifier(testPiCTVerifier, rangeVerifier)
+	bc.AddVerifier(testPiCTVerifier, NewVerifier(cs.vk))
 	bc.AddConfidential(ConfidentialTokenName, tok)
 
 	mintArgs := ctProve(t, issuer, true, nil, nil,
@@ -435,19 +434,20 @@ func TestBlockProofCheckerConfidential(t *testing.T) {
 		t.Fatalf("forged sigma error %v", errs[1])
 	}
 
-	// VerifyBatch marks both outputs' range proofs pre-verified.
-	n, errs = bc.VerifyBatch([]*chain.Transaction{good})
-	if n != 1 || errs[0] != nil {
-		t.Fatalf("seal verified %d, errs %v", n, errs)
+	// CheckBlock enters both outputs' range proofs in the table, under the
+	// range verifier's name, at the width of their shared fold.
+	marks, errs := bc.CheckBlock([]*chain.Transaction{good})
+	if marks.Txs != 1 || marks.Items != 2 || errs[0] != nil {
+		t.Fatalf("block check validated %d txs / %d items, errs %v", marks.Txs, marks.Items, errs)
 	}
 	gd, _ := DecodeCTTransfer(mintArgs)
 	st := gd.Statement(issuer, true)
 	e := ct.Challenge(cs.params, &cs.pub, st, gd.Proof)
 	for i := range gd.Proof.Outputs {
 		op := &gd.Proof.Outputs[i]
-		digest := verifyDigest(VerifyArgs(op.Range, ct.RangePublics(e, op.ZV, op.PT)))
-		if _, ok := rangeVerifier.consumePreverified(digest); !ok {
-			t.Fatalf("output %d not marked pre-verified", i)
+		key := chain.ProofKey(testPiCTVerifier, VerifyArgs(op.Range, ct.RangePublics(e, op.ZV, op.PT)))
+		if w := marks.Width[key]; w != 2 {
+			t.Fatalf("output %d in the table at width %d, want 2", i, w)
 		}
 	}
 }

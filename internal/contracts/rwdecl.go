@@ -12,11 +12,17 @@ import (
 // itself — a call that will revert before reaching storage may declare
 // nothing.
 //
-// Methods with side effects that must happen exactly once, in block order,
-// return ok == false (serial-only): everything touching the verifier's
-// consume-once pre-verification marks (verify, verifyBatch, escrow settle)
-// and everything whose value-transfer targets are only known at run time
-// (escrow refund, auction bid).
+// Methods whose value-transfer targets are only known at run time (escrow
+// refund, auction bid) return ok == false (serial-only). So does
+// everything that reaches a verifier — escrow settle here; Verifier and
+// ConfidentialToken declare nothing at all, which means the same — by
+// choice rather than need: what a verify call pays comes from the block's
+// immutable proof table (CallContext.ProofFold), so a discarded
+// speculation leaves no trace and a re-execution is charged exactly what
+// the serial backend charges (TestProofFoldSurvivesReexecution). But a
+// speculated verification that is not in the table is milliseconds of
+// pairing work a conflict would throw away, and widening what speculates
+// wants a measurement of its own.
 
 // balanceKey mirrors DataNFT.adjustBalance's slot naming.
 func balanceKey(a chain.Address) string { return "balance/" + string(a[:]) }
@@ -149,8 +155,8 @@ func (d *DataNFT) DeclareRW(sender chain.Address, method string, args []byte, va
 var _ chain.RWDeclarer = (*Escrow)(nil)
 
 // DeclareRW implements chain.RWDeclarer. open is fully declarable; settle
-// consumes the verifier's pre-verification marks through a sub-call and
-// refund transfers to a stored buyer address, so both are serial-only.
+// reaches the verifier (kept serial-only, see the file comment) and refund
+// transfers to a stored buyer address, so both are serial-only.
 func (e *Escrow) DeclareRW(sender chain.Address, method string, args []byte, value uint64) (chain.RWDecl, bool) {
 	switch method {
 	case "open":
@@ -204,15 +210,4 @@ func (a *ClockAuction) DeclareRW(sender chain.Address, method string, args []byt
 	default: // bid, unknown
 		return chain.RWDecl{}, false
 	}
-}
-
-var _ chain.RWDeclarer = (*Verifier)(nil)
-
-// DeclareRW implements chain.RWDeclarer: always serial-only. Verification
-// consumes seal-time pre-verification marks (consumePreverified), a
-// spend-once side effect outside chain state — a discarded speculative
-// execution would still eat the mark and the commit-time re-execution
-// would then pay full verification gas, diverging from serial receipts.
-func (v *Verifier) DeclareRW(sender chain.Address, method string, args []byte, value uint64) (chain.RWDecl, bool) {
-	return chain.RWDecl{}, false
 }

@@ -177,49 +177,140 @@ func TestParallelBatchExchangeIdentity(t *testing.T) {
 }
 
 // TestVerifierSerialOnlyPreservesPreverification pins the engine contract
-// that makes batch verification safe: pre-verification marks are consumed
-// exactly once even when the consuming transactions run through the
-// parallel engine, because verifier-reaching calls never speculate.
+// for verifier calls: they never speculate, and — run through the parallel
+// engine or not — each is charged from the block's proof table, which does
+// not wear out with use and does not survive the block.
 func TestVerifierSerialOnlyPreservesPreverification(t *testing.T) {
 	ps := testProofSystem()
-	c := chain.New()
-	v := NewVerifier(ps.vk)
-	if _, err := c.Deploy("verifier", v, VerifierCodeSize); err != nil {
-		t.Fatal(err)
-	}
+	c := proofChain(t, ps.vk)
+	c.SetExecWorkers(4)
 	senders := make([]chain.Address, 4)
 	for i := range senders {
 		senders[i] = chain.AddressFromString(fmt.Sprintf("v-sender-%d", i))
-		c.Faucet(senders[i], 10_000_000)
 	}
-	pub := ps.public[0].Bytes()
-	verifyArgs := EncodeArgs(ps.proof.Bytes(), pub[:])
+	verifyArgs := VerifyArgs(ps.proof, ps.public)
 
-	// Mark each call's digest once, as the seal-time batch checker would.
-	for range senders {
-		v.markPreverified(verifyDigest(verifyArgs), len(senders))
-	}
+	// Four transactions carrying the same calldata: four proof items in
+	// one fold, one table entry.
 	txs := make([]chain.Transaction, len(senders))
 	for i, s := range senders {
 		txs[i] = chain.Transaction{From: s, Contract: "verifier", Method: "verify", Args: verifyArgs, Nonce: 0}
 	}
-	out := c.SubmitBatch(txs, 4)
-	for i, o := range out {
+	res, err := c.ProduceBlock(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Block.TxHashes) != 4 || res.Block.Fold != 4 {
+		t.Fatalf("included %d, fold %d; want 4, 4", len(res.Block.TxHashes), res.Block.Fold)
+	}
+	for i, o := range res.Outcomes {
 		if o.Err != nil || o.Receipt.Err != nil {
 			t.Fatalf("tx %d: %v %v", i, o.Err, o.Receipt.Err)
 		}
+		if want := intrinsicGas(verifyArgs) + BatchVerifiedGas(4, 1); o.Receipt.GasUsed != want {
+			t.Fatalf("tx %d: gas %d, want folded %d", i, o.Receipt.GasUsed, want)
+		}
 	}
-	// All four marks consumed: a fifth verify pays the full pairing cost.
-	gasPre := out[0].Receipt.GasUsed
+	if speculated, _, _, serial := c.ExecStats(); speculated != 0 || serial != 4 {
+		t.Fatalf("verifier calls speculated %d times, ran serially %d; want 0 and 4", speculated, serial)
+	}
+	// The table went with the block: a fifth verify pays the full pairing
+	// cost.
 	extra := chain.Transaction{From: senders[0], Contract: "verifier", Method: "verify", Args: verifyArgs, Nonce: 1}
 	r, err := c.Submit(extra)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Err != nil {
-		t.Fatalf("unmarked verify failed: %v", r.Err)
+		t.Fatalf("unfolded verify failed: %v", r.Err)
 	}
-	if r.GasUsed <= gasPre {
-		t.Fatalf("unmarked verify gas %d not above pre-verified %d — a speculation consumed a mark twice?", r.GasUsed, gasPre)
+	if want := intrinsicGas(verifyArgs) + VerificationGas(1); r.GasUsed != want {
+		t.Fatalf("unfolded verify gas %d, want standalone %d", r.GasUsed, want)
+	}
+}
+
+// proofRelay forwards its calldata to the verifier after bumping a shared
+// slot it never declared: it speculates (unlike every production contract
+// that reaches a verifier), and any two of its calls conflict.
+type proofRelay struct{}
+
+func (proofRelay) Call(ctx *chain.CallContext, method string, args []byte) ([]byte, error) {
+	n, err := ctx.Store.Get("calls")
+	if err != nil {
+		return nil, err
+	}
+	if err := ctx.Store.Set("calls", append(n, 1)); err != nil {
+		return nil, err
+	}
+	return ctx.CallContract("verifier", "verify", args)
+}
+
+func (proofRelay) DeclareRW(chain.Address, string, []byte, uint64) (chain.RWDecl, bool) {
+	return chain.RWDecl{}, true
+}
+
+// TestProofFoldSurvivesReexecution: a proof-carrying call the overlay
+// engine speculated, discarded on a validation conflict and re-executed is
+// charged exactly what the serial backend charges. With consume-once marks
+// the discarded speculation had already spent the mark and the
+// re-execution paid standalone gas — the reason verifier-reaching calls
+// were made serial-only; the block's table is only read.
+func TestProofFoldSurvivesReexecution(t *testing.T) {
+	ps := testProofSystem()
+	verifyArgs := VerifyArgs(ps.proof, ps.public)
+	var txs []chain.Transaction
+	// One direct verify puts the calldata in the block's table (width 1);
+	// the relayed calls then find it there.
+	txs = append(txs, chain.Transaction{From: chain.AddressFromString("direct"), Contract: "verifier", Method: "verify", Args: verifyArgs})
+	for i := 0; i < 5; i++ {
+		txs = append(txs, chain.Transaction{From: chain.AddressFromString(fmt.Sprintf("relay-%d", i)), Contract: "relay", Method: "go", Args: verifyArgs})
+	}
+	run := func(width int) (*chain.Chain, chain.Produced) {
+		c := proofChain(t, ps.vk)
+		if _, err := c.Deploy("relay", proofRelay{}, 100); err != nil {
+			t.Fatal(err)
+		}
+		c.SetExecWorkers(width)
+		res, err := c.ProduceBlock(txs)
+		if err != nil || len(res.Block.TxHashes) != len(txs) || res.Block.Fold != 1 {
+			t.Fatalf("width %d: included %d, fold %d, %v", width, len(res.Block.TxHashes), res.Block.Fold, err)
+		}
+		return c, res
+	}
+	serialChain, serial := run(1)
+	parChain, par := run(4)
+	if _, _, conflicts, _ := parChain.ExecStats(); conflicts == 0 {
+		t.Fatal("no speculation was discarded: the test exercised nothing")
+	}
+	receipts := func(p chain.Produced) []*chain.Receipt {
+		out := make([]*chain.Receipt, len(p.Outcomes))
+		for i := range p.Outcomes {
+			out[i] = p.Outcomes[i].Receipt
+		}
+		return out
+	}
+	sameReceipts(t, "overlay vs serial", receipts(par), receipts(serial))
+	if serialChain.HeadHash() != parChain.HeadHash() {
+		t.Fatal("heads differ")
+	}
+	// And what both charged is the folded schedule: against the same calls
+	// executed eagerly, one by one with no table, each differs by exactly
+	// standalone-for-amortised.
+	eager := proofChain(t, ps.vk)
+	if _, err := eager.Deploy("relay", proofRelay{}, 100); err != nil {
+		t.Fatal(err)
+	}
+	for i := range txs {
+		r, err := eager.Submit(txs[i])
+		if err != nil || r.Err != nil {
+			t.Fatalf("eager tx %d: %v %v", i, err, r)
+		}
+		got := par.Outcomes[i].Receipt
+		if got.Err != nil {
+			t.Fatalf("tx %d reverted: %v", i, got.Err)
+		}
+		if want := r.GasUsed - VerificationGas(1) + BatchVerifiedGas(1, 1); got.GasUsed != want {
+			t.Fatalf("tx %d: folded gas %d, want eager %d − standalone + amortised = %d", i, got.GasUsed, r.GasUsed, want)
+		}
 	}
 }

@@ -1,10 +1,8 @@
 package contracts
 
 import (
-	"crypto/sha256"
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/zkdet/zkdet/internal/chain"
 	"github.com/zkdet/zkdet/internal/fr"
@@ -30,27 +28,16 @@ var ErrProofRejected = errors.New("contracts: proof rejected")
 //   - verifyBatch checks N proofs in one call, folding the N pairing
 //     statements into a single pairing (plonk.BatchVerify) and charging
 //     the pairing gas once.
-//   - The block producer can batch-verify proof-carrying transactions at
-//     seal time (BlockProofChecker) and mark their digests pre-verified;
-//     a subsequent verify call with a marked digest consumes the mark and
-//     charges the amortised schedule instead of re-running the pairing.
+//   - A block applied through the chain's block verifier
+//     (BlockProofChecker) has its proofs folded once, before execution; a
+//     verify call whose calldata is in that block's table
+//     (CallContext.ProofFold) charges the amortised schedule for the
+//     fold's width instead of re-running the pairing.
+//
+// The contract holds nothing but its key: what a call pays is decided by
+// the block it executes in, never by which node or code path runs it.
 type Verifier struct {
 	vk *plonk.VerifyingKey
-
-	// preverified maps a digest of the verify calldata to the size of the
-	// seal-time batch that validated it plus a use count (several
-	// transactions in one block may carry identical calldata — e.g. one
-	// proof settling many exchanges). Marks are consumed per use, so a
-	// replay beyond the batched count pays (and runs) full verification.
-	mu          sync.Mutex
-	preverified map[[32]byte]preMark // guarded by mu
-}
-
-// preMark is one pre-verified calldata record: the batch size that set the
-// amortised gas and how many uses remain.
-type preMark struct {
-	batch int
-	uses  int
 }
 
 var _ chain.Contract = (*Verifier)(nil)
@@ -78,44 +65,6 @@ func BatchVerifiedGas(n, nbPublic int) uint64 {
 	}
 	pairing := (chain.GasPairingBase + 2*chain.GasPairingPerPair) / uint64(n)
 	return pairing + uint64(18+nbPublic+2)*chain.GasEcMul + 24*chain.GasEcAdd
-}
-
-// verifyDigest is the key under which a verify call is marked pre-verified:
-// a hash of the exact calldata the verifier will see.
-func verifyDigest(args []byte) [32]byte { return sha256.Sum256(args) }
-
-// markPreverified records that the given verify calldata was validated in a
-// seal-time batch of the given size. Package-private: only the
-// BlockProofChecker, which actually ran the pairing, may call it.
-func (v *Verifier) markPreverified(digest [32]byte, batchSize int) {
-	v.mu.Lock()
-	if v.preverified == nil {
-		v.preverified = make(map[[32]byte]preMark)
-	}
-	m := v.preverified[digest]
-	m.batch = batchSize
-	m.uses++
-	v.preverified[digest] = m
-	v.mu.Unlock()
-}
-
-// consumePreverified spends one use of the digest's mark and returns its
-// batch size; ok is false when the digest was never marked (or all its
-// uses are spent).
-func (v *Verifier) consumePreverified(digest [32]byte) (int, bool) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	m, ok := v.preverified[digest]
-	if !ok {
-		return 0, false
-	}
-	m.uses--
-	if m.uses <= 0 {
-		delete(v.preverified, digest)
-	} else {
-		v.preverified[digest] = m
-	}
-	return m.batch, true
 }
 
 // Call dispatches. Methods:
@@ -166,10 +115,10 @@ func (v *Verifier) verify(ctx *chain.CallContext, args []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if n, ok := v.consumePreverified(verifyDigest(args)); ok {
-		// The block producer already ran this proof through a batched
-		// pairing check; charge the amortised schedule and skip the
-		// pairing entirely.
+	if n, ok := ctx.ProofFold(args); ok {
+		// The block's proof check already ran this exact calldata through
+		// a pairing check folded over n proofs; charge the amortised
+		// schedule and skip the pairing entirely.
 		if err := ctx.Gas.Charge(BatchVerifiedGas(n, len(public))); err != nil {
 			return nil, err
 		}

@@ -29,9 +29,8 @@ type ConfidentialDeployment struct {
 	VerifierGas uint64
 	TokenGas    uint64
 
-	verifier *contracts.Verifier
-	prover   *ct.RangeProver
-	params   *ct.Params
+	prover *ct.RangeProver
+	params *ct.Params
 }
 
 // EnableConfidential deploys the confidential-token subsystem onto the
@@ -56,14 +55,16 @@ func (m *Marketplace) EnableConfidential(issuer chain.Address, auditorPub bn254.
 		prover:     prover,
 		params:     ct.DefaultParams(),
 	}
-	d.verifier = contracts.NewVerifier(vk)
-	if d.VerifierGas, err = m.Chain.Deploy(PiCTVerifierName, d.verifier, contracts.VerifierCodeSize); err != nil {
+	verifier := contracts.NewVerifier(vk)
+	if d.VerifierGas, err = m.Chain.Deploy(PiCTVerifierName, verifier, contracts.VerifierCodeSize); err != nil {
 		return nil, err
 	}
 	d.Token = contracts.NewConfidentialToken(issuer, auditorPub, PiCTVerifierName, PiKVerifierName, 100)
 	if d.TokenGas, err = m.Chain.Deploy(contracts.ConfidentialTokenName, d.Token, contracts.ConfidentialTokenCodeSize); err != nil {
 		return nil, err
 	}
+	m.checker.AddVerifier(PiCTVerifierName, verifier)
+	m.checker.AddConfidential(contracts.ConfidentialTokenName, d.Token)
 	m.ctd = d
 	return d, nil
 }

@@ -37,10 +37,11 @@ type Marketplace struct {
 	// walk the index instead of contract storage.
 	ix *indexer.Indexer
 
-	// verifier and escrow are the deployed contract instances, retained so
-	// ProofChecker can wire seal-time batch verification.
-	verifier *contracts.Verifier
-	escrow   *contracts.Escrow
+	// checker is the deployment's block verifier: it knows every
+	// proof-carrying contract deployed so far and is installed on the chain
+	// at genesis, so every block the chain applies — produced, imported or
+	// replayed from a WAL — folds its proofs the same way.
+	checker *contracts.BlockProofChecker
 
 	// ctd is the optional confidential-token deployment (EnableConfidential).
 	ctd *ConfidentialDeployment
@@ -94,23 +95,19 @@ func NewMarketplaceWith(sys *System, c *chain.Chain, store storage.BlobStore) (*
 	if gas.Escrow, err = c.Deploy(contracts.EscrowName, escrow, contracts.EscrowCodeSize); err != nil {
 		return nil, gas, err
 	}
-	return &Marketplace{Sys: sys, Chain: c, Store: store, verifier: verifier, escrow: escrow}, gas, nil
+	checker := contracts.NewBlockProofChecker()
+	checker.AddVerifier(PiKVerifierName, verifier)
+	checker.AddEscrow(contracts.EscrowName, escrow)
+	c.SetBlockVerifier(checker)
+	return &Marketplace{Sys: sys, Chain: c, Store: store, checker: checker}, gas, nil
 }
 
-// ProofChecker returns a seal-time batch verifier covering this
-// deployment's proof-carrying transactions: direct π_k verifications and
-// escrow settlements. Plug it into node.Config.SealVerifier so the block
-// producer folds every block's proofs into one pairing check.
-func (m *Marketplace) ProofChecker() *contracts.BlockProofChecker {
-	bc := contracts.NewBlockProofChecker()
-	bc.AddVerifier(PiKVerifierName, m.verifier)
-	bc.AddEscrow(contracts.EscrowName, m.escrow)
-	if m.ctd != nil {
-		bc.AddVerifier(PiCTVerifierName, m.ctd.verifier)
-		bc.AddConfidential(contracts.ConfidentialTokenName, m.ctd.Token)
-	}
-	return bc
-}
+// ProofChecker returns the deployment's block verifier, covering its
+// proof-carrying transactions: direct π_k verifications, escrow
+// settlements and — once EnableConfidential ran — confidential transfers.
+// The chain already applies every block through it; a gossip layer screens
+// payloads with its GossipCheck.
+func (m *Marketplace) ProofChecker() *contracts.BlockProofChecker { return m.checker }
 
 // Asset is an owner's handle to a minted data asset: the on-chain token,
 // the storage URI, and the private material needed to transform or sell it.

@@ -8,6 +8,7 @@ package node
 
 import (
 	"context"
+	"errors"
 	"sort"
 	"sync"
 	"time"
@@ -16,40 +17,30 @@ import (
 	"github.com/zkdet/zkdet/internal/parallel"
 )
 
-// SealVerifier batch-verifies the proofs carried by the transactions of a
-// block being sealed. Implementations fold all proofs into one pairing
-// check and mark the valid ones pre-verified so execution skips the
-// expensive per-proof pairing (see contracts.BlockProofChecker, which
-// implements this structurally — the dependency points from the
-// application layer down to the node, never the reverse). The returned
-// error slice, when non-nil, has one entry per transaction; a non-nil
-// entry flags a transaction whose proof fails verification, which the
-// producer evicts instead of executing.
-type SealVerifier interface {
-	VerifyBatch(txs []*chain.Transaction) (verified int, errs []error)
-}
-
 // Config tunes the mempool and block producer.
 type Config struct {
 	// MaxPoolTxs caps pending+executing transactions; beyond it the pool
 	// evicts the furthest-future transaction or rejects the newcomer.
 	MaxPoolTxs int
-	// MaxBlockTxs seals a block as soon as this many transactions have
-	// executed since the last seal.
+	// MaxBlockTxs is the most transactions one block holds; a block is
+	// produced as soon as this many are pooled.
 	MaxBlockTxs int
-	// BlockInterval seals any executed-but-unsealed transactions on a
-	// timer, bounding inclusion latency under light traffic.
+	// BlockInterval produces a block from whatever is executable once that
+	// long has passed since the last one, bounding inclusion latency under
+	// light traffic.
 	BlockInterval time.Duration
 	// MaxGasLimit rejects transactions asking for more gas at admission.
 	MaxGasLimit uint64
 	// MaxNonceGap bounds how far ahead of the account nonce an explicit
 	// transaction nonce may run.
 	MaxNonceGap uint64
-	// SealVerifier, when set, batch-verifies proof-carrying transactions
-	// at seal time: valid proofs execute with their pairing check already
-	// done (amortised over the block), invalid ones are evicted before
-	// they waste block space.
-	SealVerifier SealVerifier
+	// SealVerifier, when set, is installed on the chain as its block
+	// verifier: proof-carrying transactions are folded at seal time, valid
+	// proofs execute with their pairing check already done (amortised over
+	// the block), invalid ones are evicted before they waste block space.
+	// A marketplace genesis installs contracts.BlockProofChecker on the
+	// chain itself; setting it here is only needed over a chain without one.
+	SealVerifier chain.BlockVerifier
 	// ExecWorkers sets the chain's parallel execution width for block
 	// batches (chain.SubmitBatch) — both locally produced and imported
 	// blocks. 0 sizes it to the machine (parallel.Workers); 1 forces the
@@ -90,14 +81,6 @@ func (c *Config) sanitize() {
 	}
 }
 
-// executedTx pairs a pooled transaction with its execution outcome, parked
-// until the next seal.
-type executedTx struct {
-	ptx     *poolTx
-	receipt *chain.Receipt
-	err     error
-}
-
 // Stats is a point-in-time snapshot of node counters.
 type Stats struct {
 	PoolSize     int
@@ -109,9 +92,10 @@ type Stats struct {
 	// ImportBlock (zero outside cluster deployments).
 	BlocksImported uint64
 	TxsIncluded    uint64
-	// Seal-time proof batching counters (zero unless a SealVerifier is
-	// configured): transactions whose proofs were validated in a block
-	// batch, and transactions evicted for carrying invalid proofs.
+	// Seal-time proof folding counters (zero over a chain with no block
+	// verifier): included transactions whose proofs were validated in
+	// their block's fold, and transactions evicted for carrying invalid
+	// proofs.
 	ProofsPreverified uint64
 	ProofsEvicted     uint64
 	// Inclusion latency (admission → sealed block) percentiles over the
@@ -133,14 +117,14 @@ type Node struct {
 	wg   sync.WaitGroup
 
 	mu                sync.Mutex
-	running           bool   // guarded by mu
-	blocksSealed      uint64 // guarded by mu
-	blocksImported    uint64 // guarded by mu
-	txsIncluded       uint64 // guarded by mu
-	proofsPreverified uint64 // guarded by mu
-	proofsEvicted     uint64 // guarded by mu
-	latencies []time.Duration // guarded by mu; ring buffer of recent inclusion latencies
-	latPos    int             // guarded by mu
+	running           bool            // guarded by mu
+	blocksSealed      uint64          // guarded by mu
+	blocksImported    uint64          // guarded by mu
+	txsIncluded       uint64          // guarded by mu
+	proofsPreverified uint64          // guarded by mu
+	proofsEvicted     uint64          // guarded by mu
+	latencies         []time.Duration // guarded by mu; ring buffer of recent inclusion latencies
+	latPos            int             // guarded by mu
 }
 
 const latencyWindow = 4096
@@ -159,9 +143,12 @@ func New(c *chain.Chain, cfg Config) *Node {
 	// The bus republishes every sealed block — whether this node's
 	// producer sealed it or someone called chain.SealBlock directly.
 	c.OnSeal(n.bus.publish)
-	// The chain-level worker count also drives ImportBlock replay, so
-	// follower nodes re-execute remote blocks at the same width.
+	// The chain-level worker count drives every block the chain applies,
+	// so producers and followers execute at the same width.
 	c.SetExecWorkers(cfg.ExecWorkers)
+	if cfg.SealVerifier != nil {
+		c.SetBlockVerifier(cfg.SealVerifier)
+	}
 	return n
 }
 
@@ -257,151 +244,113 @@ func (n *Node) wake() {
 	}
 }
 
-// executeBatch runs seal-time proof verification (when configured) and
-// execution over one popped batch, returning the executed transactions and
-// releasing the batch's pool reservations.
-func (n *Node) executeBatch(batch []*poolTx) []executedTx {
-	execBatch := batch
-	if sv := n.cfg.SealVerifier; sv != nil {
-		// Batch-verify the block's proofs in one pairing check.
-		// Valid proofs execute pre-verified (the contract charges
-		// the amortised schedule and skips its own pairing);
-		// transactions with invalid proofs are evicted here, so
-		// they neither waste block space nor run an on-chain
-		// verification doomed to revert.
-		txs := make([]*chain.Transaction, len(batch))
-		for i, ptx := range batch {
-			txs[i] = &ptx.tx
-		}
-		verified, errs := sv.VerifyBatch(txs)
-		var evicted int
-		if len(errs) == len(batch) {
-			kept := make([]*poolTx, 0, len(batch))
-			for i, ptx := range batch {
-				if errs[i] != nil {
-					ptx.finish(TxResult{Err: errs[i]})
-					evicted++
-					continue
-				}
-				kept = append(kept, ptx)
-			}
-			execBatch = kept
-		}
-		n.mu.Lock()
-		n.proofsPreverified += uint64(verified)
-		n.proofsEvicted += uint64(evicted)
-		n.mu.Unlock()
+// produce is the block producer's one step, shared by the free-running
+// loop and SealNow: pop up to a block's worth of executable transactions,
+// hand them to the chain's atomic apply-and-seal (chain.ProduceBlock: the
+// proofs are folded once, over the block, and execution happens at seal),
+// release the pool reservations and deliver every result. It returns the
+// sealed block — zero when no transaction made it in — and how many were
+// popped.
+func (n *Node) produce() (chain.Block, int) {
+	batch := n.pool.pop(n.cfg.MaxBlockTxs)
+	if len(batch) == 0 {
+		return chain.Block{}, 0
 	}
-	// Execute the whole batch through the parallel engine (serial for
-	// small batches or ExecWorkers == 1); outcomes are bit-identical to a
-	// per-transaction Submit loop by the engine's identity contract.
-	txs := make([]chain.Transaction, len(execBatch))
-	for i, ptx := range execBatch {
+	txs := make([]chain.Transaction, len(batch))
+	for i, ptx := range batch {
 		txs[i] = ptx.tx
 	}
-	outcomes := n.chain.SubmitBatch(txs, n.cfg.ExecWorkers)
-	executed := make([]executedTx, 0, len(execBatch))
-	for i, ptx := range execBatch {
-		executed = append(executed, executedTx{ptx: ptx, receipt: outcomes[i].Receipt, err: outcomes[i].Err})
+	res, err := n.chain.ProduceBlock(txs)
+	if errors.Is(err, chain.ErrPendingTxs) {
+		// Someone executed eagerly on this chain (chain.Submit beside the
+		// producer): seal their work as its own block, then ours.
+		n.chain.SealBlock()
+		res, err = n.chain.ProduceBlock(txs)
 	}
 	n.pool.markDone(batch)
-	return executed
-}
-
-// sealExecuted seals the executed transactions into a block, records
-// latency and counters, and delivers waiter results.
-func (n *Node) sealExecuted(executed []executedTx) chain.Block {
-	b := n.chain.SealBlock() // dispatches OnSeal hooks (bus, indexer)
+	if err != nil {
+		for _, ptx := range batch {
+			ptx.finish(TxResult{Err: err})
+		}
+		return chain.Block{}, len(batch)
+	}
 	now := time.Now()
 	n.mu.Lock()
-	n.blocksSealed++
-	n.txsIncluded += uint64(len(executed))
-	for _, e := range executed {
-		if e.err == nil {
-			n.recordLatencyLocked(now.Sub(e.ptx.added))
+	if res.Block.Number != 0 {
+		n.blocksSealed++
+	}
+	n.txsIncluded += uint64(len(res.Block.TxHashes))
+	n.proofsPreverified += uint64(res.ProofsVerified)
+	n.proofsEvicted += uint64(res.ProofsEvicted)
+	for i, ptx := range batch {
+		if res.Outcomes[i].Err == nil {
+			n.recordLatencyLocked(now.Sub(ptx.added))
 		}
 	}
 	n.mu.Unlock()
-	for _, e := range executed {
-		if e.err != nil {
-			e.ptx.finish(TxResult{Err: e.err})
+	for i, ptx := range batch {
+		if err := res.Outcomes[i].Err; err != nil {
+			ptx.finish(TxResult{Err: err})
 			continue
 		}
-		e.ptx.finish(TxResult{Receipt: e.receipt, BlockNumber: b.Number})
+		ptx.finish(TxResult{Receipt: res.Outcomes[i].Receipt, BlockNumber: res.Block.Number})
 	}
-	return b
+	return res.Block, len(batch)
 }
 
-// run is the block producer: it drains executable transactions from the
-// pool, executes them against the chain, and seals when MaxBlockTxs have
-// accumulated or the interval expires with work pending.
+// run is the free-running block producer: a block is produced whenever a
+// full one is pooled, and from whatever is executable when the interval
+// expires.
 func (n *Node) run() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.BlockInterval)
 	defer ticker.Stop()
-	var executed []executedTx
-
-	seal := func() {
-		if len(executed) == 0 {
-			return
-		}
-		n.sealExecuted(executed)
-		executed = executed[:0]
-	}
-
-	drain := func() {
-		for {
-			batch := n.pool.pop(n.cfg.MaxBlockTxs - len(executed))
-			if len(batch) == 0 {
+	// drain produces blocks for as long as full ones keep coming; when the
+	// interval expired the first takes whatever is executable. The interval
+	// runs from the last block, so under sustained load it never cuts a
+	// block short.
+	drain := func(partial bool) {
+		for partial || n.pool.Len() >= n.cfg.MaxBlockTxs {
+			_, popped := n.produce()
+			ticker.Reset(n.cfg.BlockInterval)
+			if popped < n.cfg.MaxBlockTxs {
 				return
 			}
-			executed = append(executed, n.executeBatch(batch)...)
-			if len(executed) >= n.cfg.MaxBlockTxs {
-				seal()
-			}
+			partial = false
 		}
 	}
-
 	for {
 		select {
 		case <-n.kick:
-			drain()
+			drain(false)
 		case <-ticker.C:
-			drain()
-			seal()
+			drain(true)
 		case <-n.quit:
-			drain()
-			seal()
+			for {
+				if _, popped := n.produce(); popped == 0 {
+					break
+				}
+			}
 			n.pool.drainAll(ErrNodeStopped)
 			return
 		}
 	}
 }
 
-// SealNow synchronously drains up to one block's worth of executable
-// transactions, executes them, and seals them into a block — the
-// entry point for external block producers (a p2p cluster's leader
-// rotation drives this instead of Start's free-running loop). ok is false
-// when no transactions were executable, in which case no block is sealed.
-// Do not mix with Start: a node is either self-sealing or externally
-// driven.
+// SealNow synchronously produces one block from up to a block's worth of
+// executable transactions — the entry point for external block producers
+// (a p2p cluster's leader rotation drives this instead of Start's
+// free-running loop). ok is false when no transaction made it into a
+// block, in which case none is sealed. Do not mix with Start: a node is
+// either self-sealing or externally driven.
 func (n *Node) SealNow() (chain.Block, bool) {
-	var executed []executedTx
-	for len(executed) < n.cfg.MaxBlockTxs {
-		batch := n.pool.pop(n.cfg.MaxBlockTxs - len(executed))
-		if len(batch) == 0 {
-			break
-		}
-		executed = append(executed, n.executeBatch(batch)...)
-	}
-	if len(executed) == 0 {
-		return chain.Block{}, false
-	}
-	return n.sealExecuted(executed), true
+	b, _ := n.produce()
+	return b, b.Number != 0
 }
 
-// ImportBlock replays a remotely sealed block into the local chain and
-// reconciles the mempool: transactions included by the remote sealer are
+// ImportBlock applies a remotely sealed block to the local chain (the same
+// routine that produced it, see chain.ImportBlock) and reconciles the
+// mempool: transactions included by the remote sealer are
 // purged from the pool (delivering their receipts to any local waiters),
 // and transactions made unexecutable by the imported nonces are evicted.
 // The chain's OnSeal hooks (bus, indexer) run exactly as for a locally

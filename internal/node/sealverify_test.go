@@ -11,22 +11,25 @@ import (
 
 var errStubProof = errors.New("stub: invalid proof")
 
-// stubSealVerifier flags any transaction whose method is "bad" and counts
-// the rest as verified, standing in for contracts.BlockProofChecker (whose
-// real pairing path is covered in internal/contracts).
+// stubSealVerifier flags any transaction whose method is "bad" and enters
+// every other one in the block's table as one validated proof item,
+// standing in for contracts.BlockProofChecker (whose real pairing path is
+// covered in internal/contracts).
 type stubSealVerifier struct{}
 
-func (stubSealVerifier) VerifyBatch(txs []*chain.Transaction) (int, []error) {
+func (stubSealVerifier) CheckBlock(txs []*chain.Transaction) (chain.ProofMarks, []error) {
 	errs := make([]error, len(txs))
-	verified := 0
+	marks := chain.ProofMarks{Width: make(map[chain.ProofID]int)}
 	for i, tx := range txs {
 		if tx.Method == "bad" {
 			errs[i] = errStubProof
-		} else {
-			verified++
+			continue
 		}
+		marks.Width[chain.ProofKey(tx.Contract, tx.Args)] = len(txs)
+		marks.Items++
+		marks.Txs++
 	}
-	return verified, errs
+	return marks, errs
 }
 
 // TestSealVerifierEvictsFlaggedTxs pins the producer-side contract: flagged
@@ -95,9 +98,36 @@ func TestSealVerifierEvictsFlaggedTxs(t *testing.T) {
 		}
 	}
 
+	// The block records the fold of exactly its own body — the flagged
+	// transaction was dropped before the table was settled — so a follower
+	// holding the same verifier replays it.
+	var folded uint32
+	follower := chain.New()
+	follower.SetBlockVerifier(stubSealVerifier{})
+	if _, err := follower.Deploy("logbox", logbox{}, 100); err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range senders {
+		follower.Faucet(s, 1_000_000)
+	}
+	for num := uint64(1); ; num++ {
+		b, ok := c.BlockByNumber(num)
+		if !ok {
+			break
+		}
+		folded += b.Fold
+		body, _ := c.BlockBody(num)
+		if _, err := follower.ImportBlock(b, body); err != nil {
+			t.Fatalf("follower refused block %d: %v", num, err)
+		}
+	}
+	if folded != 2 {
+		t.Fatalf("sealed headers record a fold of %d items, want 2", folded)
+	}
+
 	s := n.Stats()
-	if s.ProofsPreverified < 2 {
-		t.Fatalf("ProofsPreverified = %d, want >= 2", s.ProofsPreverified)
+	if s.ProofsPreverified != 2 {
+		t.Fatalf("ProofsPreverified = %d, want 2", s.ProofsPreverified)
 	}
 	if s.ProofsEvicted != 1 {
 		t.Fatalf("ProofsEvicted = %d, want 1", s.ProofsEvicted)

@@ -208,13 +208,3 @@ func (n *Node) routeResponse(msg Message) {
 		}
 	}
 }
-
-// errAny returns the first non-nil error in errs.
-func errAny(errs []error) error {
-	for _, e := range errs {
-		if e != nil {
-			return e
-		}
-	}
-	return nil
-}

@@ -16,13 +16,11 @@ import (
 // ErrStopped reports an operation cut short by Node.Stop.
 var ErrStopped = errors.New("p2p: node stopped")
 
-// TxValidator screens proof-carrying transactions at the network boundary
-// without mutating verifier state. contracts.BlockProofChecker.GossipCheck
-// implements it structurally — like node.SealVerifier, the dependency
-// points from the application layer down, never the reverse. The no-mark
-// property is load-bearing: marking proofs pre-verified at gossip time
-// would change execution-time gas on the nodes that happened to gossip a
-// transaction, and replicas would diverge at the out-of-gas boundary.
+// TxValidator screens proof-carrying transactions at the network boundary.
+// contracts.BlockProofChecker.GossipCheck implements it structurally — the
+// dependency points from the application layer down, never the reverse.
+// Screening has no effect on what a transaction later pays: that is decided
+// by the block it is sealed in (chain.Block.Fold), on every node alike.
 type TxValidator interface {
 	GossipCheck(txs []*chain.Transaction) (verified int, errs []error)
 }
@@ -71,7 +69,8 @@ type Config struct {
 	// Default -100.
 	DemoteBelow int
 	// Validator, when set, screens proof-carrying transactions at gossip
-	// ingress, block import, and local submission.
+	// ingress and local submission (blocks are checked by the chain itself
+	// when they are imported).
 	Validator TxValidator
 	// Store, when set, is this node's local blob store: the node serves
 	// MsgGetBlob from it and accepts MsgBlobPush replicas into it. Any

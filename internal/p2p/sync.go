@@ -122,11 +122,12 @@ func (n *Node) bestPeer(above uint64) (NodeID, uint64) {
 }
 
 // syncFrom performs one headers-first round against a peer: fetch a batch
-// of headers extending the local head, check their linkage, then fetch,
-// screen, and import each body. Returns true when at least one block was
-// imported (the caller loops for more). A peer serving headers that do not
-// link, bodies that do not match, proof-invalid transactions, or blocks
-// whose replay diverges is demoted hard; timeouts merely end the round.
+// of headers extending the local head, check their linkage, then fetch and
+// import each body. Returns true when at least one block was imported (the
+// caller loops for more). A peer serving headers that do not link, bodies
+// that do not match, or blocks the chain refuses to apply (a proof in a
+// folded block that does not verify, a fold the header lies about, a
+// replay that diverges) is demoted hard; timeouts merely end the round.
 func (n *Node) syncFrom(peer NodeID, target uint64) bool {
 	local := n.inner.Chain().Head()
 	if target <= local.Number {
@@ -172,11 +173,12 @@ func (n *Node) syncFrom(peer NodeID, target uint64) bool {
 	return advanced
 }
 
-// importFetched validates one fetched block (body matches header, proofs
-// verify under the no-mark gossip check) and replays it into the local
-// chain. Honest sealers never include proof-invalid transactions — they
-// screen at gossip ingress — so a block carrying one is a faulty sealer's,
-// not a gas-divergence case.
+// importFetched checks that a fetched body matches its header and applies
+// the block to the local chain. The import is the proof check: the chain
+// folds the body's proofs exactly as the sealer did, verifying each once,
+// and refuses — rolling everything back — a folded block carrying a proof
+// that fails or recording a fold its body does not produce. A separate
+// screen in front of it would verify every proof twice.
 func (n *Node) importFetched(peer NodeID, h chain.Block, txs []chain.Transaction) bool {
 	if len(txs) != len(h.TxHashes) {
 		n.demote(peer, scoreInvalidBlock)
@@ -188,22 +190,13 @@ func (n *Node) importFetched(peer NodeID, h chain.Block, txs []chain.Transaction
 			return false
 		}
 	}
-	if v := n.cfg.Validator; v != nil && len(txs) > 0 {
-		ptrs := make([]*chain.Transaction, len(txs))
-		for i := range txs {
-			ptrs[i] = &txs[i]
-		}
-		if _, errs := v.GossipCheck(ptrs); errAny(errs) != nil {
-			n.demote(peer, scoreInvalidBlock)
-			return false
-		}
-	}
 	n.chainMu.Lock()
 	_, err := n.inner.ImportBlock(h, txs)
 	n.chainMu.Unlock()
 	if err != nil {
 		// Racing our own seal or a concurrent import is not the peer's
-		// fault; everything else (bad replay, state mismatch) is.
+		// fault; everything else (bad proof, lying fold, bad replay, state
+		// mismatch) is.
 		if !errors.Is(err, chain.ErrNotNextBlock) && !errors.Is(err, chain.ErrBadParent) {
 			n.demote(peer, scoreInvalidBlock)
 		}

@@ -23,12 +23,13 @@ var (
 	ErrBadSnapshot = errors.New("snapshot: malformed or corrupt snapshot file")
 )
 
-// snapVersion 2: the checkpointed state root is the Merkle-trie commitment
-// (chain/statetrie.go). A version-1 file carries roots of the old sorted
-// walk, which no restore can re-derive, so it is refused at the manifest.
+// snapVersion 3: block headers carry chain.Block.Fold, which is hashed. A
+// version-2 file's headers hash (and its WAL block records frame)
+// differently, a version-1 file carries state roots of the old sorted walk;
+// neither can be re-derived, so both are refused at the manifest.
 const (
 	snapMagic   = "ZKSNAP01"
-	snapVersion = 2
+	snapVersion = 3
 )
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
@@ -233,6 +234,7 @@ func encodeBlock(e *enc, b *chain.Block) {
 		e.hash(h)
 	}
 	e.hash(b.StateRoot)
+	e.u32(b.Fold)
 }
 
 func decodeBlock(d *dec) chain.Block {
@@ -245,6 +247,7 @@ func decodeBlock(d *dec) chain.Block {
 		}
 	}
 	b.StateRoot = d.hash()
+	b.Fold = d.u32()
 	return b
 }
 

@@ -157,8 +157,9 @@ func TestCodecRoundTrip(t *testing.T) {
 }
 
 // TestDecodeRefusesOldVersion: a snapshot written before the state root
-// became the trie commitment (version 1) is refused at the manifest with the
-// typed error, not decoded in full and failed at the state-root check.
+// became the trie commitment (version 1), or before headers carried their
+// fold (version 2), is refused at the manifest with the typed error, not
+// decoded in full and failed at the state-root check.
 func TestDecodeRefusesOldVersion(t *testing.T) {
 	c := genesis(t)
 	c.SealBlock()
@@ -166,12 +167,14 @@ func TestDecodeRefusesOldVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	data := Encode(&Snapshot{State: exp})
-	binary.LittleEndian.PutUint32(data[len(snapMagic):], 1)
-	binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.Checksum(data[:len(data)-4], crcTable))
-	_, err = Decode(data)
-	if !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), "unsupported version 1") {
-		t.Fatalf("Decode of a version-1 snapshot = %v, want ErrBadSnapshot: unsupported version 1", err)
+	for _, old := range []uint32{1, 2} {
+		data := Encode(&Snapshot{State: exp})
+		binary.LittleEndian.PutUint32(data[len(snapMagic):], old)
+		binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.Checksum(data[:len(data)-4], crcTable))
+		_, err = Decode(data)
+		if want := fmt.Sprintf("unsupported version %d", old); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want) {
+			t.Fatalf("Decode of a version-%d snapshot = %v, want ErrBadSnapshot: %s", old, err, want)
+		}
 	}
 }
 
