@@ -82,8 +82,10 @@ race:
 
 # Native Go fuzzing, smoke-length: 10s per target over the byte-level
 # attack surfaces (field-element decoding, transcript challenge
-# derivation, the MSM bucket kernel on colliding points against the naive
-# sum, and the state-trie op stream against its from-scratch rebuild) and
+# derivation, the MSM bucket kernel on colliding points — its buckets
+# filled by batch-affine rounds and by XYZZ mixed additions alone, against
+# the naive sum and each other — and the
+# state-trie op stream against its from-scratch rebuild) and
 # the three field-multiplication kernels against big.Int (skipped, saying
 # so, on a host without ADX). CI runs this; `go test -fuzz` with a longer
 # -fuzztime digs deeper locally.
@@ -104,7 +106,9 @@ fuzz-smoke:
 # Package-level prover-stack benchmarks (the field multiplication as
 # latency, throughput and per kernel; Domain.FFT, G1MSM, kzg.Commit,
 # plonk.Prove at 2^10..2^16, including 2^13, the π_e domain of the repo
-# benchmark's probes); see EXPERIMENTS.md for recorded trajectories.
+# benchmark's probes), with -benchmem: bytes per MSM and per proof are
+# bounded by the repo benchmark (alloc_mb_per_op, 3 %), so every recorded
+# trajectory carries them; see EXPERIMENTS.md.
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkMul$$|BenchmarkMulThroughput$$|BenchmarkMulKernels$$|BenchmarkFFT$$|BenchmarkG1MSM$$|BenchmarkCommit$$|BenchmarkProve$$' -benchmem \
 		./internal/ff/ ./internal/poly/ ./internal/bn254/ ./internal/kzg/ ./internal/plonk/

@@ -13,6 +13,7 @@ package bn254
 import (
 	"fmt"
 	"math/big"
+	"unsafe"
 
 	"github.com/zkdet/zkdet/internal/ff"
 )
@@ -111,14 +112,15 @@ func (z *Fp) Inverse(x *Fp) *Fp { fpField.Inverse(&z.v, &x.v); return z }
 // Exp sets z = x^e for non-negative e and returns z.
 func (z *Fp) Exp(x *Fp, e *big.Int) *Fp { fpField.Exp(&z.v, &x.v, e); return z }
 
-// fpBatchInverse inverts all non-zero entries in place with one inversion.
-func fpBatchInverse(xs []Fp) {
-	raw := make([]ff.Element, len(xs))
-	for i := range xs {
-		raw[i] = xs[i].v
-	}
-	fpField.BatchInverse(raw)
-	for i := range xs {
-		xs[i].v = raw[i]
-	}
+// fpBatchInverse inverts every non-zero entry of xs in place with one field
+// inversion (ff.Field.BatchInverse); zero entries stay zero. scratch must be
+// at least as long as xs.
+func fpBatchInverse(xs, scratch []Fp) {
+	fpField.BatchInverse(fpRaw(xs), fpRaw(scratch))
+}
+
+// fpRaw views xs as the field elements it wraps: an Fp is a struct of one
+// ff.Element and nothing else, so the two slices share a layout.
+func fpRaw(xs []Fp) []ff.Element {
+	return unsafe.Slice((*ff.Element)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs))
 }

@@ -105,11 +105,12 @@ func (p *G1Affine) FromJacobian(q *G1Jac) *G1Affine {
 
 // g1BatchFromJacobian converts points to affine with one shared inversion.
 func g1BatchFromJacobian(out []G1Affine, in []G1Jac) {
-	zs := make([]Fp, len(in))
+	buf := make([]Fp, 2*len(in))
+	zs, scratch := buf[:len(in)], buf[len(in):]
 	for i := range in {
 		zs[i] = in[i].Z
 	}
-	fpBatchInverse(zs)
+	fpBatchInverse(zs, scratch)
 	for i := range in {
 		if in[i].Z.IsZero() {
 			out[i] = G1Affine{}

@@ -14,6 +14,15 @@ import (
 // reduction itself.
 const msmMinChunk = 256
 
+// msmMinBatch is the smallest number of independent affine additions worth
+// one shared field inversion. A batched addition is ~50 ns cheaper than the
+// XYZZ mixed addition it replaces and the Fermat inversion costs ~8 µs, so
+// the two meet near 150 pairs; the measured curve is flat from 96 to 192
+// (EXPERIMENTS.md §"Batch-affine buckets"). A chunk that cannot fill its
+// first round this far — every verifier and seal-fold MSM — is summed with
+// XYZZ mixed additions only.
+const msmMinBatch = 128
+
 // G1MSM computes the multi-scalar multiplication ∑ scalars[i]·points[i]
 // with Pippenger's bucket algorithm using signed windowed digits (halving
 // the bucket count per window) and a two-dimensional parallel split: the
@@ -43,30 +52,69 @@ func G1MSM(points []G1Affine, scalars []fr.Element) (G1Affine, error) {
 		out.FromJacobian(&acc)
 		return out, nil
 	}
-	return msmWithWindow(points, scalars, windowSize(len(points))), nil
+	return msmWithWindow(points, scalars, windowSize(len(points)), msmMinBatch), nil
 }
 
 // scalarBits bounds the bit length of a canonical scalar (r < 2^254).
 const scalarBits = 254
 
+// msmCallScratch is the memory one msmWithWindow call needs whatever its
+// worker count; msmTaskScratch is what one worker's bucket accumulations
+// need. Both are pooled: a prover runs hundreds of MSMs of a few sizes,
+// several at a time (plonk.commitParallel), and a Get hands each live call
+// and each live worker its own value.
+type msmCallScratch struct {
+	digits  []int16 // signed digits, window-major
+	partial []G1Jac // one sum per (window, chunk) task
+}
+
+type msmTaskScratch struct {
+	off       []uint32   // counting-sort offsets, one per bucket plus two
+	pts       []G1Affine // the chunk's points sorted by bucket, then each round's sums
+	den, prod []Fp       // a round's slope denominators, and fpBatchInverse's scratch
+}
+
+var (
+	msmCallPool = sync.Pool{New: func() any { return new(msmCallScratch) }}
+	msmTaskPool = sync.Pool{New: func() any { return new(msmTaskScratch) }}
+)
+
+// grow returns s resized to n elements, reallocating only when its
+// capacity is short; the contents are unspecified.
+func grow[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
+}
+
 // msmWithWindow is the Pippenger core with an explicit window width
-// (at most 16: digits are stored as int16); tests call it directly to
-// exercise every windowSize breakpoint on small inputs.
-func msmWithWindow(points []G1Affine, scalars []fr.Element, c int) G1Affine {
+// (at most 16: digits are stored as int16) and batch threshold; tests call
+// it directly to exercise every windowSize breakpoint and both kinds of
+// bucket addition on small inputs.
+func msmWithWindow(points []G1Affine, scalars []fr.Element, c, minBatch int) G1Affine {
 	n := len(scalars)
+	call := msmCallPool.Get().(*msmCallScratch)
+	defer msmCallPool.Put(call)
 	// One pass per scalar: leave Montgomery form into canonical limbs, note
 	// the bit length, and recode into signed windowed digits in
 	// [-2^(c-1), 2^(c-1)-1] with carry propagation, so each window needs
 	// only 2^(c-1) buckets (a negative digit subtracts the point). One extra
 	// window absorbs the final carry (its digit is 0 or 1). The matrix is
-	// window-major so a bucket pass reads its digits sequentially.
+	// window-major so a bucket pass reads its digits sequentially. A point
+	// at infinity keeps all-zero digits, so no bucket ever sees one.
 	maxWindows := (scalarBits+c-1)/c + 1
-	digits := make([]int16, maxWindows*n)
+	call.digits = grow(call.digits, maxWindows*n)
+	digits := call.digits
+	clear(digits)
 	var mu sync.Mutex
 	maxBits := 0
 	parallel.Execute(n, func(start, end int) {
 		top := 0
 		for i := start; i < end; i++ {
+			if points[i].IsInfinity() {
+				continue
+			}
 			l := scalars[i].Limbs()
 			bl := limbsBitLen(&l)
 			if bl > top {
@@ -107,10 +155,12 @@ func msmWithWindow(points []G1Affine, scalars []fr.Element, c int) G1Affine {
 	}
 	chunkLen := (n + numChunks - 1) / numChunks
 
-	partial := make([]G1Jac, numWindows*numChunks)
+	call.partial = grow(call.partial, numWindows*numChunks)
+	partial := call.partial
 	parallel.Execute(numWindows*numChunks, func(start, end int) {
-		// One bucket array per worker range, reused by every task in it.
-		buckets := make([]g1XYZZ, 1<<(c-1))
+		// One scratch per worker range, reused by every task in it.
+		s := msmTaskPool.Get().(*msmTaskScratch)
+		defer msmTaskPool.Put(s)
 		for task := start; task < end; task++ {
 			w := task / numChunks
 			lo := (task % numChunks) * chunkLen
@@ -118,7 +168,7 @@ func msmWithWindow(points []G1Affine, scalars []fr.Element, c int) G1Affine {
 			if hi > n {
 				hi = n
 			}
-			sum := bucketAccumulate(buckets, points[lo:hi], digits[w*n+lo:w*n+hi])
+			sum := s.bucketAccumulate(1<<(c-1), points[lo:hi], digits[w*n+lo:w*n+hi], minBatch)
 			sum.toJacobian(&partial[task])
 		}
 	})
@@ -142,25 +192,148 @@ func msmWithWindow(points []G1Affine, scalars []fr.Element, c int) G1Affine {
 }
 
 // bucketAccumulate computes ∑ digit_i · P_i for one window over one point
-// chunk, using (and first clearing) the caller's bucket array. Bucket b
-// holds the points of |digit| = b+1 ∈ [1, 2^(c-1)]; negative digits
-// contribute the negated point.
-func bucketAccumulate(buckets []g1XYZZ, points []G1Affine, digit []int16) g1XYZZ {
-	clear(buckets)
-	for i, d := range digit {
-		switch {
-		case d > 0:
-			buckets[d-1].addMixed(&points[i], false)
-		case d < 0:
-			buckets[-int(d)-1].addMixed(&points[i], true)
+// chunk. Bucket b holds the points of |digit| = b+1 ∈ [1, numBuckets];
+// negative digits contribute the negated point, and no point is infinity
+// (msmWithWindow gave those zero digits).
+//
+// The points are counting-sorted by bucket, then every bucket is halved by
+// rounds of pairwise affine additions: the pairs of a round are independent,
+// so one shared inversion yields every slope (Montgomery's trick) and an
+// addition costs 5M + 1S against the 8M + 2S of an XYZZ mixed addition.
+// Rounds stop when fewer than minBatch pairs are left to share the
+// inversion, and the XYZZ running sum of the reduction takes what remains of
+// each bucket point by point with addMixed. A chunk too short to fill even
+// its first round — every verifier and seal-fold MSM — is summed that way
+// whole. minBatch = 0 runs the rounds down to the last pair and
+// minBatch = math.MaxInt none at all (tests).
+func (s *msmTaskScratch) bucketAccumulate(numBuckets int, points []G1Affine, digit []int16, minBatch int) g1XYZZ {
+	// After the prefix sum off[b+1] is where bucket b starts; the scatter
+	// advances it to where bucket b ends, which is where b+1 starts, so
+	// bucket b is then pts[off[b]:off[b+1]].
+	s.off = grow(s.off, numBuckets+2)
+	off := s.off
+	clear(off)
+	for _, d := range digit {
+		if d != 0 {
+			off[bucketOf(d)+2]++
 		}
 	}
+	for b := 2; b < len(off); b++ {
+		off[b] += off[b-1]
+	}
+	s.pts = grow(s.pts, int(off[numBuckets+1]))
+	pts := s.pts
+	for i, d := range digit {
+		if d == 0 {
+			continue
+		}
+		p := &pts[off[bucketOf(d)+1]]
+		off[bucketOf(d)+1]++
+		*p = points[i]
+		if d < 0 {
+			p.Y.Neg(&p.Y)
+		}
+	}
+	// From here cnt[b] counts bucket b's points, laid out back to back in
+	// pts in bucket order.
+	cnt := off[:numBuckets]
+	for b := range cnt {
+		cnt[b] = off[b+1] - off[b]
+	}
+
+	for {
+		pairs := 0
+		for _, m := range cnt {
+			pairs += int(m / 2)
+		}
+		if pairs < max(minBatch, 1) {
+			break
+		}
+		// The first round is the largest, so these grow once per call.
+		s.den, s.prod = grow(s.den, pairs), grow(s.prod, pairs)
+		den := s.den
+		d, k := 0, 0
+		for _, m := range cnt {
+			for j := uint32(0); j+1 < m; j += 2 {
+				slopeDenominator(&den[d], &pts[k], &pts[k+1])
+				d, k = d+1, k+2
+			}
+			k += int(m & 1)
+		}
+		fpBatchInverse(den, s.prod)
+		// Pack the sums, and each bucket's odd point out, to the front of
+		// pts: a pair is two reads for at most one write, so the write
+		// position never passes the read position.
+		r, w, d := 0, 0, 0
+		for b, m := range cnt {
+			cnt[b] = 0
+			for j := uint32(0); j+1 < m; j += 2 {
+				if !den[d].IsZero() { // else the pair cancelled
+					pts[w].addAffine(&pts[r], &pts[r+1], &den[d])
+					w++
+					cnt[b]++
+				}
+				r, d = r+2, d+1
+			}
+			if m&1 == 1 {
+				pts[w] = pts[r]
+				r, w = r+1, w+1
+				cnt[b]++
+			}
+		}
+		pts = pts[:w]
+	}
+
 	var running, sum g1XYZZ
-	for b := len(buckets) - 1; b >= 0; b-- {
-		running.add(&buckets[b])
+	k := len(pts)
+	for b := len(cnt) - 1; b >= 0; b-- {
+		for j := cnt[b]; j > 0; j-- {
+			k--
+			running.addMixed(&pts[k], false)
+		}
 		sum.add(&running)
 	}
 	return sum
+}
+
+// bucketOf maps a non-zero signed digit to its bucket index |d| - 1. The
+// sign of a digit is a coin flip, so it is folded in without a branch.
+func bucketOf(d int16) int {
+	v := int32(d)
+	sign := v >> 31
+	return int((v^sign)-sign) - 1
+}
+
+// slopeDenominator sets d to the denominator of the slope of the line
+// through the finite points p and q — x_q - x_p, or 2y for the tangent when
+// p = q — and to zero exactly when p + q is infinity (opposite points, or a
+// point of order two), so that no other zero reaches a shared inversion.
+func slopeDenominator(d *Fp, p, q *G1Affine) {
+	d.Sub(&q.X, &p.X)
+	if d.IsZero() && p.Y.Equal(&q.Y) {
+		d.Double(&p.Y)
+	}
+}
+
+// addAffine sets r = p + q for finite p, q given dInv, the inverse of their
+// non-zero slopeDenominator. r may alias p or q.
+func (r *G1Affine) addAffine(p, q *G1Affine, dInv *Fp) {
+	var l, x3, y3 Fp
+	if p.X.Equal(&q.X) {
+		l.Square(&p.X) // tangent: λ = 3x² / 2y
+		x3.Double(&l)
+		l.Add(&l, &x3)
+	} else {
+		l.Sub(&q.Y, &p.Y) // chord: λ = (y_q - y_p) / (x_q - x_p)
+	}
+	l.Mul(&l, dInv)
+	x3.Square(&l) // x_r = λ² - x_p - x_q
+	x3.Sub(&x3, &p.X)
+	x3.Sub(&x3, &q.X)
+	y3.Sub(&p.X, &x3) // y_r = λ(x_p - x_r) - y_p
+	y3.Mul(&y3, &l)
+	y3.Sub(&y3, &p.Y)
+	r.X, r.Y = x3, y3
 }
 
 // limbsBitLen returns the bit length of a little-endian 256-bit integer.
@@ -189,19 +362,19 @@ func limbWindow(l *[4]uint64, offset, c int) int {
 
 // windowSize picks the Pippenger window for n points: the fastest width in
 // a measured sweep of msmWithWindow over c = 2..16 with full-width scalars
-// (BenchmarkMSMWindow; table in EXPERIMENTS.md). A window costs n mixed
-// additions plus 2·2^(c-1) general additions of bucket reduction, so the
+// (BenchmarkMSMWindow; table in EXPERIMENTS.md). A window costs one
+// addition per point and two more per bucket for the reduction, so the
 // optimum sits where the reduction is a minor share of the window; the
 // curve is flat within ±1 of each entry.
 func windowSize(n int) int {
 	switch {
-	case n < 20:
+	case n < 16:
 		return 3
 	case n < 48:
 		return 4
 	case n < 112:
 		return 5
-	case n < 320:
+	case n < 256:
 		return 6
 	case n < 640:
 		return 7
@@ -211,6 +384,8 @@ func windowSize(n int) int {
 		return 9
 	case n < 1<<14:
 		return 10
+	case n < 1<<15:
+		return 11
 	case n < 1<<16:
 		return 12
 	case n < 1<<18:

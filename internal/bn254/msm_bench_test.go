@@ -3,7 +3,9 @@ package bn254
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
+	"time"
 
 	"github.com/zkdet/zkdet/internal/fr"
 )
@@ -25,8 +27,30 @@ func BenchmarkG1MSM(b *testing.B) {
 	}
 }
 
+// benchTakingTurns times candidate implementations of one computation
+// against each other: every iteration runs each of them once, in order, so
+// a host that drifts between fast and slow (this repository's benchmarks
+// run on shared machines) slows all of them alike. It reports each
+// candidate's fastest and median run in µs.
+func benchTakingTurns(b *testing.B, names []string, run func(candidate int)) {
+	runs := make([][]float64, len(names))
+	for i := 0; i < b.N; i++ {
+		for k := range names {
+			start := time.Now()
+			run(k)
+			runs[k] = append(runs[k], float64(time.Since(start).Microseconds()))
+		}
+	}
+	for k, name := range names {
+		sort.Float64s(runs[k])
+		b.ReportMetric(runs[k][0], "us-min/"+name)
+		b.ReportMetric(runs[k][len(runs[k])/2], "us-med/"+name)
+	}
+}
+
 // BenchmarkMSMWindow sweeps the Pippenger window width around windowSize's
-// choice with full-width scalars; windowSize's table is read off its output.
+// choice with full-width scalars, the widths taking turns; windowSize's
+// table is read off its output.
 func BenchmarkMSMWindow(b *testing.B) {
 	const maxLog = 16
 	points := msmTestPoints(1 << maxLog)
@@ -34,13 +58,41 @@ func BenchmarkMSMWindow(b *testing.B) {
 	for i := range scalars {
 		scalars[i] = fr.MustRandom()
 	}
-	for _, n := range []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192, 1 << 14, 1 << 15, 1 << 16} {
-		for c := max(2, windowSize(n)-2); c <= min(16, windowSize(n)+2); c++ {
-			b.Run(fmt.Sprintf("n=%d/c=%d", n, c), func(b *testing.B) {
-				for i := 0; i < b.N; i++ {
-					msmWithWindow(points[:n], scalars[:n], c)
-				}
-			})
+	for _, n := range []int{4, 6, 8, 12, 16, 24, 32, 64, 128, 160, 192, 224, 256, 512, 1024, 2048, 4096, 8192, 1 << 14, 1 << 15, 1 << 16} {
+		lo := max(2, windowSize(n)-2)
+		var names []string
+		for c := lo; c <= min(16, windowSize(n)+2); c++ {
+			names = append(names, fmt.Sprintf("c=%d", c))
 		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchTakingTurns(b, names, func(k int) {
+				msmWithWindow(points[:n], scalars[:n], lo+k, msmMinBatch)
+			})
+		})
+	}
+}
+
+// BenchmarkMSMBatchThreshold times the Pippenger core around the size where
+// one shared inversion per round starts to pay, with no batched round at
+// all (XYZZ mixed additions only) and once per candidate msmMinBatch; the
+// constant is read off its output (table in EXPERIMENTS.md).
+func BenchmarkMSMBatchThreshold(b *testing.B) {
+	const maxN = 2048
+	points := msmTestPoints(maxN)
+	scalars := make([]fr.Element, maxN)
+	for i := range scalars {
+		scalars[i] = fr.MustRandom()
+	}
+	candidates := []int{msmNeverBatch, 32, 64, 96, 128, 192, 256}
+	names := []string{"no-rounds"}
+	for _, minBatch := range candidates[1:] {
+		names = append(names, fmt.Sprintf("minBatch=%d", minBatch))
+	}
+	for _, n := range []int{128, 192, 256, 384, 512, 768, 1024, 2048} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchTakingTurns(b, names, func(k int) {
+				msmWithWindow(points[:n], scalars[:n], windowSize(n), candidates[k])
+			})
+		})
 	}
 }

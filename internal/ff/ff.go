@@ -283,13 +283,14 @@ func (f *Field) Inverse(z, x *Element) {
 
 // BatchInverse inverts every non-zero element of xs in place using
 // Montgomery's trick (a single field inversion plus 3(n-1) multiplications).
-// Zero entries are left as zero.
-func (f *Field) BatchInverse(xs []Element) {
+// Zero entries are left as zero. scratch receives the running products and
+// must be at least as long as xs; the method allocates nothing.
+func (f *Field) BatchInverse(xs, scratch []Element) {
 	n := len(xs)
 	if n == 0 {
 		return
 	}
-	prefix := make([]Element, n)
+	prefix := scratch[:n]
 	acc := f.One()
 	for i := range xs {
 		prefix[i] = acc

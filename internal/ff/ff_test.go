@@ -243,13 +243,13 @@ func TestBatchInverse(t *testing.T) {
 		}
 		f.Inverse(&want[i], &xs[i])
 	}
-	f.BatchInverse(xs)
+	f.BatchInverse(xs, make([]Element, len(xs)))
 	for i := range xs {
 		if !f.Equal(&xs[i], &want[i]) {
 			t.Fatalf("batch inverse mismatch at %d", i)
 		}
 	}
-	f.BatchInverse(nil) // must not panic
+	f.BatchInverse(nil, nil) // must not panic
 }
 
 // bytesViaBig is the big.Int encoder Bytes used to be, kept as its oracle.

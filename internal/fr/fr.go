@@ -11,6 +11,7 @@ import (
 	"fmt"
 	"io"
 	"math/big"
+	"unsafe"
 
 	"github.com/zkdet/zkdet/internal/ff"
 	"github.com/zkdet/zkdet/internal/parallel"
@@ -206,14 +207,10 @@ func BatchInvert(xs []Element) {
 }
 
 func batchInvertSerial(xs []Element) {
-	raw := make([]ff.Element, len(xs))
-	for i := range xs {
-		raw[i] = xs[i].v
-	}
-	field.BatchInverse(raw)
-	for i := range xs {
-		xs[i].v = raw[i]
-	}
+	// An Element is a struct of one ff.Element and nothing else, so the
+	// slice can be handed to the field as it is.
+	raw := unsafe.Slice((*ff.Element)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs))
+	field.BatchInverse(raw, make([]ff.Element, len(xs)))
 }
 
 // Powers returns [1, base, base², …, base^(n-1)]. Large requests are split

@@ -2,6 +2,8 @@ package plonk
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"github.com/zkdet/zkdet/internal/fr"
@@ -53,6 +55,49 @@ func BenchmarkProve(b *testing.B) {
 			}
 		})
 	}
+}
+
+// proveParentBytesPerProof is what one warm Prove at 2^13 gates allocated
+// before the MSM's scratch was pooled (BenchmarkProve/2^13 -benchmem at
+// PR 18).
+const proveParentBytesPerProof = 16113870
+
+// TestProveSteadyStateAllocation guards the prover's allocation per proof,
+// which the repository benchmark bounds to 3 %: a warm Prove at 2^13 gates
+// must not allocate more than it did before the MSM kernel took pooled
+// scratch. The quietest of three proofs is checked, because a garbage
+// collection may empty the pool under any single one.
+func TestProveSteadyStateAllocation(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("proves at 2^13 gates; sync.Pool drops Puts under the race detector")
+	}
+	const logN = 13
+	cs, witness := benchSquareChain(logN)
+	tau := fr.NewElement(0xbeef)
+	srs, err := kzg.NewSRSFromSecret((1<<logN)+9, &tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pk, _, err := Setup(cs, srs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	least := uint64(math.MaxUint64)
+	var before, after runtime.MemStats
+	for i := 0; i < 4; i++ {
+		runtime.ReadMemStats(&before)
+		if _, err := Prove(pk, witness); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if i > 0 {
+			least = min(least, after.TotalAlloc-before.TotalAlloc)
+		}
+	}
+	if least > proveParentBytesPerProof {
+		t.Fatalf("a warm Prove at 2^13 gates allocated %d bytes, more than the %d before the MSM scratch was pooled", least, proveParentBytesPerProof)
+	}
+	t.Logf("warm Prove at 2^13 gates: %d bytes allocated (before pooling: %d)", least, proveParentBytesPerProof)
 }
 
 func BenchmarkSetup(b *testing.B) {

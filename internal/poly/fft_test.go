@@ -1,6 +1,7 @@
 package poly
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 
@@ -238,4 +239,47 @@ func TestDomainConcurrentFirstUse(t *testing.T) {
 			t.Fatal("concurrent FFT differs from serial reference")
 		}
 	}
+}
+
+// fftSerialReference is the original fully-serial transform with twiddles
+// recomputed by chained multiplication, retained as the bit-exact reference
+// the property tests compare the table-driven parallel transform against.
+func (d *Domain) fftSerialReference(a []fr.Element, w *fr.Element) error {
+	n := uint64(len(a))
+	if err := d.checkLen(a); err != nil {
+		return err
+	}
+	if n == 1 {
+		return nil
+	}
+	shift := 64 - uint(d.Log)
+	for i := uint64(0); i < n; i++ {
+		j := bits.Reverse64(i) >> shift
+		if i < j {
+			a[i], a[j] = a[j], a[i]
+		}
+	}
+	stageRoot := make([]fr.Element, d.Log+1)
+	stageRoot[d.Log] = *w
+	for s := d.Log - 1; s >= 1; s-- {
+		stageRoot[s].Square(&stageRoot[s+1])
+	}
+	for s := 1; s <= d.Log; s++ {
+		m := uint64(1) << s
+		half := m >> 1
+		wm := stageRoot[s]
+		for k := uint64(0); k < n; k += m {
+			wj := fr.One()
+			for j := uint64(0); j < half; j++ {
+				var t fr.Element
+				t.Mul(&a[k+j+half], &wj)
+				var u fr.Element
+				u.Set(&a[k+j])
+				a[k+j].Add(&u, &t)
+				a[k+j+half].Sub(&u, &t)
+				wj.Mul(&wj, &wm)
+			}
+		}
+	}
+	return nil
 }
