@@ -12,8 +12,6 @@ GO ?= go
 # checker and (on a devnet) a late EnableConfidential registering into it. storage/core/zkdet-node joined
 # once their lock annotations landed: the DHT repair path, the circuit-key
 # cache, and the JSON-RPC daemon all serve concurrent callers.
-# internal/chain/... includes internal/chain/exec (the parallel batch
-# scheduler/commit-log) and the engine's bit-identity property tests.
 # internal/ff and internal/fr are here for the multiplication dispatch:
 # NewField writes the kernel choice once, every prover goroutine reads it.
 RACE_PKGS = ./internal/ff/... ./internal/fr/... \
@@ -22,9 +20,9 @@ RACE_PKGS = ./internal/ff/... ./internal/fr/... \
 	./internal/storage/... ./internal/core/... ./internal/p2p/... ./cmd/zkdet-node/... \
 	./internal/wal/... ./internal/snapshot/... ./internal/ct/...
 
-.PHONY: check vet build lint audit test test-fallback bench-module race fuzz-smoke bench bench-verify bench-p2p bench-exec bench-wal node-demo cluster-demo cluster-demo-durable
+.PHONY: check vet build lint audit identity-names test test-fallback bench-module race fuzz-smoke bench bench-verify bench-p2p bench-exec bench-wal node-demo cluster-demo cluster-demo-durable
 
-check: vet build lint audit test test-fallback bench-module race
+check: vet build lint audit identity-names test test-fallback bench-module race
 
 vet:
 	$(GO) vet ./...
@@ -49,6 +47,22 @@ lint:
 audit:
 	$(GO) run ./cmd/zkdet-lint -audit
 	$(GO) test ./internal/circuit/audit/...
+
+# Some jobs of .github/workflows/ci.yml (state-, lookup-, ct-identity, the
+# durable-restart job) select their tests with `-run 'A|B|…'` over a few
+# packages, and `go test` is silent about an alternative that matches
+# nothing: rename or delete a test and its job goes on passing while checking
+# less. This lists the tests of each such job's packages and fails unless
+# every alternative of its pattern still names at least one — read from the
+# workflow itself, so there is no second copy of the lists to keep in step.
+identity-names:
+	@sed -n "/^ *-run '/{s/^ *-run '\(.*\)'/\1/;N;s/\n */ /;p;}" .github/workflows/ci.yml | \
+	while read -r pattern pkgs; do \
+		tests=$$($(GO) test -list '.*' $$pkgs) || exit 1; \
+		for alt in $$(echo "$$pattern" | tr '|' ' '); do \
+			echo "$$tests" | grep -Eq -- "$$alt" || { echo "identity-names: '$$alt' matches no test in $$pkgs"; exit 1; }; \
+		done; \
+	done
 
 test:
 	$(GO) test ./...
@@ -127,13 +141,12 @@ bench-p2p:
 	$(GO) test -run='^$$' -bench='BenchmarkGossipPropagation$$|BenchmarkChainSync$$' -benchtime=10x \
 		./internal/bench/
 
-# Execution-layer benchmark: sealed tx/s for the parallel batch engine vs
-# the serial reference at 1/2/4/8 workers and 100/1k/10k clients on a
-# conflict-light DataNFT workload, then SealBlock and ImportBlock of one
-# 256-tx block on a DataNFT store pre-filled to 1k/10k/100k slots (ns/op
-# flat across sizes is the commitment's O(block) claim); see EXPERIMENTS.md
-# §Execution layer for recorded numbers. `go run ./cmd/zkdet-bench -exec`
-# prints the sweep as a table with speedups and engine counters.
+# Execution-layer benchmark: sealed tx/s of the journaled executor at
+# 100/1k/10k clients on a DataNFT transfer workload, then SealBlock and
+# ImportBlock of one 256-tx block on a DataNFT store pre-filled to
+# 1k/10k/100k slots (ns/op flat across sizes is the commitment's O(block)
+# claim); see EXPERIMENTS.md §Execution layer for recorded numbers.
+# `go run ./cmd/zkdet-bench -exec` prints the sweep as a table.
 bench-exec:
 	$(GO) test -run='^$$' -bench='BenchmarkExecThroughput$$' -benchtime=1x ./internal/bench/
 	$(GO) test -run='^$$' -bench='BenchmarkSealBlock$$|BenchmarkImportBlock$$' -benchtime=20x ./internal/bench/

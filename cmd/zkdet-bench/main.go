@@ -10,7 +10,7 @@
 //	zkdet-bench -proofsize           # §VI-B3 constant-proof-size check
 //	zkdet-bench -ablation cipher|commitment|decouple
 //	zkdet-bench -p2p                 # network layer: gossip propagation, chain sync
-//	zkdet-bench -exec                # execution layer: sealed tx/s, serial vs parallel
+//	zkdet-bench -exec                # execution layer: sealed tx/s
 //	zkdet-bench -ct                  # confidential exchange: prove/verify/batch-verify per shape
 //	zkdet-bench -wal                 # durability: WAL appends, durable sealing, recovery time
 //	zkdet-bench -scale medium        # larger workloads (slower)
@@ -79,7 +79,7 @@ func main() {
 		constraints  = flag.Bool("constraints", false, "per-gadget constraint report: classic vs lookup/custom-gate lowering")
 		ablationFlag = flag.String("ablation", "", "run an ablation: cipher, commitment or decouple")
 		p2pFlag      = flag.Bool("p2p", false, "run the network-layer experiments (gossip, sync)")
-		execFlag     = flag.Bool("exec", false, "run the execution-layer experiment (sealed tx/s, serial vs parallel)")
+		execFlag     = flag.Bool("exec", false, "run the execution-layer experiment (sealed tx/s)")
 		ctFlag       = flag.Bool("ct", false, "run the confidential-exchange experiment (prove/verify/batch-verify per transfer shape)")
 		walFlag      = flag.Bool("wal", false, "run the durability experiments (WAL appends, durable sealing, recovery time)")
 		allFlag      = flag.Bool("all", false, "run every experiment")
@@ -336,30 +336,17 @@ func runP2P() {
 }
 
 func runExec() {
-	header("Execution layer — sealed tx/s, serial vs parallel batch execution")
-	fmt.Println("workload: DataNFT transfers between disjoint client pairs (conflict-light);")
-	fmt.Println("workers=1 is the retained serial reference; blocks are bit-identical across widths")
-	rows, err := bench.ExecSweep([]int{100, 1000, 10000}, []int{1, 2, 4, 8})
+	header("Execution layer — sealed tx/s of the journaled executor")
+	fmt.Println("workload: DataNFT transfers between disjoint client pairs, one batch and one")
+	fmt.Println("SealBlock per round")
+	rows, err := bench.ExecSweep([]int{100, 1000, 10000})
 	if err != nil {
 		log.Fatalf("exec: %v", err)
 	}
-	serialRate := map[int]float64{}
+	fmt.Printf("%-10s %-8s %s\n", "clients", "txs", "tx/s")
 	for _, r := range rows {
-		if r.Workers == 1 {
-			serialRate[r.Clients] = r.TxPerSec
-		}
+		fmt.Printf("%-10d %-8d %.0f\n", r.Clients, r.Txs, r.TxPerSec)
 	}
-	fmt.Printf("%-10s %-10s %-8s %-12s %-10s %-12s %-11s %-10s %s\n",
-		"clients", "workers", "txs", "tx/s", "speedup", "speculated", "committed", "conflicts", "serial")
-	for _, r := range rows {
-		fmt.Printf("%-10d %-10d %-8d %-12.0f %-10s %-12d %-11d %-10d %d\n",
-			r.Clients, r.Workers, r.Txs, r.TxPerSec,
-			fmt.Sprintf("%.2fx", r.TxPerSec/serialRate[r.Clients]),
-			r.Speculated, r.Committed, r.Conflicts, r.Serial)
-	}
-	fmt.Println("(both paths now undo from pre-images, so the ratio is what speculation costs —")
-	fmt.Println(" overlay, read capture, commit-time validation — against what the extra cores")
-	fmt.Println(" buy; these transfers are too cheap for two cores to pay for it)")
 }
 
 func runCT(sys *core.System) {
@@ -420,7 +407,7 @@ func runWAL() {
 	fmt.Printf("%-16s %-10s %-8s %-12s %-12s %-9s %s\n", "mode", "clients", "txs", "tx/s", "slowdown", "fsyncs", "checkpoints")
 	for _, clients := range []int{100, 1000} {
 		rounds := 4096 / clients
-		drows, err := bench.DurableExecCompare(track, clients, 4, rounds)
+		drows, err := bench.DurableExecCompare(track, clients, rounds)
 		if err != nil {
 			log.Fatalf("wal durable: %v", err)
 		}
@@ -432,9 +419,9 @@ func runWAL() {
 	}
 
 	header("Durability layer — crash-recovery time vs chain length (100 clients, 50 tx/block)")
-	fmt.Println("WAL-only replays every block through the execution engine; a checkpoint")
+	fmt.Println("WAL-only replays every block through chain.ImportBlock; a checkpoint")
 	fmt.Println("shifts the prefix into a state-root-verified snapshot restore")
-	rrows, err := bench.RecoverySweep(track, []int{16, 64, 256}, 100, 4)
+	rrows, err := bench.RecoverySweep(track, []int{16, 64, 256}, 100)
 	if err != nil {
 		log.Fatalf("wal recovery: %v", err)
 	}

@@ -31,8 +31,8 @@ import (
 // commutative compound assignments (`+=`, `|=`, ...), constant stores
 // (`found = true`), delete(), and the collect-keys-then-sort pattern.
 //
-// Scope: the chain engine (internal/chain, internal/chain/exec) and the
-// contract layer (internal/contracts) — plus its own test fixture.
+// Scope: the chain engine (internal/chain) and the contract layer
+// (internal/contracts) — plus its own test fixture.
 var DetReplay = &Analyzer{
 	Name: "detreplay",
 	Doc:  "replay determinism: no map-iteration order, wall clock, randomness, or goroutine ordering may reach consensus state",

@@ -121,8 +121,9 @@ func goodClosureLocks(c *Counter) func() {
 	}
 }
 
-// Commit-phase cases, modeled on the chain's parallel batch executor:
-// speculation workers run lock-free over frozen pre-state, then a single
+// Commit-phase cases, modeled on a two-phase batch executor (the shape the
+// chain's removed speculative engine had, kept as the analyzer's hardest
+// input): speculation workers run lock-free over frozen pre-state, then a single
 // commit phase applies effects under the engine lock, leaning on the two
 // annotation escapes ("Locked" suffix, "caller holds" doc) for its helpers.
 

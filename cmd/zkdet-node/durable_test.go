@@ -2,6 +2,8 @@ package main
 
 import (
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 	"time"
@@ -380,5 +382,70 @@ func TestDurableRecoversAfterUnknownContractTx(t *testing.T) {
 	}
 	if got := srv2.mkt.Chain.BalanceOf(mustAddr(t, "dave")); got != 123 {
 		t.Fatalf("dave's balance after recovery = %d, want 123", got)
+	}
+}
+
+// TestDurableRecoversDataDirWrittenByOverlayEngine: testdata/pr19-datadir is
+// the WAL tail of a daemon built from the last commit that still executed
+// blocks on the speculative overlay engine (PR 19, width 2; 30 transactions
+// speculated and committed, 8 run at commit time), killed before any
+// checkpoint: eight client exchange lifecycles run concurrently (settlements
+// folded six and two to a block), then a confidential mint and transfer.
+// That engine's contract was bit-identity with the journaled executor, so
+// the directory must replay here to the head and state root that daemon
+// reported, through the same folds.
+func TestDurableRecoversDataDirWrittenByOverlayEngine(t *testing.T) {
+	const (
+		wantHeight = 8
+		wantHead   = "0x524068a33e3f2376f5a2f84b962ed2ec152ed5b89289e5150fd863960f6a4d3c"
+		wantRoot   = "0xa210ce6d4239b4eac273f5a9ab95ea997b1a717061d1e6c7630539c2ef9c755b"
+	)
+	dir := t.TempDir() // recovery appends to the directory it opens: work on a copy
+	const seg = "wal/wal-0000000000000001.seg"
+	raw, err := os.ReadFile(filepath.Join("testdata/pr19-datadir", seg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, seg), raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	// The genesis that daemon ran: the test configuration plus the
+	// confidential subsystem under TestDurableCrashRecoversProofsFromWALTail's
+	// issuer and auditor key.
+	ak := ct.AuditorKeyFromSecret(fr.NewElement(0x5ec7))
+	issuer, err := parseAddr("issuer")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := testCfg()
+	cfg.dataDir = dir
+	cfg.checkpointEvery = 1 << 20
+	cfg.genesis = func(m *core.Marketplace) error {
+		_, err := m.EnableConfidential(issuer, ak.PublicKey())
+		return err
+	}
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatalf("restart on the older commit's data directory: %v", err)
+	}
+	t.Cleanup(srv.close)
+	if rep := srv.recovery; rep.SnapshotPath != "" || rep.BlocksReplayed != wantHeight || rep.Head != wantHeight {
+		t.Fatalf("recovery %+v, want %d blocks replayed from the WAL alone", rep, wantHeight)
+	}
+	head := srv.mkt.Chain.Head()
+	if got := head.Hash().String(); got != wantHead {
+		t.Fatalf("recovered head %s, want %s", got, wantHead)
+	}
+	if got := head.StateRoot.String(); got != wantRoot {
+		t.Fatalf("recovered state root %s, want %s", got, wantRoot)
+	}
+	folds := map[uint64]uint32{4: 6, 5: 2, 7: 1, 8: 2}
+	for n := uint64(1); n <= wantHeight; n++ {
+		if b, _ := srv.mkt.Chain.BlockByNumber(n); b.Fold != folds[n] {
+			t.Fatalf("block %d replayed under fold %d, was sealed under %d", n, b.Fold, folds[n])
+		}
 	}
 }

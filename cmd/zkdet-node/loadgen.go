@@ -257,8 +257,7 @@ func runClient(c *rpcClient, id int, fx *exchangeFixture, latencies *[]time.Dura
 // runTransferClient is the light workload: one faucet, then txPerClient
 // plain value transfers to the client's own payee. No proofs, no contract
 // state — pure admission/execution/sealing throughput, cheap enough per
-// client to push the population toward 10k and watch the parallel batch
-// engine's scheduling (disjoint pairs: every tx is conflict-free).
+// client to push the population toward 10k.
 func runTransferClient(c *rpcClient, id, txPerClient int, latencies *[]time.Duration, mu *sync.Mutex) (int, error) {
 	payer := fmt.Sprintf("payer-%05d", id)
 	payee := fmt.Sprintf("payee-%05d", id)

@@ -39,7 +39,7 @@ func main() {
 
 func usage() {
 	fmt.Fprintln(os.Stderr, `usage:
-  zkdet-node serve [-addr :8545] [-block-interval 25ms] [-max-block-txs 256] [-exec-workers 0] [-data-dir DIR] [-role archive|full] [-checkpoint-every 64]
+  zkdet-node serve [-addr :8545] [-block-interval 25ms] [-max-block-txs 256] [-data-dir DIR] [-role archive|full] [-checkpoint-every 64]
   zkdet-node load  [-clients 100] [-addr 127.0.0.1:0] [-workload exchange|transfer] [-txs-per-client 5] [-data-dir DIR]`)
 }
 
@@ -48,7 +48,6 @@ func nodeFlags(fs *flag.FlagSet, cfg *serverConfig) {
 	fs.IntVar(&cfg.node.MaxBlockTxs, "max-block-txs", cfg.node.MaxBlockTxs, "max transactions per block")
 	fs.IntVar(&cfg.node.MaxPoolTxs, "max-pool-txs", cfg.node.MaxPoolTxs, "mempool capacity")
 	fs.IntVar(&cfg.storageNodes, "storage-nodes", cfg.storageNodes, "simulated storage network size")
-	fs.IntVar(&cfg.node.ExecWorkers, "exec-workers", cfg.node.ExecWorkers, "parallel execution width for block batches (0 = machine size, 1 = serial)")
 	fs.StringVar(&cfg.dataDir, "data-dir", cfg.dataDir, "durable mode: persist WAL + snapshots here and recover on restart (empty = in-memory)")
 	fs.StringVar(&cfg.role, "role", cfg.role, "durable pruning role: archive (keep all history) or full (drop bodies below checkpoints)")
 	fs.Uint64Var(&cfg.checkpointEvery, "checkpoint-every", cfg.checkpointEvery, "durable mode: snapshot cadence in blocks (0 = default 64)")

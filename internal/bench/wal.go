@@ -128,7 +128,6 @@ func WALAppendSweep(dirFor func() string, modes []string, writerCounts []int, re
 type DurableRow struct {
 	Mode        string // memory | durable | durable-nosync
 	Clients     int
-	Workers     int
 	Txs         int
 	Seconds     float64
 	TxPerSec    float64
@@ -137,14 +136,14 @@ type DurableRow struct {
 	Checkpoints uint64
 }
 
-// execWorkload is the same conflict-light DataNFT bounce ExecThroughput
-// uses, factored out so the durable experiment can run it on a chain that
-// already has the durability hook attached. It returns the transaction
-// count and the timed duration.
+// execWorkload is the DataNFT bounce between disjoint client pairs that
+// ExecThroughput times, run on whatever chain the caller prepared (the
+// durable experiments attach the durability hook first). It returns the
+// transaction count and the timed duration.
 // startRound carries the bounce parity across split runs: round r moves each
 // token even→odd or odd→even depending on r's parity, so a caller resuming
 // the workload must continue the round count, not restart it.
-func execWorkload(c *chain.Chain, addrs []chain.Address, nonces []uint64, tokens []uint64, workers, startRound, rounds int) (int, time.Duration, error) {
+func execWorkload(c *chain.Chain, addrs []chain.Address, nonces []uint64, tokens []uint64, startRound, rounds int) (int, time.Duration, error) {
 	start := time.Now()
 	total := 0
 	for r := startRound; r < startRound+rounds; r++ {
@@ -161,7 +160,7 @@ func execWorkload(c *chain.Chain, addrs []chain.Address, nonces []uint64, tokens
 			}
 			nonces[from]++
 		}
-		for i, out := range c.SubmitBatch(txs, workers) {
+		for i, out := range c.SubmitBatch(txs, 0) {
 			if out.Err != nil {
 				return 0, 0, fmt.Errorf("round %d tx %d: %w", r, i, out.Err)
 			}
@@ -195,7 +194,7 @@ func fund(c *chain.Chain, addrs []chain.Address) {
 
 // execSetup mints one token per client pair — the untimed prologue shared
 // by every sealing mode. It seals the mint block.
-func execSetup(c *chain.Chain, addrs []chain.Address, workers int) ([]uint64, []uint64, error) {
+func execSetup(c *chain.Chain, addrs []chain.Address) ([]uint64, []uint64, error) {
 	clients := len(addrs)
 	nonces := make([]uint64, clients)
 	uri := []byte("bench-uri")
@@ -211,7 +210,7 @@ func execSetup(c *chain.Chain, addrs []chain.Address, workers int) ([]uint64, []
 		nonces[from]++
 	}
 	tokens := make([]uint64, clients/2)
-	for j, out := range c.SubmitBatch(mints, workers) {
+	for j, out := range c.SubmitBatch(mints, 0) {
 		if out.Err != nil {
 			return nil, nil, out.Err
 		}
@@ -232,7 +231,7 @@ func execSetup(c *chain.Chain, addrs []chain.Address, workers int) ([]uint64, []
 // in-memory, durable at the default group commit, durable without fsync —
 // and reports the slowdown each durability level costs. dirFor must return
 // a fresh directory per call.
-func DurableExecCompare(dirFor func() string, clients, workers, rounds int) ([]DurableRow, error) {
+func DurableExecCompare(dirFor func() string, clients, rounds int) ([]DurableRow, error) {
 	if clients%2 != 0 {
 		return nil, fmt.Errorf("bench: clients must be even, got %d", clients)
 	}
@@ -261,18 +260,17 @@ func DurableExecCompare(dirFor func() string, clients, workers, rounds int) ([]D
 		}
 		addrs := execClients(clients)
 		fund(c, addrs)
-		nonces, tokens, err := execSetup(c, addrs, workers)
+		nonces, tokens, err := execSetup(c, addrs)
 		if err != nil {
 			return DurableRow{}, err
 		}
-		total, elapsed, err := execWorkload(c, addrs, nonces, tokens, workers, 0, rounds)
+		total, elapsed, err := execWorkload(c, addrs, nonces, tokens, 0, rounds)
 		if err != nil {
 			return DurableRow{}, err
 		}
 		row := DurableRow{
 			Mode:     mode,
 			Clients:  clients,
-			Workers:  workers,
 			Txs:      total,
 			Seconds:  elapsed.Seconds(),
 			TxPerSec: float64(total) / elapsed.Seconds(),
@@ -316,7 +314,7 @@ type RecoveryRow struct {
 // RecoveryTime seals blocks transfer-blocks into a durable data dir — with
 // a mid-run checkpoint when checkpoint is true — crashes the engine, and
 // times a fresh DurableStore recovering the directory.
-func RecoveryTime(dir string, blocks, clients, workers int, checkpoint bool) (RecoveryRow, error) {
+func RecoveryTime(dir string, blocks, clients int, checkpoint bool) (RecoveryRow, error) {
 	addrs := execClients(clients)
 	// boot re-creates the deterministic genesis a restarting node would:
 	// contract deployed, clients funded, no blocks.
@@ -343,7 +341,7 @@ func RecoveryTime(dir string, blocks, clients, workers int, checkpoint bool) (Re
 	if err := d.Attach(c); err != nil {
 		return RecoveryRow{}, err
 	}
-	nonces, tokens, err := execSetup(c, addrs, workers)
+	nonces, tokens, err := execSetup(c, addrs)
 	if err != nil {
 		return RecoveryRow{}, err
 	}
@@ -353,7 +351,7 @@ func RecoveryTime(dir string, blocks, clients, workers int, checkpoint bool) (Re
 		rounds = 0
 	}
 	half := rounds / 2
-	if _, _, err := execWorkload(c, addrs, nonces, tokens, workers, 0, half); err != nil {
+	if _, _, err := execWorkload(c, addrs, nonces, tokens, 0, half); err != nil {
 		return RecoveryRow{}, err
 	}
 	if checkpoint {
@@ -361,7 +359,7 @@ func RecoveryTime(dir string, blocks, clients, workers int, checkpoint bool) (Re
 			return RecoveryRow{}, err
 		}
 	}
-	if _, _, err := execWorkload(c, addrs, nonces, tokens, workers, half, rounds-half); err != nil {
+	if _, _, err := execWorkload(c, addrs, nonces, tokens, half, rounds-half); err != nil {
 		return RecoveryRow{}, err
 	}
 	if err := d.Err(); err != nil {
@@ -398,11 +396,11 @@ func RecoveryTime(dir string, blocks, clients, workers int, checkpoint bool) (Re
 
 // RecoverySweep runs RecoveryTime over the block counts, WAL-only and with
 // a mid-run checkpoint. dirFor must return a fresh directory per call.
-func RecoverySweep(dirFor func() string, blockCounts []int, clients, workers int) ([]RecoveryRow, error) {
+func RecoverySweep(dirFor func() string, blockCounts []int, clients int) ([]RecoveryRow, error) {
 	var rows []RecoveryRow
 	for _, checkpoint := range []bool{false, true} {
 		for _, blocks := range blockCounts {
-			row, err := RecoveryTime(dirFor(), blocks, clients, workers, checkpoint)
+			row, err := RecoveryTime(dirFor(), blocks, clients, checkpoint)
 			if err != nil {
 				return nil, err
 			}

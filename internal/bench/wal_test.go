@@ -46,7 +46,7 @@ func TestWALAppendRejectsUnknownMode(t *testing.T) {
 // gone through the log (appends acknowledged by fsync).
 func TestDurableExecCompareShape(t *testing.T) {
 	dirs := tempDirSeq(t)
-	rows, err := DurableExecCompare(dirs, 10, 2, 3)
+	rows, err := DurableExecCompare(dirs, 10, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestDurableExecCompareShape(t *testing.T) {
 // every sealed block, while a mid-run checkpoint shifts the prefix into a
 // snapshot and leaves only the tail for replay.
 func TestRecoveryTimeShape(t *testing.T) {
-	walOnly, err := RecoveryTime(t.TempDir(), 6, 10, 2, false)
+	walOnly, err := RecoveryTime(t.TempDir(), 6, 10, false)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,7 +84,7 @@ func TestRecoveryTimeShape(t *testing.T) {
 		t.Fatalf("WAL-only run replayed %d of %d blocks", walOnly.WALBlocks, walOnly.Blocks)
 	}
 
-	snap, err := RecoveryTime(t.TempDir(), 6, 10, 2, true)
+	snap, err := RecoveryTime(t.TempDir(), 6, 10, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func BenchmarkDurableExec(b *testing.B) {
 		rounds := 4096 / clients
 		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				rows, err := DurableExecCompare(benchDirSeq(b), clients, 4, rounds)
+				rows, err := DurableExecCompare(benchDirSeq(b), clients, rounds)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -156,7 +156,7 @@ func BenchmarkRecovery(b *testing.B) {
 			name := fmt.Sprintf("checkpoint=%v/blocks=%d", checkpoint, blocks)
 			b.Run(name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					row, err := RecoveryTime(b.TempDir(), blocks, 100, 4, checkpoint)
+					row, err := RecoveryTime(b.TempDir(), blocks, 100, checkpoint)
 					if err != nil {
 						b.Fatal(err)
 					}

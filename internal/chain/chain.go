@@ -19,8 +19,6 @@ import (
 	"sort"
 	"sync"
 	"time"
-
-	"github.com/zkdet/zkdet/internal/chain/exec"
 )
 
 // Address identifies an account (20 bytes, Ethereum-style).
@@ -175,22 +173,6 @@ type Contract interface {
 	Call(ctx *CallContext, method string, args []byte) ([]byte, error)
 }
 
-// execEnv is the state backend a CallContext executes against: the live
-// chain during serial execution (liveTx, with c.mu held), or a speculative
-// transaction view (txView) during parallel batch execution. Contracts are
-// oblivious to which one they run on — that is what makes speculative
-// execution bit-identical to serial execution when no conflict occurs.
-type execEnv interface {
-	blockNumber() uint64
-	transferValue(from, to Address, amount uint64) error
-	getContract(name string) (Contract, bool)
-	meteredStore(name string, gas *GasMeter) *Storage
-	proofFold(verifier string, calldata []byte) (int, bool)
-}
-
-// blockNumber returns the current height; caller holds c.mu.
-func (c *Chain) blockNumber() uint64 { return uint64(len(c.blocks)) }
-
 // transferValue moves native value between accounts; caller holds c.mu.
 func (c *Chain) transferValue(from, to Address, amount uint64) error {
 	if bal := c.acct(from).balance; bal < amount {
@@ -201,26 +183,13 @@ func (c *Chain) transferValue(from, to Address, amount uint64) error {
 	return nil
 }
 
-// getContract looks up a deployed contract; caller holds c.mu.
-func (c *Chain) getContract(name string) (Contract, bool) {
-	ct, ok := c.contracts[name]
-	return ct, ok
-}
-
-// proofFold looks a verify call up in the proof table of the block being
-// applied (none outside applyBlock); caller holds c.mu.
-func (c *Chain) proofFold(verifier string, calldata []byte) (int, bool) {
-	n, ok := c.marks[ProofKey(verifier, calldata)]
-	return n, ok
-}
-
 // CallContext is passed to contract methods.
 type CallContext struct {
 	Sender Address
 	Value  uint64
 	Gas    *GasMeter
 	Store  *Storage
-	env    execEnv
+	tx     *liveTx // the executing transaction; the chain's mu is held for its whole run
 	name   string
 	logs   []Event
 }
@@ -251,18 +220,19 @@ func (ctx *CallContext) Transfer(to Address, amount uint64) error {
 	if err := ctx.Gas.Charge(GasValueTransfer); err != nil {
 		return err
 	}
-	return ctx.env.transferValue(contractAddress(ctx.name), to, amount)
+	return ctx.tx.transferValue(contractAddress(ctx.name), to, amount)
 }
 
 // BlockNumber returns the current block height.
-func (ctx *CallContext) BlockNumber() uint64 { return ctx.env.blockNumber() }
+func (ctx *CallContext) BlockNumber() uint64 { return uint64(len(ctx.tx.blocks)) }
 
 // ProofFold reports whether the proof check of the block being applied
 // validated this exact verify calldata for the executing contract, and the
 // width of the fold that did — the same answer on every node that applies
 // the block. A verifier that gets ok skips its own pairing.
 func (ctx *CallContext) ProofFold(calldata []byte) (width int, ok bool) {
-	return ctx.env.proofFold(ctx.name, calldata)
+	width, ok = ctx.tx.marks[ProofKey(ctx.name, calldata)]
+	return width, ok
 }
 
 // CallContract performs a gas-metered cross-contract call. The callee sees
@@ -271,15 +241,15 @@ func (ctx *CallContext) ProofFold(calldata []byte) (width int, ok bool) {
 // A failing sub-call propagates its error, and the chain rolls back every
 // contract's state when the outer call reverts.
 func (ctx *CallContext) CallContract(name, method string, args []byte) ([]byte, error) {
-	callee, ok := ctx.env.getContract(name)
+	callee, ok := ctx.tx.contracts[name]
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrUnknownContract, name)
 	}
 	sub := &CallContext{
 		Sender: contractAddress(ctx.name),
 		Gas:    ctx.Gas,
-		Store:  ctx.env.meteredStore(name, ctx.Gas),
-		env:    ctx.env,
+		Store:  ctx.tx.meteredStore(name, ctx.Gas),
+		tx:     ctx.tx,
 		name:   name,
 	}
 	ret, err := callee.Call(sub, method, args)
@@ -346,13 +316,6 @@ type Chain struct {
 	// execution, nil outside applyBlock.
 	verifier BlockVerifier   // guarded by mu
 	marks    map[ProofID]int // guarded by mu
-
-	// execWorkers is the default worker count for batch execution
-	// (SubmitBatch, ImportBlock replay); 1 means serial. guarded by mu
-	execWorkers int
-	// execStats aggregates parallel-engine counters; internally
-	// synchronized, see exec.Counters.
-	execStats exec.Counters
 }
 
 // New returns an empty chain with a genesis block, stamped by the wall
@@ -380,7 +343,6 @@ func NewWithClock(clock func() time.Time) *Chain {
 		txs:       make(map[Hash]Transaction),
 		now:       clock,
 	}
-	c.execWorkers = 1
 	genesis := Block{Number: 0, Time: c.now()}
 	c.blocks = []Block{genesis}
 	return c
@@ -479,36 +441,20 @@ func (c *Chain) Submit(tx Transaction) (*Receipt, error) {
 	return c.submitLocked(tx)
 }
 
-// submitLocked is Submit's body: one transaction through execTx on the
-// journaled live backend; caller holds c.mu. Under an open block scope the
-// transaction reverts to its own mark in it; otherwise it opens a scope
-// for itself alone.
+// submitLocked is Submit's body: one transaction through execTx; caller holds
+// c.mu. Under an open block scope the transaction reverts to its own mark in
+// it; otherwise it opens a scope for itself alone.
 func (c *Chain) submitLocked(tx Transaction) (*Receipt, error) {
-	j := c.jrnl
-	if j == nil {
-		j = &journal{accounts: c.accounts}
-		c.jrnl = j
+	if c.jrnl == nil {
+		c.jrnl = &journal{accounts: c.accounts}
 		defer func() { c.jrnl = nil }()
 	}
-	res := execTx(&liveTx{Chain: c, j: j, start: j.mark()}, tx)
+	res := execTx(&liveTx{Chain: c, start: c.jrnl.mark()}, tx)
 	if res.goErr != nil {
 		return nil, res.goErr
 	}
 	c.commitTx(res.tx, res.hash, res.receipt)
 	return res.receipt, nil
-}
-
-// txState is the state execTx runs one transaction against. The two
-// backends are the journaled live chain (liveTx: writes land at once, undone
-// by reverting to a journal mark) and the speculative overlay (txView:
-// writes are buffered, kept or dropped when the engine commits); which one
-// runs a transaction is the batch engine's decision (batch.go).
-type txState interface {
-	execEnv
-	nonce(a Address) uint64
-	setNonce(a Address, n uint64)
-	// undo discards everything the transaction has done so far.
-	undo()
 }
 
 // txResult is what execTx produced: the receipt of a processed transaction
@@ -522,17 +468,17 @@ type txResult struct {
 
 // execTx is THE transaction body — nonce check, intrinsic gas, value move,
 // contract call, revert or keep — for every path that executes one: eager
-// Submit and both batch backends, hence sealing, import and WAL replay. A
-// Go-level error (bad nonce, intrinsic gas above the limit, unfunded value,
-// no recipient, unknown contract) leaves state untouched, so a transaction
-// is either in a block or never happened; a reverted call keeps the nonce
-// bump and nothing else.
-func execTx(st txState, tx Transaction) txResult {
+// Submit and applyBlock, hence sealing, import and WAL replay; caller holds
+// the chain's mu. A Go-level error (bad nonce, intrinsic gas above the limit,
+// unfunded value, no recipient, unknown contract) leaves state untouched, so
+// a transaction is either in a block or never happened; a reverted call keeps
+// the nonce bump and nothing else.
+func execTx(st *liveTx, tx Transaction) txResult {
 	fail := func(err error) txResult {
 		st.undo()
 		return txResult{tx: tx, goErr: err}
 	}
-	if want := st.nonce(tx.From); tx.Nonce != want {
+	if want := st.acct(tx.From).nonce; tx.Nonce != want {
 		return fail(fmt.Errorf("%w: got %d, want %d", ErrBadNonce, tx.Nonce, want))
 	}
 	if tx.GasLimit == 0 {
@@ -554,12 +500,12 @@ func execTx(st txState, tx Transaction) txResult {
 		if err := st.transferValue(tx.From, tx.To, tx.Value); err != nil {
 			return fail(err)
 		}
-		st.setNonce(tx.From, tx.Nonce+1)
+		st.mutAcct(tx.From).nonce = tx.Nonce + 1
 		res.receipt.GasUsed = gas.Used()
 		return res
 	}
 
-	contract, ok := st.getContract(tx.Contract)
+	contract, ok := st.contracts[tx.Contract]
 	if !ok {
 		return fail(fmt.Errorf("%w: %s", ErrUnknownContract, tx.Contract))
 	}
@@ -574,7 +520,7 @@ func execTx(st txState, tx Transaction) txResult {
 		Value:  tx.Value,
 		Gas:    gas,
 		Store:  st.meteredStore(tx.Contract, gas),
-		env:    st,
+		tx:     st,
 		name:   tx.Contract,
 	}
 	ret, err := contract.Call(ctx, tx.Method, tx.Args)
@@ -585,27 +531,27 @@ func execTx(st txState, tx Transaction) txResult {
 	} else {
 		res.receipt.Return, res.receipt.Logs = ret, ctx.logs
 	}
-	st.setNonce(tx.From, tx.Nonce+1)
+	st.mutAcct(tx.From).nonce = tx.Nonce + 1
 	return res
 }
 
-// liveTx is the journaled live backend of one transaction: the chain
-// (caller holds c.mu) plus the journal mark the transaction reverts to.
+// liveTx is one executing transaction: the chain (caller holds c.mu) plus
+// the mark in its open undo scope the transaction reverts to. Its writes
+// land in live state at once, their pre-images in the journal.
 type liveTx struct {
 	*Chain
-	j     *journal
 	start journalMark
 }
 
-func (l *liveTx) nonce(a Address) uint64       { return l.acct(a).nonce }
-func (l *liveTx) setNonce(a Address, n uint64) { l.mutAcct(a).nonce = n }
-func (l *liveTx) undo()                        { l.j.revertTo(l.start) }
+// undo discards everything the transaction has done so far; caller holds
+// c.mu.
+func (l *liveTx) undo() { l.jrnl.revertTo(l.start) }
 
-// meteredStore implements execEnv; caller holds c.mu. Writes through the
-// view land in live state at once, their pre-images in the journal, so a
-// revert undoes exactly what the transaction touched in every contract.
+// meteredStore is a contract's storage as the transaction sees it; a revert
+// undoes exactly what the transaction touched, in every contract. caller holds
+// c.mu.
 func (l *liveTx) meteredStore(name string, gas *GasMeter) *Storage {
-	return l.storages[name].metered(gas, l.j)
+	return l.storages[name].metered(gas, l.jrnl)
 }
 
 // commitTx records a processed transaction's body and receipt, queues it

@@ -174,17 +174,15 @@ func TestValueTransferAndRevertRefund(t *testing.T) {
 func TestUnknownContract(t *testing.T) {
 	c, alice := newTestChain(t)
 	bob := AddressFromString("bob")
-	for _, width := range []int{1, 4} {
-		batch := []Transaction{
-			{From: alice, Contract: "nope", Method: "x", Value: 7, Nonce: 0},
-			{From: bob, Contract: "nope", Method: "x", Nonce: 0},
-			{From: bob, Contract: "nope", Method: "y", Nonce: 0},
-			{From: alice, Contract: "nope", Method: "y", Nonce: 0},
-		}
-		for i, o := range c.SubmitBatch(batch, width) {
-			if !errors.Is(o.Err, ErrUnknownContract) {
-				t.Fatalf("width %d tx %d: unknown contract accepted: %v", width, i, o.Err)
-			}
+	batch := []Transaction{
+		{From: alice, Contract: "nope", Method: "x", Value: 7, Nonce: 0},
+		{From: bob, Contract: "nope", Method: "x", Nonce: 0},
+		{From: bob, Contract: "nope", Method: "y", Nonce: 0},
+		{From: alice, Contract: "nope", Method: "y", Nonce: 0},
+	}
+	for i, o := range c.SubmitBatch(batch, 0) {
+		if !errors.Is(o.Err, ErrUnknownContract) {
+			t.Fatalf("tx %d: unknown contract accepted: %v", i, o.Err)
 		}
 	}
 	if _, err := c.Submit(Transaction{From: alice, Contract: "nope", Method: "x", Nonce: 0}); !errors.Is(err, ErrUnknownContract) {

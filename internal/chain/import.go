@@ -166,12 +166,12 @@ func (c *Chain) ImportBlock(b Block, txs []Transaction) ([]*Receipt, error) {
 // is nil for a producer (a candidate that cannot be included is left out
 // and reported) and the sealed header for an importer (it fails the block).
 // The rest is shared: the proof check runs over the body with mu released,
-// the body executes through the batch engine against that check's table
-// (c.marks), and what executed is sealed. A producer that leaves a
-// candidate out re-runs the check without it, so the table is the check of
-// exactly the sealed body — what an importer recomputes and compares with
-// the header's Fold. Fold zero means the body was executed one by one
-// (Submit + SealBlock): it is applied with no table.
+// the body executes in order against that check's table (c.marks), and what
+// executed is sealed. A producer that leaves a candidate out re-runs the
+// check without it, so the table is the check of exactly the sealed body —
+// what an importer recomputes and compares with the header's Fold. Fold zero
+// means the body was executed one by one (Submit + SealBlock): it is applied
+// with no table.
 func (c *Chain) applyBlock(hdr *Block, txs []Transaction) (Produced, error) {
 	c.sealMu.Lock()
 	defer c.sealMu.Unlock()
@@ -271,9 +271,9 @@ func (c *Chain) applyBlock(hdr *Block, txs []Transaction) (Produced, error) {
 // fails at the Go level leaves state untouched, so a producer with no table
 // just seals the rest. An importer's body must execute in full, and a
 // producer's table must be the check of exactly the sealed body: those
-// blocks run under a block-scoped undo journal fed by both batch backends,
-// and a failure takes the block back — the zero Block is returned, and the
-// outcomes say which transactions failed.
+// blocks run under a block-scoped undo journal, and a failure takes the
+// block back — the zero Block is returned, and the outcomes say which
+// transactions failed.
 func (c *Chain) executeAndSeal(hdr *Block, head Block, body []Transaction, marks ProofMarks) (Block, []*Receipt, []TxOutcome, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -287,7 +287,7 @@ func (c *Chain) executeAndSeal(hdr *Block, head Block, body []Transaction, marks
 		c.jrnl = &journal{accounts: c.accounts, slots: make([]slotEntry, 0, 4*len(body))}
 	}
 	c.marks = marks.Width
-	outcomes := c.submitBatchLocked(body, c.execWorkers)
+	outcomes := c.submitAllLocked(body)
 	c.marks = nil
 	if strict {
 		for i := range outcomes {

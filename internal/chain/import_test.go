@@ -125,19 +125,16 @@ func TestImportBlockRollsBackOnStateMismatch(t *testing.T) {
 
 	forged := blk
 	forged.StateRoot[0] ^= 0xff
-	for _, workers := range []int{1, 4} { // serial replay, then the overlay commit
-		b.SetExecWorkers(workers)
-		before := imageOf(b)
-		if _, err := b.ImportBlock(forged, txs); !errors.Is(err, ErrStateMismatch) {
-			t.Fatalf("forged root: %v, want ErrStateMismatch", err)
-		}
-		after := imageOf(b)
-		if !reflect.DeepEqual(before, after) {
-			t.Fatalf("failed import (workers %d) leaked state:\nbefore %+v\nafter  %+v", workers, before, after)
-		}
-		if _, seen := after.Accounts[carol]; seen {
-			t.Fatal("account created by the rejected block survived the rollback")
-		}
+	before := imageOf(b)
+	if _, err := b.ImportBlock(forged, txs); !errors.Is(err, ErrStateMismatch) {
+		t.Fatalf("forged root: %v, want ErrStateMismatch", err)
+	}
+	after := imageOf(b)
+	if !reflect.DeepEqual(before, after) {
+		t.Fatalf("failed import leaked state:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if _, seen := after.Accounts[carol]; seen {
+		t.Fatal("account created by the rejected block survived the rollback")
 	}
 	// The rollback left the follower able to import the honest block.
 	if _, err := b.ImportBlock(blk, txs); err != nil {

@@ -21,8 +21,8 @@ import (
 // branch left with a single leaf child back into that leaf. The shape, and
 // with it the root, is therefore a function of the key/value set alone —
 // never of write order, nor of a write having been reverted — which is what
-// lets replicas that reach the same state by different histories (serial,
-// speculative, restored from a snapshot) agree on the root.
+// lets replicas that reach the same state by different histories (executed,
+// re-executed after a rollback, restored from a snapshot) agree on the root.
 //
 // Every node caches its hash; a write marks the branches on its path stale
 // and rootHash recomputes only those, so folding w writes into a trie of n

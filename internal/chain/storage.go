@@ -4,31 +4,27 @@ package chain
 // through a gas-metered view; values are opaque byte strings and an absent
 // or empty value is the "zero" slot of the EVM cost model.
 //
-// A Storage is one of three shapes:
+// A Storage is one of two shapes:
 //
 //   - the root store (held in Chain.storages): owns the data map and its
-//     commitment,
+//     commitment, or
 //   - a metered view (metered): shares the root's data, charges a gas
 //     meter, journals writes, and marks the slots it writes dirty on the
-//     root, or
-//   - an overlay view (ov != nil): used by the parallel executor; reads
-//     and writes are redirected to a speculative overlay (see execview.go)
-//     and never touch the root data until the engine commits them.
+//     root.
 type Storage struct {
 	data map[string][]byte
-	gas  *GasMeter     // nil on the root store; set on metered views
-	jrnl *journal      // write journal for transaction rollback (metered views)
-	ov   *storeOverlay // speculative overlay; nil outside parallel execution
+	gas  *GasMeter // nil on the root store; set on metered views
+	jrnl *journal  // write journal for transaction rollback (metered views)
 
 	// rootRef points from a metered view back to the root store so writes
 	// through the view can mark their slot dirty; nil on the root.
 	rootRef *Storage
 
 	// The commitment to data, on the root store only (see statetrie.go).
-	// Every path that mutates data — Set, Delete, journal revert, the
-	// parallel engine's overlay commit — marks the slot dirty, and digest()
-	// folds exactly the dirty slots into the trie: a seal costs
-	// O(slots written · log state), not O(state). mu is the owning Chain's.
+	// Every path that mutates data — Set, Delete, journal revert — marks the
+	// slot dirty, and digest() folds exactly the dirty slots into the trie: a
+	// seal costs O(slots written · log state), not O(state). mu is the
+	// owning Chain's.
 	trie  stateTrie           // guarded by mu
 	dirty map[string]struct{} // guarded by mu
 }
@@ -120,9 +116,9 @@ func newStorageFrom(data map[string][]byte) *Storage {
 }
 
 // metered returns a view that charges the given meter and journals writes.
-// The view shares the underlying data (or, on an overlay view, the overlay).
+// The view shares the underlying data.
 func (s *Storage) metered(gas *GasMeter, j *journal) *Storage {
-	return &Storage{data: s.data, gas: gas, jrnl: j, ov: s.ov, rootRef: s.root()}
+	return &Storage{data: s.data, gas: gas, jrnl: j, rootRef: s.root()}
 }
 
 // root resolves the commitment owner of this view.
@@ -146,15 +142,7 @@ func (s *Storage) Get(key string) ([]byte, error) {
 			return nil, err
 		}
 	}
-	var (
-		v  []byte
-		ok bool
-	)
-	if s.ov != nil {
-		v, ok = s.ov.get(key)
-	} else {
-		v, ok = s.data[key]
-	}
+	v, ok := s.data[key]
 	if !ok {
 		return nil, nil
 	}
@@ -172,15 +160,7 @@ func (s *Storage) Set(key string, value []byte) error {
 		if words == 0 {
 			words = 1
 		}
-		// The charge depends on whether the slot exists, so on an overlay
-		// this is an observation the conflict detector must validate: a
-		// racing creator of the same slot changes this transaction's gas.
-		var existed bool
-		if s.ov != nil {
-			existed = s.ov.exists(key)
-		} else {
-			_, existed = s.data[key]
-		}
+		_, existed := s.data[key]
 		var cost uint64
 		if !existed {
 			cost = GasSStoreSet * words
@@ -190,10 +170,6 @@ func (s *Storage) Set(key string, value []byte) error {
 		if err := s.gas.Charge(cost); err != nil {
 			return err
 		}
-	}
-	if s.ov != nil {
-		s.ov.set(key, value)
-		return nil
 	}
 	if s.jrnl != nil {
 		s.jrnl.record(s, key)
@@ -211,10 +187,6 @@ func (s *Storage) Delete(key string) error {
 		if err := s.gas.Charge(GasSStoreClear); err != nil {
 			return err
 		}
-	}
-	if s.ov != nil {
-		s.ov.del(key)
-		return nil
 	}
 	if s.jrnl != nil {
 		s.jrnl.record(s, key)

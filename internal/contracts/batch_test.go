@@ -374,6 +374,52 @@ func TestProofMarksDoNotOutliveTheirBlock(t *testing.T) {
 	}
 }
 
+// TestProofTableSharedByDuplicateCalldata: four transactions carrying the
+// same verify calldata are four proof items in one fold and one table
+// entry, which does not wear out with use — each is charged the width-4
+// schedule — and does not survive the block.
+func TestProofTableSharedByDuplicateCalldata(t *testing.T) {
+	ps := testProofSystem()
+	c := proofChain(t, ps.vk)
+	senders := make([]chain.Address, 4)
+	for i := range senders {
+		senders[i] = chain.AddressFromString(fmt.Sprintf("v-sender-%d", i))
+	}
+	verifyArgs := VerifyArgs(ps.proof, ps.public)
+	txs := make([]chain.Transaction, len(senders))
+	for i, s := range senders {
+		txs[i] = chain.Transaction{From: s, Contract: "verifier", Method: "verify", Args: verifyArgs, Nonce: 0}
+	}
+	res, err := c.ProduceBlock(txs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Block.TxHashes) != 4 || res.Block.Fold != 4 {
+		t.Fatalf("included %d, fold %d; want 4, 4", len(res.Block.TxHashes), res.Block.Fold)
+	}
+	for i, o := range res.Outcomes {
+		if o.Err != nil || o.Receipt.Err != nil {
+			t.Fatalf("tx %d: %v %v", i, o.Err, o.Receipt.Err)
+		}
+		if want := intrinsicGas(verifyArgs) + BatchVerifiedGas(4, 1); o.Receipt.GasUsed != want {
+			t.Fatalf("tx %d: gas %d, want folded %d", i, o.Receipt.GasUsed, want)
+		}
+	}
+	// The table went with the block: a fifth verify pays the full pairing
+	// cost.
+	extra := chain.Transaction{From: senders[0], Contract: "verifier", Method: "verify", Args: verifyArgs, Nonce: 1}
+	r, err := c.Submit(extra)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if r.Err != nil {
+		t.Fatalf("unfolded verify failed: %v", r.Err)
+	}
+	if want := intrinsicGas(verifyArgs) + VerificationGas(1); r.GasUsed != want {
+		t.Fatalf("unfolded verify gas %d, want standalone %d", r.GasUsed, want)
+	}
+}
+
 // chainImage is everything an importer must leave untouched when it
 // refuses a block.
 type chainImage struct {

@@ -17,10 +17,10 @@ import (
 )
 
 // The constants TestBlockGoldens pins. They were captured from the journaled
-// backend (execution width 1) and asserted against the overlay engine at
-// widths 2..8 in the commit that added the test, before the engine was
-// deleted; they are a statement about what the chain computes, so no
-// executor change may touch them.
+// executor and, in the commit that added the test, asserted against the
+// speculative overlay engine at widths 2..8 before that engine was deleted;
+// they are a statement about what the chain computes, so no executor change
+// may touch them.
 const (
 	goldenHead     = "0x4101f1498efd6cfa01fa6deb9e7b975397018474dd500541ad702af639018799"
 	goldenReceipts = "0d1c9f42193be62420616c9b94cb98389111795e2c4567a535d273570625f55c"
@@ -247,8 +247,8 @@ func (w *goldenWorld) reject(i int, err error) {
 }
 
 // The three ways a body becomes a block. produce is the block producer's
-// atomic apply-and-seal; batch and eager execute first (as one SubmitBatch
-// at the given width, or one Submit per transaction) and seal after.
+// atomic apply-and-seal; batch and eager execute first (as one SubmitBatch,
+// or one Submit per transaction) and seal after.
 func (w *goldenWorld) produce(txs []chain.Transaction) chain.Produced {
 	w.t.Helper()
 	w.step++
@@ -264,9 +264,9 @@ func (w *goldenWorld) produce(txs []chain.Transaction) chain.Produced {
 	return p
 }
 
-func (w *goldenWorld) batch(txs []chain.Transaction, width int) {
+func (w *goldenWorld) batch(txs []chain.Transaction) {
 	w.step++
-	for i, o := range w.c.SubmitBatch(txs, width) {
+	for i, o := range w.c.SubmitBatch(txs, 0) {
 		if o.Err != nil {
 			w.reject(i, o.Err)
 		}
@@ -324,9 +324,8 @@ func chainDigest(t *testing.T, c *chain.Chain) (roots []string, receipts string)
 	return roots, hex.EncodeToString(h.Sum(nil))
 }
 
-// runGoldenWorkload builds the golden chain with batches executed at the
-// given width.
-func runGoldenWorkload(t *testing.T, width int) *goldenWorld {
+// runGoldenWorkload builds the golden chain.
+func runGoldenWorkload(t *testing.T) *goldenWorld {
 	t.Helper()
 	ef := escrowProofSystem()
 	raw, err := os.ReadFile("testdata/golden_pik.hex")
@@ -349,7 +348,6 @@ func runGoldenWorkload(t *testing.T, width int) *goldenWorld {
 	}
 
 	c, traders := goldenGenesis(t, ef.vk)
-	c.SetExecWorkers(width)
 	w := &goldenWorld{
 		t: t, c: c, rng: rand.New(rand.NewSource(20)), traders: traders,
 		nonces: make(map[chain.Address]uint64), owner: make(map[uint64]int), rejects: sha256.New(),
@@ -419,7 +417,7 @@ func runGoldenWorkload(t *testing.T, width int) *goldenWorld {
 	delete(w.owner, 2)
 	w.owner[15], w.owner[16], w.owner[5] = 2, 2, 2
 	w.tokens = 16
-	w.batch(txs, width)
+	w.batch(txs)
 
 	// Block 3, produced under a fold: two settlements carry the pinned proof
 	// (fold 2), a third a proof that does not verify (evicted), and a
@@ -457,7 +455,7 @@ func runGoldenWorkload(t *testing.T, width int) *goldenWorld {
 		case 0:
 			w.produce(txs)
 		case 1:
-			w.batch(txs, width)
+			w.batch(txs)
 		case 2:
 			w.eager(txs)
 		}
@@ -485,45 +483,42 @@ func runGoldenWorkload(t *testing.T, width int) *goldenWorld {
 // A fresh follower importing the chain block by block must arrive at the
 // same head and hold the same receipts.
 func TestBlockGoldens(t *testing.T) {
-	for width := 1; width <= 8; width++ {
-		w := runGoldenWorkload(t, width)
-		roots, receipts := chainDigest(t, w.c)
-		rejects := hex.EncodeToString(w.rejects.Sum(nil))
-		if got := w.c.HeadHash().String(); got != goldenHead {
-			t.Errorf("width %d: head %s, golden %s", width, got, goldenHead)
+	w := runGoldenWorkload(t)
+	roots, receipts := chainDigest(t, w.c)
+	rejects := hex.EncodeToString(w.rejects.Sum(nil))
+	if got := w.c.HeadHash().String(); got != goldenHead {
+		t.Errorf("head %s, golden %s", got, goldenHead)
+	}
+	if len(roots) != len(goldenRoots) {
+		t.Fatalf("%d blocks, golden %d", len(roots), len(goldenRoots))
+	}
+	for i := range roots {
+		if roots[i] != goldenRoots[i] {
+			t.Errorf("block %d state root %s, golden %s", i+1, roots[i], goldenRoots[i])
 		}
-		if len(roots) != len(goldenRoots) {
-			t.Fatalf("width %d: %d blocks, golden %d", width, len(roots), len(goldenRoots))
-		}
-		for i := range roots {
-			if roots[i] != goldenRoots[i] {
-				t.Errorf("width %d: block %d state root %s, golden %s", width, i+1, roots[i], goldenRoots[i])
-			}
-		}
-		if receipts != goldenReceipts {
-			t.Errorf("width %d: receipts digest %s, golden %s", width, receipts, goldenReceipts)
-		}
-		if rejects != goldenRejects {
-			t.Errorf("width %d: rejects digest %s, golden %s", width, rejects, goldenRejects)
-		}
+	}
+	if receipts != goldenReceipts {
+		t.Errorf("receipts digest %s, golden %s", receipts, goldenReceipts)
+	}
+	if rejects != goldenRejects {
+		t.Errorf("rejects digest %s, golden %s", rejects, goldenRejects)
+	}
 
-		follower, _ := goldenGenesis(t, escrowProofSystem().vk)
-		follower.SetExecWorkers(9 - width)
-		for n := uint64(1); n <= w.c.Height(); n++ {
-			b, _ := w.c.BlockByNumber(n)
-			body, ok := w.c.BlockBody(n)
-			if !ok {
-				t.Fatalf("width %d: block %d has no body", width, n)
-			}
-			if _, err := follower.ImportBlock(b, body); err != nil {
-				t.Fatalf("width %d: follower refused block %d: %v", width, n, err)
-			}
+	follower, _ := goldenGenesis(t, escrowProofSystem().vk)
+	for n := uint64(1); n <= w.c.Height(); n++ {
+		b, _ := w.c.BlockByNumber(n)
+		body, ok := w.c.BlockBody(n)
+		if !ok {
+			t.Fatalf("block %d has no body", n)
 		}
-		if got := follower.HeadHash().String(); got != goldenHead {
-			t.Errorf("width %d: follower head %s, golden %s", width, got, goldenHead)
+		if _, err := follower.ImportBlock(b, body); err != nil {
+			t.Fatalf("follower refused block %d: %v", n, err)
 		}
-		if _, got := chainDigest(t, follower); got != goldenReceipts {
-			t.Errorf("width %d: follower receipts digest %s, golden %s", width, got, goldenReceipts)
-		}
+	}
+	if got := follower.HeadHash().String(); got != goldenHead {
+		t.Errorf("follower head %s, golden %s", got, goldenHead)
+	}
+	if _, got := chainDigest(t, follower); got != goldenReceipts {
+		t.Errorf("follower receipts digest %s, golden %s", got, goldenReceipts)
 	}
 }

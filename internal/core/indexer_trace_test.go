@@ -9,9 +9,9 @@ import (
 )
 
 // TestTraceViaIndexer drives the DataNFT contract with raw transactions (no
-// proving, so it stays fast) and checks that the indexer-backed Trace
-// returns exactly what the storage walk does — and that tokens minted after
-// the last sealed block fall back to the walk instead of erroring.
+// proving, so it stays fast) and checks that Trace on a marketplace with an
+// indexer attached returns exactly what the storage walk does — for tokens
+// minted after the last sealed block too, which the indexer has not seen.
 func TestTraceViaIndexer(t *testing.T) {
 	m, _ := newTestMarketplace(t)
 	ix := m.AttachIndexer()
@@ -51,17 +51,17 @@ func TestTraceViaIndexer(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("indexed trace differs:\n got %+v\nwant %+v", got, want)
+		t.Fatalf("trace differs:\n got %+v\nwant %+v", got, want)
 	}
 
 	// A token minted after the last seal is invisible to the indexer; Trace
-	// must still answer via the storage walk.
+	// must still answer.
 	fresh := mustID(call("duplicate", contracts.EncodeArgs(contracts.U64(agg), []byte("u4"), []byte("c4"))))
 	lineage, err := m.Trace(fresh)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(lineage) != 4 || lineage[0].ID != fresh {
-		t.Fatalf("fallback trace: %+v", lineage)
+		t.Fatalf("unsealed trace: %+v", lineage)
 	}
 }

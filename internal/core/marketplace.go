@@ -451,8 +451,8 @@ func (m *Marketplace) FetchCiphertext(uri storage.URI) (Ciphertext, error) {
 }
 
 // AttachIndexer wires an event indexer configured for the deployed contract
-// suite onto the chain's seal hook and routes subsequent Trace calls through
-// it. Idempotent: a second call returns the already-attached indexer.
+// suite onto the chain's seal hook. Idempotent: a second call returns the
+// already-attached indexer.
 func (m *Marketplace) AttachIndexer() *indexer.Indexer {
 	if m.ix == nil {
 		m.ix = indexer.New(indexer.Config{
@@ -468,28 +468,9 @@ func (m *Marketplace) AttachIndexer() *indexer.Indexer {
 // Indexer returns the attached event indexer, or nil.
 func (m *Marketplace) Indexer() *indexer.Indexer { return m.ix }
 
-// Trace returns the provenance of a token (Figure 2's lineage walk). With an
-// indexer attached the ancestor set comes from the event index — O(lineage)
-// instead of a storage walk per token lookup chain — and only the returned
-// tokens' records are read from storage. Tokens the indexer has not seen
-// yet (minted but not sealed into a block) fall back to the storage walk.
+// Trace returns the provenance of a token (Figure 2's lineage walk) from
+// contract storage, so it also serves tokens minted but not yet sealed into
+// a block.
 func (m *Marketplace) Trace(tokenID uint64) ([]*contracts.Token, error) {
-	if m.ix != nil {
-		ids, err := m.ix.AncestorIDs(tokenID)
-		if err == nil {
-			out := make([]*contracts.Token, 0, len(ids))
-			for _, id := range ids {
-				tok, err := contracts.ReadToken(m.Chain, id)
-				if err != nil {
-					return nil, fmt.Errorf("core: tracing %d: %w", id, err)
-				}
-				out = append(out, tok)
-			}
-			return out, nil
-		}
-		if !errors.Is(err, indexer.ErrUnknownToken) {
-			return nil, err
-		}
-	}
 	return contracts.Trace(m.Chain, tokenID)
 }

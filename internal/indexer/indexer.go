@@ -237,15 +237,6 @@ func (ix *Indexer) Token(id uint64) (*TokenRecord, error) {
 	return cp, nil
 }
 
-// AncestorIDs walks the lineage DAG from a token back to its sources,
-// returning ids in breadth-first order (the token itself first) — the same
-// order as the on-chain storage walk contracts.Trace performs.
-func (ix *Indexer) AncestorIDs(id uint64) ([]uint64, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	return ix.prov.ancestorIDs(id)
-}
-
 // Lineage returns the full provenance DAG reachable from a token: every
 // ancestor's record plus the parent→child edge list, in BFS order.
 func (ix *Indexer) Lineage(id uint64) (*Lineage, error) {

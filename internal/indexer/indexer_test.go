@@ -191,12 +191,16 @@ func TestProvenanceMatchesStorageTrace(t *testing.T) {
 	for i, tok := range want {
 		wantIDs[i] = tok.ID
 	}
-	got, err := ix.AncestorIDs(agg)
+	lin, err := ix.Lineage(agg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	got := make([]uint64, len(lin.Tokens))
+	for i, rec := range lin.Tokens {
+		got[i] = rec.ID
+	}
 	if !reflect.DeepEqual(got, wantIDs) {
-		t.Fatalf("AncestorIDs %v, storage trace %v", got, wantIDs)
+		t.Fatalf("indexed lineage %v, storage trace %v", got, wantIDs)
 	}
 
 	rec, err := ix.Token(agg)
@@ -227,10 +231,6 @@ func TestProvenanceMatchesStorageTrace(t *testing.T) {
 		t.Fatalf("mint record: %+v", src)
 	}
 
-	lin, err := ix.Lineage(agg)
-	if err != nil {
-		t.Fatal(err)
-	}
 	if len(lin.Tokens) != 4 {
 		t.Fatalf("lineage has %d tokens, want 4", len(lin.Tokens))
 	}
@@ -251,8 +251,8 @@ func TestProvenanceMatchesStorageTrace(t *testing.T) {
 	if _, err := ix.Token(9999); !errors.Is(err, ErrUnknownToken) {
 		t.Fatalf("unknown token: %v", err)
 	}
-	if _, err := ix.AncestorIDs(9999); !errors.Is(err, ErrUnknownToken) {
-		t.Fatalf("unknown trace: %v", err)
+	if _, err := ix.Lineage(9999); !errors.Is(err, ErrUnknownToken) {
+		t.Fatalf("unknown lineage: %v", err)
 	}
 }
 

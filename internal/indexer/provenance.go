@@ -345,8 +345,8 @@ func (p *provenance) foldCT(block uint64, txHash chain.Hash, ev chain.Event) {
 }
 
 // ancestorIDs reproduces contracts.Trace's walk exactly — a breadth-first
-// traversal of prevIds with the start token first — so callers can swap the
-// storage walk for the index without reordering results.
+// traversal of prevIds with the start token first — so a Lineage lists its
+// tokens in the order the storage walk does.
 func (p *provenance) ancestorIDs(id uint64) ([]uint64, error) {
 	if _, ok := p.tokens[id]; !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownToken, id)

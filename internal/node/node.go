@@ -14,7 +14,6 @@ import (
 	"time"
 
 	"github.com/zkdet/zkdet/internal/chain"
-	"github.com/zkdet/zkdet/internal/parallel"
 )
 
 // Config tunes the mempool and block producer.
@@ -41,10 +40,8 @@ type Config struct {
 	// A marketplace genesis installs contracts.BlockProofChecker on the
 	// chain itself; setting it here is only needed over a chain without one.
 	SealVerifier chain.BlockVerifier
-	// ExecWorkers sets the chain's parallel execution width for block
-	// batches (chain.SubmitBatch) — both locally produced and imported
-	// blocks. 0 sizes it to the machine (parallel.Workers); 1 forces the
-	// serial reference path.
+	// ExecWorkers was the speculative engine's width. It is ignored, and
+	// retained only because benchmark/ (env.go) still assigns it.
 	ExecWorkers int
 }
 
@@ -75,9 +72,6 @@ func (c *Config) sanitize() {
 	}
 	if c.MaxNonceGap == 0 {
 		c.MaxNonceGap = d.MaxNonceGap
-	}
-	if c.ExecWorkers <= 0 {
-		c.ExecWorkers = parallel.Workers()
 	}
 }
 
@@ -143,9 +137,6 @@ func New(c *chain.Chain, cfg Config) *Node {
 	// The bus republishes every sealed block — whether this node's
 	// producer sealed it or someone called chain.SealBlock directly.
 	c.OnSeal(n.bus.publish)
-	// The chain-level worker count drives every block the chain applies,
-	// so producers and followers execute at the same width.
-	c.SetExecWorkers(cfg.ExecWorkers)
 	if cfg.SealVerifier != nil {
 		c.SetBlockVerifier(cfg.SealVerifier)
 	}
