@@ -352,14 +352,15 @@ func runExec() {
 func runCT(sys *core.System) {
 	header("Confidential exchange — prove/verify/batch-verify per transfer shape")
 	fmt.Println("shapes are (spent notes → created notes); mint is (0 → n); sigma is the")
-	fmt.Println("pairing-free gossip pre-screen; batch folds 16 range proofs into one")
+	fmt.Println("pairing-free gossip pre-screen; one π_ct range proof covers up to 4 created")
+	fmt.Println("notes, so prove steps with ⌈n/4⌉; batch folds 16 range proofs into one")
 	fmt.Println("pairing check, the seal-time path (ns/proof flattens as folds amortize)")
-	rows, err := bench.CTSweep(sys, [][2]int{{0, 1}, {1, 1}, {1, 2}, {2, 2}, {2, 4}}, 16)
+	rows, err := bench.CTSweep(sys, [][2]int{{0, 1}, {1, 1}, {1, 2}, {2, 2}, {2, 4}, {2, 5}, {1, 16}}, 16)
 	if err != nil {
 		log.Fatalf("ct: %v", err)
 	}
 	fmt.Printf("%-10s %-12s %-12s %-12s %-16s %-12s %s\n",
-		"shape", "prove", "verify", "sigma", "batch(16)/proof", "proof size", "sigma gas")
+		"shape", "prove", "verify", "sigma", "batch(16)/π_ct", "proof size", "sigma gas")
 	for _, r := range rows {
 		fmt.Printf("%d→%-8d %-12s %-12s %-12s %-16s %-12s %d\n",
 			r.Inputs, r.Outputs,
@@ -371,7 +372,7 @@ func runCT(sys *core.System) {
 			r.SigmaGas)
 	}
 	fmt.Println("(the public token path carries no proof at all — confidentiality costs one")
-	fmt.Println(" π_ct per created note plus the sigma relations; amounts never appear on-chain)")
+	fmt.Println(" π_ct per four created notes plus the sigma relations; amounts never appear on-chain)")
 }
 
 func runWAL() {

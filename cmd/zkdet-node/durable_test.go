@@ -1,6 +1,9 @@
 package main
 
 import (
+	"encoding/binary"
+	"encoding/hex"
+	"errors"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -9,6 +12,7 @@ import (
 	"time"
 
 	"github.com/zkdet/zkdet/internal/chain"
+	"github.com/zkdet/zkdet/internal/contracts"
 	"github.com/zkdet/zkdet/internal/core"
 	"github.com/zkdet/zkdet/internal/ct"
 	"github.com/zkdet/zkdet/internal/fr"
@@ -233,21 +237,7 @@ func crashDaemon(t *testing.T, srv *server, ts *httptest.Server) map[chain.Hash]
 // the producer charged the amortised schedule off process-local marks that
 // replay never saw.
 func TestDurableCrashRecoversProofsFromWALTail(t *testing.T) {
-	dir := t.TempDir()
-	ak := ct.AuditorKeyFromSecret(fr.NewElement(0x5ec7))
-	issuer, err := parseAddr("issuer")
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := testCfg()
-	cfg.dataDir = dir
-	cfg.checkpointEvery = 1 << 20 // never checkpoint
-	// The confidential subsystem is part of this deployment's genesis: both
-	// processes deploy it before recovering anything.
-	cfg.genesis = func(m *core.Marketplace) error {
-		_, err := m.EnableConfidential(issuer, ak.PublicKey())
-		return err
-	}
+	cfg := confidentialCfg(t, nil)
 	srv, err := newServer(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -385,36 +375,27 @@ func TestDurableRecoversAfterUnknownContractTx(t *testing.T) {
 	}
 }
 
-// TestDurableRecoversDataDirWrittenByOverlayEngine: testdata/pr19-datadir is
-// the WAL tail of a daemon built from the last commit that still executed
-// blocks on the speculative overlay engine (PR 19, width 2; 30 transactions
-// speculated and committed, 8 run at commit time), killed before any
-// checkpoint: eight client exchange lifecycles run concurrently (settlements
-// folded six and two to a block), then a confidential mint and transfer.
-// That engine's contract was bit-identity with the journaled executor, so
-// the directory must replay here to the head and state root that daemon
-// reported, through the same folds.
-func TestDurableRecoversDataDirWrittenByOverlayEngine(t *testing.T) {
-	const (
-		wantHeight = 8
-		wantHead   = "0x524068a33e3f2376f5a2f84b962ed2ec152ed5b89289e5150fd863960f6a4d3c"
-		wantRoot   = "0xa210ce6d4239b4eac273f5a9ab95ea997b1a717061d1e6c7630539c2ef9c755b"
-	)
-	dir := t.TempDir() // recovery appends to the directory it opens: work on a copy
-	const seg = "wal/wal-0000000000000001.seg"
-	raw, err := os.ReadFile(filepath.Join("testdata/pr19-datadir", seg))
-	if err != nil {
-		t.Fatal(err)
+// walSegment is the one segment file of the committed data directories.
+const walSegment = "wal/wal-0000000000000001.seg"
+
+// confidentialCfg is the configuration the confidential crash tests and the
+// committed data directories share: the test configuration on a fresh
+// directory, never checkpointing, with the confidential subsystem part of
+// the genesis — every process on the directory deploys it before
+// recovering anything. A non-nil seg becomes the directory's WAL: recovery
+// appends to the directory it opens, so committed bytes are replayed from a
+// copy.
+func confidentialCfg(t *testing.T, seg []byte) serverConfig {
+	t.Helper()
+	dir := t.TempDir()
+	if seg != nil {
+		if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, walSegment), seg, 0o644); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.MkdirAll(filepath.Join(dir, "wal"), 0o755); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, seg), raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	// The genesis that daemon ran: the test configuration plus the
-	// confidential subsystem under TestDurableCrashRecoversProofsFromWALTail's
-	// issuer and auditor key.
 	ak := ct.AuditorKeyFromSecret(fr.NewElement(0x5ec7))
 	issuer, err := parseAddr("issuer")
 	if err != nil {
@@ -427,25 +408,98 @@ func TestDurableRecoversDataDirWrittenByOverlayEngine(t *testing.T) {
 		_, err := m.EnableConfidential(issuer, ak.PublicKey())
 		return err
 	}
+	return cfg
+}
+
+// recoverFromWAL starts a daemon on cfg's directory and requires it to have
+// replayed exactly the blocks up to height from the WAL alone, ending at
+// wantHead, each block under the fold it was sealed under (0 if not named).
+func recoverFromWAL(t *testing.T, cfg serverConfig, height uint64, wantHead string, folds map[uint64]uint32) {
+	t.Helper()
 	srv, err := newServer(cfg)
 	if err != nil {
-		t.Fatalf("restart on the older commit's data directory: %v", err)
+		t.Fatalf("restart on the committed data directory: %v", err)
 	}
 	t.Cleanup(srv.close)
-	if rep := srv.recovery; rep.SnapshotPath != "" || rep.BlocksReplayed != wantHeight || rep.Head != wantHeight {
-		t.Fatalf("recovery %+v, want %d blocks replayed from the WAL alone", rep, wantHeight)
+	if rep := srv.recovery; rep.SnapshotPath != "" || rep.BlocksReplayed != int(height) || rep.Head != height {
+		t.Fatalf("recovery %+v, want %d blocks replayed from the WAL alone", rep, height)
 	}
-	head := srv.mkt.Chain.Head()
-	if got := head.Hash().String(); got != wantHead {
+	if got := srv.mkt.Chain.HeadHash().String(); got != wantHead {
 		t.Fatalf("recovered head %s, want %s", got, wantHead)
 	}
-	if got := head.StateRoot.String(); got != wantRoot {
-		t.Fatalf("recovered state root %s, want %s", got, wantRoot)
-	}
-	folds := map[uint64]uint32{4: 6, 5: 2, 7: 1, 8: 2}
-	for n := uint64(1); n <= wantHeight; n++ {
+	for n := uint64(1); n <= height; n++ {
 		if b, _ := srv.mkt.Chain.BlockByNumber(n); b.Fold != folds[n] {
 			t.Fatalf("block %d replayed under fold %d, was sealed under %d", n, b.Fold, folds[n])
 		}
 	}
+}
+
+// TestDurableRecoversDataDirWrittenByOverlayEngine: testdata/pr19-datadir is
+// the WAL tail of a daemon built from the last commit that still executed
+// blocks on the speculative overlay engine (PR 19, width 2; 30 transactions
+// speculated and committed, 8 run at commit time), killed before any
+// checkpoint: eight client exchange lifecycles run concurrently (settlements
+// folded six and two to a block, heights 4 and 5; block 6 ends them), then
+// in blocks 7 and 8 a confidential mint and transfer. That engine's contract
+// was bit-identity with the journaled executor, so the public exchanges must
+// replay here through the same folds to the head that daemon built block 7
+// on. The confidential tail is another matter: its calldata carries
+// version-1 transfer proofs (one π_ct per output), which this build's
+// consensus no longer accepts — so the log is replayed cut at the frame
+// boundary after block 6, and the uncut directory must be refused, loudly
+// and by type, rather than recovered to some other head.
+func TestDurableRecoversDataDirWrittenByOverlayEngine(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata/pr19-datadir", walSegment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Walk the frames (u32 length | u8 type | payload | u32 CRC after the
+	// 8-byte magic; a block record is type 1 and opens with its number and
+	// parent hash) to the end of block 6 and the parent block 7 names.
+	var cut int
+	var wantHead string
+	for off := 8; off+9 <= len(raw); {
+		plen := int(binary.LittleEndian.Uint32(raw[off:]))
+		typ, payload := raw[off+4], raw[off+5:off+5+plen]
+		off += 9 + plen
+		if typ != 1 {
+			continue
+		}
+		switch binary.LittleEndian.Uint64(payload) {
+		case 6:
+			cut = off
+		case 7:
+			wantHead = "0x" + hex.EncodeToString(payload[8:40])
+		}
+	}
+	if cut == 0 || wantHead == "" {
+		t.Fatalf("blocks 6 and 7 not found in the committed segment (cut %d, parent %q)", cut, wantHead)
+	}
+	recoverFromWAL(t, confidentialCfg(t, raw[:cut]), 6, wantHead, map[uint64]uint32{4: 6, 5: 2})
+
+	srv, err := newServer(confidentialCfg(t, raw))
+	if err == nil {
+		srv.close()
+		t.Fatalf("a WAL holding version-1 confidential proofs recovered to head %d (%s)", srv.mkt.Chain.Height(), srv.mkt.Chain.HeadHash())
+	}
+	if !errors.Is(err, contracts.ErrCTProofRejected) || !errors.Is(err, ct.ErrBadProofEncoding) {
+		t.Fatalf("uncut directory refused with %v, want ErrCTProofRejected wrapping ErrBadProofEncoding", err)
+	}
+}
+
+// TestDurableRecoversConfidentialDataDir: testdata/pr21-datadir is the WAL
+// tail of a daemon of the build that moved π_ct to four slots (version-2
+// transfer proofs), killed before any checkpoint after a confidential mint
+// and a 1→2 transfer — the tail pr19-datadir ends in, which sealed under
+// folds 1 and 2 when every output carried its own range proof. One π_ct now
+// covers both outputs, so the directory must replay to the head that daemon
+// reported under folds 1 and 1.
+func TestDurableRecoversConfidentialDataDir(t *testing.T) {
+	raw, err := os.ReadFile(filepath.Join("testdata/pr21-datadir", walSegment))
+	if err != nil {
+		t.Fatal(err)
+	}
+	recoverFromWAL(t, confidentialCfg(t, raw), 2,
+		"0x0b0907fcbcd6a9f5fb037fb1912fcdce62f648a727eb642280b8950ec6cefa78",
+		map[uint64]uint32{1: 1, 2: 1})
 }

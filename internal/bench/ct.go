@@ -14,8 +14,9 @@ import (
 
 // CTRow is one point of the confidential-transfer benchmark: a transfer of
 // the given shape, its full proof generation and verification time, the
-// sigma-only (gossip pre-screen) time, and the amortized per-proof cost of
-// folding BatchN range proofs into one pairing check — the seal-time path.
+// sigma-only (gossip pre-screen) time, and the amortized cost per range
+// proof (one per ct.RangeSlots outputs) of folding BatchN of them into one
+// pairing check — the seal-time path.
 type CTRow struct {
 	Inputs            int
 	Outputs           int
@@ -64,8 +65,8 @@ func ctStatement(params *ct.Params, auditor *ct.AuditorKey, nIn, nOut int) (*ct.
 
 // CTSweep measures the confidential-transfer pipeline over a set of
 // (inputs, outputs) shapes. batchN is the fold width for the seal-time
-// batch column: the per-output range proofs of batchN/outputs transfers
-// folded into a single pairing check via plonk.Batch.
+// batch column: the range proofs of as many copies of the transfer as it
+// takes to reach batchN, folded into a single pairing check via plonk.Batch.
 func CTSweep(sys *core.System, shapes [][2]int, batchN int) ([]CTRow, error) {
 	params := ct.DefaultParams()
 	auditor := ct.AuditorKeyFromSecret(fr.NewElement(0xbe_c7))
@@ -103,13 +104,15 @@ func CTSweep(sys *core.System, shapes [][2]int, batchN int) ([]CTRow, error) {
 		// Seal-time amortization: fold batchN copies of this transfer's
 		// range proofs into one pairing check. The sigma part is re-checked
 		// per proof (it is pairing-free), so the fold is the win.
-		e := ct.Challenge(params, &pub, st, proof)
+		ranges, err := proof.RangeInstances(params, &pub, st)
+		if err != nil {
+			return nil, err
+		}
 		batch := plonk.NewBatch(vk)
 		added := 0
 		for added < batchN {
-			for i := range proof.Outputs {
-				op := &proof.Outputs[i]
-				if err := batch.Add(op.Range, ct.RangePublics(e, op.ZV, op.PT)); err != nil {
+			for _, ri := range ranges {
+				if err := batch.Add(ri.Proof, ri.Public); err != nil {
 					return nil, err
 				}
 				added++

@@ -45,7 +45,7 @@ func BenchmarkCTTransfer(b *testing.B) {
 				b.ReportMetric(r.ProveSeconds*1000, "prove-ms")
 				b.ReportMetric(r.VerifySeconds*1000, "verify-ms")
 				b.ReportMetric(r.SigmaSeconds*1000, "sigma-ms")
-				b.ReportMetric(r.BatchPerProofSecs*1000, "batch-ms/proof")
+				b.ReportMetric(r.BatchPerProofSecs*1000, "batch-ms/pi_ct")
 			}
 		})
 	}

@@ -204,7 +204,7 @@ func (c *Chain) applyBlock(hdr *Block, txs []Transaction) (Produced, error) {
 				continue
 			}
 			if hdr != nil {
-				return 0, fmt.Errorf("%w: tx %d: %v", ErrImportFailed, at[k], e)
+				return 0, fmt.Errorf("%w: tx %d: %w", ErrImportFailed, at[k], e)
 			}
 			p.Outcomes[at[k]].Err = e
 			dropped++

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"github.com/zkdet/zkdet/internal/chain"
-	"github.com/zkdet/zkdet/internal/ct"
 	"github.com/zkdet/zkdet/internal/plonk"
 )
 
@@ -23,10 +22,11 @@ import (
 // offenders in O(k·log n) pairing checks.
 //
 // A transaction can carry several proofs (a confidential transfer has one
-// π_ct per output); proofs under verifying keys that share an SRS (equal
-// G2 tail) fold into a single pairing via plonk.Batch.AddFor, so π_k
-// settlements and π_ct range proofs in the same block cost one pairing
-// check total when their keys came from the same ceremony.
+// π_ct per ct.RangeSlots outputs); proofs under verifying keys that share
+// an SRS (equal G2 tail) fold into a single pairing via
+// plonk.Batch.AddFor, so π_k settlements and π_ct range proofs in the same
+// block cost one pairing check total when their keys came from the same
+// ceremony.
 //
 // The check is a pure function of the registered contracts' configuration
 // and the calldata: it reads no chain state and writes nothing, which lets
@@ -122,19 +122,13 @@ func (bc *BlockProofChecker) extractAll(tx *chain.Transaction) ([]proofItem, err
 		// calldata (execution cross-checks them against storage), so the
 		// network boundary can reject forged balances and inconsistent
 		// auditor ciphertexts without any chain state.
-		st := d.Statement(tx.From, tx.Method == "mint")
-		if err := ct.VerifySigma(tok.params, &tok.auditor, st, d.Proof); err != nil {
+		ranges, err := d.Proof.RangeInstances(tok.params, &tok.auditor, d.Statement(tx.From, tx.Method == "mint"))
+		if err != nil {
 			return nil, fmt.Errorf("%w: %w", ErrCTProofRejected, err)
 		}
-		e := ct.Challenge(tok.params, &tok.auditor, st, d.Proof)
-		items := make([]proofItem, 0, len(d.Proof.Outputs))
-		for i := range d.Proof.Outputs {
-			op := &d.Proof.Outputs[i]
-			if op.Range == nil {
-				return nil, fmt.Errorf("%w: output %d missing range proof", ErrCTProofRejected, i)
-			}
-			items = append(items, proofItem{name: tok.rangeVerifierName, v: v,
-				args: VerifyArgs(op.Range, ct.RangePublics(e, op.ZV, op.PT))})
+		items := make([]proofItem, len(ranges))
+		for g, ri := range ranges {
+			items[g] = proofItem{name: tok.rangeVerifierName, v: v, args: VerifyArgs(ri.Proof, ri.Public)}
 		}
 		return items, nil
 	}

@@ -56,10 +56,10 @@ type CTNote struct {
 //	noteOf(noteId)                   (view)
 //
 // Every mint/transfer carries a ct.Proof: the sigma part (balance +
-// auditor-ciphertext consistency) is verified in-contract, and each
-// output's π_ct range proof is verified through the deployed Plonk
-// verifier contract — which is exactly what the block's proof check
-// (BlockProofChecker) folds and amortizes.
+// auditor-ciphertext consistency) is verified in-contract, and each π_ct
+// range proof (one per ct.RangeSlots outputs) is verified through the
+// deployed Plonk verifier contract — which is exactly what the block's
+// proof check (BlockProofChecker) folds and amortizes.
 type ConfidentialToken struct {
 	issuer  chain.Address
 	auditor bn254.G1Affine
@@ -352,22 +352,17 @@ func (c *ConfidentialToken) mintOrTransfer(ctx *chain.CallContext, args []byte, 
 	if err := ctx.Gas.Charge(CTSigmaGas(len(d.InIDs), len(d.Outputs))); err != nil {
 		return nil, err
 	}
-	st := d.Statement(ctx.Sender, mint)
-	if err := ct.VerifySigma(c.params, &c.auditor, st, d.Proof); err != nil {
+	ranges, err := d.Proof.RangeInstances(c.params, &c.auditor, d.Statement(ctx.Sender, mint))
+	if err != nil {
 		return nil, fmt.Errorf("%w: %w", ErrCTProofRejected, err)
 	}
 
-	// Range proofs: one π_ct per output through the verifier contract —
-	// amortized gas when the block's proof table holds the calldata.
-	e := ct.Challenge(c.params, &c.auditor, st, d.Proof)
-	for i := range d.Proof.Outputs {
-		op := &d.Proof.Outputs[i]
-		if op.Range == nil {
-			return nil, fmt.Errorf("%w: output %d missing range proof", ErrCTProofRejected, i)
-		}
-		vargs := VerifyArgs(op.Range, ct.RangePublics(e, op.ZV, op.PT))
-		if _, err := ctx.CallContract(c.rangeVerifierName, "verify", vargs); err != nil {
-			return nil, fmt.Errorf("%w: output %d range: %w", ErrCTProofRejected, i, err)
+	// Range proofs: one π_ct per ct.RangeSlots outputs through the
+	// verifier contract — amortized gas when the block's proof table
+	// holds the calldata.
+	for g, ri := range ranges {
+		if _, err := ctx.CallContract(c.rangeVerifierName, "verify", VerifyArgs(ri.Proof, ri.Public)); err != nil {
+			return nil, fmt.Errorf("%w: range proof %d: %w", ErrCTProofRejected, g, err)
 		}
 	}
 

@@ -386,7 +386,8 @@ func TestCTTransferCalldataValidation(t *testing.T) {
 
 // TestBlockProofCheckerConfidential covers the confidential path through
 // the block checker: sigma forgeries die at the stateless pre-check, valid
-// transfers get every π_ct entered in the block's table (amortised gas),
+// transfers get every π_ct entered in the block's table (amortised gas) —
+// one per ct.RangeSlots outputs, so the five-output mint here carries two —
 // and π_ct proofs fold together with proofs from other verifiers on the
 // same SRS via AddFor.
 func TestBlockProofCheckerConfidential(t *testing.T) {
@@ -398,12 +399,12 @@ func TestBlockProofCheckerConfidential(t *testing.T) {
 	bc.AddVerifier(testPiCTVerifier, NewVerifier(cs.vk))
 	bc.AddConfidential(ConfidentialTokenName, tok)
 
-	mintArgs := ctProve(t, issuer, true, nil, nil,
-		[]ct.OutputSecret{
-			{V: 60, R: fr.NewElement(71), Rho: fr.NewElement(72)},
-			{V: 40, R: fr.NewElement(73), Rho: fr.NewElement(74)},
-		},
-		[]chain.Address{alice, alice})
+	recipients := []chain.Address{alice, alice, alice, alice, alice}
+	secrets := make([]ct.OutputSecret, len(recipients))
+	for i := range secrets {
+		secrets[i] = ct.OutputSecret{V: uint64(20 + i), R: fr.NewElement(uint64(71 + 2*i)), Rho: fr.NewElement(uint64(72 + 2*i))}
+	}
+	mintArgs := ctProve(t, issuer, true, nil, nil, secrets, recipients)
 	good := &chain.Transaction{From: issuer, Contract: ConfidentialTokenName, Method: "mint", Args: mintArgs}
 
 	// Forge: flip one sigma response byte.
@@ -415,7 +416,7 @@ func TestBlockProofCheckerConfidential(t *testing.T) {
 	one.SetOne()
 	d.Proof.Outputs[0].ZV.Add(&d.Proof.Outputs[0].ZV, &one)
 	forged := &chain.Transaction{From: issuer, Contract: ConfidentialTokenName, Method: "mint",
-		Args: CTTransferArgs(d.InIDs, d.InComms, d.Outputs, []chain.Address{alice, alice}, d.Proof)}
+		Args: CTTransferArgs(d.InIDs, d.InComms, d.Outputs, recipients, d.Proof)}
 
 	// Garbage calldata is rejected too (not silently skipped).
 	garbage := &chain.Transaction{From: issuer, Contract: ConfidentialTokenName, Method: "mint", Args: []byte("junk")}
@@ -434,20 +435,22 @@ func TestBlockProofCheckerConfidential(t *testing.T) {
 		t.Fatalf("forged sigma error %v", errs[1])
 	}
 
-	// CheckBlock enters both outputs' range proofs in the table, under the
-	// range verifier's name, at the width of their shared fold.
+	// CheckBlock enters both range proofs (outputs 0–3, output 4 beside
+	// three dummy slots) in the table, under the range verifier's name, at
+	// the width of their shared fold.
 	marks, errs := bc.CheckBlock([]*chain.Transaction{good})
 	if marks.Txs != 1 || marks.Items != 2 || errs[0] != nil {
 		t.Fatalf("block check validated %d txs / %d items, errs %v", marks.Txs, marks.Items, errs)
 	}
 	gd, _ := DecodeCTTransfer(mintArgs)
-	st := gd.Statement(issuer, true)
-	e := ct.Challenge(cs.params, &cs.pub, st, gd.Proof)
-	for i := range gd.Proof.Outputs {
-		op := &gd.Proof.Outputs[i]
-		key := chain.ProofKey(testPiCTVerifier, VerifyArgs(op.Range, ct.RangePublics(e, op.ZV, op.PT)))
+	ranges, err := gd.Proof.RangeInstances(cs.params, &cs.pub, gd.Statement(issuer, true))
+	if err != nil || len(ranges) != 2 {
+		t.Fatalf("%d range instances, err %v", len(ranges), err)
+	}
+	for g, ri := range ranges {
+		key := chain.ProofKey(testPiCTVerifier, VerifyArgs(ri.Proof, ri.Public))
 		if w := marks.Width[key]; w != 2 {
-			t.Fatalf("output %d in the table at width %d, want 2", i, w)
+			t.Fatalf("range proof %d in the table at width %d, want 2", g, w)
 		}
 	}
 }

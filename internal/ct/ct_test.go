@@ -19,7 +19,7 @@ var (
 	srsErr  error
 )
 
-func testSRS(t *testing.T) *kzg.SRS {
+func testSRS(t testing.TB) *kzg.SRS {
 	t.Helper()
 	srsOnce.Do(func() {
 		tau := fr.NewElement(0x5eed2025)
@@ -34,7 +34,7 @@ func testSRS(t *testing.T) *kzg.SRS {
 var proverOnce sync.Once
 var proverInst *RangeProver
 
-func testProver(t *testing.T) *RangeProver {
+func testProver(t testing.TB) *RangeProver {
 	t.Helper()
 	srs := testSRS(t)
 	proverOnce.Do(func() { proverInst = NewRangeProver(srs) })
@@ -243,15 +243,12 @@ func TestRangeProofRejectsOutOfRange(t *testing.T) {
 		t.Fatalf("want ErrOutOfRange, got %v", err)
 	}
 	// A directly forged witness fails inside the circuit.
-	v := fr.NewElement(1 << RangeBits)
-	tv := fr.NewElement(5)
-	stt := fr.NewElement(6)
 	e := fr.NewElement(7)
-	var ev, zv fr.Element
-	ev.Mul(&e, &v)
-	zv.Add(&tv, &ev)
-	pt := poseidon.CommitWith([]fr.Element{tv}, stt)
-	if _, err := rp.Prove(e, zv, pt, v, tv, stt); err == nil {
+	slot := RangeSlot{V: fr.NewElement(1 << RangeBits), TV: fr.NewElement(5), ST: fr.NewElement(6)}
+	slot.ZV.Mul(&e, &slot.V)
+	slot.ZV.Add(&slot.ZV, &slot.TV)
+	slot.PT = poseidon.CommitWith([]fr.Element{slot.TV}, slot.ST)
+	if _, err := rp.Prove(e, []RangeSlot{slot}); err == nil {
 		t.Fatalf("out-of-range witness proved")
 	}
 }
@@ -271,7 +268,7 @@ func TestProofEncodingRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("decode: %v", err)
 	}
-	if len(back.Outputs) != len(proof.Outputs) || !back.ZBal.Equal(&proof.ZBal) {
+	if len(back.Outputs) != len(proof.Outputs) || len(back.Ranges) != 1 || !back.ZBal.Equal(&proof.ZBal) {
 		t.Fatalf("round trip mismatch")
 	}
 	vk, err := rp.VK()

@@ -13,21 +13,26 @@ import (
 // Wire format, following the plonk ZKPF convention: a 4-byte magic, a
 // 1-byte version, then fixed-width fields. Every point is the 64-byte
 // uncompressed G1 encoding (decoding rejects off-curve points), every
-// scalar the canonical 32-byte big-endian fr encoding.
+// scalar the canonical 32-byte big-endian fr encoding. Version 2 moved
+// the range proofs out of the output proofs into a counted list behind
+// them (one π_ct per RangeSlots outputs); version-1 bytes are refused.
 const (
 	proofMagic   = "ZKCT"
-	proofVersion = 1
+	proofVersion = 2
 
-	outputWire = 64 + 160       // commitment ‖ audit cipher
+	proofFixed = 4 + 1 + 1 + 2 + 64 + 32 // magic version flags nOutputs ‖ TBal ZBal
+
+	outputWire    = 64 + 160    // commitment ‖ audit cipher
 	outProofFixed = 3*64 + 4*32 // TOpen TEnc1 TEnc2 ‖ PT ZV ZR ZRho
 )
 
 // ErrBadProofEncoding is returned when decoding rejects proof bytes.
 var ErrBadProofEncoding = errors.New("ct: malformed transfer proof encoding")
 
-// maxRangeProofLen caps one embedded π_ct blob; real proofs are ~1-2 KiB,
-// the cap just keeps a hostile length prefix from driving allocation.
-const maxRangeProofLen = 1 << 20
+// maxRangeProofLen caps one embedded π_ct blob at the largest encoding
+// plonk itself produces, so a hostile length prefix cannot drive
+// allocation.
+const maxRangeProofLen = plonk.MaxProofSize
 
 // Bytes encodes an output as commitment ‖ audit cipher (224 bytes).
 func (o *Output) Bytes() [outputWire]byte {
@@ -56,22 +61,19 @@ func OutputFromBytes(b []byte) (Output, error) {
 }
 
 // Bytes serializes the proof: magic, version, flags, output count, the
-// balance pair, then each output proof with a length-prefixed π_ct.
+// balance pair, each output proof, then the range-proof count and each
+// π_ct length-prefixed.
 func (p *Proof) Bytes() []byte {
-	size := 4 + 1 + 1 + 2 + 64 + 32
-	blobs := make([][]byte, len(p.Outputs))
-	for i := range p.Outputs {
-		if p.Outputs[i].Range != nil {
-			blobs[i] = p.Outputs[i].Range.Bytes()
-		}
-		size += outProofFixed + 4 + len(blobs[i])
+	size := proofFixed + len(p.Outputs)*outProofFixed + 2
+	blobs := make([][]byte, len(p.Ranges))
+	for g := range p.Ranges {
+		blobs[g] = p.Ranges[g].Bytes()
+		size += 4 + len(blobs[g])
 	}
 	out := make([]byte, 0, size)
 	out = append(out, proofMagic...)
 	out = append(out, proofVersion, 0)
-	var n2 [2]byte
-	binary.BigEndian.PutUint16(n2[:], uint16(len(p.Outputs)))
-	out = append(out, n2[:]...)
+	out = binary.BigEndian.AppendUint16(out, uint16(len(p.Outputs)))
 	tb := p.TBal.Bytes()
 	zb := p.ZBal.Bytes()
 	out = append(out, tb[:]...)
@@ -92,19 +94,21 @@ func (p *Proof) Bytes() []byte {
 		out = append(out, zv[:]...)
 		out = append(out, zr[:]...)
 		out = append(out, zrho[:]...)
-		var l4 [4]byte
-		binary.BigEndian.PutUint32(l4[:], uint32(len(blobs[i])))
-		out = append(out, l4[:]...)
-		out = append(out, blobs[i]...)
+	}
+	out = binary.BigEndian.AppendUint16(out, uint16(len(blobs)))
+	for _, blob := range blobs {
+		out = binary.BigEndian.AppendUint32(out, uint32(len(blob)))
+		out = append(out, blob...)
 	}
 	return out
 }
 
 // ProofFromBytes decodes a transfer proof, rejecting bad magic, unknown
 // versions, arity over MaxParties, off-curve points, non-canonical
-// scalars, and truncated or trailing bytes.
+// scalars, a range-proof count other than ⌈outputs/RangeSlots⌉, empty or
+// oversized range proofs, and truncated or trailing bytes.
 func ProofFromBytes(b []byte) (*Proof, error) {
-	if len(b) < 4+1+1+2+64+32 {
+	if len(b) < proofFixed {
 		return nil, fmt.Errorf("%w: %d bytes", ErrBadProofEncoding, len(b))
 	}
 	if string(b[:4]) != proofMagic {
@@ -131,7 +135,7 @@ func ProofFromBytes(b []byte) (*Proof, error) {
 	}
 	rest = rest[96:]
 	for i := 0; i < n; i++ {
-		if len(rest) < outProofFixed+4 {
+		if len(rest) < outProofFixed {
 			return nil, fmt.Errorf("%w: truncated output %d", ErrBadProofEncoding, i)
 		}
 		op := &p.Outputs[i]
@@ -156,20 +160,30 @@ func ProofFromBytes(b []byte) (*Proof, error) {
 		if op.ZRho, err = fr.FromBytesCanonical(rest[288:320]); err != nil {
 			return nil, fmt.Errorf("%w: output %d ZRho: %w", ErrBadProofEncoding, i, err)
 		}
-		l := binary.BigEndian.Uint32(rest[320:324])
-		if l > maxRangeProofLen {
-			return nil, fmt.Errorf("%w: output %d range proof length %d", ErrBadProofEncoding, i, l)
+		rest = rest[outProofFixed:]
+	}
+	if len(rest) < 2 {
+		return nil, fmt.Errorf("%w: truncated range proof count", ErrBadProofEncoding)
+	}
+	if got, want := int(binary.BigEndian.Uint16(rest)), rangeCount(n); got != want {
+		return nil, fmt.Errorf("%w: %d range proofs for %d outputs, want %d", ErrBadProofEncoding, got, n, want)
+	}
+	rest = rest[2:]
+	p.Ranges = make([]*plonk.Proof, rangeCount(n))
+	for g := range p.Ranges {
+		if len(rest) < 4 {
+			return nil, fmt.Errorf("%w: truncated range proof %d", ErrBadProofEncoding, g)
 		}
-		rest = rest[324:]
+		l := binary.BigEndian.Uint32(rest)
+		rest = rest[4:]
+		if l == 0 || l > maxRangeProofLen {
+			return nil, fmt.Errorf("%w: range proof %d length %d", ErrBadProofEncoding, g, l)
+		}
 		if uint32(len(rest)) < l {
-			return nil, fmt.Errorf("%w: truncated range proof %d", ErrBadProofEncoding, i)
+			return nil, fmt.Errorf("%w: truncated range proof %d", ErrBadProofEncoding, g)
 		}
-		if l > 0 {
-			rp, err := plonk.ProofFromBytes(rest[:l])
-			if err != nil {
-				return nil, fmt.Errorf("%w: output %d range proof: %w", ErrBadProofEncoding, i, err)
-			}
-			op.Range = rp
+		if p.Ranges[g], err = plonk.ProofFromBytes(rest[:l]); err != nil {
+			return nil, fmt.Errorf("%w: range proof %d: %w", ErrBadProofEncoding, g, err)
 		}
 		rest = rest[l:]
 	}

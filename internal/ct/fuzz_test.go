@@ -50,10 +50,12 @@ func FuzzCommitmentDecode(f *testing.F) {
 // decoder: no panics, and an accepted proof must round-trip bit-exactly
 // through re-encode → re-decode.
 func FuzzCTProofDecode(f *testing.F) {
-	// Seed with a structurally valid sigma-only proof (nil range proofs
-	// keep the seed cheap; the decoder handles both).
-	p := &Proof{Outputs: make([]OutputProof, 2)}
-	f.Add(p.Bytes())
+	// Seed with a transfer of real arity — five outputs, two range proofs —
+	// and with the same proof laid out the version-1 way, which the decoder
+	// must turn away at the version byte.
+	proof := fiveOutputProof(f)
+	f.Add(proof.Bytes())
+	f.Add(encodeV1(proof))
 	f.Add([]byte("ZKCT"))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		proof, err := ProofFromBytes(data)

@@ -21,11 +21,31 @@ const RangeBits = 24
 // amounts and ≤16 outputs the total value stays below 2^28.
 const MaxParties = 16
 
-// BuildRangeCircuit constructs π_ct, the per-output circuit gluing the
-// transfer's sigma protocol to an in-circuit range check. Public inputs
-// (in order): the Fiat–Shamir challenge e, the sigma response z_v, and a
-// Poseidon commitment P_t to the sigma nonce t_v. Secrets: the amount v,
-// the nonce t_v, and the Poseidon blinder s_t. Constraints:
+// RangeSlots is the number of outputs one π_ct covers. The k=12 range
+// table fixes the proof's domain at 2^12 rows whatever the circuit holds,
+// and one output's three constraints take 876 of them, so ⌊4096/879⌋ = 4
+// outputs share the rows a single one already pays for. It is a property
+// of the circuit, not a knob: there is one shape, one key, one verifier.
+const RangeSlots = 4
+
+// RangeSlot is one output's place in π_ct: the public pair the verifier
+// takes from the sigma proof and the prover's secrets behind it.
+type RangeSlot struct {
+	ZV, PT    fr.Element // public: sigma response z_v, nonce binding P_t
+	V, TV, ST fr.Element // secret: amount, sigma nonce t_v, Poseidon blinder s_t
+}
+
+// dummyPT is PoseidonCommit(0; 0): with v = t_v = s_t = 0 the zero slot
+// (z_v, P_t) = (0, dummyPT) satisfies all three constraints under every
+// challenge, so it fills the slots a transfer does not use.
+var dummyPT = poseidon.CommitWith([]fr.Element{{}}, fr.Element{})
+
+// BuildRangeCircuit constructs π_ct, the circuit gluing the transfer's
+// sigma protocol to an in-circuit range check for up to RangeSlots
+// outputs at once. Public inputs (in order): the Fiat–Shamir challenge e,
+// then per slot the sigma response z_v and a Poseidon commitment P_t to
+// the sigma nonce t_v. Secrets per slot: the amount v, the nonce t_v, and
+// the Poseidon blinder s_t. Constraints, per slot under the one e:
 //
 //	v < 2^RangeBits            (lookup range gadget, k=12 limbs)
 //	z_v = t_v + e·v            (the sigma response equation)
@@ -38,42 +58,54 @@ const MaxParties = 16
 // committing an out-of-range amount would need t_v' ≠ t_v with
 // z_v − t_v' ∈ [0, 2^RangeBits) AND PoseidonCommit(t_v'; s') = P_t — a
 // Poseidon binding break — or must predict e, so cheating succeeds with
-// probability ≈ 2^RangeBits/|Fr| per transcript.
-func BuildRangeCircuit(e, zv, pt, v, tv, st fr.Element) *circuit.Builder {
+// probability ≈ 2^RangeBits/|Fr| per transcript. The slots share nothing
+// but e, so the argument holds slot by slot. Slots past len(live) hold the
+// dummy pair.
+func BuildRangeCircuit(e fr.Element, live []RangeSlot) *circuit.Builder {
 	b := circuit.NewBuilder()
 	b.EnableLookups(circuit.DefaultRangeTableBits)
 	eV := b.Public(e)
-	zvV := b.Public(zv)
-	ptV := b.Public(pt)
-	vV := b.Secret(v)
-	tvV := b.Secret(tv)
-	stV := b.Secret(st)
-	b.AssertRange(vV, RangeBits)
-	b.AssertEqual(b.Add(tvV, b.Mul(eV, vV)), zvV)
-	b.AssertEqual(poseidon.GadgetCommit(b, []circuit.Variable{tvV}, stV), ptV)
+	for i := 0; i < RangeSlots; i++ {
+		s := RangeSlot{PT: dummyPT}
+		if i < len(live) {
+			s = live[i]
+		}
+		zvV := b.Public(s.ZV)
+		ptV := b.Public(s.PT)
+		vV := b.Secret(s.V)
+		tvV := b.Secret(s.TV)
+		stV := b.Secret(s.ST)
+		b.AssertRange(vV, RangeBits)
+		b.AssertEqual(b.Add(tvV, b.Mul(eV, vV)), zvV)
+		b.AssertEqual(poseidon.GadgetCommit(b, []circuit.Variable{tvV}, stV), ptV)
+	}
 	return b
 }
 
 // AuditRangeCircuit instantiates π_ct with a small consistent witness for
-// the soundness auditor registry.
+// the soundness auditor registry. Every slot is live and distinct: a zero
+// dummy slot would let coefficient mutants on its zero wires survive.
 func AuditRangeCircuit() *circuit.Builder {
-	v := fr.NewElement(123456)
-	tv := fr.NewElement(7777)
-	st := fr.NewElement(99)
 	e := fr.NewElement(31337)
-	var ev fr.Element
-	ev.Mul(&e, &v)
-	var zv fr.Element
-	zv.Add(&tv, &ev)
-	pt := poseidon.CommitWith([]fr.Element{tv}, st)
-	return BuildRangeCircuit(e, zv, pt, v, tv, st)
+	slots := make([]RangeSlot, RangeSlots)
+	for i := range slots {
+		s := &slots[i]
+		s.V = fr.NewElement(uint64(123456 + 1111*i))
+		s.TV = fr.NewElement(uint64(7777 + i))
+		s.ST = fr.NewElement(uint64(99 + i))
+		s.ZV.Mul(&e, &s.V)
+		s.ZV.Add(&s.ZV, &s.TV)
+		s.PT = poseidon.CommitWith([]fr.Element{s.TV}, s.ST)
+	}
+	return BuildRangeCircuit(e, slots)
 }
 
 // RangeProver holds the one-time Plonk preprocessing for π_ct over a
 // deployment's SRS. The circuit shape is witness-independent, so the keys
-// are built once and reused for every output.
+// are built once and reused for every proof.
 type RangeProver struct {
-	srs *kzg.SRS
+	srs   *kzg.SRS
+	setup func(*plonk.ConstraintSystem, *kzg.SRS) (*plonk.ProvingKey, *plonk.VerifyingKey, error) // plonk.Setup; tests count calls
 
 	mu sync.Mutex
 	pk *plonk.ProvingKey   // guarded by mu
@@ -83,21 +115,22 @@ type RangeProver struct {
 // NewRangeProver wraps an SRS. The SRS must cover the k=12 range table's
 // 2^12-row domain (NewTestSystem(1<<12) or larger); Setup reports an
 // undersized SRS on first use.
-func NewRangeProver(srs *kzg.SRS) *RangeProver { return &RangeProver{srs: srs} }
+func NewRangeProver(srs *kzg.SRS) *RangeProver {
+	return &RangeProver{srs: srs, setup: plonk.Setup}
+}
 
-// keys compiles a zero-witness instance and runs Setup once.
+// keys compiles the all-dummy instance and runs Setup once.
 func (rp *RangeProver) keys() (*plonk.ProvingKey, *plonk.VerifyingKey, error) {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
 	if rp.pk != nil {
 		return rp.pk, rp.vk, nil
 	}
-	var z fr.Element
-	cs, _, err := BuildRangeCircuit(z, z, z, z, z, z).Compile()
+	cs, _, err := BuildRangeCircuit(fr.Element{}, nil).Compile()
 	if err != nil {
 		return nil, nil, fmt.Errorf("ct: compiling pi_ct: %w", err)
 	}
-	pk, vk, err := plonk.Setup(cs, rp.srs)
+	pk, vk, err := rp.setup(cs, rp.srs)
 	if err != nil {
 		return nil, nil, fmt.Errorf("ct: pi_ct setup: %w", err)
 	}
@@ -112,13 +145,16 @@ func (rp *RangeProver) VK() (*plonk.VerifyingKey, error) {
 	return vk, err
 }
 
-// Prove generates one output's π_ct for the given instance.
-func (rp *RangeProver) Prove(e, zv, pt, v, tv, st fr.Element) (*plonk.Proof, error) {
+// Prove generates the π_ct covering 1..RangeSlots outputs under e.
+func (rp *RangeProver) Prove(e fr.Element, live []RangeSlot) (*plonk.Proof, error) {
+	if len(live) == 0 || len(live) > RangeSlots {
+		return nil, fmt.Errorf("ct: pi_ct over %d outputs, want 1..%d", len(live), RangeSlots)
+	}
 	pk, _, err := rp.keys()
 	if err != nil {
 		return nil, err
 	}
-	cs, witness, err := BuildRangeCircuit(e, zv, pt, v, tv, st).Compile()
+	cs, witness, err := BuildRangeCircuit(e, live).Compile()
 	if err != nil {
 		return nil, fmt.Errorf("ct: compiling pi_ct witness: %w", err)
 	}
@@ -132,12 +168,30 @@ func (rp *RangeProver) Prove(e, zv, pt, v, tv, st fr.Element) (*plonk.Proof, err
 	return proof, nil
 }
 
-// VerifyRange checks one output's π_ct against the public inputs
-// (e, z_v, P_t).
-func VerifyRange(vk *plonk.VerifyingKey, proof *plonk.Proof, e, zv, pt fr.Element) error {
-	return plonk.Verify(vk, proof, []fr.Element{e, zv, pt})
+// RangeInstance is one π_ct with the public inputs it must verify under.
+type RangeInstance struct {
+	Proof  *plonk.Proof
+	Public []fr.Element
 }
 
-// RangePublics returns the π_ct public-input vector of one output, in the
-// order the circuit declares them.
-func RangePublics(e, zv, pt fr.Element) []fr.Element { return []fr.Element{e, zv, pt} }
+// rangeInstances pairs each range proof with its public-input vector
+// (e, z_v0, P_t0, …, z_v3, P_t3): proof g covers outputs 4g..4g+3, every
+// pair taken from the sigma proof the challenge was derived from, and the
+// slots past the last output filled with the dummy pair — by the
+// verifier, so a prover cannot choose what an unused slot holds.
+func (p *Proof) rangeInstances(e fr.Element) []RangeInstance {
+	out := make([]RangeInstance, len(p.Ranges))
+	for g := range out {
+		pub := make([]fr.Element, 1, 1+2*RangeSlots)
+		pub[0] = e
+		for j := g * RangeSlots; j < (g+1)*RangeSlots; j++ {
+			if j < len(p.Outputs) {
+				pub = append(pub, p.Outputs[j].ZV, p.Outputs[j].PT)
+			} else {
+				pub = append(pub, fr.Element{}, dummyPT)
+			}
+		}
+		out[g] = RangeInstance{Proof: p.Ranges[g], Public: pub}
+	}
+	return out
+}

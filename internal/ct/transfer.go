@@ -59,8 +59,7 @@ type Statement struct {
 }
 
 // OutputProof is the per-output part of a transfer proof: the sigma nonce
-// commitments, the Poseidon nonce binding P_t, the responses, and the
-// π_ct range proof.
+// commitments, the Poseidon nonce binding P_t, and the responses.
 type OutputProof struct {
 	TOpen bn254.G1Affine // t_v·G + t_r·H
 	TEnc1 bn254.G1Affine // t_ρ·G
@@ -69,17 +68,21 @@ type OutputProof struct {
 	ZV    fr.Element     // t_v + e·v
 	ZR    fr.Element     // t_r + e·r
 	ZRho  fr.Element     // t_ρ + e·ρ
-	Range *plonk.Proof   // π_ct over (e, ZV, PT)
 }
 
 // Proof is a complete confidential-transfer proof: one AND-composed sigma
 // protocol over all outputs plus the balance relation, with a single
-// Fiat–Shamir challenge, and one π_ct per output.
+// Fiat–Shamir challenge, and one π_ct per RangeSlots outputs: Ranges[g]
+// covers Outputs[4g..4g+3] under (e, their ZV and PT).
 type Proof struct {
 	TBal    bn254.G1Affine // t_δ·H (zero for mints)
 	ZBal    fr.Element     // t_δ + e·δ, δ = Σr_in − Σr_out
 	Outputs []OutputProof
+	Ranges  []*plonk.Proof
 }
+
+// rangeCount is the number of range proofs a transfer of n outputs carries.
+func rangeCount(n int) int { return (n + RangeSlots - 1) / RangeSlots }
 
 // appendLen absorbs a length prefix so adjacent variable-length lists
 // cannot be reinterpreted across boundaries.
@@ -89,13 +92,13 @@ func appendLen(tr *transcript.Transcript, label string, n int) {
 	tr.AppendBytes(label, b[:])
 }
 
-// Challenge replays the Fiat–Shamir transcript of a transfer proof and
+// challenge replays the Fiat–Shamir transcript of a transfer proof and
 // returns its challenge e. The transcript binds the Pedersen bases, the
 // auditor key, the full statement (kind, context, inputs, outputs with
 // their audit ciphertexts) and every sigma nonce commitment — including
 // each output's Poseidon nonce binding P_t, which is what makes the π_ct
 // glue sound (t_v is fixed before e exists).
-func Challenge(params *Params, auditor *bn254.G1Affine, st *Statement, p *Proof) fr.Element {
+func challenge(params *Params, auditor *bn254.G1Affine, st *Statement, p *Proof) fr.Element {
 	tr := transcript.New("zkdet/ct/transfer/v1")
 	tr.AppendPoint("G", &params.G)
 	tr.AppendPoint("H", &params.H)
@@ -131,8 +134,8 @@ func Challenge(params *Params, auditor *bn254.G1Affine, st *Statement, p *Proof)
 }
 
 // checkShape validates the statement/proof arity invariants shared by
-// proving and verifying.
-func checkShape(st *Statement, nOutProofs int) error {
+// proving and verifying; the prover, with no proof yet, passes nil.
+func checkShape(st *Statement, p *Proof) error {
 	if len(st.Outputs) == 0 {
 		return fmt.Errorf("%w: no outputs", ErrBadStatement)
 	}
@@ -145,20 +148,26 @@ func checkShape(st *Statement, nOutProofs int) error {
 	if !st.Mint && len(st.Inputs) == 0 {
 		return fmt.Errorf("%w: transfer without inputs", ErrBadStatement)
 	}
-	if nOutProofs != len(st.Outputs) {
-		return fmt.Errorf("%w: %d outputs, %d output proofs", ErrBadStatement, len(st.Outputs), nOutProofs)
+	if p == nil {
+		return nil
+	}
+	if len(p.Outputs) != len(st.Outputs) {
+		return fmt.Errorf("%w: %d outputs, %d output proofs", ErrBadStatement, len(st.Outputs), len(p.Outputs))
+	}
+	if want := rangeCount(len(st.Outputs)); len(p.Ranges) != want {
+		return fmt.Errorf("%w: %d outputs take %d range proofs, have %d", ErrBadStatement, len(st.Outputs), want, len(p.Ranges))
 	}
 	return nil
 }
 
 // Prove builds a transfer proof. ins are the openings of st.Inputs (same
-// order); outs the secrets of st.Outputs. The range prover supplies the
-// π_ct per output. rng defaults to crypto/rand when nil.
+// order); outs the secrets of st.Outputs. The range prover supplies one
+// π_ct per RangeSlots outputs. rng defaults to crypto/rand when nil.
 func Prove(params *Params, rp *RangeProver, auditor *bn254.G1Affine, st *Statement, ins []Opening, outs []OutputSecret, rng io.Reader) (*Proof, error) {
 	if rng == nil {
 		rng = rand.Reader
 	}
-	if err := checkShape(st, len(st.Outputs)); err != nil {
+	if err := checkShape(st, nil); err != nil {
 		return nil, err
 	}
 	if len(ins) != len(st.Inputs) || len(outs) != len(st.Outputs) {
@@ -191,65 +200,85 @@ func Prove(params *Params, rp *RangeProver, auditor *bn254.G1Affine, st *Stateme
 		return nil, fmt.Errorf("%w: in=%d out=%d", ErrUnbalanced, sumIn, sumOut)
 	}
 
+	proof, e, slots, err := proveSigma(params, auditor, st, ins, outs, rng)
+	if err != nil {
+		return nil, err
+	}
+	// The slots hold t_v beside the amount; destroyed before returning —
+	// leaking t_v with (e, z_v) public reveals the amount.
+	defer clear(slots)
+	for lo := 0; lo < len(slots); lo += RangeSlots {
+		rangeProof, err := rp.Prove(e, slots[lo:min(lo+RangeSlots, len(slots))])
+		if err != nil {
+			return nil, err
+		}
+		proof.Ranges = append(proof.Ranges, rangeProof)
+	}
+	return proof, nil
+}
+
+// proveSigma is the sigma half of Prove: the nonce commitments, the
+// challenge and the responses. It returns the proof without its range
+// proofs, the challenge, and each output's π_ct slot — secrets the caller
+// must destroy (on error there are none). It does not look at the amounts:
+// keeping them in range is Prove's check and the circuit's.
+func proveSigma(params *Params, auditor *bn254.G1Affine, st *Statement, ins []Opening, outs []OutputSecret, rng io.Reader) (*Proof, fr.Element, []RangeSlot, error) {
 	n := len(st.Outputs)
 	proof := &Proof{Outputs: make([]OutputProof, n)}
-	// Sigma nonces; destroyed before returning — leaking t_v with (e, z_v)
-	// public reveals the amount.
-	tvs := make([]fr.Element, n)
+	slots := make([]RangeSlot, n) // t_v and s_t from here, v and z_v once e exists
 	trs := make([]fr.Element, n)
 	trhos := make([]fr.Element, n)
-	sts := make([]fr.Element, n)
-	defer zeroizeScalars(tvs, trs, trhos, sts)
+	defer zeroizeScalars(trs, trhos)
+	fail := func(err error) (*Proof, fr.Element, []RangeSlot, error) {
+		clear(slots)
+		return nil, fr.Element{}, nil, fmt.Errorf("ct: sampling nonce: %w", err)
+	}
 	for i := 0; i < n; i++ {
 		var err error
-		if tvs[i], err = fr.Random(rng); err != nil {
-			return nil, fmt.Errorf("ct: sampling nonce: %w", err)
+		if slots[i].TV, err = fr.Random(rng); err != nil {
+			return fail(err)
 		}
 		if trs[i], err = fr.Random(rng); err != nil {
-			return nil, fmt.Errorf("ct: sampling nonce: %w", err)
+			return fail(err)
 		}
 		if trhos[i], err = fr.Random(rng); err != nil {
-			return nil, fmt.Errorf("ct: sampling nonce: %w", err)
+			return fail(err)
 		}
-		if sts[i], err = fr.Random(rng); err != nil {
-			return nil, fmt.Errorf("ct: sampling nonce: %w", err)
+		if slots[i].ST, err = fr.Random(rng); err != nil {
+			return fail(err)
 		}
 		op := &proof.Outputs[i]
-		tvG := bn254.G1ScalarMul(&params.G, &tvs[i])
+		tvG := bn254.G1ScalarMul(&params.G, &slots[i].TV)
 		trH := bn254.G1ScalarMul(&params.H, &trs[i])
 		op.TOpen = bn254.G1Add(&tvG, &trH)
 		op.TEnc1 = bn254.G1ScalarMul(&params.G, &trhos[i])
 		trhoA := bn254.G1ScalarMul(auditor, &trhos[i])
 		op.TEnc2 = bn254.G1Add(&tvG, &trhoA)
-		op.PT = poseidon.CommitWith([]fr.Element{tvs[i]}, sts[i])
+		op.PT = poseidon.CommitWith([]fr.Element{slots[i].TV}, slots[i].ST)
 	}
 	var tdelta fr.Element
 	if !st.Mint {
 		var err error
 		if tdelta, err = fr.Random(rng); err != nil {
-			return nil, fmt.Errorf("ct: sampling nonce: %w", err)
+			return fail(err)
 		}
 		proof.TBal = bn254.G1ScalarMul(&params.H, &tdelta)
 	}
 	defer tdelta.SetZero()
 
-	e := Challenge(params, auditor, st, proof)
+	e := challenge(params, auditor, st, proof)
 
 	for i := 0; i < n; i++ {
 		op := &proof.Outputs[i]
-		v := fr.NewElement(outs[i].V)
+		slots[i].V = fr.NewElement(outs[i].V)
 		var ev, er, erho fr.Element
-		ev.Mul(&e, &v)
-		op.ZV.Add(&tvs[i], &ev)
+		ev.Mul(&e, &slots[i].V)
+		op.ZV.Add(&slots[i].TV, &ev)
 		er.Mul(&e, &outs[i].R)
 		op.ZR.Add(&trs[i], &er)
 		erho.Mul(&e, &outs[i].Rho)
 		op.ZRho.Add(&trhos[i], &erho)
-		rangeProof, err := rp.Prove(e, op.ZV, op.PT, v, tvs[i], sts[i])
-		if err != nil {
-			return nil, err
-		}
-		op.Range = rangeProof
+		slots[i].ZV, slots[i].PT = op.ZV, op.PT
 	}
 	if !st.Mint {
 		var delta fr.Element
@@ -264,7 +293,7 @@ func Prove(params *Params, rp *RangeProver, auditor *bn254.G1Affine, st *Stateme
 		proof.ZBal.Add(&tdelta, &ed)
 		delta.SetZero()
 	}
-	return proof, nil
+	return proof, e, slots, nil
 }
 
 // zeroizeScalars destroys sigma nonces in place.
@@ -280,8 +309,8 @@ func zeroizeScalars(lists ...[]fr.Element) {
 // output's commitment-opening and audit-consistency equations, and (for
 // non-mints) the balance relation. It is stateless and pairing-free —
 // cheap enough for the gossip screen — but does NOT check ranges; Verify
-// adds the π_ct checks, and the seal path batches them via
-// plonk.Batch.AddFor.
+// adds the π_ct checks, and the seal path batches the instances
+// RangeInstances hands it via plonk.Batch.AddFor.
 //
 // Checked equations, with e the replayed Fiat–Shamir challenge:
 //
@@ -294,10 +323,17 @@ func zeroizeScalars(lists ...[]fr.Element) {
 // would make ΣC_in − ΣC_out carry a G component, and responding would
 // require knowing log_G(H).
 func VerifySigma(params *Params, auditor *bn254.G1Affine, st *Statement, p *Proof) error {
-	if err := checkShape(st, len(p.Outputs)); err != nil {
-		return err
+	_, err := verifySigma(params, auditor, st, p)
+	return err
+}
+
+// verifySigma is VerifySigma returning the challenge it replayed, so a
+// caller going on to the range proofs does not hash the transcript twice.
+func verifySigma(params *Params, auditor *bn254.G1Affine, st *Statement, p *Proof) (fr.Element, error) {
+	if err := checkShape(st, p); err != nil {
+		return fr.Element{}, err
 	}
-	e := Challenge(params, auditor, st, p)
+	e := challenge(params, auditor, st, p)
 	for i := range p.Outputs {
 		op := &p.Outputs[i]
 		o := &st.Outputs[i]
@@ -307,20 +343,20 @@ func VerifySigma(params *Params, auditor *bn254.G1Affine, st *Statement, p *Proo
 		eC := bn254.G1ScalarMul(&o.C.P, &e)
 		rhs := bn254.G1Add(&op.TOpen, &eC)
 		if !lhs.Equal(&rhs) {
-			return fmt.Errorf("%w: output %d opening equation", ErrProofInvalid, i)
+			return fr.Element{}, fmt.Errorf("%w: output %d opening equation", ErrProofInvalid, i)
 		}
 		lhs = bn254.G1ScalarMul(&params.G, &op.ZRho)
 		eE1 := bn254.G1ScalarMul(&o.Audit.E1, &e)
 		rhs = bn254.G1Add(&op.TEnc1, &eE1)
 		if !lhs.Equal(&rhs) {
-			return fmt.Errorf("%w: output %d audit ephemeral equation", ErrProofInvalid, i)
+			return fr.Element{}, fmt.Errorf("%w: output %d audit ephemeral equation", ErrProofInvalid, i)
 		}
 		zrhoA := bn254.G1ScalarMul(auditor, &op.ZRho)
 		lhs = bn254.G1Add(&zvG, &zrhoA)
 		eE2 := bn254.G1ScalarMul(&o.Audit.E2, &e)
 		rhs = bn254.G1Add(&op.TEnc2, &eE2)
 		if !lhs.Equal(&rhs) {
-			return fmt.Errorf("%w: output %d audit consistency equation", ErrProofInvalid, i)
+			return fr.Element{}, fmt.Errorf("%w: output %d audit consistency equation", ErrProofInvalid, i)
 		}
 	}
 	if !st.Mint {
@@ -335,26 +371,35 @@ func VerifySigma(params *Params, auditor *bn254.G1Affine, st *Statement, p *Proo
 		eD := bn254.G1ScalarMul(&d.P, &e)
 		rhs := bn254.G1Add(&p.TBal, &eD)
 		if !lhs.Equal(&rhs) {
-			return fmt.Errorf("%w: balance equation", ErrProofInvalid)
+			return fr.Element{}, fmt.Errorf("%w: balance equation", ErrProofInvalid)
 		}
 	}
-	return nil
+	return e, nil
+}
+
+// RangeInstances checks the sigma part of a transfer proof and returns
+// what is left to verify: every range proof with its public inputs under
+// the challenge the sigma check replayed. Verify checks them one by one;
+// the token contract sends each to the deployed verifier and the block
+// proof check folds them.
+func (p *Proof) RangeInstances(params *Params, auditor *bn254.G1Affine, st *Statement) ([]RangeInstance, error) {
+	e, err := verifySigma(params, auditor, st, p)
+	if err != nil {
+		return nil, err
+	}
+	return p.rangeInstances(e), nil
 }
 
 // Verify checks a transfer proof completely: the sigma equations plus
-// every output's π_ct range proof against the shared challenge.
+// every π_ct range proof against the shared challenge.
 func Verify(params *Params, vk *plonk.VerifyingKey, auditor *bn254.G1Affine, st *Statement, p *Proof) error {
-	if err := VerifySigma(params, auditor, st, p); err != nil {
+	ris, err := p.RangeInstances(params, auditor, st)
+	if err != nil {
 		return err
 	}
-	e := Challenge(params, auditor, st, p)
-	for i := range p.Outputs {
-		op := &p.Outputs[i]
-		if op.Range == nil {
-			return fmt.Errorf("%w: output %d missing range proof", ErrProofInvalid, i)
-		}
-		if err := VerifyRange(vk, op.Range, e, op.ZV, op.PT); err != nil {
-			return fmt.Errorf("%w: output %d range: %w", ErrProofInvalid, i, err)
+	for g, ri := range ris {
+		if err := plonk.Verify(vk, ri.Proof, ri.Public); err != nil {
+			return fmt.Errorf("%w: range proof %d: %w", ErrProofInvalid, g, err)
 		}
 	}
 	return nil

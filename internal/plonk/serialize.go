@@ -48,6 +48,11 @@ var proofMagic = [4]byte{'Z', 'K', 'P', 'F'}
 // constant, whatever the circuit size.
 const ProofSize = headerSize + classicPayloadSize
 
+// MaxProofSize is the byte length of the largest proof encoding there is:
+// an extended custom-gate proof. A decoder embedding proofs in its own
+// format caps a length prefix with it.
+const MaxProofSize = ProofSize + extPointsSize + extEvalsSize + customExtraSize
+
 // appendG1 appends the 64-byte uncompressed encoding of pt. The point at
 // infinity — a legitimate commitment to the zero polynomial, e.g. [M] in a
 // custom-gate proof with no lookups — encodes as 64 zero bytes.
