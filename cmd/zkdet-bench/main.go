@@ -254,7 +254,7 @@ func runProofSize(sys *core.System) {
 	}
 	fmt.Printf("%-10s %-10s %s\n", "task", "entries", "proof bytes")
 	for _, r := range rows {
-		fmt.Printf("%-10s %-10d %d (6B header + 9 G1 + 16 Fr)\n", r.Task, r.Size, r.ProofBytes)
+		fmt.Printf("%-10s %-10d %d (6B header + 15 G1 + 34 Fr, the custom-gate shape)\n", r.Task, r.Size, r.ProofBytes)
 	}
 }
 

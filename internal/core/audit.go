@@ -124,6 +124,10 @@ func WithAuditorKey(key *ct.AuditorKey) AuditOption {
 //  4. for every derived token: verify its π_t and that the proof's source
 //     commitments are exactly its parents' on-chain data commitments.
 //
+// The walk compares records and gathers every π_e and π_t of the lineage;
+// verifyAll then checks them all with one pairing, so a refused proof is
+// reported after every record mismatch, by token and proof.
+//
 // With WithAuditorKey, the audit additionally opens every confidential
 // settlement whose exchange references a lineage token, reporting the
 // hidden payment amounts (designated-auditor traceability). Auditor mode
@@ -141,6 +145,7 @@ func (m *Marketplace) AuditLineage(reg *ProofRegistry, tokenID uint64, opts ...A
 		return nil, err
 	}
 	report := &AuditReport{}
+	var checks []proofCheck
 	byID := make(map[uint64]*contracts.Token, len(lineage))
 	for _, tok := range lineage {
 		byID[tok.ID] = tok
@@ -185,9 +190,12 @@ func (m *Marketplace) AuditLineage(reg *ProofRegistry, tokenID uint64, opts ...A
 		}
 
 		// (2 cont.) π_e verifies.
-		if err := m.Sys.VerifyEncryption(proofs.Encryption, proofs.EncryptionProof); err != nil {
+		c, err := m.Sys.encryptionCheck(proofs.Encryption, proofs.EncryptionProof)
+		if err != nil {
 			return nil, fmt.Errorf("core: token #%d: %w", tok.ID, err)
 		}
+		c.label = fmt.Sprintf("token #%d: %s", tok.ID, c.label)
+		checks = append(checks, c)
 		report.EncryptionProofs++
 
 		// (4) Derived tokens carry a valid π_t linked to their parents.
@@ -197,9 +205,12 @@ func (m *Marketplace) AuditLineage(reg *ProofRegistry, tokenID uint64, opts ...A
 		if proofs.Transform == nil {
 			return nil, fmt.Errorf("%w: derived token #%d has no π_t", ErrAuditMissingProofs, tok.ID)
 		}
-		if err := m.Sys.VerifyTransform(proofs.Transform, proofs.Processor); err != nil {
+		c, err = m.Sys.transformCheck(proofs.Transform, proofs.Processor)
+		if err != nil {
 			return nil, fmt.Errorf("core: token #%d: %w", tok.ID, err)
 		}
+		c.label = fmt.Sprintf("token #%d: %s", tok.ID, c.label)
+		checks = append(checks, c)
 		// The π_t's derived side must include this token's commitment...
 		if !containsCommitment(proofs.Transform.Derived, proofs.Encryption.DataCommitment) {
 			return nil, fmt.Errorf("%w: token #%d π_t does not derive its commitment", ErrAuditMismatch, tok.ID)
@@ -220,6 +231,9 @@ func (m *Marketplace) AuditLineage(reg *ProofRegistry, tokenID uint64, opts ...A
 			}
 		}
 		report.TransformProofs++
+	}
+	if err := verifyAll(checks); err != nil {
+		return nil, err
 	}
 
 	// Auditor mode: open the confidential settlements touching this

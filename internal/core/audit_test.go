@@ -2,10 +2,16 @@ package core
 
 import (
 	"errors"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 
+	"github.com/zkdet/zkdet/internal/bn254"
 	"github.com/zkdet/zkdet/internal/chain"
 	"github.com/zkdet/zkdet/internal/fr"
+	"github.com/zkdet/zkdet/internal/kzg"
+	"github.com/zkdet/zkdet/internal/plonk"
 	"github.com/zkdet/zkdet/internal/storage"
 )
 
@@ -139,4 +145,192 @@ func TestAuditDetectsForgedLineage(t *testing.T) {
 	if _, err := m.AuditLineage(reg, dup.Assets[0].TokenID); !errors.Is(err, ErrAuditMismatch) {
 		t.Fatalf("forged lineage not caught: %v", err)
 	}
+}
+
+// threeDeep mints a token and duplicates it twice, publishing every proof:
+// root → mid → leaf, five proofs (three π_e, two π_t) in one lineage.
+func threeDeep(t *testing.T, m *Marketplace, reg *ProofRegistry) (root *Asset, mid, leaf *TransformResult) {
+	t.Helper()
+	alice := chain.AddressFromString("alice")
+	root, err := m.MintAsset(alice, "alice", smallData(4), fr.MustRandom())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.PublishAsset(root)
+	if mid, err = m.Duplicate(alice, "alice", root); err != nil {
+		t.Fatal(err)
+	}
+	reg.PublishTransform(mid, nil)
+	if leaf, err = m.Duplicate(alice, "alice", mid.Assets[0]); err != nil {
+		t.Fatal(err)
+	}
+	reg.PublishTransform(leaf, nil)
+	return root, mid, leaf
+}
+
+// withWZeta returns a copy of p whose opening proof W_ζ is another proof's:
+// a valid curve point, so transcript replay and the quotient identity pass
+// and only the pairing can tell.
+func withWZeta(t *testing.T, p, other *plonk.Proof) *plonk.Proof {
+	t.Helper()
+	bad, err := plonk.ProofFromBytes(p.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad.WZeta = other.WZeta
+	return bad
+}
+
+// wantRefused audits tokenID and requires the error to name the token and
+// proof in `names` and to be a plonk.ErrProofInvalid.
+func wantRefused(t *testing.T, m *Marketplace, reg *ProofRegistry, tokenID uint64, names string) {
+	t.Helper()
+	_, err := m.AuditLineage(reg, tokenID)
+	if !errors.Is(err, plonk.ErrProofInvalid) {
+		t.Fatalf("audit error %v, want plonk.ErrProofInvalid", err)
+	}
+	if !strings.Contains(err.Error(), names) {
+		t.Fatalf("audit error %q does not name %q", err, names)
+	}
+}
+
+// TestAuditBatchNamesTheRefusedProof: the audit folds a lineage's proofs
+// into one pairing, so a proof only the pairing refuses is found by
+// bisection — and the error must still say which token's which proof.
+func TestAuditBatchNamesTheRefusedProof(t *testing.T) {
+	m, _ := newTestMarketplace(t)
+	reg := NewProofRegistry()
+	root, mid, leaf := threeDeep(t, m, reg)
+	midTok, leafTok := mid.Assets[0], leaf.Assets[0]
+
+	report, err := m.AuditLineage(reg, leafTok.TokenID)
+	if err != nil {
+		t.Fatalf("honest three-deep lineage: %v", err)
+	}
+	if len(report.Tokens) != 3 || report.EncryptionProofs != 3 || report.TransformProofs != 2 {
+		t.Fatalf("report %+v, want 3 tokens, 3 π_e, 2 π_t", report)
+	}
+	// A single-token lineage is the one-proof fold.
+	if report, err = m.AuditLineage(reg, root.TokenID); err != nil || report.EncryptionProofs != 1 || report.TransformProofs != 0 {
+		t.Fatalf("single-token lineage: %+v, %v", report, err)
+	}
+
+	// The middle π_t with the leaf π_t's W_ζ.
+	badT := *mid.Proof
+	badT.Proof = withWZeta(t, mid.Proof.Proof, leaf.Proof.Proof)
+	c, err := m.Sys.transformCheck(&badT, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := plonk.NewBatch(c.vk).AddFor(c.vk, c.proof, c.public); err != nil {
+		t.Fatalf("the swapped W_ζ must pass everything but the pairing: %v", err)
+	}
+	reg.Publish(midTok.TokenID, &TokenProofs{Encryption: midTok.Statement, EncryptionProof: midTok.EncProof, Transform: &badT})
+	wantRefused(t, m, reg, leafTok.TokenID, fmt.Sprintf("token #%d: π_t (duplication)", midTok.TokenID))
+	wantRefused(t, m, reg, midTok.TokenID, fmt.Sprintf("token #%d: π_t (duplication)", midTok.TokenID))
+	if err := m.Sys.VerifyTransform(&badT, nil); !errors.Is(err, plonk.ErrProofInvalid) {
+		t.Fatalf("VerifyTransform on the same proof: %v", err)
+	}
+	reg.PublishTransform(mid, nil)
+
+	// The root π_e with the middle π_e's W_ζ.
+	badE := withWZeta(t, root.EncProof, midTok.EncProof)
+	reg.Publish(root.TokenID, &TokenProofs{Encryption: root.Statement, EncryptionProof: badE})
+	wantRefused(t, m, reg, leafTok.TokenID, fmt.Sprintf("token #%d: π_e", root.TokenID))
+	if err := m.Sys.VerifyEncryption(root.Statement, badE); !errors.Is(err, plonk.ErrProofInvalid) {
+		t.Fatalf("VerifyEncryption on the same proof: %v", err)
+	}
+	reg.PublishAsset(root)
+	if _, err := m.AuditLineage(reg, leafTok.TokenID); err != nil {
+		t.Fatalf("restored lineage: %v", err)
+	}
+}
+
+// TestAuditBatchAuditorMode: the auditor-mode audit of a derived token goes
+// through the same fold and still opens nothing it should not.
+func TestAuditBatchAuditorMode(t *testing.T) {
+	m, ak, _ := newConfidentialMarketplace(t)
+	reg := NewProofRegistry()
+	_, _, leaf := threeDeep(t, m, reg)
+	report, err := m.AuditLineage(reg, leaf.Assets[0].TokenID, WithAuditorKey(ak))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if report.EncryptionProofs != 3 || report.TransformProofs != 2 || len(report.ConfidentialPayments) != 0 {
+		t.Fatalf("report %+v, want 3 π_e, 2 π_t, no payments", report)
+	}
+}
+
+// proofSlots lists every commitment and every evaluation a proof carries.
+func proofSlots(p *plonk.Proof) (pts []*kzg.Commitment, evs []*fr.Element) {
+	ev := &p.Evals
+	pts = []*kzg.Commitment{&p.A, &p.B, &p.C, &p.Z, &p.TLo, &p.TMid, &p.THi, &p.WZeta, &p.WZetaOmega}
+	evs = []*fr.Element{&ev.A, &ev.B, &ev.C, &ev.Z, &ev.ZOmega, &ev.QL, &ev.QR, &ev.QO, &ev.QM, &ev.QC,
+		&ev.S1, &ev.S2, &ev.S3, &ev.TLo, &ev.TMid, &ev.THi}
+	if ex := ev.Ext; ex != nil {
+		pts = append(pts, &p.M, &p.H, &p.S)
+		evs = append(evs, &ex.M, &ex.H, &ex.S, &ex.SOmega, &ex.AOmega, &ex.BOmega, &ex.COmega,
+			&ex.QLk, &ex.Tbl, &ex.QMimc, &ex.QPosF, &ex.QPosP, &ex.K0, &ex.K1, &ex.K2)
+		for i := range p.TExtra {
+			pts = append(pts, &p.TExtra[i])
+			evs = append(evs, &ex.TExtra[i])
+		}
+	}
+	return pts, evs
+}
+
+// TestAuditRejectsEveryCorruption moves each commitment of one custom-shape
+// π_e to another curve point and each evaluation to another scalar, one at
+// a time, and requires AuditLineage to refuse every one — with eight
+// auditors working through the list at once on one System (`make race`).
+func TestAuditRejectsEveryCorruption(t *testing.T) {
+	m, _ := newTestMarketplace(t)
+	asset, err := m.MintAsset(chain.AddressFromString("alice"), "alice", smallData(4), fr.MustRandom())
+	if err != nil {
+		t.Fatal(err)
+	}
+	honest := NewProofRegistry()
+	honest.PublishAsset(asset)
+
+	pts, evs := proofSlots(asset.EncProof)
+	if asset.EncProof.Evals.Ext == nil || len(pts) != 15 || len(evs) != 34 {
+		t.Fatalf("π_e carries %d commitments and %d evaluations, want the custom shape's 15 and 34", len(pts), len(evs))
+	}
+	slots := len(pts) + len(evs)
+	g := bn254.G1Generator()
+	one := fr.One()
+
+	const auditors = 8
+	var wg sync.WaitGroup
+	for a := 0; a < auditors; a++ {
+		wg.Add(1)
+		go func(a int) {
+			defer wg.Done()
+			if _, err := m.AuditLineage(honest, asset.TokenID); err != nil {
+				t.Errorf("auditor %d: honest π_e refused: %v", a, err)
+			}
+			for slot := a; slot < slots; slot += auditors {
+				bad, err := plonk.ProofFromBytes(asset.EncProof.Bytes())
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if pts, evs := proofSlots(bad); slot < len(pts) {
+					var j bn254.G1Jac
+					j.FromAffine(pts[slot])
+					j.AddMixed(&g)
+					pts[slot].FromJacobian(&j)
+				} else {
+					e := evs[slot-len(pts)]
+					e.Add(e, &one)
+				}
+				reg := NewProofRegistry()
+				reg.Publish(asset.TokenID, &TokenProofs{Encryption: asset.Statement, EncryptionProof: bad})
+				if _, err := m.AuditLineage(reg, asset.TokenID); !errors.Is(err, plonk.ErrProofInvalid) {
+					t.Errorf("slot %d: audit returned %v, want plonk.ErrProofInvalid", slot, err)
+				}
+			}
+		}(a)
+	}
+	wg.Wait()
 }

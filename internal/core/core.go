@@ -57,6 +57,20 @@ func NewTestSystem(maxConstraints int) (*System, error) {
 // SRS exposes the system's reference string.
 func (s *System) SRS() *kzg.SRS { return s.srs }
 
+// newHashCircuit returns the builder of every circuit in this package whose
+// gates are hashing plus wiring (π_e, π_p, the structural π_t, and the ZKCP
+// and monolithic baselines): MiMC and Poseidon rounds compile to one
+// custom-gate row each (DESIGN.md §15.3). Lookups stay off on purpose: only
+// π_p has range checks to look up, and the 2^12 table would pin it to a
+// 4 096-row domain to save 112 of its 730 rows — these circuits fit in
+// 1 024. buildKeyCircuit and buildProcessingCircuit are the two that do not
+// start here; each says why.
+func newHashCircuit() *circuit.Builder {
+	b := circuit.NewBuilder()
+	b.EnableCustomGates()
+	return b
+}
+
 // keysFor compiles the builder and returns (possibly cached) Plonk keys for
 // the circuit shape identified by key. Builders passed here must produce a
 // witness-independent gate structure for a fixed shape key, which all
@@ -117,4 +131,44 @@ func (s *System) prove(key string, b *circuit.Builder) (*plonk.Proof, []fr.Eleme
 		return nil, nil, fmt.Errorf("core: proving %s: %w", key, err)
 	}
 	return proof, b.PublicValues(), nil
+}
+
+// proofCheck is one proof ready to verify: the key of the circuit it claims,
+// the public inputs its statement fixes, and the name an error gives it.
+type proofCheck struct {
+	label  string
+	vk     *plonk.VerifyingKey
+	proof  *plonk.Proof
+	public []fr.Element
+}
+
+// verifyAll checks every proof and pays one pairing for all of them: each is
+// prepared into one plonk.Batch (the keys differ per circuit, the SRS is the
+// System's, so every statement folds), and only a failed fold is bisected.
+// The error names the first refused proof by its label and wraps the plonk
+// error; VerifyEncryption and VerifyTransform are the one-proof case,
+// AuditLineage the many-proof one.
+func verifyAll(checks []proofCheck) error {
+	if len(checks) == 0 {
+		return nil
+	}
+	batch := plonk.NewBatch(checks[0].vk)
+	for _, c := range checks {
+		if err := batch.AddFor(c.vk, c.proof, c.public); err != nil {
+			return fmt.Errorf("core: %s: %w", c.label, err)
+		}
+	}
+	if batch.Check() == nil {
+		return nil
+	}
+	bad, err := batch.Bisect()
+	if err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	if len(bad) == 0 {
+		// The fold failed yet every statement passes alone: a ρ collision,
+		// astronomically unlikely, but not a pass.
+		return fmt.Errorf("core: %w: batch fold rejected but no single proof failed", plonk.ErrProofInvalid)
+	}
+	return fmt.Errorf("core: %s: %w: pairing check", checks[bad[0]].label, plonk.ErrProofInvalid)
 }

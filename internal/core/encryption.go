@@ -43,7 +43,7 @@ func (st *EncryptionStatement) publics() []fr.Element {
 //	c_d = PoseidonCommit(D, o_d)
 //	c_k = PoseidonCommit(k, o_k)
 func buildEncryptionCircuit(st *EncryptionStatement, w *EncryptionWitness) *circuit.Builder {
-	b := circuit.NewBuilder()
+	b := newHashCircuit()
 	nonce := b.Public(st.Nonce)
 	cd := b.Public(st.DataCommitment)
 	ck := b.Public(st.KeyCommitment)
@@ -105,18 +105,24 @@ func (s *System) ProveEncryption(st *EncryptionStatement, w *EncryptionWitness) 
 	return proof, err
 }
 
-// VerifyEncryption checks π_e against a public statement.
-func (s *System) VerifyEncryption(st *EncryptionStatement, proof *plonk.Proof) error {
+// encryptionCheck pairs a π_e with the key and public inputs of its statement.
+func (s *System) encryptionCheck(st *EncryptionStatement, proof *plonk.Proof) (proofCheck, error) {
 	n := len(st.Ciphertext)
 	vk, err := s.vkFor(encryptionKey(n), func() *circuit.Builder {
 		dummy := &EncryptionStatement{Ciphertext: make([]fr.Element, n)}
 		return buildEncryptionCircuit(dummy, &EncryptionWitness{Data: make(Dataset, n)})
 	})
 	if err != nil {
+		return proofCheck{}, err
+	}
+	return proofCheck{label: "π_e", vk: vk, proof: proof, public: st.publics()}, nil
+}
+
+// VerifyEncryption checks π_e against a public statement.
+func (s *System) VerifyEncryption(st *EncryptionStatement, proof *plonk.Proof) error {
+	c, err := s.encryptionCheck(st, proof)
+	if err != nil {
 		return err
 	}
-	if err := plonk.Verify(vk, proof, st.publics()); err != nil {
-		return fmt.Errorf("core: π_e: %w", err)
-	}
-	return nil
+	return verifyAll([]proofCheck{c})
 }

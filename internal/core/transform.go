@@ -45,7 +45,7 @@ var ErrBadShape = errors.New("core: invalid transformation shape")
 // --- Duplication (§IV-D1): D == S, fresh commitment ---
 
 func buildDuplicationCircuit(n int, s Dataset, cs, cd, os, od fr.Element) *circuit.Builder {
-	b := circuit.NewBuilder()
+	b := newHashCircuit()
 	csPub := b.Public(cs)
 	cdPub := b.Public(cd)
 	osv := b.Secret(os)
@@ -97,7 +97,7 @@ func (s *System) proveDuplicationWith(data Dataset, cs, os, cd, od fr.Element) (
 // --- Aggregation (§IV-D2): D = S_1 ‖ … ‖ S_x in order ---
 
 func buildAggregationCircuit(sizes []int, srcs []Dataset, csList []fr.Element, cd fr.Element, osList []fr.Element, od fr.Element) *circuit.Builder {
-	b := circuit.NewBuilder()
+	b := newHashCircuit()
 	csPubs := make([]circuit.Variable, len(sizes))
 	for i := range sizes {
 		csPubs[i] = b.Public(csList[i])
@@ -178,7 +178,7 @@ func (s *System) proveAggregationWith(srcs []Dataset, csList, osList []fr.Elemen
 // mutually exclusive (positions do not overlap).
 
 func buildPartitionCircuit(sizes []int, src Dataset, cs fr.Element, cdList []fr.Element, os fr.Element, odList []fr.Element) *circuit.Builder {
-	b := circuit.NewBuilder()
+	b := newHashCircuit()
 	csPub := b.Public(cs)
 	cdPubs := make([]circuit.Variable, len(sizes))
 	for i := range sizes {
@@ -281,6 +281,12 @@ type LookupProcessor interface {
 	WantsLookupCircuit() bool
 }
 
+// buildProcessingCircuit leaves the lowering to the Processor (classic unless
+// it implements LookupProcessor), deliberately: a processing circuit is its
+// gadget, not its two commitments. Forcing custom gates alone onto
+// range-check-dominated processors made them slower — same row count, but
+// the 8n coset and 15 commitments of the custom shape: the transformer smoke
+// row went 1.2–1.5 s → 2.3–3.0 s, logreg was flat (EXPERIMENTS.md §PR 22).
 func buildProcessingCircuit(p Processor, n int, src Dataset, cs, cd, os, od fr.Element) *circuit.Builder {
 	b := circuit.NewBuilder()
 	if lp, ok := p.(LookupProcessor); ok && lp.WantsLookupCircuit() {
@@ -349,6 +355,16 @@ func (s *System) proveProcessingWith(p Processor, src Dataset, cs, os, cd, od fr
 // VerifyTransform checks any π_t against its statement. For processing
 // proofs the verifier supplies the Processor to rebuild the circuit.
 func (s *System) VerifyTransform(tp *TransformProof, proc Processor) error {
+	c, err := s.transformCheck(tp, proc)
+	if err != nil {
+		return err
+	}
+	return verifyAll([]proofCheck{c})
+}
+
+// transformCheck pairs a π_t with the key its Kind and Shape name and the
+// public inputs of its statement.
+func (s *System) transformCheck(tp *TransformProof, proc Processor) (proofCheck, error) {
 	var (
 		vk  *plonk.VerifyingKey
 		err error
@@ -356,7 +372,7 @@ func (s *System) VerifyTransform(tp *TransformProof, proc Processor) error {
 	switch tp.Kind {
 	case TransformDuplication:
 		if len(tp.Shape) != 1 || len(tp.Sources) != 1 || len(tp.Derived) != 1 {
-			return ErrBadShape
+			return proofCheck{}, ErrBadShape
 		}
 		n := tp.Shape[0]
 		vk, err = s.vkFor(fmt.Sprintf("pi_t/dup/%d", n), func() *circuit.Builder {
@@ -364,7 +380,7 @@ func (s *System) VerifyTransform(tp *TransformProof, proc Processor) error {
 		})
 	case TransformAggregation:
 		if len(tp.Sources) != len(tp.Shape) || len(tp.Derived) != 1 {
-			return ErrBadShape
+			return proofCheck{}, ErrBadShape
 		}
 		sizes := tp.Shape
 		vk, err = s.vkFor(fmt.Sprintf("pi_t/agg/%v", sizes), func() *circuit.Builder {
@@ -372,7 +388,7 @@ func (s *System) VerifyTransform(tp *TransformProof, proc Processor) error {
 		})
 	case TransformPartition:
 		if len(tp.Sources) != 1 || len(tp.Derived) != len(tp.Shape) {
-			return ErrBadShape
+			return proofCheck{}, ErrBadShape
 		}
 		sizes := tp.Shape
 		vk, err = s.vkFor(fmt.Sprintf("pi_t/part/%v", sizes), func() *circuit.Builder {
@@ -380,26 +396,23 @@ func (s *System) VerifyTransform(tp *TransformProof, proc Processor) error {
 		})
 	case TransformProcessing:
 		if proc == nil {
-			return fmt.Errorf("core: verifying a processing proof needs its Processor")
+			return proofCheck{}, fmt.Errorf("core: verifying a processing proof needs its Processor")
 		}
 		if len(tp.Shape) != 2 || len(tp.Sources) != 1 || len(tp.Derived) != 1 {
-			return ErrBadShape
+			return proofCheck{}, ErrBadShape
 		}
 		n := tp.Shape[0]
 		vk, err = s.vkFor(fmt.Sprintf("pi_t/proc/%s/%d", proc.Name(), n), func() *circuit.Builder {
 			return buildProcessingCircuit(proc, n, nil, fr.Element{}, fr.Element{}, fr.Element{}, fr.Element{})
 		})
 	default:
-		return fmt.Errorf("core: unknown transformation kind %q", tp.Kind)
+		return proofCheck{}, fmt.Errorf("core: unknown transformation kind %q", tp.Kind)
 	}
 	if err != nil {
-		return err
+		return proofCheck{}, err
 	}
 	publics := append(append([]fr.Element{}, tp.Sources...), tp.Derived...)
-	if err := plonk.Verify(vk, tp.Proof, publics); err != nil {
-		return fmt.Errorf("core: π_t (%s): %w", tp.Kind, err)
-	}
-	return nil
+	return proofCheck{label: fmt.Sprintf("π_t (%s)", tp.Kind), vk: vk, proof: tp.Proof, public: publics}, nil
 }
 
 // ProofChain is a sequence of transformation proofs from a source dataset
@@ -466,7 +479,7 @@ func (s *System) ProveMonolithicDuplication(data Dataset, kS, kD fr.Element) (*p
 }
 
 func buildMonolithicDuplication(st *MonolithicStatement, data Dataset, kS, kD fr.Element) *circuit.Builder {
-	b := circuit.NewBuilder()
+	b := newHashCircuit()
 	nS := b.Public(st.NonceS)
 	nD := b.Public(st.NonceD)
 	n := len(st.CtS)

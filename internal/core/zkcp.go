@@ -34,7 +34,7 @@ func (st *ZKCPStatement) publics() []fr.Element {
 }
 
 func buildZKCPCircuit(pred Predicate, st *ZKCPStatement, w *EncryptionWitness) *circuit.Builder {
-	b := circuit.NewBuilder()
+	b := newHashCircuit()
 	nonce := b.Public(st.Nonce)
 	h := b.Public(st.KeyHash)
 	cts := make([]circuit.Variable, len(st.Ciphertext))
