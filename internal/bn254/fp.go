@@ -33,8 +33,7 @@ type Fp struct {
 // FpModulus returns a copy of the base field modulus p.
 func FpModulus() *big.Int { return fpField.Modulus() }
 
-func fpZero() Fp { return Fp{} }
-func fpOne() Fp  { return Fp{v: fpField.One()} }
+func fpOne() Fp { return Fp{v: fpField.One()} }
 
 // NewFp returns the base-field element representing v.
 func NewFp(v uint64) Fp { return Fp{v: fpField.FromUint64(v)} }

@@ -14,9 +14,6 @@ type Fp12 struct {
 
 func fp12One() Fp12 { return Fp12{C0: fp6One()} }
 
-// Fp12One returns the multiplicative identity (also the identity of GT).
-func Fp12One() Fp12 { return fp12One() }
-
 // IsZero reports whether z == 0.
 func (z *Fp12) IsZero() bool { return z.C0.IsZero() && z.C1.IsZero() }
 

@@ -8,11 +8,7 @@ type Fp2 struct {
 	A0, A1 Fp
 }
 
-func fp2Zero() Fp2 { return Fp2{} }
-func fp2One() Fp2  { return Fp2{A0: fpOne()} }
-
-// NewFp2 returns a0 + a1·u.
-func NewFp2(a0, a1 Fp) Fp2 { return Fp2{A0: a0, A1: a1} }
+func fp2One() Fp2 { return Fp2{A0: fpOne()} }
 
 // MustFp2FromDecimal parses two base-10 literals as a0 + a1·u.
 func MustFp2FromDecimal(a0, a1 string) Fp2 {

@@ -6,8 +6,7 @@ type Fp6 struct {
 	B0, B1, B2 Fp2
 }
 
-func fp6Zero() Fp6 { return Fp6{} }
-func fp6One() Fp6  { return Fp6{B0: fp2One()} }
+func fp6One() Fp6 { return Fp6{B0: fp2One()} }
 
 // IsZero reports whether z == 0.
 func (z *Fp6) IsZero() bool { return z.B0.IsZero() && z.B1.IsZero() && z.B2.IsZero() }
@@ -100,14 +99,6 @@ func (z *Fp6) MulByV(x *Fp6) *Fp6 {
 	z.B0 = t
 	z.B1 = b0
 	z.B2 = b1
-	return z
-}
-
-// MulByFp2 sets z = x * c for an Fp2 scalar c and returns z.
-func (z *Fp6) MulByFp2(x *Fp6, c *Fp2) *Fp6 {
-	z.B0.Mul(&x.B0, c)
-	z.B1.Mul(&x.B1, c)
-	z.B2.Mul(&x.B2, c)
 	return z
 }
 

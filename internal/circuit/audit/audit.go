@@ -39,7 +39,6 @@ package audit
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"github.com/zkdet/zkdet/internal/circuit"
@@ -110,20 +109,6 @@ func (r *Report) String() string {
 
 func (r *Report) add(rule string, v, g int, format string, args ...any) {
 	r.Findings = append(r.Findings, Finding{Rule: rule, Var: v, Gate: g, Msg: fmt.Sprintf(format, args...)})
-}
-
-// Rules returns the distinct rule identifiers present, sorted.
-func (r *Report) Rules() []string {
-	set := make(map[string]bool)
-	for _, f := range r.Findings {
-		set[f.Rule] = true
-	}
-	out := make([]string, 0, len(set))
-	for rule := range set {
-		out = append(out, rule)
-	}
-	sort.Strings(out)
-	return out
 }
 
 func isCustom(k plonk.GateKind) bool {

@@ -402,11 +402,6 @@ func (b *Builder) AssertEqual(x, y Variable) {
 	b.gates = append(b.gates, gateTmpl{qL: frOne, qR: frNeg(frOne), a: x.id, b: y.id, c: x.id})
 }
 
-// AssertZero constrains x == 0.
-func (b *Builder) AssertZero(x Variable) {
-	b.gates = append(b.gates, gateTmpl{qL: frOne, a: x.id, b: x.id, c: x.id})
-}
-
 // AssertConst constrains x == c.
 func (b *Builder) AssertConst(x Variable, c fr.Element) {
 	b.gates = append(b.gates, gateTmpl{qL: frOne, qC: frNeg(c), a: x.id, b: x.id, c: x.id})

@@ -118,7 +118,3 @@ func (b *Builder) AuditInfo() *AuditInfo {
 	}
 	return info
 }
-
-// PublicIDs returns the builder-numbering ids of the public inputs, in
-// declaration order.
-func (b *Builder) PublicIDs() []int { return append([]int(nil), b.public...) }

@@ -128,8 +128,3 @@ func CiphertextFromBytes(data []byte) (Ciphertext, error) {
 func KeyCommit(k fr.Element) (c, o fr.Element) {
 	return poseidon.Commit([]fr.Element{k})
 }
-
-// KeyCommitWith is the deterministic form used inside circuits.
-func KeyCommitWith(k, o fr.Element) fr.Element {
-	return poseidon.CommitWith([]fr.Element{k}, o)
-}

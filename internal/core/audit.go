@@ -60,10 +60,9 @@ func (r *ProofRegistry) Lookup(tokenID uint64) (*TokenProofs, bool) {
 var (
 	ErrAuditMissingProofs = errors.New("core: no published proofs for token")
 	ErrAuditMismatch      = errors.New("core: on-chain record contradicts published proofs")
-	// ErrAuditorKeyRequired reports an auditor-mode audit attempted
-	// without the designated auditor's secret key: confidential payment
-	// amounts are Pedersen-committed on-chain and can only be opened by
-	// the auditor's decryption key.
+	// ErrAuditorKeyRequired reports an auditor-mode audit attempted with a
+	// nil auditor key: confidential payment amounts are Pedersen-committed
+	// on-chain and can only be opened by the auditor's decryption key.
 	ErrAuditorKeyRequired = errors.New("core: auditor mode requires the designated auditor key")
 )
 
@@ -89,27 +88,23 @@ type AuditReport struct {
 }
 
 // AuditOption tunes an AuditLineage run.
-type AuditOption func(*auditConfig)
+type AuditOption func(*auditConfig) error
 
 type auditConfig struct {
-	auditorMode bool
-	auditorKey  *ct.AuditorKey
+	auditorKey *ct.AuditorKey // non-nil: auditor mode
 }
 
-// WithAuditorMode asks the audit to additionally open every confidential
-// payment in the token's lineage. It requires WithAuditorKey; without it
-// AuditLineage returns ErrAuditorKeyRequired — the amounts are not
-// recoverable from public state.
-func WithAuditorMode() AuditOption {
-	return func(c *auditConfig) { c.auditorMode = true }
-}
-
-// WithAuditorKey supplies the designated auditor's decryption key and
-// implies auditor mode.
+// WithAuditorKey puts the audit in auditor mode: it additionally opens every
+// confidential payment in the token's lineage with the designated auditor's
+// decryption key. A nil key is refused with ErrAuditorKeyRequired — the
+// amounts are not recoverable from public state.
 func WithAuditorKey(key *ct.AuditorKey) AuditOption {
-	return func(c *auditConfig) {
-		c.auditorMode = true
+	return func(c *auditConfig) error {
+		if key == nil {
+			return ErrAuditorKeyRequired
+		}
 		c.auditorKey = key
+		return nil
 	}
 }
 
@@ -121,8 +116,9 @@ func WithAuditorKey(key *ct.AuditorKey) AuditOption {
 //  2. for every token: fetch the ciphertext by URI from storage, check it
 //     matches the published π_e statement, and verify π_e;
 //  3. check the on-chain commitment field binds the same commitments;
-//  4. for every derived token: verify its π_t and that the proof's source
-//     commitments are exactly its parents' on-chain data commitments.
+//  4. for every derived token: verify its π_t, that the proof is of the
+//     kind the token was minted as, and that the proof's source commitments
+//     are exactly its parents' on-chain data commitments.
 //
 // The walk compares records and gathers every π_e and π_t of the lineage;
 // verifyAll then checks them all with one pairing, so a refused proof is
@@ -130,15 +126,13 @@ func WithAuditorKey(key *ct.AuditorKey) AuditOption {
 //
 // With WithAuditorKey, the audit additionally opens every confidential
 // settlement whose exchange references a lineage token, reporting the
-// hidden payment amounts (designated-auditor traceability). Auditor mode
-// without the key fails with ErrAuditorKeyRequired.
+// hidden payment amounts (designated-auditor traceability).
 func (m *Marketplace) AuditLineage(reg *ProofRegistry, tokenID uint64, opts ...AuditOption) (*AuditReport, error) {
 	var cfg auditConfig
 	for _, opt := range opts {
-		opt(&cfg)
-	}
-	if cfg.auditorMode && cfg.auditorKey == nil {
-		return nil, ErrAuditorKeyRequired
+		if err := opt(&cfg); err != nil {
+			return nil, err
+		}
 	}
 	lineage, err := m.Trace(tokenID)
 	if err != nil {
@@ -182,10 +176,7 @@ func (m *Marketplace) AuditLineage(reg *ProofRegistry, tokenID uint64, opts ...A
 		}
 
 		// (3) The on-chain commitment field is (c_d ‖ c_k).
-		cdB := proofs.Encryption.DataCommitment.Bytes()
-		ckB := proofs.Encryption.KeyCommitment.Bytes()
-		want := append(cdB[:], ckB[:]...)
-		if !bytes.Equal(tok.Commitment, want) {
+		if !bytes.Equal(tok.Commitment, proofs.Encryption.commitmentField()) {
 			return nil, fmt.Errorf("%w: token #%d commitment field", ErrAuditMismatch, tok.ID)
 		}
 
@@ -204,6 +195,12 @@ func (m *Marketplace) AuditLineage(reg *ProofRegistry, tokenID uint64, opts ...A
 		}
 		if proofs.Transform == nil {
 			return nil, fmt.Errorf("%w: derived token #%d has no π_t", ErrAuditMissingProofs, tok.ID)
+		}
+		// All four kinds are one relation; the on-chain kind is what says
+		// which of them this token claims to be.
+		if tok.Kind.String() != string(proofs.Transform.Kind) {
+			return nil, fmt.Errorf("%w: token #%d was minted as a %s but its π_t is a %s proof",
+				ErrAuditMismatch, tok.ID, tok.Kind, proofs.Transform.Kind)
 		}
 		c, err = m.Sys.transformCheck(proofs.Transform, proofs.Processor)
 		if err != nil {
@@ -239,7 +236,7 @@ func (m *Marketplace) AuditLineage(reg *ProofRegistry, tokenID uint64, opts ...A
 	// Auditor mode: open the confidential settlements touching this
 	// lineage. Exchanges are enumerated from the contract's own index, so
 	// this works without an event indexer attached.
-	if cfg.auditorMode && m.ctd != nil {
+	if cfg.auditorKey != nil && m.ctd != nil {
 		settlements, err := contracts.ReadCTSettlements(m.Chain, contracts.ConfidentialTokenName)
 		if err != nil {
 			return nil, err

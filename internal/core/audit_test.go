@@ -9,6 +9,7 @@ import (
 
 	"github.com/zkdet/zkdet/internal/bn254"
 	"github.com/zkdet/zkdet/internal/chain"
+	"github.com/zkdet/zkdet/internal/contracts"
 	"github.com/zkdet/zkdet/internal/fr"
 	"github.com/zkdet/zkdet/internal/kzg"
 	"github.com/zkdet/zkdet/internal/plonk"
@@ -144,6 +145,41 @@ func TestAuditDetectsForgedLineage(t *testing.T) {
 	})
 	if _, err := m.AuditLineage(reg, dup.Assets[0].TokenID); !errors.Is(err, ErrAuditMismatch) {
 		t.Fatalf("forged lineage not caught: %v", err)
+	}
+}
+
+// TestAuditRefusesKindMismatch: every transformation is one relation, so the
+// kind a token was minted as is what its π_t has to answer to. A token minted
+// through DataNFT `process` whose published proof is a (valid) duplication
+// proof must not pass.
+func TestAuditRefusesKindMismatch(t *testing.T) {
+	m, _ := newTestMarketplace(t)
+	alice := chain.AddressFromString("alice")
+	reg := NewProofRegistry()
+	root, err := m.MintAsset(alice, "alice", smallData(4), fr.MustRandom())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.PublishAsset(root)
+	// With one parent, `duplicate` and `process` take the same calldata.
+	m.Submitter = func(tx chain.Transaction) (*chain.Receipt, error) {
+		if tx.Method == "duplicate" {
+			tx.Method = "process"
+		}
+		return m.Chain.Submit(tx)
+	}
+	res, err := m.Duplicate(alice, "alice", root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.PublishTransform(res, nil)
+	id := res.Assets[0].TokenID
+	if tok, err := contracts.ReadToken(m.Chain, id); err != nil || tok.Kind != contracts.KindProcessing {
+		t.Fatalf("token #%d: %+v, %v; want one minted as processing", id, tok, err)
+	}
+	_, err = m.AuditLineage(reg, id)
+	if !errors.Is(err, ErrAuditMismatch) || !strings.Contains(err.Error(), fmt.Sprintf("token #%d", id)) {
+		t.Fatalf("processing token with a duplication π_t: audit returned %v, want ErrAuditMismatch naming token #%d", err, id)
 	}
 }
 

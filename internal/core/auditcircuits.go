@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/zkdet/zkdet/internal/circuit"
 	"github.com/zkdet/zkdet/internal/fr"
 )
@@ -46,38 +44,13 @@ func AuditCircuits() []AuditCircuit {
 			return buildEncryptionCircuit(st, w), nil
 		}},
 		{Name: "core/pi_t/dup", Build: func() (*circuit.Builder, error) {
-			data := auditDataset(3)
-			cs, os := data.Commit()
-			cd, od := data.Commit()
-			return buildDuplicationCircuit(len(data), data, cs, cd, os, od), nil
+			return auditTransform(TransformDuplication, []Dataset{auditDataset(3)}, nil, nil)
 		}},
 		{Name: "core/pi_t/agg", Build: func() (*circuit.Builder, error) {
-			srcs := []Dataset{auditDataset(2), auditDataset(3)}
-			var derived Dataset
-			csList := make([]fr.Element, len(srcs))
-			osList := make([]fr.Element, len(srcs))
-			sizes := make([]int, len(srcs))
-			for i, s := range srcs {
-				csList[i], osList[i] = s.Commit()
-				sizes[i] = len(s)
-				derived = append(derived, s...)
-			}
-			cd, od := derived.Commit()
-			return buildAggregationCircuit(sizes, srcs, csList, cd, osList, od), nil
+			return auditTransform(TransformAggregation, []Dataset{auditDataset(2), auditDataset(3)}, nil, nil)
 		}},
 		{Name: "core/pi_t/part", Build: func() (*circuit.Builder, error) {
-			src := auditDataset(5)
-			cs, os := src.Commit()
-			sizes := []int{2, 3}
-			cdList := make([]fr.Element, len(sizes))
-			odList := make([]fr.Element, len(sizes))
-			off := 0
-			for k, n := range sizes {
-				piece := src[off : off+n].Clone()
-				cdList[k], odList[k] = piece.Commit()
-				off += n
-			}
-			return buildPartitionCircuit(sizes, src, cs, cdList, os, odList), nil
+			return auditTransform(TransformPartition, []Dataset{auditDataset(5)}, []int{2, 3}, nil)
 		}},
 		{Name: "core/pi_p/range", Build: func() (*circuit.Builder, error) {
 			data := auditDataset(4)
@@ -100,15 +73,21 @@ func AuditCircuits() []AuditCircuit {
 	}
 }
 
+// auditTransform builds the production π_t circuit of one transformation,
+// witnessed consistently end-to-end.
+func auditTransform(kind TransformKindName, srcs []Dataset, sizes []int, p Processor) (*circuit.Builder, error) {
+	sh, pieces, err := derive(kind, srcs, sizes, p)
+	if err != nil {
+		return nil, err
+	}
+	cs, os := commitAll(srcs)
+	cd, od := commitAll(pieces)
+	return buildTransformCircuit(sh, transformWitness{srcs: srcs, cs: cs, os: os, cd: cd, od: od}), nil
+}
+
 // AuditProcessingCircuit builds the production π_t processing circuit for
 // a Processor over src (with the lookup/custom-gate lowering if the
-// processor opts in), witnessed consistently end-to-end.
+// processor opts in).
 func AuditProcessingCircuit(p Processor, src Dataset) (*circuit.Builder, error) {
-	derived, err := p.Apply(src)
-	if err != nil {
-		return nil, fmt.Errorf("core: audit processing %s: %w", p.Name(), err)
-	}
-	cs, os := src.Commit()
-	cd, od := derived.Commit()
-	return buildProcessingCircuit(p, len(src), src, cs, cd, os, od), nil
+	return auditTransform(TransformProcessing, []Dataset{src}, nil, p)
 }

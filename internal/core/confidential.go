@@ -185,63 +185,15 @@ func (m *Marketplace) ConfidentialTransfer(sender chain.Address, ins []*ConfNote
 // seller settles with π_k, and the NFT changes hands. It returns the
 // decrypted dataset as received by the buyer.
 func (m *Marketplace) SellConfidential(exchangeID uint64, sellerAddr, buyerAddr chain.Address, asset *Asset, pred Predicate, payNote *ConfNote) (Dataset, error) {
-	d := m.ctd
-	if d == nil {
+	if m.ctd == nil {
 		return nil, ErrConfidentialDisabled
 	}
-	seller, err := NewSeller(m.Sys, asset.Data, asset.Key, pred)
-	if err != nil {
-		return nil, err
-	}
-	listing := seller.Listing(0) // the price is private: carried by the note
-
-	// Phase 1 — data validation: seller proves π_p, buyer verifies.
-	piP, err := seller.ProveData()
-	if err != nil {
-		return nil, err
-	}
-	buyer := NewBuyer(m.Sys, listing, pred)
-	if err := buyer.VerifyData(piP); err != nil {
-		return nil, err
-	}
-
-	// Buyer locks the payment note with h_v; k_v goes to the seller
-	// off-chain.
-	kv, hv := buyer.Challenge()
-	hvB := hv.Bytes()
-	ckB := listing.KeyCommitment.Bytes()
-	if _, err := m.submit(buyerAddr, contracts.ConfidentialTokenName, "lock", 0,
-		contracts.EncodeArgs(contracts.U64(exchangeID), contracts.U64(payNote.ID),
-			sellerAddr[:], hvB[:], ckB[:], contracts.U64(asset.TokenID))); err != nil {
-		return nil, err
-	}
-
-	// Phase 2 — key negotiation: seller derives k_c and proves π_k; the
-	// token contract verifies on-chain and hands the note to the seller.
-	st, piK, err := seller.NegotiateKey(kv, hv)
-	if err != nil {
-		return nil, err
-	}
-	kcB := st.KC.Bytes()
-	if _, err := m.submit(sellerAddr, contracts.ConfidentialTokenName, "settle", 0,
-		contracts.EncodeArgs(contracts.U64(exchangeID), kcB[:],
-			piK.Bytes(), kcB[:], ckB[:], hvB[:])); err != nil {
-		return nil, err
-	}
-
-	// Buyer reads k_c from chain state and decrypts.
-	kcPub, err := contracts.ReadCTSettledKc(m.Chain, contracts.ConfidentialTokenName, exchangeID)
-	if err != nil {
-		return nil, err
-	}
-	kcEl, err := fr.FromBytesCanonical(kcPub)
-	if err != nil {
-		return nil, err
-	}
-	// Transfer the NFT to the buyer to record the ownership change.
-	if _, err := m.submit(sellerAddr, contracts.DataNFTName, "transfer", 0,
-		contracts.EncodeArgs(contracts.U64(asset.TokenID), buyerAddr[:])); err != nil {
-		return nil, err
-	}
-	return buyer.Decrypt(kcEl)
+	// The price is private: carried by the note, not the listing.
+	return m.sell(contracts.ConfidentialTokenName, exchangeID, sellerAddr, buyerAddr, asset, pred, 0,
+		func(hv, ck []byte) error {
+			_, err := m.submit(buyerAddr, contracts.ConfidentialTokenName, "lock", 0,
+				contracts.EncodeArgs(contracts.U64(exchangeID), contracts.U64(payNote.ID),
+					sellerAddr[:], hv, ck, contracts.U64(asset.TokenID)))
+			return err
+		}, contracts.ReadCTSettledKc)
 }

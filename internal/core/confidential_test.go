@@ -150,7 +150,7 @@ func TestSellConfidentialAndAuditorLineage(t *testing.T) {
 	if len(report.ConfidentialPayments) != 0 {
 		t.Fatal("non-auditor audit exposed payments")
 	}
-	if _, err := m.AuditLineage(reg, asset.TokenID, WithAuditorMode()); !errors.Is(err, ErrAuditorKeyRequired) {
+	if _, err := m.AuditLineage(reg, asset.TokenID, WithAuditorKey(nil)); !errors.Is(err, ErrAuditorKeyRequired) {
 		t.Fatalf("auditor mode without key: %v", err)
 	}
 	report, err = m.AuditLineage(reg, asset.TokenID, WithAuditorKey(ak))

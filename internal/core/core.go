@@ -63,8 +63,8 @@ func (s *System) SRS() *kzg.SRS { return s.srs }
 // custom-gate row each (DESIGN.md §15.3). Lookups stay off on purpose: only
 // π_p has range checks to look up, and the 2^12 table would pin it to a
 // 4 096-row domain to save 112 of its 730 rows — these circuits fit in
-// 1 024. buildKeyCircuit and buildProcessingCircuit are the two that do not
-// start here; each says why.
+// 1 024. buildKeyCircuit and buildTransformCircuit given a Processor are the
+// two that do not start here; each says why.
 func newHashCircuit() *circuit.Builder {
 	b := circuit.NewBuilder()
 	b.EnableCustomGates()

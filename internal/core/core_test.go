@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -243,20 +244,32 @@ func TestProcessingProof(t *testing.T) {
 
 func TestProofChain(t *testing.T) {
 	sys := testSys()
-	// S --dup--> D1 --process--> D2: links share commitments.
+	// S --dup--> D1 --dup--> D2 --process--> D3: links share commitments.
 	src := smallData(4)
 	cs, os := src.Commit()
 	dup, od, err := sys.ProveDuplication(src, cs, os)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proc, _, _, err := sys.ProveProcessing(doubler{}, src, dup.Derived[0], od)
+	dup2, od2, err := sys.ProveDuplication(src, dup.Derived[0], od)
 	if err != nil {
 		t.Fatal(err)
 	}
-	chain := ProofChain{dup, proc}
-	if err := sys.VerifyChain(chain, map[int]Processor{1: doubler{}}); err != nil {
+	proc, _, _, err := sys.ProveProcessing(doubler{}, src, dup2.Derived[0], od2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	procs := map[int]Processor{2: doubler{}}
+	if err := sys.VerifyChain(ProofChain{dup, dup2, proc}, procs); err != nil {
 		t.Fatalf("honest chain rejected: %v", err)
+	}
+	// The links are folded into one pairing; a middle link only the pairing
+	// refuses must still be the one the error names.
+	bad := *dup2
+	bad.Proof = withWZeta(t, dup2.Proof, dup.Proof)
+	err = sys.VerifyChain(ProofChain{dup, &bad, proc}, procs)
+	if !errors.Is(err, plonk.ErrProofInvalid) || !strings.Contains(err.Error(), "chain link 1: π_t (duplication)") {
+		t.Fatalf("corrupted middle link: %v, want plonk.ErrProofInvalid naming chain link 1", err)
 	}
 	// A chain whose links do not connect must fail.
 	other := smallData(4)
@@ -557,8 +570,8 @@ func TestKeysForSetsUpOncePerShape(t *testing.T) {
 	if n := setups.Load(); n != 1 {
 		t.Fatalf("plonk.Setup ran %d times for one shape, want 1", n)
 	}
-	z := fr.Zero()
-	if _, _, _, err := sys.keysFor("pi_t/dup/4", buildDuplicationCircuit(4, smallData(4), z, z, z, z)); err != nil {
+	dup4 := transformShape{kind: TransformDuplication, sources: []int{4}, derived: []int{4}}
+	if _, _, _, err := sys.keysFor("pi_t/dup/4", buildTransformCircuit(dup4, transformWitness{})); err != nil {
 		t.Fatal(err)
 	}
 	if n := setups.Load(); n != 2 {

@@ -37,6 +37,13 @@ func (st *EncryptionStatement) publics() []fr.Element {
 	return out
 }
 
+// commitmentField is the NFT's commitment field, binding (c_d ‖ c_k).
+func (st *EncryptionStatement) commitmentField() []byte {
+	cdB := st.DataCommitment.Bytes()
+	ckB := st.KeyCommitment.Bytes()
+	return append(cdB[:], ckB[:]...)
+}
+
 // buildEncryptionCircuit emits the π_e relation:
 //
 //	ĉ_i = d_i + MiMC(k, nonce+i)  for all i
@@ -96,13 +103,6 @@ func (s *System) EncryptAndProve(data Dataset, key fr.Element) (*EncryptionState
 		return nil, nil, Ciphertext{}, nil, err
 	}
 	return st, w, ct, proof, nil
-}
-
-// ProveEncryption produces π_e for an existing statement/witness pair
-// (e.g. re-proving after the statement was reconstructed from chain data).
-func (s *System) ProveEncryption(st *EncryptionStatement, w *EncryptionWitness) (*plonk.Proof, error) {
-	proof, _, err := s.prove(encryptionKey(len(w.Data)), buildEncryptionCircuit(st, w))
-	return proof, err
 }
 
 // encryptionCheck pairs a π_e with the key and public inputs of its statement.

@@ -149,10 +149,9 @@ func (m *Marketplace) submit(from chain.Address, contract, method string, value 
 	return r, nil
 }
 
-// MintAsset runs §III-A end to end: encrypt the dataset, prove π_e, publish
-// the ciphertext to storage (URI = digest), and mint the NFT whose
-// commitment field binds (c_d ‖ c_k).
-func (m *Marketplace) MintAsset(owner chain.Address, ownerLabel string, data Dataset, key fr.Element) (*Asset, error) {
+// publish encrypts a dataset under key, proves its π_e and stores the
+// ciphertext (URI = digest): an asset in everything but its token.
+func (m *Marketplace) publish(ownerLabel string, data Dataset, key fr.Element) (*Asset, error) {
 	st, w, ct, proof, err := m.Sys.EncryptAndProve(data, key)
 	if err != nil {
 		return nil, err
@@ -161,43 +160,28 @@ func (m *Marketplace) MintAsset(owner chain.Address, ownerLabel string, data Dat
 	if err != nil {
 		return nil, err
 	}
-	cdB := st.DataCommitment.Bytes()
-	ckB := st.KeyCommitment.Bytes()
-	commitment := append(cdB[:], ckB[:]...)
-	r, err := m.submit(owner, contracts.DataNFTName, "mint", 0, contracts.EncodeArgs(uri[:], commitment))
-	if err != nil {
-		return nil, err
-	}
-	id, err := contracts.DecU64(r.Return)
-	if err != nil {
-		return nil, err
-	}
 	return &Asset{
-		TokenID:     id,
-		URI:         uri,
-		Statement:   st,
-		EncProof:    proof,
-		Data:        data.Clone(),
-		Key:         key,
-		DataBlinder: w.DataBlinder,
-		KeyBlinder:  w.KeyBlinder,
+		URI: uri, Statement: st, EncProof: proof,
+		Data: data, Key: key,
+		DataBlinder: w.DataBlinder, KeyBlinder: w.KeyBlinder,
 	}, nil
 }
 
-// finishDerived encrypts a derived dataset under a fresh key, proves its
-// π_e, stores the ciphertext and returns the pieces shared by all
-// transformation endpoints.
-func (m *Marketplace) finishDerived(ownerLabel string, derived Dataset) (*EncryptionStatement, *EncryptionWitness, *plonk.Proof, storage.URI, fr.Element, error) {
-	key := fr.MustRandom()
-	st, w, ct, proof, err := m.Sys.EncryptAndProve(derived, key)
+// MintAsset runs §III-A end to end: encrypt the dataset, prove π_e, publish
+// the ciphertext to storage, and mint the NFT.
+func (m *Marketplace) MintAsset(owner chain.Address, ownerLabel string, data Dataset, key fr.Element) (*Asset, error) {
+	asset, err := m.publish(ownerLabel, data.Clone(), key)
 	if err != nil {
-		return nil, nil, nil, storage.URI{}, fr.Element{}, err
+		return nil, err
 	}
-	uri, err := m.Store.Put(ownerLabel, ct.Bytes())
+	r, err := m.submit(owner, contracts.DataNFTName, "mint", 0, contracts.EncodeArgs(asset.URI[:], asset.Statement.commitmentField()))
 	if err != nil {
-		return nil, nil, nil, storage.URI{}, fr.Element{}, err
+		return nil, err
 	}
-	return st, w, proof, uri, key, nil
+	if asset.TokenID, err = contracts.DecU64(r.Return); err != nil {
+		return nil, err
+	}
+	return asset, nil
 }
 
 // TransformResult packages a transformation's outcome: the new asset(s)
@@ -207,185 +191,90 @@ type TransformResult struct {
 	Proof  *TransformProof
 }
 
-// Duplicate mints a replica token (§IV-D1): new commitment, new key, new
-// ciphertext, same plaintext, provably identical content.
-func (m *Marketplace) Duplicate(owner chain.Address, ownerLabel string, src *Asset) (*TransformResult, error) {
-	// π_t relates the source's data commitment to a fresh one. The fresh
-	// derived commitment must be the one the new asset's π_e uses, so the
-	// duplication proof is built against the new statement's commitment.
-	st, w, encProof, uri, key, err := m.finishDerived(ownerLabel, src.Data)
-	if err != nil {
-		return nil, err
-	}
-	tp, err := m.Sys.proveDuplicationWith(src.Data, src.Statement.DataCommitment, src.DataBlinder, st.DataCommitment, w.DataBlinder)
-	if err != nil {
-		return nil, err
-	}
-	cdB := st.DataCommitment.Bytes()
-	ckB := st.KeyCommitment.Bytes()
-	r, err := m.submit(owner, contracts.DataNFTName, "duplicate", 0,
-		contracts.EncodeArgs(contracts.U64(src.TokenID), uri[:], append(cdB[:], ckB[:]...)))
-	if err != nil {
-		return nil, err
-	}
-	id, err := contracts.DecU64(r.Return)
-	if err != nil {
-		return nil, err
-	}
-	asset := &Asset{
-		TokenID: id, URI: uri, Statement: st, EncProof: encProof,
-		Data: src.Data.Clone(), Key: key,
-		DataBlinder: w.DataBlinder, KeyBlinder: w.KeyBlinder,
-	}
-	return &TransformResult{Assets: []*Asset{asset}, Proof: tp}, nil
+// nftMethods names the DataNFT method that mints each kind's tokens. All four
+// take (parents, then URI and commitment field per derived token) and return
+// the new ids; where the ABI says one id rather than an id list, the one-id
+// list is the same eight bytes.
+var nftMethods = map[TransformKindName]string{
+	TransformDuplication: "duplicate",
+	TransformAggregation: "aggregate",
+	TransformPartition:   "partition",
+	TransformProcessing:  "process",
 }
 
-// Aggregate merges assets into one (§IV-D2).
-func (m *Marketplace) Aggregate(owner chain.Address, ownerLabel string, srcs []*Asset) (*TransformResult, error) {
-	if len(srcs) < 2 {
-		return nil, fmt.Errorf("%w: aggregation needs ≥2 sources", ErrBadShape)
-	}
-	datasets := make([]Dataset, len(srcs))
-	csList := make([]fr.Element, len(srcs))
-	osList := make([]fr.Element, len(srcs))
-	prevIDs := make([]uint64, len(srcs))
-	var derived Dataset
+// transform runs the mint side of §IV-B for any transformation: derive the
+// pieces, publish each as an asset under a fresh key, prove the one π_t that
+// links the sources' commitments to the commitments the new π_e's use, and
+// mint the derived tokens.
+func (m *Marketplace) transform(owner chain.Address, ownerLabel string, kind TransformKindName, srcs []*Asset, sizes []int, proc Processor) (*TransformResult, error) {
+	var w transformWitness
+	parents := make([]uint64, len(srcs))
 	for i, src := range srcs {
-		datasets[i] = src.Data
-		csList[i] = src.Statement.DataCommitment
-		osList[i] = src.DataBlinder
-		prevIDs[i] = src.TokenID
-		derived = append(derived, src.Data...)
+		w.srcs = append(w.srcs, src.Data)
+		w.cs = append(w.cs, src.Statement.DataCommitment)
+		w.os = append(w.os, src.DataBlinder)
+		parents[i] = src.TokenID
 	}
-	st, w, encProof, uri, key, err := m.finishDerived(ownerLabel, derived)
+	sh, pieces, err := derive(kind, w.srcs, sizes, proc)
 	if err != nil {
 		return nil, err
 	}
-	tp, err := m.Sys.proveAggregationWith(datasets, csList, osList, st.DataCommitment, w.DataBlinder)
-	if err != nil {
-		return nil, err
-	}
-	cdB := st.DataCommitment.Bytes()
-	ckB := st.KeyCommitment.Bytes()
-	r, err := m.submit(owner, contracts.DataNFTName, "aggregate", 0,
-		contracts.EncodeArgs(contracts.U64List(prevIDs), uri[:], append(cdB[:], ckB[:]...)))
-	if err != nil {
-		return nil, err
-	}
-	id, err := contracts.DecU64(r.Return)
-	if err != nil {
-		return nil, err
-	}
-	asset := &Asset{
-		TokenID: id, URI: uri, Statement: st, EncProof: encProof,
-		Data: derived, Key: key,
-		DataBlinder: w.DataBlinder, KeyBlinder: w.KeyBlinder,
-	}
-	return &TransformResult{Assets: []*Asset{asset}, Proof: tp}, nil
-}
-
-// Partition splits an asset into consecutive pieces (§IV-D3).
-func (m *Marketplace) Partition(owner chain.Address, ownerLabel string, src *Asset, sizes []int) (*TransformResult, error) {
-	if len(sizes) < 2 {
-		return nil, fmt.Errorf("%w: partition needs ≥2 pieces", ErrBadShape)
-	}
-	total := 0
-	for _, n := range sizes {
-		if n <= 0 {
-			return nil, fmt.Errorf("%w: empty piece", ErrBadShape)
-		}
-		total += n
-	}
-	if total != len(src.Data) {
-		return nil, fmt.Errorf("%w: pieces cover %d of %d", ErrBadShape, total, len(src.Data))
-	}
-	pieces := make([]Dataset, len(sizes))
-	sts := make([]*EncryptionStatement, len(sizes))
-	ws := make([]*EncryptionWitness, len(sizes))
-	encProofs := make([]*plonk.Proof, len(sizes))
-	uris := make([]storage.URI, len(sizes))
-	keys := make([]fr.Element, len(sizes))
-	cdList := make([]fr.Element, len(sizes))
-	odList := make([]fr.Element, len(sizes))
-	off := 0
-	var err error
-	for i, n := range sizes {
-		pieces[i] = src.Data[off : off+n].Clone()
-		sts[i], ws[i], encProofs[i], uris[i], keys[i], err = m.finishDerived(ownerLabel, pieces[i])
-		if err != nil {
+	args := [][]byte{contracts.U64List(parents)}
+	assets := make([]*Asset, len(pieces))
+	for k, piece := range pieces {
+		if assets[k], err = m.publish(ownerLabel, piece, fr.MustRandom()); err != nil {
 			return nil, err
 		}
-		cdList[i] = sts[i].DataCommitment
-		odList[i] = ws[i].DataBlinder
-		off += n
+		w.cd = append(w.cd, assets[k].Statement.DataCommitment)
+		w.od = append(w.od, assets[k].DataBlinder)
+		args = append(args, assets[k].URI[:], assets[k].Statement.commitmentField())
 	}
-	tp, err := m.Sys.provePartitionWith(src.Data, src.Statement.DataCommitment, src.DataBlinder, sizes, cdList, odList)
+	tp, err := m.Sys.proveTransform(sh, w)
 	if err != nil {
 		return nil, err
 	}
-	args := [][]byte{contracts.U64(src.TokenID)}
-	for i := range sizes {
-		cdB := sts[i].DataCommitment.Bytes()
-		ckB := sts[i].KeyCommitment.Bytes()
-		args = append(args, uris[i][:], append(cdB[:], ckB[:]...))
-	}
-	r, err := m.submit(owner, contracts.DataNFTName, "partition", 0, contracts.EncodeArgs(args...))
+	r, err := m.submit(owner, contracts.DataNFTName, nftMethods[kind], 0, contracts.EncodeArgs(args...))
 	if err != nil {
 		return nil, err
 	}
 	ids, err := contracts.DecU64List(r.Return)
-	if err != nil {
-		return nil, err
+	if err != nil || len(ids) != len(assets) {
+		return nil, fmt.Errorf("core: %s returned %d token ids for %d pieces: %w", nftMethods[kind], len(ids), len(assets), err)
 	}
-	assets := make([]*Asset, len(sizes))
-	for i := range sizes {
-		assets[i] = &Asset{
-			TokenID: ids[i], URI: uris[i], Statement: sts[i], EncProof: encProofs[i],
-			Data: pieces[i], Key: keys[i],
-			DataBlinder: ws[i].DataBlinder, KeyBlinder: ws[i].KeyBlinder,
-		}
+	for k := range assets {
+		assets[k].TokenID = ids[k]
 	}
 	return &TransformResult{Assets: assets, Proof: tp}, nil
+}
+
+// Duplicate mints a replica token (§IV-D1): new commitment, new key, new
+// ciphertext, same plaintext, provably identical content.
+func (m *Marketplace) Duplicate(owner chain.Address, ownerLabel string, src *Asset) (*TransformResult, error) {
+	return m.transform(owner, ownerLabel, TransformDuplication, []*Asset{src}, nil, nil)
+}
+
+// Aggregate merges assets into one (§IV-D2).
+func (m *Marketplace) Aggregate(owner chain.Address, ownerLabel string, srcs []*Asset) (*TransformResult, error) {
+	return m.transform(owner, ownerLabel, TransformAggregation, srcs, nil, nil)
+}
+
+// Partition splits an asset into consecutive pieces (§IV-D3).
+func (m *Marketplace) Partition(owner chain.Address, ownerLabel string, src *Asset, sizes []int) (*TransformResult, error) {
+	return m.transform(owner, ownerLabel, TransformPartition, []*Asset{src}, sizes, nil)
 }
 
 // Process applies a Processor and mints the result (§IV-D4/§IV-E: model
 // training, computational delegation).
 func (m *Marketplace) Process(owner chain.Address, ownerLabel string, src *Asset, proc Processor) (*TransformResult, error) {
-	derived, err := proc.Apply(src.Data)
-	if err != nil {
-		return nil, err
-	}
-	st, w, encProof, uri, key, err := m.finishDerived(ownerLabel, derived)
-	if err != nil {
-		return nil, err
-	}
-	tp, err := m.Sys.proveProcessingWith(proc, src.Data, src.Statement.DataCommitment, src.DataBlinder, st.DataCommitment, w.DataBlinder)
-	if err != nil {
-		return nil, err
-	}
-	cdB := st.DataCommitment.Bytes()
-	ckB := st.KeyCommitment.Bytes()
-	r, err := m.submit(owner, contracts.DataNFTName, "process", 0,
-		contracts.EncodeArgs(contracts.U64List([]uint64{src.TokenID}), uri[:], append(cdB[:], ckB[:]...)))
-	if err != nil {
-		return nil, err
-	}
-	id, err := contracts.DecU64(r.Return)
-	if err != nil {
-		return nil, err
-	}
-	asset := &Asset{
-		TokenID: id, URI: uri, Statement: st, EncProof: encProof,
-		Data: derived, Key: key,
-		DataBlinder: w.DataBlinder, KeyBlinder: w.KeyBlinder,
-	}
-	return &TransformResult{Assets: []*Asset{asset}, Proof: tp}, nil
+	return m.transform(owner, ownerLabel, TransformProcessing, []*Asset{src}, nil, proc)
 }
 
-// SellViaEscrow runs the complete key-secure exchange (§IV-F) between a
-// seller's asset and a buyer address, using the on-chain escrow as 𝒥.
+// sell runs the complete key-secure exchange (§IV-F) between a seller's asset
+// and a buyer address with the named contract as the arbiter 𝒥: lock submits
+// the buyer's locking call for (h_v, c_k), readKc reads the settled k_c back.
 // It returns the decrypted dataset as received by the buyer.
-func (m *Marketplace) SellViaEscrow(exchangeID uint64, sellerAddr, buyerAddr chain.Address, asset *Asset, pred Predicate, price uint64) (Dataset, error) {
+func (m *Marketplace) sell(arbiter string, exchangeID uint64, sellerAddr, buyerAddr chain.Address, asset *Asset, pred Predicate, price uint64,
+	lock func(hv, ck []byte) error, readKc func(*chain.Chain, string, uint64) ([]byte, error)) (Dataset, error) {
 	seller, err := NewSeller(m.Sys, asset.Data, asset.Key, pred)
 	if err != nil {
 		return nil, err
@@ -402,30 +291,29 @@ func (m *Marketplace) SellViaEscrow(exchangeID uint64, sellerAddr, buyerAddr cha
 		return nil, err
 	}
 
-	// Buyer locks payment with h_v; k_v goes to the seller off-chain.
+	// Buyer locks the payment with h_v; k_v goes to the seller off-chain.
 	kv, hv := buyer.Challenge()
 	hvB := hv.Bytes()
 	ckB := listing.KeyCommitment.Bytes()
-	if _, err := m.submit(buyerAddr, contracts.EscrowName, "open", price,
-		contracts.EncodeArgs(contracts.U64(exchangeID), sellerAddr[:], hvB[:], ckB[:])); err != nil {
+	if err := lock(hvB[:], ckB[:]); err != nil {
 		return nil, err
 	}
 
-	// Phase 2 — key negotiation: seller derives k_c and proves π_k;
-	// the escrow verifies on-chain and releases the payment.
+	// Phase 2 — key negotiation: seller derives k_c and proves π_k; the
+	// arbiter verifies on-chain and releases the payment.
 	st, piK, err := seller.NegotiateKey(kv, hv)
 	if err != nil {
 		return nil, err
 	}
 	kcB := st.KC.Bytes()
-	if _, err := m.submit(sellerAddr, contracts.EscrowName, "settle", 0,
+	if _, err := m.submit(sellerAddr, arbiter, "settle", 0,
 		contracts.EncodeArgs(contracts.U64(exchangeID), kcB[:],
 			piK.Bytes(), kcB[:], ckB[:], hvB[:])); err != nil {
 		return nil, err
 	}
 
 	// Buyer reads k_c from chain state and decrypts.
-	kcPub, err := contracts.ReadSettledKc(m.Chain, contracts.EscrowName, exchangeID)
+	kcPub, err := readKc(m.Chain, arbiter, exchangeID)
 	if err != nil {
 		return nil, err
 	}
@@ -439,6 +327,17 @@ func (m *Marketplace) SellViaEscrow(exchangeID uint64, sellerAddr, buyerAddr cha
 		return nil, err
 	}
 	return buyer.Decrypt(kcEl)
+}
+
+// SellViaEscrow sells an asset for native value, with the on-chain escrow as
+// the exchange's arbiter.
+func (m *Marketplace) SellViaEscrow(exchangeID uint64, sellerAddr, buyerAddr chain.Address, asset *Asset, pred Predicate, price uint64) (Dataset, error) {
+	return m.sell(contracts.EscrowName, exchangeID, sellerAddr, buyerAddr, asset, pred, price,
+		func(hv, ck []byte) error {
+			_, err := m.submit(buyerAddr, contracts.EscrowName, "open", price,
+				contracts.EncodeArgs(contracts.U64(exchangeID), sellerAddr[:], hv, ck))
+			return err
+		}, contracts.ReadSettledKc)
 }
 
 // FetchCiphertext retrieves and decodes an asset's ciphertext from storage.

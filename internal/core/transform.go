@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"github.com/zkdet/zkdet/internal/circuit"
 	"github.com/zkdet/zkdet/internal/fr"
@@ -11,11 +12,15 @@ import (
 	"github.com/zkdet/zkdet/internal/poseidon"
 )
 
-// This file implements the generic data transformation protocol of §IV-B
-// with the predicates of §IV-D. Transformation proofs π_t relate Poseidon
-// commitments of the source and derived datasets; they compose with the
-// decoupled proofs of encryption π_e through the shared commitments
-// (the commit-and-prove composition of the paper's CP-NIZK).
+// This file implements the generic data transformation protocol of §IV-B.
+// There is one relation: D_1, …, D_y = split(f(S_1 ‖ … ‖ S_x)), stated over
+// Poseidon commitments of the sources and the derived pieces. The predicates
+// of §IV-D are its instances — duplication (x = y = 1), aggregation (y = 1),
+// partition (x = 1), all with f the identity, and processing (x = y = 1, f a
+// Processor) — so one builder, one prover and one decoder serve all four.
+// Transformation proofs π_t compose with the decoupled proofs of encryption
+// π_e through the shared commitments (the commit-and-prove composition of the
+// paper's CP-NIZK).
 
 // TransformKindName labels the §III-B formulae.
 type TransformKindName string
@@ -32,8 +37,11 @@ const (
 // source commitment(s) to derived commitment(s); Kind and Shape pin the
 // circuit that was used.
 type TransformProof struct {
-	Kind    TransformKindName
-	Shape   []int // size parameters of the circuit (see per-kind docs)
+	Kind TransformKindName
+	// Shape holds the circuit's size parameters: [n] for a duplication, the
+	// source sizes of an aggregation, the piece sizes of a partition, and
+	// [|S|, |D|] for a processing proof.
+	Shape   []int
 	Sources []fr.Element
 	Derived []fr.Element
 	Proof   *plonk.Proof
@@ -41,223 +49,6 @@ type TransformProof struct {
 
 // ErrBadShape reports inconsistent transformation size parameters.
 var ErrBadShape = errors.New("core: invalid transformation shape")
-
-// --- Duplication (§IV-D1): D == S, fresh commitment ---
-
-func buildDuplicationCircuit(n int, s Dataset, cs, cd, os, od fr.Element) *circuit.Builder {
-	b := newHashCircuit()
-	csPub := b.Public(cs)
-	cdPub := b.Public(cd)
-	osv := b.Secret(os)
-	odv := b.Secret(od)
-	vals := make([]circuit.Variable, n)
-	for i := 0; i < n; i++ {
-		var v fr.Element
-		if i < len(s) {
-			v = s[i]
-		}
-		vals[i] = b.Secret(v)
-	}
-	b.AssertEqual(poseidon.GadgetCommit(b, vals, osv), csPub)
-	b.AssertEqual(poseidon.GadgetCommit(b, vals, odv), cdPub)
-	return b
-}
-
-// ProveDuplication produces π_t for a duplication: the same plaintext under
-// two independent commitments (c_s with blinder o_s, c_d with fresh o_d).
-func (s *System) ProveDuplication(data Dataset, cs, os fr.Element) (*TransformProof, fr.Element, error) {
-	if len(data) == 0 {
-		return nil, fr.Element{}, ErrDatasetEmpty
-	}
-	cd, od := data.Commit()
-	tp, err := s.proveDuplicationWith(data, cs, os, cd, od)
-	if err != nil {
-		return nil, fr.Element{}, err
-	}
-	return tp, od, nil
-}
-
-// proveDuplicationWith is ProveDuplication against a caller-supplied
-// derived commitment (shared with the derived asset's π_e).
-func (s *System) proveDuplicationWith(data Dataset, cs, os, cd, od fr.Element) (*TransformProof, error) {
-	key := fmt.Sprintf("pi_t/dup/%d", len(data))
-	proof, _, err := s.prove(key, buildDuplicationCircuit(len(data), data, cs, cd, os, od))
-	if err != nil {
-		return nil, err
-	}
-	return &TransformProof{
-		Kind:    TransformDuplication,
-		Shape:   []int{len(data)},
-		Sources: []fr.Element{cs},
-		Derived: []fr.Element{cd},
-		Proof:   proof,
-	}, nil
-}
-
-// --- Aggregation (§IV-D2): D = S_1 ‖ … ‖ S_x in order ---
-
-func buildAggregationCircuit(sizes []int, srcs []Dataset, csList []fr.Element, cd fr.Element, osList []fr.Element, od fr.Element) *circuit.Builder {
-	b := newHashCircuit()
-	csPubs := make([]circuit.Variable, len(sizes))
-	for i := range sizes {
-		csPubs[i] = b.Public(csList[i])
-	}
-	cdPub := b.Public(cd)
-	odv := b.Secret(od)
-	var all []circuit.Variable
-	for k, n := range sizes {
-		osv := b.Secret(osList[k])
-		vals := make([]circuit.Variable, n)
-		for i := 0; i < n; i++ {
-			var v fr.Element
-			if k < len(srcs) && i < len(srcs[k]) {
-				v = srcs[k][i]
-			}
-			vals[i] = b.Secret(v)
-		}
-		b.AssertEqual(poseidon.GadgetCommit(b, vals, osv), csPubs[k])
-		all = append(all, vals...)
-	}
-	b.AssertEqual(poseidon.GadgetCommit(b, all, odv), cdPub)
-	return b
-}
-
-// ProveAggregation produces π_t for merging sources (in order) into their
-// concatenation, returning the proof, the derived dataset, its commitment
-// blinder o_d. Each source arrives with its existing commitment/blinder.
-func (s *System) ProveAggregation(srcs []Dataset, csList, osList []fr.Element) (*TransformProof, Dataset, fr.Element, error) {
-	if len(srcs) < 2 {
-		return nil, nil, fr.Element{}, fmt.Errorf("%w: aggregation needs ≥2 sources", ErrBadShape)
-	}
-	if len(csList) != len(srcs) || len(osList) != len(srcs) {
-		return nil, nil, fr.Element{}, fmt.Errorf("%w: commitment count mismatch", ErrBadShape)
-	}
-	sizes := make([]int, len(srcs))
-	var derived Dataset
-	for i, src := range srcs {
-		if len(src) == 0 {
-			return nil, nil, fr.Element{}, ErrDatasetEmpty
-		}
-		sizes[i] = len(src)
-		derived = append(derived, src...)
-	}
-	cd, od := derived.Commit()
-	tp, err := s.proveAggregationWith(srcs, csList, osList, cd, od)
-	if err != nil {
-		return nil, nil, fr.Element{}, err
-	}
-	return tp, derived, od, nil
-}
-
-// proveAggregationWith is ProveAggregation against a caller-supplied
-// derived commitment.
-func (s *System) proveAggregationWith(srcs []Dataset, csList, osList []fr.Element, cd, od fr.Element) (*TransformProof, error) {
-	sizes := make([]int, len(srcs))
-	for i := range srcs {
-		sizes[i] = len(srcs[i])
-	}
-	key := fmt.Sprintf("pi_t/agg/%v", sizes)
-	proof, _, err := s.prove(key, buildAggregationCircuit(sizes, srcs, csList, cd, osList, od))
-	if err != nil {
-		return nil, err
-	}
-	return &TransformProof{
-		Kind:    TransformAggregation,
-		Shape:   sizes,
-		Sources: append([]fr.Element{}, csList...),
-		Derived: []fr.Element{cd},
-		Proof:   proof,
-	}, nil
-}
-
-// --- Partition (§IV-D3): S = D_1 ∪ … ∪ D_y, exhaustive and disjoint ---
-//
-// The circuit realizes the paper's predicate by construction: the derived
-// pieces are consecutive, non-empty sub-vectors whose concatenation is
-// exactly S — which is both exhaustive (every element appears) and
-// mutually exclusive (positions do not overlap).
-
-func buildPartitionCircuit(sizes []int, src Dataset, cs fr.Element, cdList []fr.Element, os fr.Element, odList []fr.Element) *circuit.Builder {
-	b := newHashCircuit()
-	csPub := b.Public(cs)
-	cdPubs := make([]circuit.Variable, len(sizes))
-	for i := range sizes {
-		cdPubs[i] = b.Public(cdList[i])
-	}
-	osv := b.Secret(os)
-	total := 0
-	for _, n := range sizes {
-		total += n
-	}
-	vals := make([]circuit.Variable, total)
-	for i := 0; i < total; i++ {
-		var v fr.Element
-		if i < len(src) {
-			v = src[i]
-		}
-		vals[i] = b.Secret(v)
-	}
-	b.AssertEqual(poseidon.GadgetCommit(b, vals, osv), csPub)
-	off := 0
-	for k, n := range sizes {
-		odv := b.Secret(odList[k])
-		b.AssertEqual(poseidon.GadgetCommit(b, vals[off:off+n], odv), cdPubs[k])
-		off += n
-	}
-	return b
-}
-
-// ProvePartition produces π_t for splitting the source into consecutive
-// pieces of the given sizes, returning the proof, the pieces and their
-// blinders.
-func (s *System) ProvePartition(src Dataset, cs, os fr.Element, sizes []int) (*TransformProof, []Dataset, []fr.Element, error) {
-	if len(sizes) < 2 {
-		return nil, nil, nil, fmt.Errorf("%w: partition needs ≥2 pieces", ErrBadShape)
-	}
-	total := 0
-	for _, n := range sizes {
-		if n <= 0 {
-			return nil, nil, nil, fmt.Errorf("%w: empty piece", ErrBadShape)
-		}
-		total += n
-	}
-	if total != len(src) {
-		return nil, nil, nil, fmt.Errorf("%w: pieces cover %d of %d elements", ErrBadShape, total, len(src))
-	}
-	pieces := make([]Dataset, len(sizes))
-	cdList := make([]fr.Element, len(sizes))
-	odList := make([]fr.Element, len(sizes))
-	off := 0
-	for k, n := range sizes {
-		pieces[k] = src[off : off+n].Clone()
-		cdList[k], odList[k] = pieces[k].Commit()
-		off += n
-	}
-	tp, err := s.provePartitionWith(src, cs, os, sizes, cdList, odList)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	return tp, pieces, odList, nil
-}
-
-// provePartitionWith is ProvePartition against caller-supplied derived
-// commitments.
-func (s *System) provePartitionWith(src Dataset, cs, os fr.Element, sizes []int, cdList, odList []fr.Element) (*TransformProof, error) {
-	key := fmt.Sprintf("pi_t/part/%v", sizes)
-	proof, _, err := s.prove(key, buildPartitionCircuit(sizes, src, cs, cdList, os, odList))
-	if err != nil {
-		return nil, err
-	}
-	return &TransformProof{
-		Kind:    TransformPartition,
-		Shape:   append([]int{}, sizes...),
-		Sources: []fr.Element{cs},
-		Derived: append([]fr.Element{}, cdList...),
-		Proof:   proof,
-	}, nil
-}
-
-// --- Processing (§IV-D4): D = f(S) for a pluggable f ---
 
 // Processor is a data-processing transformation f with both a native
 // implementation and a circuit gadget; the applications of §IV-E (logistic
@@ -281,76 +72,308 @@ type LookupProcessor interface {
 	WantsLookupCircuit() bool
 }
 
-// buildProcessingCircuit leaves the lowering to the Processor (classic unless
-// it implements LookupProcessor), deliberately: a processing circuit is its
-// gadget, not its two commitments. Forcing custom gates alone onto
+// transformShape names one π_t circuit: how many elements each source and
+// each derived piece holds, and f (nil is the identity). kind is a label — it
+// picks the cache key and the TransformProof.Shape encoding, not the gates.
+type transformShape struct {
+	kind    TransformKindName
+	sources []int
+	derived []int
+	proc    Processor
+}
+
+// check refuses a shape that is not an instance of its kind, has an empty
+// dataset in it, or holds more than room elements in all.
+func (sh transformShape) check(room int) error {
+	x, y := len(sh.sources), len(sh.derived)
+	var ok bool
+	switch sh.kind {
+	case TransformDuplication:
+		ok = x == 1 && y == 1
+	case TransformAggregation:
+		ok = x >= 2 && y == 1
+	case TransformPartition:
+		ok = x == 1 && y >= 2
+	case TransformProcessing:
+		if sh.proc == nil {
+			return fmt.Errorf("%w: a processing proof needs its Processor", ErrBadShape)
+		}
+		ok = x == 1 && y == 1
+	default:
+		return fmt.Errorf("%w: unknown transformation kind %q", ErrBadShape, sh.kind)
+	}
+	if !ok {
+		return fmt.Errorf("%w: %s of %d sources into %d pieces", ErrBadShape, sh.kind, x, y)
+	}
+	for _, sizes := range [][]int{sh.sources, sh.derived} {
+		for _, n := range sizes {
+			if n <= 0 || n > room {
+				return fmt.Errorf("%w: %s with a dataset of %d elements (room for %d)", ErrBadShape, sh.kind, n, room)
+			}
+			room -= n
+		}
+	}
+	return nil
+}
+
+// encode returns the shape's setup-cache key and its TransformProof.Shape.
+func (sh transformShape) encode() (key string, sizes []int) {
+	switch sh.kind {
+	case TransformDuplication:
+		return fmt.Sprintf("pi_t/dup/%d", sh.sources[0]), sh.sources
+	case TransformAggregation:
+		return fmt.Sprintf("pi_t/agg/%v", sh.sources), sh.sources
+	case TransformPartition:
+		return fmt.Sprintf("pi_t/part/%v", sh.derived), sh.derived
+	default:
+		return fmt.Sprintf("pi_t/proc/%s/%d", sh.proc.Name(), sh.sources[0]), []int{sh.sources[0], sh.derived[0]}
+	}
+}
+
+// shapeOf decodes the shape a published π_t claims. Everything in tp comes
+// from whoever published it, so nothing is sized by it before it is checked:
+// a shape with more elements than a circuit the SRS can set up has rows
+// (every element is at least one gate) is refused here, not by plonk.Setup
+// after the builder has allocated it.
+func (s *System) shapeOf(tp *TransformProof, proc Processor) (transformShape, error) {
+	sh := transformShape{kind: tp.Kind}
+	total := 0
+	for _, n := range tp.Shape {
+		total += n
+	}
+	switch tp.Kind {
+	case TransformDuplication:
+		sh.sources, sh.derived = tp.Shape, tp.Shape
+	case TransformAggregation:
+		sh.sources, sh.derived = tp.Shape, []int{total}
+	case TransformPartition:
+		sh.sources, sh.derived = []int{total}, tp.Shape
+	case TransformProcessing:
+		sh.proc = proc
+		if len(tp.Shape) == 2 {
+			sh.sources, sh.derived = tp.Shape[:1], tp.Shape[1:]
+		}
+	}
+	if err := sh.check(s.srs.MaxDegree()); err != nil {
+		return sh, err
+	}
+	if len(tp.Sources) != len(sh.sources) || len(tp.Derived) != len(sh.derived) {
+		return sh, fmt.Errorf("%w: %s states %d sources and %d derived commitments for a shape of %d and %d",
+			ErrBadShape, tp.Kind, len(tp.Sources), len(tp.Derived), len(sh.sources), len(sh.derived))
+	}
+	return sh, nil
+}
+
+// transformWitness is a π_t statement with its opening: the sources, their
+// commitments and blinders, and the commitments and blinders of the derived
+// pieces. The zero value is the witness a verifier builds a shape's key from.
+type transformWitness struct {
+	srcs   []Dataset
+	cs, os []fr.Element
+	cd, od []fr.Element
+}
+
+// buildTransformCircuit states D_1, …, D_y = split(f(S_1 ‖ … ‖ S_x)) over the
+// public commitments c_s1…c_sx, c_d1…c_dy: each source opens its commitment,
+// f runs over the concatenation, each consecutive piece of the result opens
+// its own. Partition's "exhaustive and mutually exclusive" (§IV-D3) holds by
+// construction: the pieces are non-empty consecutive sub-vectors covering
+// every position once.
+//
+// A structural shape (f the identity) is hashing plus wiring and compiles to
+// custom gates. A processing circuit is its gadget, not its two commitments,
+// so its lowering is left to the Processor (classic unless it implements
+// LookupProcessor), deliberately: forcing custom gates alone onto
 // range-check-dominated processors made them slower — same row count, but
 // the 8n coset and 15 commitments of the custom shape: the transformer smoke
 // row went 1.2–1.5 s → 2.3–3.0 s, logreg was flat (EXPERIMENTS.md §PR 22).
-func buildProcessingCircuit(p Processor, n int, src Dataset, cs, cd, os, od fr.Element) *circuit.Builder {
-	b := circuit.NewBuilder()
-	if lp, ok := p.(LookupProcessor); ok && lp.WantsLookupCircuit() {
-		b.EnableLookups(circuit.DefaultRangeTableBits)
-		b.EnableCustomGates()
-	}
-	csPub := b.Public(cs)
-	cdPub := b.Public(cd)
-	osv := b.Secret(os)
-	odv := b.Secret(od)
-	vals := make([]circuit.Variable, n)
-	for i := 0; i < n; i++ {
-		var v fr.Element
-		if i < len(src) {
-			v = src[i]
+func buildTransformCircuit(sh transformShape, w transformWitness) *circuit.Builder {
+	var b *circuit.Builder
+	if sh.proc == nil {
+		b = newHashCircuit()
+	} else {
+		b = circuit.NewBuilder()
+		if lp, ok := sh.proc.(LookupProcessor); ok && lp.WantsLookupCircuit() {
+			b.EnableLookups(circuit.DefaultRangeTableBits)
+			b.EnableCustomGates()
 		}
-		vals[i] = b.Secret(v)
 	}
-	b.AssertEqual(poseidon.GadgetCommit(b, vals, osv), csPub)
-	out := p.Gadget(b, vals)
-	b.AssertEqual(poseidon.GadgetCommit(b, out, odv), cdPub)
+	at := func(list []fr.Element, i int) (v fr.Element) {
+		if i < len(list) {
+			v = list[i]
+		}
+		return v
+	}
+	csPub := make([]circuit.Variable, len(sh.sources))
+	for i := range csPub {
+		csPub[i] = b.Public(at(w.cs, i))
+	}
+	cdPub := make([]circuit.Variable, len(sh.derived))
+	for k := range cdPub {
+		cdPub[k] = b.Public(at(w.cd, k))
+	}
+	var all []circuit.Variable
+	for i, n := range sh.sources {
+		var src Dataset
+		if i < len(w.srcs) {
+			src = w.srcs[i]
+		}
+		os := b.Secret(at(w.os, i))
+		vals := make([]circuit.Variable, n)
+		for j := range vals {
+			vals[j] = b.Secret(at(src, j))
+		}
+		b.AssertEqual(poseidon.GadgetCommit(b, vals, os), csPub[i])
+		all = append(all, vals...)
+	}
+	out := all
+	if sh.proc != nil {
+		out = sh.proc.Gadget(b, all)
+	}
+	total := 0
+	for _, n := range sh.derived {
+		total += n
+	}
+	if total != len(out) {
+		b.Fail("%w: %s derives %d elements, its shape says %d", ErrBadShape, sh.kind, len(out), total)
+		return b
+	}
+	off := 0
+	for k, n := range sh.derived {
+		od := b.Secret(at(w.od, k))
+		b.AssertEqual(poseidon.GadgetCommit(b, out[off:off+n], od), cdPub[k])
+		off += n
+	}
 	return b
 }
 
-// ProveProcessing produces π_t for D = f(S), returning the proof, derived
-// dataset and its blinder.
-func (s *System) ProveProcessing(p Processor, src Dataset, cs, os fr.Element) (*TransformProof, Dataset, fr.Element, error) {
-	if len(src) == 0 {
-		return nil, nil, fr.Element{}, ErrDatasetEmpty
-	}
-	derived, err := p.Apply(src)
-	if err != nil {
-		return nil, nil, fr.Element{}, fmt.Errorf("core: processing %s: %w", p.Name(), err)
-	}
-	cd, od := derived.Commit()
-	tp, err := s.proveProcessingWith(p, src, cs, os, cd, od)
-	if err != nil {
-		return nil, nil, fr.Element{}, err
-	}
-	return tp, derived, od, nil
-}
-
-// proveProcessingWith is ProveProcessing against a caller-supplied derived
-// commitment.
-func (s *System) proveProcessingWith(p Processor, src Dataset, cs, os, cd, od fr.Element) (*TransformProof, error) {
-	derived, err := p.Apply(src)
-	if err != nil {
-		return nil, fmt.Errorf("core: processing %s: %w", p.Name(), err)
-	}
-	key := fmt.Sprintf("pi_t/proc/%s/%d", p.Name(), len(src))
-	proof, _, err := s.prove(key, buildProcessingCircuit(p, len(src), src, cs, cd, os, od))
+// proveTransform proves one π_t of the given shape.
+func (s *System) proveTransform(sh transformShape, w transformWitness) (*TransformProof, error) {
+	key, sizes := sh.encode()
+	proof, _, err := s.prove(key, buildTransformCircuit(sh, w))
 	if err != nil {
 		return nil, err
 	}
 	return &TransformProof{
-		Kind:    TransformProcessing,
-		Shape:   []int{len(src), len(derived)},
-		Sources: []fr.Element{cs},
-		Derived: []fr.Element{cd},
+		Kind:    sh.kind,
+		Shape:   append([]int{}, sizes...),
+		Sources: append([]fr.Element{}, w.cs...),
+		Derived: append([]fr.Element{}, w.cd...),
 		Proof:   proof,
 	}, nil
 }
 
-// --- Verification ---
+// derive is the native half of a transformation: it validates the request and
+// computes D_1, …, D_y = split(f(S_1 ‖ … ‖ S_x)). A nil sizes asks for one
+// piece, the whole result.
+func derive(kind TransformKindName, srcs []Dataset, sizes []int, proc Processor) (transformShape, []Dataset, error) {
+	sh := transformShape{kind: kind, proc: proc}
+	var out Dataset // a fresh copy: the pieces share nothing with the sources
+	for _, src := range srcs {
+		if len(src) == 0 {
+			return sh, nil, ErrDatasetEmpty
+		}
+		sh.sources = append(sh.sources, len(src))
+		out = append(out, src...)
+	}
+	if proc != nil {
+		var err error
+		if out, err = proc.Apply(out); err != nil {
+			return sh, nil, fmt.Errorf("core: processing %s: %w", proc.Name(), err)
+		}
+	}
+	if sizes == nil {
+		sizes = []int{len(out)}
+	}
+	sh.derived = sizes
+	if err := sh.check(math.MaxInt); err != nil { // the data is here already: nothing to bound
+		return sh, nil, err
+	}
+	rest := len(out)
+	for _, n := range sizes {
+		if rest -= n; rest < 0 {
+			break
+		}
+	}
+	if rest != 0 {
+		return sh, nil, fmt.Errorf("%w: pieces of %v do not cover %d elements exactly", ErrBadShape, sizes, len(out))
+	}
+	pieces := make([]Dataset, len(sizes))
+	off := 0
+	for k, n := range sizes {
+		pieces[k] = out[off : off+n : off+n]
+		off += n
+	}
+	return sh, pieces, nil
+}
+
+// transform proves one transformation of already committed sources against
+// freshly committed derived pieces, returning π_t, the pieces and their
+// blinders.
+func (s *System) transform(kind TransformKindName, srcs []Dataset, cs, os []fr.Element, sizes []int, proc Processor) (*TransformProof, []Dataset, []fr.Element, error) {
+	if len(cs) != len(srcs) || len(os) != len(srcs) {
+		return nil, nil, nil, fmt.Errorf("%w: commitment count mismatch", ErrBadShape)
+	}
+	sh, pieces, err := derive(kind, srcs, sizes, proc)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	cd, od := commitAll(pieces)
+	tp, err := s.proveTransform(sh, transformWitness{srcs: srcs, cs: cs, os: os, cd: cd, od: od})
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return tp, pieces, od, nil
+}
+
+// commitAll commits every dataset under a fresh blinder.
+func commitAll(ds []Dataset) (commitments, blinders []fr.Element) {
+	commitments, blinders = make([]fr.Element, len(ds)), make([]fr.Element, len(ds))
+	for i, d := range ds {
+		commitments[i], blinders[i] = d.Commit()
+	}
+	return commitments, blinders
+}
+
+// ProveDuplication produces π_t for a duplication (§IV-D1): the same plaintext
+// under two independent commitments (c_s with blinder o_s, c_d with fresh
+// o_d).
+func (s *System) ProveDuplication(data Dataset, cs, os fr.Element) (*TransformProof, fr.Element, error) {
+	tp, _, od, err := s.transform(TransformDuplication, []Dataset{data}, []fr.Element{cs}, []fr.Element{os}, nil, nil)
+	if err != nil {
+		return nil, fr.Element{}, err
+	}
+	return tp, od[0], nil
+}
+
+// ProveAggregation produces π_t for merging sources (in order) into their
+// concatenation D = S_1 ‖ … ‖ S_x (§IV-D2), returning the proof, the derived
+// dataset and its commitment blinder o_d. Each source arrives with its
+// existing commitment/blinder.
+func (s *System) ProveAggregation(srcs []Dataset, csList, osList []fr.Element) (*TransformProof, Dataset, fr.Element, error) {
+	tp, pieces, od, err := s.transform(TransformAggregation, srcs, csList, osList, nil, nil)
+	if err != nil {
+		return nil, nil, fr.Element{}, err
+	}
+	return tp, pieces[0], od[0], nil
+}
+
+// ProvePartition produces π_t for splitting the source into consecutive
+// pieces of the given sizes (§IV-D3), returning the proof, the pieces and
+// their blinders.
+func (s *System) ProvePartition(src Dataset, cs, os fr.Element, sizes []int) (*TransformProof, []Dataset, []fr.Element, error) {
+	return s.transform(TransformPartition, []Dataset{src}, []fr.Element{cs}, []fr.Element{os}, sizes, nil)
+}
+
+// ProveProcessing produces π_t for D = f(S) (§IV-D4), returning the proof,
+// derived dataset and its blinder.
+func (s *System) ProveProcessing(p Processor, src Dataset, cs, os fr.Element) (*TransformProof, Dataset, fr.Element, error) {
+	tp, pieces, od, err := s.transform(TransformProcessing, []Dataset{src}, []fr.Element{cs}, []fr.Element{os}, nil, p)
+	if err != nil {
+		return nil, nil, fr.Element{}, err
+	}
+	return tp, pieces[0], od[0], nil
+}
 
 // VerifyTransform checks any π_t against its statement. For processing
 // proofs the verifier supplies the Processor to rebuild the circuit.
@@ -365,49 +388,12 @@ func (s *System) VerifyTransform(tp *TransformProof, proc Processor) error {
 // transformCheck pairs a π_t with the key its Kind and Shape name and the
 // public inputs of its statement.
 func (s *System) transformCheck(tp *TransformProof, proc Processor) (proofCheck, error) {
-	var (
-		vk  *plonk.VerifyingKey
-		err error
-	)
-	switch tp.Kind {
-	case TransformDuplication:
-		if len(tp.Shape) != 1 || len(tp.Sources) != 1 || len(tp.Derived) != 1 {
-			return proofCheck{}, ErrBadShape
-		}
-		n := tp.Shape[0]
-		vk, err = s.vkFor(fmt.Sprintf("pi_t/dup/%d", n), func() *circuit.Builder {
-			return buildDuplicationCircuit(n, nil, fr.Element{}, fr.Element{}, fr.Element{}, fr.Element{})
-		})
-	case TransformAggregation:
-		if len(tp.Sources) != len(tp.Shape) || len(tp.Derived) != 1 {
-			return proofCheck{}, ErrBadShape
-		}
-		sizes := tp.Shape
-		vk, err = s.vkFor(fmt.Sprintf("pi_t/agg/%v", sizes), func() *circuit.Builder {
-			return buildAggregationCircuit(sizes, nil, make([]fr.Element, len(sizes)), fr.Element{}, make([]fr.Element, len(sizes)), fr.Element{})
-		})
-	case TransformPartition:
-		if len(tp.Sources) != 1 || len(tp.Derived) != len(tp.Shape) {
-			return proofCheck{}, ErrBadShape
-		}
-		sizes := tp.Shape
-		vk, err = s.vkFor(fmt.Sprintf("pi_t/part/%v", sizes), func() *circuit.Builder {
-			return buildPartitionCircuit(sizes, nil, fr.Element{}, make([]fr.Element, len(sizes)), fr.Element{}, make([]fr.Element, len(sizes)))
-		})
-	case TransformProcessing:
-		if proc == nil {
-			return proofCheck{}, fmt.Errorf("core: verifying a processing proof needs its Processor")
-		}
-		if len(tp.Shape) != 2 || len(tp.Sources) != 1 || len(tp.Derived) != 1 {
-			return proofCheck{}, ErrBadShape
-		}
-		n := tp.Shape[0]
-		vk, err = s.vkFor(fmt.Sprintf("pi_t/proc/%s/%d", proc.Name(), n), func() *circuit.Builder {
-			return buildProcessingCircuit(proc, n, nil, fr.Element{}, fr.Element{}, fr.Element{}, fr.Element{})
-		})
-	default:
-		return proofCheck{}, fmt.Errorf("core: unknown transformation kind %q", tp.Kind)
+	sh, err := s.shapeOf(tp, proc)
+	if err != nil {
+		return proofCheck{}, err
 	}
+	key, _ := sh.encode()
+	vk, err := s.vkFor(key, func() *circuit.Builder { return buildTransformCircuit(sh, transformWitness{}) })
 	if err != nil {
 		return proofCheck{}, err
 	}
@@ -423,17 +409,22 @@ type ProofChain []*TransformProof
 // ErrBrokenChain reports a proof chain whose links do not connect.
 var ErrBrokenChain = errors.New("core: proof chain links do not connect")
 
-// VerifyChain verifies every link and that each link's derived commitment
-// feeds the next link's sources. Processing links take their Processor from
-// procs keyed by position (nil entries for non-processing links).
+// VerifyChain verifies every link — all of them with one pairing — and that
+// each link's derived commitment feeds the next link's sources. Processing
+// links take their Processor from procs keyed by position (nil entries for
+// non-processing links).
 func (s *System) VerifyChain(chain ProofChain, procs map[int]Processor) error {
 	if len(chain) == 0 {
 		return errors.New("core: empty proof chain")
 	}
+	checks := make([]proofCheck, len(chain))
 	for i, tp := range chain {
-		if err := s.VerifyTransform(tp, procs[i]); err != nil {
+		c, err := s.transformCheck(tp, procs[i])
+		if err != nil {
 			return fmt.Errorf("core: chain link %d: %w", i, err)
 		}
+		c.label = fmt.Sprintf("chain link %d: %s", i, c.label)
+		checks[i] = c
 		if i == 0 {
 			continue
 		}
@@ -441,17 +432,13 @@ func (s *System) VerifyChain(chain ProofChain, procs map[int]Processor) error {
 		// sources.
 		connected := false
 		for _, d := range chain[i-1].Derived {
-			for _, src := range tp.Sources {
-				if d.Equal(&src) {
-					connected = true
-				}
-			}
+			connected = connected || containsCommitment(tp.Sources, d)
 		}
 		if !connected {
 			return fmt.Errorf("%w: link %d", ErrBrokenChain, i)
 		}
 	}
-	return nil
+	return verifyAll(checks)
 }
 
 // MonolithicStatement is the public statement of the §III-B strawman π_f
@@ -499,16 +486,11 @@ func buildMonolithicDuplication(st *MonolithicStatement, data Dataset, kS, kD fr
 		}
 		vals[i] = b.Secret(v)
 	}
-	encS := gadgetEncryptCTR(b, keyS, nS, vals)
-	encD := gadgetEncryptCTR(b, keyD, nD, vals) // same vals: D == S by wiring
+	encS := mimc.GadgetEncryptCTR(b, keyS, nS, vals)
+	encD := mimc.GadgetEncryptCTR(b, keyD, nD, vals) // same vals: D == S by wiring
 	for i := 0; i < n; i++ {
 		b.AssertEqual(encS[i], ctS[i])
 		b.AssertEqual(encD[i], ctD[i])
 	}
 	return b
-}
-
-// gadgetEncryptCTR keeps transform.go self-contained.
-func gadgetEncryptCTR(b *circuit.Builder, k, nonce circuit.Variable, pt []circuit.Variable) []circuit.Variable {
-	return mimc.GadgetEncryptCTR(b, k, nonce, pt)
 }

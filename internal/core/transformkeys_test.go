@@ -3,7 +3,11 @@ package core
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"fmt"
+	"math"
+	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/zkdet/zkdet/internal/circuit"
@@ -116,5 +120,79 @@ func TestTransformKeysUnchanged(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestTransformShapeRefused: Kind, Shape and the commitment lists of a
+// published π_t are its publisher's word. Whatever they say, verification
+// answers with ErrBadShape before a circuit is sized by them: no panic, no
+// allocation of a hostile size, no plonk.Setup.
+func TestTransformShapeRefused(t *testing.T) {
+	sys := NewSystem(testSys().SRS())
+	var setups atomic.Int32
+	sys.setup = func(cs *plonk.ConstraintSystem, srs *kzg.SRS) (*plonk.ProvingKey, *plonk.VerifyingKey, error) {
+		setups.Add(1)
+		return plonk.Setup(cs, srs)
+	}
+	tooMany := sys.SRS().MaxDegree() + 1
+	bases := []struct {
+		tp   TransformProof
+		proc Processor
+	}{
+		{tp: TransformProof{Kind: TransformDuplication, Shape: []int{4}, Sources: make([]fr.Element, 1), Derived: make([]fr.Element, 1)}},
+		{tp: TransformProof{Kind: TransformAggregation, Shape: []int{2, 3}, Sources: make([]fr.Element, 2), Derived: make([]fr.Element, 1)}},
+		{tp: TransformProof{Kind: TransformPartition, Shape: []int{2, 3}, Sources: make([]fr.Element, 1), Derived: make([]fr.Element, 2)}},
+		{tp: TransformProof{Kind: TransformProcessing, Shape: []int{4, 4}, Sources: make([]fr.Element, 1), Derived: make([]fr.Element, 1)}, proc: doubler{}},
+	}
+	first := func(v int) func(*TransformProof, *Processor) {
+		return func(tp *TransformProof, _ *Processor) { tp.Shape = append([]int{v}, tp.Shape[1:]...) }
+	}
+	mutations := []struct {
+		name  string
+		apply func(*TransformProof, *Processor)
+	}{
+		{"negative size", first(-1)},
+		{"zero size", first(0)},
+		{"one element more than the SRS has rows for", first(tooMany)},
+		{"a size whose sum overflows", first(math.MaxInt)},
+		{"sizes that only together exceed the SRS", func(tp *TransformProof, _ *Processor) {
+			for i := range tp.Shape {
+				tp.Shape[i] = tooMany / 2
+			}
+		}},
+		{"no Shape", func(tp *TransformProof, _ *Processor) { tp.Shape = nil }},
+		{"Shape of another kind's length", func(tp *TransformProof, _ *Processor) {
+			if len(tp.Shape) == 1 || tp.Kind == TransformProcessing {
+				tp.Shape = append(tp.Shape, 4, 4)
+			} else {
+				tp.Shape = tp.Shape[:1]
+			}
+		}},
+		{"one source commitment too many", func(tp *TransformProof, _ *Processor) { tp.Sources = append(tp.Sources, fr.One()) }},
+		{"no derived commitment", func(tp *TransformProof, _ *Processor) { tp.Derived = nil }},
+		{"unknown kind", func(tp *TransformProof, _ *Processor) { tp.Kind = "shuffle" }},
+		{"processing: nil Processor", func(_ *TransformProof, p *Processor) { *p = nil }},
+		{"processing: derived size f does not yield", func(tp *TransformProof, _ *Processor) { tp.Shape[len(tp.Shape)-1]++ }},
+	}
+	for _, base := range bases {
+		for _, mut := range mutations {
+			if strings.HasPrefix(mut.name, "processing:") && base.tp.Kind != TransformProcessing {
+				continue
+			}
+			t.Run(fmt.Sprintf("%s/%s", base.tp.Kind, mut.name), func(t *testing.T) {
+				tp, proc := base.tp, base.proc
+				tp.Shape = append([]int{}, tp.Shape...)
+				mut.apply(&tp, &proc)
+				if err := sys.VerifyTransform(&tp, proc); !errors.Is(err, ErrBadShape) {
+					t.Fatalf("VerifyTransform(kind=%s shape=%v): %v, want ErrBadShape", tp.Kind, tp.Shape, err)
+				}
+				if err := sys.VerifyChain(ProofChain{&tp}, map[int]Processor{0: proc}); !errors.Is(err, ErrBadShape) {
+					t.Fatalf("VerifyChain: %v, want ErrBadShape", err)
+				}
+			})
+		}
+	}
+	if n := setups.Load(); n != 0 {
+		t.Fatalf("refusing shapes ran plonk.Setup %d times, want 0", n)
 	}
 }

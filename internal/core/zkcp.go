@@ -7,6 +7,7 @@ import (
 	"github.com/zkdet/zkdet/internal/bn254"
 	"github.com/zkdet/zkdet/internal/circuit"
 	"github.com/zkdet/zkdet/internal/fr"
+	"github.com/zkdet/zkdet/internal/mimc"
 	"github.com/zkdet/zkdet/internal/plonk"
 	"github.com/zkdet/zkdet/internal/poseidon"
 )
@@ -46,7 +47,7 @@ func buildZKCPCircuit(pred Predicate, st *ZKCPStatement, w *EncryptionWitness) *
 	for i := range w.Data {
 		data[i] = b.Secret(w.Data[i])
 	}
-	enc := gadgetEncryptCTR(b, key, nonce, data)
+	enc := mimc.GadgetEncryptCTR(b, key, nonce, data)
 	for i := range enc {
 		b.AssertEqual(enc[i], cts[i])
 	}

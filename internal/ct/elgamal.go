@@ -1,11 +1,9 @@
 package ct
 
 import (
-	"crypto/rand"
 	"crypto/sha256"
 	"errors"
 	"fmt"
-	"io"
 	"sync"
 
 	"github.com/zkdet/zkdet/internal/bn254"
@@ -109,19 +107,6 @@ type AuditorKey struct {
 	babyOnce sync.Once
 	baby     map[[64]byte]uint64 // i·G → i, written once inside babyOnce
 	negStep  bn254.G1Affine      // -(2^babyBits)·G
-}
-
-// GenerateAuditorKey draws a fresh auditor keypair from the reader (or
-// crypto/rand when nil).
-func GenerateAuditorKey(r io.Reader) (*AuditorKey, error) {
-	if r == nil {
-		r = rand.Reader
-	}
-	sk, err := fr.Random(r)
-	if err != nil {
-		return nil, fmt.Errorf("ct: auditor key: %w", err)
-	}
-	return AuditorKeyFromSecret(sk), nil
 }
 
 // AuditorKeyFromSecret builds the keypair from an existing secret — the

@@ -53,9 +53,6 @@ func (t *Tree) Root() fr.Element { return t.levels[len(t.levels)-1][0] }
 // Depth returns the tree depth (number of siblings in a proof).
 func (t *Tree) Depth() int { return len(t.levels) - 1 }
 
-// NumLeaves returns the unpadded leaf count.
-func (t *Tree) NumLeaves() int { return t.nLeaf }
-
 // Proof is a Merkle membership proof: the leaf index and the sibling path
 // from leaf to root.
 type Proof struct {

@@ -54,14 +54,6 @@ func (p *FaultPlan) SetLink(from, to NodeID, prof LinkProfile) {
 	p.mu.Unlock()
 }
 
-// SetBoth overrides both directions of a link with the same profile.
-func (p *FaultPlan) SetBoth(a, b NodeID, prof LinkProfile) {
-	p.mu.Lock()
-	p.links[linkKey{a, b}] = prof
-	p.links[linkKey{b, a}] = prof
-	p.mu.Unlock()
-}
-
 // Partition splits the cluster: messages cross group boundaries only as
 // drops. Nodes not listed in any group form an implicit extra group
 // together. Calling Partition replaces any previous partition.

@@ -13,9 +13,6 @@ import (
 // coefficient of X^i. A nil or empty slice is the zero polynomial.
 type Polynomial []fr.Element
 
-// NewZero returns the zero polynomial with capacity for degree n-1.
-func NewZero(n int) Polynomial { return make(Polynomial, n) }
-
 // Clone returns a deep copy of p.
 func (p Polynomial) Clone() Polynomial {
 	q := make(Polynomial, len(p))
@@ -89,15 +86,6 @@ func Sub(p, q Polynomial) Polynomial {
 	copy(out, p)
 	for i := range q {
 		out[i].Sub(&out[i], &q[i])
-	}
-	return out
-}
-
-// MulScalar returns c·p.
-func MulScalar(p Polynomial, c *fr.Element) Polynomial {
-	out := make(Polynomial, len(p))
-	for i := range p {
-		out[i].Mul(&p[i], c)
 	}
 	return out
 }

@@ -473,13 +473,6 @@ func (l *Log) PruneTo(keep uint64) {
 	}()
 }
 
-// FirstSeq returns the lowest seq still retained by the log.
-func (l *Log) FirstSeq() uint64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.segments[0].first
-}
-
 // Stats returns a copy of the cumulative counters.
 func (l *Log) Stats() Stats {
 	l.mu.Lock()
