@@ -96,7 +96,8 @@ race:
 
 # Native Go fuzzing, smoke-length: 10s per target over the byte-level
 # attack surfaces (field-element decoding, transcript challenge
-# derivation, the MSM bucket kernel on colliding points — its buckets
+# derivation, the FFT on a random size of either family (2^k, 3·2^k)
+# against Horner, the MSM bucket kernel on colliding points — its buckets
 # filled by batch-affine rounds and by XYZZ mixed additions alone, against
 # the naive sum and each other — and the
 # state-trie op stream against its from-scratch rebuild) and
@@ -108,6 +109,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzFromBytesRoundTrip$$' -fuzztime=10s ./internal/fr/
 	$(GO) test -run='^$$' -fuzz='^FuzzSetBytesCanonical$$' -fuzztime=10s ./internal/fr/
 	$(GO) test -run='^$$' -fuzz='^FuzzTranscriptChallenge$$' -fuzztime=10s ./internal/transcript/
+	$(GO) test -run='^$$' -fuzz='^FuzzFFT$$' -fuzztime=10s ./internal/poly/
 	$(GO) test -run='^$$' -fuzz='^FuzzG1MSM$$' -fuzztime=10s ./internal/bn254/
 	$(GO) test -run='^$$' -fuzz='^FuzzTornReplay$$' -fuzztime=10s ./internal/wal/
 	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=10s ./internal/snapshot/
@@ -118,7 +120,9 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzStateTrieOps$$' -fuzztime=10s ./internal/chain/
 
 # Package-level prover-stack benchmarks (the field multiplication as
-# latency, throughput and per kernel; Domain.FFT, G1MSM, kzg.Commit,
+# latency, throughput and per kernel; Domain.FFT and G1MSM at 2^9..2^16 with
+# the 3·2^k sizes 768, 1 536 and 6 144 between their neighbours — the rows
+# that show what a key pays for the size it takes — kzg.Commit and
 # plonk.Prove at 2^10..2^16, including 2^13, the π_e domain of the repo
 # benchmark's probes), with -benchmem: bytes per MSM and per proof are
 # bounded by the repo benchmark (alloc_mb_per_op, 3 %), so every recorded

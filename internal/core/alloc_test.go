@@ -9,10 +9,13 @@ import (
 )
 
 // encryptAndProveBytes is what one warm EncryptAndProve of a four-entry
-// dataset allocated when π_e moved onto the custom-gate shape (671 rows on a
-// 1 024-row domain, measured at PR 22 on a 2-vCPU host; the classic
-// 5 667-gate circuit on its 8 192-row domain allocated 24 748 256).
-const encryptAndProveBytes = 4_810_000
+// dataset allocated when π_e's 671 rows moved from a 1 024- to a 768-row
+// domain and its quotient from an 8 192- to a 6 144-point coset (measured at
+// PR 24 on a 2-vCPU host; 4 810 000 before, and 24 748 256 for the classic
+// 5 667-gate circuit on its 8 192-row domain). The 3·2^k transform is not in
+// place; its buffer comes from the domain's pool, and one allocated per call
+// reads 5.9 MB here.
+const encryptAndProveBytes = 3_940_000
 
 // TestEncryptAndProveSteadyStateAllocation is TestProveSteadyStateAllocation
 // (internal/plonk) on the shape an exchange now proves: the repository

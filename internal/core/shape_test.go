@@ -17,9 +17,11 @@ const settleGas = 326_757
 
 // TestHashCircuitsOnCustomShape pins which circuit is on which prover shape
 // (DESIGN.md §15.3). The five hash-only circuits prove on custom gates with
-// no lookup table, in 1 024 rows or fewer, and a verifier that never proved
-// rebuilds the same key from a zero witness; π_k and a Processor that does
-// not ask for the lookup lowering stay classic.
+// no lookup table, each on the smallest domain that holds its rows (π_e's 671
+// and π_p's 730 on 768 = 3·2^8, the n = 4 transformations on 512), and a
+// verifier that never proved rebuilds the same key from a zero witness; π_k
+// (1 738 rows on 2 048) and a Processor that does not ask for the lookup
+// lowering stay classic.
 func TestHashCircuitsOnCustomShape(t *testing.T) {
 	prover := testSys()
 	// A second System over the same SRS: its keys come from vkFor alone.
@@ -27,15 +29,15 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 	const n = 4
 	data := smallData(n)
 
-	wantCustom := func(t *testing.T, key string, proof *plonk.Proof) {
+	wantCustom := func(t *testing.T, key string, proof *plonk.Proof, wantN uint64) {
 		t.Helper()
 		vk, err := verifier.vkFor(key, nil) // cached by the Verify* call before
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !vk.Custom || !vk.Extended || vk.TableBits != 0 || vk.N > 1024 {
-			t.Fatalf("%s: custom=%v extended=%v tableBits=%d N=%d, want custom gates, no table, N ≤ 1024",
-				key, vk.Custom, vk.Extended, vk.TableBits, vk.N)
+		if !vk.Custom || !vk.Extended || vk.TableBits != 0 || vk.N != wantN {
+			t.Fatalf("%s: custom=%v extended=%v tableBits=%d N=%d, want custom gates, no table, N = %d",
+				key, vk.Custom, vk.Extended, vk.TableBits, vk.N, wantN)
 		}
 		if got := len(proof.Bytes()); got != 2054 {
 			t.Fatalf("%s: proof is %d bytes, want 2054", key, got)
@@ -50,7 +52,7 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err := verifier.VerifyEncryption(st, piE); err != nil {
 			t.Fatal(err)
 		}
-		wantCustom(t, encryptionKey(n), piE)
+		wantCustom(t, encryptionKey(n), piE, 768)
 	})
 
 	t.Run("pi_p", func(t *testing.T) {
@@ -66,7 +68,7 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err := NewBuyer(verifier, seller.Listing(1), pred).VerifyData(piP); err != nil {
 			t.Fatal(err)
 		}
-		wantCustom(t, validationKey(pred, n), piP)
+		wantCustom(t, validationKey(pred, n), piP, 768)
 	})
 
 	t.Run("pi_t/dup", func(t *testing.T) {
@@ -77,7 +79,7 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err := verifier.VerifyTransform(tp, nil); err != nil {
 			t.Fatal(err)
 		}
-		wantCustom(t, "pi_t/dup/4", tp.Proof)
+		wantCustom(t, "pi_t/dup/4", tp.Proof, 512)
 	})
 
 	t.Run("pi_t/agg", func(t *testing.T) {
@@ -94,7 +96,7 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err := verifier.VerifyTransform(tp, nil); err != nil {
 			t.Fatal(err)
 		}
-		wantCustom(t, "pi_t/agg/[2 2]", tp.Proof)
+		wantCustom(t, "pi_t/agg/[2 2]", tp.Proof, 512)
 	})
 
 	t.Run("pi_t/part", func(t *testing.T) {
@@ -105,7 +107,7 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err := verifier.VerifyTransform(tp, nil); err != nil {
 			t.Fatal(err)
 		}
-		wantCustom(t, "pi_t/part/[2 2]", tp.Proof)
+		wantCustom(t, "pi_t/part/[2 2]", tp.Proof, 512)
 	})
 
 	t.Run("processor without LookupProcessor stays classic", func(t *testing.T) {
@@ -130,8 +132,8 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vk.Extended {
-			t.Fatal("π_k key is extended: its proof rides in calldata, see buildKeyCircuit")
+		if vk.Extended || vk.N != 2048 {
+			t.Fatalf("π_k key: extended=%v N=%d, want classic on 2048 rows: its proof rides in calldata, see buildKeyCircuit", vk.Extended, vk.N)
 		}
 		m, _ := newTestMarketplace(t)
 		alice, bob := chain.AddressFromString("alice"), chain.AddressFromString("bob")

@@ -48,7 +48,10 @@ func vkFingerprint(vk *plonk.VerifyingKey) string {
 
 // TestTransformKeysUnchanged pins the verifying key of every π_t shape the
 // package's tests and the benchmark use — captured at 85e0ef6, before the four
-// per-kind builders became one — over testSys's deterministic SRS. Each key is
+// per-kind builders became one — over testSys's deterministic SRS. Two were
+// re-captured when plonk.Setup began taking 3·2^k domains, with the circuits
+// untouched: pi_t/dup/3 (512 → 384 rows) and pi_t/proc/doubler/4 (8 192 →
+// 6 144); a key's domain size is part of its fingerprint. Each key is
 // built twice: by a prover from a real witness, and by a verifier that never
 // proved, from a zero witness. A change to which gates a transformation
 // circuit emits, or in which order, moves a fingerprint; re-capturing one is a
@@ -82,7 +85,7 @@ func TestTransformKeysUnchanged(t *testing.T) {
 		proc  Processor
 		prove func(*System) (*TransformProof, error)
 	}{
-		{key: "pi_t/dup/3", want: "f2be6a1b9856299811b5ef71", prove: dup(3)},
+		{key: "pi_t/dup/3", want: "842ca177536c007295986c9d", prove: dup(3)},
 		{key: "pi_t/dup/4", want: "14cb9e8be5a19545baf1ec2c", prove: dup(4)},
 		{key: "pi_t/agg/[2 3]", want: "1ed4535690b9fd69e25f8ee2", prove: func(s *System) (*TransformProof, error) {
 			srcs := []Dataset{smallData(2), smallData(3)}
@@ -95,7 +98,7 @@ func TestTransformKeysUnchanged(t *testing.T) {
 			tp, _, _, err := s.ProvePartition(smallData(5), cs[0], os[0], []int{2, 3})
 			return tp, err
 		}},
-		{key: "pi_t/proc/doubler/4", want: "2bf73dd4d8615a889eda9bbb", proc: doubler{}, prove: process(doubler{})},
+		{key: "pi_t/proc/doubler/4", want: "defbf01ab41bc2141b7f1740", proc: doubler{}, prove: process(doubler{})},
 		{key: "pi_t/proc/range-doubler/4", want: "9fa0eb179bb65dd4e28bb6d1", proc: rangeDoubler{}, prove: process(rangeDoubler{})},
 	}
 	for _, tc := range cases {

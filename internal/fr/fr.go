@@ -246,12 +246,25 @@ func Powers(base *Element, n int) []Element {
 // RootOfUnity returns a primitive 2^logN-th root of unity. It returns an
 // error when logN exceeds the field's two-adicity.
 func RootOfUnity(logN int) (Element, error) {
+	return rootOfUnity(1, logN)
+}
+
+// RootOfUnity3 returns a primitive (3·2^logN)-th root of unity — 3² divides
+// r-1, so subgroups of that order exist — whose cube is RootOfUnity(logN):
+// a domain of three times a power of two extends the power-of-two one.
+func RootOfUnity3(logN int) (Element, error) {
+	return rootOfUnity(3, logN)
+}
+
+// rootOfUnity returns g^((r-1)/(odd·2^logN)) for the multiplicative
+// generator g; odd must divide (r-1)/2^TwoAdicity.
+func rootOfUnity(odd uint64, logN int) (Element, error) {
 	if logN < 0 || logN > TwoAdicity {
-		return Element{}, fmt.Errorf("fr: no 2^%d-th root of unity (two-adicity is %d)", logN, TwoAdicity)
+		return Element{}, fmt.Errorf("fr: no root of unity of order %d·2^%d (two-adicity is %d)", odd, logN, TwoAdicity)
 	}
-	// g^((r-1)/2^logN) for the multiplicative generator g.
 	exp := new(big.Int).Sub(field.Modulus(), big.NewInt(1))
 	exp.Rsh(exp, uint(logN))
+	exp.Div(exp, new(big.Int).SetUint64(odd))
 	g := NewElement(MultiplicativeGenerator)
 	var w Element
 	w.Exp(&g, exp)

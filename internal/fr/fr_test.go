@@ -115,6 +115,43 @@ func TestRootOfUnity(t *testing.T) {
 	}
 }
 
+// TestRootOfUnity3 checks the 3·2^k roots: the cube is the 2^k root the
+// power-of-two domains already use (so those keep their generator), and the
+// order is exactly 3·2^k (the 2^k-th power is a primitive cube root of one).
+func TestRootOfUnity3(t *testing.T) {
+	one := One()
+	for _, logN := range []int{0, 1, 4, 10, TwoAdicity} {
+		w3, err := RootOfUnity3(logN)
+		if err != nil {
+			t.Fatalf("RootOfUnity3(%d): %v", logN, err)
+		}
+		w, err := RootOfUnity(logN)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var cube Element
+		cube.Square(&w3)
+		cube.Mul(&cube, &w3)
+		if !cube.Equal(&w) {
+			t.Fatalf("RootOfUnity3(%d)³ != RootOfUnity(%d)", logN, logN)
+		}
+		var c Element
+		c.ExpUint64(&w3, 1<<uint(logN))
+		if c.Equal(&one) {
+			t.Fatalf("RootOfUnity3(%d) has order dividing 2^%d", logN, logN)
+		}
+		var c3 Element
+		c3.Square(&c)
+		c3.Mul(&c3, &c)
+		if !c3.Equal(&one) {
+			t.Fatalf("RootOfUnity3(%d)^(3·2^%d) != 1", logN, logN)
+		}
+	}
+	if _, err := RootOfUnity3(TwoAdicity + 1); err == nil {
+		t.Fatal("RootOfUnity3 beyond two-adicity should fail")
+	}
+}
+
 func TestBatchInvert(t *testing.T) {
 	xs := make([]Element, 33)
 	want := make([]Element, 33)

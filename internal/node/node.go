@@ -11,6 +11,7 @@ import (
 	"errors"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/zkdet/zkdet/internal/chain"
@@ -24,9 +25,11 @@ type Config struct {
 	// MaxBlockTxs is the most transactions one block holds; a block is
 	// produced as soon as this many are pooled.
 	MaxBlockTxs int
-	// BlockInterval produces a block from whatever is executable once that
-	// long has passed since the last one, bounding inclusion latency under
-	// light traffic.
+	// BlockInterval is the minimum spacing between partial blocks: one is
+	// produced from whatever is executable once that long has passed since
+	// the last block, bounding inclusion latency under light traffic. A
+	// SubmitAndWait transaction reaching a node that has been idle for
+	// longer is sealed at once.
 	BlockInterval time.Duration
 	// MaxGasLimit rejects transactions asking for more gas at admission.
 	MaxGasLimit uint64
@@ -109,6 +112,10 @@ type Node struct {
 	kick chan struct{}
 	quit chan struct{}
 	wg   sync.WaitGroup
+	// waiting counts SubmitAndWait callers blocked on inclusion: clients
+	// that send nothing more until their transaction is sealed, so holding
+	// it back gathers no fuller block (see run).
+	waiting atomic.Int32
 
 	mu                sync.Mutex
 	running           bool            // guarded by mu
@@ -209,6 +216,8 @@ func (n *Node) SubmitAndWait(ctx context.Context, tx chain.Transaction, autoNonc
 	if err != nil {
 		return TxResult{}, err
 	}
+	n.waiting.Add(1)
+	defer n.waiting.Add(-1)
 	n.wake()
 	select {
 	case res := <-ptx.done:
@@ -290,12 +299,20 @@ func (n *Node) produce() (chain.Block, int) {
 }
 
 // run is the free-running block producer: a block is produced whenever a
-// full one is pooled, and from whatever is executable when the interval
-// expires.
+// full one is pooled, and from whatever is executable once BlockInterval has
+// passed since the last block — at the tick when transactions were waiting
+// for it, on arrival when the node was idle and a client is blocked on the
+// result.
 func (n *Node) run() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.BlockInterval)
 	defer ticker.Stop()
+	// idle records that the last tick found nothing to seal: the interval
+	// since the last block has already passed, so an arrival owes it no
+	// wait. Only a SubmitAndWait arrival collects on that: a fire-and-forget
+	// submitter is usually at the head of a burst, and sealing its first
+	// transaction alone would only push the burst's tail behind a tick.
+	idle := false
 	// drain produces blocks for as long as full ones keep coming; when the
 	// interval expired the first takes whatever is executable. The interval
 	// runs from the last block, so under sustained load it never cuts a
@@ -304,6 +321,7 @@ func (n *Node) run() {
 		for partial || n.pool.Len() >= n.cfg.MaxBlockTxs {
 			_, popped := n.produce()
 			ticker.Reset(n.cfg.BlockInterval)
+			idle = popped == 0
 			if popped < n.cfg.MaxBlockTxs {
 				return
 			}
@@ -313,7 +331,7 @@ func (n *Node) run() {
 	for {
 		select {
 		case <-n.kick:
-			drain(false)
+			drain(idle && n.waiting.Load() > 0)
 		case <-ticker.C:
 			drain(true)
 		case <-n.quit:

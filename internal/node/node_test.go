@@ -212,3 +212,76 @@ func TestSubmitAndWaitContextCancel(t *testing.T) {
 		t.Fatalf("got %v, want ErrWaitCanceled", err)
 	}
 }
+
+// TestIdleNodeSealsOnArrival: BlockInterval is a minimum spacing between
+// blocks, not a clock the node ticks to. A SubmitAndWait transaction reaching
+// a node whose last tick found nothing to seal is sealed at once; a burst
+// arriving inside the interval of that block still waits for it and lands in
+// one block; and a fire-and-forget burst reaching an idle node is not split
+// into its first transaction and the rest. The interval is long so that no
+// assertion depends on scheduling.
+func TestIdleNodeSealsOnArrival(t *testing.T) {
+	const interval = time.Second
+	const burst = 8
+	n, c := testNode(t, Config{MaxBlockTxs: 64, BlockInterval: interval})
+	alice := fund(c, "alice", 1_000_000)
+	bob := chain.AddressFromString("bob")
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	// sendBurst submits burst transactions without waiting and returns the
+	// one block they must all have landed in.
+	sendBurst := func() uint64 {
+		t.Helper()
+		results := make([]<-chan TxResult, burst)
+		for i := range results {
+			var err error
+			if _, results[i], err = n.SubmitForResult(chain.Transaction{From: alice, To: bob, Value: 1}, true); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var block uint64
+		for i, done := range results {
+			select {
+			case res := <-done:
+				if res.Err != nil {
+					t.Fatal(res.Err)
+				}
+				if i > 0 && res.BlockNumber != block {
+					t.Fatalf("burst transaction %d is in block %d, the first in block %d", i, res.BlockNumber, block)
+				}
+				block = res.BlockNumber
+			case <-ctx.Done():
+				t.Fatal(ctx.Err())
+			}
+		}
+		return block
+	}
+	// idleFor lets a tick pass over an empty pool. (If it fires late, what is
+	// submitted next is sealed by it instead, just as promptly.)
+	idleFor := func() { time.Sleep(interval + interval/10) }
+
+	idleFor()
+	first := sendBurst()
+
+	idleFor()
+	start := time.Now()
+	lone, err := n.SubmitAndWait(ctx, chain.Transaction{From: alice, To: bob, Value: 1}, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if waited := time.Since(start); waited > interval/2 {
+		t.Fatalf("a lone transaction on an idle node waited %v of a %v interval", waited, interval)
+	}
+	if lone.BlockNumber != first+1 {
+		t.Fatalf("the lone transaction is in block %d, want %d", lone.BlockNumber, first+1)
+	}
+
+	sealedAt := time.Now()
+	if next := sendBurst(); next != lone.BlockNumber+1 {
+		t.Fatalf("the burst after the lone transaction is in block %d, want %d", next, lone.BlockNumber+1)
+	}
+	if spacing := time.Since(sealedAt); spacing < interval/2 {
+		t.Fatalf("the burst's block followed the previous one after %v, inside the %v interval", spacing, interval)
+	}
+}

@@ -129,7 +129,7 @@ func (b *Batch) checkSubset(idxs []int) (bool, error) {
 
 	_, _, lines, err := b.vk.verifierCache()
 	if err != nil {
-		return false, fmt.Errorf("plonk: %w", err)
+		return false, err
 	}
 	var negW bn254.G1Affine
 	negW.Neg(&foldW)
@@ -205,7 +205,7 @@ func BatchVerify(vk *VerifyingKey, proofs []*Proof, publics [][]fr.Element) erro
 	// Build the verifier caches once before fanning out, so the workers
 	// don't all stall on the same sync.Once.
 	if _, _, _, err := vk.verifierCache(); err != nil {
-		return fmt.Errorf("plonk: %w", err)
+		return err
 	}
 
 	terms := make([]pairingTerms, n)

@@ -10,7 +10,8 @@ import (
 )
 
 // mixedBatchFixtures sets up one classic, one lookup-enabled and one
-// custom-gate circuit over the shared test SRS, returning per-kind
+// custom-gate circuit over the shared test SRS, then a classic and a
+// custom-gate one whose keys sit on 3·2^k domains, returning per-kind
 // (vk, proof, public) triples.
 type batchFixture struct {
 	vk     *VerifyingKey
@@ -54,12 +55,28 @@ func mixedBatchFixtures(t testing.TB) []batchFixture {
 		t.Fatal(err)
 	}
 	out = append(out, batchFixture{vkM, pM, wM[:1]})
+
+	for _, shape := range []string{"power20", "poseidon"} {
+		cs, w := goldenCircuit(t, shape)
+		pk, vk, err := Setup(cs, testSRSOnce())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if vk.N%3 != 0 {
+			t.Fatalf("%s: domain of %d rows is not 3·2^k", shape, vk.N)
+		}
+		p, err := Prove(pk, w)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out = append(out, batchFixture{vk, p, w[:cs.NbPublic()]})
+	}
 	return out
 }
 
 // TestBatchMixedKinds folds classic, lookup and custom-gate proofs —
-// three different verifying keys over one SRS — into a single pairing
-// check via AddFor.
+// five different verifying keys on both domain-size families over one SRS —
+// into a single pairing check via AddFor.
 func TestBatchMixedKinds(t *testing.T) {
 	fx := mixedBatchFixtures(t)
 	b := NewBatch(fx[0].vk)
@@ -71,8 +88,8 @@ func TestBatchMixedKinds(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if b.Len() != 3 {
-		t.Fatalf("batch has %d statements, want 3", b.Len())
+	if b.Len() != len(fx) {
+		t.Fatalf("batch has %d statements, want %d", b.Len(), len(fx))
 	}
 	if err := b.Check(); err != nil {
 		t.Fatalf("mixed batch rejected: %v", err)

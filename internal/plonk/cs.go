@@ -34,6 +34,7 @@ var (
 	ErrNoMDS         = errors.New("plonk: poseidon gate without an MDS matrix")
 	ErrProofShape    = errors.New("plonk: proof shape does not match verifying key")
 	ErrTableTooLarge = errors.New("plonk: range table bits out of range")
+	ErrDomainSize    = errors.New("plonk: not a supported evaluation-domain size")
 )
 
 // GateKind selects the constraint family a gate row enforces. The zero

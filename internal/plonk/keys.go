@@ -12,9 +12,12 @@ import (
 )
 
 // Coset multipliers for the permutation argument. k1 and k2 must place
-// k1·H and k2·H in cosets disjoint from H and from each other; 5 (the
-// field's multiplicative generator, whose order has large odd factors) and
-// 5² satisfy this for every power-of-two H.
+// k1·H and k2·H in cosets disjoint from H and from each other, i.e. none of
+// k1, k2, k2/k1 may lie in H. 5 generates F_r*, so 5^e ∈ H only when
+// (r-1)/|H| divides e: with e ∈ {1, 2} that needs |H| ≥ (r-1)/2, and every
+// domain size (2^k or 3·2^k, ≤ 2^28) is far below it.
+// TestPermutationCosetsDisjoint checks each legal size instead of trusting
+// this.
 const (
 	permK1 = 5
 	permK2 = 25
@@ -25,13 +28,14 @@ const (
 // and the SRS.
 type ProvingKey struct {
 	Domain *poly.Domain
-	// Domain4 is the 4n coset evaluation domain used by the round-3
-	// quotient build. It is preprocessed here so repeated proofs (the
-	// marketplace/exchange flows in internal/core prove against one key
-	// many times) don't pay domain construction — and, via the domain's
-	// lazy caches, re-derive twiddle/coset tables — per proof.
-	Domain4 *poly.Domain
-	SRS     *kzg.SRS
+	// quotient is the coset evaluation domain of the round-3 quotient
+	// build: the smallest supported multiple of n that holds the quotient's
+	// degree (see quotientMultiple). It is preprocessed here so repeated
+	// proofs (the marketplace/exchange flows in internal/core prove against
+	// one key many times) don't pay domain construction — and, via the
+	// domain's lazy caches, re-derive twiddle/coset tables — per proof.
+	quotient *poly.Domain
+	SRS      *kzg.SRS
 
 	// Selector polynomials qL, qR, qO, qM, qC in coefficient form.
 	QL, QR, QO, QM, QC poly.Polynomial
@@ -39,12 +43,9 @@ type ProvingKey struct {
 	S1, S2, S3 poly.Polynomial
 
 	// Lookup/custom-gate preprocessing (nil/zero for classic circuits).
-	// Domain8 is the 8n coset domain custom-gate quotients need (degree-5
-	// S-box constraints exceed the classic 4n coset); QLk is the lookup
-	// selector, Tbl the range-table polynomial, QMimc/QPosF/QPosP the
-	// custom-gate selectors and KC0..KC2 the per-row round-constant
-	// columns.
-	Domain8                       *poly.Domain
+	// QLk is the lookup selector, Tbl the range-table polynomial,
+	// QMimc/QPosF/QPosP the custom-gate selectors and KC0..KC2 the per-row
+	// round-constant columns.
 	QLk, Tbl, QMimc, QPosF, QPosP poly.Polynomial
 	KC0, KC1, KC2                 poly.Polynomial
 	extended, custom              bool
@@ -55,15 +56,14 @@ type ProvingKey struct {
 	// label; used when building the grand-product polynomial z.
 	sigmaLabel [][3]fr.Element // per-row labels for the three wires
 
-	// Round-3 tables over the quotient coset x_i = g·ω_Eⁱ (4n points, 8n
-	// with custom gates), which depend on the key alone and not on any
-	// witness. Setup builds them eagerly and nothing writes them afterwards:
-	// a key is shared between concurrently proving goroutines (the
-	// marketplace caches one per circuit shape), so they must never be
-	// filled lazily. fixedCoset holds the coset evaluations of the
+	// Round-3 tables over the coset of quotient, x_i = g·ω_Eⁱ, which depend
+	// on the key alone and not on any witness. Setup builds them eagerly and
+	// nothing writes them afterwards: a key is shared between concurrently
+	// proving goroutines (the marketplace caches one per circuit shape), so
+	// they must never be filled lazily. fixedCoset holds the coset evaluations of the
 	// preprocessed polynomials in preprocessed() order, cosetX the points
 	// x_i, cosetL1 the values L1(x_i) and zhInv the inverses of Z_H(x_i),
-	// which repeat with period 4 (or 8).
+	// which repeat with period |quotient|/n.
 	fixedCoset [][]fr.Element
 	cosetX     []fr.Element
 	cosetL1    []fr.Element
@@ -123,7 +123,7 @@ type VerifyingKey struct {
 // line tables for the pairing check.
 func (vk *VerifyingKey) verifierCache() (*poly.Domain, []fr.Element, [2]*bn254.G2LinePrecomp, error) {
 	vk.cacheOnce.Do(func() {
-		vk.domain, vk.domainErr = poly.NewDomain(vk.N)
+		vk.domain, vk.domainErr = exactDomain(vk.N)
 		if vk.domainErr != nil {
 			return
 		}
@@ -152,16 +152,45 @@ func (pk *ProvingKey) preprocessed() []poly.Polynomial {
 	return ps
 }
 
+// exactDomain returns the domain of exactly n points. poly.NewDomain rounds
+// up to the next supported size, and a key whose N is not one would have
+// its ω taken from a different group than its Z_H = X^N − 1.
+func exactDomain(n uint64) (*poly.Domain, error) {
+	d, err := poly.NewDomain(n)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrDomainSize, err)
+	}
+	if d.N != n {
+		return nil, fmt.Errorf("%w: %d (the next supported size is %d)", ErrDomainSize, n, d.N)
+	}
+	return d, nil
+}
+
+// quotientMultiple returns how many times larger than the n-point domain
+// the quotient coset is. With every witness column blinded to degree ≤ n+2
+// the classic quotient has degree ≤ 3n+5 and fits 4n points. Custom gates
+// carry degree-5 S-boxes, which push it to 5n+5: 6n points when 6n is a
+// supported size (n a power of two), 8n when it is not (n = 3·2^k, where 6n
+// and 7n are neither 2^j nor 3·2^j).
+func quotientMultiple(n uint64, custom bool) uint64 {
+	switch {
+	case !custom:
+		return 4
+	case n&(n-1) == 0:
+		return 6
+	default:
+		return 8
+	}
+}
+
 // quotientDomain returns the coset domain round 3 evaluates the quotient
-// on and the number of degree-n pieces the quotient splits into. Custom
-// gates carry degree-5 S-boxes, pushing the numerator past the 4n coset;
-// they evaluate on 8n and split t into 6 pieces. Every other circuit stays
-// on the 4n/3-piece shape.
+// on and the number of degree-n pieces the quotient splits into: 3, or 6
+// with custom gates.
 func (pk *ProvingKey) quotientDomain() (*poly.Domain, int) {
 	if pk.custom {
-		return pk.Domain8, 6
+		return pk.quotient, 6
 	}
-	return pk.Domain4, 3
+	return pk.quotient, 3
 }
 
 // cosetEvals evaluates each polynomial over the coset of d: independent
@@ -242,38 +271,30 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 	if cs.nbVariables == 0 {
 		return nil, nil, ErrEmptyCircuit
 	}
-	n := uint64(8)
-	for n < uint64(len(cs.gates)) {
-		n <<= 1
+	// The domain is the smallest supported size that holds every row and,
+	// with lookups, the range table, which lives on the domain itself: one
+	// row per value. A custom gate on the last domain row would read row 0
+	// through the ω-shift, so custom-gate circuits keep at least one padding
+	// row for the next-row read to land on.
+	rows := uint64(len(cs.gates))
+	if cs.hasCustom {
+		rows++
+	}
+	if rows < 8 {
+		rows = 8
 	}
 	extended := cs.hasLookup || cs.hasCustom
-	if cs.hasLookup {
-		// The range table lives on the domain itself: one row per value.
-		for n < uint64(1)<<cs.tableBits {
-			n <<= 1
-		}
+	if cs.hasLookup && rows < uint64(1)<<cs.tableBits {
+		rows = uint64(1) << cs.tableBits
 	}
-	if cs.hasCustom && uint64(len(cs.gates)) == n {
-		// A custom gate on the last domain row would read row 0 through
-		// the ω-shift; grow the domain so the next-row read always lands
-		// on a padding row instead.
-		n <<= 1
-	}
-	domain, err := poly.NewDomain(n)
+	domain, err := poly.NewDomain(rows)
 	if err != nil {
 		return nil, nil, fmt.Errorf("plonk: %w", err)
 	}
-	domain4, err := poly.NewDomain(4 * n)
+	n := domain.N
+	quotient, err := exactDomain(quotientMultiple(n, cs.hasCustom) * n)
 	if err != nil {
-		return nil, nil, fmt.Errorf("plonk: %w", err)
-	}
-	var domain8 *poly.Domain
-	if cs.hasCustom {
-		// Degree-5 S-box constraints push the quotient numerator past the
-		// 4n coset; custom-gate circuits evaluate on an 8n coset.
-		if domain8, err = poly.NewDomain(8 * n); err != nil {
-			return nil, nil, fmt.Errorf("plonk: %w", err)
-		}
+		return nil, nil, err
 	}
 	if srs.MaxDegree() < int(n)+8 {
 		return nil, nil, fmt.Errorf("%w: srs supports degree %d, circuit needs %d",
@@ -395,7 +416,7 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 	}
 	pk := &ProvingKey{
 		Domain:     domain,
-		Domain4:    domain4,
+		quotient:   quotient,
 		SRS:        srs,
 		QL:         toPoly(qL),
 		QR:         toPoly(qR),
@@ -411,7 +432,6 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 		nbVars:     cs.nbVariables,
 	}
 	if extended {
-		pk.Domain8 = domain8
 		pk.extended = true
 		pk.custom = cs.hasCustom
 		pk.tableBits = cs.tableBits

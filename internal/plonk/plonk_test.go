@@ -275,10 +275,12 @@ func TestZeroKnowledgeBlinding(t *testing.T) {
 
 // TestProveConcurrentSharedKey proves against one *ProvingKey from eight
 // goroutines at once, as the marketplace key cache does, for a classic, a
-// lookup and a custom-gate (8n coset) key; the race detector watches the
-// shared key and its round-3 tables, which only Setup may write.
+// lookup and a custom-gate (6n coset) key, then a classic and a custom-gate
+// key on 3·2^k domains (whose transforms share the domain's scratch pool);
+// the race detector watches the shared key and its round-3 tables, which
+// only Setup may write.
 func TestProveConcurrentSharedKey(t *testing.T) {
-	for _, shape := range []string{"muladd", "lookup", "mixed"} {
+	for _, shape := range []string{"muladd", "lookup", "mixed", "power20", "poseidon"} {
 		t.Run(shape, func(t *testing.T) {
 			cs, witness := goldenCircuit(t, shape)
 			pk, vk, err := Setup(cs, testSRSOnce())
@@ -306,7 +308,7 @@ func TestProveConcurrentSharedKey(t *testing.T) {
 }
 
 // TestKeyResidentQuotientTables checks what Setup stores on the key for
-// round 3 against its definition, for every key shape (4n and 8n cosets):
+// round 3 against its definition, for every key shape (4n, 6n and 8n cosets):
 // each stored column is the coset FFT of the key's coefficient polynomial,
 // the coset points are g·ω_Eⁱ, L1 and 1/Z_H on them match the domain's own
 // evaluators.
@@ -320,15 +322,16 @@ func TestKeyResidentQuotientTables(t *testing.T) {
 			}
 			domainE, _ := pk.quotientDomain()
 			n, big := pk.Domain.N, domainE.N
-			wantCols, wantBig := 8, 4*n
+			wantCols := 8
 			if pk.extended {
 				wantCols = 16
 			}
-			if pk.custom {
-				wantBig = 8 * n
-			}
+			wantBig := map[string]uint64{
+				"muladd": 4 * 8, "power5": 4 * 8, "power50": 4 * 64, "power20": 4 * 24, "lookup": 4 * 256,
+				"mimc": 6 * 8, "poseidon": 8 * 12, "mixed": 6 * 64,
+			}[tc.name]
 			if len(pk.fixedCoset) != wantCols || big != wantBig {
-				t.Fatalf("key holds %d columns on a %d-point coset, want %d on %d", len(pk.fixedCoset), big, wantCols, wantBig)
+				t.Fatalf("key holds %d columns on a %d-point coset of a %d-point domain, want %d on %d", len(pk.fixedCoset), big, n, wantCols, wantBig)
 			}
 			for k, p := range pk.preprocessed() {
 				fresh := make([]fr.Element, big)

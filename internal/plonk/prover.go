@@ -242,8 +242,8 @@ func foldPolys(ps []poly.Polynomial, coeffs []fr.Element) poly.Polynomial {
 // lookups or custom gates adds the multiplicity commitment [M] before β/γ
 // (so the lookup challenge β_L can respond to it), the LogUp columns [H],
 // [S] alongside [z], eleven more coset columns and the ζω openings of S, a,
-// b, c; a custom-gate key also evaluates the quotient on the 8n coset and
-// splits it into 6 pieces instead of 3. A classic key adds none of these,
+// b, c; a custom-gate key also evaluates the quotient on a 6n (or 8n) coset
+// and splits it into 6 pieces instead of 3. A classic key adds none of these,
 // and its proofs are pinned byte-for-byte by TestClassicProverBitIdentity.
 //
 // Every O(n) and O(big) loop below is range-split across the bounded worker
@@ -473,10 +473,13 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 		return nil, err
 	}
 
-	// A satisfied circuit yields deg(t) ≤ 3n+5 (5n+5 with custom gates);
-	// anything above signals an unsatisfied witness (the division by Z_H
-	// was not exact).
-	maxLen := uint64(nbPieces)*n + 6
+	// A satisfied circuit yields deg(t) ≤ 3n+5 (5n+5 with custom gates, whose
+	// sixth piece is those last six coefficients); anything above signals an
+	// unsatisfied witness (the division by Z_H was not exact).
+	maxLen := 3*n + 6
+	if pk.custom {
+		maxLen = 5*n + 6
+	}
 	for i := maxLen; i < big; i++ {
 		if !tPoly[i].IsZero() {
 			return nil, ErrUnsatisfied

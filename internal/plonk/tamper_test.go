@@ -127,12 +127,14 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 	}
 }
 
-// TestVerifyRejectsEveryCorruption covers the classic proof shape.
+// TestVerifyRejectsEveryCorruption covers the classic proof shape, on a
+// power-of-two and on a 3·2^k domain.
 func TestVerifyRejectsEveryCorruption(t *testing.T) {
-	rejectEveryCorruption(t, "muladd")
+	rejectEveryCorruption(t, "muladd", "power20")
 }
 
-// TestExtendedProofTamperRejected covers the four extended shapes: forged
+// TestExtendedProofTamperRejected covers the four extended shapes (poseidon
+// is the custom-gate key on a 3·2^k domain): forged
 // multiplicities, helper columns, running sums, next-row wires, selector
 // and round-constant openings and extra quotient pieces.
 func TestExtendedProofTamperRejected(t *testing.T) {

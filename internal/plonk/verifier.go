@@ -86,7 +86,7 @@ func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms,
 
 	domain, lagOmega, _, err := vk.verifierCache()
 	if err != nil {
-		return pairingTerms{}, fmt.Errorf("plonk: %w", err)
+		return pairingTerms{}, err
 	}
 
 	// Z_H(ζ), then L_0(ζ) … L_{ℓ-1}(ζ) in one batched inversion.
@@ -223,7 +223,7 @@ func Verify(vk *VerifyingKey, proof *Proof, public []fr.Element) error {
 	}
 	_, _, lines, err := vk.verifierCache()
 	if err != nil {
-		return fmt.Errorf("plonk: %w", err)
+		return err
 	}
 	var negW bn254.G1Affine
 	negW.Neg(&terms.W)

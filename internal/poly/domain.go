@@ -14,17 +14,19 @@ import (
 // the butterflies they would save on small domains.
 const parallelFFTThreshold = 1 << 11
 
-// Domain is a multiplicative subgroup of Fr* of power-of-two order, used as
-// an FFT evaluation domain. All Plonk polynomials live on such a domain.
+// Domain is a multiplicative subgroup of Fr* of order 2^k or 3·2^k, used as
+// an FFT evaluation domain. All Plonk polynomials live on such a domain. The
+// second family exists because 3 divides r-1: a circuit of 700 rows pays for
+// 768, not 1024, and a degree-5n quotient for a 6n coset, not 8n.
 //
 // Twiddle, element and coset-power tables are built lazily on first use and
 // cached for the lifetime of the domain, so repeated transforms (the Plonk
 // prover runs 20+ FFTs per proof over the same two domains) stop paying the
 // O(N) chained multiplications per call.
 type Domain struct {
-	// N is the domain size, a power of two.
+	// N is the domain size, 2^Log or 3·2^Log.
 	N uint64
-	// Log is log2(N).
+	// Log is the exponent of the power of two in N.
 	Log int
 	// Gen is a primitive N-th root of unity ω.
 	Gen fr.Element
@@ -41,8 +43,8 @@ type Domain struct {
 	// Lazily-built caches. The slices are shared across calls; callers
 	// must treat them as read-only.
 	twiddleOnce sync.Once
-	twiddleFwd  []fr.Element // ω^j for j < N/2
-	twiddleInv  []fr.Element // ω⁻ʲ for j < N/2
+	twiddleFwd  []fr.Element // ω^j for j < N/2 (j < 2N/3 when 3 | N)
+	twiddleInv  []fr.Element // ω⁻ʲ, same range
 
 	elemsOnce sync.Once
 	elems     []fr.Element // ω^i for i < N
@@ -51,32 +53,49 @@ type Domain struct {
 	cosetOnce   sync.Once
 	cosetPow    []fr.Element // g^i for i < N
 	cosetPowInv []fr.Element // g⁻ⁱ for i < N
+
+	// scratch holds N-element buffers (*[]fr.Element) for the 3·2^k
+	// transform, which is not in place; a warm transform allocates nothing.
+	scratch sync.Pool
 }
 
-// NewDomain returns the smallest domain of size ≥ n. It errors when n
-// exceeds 2^28 (the two-adicity of the scalar field).
+// MaxDomainSize is the largest supported domain, 2^28. The 3·2^k family is
+// held to the same bound (k ≤ 26) although the field has larger subgroups,
+// so "does a domain of size ≥ n exist" stays one comparison.
+const MaxDomainSize = uint64(1) << fr.TwoAdicity
+
+// NewDomain returns the smallest supported domain of size ≥ n: the smaller
+// of the next 2^k and the next 3·2^k. It errors when n exceeds 2^28 (the
+// two-adicity of the scalar field).
 func NewDomain(n uint64) (*Domain, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("poly: domain size must be positive")
 	}
-	logN := 0
-	size := uint64(1)
-	for size < n {
-		size <<= 1
-		logN++
+	if n > MaxDomainSize {
+		return nil, fmt.Errorf("poly: domain of size %d exceeds 2^%d", n, fr.TwoAdicity)
 	}
-	gen, err := fr.RootOfUnity(logN)
+	logN := bits.Len64(n - 1) // 2^logN is the next power of two
+	d := &Domain{N: uint64(1) << logN, Log: logN}
+	var err error
+	if logN >= 2 && uint64(3)<<(logN-2) >= n {
+		d.N, d.Log = uint64(3)<<(logN-2), logN-2
+		d.Gen, err = fr.RootOfUnity3(d.Log)
+	} else {
+		d.Gen, err = fr.RootOfUnity(d.Log)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("poly: domain of size %d: %w", n, err)
 	}
-	d := &Domain{N: size, Log: logN, Gen: gen}
-	d.GenInv.Inverse(&gen)
-	nEl := fr.NewElement(size)
+	d.GenInv.Inverse(&d.Gen)
+	nEl := fr.NewElement(d.N)
 	d.NInv.Inverse(&nEl)
 	d.CosetShift = fr.NewElement(fr.MultiplicativeGenerator)
 	d.CosetShiftInv.Inverse(&d.CosetShift)
 	return d, nil
 }
+
+// radix3 reports whether N = 3·2^Log.
+func (d *Domain) radix3() bool { return d.N != uint64(1)<<d.Log }
 
 // Element returns ω^i.
 func (d *Domain) Element(i uint64) fr.Element {
@@ -116,12 +135,18 @@ func (d *Domain) ElementsInv() []fr.Element {
 	return d.elemsInv
 }
 
-// twiddles returns the cached half-size twiddle tables (ω^j and ω⁻ʲ for
-// j < N/2); the butterfly at stage s, index j reads entry j·(N>>s).
+// twiddles returns the cached twiddle tables (ω^j and ω⁻ʲ for j < N/2); the
+// butterfly at stage s, index j reads entry j·(N>>s). A 3·2^k domain keeps
+// j < 2N/3: its radix-3 pass also reads ω^j and ω^2j for j < N/3, and the
+// cube root of one ω^(N/3).
 func (d *Domain) twiddles() (fwd, inv []fr.Element) {
 	d.twiddleOnce.Do(func() {
-		d.twiddleFwd = fr.Powers(&d.Gen, int(d.N/2))
-		d.twiddleInv = fr.Powers(&d.GenInv, int(d.N/2))
+		size := int(d.N / 2)
+		if d.radix3() {
+			size = int(d.N / 3 * 2)
+		}
+		d.twiddleFwd = fr.Powers(&d.Gen, size)
+		d.twiddleInv = fr.Powers(&d.GenInv, size)
 	})
 	return d.twiddleFwd, d.twiddleInv
 }
@@ -247,17 +272,24 @@ func mulVecInPlace(a, b []fr.Element) {
 	})
 }
 
-// fft is an in-place iterative radix-2 Cooley–Tukey transform with
-// bit-reversal reordering. tw is the half-size twiddle table for the
-// transform direction (tw[j] = root^j, j < N/2).
+// fft is an iterative radix-2 Cooley–Tukey transform with bit-reversal
+// reordering, in place when N is a power of two. tw is the twiddle table for
+// the transform direction (tw[j] = root^j, see twiddles).
+//
+// N = 3·m with m = 2^Log is one decimation-in-time step of radix 3 around
+// the same kernel: the three stride-3 subsequences are gathered (bit-reversed)
+// into the three thirds of a pooled buffer, the radix-2 stages below run over
+// the whole buffer — a stage's blocks never straddle a third, and root^(N>>s)
+// is the stage root of a length-m transform — and combine3 writes the result
+// back into a.
 //
 // Parallelisation: in early stages the row is made of many independent
 // blocks, which are split across workers block-wise; in the final stages
 // (few blocks, long butterfly runs) the butterfly index range inside each
 // block is split instead. Every butterfly writes the same two slots it
-// reads and each output element is produced by the same multiply/add
-// sequence as the serial transform, so the result is bit-identical for any
-// worker count.
+// reads, every radix-3 triple the three slots no other triple touches, and
+// each output element is produced by the same multiply/add sequence as the
+// serial transform, so the result is bit-identical for any worker count.
 //
 // The public entry points (FFT, IFFT, …) have already validated
 // len(a) == d.N; fft assumes it.
@@ -267,14 +299,32 @@ func (d *Domain) fft(a []fr.Element, tw []fr.Element, workers int) {
 		return
 	}
 	serial := workers <= 1 || n < parallelFFTThreshold
-	bitReversePermute(a, d.Log, serial)
+	buf := a // what the radix-2 stages work on
+	if d.radix3() {
+		p, _ := d.scratch.Get().(*[]fr.Element)
+		if p == nil {
+			b := make([]fr.Element, n)
+			p = &b
+		}
+		defer d.scratch.Put(p)
+		buf = *p
+		if serial {
+			gather3(buf, a, d.Log, 0, n/3)
+		} else {
+			parallel.Execute(int(n/3), func(start, end int) {
+				gather3(buf, a, d.Log, uint64(start), uint64(end))
+			})
+		}
+	} else {
+		bitReversePermute(a, d.Log, serial)
+	}
 	for s := 1; s <= d.Log; s++ {
 		m := uint64(1) << s
 		half := m >> 1
 		stride := n >> s
 		if serial {
 			for k := uint64(0); k < n; k += m {
-				butterflyRange(a, tw, k, half, stride, 0, half)
+				butterflyRange(buf, tw, k, half, stride, 0, half)
 			}
 			continue
 		}
@@ -282,16 +332,64 @@ func (d *Domain) fft(a []fr.Element, tw []fr.Element, workers int) {
 			parallel.ExecuteWorkers(int(blocks), workers, func(bs, be int) {
 				for b := bs; b < be; b++ {
 					k := uint64(b) * m
-					butterflyRange(a, tw, k, half, stride, 0, half)
+					butterflyRange(buf, tw, k, half, stride, 0, half)
 				}
 			})
 		} else {
 			for k := uint64(0); k < n; k += m {
 				parallel.ExecuteWorkers(int(half), workers, func(js, je int) {
-					butterflyRange(a, tw, k, half, stride, uint64(js), uint64(je))
+					butterflyRange(buf, tw, k, half, stride, uint64(js), uint64(je))
 				})
 			}
 		}
+	}
+	if !d.radix3() {
+		return
+	}
+	if serial {
+		combine3(a, buf, tw, 0, n/3)
+		return
+	}
+	parallel.ExecuteWorkers(int(n/3), workers, func(js, je int) {
+		combine3(a, buf, tw, uint64(js), uint64(je))
+	})
+}
+
+// gather3 writes the subsequence src[3q+r], q ∈ [q0, q1), bit-reversed into
+// the r-th third of dst: dst[r·m + rev(q)] = src[3q+r], with m = 2^log.
+func gather3(dst, src []fr.Element, log int, q0, q1 uint64) {
+	m := uint64(1) << log
+	shift := 64 - uint(log)
+	for q := q0; q < q1; q++ {
+		j := bits.Reverse64(q) >> shift // 0 when log = 0
+		dst[j], dst[m+j], dst[2*m+j] = src[3*q], src[3*q+1], src[3*q+2]
+	}
+}
+
+// combine3 is the radix-3 pass for j ∈ [j0, j1): from the three length-m
+// transforms F_r held in the thirds of f it writes, with t1 = ω^j·F_1[j],
+// t2 = ω^2j·F_2[j] and the cube root of one ω₃ = ω^m,
+//
+//	dst[j]    = F_0[j] + t1 + t2
+//	dst[j+m]  = F_0[j] + ω₃·t1 + ω₃²·t2 = F_0[j] − t2 + ω₃·(t1 − t2)
+//	dst[j+2m] = F_0[j] + ω₃²·t1 + ω₃·t2 = F_0[j] − t1 − ω₃·(t1 − t2)
+//
+// using ω₃² = −1 − ω₃: two twiddles and one ω₃ multiplication per triple.
+func combine3(dst, f, tw []fr.Element, j0, j1 uint64) {
+	m := uint64(len(f)) / 3
+	w3 := &tw[m]
+	for j := j0; j < j1; j++ {
+		var t1, t2, s, u fr.Element
+		t1.Mul(&f[m+j], &tw[j])
+		t2.Mul(&f[2*m+j], &tw[2*j])
+		s.Sub(&t1, &t2)
+		s.Mul(&s, w3)
+		u.Add(&f[j], &t1)
+		dst[j].Add(&u, &t2)
+		u.Sub(&f[j], &t2)
+		dst[j+m].Add(&u, &s)
+		u.Sub(&f[j], &t1)
+		dst[j+2*m].Sub(&u, &s)
 	}
 }
 

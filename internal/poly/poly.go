@@ -1,6 +1,6 @@
 // Package poly implements dense univariate polynomials over the BN254
-// scalar field together with radix-2 FFT evaluation domains, the two pieces
-// of algebra the Plonk prover is made of.
+// scalar field together with FFT evaluation domains (of 2^k and 3·2^k
+// points), the two pieces of algebra the Plonk prover is made of.
 package poly
 
 import (
