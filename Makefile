@@ -71,12 +71,13 @@ test:
 # mul_amd64.s) and the pure-Go mulUnrolled is reached only as a test oracle.
 # Every other GOARCH builds no assembly, so a 32-bit build of the same tests
 # — it runs on the amd64 host — keeps the fallback exercised end to end with
-# no build tag of our own: the field, FFT and curve suites, then the seven
+# no build tag of our own: the field, FFT and curve suites, then the eight
 # prover goldens — that they pass under both kernels is the cross-kernel
-# bit-identity proof. arm64 cannot run here; it must at least build and vet.
+# bit-identity proof — and the four proof shapes' encoding, shape-refusal and
+# tamper tests. arm64 cannot run here; it must at least build and vet.
 test-fallback:
 	GOARCH=386 $(GO) test ./internal/ff/ ./internal/fr/ ./internal/poly/ ./internal/bn254/
-	GOARCH=386 $(GO) test -run 'TestClassicProverBitIdentity' ./internal/plonk/
+	GOARCH=386 $(GO) test -run 'TestClassicProverBitIdentity|TestExtendedProofSerializationRoundTrip|TestProofShapeMismatch|TestExtendedProofTamperRejected|TestLookupProofCustomOpeningsBound' ./internal/plonk/
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/ff/
 

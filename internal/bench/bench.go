@@ -587,8 +587,9 @@ func Table1Transformer(sys *core.System, cfgs []transformer.Config) ([]Table1Row
 
 // ProofSizeConstant returns serialized proof sizes across circuit scales —
 // the §VI-B3 claim that a proof's length does not depend on the relation's
-// size (π_e proves on the custom-gate shape: 15 G1 elements and 34 scalars
-// at every n, where the paper's classic Plonk proof has 9 and 16).
+// size (π_e proves on the custom-gate shape without a lookup argument: 12 G1
+// elements and 28 scalars at every n, where the paper's classic Plonk proof
+// has 9 and 16).
 func ProofSizeConstant(sys *core.System, sizes []int) ([]Table1Row, error) {
 	rows := make([]Table1Row, 0, len(sizes))
 	for _, n := range sizes {

@@ -128,8 +128,8 @@ func TestFixedPointWithLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vk.Extended {
-		t.Fatal("lookup circuit compiled to a classic key")
+	if !vk.Lookup {
+		t.Fatal("lookup circuit compiled to a key without lookups")
 	}
 	proof, err := plonk.Prove(pk, witness)
 	if err != nil {

@@ -9,13 +9,14 @@ import (
 )
 
 // encryptAndProveBytes is what one warm EncryptAndProve of a four-entry
-// dataset allocated when π_e's 671 rows moved from a 1 024- to a 768-row
-// domain and its quotient from an 8 192- to a 6 144-point coset (measured at
-// PR 24 on a 2-vCPU host; 4 810 000 before, and 24 748 256 for the classic
-// 5 667-gate circuit on its 8 192-row domain). The 3·2^k transform is not in
-// place; its buffer comes from the domain's pool, and one allocated per call
-// reads 5.9 MB here.
-const encryptAndProveBytes = 3_940_000
+// dataset allocated when π_e, a custom-gate proof without lookups, stopped
+// carrying the idle LogUp columns M, H, S (measured at PR 25 on a 2-vCPU
+// host, 3 050 216–3 111 784; 3 940 000 before, when the 768-row domain and
+// 6 144-point coset arrived in PR 24; 4 810 000 before that, and 24 748 256
+// for the classic 5 667-gate circuit on its 8 192-row domain). The 3·2^k
+// transform is not in place; its buffer comes from the domain's pool, and
+// one allocated per call would add about 2 MB here.
+const encryptAndProveBytes = 3_060_000
 
 // TestEncryptAndProveSteadyStateAllocation is TestProveSteadyStateAllocation
 // (internal/plonk) on the shape an exchange now proves: the repository

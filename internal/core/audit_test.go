@@ -304,9 +304,12 @@ func proofSlots(p *plonk.Proof) (pts []*kzg.Commitment, evs []*fr.Element) {
 	evs = []*fr.Element{&ev.A, &ev.B, &ev.C, &ev.Z, &ev.ZOmega, &ev.QL, &ev.QR, &ev.QO, &ev.QM, &ev.QC,
 		&ev.S1, &ev.S2, &ev.S3, &ev.TLo, &ev.TMid, &ev.THi}
 	if ex := ev.Ext; ex != nil {
-		pts = append(pts, &p.M, &p.H, &p.S)
-		evs = append(evs, &ex.M, &ex.H, &ex.S, &ex.SOmega, &ex.AOmega, &ex.BOmega, &ex.COmega,
-			&ex.QLk, &ex.Tbl, &ex.QMimc, &ex.QPosF, &ex.QPosP, &ex.K0, &ex.K1, &ex.K2)
+		if p.Lookup {
+			pts = append(pts, &p.M, &p.H, &p.S)
+			evs = append(evs, &ex.M, &ex.H, &ex.S, &ex.SOmega, &ex.QLk, &ex.Tbl)
+		}
+		evs = append(evs, &ex.AOmega, &ex.BOmega, &ex.COmega,
+			&ex.QMimc, &ex.QPosF, &ex.QPosP, &ex.K0, &ex.K1, &ex.K2)
 		for i := range p.TExtra {
 			pts = append(pts, &p.TExtra[i])
 			evs = append(evs, &ex.TExtra[i])
@@ -329,8 +332,8 @@ func TestAuditRejectsEveryCorruption(t *testing.T) {
 	honest.PublishAsset(asset)
 
 	pts, evs := proofSlots(asset.EncProof)
-	if asset.EncProof.Evals.Ext == nil || len(pts) != 15 || len(evs) != 34 {
-		t.Fatalf("π_e carries %d commitments and %d evaluations, want the custom shape's 15 and 34", len(pts), len(evs))
+	if asset.EncProof.Evals.Ext == nil || len(pts) != 12 || len(evs) != 28 {
+		t.Fatalf("π_e carries %d commitments and %d evaluations, want the custom shape's 12 and 28", len(pts), len(evs))
 	}
 	slots := len(pts) + len(evs)
 	g := bn254.G1Generator()

@@ -94,10 +94,11 @@ type KeyWitness struct {
 
 // buildKeyCircuit stays on the classic lowering, deliberately: π_k is the one
 // proof that rides in calldata. On the custom-gate shape it would prove in a
-// third of the time (148 rows for 1 738), but an extended proof is 960 bytes
-// longer = +11 520 gas per settlement = +1.4 % of an exchange's gas, seven
-// times the benchmark's 0.2 % gas bound. Moving it is a gas decision, not a
-// default; TestHashCircuitsOnCustomShape pins the 326 757-gas settlement.
+// third of the time (148 rows for 1 738), but a custom-gate proof, even with
+// no lookup argument, is 1 670 − 1 094 = 576 bytes longer = +6 912 gas per
+// settlement = +0.85 % of an exchange's gas, over four times the benchmark's
+// 0.2 % gas bound. Moving it is a gas decision, not a default;
+// TestHashCircuitsOnCustomShape pins the 326 757-gas settlement.
 func buildKeyCircuit(st *KeyStatement, w *KeyWitness) *circuit.Builder {
 	b := circuit.NewBuilder()
 	kc := b.Public(st.KC)

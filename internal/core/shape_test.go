@@ -11,14 +11,16 @@ import (
 
 // settleGas is what a settled public escrow costs: the verification of a
 // classic π_k with three public inputs plus 12 gas per calldata byte of a
-// plonk.ProofSize-byte proof. An extended π_k is 960 bytes longer, so this
-// figure is the guard that π_k does not change shape without a gas decision.
+// plonk.ProofSize-byte proof. A custom-gate π_k would be 576 bytes longer
+// (1 670 − 1 094), so this figure is the guard that π_k does not change shape
+// without a gas decision.
 const settleGas = 326_757
 
 // TestHashCircuitsOnCustomShape pins which circuit is on which prover shape
 // (DESIGN.md §15.3). The five hash-only circuits prove on custom gates with
-// no lookup table, each on the smallest domain that holds its rows (π_e's 671
-// and π_p's 730 on 768 = 3·2^8, the n = 4 transformations on 512), and a
+// no lookup argument (1 670-byte proofs), each on the smallest domain that
+// holds its rows (π_e's 671 and π_p's 730 on 768 = 3·2^8, the n = 4
+// transformations on 512), and a
 // verifier that never proved rebuilds the same key from a zero witness; π_k
 // (1 738 rows on 2 048) and a Processor that does not ask for the lookup
 // lowering stay classic.
@@ -35,12 +37,12 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !vk.Custom || !vk.Extended || vk.TableBits != 0 || vk.N != wantN {
-			t.Fatalf("%s: custom=%v extended=%v tableBits=%d N=%d, want custom gates, no table, N = %d",
-				key, vk.Custom, vk.Extended, vk.TableBits, vk.N, wantN)
+		if !vk.Custom || vk.Lookup || vk.TableBits != 0 || vk.N != wantN {
+			t.Fatalf("%s: custom=%v lookup=%v tableBits=%d N=%d, want custom gates, no lookups, N = %d",
+				key, vk.Custom, vk.Lookup, vk.TableBits, vk.N, wantN)
 		}
-		if got := len(proof.Bytes()); got != 2054 {
-			t.Fatalf("%s: proof is %d bytes, want 2054", key, got)
+		if got := len(proof.Bytes()); got != 1670 {
+			t.Fatalf("%s: proof is %d bytes, want 1670", key, got)
 		}
 	}
 
@@ -122,8 +124,8 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vk.Extended || len(tp.Proof.Bytes()) != plonk.ProofSize {
-			t.Fatalf("extended=%v, %d-byte proof: want the classic shape", vk.Extended, len(tp.Proof.Bytes()))
+		if vk.Lookup || vk.Custom || len(tp.Proof.Bytes()) != plonk.ProofSize {
+			t.Fatalf("lookup=%v custom=%v, %d-byte proof: want the classic shape", vk.Lookup, vk.Custom, len(tp.Proof.Bytes()))
 		}
 	})
 
@@ -132,8 +134,8 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vk.Extended || vk.N != 2048 {
-			t.Fatalf("π_k key: extended=%v N=%d, want classic on 2048 rows: its proof rides in calldata, see buildKeyCircuit", vk.Extended, vk.N)
+		if vk.Lookup || vk.Custom || vk.N != 2048 {
+			t.Fatalf("π_k key: lookup=%v custom=%v N=%d, want classic on 2048 rows: its proof rides in calldata, see buildKeyCircuit", vk.Lookup, vk.Custom, vk.N)
 		}
 		m, _ := newTestMarketplace(t)
 		alice, bob := chain.AddressFromString("alice"), chain.AddressFromString("bob")

@@ -32,10 +32,12 @@ func (r rangeDoubler) Gadget(b *circuit.Builder, src []circuit.Variable) []circu
 
 // vkFingerprint hashes everything of a verifying key that the circuit decides:
 // the domain, the public-input count, the shape flags and all sixteen
-// preprocessed commitments.
+// preprocessed commitments. The first flag is Lookup || Custom, the single
+// "extended" bit keys carried when these were captured, so they still hold;
+// the QLk and Tbl commitments tell a lookup key from a custom-only one.
 func vkFingerprint(vk *plonk.VerifyingKey) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%d/%d/%v/%v/%d", vk.N, vk.NbPublic, vk.Extended, vk.Custom, vk.TableBits)
+	fmt.Fprintf(h, "%d/%d/%v/%v/%d", vk.N, vk.NbPublic, vk.Lookup || vk.Custom, vk.Custom, vk.TableBits)
 	for _, c := range []*kzg.Commitment{
 		&vk.QL, &vk.QR, &vk.QO, &vk.QM, &vk.QC, &vk.S1, &vk.S2, &vk.S3,
 		&vk.QLk, &vk.Tbl, &vk.QMimc, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2,
@@ -118,8 +120,8 @@ func TestTransformKeysUnchanged(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got := vkFingerprint(vk); got != tc.want {
-					t.Errorf("%s: key fingerprint %s, want %s (N=%d extended=%v custom=%v tableBits=%d)",
-						name, got, tc.want, vk.N, vk.Extended, vk.Custom, vk.TableBits)
+					t.Errorf("%s: key fingerprint %s, want %s (N=%d lookup=%v custom=%v tableBits=%d)",
+						name, got, tc.want, vk.N, vk.Lookup, vk.Custom, vk.TableBits)
 				}
 			}
 		})

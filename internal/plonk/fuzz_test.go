@@ -11,43 +11,27 @@ import (
 // blobs. The decoder must never panic, and any blob it accepts must
 // re-encode to the same bytes (the encoding is canonical).
 func FuzzProofFromBytes(f *testing.F) {
-	// Seed with real encodings of each proof shape so the fuzzer starts
-	// from deep inside the accepting region.
-	csC, wC := buildMulAddCircuit()
-	pkC, _, err := Setup(csC, testSRSOnce())
-	if err != nil {
-		f.Fatal(err)
+	// Seed with a real encoding of each of the four proof shapes (flags
+	// 0x00–0x03) so the fuzzer starts from deep inside the accepting region.
+	var classic []byte
+	for _, name := range []string{"muladd", "lookup", "mimc", "mixed"} {
+		cs, w := goldenCircuit(f, name)
+		pk, _, err := Setup(cs, testSRSOnce())
+		if err != nil {
+			f.Fatal(err)
+		}
+		p, err := Prove(pk, w)
+		if err != nil {
+			f.Fatal(err)
+		}
+		if classic == nil {
+			classic = p.Bytes()
+		}
+		f.Add(p.Bytes())
 	}
-	pC, err := Prove(pkC, wC)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(pC.Bytes())
-
-	csL, wL := buildLookupCircuit(8, []uint64{3, 200})
-	pkL, _, err := Setup(csL, testSRSOnce())
-	if err != nil {
-		f.Fatal(err)
-	}
-	pL, err := Prove(pkL, wL)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(pL.Bytes())
-
-	csM, wM := buildMiMCCustomCircuit(4)
-	pkM, _, err := Setup(csM, testSRSOnce())
-	if err != nil {
-		f.Fatal(err)
-	}
-	pM, err := Prove(pkM, wM)
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(pM.Bytes())
 
 	f.Add([]byte("ZKPF"))
-	f.Add(pC.Bytes()[headerSize:]) // headerless payload: must be rejected
+	f.Add(classic[headerSize:]) // headerless payload: must be rejected
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ProofFromBytes(data)

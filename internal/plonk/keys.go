@@ -23,6 +23,34 @@ const (
 	permK2 = 25
 )
 
+// shape is the pair of independent feature bits that decides which columns
+// a key preprocesses and a proof commits, opens and encodes. Its value is the
+// proof encoding's flags byte; zero is the classic shape.
+type shape byte
+
+const (
+	// shapeLookup: the circuit has lookup rows, so proofs carry the LogUp
+	// columns M, H, S and the quotient adds C3–C5.
+	shapeLookup shape = 1 << 0
+	// shapeCustom: the circuit has next-row custom gates, so the quotient
+	// adds C6–C13 and splits into six pieces instead of three.
+	shapeCustom shape = 1 << 1
+)
+
+func (s shape) lookup() bool { return s&shapeLookup != 0 }
+func (s shape) custom() bool { return s&shapeCustom != 0 }
+
+func newShape(lookup, custom bool) shape {
+	var s shape
+	if lookup {
+		s |= shapeLookup
+	}
+	if custom {
+		s |= shapeCustom
+	}
+	return s
+}
+
 // ProvingKey holds everything the prover needs: the preprocessed selector
 // and permutation polynomials (coefficient form), the evaluation domain,
 // and the SRS.
@@ -42,13 +70,14 @@ type ProvingKey struct {
 	// Permutation polynomials sσ1, sσ2, sσ3 in coefficient form.
 	S1, S2, S3 poly.Polynomial
 
-	// Lookup/custom-gate preprocessing (nil/zero for classic circuits).
+	// Lookup/custom-gate preprocessing (nil for classic circuits, all eight
+	// present on any other shape, zero polynomials for the feature it lacks).
 	// QLk is the lookup selector, Tbl the range-table polynomial,
 	// QMimc/QPosF/QPosP the custom-gate selectors and KC0..KC2 the per-row
 	// round-constant columns.
 	QLk, Tbl, QMimc, QPosF, QPosP poly.Polynomial
 	KC0, KC1, KC2                 poly.Polynomial
-	extended, custom              bool
+	shape                         shape
 	tableBits                     int
 	mds                           [3][3]fr.Element
 
@@ -60,10 +89,11 @@ type ProvingKey struct {
 	// on the key alone and not on any witness. Setup builds them eagerly and
 	// nothing writes them afterwards: a key is shared between concurrently
 	// proving goroutines (the marketplace caches one per circuit shape), so
-	// they must never be filled lazily. fixedCoset holds the coset evaluations of the
-	// preprocessed polynomials in preprocessed() order, cosetX the points
-	// x_i, cosetL1 the values L1(x_i) and zhInv the inverses of Z_H(x_i),
-	// which repeat with period |quotient|/n.
+	// they must never be filled lazily. fixedCoset holds the coset
+	// evaluations of the preprocessed polynomials the quotient reads, in
+	// quotientColumns() order, cosetX the points x_i, cosetL1 the values
+	// L1(x_i) and zhInv the inverses of Z_H(x_i), which repeat with period
+	// |quotient|/n.
 	fixedCoset [][]fr.Element
 	cosetX     []fr.Element
 	cosetL1    []fr.Element
@@ -86,11 +116,12 @@ type VerifyingKey struct {
 	QL, QR, QO, QM, QC kzg.Commitment
 	S1, S2, S3         kzg.Commitment
 
-	// Extended is set when the circuit uses lookups or custom gates: the
-	// proof then carries the M/H/S lookup polynomials and extra
-	// evaluations. Custom is set when next-row custom gates are present
-	// (the quotient is split into 6 pieces instead of 3).
-	Extended  bool
+	// Lookup is set when the circuit has lookup rows: its proofs carry the
+	// LogUp polynomials M, H, S and their openings. Custom is set when
+	// next-row custom gates are present: the quotient gains the custom-gate
+	// identities and splits into 6 pieces instead of 3. Either one makes the
+	// key extended — sixteen preprocessed commitments instead of eight.
+	Lookup    bool
 	Custom    bool
 	TableBits int
 	// MDS is the Poseidon matrix the custom rounds multiply by; the
@@ -141,13 +172,31 @@ func (vk *VerifyingKey) verifierCache() (*poly.Domain, []fr.Element, [2]*bn254.G
 	return vk.domain, vk.lagOmega, vk.g2Lines, vk.domainErr
 }
 
+// shape returns the key's two feature bits.
+func (vk *VerifyingKey) shape() shape { return newShape(vk.Lookup, vk.Custom) }
+
 // preprocessed lists the key's selector and permutation polynomials — 8,
-// or 16 on an extended key — in the order shared by the verifying key's
-// commitments, fixedCoset and the prover's column indices.
+// or 16 on an extended key — in the order of the verifying key's
+// commitments.
 func (pk *ProvingKey) preprocessed() []poly.Polynomial {
 	ps := []poly.Polynomial{pk.QL, pk.QR, pk.QO, pk.QM, pk.QC, pk.S1, pk.S2, pk.S3}
-	if pk.extended {
+	if pk.shape != 0 {
 		ps = append(ps, pk.QLk, pk.Tbl, pk.QMimc, pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2)
+	}
+	return ps
+}
+
+// quotientColumns lists the preprocessed polynomials the quotient reads, in
+// the order of fixedCoset and the prover's column indices: the eight classic
+// columns, then QLk and Tbl on a lookup key, then the three custom-gate
+// selectors and the round-constant columns on a custom key.
+func (pk *ProvingKey) quotientColumns() []poly.Polynomial {
+	ps := []poly.Polynomial{pk.QL, pk.QR, pk.QO, pk.QM, pk.QC, pk.S1, pk.S2, pk.S3}
+	if pk.shape.lookup() {
+		ps = append(ps, pk.QLk, pk.Tbl)
+	}
+	if pk.shape.custom() {
+		ps = append(ps, pk.QMimc, pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2)
 	}
 	return ps
 }
@@ -187,7 +236,7 @@ func quotientMultiple(n uint64, custom bool) uint64 {
 // on and the number of degree-n pieces the quotient splits into: 3, or 6
 // with custom gates.
 func (pk *ProvingKey) quotientDomain() (*poly.Domain, int) {
-	if pk.custom {
+	if pk.shape.custom() {
 		return pk.quotient, 6
 	}
 	return pk.quotient, 3
@@ -219,7 +268,7 @@ func cosetEvals(d *poly.Domain, ps []poly.Polynomial) ([][]fr.Element, error) {
 func (pk *ProvingKey) buildQuotientTables() error {
 	domainE, _ := pk.quotientDomain()
 	var err error
-	if pk.fixedCoset, err = cosetEvals(domainE, pk.preprocessed()); err != nil {
+	if pk.fixedCoset, err = cosetEvals(domainE, pk.quotientColumns()); err != nil {
 		return err
 	}
 	n, big := pk.Domain.N, domainE.N
@@ -283,7 +332,7 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 	if rows < 8 {
 		rows = 8
 	}
-	extended := cs.hasLookup || cs.hasCustom
+	sh := newShape(cs.hasLookup, cs.hasCustom)
 	if cs.hasLookup && rows < uint64(1)<<cs.tableBits {
 		rows = uint64(1) << cs.tableBits
 	}
@@ -313,9 +362,10 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 	}
 
 	// Extension selectors: lookup selector, range table t_i = min(i, max),
-	// custom-gate selectors and the round-constant columns.
+	// custom-gate selectors and the round-constant columns. Every extended
+	// key commits all eight, whichever feature it uses.
 	var qLk, tbl, qMimc, qPosF, qPosP, kc0, kc1, kc2 []fr.Element
-	if extended {
+	if sh != 0 {
 		qLk = make([]fr.Element, n)
 		tbl = make([]fr.Element, n)
 		qMimc = make([]fr.Element, n)
@@ -431,9 +481,8 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 		nbPublic:   cs.nbPublic,
 		nbVars:     cs.nbVariables,
 	}
-	if extended {
-		pk.extended = true
-		pk.custom = cs.hasCustom
+	if sh != 0 {
+		pk.shape = sh
 		pk.tableBits = cs.tableBits
 		pk.mds = cs.mds
 		pk.QLk = toPoly(qLk)
@@ -458,14 +507,14 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 		G2:        srs.G2,
 		K1:        k1,
 		K2:        k2,
-		Extended:  extended,
+		Lookup:    cs.hasLookup,
 		Custom:    cs.hasCustom,
 		TableBits: cs.tableBits,
 		MDS:       cs.mds,
 	}
 	// The preprocessed commitments are independent MSMs.
 	cms := []*kzg.Commitment{&vk.QL, &vk.QR, &vk.QO, &vk.QM, &vk.QC, &vk.S1, &vk.S2, &vk.S3}
-	if extended {
+	if sh != 0 {
 		cms = append(cms, &vk.QLk, &vk.Tbl, &vk.QMimc, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2)
 	}
 	if err := commitParallel(srs, pk.preprocessed(), cms); err != nil {

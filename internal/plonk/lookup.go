@@ -12,7 +12,7 @@ import (
 // the verifier), and the LogUp witness builder.
 //
 // Every circuit carries C0–C2 (gate, permutation, L_1 boundary); a key with
-// lookups or custom gates adds C3–C13.
+// lookups adds C3–C5, one with custom gates C6–C13.
 //
 // The lookup argument is the log-derivative ("LogUp") formulation: for the
 // range table T and the a-wire column a, with qLk the lookup selector and
@@ -37,8 +37,8 @@ import (
 const nbAlphaPowers = 14
 
 // pointVals carries every polynomial's value at one evaluation point. The
-// fields from aw down to k2c belong to the extension and stay zero for a
-// classic key.
+// fields from aw down to k2c belong to the extension: the LogUp ones are
+// read only for a lookup key, the rest only for a custom-gate key.
 type pointVals struct {
 	x                      fr.Element // the point itself
 	a, b, c                fr.Element
@@ -54,7 +54,8 @@ type pointVals struct {
 }
 
 // challenges bundles the transcript challenges and fixed key data the
-// constraint evaluation needs; a classic key leaves β_L and mds unused.
+// constraint evaluation needs; β_L is used only with lookups, mds only with
+// custom gates.
 type challenges struct {
 	beta, gamma, betaL fr.Element
 	alphaPow           []fr.Element // α^0 … α^13
@@ -70,11 +71,30 @@ func pow5(out, t *fr.Element) {
 	out.Mul(&t2, t)
 }
 
+// poseidonFamily returns sel·Σ_l α_l·(Σ_j mds[l][j]·in_j − nw_l): the three
+// lane identities of one Poseidon round kind, α-weighted, then switched by
+// the kind's selector with a single multiplication.
+func poseidonFamily(in *[3]fr.Element, nw [3]*fr.Element, mds *[3][3]fr.Element, alpha []fr.Element, sel *fr.Element) fr.Element {
+	var sum, t fr.Element
+	for l := 0; l < 3; l++ {
+		var lane fr.Element
+		for j := 0; j < 3; j++ {
+			t.Mul(&mds[l][j], &in[j])
+			lane.Add(&lane, &t)
+		}
+		lane.Sub(&lane, nw[l])
+		lane.Mul(&lane, &alpha[l])
+		sum.Add(&sum, &lane)
+	}
+	sum.Mul(&sum, sel)
+	return sum
+}
+
 // quotientNumerator evaluates the aggregated constraint numerator
 // Σ_k α^k·C_k at one point. The prover divides this by Z_H on the coset;
-// the verifier compares it against t(ζ)·Z_H(ζ). extended is the key's
-// shape: without it the stack ends at C2.
-func quotientNumerator(p *pointVals, ch *challenges, extended bool) fr.Element {
+// the verifier compares it against t(ζ)·Z_H(ζ). sh is the key's shape: the
+// stack adds C3–C5 only with lookups and C6–C13 only with custom gates.
+func quotientNumerator(p *pointVals, ch *challenges, sh shape) fr.Element {
 	var acc, t, t2 fr.Element
 
 	// C0: gate + public input.
@@ -132,33 +152,35 @@ func quotientNumerator(p *pointVals, ch *challenges, extended bool) fr.Element {
 	t.Mul(&t, &p.l1)
 	t.Mul(&t, &ch.alphaPow[2])
 	acc.Add(&acc, &t)
-	if !extended {
+
+	if sh.lookup() {
+		// C3: H·(βL+a)·(βL+T) − qLk·(βL+T) + M·(βL+a).
+		var la, lt fr.Element
+		la.Add(&ch.betaL, &p.a)
+		lt.Add(&ch.betaL, &p.tbl)
+		t.Mul(&p.h, &la)
+		t.Mul(&t, &lt)
+		t2.Mul(&p.qlk, &lt)
+		t.Sub(&t, &t2)
+		t2.Mul(&p.m, &la)
+		t.Add(&t, &t2)
+		t.Mul(&t, &ch.alphaPow[3])
+		acc.Add(&acc, &t)
+
+		// C4: S(ωx) − S(x) − H(x).
+		t.Sub(&p.sw, &p.s)
+		t.Sub(&t, &p.h)
+		t.Mul(&t, &ch.alphaPow[4])
+		acc.Add(&acc, &t)
+
+		// C5: L1·S.
+		t.Mul(&p.l1, &p.s)
+		t.Mul(&t, &ch.alphaPow[5])
+		acc.Add(&acc, &t)
+	}
+	if !sh.custom() {
 		return acc
 	}
-
-	// C3: H·(βL+a)·(βL+T) − qLk·(βL+T) + M·(βL+a).
-	var la, lt fr.Element
-	la.Add(&ch.betaL, &p.a)
-	lt.Add(&ch.betaL, &p.tbl)
-	t.Mul(&p.h, &la)
-	t.Mul(&t, &lt)
-	t2.Mul(&p.qlk, &lt)
-	t.Sub(&t, &t2)
-	t2.Mul(&p.m, &la)
-	t.Add(&t, &t2)
-	t.Mul(&t, &ch.alphaPow[3])
-	acc.Add(&acc, &t)
-
-	// C4: S(ωx) − S(x) − H(x).
-	t.Sub(&p.sw, &p.s)
-	t.Sub(&t, &p.h)
-	t.Mul(&t, &ch.alphaPow[4])
-	acc.Add(&acc, &t)
-
-	// C5: L1·S.
-	t.Mul(&p.l1, &p.s)
-	t.Mul(&t, &ch.alphaPow[5])
-	acc.Add(&acc, &t)
 
 	// Custom gates. Wires and next-row wires as lanes.
 	w := [3]*fr.Element{&p.a, &p.b, &p.c}
@@ -172,35 +194,16 @@ func quotientNumerator(p *pointVals, ch *challenges, extended bool) fr.Element {
 		t.Add(w[j], k[j])
 		pow5(&sb[j], &t)
 	}
-	for l := 0; l < 3; l++ {
-		var lane fr.Element
-		for j := 0; j < 3; j++ {
-			t.Mul(&ch.mds[l][j], &sb[j])
-			lane.Add(&lane, &t)
-		}
-		lane.Sub(&lane, nw[l])
-		lane.Mul(&lane, &p.qposf)
-		lane.Mul(&lane, &ch.alphaPow[6+l])
-		acc.Add(&acc, &lane)
-	}
+	t = poseidonFamily(&sb, nw, &ch.mds, ch.alphaPow[6:9], &p.qposf)
+	acc.Add(&acc, &t)
 
-	// C9–C11: Poseidon partial round — only lane 0 is S-boxed.
-	var pb [3]fr.Element
-	t.Add(&p.a, &p.k0)
-	pow5(&pb[0], &t)
+	// C9–C11: Poseidon partial round — only lane 0 is S-boxed, by the same
+	// S-box as the full round's lane 0.
+	pb := [3]fr.Element{sb[0]}
 	pb[1].Add(&p.b, &p.k1c)
 	pb[2].Add(&p.c, &p.k2c)
-	for l := 0; l < 3; l++ {
-		var lane fr.Element
-		for j := 0; j < 3; j++ {
-			t.Mul(&ch.mds[l][j], &pb[j])
-			lane.Add(&lane, &t)
-		}
-		lane.Sub(&lane, nw[l])
-		lane.Mul(&lane, &p.qposp)
-		lane.Mul(&lane, &ch.alphaPow[9+l])
-		acc.Add(&acc, &lane)
-	}
+	t = poseidonFamily(&pb, nw, &ch.mds, ch.alphaPow[9:12], &p.qposp)
+	acc.Add(&acc, &t)
 
 	// C12: qMimc·(c − (a+b+K0)²);  C13: qMimc·(a(ωx) − c³·(a+b+K0)).
 	var u fr.Element
@@ -208,15 +211,14 @@ func quotientNumerator(p *pointVals, ch *challenges, extended bool) fr.Element {
 	u.Add(&u, &p.k0)
 	t.Square(&u)
 	t.Sub(&p.c, &t)
-	t.Mul(&t, &p.qmimc)
 	t.Mul(&t, &ch.alphaPow[12])
-	acc.Add(&acc, &t)
-	t.Square(&p.c)
-	t.Mul(&t, &p.c)
-	t.Mul(&t, &u)
-	t.Sub(&p.aw, &t)
+	t2.Square(&p.c)
+	t2.Mul(&t2, &p.c)
+	t2.Mul(&t2, &u)
+	t2.Sub(&p.aw, &t2)
+	t2.Mul(&t2, &ch.alphaPow[13])
+	t.Add(&t, &t2)
 	t.Mul(&t, &p.qmimc)
-	t.Mul(&t, &ch.alphaPow[13])
 	acc.Add(&acc, &t)
 
 	return acc

@@ -32,8 +32,8 @@ func TestLookupProveVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vk.Extended || vk.Custom {
-		t.Fatalf("want lookup-only key, got extended=%v custom=%v", vk.Extended, vk.Custom)
+	if !vk.Lookup || vk.Custom {
+		t.Fatalf("want lookup-only key, got lookup=%v custom=%v", vk.Lookup, vk.Custom)
 	}
 	if vk.N != 256 {
 		t.Fatalf("domain must cover the table: n=%d", vk.N)
@@ -297,31 +297,33 @@ func TestMixedLookupCustomProveVerify(t *testing.T) {
 	}
 }
 
-// TestProofShapeMismatch: classic proofs must not verify against extended
-// keys and vice versa.
+// TestProofShapeMismatch: a proof verifies only against a key of its own
+// shape — each of the four is refused by the other three keys with
+// ErrProofShape, a lookup + custom proof by a custom-only key among them.
+// (LogUp fields set on a proof without lookups: rejectEveryCorruption.)
 func TestProofShapeMismatch(t *testing.T) {
-	csC, wC := buildMulAddCircuit()
-	pkC, vkC, err := Setup(csC, testSRSOnce())
-	if err != nil {
-		t.Fatal(err)
+	shapes := []string{"muladd", "lookup", "mimc", "mixed"}
+	vks := make([]*VerifyingKey, len(shapes))
+	proofs := make([]*Proof, len(shapes))
+	for i, name := range shapes {
+		cs, w := goldenCircuit(t, name)
+		pk, vk, err := Setup(cs, testSRSOnce())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if proofs[i], err = Prove(pk, w); err != nil {
+			t.Fatal(err)
+		}
+		vks[i] = vk
 	}
-	classic, err := Prove(pkC, wC)
-	if err != nil {
-		t.Fatal(err)
-	}
-	csL, wL := buildLookupCircuit(8, []uint64{1, 2})
-	pkL, vkL, err := Setup(csL, testSRSOnce())
-	if err != nil {
-		t.Fatal(err)
-	}
-	ext, err := Prove(pkL, wL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(vkL, classic, wL[:1]); !errors.Is(err, ErrProofShape) {
-		t.Fatalf("classic proof vs extended key: got %v, want ErrProofShape", err)
-	}
-	if err := Verify(vkC, ext, wC[:2]); !errors.Is(err, ErrProofShape) {
-		t.Fatalf("extended proof vs classic key: got %v, want ErrProofShape", err)
+	for i := range proofs {
+		for j, vk := range vks {
+			if i == j {
+				continue
+			}
+			if err := Verify(vk, proofs[i], make([]fr.Element, vk.NbPublic)); !errors.Is(err, ErrProofShape) {
+				t.Errorf("%s proof vs %s key: got %v, want ErrProofShape", shapes[i], shapes[j], err)
+			}
+		}
 	}
 }

@@ -7,6 +7,7 @@ import (
 
 	"github.com/zkdet/zkdet/internal/fr"
 	"github.com/zkdet/zkdet/internal/kzg"
+	"github.com/zkdet/zkdet/internal/poly"
 )
 
 // Shared SRS for all tests: big enough for every test circuit.
@@ -309,10 +310,29 @@ func TestProveConcurrentSharedKey(t *testing.T) {
 
 // TestKeyResidentQuotientTables checks what Setup stores on the key for
 // round 3 against its definition, for every key shape (4n, 6n and 8n cosets):
-// each stored column is the coset FFT of the key's coefficient polynomial,
-// the coset points are g·ω_Eⁱ, L1 and 1/Z_H on them match the domain's own
-// evaluators.
+// the key holds coset columns for exactly the preprocessed polynomials its
+// shape's identities read — none of the lookup pair on a custom-only key,
+// none of the six custom-gate columns on a lookup-only one — each the coset
+// FFT of the key's coefficient polynomial, in the order the prover indexes
+// them; the coset points are g·ω_Eⁱ, L1 and 1/Z_H on them match the domain's
+// own evaluators.
 func TestKeyResidentQuotientTables(t *testing.T) {
+	classic := []string{"QL", "QR", "QO", "QM", "QC", "S1", "S2", "S3"}
+	lookup := []string{"QLk", "Tbl"}
+	custom := []string{"QMimc", "QPosF", "QPosP", "KC0", "KC1", "KC2"}
+	join := func(parts ...[]string) []string {
+		var out []string
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	wantCols := map[string][]string{
+		"muladd": classic, "power5": classic, "power50": classic, "power20": classic,
+		"lookup": join(classic, lookup),
+		"mimc":   join(classic, custom), "poseidon": join(classic, custom),
+		"mixed": join(classic, lookup, custom),
+	}
 	for _, tc := range goldenShapes {
 		t.Run(tc.name, func(t *testing.T) {
 			cs, _ := tc.build()
@@ -322,29 +342,32 @@ func TestKeyResidentQuotientTables(t *testing.T) {
 			}
 			domainE, _ := pk.quotientDomain()
 			n, big := pk.Domain.N, domainE.N
-			wantCols := 8
-			if pk.extended {
-				wantCols = 16
-			}
+			names := wantCols[tc.name]
 			wantBig := map[string]uint64{
 				"muladd": 4 * 8, "power5": 4 * 8, "power50": 4 * 64, "power20": 4 * 24, "lookup": 4 * 256,
 				"mimc": 6 * 8, "poseidon": 8 * 12, "mixed": 6 * 64,
 			}[tc.name]
-			if len(pk.fixedCoset) != wantCols || big != wantBig {
-				t.Fatalf("key holds %d columns on a %d-point coset of a %d-point domain, want %d on %d", len(pk.fixedCoset), big, n, wantCols, wantBig)
+			if len(pk.fixedCoset) != len(names) || big != wantBig {
+				t.Fatalf("key holds %d columns on a %d-point coset of a %d-point domain, want %v on %d", len(pk.fixedCoset), big, n, names, wantBig)
 			}
-			for k, p := range pk.preprocessed() {
+			byName := map[string]poly.Polynomial{
+				"QL": pk.QL, "QR": pk.QR, "QO": pk.QO, "QM": pk.QM, "QC": pk.QC,
+				"S1": pk.S1, "S2": pk.S2, "S3": pk.S3, "QLk": pk.QLk, "Tbl": pk.Tbl,
+				"QMimc": pk.QMimc, "QPosF": pk.QPosF, "QPosP": pk.QPosP,
+				"KC0": pk.KC0, "KC1": pk.KC1, "KC2": pk.KC2,
+			}
+			for k, name := range names {
 				fresh := make([]fr.Element, big)
-				copy(fresh, p)
+				copy(fresh, byName[name])
 				if err := domainE.FFTCoset(fresh); err != nil {
 					t.Fatal(err)
 				}
 				if len(pk.fixedCoset[k]) != len(fresh) {
-					t.Fatalf("column %d has %d entries, want %d", k, len(pk.fixedCoset[k]), len(fresh))
+					t.Fatalf("column %d (%s) has %d entries, want %d", k, name, len(pk.fixedCoset[k]), len(fresh))
 				}
 				for i := range fresh {
 					if !fresh[i].Equal(&pk.fixedCoset[k][i]) {
-						t.Fatalf("column %d differs from a fresh coset FFT at %d", k, i)
+						t.Fatalf("column %d differs from a fresh coset FFT of %s at %d", k, name, i)
 					}
 				}
 			}

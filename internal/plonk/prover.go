@@ -41,20 +41,52 @@ func commitParallel(srs *kzg.SRS, ps []poly.Polynomial, outs []*kzg.Commitment) 
 
 // Proof is a Plonk proof: 9 G1 points and the openings of every committed
 // polynomial at the challenge ζ (plus z at ζω). Its size is independent of
-// the circuit. Proofs for lookup/custom-gate circuits additionally carry
-// the three LogUp polynomials M (multiplicities), H (per-row log-derivative
-// helper) and S (running sum), plus up to three extra quotient pieces.
+// the circuit. A proof for a lookup circuit additionally carries the three
+// LogUp polynomials M (multiplicities), H (per-row log-derivative helper)
+// and S (running sum); one for a custom-gate circuit three extra quotient
+// pieces. Either one carries the extension's openings (Evals.Ext).
 type Proof struct {
 	A, B, C           kzg.Commitment
 	Z                 kzg.Commitment
 	TLo, TMid, THi    kzg.Commitment
 	WZeta, WZetaOmega kzg.Commitment
-	// Extension commitments; zero (infinity) for classic proofs.
+	// Lookup marks a proof carrying the LogUp argument: [M], [H], [S] and
+	// their openings. Without it those fields stay zero (infinity), and a
+	// verifier refuses the proof if they are not.
+	Lookup  bool
 	M, H, S kzg.Commitment
 	// TExtra holds quotient pieces 4–6 when custom gates push the
 	// quotient degree past 3n.
 	TExtra []kzg.Commitment
 	Evals  ProofEvals
+}
+
+// shape returns the feature bits the proof's contents claim: none without
+// extension openings, else lookup when it carries the LogUp argument and
+// custom when it carries extra quotient pieces.
+func (p *Proof) shape() shape {
+	if p.Evals.Ext == nil {
+		return 0
+	}
+	return newShape(p.Lookup, len(p.TExtra) > 0)
+}
+
+// logUpUnset reports whether every LogUp field — [M], [H], [S] and the six
+// openings only a lookup proof carries — is at its zero value.
+func (p *Proof) logUpUnset() bool {
+	for _, c := range []*kzg.Commitment{&p.M, &p.H, &p.S} {
+		if !c.IsInfinity() {
+			return false
+		}
+	}
+	if x := p.Evals.Ext; x != nil {
+		for _, e := range x.logUp() {
+			if !e.IsZero() {
+				return false
+			}
+		}
+	}
+	return true
 }
 
 // ProofEvals carries the claimed polynomial evaluations at ζ (and z at ζω).
@@ -67,17 +99,23 @@ type ProofEvals struct {
 	Ext *ExtEvals
 }
 
-// ExtEvals are the extra openings a lookup/custom-gate proof carries: the
-// LogUp polynomials at ζ, the shifted openings at ζω (custom gates read
-// the next row, the running sum is checked via S(ωx)), the extension
-// selectors and round-constant columns at ζ, and the extra quotient
-// pieces at ζ.
+// ExtEvals are the extra openings an extended proof carries: the shifted
+// wires at ζω (custom gates read the next row), the custom-gate selectors
+// and round-constant columns at ζ and, on a custom-gate proof, the extra
+// quotient pieces at ζ. A lookup proof adds the LogUp polynomials and the
+// lookup selector and table at ζ and the running sum at ζω; the other
+// shapes leave those six zero.
 type ExtEvals struct {
 	M, H, S                        fr.Element
 	SOmega, AOmega, BOmega, COmega fr.Element
 	QLk, Tbl, QMimc, QPosF, QPosP  fr.Element
 	K0, K1, K2                     fr.Element
 	TExtra                         []fr.Element
+}
+
+// logUp lists the six openings only a lookup proof carries.
+func (x *ExtEvals) logUp() []*fr.Element {
+	return []*fr.Element{&x.M, &x.H, &x.S, &x.SOmega, &x.QLk, &x.Tbl}
 }
 
 // evalList returns the evaluations at ζ every proof carries, in the
@@ -94,13 +132,13 @@ func (e *ProofEvals) evalList() []fr.Element {
 
 // zetaList returns every evaluation at ζ in the canonical folding order:
 // evalList, then the extension's evaluations when the proof carries them.
-func (e *ProofEvals) zetaList() []fr.Element {
-	out := e.evalList()
-	if x := e.Ext; x != nil {
-		out = append(out,
-			x.M, x.H, x.S,
-			x.QLk, x.Tbl, x.QMimc, x.QPosF, x.QPosP,
-			x.K0, x.K1, x.K2)
+func (p *Proof) zetaList() []fr.Element {
+	out := p.Evals.evalList()
+	if x := p.Evals.Ext; x != nil {
+		if p.Lookup {
+			out = append(out, x.M, x.H, x.S, x.QLk, x.Tbl)
+		}
+		out = append(out, x.QMimc, x.QPosF, x.QPosP, x.K0, x.K1, x.K2)
 		out = append(out, x.TExtra...)
 	}
 	return out
@@ -108,10 +146,13 @@ func (e *ProofEvals) zetaList() []fr.Element {
 
 // omegaList returns the evaluations opened at ζω in the canonical folding
 // order: z(ζω), then the extension's shifted openings.
-func (e *ProofEvals) omegaList() []fr.Element {
-	out := []fr.Element{e.ZOmega}
-	if x := e.Ext; x != nil {
-		out = append(out, x.SOmega, x.AOmega, x.BOmega, x.COmega)
+func (p *Proof) omegaList() []fr.Element {
+	out := []fr.Element{p.Evals.ZOmega}
+	if x := p.Evals.Ext; x != nil {
+		if p.Lookup {
+			out = append(out, x.SOmega)
+		}
+		out = append(out, x.AOmega, x.BOmega, x.COmega)
 	}
 	return out
 }
@@ -130,12 +171,8 @@ func bindTranscript(t *transcript.Transcript, vk *VerifyingKey, public []fr.Elem
 		t.AppendPoint("vk", &cc)
 	}
 	t.AppendScalars("public-inputs", public)
-	if vk.Extended {
-		flags := uint64(1)
-		if vk.Custom {
-			flags |= 2
-		}
-		fl := fr.NewElement(flags)
+	if sh := vk.shape(); sh != 0 {
+		fl := fr.NewElement(uint64(sh))
 		t.AppendScalar("ext-flags", &fl)
 		tb := fr.NewElement(uint64(vk.TableBits))
 		t.AppendScalar("table-bits", &tb)
@@ -152,23 +189,24 @@ func bindTranscript(t *transcript.Transcript, vk *VerifyingKey, public []fr.Elem
 // The absorbRound methods are the proof's half of the Fiat–Shamir
 // transcript, written once for the prover (which calls each as soon as the
 // round's commitments exist) and the verifier (which replays them in
-// order). An extended proof inserts "m" and β_L into round 1, "h" and "s"
-// into round 2, the extra quotient pieces into round 3 and the ζω openings
-// into round 4; a classic proof's label sequence is untouched by them.
+// order). A lookup proof inserts "m" and β_L into round 1 and "h" and "s"
+// into round 2, a custom-gate proof the extra quotient pieces into round 3,
+// and either one the extension's openings into round 4; a classic proof's
+// label sequence is untouched by them.
 
-// absorbRound1 absorbs the wire commitments and squeezes β, γ and, for an
-// extended proof, the lookup challenge β_L.
+// absorbRound1 absorbs the wire commitments and squeezes β, γ and, for a
+// lookup proof, the lookup challenge β_L.
 func (p *Proof) absorbRound1(tr *transcript.Transcript) *challenges {
 	ch := &challenges{}
 	tr.AppendPoint("a", &p.A)
 	tr.AppendPoint("b", &p.B)
 	tr.AppendPoint("c", &p.C)
-	if p.Evals.Ext != nil {
+	if p.Lookup {
 		tr.AppendPoint("m", &p.M)
 	}
 	ch.beta = tr.ChallengeScalar("beta")
 	ch.gamma = tr.ChallengeScalar("gamma")
-	if p.Evals.Ext != nil {
+	if p.Lookup {
 		ch.betaL = tr.ChallengeScalar("beta_l")
 	}
 	return ch
@@ -177,7 +215,7 @@ func (p *Proof) absorbRound1(tr *transcript.Transcript) *challenges {
 // absorbRound2 absorbs [z] (and [H], [S]) and squeezes α.
 func (p *Proof) absorbRound2(tr *transcript.Transcript, ch *challenges) {
 	tr.AppendPoint("z", &p.Z)
-	if p.Evals.Ext != nil {
+	if p.Lookup {
 		tr.AppendPoint("h", &p.H)
 		tr.AppendPoint("s", &p.S)
 	}
@@ -198,11 +236,10 @@ func (p *Proof) absorbRound3(tr *transcript.Transcript) fr.Element {
 
 // absorbRound4 absorbs the evaluations and squeezes the opening fold v.
 func (p *Proof) absorbRound4(tr *transcript.Transcript) fr.Element {
-	ev := &p.Evals
-	tr.AppendScalars("evals", ev.zetaList())
-	tr.AppendScalar("z_omega", &ev.ZOmega)
-	if ev.Ext != nil {
-		tr.AppendScalars("evals-omega-ext", ev.omegaList()[1:])
+	tr.AppendScalars("evals", p.zetaList())
+	tr.AppendScalar("z_omega", &p.Evals.ZOmega)
+	if p.Evals.Ext != nil {
+		tr.AppendScalars("evals-omega-ext", p.omegaList()[1:])
 	}
 	return tr.ChallengeScalar("v")
 }
@@ -237,14 +274,16 @@ func foldPolys(ps []poly.Polynomial, coeffs []fr.Element) poly.Polynomial {
 // circuit. The witness assigns every variable; its first NbPublic entries
 // must equal the public inputs passed to Verify.
 //
-// The five rounds are the same for every circuit; the key's shape (set by
-// Setup from the constraint system) only grows the column lists. A key with
-// lookups or custom gates adds the multiplicity commitment [M] before β/γ
-// (so the lookup challenge β_L can respond to it), the LogUp columns [H],
-// [S] alongside [z], eleven more coset columns and the ζω openings of S, a,
-// b, c; a custom-gate key also evaluates the quotient on a 6n (or 8n) coset
-// and splits it into 6 pieces instead of 3. A classic key adds none of these,
-// and its proofs are pinned byte-for-byte by TestClassicProverBitIdentity.
+// The five rounds are the same for every circuit; the key's two shape bits
+// (set by Setup from the constraint system) only grow the column lists. A
+// lookup key adds the multiplicity commitment [M] before β/γ (so the lookup
+// challenge β_L can respond to it), the LogUp columns [H], [S] alongside
+// [z], their coset columns and identities C3–C5 and the ζω opening of S; a
+// custom-gate key adds the next-row identities C6–C13, evaluates the
+// quotient on a 6n (or 8n) coset and splits it into 6 pieces instead of 3.
+// Either one opens the extension's selectors and the ζω wires. A classic
+// key adds none of these, and its proofs are pinned byte-for-byte by
+// TestClassicProverBitIdentity.
 //
 // Every O(n) and O(big) loop below is range-split across the bounded worker
 // pool; the only serial remainders are the grand-product prefix scan, the
@@ -301,9 +340,8 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	}
 
 	// Round 1: blinded wire polynomials and their commitments — independent
-	// MSMs, the prover's dominant cost, run in parallel — plus, for an
-	// extended key, the lookup multiplicity polynomial [M] (committed
-	// before β_L exists).
+	// MSMs, the prover's dominant cost, run in parallel — plus, for a lookup
+	// key, the multiplicity polynomial [M] (committed before β_L exists).
 	aPoly, err := blind(aV, 2)
 	if err != nil {
 		return nil, err
@@ -316,13 +354,16 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	if err != nil {
 		return nil, err
 	}
-	proof := &Proof{}
+	lookup, custom := pk.shape.lookup(), pk.shape.custom()
+	proof := &Proof{Lookup: lookup}
+	if pk.shape != 0 {
+		proof.Evals.Ext = &ExtEvals{}
+	}
 	round1 := []poly.Polynomial{aPoly, bPoly, cPoly}
 	round1Cms := []*kzg.Commitment{&proof.A, &proof.B, &proof.C}
 	var mV []fr.Element
 	var mPoly poly.Polynomial
-	if pk.extended {
-		proof.Evals.Ext = &ExtEvals{}
+	if lookup {
 		if mV, err = buildMultiplicities(pk.gates, witness, pk.tableBits, n); err != nil {
 			return nil, err
 		}
@@ -395,10 +436,10 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	round2 := []poly.Polynomial{zPoly}
 	round2Cms := []*kzg.Commitment{&proof.Z}
 
-	// An extended key adds the LogUp helper and running-sum columns H, S
+	// A lookup key adds the LogUp helper and running-sum columns H, S
 	// (which need β_L).
 	var hPoly, sPoly poly.Polynomial
-	if pk.extended {
+	if lookup {
 		tblV := rangeTableValues(pk.tableBits, n)
 		hV, sV := buildLogUpColumns(pk.gates, aV, mV, tblV, ch.betaL)
 		// The LogUp telescoping sum must close: S_{n-1} + H_{n-1} wraps to
@@ -426,7 +467,7 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	// coset evaluations of the selector and permutation polynomials, the
 	// coset points, L1 and 1/Z_H on them are constants of the key (Setup
 	// built them); only the witness-dependent columns — a, b, c, z, PI and,
-	// for an extended key, M, H, S — are transformed per proof.
+	// for a lookup key, M, H, S — are transformed per proof.
 	domainE, nbPieces := pk.quotientDomain()
 	if domainE == nil || len(pk.fixedCoset) == 0 {
 		return nil, fmt.Errorf("plonk: proving key missing coset domain")
@@ -435,14 +476,20 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	factor := big / n // coset index step corresponding to one ω step
 
 	wireInputs := []poly.Polynomial{aPoly, bPoly, cPoly, zPoly, piPoly}
-	if pk.extended {
+	if lookup {
 		wireInputs = append(wireInputs, mPoly, hPoly, sPoly)
 	}
 	wire, err := cosetEvals(domainE, wireInputs)
 	if err != nil {
 		return nil, err
 	}
+	// fixed follows quotientColumns: the custom columns start after the
+	// lookup pair when the key has both.
 	fixed := pk.fixedCoset
+	cu := 8
+	if lookup {
+		cu = 10
+	}
 
 	// The quotient evaluations are independent; range-split them.
 	tPoly := make(poly.Polynomial, big)
@@ -458,14 +505,16 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 				ql: fixed[0][i], qr: fixed[1][i], qo: fixed[2][i], qm: fixed[3][i], qc: fixed[4][i],
 				s1: fixed[5][i], s2: fixed[6][i], s3: fixed[7][i],
 			}
-			if pk.extended {
-				pv.aw, pv.bw, pv.cw = wire[0][j], wire[1][j], wire[2][j]
+			if lookup {
 				pv.m, pv.h, pv.s, pv.sw = wire[5][i], wire[6][i], wire[7][i], wire[7][j]
 				pv.qlk, pv.tbl = fixed[8][i], fixed[9][i]
-				pv.qmimc, pv.qposf, pv.qposp = fixed[10][i], fixed[11][i], fixed[12][i]
-				pv.k0, pv.k1c, pv.k2c = fixed[13][i], fixed[14][i], fixed[15][i]
 			}
-			num := quotientNumerator(&pv, ch, pk.extended)
+			if custom {
+				pv.aw, pv.bw, pv.cw = wire[0][j], wire[1][j], wire[2][j]
+				pv.qmimc, pv.qposf, pv.qposp = fixed[cu][i], fixed[cu+1][i], fixed[cu+2][i]
+				pv.k0, pv.k1c, pv.k2c = fixed[cu+3][i], fixed[cu+4][i], fixed[cu+5][i]
+			}
+			num := quotientNumerator(&pv, ch, pk.shape)
 			tPoly[i].Mul(&num, &pk.zhInv[i%factor])
 		}
 	})
@@ -477,7 +526,7 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	// sixth piece is those last six coefficients); anything above signals an
 	// unsatisfied witness (the division by Z_H was not exact).
 	maxLen := 3*n + 6
-	if pk.custom {
+	if custom {
 		maxLen = 5*n + 6
 	}
 	for i := maxLen; i < big; i++ {
@@ -503,8 +552,8 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 
 	// Round 4: evaluations at ζ (and ζω for z) — independent Horner walks,
 	// run on the worker pool. An extended key adds its own columns at ζ and
-	// the ω-shifted openings its constraints read (S for the running sum,
-	// a/b/c for the next-row custom gates).
+	// the ω-shifted openings its constraints read (a/b/c for the next-row
+	// custom gates and, on a lookup key, S for the running sum).
 	var zetaOmega fr.Element
 	zetaOmega.Mul(&zeta, &pk.Domain.Gen)
 	ev := &proof.Evals
@@ -523,11 +572,15 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	}
 	if ex := ev.Ext; ex != nil {
 		ex.TExtra = make([]fr.Element, nbPieces-3)
+		if lookup {
+			evalTasks = append(evalTasks, []evalTask{
+				{mPoly, &zeta, &ex.M}, {hPoly, &zeta, &ex.H}, {sPoly, &zeta, &ex.S},
+				{sPoly, &zetaOmega, &ex.SOmega},
+				{pk.QLk, &zeta, &ex.QLk}, {pk.Tbl, &zeta, &ex.Tbl},
+			}...)
+		}
 		evalTasks = append(evalTasks, []evalTask{
-			{mPoly, &zeta, &ex.M}, {hPoly, &zeta, &ex.H}, {sPoly, &zeta, &ex.S},
-			{sPoly, &zetaOmega, &ex.SOmega},
 			{aPoly, &zetaOmega, &ex.AOmega}, {bPoly, &zetaOmega, &ex.BOmega}, {cPoly, &zetaOmega, &ex.COmega},
-			{pk.QLk, &zeta, &ex.QLk}, {pk.Tbl, &zeta, &ex.Tbl},
 			{pk.QMimc, &zeta, &ex.QMimc}, {pk.QPosF, &zeta, &ex.QPosF}, {pk.QPosP, &zeta, &ex.QPosP},
 			{pk.KC0, &zeta, &ex.K0}, {pk.KC1, &zeta, &ex.K1}, {pk.KC2, &zeta, &ex.K2},
 		}...)
@@ -543,8 +596,8 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	v := proof.absorbRound4(tr)
 
 	// Round 5: batched opening at ζ, and a v-folded opening at ζω of z
-	// (and, for an extended key, S, a, b, c). The polynomial lists follow
-	// the order of ProofEvals.zetaList and omegaList.
+	// (and, for an extended key, S on a lookup key, then a, b, c). The
+	// polynomial lists follow the order of Proof.zetaList and omegaList.
 	foldZeta := []poly.Polynomial{
 		aPoly, bPoly, cPoly, zPoly,
 		pk.QL, pk.QR, pk.QO, pk.QM, pk.QC,
@@ -552,13 +605,14 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 		pieces[0], pieces[1], pieces[2],
 	}
 	foldOmega := []poly.Polynomial{zPoly}
-	if pk.extended {
-		foldZeta = append(foldZeta,
-			mPoly, hPoly, sPoly,
-			pk.QLk, pk.Tbl, pk.QMimc, pk.QPosF, pk.QPosP,
-			pk.KC0, pk.KC1, pk.KC2)
+	if lookup {
+		foldZeta = append(foldZeta, mPoly, hPoly, sPoly, pk.QLk, pk.Tbl)
+		foldOmega = append(foldOmega, sPoly)
+	}
+	if pk.shape != 0 {
+		foldZeta = append(foldZeta, pk.QMimc, pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2)
 		foldZeta = append(foldZeta, pieces[3:]...)
-		foldOmega = append(foldOmega, sPoly, aPoly, bPoly, cPoly)
+		foldOmega = append(foldOmega, aPoly, bPoly, cPoly)
 	}
 	folded := foldPolys(foldZeta, fr.Powers(&v, len(foldZeta)))
 	wZeta, _ := poly.DivideByLinear(folded, &zeta)

@@ -1,60 +1,64 @@
 package plonk
 
-import "testing"
+import (
+	"bytes"
+	"testing"
+)
 
-// TestExtendedProofSerializationRoundTrip round-trips lookup-only and
-// custom-gate proofs through the versioned encoding, verifying the
-// decoded proofs and pinning the per-shape sizes.
+// TestExtendedProofSerializationRoundTrip round-trips one proof of each of
+// the four shapes through the versioned encoding at its exact size and flags
+// byte, verifies the decoded proof, and checks that no other flags byte is
+// read on the same bytes: an unknown bit is refused, and so is another
+// shape's flags (every shape has its own length).
 func TestExtendedProofSerializationRoundTrip(t *testing.T) {
-	// Lookup-only proof: [M],[H],[S] are live but there are no extra
-	// quotient pieces; [QMimc] etc. commit to zero polynomials, so the
-	// encoding must survive points at infinity.
-	csL, wL := buildLookupCircuit(8, []uint64{0, 42, 255})
-	pkL, vkL, err := Setup(csL, testSRSOnce())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pL, err := Prove(pkL, wL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dataL := pL.Bytes()
-	wantL := ProofSize + extPointsSize + extEvalsSize
-	if len(dataL) != wantL {
-		t.Fatalf("lookup proof encodes to %d bytes, want %d", len(dataL), wantL)
-	}
-	backL, err := ProofFromBytes(dataL)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := Verify(vkL, backL, wL[:1]); err != nil {
-		t.Fatalf("decoded lookup proof rejected: %v", err)
-	}
-
-	// Custom-gate proof: three extra quotient pieces ride along.
-	csM, wM := buildMiMCCustomCircuit(5)
-	pkM, vkM, err := Setup(csM, testSRSOnce())
-	if err != nil {
-		t.Fatal(err)
-	}
-	pM, err := Prove(pkM, wM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dataM := pM.Bytes()
-	wantM := wantL + customExtraSize
-	if len(dataM) != wantM {
-		t.Fatalf("custom proof encodes to %d bytes, want %d", len(dataM), wantM)
-	}
-	backM, err := ProofFromBytes(dataM)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(backM.TExtra) != 3 || backM.Evals.Ext == nil || len(backM.Evals.Ext.TExtra) != 3 {
-		t.Fatalf("decoded custom proof lost extension data")
-	}
-	if err := Verify(vkM, backM, wM[:1]); err != nil {
-		t.Fatalf("decoded custom proof rejected: %v", err)
+	for _, tc := range []struct {
+		shape string
+		flags byte
+		size  int
+	}{
+		{"muladd", 0x00, 1094}, // 9 G1 + 16 Fr
+		{"lookup", 0x01, 1766}, // 12 G1 + 31 Fr
+		{"mimc", 0x02, 1670},   // 12 G1 + 28 Fr
+		{"mixed", 0x03, 2054},  // 15 G1 + 34 Fr
+	} {
+		t.Run(tc.shape, func(t *testing.T) {
+			cs, witness := goldenCircuit(t, tc.shape)
+			pk, vk, err := Setup(cs, testSRSOnce())
+			if err != nil {
+				t.Fatal(err)
+			}
+			proof, err := Prove(pk, witness)
+			if err != nil {
+				t.Fatal(err)
+			}
+			data := proof.Bytes()
+			if len(data) != tc.size || data[5] != tc.flags || encodedSize(shape(tc.flags)) != tc.size {
+				t.Fatalf("encodes to %d bytes with flags %#02x, want %d with %#02x", len(data), data[5], tc.size, tc.flags)
+			}
+			if byte(vk.shape()) != tc.flags {
+				t.Fatalf("key shape %#02x, want %#02x", byte(vk.shape()), tc.flags)
+			}
+			back, err := ProofFromBytes(data)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(back.Bytes(), data) {
+				t.Fatal("decoded proof re-encodes differently")
+			}
+			if err := Verify(vk, back, witness[:cs.NbPublic()]); err != nil {
+				t.Fatalf("decoded proof rejected: %v", err)
+			}
+			for f := 0; f < 256; f++ {
+				if byte(f) == tc.flags {
+					continue
+				}
+				bad := append([]byte{}, data...)
+				bad[5] = byte(f)
+				if _, err := ProofFromBytes(bad); err == nil {
+					t.Fatalf("flags %#02x accepted on a %#02x proof's bytes", f, tc.flags)
+				}
+			}
+		})
 	}
 }
 
@@ -90,18 +94,14 @@ func TestProofHeaderValidation(t *testing.T) {
 		t.Fatal("unknown flags accepted")
 	}
 
-	// Custom flag without extended flag is malformed.
-	bad = append([]byte{}, good...)
-	bad[5] = flagCustom
-	if _, err := ProofFromBytes(bad); err == nil {
-		t.Fatal("custom-without-extended accepted")
-	}
-
-	// Extended flag on a classic-length blob must fail the length check.
-	bad = append([]byte{}, good...)
-	bad[5] = flagExtended
-	if _, err := ProofFromBytes(bad); err == nil {
-		t.Fatal("extended flag with classic length accepted")
+	// A known shape's flag on a classic-length blob must fail the length
+	// check.
+	for _, f := range []shape{shapeLookup, shapeCustom, shapeLookup | shapeCustom} {
+		bad = append([]byte{}, good...)
+		bad[5] = byte(f)
+		if _, err := ProofFromBytes(bad); err == nil {
+			t.Fatalf("flags %#02x with classic length accepted", byte(f))
+		}
 	}
 
 	// The headerless payload that predates versioning has no decoder left;
@@ -112,36 +112,45 @@ func TestProofHeaderValidation(t *testing.T) {
 }
 
 // TestExtendedSerializationTamperRejected flips one byte in every section
-// of an extended encoding and checks decode or verify rejects it.
+// of an extended encoding — classic points and evaluations, the extension's
+// points (LogUp commitments and extra quotient pieces, or the pieces alone
+// on a custom-only proof) and its evaluations — and checks decode or verify
+// rejects it.
 func TestExtendedSerializationTamperRejected(t *testing.T) {
-	cs, witness := buildMiMCCustomCircuit(4)
-	pk, vk, err := Setup(cs, testSRSOnce())
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, err := Prove(pk, witness)
-	if err != nil {
-		t.Fatal(err)
-	}
-	good := proof.Bytes()
-	// One offset inside each section: classic points, classic evals,
-	// extension points, extra pieces, extension evals.
-	offsets := []int{
-		headerSize + 10,
-		headerSize + 9*64 + 5,
-		headerSize + classicPayloadSize + 7,
-		headerSize + classicPayloadSize + extPointsSize + 3,
-		headerSize + classicPayloadSize + extPointsSize + 3*64 + 9,
-	}
-	for _, off := range offsets {
-		bad := append([]byte{}, good...)
-		bad[off] ^= 0x5a
-		back, err := ProofFromBytes(bad)
+	for _, name := range []string{"mimc", "mixed"} {
+		cs, witness := goldenCircuit(t, name)
+		pk, vk, err := Setup(cs, testSRSOnce())
 		if err != nil {
-			continue // caught at decode
+			t.Fatal(err)
 		}
-		if err := Verify(vk, back, witness[:1]); err == nil {
-			t.Fatalf("tampered byte at offset %d accepted", off)
+		proof, err := Prove(pk, witness)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good := proof.Bytes()
+		extPoints := headerSize + classicPayloadSize
+		extScalars := extPoints + 64*len(proof.TExtra)
+		if proof.Lookup {
+			extScalars += 3 * 64
+		}
+		offsets := []int{
+			headerSize + 10,
+			headerSize + 9*64 + 5,
+			extPoints + 7,
+			extScalars - 64 + 3,
+			extScalars + 9,
+			len(good) - 5,
+		}
+		for _, off := range offsets {
+			bad := append([]byte{}, good...)
+			bad[off] ^= 0x5a
+			back, err := ProofFromBytes(bad)
+			if err != nil {
+				continue // caught at decode
+			}
+			if err := Verify(vk, back, witness[:cs.NbPublic()]); err == nil {
+				t.Fatalf("%s: tampered byte at offset %d accepted", name, off)
+			}
 		}
 	}
 }

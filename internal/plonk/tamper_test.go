@@ -1,6 +1,7 @@
 package plonk
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -9,13 +10,36 @@ import (
 )
 
 // proofField names one commitment (pt) or one evaluation (ev) of a proof.
+// unused marks a LogUp field of a proof without lookups: its shape does not
+// carry it, so no encoding has room for it and nothing binds it.
 type proofField struct {
-	name string
-	pt   *bn254.G1Affine
-	ev   *fr.Element
+	name   string
+	pt     *bn254.G1Affine
+	ev     *fr.Element
+	unused bool
 }
 
-// proofFields lists every commitment and every evaluation p carries.
+// logUpFields lists [M], [H], [S] and, on an extended proof, the six LogUp
+// openings.
+func logUpFields(p *Proof, unused bool) []proofField {
+	fs := []proofField{
+		{name: "M commitment", pt: &p.M}, {name: "H commitment", pt: &p.H}, {name: "S commitment", pt: &p.S},
+	}
+	if ex := p.Evals.Ext; ex != nil {
+		fs = append(fs, []proofField{
+			{name: "M eval", ev: &ex.M}, {name: "H eval", ev: &ex.H}, {name: "S eval", ev: &ex.S},
+			{name: "SOmega eval", ev: &ex.SOmega},
+			{name: "lookup selector eval", ev: &ex.QLk}, {name: "table eval", ev: &ex.Tbl},
+		}...)
+	}
+	for i := range fs {
+		fs[i].unused = unused
+	}
+	return fs
+}
+
+// proofFields lists every commitment and every evaluation p carries and, on
+// a proof without lookups, the LogUp fields it does not (marked unused).
 func proofFields(p *Proof) []proofField {
 	ev := &p.Evals
 	fs := []proofField{
@@ -29,16 +53,13 @@ func proofFields(p *Proof) []proofField {
 		{name: "evalS1", ev: &ev.S1}, {name: "evalS2", ev: &ev.S2}, {name: "evalS3", ev: &ev.S3},
 		{name: "evalT", ev: &ev.TLo}, {name: "evalTMid", ev: &ev.TMid}, {name: "evalTHi", ev: &ev.THi},
 	}
+	fs = append(fs, logUpFields(p, !p.Lookup)...)
 	ex := ev.Ext
 	if ex == nil {
 		return fs
 	}
 	fs = append(fs, []proofField{
-		{name: "M commitment", pt: &p.M}, {name: "H commitment", pt: &p.H}, {name: "S commitment", pt: &p.S},
-		{name: "M eval", ev: &ex.M}, {name: "H eval", ev: &ex.H}, {name: "S eval", ev: &ex.S},
-		{name: "SOmega eval", ev: &ex.SOmega}, {name: "AOmega eval", ev: &ex.AOmega},
-		{name: "BOmega eval", ev: &ex.BOmega}, {name: "COmega eval", ev: &ex.COmega},
-		{name: "lookup selector eval", ev: &ex.QLk}, {name: "table eval", ev: &ex.Tbl},
+		{name: "AOmega eval", ev: &ex.AOmega}, {name: "BOmega eval", ev: &ex.BOmega}, {name: "COmega eval", ev: &ex.COmega},
 		{name: "QMimc eval", ev: &ex.QMimc}, {name: "QPosF eval", ev: &ex.QPosF}, {name: "QPosP eval", ev: &ex.QPosP},
 		{name: "K0 eval", ev: &ex.K0}, {name: "K1 eval", ev: &ex.K1}, {name: "K2 eval", ev: &ex.K2},
 	}...)
@@ -55,8 +76,10 @@ func proofFields(p *Proof) []proofField {
 // scalar, one field at a time, and requires both verifier entry points to
 // turn the proof away: Verify, and Batch.AddFor followed by Check (a
 // corruption the quotient identity cannot see — an opening of a selector
-// the circuit never switches on, say — only fails at the pairing).
-// Subtests run field first, then every shape whose proofs carry the field.
+// the circuit never switches on, say — only fails at the pairing). A LogUp
+// field that a proof without lookups does not carry is set in memory instead,
+// and must be refused as ErrProofShape rather than ignored. Subtests run
+// field first, then every shape whose proofs have the field.
 func rejectEveryCorruption(t *testing.T, shapes ...string) {
 	type proven struct {
 		shape  string
@@ -98,6 +121,7 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					unused := false
 					for _, f := range proofFields(bad) {
 						switch {
 						case f.name != name:
@@ -106,20 +130,28 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 							j.FromAffine(f.pt)
 							j.AddMixed(&g)
 							f.pt.FromJacobian(&j)
+							unused = f.unused
 						default:
 							f.ev.Add(f.ev, &one)
+							unused = f.unused
 						}
 					}
-					if err := Verify(pr.vk, bad, pr.public); err == nil {
-						t.Error("Verify accepted the corrupted proof")
+					refused := func(err error) bool {
+						if unused {
+							return errors.Is(err, ErrProofShape)
+						}
+						return err != nil
+					}
+					if err := Verify(pr.vk, bad, pr.public); !refused(err) {
+						t.Errorf("Verify returned %v for the corrupted proof (unused field: %v)", err, unused)
 					}
 					b := NewBatch(pr.vk)
 					err = b.AddFor(pr.vk, bad, pr.public)
 					if err == nil {
 						err = b.Check()
 					}
-					if err == nil {
-						t.Error("Batch.AddFor + Check accepted the corrupted proof")
+					if !refused(err) {
+						t.Errorf("Batch.AddFor + Check returned %v for the corrupted proof (unused field: %v)", err, unused)
 					}
 				})
 			}
@@ -128,15 +160,62 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 }
 
 // TestVerifyRejectsEveryCorruption covers the classic proof shape, on a
-// power-of-two and on a 3·2^k domain.
+// power-of-two and on a 3·2^k domain; its unused fields are [M], [H], [S].
 func TestVerifyRejectsEveryCorruption(t *testing.T) {
 	rejectEveryCorruption(t, "muladd", "power20")
 }
 
-// TestExtendedProofTamperRejected covers the four extended shapes (poseidon
-// is the custom-gate key on a 3·2^k domain): forged
-// multiplicities, helper columns, running sums, next-row wires, selector
-// and round-constant openings and extra quotient pieces.
+// TestExtendedProofTamperRejected covers the three extended shapes — lookup
+// only, custom only (mimc, and poseidon on a 3·2^k domain) and both (mixed):
+// forged multiplicities, helper columns, running sums, next-row wires,
+// selector and round-constant openings and extra quotient pieces. A
+// custom-only proof carries 12 points and 28 evaluations; its nine unused
+// LogUp fields are refused as ErrProofShape.
 func TestExtendedProofTamperRejected(t *testing.T) {
 	rejectEveryCorruption(t, "lookup", "mimc", "poseidon", "mixed")
+}
+
+// TestLookupProofCustomOpeningsBound turns the argument that lets a
+// lookup-only key skip C6–C13 into a test. Its custom-gate selectors and
+// round constants commit to zero polynomials, so those identities were zero
+// at every point; skipping them leaves the QMimc, QPosF and K0 openings out
+// of the quotient identity, but the batched opening still binds them to the
+// committed zeros. Each tampered proof passes prepare's identity and is
+// refused at the pairing: the accept set did not move.
+func TestLookupProofCustomOpeningsBound(t *testing.T) {
+	cs, witness := goldenCircuit(t, "lookup")
+	pk, vk, err := Setup(cs, testSRSOnce())
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, err := Prove(pk, witness)
+	if err != nil {
+		t.Fatal(err)
+	}
+	public := witness[:cs.NbPublic()]
+	good := proof.Bytes()
+	one := fr.One()
+	for _, tc := range []struct {
+		name  string
+		field func(*ExtEvals) *fr.Element
+	}{
+		{"QMimc", func(x *ExtEvals) *fr.Element { return &x.QMimc }},
+		{"QPosF", func(x *ExtEvals) *fr.Element { return &x.QPosF }},
+		{"K0", func(x *ExtEvals) *fr.Element { return &x.K0 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad, err := ProofFromBytes(good)
+			if err != nil {
+				t.Fatal(err)
+			}
+			f := tc.field(bad.Evals.Ext)
+			f.Add(f, &one)
+			if _, err := prepare(vk, bad, public); err != nil {
+				t.Fatalf("prepare: %v; a lookup-only key's quotient identity should not read this opening", err)
+			}
+			if err := Verify(vk, bad, public); !errors.Is(err, ErrProofInvalid) {
+				t.Fatalf("Verify: %v, want ErrProofInvalid from the pairing", err)
+			}
+		})
+	}
 }

@@ -51,17 +51,22 @@ func foldScalars(vals, coeffs []fr.Element) fr.Element {
 // KZG opening checks to a single pairing statement. It is everything Verify
 // does except the pairing itself, so batch verification can run it per
 // proof and fold the statements. The key's shape fixes which columns the
-// proof must open: an extended key adds the LogUp and custom-gate columns
-// at ζ and (S, a, b, c) at ζω, a custom-gate key three more quotient pieces.
+// proof must open: an extended key adds the custom-gate selectors and
+// round constants at ζ and (a, b, c) at ζω, a lookup key the LogUp columns,
+// lookup selector and table at ζ and S at ζω, a custom-gate key three more
+// quotient pieces. A proof carrying any other set is refused with
+// ErrProofShape, and so is one whose unused LogUp fields are set: no
+// transcript absorb or opening would bind them.
 func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms, error) {
 	if len(public) != vk.NbPublic {
 		return pairingTerms{}, fmt.Errorf("%w: got %d, want %d", ErrWrongPublic, len(public), vk.NbPublic)
 	}
 	ev := &proof.Evals
 	ex := ev.Ext
-	if vk.Extended != (ex != nil) {
-		return pairingTerms{}, fmt.Errorf("%w: extended=%v proof, extended=%v key",
-			ErrProofShape, ex != nil, vk.Extended)
+	sh := vk.shape()
+	if got := proof.shape(); got != sh || (ex != nil) != (sh != 0) {
+		return pairingTerms{}, fmt.Errorf("%w: proof shape %#02x (extended=%v), key shape %#02x",
+			ErrProofShape, byte(got), ex != nil, byte(sh))
 	}
 	nbExtra := 0
 	if vk.Custom {
@@ -70,6 +75,10 @@ func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms,
 	if len(proof.TExtra) != nbExtra || (ex != nil && len(ex.TExtra) != nbExtra) {
 		return pairingTerms{}, fmt.Errorf("%w: %d extra quotient pieces, want %d",
 			ErrProofShape, len(proof.TExtra), nbExtra)
+	}
+	if !vk.Lookup && !proof.logUpUnset() {
+		return pairingTerms{}, fmt.Errorf("%w: LogUp commitments or openings set for a key without lookups",
+			ErrProofShape)
 	}
 
 	// Reconstruct the challenges.
@@ -126,7 +135,7 @@ func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms,
 		pv.k0, pv.k1c, pv.k2c = ex.K0, ex.K1, ex.K2
 		pieceEvals = append(pieceEvals, ex.TExtra...)
 	}
-	rhs := quotientNumerator(pv, ch, vk.Extended)
+	rhs := quotientNumerator(pv, ch, sh)
 
 	// t(ζ) = Σ_p ζ^{p·n}·t_p(ζ).
 	var tEval fr.Element
@@ -145,7 +154,7 @@ func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms,
 
 	// Batched KZG check: fold the ζ-opened commitments and values with v,
 	// the ζω-opened ones with v inside the u-weighted term. Both lists
-	// follow ProofEvals.zetaList and omegaList.
+	// follow Proof.zetaList and omegaList.
 	cms := []kzg.Commitment{
 		proof.A, proof.B, proof.C, proof.Z,
 		vk.QL, vk.QR, vk.QO, vk.QM, vk.QC,
@@ -153,23 +162,25 @@ func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms,
 		proof.TLo, proof.TMid, proof.THi,
 	}
 	omegaCms := []kzg.Commitment{proof.Z}
+	if vk.Lookup {
+		cms = append(cms, proof.M, proof.H, proof.S, vk.QLk, vk.Tbl)
+		omegaCms = append(omegaCms, proof.S)
+	}
 	if ex != nil {
-		cms = append(cms,
-			proof.M, proof.H, proof.S,
-			vk.QLk, vk.Tbl, vk.QMimc, vk.QPosF, vk.QPosP,
-			vk.KC0, vk.KC1, vk.KC2)
+		cms = append(cms, vk.QMimc, vk.QPosF, vk.QPosP, vk.KC0, vk.KC1, vk.KC2)
 		cms = append(cms, proof.TExtra...)
-		omegaCms = append(omegaCms, proof.S, proof.A, proof.B, proof.C)
+		omegaCms = append(omegaCms, proof.A, proof.B, proof.C)
 	}
 	vPowers := fr.Powers(&v, len(cms))
-	foldVal := foldScalars(ev.zetaList(), vPowers)
-	foldValOmega := foldScalars(ev.omegaList(), vPowers)
+	foldVal := foldScalars(proof.zetaList(), vPowers)
+	foldValOmega := foldScalars(proof.omegaList(), vPowers)
 
 	// Combine the two opening checks with u:
 	// e(Fζ + ζ·Wζ + u·(Fζω + ζω·Wζω) - E, G2) · e(-(Wζ + u·Wζω), τG2) == 1
-	// where E = (valζ + u·valζω)·G1 and Fζω = [z] (+ v[S] + v²[a] + v³[b] +
-	// v⁴[c]). The whole left-hand G1 point — both folds plus the correction
-	// terms — is one MSM instead of a scalar multiplication per term.
+	// where E = (valζ + u·valζω)·G1 and Fζω = [z] (+ v[S] on a lookup key,
+	// then the next powers of v on [a], [b], [c]). The whole left-hand G1
+	// point — both folds plus the correction terms — is one MSM instead of a
+	// scalar multiplication per term.
 	g1 := bn254.G1Generator()
 	var zetaOmega fr.Element
 	zetaOmega.Mul(&zeta, &domain.Gen)
