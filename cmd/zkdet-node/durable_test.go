@@ -7,6 +7,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -16,6 +17,7 @@ import (
 	"github.com/zkdet/zkdet/internal/core"
 	"github.com/zkdet/zkdet/internal/ct"
 	"github.com/zkdet/zkdet/internal/fr"
+	"github.com/zkdet/zkdet/internal/snapshot"
 )
 
 // bootDurable starts an in-process durable daemon WITHOUT registering a
@@ -487,19 +489,27 @@ func TestDurableRecoversDataDirWrittenByOverlayEngine(t *testing.T) {
 	}
 }
 
-// TestDurableRecoversConfidentialDataDir: testdata/pr21-datadir is the WAL
-// tail of a daemon of the build that moved π_ct to four slots (version-2
-// transfer proofs), killed before any checkpoint after a confidential mint
-// and a 1→2 transfer — the tail pr19-datadir ends in, which sealed under
-// folds 1 and 2 when every output carried its own range proof. One π_ct now
-// covers both outputs, so the directory must replay to the head that daemon
-// reported under folds 1 and 1.
-func TestDurableRecoversConfidentialDataDir(t *testing.T) {
+// TestDurableRefusesConfidentialDataDirFoldedAtWidthOne: testdata/pr21-datadir
+// is the WAL tail of a daemon of the build that moved π_ct to four slots
+// (version-2 transfer proofs), killed before any checkpoint after a
+// confidential mint and a 1→2 transfer, each sealed in a block of its own
+// with its one π_ct folded at width 1. That build charged a width-1 fold two
+// RLC scalar multiplications (12 000 gas) for a linear combination of one
+// term; a fold of one now costs exactly the standalone verification, so the
+// logged receipts no longer match what this build computes from block 1 on.
+// The directory must be refused, by type and at block 1, rather than
+// recovered to some other history.
+func TestDurableRefusesConfidentialDataDirFoldedAtWidthOne(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata/pr21-datadir", walSegment))
 	if err != nil {
 		t.Fatal(err)
 	}
-	recoverFromWAL(t, confidentialCfg(t, raw), 2,
-		"0x0b0907fcbcd6a9f5fb037fb1912fcdce62f648a727eb642280b8950ec6cefa78",
-		map[uint64]uint32{1: 1, 2: 1})
+	srv, err := newServer(confidentialCfg(t, raw))
+	if err == nil {
+		srv.close()
+		t.Fatalf("a WAL logged under the old width-1 fold price recovered to head %d (%s)", srv.mkt.Chain.Height(), srv.mkt.Chain.HeadHash())
+	}
+	if !errors.Is(err, snapshot.ErrReplayDrift) || !strings.Contains(err.Error(), "block 1:") {
+		t.Fatalf("pr21 directory refused with %v, want ErrReplayDrift at block 1", err)
+	}
 }

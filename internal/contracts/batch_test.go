@@ -128,6 +128,31 @@ func TestBatchVerifiedGasSchedule(t *testing.T) {
 	}
 }
 
+// TestBatchVerifiedGasWidthOne: a proof folded alone has no random linear
+// combination to take, so it is charged exactly the standalone
+// verification — for every public-input count a verifier here sees — while
+// folds of two and more keep the amortised schedule to the digit.
+func TestBatchVerifiedGasWidthOne(t *testing.T) {
+	for l := 0; l <= 8; l++ {
+		if got, want := BatchVerifiedGas(1, l), VerificationGas(l); got != want {
+			t.Fatalf("BatchVerifiedGas(1, %d) = %d, want VerificationGas(%d) = %d", l, got, l, want)
+		}
+	}
+	for _, pin := range []struct {
+		n, l int
+		gas  uint64
+	}{
+		{2, 3, 198_100}, // two π_k settlements in one block
+		{3, 9, 215_266},
+		{4, 1, 157_850},
+		{64, 3, 143_365},
+	} {
+		if got := BatchVerifiedGas(pin.n, pin.l); got != pin.gas {
+			t.Fatalf("BatchVerifiedGas(%d, %d) = %d, pinned %d", pin.n, pin.l, got, pin.gas)
+		}
+	}
+}
+
 // proofChain is a chain with one verifier contract deployed and a block
 // checker covering it installed — the minimal genesis that folds proofs.
 func proofChain(t testing.TB, vk *plonk.VerifyingKey) *chain.Chain {
@@ -138,7 +163,7 @@ func proofChain(t testing.TB, vk *plonk.VerifyingKey) *chain.Chain {
 		t.Fatal(err)
 	}
 	bc := NewBlockProofChecker()
-	bc.AddVerifier("verifier", v)
+	bc.Add("verifier", v)
 	c.SetBlockVerifier(bc)
 	return c
 }
@@ -257,8 +282,8 @@ func escrowFixture(t *testing.T, n int) (*chain.Chain, []chain.Transaction) {
 		t.Fatal(err)
 	}
 	bc := NewBlockProofChecker()
-	bc.AddVerifier("pik-verifier", verifier)
-	bc.AddEscrow(EscrowName, escrow)
+	bc.Add("pik-verifier", verifier)
+	bc.Add(EscrowName, escrow)
 	c.SetBlockVerifier(bc)
 
 	buyer := chain.AddressFromString("buyer")

@@ -12,11 +12,12 @@ import (
 // transactions before they execute. It is the chain's block verifier
 // (chain.BlockVerifier): applyBlock hands it every body it is about to
 // apply — produced, imported or replayed — and it recognises the
-// proof-carrying transactions (direct verifier calls, escrow settlements,
-// confidential-token transfers), folds their proofs into as few pairing
-// checks as possible, and returns the table of validated verify calls with
-// the width of the fold each was part of; execution then charges those
-// calls the amortised gas schedule and skips the pairing. Invalid proofs
+// proof-carrying transactions (direct verifier calls, exchange settlements
+// on the escrow or the confidential token, confidential-token transfers),
+// folds their proofs into as few pairing checks as possible, and returns
+// the table of validated verify calls with the width of the fold each was
+// part of; execution then charges those calls the amortised gas schedule
+// and skips the pairing. Invalid proofs
 // are reported by transaction index — a producer leaves them out, an
 // importer refuses the block — and plonk.Batch's bisection isolates
 // offenders in O(k·log n) pairing checks.
@@ -35,47 +36,46 @@ import (
 type BlockProofChecker struct {
 	mu        sync.RWMutex                  // registration (genesis, the devnet's ctEnable) vs checks
 	verifiers map[string]*Verifier          // guarded by mu
-	escrows   map[string]*Escrow            // guarded by mu
+	exchanges map[string]*exchange          // guarded by mu
 	cts       map[string]*ConfidentialToken // guarded by mu
 }
 
 var _ chain.BlockVerifier = (*BlockProofChecker)(nil)
 
 // NewBlockProofChecker returns an empty checker; register the deployed
-// contracts with AddVerifier/AddEscrow/AddConfidential.
+// contracts with Add.
 func NewBlockProofChecker() *BlockProofChecker {
 	return &BlockProofChecker{
 		verifiers: make(map[string]*Verifier),
-		escrows:   make(map[string]*Escrow),
+		exchanges: make(map[string]*exchange),
 		cts:       make(map[string]*ConfidentialToken),
 	}
 }
 
-// AddVerifier registers a deployed verifier contract under its deployment
-// name, enabling seal-time batching for direct verify transactions.
-func (bc *BlockProofChecker) AddVerifier(name string, v *Verifier) {
+// Add registers a deployed contract under its deployment name. The checker
+// folds what it recognises and ignores any other contract:
+//   - a Verifier's direct verify transactions;
+//   - the settle transactions of every contract carrying the exchange
+//     machine (the escrow, the confidential token): their π_k, which the
+//     machine forwards to its verifier;
+//   - a ConfidentialToken's mint/transfer transactions: a stateless sigma
+//     pre-check (balance and auditor-ciphertext consistency, no chain state
+//     needed), then their π_ct range proofs against its range verifier.
+//
+// A proof joins the fold only once the verifier it targets is registered
+// too.
+func (bc *BlockProofChecker) Add(name string, c chain.Contract) {
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
-	bc.verifiers[name] = v
-}
-
-// AddEscrow registers a deployed escrow so its settle transactions — which
-// call the escrow's verifier internally — join the seal-time batch too.
-func (bc *BlockProofChecker) AddEscrow(name string, e *Escrow) {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	bc.escrows[name] = e
-}
-
-// AddConfidential registers a deployed confidential-token contract: its
-// mint/transfer transactions get a stateless sigma pre-check (balance and
-// auditor-ciphertext consistency, no chain state needed) and their π_ct
-// range proofs join the seal-time fold against the registered range
-// verifier.
-func (bc *BlockProofChecker) AddConfidential(name string, tok *ConfidentialToken) {
-	bc.mu.Lock()
-	defer bc.mu.Unlock()
-	bc.cts[name] = tok
+	switch c := c.(type) {
+	case *Verifier:
+		bc.verifiers[name] = c
+	case *Escrow:
+		bc.exchanges[name] = &c.exchange
+	case *ConfidentialToken:
+		bc.exchanges[name] = &c.exchange
+		bc.cts[name] = c
+	}
 }
 
 // proofItem is one Plonk proof riding in a transaction, targeted at a
@@ -95,19 +95,19 @@ func (bc *BlockProofChecker) extractAll(tx *chain.Transaction) ([]proofItem, err
 	if v, found := bc.verifiers[tx.Contract]; found && tx.Method == "verify" {
 		return []proofItem{{name: tx.Contract, v: v, args: tx.Args}}, nil
 	}
-	if e, found := bc.escrows[tx.Contract]; found && tx.Method == "settle" {
+	if x, found := bc.exchanges[tx.Contract]; found && tx.Method == "settle" {
 		parts, err := DecodeArgsVariadic(tx.Args)
 		if err != nil || len(parts) < 3 {
 			return nil, nil // malformed; let it revert on-chain
 		}
-		v, found := bc.verifiers[e.verifierName]
+		v, found := bc.verifiers[x.verifierName]
 		if !found {
 			return nil, nil
 		}
-		// settle(id, kc, verifyParts…): the escrow forwards
-		// EncodeArgs(verifyParts…) to its verifier, so that is the
-		// calldata to fold and to enter in the table.
-		return []proofItem{{name: e.verifierName, v: v, args: EncodeArgs(parts[2:]...)}}, nil
+		// settle(id, kc, verifyParts…): the machine forwards
+		// EncodeArgs(verifyParts…) to its verifier, so that is the calldata
+		// to fold and to enter in the table.
+		return []proofItem{{name: x.verifierName, v: v, args: EncodeArgs(parts[2:]...)}}, nil
 	}
 	if tok, found := bc.cts[tx.Contract]; found && (tx.Method == "mint" || tx.Method == "transfer") {
 		v, vfound := bc.verifiers[tok.rangeVerifierName]

@@ -59,16 +59,16 @@ type CTNote struct {
 // auditor-ciphertext consistency) is verified in-contract, and each π_ct
 // range proof (one per ct.RangeSlots outputs) is verified through the
 // deployed Plonk verifier contract — which is exactly what the block's
-// proof check (BlockProofChecker) folds and amortizes.
+// proof check (BlockProofChecker) folds and amortizes. lock/settle/refund
+// are the exchange machine the public escrow runs, with a note as payment
+// (lockedNote).
 type ConfidentialToken struct {
-	issuer  chain.Address
-	auditor bn254.G1Affine
-	params  *ct.Params
-	// rangeVerifierName is the deployed π_ct verifier; pikVerifierName the
-	// π_k verifier the escrow settle path reuses.
+	exchange // π_k through its verifierName
+	issuer   chain.Address
+	auditor  bn254.G1Affine
+	params   *ct.Params
+	// rangeVerifierName is the deployed π_ct verifier.
 	rangeVerifierName string
-	pikVerifierName   string
-	timeoutBlocks     uint64
 }
 
 var _ chain.Contract = (*ConfidentialToken)(nil)
@@ -77,17 +77,15 @@ var _ chain.Contract = (*ConfidentialToken)(nil)
 // genesis parameters every replica shares.
 func NewConfidentialToken(issuer chain.Address, auditorPub bn254.G1Affine, rangeVerifierName, pikVerifierName string, timeoutBlocks uint64) *ConfidentialToken {
 	return &ConfidentialToken{
+		exchange:          exchange{space: ctSpace, events: "CT", verifierName: pikVerifierName, timeoutBlocks: timeoutBlocks, pay: lockedNote{}},
 		issuer:            issuer,
 		auditor:           auditorPub,
 		params:            ct.DefaultParams(),
 		rangeVerifierName: rangeVerifierName,
-		pikVerifierName:   pikVerifierName,
-		timeoutBlocks:     timeoutBlocks,
 	}
 }
 
 func noteKey(id uint64, field string) string { return fmt.Sprintf("note/%d/%s", id, field) }
-func ctExKey(id uint64, field string) string { return fmt.Sprintf("ctex/%d/%s", id, field) }
 
 // CTSigmaGas prices the in-contract sigma verification of a confidential
 // transfer on the EIP-1108 schedule: 8 scalar muls + 6 additions per
@@ -226,30 +224,11 @@ func (c *ConfidentialToken) Call(ctx *chain.CallContext, method string, args []b
 		if err != nil {
 			return nil, err
 		}
-		return nil, c.lock(ctx, exID, noteID, p[2], p[3], p[4], tokenID)
+		return nil, c.open(ctx, exID, p[2], p[3], p[4], lockTerms{note: noteID, token: tokenID})
 	case "settle":
-		p, err := DecodeArgsVariadic(args)
-		if err != nil {
-			return nil, err
-		}
-		if len(p) < 3 {
-			return nil, fmt.Errorf("%w: settle wants id, kc, proof…", ErrBadArgs)
-		}
-		id, err := DecU64(p[0])
-		if err != nil {
-			return nil, err
-		}
-		return nil, c.settle(ctx, id, p[1], p[2:])
+		return nil, c.settle(ctx, args)
 	case "refund":
-		p, err := DecodeArgs(args, 1)
-		if err != nil {
-			return nil, err
-		}
-		id, err := DecU64(p[0])
-		if err != nil {
-			return nil, err
-		}
-		return nil, c.refund(ctx, id)
+		return nil, c.refund(ctx, args)
 	case "noteOf":
 		p, err := DecodeArgs(args, 1)
 		if err != nil {
@@ -259,7 +238,7 @@ func (c *ConfidentialToken) Call(ctx *chain.CallContext, method string, args []b
 		if err != nil {
 			return nil, err
 		}
-		owner, status, err := c.loadNote(ctx, id)
+		owner, status, err := loadNote(ctx, id)
 		if err != nil {
 			return nil, err
 		}
@@ -284,7 +263,7 @@ func (c *ConfidentialToken) nextNote(ctx *chain.CallContext) (uint64, error) {
 	return id, nil
 }
 
-func (c *ConfidentialToken) loadNote(ctx *chain.CallContext, id uint64) (chain.Address, byte, error) {
+func loadNote(ctx *chain.CallContext, id uint64) (chain.Address, byte, error) {
 	raw, err := ctx.Store.Get(noteKey(id, "owner"))
 	if err != nil {
 		return chain.Address{}, 0, err
@@ -297,7 +276,7 @@ func (c *ConfidentialToken) loadNote(ctx *chain.CallContext, id uint64) (chain.A
 	return owner, raw[20], nil
 }
 
-func (c *ConfidentialToken) setNoteOwner(ctx *chain.CallContext, id uint64, owner chain.Address, status byte) error {
+func setNoteOwner(ctx *chain.CallContext, id uint64, owner chain.Address, status byte) error {
 	return ctx.Store.Set(noteKey(id, "owner"), append(append([]byte{}, owner[:]...), status))
 }
 
@@ -328,7 +307,7 @@ func (c *ConfidentialToken) mintOrTransfer(ctx *chain.CallContext, args []byte, 
 			return nil, fmt.Errorf("%w: %d", ErrDuplicateInput, id)
 		}
 		seen[id] = true
-		owner, status, err := c.loadNote(ctx, id)
+		owner, status, err := loadNote(ctx, id)
 		if err != nil {
 			return nil, err
 		}
@@ -368,7 +347,7 @@ func (c *ConfidentialToken) mintOrTransfer(ctx *chain.CallContext, args []byte, 
 
 	// Spend inputs, create outputs.
 	for _, id := range d.InIDs {
-		if err := c.setNoteOwner(ctx, id, ctx.Sender, noteSpent); err != nil {
+		if err := setNoteOwner(ctx, id, ctx.Sender, noteSpent); err != nil {
 			return nil, err
 		}
 	}
@@ -379,7 +358,7 @@ func (c *ConfidentialToken) mintOrTransfer(ctx *chain.CallContext, args []byte, 
 			return nil, err
 		}
 		outIDs[i] = id
-		if err := c.setNoteOwner(ctx, id, d.Recipients[i], noteUnspent); err != nil {
+		if err := setNoteOwner(ctx, id, d.Recipients[i], noteUnspent); err != nil {
 			return nil, err
 		}
 		cb := d.Outputs[i].C.Bytes()
@@ -406,181 +385,73 @@ func (c *ConfidentialToken) mintOrTransfer(ctx *chain.CallContext, args []byte, 
 	return U64List(outIDs), nil
 }
 
-// lock opens a confidential escrow: the buyer's note becomes the locked
-// payment for tokenId's key-secure exchange (same two-phase protocol as
-// the public escrow, but the price is a commitment).
-func (c *ConfidentialToken) lock(ctx *chain.CallContext, exID, noteID uint64, seller, hv, kc []byte, tokenID uint64) error {
-	if exists, err := ctx.Store.Has(ctExKey(exID, "status")); err != nil {
-		return err
-	} else if exists {
-		return fmt.Errorf("%w: %d", ErrExchangeExists, exID)
-	}
-	if len(seller) != 20 {
-		return fmt.Errorf("%w: bad seller address", ErrBadArgs)
-	}
-	owner, status, err := c.loadNote(ctx, noteID)
+// lockedNote is the confidential token's exchange payment: the same
+// two-phase protocol as the public escrow, but the price is a note whose
+// amount is a commitment. The buyer's note is locked at open and changes
+// owner on settle or refund.
+type lockedNote struct{}
+
+func (lockedNote) lock(ctx *chain.CallContext, x *exchange, id uint64, seller, _, _ []byte, t lockTerms) ([]byte, error) {
+	owner, status, err := loadNote(ctx, t.note)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	if owner != ctx.Sender {
-		return fmt.Errorf("%w: note %d", ErrNotNoteOwner, noteID)
+		return nil, fmt.Errorf("%w: note %d", ErrNotNoteOwner, t.note)
 	}
 	if status != noteUnspent {
-		return fmt.Errorf("%w: note %d", ErrNoteUnavailable, noteID)
+		return nil, fmt.Errorf("%w: note %d", ErrNoteUnavailable, t.note)
 	}
-	if err := c.setNoteOwner(ctx, noteID, owner, noteLocked); err != nil {
-		return err
+	if err := setNoteOwner(ctx, t.note, owner, noteLocked); err != nil {
+		return nil, err
 	}
-	if err := ctx.Store.Set(ctExKey(exID, "status"), []byte{statusOpen}); err != nil {
-		return err
+	if err := ctx.Store.Set(x.key(id, "note"), U64(t.note)); err != nil {
+		return nil, err
 	}
-	if err := ctx.Store.Set(ctExKey(exID, "buyer"), ctx.Sender[:]); err != nil {
-		return err
+	if err := ctx.Store.Set(x.key(id, "token"), U64(t.token)); err != nil {
+		return nil, err
 	}
-	if err := ctx.Store.Set(ctExKey(exID, "seller"), seller); err != nil {
-		return err
-	}
-	if err := ctx.Store.Set(ctExKey(exID, "note"), U64(noteID)); err != nil {
-		return err
-	}
-	if err := ctx.Store.Set(ctExKey(exID, "token"), U64(tokenID)); err != nil {
-		return err
-	}
-	if err := ctx.Store.Set(ctExKey(exID, "hv"), hv); err != nil {
-		return err
-	}
-	if err := ctx.Store.Set(ctExKey(exID, "c"), kc); err != nil {
-		return err
-	}
-	if err := ctx.Store.Set(ctExKey(exID, "deadline"), U64(ctx.BlockNumber()+c.timeoutBlocks)); err != nil {
-		return err
-	}
-	// The exchange index makes confidential settlements enumerable for
-	// the auditor without an event indexer.
+	// The exchange index makes confidential settlements enumerable for the
+	// auditor without an event indexer.
 	idxRaw, err := ctx.Store.Get("ctex/index")
 	if err != nil {
-		return err
+		return nil, err
 	}
 	ids, _ := DecU64List(idxRaw)
-	if err := ctx.Store.Set("ctex/index", U64List(append(ids, exID))); err != nil {
-		return err
+	if err := ctx.Store.Set("ctex/index", U64List(append(ids, id))); err != nil {
+		return nil, err
 	}
-	comm, err := ctx.Store.Get(noteKey(noteID, "comm"))
+	comm, err := ctx.Store.Get(noteKey(t.note, "comm"))
 	if err != nil {
-		return err
+		return nil, err
 	}
-	return ctx.EmitIndexed("CTOpened", U64(exID),
-		EncodeArgs(U64(exID), U64(tokenID), U64(noteID), seller, comm))
+	return EncodeArgs(U64(id), U64(t.token), U64(t.note), seller, comm), nil
 }
 
-// settle completes a confidential escrow: the seller proves π_k exactly
-// as in the public escrow, and the locked note changes hands instead of a
-// native-value payout.
-func (c *ConfidentialToken) settle(ctx *chain.CallContext, exID uint64, kc []byte, verifyParts [][]byte) error {
-	status, err := ctx.Store.Get(ctExKey(exID, "status"))
+func (lockedNote) settle(ctx *chain.CallContext, x *exchange, id uint64, seller chain.Address, kc []byte) ([]byte, error) {
+	noteID, err := x.getU64(ctx, id, "note")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if len(status) == 0 {
-		return fmt.Errorf("%w: %d", ErrUnknownExchange, exID)
+	if err := setNoteOwner(ctx, noteID, seller, noteUnspent); err != nil {
+		return nil, err
 	}
-	if status[0] != statusOpen {
-		return fmt.Errorf("%w: %d", ErrExchangeSettled, exID)
-	}
-	seller, err := ctx.Store.Get(ctExKey(exID, "seller"))
+	tokenID, err := x.getU64(ctx, id, "token")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if ctx.Sender != chain.Address([20]byte(seller)) {
-		return fmt.Errorf("%w: %d", ErrNotSeller, exID)
-	}
-	deadlineRaw, err := ctx.Store.Get(ctExKey(exID, "deadline"))
-	if err != nil {
-		return err
-	}
-	deadline, _ := DecU64(deadlineRaw)
-	if ctx.BlockNumber() > deadline {
-		return fmt.Errorf("%w: %d", ErrDeadlinePassed, exID)
-	}
-	hv, err := ctx.Store.Get(ctExKey(exID, "hv"))
-	if err != nil {
-		return err
-	}
-	ckc, err := ctx.Store.Get(ctExKey(exID, "c"))
-	if err != nil {
-		return err
-	}
-	if len(verifyParts) != 4 { // proof, kc, c, hv
-		return fmt.Errorf("%w: settle proof wants (proof, kc, c, hv)", ErrBadArgs)
-	}
-	if !bytes.Equal(verifyParts[1], kc) || !bytes.Equal(verifyParts[2], ckc) || !bytes.Equal(verifyParts[3], hv) {
-		return fmt.Errorf("%w: public inputs do not match exchange state", ErrBadArgs)
-	}
-	if _, err := ctx.CallContract(c.pikVerifierName, "verify", EncodeArgs(verifyParts...)); err != nil {
-		return fmt.Errorf("contracts: π_k verification: %w", err)
-	}
-	noteRaw, err := ctx.Store.Get(ctExKey(exID, "note"))
-	if err != nil {
-		return err
-	}
-	noteID, _ := DecU64(noteRaw)
-	if err := c.setNoteOwner(ctx, noteID, chain.Address([20]byte(seller)), noteUnspent); err != nil {
-		return err
-	}
-	if err := ctx.Store.Set(ctExKey(exID, "status"), []byte{statusSettled}); err != nil {
-		return err
-	}
-	if err := ctx.Store.Set(ctExKey(exID, "kc"), kc); err != nil {
-		return err
-	}
-	tokenRaw, err := ctx.Store.Get(ctExKey(exID, "token"))
-	if err != nil {
-		return err
-	}
-	tokenID, _ := DecU64(tokenRaw)
-	return ctx.EmitIndexed("CTSettled", U64(exID),
-		EncodeArgs(U64(exID), U64(tokenID), U64(noteID), kc))
+	return EncodeArgs(U64(id), U64(tokenID), U64(noteID), kc), nil
 }
 
-// refund returns a locked note to the buyer after the deadline.
-func (c *ConfidentialToken) refund(ctx *chain.CallContext, exID uint64) error {
-	status, err := ctx.Store.Get(ctExKey(exID, "status"))
+func (lockedNote) refund(ctx *chain.CallContext, x *exchange, id uint64, buyer chain.Address) ([]byte, error) {
+	noteID, err := x.getU64(ctx, id, "note")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if len(status) == 0 {
-		return fmt.Errorf("%w: %d", ErrUnknownExchange, exID)
+	if err := setNoteOwner(ctx, noteID, buyer, noteUnspent); err != nil {
+		return nil, err
 	}
-	if status[0] != statusOpen {
-		return fmt.Errorf("%w: %d", ErrExchangeSettled, exID)
-	}
-	buyer, err := ctx.Store.Get(ctExKey(exID, "buyer"))
-	if err != nil {
-		return err
-	}
-	if ctx.Sender != chain.Address([20]byte(buyer)) {
-		return fmt.Errorf("%w: %d", ErrNotBuyer, exID)
-	}
-	deadlineRaw, err := ctx.Store.Get(ctExKey(exID, "deadline"))
-	if err != nil {
-		return err
-	}
-	deadline, _ := DecU64(deadlineRaw)
-	if ctx.BlockNumber() <= deadline {
-		return fmt.Errorf("%w: %d", ErrDeadlineNotReached, exID)
-	}
-	noteRaw, err := ctx.Store.Get(ctExKey(exID, "note"))
-	if err != nil {
-		return err
-	}
-	noteID, _ := DecU64(noteRaw)
-	if err := c.setNoteOwner(ctx, noteID, chain.Address([20]byte(buyer)), noteUnspent); err != nil {
-		return err
-	}
-	if err := ctx.Store.Set(ctExKey(exID, "status"), []byte{statusRefunded}); err != nil {
-		return err
-	}
-	return ctx.EmitIndexed("CTRefunded", U64(exID), EncodeArgs(U64(exID), U64(noteID)))
+	return EncodeArgs(U64(id), U64(noteID)), nil
 }
 
 // ReadCTNote decodes a note's public record from chain storage without
@@ -602,19 +473,6 @@ func ReadCTNote(c *chain.Chain, contractName string, id uint64) (*CTNote, error)
 	return n, nil
 }
 
-// ReadCTSettledKc returns the committed key published by a settled
-// confidential exchange (off-chain view for the buyer).
-func ReadCTSettledKc(c *chain.Chain, contractName string, exID uint64) ([]byte, error) {
-	status := c.ReadStorage(contractName, ctExKey(exID, "status"))
-	if len(status) == 0 {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownExchange, exID)
-	}
-	if status[0] != statusSettled {
-		return nil, fmt.Errorf("%w: exchange %d not settled", ErrBadArgs, exID)
-	}
-	return c.ReadStorage(contractName, ctExKey(exID, "kc")), nil
-}
-
 // CTSettlement is one settled (or still open) confidential exchange, as
 // enumerated for the auditor.
 type CTSettlement struct {
@@ -634,12 +492,12 @@ func ReadCTSettlements(c *chain.Chain, contractName string) ([]CTSettlement, err
 	}
 	out := make([]CTSettlement, 0, len(ids))
 	for _, exID := range ids {
-		status := c.ReadStorage(contractName, ctExKey(exID, "status"))
+		status := c.ReadStorage(contractName, exchangeKey(ctSpace, exID, "status"))
 		if len(status) == 0 {
 			continue
 		}
-		tokenID, _ := DecU64(c.ReadStorage(contractName, ctExKey(exID, "token")))
-		noteID, _ := DecU64(c.ReadStorage(contractName, ctExKey(exID, "note")))
+		tokenID, _ := DecU64(c.ReadStorage(contractName, exchangeKey(ctSpace, exID, "token")))
+		noteID, _ := DecU64(c.ReadStorage(contractName, exchangeKey(ctSpace, exID, "note")))
 		out = append(out, CTSettlement{
 			ExchangeID: exID,
 			TokenID:    tokenID,

@@ -1,7 +1,6 @@
 package contracts
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/zkdet/zkdet/internal/chain"
@@ -13,33 +12,9 @@ const EscrowName = "zkdet-escrow"
 // EscrowCodeSize approximates the contract's code size for deployment gas.
 const EscrowCodeSize = 2200
 
-// Escrow errors.
-var (
-	ErrExchangeExists     = errors.New("contracts: exchange id already open")
-	ErrUnknownExchange    = errors.New("contracts: unknown exchange")
-	ErrExchangeSettled    = errors.New("contracts: exchange already settled")
-	ErrNotBuyer           = errors.New("contracts: caller is not the buyer")
-	ErrNotSeller          = errors.New("contracts: caller is not the seller")
-	ErrDeadlineNotReached = errors.New("contracts: refund before deadline")
-	ErrDeadlinePassed     = errors.New("contracts: exchange expired")
-)
-
-// exchange status values.
-const (
-	statusOpen     byte = 1
-	statusSettled  byte = 2
-	statusRefunded byte = 3
-)
-
-// Escrow is the arbiter 𝒥 of the key-secure exchange protocol (§IV-F).
-// In the key negotiation phase it verifies π_k on-chain — the statement
-//
-//	Open(k, c, o) = 1 ∧ h_v = H(k_v) ∧ k_c = k + k_v
-//
-// via the verifier contract — and forwards the locked payment to the seller
-// if and only if the proof holds. The key k itself never reaches the chain:
-// only the blinded k_c = k + k_v is published, which is useless without the
-// buyer's secret k_v (this is the paper's fix to ZKCP's key-disclosure flaw).
+// Escrow is the arbiter 𝒥 of the key-secure exchange protocol (§IV-F) with
+// native value as the payment: the exchange machine (exchange) over a
+// locked msg.value, forwarded to the seller if and only if π_k verifies.
 //
 // Methods:
 //
@@ -47,20 +22,15 @@ const (
 //	settle(exchangeId, kc, verifyArgs…)  (seller; pays out on valid π_k)
 //	refund(exchangeId)                   (buyer; after the deadline)
 type Escrow struct {
-	// verifierName is the deployed name of the π_k verifier contract.
-	verifierName string
-	// timeoutBlocks is the refund deadline in blocks.
-	timeoutBlocks uint64
+	exchange
 }
 
 var _ chain.Contract = (*Escrow)(nil)
 
 // NewEscrow creates the arbiter bound to a verifier deployment.
 func NewEscrow(verifierName string, timeoutBlocks uint64) *Escrow {
-	return &Escrow{verifierName: verifierName, timeoutBlocks: timeoutBlocks}
+	return &Escrow{exchange{space: escrowSpace, verifierName: verifierName, timeoutBlocks: timeoutBlocks, pay: nativeValue{}}}
 }
-
-func exKey(id uint64, field string) string { return fmt.Sprintf("ex/%d/%s", id, field) }
 
 // Call dispatches a method invocation.
 func (e *Escrow) Call(ctx *chain.CallContext, method string, args []byte) ([]byte, error) {
@@ -74,185 +44,45 @@ func (e *Escrow) Call(ctx *chain.CallContext, method string, args []byte) ([]byt
 		if err != nil {
 			return nil, err
 		}
-		return nil, e.open(ctx, id, p[1], p[2], p[3])
+		return nil, e.open(ctx, id, p[1], p[2], p[3], lockTerms{})
 	case "settle":
-		p, err := DecodeArgsVariadic(args)
-		if err != nil {
-			return nil, err
-		}
-		if len(p) < 3 {
-			return nil, fmt.Errorf("%w: settle wants id, kc, proof…", ErrBadArgs)
-		}
-		id, err := DecU64(p[0])
-		if err != nil {
-			return nil, err
-		}
-		return nil, e.settle(ctx, id, p[1], p[2:])
+		return nil, e.settle(ctx, args)
 	case "refund":
-		p, err := DecodeArgs(args, 1)
-		if err != nil {
-			return nil, err
-		}
-		id, err := DecU64(p[0])
-		if err != nil {
-			return nil, err
-		}
-		return nil, e.refund(ctx, id)
+		return nil, e.refund(ctx, args)
 	default:
 		return nil, fmt.Errorf("contracts: escrow has no method %q", method)
 	}
 }
 
-func (e *Escrow) open(ctx *chain.CallContext, id uint64, seller, hv, c []byte) error {
-	if exists, err := ctx.Store.Has(exKey(id, "status")); err != nil {
-		return err
-	} else if exists {
-		return fmt.Errorf("%w: %d", ErrExchangeExists, id)
+// nativeValue is the escrow's payment: the opening call's value, held by
+// the contract and moved with ctx.Transfer.
+type nativeValue struct{}
+
+func (nativeValue) lock(ctx *chain.CallContext, x *exchange, id uint64, seller, hv, c []byte, _ lockTerms) ([]byte, error) {
+	if err := ctx.Store.Set(x.key(id, "amount"), U64(ctx.Value)); err != nil {
+		return nil, err
 	}
-	if len(seller) != 20 {
-		return fmt.Errorf("%w: bad seller address", ErrBadArgs)
-	}
-	if err := ctx.Store.Set(exKey(id, "status"), []byte{statusOpen}); err != nil {
-		return err
-	}
-	if err := ctx.Store.Set(exKey(id, "buyer"), ctx.Sender[:]); err != nil {
-		return err
-	}
-	if err := ctx.Store.Set(exKey(id, "seller"), seller); err != nil {
-		return err
-	}
-	if err := ctx.Store.Set(exKey(id, "hv"), hv); err != nil {
-		return err
-	}
-	if err := ctx.Store.Set(exKey(id, "c"), c); err != nil {
-		return err
-	}
-	if err := ctx.Store.Set(exKey(id, "amount"), U64(ctx.Value)); err != nil {
-		return err
-	}
-	if err := ctx.Store.Set(exKey(id, "deadline"), U64(ctx.BlockNumber()+e.timeoutBlocks)); err != nil {
-		return err
-	}
-	return ctx.EmitIndexed("Opened", U64(id), EncodeArgs(U64(id), seller, hv, c, U64(ctx.Value)))
+	return EncodeArgs(U64(id), seller, hv, c, U64(ctx.Value)), nil
 }
 
-func (e *Escrow) settle(ctx *chain.CallContext, id uint64, kc []byte, verifyParts [][]byte) error {
-	status, err := ctx.Store.Get(exKey(id, "status"))
+func (nativeValue) settle(ctx *chain.CallContext, x *exchange, id uint64, seller chain.Address, kc []byte) ([]byte, error) {
+	amount, err := x.getU64(ctx, id, "amount")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if len(status) == 0 {
-		return fmt.Errorf("%w: %d", ErrUnknownExchange, id)
+	if err := ctx.Transfer(seller, amount); err != nil {
+		return nil, err
 	}
-	if status[0] != statusOpen {
-		return fmt.Errorf("%w: %d", ErrExchangeSettled, id)
-	}
-	seller, err := ctx.Store.Get(exKey(id, "seller"))
-	if err != nil {
-		return err
-	}
-	if ctx.Sender != chain.Address([20]byte(seller)) {
-		return fmt.Errorf("%w: %d", ErrNotSeller, id)
-	}
-	deadlineRaw, err := ctx.Store.Get(exKey(id, "deadline"))
-	if err != nil {
-		return err
-	}
-	deadline, _ := DecU64(deadlineRaw)
-	if ctx.BlockNumber() > deadline {
-		return fmt.Errorf("%w: %d", ErrDeadlinePassed, id)
-	}
-
-	// The π_k statement binds (k_c, c, h_v): recheck that the public
-	// inputs the seller supplied are the stored ones — on Ethereum the
-	// contract would assemble calldata itself; here we compare.
-	hv, err := ctx.Store.Get(exKey(id, "hv"))
-	if err != nil {
-		return err
-	}
-	c, err := ctx.Store.Get(exKey(id, "c"))
-	if err != nil {
-		return err
-	}
-	if len(verifyParts) != 4 { // proof, kc, c, hv as public inputs
-		return fmt.Errorf("%w: settle proof wants (proof, kc, c, hv)", ErrBadArgs)
-	}
-	if string(verifyParts[1]) != string(kc) ||
-		string(verifyParts[2]) != string(c) ||
-		string(verifyParts[3]) != string(hv) {
-		return fmt.Errorf("%w: public inputs do not match exchange state", ErrBadArgs)
-	}
-	if _, err := ctx.CallContract(e.verifierName, "verify", EncodeArgs(verifyParts...)); err != nil {
-		return fmt.Errorf("contracts: π_k verification: %w", err)
-	}
-
-	amountRaw, err := ctx.Store.Get(exKey(id, "amount"))
-	if err != nil {
-		return err
-	}
-	amount, _ := DecU64(amountRaw)
-	if err := ctx.Store.Set(exKey(id, "status"), []byte{statusSettled}); err != nil {
-		return err
-	}
-	if err := ctx.Store.Set(exKey(id, "kc"), kc); err != nil {
-		return err
-	}
-	if err := ctx.Transfer(ctx.Sender, amount); err != nil {
-		return err
-	}
-	// The buyer reads k_c from this event and derives k = k_c - k_v.
-	return ctx.EmitIndexed("Settled", U64(id), EncodeArgs(U64(id), kc))
+	return EncodeArgs(U64(id), kc), nil
 }
 
-func (e *Escrow) refund(ctx *chain.CallContext, id uint64) error {
-	status, err := ctx.Store.Get(exKey(id, "status"))
+func (nativeValue) refund(ctx *chain.CallContext, x *exchange, id uint64, buyer chain.Address) ([]byte, error) {
+	amount, err := x.getU64(ctx, id, "amount")
 	if err != nil {
-		return err
+		return nil, err
 	}
-	if len(status) == 0 {
-		return fmt.Errorf("%w: %d", ErrUnknownExchange, id)
+	if err := ctx.Transfer(buyer, amount); err != nil {
+		return nil, err
 	}
-	if status[0] != statusOpen {
-		return fmt.Errorf("%w: %d", ErrExchangeSettled, id)
-	}
-	buyer, err := ctx.Store.Get(exKey(id, "buyer"))
-	if err != nil {
-		return err
-	}
-	if ctx.Sender != chain.Address([20]byte(buyer)) {
-		return fmt.Errorf("%w: %d", ErrNotBuyer, id)
-	}
-	deadlineRaw, err := ctx.Store.Get(exKey(id, "deadline"))
-	if err != nil {
-		return err
-	}
-	deadline, _ := DecU64(deadlineRaw)
-	if ctx.BlockNumber() <= deadline {
-		return fmt.Errorf("%w: %d", ErrDeadlineNotReached, id)
-	}
-	amountRaw, err := ctx.Store.Get(exKey(id, "amount"))
-	if err != nil {
-		return err
-	}
-	amount, _ := DecU64(amountRaw)
-	if err := ctx.Store.Set(exKey(id, "status"), []byte{statusRefunded}); err != nil {
-		return err
-	}
-	if err := ctx.Transfer(ctx.Sender, amount); err != nil {
-		return err
-	}
-	return ctx.EmitIndexed("Refunded", U64(id), EncodeArgs(U64(id), U64(amount)))
-}
-
-// ReadSettledKc returns the blinded key k_c of a settled exchange
-// (off-chain view used by the buyer).
-func ReadSettledKc(c *chain.Chain, escrowName string, id uint64) ([]byte, error) {
-	status := c.ReadStorage(escrowName, exKey(id, "status"))
-	if len(status) == 0 {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownExchange, id)
-	}
-	if status[0] != statusSettled {
-		return nil, fmt.Errorf("contracts: exchange %d not settled", id)
-	}
-	return c.ReadStorage(escrowName, exKey(id, "kc")), nil
+	return EncodeArgs(U64(id), U64(amount)), nil
 }

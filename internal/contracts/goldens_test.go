@@ -98,8 +98,8 @@ func goldenGenesis(t *testing.T, vk *plonk.VerifyingKey) (*chain.Chain, []chain.
 		}
 	}
 	bc := NewBlockProofChecker()
-	bc.AddVerifier("pik-verifier", verifier)
-	bc.AddEscrow(EscrowName, escrow)
+	bc.Add("pik-verifier", verifier)
+	bc.Add(EscrowName, escrow)
 	c.SetBlockVerifier(bc)
 	traders := make([]chain.Address, goldenTraders)
 	for i := range traders {

@@ -58,10 +58,11 @@ func VerificationGas(nbPublic int) uint64 {
 // as part of a batch of n: the single pairing check is split across the
 // batch, while each proof still pays its own transcript/MSM folding (the
 // 18+ℓ scalar muls of a standalone verification plus 2 for its share of
-// the random-linear-combination fold).
+// the random-linear-combination fold). A fold of one has no linear
+// combination to take, so it costs exactly what the lone verification does.
 func BatchVerifiedGas(n, nbPublic int) uint64 {
-	if n < 1 {
-		n = 1
+	if n <= 1 {
+		return VerificationGas(nbPublic)
 	}
 	pairing := (chain.GasPairingBase + 2*chain.GasPairingPerPair) / uint64(n)
 	return pairing + uint64(18+nbPublic+2)*chain.GasEcMul + 24*chain.GasEcAdd

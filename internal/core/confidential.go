@@ -63,8 +63,8 @@ func (m *Marketplace) EnableConfidential(issuer chain.Address, auditorPub bn254.
 	if d.TokenGas, err = m.Chain.Deploy(contracts.ConfidentialTokenName, d.Token, contracts.ConfidentialTokenCodeSize); err != nil {
 		return nil, err
 	}
-	m.checker.AddVerifier(PiCTVerifierName, verifier)
-	m.checker.AddConfidential(contracts.ConfidentialTokenName, d.Token)
+	m.checker.Add(PiCTVerifierName, verifier)
+	m.checker.Add(contracts.ConfidentialTokenName, d.Token)
 	m.ctd = d
 	return d, nil
 }
@@ -195,5 +195,5 @@ func (m *Marketplace) SellConfidential(exchangeID uint64, sellerAddr, buyerAddr 
 				contracts.EncodeArgs(contracts.U64(exchangeID), contracts.U64(payNote.ID),
 					sellerAddr[:], hv, ck, contracts.U64(asset.TokenID)))
 			return err
-		}, contracts.ReadCTSettledKc)
+		})
 }

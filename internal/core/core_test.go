@@ -8,7 +8,9 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"github.com/zkdet/zkdet/internal/chain"
 	"github.com/zkdet/zkdet/internal/circuit"
+	"github.com/zkdet/zkdet/internal/contracts"
 	"github.com/zkdet/zkdet/internal/fr"
 	"github.com/zkdet/zkdet/internal/kzg"
 	"github.com/zkdet/zkdet/internal/plonk"
@@ -286,8 +288,41 @@ func TestProofChain(t *testing.T) {
 	}
 }
 
+// escrowMarketplace is an in-memory marketplace with a funded seller and
+// buyer: the arbiter 𝒥 of the exchange tests is its on-chain escrow.
+func escrowMarketplace(t *testing.T) (m *Marketplace, seller, buyer chain.Address) {
+	t.Helper()
+	m, _ = newTestMarketplace(t)
+	seller, buyer = chain.AddressFromString("seller"), chain.AddressFromString("buyer")
+	m.Chain.Faucet(seller, 1_000_000)
+	m.Chain.Faucet(buyer, 1_000_000)
+	return m, seller, buyer
+}
+
+// openEscrow is the buyer locking price against (h_v, c_k) in exchange id.
+func openEscrow(m *Marketplace, buyer, seller chain.Address, id, price uint64, hv, ck fr.Element) error {
+	hvB, ckB := hv.Bytes(), ck.Bytes()
+	_, err := m.submit(buyer, contracts.EscrowName, "open", price,
+		contracts.EncodeArgs(contracts.U64(id), seller[:], hvB[:], ckB[:]))
+	return err
+}
+
+// settleEscrow is the seller submitting π_k for statement st to exchange id.
+func settleEscrow(m *Marketplace, seller chain.Address, id uint64, st KeyStatement, piK *plonk.Proof) error {
+	kc, ck, hv := st.KC.Bytes(), st.KeyCommitment.Bytes(), st.HV.Bytes()
+	_, err := m.submit(seller, contracts.EscrowName, "settle", 0,
+		contracts.EncodeArgs(contracts.U64(id), kc[:], piK.Bytes(), kc[:], ck[:], hv[:]))
+	return err
+}
+
+func refundEscrow(m *Marketplace, buyer chain.Address, id uint64) error {
+	_, err := m.submit(buyer, contracts.EscrowName, "refund", 0, contracts.EncodeArgs(contracts.U64(id)))
+	return err
+}
+
 func TestKeySecureExchangeHonestFlow(t *testing.T) {
 	sys := testSys()
+	m, sellerAddr, buyerAddr := escrowMarketplace(t)
 	data := smallData(4)
 	key := fr.MustRandom()
 	pred := RangePredicate{Bits: 16}
@@ -309,27 +344,32 @@ func TestKeySecureExchangeHonestFlow(t *testing.T) {
 	}
 
 	// Buyer locks payment with the arbiter.
-	arb := NewArbiter(sys, listing.KeyCommitment)
 	kv, hv := buyer.Challenge()
-	arb.Lock(1000, hv)
+	if err := openEscrow(m, buyerAddr, sellerAddr, 1, 1000, hv, listing.KeyCommitment); err != nil {
+		t.Fatal(err)
+	}
 
-	// Phase 2: key negotiation.
+	// Phase 2: key negotiation; the arbiter verifies π_k and pays.
 	st, piK, err := seller.NegotiateKey(kv, hv)
 	if err != nil {
 		t.Fatal(err)
 	}
-	paid, err := arb.Settle(st, piK)
-	if err != nil {
+	before := m.Chain.BalanceOf(sellerAddr)
+	if err := settleEscrow(m, sellerAddr, 1, st, piK); err != nil {
 		t.Fatalf("π_k rejected: %v", err)
 	}
-	if paid != 1000 {
+	if paid := m.Chain.BalanceOf(sellerAddr) - before; paid != 1000 {
 		t.Fatalf("seller paid %d", paid)
 	}
 
-	// Buyer recovers k and decrypts.
-	kc, ok := arb.PublishedKC()
-	if !ok {
-		t.Fatal("kc not published")
+	// Buyer reads the published k_c, recovers k and decrypts.
+	kcB, err := contracts.ReadSettledKc(m.Chain, contracts.EscrowName, 1)
+	if err != nil {
+		t.Fatalf("kc not published: %v", err)
+	}
+	kc, err := fr.FromBytesCanonical(kcB)
+	if err != nil || !kc.Equal(&st.KC) {
+		t.Fatalf("published kc %x, proven %v (%v)", kcB, st.KC, err)
 	}
 	got, err := buyer.Decrypt(kc)
 	if err != nil {
@@ -370,6 +410,7 @@ func TestExchangeSellerFairness(t *testing.T) {
 
 func TestExchangeBuyerFairness(t *testing.T) {
 	sys := testSys()
+	m, sellerAddr, buyerAddr := escrowMarketplace(t)
 	data := smallData(4)
 	key := fr.MustRandom()
 	pred := TruePredicate{}
@@ -379,45 +420,59 @@ func TestExchangeBuyerFairness(t *testing.T) {
 	}
 	listing := seller.Listing(500)
 	buyer := NewBuyer(sys, listing, pred)
-	arb := NewArbiter(sys, listing.KeyCommitment)
 	kv, hv := buyer.Challenge()
-	arb.Lock(500, hv)
+	if err := openEscrow(m, buyerAddr, sellerAddr, 1, 500, hv, listing.KeyCommitment); err != nil {
+		t.Fatal(err)
+	}
 
 	st, piK, err := seller.NegotiateKey(kv, hv)
 	if err != nil {
 		t.Fatal(err)
 	}
+	before := m.Chain.BalanceOf(sellerAddr)
 	// Malicious seller submits a k_c different from the proven one: the
 	// arbiter must not pay (Theorem 5.2 buyer fairness).
 	badSt := st
 	badSt.KC = fr.NewElement(999)
-	if _, err := arb.Settle(badSt, piK); err == nil {
-		t.Fatal("arbiter paid for a forged kc")
+	if err := settleEscrow(m, sellerAddr, 1, badSt, piK); !errors.Is(err, contracts.ErrProofRejected) {
+		t.Fatalf("arbiter paid for a forged kc: %v", err)
 	}
 	// Mismatched hv in the statement is rejected before verification.
 	badSt2 := st
 	badSt2.HV = fr.NewElement(1)
-	if _, err := arb.Settle(badSt2, piK); err == nil {
-		t.Fatal("arbiter accepted mismatched hv")
+	if err := settleEscrow(m, sellerAddr, 1, badSt2, piK); !errors.Is(err, contracts.ErrBadArgs) {
+		t.Fatalf("arbiter accepted mismatched hv: %v", err)
 	}
-	// Honest settle still works afterwards, then refund is zero.
-	if _, err := arb.Settle(st, piK); err != nil {
+	if got := m.Chain.BalanceOf(sellerAddr); got != before {
+		t.Fatalf("seller balance moved by refused settlements: %d → %d", before, got)
+	}
+	// Honest settle still works afterwards, then nothing is refunded.
+	if err := settleEscrow(m, sellerAddr, 1, st, piK); err != nil {
 		t.Fatal(err)
 	}
-	if arb.Refund() != 0 {
-		t.Fatal("refund after settle")
+	if err := refundEscrow(m, buyerAddr, 1); !errors.Is(err, contracts.ErrExchangeSettled) {
+		t.Fatalf("refund after settle: %v", err)
 	}
 }
 
 func TestExchangeRefundPath(t *testing.T) {
-	sys := testSys()
-	arb := NewArbiter(sys, fr.NewElement(7))
-	arb.Lock(250, fr.NewElement(9))
-	if got := arb.Refund(); got != 250 {
+	m, sellerAddr, buyerAddr := escrowMarketplace(t)
+	if err := openEscrow(m, buyerAddr, sellerAddr, 1, 250, fr.NewElement(9), fr.NewElement(7)); err != nil {
+		t.Fatal(err)
+	}
+	// The marketplace's escrow refunds 100 blocks after the open.
+	for i := 0; i <= 100; i++ {
+		m.Chain.SealBlock()
+	}
+	before := m.Chain.BalanceOf(buyerAddr)
+	if err := refundEscrow(m, buyerAddr, 1); err != nil {
+		t.Fatal(err)
+	}
+	if got := m.Chain.BalanceOf(buyerAddr) - before; got != 250 {
 		t.Fatalf("refund %d", got)
 	}
-	if got := arb.Refund(); got != 0 {
-		t.Fatal("double refund")
+	if err := refundEscrow(m, buyerAddr, 1); !errors.Is(err, contracts.ErrExchangeSettled) {
+		t.Fatalf("double refund: %v", err)
 	}
 }
 

@@ -96,8 +96,8 @@ type KeyWitness struct {
 // proof that rides in calldata. On the custom-gate shape it would prove in a
 // third of the time (148 rows for 1 738), but a custom-gate proof, even with
 // no lookup argument, is 1 670 − 1 094 = 576 bytes longer = +6 912 gas per
-// settlement = +0.85 % of an exchange's gas, over four times the benchmark's
-// 0.2 % gas bound. Moving it is a gas decision, not a default;
+// settlement = +0.87 % of an exchange's 796 962 gas, over four times the
+// benchmark's 0.2 % gas bound. Moving it is a gas decision, not a default;
 // TestHashCircuitsOnCustomShape pins the 326 757-gas settlement.
 func buildKeyCircuit(st *KeyStatement, w *KeyWitness) *circuit.Builder {
 	b := circuit.NewBuilder()
@@ -270,64 +270,4 @@ func (b *Buyer) Decrypt(kc fr.Element) (Dataset, error) {
 		return nil, ErrKeyMismatch
 	}
 	return data, nil
-}
-
-// Arbiter is the off-chain reference implementation of 𝒥 (the on-chain
-// version is contracts.Escrow): initialized with c_k, it accepts a payment
-// lock (h_v) and settles against a valid π_k.
-type Arbiter struct {
-	sys *System
-	ck  fr.Element
-
-	hv      fr.Element
-	locked  uint64
-	settled bool
-	kc      fr.Element
-}
-
-// NewArbiter initializes 𝒥 with the key commitment from the listing.
-func NewArbiter(sys *System, ck fr.Element) *Arbiter {
-	return &Arbiter{sys: sys, ck: ck}
-}
-
-// Lock records the buyer's payment and challenge hash.
-func (a *Arbiter) Lock(amount uint64, hv fr.Element) {
-	a.locked = amount
-	a.hv = hv
-}
-
-// Settle verifies π_k; on success the payment is released to the seller
-// (returned amount) and k_c is published.
-func (a *Arbiter) Settle(st KeyStatement, proof *plonk.Proof) (uint64, error) {
-	if a.settled {
-		return 0, errors.New("core: arbiter already settled")
-	}
-	if !st.KeyCommitment.Equal(&a.ck) || !st.HV.Equal(&a.hv) {
-		return 0, errors.New("core: π_k statement does not match arbiter state")
-	}
-	vk, err := a.sys.KeyCircuitVK()
-	if err != nil {
-		return 0, err
-	}
-	if err := plonk.Verify(vk, proof, st.publics()); err != nil {
-		return 0, fmt.Errorf("core: π_k: %w", err)
-	}
-	a.settled = true
-	a.kc = st.KC
-	amount := a.locked
-	a.locked = 0
-	return amount, nil
-}
-
-// PublishedKC returns k_c after settlement.
-func (a *Arbiter) PublishedKC() (fr.Element, bool) { return a.kc, a.settled }
-
-// Refund returns the locked payment to the buyer if not settled.
-func (a *Arbiter) Refund() uint64 {
-	if a.settled {
-		return 0
-	}
-	amount := a.locked
-	a.locked = 0
-	return amount
 }

@@ -96,15 +96,16 @@ func NewMarketplaceWith(sys *System, c *chain.Chain, store storage.BlobStore) (*
 		return nil, gas, err
 	}
 	checker := contracts.NewBlockProofChecker()
-	checker.AddVerifier(PiKVerifierName, verifier)
-	checker.AddEscrow(contracts.EscrowName, escrow)
+	checker.Add(PiKVerifierName, verifier)
+	checker.Add(contracts.EscrowName, escrow)
 	c.SetBlockVerifier(checker)
 	return &Marketplace{Sys: sys, Chain: c, Store: store, checker: checker}, gas, nil
 }
 
 // ProofChecker returns the deployment's block verifier, covering its
 // proof-carrying transactions: direct π_k verifications, escrow
-// settlements and — once EnableConfidential ran — confidential transfers.
+// settlements and — once EnableConfidential ran — confidential transfers
+// and settlements.
 // The chain already applies every block through it; a gossip layer screens
 // payloads with its GossipCheck.
 func (m *Marketplace) ProofChecker() *contracts.BlockProofChecker { return m.checker }
@@ -270,11 +271,11 @@ func (m *Marketplace) Process(owner chain.Address, ownerLabel string, src *Asset
 }
 
 // sell runs the complete key-secure exchange (§IV-F) between a seller's asset
-// and a buyer address with the named contract as the arbiter 𝒥: lock submits
-// the buyer's locking call for (h_v, c_k), readKc reads the settled k_c back.
-// It returns the decrypted dataset as received by the buyer.
+// and a buyer address with the named contract — either one carrying the
+// exchange machine — as the arbiter 𝒥: lock submits the buyer's locking call
+// for (h_v, c_k). It returns the decrypted dataset as received by the buyer.
 func (m *Marketplace) sell(arbiter string, exchangeID uint64, sellerAddr, buyerAddr chain.Address, asset *Asset, pred Predicate, price uint64,
-	lock func(hv, ck []byte) error, readKc func(*chain.Chain, string, uint64) ([]byte, error)) (Dataset, error) {
+	lock func(hv, ck []byte) error) (Dataset, error) {
 	seller, err := NewSeller(m.Sys, asset.Data, asset.Key, pred)
 	if err != nil {
 		return nil, err
@@ -313,7 +314,7 @@ func (m *Marketplace) sell(arbiter string, exchangeID uint64, sellerAddr, buyerA
 	}
 
 	// Buyer reads k_c from chain state and decrypts.
-	kcPub, err := readKc(m.Chain, arbiter, exchangeID)
+	kcPub, err := contracts.ReadSettledKc(m.Chain, arbiter, exchangeID)
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +338,7 @@ func (m *Marketplace) SellViaEscrow(exchangeID uint64, sellerAddr, buyerAddr cha
 			_, err := m.submit(buyerAddr, contracts.EscrowName, "open", price,
 				contracts.EncodeArgs(contracts.U64(exchangeID), sellerAddr[:], hv, ck))
 			return err
-		}, contracts.ReadSettledKc)
+		})
 }
 
 // FetchCiphertext retrieves and decodes an asset's ciphertext from storage.

@@ -62,12 +62,11 @@ type (
 	Processor = core.Processor
 	// Predicate is a public property φ proven about exchanged data.
 	Predicate = core.Predicate
-	// Seller, Buyer and Arbiter are the §IV-F exchange roles.
+	// Seller and Buyer are the §IV-F exchange roles; the arbiter 𝒥 is the
+	// deployment's on-chain escrow (Marketplace.SellViaEscrow).
 	Seller = core.Seller
 	// Buyer is the exchange counterparty validating and paying for data.
 	Buyer = core.Buyer
-	// Arbiter is the off-chain reference arbiter 𝒥.
-	Arbiter = core.Arbiter
 	// Listing is the public face of a dataset offered for sale.
 	Listing = core.Listing
 	// Address identifies a chain account.
