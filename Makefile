@@ -10,7 +10,7 @@ GO ?= go
 # the race detector. contracts is here for the block proof check: the chain
 # runs it with its state lock released, beside gossip screens on the same
 # checker and (on a devnet) a late EnableConfidential registering into it. storage/core/zkdet-node joined
-# once their lock annotations landed: the DHT repair path, the circuit-key
+# once their lock annotations landed: the blob store, the circuit-key
 # cache, and the JSON-RPC daemon all serve concurrent callers.
 # internal/ff and internal/fr are here for the multiplication dispatch:
 # NewField writes the kernel choice once, every prover goroutine reads it.
@@ -30,11 +30,15 @@ vet:
 build:
 	$(GO) build ./...
 
-# zkdet-lint is the repo-specific analyzer suite (cryptocompare,
-# errcompare, secretscope, gaspurity, lockguard, panicfree, detreplay),
-# stdlib-only, defined in cmd/zkdet-lint. Non-zero exit on any finding;
-# suppressions require a written justification (see DESIGN.md §9, §16).
+# lint first fails if gofmt would reformat any file (the nested benchmark
+# module included). zkdet-lint is the repo-specific analyzer suite
+# (cryptocompare, errcompare, secretscope, gaspurity, lockguard, panicfree,
+# detreplay), stdlib-only, defined in cmd/zkdet-lint. Non-zero exit on any
+# finding; suppressions require a written justification (see DESIGN.md §9,
+# §16).
 lint:
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
+		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
 	$(GO) run ./cmd/zkdet-lint ./...
 
 # The circuit soundness auditor (DESIGN.md §16): audits the constraint
@@ -101,7 +105,8 @@ race:
 # against Horner, the MSM bucket kernel on colliding points — its buckets
 # filled by batch-affine rounds and by XYZZ mixed additions alone, against
 # the naive sum and each other — and the
-# state-trie op stream against its from-scratch rebuild) and
+# state-trie op stream against its from-scratch rebuild, and zkdet-node's
+# JSON-RPC request bodies against one in-process daemon) and
 # the three field-multiplication kernels against big.Int (skipped, saying
 # so, on a host without ADX). CI runs this; `go test -fuzz` with a longer
 # -fuzztime digs deeper locally.
@@ -119,6 +124,7 @@ fuzz-smoke:
 	$(GO) test -run='^$$' -fuzz='^FuzzCommitmentDecode$$' -fuzztime=10s ./internal/ct/
 	$(GO) test -run='^$$' -fuzz='^FuzzCTProofDecode$$' -fuzztime=10s ./internal/ct/
 	$(GO) test -run='^$$' -fuzz='^FuzzStateTrieOps$$' -fuzztime=10s ./internal/chain/
+	$(GO) test -run='^$$' -fuzz='^FuzzGatewayRequest$$' -fuzztime=10s ./cmd/zkdet-node/
 
 # Package-level prover-stack benchmarks (the field multiplication as
 # latency, throughput and per kernel; Domain.FFT and G1MSM at 2^9..2^16 with

@@ -291,13 +291,10 @@ func BenchmarkChainThroughput(b *testing.B) {
 	b.ReportMetric(float64(b.N*2)/b.Elapsed().Seconds(), "tx/s")
 }
 
-// BenchmarkStorageThroughput measures the DHT's put/get throughput for
-// ciphertext blobs.
+// BenchmarkStorageThroughput measures the blob store's put/get throughput
+// for ciphertext blobs.
 func BenchmarkStorageThroughput(b *testing.B) {
-	net, err := storage.NewNetwork(16)
-	if err != nil {
-		b.Fatal(err)
-	}
+	store := storage.NewStore()
 	blob := make([]byte, 32*1024)
 	for i := range blob {
 		blob[i] = byte(i)
@@ -306,11 +303,11 @@ func BenchmarkStorageThroughput(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		blob[0] = byte(i)
 		blob[1] = byte(i >> 8)
-		uri, err := net.Put("bench", blob)
+		uri, err := store.Put("bench", blob)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := net.Get(uri); err != nil {
+		if _, err := store.Get(uri); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -91,7 +91,7 @@ func mentionsAny(pass *Pass, expr ast.Expr, secrets map[types.Object]bool) types
 
 func checkSecretScope(pass *Pass, fn *ast.FuncDecl, toxicLines map[int]bool) {
 	info := pass.Pkg.Info
-	secrets := map[types.Object]bool{}   // vars holding secret material
+	secrets := map[types.Object]bool{} // vars holding secret material
 	declPos := map[types.Object]ast.Expr{}
 
 	addSecret := func(id *ast.Ident) {

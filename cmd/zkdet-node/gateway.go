@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"encoding/hex"
 	"encoding/json"
 	"errors"
@@ -18,37 +19,69 @@ import (
 	"github.com/zkdet/zkdet/internal/storage"
 )
 
-// gateway is the JSON-RPC 2.0 endpoint (POST /) of the node daemon.
-//
-// Methods:
-//
-//	zkdet_sendTransaction  submit a tx; wait=true blocks until sealed
-//	zkdet_receipt          receipt + block number by tx hash
-//	zkdet_blockNumber      current chain height
-//	zkdet_events           indexed event query with topic/range/pagination
-//	zkdet_provenance       lineage DAG of a token
-//	zkdet_exchange         folded escrow exchange record
-//	zkdet_stats            node + indexer counters
-//	zkdet_faucet           credit an address (devnet only)
-//	zkdet_nextNonce        next pool-assigned nonce for an address
-//	zkdet_storagePut       store a blob, returns its URI
-//	zkdet_storageGet       fetch a blob by URI
-//	zkdet_ctEnable         deploy the confidential-token subsystem (devnet only)
-//	zkdet_ctMint           mint confidential notes (issuer; returns openings)
-//	zkdet_ctTransfer       spend notes into new outputs (returns openings)
-//	zkdet_ctNote           public view of a note: owner, status, commitment
-//	zkdet_ctAudit          open hidden amounts with the designated auditor key
+// The gateway's JSON-RPC methods. The load and showcase clients call them by
+// these names too.
+const (
+	rpcSendTransaction = "zkdet_sendTransaction"
+	rpcReceipt         = "zkdet_receipt"
+	rpcBlockNumber     = "zkdet_blockNumber"
+	rpcEvents          = "zkdet_events"
+	rpcProvenance      = "zkdet_provenance"
+	rpcExchange        = "zkdet_exchange"
+	rpcStats           = "zkdet_stats"
+	rpcFaucet          = "zkdet_faucet"
+	rpcNextNonce       = "zkdet_nextNonce"
+	rpcStoragePut      = "zkdet_storagePut"
+	rpcStorageGet      = "zkdet_storageGet"
+	rpcCTEnable        = "zkdet_ctEnable"
+	rpcCTMint          = "zkdet_ctMint"
+	rpcCTTransfer      = "zkdet_ctTransfer"
+	rpcCTNote          = "zkdet_ctNote"
+	rpcCTAudit         = "zkdet_ctAudit"
+)
+
+// maxBodyBytes bounds a request body; a longer one is refused with 413.
+const maxBodyBytes = 16 << 20
+
+// gateway is the JSON-RPC 2.0 endpoint (POST /) of the node daemon: one
+// table from method name to handler.
 type gateway struct {
-	srv *server
+	srv     *server
+	methods map[string]method
+}
+
+// method serves one JSON-RPC method from the request's raw params.
+type method func(ctx context.Context, params json.RawMessage) (any, *rpcError)
+
+func newGateway(srv *server) *gateway {
+	g := &gateway{srv: srv}
+	g.methods = map[string]method{
+		rpcSendTransaction: handle(g.sendTransaction), // submit a tx; wait=true blocks until sealed
+		rpcReceipt:         handle(g.receipt),         // receipt + block number by tx hash
+		rpcBlockNumber:     noParams(g.blockNumber),   // current chain height
+		rpcEvents:          handle(g.events),          // indexed event query with topic/range/pagination
+		rpcProvenance:      handle(g.provenance),      // lineage DAG of a token
+		rpcExchange:        handle(g.exchange),        // folded escrow exchange record
+		rpcStats:           noParams(g.stats),         // node + indexer counters
+		rpcFaucet:          handle(g.faucet),          // credit an address (devnet only)
+		rpcNextNonce:       handle(g.nextNonce),       // next pool-assigned nonce for an address
+		rpcStoragePut:      handle(g.storagePut),      // store a blob, returns its URI
+		rpcStorageGet:      handle(g.storageGet),      // fetch a blob by URI
+		rpcCTEnable:        handle(g.ctEnable),        // deploy the confidential-token subsystem (devnet only)
+		rpcCTMint:          handle(g.ctMint),          // mint confidential notes (issuer; returns openings)
+		rpcCTTransfer:      handle(g.ctTransfer),      // spend notes into new outputs (returns openings)
+		rpcCTNote:          handle(g.ctNote),          // public view of a note: owner, status, commitment
+		rpcCTAudit:         handle(g.ctAudit),         // open hidden amounts with the designated auditor key
+	}
+	return g
 }
 
 // JSON-RPC error codes (the standard ones plus one server range).
 const (
-	codeParse      = -32700
-	codeBadRequest = -32600
-	codeNoMethod   = -32601
-	codeBadParams  = -32602
-	codeExecution  = -32000
+	codeParse     = -32700
+	codeNoMethod  = -32601
+	codeBadParams = -32602
+	codeExecution = -32000
 )
 
 type rpcRequest struct {
@@ -75,66 +108,119 @@ func (g *gateway) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	body, err := io.ReadAll(io.LimitReader(r.Body, 16<<20))
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
 		return
 	}
 	var req rpcRequest
 	resp := rpcResponse{JSONRPC: "2.0"}
 	if err := json.Unmarshal(body, &req); err != nil {
 		resp.Error = &rpcError{Code: codeParse, Message: err.Error()}
+	} else if m, ok := g.methods[req.Method]; ok {
+		resp.ID = req.ID
+		resp.Result, resp.Error = m(r.Context(), req.Params)
 	} else {
 		resp.ID = req.ID
-		result, rerr := g.dispatch(r, &req)
-		if rerr != nil {
-			resp.Error = rerr
-		} else {
-			resp.Result = result
-		}
+		resp.Error = &rpcError{Code: codeNoMethod, Message: fmt.Sprintf("unknown method %q", req.Method)}
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(&resp)
 }
 
-func (g *gateway) dispatch(r *http.Request, req *rpcRequest) (any, *rpcError) {
-	switch req.Method {
-	case "zkdet_sendTransaction":
-		return g.sendTransaction(r, req.Params)
-	case "zkdet_receipt":
-		return g.receipt(req.Params)
-	case "zkdet_blockNumber":
-		return map[string]uint64{"height": g.srv.mkt.Chain.Height()}, nil
-	case "zkdet_events":
-		return g.events(req.Params)
-	case "zkdet_provenance":
-		return g.provenance(req.Params)
-	case "zkdet_exchange":
-		return g.exchange(req.Params)
-	case "zkdet_stats":
-		return g.stats(), nil
-	case "zkdet_faucet":
-		return g.faucet(req.Params)
-	case "zkdet_nextNonce":
-		return g.nextNonce(req.Params)
-	case "zkdet_storagePut":
-		return g.storagePut(req.Params)
-	case "zkdet_storageGet":
-		return g.storageGet(req.Params)
-	case "zkdet_ctEnable":
-		return g.ctEnable(req.Params)
-	case "zkdet_ctMint":
-		return g.ctMint(req.Params)
-	case "zkdet_ctTransfer":
-		return g.ctTransfer(req.Params)
-	case "zkdet_ctNote":
-		return g.ctNote(req.Params)
-	case "zkdet_ctAudit":
-		return g.ctAudit(req.Params)
-	default:
-		return nil, &rpcError{Code: codeNoMethod, Message: fmt.Sprintf("unknown method %q", req.Method)}
+// paramError marks a handler's error as the caller's fault: -32602 on the
+// wire. Any other error is -32000.
+type paramError struct{ err error }
+
+func (e paramError) Error() string { return e.err.Error() }
+func (e paramError) Unwrap() error { return e.err }
+
+func badParams(err error) error { return paramError{err} }
+
+// handle adapts a handler of typed params to the table. It is the one place
+// params are decoded and handler errors become JSON-RPC errors.
+func handle[P any](fn func(ctx context.Context, p P) (any, error)) method {
+	return func(ctx context.Context, raw json.RawMessage) (any, *rpcError) {
+		if len(raw) == 0 {
+			return nil, &rpcError{Code: codeBadParams, Message: "missing params"}
+		}
+		var p P
+		if err := json.Unmarshal(raw, &p); err != nil {
+			return nil, &rpcError{Code: codeBadParams, Message: err.Error()}
+		}
+		res, err := fn(ctx, p)
+		if err != nil {
+			code := codeExecution
+			if errors.As(err, new(paramError)) {
+				code = codeBadParams
+			}
+			return nil, &rpcError{Code: code, Message: err.Error()}
+		}
+		return res, nil
 	}
 }
+
+// noParams adapts a read that takes no params: whatever arrives is ignored.
+func noParams(fn func() any) method {
+	return func(context.Context, json.RawMessage) (any, *rpcError) { return fn(), nil }
+}
+
+// Params types. Most are aliases of unnamed structs, not defined types: the
+// message encoding/json returns for a wrong-typed params value spells out
+// the Go type, and on the wire that text is the unnamed struct's.
+type (
+	receiptParams = struct {
+		TxHash string `json:"txHash"`
+	}
+	tokenParams = struct {
+		TokenID uint64 `json:"tokenId"`
+	}
+	// idParams names an escrow exchange or a confidential note.
+	idParams = struct {
+		ID uint64 `json:"id"`
+	}
+	faucetParams = struct {
+		Address string `json:"address"`
+		Amount  uint64 `json:"amount"`
+	}
+	addressParams = struct {
+		Address string `json:"address"`
+	}
+	storagePutParams = struct {
+		Owner string `json:"owner"`
+		Data  string `json:"data"`
+	}
+	storageGetParams = struct {
+		URI string `json:"uri"`
+	}
+	ctEnableParams = struct {
+		Issuer     string `json:"issuer"`
+		AuditorPub string `json:"auditorPub"` // 64-byte G1 point, hex
+	}
+	ctMintParams = struct {
+		Pays []ctPayIn `json:"pays"`
+	}
+	// ctInputIn is one spent note of a confidential transfer and its opening.
+	ctInputIn = struct {
+		ID      uint64 `json:"id"`
+		Value   uint64 `json:"value"`
+		Blinder string `json:"blinder"` // hex field element
+	}
+	ctTransferParams = struct {
+		Sender string      `json:"sender"`
+		Inputs []ctInputIn `json:"inputs"`
+		Pays   []ctPayIn   `json:"pays"`
+	}
+	ctAuditParams = struct {
+		AuditorSecret string `json:"auditorSecret"` // hex field element
+		NoteID        uint64 `json:"noteId"`
+		TokenID       uint64 `json:"tokenId"`
+	}
+)
 
 // --- wire helpers ---
 
@@ -165,20 +251,6 @@ func hexBytes(b []byte) string {
 		return ""
 	}
 	return "0x" + hex.EncodeToString(b)
-}
-
-func badParams(err error) *rpcError {
-	return &rpcError{Code: codeBadParams, Message: err.Error()}
-}
-
-func decodeParams(raw json.RawMessage, into any) *rpcError {
-	if len(raw) == 0 {
-		return &rpcError{Code: codeBadParams, Message: "missing params"}
-	}
-	if err := json.Unmarshal(raw, into); err != nil {
-		return badParams(err)
-	}
-	return nil
 }
 
 // --- transactions ---
@@ -227,11 +299,7 @@ func eventsOut(block uint64, txHash string, evs []chain.Event) []eventOut {
 	return out
 }
 
-func (g *gateway) sendTransaction(r *http.Request, raw json.RawMessage) (any, *rpcError) {
-	var p txParams
-	if rerr := decodeParams(raw, &p); rerr != nil {
-		return nil, rerr
-	}
+func (g *gateway) sendTransaction(ctx context.Context, p txParams) (any, error) {
 	from, err := parseAddr(p.From)
 	if err != nil {
 		return nil, badParams(err)
@@ -249,20 +317,20 @@ func (g *gateway) sendTransaction(r *http.Request, raw json.RawMessage) (any, *r
 		Args: args, Value: p.Value, Nonce: p.Nonce, GasLimit: p.GasLimit,
 	}
 	if !p.Wait {
-		h, err := g.srv.node.Submit(tx)
+		pooled, _, err := g.srv.node.SubmitForResult(tx, p.AutoNonce)
 		if err != nil {
-			return nil, &rpcError{Code: codeExecution, Message: err.Error()}
+			return nil, err
 		}
-		return &txResult{TxHash: h.String()}, nil
+		return &txResult{TxHash: pooled.Hash().String()}, nil
 	}
-	res, err := g.srv.node.SubmitAndWait(r.Context(), tx, p.AutoNonce)
+	res, err := g.srv.node.SubmitAndWait(ctx, tx, p.AutoNonce)
 	if err != nil {
 		// Execution-level rejections (revert, bad nonce at execution) carry
 		// the tx hash; admission failures do not.
 		if res.TxHash != (chain.Hash{}) && !errors.Is(err, node.ErrWaitCanceled) {
 			return &txResult{TxHash: res.TxHash.String(), Reverted: err.Error()}, nil
 		}
-		return nil, &rpcError{Code: codeExecution, Message: err.Error()}
+		return nil, err
 	}
 	out := &txResult{
 		TxHash:      res.TxHash.String(),
@@ -280,20 +348,14 @@ func (g *gateway) sendTransaction(r *http.Request, raw json.RawMessage) (any, *r
 	return out, nil
 }
 
-func (g *gateway) receipt(raw json.RawMessage) (any, *rpcError) {
-	var p struct {
-		TxHash string `json:"txHash"`
-	}
-	if rerr := decodeParams(raw, &p); rerr != nil {
-		return nil, rerr
-	}
+func (g *gateway) receipt(_ context.Context, p receiptParams) (any, error) {
 	h, err := chain.HashFromHex(p.TxHash)
 	if err != nil {
 		return nil, badParams(err)
 	}
 	rc, ok := g.srv.mkt.Chain.Receipt(h)
 	if !ok {
-		return nil, &rpcError{Code: codeExecution, Message: "unknown transaction"}
+		return nil, errors.New("unknown transaction")
 	}
 	block, _ := g.srv.ix.TxBlock(h)
 	out := &txResult{
@@ -309,6 +371,10 @@ func (g *gateway) receipt(raw json.RawMessage) (any, *rpcError) {
 
 // --- queries ---
 
+func (g *gateway) blockNumber() any {
+	return map[string]uint64{"height": g.srv.mkt.Chain.Height()}
+}
+
 type eventsParams struct {
 	Contract  string `json:"contract"`
 	Name      string `json:"name"`
@@ -319,11 +385,7 @@ type eventsParams struct {
 	Limit     int    `json:"limit"`
 }
 
-func (g *gateway) events(raw json.RawMessage) (any, *rpcError) {
-	var p eventsParams
-	if rerr := decodeParams(raw, &p); rerr != nil {
-		return nil, rerr
-	}
+func (g *gateway) events(_ context.Context, p eventsParams) (any, error) {
 	topic, err := parseBytes(p.Topic)
 	if err != nil {
 		return nil, badParams(err)
@@ -352,16 +414,10 @@ type tokenOut struct {
 	Burned   bool     `json:"burned,omitempty"`
 }
 
-func (g *gateway) provenance(raw json.RawMessage) (any, *rpcError) {
-	var p struct {
-		TokenID uint64 `json:"tokenId"`
-	}
-	if rerr := decodeParams(raw, &p); rerr != nil {
-		return nil, rerr
-	}
+func (g *gateway) provenance(_ context.Context, p tokenParams) (any, error) {
 	lin, err := g.srv.ix.Lineage(p.TokenID)
 	if err != nil {
-		return nil, &rpcError{Code: codeExecution, Message: err.Error()}
+		return nil, err
 	}
 	tokens := make([]tokenOut, len(lin.Tokens))
 	for i, t := range lin.Tokens {
@@ -377,16 +433,10 @@ func (g *gateway) provenance(raw json.RawMessage) (any, *rpcError) {
 	return map[string]any{"tokens": tokens, "edges": edges}, nil
 }
 
-func (g *gateway) exchange(raw json.RawMessage) (any, *rpcError) {
-	var p struct {
-		ID uint64 `json:"id"`
-	}
-	if rerr := decodeParams(raw, &p); rerr != nil {
-		return nil, rerr
-	}
+func (g *gateway) exchange(_ context.Context, p idParams) (any, error) {
 	rec, err := g.srv.ix.Exchange(p.ID)
 	if err != nil {
-		return nil, &rpcError{Code: codeExecution, Message: err.Error()}
+		return nil, err
 	}
 	return map[string]any{
 		"id": rec.ID, "seller": rec.Seller.String(), "status": rec.Status,
@@ -425,14 +475,7 @@ func (g *gateway) stats() any {
 	return out
 }
 
-func (g *gateway) faucet(raw json.RawMessage) (any, *rpcError) {
-	var p struct {
-		Address string `json:"address"`
-		Amount  uint64 `json:"amount"`
-	}
-	if rerr := decodeParams(raw, &p); rerr != nil {
-		return nil, rerr
-	}
+func (g *gateway) faucet(_ context.Context, p faucetParams) (any, error) {
 	a, err := parseAddr(p.Address)
 	if err != nil {
 		return nil, badParams(err)
@@ -442,7 +485,7 @@ func (g *gateway) faucet(raw json.RawMessage) (any, *rpcError) {
 	// leaving the WAL tail unreplayable (transfers without their funding).
 	if d := g.srv.durable; d != nil {
 		if err := d.Faucet(a, p.Amount); err != nil {
-			return nil, &rpcError{Code: codeExecution, Message: err.Error()}
+			return nil, err
 		}
 	} else {
 		g.srv.mkt.Chain.Faucet(a, p.Amount)
@@ -450,13 +493,7 @@ func (g *gateway) faucet(raw json.RawMessage) (any, *rpcError) {
 	return map[string]any{"address": a.String(), "balance": g.srv.mkt.Chain.BalanceOf(a)}, nil
 }
 
-func (g *gateway) nextNonce(raw json.RawMessage) (any, *rpcError) {
-	var p struct {
-		Address string `json:"address"`
-	}
-	if rerr := decodeParams(raw, &p); rerr != nil {
-		return nil, rerr
-	}
+func (g *gateway) nextNonce(_ context.Context, p addressParams) (any, error) {
 	a, err := parseAddr(p.Address)
 	if err != nil {
 		return nil, badParams(err)
@@ -507,24 +544,17 @@ func ctNoteView(n *contracts.CTNote) ctNoteOut {
 	}
 }
 
-func (g *gateway) ctDeployment() (*core.ConfidentialDeployment, *rpcError) {
+func (g *gateway) ctDeployment() (*core.ConfidentialDeployment, error) {
 	d := g.srv.mkt.Confidential()
 	if d == nil {
-		return nil, &rpcError{Code: codeExecution, Message: core.ErrConfidentialDisabled.Error()}
+		return nil, core.ErrConfidentialDisabled
 	}
 	return d, nil
 }
 
 // ctEnable deploys the confidential subsystem. Devnet-only, like the
 // faucet: a production genesis would bake the deployment in.
-func (g *gateway) ctEnable(raw json.RawMessage) (any, *rpcError) {
-	var p struct {
-		Issuer     string `json:"issuer"`
-		AuditorPub string `json:"auditorPub"` // 64-byte G1 point, hex
-	}
-	if rerr := decodeParams(raw, &p); rerr != nil {
-		return nil, rerr
-	}
+func (g *gateway) ctEnable(_ context.Context, p ctEnableParams) (any, error) {
 	issuer, err := parseAddr(p.Issuer)
 	if err != nil {
 		return nil, badParams(err)
@@ -539,51 +569,33 @@ func (g *gateway) ctEnable(raw json.RawMessage) (any, *rpcError) {
 	}
 	d, err := g.srv.mkt.EnableConfidential(issuer, pub.P)
 	if err != nil {
-		return nil, &rpcError{Code: codeExecution, Message: err.Error()}
+		return nil, err
 	}
 	return map[string]any{
 		"issuer": d.Issuer.String(), "token": contracts.ConfidentialTokenName,
-		"verifier": core.PiCTVerifierName,
+		"verifier":    core.PiCTVerifierName,
 		"verifierGas": d.VerifierGas, "tokenGas": d.TokenGas,
 	}, nil
 }
 
-func (g *gateway) ctMint(raw json.RawMessage) (any, *rpcError) {
-	var p struct {
-		Pays []ctPayIn `json:"pays"`
+func (g *gateway) ctMint(_ context.Context, p ctMintParams) (any, error) {
+	if _, err := g.ctDeployment(); err != nil {
+		return nil, err
 	}
-	if rerr := decodeParams(raw, &p); rerr != nil {
-		return nil, rerr
-	}
-	if _, rerr := g.ctDeployment(); rerr != nil {
-		return nil, rerr
-	}
-	pays, rerr := g.ctPayments(p.Pays)
-	if rerr != nil {
-		return nil, rerr
+	pays, err := ctPayments(p.Pays)
+	if err != nil {
+		return nil, err
 	}
 	notes, err := g.srv.mkt.ConfidentialMint(pays)
 	if err != nil {
-		return nil, &rpcError{Code: codeExecution, Message: err.Error()}
+		return nil, err
 	}
-	return map[string]any{"notes": g.ctWalletNotes(notes)}, nil
+	return map[string]any{"notes": ctWalletNotes(notes)}, nil
 }
 
-func (g *gateway) ctTransfer(raw json.RawMessage) (any, *rpcError) {
-	var p struct {
-		Sender string `json:"sender"`
-		Inputs []struct {
-			ID      uint64 `json:"id"`
-			Value   uint64 `json:"value"`
-			Blinder string `json:"blinder"` // hex field element
-		} `json:"inputs"`
-		Pays []ctPayIn `json:"pays"`
-	}
-	if rerr := decodeParams(raw, &p); rerr != nil {
-		return nil, rerr
-	}
-	if _, rerr := g.ctDeployment(); rerr != nil {
-		return nil, rerr
+func (g *gateway) ctTransfer(_ context.Context, p ctTransferParams) (any, error) {
+	if _, err := g.ctDeployment(); err != nil {
+		return nil, err
 	}
 	sender, err := parseAddr(p.Sender)
 	if err != nil {
@@ -593,7 +605,7 @@ func (g *gateway) ctTransfer(raw json.RawMessage) (any, *rpcError) {
 	for i, in := range p.Inputs {
 		rec, err := contracts.ReadCTNote(g.srv.mkt.Chain, contracts.ConfidentialTokenName, in.ID)
 		if err != nil {
-			return nil, &rpcError{Code: codeExecution, Message: err.Error()}
+			return nil, err
 		}
 		blinder, err := parseBytes(in.Blinder)
 		if err != nil {
@@ -608,18 +620,18 @@ func (g *gateway) ctTransfer(raw json.RawMessage) (any, *rpcError) {
 			Opening: ct.Opening{V: in.Value, R: r},
 		}
 	}
-	pays, rerr := g.ctPayments(p.Pays)
-	if rerr != nil {
-		return nil, rerr
+	pays, err := ctPayments(p.Pays)
+	if err != nil {
+		return nil, err
 	}
 	notes, err := g.srv.mkt.ConfidentialTransfer(sender, ins, pays)
 	if err != nil {
-		return nil, &rpcError{Code: codeExecution, Message: err.Error()}
+		return nil, err
 	}
-	return map[string]any{"notes": g.ctWalletNotes(notes)}, nil
+	return map[string]any{"notes": ctWalletNotes(notes)}, nil
 }
 
-func (g *gateway) ctPayments(pays []ctPayIn) ([]core.ConfPayment, *rpcError) {
+func ctPayments(pays []ctPayIn) ([]core.ConfPayment, error) {
 	out := make([]core.ConfPayment, len(pays))
 	for i, pay := range pays {
 		to, err := parseAddr(pay.To)
@@ -631,7 +643,7 @@ func (g *gateway) ctPayments(pays []ctPayIn) ([]core.ConfPayment, *rpcError) {
 	return out, nil
 }
 
-func (g *gateway) ctWalletNotes(notes []*core.ConfNote) []ctNoteOut {
+func ctWalletNotes(notes []*core.ConfNote) []ctNoteOut {
 	out := make([]ctNoteOut, len(notes))
 	for i, n := range notes {
 		comm := n.Comm.Bytes()
@@ -646,16 +658,10 @@ func (g *gateway) ctWalletNotes(notes []*core.ConfNote) []ctNoteOut {
 	return out
 }
 
-func (g *gateway) ctNote(raw json.RawMessage) (any, *rpcError) {
-	var p struct {
-		ID uint64 `json:"id"`
-	}
-	if rerr := decodeParams(raw, &p); rerr != nil {
-		return nil, rerr
-	}
+func (g *gateway) ctNote(_ context.Context, p idParams) (any, error) {
 	rec, err := contracts.ReadCTNote(g.srv.mkt.Chain, contracts.ConfidentialTokenName, p.ID)
 	if err != nil {
-		return nil, &rpcError{Code: codeExecution, Message: err.Error()}
+		return nil, err
 	}
 	return ctNoteView(rec), nil
 }
@@ -664,18 +670,10 @@ func (g *gateway) ctNote(raw json.RawMessage) (any, *rpcError) {
 // With noteId it opens one note; otherwise it enumerates the contract's
 // settled exchanges (optionally filtered by tokenId) and opens each
 // payment note — the designated-auditor view of AuditLineage.
-func (g *gateway) ctAudit(raw json.RawMessage) (any, *rpcError) {
-	var p struct {
-		AuditorSecret string `json:"auditorSecret"` // hex field element
-		NoteID        uint64 `json:"noteId"`
-		TokenID       uint64 `json:"tokenId"`
-	}
-	if rerr := decodeParams(raw, &p); rerr != nil {
-		return nil, rerr
-	}
-	d, rerr := g.ctDeployment()
-	if rerr != nil {
-		return nil, rerr
+func (g *gateway) ctAudit(_ context.Context, p ctAuditParams) (any, error) {
+	d, err := g.ctDeployment()
+	if err != nil {
+		return nil, err
 	}
 	skRaw, err := parseBytes(p.AuditorSecret)
 	if err != nil {
@@ -687,32 +685,32 @@ func (g *gateway) ctAudit(raw json.RawMessage) (any, *rpcError) {
 	}
 	ak := ct.AuditorKeyFromSecret(sk)
 	if pub := ak.PublicKey(); !pub.Equal(&d.AuditorPub) {
-		return nil, &rpcError{Code: codeExecution, Message: "auditorSecret does not match the deployed auditor key"}
+		return nil, errors.New("auditorSecret does not match the deployed auditor key")
 	}
 	params := ct.DefaultParams()
-	openNote := func(id uint64) (ctNoteOut, *rpcError) {
+	openNote := func(id uint64) (ctNoteOut, error) {
 		rec, err := contracts.ReadCTNote(g.srv.mkt.Chain, contracts.ConfidentialTokenName, id)
 		if err != nil {
-			return ctNoteOut{}, &rpcError{Code: codeExecution, Message: err.Error()}
+			return ctNoteOut{}, err
 		}
 		op, err := ak.Open(params, rec.Comm, &rec.Audit)
 		if err != nil {
-			return ctNoteOut{}, &rpcError{Code: codeExecution, Message: fmt.Sprintf("opening note %d: %v", id, err)}
+			return ctNoteOut{}, fmt.Errorf("opening note %d: %w", id, err)
 		}
 		view := ctNoteView(rec)
 		view.Value = op.V
 		return view, nil
 	}
 	if p.NoteID != 0 {
-		view, rerr := openNote(p.NoteID)
-		if rerr != nil {
-			return nil, rerr
+		view, err := openNote(p.NoteID)
+		if err != nil {
+			return nil, err
 		}
 		return map[string]any{"notes": []ctNoteOut{view}}, nil
 	}
 	settlements, err := contracts.ReadCTSettlements(g.srv.mkt.Chain, contracts.ConfidentialTokenName)
 	if err != nil {
-		return nil, &rpcError{Code: codeExecution, Message: err.Error()}
+		return nil, err
 	}
 	type paymentOut struct {
 		ExchangeID uint64 `json:"exchangeId"`
@@ -725,9 +723,9 @@ func (g *gateway) ctAudit(raw json.RawMessage) (any, *rpcError) {
 		if !s.Settled || (p.TokenID != 0 && s.TokenID != p.TokenID) {
 			continue
 		}
-		view, rerr := openNote(s.NoteID)
-		if rerr != nil {
-			return nil, rerr
+		view, err := openNote(s.NoteID)
+		if err != nil {
+			return nil, err
 		}
 		payments = append(payments, paymentOut{
 			ExchangeID: s.ExchangeID, TokenID: s.TokenID,
@@ -737,44 +735,31 @@ func (g *gateway) ctAudit(raw json.RawMessage) (any, *rpcError) {
 	return map[string]any{"payments": payments}, nil
 }
 
-func (g *gateway) storagePut(raw json.RawMessage) (any, *rpcError) {
-	var p struct {
-		Owner string `json:"owner"`
-		Data  string `json:"data"`
-	}
-	if rerr := decodeParams(raw, &p); rerr != nil {
-		return nil, rerr
-	}
+func (g *gateway) storagePut(_ context.Context, p storagePutParams) (any, error) {
 	data, err := parseBytes(p.Data)
 	if err != nil {
 		return nil, badParams(err)
 	}
 	uri, err := g.srv.mkt.Store.Put(p.Owner, data)
 	if err != nil {
-		return nil, &rpcError{Code: codeExecution, Message: err.Error()}
+		return nil, err
 	}
 	return map[string]string{"uri": hexBytes(uri[:])}, nil
 }
 
-func (g *gateway) storageGet(raw json.RawMessage) (any, *rpcError) {
-	var p struct {
-		URI string `json:"uri"`
-	}
-	if rerr := decodeParams(raw, &p); rerr != nil {
-		return nil, rerr
-	}
-	raw2, err := parseBytes(p.URI)
+func (g *gateway) storageGet(_ context.Context, p storageGetParams) (any, error) {
+	raw, err := parseBytes(p.URI)
 	if err != nil {
 		return nil, badParams(err)
 	}
 	var uri storage.URI
-	if len(raw2) != len(uri) {
+	if len(raw) != len(uri) {
 		return nil, badParams(fmt.Errorf("uri must be %d bytes", len(uri)))
 	}
-	copy(uri[:], raw2)
+	copy(uri[:], raw)
 	data, err := g.srv.mkt.Store.Get(uri)
 	if err != nil {
-		return nil, &rpcError{Code: codeExecution, Message: err.Error()}
+		return nil, err
 	}
 	return map[string]string{"data": hexBytes(data)}, nil
 }

@@ -58,7 +58,7 @@ func (c *rpcClient) sendWait(p txParams) (*txResult, error) {
 	p.Wait = true
 	p.AutoNonce = true
 	var res txResult
-	if err := c.call("zkdet_sendTransaction", p, &res); err != nil {
+	if err := c.call(rpcSendTransaction, p, &res); err != nil {
 		return nil, err
 	}
 	if res.Reverted != "" {
@@ -130,7 +130,7 @@ func (r *loadReport) String() string {
 		r.Clients, r.Txs, r.Elapsed.Seconds(), r.TPS, r.P50, r.P99, r.Provenance, r.Clients)
 }
 
-// provenanceOut mirrors the zkdet_provenance result.
+// provenanceOut mirrors the provenance method's result.
 type provenanceOut struct {
 	Tokens []tokenOut  `json:"tokens"`
 	Edges  [][2]uint64 `json:"edges"`
@@ -147,14 +147,14 @@ func runClient(c *rpcClient, id int, fx *exchangeFixture, latencies *[]time.Dura
 	const price = 5000
 
 	for _, who := range []string{sellerLabel, buyerLabel} {
-		if err := c.call("zkdet_faucet", map[string]any{"address": who, "amount": 1 << 30}, nil); err != nil {
+		if err := c.call(rpcFaucet, faucetParams{Address: who, Amount: 1 << 30}, nil); err != nil {
 			return 0, false, err
 		}
 	}
 	var put struct {
 		URI string `json:"uri"`
 	}
-	if err := c.call("zkdet_storagePut", map[string]any{"owner": sellerLabel, "data": hexBytes(fx.ciphertext)}, &put); err != nil {
+	if err := c.call(rpcStoragePut, storagePutParams{Owner: sellerLabel, Data: hexBytes(fx.ciphertext)}, &put); err != nil {
 		return 0, false, err
 	}
 	uri, err := parseBytes(put.URI)
@@ -233,7 +233,7 @@ func runClient(c *rpcClient, id int, fx *exchangeFixture, latencies *[]time.Dura
 	// The indexer's lineage must say: child ← root, child owned by the
 	// buyer, exchange settled.
 	var lin provenanceOut
-	if err := c.call("zkdet_provenance", map[string]any{"tokenId": childID}, &lin); err != nil {
+	if err := c.call(rpcProvenance, tokenParams{TokenID: childID}, &lin); err != nil {
 		return txs, false, err
 	}
 	ok := len(lin.Tokens) == 2 &&
@@ -246,7 +246,7 @@ func runClient(c *rpcClient, id int, fx *exchangeFixture, latencies *[]time.Dura
 			Status string `json:"status"`
 			Value  uint64 `json:"value"`
 		}
-		if err := c.call("zkdet_exchange", map[string]any{"id": exchangeID}, &ex); err != nil {
+		if err := c.call(rpcExchange, idParams{ID: exchangeID}, &ex); err != nil {
 			return txs, false, err
 		}
 		ok = ex.Status == "settled" && ex.Value == price
@@ -261,7 +261,7 @@ func runClient(c *rpcClient, id int, fx *exchangeFixture, latencies *[]time.Dura
 func runTransferClient(c *rpcClient, id, txPerClient int, latencies *[]time.Duration, mu *sync.Mutex) (int, error) {
 	payer := fmt.Sprintf("payer-%05d", id)
 	payee := fmt.Sprintf("payee-%05d", id)
-	if err := c.call("zkdet_faucet", map[string]any{"address": payer, "amount": 1 << 20}, nil); err != nil {
+	if err := c.call(rpcFaucet, faucetParams{Address: payer, Amount: 1 << 20}, nil); err != nil {
 		return 0, err
 	}
 	txs := 0

@@ -47,7 +47,6 @@ func nodeFlags(fs *flag.FlagSet, cfg *serverConfig) {
 	fs.DurationVar(&cfg.node.BlockInterval, "block-interval", cfg.node.BlockInterval, "seal interval")
 	fs.IntVar(&cfg.node.MaxBlockTxs, "max-block-txs", cfg.node.MaxBlockTxs, "max transactions per block")
 	fs.IntVar(&cfg.node.MaxPoolTxs, "max-pool-txs", cfg.node.MaxPoolTxs, "mempool capacity")
-	fs.IntVar(&cfg.storageNodes, "storage-nodes", cfg.storageNodes, "simulated storage network size")
 	fs.StringVar(&cfg.dataDir, "data-dir", cfg.dataDir, "durable mode: persist WAL + snapshots here and recover on restart (empty = in-memory)")
 	fs.StringVar(&cfg.role, "role", cfg.role, "durable pruning role: archive (keep all history) or full (drop bodies below checkpoints)")
 	fs.Uint64Var(&cfg.checkpointEvery, "checkpoint-every", cfg.checkpointEvery, "durable mode: snapshot cadence in blocks (0 = default 64)")
@@ -150,7 +149,7 @@ func cmdLoad(args []string) error {
 		}
 	}
 	var stats map[string]any
-	if err := newRPCClient("http://"+bound).call("zkdet_stats", map[string]any{}, &stats); err == nil {
+	if err := newRPCClient("http://"+bound).call(rpcStats, nil, &stats); err == nil {
 		out, _ := json.MarshalIndent(stats, "", "  ")
 		fmt.Printf("server stats:\n%s\n", out)
 	}

@@ -16,9 +16,8 @@ import (
 
 // serverConfig tunes one daemon instance.
 type serverConfig struct {
-	storageNodes int
-	srsSize      int
-	node         node.Config
+	srsSize int
+	node    node.Config
 	// dataDir, when set, makes the node durable: blocks, receipts, and blob
 	// puts are write-ahead logged and periodically checkpointed there, and
 	// a restart recovers from the directory instead of starting fresh.
@@ -33,7 +32,6 @@ type serverConfig struct {
 
 func defaultServerConfig() serverConfig {
 	return serverConfig{
-		storageNodes: 8,
 		// Large enough for the π_k circuit the escrow verifier checks.
 		srsSize: 1 << 12,
 		node:    node.DefaultConfig(),
@@ -59,23 +57,22 @@ type server struct {
 // producer. It does not listen yet; call listen or serve the handler
 // directly (tests use httptest).
 //
-// In-memory mode (no dataDir) uses the simulated storage network. Durable
-// mode opens the state engine at dataDir, recovers whatever a previous
-// process persisted — latest verified snapshot plus WAL tail — and only
-// then starts sealing, so a SIGKILL'd daemon restarts where it left off.
+// Blobs live in one content-addressed store. Durable mode (a dataDir) opens
+// the state engine there, logs every blob put to it, recovers whatever a
+// previous process persisted — latest verified snapshot plus WAL tail — and
+// only then starts sealing, so a SIGKILL'd daemon restarts where it left off.
 func newServer(cfg serverConfig) (*server, error) {
 	sys, err := core.NewTestSystem(cfg.srsSize)
 	if err != nil {
 		return nil, fmt.Errorf("proof system setup: %w", err)
 	}
 	srv := &server{}
-	var mkt *core.Marketplace
-	if cfg.dataDir == "" {
-		mkt, _, err = core.NewMarketplace(sys, cfg.storageNodes)
-	} else {
-		role, rerr := snapshot.ParseRole(cfg.role)
-		if rerr != nil {
-			return nil, rerr
+	store := storage.NewStore()
+	var blobs storage.BlobStore = store
+	if cfg.dataDir != "" {
+		role, err := snapshot.ParseRole(cfg.role)
+		if err != nil {
+			return nil, err
 		}
 		srv.durable, err = snapshot.Open(snapshot.Options{
 			Dir: cfg.dataDir, Role: role, CheckpointEvery: cfg.checkpointEvery,
@@ -83,8 +80,9 @@ func newServer(cfg serverConfig) (*server, error) {
 		if err != nil {
 			return nil, fmt.Errorf("opening data dir: %w", err)
 		}
-		mkt, _, err = core.NewMarketplaceWith(sys, chain.New(), srv.durable.Blobs(storage.NewStore()))
+		blobs = srv.durable.Blobs(store)
 	}
+	mkt, _, err := core.NewMarketplaceWith(sys, chain.New(), blobs)
 	if err == nil && cfg.genesis != nil {
 		err = cfg.genesis(mkt)
 	}
@@ -119,7 +117,7 @@ func newServer(cfg serverConfig) (*server, error) {
 // handler returns the JSON-RPC gateway handler.
 func (s *server) handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/", &gateway{srv: s})
+	mux.Handle("/", newGateway(s))
 	return mux
 }
 

@@ -16,7 +16,7 @@ import (
 func runConfidentialShowcase(url string) error {
 	c := newRPCClient(url)
 	for _, who := range []string{"ct-issuer", "ct-alice", "ct-bob"} {
-		if err := c.call("zkdet_faucet", map[string]any{"address": who, "amount": 10_000_000}, nil); err != nil {
+		if err := c.call(rpcFaucet, faucetParams{Address: who, Amount: 10_000_000}, nil); err != nil {
 			return err
 		}
 	}
@@ -24,9 +24,7 @@ func runConfidentialShowcase(url string) error {
 	auditor := ct.AuditorKeyFromSecret(fr.NewElement(0xdeca_f))
 	pub := auditor.PublicKey()
 	pubB := pub.Bytes()
-	if err := c.call("zkdet_ctEnable", map[string]any{
-		"issuer": "ct-issuer", "auditorPub": hexBytes(pubB[:]),
-	}, nil); err != nil {
+	if err := c.call(rpcCTEnable, ctEnableParams{Issuer: "ct-issuer", AuditorPub: hexBytes(pubB[:])}, nil); err != nil {
 		return err
 	}
 
@@ -34,9 +32,7 @@ func runConfidentialShowcase(url string) error {
 		Notes []ctNoteOut `json:"notes"`
 	}
 	var minted notesResult
-	if err := c.call("zkdet_ctMint", map[string]any{
-		"pays": []map[string]any{{"value": 5000, "to": "ct-alice"}},
-	}, &minted); err != nil {
+	if err := c.call(rpcCTMint, ctMintParams{Pays: []ctPayIn{{Value: 5000, To: "ct-alice"}}}, &minted); err != nil {
 		return err
 	}
 	if len(minted.Notes) != 1 {
@@ -47,10 +43,10 @@ func runConfidentialShowcase(url string) error {
 		note.ID, note.Commitment[:16])
 
 	var moved notesResult
-	if err := c.call("zkdet_ctTransfer", map[string]any{
-		"sender": "ct-alice",
-		"inputs": []map[string]any{{"id": note.ID, "value": note.Value, "blinder": note.Blinder}},
-		"pays":   []map[string]any{{"value": 3200, "to": "ct-bob"}, {"value": 1800, "to": "ct-alice"}},
+	if err := c.call(rpcCTTransfer, ctTransferParams{
+		Sender: "ct-alice",
+		Inputs: []ctInputIn{{ID: note.ID, Value: note.Value, Blinder: note.Blinder}},
+		Pays:   []ctPayIn{{Value: 3200, To: "ct-bob"}, {Value: 1800, To: "ct-alice"}},
 	}, &moved); err != nil {
 		return err
 	}
@@ -61,7 +57,7 @@ func runConfidentialShowcase(url string) error {
 		moved.Notes[0].ID, moved.Notes[1].ID)
 
 	var view ctNoteOut
-	if err := c.call("zkdet_ctNote", map[string]any{"id": moved.Notes[0].ID}, &view); err != nil {
+	if err := c.call(rpcCTNote, idParams{ID: moved.Notes[0].ID}, &view); err != nil {
 		return err
 	}
 	if view.Value != 0 || view.Blinder != "" {
@@ -71,9 +67,7 @@ func runConfidentialShowcase(url string) error {
 	sk := fr.NewElement(0xdeca_f)
 	skB := sk.Bytes()
 	var opened notesResult
-	if err := c.call("zkdet_ctAudit", map[string]any{
-		"auditorSecret": hexBytes(skB[:]), "noteId": moved.Notes[0].ID,
-	}, &opened); err != nil {
+	if err := c.call(rpcCTAudit, ctAuditParams{AuditorSecret: hexBytes(skB[:]), NoteID: moved.Notes[0].ID}, &opened); err != nil {
 		return err
 	}
 	if len(opened.Notes) != 1 || opened.Notes[0].Value != 3200 {

@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	zkdet -entries 8 -nodes 8 -price 5000          # full scenario
+//	zkdet -entries 8 -price 5000                   # full scenario
 //	zkdet -scenario mint                           # just mint + verify π_e
 //	zkdet -scenario transform                      # mint + aggregate/partition/duplicate + trace
 //	zkdet -scenario exchange                       # mint + key-secure sale
@@ -25,7 +25,6 @@ func main() {
 	log.SetFlags(0)
 	var (
 		entries  = flag.Int("entries", 4, "dataset size in field elements")
-		nodes    = flag.Int("nodes", 8, "storage network size")
 		price    = flag.Uint64("price", 5000, "sale price for the exchange scenario")
 		scenario = flag.String("scenario", "all", "mint, transform, exchange or all")
 		maxGates = flag.Int("gates", 1<<14, "maximum circuit size the SRS supports")
@@ -35,13 +34,13 @@ func main() {
 	if *entries < 1 {
 		log.Fatal("zkdet: -entries must be positive")
 	}
-	fmt.Printf("zkdet demo — %d entries, %d storage nodes\n", *entries, *nodes)
+	fmt.Printf("zkdet demo — %d entries\n", *entries)
 	fmt.Println("• universal setup…")
 	sys, err := zkdet.NewSystem(*maxGates)
 	if err != nil {
 		log.Fatalf("setup: %v", err)
 	}
-	m, gas, err := zkdet.NewMarketplace(sys, *nodes)
+	m, gas, err := zkdet.NewMarketplace(sys)
 	if err != nil {
 		log.Fatalf("deploy: %v", err)
 	}

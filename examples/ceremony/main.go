@@ -64,7 +64,7 @@ func main() {
 		log.Fatalf("system: %v", err)
 	}
 	_ = restored
-	m, _, err := zkdet.NewMarketplace(sys, 4)
+	m, _, err := zkdet.NewMarketplace(sys)
 	if err != nil {
 		log.Fatalf("marketplace: %v", err)
 	}

@@ -20,7 +20,7 @@ func main() {
 	if err != nil {
 		log.Fatalf("setup: %v", err)
 	}
-	m, _, err := zkdet.NewMarketplace(sys, 8)
+	m, _, err := zkdet.NewMarketplace(sys)
 	if err != nil {
 		log.Fatalf("deploy: %v", err)
 	}

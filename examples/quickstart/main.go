@@ -20,8 +20,8 @@ func main() {
 		log.Fatalf("setup: %v", err)
 	}
 
-	// 2. Deploy the marketplace: chain + contracts + storage network.
-	m, gas, err := zkdet.NewMarketplace(sys, 8)
+	// 2. Deploy the marketplace: chain + contracts + content-addressed storage.
+	m, gas, err := zkdet.NewMarketplace(sys)
 	if err != nil {
 		log.Fatalf("deploy: %v", err)
 	}
@@ -45,7 +45,7 @@ func main() {
 	}
 	fmt.Println("• π_e verified: the published ciphertext encrypts the committed dataset")
 
-	// 5. Anyone can fetch the encrypted bytes from the storage network —
+	// 5. Anyone can fetch the encrypted bytes from storage by URI —
 	//    and only the key holder can read them.
 	ct, err := m.FetchCiphertext(asset.URI)
 	if err != nil {

@@ -259,7 +259,7 @@ type Table2Row struct {
 // Table2Gas deploys the contract suite and measures every operation of
 // Table II on the simulated chain.
 func Table2Gas(sys *core.System) ([]Table2Row, error) {
-	m, deployGas, err := core.NewMarketplace(sys, 4)
+	m, deployGas, err := core.NewMarketplace(sys)
 	if err != nil {
 		return nil, err
 	}

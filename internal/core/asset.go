@@ -73,7 +73,7 @@ func (d Dataset) Commit() (c, o fr.Element) {
 }
 
 // Ciphertext is an encrypted dataset together with its CTR nonce; this is
-// what gets published to the storage network.
+// what gets published to content-addressed storage.
 type Ciphertext struct {
 	Nonce  fr.Element
 	Blocks []fr.Element

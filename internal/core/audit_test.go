@@ -81,7 +81,7 @@ func TestAuditDetectsTamperedStorage(t *testing.T) {
 	reg.PublishAsset(asset)
 	// Corrupt the stored ciphertext: the storage layer itself detects the
 	// digest mismatch.
-	if !m.Store.(*storage.Network).Corrupt(asset.URI) {
+	if !m.Store.(*storage.Store).Corrupt(asset.URI) {
 		t.Fatal("corrupt hook missed")
 	}
 	if _, err := m.AuditLineage(reg, asset.TokenID); err == nil {

@@ -183,7 +183,7 @@ func (s *Seller) Listing(price uint64) Listing {
 	}
 }
 
-// Ciphertext returns D̂ for publication to the storage network.
+// Ciphertext returns D̂ for publication to content-addressed storage.
 func (s *Seller) Ciphertext() Ciphertext { return s.ct }
 
 // ProveData produces π_p (data validation phase).

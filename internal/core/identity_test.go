@@ -15,11 +15,7 @@ import (
 // subsystem with a fixed auditor key.
 func newIdentityMarketplace(t *testing.T, confidential bool) *Marketplace {
 	t.Helper()
-	store, err := storage.NewNetwork(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, _, err := NewMarketplaceWith(testSys(), chain.New(), store)
+	m, _, err := NewMarketplaceWith(testSys(), chain.New(), storage.NewStore())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,14 +14,14 @@ import (
 
 // Marketplace wires the full ZKDET deployment together (Figure 1): the
 // blockchain with the DataNFT / auction / escrow / verifier contracts, the
-// decentralized storage network holding encrypted datasets, and the proof
+// content-addressed storage holding encrypted datasets, and the proof
 // system. It is the component a data owner or demander actually talks to.
 type Marketplace struct {
 	Sys   *System
 	Chain *chain.Chain
-	// Store is the deployment's content-addressed storage: the simulated
-	// DHT by default (NewMarketplace), or any storage.BlobStore — a single
-	// cluster node's local store, a p2p transport-backed store — when
+	// Store is the deployment's content-addressed storage: a fresh
+	// storage.Store by default (NewMarketplace), or any storage.BlobStore —
+	// a durable node's logged store, a p2p transport-backed store — when
 	// deployed with NewMarketplaceWith.
 	Store storage.BlobStore
 
@@ -59,14 +59,10 @@ type DeployGas struct {
 	Verifier uint64
 }
 
-// NewMarketplace deploys the contract suite on a fresh chain and spins up a
-// storage network.
-func NewMarketplace(sys *System, storageNodes int) (*Marketplace, DeployGas, error) {
-	store, err := storage.NewNetwork(storageNodes)
-	if err != nil {
-		return nil, DeployGas{}, err
-	}
-	return NewMarketplaceWith(sys, chain.New(), store)
+// NewMarketplace deploys the contract suite on a fresh chain over a fresh
+// content-addressed blob store.
+func NewMarketplace(sys *System) (*Marketplace, DeployGas, error) {
+	return NewMarketplaceWith(sys, chain.New(), storage.NewStore())
 }
 
 // NewMarketplaceWith deploys the contract suite onto a caller-provided

@@ -10,7 +10,7 @@ import (
 
 func newTestMarketplace(t *testing.T) (*Marketplace, DeployGas) {
 	t.Helper()
-	m, gas, err := NewMarketplace(testSys(), 8)
+	m, gas, err := NewMarketplace(testSys())
 	if err != nil {
 		t.Fatal(err)
 	}

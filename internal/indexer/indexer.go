@@ -161,7 +161,7 @@ func (ix *Indexer) Query(f Filter) ([]Entry, int, error) {
 	}
 	lo := sort.Search(len(entries), func(i int) bool { return entries[i].Block >= f.FromBlock })
 	hi := sort.Search(len(entries), func(i int) bool { return entries[i].Block > to })
-	matched := entries[lo:hi]
+	matched := entries[lo:max(lo, hi)] // FromBlock > ToBlock matches nothing
 	total := len(matched)
 
 	if f.Offset > 0 {

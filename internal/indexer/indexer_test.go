@@ -77,6 +77,12 @@ func TestQueryFilterAndPagination(t *testing.T) {
 	if len(mid) != 3 || total != 3 || mid[0].Block != 2 || mid[2].Block != 4 {
 		t.Fatalf("range [2,4]: %+v (total %d)", mid, total)
 	}
+	// An inverted range [4,2] (the gateway passes it through from a client)
+	// matches nothing.
+	none, total, err := ix.Query(Filter{Contract: "box", Name: "Put", FromBlock: 4, ToBlock: 2})
+	if err != nil || len(none) != 0 || total != 0 {
+		t.Fatalf("range [4,2]: %+v (total %d), %v", none, total, err)
+	}
 
 	// Pagination: offset 1, limit 2 of the 5 total.
 	page, total, err := ix.Query(Filter{Contract: "box", Name: "Put", Offset: 1, Limit: 2})

@@ -112,7 +112,7 @@ type eventSub struct {
 // wait on inclusion through subscriptions instead of polling the chain.
 type Bus struct {
 	mu        sync.Mutex
-	blockSubs map[*Subscription[BlockNotification]]struct{} // guarded by mu
+	blockSubs map[*Subscription[BlockNotification]]struct{}    // guarded by mu
 	eventSubs map[*Subscription[EventNotification]]eventFilter // guarded by mu
 }
 

@@ -87,8 +87,8 @@ func (q *senderQueue) nextFree(chainNonce uint64) uint64 {
 // holding its lock when it calls into the pool).
 type mempool struct {
 	mu      sync.Mutex
-	cfg     Config       // immutable after construction
-	chain   *chain.Chain // immutable after construction
+	cfg     Config                         // immutable after construction
+	chain   *chain.Chain                   // immutable after construction
 	senders map[chain.Address]*senderQueue // guarded by mu
 	size    int                            // guarded by mu; pending + inflight
 

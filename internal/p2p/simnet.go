@@ -22,10 +22,10 @@ type SimNet struct {
 	plan *FaultPlan
 
 	mu     sync.Mutex
-	rng    *rand.Rand              // guarded by mu
-	eps    map[NodeID]*endpoint    // guarded by mu
-	busy   map[linkKey]time.Time   // guarded by mu; per-link bandwidth horizon
-	closed bool                    // guarded by mu
+	rng    *rand.Rand            // guarded by mu
+	eps    map[NodeID]*endpoint  // guarded by mu
+	busy   map[linkKey]time.Time // guarded by mu; per-link bandwidth horizon
+	closed bool                  // guarded by mu
 
 	// Traffic counters, guarded by mu.
 	sent      uint64 // guarded by mu

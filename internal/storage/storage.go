@@ -1,6 +1,7 @@
-// Package storage implements the decentralized storage substrate of ZKDET:
-// a content-addressed network of nodes with Kademlia-style DHT routing
-// (XOR metric, k-buckets, iterative lookup) standing in for IPFS.
+// Package storage implements the content-addressed storage substrate of
+// ZKDET, standing in for IPFS: one node's blob store (Store) behind the
+// BlobStore interface, which a cluster composes across peers (internal/p2p)
+// and the durable engine logs (internal/snapshot).
 //
 // As in the paper's model (§III-A, §IV-A): a dataset's URI is the digest of
 // its (encrypted) content, so the URI doubles as a hash commitment; any
@@ -13,10 +14,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
-	"fmt"
-	"math/bits"
-	"sort"
-	"sync"
 )
 
 // URI is a content address: the SHA-256 digest of the stored bytes.
@@ -28,297 +25,9 @@ func (u URI) String() string { return hex.EncodeToString(u[:]) }
 // URIOf computes the content address of a byte string.
 func URIOf(data []byte) URI { return sha256.Sum256(data) }
 
-// Errors returned by the network.
+// Errors returned by the stores.
 var (
 	ErrNotFound = errors.New("storage: content not found")
 	ErrTampered = errors.New("storage: content digest mismatch")
 	ErrNotOwner = errors.New("storage: only the owner may remove content")
-	ErrNoNodes  = errors.New("storage: network has no nodes")
 )
-
-// nodeID is a DHT node identifier in the same 256-bit space as URIs.
-type nodeID [32]byte
-
-func xorDistanceBucket(a, b [32]byte) int {
-	// Index of the highest differing bit (0..255); 256 when equal.
-	for i := 0; i < 32; i++ {
-		x := a[i] ^ b[i]
-		if x != 0 {
-			return i*8 + bits.LeadingZeros8(x)
-		}
-	}
-	return 256
-}
-
-func xorLess(target [32]byte, a, b [32]byte) bool {
-	for i := 0; i < 32; i++ {
-		da := target[i] ^ a[i]
-		db := target[i] ^ b[i]
-		if da != db {
-			return da < db
-		}
-	}
-	return false
-}
-
-// node is one storage peer: a blob store plus a k-bucket routing table.
-type node struct {
-	id      nodeID
-	blobs   map[URI][]byte
-	owners  map[URI]string
-	buckets [257][]*node // peers by shared-prefix bucket
-}
-
-const bucketSize = 8
-
-func (n *node) addPeer(p *node) {
-	if p == n {
-		return
-	}
-	b := xorDistanceBucket(n.id, p.id)
-	for _, existing := range n.buckets[b] {
-		if existing == p {
-			return
-		}
-	}
-	if len(n.buckets[b]) < bucketSize {
-		n.buckets[b] = append(n.buckets[b], p)
-	}
-}
-
-// closestKnown returns up to k peers from n's routing table closest to the
-// target, possibly including n itself.
-func (n *node) closestKnown(target [32]byte, k int) []*node {
-	var cands []*node
-	cands = append(cands, n)
-	for _, b := range n.buckets {
-		cands = append(cands, b...)
-	}
-	sort.Slice(cands, func(i, j int) bool {
-		return xorLess(target, [32]byte(cands[i].id), [32]byte(cands[j].id))
-	})
-	if len(cands) > k {
-		cands = cands[:k]
-	}
-	return cands
-}
-
-// Network is a simulated DHT storage network.
-type Network struct {
-	mu    sync.Mutex
-	nodes []*node // guarded by mu
-	// replication is the number of closest nodes a blob is stored on;
-	// immutable after construction.
-	replication int
-	// lookupHops counts routing hops, exposed for observability.
-	lookupHops int // guarded by mu
-}
-
-// NewNetwork creates a network of n nodes with deterministic IDs and
-// Kademlia-style routing tables.
-func NewNetwork(n int) (*Network, error) {
-	if n <= 0 {
-		return nil, ErrNoNodes
-	}
-	net := &Network{replication: 3}
-	if net.replication > n {
-		net.replication = n
-	}
-	for i := 0; i < n; i++ {
-		id := sha256.Sum256([]byte(fmt.Sprintf("zkdet/storage-node/%d", i)))
-		net.nodes = append(net.nodes, &node{
-			id:     nodeID(id),
-			blobs:  make(map[URI][]byte),
-			owners: make(map[URI]string),
-		})
-	}
-	// Populate routing tables: every node learns every other (small
-	// networks) — k-buckets cap the per-bucket fanout as in Kademlia.
-	for _, a := range net.nodes {
-		for _, b := range net.nodes {
-			a.addPeer(b)
-		}
-	}
-	return net, nil
-}
-
-// lookup performs an iterative closest-node search from an arbitrary entry
-// node, counting hops; caller holds net.mu.
-func (net *Network) lookup(target [32]byte) []*node {
-	cur := net.nodes[0]
-	for {
-		net.lookupHops++
-		best := cur.closestKnown(target, 1)[0]
-		if best == cur {
-			break
-		}
-		cur = best
-	}
-	return cur.closestKnown(target, net.replication)
-}
-
-// Put stores data under its content address on the replication set of
-// closest nodes, recording the owner, and returns the URI.
-func (net *Network) Put(owner string, data []byte) (URI, error) {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	if len(net.nodes) == 0 {
-		return URI{}, ErrNoNodes
-	}
-	uri := URIOf(data)
-	holders := net.lookup([32]byte(uri))
-	cp := make([]byte, len(data))
-	copy(cp, data)
-	for _, h := range holders {
-		h.blobs[uri] = cp
-		h.owners[uri] = owner
-	}
-	return uri, nil
-}
-
-// Get retrieves content by URI from the DHT, verifying its digest.
-func (net *Network) Get(uri URI) ([]byte, error) {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	if len(net.nodes) == 0 {
-		return nil, ErrNoNodes
-	}
-	for _, h := range net.lookup([32]byte(uri)) {
-		if data, ok := h.blobs[uri]; ok {
-			if URIOf(data) != uri {
-				return nil, ErrTampered
-			}
-			out := make([]byte, len(data))
-			copy(out, data)
-			return out, nil
-		}
-	}
-	// Fall back to a full sweep (replication-set drift in tiny networks).
-	for _, n := range net.nodes {
-		if data, ok := n.blobs[uri]; ok {
-			if URIOf(data) != uri {
-				return nil, ErrTampered
-			}
-			out := make([]byte, len(data))
-			copy(out, data)
-			return out, nil
-		}
-	}
-	return nil, fmt.Errorf("%w: %s", ErrNotFound, uri)
-}
-
-// Remove deletes content at the owner's request (the only allowed removal
-// per the threat model).
-func (net *Network) Remove(owner string, uri URI) error {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	found := false
-	for _, n := range net.nodes {
-		if _, ok := n.blobs[uri]; !ok {
-			continue
-		}
-		if n.owners[uri] != owner {
-			return ErrNotOwner
-		}
-		found = true
-	}
-	if !found {
-		return fmt.Errorf("%w: %s", ErrNotFound, uri)
-	}
-	for _, n := range net.nodes {
-		delete(n.blobs, uri)
-		delete(n.owners, uri)
-	}
-	return nil
-}
-
-// Corrupt flips a byte of the stored blob on every holder — test hook for
-// the tamper-evidence property.
-func (net *Network) Corrupt(uri URI) bool {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	hit := false
-	for _, n := range net.nodes {
-		if data, ok := n.blobs[uri]; ok && len(data) > 0 {
-			data[0] ^= 0xff
-			hit = true
-		}
-	}
-	return hit
-}
-
-// Stats reports network-level counters.
-type Stats struct {
-	Nodes      int
-	Blobs      int
-	LookupHops int
-}
-
-// Stats returns current counters.
-func (net *Network) Stats() Stats {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	seen := map[URI]bool{}
-	for _, n := range net.nodes {
-		for u := range n.blobs {
-			seen[u] = true
-		}
-	}
-	return Stats{Nodes: len(net.nodes), Blobs: len(seen), LookupHops: net.lookupHops}
-}
-
-// FailNode takes a node offline (drops its blobs and removes it from every
-// routing table), simulating churn. Content within the replication factor
-// survives; Get transparently finds surviving replicas.
-func (net *Network) FailNode(i int) error {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	if i < 0 || i >= len(net.nodes) {
-		return fmt.Errorf("storage: no node %d", i)
-	}
-	failed := net.nodes[i]
-	net.nodes = append(net.nodes[:i], net.nodes[i+1:]...)
-	if len(net.nodes) == 0 {
-		return ErrNoNodes
-	}
-	for _, n := range net.nodes {
-		for b := range n.buckets {
-			peers := n.buckets[b][:0]
-			for _, p := range n.buckets[b] {
-				if p != failed {
-					peers = append(peers, p)
-				}
-			}
-			n.buckets[b] = peers
-		}
-	}
-	return nil
-}
-
-// Repair re-replicates every blob onto its current closest nodes, restoring
-// the replication factor after churn.
-func (net *Network) Repair() int {
-	net.mu.Lock()
-	defer net.mu.Unlock()
-	type blob struct {
-		data  []byte
-		owner string
-	}
-	blobs := map[URI]blob{}
-	for _, n := range net.nodes {
-		for u, d := range n.blobs {
-			blobs[u] = blob{data: d, owner: n.owners[u]}
-		}
-	}
-	moved := 0
-	for u, bl := range blobs {
-		for _, h := range net.lookup([32]byte(u)) {
-			if _, ok := h.blobs[u]; !ok {
-				h.blobs[u] = bl.data
-				h.owners[u] = bl.owner
-				moved++
-			}
-		}
-	}
-	return moved
-}

@@ -8,28 +8,28 @@ import (
 )
 
 func TestPutGetRoundTrip(t *testing.T) {
-	net, err := NewNetwork(16)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewStore()
 	data := []byte("encrypted dataset bytes")
-	uri, err := net.Put("alice", data)
+	uri, err := s.Put("alice", data)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if uri != URIOf(data) {
 		t.Fatal("URI is not the content digest")
 	}
-	got, err := net.Get(uri)
+	// The store keeps its own copy of what was put.
+	data[0] ^= 0xff
+	got, err := s.Get(uri)
 	if err != nil {
 		t.Fatal(err)
 	}
+	data[0] ^= 0xff
 	if !bytes.Equal(got, data) {
 		t.Fatal("retrieved data differs")
 	}
 	// Returned slice must be a copy.
 	got[0] ^= 0xff
-	again, err := net.Get(uri)
+	again, err := s.Get(uri)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,177 +39,59 @@ func TestPutGetRoundTrip(t *testing.T) {
 }
 
 func TestGetUnknown(t *testing.T) {
-	net, err := NewNetwork(4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Get(URIOf([]byte("nothing"))); !errors.Is(err, ErrNotFound) {
+	if _, err := NewStore().Get(URIOf([]byte("nothing"))); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("want ErrNotFound, got %v", err)
 	}
 }
 
 func TestTamperDetection(t *testing.T) {
-	net, err := NewNetwork(8)
+	s := NewStore()
+	uri, err := s.Put("alice", []byte("original"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	uri, err := net.Put("alice", []byte("original"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !net.Corrupt(uri) {
+	if !s.Corrupt(uri) {
 		t.Fatal("corrupt hook found nothing")
 	}
-	if _, err := net.Get(uri); !errors.Is(err, ErrTampered) {
+	if _, err := s.Get(uri); !errors.Is(err, ErrTampered) {
 		t.Fatalf("want ErrTampered, got %v", err)
 	}
 }
 
 func TestOwnerOnlyRemoval(t *testing.T) {
-	net, err := NewNetwork(8)
+	s := NewStore()
+	uri, err := s.Put("alice", []byte("dataset"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	uri, err := net.Put("alice", []byte("dataset"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := net.Remove("mallory", uri); !errors.Is(err, ErrNotOwner) {
+	if err := s.Remove("mallory", uri); !errors.Is(err, ErrNotOwner) {
 		t.Fatalf("non-owner removal: %v", err)
 	}
-	if err := net.Remove("alice", uri); err != nil {
+	if err := s.Remove("alice", uri); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := net.Get(uri); !errors.Is(err, ErrNotFound) {
+	if _, err := s.Get(uri); !errors.Is(err, ErrNotFound) {
 		t.Fatal("removed content still retrievable")
 	}
-	if err := net.Remove("alice", uri); !errors.Is(err, ErrNotFound) {
+	if err := s.Remove("alice", uri); !errors.Is(err, ErrNotFound) {
 		t.Fatal("double removal succeeded")
 	}
 }
 
-func TestReplication(t *testing.T) {
-	net, err := NewNetwork(16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uri, err := net.Put("a", []byte("replicated blob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	holders := 0
-	for _, n := range net.nodes {
-		if _, ok := n.blobs[uri]; ok {
-			holders++
-		}
-	}
-	if holders != net.replication {
-		t.Fatalf("blob on %d nodes, want %d", holders, net.replication)
-	}
-}
-
-func TestSingleNodeNetwork(t *testing.T) {
-	net, err := NewNetwork(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uri, err := net.Put("a", []byte("x"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := net.Get(uri); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestNewNetworkRejectsZeroNodes(t *testing.T) {
-	if _, err := NewNetwork(0); !errors.Is(err, ErrNoNodes) {
-		t.Fatal("zero-node network created")
-	}
-}
-
-func TestStats(t *testing.T) {
-	net, err := NewNetwork(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 5; i++ {
-		if _, err := net.Put("o", []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := net.Stats()
-	if s.Nodes != 8 || s.Blobs != 5 {
-		t.Fatalf("stats = %+v", s)
-	}
-	if s.LookupHops == 0 {
-		t.Fatal("no lookup hops recorded")
-	}
-}
-
 func TestQuickContentAddressing(t *testing.T) {
-	net, err := NewNetwork(8)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := NewStore()
 	prop := func(data []byte) bool {
 		if len(data) == 0 {
 			data = []byte{0}
 		}
-		uri, err := net.Put("q", data)
+		uri, err := s.Put("q", data)
 		if err != nil {
 			return false
 		}
-		got, err := net.Get(uri)
+		got, err := s.Get(uri)
 		return err == nil && bytes.Equal(got, data)
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestNodeFailureAndRepair(t *testing.T) {
-	net, err := NewNetwork(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	uri, err := net.Put("alice", []byte("churn-resilient blob"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Fail one replica holder: the blob must survive (replication = 3).
-	failedHolders := 0
-	for i := 0; i < len(net.nodes); i++ {
-		if _, ok := net.nodes[i].blobs[uri]; ok {
-			if err := net.FailNode(i); err != nil {
-				t.Fatal(err)
-			}
-			failedHolders++
-			break
-		}
-	}
-	if failedHolders == 0 {
-		t.Fatal("no holder found to fail")
-	}
-	if _, err := net.Get(uri); err != nil {
-		t.Fatalf("blob lost after single node failure: %v", err)
-	}
-	// Repair restores the replication factor.
-	moved := net.Repair()
-	if moved == 0 {
-		t.Fatal("repair moved nothing")
-	}
-	holders := 0
-	for _, n := range net.nodes {
-		if _, ok := n.blobs[uri]; ok {
-			holders++
-		}
-	}
-	if holders < net.replication {
-		t.Fatalf("replication %d after repair, want ≥ %d", holders, net.replication)
-	}
-	// Failing an out-of-range node errors.
-	if err := net.FailNode(99); err == nil {
-		t.Fatal("failed phantom node")
 	}
 }

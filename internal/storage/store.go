@@ -8,12 +8,12 @@ import (
 )
 
 // BlobStore is the content-addressed storage interface the upper layers
-// (core.Marketplace, the node gateway) program against. Three
-// implementations exist: Network (the in-process simulated DHT), Store (a
-// single node's local blob store), and p2p's transport-backed store that
-// resolves misses from cluster peers. All of them report misses with a
-// typed ErrNotFound — callers distinguish "nobody has it" from corruption
-// (ErrTampered) with errors.Is.
+// (core.Marketplace, the node gateway) program against. Store (one node's
+// local blob store) implements it, as do the durable engine's logging
+// wrapper and p2p's transport-backed store that resolves misses from
+// cluster peers. All of them report misses with a typed ErrNotFound —
+// callers distinguish "nobody has it" from corruption (ErrTampered) with
+// errors.Is.
 type BlobStore interface {
 	// Put stores data under its content address, recording the owner, and
 	// returns the URI.
@@ -42,16 +42,12 @@ type LocalStore interface {
 }
 
 // Interface conformance.
-var (
-	_ BlobStore  = (*Network)(nil)
-	_ BlobStore  = (*Store)(nil)
-	_ LocalStore = (*Store)(nil)
-)
+var _ LocalStore = (*Store)(nil)
 
 // Store is one node's local content-addressed blob store — the storage a
-// single cluster member contributes. Unlike Network it has no routing; a
-// p2p layer composes Stores across a transport so URIs resolve anywhere in
-// the cluster. Safe for concurrent use.
+// single cluster member contributes. It has no routing; a p2p layer
+// composes Stores across a transport so URIs resolve anywhere in the
+// cluster. Safe for concurrent use.
 type Store struct {
 	mu     sync.Mutex
 	blobs  map[URI][]byte // guarded by mu

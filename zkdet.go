@@ -11,7 +11,7 @@
 //   - a blockchain substrate with EVM-calibrated gas metering and the
 //     DataNFT / clock-auction / escrow / verifier contracts
 //     (internal/chain, internal/contracts);
-//   - an IPFS-like content-addressed storage network (internal/storage);
+//   - IPFS-like content-addressed blob storage (internal/storage);
 //   - the ZKDET protocols themselves: proofs of encryption π_e, proofs of
 //     transformation π_t (duplication, aggregation, partition, processing),
 //     the key-secure two-phase exchange (π_p, π_k) and the ZKCP baseline
@@ -20,7 +20,7 @@
 // # Quickstart
 //
 //	sys, _ := zkdet.NewSystem(1 << 12)          // universal setup
-//	m, _, _ := zkdet.NewMarketplace(sys, 8)     // chain + storage + contracts
+//	m, _, _ := zkdet.NewMarketplace(sys)        // chain + storage + contracts
 //	alice := zkdet.AddressFromString("alice")
 //	data := zkdet.EncodeBytes([]byte("dataset"))
 //	asset, _ := m.MintAsset(alice, "alice", data, zkdet.RandomKey())
@@ -123,10 +123,10 @@ func NewSystemFromCeremony(c *kzg.Ceremony) (*System, error) {
 	return core.NewSystem(srs), nil
 }
 
-// NewMarketplace deploys the contract suite on a fresh simulated chain with
-// a storage network of the given size.
-func NewMarketplace(sys *System, storageNodes int) (*Marketplace, DeployGas, error) {
-	return core.NewMarketplace(sys, storageNodes)
+// NewMarketplace deploys the contract suite on a fresh simulated chain over
+// a fresh content-addressed blob store.
+func NewMarketplace(sys *System) (*Marketplace, DeployGas, error) {
+	return core.NewMarketplace(sys)
 }
 
 // EncodeBytes packs raw bytes into a Dataset.

@@ -65,7 +65,7 @@ func TestPublicAPIEndToEnd(t *testing.T) {
 		t.Skip("end-to-end skipped in -short mode")
 	}
 	sys := apiSys()
-	m, gas, err := NewMarketplace(sys, 4)
+	m, gas, err := NewMarketplace(sys)
 	if err != nil {
 		t.Fatal(err)
 	}
