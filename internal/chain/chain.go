@@ -282,11 +282,6 @@ type Chain struct {
 	codeSizes map[string]int       // guarded by mu
 	now       func() time.Time     // immutable after construction
 
-	// eventIdx is the incremental inverted log index: (contract, name) →
-	// events in commit order. It is what EventsByName serves from, instead
-	// of re-walking every receipt.
-	eventIdx map[string][]Event // guarded by mu
-
 	// txs retains the normalized body of every processed transaction so
 	// sealed blocks can be served to peers (BlockBody) and replayed by
 	// importing nodes.
@@ -339,7 +334,6 @@ func NewWithClock(clock func() time.Time) *Chain {
 		storages:  make(map[string]*Storage),
 		accounts:  make(map[Address]*account),
 		codeSizes: make(map[string]int),
-		eventIdx:  make(map[string][]Event),
 		txs:       make(map[Hash]Transaction),
 		now:       clock,
 	}
@@ -554,21 +548,15 @@ func (l *liveTx) meteredStore(name string, gas *GasMeter) *Storage {
 	return l.storages[name].metered(gas, l.jrnl)
 }
 
-// commitTx records a processed transaction's body and receipt, queues it
-// for the next block and folds its logs into the event index; caller holds
-// c.mu. The body is stored post-normalization (gas default applied) so
-// replaying it on another node reproduces the same hash.
+// commitTx records a processed transaction's body and receipt and queues it
+// for the next block; caller holds c.mu. The body is stored
+// post-normalization (gas default applied) so replaying it on another node
+// reproduces the same hash.
 func (c *Chain) commitTx(tx Transaction, h Hash, r *Receipt) {
 	c.txs[h] = tx
 	c.receipts[h] = r
 	c.pending = append(c.pending, h)
-	for _, ev := range r.Logs {
-		k := eventKey(ev.Contract, ev.Name)
-		c.eventIdx[k] = append(c.eventIdx[k], ev)
-	}
 }
-
-func eventKey(contract, name string) string { return contract + "\x00" + name }
 
 // ReadStorage reads a contract storage slot without gas (an archive-node
 // style view used by off-chain tooling and tests).
@@ -691,20 +679,4 @@ func (c *Chain) VerifyIntegrity() error {
 		}
 	}
 	return nil
-}
-
-// EventsByName returns all events with the given name emitted by a
-// contract, in transaction order across all processed transactions — the
-// log-query API off-chain indexers build on. It is served from the chain's
-// incremental inverted index (O(matches)), not a receipt walk.
-func (c *Chain) EventsByName(contract, name string) []Event {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	idx := c.eventIdx[eventKey(contract, name)]
-	if len(idx) == 0 {
-		return nil
-	}
-	out := make([]Event, len(idx))
-	copy(out, idx)
-	return out
 }

@@ -342,7 +342,7 @@ func TestEventsByName(t *testing.T) {
 			c.SealBlock() // events must be found across sealed and pending txs
 		}
 	}
-	evs := c.EventsByName("counter", "Incremented")
+	evs := c.eventsByName("counter", "Incremented")
 	if len(evs) != 3 {
 		t.Fatalf("found %d events, want 3", len(evs))
 	}
@@ -352,10 +352,10 @@ func TestEventsByName(t *testing.T) {
 			t.Fatalf("event %d has value %d", i, got)
 		}
 	}
-	if evs := c.EventsByName("counter", "Nope"); len(evs) != 0 {
+	if evs := c.eventsByName("counter", "Nope"); len(evs) != 0 {
 		t.Fatal("phantom events")
 	}
-	if evs := c.EventsByName("nope", "Incremented"); len(evs) != 0 {
+	if evs := c.eventsByName("nope", "Incremented"); len(evs) != 0 {
 		t.Fatal("phantom contract events")
 	}
 }

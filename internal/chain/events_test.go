@@ -2,7 +2,6 @@ package chain
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 )
 
@@ -103,29 +102,6 @@ func TestSealHooksDeliverBlocksInOrder(t *testing.T) {
 	}
 }
 
-func TestEventsByNameIndexMatchesScan(t *testing.T) {
-	c, alice := newTestChain(t)
-	deployCounter(t, c, alice)
-	for i := 0; i < 20; i++ {
-		if _, err := c.Submit(Transaction{From: alice, Contract: "counter", Method: "inc", Nonce: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-		if i%7 == 6 {
-			c.SealBlock()
-		}
-	}
-	idx := c.EventsByName("counter", "Incremented")
-	scan := c.eventsByNameScan("counter", "Incremented")
-	if len(idx) != len(scan) {
-		t.Fatalf("index has %d events, scan %d", len(idx), len(scan))
-	}
-	for i := range idx {
-		if string(idx[i].Data) != string(scan[i].Data) || idx[i].Name != scan[i].Name {
-			t.Fatalf("event %d differs between index and scan", i)
-		}
-	}
-}
-
 // emitter logs one indexed event per call, with the topic taken from args.
 type emitter struct{}
 
@@ -142,7 +118,7 @@ func TestEmitIndexedTopicAndGas(t *testing.T) {
 	if err != nil || r.Err != nil {
 		t.Fatal(err, r.Err)
 	}
-	evs := c.EventsByName("emitter", "Ping")
+	evs := r.Logs
 	if len(evs) != 1 || len(evs[0].Topic) != 1 || evs[0].Topic[0] != 0xAB {
 		t.Fatalf("indexed topic not recorded: %+v", evs)
 	}
@@ -156,64 +132,10 @@ func TestEmitIndexedTopicAndGas(t *testing.T) {
 	}
 }
 
-// benchChain builds a chain with n executed counter transactions (sealed in
-// blocks of 100) so scan cost is proportional to total receipts.
-func benchChain(b *testing.B, n int) *Chain {
-	b.Helper()
-	c := New()
-	alice := AddressFromString("alice")
-	c.Faucet(alice, 1<<40)
-	if _, err := c.Deploy("counter", &counter{beneficiary: alice}, 1000); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := c.Deploy("quiet", &counter{beneficiary: alice}, 1000); err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		// 1 in 100 transactions emits on the contract being queried; the
-		// rest are noise the scan still has to walk.
-		contract := "quiet"
-		if i%100 == 0 {
-			contract = "counter"
-		}
-		if _, err := c.Submit(Transaction{From: alice, Contract: contract, Method: "inc", Nonce: uint64(i)}); err != nil {
-			b.Fatal(err)
-		}
-		if i%100 == 99 {
-			c.SealBlock()
-		}
-	}
-	c.SealBlock()
-	return c
-}
-
-// BenchmarkEventsByName compares the legacy O(total-receipts) scan against
-// the incremental inverted index at 10k+ transactions; see EXPERIMENTS.md.
-func BenchmarkEventsByName(b *testing.B) {
-	for _, n := range []int{10_000, 50_000} {
-		c := benchChain(b, n)
-		want := len(c.eventsByNameScan("counter", "Incremented"))
-		b.Run(fmt.Sprintf("scan/txs=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if got := c.eventsByNameScan("counter", "Incremented"); len(got) != want {
-					b.Fatalf("scan found %d events, want %d", len(got), want)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("indexed/txs=%d", n), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if got := c.EventsByName("counter", "Incremented"); len(got) != want {
-					b.Fatalf("index found %d events, want %d", len(got), want)
-				}
-			}
-		})
-	}
-}
-
-// eventsByNameScan is the pre-index implementation of EventsByName — an
-// O(total receipts) walk over every block, then the pending set — kept
-// here as the oracle the index is pinned against.
-func (c *Chain) eventsByNameScan(contract, name string) []Event {
+// eventsByName returns every event with the given name a contract emitted,
+// read from the receipts of every sealed block and then the pending set, in
+// commit order.
+func (c *Chain) eventsByName(contract, name string) []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []Event

@@ -342,20 +342,12 @@ func (c *Chain) checkApplicableLocked(hdr *Block, txs []Transaction, head Block)
 // closes its undo scope: the journal restores every slot and account the
 // execution touched (dropping accounts it first created), and the
 // transactions it committed — c.pending, found empty beforehand — leave the
-// event index, the receipt table and the body table. Cost is proportional
-// to the block, not to the state. caller holds c.mu.
+// receipt table and the body table. Cost is proportional to the block, not
+// to the state. caller holds c.mu.
 func (c *Chain) abortBlockLocked() {
 	c.jrnl.revertTo(journalMark{})
 	c.jrnl = nil
 	for _, h := range c.pending {
-		for _, ev := range c.receipts[h].Logs {
-			k := eventKey(ev.Contract, ev.Name)
-			if evs := c.eventIdx[k]; len(evs) > 1 {
-				c.eventIdx[k] = evs[:len(evs)-1]
-			} else {
-				delete(c.eventIdx, k)
-			}
-		}
 		delete(c.receipts, h)
 		delete(c.txs, h)
 	}

@@ -97,7 +97,7 @@ func TestImportBlockRollsBackOnStateMismatch(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	// Block 1 gives the follower an event index and slots to preserve;
+	// Block 1 gives the follower receipts and slots to preserve;
 	// block 2 — the one it will reject — overwrites a slot, adds events,
 	// and pays carol, an account the follower has never seen.
 	carol := AddressFromString("carol")

@@ -42,9 +42,6 @@ type BlockData struct {
 // StateExport is a self-contained copy of everything a chain needs to come
 // back after a restart: every header, the bodies and receipts of retained
 // blocks (full-role nodes prune old ones), and the materialized state.
-// The event index is not exported — it is rebuilt from the retained
-// receipts in block order, which keeps the two structurally consistent by
-// construction.
 type StateExport struct {
 	Blocks   []Block              // all headers, genesis through head
 	Bodies   map[uint64]BlockData // block number → body + receipts (may be partial on pruned nodes)
@@ -178,8 +175,7 @@ func (c *Chain) RestoreState(exp *StateExport) error {
 		c.accounts[a] = &account{balance: st.Balance, nonce: st.Nonce}
 	}
 
-	// Root verified: commit headers, bodies, receipts, and rebuild the
-	// event index from receipts in block order.
+	// Root verified: commit headers, bodies and receipts.
 	c.blocks = make([]Block, len(exp.Blocks))
 	copy(c.blocks, exp.Blocks)
 	type dispatch struct {
@@ -197,10 +193,6 @@ func (c *Chain) RestoreState(exp *StateExport) error {
 			c.txs[h] = bd.Txs[i]
 			if r := bd.Receipts[i]; r != nil {
 				c.receipts[h] = r
-				for _, ev := range r.Logs {
-					k := eventKey(ev.Contract, ev.Name)
-					c.eventIdx[k] = append(c.eventIdx[k], ev)
-				}
 			}
 		}
 		dispatches = append(dispatches, dispatch{b: b, receipts: bd.Receipts})

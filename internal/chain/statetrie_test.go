@@ -266,7 +266,6 @@ func TestStateTrieRandomOps(t *testing.T) {
 type chainImage struct {
 	Accounts map[Address]account
 	Slots    map[string]map[string]string
-	IdxLens  map[string]int
 	Receipts int
 	Txs      int
 	Pending  int
@@ -279,7 +278,6 @@ func imageOf(c *Chain) chainImage {
 	img := chainImage{
 		Accounts: make(map[Address]account),
 		Slots:    make(map[string]map[string]string),
-		IdxLens:  make(map[string]int),
 		Receipts: len(c.receipts),
 		Txs:      len(c.txs),
 		Pending:  len(c.pending),
@@ -294,9 +292,6 @@ func imageOf(c *Chain) chainImage {
 			m[k] = string(v)
 		}
 		img.Slots[name] = m
-	}
-	for k, evs := range c.eventIdx {
-		img.IdxLens[k] = len(evs)
 	}
 	return img
 }

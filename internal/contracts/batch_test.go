@@ -66,51 +66,6 @@ func breakProof(p *plonk.Proof) *plonk.Proof {
 	return &bad
 }
 
-// TestVerifyBatchOnChain covers the verifyBatch entrypoint: N proofs in
-// one call cost far less than N standalone calls, and a single bad proof
-// reverts the whole call.
-func TestVerifyBatchOnChain(t *testing.T) {
-	ps := batchProofSystem()
-	proofs, publics := mintProofs(t, 4)
-
-	c := chain.New()
-	if _, err := c.Deploy("verifier", NewVerifier(ps.vk), VerifierCodeSize); err != nil {
-		t.Fatal(err)
-	}
-	alice := chain.AddressFromString("alice")
-
-	r := call(t, c, alice, "verifier", "verifyBatch", 0, VerifyBatchArgs(proofs, publics))
-	mustSucceed(t, r)
-	if len(r.Return) != 1 || r.Return[0] != 1 {
-		t.Fatal("verifyBatch did not return success")
-	}
-	single := VerificationGas(1)
-	if r.GasUsed >= 4*single {
-		t.Fatalf("batched gas %d not amortised vs 4×%d standalone", r.GasUsed, single)
-	}
-
-	// One corrupted proof poisons the batch.
-	badProofs := append([]*plonk.Proof{}, proofs...)
-	badProofs[2] = breakProof(proofs[2])
-	r = call(t, c, alice, "verifier", "verifyBatch", 0, VerifyBatchArgs(badProofs, publics))
-	if !errors.Is(r.Err, ErrProofRejected) {
-		t.Fatalf("corrupted batch: %v", r.Err)
-	}
-	// Empty batch is malformed, and classified as ErrBadArgs (not a proof
-	// rejection): there is nothing to fold, so "success" would be vacuous
-	// and indistinguishable from verifying zero statements.
-	r = call(t, c, alice, "verifier", "verifyBatch", 0, EncodeArgs())
-	if !errors.Is(r.Err, ErrBadArgs) {
-		t.Fatalf("empty verifyBatch: got %v, want ErrBadArgs", r.Err)
-	}
-	// An explicitly encoded empty batch is byte-identical calldata and must
-	// fail the same way.
-	r = call(t, c, alice, "verifier", "verifyBatch", 0, VerifyBatchArgs(nil, nil))
-	if !errors.Is(r.Err, ErrBadArgs) {
-		t.Fatalf("VerifyBatchArgs(nil, nil): got %v, want ErrBadArgs", r.Err)
-	}
-}
-
 // TestBatchVerifiedGasSchedule pins the amortised schedule: the pairing
 // term is split across the batch and vanishes as n grows, while the
 // per-proof folding work stays.

@@ -23,16 +23,11 @@ var ErrProofRejected = errors.New("contracts: proof rejected")
 // the verifier's actual group-operation count (2 pairings plus the
 // MSM-folding scalar multiplications), so verification is O(1) on-chain.
 //
-// Two batching paths cut the amortised cost further:
-//
-//   - verifyBatch checks N proofs in one call, folding the N pairing
-//     statements into a single pairing (plonk.BatchVerify) and charging
-//     the pairing gas once.
-//   - A block applied through the chain's block verifier
-//     (BlockProofChecker) has its proofs folded once, before execution; a
-//     verify call whose calldata is in that block's table
-//     (CallContext.ProofFold) charges the amortised schedule for the
-//     fold's width instead of re-running the pairing.
+// Batching has one path: a block applied through the chain's block verifier
+// (BlockProofChecker) has its proofs folded once, before execution, and a
+// verify call whose calldata is in that block's table
+// (CallContext.ProofFold) charges the amortised schedule for the fold's
+// width instead of re-running the pairing.
 //
 // The contract holds nothing but its key: what a call pays is decided by
 // the block it executes in, never by which node or code path runs it.
@@ -68,22 +63,16 @@ func BatchVerifiedGas(n, nbPublic int) uint64 {
 	return pairing + uint64(18+nbPublic+2)*chain.GasEcMul + 24*chain.GasEcAdd
 }
 
-// Call dispatches. Methods:
+// Call dispatches its one method:
 //
 //	verify(proofBytes, publicInput₁, …, publicInput_ℓ) → 0x01
-//	verifyBatch(batch₁, …, batch_N) → 0x01
 //
-// where each batchᵢ is itself EncodeArgs(proofBytes, publicInput₁, …).
-// Both revert when any proof does not verify.
+// which reverts when the proof does not verify.
 func (v *Verifier) Call(ctx *chain.CallContext, method string, args []byte) ([]byte, error) {
-	switch method {
-	case "verify":
-		return v.verify(ctx, args)
-	case "verifyBatch":
-		return v.verifyBatch(ctx, args)
-	default:
+	if method != "verify" {
 		return nil, fmt.Errorf("contracts: verifier has no method %q", method)
 	}
+	return v.verify(ctx, args)
 }
 
 // decodeVerifyArgs splits verify calldata into the proof and its public
@@ -134,37 +123,6 @@ func (v *Verifier) verify(ctx *chain.CallContext, args []byte) ([]byte, error) {
 	return []byte{1}, nil
 }
 
-func (v *Verifier) verifyBatch(ctx *chain.CallContext, args []byte) ([]byte, error) {
-	batches, err := DecodeArgsVariadic(args)
-	if err != nil {
-		return nil, err
-	}
-	if len(batches) == 0 {
-		return nil, fmt.Errorf("%w: empty batch", ErrBadArgs)
-	}
-	n := len(batches)
-	proofs := make([]*plonk.Proof, n)
-	publics := make([][]fr.Element, n)
-	for i, b := range batches {
-		proofs[i], publics[i], err = decodeVerifyArgs(b)
-		if err != nil {
-			return nil, fmt.Errorf("contracts: batch entry %d: %w", i, err)
-		}
-	}
-	// One pairing for the whole call plus each proof's own folding work.
-	gas := uint64(chain.GasPairingBase + 2*chain.GasPairingPerPair)
-	for i := range publics {
-		gas += uint64(18+len(publics[i])+2)*chain.GasEcMul + 24*chain.GasEcAdd
-	}
-	if err := ctx.Gas.Charge(gas); err != nil {
-		return nil, err
-	}
-	if err := plonk.BatchVerify(v.vk, proofs, publics); err != nil {
-		return nil, fmt.Errorf("%w: %w", ErrProofRejected, err)
-	}
-	return []byte{1}, nil
-}
-
 // VerifyArgs builds the calldata for a verify call.
 func VerifyArgs(proof *plonk.Proof, public []fr.Element) []byte {
 	parts := make([][]byte, 0, 1+len(public))
@@ -174,14 +132,4 @@ func VerifyArgs(proof *plonk.Proof, public []fr.Element) []byte {
 		parts = append(parts, b[:])
 	}
 	return EncodeArgs(parts...)
-}
-
-// VerifyBatchArgs builds the calldata for a verifyBatch call: one nested
-// VerifyArgs blob per proof.
-func VerifyBatchArgs(proofs []*plonk.Proof, publics [][]fr.Element) []byte {
-	entries := make([][]byte, len(proofs))
-	for i := range proofs {
-		entries[i] = VerifyArgs(proofs[i], publics[i])
-	}
-	return EncodeArgs(entries...)
 }

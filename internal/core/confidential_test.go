@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"errors"
 	"testing"
 
@@ -166,10 +167,13 @@ func TestSellConfidentialAndAuditorLineage(t *testing.T) {
 	}
 }
 
-// TestIndexerConfidentialFold runs a confidential sale with the event
-// indexer attached and checks the folded CT views: note records by ID and
-// by commitment digest, statuses tracking the note lifecycle, and the
-// confidential exchange record — all carrying only public data.
+// TestIndexerConfidentialFold pins §17.4 on the raw logs: a confidential
+// mint, a 1→2 transfer and a confidential sale leave only public data in
+// the confidential token's events — CTNote is id ‖ 20-byte recipient ‖
+// 32-byte commitment digest, CTOpened carries the 64-byte commitment, and no
+// payload holds an amount's U64 bytes or a blinder's 32 bytes — and the
+// indexer's posting lists hold exactly those events, so zkdet_events serves
+// them. Confidential state itself is read from contract storage.
 func TestIndexerConfidentialFold(t *testing.T) {
 	m, _, _ := newConfidentialMarketplace(t)
 	ix := m.AttachIndexer()
@@ -180,62 +184,64 @@ func TestIndexerConfidentialFold(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	notes, err := m.ConfidentialMint([]ConfPayment{{Value: 5000, To: bob}})
+	minted, err := m.ConfidentialMint([]ConfPayment{{Value: 1000, To: alice}, {Value: 5000, To: bob}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := m.SellConfidential(1, alice, bob, asset, RangePredicate{Bits: 16}, notes[0]); err != nil {
+	split, err := m.ConfidentialTransfer(alice, minted[:1], []ConfPayment{{Value: 600, To: bob}, {Value: 400, To: alice}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.SellConfidential(1, alice, bob, asset, RangePredicate{Bits: 16}, minted[1]); err != nil {
 		t.Fatal(err)
 	}
 	m.Chain.SealBlock()
 
-	// Note record: settled payment note now belongs to the seller, unspent
-	// again, with its full lock→settle history and the commitment digest.
-	rec, err := ix.CTNote(notes[0].ID)
-	if err != nil {
-		t.Fatal(err)
+	var secrets [][]byte
+	for _, n := range append(minted, split...) {
+		r := n.Opening.R.Bytes()
+		secrets = append(secrets, contracts.U64(n.Opening.V), r[:])
 	}
-	if rec.Owner != alice || rec.Status != indexer.CTNoteUnspent {
-		t.Fatalf("settled note record %+v", rec)
+	counts := map[string]int{}
+	for h := uint64(1); h <= m.Chain.Height(); h++ {
+		b, _ := m.Chain.BlockByNumber(h)
+		for _, txh := range b.TxHashes {
+			r, _ := m.Chain.Receipt(txh)
+			for _, ev := range r.Logs {
+				if ev.Contract != contracts.ConfidentialTokenName {
+					continue
+				}
+				counts[ev.Name]++
+				parts, err := contracts.DecodeArgsVariadic(ev.Data)
+				if err != nil {
+					t.Fatalf("%s: %v", ev.Name, err)
+				}
+				switch ev.Name {
+				case "CTNote":
+					if len(parts) != 3 || len(parts[0]) != 8 || len(parts[1]) != 20 || len(parts[2]) != 32 {
+						t.Fatalf("CTNote layout %x", ev.Data)
+					}
+				case "CTOpened":
+					if len(parts) != 5 || len(parts[4]) != 64 {
+						t.Fatalf("CTOpened layout %x", ev.Data)
+					}
+				}
+				for _, sec := range secrets {
+					if bytes.Contains(ev.Data, sec) || bytes.Contains(ev.Topic, sec) {
+						t.Fatalf("%s payload carries an opening: %x", ev.Name, sec)
+					}
+				}
+			}
+		}
 	}
-	var names []string
-	for _, h := range rec.History {
-		names = append(names, h.Name)
-	}
-	if len(names) != 3 || names[0] != "CTNote" || names[1] != "CTOpened" || names[2] != "CTSettled" {
-		t.Fatalf("note history %v", names)
-	}
-
-	// Digest lookup pivots from the on-chain commitment to the same record.
-	onchain, err := contracts.ReadCTNote(m.Chain, contracts.ConfidentialTokenName, notes[0].ID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	digest := onchain.Comm.Digest()
-	byDigest, err := ix.CTNoteByDigest(digest[:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if byDigest.ID != notes[0].ID {
-		t.Fatalf("digest lookup returned note %d, want %d", byDigest.ID, notes[0].ID)
-	}
-	if _, err := ix.CTNoteByDigest(make([]byte, 32)); !errors.Is(err, indexer.ErrUnknownNote) {
-		t.Fatalf("unknown digest: %v", err)
-	}
-
-	// Exchange record: settled, pinned to the token and note, commitment
-	// present but no amount anywhere.
-	ex, err := ix.CTExchange(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ex.Status != indexer.ExchangeSettled || ex.TokenID != asset.TokenID ||
-		ex.NoteID != notes[0].ID || ex.Seller != alice || len(ex.Comm) != 64 || len(ex.KC) == 0 {
-		t.Fatalf("confidential exchange record %+v", ex)
-	}
-
-	if s := ix.Stats(); s.CTNotes != 1 {
-		t.Fatalf("stats CTNotes = %d, want 1", s.CTNotes)
+	want := map[string]int{"CTNote": 4, "CTMint": 1, "CTTransfer": 1, "CTOpened": 1, "CTSettled": 1}
+	for name, n := range want {
+		if counts[name] != n {
+			t.Fatalf("%d %s events, want %d (all: %v)", counts[name], name, n, counts)
+		}
+		if _, total, err := ix.Query(indexer.Filter{Contract: contracts.ConfidentialTokenName, Name: name}); err != nil || total != n {
+			t.Fatalf("indexer holds %d %s events, want %d (%v)", total, name, n, err)
+		}
 	}
 }
 

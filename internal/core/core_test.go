@@ -145,10 +145,11 @@ func TestAggregationProof(t *testing.T) {
 	s1, s2 := smallData(3), smallData(2)
 	c1, o1 := s1.Commit()
 	c2, o2 := s2.Commit()
-	tp, derived, _, err := sys.ProveAggregation([]Dataset{s1, s2}, []fr.Element{c1, c2}, []fr.Element{o1, o2})
+	tp, pieces, _, err := sys.transform(TransformAggregation, []Dataset{s1, s2}, []fr.Element{c1, c2}, []fr.Element{o1, o2}, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	derived := pieces[0]
 	if len(derived) != 5 {
 		t.Fatalf("derived size %d", len(derived))
 	}
@@ -166,7 +167,7 @@ func TestAggregationProof(t *testing.T) {
 		t.Fatal("swapped aggregation verified")
 	}
 	// Single source rejected.
-	if _, _, _, err := sys.ProveAggregation([]Dataset{s1}, []fr.Element{c1}, []fr.Element{o1}); !errors.Is(err, ErrBadShape) {
+	if _, _, _, err := sys.transform(TransformAggregation, []Dataset{s1}, []fr.Element{c1}, []fr.Element{o1}, nil, nil); !errors.Is(err, ErrBadShape) {
 		t.Fatal("single-source aggregation allowed")
 	}
 }
@@ -175,7 +176,7 @@ func TestPartitionProof(t *testing.T) {
 	sys := testSys()
 	src := smallData(5)
 	cs, os := src.Commit()
-	tp, pieces, _, err := sys.ProvePartition(src, cs, os, []int{2, 3})
+	tp, pieces, _, err := sys.transform(TransformPartition, []Dataset{src}, []fr.Element{cs}, []fr.Element{os}, []int{2, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,13 +194,13 @@ func TestPartitionProof(t *testing.T) {
 		t.Fatalf("honest partition rejected: %v", err)
 	}
 	// Invalid shapes.
-	if _, _, _, err := sys.ProvePartition(src, cs, os, []int{5}); !errors.Is(err, ErrBadShape) {
+	if _, _, _, err := sys.transform(TransformPartition, []Dataset{src}, []fr.Element{cs}, []fr.Element{os}, []int{5}, nil); !errors.Is(err, ErrBadShape) {
 		t.Fatal("1-piece partition allowed")
 	}
-	if _, _, _, err := sys.ProvePartition(src, cs, os, []int{2, 2}); !errors.Is(err, ErrBadShape) {
+	if _, _, _, err := sys.transform(TransformPartition, []Dataset{src}, []fr.Element{cs}, []fr.Element{os}, []int{2, 2}, nil); !errors.Is(err, ErrBadShape) {
 		t.Fatal("non-exhaustive partition allowed")
 	}
-	if _, _, _, err := sys.ProvePartition(src, cs, os, []int{0, 5}); !errors.Is(err, ErrBadShape) {
+	if _, _, _, err := sys.transform(TransformPartition, []Dataset{src}, []fr.Element{cs}, []fr.Element{os}, []int{0, 5}, nil); !errors.Is(err, ErrBadShape) {
 		t.Fatal("empty piece allowed")
 	}
 }

@@ -354,7 +354,6 @@ func (m *Marketplace) AttachIndexer() *indexer.Indexer {
 		m.ix = indexer.New(indexer.Config{
 			NFTContract:    contracts.DataNFTName,
 			EscrowContract: contracts.EscrowName,
-			CTContract:     contracts.ConfidentialTokenName,
 		})
 		m.ix.Attach(m.Chain)
 	}

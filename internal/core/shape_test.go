@@ -91,7 +91,7 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		for i, h := range halves {
 			cs[i], os[i] = h.Commit()
 		}
-		tp, _, _, err := prover.ProveAggregation(halves, cs, os)
+		tp, _, _, err := prover.transform(TransformAggregation, halves, cs, os, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -102,7 +102,7 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 	})
 
 	t.Run("pi_t/part", func(t *testing.T) {
-		tp, _, _, err := prover.ProvePartition(data, st.DataCommitment, w.DataBlinder, []int{2, 2})
+		tp, _, _, err := prover.transform(TransformPartition, []Dataset{data}, []fr.Element{st.DataCommitment}, []fr.Element{w.DataBlinder}, []int{2, 2}, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

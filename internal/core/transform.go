@@ -346,25 +346,6 @@ func (s *System) ProveDuplication(data Dataset, cs, os fr.Element) (*TransformPr
 	return tp, od[0], nil
 }
 
-// ProveAggregation produces π_t for merging sources (in order) into their
-// concatenation D = S_1 ‖ … ‖ S_x (§IV-D2), returning the proof, the derived
-// dataset and its commitment blinder o_d. Each source arrives with its
-// existing commitment/blinder.
-func (s *System) ProveAggregation(srcs []Dataset, csList, osList []fr.Element) (*TransformProof, Dataset, fr.Element, error) {
-	tp, pieces, od, err := s.transform(TransformAggregation, srcs, csList, osList, nil, nil)
-	if err != nil {
-		return nil, nil, fr.Element{}, err
-	}
-	return tp, pieces[0], od[0], nil
-}
-
-// ProvePartition produces π_t for splitting the source into consecutive
-// pieces of the given sizes (§IV-D3), returning the proof, the pieces and
-// their blinders.
-func (s *System) ProvePartition(src Dataset, cs, os fr.Element, sizes []int) (*TransformProof, []Dataset, []fr.Element, error) {
-	return s.transform(TransformPartition, []Dataset{src}, []fr.Element{cs}, []fr.Element{os}, sizes, nil)
-}
-
 // ProveProcessing produces π_t for D = f(S) (§IV-D4), returning the proof,
 // derived dataset and its blinder.
 func (s *System) ProveProcessing(p Processor, src Dataset, cs, os fr.Element) (*TransformProof, Dataset, fr.Element, error) {

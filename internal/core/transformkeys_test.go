@@ -92,12 +92,12 @@ func TestTransformKeysUnchanged(t *testing.T) {
 		{key: "pi_t/agg/[2 3]", want: "1ed4535690b9fd69e25f8ee2", prove: func(s *System) (*TransformProof, error) {
 			srcs := []Dataset{smallData(2), smallData(3)}
 			cs, os := commitAll(srcs...)
-			tp, _, _, err := s.ProveAggregation(srcs, cs, os)
+			tp, _, _, err := s.transform(TransformAggregation, srcs, cs, os, nil, nil)
 			return tp, err
 		}},
 		{key: "pi_t/part/[2 3]", want: "9129f8424f94cd90deeb130b", prove: func(s *System) (*TransformProof, error) {
 			cs, os := commitAll(smallData(5))
-			tp, _, _, err := s.ProvePartition(smallData(5), cs[0], os[0], []int{2, 3})
+			tp, _, _, err := s.transform(TransformPartition, []Dataset{smallData(5)}, cs, os, []int{2, 3}, nil)
 			return tp, err
 		}},
 		{key: "pi_t/proc/doubler/4", want: "defbf01ab41bc2141b7f1740", proc: doubler{}, prove: process(doubler{})},

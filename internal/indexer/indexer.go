@@ -1,9 +1,11 @@
 // Package indexer is ZKDET's off-chain query layer: it consumes sealed
-// blocks (via chain.OnSeal) and maintains an inverted event index keyed by
-// (contract, event name, topic) with per-block bloom filters and paginated
-// range queries, plus a provenance service that folds DataNFT and escrow
-// events into per-token lineage DAGs — the paper's traceability property
-// (§III-B, Figure 2) exposed as a query API instead of a storage walk.
+// blocks (via chain.OnSeal) and keeps one posting list per (contract, event
+// name[, topic]) key, answered by binary search with paginated range
+// queries. A provenance service folds DataNFT and escrow events into
+// per-token lineage DAGs — the paper's traceability property (§III-B,
+// Figure 2) exposed as a query API instead of a storage walk.
+// Confidential-token events land in the posting lists like any other;
+// confidential state is read from contract storage (contracts.ReadCTNote).
 package indexer
 
 import (
@@ -44,9 +46,8 @@ type Stats struct {
 	Events  uint64 // events indexed
 	Txs     uint64 // transactions mapped
 	Tokens  int    // tokens known to the provenance service
-	CTNotes int    // confidential notes known to the provenance service
 	Keys    int    // distinct (contract, name[, topic]) index keys
-	Skipped uint64 // range-scan blocks skipped by bloom filters
+	Skipped uint64 // always zero: no read skips blocks (kept for the benchmark's indexer.bloom_skipped)
 }
 
 // Config names the contracts whose events the provenance service folds.
@@ -54,7 +55,6 @@ type Stats struct {
 type Config struct {
 	NFTContract    string
 	EscrowContract string
-	CTContract     string // confidential-token contract (commitment digests, never amounts)
 }
 
 // Indexer is the off-chain index. Feed it sealed blocks via Attach (the
@@ -64,12 +64,10 @@ type Indexer struct {
 	cfg Config
 
 	head    uint64                // guarded by mu
-	blooms  map[uint64]*bloom     // guarded by mu; per processed block
 	byKey   map[string][]Entry    // guarded by mu
 	txBlock map[chain.Hash]uint64 // guarded by mu
 	events  uint64                // guarded by mu
 	blocks  uint64                // guarded by mu
-	skipped uint64                // guarded by mu
 
 	prov *provenance // pointer immutable; contents mutated under mu
 }
@@ -78,7 +76,6 @@ type Indexer struct {
 func New(cfg Config) *Indexer {
 	return &Indexer{
 		cfg:     cfg,
-		blooms:  make(map[uint64]*bloom),
 		byKey:   make(map[string][]Entry),
 		txBlock: make(map[chain.Hash]uint64),
 		prov:    newProvenance(cfg),
@@ -100,7 +97,6 @@ func indexKey(contract, name string, topic []byte) string {
 func (ix *Indexer) ProcessBlock(b chain.Block, receipts []*chain.Receipt) {
 	ix.mu.Lock()
 	defer ix.mu.Unlock()
-	bl := &bloom{}
 	for txIdx, r := range receipts {
 		if r == nil {
 			continue
@@ -110,17 +106,14 @@ func (ix *Indexer) ProcessBlock(b chain.Block, receipts []*chain.Receipt) {
 			e := Entry{Block: b.Number, TxIndex: txIdx, LogIndex: logIdx, TxHash: r.TxHash, Event: ev}
 			k := indexKey(ev.Contract, ev.Name, nil)
 			ix.byKey[k] = append(ix.byKey[k], e)
-			bl.add(k)
 			if len(ev.Topic) > 0 {
 				kt := indexKey(ev.Contract, ev.Name, ev.Topic)
 				ix.byKey[kt] = append(ix.byKey[kt], e)
-				bl.add(kt)
 			}
 			ix.events++
 			ix.prov.fold(b.Number, r.TxHash, ev)
 		}
 	}
-	ix.blooms[b.Number] = bl
 	ix.head = b.Number
 	ix.blocks++
 }
@@ -178,44 +171,16 @@ func (ix *Indexer) Query(f Filter) ([]Entry, int, error) {
 	return out, total, nil
 }
 
-// BlocksMaybeContaining returns the block numbers in [from, to] whose bloom
-// filter admits the (contract, name, topic) key — the block-skip primitive
-// a cold-storage scan would use. Blocks whose blooms exclude the key are
-// counted in Stats.Skipped.
-func (ix *Indexer) BlocksMaybeContaining(contract, name string, topic []byte, from, to uint64) []uint64 {
-	ix.mu.Lock()
-	defer ix.mu.Unlock()
-	if to == 0 || to > ix.head {
-		to = ix.head
-	}
-	key := indexKey(contract, name, topic)
-	var out []uint64
-	for n := from; n <= to; n++ {
-		bl, ok := ix.blooms[n]
-		if !ok {
-			continue
-		}
-		if bl.maybeContains(key) {
-			out = append(out, n)
-		} else {
-			ix.skipped++
-		}
-	}
-	return out
-}
-
 // Stats snapshots index counters.
 func (ix *Indexer) Stats() Stats {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
 	return Stats{
-		Blocks:  ix.blocks,
-		Events:  ix.events,
-		Txs:     uint64(len(ix.txBlock)),
-		Tokens:  len(ix.prov.tokens),
-		CTNotes: len(ix.prov.ctNotes),
-		Keys:    len(ix.byKey),
-		Skipped: ix.skipped,
+		Blocks: ix.blocks,
+		Events: ix.events,
+		Txs:    uint64(len(ix.txBlock)),
+		Tokens: len(ix.prov.tokens),
+		Keys:   len(ix.byKey),
 	}
 }
 
@@ -254,49 +219,5 @@ func (ix *Indexer) Exchange(id uint64) (*ExchangeRecord, error) {
 		return nil, fmt.Errorf("indexer: unknown exchange %d", id)
 	}
 	cp := *rec
-	return &cp, nil
-}
-
-// ErrUnknownNote reports a query for a confidential note the indexer has
-// not seen a CTNote event for.
-var ErrUnknownNote = errors.New("indexer: unknown confidential note")
-
-// CTNote returns the folded record of one confidential note. The record
-// carries only public data — owner, status, and the commitment digest; no
-// amount ever appears in events, so none can appear here.
-func (ix *Indexer) CTNote(id uint64) (*CTNoteRecord, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	rec, ok := ix.prov.ctNotes[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownNote, id)
-	}
-	return rec.clone(), nil
-}
-
-// CTNoteByDigest resolves a 32-byte commitment digest — the only handle to
-// a confidential note that appears in lineage events and audit reports —
-// back to the note record. This is what lets an auditor pivot from an
-// opened payment to the note's on-chain history without scanning blocks.
-func (ix *Indexer) CTNoteByDigest(digest []byte) (*CTNoteRecord, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	id, ok := ix.prov.ctByDigest[string(digest)]
-	if !ok {
-		return nil, fmt.Errorf("%w: digest %x", ErrUnknownNote, digest)
-	}
-	return ix.prov.ctNotes[id].clone(), nil
-}
-
-// CTExchange returns the folded record of one confidential escrow exchange.
-func (ix *Indexer) CTExchange(id uint64) (*CTExchangeRecord, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	rec, ok := ix.prov.ctExchanges[id]
-	if !ok {
-		return nil, fmt.Errorf("indexer: unknown confidential exchange %d", id)
-	}
-	cp := *rec
-	cp.History = append([]HistoryEntry(nil), rec.History...)
 	return &cp, nil
 }

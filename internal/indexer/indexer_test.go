@@ -98,41 +98,8 @@ func TestQueryFilterAndPagination(t *testing.T) {
 		t.Fatalf("offset past end: %v entries, total %d, err %v", empty, total, err)
 	}
 
-	if s := ix.Stats(); s.Blocks != 5 || s.Events != 10 {
+	if s := ix.Stats(); s.Blocks != 5 || s.Events != 10 || s.Skipped != 0 {
 		t.Fatalf("stats: %+v", s)
-	}
-}
-
-func TestBloomBlockSkip(t *testing.T) {
-	ix := New(Config{})
-	// Only blocks 3 and 7 carry the needle.
-	for n := uint64(1); n <= 10; n++ {
-		evs := []chain.Event{{Contract: "hay", Name: "Stack", Data: []byte{byte(n)}}}
-		if n == 3 || n == 7 {
-			evs = append(evs, chain.Event{Contract: "box", Name: "Put", Topic: []byte("needle")})
-		}
-		synthBlock(ix, n, evs...)
-	}
-	got := ix.BlocksMaybeContaining("box", "Put", []byte("needle"), 1, 0)
-	has := func(n uint64) bool {
-		for _, b := range got {
-			if b == n {
-				return true
-			}
-		}
-		return false
-	}
-	if !has(3) || !has(7) {
-		t.Fatalf("bloom lost a real block: %v", got)
-	}
-	// Blooms may false-positive but must not pass everything: with 10 blocks
-	// and 3 hash bits over 2048 positions, collisions on 8 clean blocks are
-	// essentially impossible.
-	if len(got) > 4 {
-		t.Fatalf("bloom admitted %d of 10 blocks: %v", len(got), got)
-	}
-	if s := ix.Stats(); s.Skipped == 0 {
-		t.Fatalf("no blocks skipped: %+v", s)
 	}
 }
 

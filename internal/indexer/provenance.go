@@ -69,65 +69,19 @@ type Lineage struct {
 	Edges  []Edge
 }
 
-// Confidential-note status labels, mirroring the contract's status byte.
-const (
-	CTNoteUnspent = "unspent"
-	CTNoteSpent   = "spent"
-	CTNoteLocked  = "locked"
-)
-
-// CTNoteRecord is the folded view of one confidential note. Events carry
-// only the commitment digest — never an amount or blinder — so the record
-// is exactly what a non-auditor observer can learn from the chain.
-type CTNoteRecord struct {
-	ID      uint64
-	Owner   chain.Address
-	Digest  []byte // 32-byte commitment digest from the CTNote event
-	Status  string // unspent | spent | locked
-	History []HistoryEntry
-}
-
-func (r *CTNoteRecord) clone() *CTNoteRecord {
-	cp := *r
-	cp.Digest = append([]byte(nil), r.Digest...)
-	cp.History = append([]HistoryEntry(nil), r.History...)
-	return &cp
-}
-
-// CTExchangeRecord is the folded view of one confidential escrow: the same
-// two-phase key-secure exchange as ExchangeRecord, but the price field is a
-// Pedersen commitment instead of a plaintext value.
-type CTExchangeRecord struct {
-	ID      uint64
-	TokenID uint64
-	NoteID  uint64
-	Seller  chain.Address
-	Comm    []byte // 64-byte payment commitment, amount hidden
-	KC      []byte // blinded key k_c, present once settled
-	Status  string
-	History []HistoryEntry
-}
-
-// provenance folds DataNFT, escrow, and confidential-token events into
-// per-token, per-exchange, and per-note records. All methods run under the
-// owning Indexer's lock.
+// provenance folds DataNFT and escrow events into per-token and
+// per-exchange records. All methods run under the owning Indexer's lock.
 type provenance struct {
-	cfg         Config
-	tokens      map[uint64]*TokenRecord
-	exchanges   map[uint64]*ExchangeRecord
-	ctNotes     map[uint64]*CTNoteRecord
-	ctByDigest  map[string]uint64
-	ctExchanges map[uint64]*CTExchangeRecord
+	cfg       Config
+	tokens    map[uint64]*TokenRecord
+	exchanges map[uint64]*ExchangeRecord
 }
 
 func newProvenance(cfg Config) *provenance {
 	return &provenance{
-		cfg:         cfg,
-		tokens:      make(map[uint64]*TokenRecord),
-		exchanges:   make(map[uint64]*ExchangeRecord),
-		ctNotes:     make(map[uint64]*CTNoteRecord),
-		ctByDigest:  make(map[string]uint64),
-		ctExchanges: make(map[uint64]*CTExchangeRecord),
+		cfg:       cfg,
+		tokens:    make(map[uint64]*TokenRecord),
+		exchanges: make(map[uint64]*ExchangeRecord),
 	}
 }
 
@@ -140,10 +94,6 @@ func (p *provenance) fold(block uint64, txHash chain.Hash, ev chain.Event) {
 	case p.cfg.EscrowContract:
 		if p.cfg.EscrowContract != "" {
 			p.foldEscrow(block, txHash, ev)
-		}
-	case p.cfg.CTContract:
-		if p.cfg.CTContract != "" {
-			p.foldCT(block, txHash, ev)
 		}
 	}
 }
@@ -239,108 +189,6 @@ func (p *provenance) foldEscrow(block uint64, txHash chain.Hash, ev chain.Event)
 		}
 		rec.Status = ExchangeRefunded
 		rec.History = append(rec.History, h)
-	}
-}
-
-func (p *provenance) foldCT(block uint64, txHash chain.Hash, ev chain.Event) {
-	parts, err := contracts.DecodeArgsVariadic(ev.Data)
-	if err != nil || len(parts) == 0 {
-		return
-	}
-	h := HistoryEntry{Block: block, TxHash: txHash, Name: ev.Name}
-	switch ev.Name {
-	case "CTNote":
-		// EncodeArgs(id, recipient, digest): a fresh unspent note.
-		if len(parts) != 3 || len(parts[1]) != 20 || len(parts[2]) != 32 {
-			return
-		}
-		id, err := contracts.DecU64(parts[0])
-		if err != nil {
-			return
-		}
-		rec := &CTNoteRecord{ID: id, Status: CTNoteUnspent}
-		copy(rec.Owner[:], parts[1])
-		rec.Digest = append([]byte(nil), parts[2]...)
-		rec.History = append(rec.History, h)
-		p.ctNotes[id] = rec
-		p.ctByDigest[string(rec.Digest)] = id
-	case "CTMint", "CTTransfer":
-		// EncodeArgs(inIDs, outIDs): every input note is consumed.
-		if len(parts) != 2 {
-			return
-		}
-		inIDs, err := contracts.DecU64List(parts[0])
-		if err != nil {
-			return
-		}
-		for _, id := range inIDs {
-			if rec, ok := p.ctNotes[id]; ok {
-				rec.Status = CTNoteSpent
-				rec.History = append(rec.History, h)
-			}
-		}
-	case "CTOpened":
-		// EncodeArgs(exID, tokenID, noteID, seller, comm): the buyer's note
-		// locks as the escrowed payment.
-		if len(parts) != 5 || len(parts[3]) != 20 {
-			return
-		}
-		exID, err := contracts.DecU64(parts[0])
-		if err != nil {
-			return
-		}
-		rec := &CTExchangeRecord{ID: exID, Status: ExchangeOpen}
-		rec.TokenID, _ = contracts.DecU64(parts[1])
-		rec.NoteID, _ = contracts.DecU64(parts[2])
-		copy(rec.Seller[:], parts[3])
-		rec.Comm = append([]byte(nil), parts[4]...)
-		rec.History = append(rec.History, h)
-		p.ctExchanges[exID] = rec
-		if note, ok := p.ctNotes[rec.NoteID]; ok {
-			note.Status = CTNoteLocked
-			note.History = append(note.History, h)
-		}
-	case "CTSettled":
-		// EncodeArgs(exID, tokenID, noteID, kc): the locked note changes
-		// hands to the seller and is spendable again.
-		if len(parts) != 4 {
-			return
-		}
-		exID, err := contracts.DecU64(parts[0])
-		if err != nil {
-			return
-		}
-		rec, ok := p.ctExchanges[exID]
-		if !ok {
-			return
-		}
-		rec.Status = ExchangeSettled
-		rec.KC = append([]byte(nil), parts[3]...)
-		rec.History = append(rec.History, h)
-		if note, ok := p.ctNotes[rec.NoteID]; ok {
-			note.Owner = rec.Seller
-			note.Status = CTNoteUnspent
-			note.History = append(note.History, h)
-		}
-	case "CTRefunded":
-		// EncodeArgs(exID, noteID): the note returns to the buyer unspent.
-		if len(parts) != 2 {
-			return
-		}
-		exID, err := contracts.DecU64(parts[0])
-		if err != nil {
-			return
-		}
-		rec, ok := p.ctExchanges[exID]
-		if !ok {
-			return
-		}
-		rec.Status = ExchangeRefunded
-		rec.History = append(rec.History, h)
-		if note, ok := p.ctNotes[rec.NoteID]; ok {
-			note.Status = CTNoteUnspent
-			note.History = append(note.History, h)
-		}
 	}
 }
 

@@ -161,39 +161,3 @@ func Verify(srs *SRS, c *Commitment, z *fr.Element, proof *OpeningProof) error {
 	}
 	return nil
 }
-
-// BatchVerifySamePoint checks several openings at the same point z with a
-// single pairing check, by taking a random linear combination of the
-// individual checks with powers of rho (which the caller should derive from
-// a transcript).
-func BatchVerifySamePoint(srs *SRS, cs []Commitment, z *fr.Element, proofs []OpeningProof, rho *fr.Element) error {
-	if len(cs) != len(proofs) {
-		return fmt.Errorf("kzg: %d commitments, %d proofs", len(cs), len(proofs))
-	}
-	if len(cs) == 0 {
-		return nil
-	}
-	// Fold commitments, values and quotients with powers of rho.
-	coeff := fr.One()
-	var foldC bn254.G1Jac
-	var foldQ bn254.G1Jac
-	foldC.SetInfinity()
-	foldQ.SetInfinity()
-	foldY := fr.Zero()
-	for i := range cs {
-		var t bn254.G1Jac
-		t.ScalarMul(&cs[i], &coeff)
-		foldC.AddAssign(&t)
-		t.ScalarMul(&proofs[i].Quotient, &coeff)
-		foldQ.AddAssign(&t)
-		var ty fr.Element
-		ty.Mul(&proofs[i].ClaimedValue, &coeff)
-		foldY.Add(&foldY, &ty)
-		coeff.Mul(&coeff, rho)
-	}
-	var cAff, qAff bn254.G1Affine
-	cAff.FromJacobian(&foldC)
-	qAff.FromJacobian(&foldQ)
-	folded := OpeningProof{Quotient: qAff, ClaimedValue: foldY}
-	return Verify(srs, &cAff, z, &folded)
-}

@@ -143,41 +143,6 @@ func TestCommitDegreeBound(t *testing.T) {
 	}
 }
 
-func TestBatchVerifySamePoint(t *testing.T) {
-	srs := testSRS(t, 32)
-	z := fr.MustRandom()
-	rho := fr.MustRandom()
-	var cs []Commitment
-	var proofs []OpeningProof
-	for i := 0; i < 4; i++ {
-		p := randPoly(16 + i)
-		c, err := Commit(srs, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pr, err := Open(srs, p, &z)
-		if err != nil {
-			t.Fatal(err)
-		}
-		cs = append(cs, c)
-		proofs = append(proofs, pr)
-	}
-	if err := BatchVerifySamePoint(srs, cs, &z, proofs, &rho); err != nil {
-		t.Fatalf("valid batch rejected: %v", err)
-	}
-	// Corrupt one claimed value.
-	proofs[2].ClaimedValue.Add(&proofs[2].ClaimedValue, &[]fr.Element{fr.One()}[0])
-	if err := BatchVerifySamePoint(srs, cs, &z, proofs, &rho); err == nil {
-		t.Fatal("batch with corrupted value accepted")
-	}
-	if err := BatchVerifySamePoint(srs, cs[:2], &z, proofs, &rho); err == nil {
-		t.Fatal("length mismatch not reported")
-	}
-	if err := BatchVerifySamePoint(srs, nil, &z, nil, &rho); err != nil {
-		t.Fatalf("empty batch should verify trivially: %v", err)
-	}
-}
-
 func TestCeremonyProducesValidSRS(t *testing.T) {
 	cer, err := NewCeremony(16)
 	if err != nil {

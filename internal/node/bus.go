@@ -13,14 +13,6 @@ type BlockNotification struct {
 	Receipts []*chain.Receipt
 }
 
-// EventNotification announces one contract event from a sealed block.
-type EventNotification struct {
-	Block   uint64
-	TxHash  chain.Hash
-	TxIndex int
-	Event   chain.Event
-}
-
 // Subscription delivers notifications of type T in publish order on C. The
 // internal queue is unbounded so slow consumers never block the sealer;
 // call Unsubscribe to release it.
@@ -87,41 +79,18 @@ func (s *Subscription[T]) Unsubscribe() {
 	s.once.Do(func() { close(s.done) })
 }
 
-// eventFilter matches events by contract and name; empty fields match all.
-type eventFilter struct {
-	contract string
-	name     string
-}
-
-func (f eventFilter) matches(ev chain.Event) bool {
-	if f.contract != "" && f.contract != ev.Contract {
-		return false
-	}
-	if f.name != "" && f.name != ev.Name {
-		return false
-	}
-	return true
-}
-
-type eventSub struct {
-	filter eventFilter
-	sub    *Subscription[EventNotification]
-}
-
-// Bus fans sealed-block and event notifications out to subscribers. Clients
-// wait on inclusion through subscriptions instead of polling the chain.
+// Bus fans sealed blocks, with their receipts, out to subscribers. Clients
+// wait on inclusion through subscriptions instead of polling the chain; a
+// consumer that wants events reads them from the receipts, or queries the
+// indexer.
 type Bus struct {
 	mu        sync.Mutex
-	blockSubs map[*Subscription[BlockNotification]]struct{}    // guarded by mu
-	eventSubs map[*Subscription[EventNotification]]eventFilter // guarded by mu
+	blockSubs map[*Subscription[BlockNotification]]struct{} // guarded by mu
 }
 
 // NewBus returns an empty bus.
 func NewBus() *Bus {
-	return &Bus{
-		blockSubs: make(map[*Subscription[BlockNotification]]struct{}),
-		eventSubs: make(map[*Subscription[EventNotification]]eventFilter),
-	}
+	return &Bus{blockSubs: make(map[*Subscription[BlockNotification]]struct{})}
 }
 
 // SubscribeBlocks delivers every sealed block in height order.
@@ -129,16 +98,6 @@ func (b *Bus) SubscribeBlocks() *Subscription[BlockNotification] {
 	s := newSubscription[BlockNotification]()
 	b.mu.Lock()
 	b.blockSubs[s] = struct{}{}
-	b.mu.Unlock()
-	return s
-}
-
-// SubscribeEvents delivers events from sealed blocks matching the contract
-// and name filters (empty string matches all), in chain order.
-func (b *Bus) SubscribeEvents(contract, name string) *Subscription[EventNotification] {
-	s := newSubscription[EventNotification]()
-	b.mu.Lock()
-	b.eventSubs[s] = eventFilter{contract: contract, name: name}
 	b.mu.Unlock()
 	return s
 }
@@ -151,14 +110,6 @@ func (b *Bus) UnsubscribeBlocks(s *Subscription[BlockNotification]) {
 	s.Unsubscribe()
 }
 
-// UnsubscribeEvents removes an event subscription.
-func (b *Bus) UnsubscribeEvents(s *Subscription[EventNotification]) {
-	b.mu.Lock()
-	delete(b.eventSubs, s)
-	b.mu.Unlock()
-	s.Unsubscribe()
-}
-
 // publish fans one sealed block out to all subscribers. Called from the
 // chain's seal hook, so ordering follows block height.
 func (b *Bus) publish(blk chain.Block, receipts []*chain.Receipt) {
@@ -167,17 +118,5 @@ func (b *Bus) publish(blk chain.Block, receipts []*chain.Receipt) {
 	n := BlockNotification{Block: blk, Receipts: receipts}
 	for s := range b.blockSubs {
 		s.push(n)
-	}
-	if len(b.eventSubs) == 0 {
-		return
-	}
-	for i, r := range receipts {
-		for _, ev := range r.Logs {
-			for s, f := range b.eventSubs {
-				if f.matches(ev) {
-					s.push(EventNotification{Block: blk.Number, TxHash: r.TxHash, TxIndex: i, Event: ev})
-				}
-			}
-		}
 	}
 }

@@ -116,8 +116,6 @@ func TestSubscriptionDeliveryOrdering(t *testing.T) {
 
 	blockSub := n.Bus().SubscribeBlocks()
 	defer n.Bus().UnsubscribeBlocks(blockSub)
-	evSub := n.Bus().SubscribeEvents("logbox", "Logged")
-	defer n.Bus().UnsubscribeEvents(evSub)
 
 	const total = 25
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
@@ -128,26 +126,10 @@ func TestSubscriptionDeliveryOrdering(t *testing.T) {
 		}
 	}
 
-	// Events arrive in submission order, tagged with increasing blocks.
-	lastBlock := uint64(0)
-	for i := 0; i < total; i++ {
-		select {
-		case ev := <-evSub.C:
-			if len(ev.Event.Data) != 1 || ev.Event.Data[0] != byte(i) {
-				t.Fatalf("event %d out of order: %v", i, ev.Event.Data)
-			}
-			if ev.Block < lastBlock {
-				t.Fatalf("event block went backwards: %d < %d", ev.Block, lastBlock)
-			}
-			lastBlock = ev.Block
-		case <-time.After(5 * time.Second):
-			t.Fatalf("timed out waiting for event %d", i)
-		}
-	}
-
-	// Blocks arrive in strict height order with receipts attached.
+	// Blocks arrive in strict height order with receipts attached, and the
+	// events in those receipts arrive in submission order.
 	seen := uint64(0)
-	received := 0
+	received, logged := 0, 0
 	for received < total {
 		select {
 		case bn := <-blockSub.C:
@@ -159,9 +141,23 @@ func TestSubscriptionDeliveryOrdering(t *testing.T) {
 				t.Fatalf("block %d: %d receipts for %d txs", bn.Block.Number, len(bn.Receipts), len(bn.Block.TxHashes))
 			}
 			received += len(bn.Receipts)
+			for _, r := range bn.Receipts {
+				for _, ev := range r.Logs {
+					if ev.Contract != "logbox" || ev.Name != "Logged" {
+						continue
+					}
+					if len(ev.Data) != 1 || ev.Data[0] != byte(logged) {
+						t.Fatalf("event %d out of order: %v", logged, ev.Data)
+					}
+					logged++
+				}
+			}
 		case <-time.After(5 * time.Second):
 			t.Fatalf("timed out at %d/%d receipts", received, total)
 		}
+	}
+	if logged != total {
+		t.Fatalf("block feed carried %d events, want %d", logged, total)
 	}
 }
 

@@ -363,14 +363,26 @@ func TestNetStoreCrossNodeFetch(t *testing.T) {
 		t.Fatalf("cluster-wide miss: %v, want ErrNotFound", err)
 	}
 
-	// Removal propagates; only the owner may remove.
+	// Removal is local: only the owner may remove, and only its own copy.
+	// The owner label is public (MsgGetBlob serves it), so it cannot
+	// authorize erasing another member's replica.
 	if err := ns2.Remove("mallory", uri); !errors.Is(err, storage.ErrNotOwner) {
 		t.Fatalf("non-owner remove: %v, want ErrNotOwner", err)
 	}
 	if err := ns2.Remove("alice", uri); err != nil {
 		t.Fatalf("owner remove: %v", err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return !cl.Nodes[1].cfg.Store.Has(uri) })
+	if ns2.Local().Has(uri) {
+		t.Fatal("owner remove kept the local copy")
+	}
+	time.Sleep(50 * time.Millisecond) // hundreds of link latencies
+	if !cl.Nodes[1].cfg.Store.Has(uri) {
+		t.Fatal("member 2's remove erased member 1's replica")
+	}
+	got, err = ns2.Get(uri)
+	if err != nil || !bytes.Equal(got, data) {
+		t.Fatalf("member 1 no longer serves the blob: %v", err)
+	}
 }
 
 // TestLeaderRotation seals enough blocks that multiple members must have

@@ -26,10 +26,6 @@ func (n *Node) handle(from NodeID, msg Message) {
 		n.serveBlob(from, msg)
 	case MsgBlobPush:
 		n.acceptBlob(from, msg)
-	case MsgBlobRemove:
-		if n.cfg.Store != nil {
-			n.cfg.Store.Remove(msg.Owner, msg.URI) //nolint:errcheck // owner check is the point
-		}
 	case MsgHeaders, MsgBody, MsgBlob:
 		n.routeResponse(msg)
 	}
@@ -132,7 +128,7 @@ func (n *Node) handleTxPush(from NodeID, msg Message) {
 
 // serveHeaders answers a headers-range request from the local chain.
 func (n *Node) serveHeaders(from NodeID, msg Message) {
-	headers := n.inner.Chain().HeadersRange(msg.From, min(msg.Count, n.cfg.HeadersBatch))
+	headers := n.inner.Chain().HeadersRange(msg.From, min(msg.Count, headersBatch))
 	n.reply(from, Message{
 		Kind:    MsgHeaders,
 		ReqID:   msg.ReqID,

@@ -73,17 +73,12 @@ func (s *NetStore) Get(uri storage.URI) ([]byte, error) {
 	return nil, fmt.Errorf("%w: %s (cluster-wide)", storage.ErrNotFound, uri)
 }
 
-// Remove deletes the blob locally and asks peers to drop their replicas;
-// each peer re-checks ownership itself.
+// Remove deletes this node's copy only. Replicas are never removed
+// remotely: the owner a blob is stored under is a label any peer can read
+// (MsgGetBlob serves it), so it cannot authorize erasing other members'
+// copies.
 func (s *NetStore) Remove(owner string, uri storage.URI) error {
-	if err := s.local.Remove(owner, uri); err != nil {
-		return err
-	}
-	msg := Message{Kind: MsgBlobRemove, URI: uri, Owner: owner}
-	for _, id := range s.node.others {
-		s.node.net.Send(s.node.cfg.ID, id, msg) //nolint:errcheck // unreliable by contract
-	}
-	return nil
+	return s.local.Remove(owner, uri)
 }
 
 // Local exposes the node-local half (for tests and direct inspection).

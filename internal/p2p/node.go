@@ -35,6 +35,13 @@ const (
 	scoreGood         = 1   // served a block we imported
 )
 
+// Protocol bounds no deployment tunes.
+const (
+	requestRetries = 4       // attempts after the first before a request fails
+	headersBatch   = 64      // headers per sync request
+	seenCap        = 1 << 16 // entries in each of the tx/block seen-caches
+)
+
 // Config tunes one cluster member.
 type Config struct {
 	// ID is this node's transport identity; it must appear in Members.
@@ -55,16 +62,11 @@ type Config struct {
 	// RebroadcastInterval paces re-gossip of pooled transactions, covering
 	// pushes lost to drops or partitions. Default 100ms.
 	RebroadcastInterval time.Duration
-	// RequestTimeout bounds one request attempt; RequestRetries more
+	// RequestTimeout bounds one request attempt; requestRetries more
 	// attempts follow with RetryBackoff doubling between them.
-	// Defaults 150ms / 4 / 25ms.
+	// Defaults 150ms / 25ms.
 	RequestTimeout time.Duration
-	RequestRetries int
 	RetryBackoff   time.Duration
-	// HeadersBatch caps headers per sync request. Default 64.
-	HeadersBatch int
-	// SeenCap bounds the tx/block seen-caches. Default 65536.
-	SeenCap int
 	// DemoteBelow is the score at or below which a peer is demoted.
 	// Default -100.
 	DemoteBelow int
@@ -107,17 +109,8 @@ func (c *Config) sanitize() error {
 	if c.RequestTimeout <= 0 {
 		c.RequestTimeout = 150 * time.Millisecond
 	}
-	if c.RequestRetries <= 0 {
-		c.RequestRetries = 4
-	}
 	if c.RetryBackoff <= 0 {
 		c.RetryBackoff = 25 * time.Millisecond
-	}
-	if c.HeadersBatch <= 0 {
-		c.HeadersBatch = 64
-	}
-	if c.SeenCap <= 0 {
-		c.SeenCap = 1 << 16
 	}
 	if c.DemoteBelow == 0 {
 		c.DemoteBelow = -100
@@ -204,8 +197,8 @@ func NewNode(cfg Config, inner *node.Node, t Transport) (*Node, error) {
 		net:        t,
 		members:    members,
 		peers:      make(map[NodeID]*peerState),
-		seenTxs:    newSeenCache(cfg.SeenCap),
-		seenBlocks: newSeenCache(cfg.SeenCap),
+		seenTxs:    newSeenCache(seenCap),
+		seenBlocks: newSeenCache(seenCap),
 		reqs:       make(map[uint64]chan Message),
 		syncWake:   make(chan struct{}, 1),
 		quit:       make(chan struct{}),

@@ -15,7 +15,7 @@ import (
 // piggybacked head refreshes peer tracking.
 func (n *Node) request(to NodeID, msg Message) (Message, error) {
 	backoff := n.cfg.RetryBackoff
-	for attempt := 0; attempt <= n.cfg.RequestRetries; attempt++ {
+	for attempt := 0; attempt <= requestRetries; attempt++ {
 		if attempt > 0 {
 			select {
 			case <-time.After(backoff):
@@ -55,7 +55,7 @@ func (n *Node) request(to NodeID, msg Message) (Message, error) {
 		}
 	}
 	return Message{}, fmt.Errorf("p2p: %s: no response from %s after %d attempts",
-		msg.Kind, to, n.cfg.RequestRetries+1)
+		msg.Kind, to, requestRetries+1)
 }
 
 func (n *Node) dropReq(id uint64) {
@@ -134,8 +134,8 @@ func (n *Node) syncFrom(peer NodeID, target uint64) bool {
 		return false
 	}
 	count := int(target - local.Number)
-	if count > n.cfg.HeadersBatch {
-		count = n.cfg.HeadersBatch
+	if count > headersBatch {
+		count = headersBatch
 	}
 	resp, err := n.request(peer, Message{Kind: MsgGetHeaders, From: local.Number + 1, Count: count})
 	if err != nil || !resp.OK || len(resp.Headers) == 0 {

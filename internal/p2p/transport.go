@@ -23,7 +23,7 @@
 //     on every node.
 //
 // Proof-carrying transactions are screened with the batch verifier
-// (plonk.BatchVerify via contracts.BlockProofChecker.GossipCheck) at both
+// (contracts.BlockProofChecker.GossipCheck, one plonk.Batch fold) at both
 // gossip ingress and block import, before they are re-propagated.
 package p2p
 
@@ -51,7 +51,6 @@ const (
 	MsgGetBlob                          // request a storage blob
 	MsgBlob                             // blob response
 	MsgBlobPush                         // replicate a storage blob
-	MsgBlobRemove                       // owner-requested blob removal
 )
 
 func (k MsgKind) String() string {
@@ -76,8 +75,6 @@ func (k MsgKind) String() string {
 		return "blob"
 	case MsgBlobPush:
 		return "blob-push"
-	case MsgBlobRemove:
-		return "blob-remove"
 	default:
 		return "unknown"
 	}

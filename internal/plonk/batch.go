@@ -6,7 +6,6 @@ import (
 
 	"github.com/zkdet/zkdet/internal/bn254"
 	"github.com/zkdet/zkdet/internal/fr"
-	"github.com/zkdet/zkdet/internal/parallel"
 	"github.com/zkdet/zkdet/internal/transcript"
 )
 
@@ -62,12 +61,6 @@ func (b *Batch) AddFor(vk *VerifyingKey, proof *Proof, public []fr.Element) erro
 	}
 	b.terms = append(b.terms, terms)
 	return nil
-}
-
-// addTerms appends an already-prepared statement; BatchVerify uses it to
-// parallelise preparation across proofs.
-func (b *Batch) addTerms(t pairingTerms) {
-	b.terms = append(b.terms, t)
 }
 
 // Len returns the number of statements accumulated so far.
@@ -183,59 +176,4 @@ func (b *Batch) bisect(idxs []int) ([]int, error) {
 		return nil, err
 	}
 	return append(left, right...), nil
-}
-
-// BatchVerify checks N proofs against one verifying key with a single
-// pairing check. Per-proof preparation (transcript replay and quotient
-// identity) runs across all cores; the deferred pairing statements are
-// then folded and checked at once. On a batch failure the offending
-// proofs are isolated by bisection and reported by index.
-//
-// It is semantically equivalent to calling Verify on each proof — any
-// error that Verify would return surfaces here, attributed to the proof's
-// index — but the pairing cost is amortised to near-O(1) per proof.
-func BatchVerify(vk *VerifyingKey, proofs []*Proof, publics [][]fr.Element) error {
-	if len(proofs) != len(publics) {
-		return fmt.Errorf("plonk: batch verify: %d proofs, %d public input sets", len(proofs), len(publics))
-	}
-	n := len(proofs)
-	if n == 0 {
-		return nil
-	}
-	// Build the verifier caches once before fanning out, so the workers
-	// don't all stall on the same sync.Once.
-	if _, _, _, err := vk.verifierCache(); err != nil {
-		return err
-	}
-
-	terms := make([]pairingTerms, n)
-	errs := make([]error, n)
-	parallel.Execute(n, func(start, end int) {
-		for i := start; i < end; i++ {
-			terms[i], errs[i] = prepare(vk, proofs[i], publics[i])
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
-			return fmt.Errorf("plonk: batch proof %d: %w", i, err)
-		}
-	}
-
-	b := NewBatch(vk)
-	for i := range terms {
-		b.addTerms(terms[i])
-	}
-	if err := b.Check(); err == nil {
-		return nil
-	}
-	bad, err := b.Bisect()
-	if err != nil {
-		return err
-	}
-	if len(bad) == 0 {
-		// The folded check failed but every individual statement passes:
-		// astronomically unlikely (a ρ collision), but report honestly.
-		return fmt.Errorf("%w: batch fold rejected but no single proof failed", ErrProofInvalid)
-	}
-	return fmt.Errorf("%w: batch proofs %v failed pairing check", ErrProofInvalid, bad)
 }

@@ -185,43 +185,3 @@ func Div(p, q Polynomial) (quot, rem Polynomial, err error) {
 	}
 	return quot, rem, nil
 }
-
-// Interpolate returns the unique polynomial of degree < len(xs) passing
-// through all (xs[i], ys[i]) via Lagrange interpolation. The xs must be
-// distinct; this is O(n²) and intended for small n (tests, gadget setup).
-// It errors when the point and value counts differ.
-func Interpolate(xs, ys []fr.Element) (Polynomial, error) {
-	if len(xs) != len(ys) {
-		return nil, fmt.Errorf("poly: interpolation point count mismatch (%d points, %d values)", len(xs), len(ys))
-	}
-	n := len(xs)
-	out := make(Polynomial, n)
-	for i := 0; i < n; i++ {
-		// basis_i(X) = ∏_{j≠i} (X - x_j)/(x_i - x_j)
-		basis := Polynomial{fr.One()}
-		denom := fr.One()
-		for j := 0; j < n; j++ {
-			if j == i {
-				continue
-			}
-			var negXj fr.Element
-			negXj.Neg(&xs[j])
-			var err error
-			basis, err = Mul(basis, Polynomial{negXj, fr.One()})
-			if err != nil {
-				return nil, err
-			}
-			var d fr.Element
-			d.Sub(&xs[i], &xs[j])
-			denom.Mul(&denom, &d)
-		}
-		denom.Inverse(&denom)
-		denom.Mul(&denom, &ys[i])
-		for k := range basis {
-			var t fr.Element
-			t.Mul(&basis[k], &denom)
-			out[k].Add(&out[k], &t)
-		}
-	}
-	return out, nil
-}

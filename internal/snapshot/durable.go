@@ -67,6 +67,11 @@ var (
 	ErrNoBlobStore  = errors.New("snapshot: WAL contains blob records but no blob store is wired")
 )
 
+// keepSnapshots bounds retained snapshot files: the latest plus a fallback
+// in case the newest is damaged. WAL pruning lags the snapshots by as many
+// checkpoints.
+const keepSnapshots = 2
+
 // Options tunes a DurableStore.
 type Options struct {
 	// Dir is the data directory; the WAL lives in Dir/wal, snapshots are
@@ -76,9 +81,6 @@ type Options struct {
 	Role Role
 	// CheckpointEvery is the snapshot cadence in blocks (default 64).
 	CheckpointEvery uint64
-	// KeepSnapshots bounds retained snapshot files (default 2): the latest
-	// plus fallbacks in case the newest is damaged.
-	KeepSnapshots int
 	// WAL tunes the log (Dir is overridden to Dir/wal).
 	WAL wal.Options
 }
@@ -86,9 +88,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.CheckpointEvery == 0 {
 		o.CheckpointEvery = 64
-	}
-	if o.KeepSnapshots <= 0 {
-		o.KeepSnapshots = 2
 	}
 	o.WAL.Dir = filepath.Join(o.Dir, "wal")
 }
@@ -306,7 +305,7 @@ func snapName(height uint64) string { return fmt.Sprintf("snap-%016x.zks", heigh
 
 // writeCheckpoint encodes and durably writes one snapshot file, then
 // prunes: WAL segments below the checkpoint, older snapshot files beyond
-// KeepSnapshots, and (full role) chain bodies below the checkpoint.
+// keepSnapshots, and (full role) chain bodies below the checkpoint.
 func (d *DurableStore) writeCheckpoint(exp *chain.StateExport, blobs []storage.BlobExport, walMark uint64) error {
 	height := exp.Height()
 	if d.opts.Role == Full {
@@ -339,15 +338,15 @@ func (d *DurableStore) writeCheckpoint(exp *chain.StateExport, blobs []storage.B
 		d.lastCheckpoint = height
 	}
 	d.stats.Checkpoints++
-	// Pruning lags the snapshots by KeepSnapshots: the WAL retains enough
+	// Pruning lags the snapshots by keepSnapshots: the WAL retains enough
 	// log to recover from the OLDEST retained snapshot, so damage to the
 	// newest file can always fall back without hitting a gap.
 	d.pruneMarks = append(d.pruneMarks, walMark)
 	var pruneTo uint64
-	if len(d.pruneMarks) > d.opts.KeepSnapshots {
-		d.pruneMarks = d.pruneMarks[len(d.pruneMarks)-d.opts.KeepSnapshots:]
+	if len(d.pruneMarks) > keepSnapshots {
+		d.pruneMarks = d.pruneMarks[len(d.pruneMarks)-keepSnapshots:]
 	}
-	if len(d.pruneMarks) == d.opts.KeepSnapshots {
+	if len(d.pruneMarks) == keepSnapshots {
 		pruneTo = d.pruneMarks[0]
 	}
 	d.mu.Unlock()
@@ -365,13 +364,13 @@ func (d *DurableStore) writeCheckpoint(exp *chain.StateExport, blobs []storage.B
 	return nil
 }
 
-// pruneSnapshots deletes the oldest snapshot files beyond KeepSnapshots.
+// pruneSnapshots deletes the oldest snapshot files beyond keepSnapshots.
 func (d *DurableStore) pruneSnapshots() {
 	snaps, err := listSnapshots(d.opts.Dir)
 	if err != nil {
 		return
 	}
-	for len(snaps) > d.opts.KeepSnapshots {
+	for len(snaps) > keepSnapshots {
 		os.Remove(snaps[0].path) //nolint:errcheck // best-effort; retried next checkpoint
 		snaps = snaps[1:]
 	}

@@ -257,7 +257,7 @@ func TestRecoverFallsBackWhenNewestSnapshotCorrupt(t *testing.T) {
 	// Huge cadence: the test drives checkpoints explicitly so exactly two
 	// snapshot files exist (the background scheduler may skip overlapping
 	// attempts, which would make file counts racy).
-	n, _ := openNode(t, dir, Options{CheckpointEvery: 1 << 20, KeepSnapshots: 2})
+	n, _ := openNode(t, dir, Options{CheckpointEvery: 1 << 20})
 	for i := 0; i < 4; i++ {
 		n.seal(t)
 	}
@@ -287,7 +287,7 @@ func TestRecoverFallsBackWhenNewestSnapshotCorrupt(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	n2, rep := openNode(t, dir, Options{CheckpointEvery: 1 << 20, KeepSnapshots: 2})
+	n2, rep := openNode(t, dir, Options{CheckpointEvery: 1 << 20})
 	defer n2.d.Close()
 	if len(rep.SkippedSnapshots) == 0 {
 		t.Fatal("corrupt newest snapshot was not reported as skipped")
@@ -335,7 +335,7 @@ func TestFullRolePrunesBodiesButRecoversHead(t *testing.T) {
 
 func TestRecoverFailsOnWrongGenesis(t *testing.T) {
 	dir := t.TempDir()
-	n, _ := openNode(t, dir, Options{CheckpointEvery: 2, KeepSnapshots: 2})
+	n, _ := openNode(t, dir, Options{CheckpointEvery: 2})
 	for i := 0; i < 4; i++ {
 		n.seal(t)
 	}
@@ -374,7 +374,7 @@ func TestAttachRequiresRecover(t *testing.T) {
 
 func TestWALPruningRetainsFallbackCoverage(t *testing.T) {
 	dir := t.TempDir()
-	n, _ := openNode(t, dir, Options{CheckpointEvery: 1 << 20, KeepSnapshots: 2, WAL: wal.Options{SegmentBytes: 1 << 10}})
+	n, _ := openNode(t, dir, Options{CheckpointEvery: 1 << 20, WAL: wal.Options{SegmentBytes: 1 << 10}})
 	for i := 0; i < 20; i++ {
 		n.seal(t)
 		if i%5 == 4 {
@@ -398,7 +398,7 @@ func TestWALPruningRetainsFallbackCoverage(t *testing.T) {
 		data[0] ^= 0xff
 		os.WriteFile(sf.path, data, 0o644)
 	}
-	n2, rep := openNode(t, dir, Options{CheckpointEvery: 2, KeepSnapshots: 2})
+	n2, rep := openNode(t, dir, Options{CheckpointEvery: 2})
 	defer n2.d.Close()
 	if n2.c.Height() != 20 {
 		t.Fatalf("recovered to height %d, want 20 (report %+v)", n2.c.Height(), rep)
