@@ -252,9 +252,9 @@ func runProofSize(sys *core.System) {
 	if err != nil {
 		log.Fatalf("proofsize: %v", err)
 	}
-	fmt.Printf("%-10s %-10s %s\n", "task", "entries", "proof bytes")
+	fmt.Printf("%-36s %-10s %s\n", "task (6B header + fields)", "entries", "proof bytes")
 	for _, r := range rows {
-		fmt.Printf("%-10s %-10d %d (6B header + 15 G1 + 34 Fr, the custom-gate shape)\n", r.Task, r.Size, r.ProofBytes)
+		fmt.Printf("%-36s %-10d %d\n", r.Task, r.Size, r.ProofBytes)
 	}
 }
 

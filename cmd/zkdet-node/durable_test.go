@@ -17,7 +17,7 @@ import (
 	"github.com/zkdet/zkdet/internal/core"
 	"github.com/zkdet/zkdet/internal/ct"
 	"github.com/zkdet/zkdet/internal/fr"
-	"github.com/zkdet/zkdet/internal/snapshot"
+	"github.com/zkdet/zkdet/internal/plonk"
 )
 
 // bootDurable starts an in-process durable daemon WITHOUT registering a
@@ -443,13 +443,14 @@ func recoverFromWAL(t *testing.T, cfg serverConfig, height uint64, wantHead stri
 // checkpoint: eight client exchange lifecycles run concurrently (settlements
 // folded six and two to a block, heights 4 and 5; block 6 ends them), then
 // in blocks 7 and 8 a confidential mint and transfer. That engine's contract
-// was bit-identity with the journaled executor, so the public exchanges must
-// replay here through the same folds to the head that daemon built block 7
-// on. The confidential tail is another matter: its calldata carries
-// version-1 transfer proofs (one π_ct per output), which this build's
-// consensus no longer accepts — so the log is replayed cut at the frame
-// boundary after block 6, and the uncut directory must be refused, loudly
-// and by type, rather than recovered to some other head.
+// was bit-identity with the journaled executor, so the blocks before the
+// first settlement must replay here to the head that daemon built block 4
+// on. From block 4 on the log is another matter: its settle calldata carries
+// version-1 π_k proofs (1 094 bytes, every committed polynomial opened),
+// which this build's consensus no longer accepts — so the log is replayed
+// cut at the frame boundary after block 3, and the uncut directory must be
+// refused at block 4, loudly and by type (plonk.ErrProofVersion inside
+// contracts.ErrProofRejected), rather than recovered to some other head.
 func TestDurableRecoversDataDirWrittenByOverlayEngine(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata/pr19-datadir", walSegment))
 	if err != nil {
@@ -457,7 +458,7 @@ func TestDurableRecoversDataDirWrittenByOverlayEngine(t *testing.T) {
 	}
 	// Walk the frames (u32 length | u8 type | payload | u32 CRC after the
 	// 8-byte magic; a block record is type 1 and opens with its number and
-	// parent hash) to the end of block 6 and the parent block 7 names.
+	// parent hash) to the end of block 3 and the parent block 4 names.
 	var cut int
 	var wantHead string
 	for off := 8; off+9 <= len(raw); {
@@ -468,24 +469,24 @@ func TestDurableRecoversDataDirWrittenByOverlayEngine(t *testing.T) {
 			continue
 		}
 		switch binary.LittleEndian.Uint64(payload) {
-		case 6:
+		case 3:
 			cut = off
-		case 7:
+		case 4:
 			wantHead = "0x" + hex.EncodeToString(payload[8:40])
 		}
 	}
 	if cut == 0 || wantHead == "" {
-		t.Fatalf("blocks 6 and 7 not found in the committed segment (cut %d, parent %q)", cut, wantHead)
+		t.Fatalf("blocks 3 and 4 not found in the committed segment (cut %d, parent %q)", cut, wantHead)
 	}
-	recoverFromWAL(t, confidentialCfg(t, raw[:cut]), 6, wantHead, map[uint64]uint32{4: 6, 5: 2})
+	recoverFromWAL(t, confidentialCfg(t, raw[:cut]), 3, wantHead, nil)
 
 	srv, err := newServer(confidentialCfg(t, raw))
 	if err == nil {
 		srv.close()
-		t.Fatalf("a WAL holding version-1 confidential proofs recovered to head %d (%s)", srv.mkt.Chain.Height(), srv.mkt.Chain.HeadHash())
+		t.Fatalf("a WAL holding version-1 π_k proofs recovered to head %d (%s)", srv.mkt.Chain.Height(), srv.mkt.Chain.HeadHash())
 	}
-	if !errors.Is(err, contracts.ErrCTProofRejected) || !errors.Is(err, ct.ErrBadProofEncoding) {
-		t.Fatalf("uncut directory refused with %v, want ErrCTProofRejected wrapping ErrBadProofEncoding", err)
+	if !errors.Is(err, contracts.ErrProofRejected) || !errors.Is(err, plonk.ErrProofVersion) || !strings.Contains(err.Error(), "block 4:") {
+		t.Fatalf("uncut directory refused with %v, want ErrProofRejected wrapping plonk.ErrProofVersion at block 4", err)
 	}
 }
 
@@ -495,10 +496,12 @@ func TestDurableRecoversDataDirWrittenByOverlayEngine(t *testing.T) {
 // confidential mint and a 1→2 transfer, each sealed in a block of its own
 // with its one π_ct folded at width 1. That build charged a width-1 fold two
 // RLC scalar multiplications (12 000 gas) for a linear combination of one
-// term; a fold of one now costs exactly the standalone verification, so the
-// logged receipts no longer match what this build computes from block 1 on.
-// The directory must be refused, by type and at block 1, rather than
-// recovered to some other history.
+// term, so its logged receipts no longer match what this build computes
+// (snapshot.ErrReplayDrift). Since proofs moved to the linearized version-2
+// encoding, an earlier check fires first: each π_ct is a 1 766-byte
+// version-1 proof, over the 1 414-byte cap on an embedded range proof, so
+// the mint's calldata no longer decodes. The directory must be refused, by
+// type and at block 1, rather than recovered to some other history.
 func TestDurableRefusesConfidentialDataDirFoldedAtWidthOne(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata/pr21-datadir", walSegment))
 	if err != nil {
@@ -509,7 +512,7 @@ func TestDurableRefusesConfidentialDataDirFoldedAtWidthOne(t *testing.T) {
 		srv.close()
 		t.Fatalf("a WAL logged under the old width-1 fold price recovered to head %d (%s)", srv.mkt.Chain.Height(), srv.mkt.Chain.HeadHash())
 	}
-	if !errors.Is(err, snapshot.ErrReplayDrift) || !strings.Contains(err.Error(), "block 1:") {
-		t.Fatalf("pr21 directory refused with %v, want ErrReplayDrift at block 1", err)
+	if !errors.Is(err, contracts.ErrCTProofRejected) || !errors.Is(err, ct.ErrBadProofEncoding) || !strings.Contains(err.Error(), "block 1:") {
+		t.Fatalf("pr21 directory refused with %v, want ErrCTProofRejected wrapping ErrBadProofEncoding at block 1", err)
 	}
 }

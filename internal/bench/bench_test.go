@@ -145,8 +145,14 @@ func TestProofSizeConstantAcrossScales(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rows[0].ProofBytes != rows[1].ProofBytes {
-		t.Fatalf("proof size varies: %d vs %d", rows[0].ProofBytes, rows[1].ProofBytes)
+	want := map[string]int{ProofSizeClassicTask: plonk.ProofSize, ProofSizeCustomTask: 1158}
+	if len(rows) != 4 {
+		t.Fatalf("%d rows, want a classic and a custom-gate row per scale", len(rows))
+	}
+	for _, r := range rows {
+		if r.ProofBytes != want[r.Task] {
+			t.Fatalf("%s at %d entries: %d bytes, want %d", r.Task, r.Size, r.ProofBytes, want[r.Task])
+		}
 	}
 }
 

@@ -20,10 +20,13 @@ import (
 // executor and, in the commit that added the test, asserted against the
 // speculative overlay engine at widths 2..8 before that engine was deleted;
 // they are a statement about what the chain computes, so no executor change
-// may touch them.
+// may touch them. The head and receipts digest were re-captured once when
+// π_k moved to the 774-byte linearized proof encoding (testdata/golden_pik.hex
+// re-proved: new transaction hashes, 3 840 gas less per settlement); every
+// state root and the rejects digest held.
 const (
-	goldenHead     = "0x4101f1498efd6cfa01fa6deb9e7b975397018474dd500541ad702af639018799"
-	goldenReceipts = "0d1c9f42193be62420616c9b94cb98389111795e2c4567a535d273570625f55c"
+	goldenHead     = "0x44c2b5119a6893d58ab9bda409d4ec21129e906d263cc3d34a752199469419e0"
+	goldenReceipts = "83e601fdfb7c8d62e37fc12ebd52ff481d1c497a5dc3781d8b2f7684ba0f0d3f"
 	goldenRejects  = "9dde9ca93dbea9d5c853346fee3c3dd9256531f0beb30f26ed299e7efed83ca9"
 )
 

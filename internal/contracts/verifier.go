@@ -41,7 +41,9 @@ var _ chain.Contract = (*Verifier)(nil)
 func NewVerifier(vk *plonk.VerifyingKey) *Verifier { return &Verifier{vk: vk} }
 
 // VerificationGas is the gas charged for one standalone proof verification:
-// 2 pairings + ~18+ℓ G1 scalar multiplications + folding additions.
+// 2 pairings + ~18+ℓ G1 scalar multiplications + folding additions. 18 is
+// the points of a classic key's verifier MSM, the paper's count; an
+// extended key's wider MSM is charged the same.
 func VerificationGas(nbPublic int) uint64 {
 	return chain.GasPairingBase +
 		2*chain.GasPairingPerPair +

@@ -205,8 +205,8 @@ func threeDeep(t *testing.T, m *Marketplace, reg *ProofRegistry) (root *Asset, m
 }
 
 // withWZeta returns a copy of p whose opening proof W_ζ is another proof's:
-// a valid curve point, so transcript replay and the quotient identity pass
-// and only the pairing can tell.
+// a valid curve point, so the shape checks and transcript replay pass and
+// only the pairing can tell.
 func withWZeta(t *testing.T, p, other *plonk.Proof) *plonk.Proof {
 	t.Helper()
 	bad, err := plonk.ProofFromBytes(p.Bytes())
@@ -297,29 +297,23 @@ func TestAuditBatchAuditorMode(t *testing.T) {
 	}
 }
 
-// proofSlots lists every commitment and every evaluation a proof carries.
+// proofSlots lists every commitment and every opening a custom-shape proof
+// (no lookup argument) carries.
 func proofSlots(p *plonk.Proof) (pts []*kzg.Commitment, evs []*fr.Element) {
 	ev := &p.Evals
 	pts = []*kzg.Commitment{&p.A, &p.B, &p.C, &p.Z, &p.TLo, &p.TMid, &p.THi, &p.WZeta, &p.WZetaOmega}
-	evs = []*fr.Element{&ev.A, &ev.B, &ev.C, &ev.Z, &ev.ZOmega, &ev.QL, &ev.QR, &ev.QO, &ev.QM, &ev.QC,
-		&ev.S1, &ev.S2, &ev.S3, &ev.TLo, &ev.TMid, &ev.THi}
+	evs = []*fr.Element{&ev.A, &ev.B, &ev.C, &ev.S1, &ev.S2, &ev.ZOmega}
 	if ex := ev.Ext; ex != nil {
-		if p.Lookup {
-			pts = append(pts, &p.M, &p.H, &p.S)
-			evs = append(evs, &ex.M, &ex.H, &ex.S, &ex.SOmega, &ex.QLk, &ex.Tbl)
-		}
-		evs = append(evs, &ex.AOmega, &ex.BOmega, &ex.COmega,
-			&ex.QMimc, &ex.QPosF, &ex.QPosP, &ex.K0, &ex.K1, &ex.K2)
-		for i := range p.TExtra {
-			pts = append(pts, &p.TExtra[i])
-			evs = append(evs, &ex.TExtra[i])
-		}
+		evs = append(evs, &ex.AOmega, &ex.BOmega, &ex.COmega, &ex.K0, &ex.K1, &ex.K2)
+	}
+	for i := range p.TExtra {
+		pts = append(pts, &p.TExtra[i])
 	}
 	return pts, evs
 }
 
 // TestAuditRejectsEveryCorruption moves each commitment of one custom-shape
-// π_e to another curve point and each evaluation to another scalar, one at
+// π_e to another curve point and each opening to another scalar, one at
 // a time, and requires AuditLineage to refuse every one — with eight
 // auditors working through the list at once on one System (`make race`).
 func TestAuditRejectsEveryCorruption(t *testing.T) {
@@ -332,8 +326,8 @@ func TestAuditRejectsEveryCorruption(t *testing.T) {
 	honest.PublishAsset(asset)
 
 	pts, evs := proofSlots(asset.EncProof)
-	if asset.EncProof.Evals.Ext == nil || len(pts) != 12 || len(evs) != 28 {
-		t.Fatalf("π_e carries %d commitments and %d evaluations, want the custom shape's 12 and 28", len(pts), len(evs))
+	if asset.EncProof.Evals.Ext == nil || asset.EncProof.Lookup || len(pts) != 12 || len(evs) != 12 {
+		t.Fatalf("π_e carries %d commitments and %d openings, want the custom shape's 12 and 12", len(pts), len(evs))
 	}
 	slots := len(pts) + len(evs)
 	g := bn254.G1Generator()

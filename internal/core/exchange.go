@@ -95,10 +95,10 @@ type KeyWitness struct {
 // buildKeyCircuit stays on the classic lowering, deliberately: π_k is the one
 // proof that rides in calldata. On the custom-gate shape it would prove in a
 // third of the time (148 rows for 1 738), but a custom-gate proof, even with
-// no lookup argument, is 1 670 − 1 094 = 576 bytes longer = +6 912 gas per
-// settlement = +0.87 % of an exchange's 796 962 gas, over four times the
+// no lookup argument, is 1 158 − 774 = 384 bytes longer = +4 608 gas per
+// settlement = +0.58 % of an exchange's 793 122 gas, almost three times the
 // benchmark's 0.2 % gas bound. Moving it is a gas decision, not a default;
-// TestHashCircuitsOnCustomShape pins the 326 757-gas settlement.
+// TestHashCircuitsOnCustomShape pins the 322 917-gas settlement.
 func buildKeyCircuit(st *KeyStatement, w *KeyWitness) *circuit.Builder {
 	b := circuit.NewBuilder()
 	kc := b.Public(st.KC)

@@ -11,14 +11,14 @@ import (
 
 // settleGas is what a settled public escrow costs: the verification of a
 // classic π_k with three public inputs plus 12 gas per calldata byte of a
-// plonk.ProofSize-byte proof. A custom-gate π_k would be 576 bytes longer
-// (1 670 − 1 094), so this figure is the guard that π_k does not change shape
-// without a gas decision.
-const settleGas = 326_757
+// plonk.ProofSize-byte (774) proof. A custom-gate π_k would be 384 bytes
+// longer (1 158 − 774), so this figure is the guard that π_k does not change
+// shape without a gas decision.
+const settleGas = 322_917
 
 // TestHashCircuitsOnCustomShape pins which circuit is on which prover shape
 // (DESIGN.md §15.3). The five hash-only circuits prove on custom gates with
-// no lookup argument (1 670-byte proofs), each on the smallest domain that
+// no lookup argument (1 158-byte proofs), each on the smallest domain that
 // holds its rows (π_e's 671 and π_p's 730 on 768 = 3·2^8, the n = 4
 // transformations on 512), and a
 // verifier that never proved rebuilds the same key from a zero witness; π_k
@@ -41,8 +41,8 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 			t.Fatalf("%s: custom=%v lookup=%v tableBits=%d N=%d, want custom gates, no lookups, N = %d",
 				key, vk.Custom, vk.Lookup, vk.TableBits, vk.N, wantN)
 		}
-		if got := len(proof.Bytes()); got != 1670 {
-			t.Fatalf("%s: proof is %d bytes, want 1670", key, got)
+		if got := len(proof.Bytes()); got != 1158 {
+			t.Fatalf("%s: proof is %d bytes, want 1158", key, got)
 		}
 	}
 

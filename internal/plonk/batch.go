@@ -11,8 +11,8 @@ import (
 
 // Batch accumulates the pairing statements of many proofs against one
 // verifying key and checks them all with a single two-pair pairing. Each
-// proof's transcript replay and quotient-identity check still run
-// individually (in Add), but the expensive pairing work is shared: the N
+// proof's transcript replay and MSM still run individually (in Add), but the
+// expensive pairing work is shared: the N
 // deferred statements e(Lᵢ, G2)·e(-Wᵢ, τG2) == 1 are folded with powers of
 // a transcript-derived challenge ρ into one statement, so the marginal
 // pairing cost of an extra proof is two G1 scalar multiplications instead
@@ -32,10 +32,12 @@ func NewBatch(vk *VerifyingKey) *Batch {
 	return &Batch{vk: vk}
 }
 
-// Add runs the cheap per-proof verification work (transcript replay,
-// quotient identity, commitment folding) and defers the pairing statement
-// into the batch. A proof rejected here never enters the batch; the
-// returned error is the same one Verify would produce.
+// Add runs the per-proof verification work (shape checks, transcript
+// replay, the linearized commitment fold) and defers the pairing statement
+// into the batch. Add refuses only a proof of the wrong shape or
+// public-input count, with the error Verify would return; any other false
+// proof enters the batch and fails Check, since the constraint identities
+// are checked inside the pairing.
 func (b *Batch) Add(proof *Proof, public []fr.Element) error {
 	terms, err := prepare(b.vk, proof, public)
 	if err != nil {

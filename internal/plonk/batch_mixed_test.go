@@ -125,21 +125,29 @@ func TestBatchMixedBisectsCorruptedLookup(t *testing.T) {
 	}
 }
 
-// TestBatchMixedRejectsTamperedLookupEvals checks AddFor runs the full
-// per-proof verification: a lookup proof with a forged multiplicity
-// evaluation must be rejected before entering the batch.
+// TestBatchMixedRejectsTamperedLookupEvals forges each LogUp opening of the
+// lookup proof — the table at ζ, the running sum at ζω — in a mixed batch.
+// The constraint identities are checked inside the pairing, so AddFor takes
+// the proof; Check refuses the batch and Bisect names exactly that statement.
 func TestBatchMixedRejectsTamperedLookupEvals(t *testing.T) {
 	fx := mixedBatchFixtures(t)
 	lk := fx[1]
 	one := fr.One()
-	lk.proof.Evals.Ext.M.Add(&lk.proof.Evals.Ext.M, &one)
-
-	b := NewBatch(fx[0].vk)
-	if err := b.AddFor(lk.vk, lk.proof, lk.public); err == nil {
-		t.Fatal("tampered lookup proof entered the batch")
-	}
-	if b.Len() != 0 {
-		t.Fatalf("rejected proof left %d statements in the batch", b.Len())
+	for _, field := range lk.proof.Evals.Ext.lookupEvals() {
+		field.Add(field, &one)
+		b := NewBatch(fx[0].vk)
+		for _, f := range fx {
+			if err := b.AddFor(f.vk, f.proof, f.public); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := b.Check(); !errors.Is(err, ErrProofInvalid) {
+			t.Fatalf("batch with a forged LogUp opening: %v, want ErrProofInvalid", err)
+		}
+		if bad, err := b.Bisect(); err != nil || len(bad) != 1 || bad[0] != 1 {
+			t.Fatalf("Bisect = %v, %v; want [1]", bad, err)
+		}
+		field.Sub(field, &one)
 	}
 }
 

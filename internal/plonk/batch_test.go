@@ -33,9 +33,8 @@ func proveN(t testing.TB, n int) (*VerifyingKey, []*Proof, [][]fr.Element) {
 }
 
 // corruptOpening swaps the proof's ζ-opening commitment for an unrelated
-// point. The transcript replay and quotient identity still pass — the
-// corruption is only caught by the pairing — which is exactly the case
-// batch folding must not let slip through.
+// point. Add still takes it — the corruption is only caught by the pairing
+// — which is exactly the case batch folding must not let slip through.
 func corruptOpening(p *Proof) {
 	s := fr.NewElement(0xbad)
 	g := bn254.G1Generator()
@@ -165,19 +164,27 @@ func TestBatchBisectMultipleOffenders(t *testing.T) {
 	}
 }
 
-// TestBatchAddRejectsEarly pins that a proof failing the cheap checks
-// (here: wrong public inputs breaking the quotient identity) is rejected
-// at Add time and never pollutes the batch.
+// TestBatchAddRejectsEarly pins what Add refuses before the pairing — a
+// public-input vector of the wrong length — and that such a proof never
+// enters the batch. Wrong public-input values are checked inside the
+// pairing: Add takes the proof and Check refuses it as ErrProofInvalid.
 func TestBatchAddRejectsEarly(t *testing.T) {
 	vk, proofs, publics := proveN(t, 1)
 	b := NewBatch(vk)
-	wrong := []fr.Element{fr.NewElement(36), fr.NewElement(12)}
-	if err := b.Add(proofs[0], wrong); !errors.Is(err, ErrProofInvalid) {
-		t.Fatalf("Add with wrong publics: %v", err)
+	if err := b.Add(proofs[0], publics[0][:1]); !errors.Is(err, ErrWrongPublic) {
+		t.Fatalf("Add with one public input: %v", err)
 	}
 	if b.Len() != 0 {
 		t.Fatalf("rejected proof entered the batch, Len = %d", b.Len())
 	}
+	wrong := []fr.Element{fr.NewElement(36), fr.NewElement(12)}
+	if err := b.Add(proofs[0], wrong); err != nil {
+		t.Fatalf("Add with wrong public values: %v", err)
+	}
+	if err := b.Check(); !errors.Is(err, ErrProofInvalid) {
+		t.Fatalf("Check with wrong public values: %v, want ErrProofInvalid", err)
+	}
+	b = NewBatch(vk)
 	if err := b.Add(proofs[0], publics[0]); err != nil {
 		t.Fatal(err)
 	}
@@ -206,8 +213,8 @@ func BenchmarkBatchVerify(b *testing.B) {
 
 // BatchVerify is the reference batch verifier the Batch accumulator is
 // tested and benchmarked through: it checks N proofs against one verifying
-// key with a single pairing check. Per-proof preparation (transcript replay and quotient
-// identity) runs across all cores; the deferred pairing statements are
+// key with a single pairing check. Per-proof preparation (transcript replay
+// and the linearized MSM) runs across all cores; the deferred pairing statements are
 // then folded and checked at once. On a batch failure the offending
 // proofs are isolated by bisection and reported by index.
 //

@@ -3,15 +3,14 @@
 // arguments of Knowledge") over BN254 with KZG commitments — the proof
 // system ZKDET uses for every π_e, π_t, π_p and π_k.
 //
-// The implementation follows the paper's five-round protocol with one
-// deliberate simplification: instead of the linearization polynomial, the
-// prover opens every committed polynomial at the evaluation challenge ζ and
-// the verifier checks the quotient identity directly in the field
-// ("evaluate-everything" Plonk). The proof still contains exactly 9 G1
-// points — [a], [b], [c], [z], [t_lo], [t_mid], [t_hi], [W_ζ], [W_ζω] —
-// and verification still costs 2 pairings, matching the paper's §VI-B3
-// accounting; only the count of (cheap) field evaluations in the proof
-// grows.
+// The implementation follows the paper's five-round protocol with its
+// linearization: the prover opens at the evaluation challenge ζ only the
+// polynomials the constraint identities read non-linearly, and every column
+// they read linearly — the selectors, σ3, z and the quotient pieces — enters
+// one linearization commitment the verifier forms inside its MSM. A classic
+// proof is the paper's 9 G1 points — [a], [b], [c], [z], [t_lo], [t_mid],
+// [t_hi], [W_ζ], [W_ζω] — and 6 field elements (a, b, c, σ1, σ2 at ζ and z
+// at ζω), checked with 2 pairings and an 18-point MSM (§VI-B3).
 package plonk
 
 import (
@@ -35,6 +34,9 @@ var (
 	ErrProofShape    = errors.New("plonk: proof shape does not match verifying key")
 	ErrTableTooLarge = errors.New("plonk: range table bits out of range")
 	ErrDomainSize    = errors.New("plonk: not a supported evaluation-domain size")
+	// ErrProofVersion refuses a proof encoding of another format version,
+	// such as a version-1 proof, which opened every committed polynomial.
+	ErrProofVersion = errors.New("plonk: unsupported proof format version")
 )
 
 // GateKind selects the constraint family a gate row enforces. The zero

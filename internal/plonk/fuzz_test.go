@@ -32,6 +32,9 @@ func FuzzProofFromBytes(f *testing.F) {
 
 	f.Add([]byte("ZKPF"))
 	f.Add(classic[headerSize:]) // headerless payload: must be rejected
+	for _, blob := range v1Proofs(f) {
+		f.Add(blob) // version 1: must be rejected
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ProofFromBytes(data)

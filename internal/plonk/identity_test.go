@@ -7,40 +7,37 @@ import (
 	"testing"
 
 	"github.com/zkdet/zkdet/internal/fr"
+	"github.com/zkdet/zkdet/internal/kzg"
 )
 
 // One prover serves every key shape, and each shape's output is pinned byte
-// for byte: same preprocessed commitments, same proof points and
-// evaluations, and hence the same verifier transcript. The classic digests
-// were captured from the pre-lookup prover (commit 396cf92), so circuits
-// that use neither lookups nor custom gates are still proved exactly as
-// before those features existed. Blinding is pinned to the seeded stream
-// below; any drift in the transcript, the blinding order or the opening
-// fold fails here. CI runs this as the lookup-identity job.
+// for byte: same preprocessed commitments, same proof points and openings,
+// and hence the same verifier transcript. The key digests were captured
+// from the pre-lookup prover (commit 396cf92) for the classic rows and at
+// commit 4713881 for the extended ones, and have not moved since: circuits
+// that use neither lookups nor custom gates are still preprocessed exactly
+// as before those features existed. Every proof digest was re-captured once
+// when proofs moved to the linearized version-2 format (openings only of
+// what the identities read non-linearly). Blinding is pinned to the seeded
+// stream below; any drift in the transcript, the blinding order, the
+// linearization or the opening fold fails here. CI runs this as the
+// lookup-identity job.
 var classicGoldens = map[string]struct{ vk, proof string }{
-	"muladd":  {"d2f0d33c2c329fee79d96db83a69d0896fcc2aa10f2eed1781ade3ff482cacbd", "6b3aa6919443a1125991c5c756a758aa7216c840258ef4b49318e7b465161a33"},
-	"power5":  {"fcc7edf635b09124458e96b2ec89160226e288e0c51aea3f6f78fcf2ffe5d670", "f1b9590cb1908e48d70d81bf933c2c381002852f2d7b452a577211f7d70aa304"},
-	"power50": {"a21bae105b9940e8c5417c9a6c22e654140f15f17a626afa44bdf2c0e807a402", "287aba7720ffaba9320b179774ab00840bd7f60e0783e35a87c38277b14a4eb2"},
+	"muladd":  {"d2f0d33c2c329fee79d96db83a69d0896fcc2aa10f2eed1781ade3ff482cacbd", "34e13285c36f0c4b79f6d9f7714d808f7d48556d9ee5b44477de9846b520b641"},
+	"power5":  {"fcc7edf635b09124458e96b2ec89160226e288e0c51aea3f6f78fcf2ffe5d670", "715225fc64a36eae396661aa82e2da1f4ea29b0e9c0bfdd2f6dfc8c95b13f3ca"},
+	"power50": {"a21bae105b9940e8c5417c9a6c22e654140f15f17a626afa44bdf2c0e807a402", "425127caeacf0c29f7d5ba4d8270579509c71d1f0007c0ea6c52f89e83d64d98"},
 	// A classic key on a 3·2^k domain (21 rows on 24, a 96-point coset),
 	// captured when that size family arrived.
-	"power20": {"91565bbefe4a266cab0f5b2b2d7e4d714a9558af81681aac4bb9787ae6e8b222", "3f9393e6785a89a74c17f36581334212f1511a9507929c4f42cc6a9c512abcae"},
-	// Extended shapes, captured at commit 4713881 (the last one with a
-	// separate extended prover and verifier): the key digest also covers the
-	// extension commitments, table size and MDS, the proof digest the full
-	// wire encoding.
-	"lookup": {"4ba506c3c9b2fbfc4466799a46b1e3b8a76cc9dbeec7f76822746b34a032e908", "72d6b6fc355431f378d715dca2b07e538783e7df86b754c63d7694fae0b27174"},
-	// mixed has held since then although its quotient moved from an 8n to a
-	// 6n coset (it is the same polynomial whichever coset it is interpolated
-	// from), and although quotientNumerator now shares the Poseidon S-box
-	// and multiplies each gate family's selector once (field arithmetic is
-	// exact). The custom-only proofs mimc and poseidon were re-captured when
-	// they stopped carrying an empty lookup argument (flags 0x03 → 0x02, no
-	// [M], [H], [S], β_L or LogUp openings); their keys did not move.
+	"power20": {"91565bbefe4a266cab0f5b2b2d7e4d714a9558af81681aac4bb9787ae6e8b222", "094eafcee69491387c665b09d09016070eab5eab39daea432afcf9494be58ca8"},
+	// Extended shapes: the key digest also covers the extension
+	// commitments, table size and MDS, the proof digest the extension's
+	// commitments and openings.
+	"lookup": {"4ba506c3c9b2fbfc4466799a46b1e3b8a76cc9dbeec7f76822746b34a032e908", "fdd8ba47d4332a269183d8f765451c968b905c7d4344bf4df548a808a48e221c"},
+	"mimc":   {"9ff1d3289b981428949c350f375a0f156a0c2ea68398619460eb043d8c1d362c", "0e02ddb1992974c4903be9c3eecc3592dc28ace654d8bdacca502027a00ef85b"},
 	// poseidon's 9 rows sit on a 12-point domain (a 3·2^k custom-gate key,
 	// 8n coset).
-	"mimc":     {"9ff1d3289b981428949c350f375a0f156a0c2ea68398619460eb043d8c1d362c", "3cc27419d0adc6e868a7463ceff1c0c1761adc7077060d191fd3713ab0141476"},
-	"poseidon": {"0606d13cae2154e1b2743a08875393605eff38cb6f75ff9f6165d14ca6e3e730", "8df47d7e83084f2fc47c6156ff78662fc477157a80288e714cda51d881970846"},
-	"mixed":    {"23222f9dd003828a2fa3f2403bba595ba05ebb2ceff65845534e6535b9e303c0", "894b9e62525957146b5021397ad0804d234b44fe2e4880c8eeb9b319df59f587"},
+	"poseidon": {"0606d13cae2154e1b2743a08875393605eff38cb6f75ff9f6165d14ca6e3e730", "a79c5ca5ca528c7d783e069196951afffe7a8d80ca1a0df8b6b98fca176c09e5"},
+	"mixed":    {"23222f9dd003828a2fa3f2403bba595ba05ebb2ceff65845534e6535b9e303c0", "c7ca4cd2dcaee30e0217ae9091ca2eb994514ed2698f70034c90b79dd94956f6"},
 }
 
 // goldenShapes builds one circuit per pinned row: four classic sizes (power20
@@ -161,25 +158,26 @@ func digestVKForTest(vk *VerifyingKey) []byte {
 	return h.Sum(nil)
 }
 
-// digestProofForTest hashes the proof's points, evaluations and (hence)
+// digestProofForTest hashes the proof's points and openings and (hence)
 // everything the verifier transcript absorbs, independent of the wire
 // encoding in serialize.go.
 func digestProofForTest(p *Proof) []byte {
 	h := sha256.New()
-	for _, pt := range []interface{ Bytes() [64]byte }{
-		&p.A, &p.B, &p.C, &p.Z, &p.TLo, &p.TMid, &p.THi, &p.WZeta, &p.WZetaOmega,
-	} {
+	pts := []*kzg.Commitment{&p.A, &p.B, &p.C, &p.Z, &p.TLo, &p.TMid, &p.THi, &p.WZeta, &p.WZetaOmega}
+	if p.Lookup {
+		pts = append(pts, &p.M, &p.H, &p.S)
+	}
+	for i := range p.TExtra {
+		pts = append(pts, &p.TExtra[i])
+	}
+	for _, pt := range pts {
 		b := pt.Bytes()
 		h.Write(b[:])
 	}
-	evals := p.Evals.evalList()
-	evals = append(evals, p.Evals.ZOmega)
-	for i := range evals {
-		b := evals[i].Bytes()
+	atZeta, atOmega := p.openings()
+	for _, e := range append(atZeta, atOmega...) {
+		b := e.Bytes()
 		h.Write(b[:])
-	}
-	if p.Evals.Ext != nil {
-		h.Write(p.Bytes())
 	}
 	return h.Sum(nil)
 }

@@ -117,7 +117,7 @@ type VerifyingKey struct {
 	S1, S2, S3         kzg.Commitment
 
 	// Lookup is set when the circuit has lookup rows: its proofs carry the
-	// LogUp polynomials M, H, S and their openings. Custom is set when
+	// LogUp polynomials M, H, S and the two LogUp openings. Custom is set when
 	// next-row custom gates are present: the quotient gains the custom-gate
 	// identities and splits into 6 pieces instead of 3. Either one makes the
 	// key extended — sixteen preprocessed commitments instead of eight.

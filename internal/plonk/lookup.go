@@ -8,8 +8,8 @@ import (
 
 // This file holds the machinery shared by the prover and the verifier:
 // the point-wise evaluation of the aggregated constraint numerator (the
-// same formula runs on every coset point in the prover and once at ζ in
-// the verifier), and the LogUp witness builder.
+// same formula runs on every coset point in the prover and, split into its
+// linearization, at ζ in both), and the LogUp witness builder.
 //
 // Every circuit carries C0–C2 (gate, permutation, L_1 boundary); a key with
 // lookups adds C3–C5, one with custom gates C6–C13.
@@ -92,8 +92,9 @@ func poseidonFamily(in *[3]fr.Element, nw [3]*fr.Element, mds *[3][3]fr.Element,
 
 // quotientNumerator evaluates the aggregated constraint numerator
 // Σ_k α^k·C_k at one point. The prover divides this by Z_H on the coset;
-// the verifier compares it against t(ζ)·Z_H(ζ). sh is the key's shape: the
-// stack adds C3–C5 only with lookups and C6–C13 only with custom gates.
+// at ζ, linearize splits it into the linearization both sides fold. sh is
+// the key's shape: the stack adds C3–C5 only with lookups and C6–C13 only
+// with custom gates.
 func quotientNumerator(p *pointVals, ch *challenges, sh shape) fr.Element {
 	var acc, t, t2 fr.Element
 
@@ -222,6 +223,46 @@ func quotientNumerator(p *pointVals, ch *challenges, sh shape) fr.Element {
 	acc.Add(&acc, &t)
 
 	return acc
+}
+
+// linearColumns lists the fields of p that quotientNumerator reads only
+// linearly for shape sh — no product of two of them occurs in C0–C13 — so a
+// proof folds them into its linearization instead of opening them: the five
+// gate selectors, σ3 and z, then M, H, S and the lookup selector on a lookup
+// key, then the three custom-gate selectors on a custom-gate key. The
+// prover's polynomials and the verifier's commitments follow this order.
+func (p *pointVals) linearColumns(sh shape) []*fr.Element {
+	cols := []*fr.Element{&p.ql, &p.qr, &p.qo, &p.qm, &p.qc, &p.s3, &p.z}
+	if sh.lookup() {
+		cols = append(cols, &p.m, &p.h, &p.s, &p.qlk)
+	}
+	if sh.custom() {
+		cols = append(cols, &p.qmimc, &p.qposf, &p.qposp)
+	}
+	return cols
+}
+
+// linearize splits quotientNumerator at p into its constant term and one
+// scalar per linear column: with the other fields of p fixed, the numerator
+// is c0 + Σ_j scalars[j]·col_j. The split is read off quotientNumerator
+// itself — c0 with every linear column at zero, scalars[j] from column j
+// alone at one — so C0–C13 stay written once; TestLinearizationIsAffine
+// checks the joint affinity that makes it exact. p's linear columns are
+// ignored.
+func linearize(p pointVals, ch *challenges, sh shape) (c0 fr.Element, scalars []fr.Element) {
+	cols := p.linearColumns(sh)
+	for _, c := range cols {
+		c.SetZero()
+	}
+	c0 = quotientNumerator(&p, ch, sh)
+	scalars = make([]fr.Element, len(cols))
+	for j, c := range cols {
+		c.SetOne()
+		scalars[j] = quotientNumerator(&p, ch, sh)
+		scalars[j].Sub(&scalars[j], &c0)
+		c.SetZero()
+	}
+	return c0, scalars
 }
 
 // buildMultiplicities counts, for each range-table value, how many lookup

@@ -192,7 +192,11 @@ func TestCopyConstraints(t *testing.T) {
 }
 
 func TestProofSizeConstant(t *testing.T) {
-	// Paper §VI-B3: proof length is independent of the relation.
+	// Paper §VI-B3: proof length is independent of the relation, and a
+	// classic proof is 9 G1 + 6 Fr behind the 6-byte header.
+	if ProofSize != 774 {
+		t.Fatalf("ProofSize = %d, want 774", ProofSize)
+	}
 	sizes := map[string]int{}
 	for _, k := range []int{4, 64, 400} {
 		cs, witness := buildPowerCircuit(k)

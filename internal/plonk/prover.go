@@ -39,20 +39,22 @@ func commitParallel(srs *kzg.SRS, ps []poly.Polynomial, outs []*kzg.Commitment) 
 	return nil
 }
 
-// Proof is a Plonk proof: 9 G1 points and the openings of every committed
-// polynomial at the challenge ζ (plus z at ζω). Its size is independent of
-// the circuit. A proof for a lookup circuit additionally carries the three
-// LogUp polynomials M (multiplicities), H (per-row log-derivative helper)
-// and S (running sum); one for a custom-gate circuit three extra quotient
-// pieces. Either one carries the extension's openings (Evals.Ext).
+// Proof is a Plonk proof: 9 G1 points and the openings the constraint
+// identities read non-linearly — a, b, c, σ1, σ2 at the challenge ζ and z
+// at ζω; everything they read linearly is folded into the linearization.
+// Its size is independent of the circuit. A proof for a lookup circuit
+// additionally carries the three LogUp polynomials M (multiplicities), H
+// (per-row log-derivative helper) and S (running sum); one for a custom-gate
+// circuit three extra quotient pieces. Either one carries the extension's
+// openings (Evals.Ext).
 type Proof struct {
 	A, B, C           kzg.Commitment
 	Z                 kzg.Commitment
 	TLo, TMid, THi    kzg.Commitment
 	WZeta, WZetaOmega kzg.Commitment
 	// Lookup marks a proof carrying the LogUp argument: [M], [H], [S] and
-	// their openings. Without it those fields stay zero (infinity), and a
-	// verifier refuses the proof if they are not.
+	// the LogUp openings. Without it those fields stay zero (infinity), and
+	// a verifier refuses the proof if they are not.
 	Lookup  bool
 	M, H, S kzg.Commitment
 	// TExtra holds quotient pieces 4–6 when custom gates push the
@@ -71,88 +73,97 @@ func (p *Proof) shape() shape {
 	return newShape(p.Lookup, len(p.TExtra) > 0)
 }
 
-// logUpUnset reports whether every LogUp field — [M], [H], [S] and the six
-// openings only a lookup proof carries — is at its zero value.
-func (p *Proof) logUpUnset() bool {
-	for _, c := range []*kzg.Commitment{&p.M, &p.H, &p.S} {
-		if !c.IsInfinity() {
-			return false
-		}
-	}
+// strayFields reports whether p sets a field that shape sh does not carry:
+// [M], [H], [S] or the LogUp openings without lookups, the custom-gate
+// openings without custom gates. No encoding has room for them and no
+// transcript absorb or opening would bind them.
+func (p *Proof) strayFields(sh shape) bool {
+	var set []*fr.Element
 	if x := p.Evals.Ext; x != nil {
-		for _, e := range x.logUp() {
-			if !e.IsZero() {
-				return false
-			}
+		if !sh.lookup() {
+			set = append(set, x.lookupEvals()...)
+		}
+		if !sh.custom() {
+			set = append(set, x.customEvals()...)
 		}
 	}
-	return true
+	for _, e := range set {
+		if !e.IsZero() {
+			return true
+		}
+	}
+	return !sh.lookup() && !(p.M.IsInfinity() && p.H.IsInfinity() && p.S.IsInfinity())
 }
 
-// ProofEvals carries the claimed polynomial evaluations at ζ (and z at ζω).
+// ProofEvals carries the openings every proof sends: the wires and the
+// first two permutation columns at ζ, z at ζω.
 type ProofEvals struct {
-	A, B, C, Z, ZOmega fr.Element
-	QL, QR, QO, QM, QC fr.Element
-	S1, S2, S3         fr.Element
-	TLo, TMid, THi     fr.Element
-	// Ext carries the extension's evaluations; nil for classic proofs.
+	A, B, C, S1, S2, ZOmega fr.Element
+	// Ext carries the extension's openings; nil for classic proofs.
 	Ext *ExtEvals
 }
 
-// ExtEvals are the extra openings an extended proof carries: the shifted
-// wires at ζω (custom gates read the next row), the custom-gate selectors
-// and round-constant columns at ζ and, on a custom-gate proof, the extra
-// quotient pieces at ζ. A lookup proof adds the LogUp polynomials and the
-// lookup selector and table at ζ and the running sum at ζω; the other
-// shapes leave those six zero.
+// ExtEvals are the extra openings an extended proof carries. A lookup proof
+// opens the table at ζ (C3 multiplies it by H) and the running sum at ζω; a
+// custom-gate proof the next-row wires at ζω and the round constants at ζ,
+// which sit inside the S-boxes. A proof of one feature leaves the other's
+// openings zero.
 type ExtEvals struct {
-	M, H, S                        fr.Element
-	SOmega, AOmega, BOmega, COmega fr.Element
-	QLk, Tbl, QMimc, QPosF, QPosP  fr.Element
-	K0, K1, K2                     fr.Element
-	TExtra                         []fr.Element
+	Tbl, SOmega            fr.Element
+	AOmega, BOmega, COmega fr.Element
+	K0, K1, K2             fr.Element
 }
 
-// logUp lists the six openings only a lookup proof carries.
-func (x *ExtEvals) logUp() []*fr.Element {
-	return []*fr.Element{&x.M, &x.H, &x.S, &x.SOmega, &x.QLk, &x.Tbl}
+// lookupEvals lists the two openings only a lookup proof carries.
+func (x *ExtEvals) lookupEvals() []*fr.Element { return []*fr.Element{&x.Tbl, &x.SOmega} }
+
+// customEvals lists the six openings only a custom-gate proof carries.
+func (x *ExtEvals) customEvals() []*fr.Element {
+	return []*fr.Element{&x.AOmega, &x.BOmega, &x.COmega, &x.K0, &x.K1, &x.K2}
 }
 
-// evalList returns the evaluations at ζ every proof carries, in the
-// canonical folding order used by both prover and verifier for the batched
-// KZG opening.
-func (e *ProofEvals) evalList() []fr.Element {
-	return []fr.Element{
-		e.A, e.B, e.C, e.Z,
-		e.QL, e.QR, e.QO, e.QM, e.QC,
-		e.S1, e.S2, e.S3,
-		e.TLo, e.TMid, e.THi,
+// openings returns the evaluations the proof carries, split by point: at ζ
+// a, b, c, σ1, σ2, then T on a lookup proof and K0–K2 on a custom-gate one;
+// at ζω z, then S (lookup) and a, b, c (custom). This is the one order of
+// the transcript, the wire encoding, the prover's round-4 evaluations and
+// both v-folds.
+func (p *Proof) openings() (atZeta, atOmega []*fr.Element) {
+	ev := &p.Evals
+	atZeta = []*fr.Element{&ev.A, &ev.B, &ev.C, &ev.S1, &ev.S2}
+	atOmega = []*fr.Element{&ev.ZOmega}
+	sh := p.shape()
+	if sh.lookup() {
+		atZeta = append(atZeta, &ev.Ext.Tbl)
+		atOmega = append(atOmega, &ev.Ext.SOmega)
 	}
-}
-
-// zetaList returns every evaluation at ζ in the canonical folding order:
-// evalList, then the extension's evaluations when the proof carries them.
-func (p *Proof) zetaList() []fr.Element {
-	out := p.Evals.evalList()
-	if x := p.Evals.Ext; x != nil {
-		if p.Lookup {
-			out = append(out, x.M, x.H, x.S, x.QLk, x.Tbl)
-		}
-		out = append(out, x.QMimc, x.QPosF, x.QPosP, x.K0, x.K1, x.K2)
-		out = append(out, x.TExtra...)
+	if sh.custom() {
+		atZeta = append(atZeta, &ev.Ext.K0, &ev.Ext.K1, &ev.Ext.K2)
+		atOmega = append(atOmega, &ev.Ext.AOmega, &ev.Ext.BOmega, &ev.Ext.COmega)
 	}
-	return out
+	return atZeta, atOmega
 }
 
-// omegaList returns the evaluations opened at ζω in the canonical folding
-// order: z(ζω), then the extension's shifted openings.
-func (p *Proof) omegaList() []fr.Element {
-	out := []fr.Element{p.Evals.ZOmega}
-	if x := p.Evals.Ext; x != nil {
-		if p.Lookup {
-			out = append(out, x.SOmega)
-		}
-		out = append(out, x.AOmega, x.BOmega, x.COmega)
+// zetaPoint fills the evaluation point ζ with the openings the proof
+// carries, L1(ζ) and PI(ζ); linearize supplies the linear columns.
+func (p *Proof) zetaPoint(zeta, l1, pi *fr.Element) pointVals {
+	ev := &p.Evals
+	pv := pointVals{
+		x: *zeta, l1: *l1, pi: *pi,
+		a: ev.A, b: ev.B, c: ev.C, s1: ev.S1, s2: ev.S2, zw: ev.ZOmega,
+	}
+	if x := ev.Ext; x != nil {
+		pv.tbl, pv.sw = x.Tbl, x.SOmega
+		pv.aw, pv.bw, pv.cw = x.AOmega, x.BOmega, x.COmega
+		pv.k0, pv.k1c, pv.k2c = x.K0, x.K1, x.K2
+	}
+	return pv
+}
+
+// values dereferences a list of openings.
+func values(ps []*fr.Element) []fr.Element {
+	out := make([]fr.Element, len(ps))
+	for i, p := range ps {
+		out[i] = *p
 	}
 	return out
 }
@@ -234,12 +245,13 @@ func (p *Proof) absorbRound3(tr *transcript.Transcript) fr.Element {
 	return tr.ChallengeScalar("zeta")
 }
 
-// absorbRound4 absorbs the evaluations and squeezes the opening fold v.
+// absorbRound4 absorbs the openings and squeezes the opening fold v.
 func (p *Proof) absorbRound4(tr *transcript.Transcript) fr.Element {
-	tr.AppendScalars("evals", p.zetaList())
-	tr.AppendScalar("z_omega", &p.Evals.ZOmega)
-	if p.Evals.Ext != nil {
-		tr.AppendScalars("evals-omega-ext", p.omegaList()[1:])
+	atZeta, atOmega := p.openings()
+	tr.AppendScalars("evals", values(atZeta))
+	tr.AppendScalar("z_omega", atOmega[0])
+	if len(atOmega) > 1 {
+		tr.AppendScalars("evals-omega-ext", values(atOmega[1:]))
 	}
 	return tr.ChallengeScalar("v")
 }
@@ -281,9 +293,10 @@ func foldPolys(ps []poly.Polynomial, coeffs []fr.Element) poly.Polynomial {
 // [z], their coset columns and identities C3–C5 and the ζω opening of S; a
 // custom-gate key adds the next-row identities C6–C13, evaluates the
 // quotient on a 6n (or 8n) coset and splits it into 6 pieces instead of 3.
-// Either one opens the extension's selectors and the ζω wires. A classic
-// key adds none of these, and its proofs are pinned byte-for-byte by
-// TestClassicProverBitIdentity.
+// A lookup key opens the table at ζ, a custom-gate key the round constants
+// at ζ and the ζω wires; every column the identities read linearly enters
+// round 5's linearization instead. A classic key adds none of these, and
+// its proofs are pinned byte-for-byte by TestClassicProverBitIdentity.
 //
 // Every O(n) and O(big) loop below is range-split across the bounded worker
 // pool; the only serial remainders are the grand-product prefix scan, the
@@ -550,73 +563,64 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	}
 	zeta := proof.absorbRound3(tr)
 
-	// Round 4: evaluations at ζ (and ζω for z) — independent Horner walks,
-	// run on the worker pool. An extended key adds its own columns at ζ and
-	// the ω-shifted openings its constraints read (a/b/c for the next-row
-	// custom gates and, on a lookup key, S for the running sum).
+	// Round 4: the openings, in Proof.openings order — independent Horner
+	// walks, run on the worker pool. A lookup key adds the table at ζ and S
+	// at ζω (the running sum's next row), a custom-gate key the round
+	// constants at ζ and the next-row wires at ζω.
 	var zetaOmega fr.Element
 	zetaOmega.Mul(&zeta, &pk.Domain.Gen)
-	ev := &proof.Evals
-	type evalTask struct {
-		p   poly.Polynomial
-		at  *fr.Element
-		out *fr.Element
+	openZeta := []poly.Polynomial{aPoly, bPoly, cPoly, pk.S1, pk.S2}
+	openOmega := []poly.Polynomial{zPoly}
+	if lookup {
+		openZeta = append(openZeta, pk.Tbl)
+		openOmega = append(openOmega, sPoly)
 	}
-	evalTasks := []evalTask{
-		{aPoly, &zeta, &ev.A}, {bPoly, &zeta, &ev.B}, {cPoly, &zeta, &ev.C},
-		{zPoly, &zeta, &ev.Z}, {zPoly, &zetaOmega, &ev.ZOmega},
-		{pk.QL, &zeta, &ev.QL}, {pk.QR, &zeta, &ev.QR}, {pk.QO, &zeta, &ev.QO},
-		{pk.QM, &zeta, &ev.QM}, {pk.QC, &zeta, &ev.QC},
-		{pk.S1, &zeta, &ev.S1}, {pk.S2, &zeta, &ev.S2}, {pk.S3, &zeta, &ev.S3},
-		{pieces[0], &zeta, &ev.TLo}, {pieces[1], &zeta, &ev.TMid}, {pieces[2], &zeta, &ev.THi},
+	if custom {
+		openZeta = append(openZeta, pk.KC0, pk.KC1, pk.KC2)
+		openOmega = append(openOmega, aPoly, bPoly, cPoly)
 	}
-	if ex := ev.Ext; ex != nil {
-		ex.TExtra = make([]fr.Element, nbPieces-3)
-		if lookup {
-			evalTasks = append(evalTasks, []evalTask{
-				{mPoly, &zeta, &ex.M}, {hPoly, &zeta, &ex.H}, {sPoly, &zeta, &ex.S},
-				{sPoly, &zetaOmega, &ex.SOmega},
-				{pk.QLk, &zeta, &ex.QLk}, {pk.Tbl, &zeta, &ex.Tbl},
-			}...)
-		}
-		evalTasks = append(evalTasks, []evalTask{
-			{aPoly, &zetaOmega, &ex.AOmega}, {bPoly, &zetaOmega, &ex.BOmega}, {cPoly, &zetaOmega, &ex.COmega},
-			{pk.QMimc, &zeta, &ex.QMimc}, {pk.QPosF, &zeta, &ex.QPosF}, {pk.QPosP, &zeta, &ex.QPosP},
-			{pk.KC0, &zeta, &ex.K0}, {pk.KC1, &zeta, &ex.K1}, {pk.KC2, &zeta, &ex.K2},
-		}...)
-		for p := range ex.TExtra {
-			evalTasks = append(evalTasks, evalTask{pieces[3+p], &zeta, &ex.TExtra[p]})
-		}
-	}
-	parallel.Execute(len(evalTasks), func(start, end int) {
+	atZeta, atOmega := proof.openings()
+	parallel.Execute(len(openZeta)+len(openOmega), func(start, end int) {
 		for i := start; i < end; i++ {
-			*evalTasks[i].out = evalTasks[i].p.Eval(evalTasks[i].at)
+			if i < len(openZeta) {
+				*atZeta[i] = openZeta[i].Eval(&zeta)
+			} else {
+				*atOmega[i-len(openZeta)] = openOmega[i-len(openZeta)].Eval(&zetaOmega)
+			}
 		}
 	})
 	v := proof.absorbRound4(tr)
 
-	// Round 5: batched opening at ζ, and a v-folded opening at ζω of z
-	// (and, for an extended key, S on a lookup key, then a, b, c). The
-	// polynomial lists follow the order of Proof.zetaList and omegaList.
-	foldZeta := []poly.Polynomial{
-		aPoly, bPoly, cPoly, zPoly,
-		pk.QL, pk.QR, pk.QO, pk.QM, pk.QC,
-		pk.S1, pk.S2, pk.S3,
-		pieces[0], pieces[1], pieces[2],
-	}
-	foldOmega := []poly.Polynomial{zPoly}
+	// Round 5: one fold at ζ of the linearization
+	//   r(X) = Σ_j s_j·col_j(X) − Z_H(ζ)·Σ_p ζ^{p·n}·t_p(X),
+	// whose value there the verifier computes itself, and the v-weighted
+	// openings; and a v-folded opening at ζω. The linear columns follow
+	// pointVals.linearColumns; PI(ζ) enters only linearize's constant term,
+	// which the prover does not need.
+	linear := []poly.Polynomial{pk.QL, pk.QR, pk.QO, pk.QM, pk.QC, pk.S3, zPoly}
 	if lookup {
-		foldZeta = append(foldZeta, mPoly, hPoly, sPoly, pk.QLk, pk.Tbl)
-		foldOmega = append(foldOmega, sPoly)
+		linear = append(linear, mPoly, hPoly, sPoly, pk.QLk)
 	}
-	if pk.shape != 0 {
-		foldZeta = append(foldZeta, pk.QMimc, pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2)
-		foldZeta = append(foldZeta, pieces[3:]...)
-		foldOmega = append(foldOmega, aPoly, bPoly, cPoly)
+	if custom {
+		linear = append(linear, pk.QMimc, pk.QPosF, pk.QPosP)
 	}
-	folded := foldPolys(foldZeta, fr.Powers(&v, len(foldZeta)))
+	l1 := pk.Domain.LagrangeEval(0, &zeta)
+	var noPI fr.Element
+	_, coeffs := linearize(proof.zetaPoint(&zeta, &l1, &noPI), ch, pk.shape)
+	var zetaN, w fr.Element
+	zetaN.ExpUint64(&zeta, n)
+	one := fr.One()
+	w.Sub(&one, &zetaN) // −Z_H(ζ)
+	for range pieces {
+		coeffs = append(coeffs, w)
+		w.Mul(&w, &zetaN)
+	}
+	vPowers := fr.Powers(&v, len(openZeta)+1)
+	coeffs = append(coeffs, vPowers[1:]...)
+	foldZeta := append(append(linear, pieces...), openZeta...)
+	folded := foldPolys(foldZeta, coeffs)
 	wZeta, _ := poly.DivideByLinear(folded, &zeta)
-	foldedOmega := foldPolys(foldOmega, fr.Powers(&v, len(foldOmega)))
+	foldedOmega := foldPolys(openOmega, vPowers)
 	wZetaOmega, _ := poly.DivideByLinear(foldedOmega, &zetaOmega)
 	if err = commitParallel(pk.SRS,
 		[]poly.Polynomial{wZeta, wZetaOmega},

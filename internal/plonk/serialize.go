@@ -13,40 +13,36 @@ import (
 // flags byte describing the proof shape, followed by the fixed classic
 // payload and (for lookup/custom-gate proofs) the extension payload.
 //
-//	"ZKPF" | version=1 | flags | classic payload | [extension payload]
+//	"ZKPF" | version=2 | flags | commitments | openings at ζ | openings at ζω
 //
-// The flags byte is the proof's shape: bit 0 marks a lookup proof, which
-// carries [M], [H], [S] and six LogUp openings, bit 1 a custom-gate proof,
-// which carries three extra quotient pieces and their openings. Either bit
-// adds the nine openings every extended proof carries (the ζω wires, the
-// custom-gate selectors and round constants). So there are four sizes:
+// The commitments are [a], [b], [c], [z], [t_lo], [t_mid], [t_hi], [W_ζ],
+// [W_ζω], then [M], [H], [S] on a lookup proof and [t_3]–[t_5] on a
+// custom-gate proof. The openings follow Proof.openings: a, b, c, σ1, σ2 at
+// ζ, then T (lookup) and K0–K2 (custom); z at ζω, then S (lookup) and a, b,
+// c (custom). The flags byte is the proof's shape — bit 0 lookup, bit 1
+// custom — so there are four sizes:
 //
-//	0x00 classic          1 094 B   9 G1 + 16 Fr
-//	0x01 lookup           1 766 B  12 G1 + 31 Fr
-//	0x02 custom           1 670 B  12 G1 + 28 Fr
-//	0x03 lookup + custom  2 054 B  15 G1 + 34 Fr
+//	0x00 classic            774 B   9 G1 +  6 Fr
+//	0x01 lookup           1 030 B  12 G1 +  8 Fr
+//	0x02 custom           1 158 B  12 G1 + 12 Fr
+//	0x03 lookup + custom  1 414 B  15 G1 + 14 Fr
 //
-// Flags 0x01 and 0x03 are laid out as they were when bit 0 meant "extended";
-// 0x02 was refused then, so no older encoding is read differently now. A
-// blob without the header — such as the bare 1088-byte classic payload that
-// predates versioning — is rejected.
+// Version 1 opened every committed polynomial instead of a linearization
+// (1 094 B classic); its blobs are refused with ErrProofVersion. A blob
+// without the header is rejected.
 const (
-	proofVersion = 1
+	proofVersion = 2
 
 	headerSize = 6
 
-	// classicPayloadSize is 9 uncompressed G1 points + 16 field elements.
-	classicPayloadSize = 9*64 + 16*32
-	// extEvalsSize is the nine openings every extended proof carries: a, b,
-	// c at ζω, the three custom-gate selectors and three round-constant
-	// columns at ζ.
-	extEvalsSize = 9 * 32
-	// lookupSize is the LogUp commitments [M], [H], [S] and their six
-	// openings (M, H, S, S at ζω, the lookup selector and the table).
-	lookupSize = 3*64 + 6*32
-	// customExtraSize adds the three extra quotient pieces and their ζ
-	// evaluations.
-	customExtraSize = 3*64 + 3*32
+	// classicPayloadSize is 9 uncompressed G1 points + 6 field elements.
+	classicPayloadSize = 9*64 + 6*32
+	// lookupSize is the LogUp commitments [M], [H], [S] and the two LogUp
+	// openings: the table at ζ and S at ζω.
+	lookupSize = 3*64 + 2*32
+	// customSize is the three extra quotient pieces and the six custom-gate
+	// openings: a, b, c at ζω and the round constants at ζ.
+	customSize = 3*64 + 6*32
 )
 
 // proofMagic stamps every versioned proof encoding.
@@ -60,48 +56,28 @@ const ProofSize = headerSize + classicPayloadSize
 // MaxProofSize is the byte length of the largest proof encoding there is:
 // a lookup + custom-gate proof. A decoder embedding proofs in its own
 // format caps a length prefix with it.
-const MaxProofSize = ProofSize + extEvalsSize + lookupSize + customExtraSize
+const MaxProofSize = ProofSize + lookupSize + customSize
 
 // encodedSize returns the byte length of a proof of the given shape.
 func encodedSize(f shape) int {
 	size := ProofSize
-	if f != 0 {
-		size += extEvalsSize
-	}
 	if f.lookup() {
 		size += lookupSize
 	}
 	if f.custom() {
-		size += customExtraSize
+		size += customSize
 	}
 	return size
 }
 
 // eachWireField visits the proof's fields in encoding order, calling point
-// for each 64-byte commitment and scalar for each 32-byte evaluation: the
-// nine classic points, the sixteen classic evaluations, then on an extended
-// proof [M], [H], [S] (lookup) and the extra quotient pieces (custom), then
-// the extension's evaluations, whose LogUp openings only a lookup proof
-// carries. Encoder and decoder share it, so the layout is written once.
+// for each 64-byte commitment and scalar for each 32-byte opening. Encoder
+// and decoder share it, so the layout is written once.
 func (p *Proof) eachWireField(point func(*bn254.G1Affine), scalar func(*fr.Element)) {
-	ev := &p.Evals
 	for _, pt := range [...]*bn254.G1Affine{&p.A, &p.B, &p.C, &p.Z, &p.TLo, &p.TMid, &p.THi, &p.WZeta, &p.WZetaOmega} {
 		point(pt)
 	}
-	for _, s := range [...]*fr.Element{
-		&ev.A, &ev.B, &ev.C, &ev.Z,
-		&ev.QL, &ev.QR, &ev.QO, &ev.QM, &ev.QC,
-		&ev.S1, &ev.S2, &ev.S3,
-		&ev.TLo, &ev.TMid, &ev.THi,
-		&ev.ZOmega,
-	} {
-		scalar(s)
-	}
-	if p.shape() == 0 {
-		return
-	}
-	e := ev.Ext
-	if p.Lookup {
+	if p.shape().lookup() {
 		point(&p.M)
 		point(&p.H)
 		point(&p.S)
@@ -109,23 +85,9 @@ func (p *Proof) eachWireField(point func(*bn254.G1Affine), scalar func(*fr.Eleme
 	for i := range p.TExtra {
 		point(&p.TExtra[i])
 	}
-	if p.Lookup {
-		for _, s := range [...]*fr.Element{&e.M, &e.H, &e.S, &e.SOmega} {
-			scalar(s)
-		}
-	}
-	for _, s := range [...]*fr.Element{&e.AOmega, &e.BOmega, &e.COmega} {
+	atZeta, atOmega := p.openings()
+	for _, s := range append(atZeta, atOmega...) {
 		scalar(s)
-	}
-	if p.Lookup {
-		scalar(&e.QLk)
-		scalar(&e.Tbl)
-	}
-	for _, s := range [...]*fr.Element{&e.QMimc, &e.QPosF, &e.QPosP, &e.K0, &e.K1, &e.K2} {
-		scalar(s)
-	}
-	for i := range e.TExtra {
-		scalar(&e.TExtra[i])
 	}
 }
 
@@ -164,7 +126,7 @@ func ProofFromBytes(data []byte) (*Proof, error) {
 		return nil, fmt.Errorf("plonk: proof encoding lacks %q header", proofMagic)
 	}
 	if v := data[4]; v != proofVersion {
-		return nil, fmt.Errorf("plonk: unsupported proof format version %d (have %d)", v, proofVersion)
+		return nil, fmt.Errorf("%w %d (have %d)", ErrProofVersion, v, proofVersion)
 	}
 	f := shape(data[5])
 	if f&^(shapeLookup|shapeCustom) != 0 {
@@ -180,7 +142,6 @@ func ProofFromBytes(data []byte) (*Proof, error) {
 	}
 	if f.custom() {
 		p.TExtra = make([]bn254.G1Affine, 3)
-		p.Evals.Ext.TExtra = make([]fr.Element, 3)
 	}
 	off := headerSize
 	var err error

@@ -9,83 +9,91 @@ import (
 	"github.com/zkdet/zkdet/internal/fr"
 )
 
-// proofField names one commitment (pt) or one evaluation (ev) of a proof.
-// unused marks a LogUp field of a proof without lookups: its shape does not
-// carry it, so no encoding has room for it and nothing binds it.
+// proofField names one commitment (pt) or one opening (ev) the verifier
+// reads. unused marks a field of a feature the proof's shape lacks: no
+// encoding has room for it and nothing binds it. key marks a commitment of
+// the verifying key rather than of the proof.
 type proofField struct {
 	name   string
 	pt     *bn254.G1Affine
 	ev     *fr.Element
 	unused bool
+	key    bool
 }
 
-// logUpFields lists [M], [H], [S] and, on an extended proof, the six LogUp
-// openings.
-func logUpFields(p *Proof, unused bool) []proofField {
-	fs := []proofField{
-		{name: "M commitment", pt: &p.M}, {name: "H commitment", pt: &p.H}, {name: "S commitment", pt: &p.S},
-	}
-	if ex := p.Evals.Ext; ex != nil {
-		fs = append(fs, []proofField{
-			{name: "M eval", ev: &ex.M}, {name: "H eval", ev: &ex.H}, {name: "S eval", ev: &ex.S},
-			{name: "SOmega eval", ev: &ex.SOmega},
-			{name: "lookup selector eval", ev: &ex.QLk}, {name: "table eval", ev: &ex.Tbl},
-		}...)
-	}
-	for i := range fs {
-		fs[i].unused = unused
-	}
-	return fs
-}
-
-// proofFields lists every commitment and every evaluation p carries and, on
-// a proof without lookups, the LogUp fields it does not (marked unused).
-func proofFields(p *Proof) []proofField {
+// proofFields lists, for a proof p against key vk, every commitment and
+// opening p carries, the fields of a feature its shape lacks (unused), and
+// one entry per column its linearization folds. Such a column is named after
+// the opening proofs carried before the linearization; its entry is the
+// commitment the verifier multiplies by the column's scalar — the key's for
+// a selector or σ3, the proof's own for z, the LogUp columns and the
+// quotient pieces.
+func proofFields(p *Proof, vk *VerifyingKey) []proofField {
 	ev := &p.Evals
+	lookup, custom := p.shape().lookup(), p.shape().custom()
 	fs := []proofField{
 		{name: "A", pt: &p.A}, {name: "B", pt: &p.B}, {name: "C", pt: &p.C}, {name: "Z", pt: &p.Z},
 		{name: "TLo", pt: &p.TLo}, {name: "TMid", pt: &p.TMid}, {name: "THi", pt: &p.THi},
 		{name: "WZeta", pt: &p.WZeta}, {name: "WOmega", pt: &p.WZetaOmega},
 		{name: "evalA", ev: &ev.A}, {name: "evalB", ev: &ev.B}, {name: "evalC", ev: &ev.C},
-		{name: "evalZ", ev: &ev.Z}, {name: "zomega", ev: &ev.ZOmega},
-		{name: "evalQL", ev: &ev.QL}, {name: "evalQR", ev: &ev.QR}, {name: "evalQO", ev: &ev.QO},
-		{name: "evalQM", ev: &ev.QM}, {name: "evalQC", ev: &ev.QC},
-		{name: "evalS1", ev: &ev.S1}, {name: "evalS2", ev: &ev.S2}, {name: "evalS3", ev: &ev.S3},
-		{name: "evalT", ev: &ev.TLo}, {name: "evalTMid", ev: &ev.TMid}, {name: "evalTHi", ev: &ev.THi},
+		{name: "evalS1", ev: &ev.S1}, {name: "evalS2", ev: &ev.S2}, {name: "zomega", ev: &ev.ZOmega},
+		{name: "M commitment", pt: &p.M, unused: !lookup},
+		{name: "H commitment", pt: &p.H, unused: !lookup},
+		{name: "S commitment", pt: &p.S, unused: !lookup},
 	}
-	fs = append(fs, logUpFields(p, !p.Lookup)...)
-	ex := ev.Ext
-	if ex == nil {
-		return fs
+	linear := []proofField{
+		{name: "evalZ", pt: &p.Z},
+		{name: "evalQL", pt: &vk.QL, key: true}, {name: "evalQR", pt: &vk.QR, key: true},
+		{name: "evalQO", pt: &vk.QO, key: true}, {name: "evalQM", pt: &vk.QM, key: true},
+		{name: "evalQC", pt: &vk.QC, key: true}, {name: "evalS3", pt: &vk.S3, key: true},
+		{name: "evalT", pt: &p.TLo}, {name: "evalTMid", pt: &p.TMid}, {name: "evalTHi", pt: &p.THi},
 	}
-	fs = append(fs, []proofField{
-		{name: "AOmega eval", ev: &ex.AOmega}, {name: "BOmega eval", ev: &ex.BOmega}, {name: "COmega eval", ev: &ex.COmega},
-		{name: "QMimc eval", ev: &ex.QMimc}, {name: "QPosF eval", ev: &ex.QPosF}, {name: "QPosP eval", ev: &ex.QPosP},
-		{name: "K0 eval", ev: &ex.K0}, {name: "K1 eval", ev: &ex.K1}, {name: "K2 eval", ev: &ex.K2},
-	}...)
+	if ex := ev.Ext; ex != nil {
+		fs = append(fs, []proofField{
+			{name: "table eval", ev: &ex.Tbl, unused: !lookup},
+			{name: "SOmega eval", ev: &ex.SOmega, unused: !lookup},
+			{name: "AOmega eval", ev: &ex.AOmega, unused: !custom},
+			{name: "BOmega eval", ev: &ex.BOmega, unused: !custom},
+			{name: "COmega eval", ev: &ex.COmega, unused: !custom},
+			{name: "K0 eval", ev: &ex.K0, unused: !custom},
+			{name: "K1 eval", ev: &ex.K1, unused: !custom},
+			{name: "K2 eval", ev: &ex.K2, unused: !custom},
+		}...)
+		linear = append(linear, []proofField{
+			{name: "M eval", pt: &p.M, unused: !lookup},
+			{name: "H eval", pt: &p.H, unused: !lookup},
+			{name: "S eval", pt: &p.S, unused: !lookup},
+			{name: "lookup selector eval", pt: &vk.QLk, key: true},
+			{name: "QMimc eval", pt: &vk.QMimc, key: true},
+			{name: "QPosF eval", pt: &vk.QPosF, key: true},
+			{name: "QPosP eval", pt: &vk.QPosP, key: true},
+		}...)
+	}
 	for i := range p.TExtra {
-		fs = append(fs,
-			proofField{name: fmt.Sprintf("T%d commitment", 3+i), pt: &p.TExtra[i]},
-			proofField{name: fmt.Sprintf("T%d eval", 3+i), ev: &ex.TExtra[i]})
+		fs = append(fs, proofField{name: fmt.Sprintf("T%d commitment", 3+i), pt: &p.TExtra[i]})
+		linear = append(linear, proofField{name: fmt.Sprintf("T%d eval", 3+i), pt: &p.TExtra[i]})
 	}
-	return fs
+	return append(fs, linear...)
 }
 
 // rejectEveryCorruption proves each named golden shape once, then moves
-// each commitment to another curve point and each evaluation to another
+// each commitment to another curve point and each opening to another
 // scalar, one field at a time, and requires both verifier entry points to
-// turn the proof away: Verify, and Batch.AddFor followed by Check (a
-// corruption the quotient identity cannot see — an opening of a selector
-// the circuit never switches on, say — only fails at the pairing). A LogUp
-// field that a proof without lookups does not carry is set in memory instead,
-// and must be refused as ErrProofShape rather than ignored. Subtests run
-// field first, then every shape whose proofs have the field.
+// turn the proof away: Verify, and Batch.AddFor followed by Check (the
+// constraint identities are checked inside the pairing, so most corruptions
+// pass AddFor and fail Check). A field a proof's shape does not carry is set
+// in memory instead, and must be refused as ErrProofShape rather than
+// ignored. A linearized column's entry corrupts the commitment its scalar
+// multiplies; a key commitment is corrupted on a fresh key from Setup.
+// Subtests run field first, then every shape whose proofs have the field.
 func rejectEveryCorruption(t *testing.T, shapes ...string) {
 	type proven struct {
 		shape  string
+		cs     *ConstraintSystem
 		vk     *VerifyingKey
 		good   []byte
 		public []fr.Element
+		key    bool
 	}
 	var order []string
 	byField := map[string][]proven{}
@@ -99,14 +107,15 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr := proven{shape, vk, proof.Bytes(), witness[:cs.NbPublic()]}
+		pr := proven{shape: shape, cs: cs, vk: vk, good: proof.Bytes(), public: witness[:cs.NbPublic()]}
 		if err := Verify(vk, proof, pr.public); err != nil {
 			t.Fatalf("%s: honest proof rejected: %v", shape, err)
 		}
-		for _, f := range proofFields(proof) {
+		for _, f := range proofFields(proof, vk) {
 			if _, seen := byField[f.name]; !seen {
 				order = append(order, f.name)
 			}
+			pr.key = f.key
 			byField[f.name] = append(byField[f.name], pr)
 		}
 	}
@@ -121,8 +130,14 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 					if err != nil {
 						t.Fatal(err)
 					}
+					vk := pr.vk
+					if pr.key {
+						if _, vk, err = Setup(pr.cs, testSRSOnce()); err != nil {
+							t.Fatal(err)
+						}
+					}
 					unused := false
-					for _, f := range proofFields(bad) {
+					for _, f := range proofFields(bad, vk) {
 						switch {
 						case f.name != name:
 						case f.pt != nil:
@@ -142,11 +157,11 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 						}
 						return err != nil
 					}
-					if err := Verify(pr.vk, bad, pr.public); !refused(err) {
+					if err := Verify(vk, bad, pr.public); !refused(err) {
 						t.Errorf("Verify returned %v for the corrupted proof (unused field: %v)", err, unused)
 					}
-					b := NewBatch(pr.vk)
-					err = b.AddFor(pr.vk, bad, pr.public)
+					b := NewBatch(vk)
+					err = b.AddFor(vk, bad, pr.public)
 					if err == nil {
 						err = b.Check()
 					}
@@ -167,55 +182,11 @@ func TestVerifyRejectsEveryCorruption(t *testing.T) {
 
 // TestExtendedProofTamperRejected covers the three extended shapes — lookup
 // only, custom only (mimc, and poseidon on a 3·2^k domain) and both (mixed):
-// forged multiplicities, helper columns, running sums, next-row wires,
-// selector and round-constant openings and extra quotient pieces. A
-// custom-only proof carries 12 points and 28 evaluations; its nine unused
-// LogUp fields are refused as ErrProofShape.
+// forged multiplicities, helper columns, running sums, table and next-row
+// openings, round constants and extra quotient pieces. A custom-only proof
+// carries 12 points and 12 openings; its [M], [H], [S] and two LogUp
+// openings are refused as ErrProofShape, as are a lookup-only proof's six
+// custom-gate openings.
 func TestExtendedProofTamperRejected(t *testing.T) {
 	rejectEveryCorruption(t, "lookup", "mimc", "poseidon", "mixed")
-}
-
-// TestLookupProofCustomOpeningsBound turns the argument that lets a
-// lookup-only key skip C6–C13 into a test. Its custom-gate selectors and
-// round constants commit to zero polynomials, so those identities were zero
-// at every point; skipping them leaves the QMimc, QPosF and K0 openings out
-// of the quotient identity, but the batched opening still binds them to the
-// committed zeros. Each tampered proof passes prepare's identity and is
-// refused at the pairing: the accept set did not move.
-func TestLookupProofCustomOpeningsBound(t *testing.T) {
-	cs, witness := goldenCircuit(t, "lookup")
-	pk, vk, err := Setup(cs, testSRSOnce())
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, err := Prove(pk, witness)
-	if err != nil {
-		t.Fatal(err)
-	}
-	public := witness[:cs.NbPublic()]
-	good := proof.Bytes()
-	one := fr.One()
-	for _, tc := range []struct {
-		name  string
-		field func(*ExtEvals) *fr.Element
-	}{
-		{"QMimc", func(x *ExtEvals) *fr.Element { return &x.QMimc }},
-		{"QPosF", func(x *ExtEvals) *fr.Element { return &x.QPosF }},
-		{"K0", func(x *ExtEvals) *fr.Element { return &x.K0 }},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			bad, err := ProofFromBytes(good)
-			if err != nil {
-				t.Fatal(err)
-			}
-			f := tc.field(bad.Evals.Ext)
-			f.Add(f, &one)
-			if _, err := prepare(vk, bad, public); err != nil {
-				t.Fatalf("prepare: %v; a lookup-only key's quotient identity should not read this opening", err)
-			}
-			if err := Verify(vk, bad, public); !errors.Is(err, ErrProofInvalid) {
-				t.Fatalf("Verify: %v, want ErrProofInvalid from the pairing", err)
-			}
-		})
-	}
 }

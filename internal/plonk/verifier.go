@@ -36,49 +36,90 @@ func lagrangePrefix(omega []fr.Element, n uint64, zeta, zh *fr.Element) []fr.Ele
 	return out
 }
 
-// foldScalars returns ∑ vals[i]·coeffs[i]; coeffs may be longer than vals.
-func foldScalars(vals, coeffs []fr.Element) fr.Element {
-	var acc, t fr.Element
-	for i := range vals {
-		t.Mul(&vals[i], &coeffs[i])
-		acc.Add(&acc, &t)
-	}
-	return acc
+// msmTerms is the verifier's one MSM, built term by term. A commitment that
+// enters more than once — [z] is linearized and opened at ζω, [S] likewise
+// on a lookup key, the wires are opened at ζ and, on a custom-gate key, at
+// ζω — is one point whose scalars add.
+type msmTerms struct {
+	pts []*kzg.Commitment
+	scs []fr.Element
 }
 
-// prepare replays the transcript, checks the quotient identity at ζ — the
-// same quotientNumerator the prover ran on the coset — and reduces the two
-// KZG opening checks to a single pairing statement. It is everything Verify
-// does except the pairing itself, so batch verification can run it per
-// proof and fold the statements. The key's shape fixes which columns the
-// proof must open: an extended key adds the custom-gate selectors and
-// round constants at ζ and (a, b, c) at ζω, a lookup key the LogUp columns,
-// lookup selector and table at ζ and S at ζω, a custom-gate key three more
-// quotient pieces. A proof carrying any other set is refused with
-// ErrProofShape, and so is one whose unused LogUp fields are set: no
-// transcript absorb or opening would bind them.
-func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms, error) {
-	if len(public) != vk.NbPublic {
-		return pairingTerms{}, fmt.Errorf("%w: got %d, want %d", ErrWrongPublic, len(public), vk.NbPublic)
+func (m *msmTerms) add(pt *kzg.Commitment, s *fr.Element) {
+	for i, q := range m.pts {
+		if q == pt {
+			m.scs[i].Add(&m.scs[i], s)
+			return
+		}
 	}
-	ev := &proof.Evals
-	ex := ev.Ext
+	m.pts = append(m.pts, pt)
+	m.scs = append(m.scs, *s)
+}
+
+// prepare replays the transcript and reduces the proof to a single pairing
+// statement: the two KZG opening checks, combined with u, whose left-hand
+// point is one MSM (openingMSM). It is everything Verify does except the
+// pairing itself, so batch verification can run it per proof and fold the
+// statements. prepare refuses a proof of the wrong shape or public-input
+// count; every other false proof is refused by the pairing, since the
+// constraint identities are checked there, through the linearization.
+func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms, error) {
+	m, u, err := openingMSM(vk, proof, public)
+	if err != nil {
+		return pairingTerms{}, err
+	}
+	pts := make([]bn254.G1Affine, len(m.pts))
+	for i, p := range m.pts {
+		pts[i] = *p
+	}
+	var terms pairingTerms
+	if terms.L, err = bn254.G1MSM(pts, m.scs); err != nil {
+		return pairingTerms{}, fmt.Errorf("plonk: %w", err)
+	}
+	var wJ, tj bn254.G1Jac
+	wJ.FromAffine(&proof.WZeta)
+	tj.ScalarMul(&proof.WZetaOmega, &u)
+	wJ.AddAssign(&tj)
+	terms.W.FromJacobian(&wJ)
+	return terms, nil
+}
+
+// openingMSM checks the proof's shape against the key, replays the
+// transcript and returns the MSM of the pairing statement's left-hand point
+// together with the challenge u:
+//
+//	e(F + ζ·Wζ + u·(Fω + ζω·Wζω) − E, G2) · e(−(Wζ + u·Wζω), τG2) == 1
+//
+// F folds the linearization commitment
+//
+//	[r] = Σ_j s_j·[col_j] − Z_H(ζ)·Σ_p ζ^{p·n}·[t_p]
+//
+// (s_j from linearize, opened to −c0: Σ_j s_j·col_j(ζ) = numerator(ζ) − c0
+// and Z_H(ζ)·t(ζ) = numerator(ζ)) with the ζ openings at v, v², …; Fω folds
+// the ζω openings at 1, v, …; E = (valζ + u·valω)·G1. A classic key's MSM
+// has 18 points, lookup 23, custom 27, both 32 (TestOpeningMSMWidth). The key's
+// shape fixes what the proof must carry; a proof carrying any other set of
+// fields is refused with ErrProofShape.
+func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (*msmTerms, fr.Element, error) {
+	var u fr.Element
+	if len(public) != vk.NbPublic {
+		return nil, u, fmt.Errorf("%w: got %d, want %d", ErrWrongPublic, len(public), vk.NbPublic)
+	}
 	sh := vk.shape()
-	if got := proof.shape(); got != sh || (ex != nil) != (sh != 0) {
-		return pairingTerms{}, fmt.Errorf("%w: proof shape %#02x (extended=%v), key shape %#02x",
-			ErrProofShape, byte(got), ex != nil, byte(sh))
+	if got, ext := proof.shape(), proof.Evals.Ext != nil; got != sh || ext != (sh != 0) {
+		return nil, u, fmt.Errorf("%w: proof shape %#02x (extended=%v), key shape %#02x",
+			ErrProofShape, byte(got), ext, byte(sh))
 	}
 	nbExtra := 0
 	if vk.Custom {
 		nbExtra = 3
 	}
-	if len(proof.TExtra) != nbExtra || (ex != nil && len(ex.TExtra) != nbExtra) {
-		return pairingTerms{}, fmt.Errorf("%w: %d extra quotient pieces, want %d",
+	if len(proof.TExtra) != nbExtra {
+		return nil, u, fmt.Errorf("%w: %d extra quotient pieces, want %d",
 			ErrProofShape, len(proof.TExtra), nbExtra)
 	}
-	if !vk.Lookup && !proof.logUpUnset() {
-		return pairingTerms{}, fmt.Errorf("%w: LogUp commitments or openings set for a key without lookups",
-			ErrProofShape)
+	if proof.strayFields(sh) {
+		return nil, u, fmt.Errorf("%w: fields set that a %#02x proof does not carry", ErrProofShape, byte(sh))
 	}
 
 	// Reconstruct the challenges.
@@ -91,11 +132,11 @@ func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms,
 	v := proof.absorbRound4(tr)
 	tr.AppendPoint("w_zeta", &proof.WZeta)
 	tr.AppendPoint("w_zeta_omega", &proof.WZetaOmega)
-	u := tr.ChallengeScalar("u")
+	u = tr.ChallengeScalar("u")
 
 	domain, lagOmega, _, err := vk.verifierCache()
 	if err != nil {
-		return pairingTerms{}, err
+		return nil, u, err
 	}
 
 	// Z_H(ζ), then L_0(ζ) … L_{ℓ-1}(ζ) in one batched inversion.
@@ -107,7 +148,7 @@ func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms,
 	if zh.IsZero() {
 		// ζ landed inside the domain (probability ~ N/r): reject rather
 		// than divide by zero.
-		return pairingTerms{}, ErrProofInvalid
+		return nil, u, ErrProofInvalid
 	}
 	lag := lagrangePrefix(lagOmega, vk.N, &zeta, &zh)
 	var pi fr.Element
@@ -117,109 +158,70 @@ func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms,
 		pi.Sub(&pi, &t)
 	}
 
-	// The constraint stack at ζ.
-	pv := &pointVals{
-		x: zeta,
-		a: ev.A, b: ev.B, c: ev.C,
-		z: ev.Z, zw: ev.ZOmega,
-		ql: ev.QL, qr: ev.QR, qo: ev.QO, qm: ev.QM, qc: ev.QC, pi: pi,
-		s1: ev.S1, s2: ev.S2, s3: ev.S3,
-		l1: lag[0],
-	}
-	pieceEvals := []fr.Element{ev.TLo, ev.TMid, ev.THi}
-	if ex != nil {
-		pv.aw, pv.bw, pv.cw = ex.AOmega, ex.BOmega, ex.COmega
-		pv.m, pv.h, pv.s, pv.sw = ex.M, ex.H, ex.S, ex.SOmega
-		pv.qlk, pv.tbl = ex.QLk, ex.Tbl
-		pv.qmimc, pv.qposf, pv.qposp = ex.QMimc, ex.QPosF, ex.QPosP
-		pv.k0, pv.k1c, pv.k2c = ex.K0, ex.K1, ex.K2
-		pieceEvals = append(pieceEvals, ex.TExtra...)
-	}
-	rhs := quotientNumerator(pv, ch, sh)
-
-	// t(ζ) = Σ_p ζ^{p·n}·t_p(ζ).
-	var tEval fr.Element
-	zetaPow := one
-	for p := range pieceEvals {
-		var t fr.Element
-		t.Mul(&zetaPow, &pieceEvals[p])
-		tEval.Add(&tEval, &t)
-		zetaPow.Mul(&zetaPow, &zetaN)
-	}
-	var lhs fr.Element
-	lhs.Mul(&tEval, &zh)
-	if !lhs.Equal(&rhs) {
-		return pairingTerms{}, fmt.Errorf("%w: quotient identity", ErrProofInvalid)
-	}
-
-	// Batched KZG check: fold the ζ-opened commitments and values with v,
-	// the ζω-opened ones with v inside the u-weighted term. Both lists
-	// follow Proof.zetaList and omegaList.
-	cms := []kzg.Commitment{
-		proof.A, proof.B, proof.C, proof.Z,
-		vk.QL, vk.QR, vk.QO, vk.QM, vk.QC,
-		vk.S1, vk.S2, vk.S3,
-		proof.TLo, proof.TMid, proof.THi,
-	}
-	omegaCms := []kzg.Commitment{proof.Z}
+	// [r], in pointVals.linearColumns order, then the quotient pieces.
+	c0, scalars := linearize(proof.zetaPoint(&zeta, &lag[0], &pi), ch, sh)
+	linear := []*kzg.Commitment{&vk.QL, &vk.QR, &vk.QO, &vk.QM, &vk.QC, &vk.S3, &proof.Z}
 	if vk.Lookup {
-		cms = append(cms, proof.M, proof.H, proof.S, vk.QLk, vk.Tbl)
-		omegaCms = append(omegaCms, proof.S)
+		linear = append(linear, &proof.M, &proof.H, &proof.S, &vk.QLk)
 	}
-	if ex != nil {
-		cms = append(cms, vk.QMimc, vk.QPosF, vk.QPosP, vk.KC0, vk.KC1, vk.KC2)
-		cms = append(cms, proof.TExtra...)
-		omegaCms = append(omegaCms, proof.A, proof.B, proof.C)
+	if vk.Custom {
+		linear = append(linear, &vk.QMimc, &vk.QPosF, &vk.QPosP)
 	}
-	vPowers := fr.Powers(&v, len(cms))
-	foldVal := foldScalars(proof.zetaList(), vPowers)
-	foldValOmega := foldScalars(proof.omegaList(), vPowers)
+	m := &msmTerms{}
+	for j := range linear {
+		m.add(linear[j], &scalars[j])
+	}
+	pieces := []*kzg.Commitment{&proof.TLo, &proof.TMid, &proof.THi}
+	for i := range proof.TExtra {
+		pieces = append(pieces, &proof.TExtra[i])
+	}
+	var w fr.Element
+	w.Neg(&zh)
+	for _, t := range pieces {
+		m.add(t, &w)
+		w.Mul(&w, &zetaN)
+	}
 
-	// Combine the two opening checks with u:
-	// e(Fζ + ζ·Wζ + u·(Fζω + ζω·Wζω) - E, G2) · e(-(Wζ + u·Wζω), τG2) == 1
-	// where E = (valζ + u·valζω)·G1 and Fζω = [z] (+ v[S] on a lookup key,
-	// then the next powers of v on [a], [b], [c]). The whole left-hand G1
-	// point — both folds plus the correction terms — is one MSM instead of a
-	// scalar multiplication per term.
-	g1 := bn254.G1Generator()
+	// The openings, in Proof.openings order: at ζ after [r] with v, v², …,
+	// at ζω with 1, v, … inside the u-weighted term.
+	openZeta := []*kzg.Commitment{&proof.A, &proof.B, &proof.C, &vk.S1, &vk.S2}
+	openOmega := []*kzg.Commitment{&proof.Z}
+	if vk.Lookup {
+		openZeta = append(openZeta, &vk.Tbl)
+		openOmega = append(openOmega, &proof.S)
+	}
+	if vk.Custom {
+		openZeta = append(openZeta, &vk.KC0, &vk.KC1, &vk.KC2)
+		openOmega = append(openOmega, &proof.A, &proof.B, &proof.C)
+	}
+	atZeta, atOmega := proof.openings()
+	vPowers := fr.Powers(&v, len(openZeta)+1)
+	var valZeta, valOmega, t fr.Element
+	valZeta.Neg(&c0)
+	for i, c := range openZeta {
+		m.add(c, &vPowers[i+1])
+		t.Mul(atZeta[i], &vPowers[i+1])
+		valZeta.Add(&valZeta, &t)
+	}
+	for i, c := range openOmega {
+		t.Mul(&u, &vPowers[i])
+		m.add(c, &t)
+		t.Mul(atOmega[i], &vPowers[i])
+		valOmega.Add(&valOmega, &t)
+	}
+
+	// ζ·Wζ, u·ζω·Wζω and −E.
+	m.add(&proof.WZeta, &zeta)
 	var zetaOmega fr.Element
 	zetaOmega.Mul(&zeta, &domain.Gen)
-	var uZOmega fr.Element
-	uZOmega.Mul(&u, &zetaOmega)
-	var eScalar fr.Element
-	eScalar.Mul(&u, &foldValOmega)
-	eScalar.Add(&eScalar, &foldVal)
-	eScalar.Neg(&eScalar)
-
-	pts := make([]bn254.G1Affine, 0, len(cms)+len(omegaCms)+3)
-	scs := make([]fr.Element, 0, cap(pts))
-	pts = append(pts, cms...)
-	scs = append(scs, vPowers...)
-	pts = append(pts, proof.WZeta)
-	scs = append(scs, zeta)
-	for i := range omegaCms {
-		var s fr.Element
-		s.Mul(&u, &vPowers[i])
-		pts = append(pts, omegaCms[i])
-		scs = append(scs, s)
-	}
-	pts = append(pts, proof.WZetaOmega, g1)
-	scs = append(scs, uZOmega, eScalar)
-
-	var terms pairingTerms
-	L, err := bn254.G1MSM(pts, scs)
-	if err != nil {
-		return pairingTerms{}, fmt.Errorf("plonk: %w", err)
-	}
-	terms.L = L
-
-	var wJ bn254.G1Jac
-	var tj bn254.G1Jac
-	wJ.FromAffine(&proof.WZeta)
-	tj.ScalarMul(&proof.WZetaOmega, &u)
-	wJ.AddAssign(&tj)
-	terms.W.FromJacobian(&wJ)
-	return terms, nil
+	t.Mul(&u, &zetaOmega)
+	m.add(&proof.WZetaOmega, &t)
+	g1 := bn254.G1Generator()
+	t.Mul(&u, &valOmega)
+	t.Add(&t, &valZeta)
+	t.Neg(&t)
+	m.add(&g1, &t)
+	return m, u, nil
 }
 
 // Verify checks a proof against the verifying key and public inputs. Its
