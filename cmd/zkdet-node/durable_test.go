@@ -1,8 +1,6 @@
 package main
 
 import (
-	"encoding/binary"
-	"encoding/hex"
 	"errors"
 	"net/http/httptest"
 	"os"
@@ -17,7 +15,6 @@ import (
 	"github.com/zkdet/zkdet/internal/core"
 	"github.com/zkdet/zkdet/internal/ct"
 	"github.com/zkdet/zkdet/internal/fr"
-	"github.com/zkdet/zkdet/internal/plonk"
 )
 
 // bootDurable starts an in-process durable daemon WITHOUT registering a
@@ -413,80 +410,32 @@ func confidentialCfg(t *testing.T, seg []byte) serverConfig {
 	return cfg
 }
 
-// recoverFromWAL starts a daemon on cfg's directory and requires it to have
-// replayed exactly the blocks up to height from the WAL alone, ending at
-// wantHead, each block under the fold it was sealed under (0 if not named).
-func recoverFromWAL(t *testing.T, cfg serverConfig, height uint64, wantHead string, folds map[uint64]uint32) {
-	t.Helper()
-	srv, err := newServer(cfg)
-	if err != nil {
-		t.Fatalf("restart on the committed data directory: %v", err)
-	}
-	t.Cleanup(srv.close)
-	if rep := srv.recovery; rep.SnapshotPath != "" || rep.BlocksReplayed != int(height) || rep.Head != height {
-		t.Fatalf("recovery %+v, want %d blocks replayed from the WAL alone", rep, height)
-	}
-	if got := srv.mkt.Chain.HeadHash().String(); got != wantHead {
-		t.Fatalf("recovered head %s, want %s", got, wantHead)
-	}
-	for n := uint64(1); n <= height; n++ {
-		if b, _ := srv.mkt.Chain.BlockByNumber(n); b.Fold != folds[n] {
-			t.Fatalf("block %d replayed under fold %d, was sealed under %d", n, b.Fold, folds[n])
-		}
-	}
-}
-
-// TestDurableRecoversDataDirWrittenByOverlayEngine: testdata/pr19-datadir is
+// TestDurableRefusesDataDirWrittenByOverlayEngine: testdata/pr19-datadir is
 // the WAL tail of a daemon built from the last commit that still executed
-// blocks on the speculative overlay engine (PR 19, width 2; 30 transactions
+// blocks on the speculative overlay engine (width 2; 30 transactions
 // speculated and committed, 8 run at commit time), killed before any
 // checkpoint: eight client exchange lifecycles run concurrently (settlements
 // folded six and two to a block, heights 4 and 5; block 6 ends them), then
-// in blocks 7 and 8 a confidential mint and transfer. That engine's contract
-// was bit-identity with the journaled executor, so the blocks before the
-// first settlement must replay here to the head that daemon built block 4
-// on. From block 4 on the log is another matter: its settle calldata carries
-// version-1 π_k proofs (1 094 bytes, every committed polynomial opened),
-// which this build's consensus no longer accepts — so the log is replayed
-// cut at the frame boundary after block 3, and the uncut directory must be
-// refused at block 4, loudly and by type (plonk.ErrProofVersion inside
-// contracts.ErrProofRejected), rather than recovered to some other head.
-func TestDurableRecoversDataDirWrittenByOverlayEngine(t *testing.T) {
+// in blocks 7 and 8 a confidential mint and transfer. Its blocks 1–3 used to
+// replay here to the head that daemon built block 4 on (from block 4 its
+// settle calldata carries version-1 π_k proofs, plonk.ErrProofVersion). Since
+// a token stores one record digest instead of its URI, commitment and
+// parents, the mints of block 1 write other storage slots, so the replayed
+// state root no longer matches the logged header: the directory must be
+// refused at block 1, loudly and by type (chain.ErrStateMismatch), rather
+// than recovered to some other head.
+func TestDurableRefusesDataDirWrittenByOverlayEngine(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata/pr19-datadir", walSegment))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Walk the frames (u32 length | u8 type | payload | u32 CRC after the
-	// 8-byte magic; a block record is type 1 and opens with its number and
-	// parent hash) to the end of block 3 and the parent block 4 names.
-	var cut int
-	var wantHead string
-	for off := 8; off+9 <= len(raw); {
-		plen := int(binary.LittleEndian.Uint32(raw[off:]))
-		typ, payload := raw[off+4], raw[off+5:off+5+plen]
-		off += 9 + plen
-		if typ != 1 {
-			continue
-		}
-		switch binary.LittleEndian.Uint64(payload) {
-		case 3:
-			cut = off
-		case 4:
-			wantHead = "0x" + hex.EncodeToString(payload[8:40])
-		}
-	}
-	if cut == 0 || wantHead == "" {
-		t.Fatalf("blocks 3 and 4 not found in the committed segment (cut %d, parent %q)", cut, wantHead)
-	}
-	recoverFromWAL(t, confidentialCfg(t, raw[:cut]), 3, wantHead, nil)
-
 	srv, err := newServer(confidentialCfg(t, raw))
 	if err == nil {
 		srv.close()
-		t.Fatalf("a WAL holding version-1 π_k proofs recovered to head %d (%s)", srv.mkt.Chain.Height(), srv.mkt.Chain.HeadHash())
+		t.Fatalf("a WAL holding the old token layout recovered to head %d (%s)", srv.mkt.Chain.Height(), srv.mkt.Chain.HeadHash())
 	}
-	if !errors.Is(err, contracts.ErrProofRejected) || !errors.Is(err, plonk.ErrProofVersion) || !strings.Contains(err.Error(), "block 4:") {
-		t.Fatalf("uncut directory refused with %v, want ErrProofRejected wrapping plonk.ErrProofVersion at block 4", err)
+	if !errors.Is(err, chain.ErrStateMismatch) || !strings.Contains(err.Error(), "block 1:") {
+		t.Fatalf("pr19 directory refused with %v, want chain.ErrStateMismatch at block 1", err)
 	}
 }
 

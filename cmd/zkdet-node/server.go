@@ -89,7 +89,7 @@ func newServer(cfg serverConfig) (*server, error) {
 	if err != nil {
 		return nil, fmt.Errorf("deploying marketplace: %w", err)
 	}
-	srv.ix = mkt.AttachIndexer() // before Recover: the indexer re-sees restored blocks
+	srv.ix = mkt.AttachIndexer() // attached at genesis, so it re-sees the blocks Recover restores
 	if d := srv.durable; d != nil {
 		if srv.recovery, err = d.Recover(mkt.Chain); err != nil {
 			return nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)

@@ -133,7 +133,7 @@ func runTransform(m *zkdet.Marketplace, owner zkdet.Address, asset *zkdet.Asset)
 	}
 	fmt.Printf("• provenance of #%d:\n", part.Assets[0].TokenID)
 	for _, tok := range lineage {
-		fmt.Printf("    #%d %-11s prev=%v\n", tok.ID, tok.Kind, tok.PrevIDs)
+		fmt.Printf("    #%d %-11s prev=%v\n", tok.ID, tok.Kind, tok.Parents)
 	}
 }
 

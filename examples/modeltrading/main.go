@@ -85,6 +85,6 @@ func main() {
 	}
 	fmt.Printf("• provenance of token #%d:\n", modelAsset.TokenID)
 	for _, tok := range lineage {
-		fmt.Printf("    #%d  %-11s prev=%v\n", tok.ID, tok.Kind, tok.PrevIDs)
+		fmt.Printf("    #%d  %-11s prev=%v\n", tok.ID, tok.Kind, tok.Parents)
 	}
 }

@@ -73,7 +73,7 @@ func main() {
 	sort.Slice(lineage, func(i, j int) bool { return lineage[i].ID < lineage[j].ID })
 	fmt.Printf("• lineage of #%d:\n", dup.Assets[0].TokenID)
 	for _, tok := range lineage {
-		fmt.Printf("    #%d  %-11s prev=%v uri=%x…\n", tok.ID, tok.Kind, tok.PrevIDs, tok.URI[:6])
+		fmt.Printf("    #%d  %-11s prev=%v uri=%x…\n", tok.ID, tok.Kind, tok.Parents, tok.URI[:6])
 	}
 
 	// The chained proofs validate end-to-end: aggregation feeds partition.
@@ -93,6 +93,7 @@ func main() {
 	}); err != nil {
 		log.Fatalf("burn: %v", err)
 	}
+	m.Chain.SealBlock()
 	lineage2, err := m.Trace(dup.Assets[0].TokenID)
 	if err != nil {
 		log.Fatalf("trace after burn: %v", err)

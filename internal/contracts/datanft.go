@@ -1,6 +1,7 @@
 package contracts
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 
@@ -45,23 +46,23 @@ func (k TransformKind) String() string {
 	}
 }
 
-// Token is the decoded on-chain record of a data NFT.
+// Token is a data NFT as contract storage holds it: owner and kind, and the
+// RecordDigest of the immutable record its mint's events carry.
 type Token struct {
-	ID         uint64
-	Owner      chain.Address
-	Kind       TransformKind
-	URI        []byte // content address of the encrypted dataset
-	Commitment []byte // Poseidon commitment to the encryption key
-	PrevIDs    []uint64
-	Burned     bool
+	ID     uint64
+	Owner  chain.Address
+	Kind   TransformKind // zero once burned
+	Burned bool
+	Record [32]byte
 }
 
 // DataNFT errors.
 var (
-	ErrUnknownToken  = errors.New("contracts: unknown token")
-	ErrNotTokenOwner = errors.New("contracts: caller does not own token")
-	ErrTokenBurned   = errors.New("contracts: token is burned")
-	ErrNoParents     = errors.New("contracts: transformation needs parent tokens")
+	ErrUnknownToken   = errors.New("contracts: unknown token")
+	ErrNotTokenOwner  = errors.New("contracts: caller does not own token")
+	ErrTokenBurned    = errors.New("contracts: token is burned")
+	ErrNoParents      = errors.New("contracts: transformation needs parent tokens")
+	ErrRecordMismatch = errors.New("contracts: token record does not match its on-chain digest")
 )
 
 // DataNFT is the ERC-721-style token contract with the prevIds[] lineage
@@ -78,9 +79,10 @@ var (
 //	process(prevIds, uri, commitment)           → id
 //	ownerOf(id) / tokenMeta(id)                 (views)
 //
-// Transformation proofs are not stored in token slots; their digests are
-// logged in events and verified by the verifier contract, which keeps
-// invocation gas near the paper's Table II numbers.
+// A token stores owner‖kind and the RecordDigest of its immutable record;
+// the record rides in the mint's Transfer (URI, commitment) and Transform
+// (kind, prevIds) events at log-byte prices, which keeps invocation gas near
+// the paper's Table II numbers. Burn zeroes the kind and keeps the digest.
 type DataNFT struct{}
 
 var _ chain.Contract = (*DataNFT)(nil)
@@ -271,24 +273,35 @@ func (d *DataNFT) mintToken(ctx *chain.CallContext, owner chain.Address, kind Tr
 	if err := ctx.Store.Set(tokenKey(id, "owner"), ownerKind); err != nil {
 		return 0, err
 	}
-	if err := ctx.Store.Set(tokenKey(id, "uri"), uri); err != nil {
+	pre := recordPreimage(kind, uri, commitment, prev)
+	if err := ctx.Gas.Charge(chain.GasHashBase + chain.GasHashPerWord*uint64((len(pre)+31)/32)); err != nil {
 		return 0, err
 	}
-	if err := ctx.Store.Set(tokenKey(id, "commit"), commitment); err != nil {
+	digest := sha256.Sum256(pre)
+	if err := ctx.Store.Set(tokenKey(id, "record"), digest[:]); err != nil {
 		return 0, err
-	}
-	if len(prev) > 0 {
-		if err := ctx.Store.Set(tokenKey(id, "prev"), U64List(prev)); err != nil {
-			return 0, err
-		}
 	}
 	if err := d.adjustBalance(ctx, owner, 1); err != nil {
 		return 0, err
 	}
-	if err := ctx.EmitIndexed("Transfer", U64(id), EncodeArgs(U64(id), nil, owner[:])); err != nil {
+	if err := ctx.EmitIndexed("Transfer", U64(id), EncodeArgs(U64(id), nil, owner[:], uri, commitment)); err != nil {
 		return 0, err
 	}
 	return id, nil
+}
+
+// recordTag separates a token record digest from every other sha256 taken.
+const recordTag = "zkdet/token-record/v1"
+
+func recordPreimage(kind TransformKind, uri, commitment []byte, prev []uint64) []byte {
+	return append([]byte(recordTag), EncodeArgs([]byte{byte(kind)}, uri, commitment, U64List(prev))...)
+}
+
+// RecordDigest is what a token's record slot holds: sha256 over a domain tag
+// and the immutable record — kind, URI, commitment, parents — in the call
+// encoding.
+func RecordDigest(kind TransformKind, uri, commitment []byte, prev []uint64) [32]byte {
+	return sha256.Sum256(recordPreimage(kind, uri, commitment, prev))
 }
 
 // transformToken mints a derived token; the caller must own every parent.
@@ -399,13 +412,10 @@ func (d *DataNFT) burn(ctx *chain.CallContext, id uint64) error {
 	if tok.Owner != ctx.Sender {
 		return fmt.Errorf("%w: token %d", ErrNotTokenOwner, id)
 	}
-	// Zero the kind byte (burn marker) but keep lineage slots: burned
+	// Zero the kind byte (burn marker) but keep the record digest: burned
 	// tokens stay traceable, as §III-B requires.
 	ownerKind := append(append([]byte{}, tok.Owner[:]...), 0)
 	if err := ctx.Store.Set(tokenKey(id, "owner"), ownerKind); err != nil {
-		return err
-	}
-	if err := ctx.Store.Delete(tokenKey(id, "commit")); err != nil {
 		return err
 	}
 	if err := d.adjustBalance(ctx, tok.Owner, -1); err != nil {
@@ -414,50 +424,15 @@ func (d *DataNFT) burn(ctx *chain.CallContext, id uint64) error {
 	return ctx.EmitIndexed("Burn", U64(id), EncodeArgs(U64(id), tok.Owner[:]))
 }
 
-// ReadToken decodes a token's full record from chain storage without gas
-// (off-chain view, e.g. for building provenance graphs).
+// ReadToken reads a token's storage without gas (an off-chain view): owner,
+// kind, burn marker and record digest.
 func ReadToken(c *chain.Chain, id uint64) (*Token, error) {
 	raw := c.ReadStorage(DataNFTName, tokenKey(id, "owner"))
 	if len(raw) != 21 {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownToken, id)
 	}
-	tok := &Token{ID: id, Kind: TransformKind(raw[20])}
+	tok := &Token{ID: id, Kind: TransformKind(raw[20]), Burned: raw[20] == 0}
 	copy(tok.Owner[:], raw[:20])
-	if raw[20] == 0 {
-		tok.Burned = true
-	}
-	tok.URI = c.ReadStorage(DataNFTName, tokenKey(id, "uri"))
-	tok.Commitment = c.ReadStorage(DataNFTName, tokenKey(id, "commit"))
-	if prev := c.ReadStorage(DataNFTName, tokenKey(id, "prev")); len(prev) > 0 {
-		ids, err := DecU64List(prev)
-		if err != nil {
-			return nil, err
-		}
-		tok.PrevIDs = ids
-	}
+	copy(tok.Record[:], c.ReadStorage(DataNFTName, tokenKey(id, "record")))
 	return tok, nil
-}
-
-// Trace walks prevIds[] transitively from a token back to its sources,
-// returning the ancestor tokens in breadth-first order (the token itself
-// first) — the provenance query of Figure 2.
-func Trace(c *chain.Chain, id uint64) ([]*Token, error) {
-	seen := map[uint64]bool{}
-	queue := []uint64{id}
-	var out []*Token
-	for len(queue) > 0 {
-		cur := queue[0]
-		queue = queue[1:]
-		if seen[cur] {
-			continue
-		}
-		seen[cur] = true
-		tok, err := ReadToken(c, cur)
-		if err != nil {
-			return nil, fmt.Errorf("contracts: tracing %d: %w", cur, err)
-		}
-		out = append(out, tok)
-		queue = append(queue, tok.PrevIDs...)
-	}
-	return out, nil
 }

@@ -23,35 +23,38 @@ import (
 // may touch them. The head and receipts digest were re-captured once when
 // π_k moved to the 774-byte linearized proof encoding (testdata/golden_pik.hex
 // re-proved: new transaction hashes, 3 840 gas less per settlement); every
-// state root and the rejects digest held.
+// state root and the rejects digest held. The head, the receipts digest and
+// every state root were re-captured once more when a token came to store one
+// record digest instead of its URI, commitment and parents (storage layout,
+// gas, and the record in the mint's Transfer event); the rejects digest held.
 const (
-	goldenHead     = "0x44c2b5119a6893d58ab9bda409d4ec21129e906d263cc3d34a752199469419e0"
-	goldenReceipts = "83e601fdfb7c8d62e37fc12ebd52ff481d1c497a5dc3781d8b2f7684ba0f0d3f"
+	goldenHead     = "0xc2bc7b056a3c0c99251df908b474f29b2b078a3955702aa9ad9563f593a3aee1"
+	goldenReceipts = "9cc7e0f732fc207259add21104f78fed1c23f9412e3956c846340b146f14b8ff"
 	goldenRejects  = "9dde9ca93dbea9d5c853346fee3c3dd9256531f0beb30f26ed299e7efed83ca9"
 )
 
 // goldenRoots[i] is the state root of block i+1.
 var goldenRoots = []string{
-	"0x946769fb1f17fc5421eede0c1fd05aa165922f1c5e20ab4cedd27a35c1c210f9",
-	"0x86900f6a473a862124f681a7e6aa1a24eb9a0c8f34cfb388abb73f22dadaa64d",
-	"0x4e0dcfe6398858732ed6aa08dba0b82b924db3fb7f389ae02531af32d8eeaab3",
-	"0x88b804b8090d657f5ee6bd5beaa0c6987c8b0a67f5928271de0c3f2abe25f749",
-	"0x2c6e1dba0fcb002c346ae88a1c2cf6360d3082b948fbf728f451ce284ee76b4f",
-	"0x25d65237ef3814a045d03963918cb48477d41e804af3b44bd5ab9714725c8502",
-	"0x22953e00e92c8ecddf303ed5711380b9c3eca4f652b4c67035260dd440daef2b",
-	"0xe6f0fb525cf13c7bf9b1ad4aee2729f9c27d3ff6e190c3c2d326eb7f80854770",
-	"0x0cd925b76a311757d3e5ba4da5a8af0ee4c6df8efd53a1e8a15d1b9a8e575561",
-	"0x829de4757803a815c507ff84ea3e418a7df377fb1228c75106a9cffc50701766",
-	"0x804bf385cf0a4feb16ed445afced046258346551a30ddd74b127ba5bf2153960",
-	"0xe1bf67d90294ea0c34e677c7bcf8c34d2a45174d8aca76e8e34632fa4780c581",
-	"0x47734f8c43830f76ea331079e3f717647ec4d063b8b81c99d0107259e3068f22",
-	"0x45e2a3240a9c94c2a7fd36187fe4ddbc1d97e9c1056d01a52f3c49216862e88b",
-	"0x1b12c94a0e81f37be24a28ee281c49c013ebd237ae8ef1f89f84d6530d3e0677",
-	"0x6128dd651d291aa3078f37704e65a1e6b5953a3c95f351577a0b16c8f59180bb",
-	"0x7c89febfcde02bcdf15067bd62a42c978083b9f61edc57ab3f5ce27c8a513d0c",
-	"0x9ecf4c48272cdfaf0f40208c06a3f9dcd1382a6b9b03b072f0bfa37b0d179bbf",
-	"0x03e029c099289362fc38d733db64b527f7a4cf70ea5435bbaf9bc6e868c753ce",
-	"0xc69725ddd2ecfa3cd947ebb922f71b9541e22d1526f9ed80b462bd356b1fcc7b",
+	"0x5ca389897bbca62c2eb5b2e0e67736e28d308443a99bcaf55dfdc7d1c053f62e",
+	"0xb9e977f5d427f4bed7578ba60ca83d811ef8e98a36c45f942931cf6c08bf8494",
+	"0x370f14197f08a6972154aba2a8f7035f9ff03a316268e9fca8b97320e18b4ba1",
+	"0x8db9ff6ca0df3d6a54e238ea5302a51d68c4c00631462fa18214be0be8b4be3b",
+	"0x6de491f44e7e9efcddb98e48a580ec5e1a2da1509ebfdaed5918179dcacb5182",
+	"0xa88a0df4e0c53b54b3a421bd5215f392585885120aa2ed619b0d56704c5c0c53",
+	"0x75442aff9bbb82ae6b09ead380c0dcd92df58ff63e326a8a90c9dbd82eb72dff",
+	"0xa47ef31485c008b5d30b72b7e11feec086d95c35cd451ca3e53731c1dd44399e",
+	"0xb00141e6f65807bed4ba149b2a32967bd35133d76b85980c53e05ab6d94e72cb",
+	"0x97eef3362da7c78c8731ca410ed664fbe69eb72f602a0ad363789162ad8ccd7f",
+	"0x619392d4506bbc57892f780465c75558637e758f33632c1e1e217d74876c050e",
+	"0xe91c869a40db650b420d67a1e64a680f78411c9bb13d7fcb49a0b0978b73897d",
+	"0x4794dd567718657ef998e5f890b9ac3b97c198aee492bec310d7fca660c0155d",
+	"0x2788bda0b62a4094ac45a56b47059c40ee8a0a8e767e6652887002380e2f29c9",
+	"0x9815caf335b70d1e05a182a8ab4ab3ef8c9ca01993bff15ad5b7e2d14b4d656e",
+	"0x0ecaa9fb470bf49e39d70fe46eb65f2c2e05a2e00dadcde9e5a42e6d8be4f1c6",
+	"0xbe7a6683dcfc61771515ae2f58e48cafc5b204b2aa387cbbbeeb0994103d4573",
+	"0x1ebe18629531101d0a9f4fbee6f131ffa4ab240f8177898bc91718fc3cb93cac",
+	"0x8bd4ca57d23eedd40e08fa740109bbd4d13292daa96c5c39eceba57a01829017",
+	"0x9617a6071672f7fa0aaf1b83d2e8af1a86bb1339a5ca7507f6b8c0883c133c50",
 }
 
 // goldenWorld drives one chain through the golden workload and keeps the

@@ -9,6 +9,7 @@ import (
 	"github.com/zkdet/zkdet/internal/contracts"
 	"github.com/zkdet/zkdet/internal/ct"
 	"github.com/zkdet/zkdet/internal/fr"
+	"github.com/zkdet/zkdet/internal/indexer"
 	"github.com/zkdet/zkdet/internal/plonk"
 	"github.com/zkdet/zkdet/internal/storage"
 )
@@ -112,7 +113,8 @@ func WithAuditorKey(key *ct.AuditorKey) AuditOption {
 // a derived data asset (the §IV-B "evaluate datasets throughout their
 // lifecycle" flow):
 //
-//  1. walk the token's prevIds[] lineage on-chain;
+//  1. walk the token's prevIds[] lineage (Trace: logged records, checked
+//     against their on-chain digests);
 //  2. for every token: fetch the ciphertext by URI from storage, check it
 //     matches the published π_e statement, and verify π_e;
 //  3. check the on-chain commitment field binds the same commitments;
@@ -140,7 +142,7 @@ func (m *Marketplace) AuditLineage(reg *ProofRegistry, tokenID uint64, opts ...A
 	}
 	report := &AuditReport{}
 	var checks []proofCheck
-	byID := make(map[uint64]*contracts.Token, len(lineage))
+	byID := make(map[uint64]*indexer.TokenRecord, len(lineage))
 	for _, tok := range lineage {
 		byID[tok.ID] = tok
 		report.Tokens = append(report.Tokens, tok.ID)
@@ -213,11 +215,11 @@ func (m *Marketplace) AuditLineage(reg *ProofRegistry, tokenID uint64, opts ...A
 			return nil, fmt.Errorf("%w: token #%d π_t does not derive its commitment", ErrAuditMismatch, tok.ID)
 		}
 		// ...and its sources must be exactly the parents' commitments.
-		if len(tok.PrevIDs) != len(proofs.Transform.Sources) {
+		if len(tok.Parents) != len(proofs.Transform.Sources) {
 			return nil, fmt.Errorf("%w: token #%d has %d parents but π_t has %d sources",
-				ErrAuditMismatch, tok.ID, len(tok.PrevIDs), len(proofs.Transform.Sources))
+				ErrAuditMismatch, tok.ID, len(tok.Parents), len(proofs.Transform.Sources))
 		}
-		for i, pid := range tok.PrevIDs {
+		for i, pid := range tok.Parents {
 			parentProofs, ok := reg.Lookup(pid)
 			if !ok {
 				return nil, fmt.Errorf("%w: parent #%d", ErrAuditMissingProofs, pid)

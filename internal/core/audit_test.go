@@ -166,7 +166,7 @@ func TestAuditRefusesKindMismatch(t *testing.T) {
 		if tx.Method == "duplicate" {
 			tx.Method = "process"
 		}
-		return m.Chain.Submit(tx)
+		return m.submitAndSeal(tx)
 	}
 	res, err := m.Duplicate(alice, "alice", root)
 	if err != nil {
@@ -180,6 +180,42 @@ func TestAuditRefusesKindMismatch(t *testing.T) {
 	_, err = m.AuditLineage(reg, id)
 	if !errors.Is(err, ErrAuditMismatch) || !strings.Contains(err.Error(), fmt.Sprintf("token #%d", id)) {
 		t.Fatalf("processing token with a duplication π_t: audit returned %v, want ErrAuditMismatch naming token #%d", err, id)
+	}
+}
+
+// TestAuditThroughBurnedToken: burn zeroes a token's kind but keeps its
+// record digest, and the record's kind comes from the log, so a lineage
+// through a burned token still traces and audits.
+func TestAuditThroughBurnedToken(t *testing.T) {
+	m, _ := newTestMarketplace(t)
+	alice := chain.AddressFromString("alice")
+	reg := NewProofRegistry()
+	root, err := m.MintAsset(alice, "alice", smallData(2), fr.MustRandom())
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.PublishAsset(root)
+	dup, err := m.Duplicate(alice, "alice", root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg.PublishTransform(dup, nil)
+	nftCall(t, m, alice, "burn", contracts.EncodeArgs(contracts.U64(root.TokenID)))
+	leaf := dup.Assets[0].TokenID
+
+	lineage, err := m.Trace(leaf)
+	if err != nil {
+		t.Fatalf("trace through a burned token: %v", err)
+	}
+	if len(lineage) != 2 || lineage[1].ID != root.TokenID || !lineage[1].Burned || lineage[1].Kind != contracts.KindMint {
+		t.Fatalf("lineage %+v, want the leaf and its burned mint", lineage)
+	}
+	report, err := m.AuditLineage(reg, leaf)
+	if err != nil {
+		t.Fatalf("audit through a burned token: %v", err)
+	}
+	if len(report.Tokens) != 2 || report.EncryptionProofs != 2 || report.TransformProofs != 1 {
+		t.Fatalf("report %+v, want 2 tokens, 2 π_e, 1 π_t", report)
 	}
 }
 

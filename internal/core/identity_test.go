@@ -81,15 +81,15 @@ func TestPublicPathIdenticalWithConfidentialEnabled(t *testing.T) {
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("token %d readability diverged: %v vs %v", id, errA, errB)
 		}
-		if errA == nil && (a.Owner != b.Owner || a.Kind != b.Kind || a.Burned != b.Burned) {
+		if errA == nil && *a != *b {
 			t.Fatalf("token %d record diverged: %+v vs %+v", id, a, b)
 		}
 	}
 }
 
-// TestConfidentialReplayImportBitIdentity seals a block full of
-// confidential activity — mint, split transfer, escrow lock + settle — on
-// one replica and replays it on a second via ImportBlock: head hash and
+// TestConfidentialReplayImportBitIdentity seals blocks of confidential
+// activity — mint, split transfer, escrow lock + settle — on one replica and
+// replays them on a second via ImportBlock: head hash and
 // state root must match bit-for-bit. This is the cluster-correctness
 // property for the new transaction family: proof verification inside the
 // contract is deterministic, so replicas converge.
@@ -108,7 +108,7 @@ func TestConfidentialReplayImportBitIdentity(t *testing.T) {
 		[]ConfPayment{{Value: 650, To: bob}, {Value: 250, To: alice}}); err != nil {
 		t.Fatal(err)
 	}
-	// A full confidential sale (NFT + key-secure settle) in the same block.
+	// A full confidential sale (NFT + key-secure settle).
 	asset, err := a.MintAsset(alice, "alice", smallData(3), fr.MustRandom())
 	if err != nil {
 		t.Fatal(err)
@@ -121,13 +121,17 @@ func TestConfidentialReplayImportBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	blk := a.Chain.SealBlock()
-	txs, ok := a.Chain.BlockBody(blk.Number)
-	if !ok {
-		t.Fatal("sealed block has no body")
-	}
-	if _, err := b.Chain.ImportBlock(blk, txs); err != nil {
-		t.Fatalf("replay import: %v", err)
+	// The in-memory marketplace sealed each transaction into a block of its
+	// own; B imports them all.
+	for n := uint64(1); n <= a.Chain.Height(); n++ {
+		blk, _ := a.Chain.BlockByNumber(n)
+		txs, ok := a.Chain.BlockBody(n)
+		if !ok {
+			t.Fatalf("sealed block %d has no body", n)
+		}
+		if _, err := b.Chain.ImportBlock(blk, txs); err != nil {
+			t.Fatalf("replay import of block %d: %v", n, err)
+		}
 	}
 	if b.Chain.HeadHash() != a.Chain.HeadHash() {
 		t.Fatal("head hash diverged after confidential replay")

@@ -27,14 +27,14 @@ type Marketplace struct {
 
 	// Submitter, when set, routes marketplace transactions through an
 	// external admission path — a cluster node's mempool + gossip — instead
-	// of executing directly on the local chain. It must block until the
+	// of submitAndSeal on the local chain. It must block until the
 	// transaction is included and return its receipt. The transaction's
 	// Nonce is advisory (taken from the local chain); cluster submitters
 	// typically reassign it atomically at admission.
 	Submitter func(tx chain.Transaction) (*chain.Receipt, error)
 
-	// ix is the optional event indexer; when attached, provenance queries
-	// walk the index instead of contract storage.
+	// ix is the deployment's event indexer, attached at genesis; Trace reads
+	// token records from it.
 	ix *indexer.Indexer
 
 	// checker is the deployment's block verifier: it knows every
@@ -95,7 +95,9 @@ func NewMarketplaceWith(sys *System, c *chain.Chain, store storage.BlobStore) (*
 	checker.Add(PiKVerifierName, verifier)
 	checker.Add(contracts.EscrowName, escrow)
 	c.SetBlockVerifier(checker)
-	return &Marketplace{Sys: sys, Chain: c, Store: store, checker: checker}, gas, nil
+	ix := indexer.New(indexer.Config{NFTContract: contracts.DataNFTName, EscrowContract: contracts.EscrowName})
+	ix.Attach(c)
+	return &Marketplace{Sys: sys, Chain: c, Store: store, ix: ix, checker: checker}, gas, nil
 }
 
 // ProofChecker returns the deployment's block verifier, covering its
@@ -132,9 +134,9 @@ func (m *Marketplace) submit(from chain.Address, contract, method string, value 
 		From: from, Contract: contract, Method: method,
 		Args: args, Value: value, Nonce: m.Chain.NonceOf(from),
 	}
-	submit := m.Chain.Submit
-	if m.Submitter != nil {
-		submit = m.Submitter
+	submit := m.Submitter
+	if submit == nil {
+		submit = m.submitAndSeal
 	}
 	r, err := submit(tx)
 	if err != nil {
@@ -144,6 +146,17 @@ func (m *Marketplace) submit(from chain.Address, contract, method string, value 
 		return nil, r.Err
 	}
 	return r, nil
+}
+
+// submitAndSeal is the default submitter: the transaction executes and seals
+// as a block of its own (Fold zero: the receipt eager execution charged), so
+// the indexer has folded it before the caller sees the receipt.
+func (m *Marketplace) submitAndSeal(tx chain.Transaction) (*chain.Receipt, error) {
+	r, err := m.Chain.Submit(tx)
+	if err == nil {
+		m.Chain.SealBlock()
+	}
+	return r, err
 }
 
 // publish encrypts a dataset under key, proves its π_e and stores the
@@ -346,26 +359,26 @@ func (m *Marketplace) FetchCiphertext(uri storage.URI) (Ciphertext, error) {
 	return CiphertextFromBytes(raw)
 }
 
-// AttachIndexer wires an event indexer configured for the deployed contract
-// suite onto the chain's seal hook. Idempotent: a second call returns the
-// already-attached indexer.
-func (m *Marketplace) AttachIndexer() *indexer.Indexer {
-	if m.ix == nil {
-		m.ix = indexer.New(indexer.Config{
-			NFTContract:    contracts.DataNFTName,
-			EscrowContract: contracts.EscrowName,
-		})
-		m.ix.Attach(m.Chain)
+// AttachIndexer returns the deployment's event indexer, attached to the
+// chain's seal hook at genesis, before any recovery restores blocks.
+func (m *Marketplace) AttachIndexer() *indexer.Indexer { return m.ix }
+
+// Trace returns the provenance of a token (Figure 2's lineage walk): its
+// record and every ancestor's from the indexer, each matched against the
+// digest its token stores on-chain (contracts.ErrRecordMismatch otherwise).
+func (m *Marketplace) Trace(tokenID uint64) ([]*indexer.TokenRecord, error) {
+	lin, err := m.ix.Lineage(tokenID)
+	if err != nil {
+		return nil, err
 	}
-	return m.ix
-}
-
-// Indexer returns the attached event indexer, or nil.
-func (m *Marketplace) Indexer() *indexer.Indexer { return m.ix }
-
-// Trace returns the provenance of a token (Figure 2's lineage walk) from
-// contract storage, so it also serves tokens minted but not yet sealed into
-// a block.
-func (m *Marketplace) Trace(tokenID uint64) ([]*contracts.Token, error) {
-	return contracts.Trace(m.Chain, tokenID)
+	for _, rec := range lin.Tokens {
+		tok, err := contracts.ReadToken(m.Chain, rec.ID)
+		if err != nil {
+			return nil, err
+		}
+		if tok.Record != contracts.RecordDigest(rec.Kind, rec.URI, rec.Commitment, rec.Parents) {
+			return nil, fmt.Errorf("%w: token #%d", contracts.ErrRecordMismatch, rec.ID)
+		}
+	}
+	return lin.Tokens, nil
 }

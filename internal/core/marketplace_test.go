@@ -53,8 +53,8 @@ func TestMarketplaceMintAndFetch(t *testing.T) {
 	if tok.Owner != alice {
 		t.Fatal("wrong owner")
 	}
-	if string(tok.URI) != string(asset.URI[:]) {
-		t.Fatal("URI mismatch")
+	if tok.Record != contracts.RecordDigest(contracts.KindMint, asset.URI[:], asset.Statement.commitmentField(), nil) {
+		t.Fatal("record digest does not bind the URI and commitments")
 	}
 	// Anyone can fetch the ciphertext by URI, and the owner's key decrypts.
 	ct, err := m.FetchCiphertext(asset.URI)

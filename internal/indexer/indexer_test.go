@@ -155,15 +155,9 @@ func TestProvenanceMatchesStorageTrace(t *testing.T) {
 	c, ix, bob, ids := chainFixture(t)
 	a, b, dup, agg := ids[0], ids[1], ids[2], ids[3]
 
-	// The indexed walk must reproduce contracts.Trace exactly, id for id.
-	want, err := contracts.Trace(c, agg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantIDs := make([]uint64, len(want))
-	for i, tok := range want {
-		wantIDs[i] = tok.ID
-	}
+	// The walk is breadth-first from the token: agg, its parents in prevIds
+	// order, then theirs.
+	wantIDs := []uint64{agg, dup, b, a}
 	lin, err := ix.Lineage(agg)
 	if err != nil {
 		t.Fatal(err)
@@ -173,14 +167,26 @@ func TestProvenanceMatchesStorageTrace(t *testing.T) {
 		got[i] = rec.ID
 	}
 	if !reflect.DeepEqual(got, wantIDs) {
-		t.Fatalf("indexed lineage %v, storage trace %v", got, wantIDs)
+		t.Fatalf("indexed lineage %v, want %v", got, wantIDs)
+	}
+	// Every folded record is the one its token's storage digest binds, burned
+	// b included.
+	for _, rec := range lin.Tokens {
+		tok, err := contracts.ReadToken(c, rec.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tok.Record != contracts.RecordDigest(rec.Kind, rec.URI, rec.Commitment, rec.Parents) {
+			t.Fatalf("token %d: folded record %+v does not match its storage digest", rec.ID, rec)
+		}
 	}
 
 	rec, err := ix.Token(agg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rec.Kind != contracts.KindAggregation || rec.Owner != bob {
+	if rec.Kind != contracts.KindAggregation || rec.Owner != bob ||
+		string(rec.URI) != "uri-agg" || string(rec.Commitment) != "com-agg" {
 		t.Fatalf("agg record: %+v", rec)
 	}
 	if !reflect.DeepEqual(rec.Parents, []uint64{dup, b}) {

@@ -16,16 +16,18 @@ type HistoryEntry struct {
 }
 
 // TokenRecord is the indexer's folded view of one DataNFT, reconstructed
-// purely from events — it never reads contract storage, so it stays correct
-// even if the chain later prunes cold state.
+// purely from events — it never reads contract storage, which binds the
+// immutable Kind, URI, Commitment and Parents with contracts.RecordDigest.
 type TokenRecord struct {
-	ID       uint64
-	Kind     contracts.TransformKind
-	Owner    chain.Address
-	Parents  []uint64
-	Children []uint64
-	Burned   bool
-	History  []HistoryEntry
+	ID         uint64
+	Kind       contracts.TransformKind
+	Owner      chain.Address
+	URI        []byte // content address of the encrypted dataset
+	Commitment []byte // c_d ‖ c_k, as minted
+	Parents    []uint64
+	Children   []uint64
+	Burned     bool
+	History    []HistoryEntry
 }
 
 func (r *TokenRecord) clone() *TokenRecord {
@@ -98,15 +100,10 @@ func (p *provenance) fold(block uint64, txHash chain.Hash, ev chain.Event) {
 	}
 }
 
-func (p *provenance) token(id uint64) *TokenRecord {
-	rec, ok := p.tokens[id]
-	if !ok {
-		rec = &TokenRecord{ID: id, Kind: contracts.KindMint}
-		p.tokens[id] = rec
-	}
-	return rec
-}
-
+// foldNFT folds one DataNFT event. Only a mint opens a token's record: an
+// indexer that never saw the mint — it was pruned before this indexer
+// started — holds no record of the token, rather than one without its URI
+// and commitment.
 func (p *provenance) foldNFT(block uint64, txHash chain.Hash, ev chain.Event) {
 	parts, err := contracts.DecodeArgsVariadic(ev.Data)
 	if err != nil || len(parts) == 0 {
@@ -116,35 +113,47 @@ func (p *provenance) foldNFT(block uint64, txHash chain.Hash, ev chain.Event) {
 	if err != nil {
 		return
 	}
+	rec, known := p.tokens[id]
 	h := HistoryEntry{Block: block, TxHash: txHash, Name: ev.Name}
 	switch ev.Name {
 	case "Transfer":
-		// EncodeArgs(id, from, to); an empty from marks a mint.
-		if len(parts) != 3 || len(parts[2]) != 20 {
+		// EncodeArgs(id, from, to), or on a mint EncodeArgs(id, nil, to, uri,
+		// commitment). URI and commitment stay slices of the event's data.
+		if (len(parts) != 3 && len(parts) != 5) || len(parts[2]) != 20 {
 			return
 		}
-		rec := p.token(id)
+		if len(parts) == 5 {
+			if !known {
+				rec = &TokenRecord{ID: id, Kind: contracts.KindMint}
+				p.tokens[id] = rec
+			}
+			rec.URI, rec.Commitment = parts[3], parts[4]
+		} else if !known {
+			return
+		}
 		copy(rec.Owner[:], parts[2])
 		rec.History = append(rec.History, h)
 	case "Transform":
-		// EncodeArgs(id, kind, prevIds).
-		if len(parts) != 3 || len(parts[1]) != 1 {
+		// EncodeArgs(id, kind, prevIds), after the token's mint Transfer.
+		if !known || len(parts) != 3 || len(parts[1]) != 1 {
 			return
 		}
 		prev, err := contracts.DecU64List(parts[2])
 		if err != nil {
 			return
 		}
-		rec := p.token(id)
 		rec.Kind = contracts.TransformKind(parts[1][0])
 		rec.Parents = prev
 		rec.History = append(rec.History, h)
 		for _, pid := range prev {
-			parent := p.token(pid)
-			parent.Children = append(parent.Children, id)
+			if parent, ok := p.tokens[pid]; ok {
+				parent.Children = append(parent.Children, id)
+			}
 		}
 	case "Burn":
-		rec := p.token(id)
+		if !known {
+			return
+		}
 		rec.Burned = true
 		rec.History = append(rec.History, h)
 	}
@@ -192,9 +201,8 @@ func (p *provenance) foldEscrow(block uint64, txHash chain.Hash, ev chain.Event)
 	}
 }
 
-// ancestorIDs reproduces contracts.Trace's walk exactly — a breadth-first
-// traversal of prevIds with the start token first — so a Lineage lists its
-// tokens in the order the storage walk does.
+// ancestorIDs is the lineage walk, Figure 2's provenance query: a
+// breadth-first traversal of prevIds with the start token first.
 func (p *provenance) ancestorIDs(id uint64) ([]uint64, error) {
 	if _, ok := p.tokens[id]; !ok {
 		return nil, fmt.Errorf("%w: %d", ErrUnknownToken, id)

@@ -69,8 +69,7 @@ func TestClusterKillAndRestartConverges(t *testing.T) {
 		if err != nil {
 			return NodeSetup{}, nil, err
 		}
-		m.AttachIndexer() // before Recover: the indexer re-sees restored blocks
-		rep, err := d.Recover(c)
+		rep, err := d.Recover(c) // the marketplace's indexer, attached at genesis, re-sees restored blocks
 		if err != nil {
 			return NodeSetup{}, nil, err
 		}
