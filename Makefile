@@ -160,7 +160,7 @@ bench-p2p:
 # `go run ./cmd/zkdet-bench -exec` prints the sweep as a table.
 bench-exec:
 	$(GO) test -run='^$$' -bench='BenchmarkExecThroughput$$' -benchtime=1x ./internal/bench/
-	$(GO) test -run='^$$' -bench='BenchmarkSealBlock$$|BenchmarkImportBlock$$' -benchtime=20x ./internal/bench/
+	$(GO) test -run='^$$' -bench='BenchmarkProduceBlock$$|BenchmarkImportBlock$$' -benchtime=20x ./internal/bench/
 
 # Durability benchmarks: raw WAL append throughput by sync policy, durable
 # vs in-memory sealed tx/s (the ≤2x acceptance criterion at the default

@@ -200,17 +200,17 @@ func BenchmarkOnChainVerification(b *testing.B) {
 	var lastGas uint64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := c.Submit(chain.Transaction{
+		o := c.ProduceBlock([]chain.Transaction{{
 			From: alice, Contract: "verifier", Method: "verify",
 			Args: args, Nonce: c.NonceOf(alice),
-		})
-		if err != nil {
-			b.Fatal(err)
+		}}).Outcomes[0]
+		if o.Err != nil {
+			b.Fatal(o.Err)
 		}
-		if r.Err != nil {
-			b.Fatal(r.Err)
+		if o.Receipt.Err != nil {
+			b.Fatal(o.Receipt.Err)
 		}
-		lastGas = r.GasUsed
+		lastGas = o.Receipt.GasUsed
 	}
 	b.ReportMetric(float64(lastGas), "gas")
 }
@@ -268,25 +268,26 @@ func BenchmarkChainThroughput(b *testing.B) {
 	bob := chain.AddressFromString("bob")
 	uri := make([]byte, 32)
 	commit := make([]byte, 64)
+	// Blocks of 100 mint+transfer pairs: mint i is token i+1 and its owner
+	// hands it on in the same block.
+	var body []chain.Transaction
+	nonce, id := uint64(0), uint64(0)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		r, err := c.Submit(chain.Transaction{
-			From: alice, Contract: contracts.DataNFTName, Method: "mint",
-			Args: contracts.EncodeArgs(uri, commit), Nonce: c.NonceOf(alice),
-		})
-		if err != nil || r.Err != nil {
-			b.Fatal(err, r.Err)
-		}
-		id, _ := contracts.DecU64(r.Return)
-		r, err = c.Submit(chain.Transaction{
-			From: alice, Contract: contracts.DataNFTName, Method: "transfer",
-			Args: contracts.EncodeArgs(contracts.U64(id), bob[:]), Nonce: c.NonceOf(alice),
-		})
-		if err != nil || r.Err != nil {
-			b.Fatal(err, r.Err)
-		}
-		if i%100 == 99 {
-			c.SealBlock()
+		id++
+		body = append(body,
+			chain.Transaction{From: alice, Contract: contracts.DataNFTName, Method: "mint",
+				Args: contracts.EncodeArgs(uri, commit), Nonce: nonce},
+			chain.Transaction{From: alice, Contract: contracts.DataNFTName, Method: "transfer",
+				Args: contracts.EncodeArgs(contracts.U64(id), bob[:]), Nonce: nonce + 1})
+		nonce += 2
+		if len(body) == 200 || i == b.N-1 {
+			for _, o := range c.ProduceBlock(body).Outcomes {
+				if o.Err != nil || o.Receipt.Err != nil {
+					b.Fatal(o.Err, o.Receipt)
+				}
+			}
+			body = body[:0]
 		}
 	}
 	b.ReportMetric(float64(b.N*2)/b.Elapsed().Seconds(), "tx/s")

@@ -337,8 +337,8 @@ func runP2P() {
 
 func runExec() {
 	header("Execution layer — sealed tx/s of the journaled executor")
-	fmt.Println("workload: DataNFT transfers between disjoint client pairs, one batch and one")
-	fmt.Println("SealBlock per round")
+	fmt.Println("workload: DataNFT transfers between disjoint client pairs, one produced")
+	fmt.Println("block per round")
 	rows, err := bench.ExecSweep([]int{100, 1000, 10000})
 	if err != nil {
 		log.Fatalf("exec: %v", err)

@@ -104,8 +104,8 @@ func newServer(cfg serverConfig) (*server, error) {
 	n := node.New(mkt.Chain, cfg.node)
 	n.Start()
 	// Marketplace-level operations (the confidential RPCs) go through the
-	// mempool too: a producer owns its chain, and a transaction executed
-	// eagerly beside it would sit outside every fold.
+	// mempool too: the producer owns its chain, and a block produced beside
+	// it would spend nonces behind the pool's back.
 	mkt.Submitter = func(tx chain.Transaction) (*chain.Receipt, error) {
 		res, err := n.SubmitAndWait(context.Background(), tx, true)
 		return res.Receipt, err

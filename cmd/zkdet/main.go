@@ -80,11 +80,10 @@ func main() {
 		os.Exit(2)
 	}
 
-	m.Chain.SealBlock()
 	if err := m.Chain.VerifyIntegrity(); err != nil {
 		log.Fatalf("chain integrity: %v", err)
 	}
-	fmt.Printf("• chain sealed at height %d, integrity verified\n", m.Chain.Height())
+	fmt.Printf("• chain at height %d, integrity verified\n", m.Chain.Height())
 }
 
 func runMint(m *zkdet.Marketplace, owner zkdet.Address, data zkdet.Dataset) *zkdet.Asset {

@@ -84,16 +84,16 @@ func main() {
 	fmt.Println("• proof chain (aggregation → partition) verified: continuous validation from sources")
 
 	// Burned tokens stay traceable.
-	if _, err := m.Chain.Submit(chain.Transaction{
+	burn := m.Chain.ProduceBlock([]chain.Transaction{{
 		From:     alice,
 		Contract: contracts.DataNFTName,
 		Method:   "burn",
 		Args:     contracts.EncodeArgs(contracts.U64(a1.TokenID)),
 		Nonce:    m.Chain.NonceOf(alice),
-	}); err != nil {
-		log.Fatalf("burn: %v", err)
+	}}).Outcomes[0]
+	if burn.Err != nil {
+		log.Fatalf("burn: %v", burn.Err)
 	}
-	m.Chain.SealBlock()
 	lineage2, err := m.Trace(dup.Assets[0].TokenID)
 	if err != nil {
 		log.Fatalf("trace after burn: %v", err)

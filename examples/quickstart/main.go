@@ -58,10 +58,10 @@ func main() {
 	}
 	fmt.Printf("• owner decrypts %d bytes: %q\n", len(back), back[:23])
 
-	// 6. The chain seals a block and its hash links hold.
-	m.Chain.SealBlock()
+	// 6. Every marketplace call sealed a block of its own; the hash links
+	//    hold.
 	if err := m.Chain.VerifyIntegrity(); err != nil {
 		log.Fatalf("chain integrity: %v", err)
 	}
-	fmt.Println("• block sealed, chain integrity verified — done")
+	fmt.Printf("• chain at height %d, integrity verified — done\n", m.Chain.Height())
 }

@@ -269,17 +269,17 @@ func Table2Gas(sys *core.System) ([]Table2Row, error) {
 	m.Chain.Faucet(bob, 1_000_000)
 
 	submit := func(from chain.Address, method string, args []byte) (*chain.Receipt, error) {
-		r, err := m.Chain.Submit(chain.Transaction{
+		o := m.Chain.ProduceBlock([]chain.Transaction{{
 			From: from, Contract: contracts.DataNFTName, Method: method,
 			Args: args, Nonce: m.Chain.NonceOf(from),
-		})
-		if err != nil {
-			return nil, err
+		}}).Outcomes[0]
+		if o.Err != nil {
+			return nil, o.Err
 		}
-		if r.Err != nil {
-			return nil, r.Err
+		if o.Receipt.Err != nil {
+			return nil, o.Receipt.Err
 		}
-		return r, nil
+		return o.Receipt, nil
 	}
 	uri := make([]byte, 32)
 	commit := make([]byte, 64)

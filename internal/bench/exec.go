@@ -9,9 +9,9 @@ import (
 
 // --- Execution layer: sealed tx/s of the journaled executor ---
 //
-// DataNFT transfers between disjoint client pairs, one batch and one
-// SealBlock per round: what the chain executes and seals per second when
-// nothing else (proofs, WAL, index folds) is in the way.
+// DataNFT transfers between disjoint client pairs, one produced block per
+// round: what the chain executes and seals per second when nothing else
+// (proofs, WAL, index folds) is in the way.
 
 // ExecRow is one point of the execution-throughput experiment.
 type ExecRow struct {

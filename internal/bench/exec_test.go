@@ -84,20 +84,16 @@ func (f *sealFixture) tx(holder int, method string, args []byte) chain.Transacti
 	return tx
 }
 
-// execute runs txs on the producer, leaving them pending.
-func (f *sealFixture) execute(b *testing.B, txs []chain.Transaction) {
+// seal produces txs as one block on the producer.
+func (f *sealFixture) seal(b *testing.B, txs []chain.Transaction) chain.Block {
 	b.Helper()
-	for i, out := range f.producer.SubmitBatch(txs, 0) {
+	p := f.producer.ProduceBlock(txs)
+	for i, out := range p.Outcomes {
 		if out.Err != nil || out.Receipt.Err != nil {
 			b.Fatalf("tx %d: %v %v", i, out.Err, out.Receipt)
 		}
 	}
-}
-
-func (f *sealFixture) seal(b *testing.B, txs []chain.Transaction) chain.Block {
-	b.Helper()
-	f.execute(b, txs)
-	return f.producer.SealBlock()
+	return p.Block
 }
 
 // bounce is the measured block: tokens 1..256 change hands.
@@ -121,20 +117,21 @@ func (f *sealFixture) importHead(b *testing.B, blk chain.Block) {
 
 var sealBenchSizes = []int{1 << 10, 10 << 10, 100 << 10}
 
-// BenchmarkSealBlock times SealBlock alone for one 256-transaction block
-// on a DataNFT store pre-filled to the given size: the commitment folds the
-// block's writes into the trie, so ns/op should stay nearly flat across
-// sizes (it grows with the trie's depth, not with the slot count).
-func BenchmarkSealBlock(b *testing.B) {
+// BenchmarkProduceBlock times the producer half — execute under the block
+// journal, fold the writes into the trie, seal — for one 256-transaction
+// block on a DataNFT store pre-filled to the given size. The commitment
+// grows with the trie's depth, not with the slot count, so ns/op should
+// stay nearly flat across sizes.
+func BenchmarkProduceBlock(b *testing.B) {
 	for _, slots := range sealBenchSizes {
 		b.Run(fmt.Sprintf("slots=%dk", slots>>10), func(b *testing.B) {
 			f := newSealFixture(b, slots)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				b.StopTimer()
-				f.execute(b, f.bounce())
+				txs := f.bounce()
 				b.StartTimer()
-				blk := f.producer.SealBlock()
+				blk := f.seal(b, txs)
 				b.StopTimer()
 				f.importHead(b, blk)
 			}

@@ -160,7 +160,7 @@ func execWorkload(c *chain.Chain, addrs []chain.Address, nonces []uint64, tokens
 			}
 			nonces[from]++
 		}
-		for i, out := range c.SubmitBatch(txs, 0) {
+		for i, out := range c.ProduceBlock(txs).Outcomes {
 			if out.Err != nil {
 				return 0, 0, fmt.Errorf("round %d tx %d: %w", r, i, out.Err)
 			}
@@ -168,7 +168,6 @@ func execWorkload(c *chain.Chain, addrs []chain.Address, nonces []uint64, tokens
 				return 0, 0, fmt.Errorf("round %d tx %d: %w", r, i, out.Receipt.Err)
 			}
 		}
-		c.SealBlock()
 		total += len(txs)
 	}
 	return total, time.Since(start), nil
@@ -210,7 +209,7 @@ func execSetup(c *chain.Chain, addrs []chain.Address) ([]uint64, []uint64, error
 		nonces[from]++
 	}
 	tokens := make([]uint64, clients/2)
-	for j, out := range c.SubmitBatch(mints, 0) {
+	for j, out := range c.ProduceBlock(mints).Outcomes {
 		if out.Err != nil {
 			return nil, nil, out.Err
 		}
@@ -223,7 +222,6 @@ func execSetup(c *chain.Chain, addrs []chain.Address) ([]uint64, []uint64, error
 		}
 		tokens[j] = id
 	}
-	c.SealBlock()
 	return nonces, tokens, nil
 }
 

@@ -1,36 +1,32 @@
 package chain
 
-// TxOutcome is the result of one batch member: the receipt of a processed
-// transaction, or the Go-level error of a malformed one (same contract as
-// Submit — an Err outcome touched nothing).
+// TxOutcome is the result of one candidate of ProduceBlock: the receipt of
+// a processed transaction, or the error that kept it out of the block (an
+// Err outcome touched nothing).
 type TxOutcome struct {
 	Receipt *Receipt
 	Err     error
 }
 
-// SubmitBatch executes a batch of transactions as if submitted one by one
-// through Submit, under one hold of the state lock, and returns one outcome
-// per transaction, in order. The second parameter was the speculative
-// engine's width; it is ignored, and retained only because benchmark/
-// (probes.go) still passes it.
+// Submit executes one transaction as a block of its own.
+// benchmark shim: item 1 deletes
+func (c *Chain) Submit(tx Transaction) (*Receipt, error) {
+	o := c.ProduceBlock([]Transaction{tx}).Outcomes[0]
+	return o.Receipt, o.Err
+}
+
+// SubmitBatch executes txs as one block; the width is ignored.
+// benchmark shim: item 1 deletes
 func (c *Chain) SubmitBatch(txs []Transaction, _ int) []TxOutcome {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.submitAllLocked(txs)
+	return c.ProduceBlock(txs).Outcomes
 }
 
-// submitAllLocked runs txs through submitLocked in order; caller holds c.mu.
-func (c *Chain) submitAllLocked(txs []Transaction) []TxOutcome {
-	out := make([]TxOutcome, len(txs))
-	for i := range txs {
-		out[i].Receipt, out[i].Err = c.submitLocked(txs[i])
-	}
-	return out
-}
+// SealBlock seals an empty block.
+// benchmark shim: item 1 deletes
+func (c *Chain) SealBlock() Block { return c.ProduceBlock(nil).Block }
 
-// ExecStats reports the removed speculative engine's counters — all zero,
-// as they always were at width 1. Retained only because benchmark/
-// (layers.go) still reads them.
+// ExecStats reports the removed speculative engine's counters, all zero.
+// benchmark shim: item 1 deletes
 func (c *Chain) ExecStats() (speculated, committed, conflicts, serial uint64) {
 	return 0, 0, 0, 0
 }

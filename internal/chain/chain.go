@@ -134,8 +134,9 @@ type Block struct {
 	// Fold is how many of the body's proof items the block's proof check
 	// validated before execution (see BlockVerifier) and charged the
 	// amortised schedule; it is hashed, so what a proof-carrying call pays
-	// is a function of the sealed block. Zero: the body executed one by one,
-	// every proof verified alone — what Submit + SealBlock produce.
+	// is a function of the sealed block. It always equals a fresh check of
+	// the body: zero means the body carries no proof the chain's verifier
+	// knows, or the chain has none.
 	Fold uint32
 }
 
@@ -274,7 +275,6 @@ type account struct {
 type Chain struct {
 	mu        sync.Mutex
 	blocks    []Block              // guarded by mu
-	pending   []Hash               // guarded by mu
 	receipts  map[Hash]*Receipt    // guarded by mu
 	contracts map[string]Contract  // guarded by mu
 	storages  map[string]*Storage  // guarded by mu
@@ -287,20 +287,20 @@ type Chain struct {
 	// importing nodes.
 	txs map[Hash]Transaction // guarded by mu
 
-	// sealMu serializes SealBlock/ProduceBlock/ImportBlock and the
+	// sealMu serializes ProduceBlock/ImportBlock/RestoreState and the
 	// synchronous seal-hook dispatch. Hook dispatch deliberately happens
 	// under sealMu (not just the block append): it is what gives hooks the
 	// strict height-order guarantee even when producers and importers race.
 	// Hooks run with mu RELEASED, so a slow hook delays the next seal/import
 	// but can never deadlock them, and hooks may freely call back into chain
-	// reads and Submit. The one re-entrancy hooks must avoid is sealing and
-	// importing themselves (sealMu is not reentrant).
+	// reads. The one re-entrancy hooks must avoid is producing and importing
+	// blocks themselves (sealMu is not reentrant).
 	sealHooks []func(Block, []*Receipt) // guarded by sealMu
 	sealMu    sync.Mutex
 
 	// jrnl is the open undo scope, nil when none is: applyBlock opens one
-	// for a whole block it may have to take back, submitLocked one per
-	// transaction when no block scope is open. Every account mutation and
+	// per block, which a failing transaction reverts to its own mark in and
+	// a block it must take back reverts whole. Every account mutation and
 	// every storage write that lands in live state under an open scope
 	// records its pre-image here.
 	jrnl *journal // guarded by mu
@@ -342,19 +342,19 @@ func NewWithClock(clock func() time.Time) *Chain {
 	return c
 }
 
-// OnSeal registers a hook invoked synchronously after every SealBlock (and
-// every successful ProduceBlock or ImportBlock) with the sealed block and
-// its receipts.
+// OnSeal registers a hook invoked synchronously after every block
+// ProduceBlock seals or ImportBlock applies (and for every block
+// RestoreState installs) with the block and its receipts.
 //
 // Ordering contract: hooks are dispatched while sealMu is still held, so a
 // hook observes blocks strictly in height order with no interleaving — by
 // the time it sees block N, every hook has finished with block N-1, and no
 // other goroutine can seal or import block N+1 until it returns. The state
 // lock (mu) is released during dispatch, so hooks may call back into chain
-// reads and Submit; a slow hook therefore back-pressures sealing and
-// importing (they wait on sealMu) but cannot deadlock them. Hooks must not
-// call SealBlock, ProduceBlock or ImportBlock. Off-chain consumers (block
-// buses, indexers) attach here.
+// reads; a slow hook therefore back-pressures sealing and importing (they
+// wait on sealMu) but cannot deadlock them. Hooks must not call
+// ProduceBlock or ImportBlock. Off-chain consumers (block buses, indexers)
+// attach here.
 func (c *Chain) OnSeal(fn func(Block, []*Receipt)) {
 	c.sealMu.Lock()
 	defer c.sealMu.Unlock()
@@ -425,32 +425,6 @@ func (c *Chain) Deploy(name string, contract Contract, codeSize int) (uint64, er
 	return gas, nil
 }
 
-// Submit executes a transaction against current state and queues it for the
-// next block. It returns the receipt; execution errors are reported in the
-// receipt (state rolled back), while malformed transactions return a Go
-// error and touch nothing.
-func (c *Chain) Submit(tx Transaction) (*Receipt, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.submitLocked(tx)
-}
-
-// submitLocked is Submit's body: one transaction through execTx; caller holds
-// c.mu. Under an open block scope the transaction reverts to its own mark in
-// it; otherwise it opens a scope for itself alone.
-func (c *Chain) submitLocked(tx Transaction) (*Receipt, error) {
-	if c.jrnl == nil {
-		c.jrnl = &journal{accounts: c.accounts}
-		defer func() { c.jrnl = nil }()
-	}
-	res := execTx(&liveTx{Chain: c, start: c.jrnl.mark()}, tx)
-	if res.goErr != nil {
-		return nil, res.goErr
-	}
-	c.commitTx(res.tx, res.hash, res.receipt)
-	return res.receipt, nil
-}
-
 // txResult is what execTx produced: the receipt of a processed transaction
 // or the Go-level error of a malformed one, and the normalized body.
 type txResult struct {
@@ -461,12 +435,12 @@ type txResult struct {
 }
 
 // execTx is THE transaction body — nonce check, intrinsic gas, value move,
-// contract call, revert or keep — for every path that executes one: eager
-// Submit and applyBlock, hence sealing, import and WAL replay; caller holds
-// the chain's mu. A Go-level error (bad nonce, intrinsic gas above the limit,
-// unfunded value, no recipient, unknown contract) leaves state untouched, so
-// a transaction is either in a block or never happened; a reverted call keeps
-// the nonce bump and nothing else.
+// contract call, revert or keep — run by applyBlock, hence by production,
+// import and WAL replay alike; caller holds the chain's mu. A Go-level error
+// (bad nonce, intrinsic gas above the limit, unfunded value, no recipient,
+// unknown contract) leaves state untouched, so a transaction is either in a
+// block or never happened; a reverted call keeps the nonce bump and nothing
+// else.
 func execTx(st *liveTx, tx Transaction) txResult {
 	fail := func(err error) txResult {
 		st.undo()
@@ -548,14 +522,12 @@ func (l *liveTx) meteredStore(name string, gas *GasMeter) *Storage {
 	return l.storages[name].metered(gas, l.jrnl)
 }
 
-// commitTx records a processed transaction's body and receipt and queues it
-// for the next block; caller holds c.mu. The body is stored
-// post-normalization (gas default applied) so replaying it on another node
-// reproduces the same hash.
+// commitTx records a processed transaction's body and receipt; caller holds
+// c.mu. The body is stored post-normalization (gas default applied) so
+// replaying it on another node reproduces the same hash.
 func (c *Chain) commitTx(tx Transaction, h Hash, r *Receipt) {
 	c.txs[h] = tx
 	c.receipts[h] = r
-	c.pending = append(c.pending, h)
 }
 
 // ReadStorage reads a contract storage slot without gas (an archive-node
@@ -577,54 +549,6 @@ func (c *Chain) Receipt(h Hash) (*Receipt, bool) {
 	defer c.mu.Unlock()
 	r, ok := c.receipts[h]
 	return r, ok
-}
-
-// SealBlock commits the eagerly executed pending transactions (Submit,
-// SubmitBatch) into a new hash-linked block — Fold zero: each of its proofs
-// was verified alone — and dispatches it (with its receipts) to every
-// OnSeal hook before returning, so indexers are consistent with the chain
-// by the time the sealer observes the new block. A block producer uses
-// ProduceBlock, which executes at seal. Dispatch happens under sealMu with
-// mu released — see the OnSeal ordering contract.
-func (c *Chain) SealBlock() Block {
-	c.sealMu.Lock()
-	defer c.sealMu.Unlock()
-
-	c.mu.Lock()
-	b := c.nextBlockLocked(c.blocks[len(c.blocks)-1], c.now(), 0)
-	receipts := c.appendBlockLocked(b)
-	hooks := c.sealHooks
-	c.mu.Unlock()
-
-	for _, fn := range hooks {
-		fn(b, receipts)
-	}
-	return b
-}
-
-// nextBlockLocked is the block the pending set seals into on top of head;
-// caller holds c.mu.
-func (c *Chain) nextBlockLocked(head Block, at time.Time, fold uint32) Block {
-	return Block{
-		Number:    head.Number + 1,
-		Parent:    head.hash(),
-		Time:      at,
-		TxHashes:  c.pending,
-		StateRoot: c.stateRootLocked(),
-		Fold:      fold,
-	}
-}
-
-// appendBlockLocked makes b, built by nextBlockLocked, the head and
-// returns its receipts; caller holds sealMu and c.mu.
-func (c *Chain) appendBlockLocked(b Block) []*Receipt {
-	receipts := make([]*Receipt, len(b.TxHashes))
-	for i, h := range b.TxHashes {
-		receipts[i] = c.receipts[h]
-	}
-	c.pending = nil
-	c.blocks = append(c.blocks, b)
-	return receipts
 }
 
 // stateRootLocked commits to all contract storages.

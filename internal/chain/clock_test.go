@@ -30,10 +30,9 @@ func TestReplayIdenticalUnderDifferentClocks(t *testing.T) {
 			t.Fatal(err)
 		}
 		for n := uint64(0); n < 3; n++ {
-			if _, err := c.Submit(Transaction{From: alice, Contract: "counter", Method: "inc", Nonce: n}); err != nil {
+			if _, err := produce(c, Transaction{From: alice, Contract: "counter", Method: "inc", Nonce: n}); err != nil {
 				t.Fatal(err)
 			}
-			c.SealBlock()
 		}
 		return c
 	}

@@ -9,7 +9,7 @@ func TestPlainValueTransfer(t *testing.T) {
 	c, alice := newTestChain(t)
 	bob := AddressFromString("bob")
 
-	r, err := c.Submit(Transaction{From: alice, To: bob, Value: 250, Nonce: 0})
+	r, err := produce(c, Transaction{From: alice, To: bob, Value: 250, Nonce: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,7 +29,7 @@ func TestPlainValueTransfer(t *testing.T) {
 
 func TestPlainValueTransferRejectsZeroRecipient(t *testing.T) {
 	c, alice := newTestChain(t)
-	_, err := c.Submit(Transaction{From: alice, Value: 10, Nonce: 0})
+	_, err := produce(c, Transaction{From: alice, Value: 10, Nonce: 0})
 	if !errors.Is(err, ErrNoRecipient) {
 		t.Fatalf("got %v, want ErrNoRecipient", err)
 	}
@@ -45,7 +45,7 @@ func TestPlainValueTransferRejectsZeroRecipient(t *testing.T) {
 func TestPlainValueTransferInsufficientFunds(t *testing.T) {
 	c, alice := newTestChain(t)
 	bob := AddressFromString("bob")
-	_, err := c.Submit(Transaction{From: alice, To: bob, Value: 2_000_000, Nonce: 0})
+	_, err := produce(c, Transaction{From: alice, To: bob, Value: 2_000_000, Nonce: 0})
 	if !errors.Is(err, ErrInsufficientFund) {
 		t.Fatalf("got %v, want ErrInsufficientFund", err)
 	}
@@ -79,15 +79,12 @@ func TestSealHooksDeliverBlocksInOrder(t *testing.T) {
 		}
 	})
 
-	for i := 0; i < 5; i++ {
-		if _, err := c.Submit(Transaction{From: alice, Contract: "counter", Method: "inc", Nonce: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-		if i%2 == 1 {
-			c.SealBlock()
-		}
+	inc := func(n uint64) Transaction {
+		return Transaction{From: alice, Contract: "counter", Method: "inc", Nonce: n}
 	}
-	c.SealBlock()
+	for _, body := range [][]Transaction{{inc(0), inc(1)}, {inc(2), inc(3)}, {inc(4)}} {
+		mustProduce(t, c, body...)
+	}
 
 	if len(gotBlocks) != 3 {
 		t.Fatalf("hook saw %d blocks, want 3", len(gotBlocks))
@@ -114,7 +111,7 @@ func TestEmitIndexedTopicAndGas(t *testing.T) {
 	if _, err := c.Deploy("emitter", emitter{}, 100); err != nil {
 		t.Fatal(err)
 	}
-	r, err := c.Submit(Transaction{From: alice, Contract: "emitter", Method: "e", Args: []byte{0xAB}, Nonce: 0})
+	r, err := produce(c, Transaction{From: alice, Contract: "emitter", Method: "e", Args: []byte{0xAB}, Nonce: 0})
 	if err != nil || r.Err != nil {
 		t.Fatal(err, r.Err)
 	}
@@ -123,7 +120,7 @@ func TestEmitIndexedTopicAndGas(t *testing.T) {
 		t.Fatalf("indexed topic not recorded: %+v", evs)
 	}
 	// An indexed emit charges one extra topic over a plain emit.
-	r2, err := c.Submit(Transaction{From: alice, Contract: "emitter", Method: "e", Args: nil, Nonce: 1})
+	r2, err := produce(c, Transaction{From: alice, Contract: "emitter", Method: "e", Args: nil, Nonce: 1})
 	if err != nil || r2.Err != nil {
 		t.Fatal(err, r2.Err)
 	}
@@ -133,30 +130,23 @@ func TestEmitIndexedTopicAndGas(t *testing.T) {
 }
 
 // eventsByName returns every event with the given name a contract emitted,
-// read from the receipts of every sealed block and then the pending set, in
-// commit order.
+// read from the receipts of every sealed block, in commit order.
 func (c *Chain) eventsByName(contract, name string) []Event {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var out []Event
-	appendFrom := func(h Hash) {
-		r, ok := c.receipts[h]
-		if !ok {
-			return
-		}
-		for _, ev := range r.Logs {
-			if ev.Contract == contract && ev.Name == name {
-				out = append(out, ev)
-			}
-		}
-	}
 	for _, b := range c.blocks {
 		for _, h := range b.TxHashes {
-			appendFrom(h)
+			r, ok := c.receipts[h]
+			if !ok {
+				continue
+			}
+			for _, ev := range r.Logs {
+				if ev.Contract == contract && ev.Name == name {
+					out = append(out, ev)
+				}
+			}
 		}
-	}
-	for _, h := range c.pending {
-		appendFrom(h)
 	}
 	return out
 }

@@ -20,7 +20,6 @@ import (
 
 // Errors returned by the persistence API.
 var (
-	ErrStatePending  = errors.New("chain: cannot export state with unsealed pending transactions")
 	ErrRestoreTarget = errors.New("chain: restore target must be a freshly deployed genesis chain")
 	ErrStateRoot     = errors.New("chain: restored state root does not match the checkpointed header")
 	ErrBadExport     = errors.New("chain: state export is internally inconsistent")
@@ -56,17 +55,11 @@ func (e *StateExport) Height() uint64 { return e.Blocks[len(e.Blocks)-1].Number 
 func (e *StateExport) StateRoot() Hash { return e.Blocks[len(e.Blocks)-1].StateRoot }
 
 // ExportState deep-copies the chain's durable state at the current head.
-// It refuses while executed-but-unsealed transactions are pending: their
-// effects are in the state but not under any header's state root, so a
-// snapshot taken now would not be self-verifying. The checkpoint scheduler
-// calls this from an OnSeal hook, where the pending set has just been
-// drained.
-func (c *Chain) ExportState() (*StateExport, error) {
+// Every transaction executes inside a block that seals it, so the state is
+// always the head's: its root is the head header's state root.
+func (c *Chain) ExportState() *StateExport {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.pending) != 0 {
-		return nil, fmt.Errorf("%w: %d", ErrStatePending, len(c.pending))
-	}
 	exp := &StateExport{
 		Blocks:   make([]Block, len(c.blocks)),
 		Bodies:   make(map[uint64]BlockData, len(c.blocks)),
@@ -102,7 +95,7 @@ func (c *Chain) ExportState() (*StateExport, error) {
 	for name, st := range c.storages {
 		exp.Storages[name] = cloneSlots(st.data)
 	}
-	return exp, nil
+	return exp
 }
 
 // cloneSlots deep-copies a contract's slot map.
@@ -117,7 +110,7 @@ func cloneSlots(data map[string][]byte) map[string][]byte {
 }
 
 // RestoreState installs an exported state onto a freshly deployed genesis
-// chain (contracts deployed, no blocks sealed, no transactions processed).
+// chain (contracts deployed, no blocks sealed).
 // The restore is self-verifying and atomic: headers must hash-link, bodies
 // must match their headers' transaction hashes, and the state root
 // recomputed over storages built aside must equal the export's
@@ -125,7 +118,7 @@ func cloneSlots(data map[string][]byte) map[string][]byte {
 // failure leaves the chain at its pre-restore genesis and corrupt state is
 // never half-loaded.
 //
-// Like SealBlock, every restored block is dispatched to the OnSeal hooks
+// Like ProduceBlock, every restored block is dispatched to the OnSeal hooks
 // in height order (with its receipts where retained), so indexers attached
 // before the restore rebuild their indexes consistently.
 func (c *Chain) RestoreState(exp *StateExport) error {
@@ -136,11 +129,10 @@ func (c *Chain) RestoreState(exp *StateExport) error {
 	defer c.sealMu.Unlock()
 
 	c.mu.Lock()
-	if len(c.blocks) != 1 || len(c.pending) != 0 || len(c.txs) != 0 {
-		height, pending, txs := len(c.blocks)-1, len(c.pending), len(c.txs)
+	if len(c.blocks) != 1 {
+		height := len(c.blocks) - 1
 		c.mu.Unlock()
-		return fmt.Errorf("%w: height %d, %d pending, %d txs",
-			ErrRestoreTarget, height, pending, txs)
+		return fmt.Errorf("%w: height %d", ErrRestoreTarget, height)
 	}
 	// Iterate sorted so the reported offender is deterministic (detreplay:
 	// an error that depends on map order diverges across replays).

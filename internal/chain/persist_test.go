@@ -14,22 +14,22 @@ func buildPersistChain(t *testing.T) (*Chain, Address, []Hash) {
 	deployCounter(t, c, AddressFromString("beneficiary"))
 	var hashes []Hash
 	nonce := uint64(0)
-	submit := func(method string) {
-		t.Helper()
-		r, err := c.Submit(Transaction{From: alice, Contract: "counter", Method: method, Nonce: nonce})
-		if err != nil {
-			t.Fatalf("submit %s: %v", method, err)
-		}
-		nonce++
-		hashes = append(hashes, r.TxHash)
-	}
 	for blk := 0; blk < 3; blk++ {
-		submit("inc")
-		submit("inc")
+		methods := []string{"inc", "inc"}
 		if blk == 1 {
-			submit("fail") // revert-carrying receipt must survive restore
+			methods = append(methods, "fail") // revert-carrying receipt must survive restore
 		}
-		c.SealBlock()
+		body := make([]Transaction, len(methods))
+		for i, method := range methods {
+			body[i] = Transaction{From: alice, Contract: "counter", Method: method, Nonce: nonce}
+			nonce++
+		}
+		for i, o := range c.ProduceBlock(body).Outcomes {
+			if o.Err != nil {
+				t.Fatalf("block %d tx %d: %v", blk, i, o.Err)
+			}
+			hashes = append(hashes, o.Receipt.TxHash)
+		}
 	}
 	return c, alice, hashes
 }
@@ -46,10 +46,7 @@ func freshGenesis(t *testing.T) *Chain {
 
 func TestExportRestoreRoundTrip(t *testing.T) {
 	src, alice, hashes := buildPersistChain(t)
-	exp, err := src.ExportState()
-	if err != nil {
-		t.Fatalf("ExportState: %v", err)
-	}
+	exp := src.ExportState()
 
 	dst := freshGenesis(t)
 	var hookBlocks []uint64
@@ -93,38 +90,20 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 		}
 	}
 	// The restored chain keeps working: same next nonce, can seal.
-	if _, err := dst.Submit(Transaction{From: alice, Contract: "counter", Method: "inc", Nonce: dst.NonceOf(alice)}); err != nil {
-		t.Fatalf("submit after restore: %v", err)
+	if _, err := produce(dst, Transaction{From: alice, Contract: "counter", Method: "inc", Nonce: dst.NonceOf(alice)}); err != nil {
+		t.Fatalf("produce after restore: %v", err)
 	}
-	b := dst.SealBlock()
+	b := dst.Head()
 	if b.Number != src.Height()+1 {
 		t.Fatalf("sealed block %d, want %d", b.Number, src.Height()+1)
 	}
 }
 
-func TestExportRefusesPending(t *testing.T) {
-	c, alice := newTestChain(t)
-	deployCounter(t, c, Address{})
-	if _, err := c.Submit(Transaction{From: alice, Contract: "counter", Method: "inc", Nonce: 0}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.ExportState(); !errors.Is(err, ErrStatePending) {
-		t.Fatalf("ExportState with pending = %v, want ErrStatePending", err)
-	}
-	c.SealBlock()
-	if _, err := c.ExportState(); err != nil {
-		t.Fatalf("ExportState after seal: %v", err)
-	}
-}
-
 func TestRestoreRefusesNonGenesisTarget(t *testing.T) {
 	src, _, _ := buildPersistChain(t)
-	exp, err := src.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp := src.ExportState()
 	dst := freshGenesis(t)
-	dst.SealBlock() // no longer fresh
+	dst.ProduceBlock(nil) // no longer fresh
 	if err := dst.RestoreState(exp); !errors.Is(err, ErrRestoreTarget) {
 		t.Fatalf("RestoreState onto sealed chain = %v, want ErrRestoreTarget", err)
 	}
@@ -132,10 +111,7 @@ func TestRestoreRefusesNonGenesisTarget(t *testing.T) {
 
 func TestRestoreRejectsTamperedStateAtomically(t *testing.T) {
 	src, alice, _ := buildPersistChain(t)
-	exp, err := src.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp := src.ExportState()
 	// Tamper with a storage slot: the recomputed root cannot match the
 	// checkpointed header.
 	for _, slots := range exp.Storages {
@@ -162,10 +138,10 @@ func TestRestoreRejectsTamperedStateAtomically(t *testing.T) {
 	if h := dst.Height(); h != 0 {
 		t.Fatalf("height after failed restore = %d, want 0", h)
 	}
-	if _, err := dst.Submit(Transaction{From: alice, Contract: "counter", Method: "inc", Nonce: 0}); err != nil {
-		t.Fatalf("submit after failed restore: %v", err)
+	if _, err := produce(dst, Transaction{From: alice, Contract: "counter", Method: "inc", Nonce: 0}); err != nil {
+		t.Fatalf("produce after failed restore: %v", err)
 	}
-	b := dst.SealBlock()
+	b := dst.Head()
 	if b.Number != 1 {
 		t.Fatalf("sealed block %d after failed restore", b.Number)
 	}
@@ -173,10 +149,7 @@ func TestRestoreRejectsTamperedStateAtomically(t *testing.T) {
 
 func TestRestoreRejectsBrokenHeaderChain(t *testing.T) {
 	src, _, _ := buildPersistChain(t)
-	exp, err := src.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp := src.ExportState()
 	exp.Blocks[2].Parent[0] ^= 0xff
 	if err := freshGenesis(t).RestoreState(exp); !errors.Is(err, ErrBadExport) {
 		t.Fatalf("RestoreState on broken links = %v, want ErrBadExport", err)
@@ -208,10 +181,7 @@ func TestPruneBodiesDropsOnlyOldBodies(t *testing.T) {
 	}
 
 	// A pruned chain still exports (partial bodies) and restores.
-	exp, err := c.ExportState()
-	if err != nil {
-		t.Fatalf("export after prune: %v", err)
-	}
+	exp := c.ExportState()
 	if _, ok := exp.Bodies[1]; ok {
 		t.Fatal("export carries pruned body")
 	}

@@ -9,7 +9,7 @@ import (
 // TestSlowSealHookCannotDeadlock is the regression test for the OnSeal
 // ordering contract: hooks dispatch under sealMu but with the state lock
 // released, so a slow hook that re-enters chain reads back-pressures
-// concurrent SealBlock/ImportBlock callers without ever deadlocking them,
+// concurrent ProduceBlock/ImportBlock callers without ever deadlocking them,
 // and every hook invocation still observes strictly increasing heights.
 func TestSlowSealHookCannotDeadlock(t *testing.T) {
 	// Producer pre-seals blocks with real transactions for the follower to
@@ -22,10 +22,7 @@ func TestSlowSealHookCannotDeadlock(t *testing.T) {
 	blocks := make([]Block, nBlocks)
 	bodies := make([][]Transaction, nBlocks)
 	for i := 0; i < nBlocks; i++ {
-		if _, err := producer.Submit(Transaction{From: alice, To: bob, Value: 1, Nonce: uint64(i)}); err != nil {
-			t.Fatal(err)
-		}
-		blocks[i] = producer.SealBlock()
+		blocks[i] = mustProduce(t, producer, Transaction{From: alice, To: bob, Value: 1, Nonce: uint64(i)})
 		body, ok := producer.BlockBody(blocks[i].Number)
 		if !ok {
 			t.Fatalf("missing body for block %d", blocks[i].Number)
@@ -66,7 +63,7 @@ func TestSlowSealHookCannotDeadlock(t *testing.T) {
 			imported++
 		}
 
-		// Phase 2: SealBlock and ImportBlock race on sealMu while the hook
+		// Phase 2: ProduceBlock and ImportBlock race on sealMu while the hook
 		// sleeps. The re-imports are expected to fail structurally (the
 		// head has moved past them) — the property under test is that
 		// every call RETURNS; none may wedge on a lock the hook holds.
@@ -75,7 +72,7 @@ func TestSlowSealHookCannotDeadlock(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 3; i++ {
-				f.SealBlock() // empty blocks, hooks still fire
+				f.ProduceBlock(nil) // empty blocks, hooks still fire
 			}
 		}()
 		go func() {

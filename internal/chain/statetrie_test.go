@@ -268,7 +268,6 @@ type chainImage struct {
 	Slots    map[string]map[string]string
 	Receipts int
 	Txs      int
-	Pending  int
 	Height   int
 }
 
@@ -280,7 +279,6 @@ func imageOf(c *Chain) chainImage {
 		Slots:    make(map[string]map[string]string),
 		Receipts: len(c.receipts),
 		Txs:      len(c.txs),
-		Pending:  len(c.pending),
 		Height:   len(c.blocks),
 	}
 	for a, acc := range c.accounts {
@@ -327,9 +325,8 @@ func TestStateRootDigestCacheMatchesFullWalk(t *testing.T) {
 					txs[i].Method = "drop"
 				}
 			}
-			leader.SubmitBatch(txs, 0)
+			b := leader.ProduceBlock(txs).Block
 			checkChainStores(t, stage+" leader", leader)
-			b := leader.SealBlock()
 			body, _ := leader.BlockBody(b.Number)
 
 			// The follower first sees a block that must be rejected — a
@@ -361,10 +358,7 @@ func TestStateRootDigestCacheMatchesFullWalk(t *testing.T) {
 			}
 
 			if round%8 == 7 {
-				exp, err := follower.ExportState()
-				if err != nil {
-					t.Fatal(err)
-				}
+				exp := follower.ExportState()
 				restored, _ := batchFixture(t, 0)
 				if err := restored.RestoreState(exp); err != nil {
 					t.Fatalf("%s: restore: %v", stage, err)
@@ -387,10 +381,7 @@ func TestStateRootStableWithoutMutation(t *testing.T) {
 	c, senders := batchFixture(t, 2)
 	buf := make([]byte, 8)
 	binary.BigEndian.PutUint64(buf, 3)
-	if _, err := c.Submit(Transaction{From: senders[0], Contract: "pa", Method: "set", Args: buf}); err != nil {
-		t.Fatal(err)
-	}
-	b := c.SealBlock()
+	b := mustProduce(t, c, Transaction{From: senders[0], Contract: "pa", Method: "set", Args: buf})
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	hashed := c.storages["pa"].trie.hashed

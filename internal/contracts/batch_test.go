@@ -160,10 +160,7 @@ func TestBlockProofCheckerMarksAndEvicts(t *testing.T) {
 		{From: sender(2), Contract: "verifier", Method: "verify", Args: VerifyArgs(breakProof(proofs[1]), publics[1])},
 		{From: sender(3), Contract: "verifier", Method: "verify", Args: VerifyArgs(proofs[2], publics[2])},
 	}
-	res, err := c.ProduceBlock(txs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := c.ProduceBlock(txs)
 	if len(res.Block.TxHashes) != 2 || res.ProofsVerified != 2 || res.ProofsEvicted != 1 || res.Block.Fold != 2 {
 		t.Fatalf("included %d, verified %d, evicted %d, fold %d; want 2, 2, 1, 2",
 			len(res.Block.TxHashes), res.ProofsVerified, res.ProofsEvicted, res.Block.Fold)
@@ -209,14 +206,14 @@ func TestBlockProofCheckerMarksAndEvicts(t *testing.T) {
 		t.Fatalf("chain with no block verifier accepted fold %d: %v", res.Block.Fold, err)
 	}
 
-	// The table belonged to that block: the same calldata submitted
-	// eagerly afterwards is verified alone, at the standalone price.
+	// The table belonged to that block: the same calldata alone in the next
+	// block is folded at width one, which costs a lone verification.
 	r := mustSucceed(t, call(t, c, sender(0), "verifier", "verify", 0, txs[0].Args))
 	if want := intrinsicGas(txs[0].Args) + VerificationGas(1); r.GasUsed != want {
-		t.Fatalf("eager replay gas %d, want standalone %d", r.GasUsed, want)
+		t.Fatalf("width-1 fold gas %d, want standalone %d", r.GasUsed, want)
 	}
-	if b := c.SealBlock(); b.Fold != 0 {
-		t.Fatalf("eagerly executed block sealed with fold %d", b.Fold)
+	if b := c.Head(); b.Fold != 1 {
+		t.Fatalf("block of one proof sealed with fold %d, want 1", b.Fold)
 	}
 }
 
@@ -255,7 +252,6 @@ func escrowFixture(t *testing.T, n int) (*chain.Chain, []chain.Transaction) {
 			Args: EncodeArgs(U64(id), kcB[:], ef.proofs[i].Bytes(), kcB[:], cB[:], hvB[:]),
 		}
 	}
-	c.SealBlock()
 	return c, settles
 }
 
@@ -294,18 +290,16 @@ var escrowProofSystem = sync.OnceValue(func() (out struct {
 // TestBlockProofCheckerEscrowSettle checks that escrow settlements join the
 // block's fold: the checker recognises the embedded verify calldata, the
 // settled exchange's inner verification runs at the amortised gas of the
-// fold the header records, and the saving against an eagerly executed
-// control is exactly the schedules' difference.
+// fold the header records, and the saving against a control alone in its
+// block (a fold of one, the standalone price) is exactly the schedules'
+// difference.
 func TestBlockProofCheckerEscrowSettle(t *testing.T) {
 	c, settles := escrowFixture(t, 3)
 
 	// Settles 1 and 2 are produced as one block (fold width 2, so the
-	// pairing gas is halved); settle 3 executes eagerly as the full-price
-	// control.
-	res, err := c.ProduceBlock(settles[:2])
-	if err != nil {
-		t.Fatal(err)
-	}
+	// pairing gas is halved); settle 3 alone in the next block is the
+	// full-price control.
+	res := c.ProduceBlock(settles[:2])
 	if len(res.Block.TxHashes) != 2 || res.ProofsVerified != 2 || res.Block.Fold != 2 {
 		t.Fatalf("included %d, verified %d, fold %d; want 2, 2, 2", len(res.Block.TxHashes), res.ProofsVerified, res.Block.Fold)
 	}
@@ -327,8 +321,8 @@ func TestBlockProofCheckerEscrowSettle(t *testing.T) {
 // verifier used to leave its consume-once mark behind on the verifier
 // object, and the next call with that calldata — in any later block, on
 // this node only — was then charged as if folded. The table is the
-// block's: the same calldata submitted eagerly in the next block is
-// verified alone and pays for it.
+// block's: the same calldata alone in the next block is folded at width
+// one and pays a lone verification.
 func TestProofMarksDoNotOutliveTheirBlock(t *testing.T) {
 	c, settles := escrowFixture(t, 1)
 	parts, err := DecodeArgsVariadic(settles[0].Args)
@@ -340,10 +334,7 @@ func TestProofMarksDoNotOutliveTheirBlock(t *testing.T) {
 	parts[0] = U64(99)
 	orphan := settles[0]
 	orphan.Args = EncodeArgs(parts...)
-	res, err := c.ProduceBlock([]chain.Transaction{orphan})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := c.ProduceBlock([]chain.Transaction{orphan})
 	if res.Block.Fold != 1 || res.Outcomes[0].Receipt == nil || res.Outcomes[0].Receipt.Err == nil {
 		t.Fatalf("fold %d, outcome %+v; want a folded, reverted settlement", res.Block.Fold, res.Outcomes[0])
 	}
@@ -370,10 +361,7 @@ func TestProofTableSharedByDuplicateCalldata(t *testing.T) {
 	for i, s := range senders {
 		txs[i] = chain.Transaction{From: s, Contract: "verifier", Method: "verify", Args: verifyArgs, Nonce: 0}
 	}
-	res, err := c.ProduceBlock(txs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := c.ProduceBlock(txs)
 	if len(res.Block.TxHashes) != 4 || res.Block.Fold != 4 {
 		t.Fatalf("included %d, fold %d; want 4, 4", len(res.Block.TxHashes), res.Block.Fold)
 	}
@@ -385,18 +373,11 @@ func TestProofTableSharedByDuplicateCalldata(t *testing.T) {
 			t.Fatalf("tx %d: gas %d, want folded %d", i, o.Receipt.GasUsed, want)
 		}
 	}
-	// The table went with the block: a fifth verify pays the full pairing
-	// cost.
-	extra := chain.Transaction{From: senders[0], Contract: "verifier", Method: "verify", Args: verifyArgs, Nonce: 1}
-	r, err := c.Submit(extra)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Err != nil {
-		t.Fatalf("unfolded verify failed: %v", r.Err)
-	}
+	// The table went with the block: a fifth verify, alone in the next
+	// block, pays the full pairing cost.
+	r := mustSucceed(t, call(t, c, senders[0], "verifier", "verify", 0, verifyArgs))
 	if want := intrinsicGas(verifyArgs) + VerificationGas(1); r.GasUsed != want {
-		t.Fatalf("unfolded verify gas %d, want standalone %d", r.GasUsed, want)
+		t.Fatalf("width-1 verify gas %d, want standalone %d", r.GasUsed, want)
 	}
 }
 
@@ -445,13 +426,13 @@ func TestImportRefusesFoldDisagreement(t *testing.T) {
 		{From: alice, Contract: "verifier", Method: "verify", Args: VerifyArgs(proofs[0], publics[0])},
 		{From: bob, Contract: "verifier", Method: "verify", Args: VerifyArgs(proofs[1], publics[1])},
 	}
-	folded, err := producer.ProduceBlock(proofTxs)
-	if err != nil || folded.Block.Fold != 2 {
-		t.Fatalf("produce: fold %d, %v", folded.Block.Fold, err)
+	folded := producer.ProduceBlock(proofTxs)
+	if folded.Block.Fold != 2 {
+		t.Fatalf("produce: fold %d", folded.Block.Fold)
 	}
-	plain, err := producer.ProduceBlock([]chain.Transaction{{From: alice, To: bob, Value: 5, Nonce: 1}})
-	if err != nil || plain.Block.Fold != 0 || len(plain.Block.TxHashes) != 1 {
-		t.Fatalf("produce plain: %+v, %v", plain, err)
+	plain := producer.ProduceBlock([]chain.Transaction{{From: alice, To: bob, Value: 5, Nonce: 1}})
+	if plain.Block.Fold != 0 || len(plain.Block.TxHashes) != 1 {
+		t.Fatalf("produce plain: %+v", plain)
 	}
 	foldedBody, _ := producer.BlockBody(folded.Block.Number)
 	plainBody, _ := producer.BlockBody(plain.Block.Number)
@@ -485,5 +466,29 @@ func TestImportRefusesFoldDisagreement(t *testing.T) {
 	}
 	if follower.HeadHash() != producer.HeadHash() {
 		t.Fatal("follower and producer heads differ")
+	}
+}
+
+// TestImportRefusesUnfoldedProofBlock: a proof-carrying block sealed by a
+// chain with no block verifier records Fold 0 — each proof verified alone,
+// in its call, as the removed one-transaction-at-a-time path sealed every
+// block. A checker-equipped importer folds the body, finds more than the
+// header claims, and refuses the block by type: a data directory holding
+// such a block stops there.
+func TestImportRefusesUnfoldedProofBlock(t *testing.T) {
+	ps := batchProofSystem()
+	proofs, publics := mintProofs(t, 1)
+	bare := chain.New()
+	if _, err := bare.Deploy("verifier", NewVerifier(ps.vk), VerifierCodeSize); err != nil {
+		t.Fatal(err)
+	}
+	p := bare.ProduceBlock([]chain.Transaction{{From: chain.AddressFromString("alice"), Contract: "verifier",
+		Method: "verify", Args: VerifyArgs(proofs[0], publics[0])}})
+	if r := p.Outcomes[0].Receipt; p.Block.Fold != 0 || r == nil || r.Err != nil {
+		t.Fatalf("unfolded block: fold %d, outcome %+v", p.Block.Fold, p.Outcomes[0])
+	}
+	body, _ := bare.BlockBody(p.Block.Number)
+	if _, err := proofChain(t, ps.vk).ImportBlock(p.Block, body); !errors.Is(err, chain.ErrBadBody) {
+		t.Fatalf("checker-equipped importer took a Fold-0 proof block: %v, want ErrBadBody", err)
 	}
 }

@@ -68,16 +68,17 @@ func marketplace(t *testing.T) (*chain.Chain, chain.Address, chain.Address) {
 	return c, alice, bob
 }
 
+// call produces a block of one contract call and returns its receipt.
 func call(t *testing.T, c *chain.Chain, from chain.Address, contract, method string, value uint64, args []byte) *chain.Receipt {
 	t.Helper()
-	r, err := c.Submit(chain.Transaction{
+	o := c.ProduceBlock([]chain.Transaction{{
 		From: from, Contract: contract, Method: method,
 		Args: args, Value: value, Nonce: c.NonceOf(from),
-	})
-	if err != nil {
-		t.Fatalf("%s.%s: %v", contract, method, err)
+	}}).Outcomes[0]
+	if o.Err != nil {
+		t.Fatalf("%s.%s: %v", contract, method, o.Err)
 	}
-	return r
+	return o.Receipt
 }
 
 func mustSucceed(t *testing.T, r *chain.Receipt) *chain.Receipt {
@@ -242,8 +243,8 @@ func TestClockAuction(t *testing.T) {
 	// Listing price declines over blocks.
 	r = mustSucceed(t, call(t, c, bob, AuctionName, "price", 0, EncodeArgs(U64(id))))
 	p0, _ := DecU64(r.Return)
-	c.SealBlock()
-	c.SealBlock()
+	c.ProduceBlock(nil)
+	c.ProduceBlock(nil)
 	r = mustSucceed(t, call(t, c, bob, AuctionName, "price", 0, EncodeArgs(U64(id))))
 	p1, _ := DecU64(r.Return)
 	if p1 >= p0 {
@@ -446,7 +447,7 @@ func TestEscrowRefund(t *testing.T) {
 	cc := parts[2]
 	mustSucceed(t, call(t, c, buyer, EscrowName, "open", 777, EncodeArgs(U64(9), seller[:], hv, cc)))
 	for i := 0; i < 12; i++ {
-		c.SealBlock()
+		c.ProduceBlock(nil)
 	}
 	before := c.BalanceOf(buyer)
 	mustSucceed(t, call(t, c, buyer, EscrowName, "refund", 0, EncodeArgs(U64(9))))
@@ -507,7 +508,7 @@ func TestAuctionPriceFloorAfterExpiry(t *testing.T) {
 	mustSucceed(t, call(t, c, alice, AuctionName, "create", 0,
 		EncodeArgs(U64(id), U64(1000), U64(100), U64(3))))
 	for i := 0; i < 10; i++ {
-		c.SealBlock()
+		c.ProduceBlock(nil)
 	}
 	r = mustSucceed(t, call(t, c, bob, AuctionName, "price", 0, EncodeArgs(U64(id))))
 	price, _ := DecU64(r.Return)

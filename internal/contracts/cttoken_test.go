@@ -315,7 +315,7 @@ func TestConfidentialEscrowRefund(t *testing.T) {
 		EncodeArgs(U64(2), U64(ids[0]), seller[:], parts[3], parts[2], U64(9))))
 
 	for i := 0; i < 12; i++ {
-		c.SealBlock()
+		c.ProduceBlock(nil)
 	}
 	mustSucceed(t, call(t, c, alice, ConfidentialTokenName, "refund", 0, EncodeArgs(U64(2))))
 

@@ -64,7 +64,7 @@ func TestExchangeStateMachine(t *testing.T) {
 	}
 	expire := func() {
 		for i := 0; i < 11; i++ {
-			c.SealBlock()
+			c.ProduceBlock(nil)
 		}
 	}
 	must := func(err error) {
@@ -192,7 +192,7 @@ func ctSettleFixture(t *testing.T) (*chain.Chain, *BlockProofChecker, chain.Tran
 	kc, cc, hv := ef.witness[0].Bytes(), ef.witness[1].Bytes(), ef.witness[2].Bytes()
 	mustSucceed(t, call(t, c, alice, ConfidentialTokenName, "lock", 0,
 		EncodeArgs(U64(1), U64(ids[0]), bob[:], hv[:], cc[:], U64(7))))
-	c.SealBlock()
+	c.ProduceBlock(nil)
 	return c, bc, chain.Transaction{From: bob, Contract: ConfidentialTokenName, Method: "settle",
 		Args: EncodeArgs(U64(1), kc[:], ef.proofs[0].Bytes(), kc[:], cc[:], hv[:])}
 }
@@ -216,10 +216,7 @@ func TestBlockProofCheckerConfidentialSettle(t *testing.T) {
 	if n != 1 || !errors.Is(errs[0], ErrProofRejected) || errs[1] != nil {
 		t.Fatalf("gossip screen: %d verified, errs %v; want 1 and the forged π_k rejected", n, errs)
 	}
-	res, err := c.ProduceBlock([]chain.Transaction{forged})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := c.ProduceBlock([]chain.Transaction{forged})
 	if res.ProofsEvicted != 1 || len(res.Block.TxHashes) != 0 || !errors.Is(res.Outcomes[0].Err, ErrProofRejected) {
 		t.Fatalf("forged settle: evicted %d, %d txs sealed, outcome %+v", res.ProofsEvicted, len(res.Block.TxHashes), res.Outcomes[0])
 	}
@@ -228,10 +225,7 @@ func TestBlockProofCheckerConfidentialSettle(t *testing.T) {
 	if errs[0] != nil || marks.Txs != 1 || marks.Items != 1 || marks.Width[chain.ProofKey("pik-verifier", EncodeArgs(parts[2:]...))] != 1 {
 		t.Fatalf("valid settle: marks %+v, errs %v; want its π_k in the table at width 1", marks, errs)
 	}
-	res, err = c.ProduceBlock([]chain.Transaction{valid})
-	if err != nil {
-		t.Fatal(err)
-	}
+	res = c.ProduceBlock([]chain.Transaction{valid})
 	folded := res.Outcomes[0].Receipt
 	if res.Block.Fold != 1 || res.ProofsVerified != 1 || folded == nil || folded.Err != nil {
 		t.Fatalf("valid settle: fold %d, verified %d, outcome %+v", res.Block.Fold, res.ProofsVerified, res.Outcomes[0])

@@ -166,7 +166,7 @@ func TestAuditRefusesKindMismatch(t *testing.T) {
 		if tx.Method == "duplicate" {
 			tx.Method = "process"
 		}
-		return m.submitAndSeal(tx)
+		return m.produceOne(tx)
 	}
 	res, err := m.Duplicate(alice, "alice", root)
 	if err != nil {

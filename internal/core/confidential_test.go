@@ -195,7 +195,6 @@ func TestIndexerConfidentialFold(t *testing.T) {
 	if _, err := m.SellConfidential(1, alice, bob, asset, RangePredicate{Bits: 16}, minted[1]); err != nil {
 		t.Fatal(err)
 	}
-	m.Chain.SealBlock()
 
 	var secrets [][]byte
 	for _, n := range append(minted, split...) {

@@ -430,19 +430,37 @@ func TestExchangeBuyerFairness(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	before := m.Chain.BalanceOf(sellerAddr)
+	before, nonce := m.Chain.BalanceOf(sellerAddr), m.Chain.NonceOf(sellerAddr)
 	// Malicious seller submits a k_c different from the proven one: the
-	// arbiter must not pay (Theorem 5.2 buyer fairness).
+	// arbiter must not pay (Theorem 5.2 buyer fairness). π_k does not verify
+	// for the statement the calldata names, so the block's proof fold evicts
+	// the settlement before it executes — no receipt, no gas, no nonce bump —
+	// as it does on a node.
 	badSt := st
 	badSt.KC = fr.NewElement(999)
 	if err := settleEscrow(m, sellerAddr, 1, badSt, piK); !errors.Is(err, contracts.ErrProofRejected) {
 		t.Fatalf("arbiter paid for a forged kc: %v", err)
 	}
-	// Mismatched hv in the statement is rejected before verification.
+	// So is a statement whose hv is not the one π_k was made for.
 	badSt2 := st
 	badSt2.HV = fr.NewElement(1)
-	if err := settleEscrow(m, sellerAddr, 1, badSt2, piK); !errors.Is(err, contracts.ErrBadArgs) {
+	if err := settleEscrow(m, sellerAddr, 1, badSt2, piK); !errors.Is(err, contracts.ErrProofRejected) {
 		t.Fatalf("arbiter accepted mismatched hv: %v", err)
+	}
+	if got := m.Chain.NonceOf(sellerAddr); got != nonce {
+		t.Fatalf("evicted settlements moved the seller's nonce %d → %d", nonce, got)
+	}
+	// Exchange 1's valid (kc, c, hv, π_k) aimed at exchange 2 passes the
+	// fold and reaches the escrow, whose own public-input check refuses it:
+	// a reverted receipt that spends the nonce.
+	if err := openEscrow(m, buyerAddr, sellerAddr, 2, 500, fr.NewElement(77), listing.KeyCommitment); err != nil {
+		t.Fatal(err)
+	}
+	if err := settleEscrow(m, sellerAddr, 2, st, piK); !errors.Is(err, contracts.ErrBadArgs) {
+		t.Fatalf("exchange 2 settled with exchange 1's statement: %v", err)
+	}
+	if got := m.Chain.NonceOf(sellerAddr); got != nonce+1 {
+		t.Fatalf("reverted settlement left the seller's nonce at %d, want %d", got, nonce+1)
 	}
 	if got := m.Chain.BalanceOf(sellerAddr); got != before {
 		t.Fatalf("seller balance moved by refused settlements: %d → %d", before, got)
@@ -463,7 +481,7 @@ func TestExchangeRefundPath(t *testing.T) {
 	}
 	// The marketplace's escrow refunds 100 blocks after the open.
 	for i := 0; i <= 100; i++ {
-		m.Chain.SealBlock()
+		m.Chain.ProduceBlock(nil)
 	}
 	before := m.Chain.BalanceOf(buyerAddr)
 	if err := refundEscrow(m, buyerAddr, 1); err != nil {

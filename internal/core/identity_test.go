@@ -45,7 +45,7 @@ func TestPublicPathIdenticalWithConfidentialEnabled(t *testing.T) {
 	run := func(m *Marketplace) []*chain.Receipt {
 		var rs []*chain.Receipt
 		sub := func(from chain.Address, contract, method string, args []byte) {
-			r, err := m.Chain.Submit(chain.Transaction{
+			r, err := m.produceOne(chain.Transaction{
 				From: from, Contract: contract, Method: method,
 				Args: args, Nonce: m.Chain.NonceOf(from),
 			})

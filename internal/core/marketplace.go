@@ -27,7 +27,7 @@ type Marketplace struct {
 
 	// Submitter, when set, routes marketplace transactions through an
 	// external admission path — a cluster node's mempool + gossip — instead
-	// of submitAndSeal on the local chain. It must block until the
+	// of produceOne on the local chain. It must block until the
 	// transaction is included and return its receipt. The transaction's
 	// Nonce is advisory (taken from the local chain); cluster submitters
 	// typically reassign it atomically at admission.
@@ -136,7 +136,7 @@ func (m *Marketplace) submit(from chain.Address, contract, method string, value 
 	}
 	submit := m.Submitter
 	if submit == nil {
-		submit = m.submitAndSeal
+		submit = m.produceOne
 	}
 	r, err := submit(tx)
 	if err != nil {
@@ -148,15 +148,14 @@ func (m *Marketplace) submit(from chain.Address, contract, method string, value 
 	return r, nil
 }
 
-// submitAndSeal is the default submitter: the transaction executes and seals
-// as a block of its own (Fold zero: the receipt eager execution charged), so
-// the indexer has folded it before the caller sees the receipt.
-func (m *Marketplace) submitAndSeal(tx chain.Transaction) (*chain.Receipt, error) {
-	r, err := m.Chain.Submit(tx)
-	if err == nil {
-		m.Chain.SealBlock()
-	}
-	return r, err
+// produceOne is the default submitter: the transaction is produced as a
+// block of its own, synchronously — its proofs folded at width one, which
+// costs what a lone verification does — so the indexer has folded it before
+// the caller sees the receipt. A transaction the fold evicts returns the
+// fold's error and leaves no trace.
+func (m *Marketplace) produceOne(tx chain.Transaction) (*chain.Receipt, error) {
+	o := m.Chain.ProduceBlock([]chain.Transaction{tx}).Outcomes[0]
+	return o.Receipt, o.Err
 }
 
 // publish encrypts a dataset under key, proves its π_e and stores the

@@ -133,7 +133,6 @@ func TestMarketplaceTransformationsAndTrace(t *testing.T) {
 	}
 
 	// The chain's hash links stay intact through all of it.
-	m.Chain.SealBlock()
 	if err := m.Chain.VerifyIntegrity(); err != nil {
 		t.Fatal(err)
 	}

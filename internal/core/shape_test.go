@@ -143,7 +143,7 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		m.Chain.Faucet(bob, 1_000_000)
 		var settled uint64
 		m.Submitter = func(tx chain.Transaction) (*chain.Receipt, error) {
-			r, err := m.Chain.Submit(tx)
+			r, err := m.produceOne(tx)
 			if err == nil && r.Err == nil && tx.Contract == contracts.EscrowName && tx.Method == "settle" {
 				settled = r.GasUsed
 				// args: exchange id, k_c, π_k, then the three public inputs.

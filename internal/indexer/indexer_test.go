@@ -121,10 +121,11 @@ func chainFixture(t *testing.T) (*chain.Chain, *Indexer, chain.Address, []uint64
 	nonce := uint64(0)
 	call := func(method string, args []byte) []byte {
 		t.Helper()
-		r, err := c.Submit(chain.Transaction{From: alice, Contract: contracts.DataNFTName, Method: method, Args: args, Nonce: nonce})
-		if err != nil {
-			t.Fatalf("%s: %v", method, err)
+		o := c.ProduceBlock([]chain.Transaction{{From: alice, Contract: contracts.DataNFTName, Method: method, Args: args, Nonce: nonce}}).Outcomes[0]
+		if o.Err != nil {
+			t.Fatalf("%s: %v", method, o.Err)
 		}
+		r := o.Receipt
 		if r.Err != nil {
 			t.Fatalf("%s reverted: %v", method, r.Err)
 		}
@@ -147,7 +148,6 @@ func chainFixture(t *testing.T) (*chain.Chain, *Indexer, chain.Address, []uint64
 	bob := chain.AddressFromString("bob")
 	call("transfer", contracts.EncodeArgs(contracts.U64(agg), bob[:]))
 	call("burn", contracts.EncodeArgs(contracts.U64(b)))
-	c.SealBlock()
 	return c, ix, bob, []uint64{a, b, dup, agg}
 }
 

@@ -17,6 +17,28 @@ func testPool(t *testing.T, cfg Config) (*mempool, *chain.Chain) {
 	return newMempool(cfg, c), c
 }
 
+// mustProduce seals txs as one block and fails the test unless every one of
+// them made it in.
+func mustProduce(t *testing.T, c *chain.Chain, txs ...chain.Transaction) chain.Block {
+	t.Helper()
+	p := c.ProduceBlock(txs)
+	for i, o := range p.Outcomes {
+		if o.Err != nil {
+			t.Fatalf("tx %d: %v", i, o.Err)
+		}
+	}
+	return p.Block
+}
+
+// bodyOf is the transactions of a popped batch.
+func bodyOf(batch []*poolTx) []chain.Transaction {
+	txs := make([]chain.Transaction, len(batch))
+	for i, ptx := range batch {
+		txs[i] = ptx.tx
+	}
+	return txs
+}
+
 func fund(c *chain.Chain, label string, amount uint64) chain.Address {
 	a := chain.AddressFromString(label)
 	c.Faucet(a, amount)
@@ -29,9 +51,7 @@ func TestAdmissionNonceChecks(t *testing.T) {
 
 	// Consume nonce 0 on chain directly.
 	bob := fund(c, "bob", 1000)
-	if _, err := c.Submit(chain.Transaction{From: alice, To: bob, Value: 1, Nonce: 0}); err != nil {
-		t.Fatal(err)
-	}
+	mustProduce(t, c, chain.Transaction{From: alice, To: bob, Value: 1, Nonce: 0})
 
 	if _, err := p.add(chain.Transaction{From: alice, Nonce: 0}, false, false); !errors.Is(err, ErrNonceTooLow) {
 		t.Fatalf("nonce 0: %v, want ErrNonceTooLow", err)
@@ -172,12 +192,13 @@ func TestParallelProducersAndSubmitters(t *testing.T) {
 						continue
 					}
 				}
-				for _, ptx := range batch {
-					r, err := c.Submit(ptx.tx)
-					if err != nil {
-						t.Errorf("submit: %v", err)
+				res := c.ProduceBlock(bodyOf(batch))
+				for i, ptx := range batch {
+					o := res.Outcomes[i]
+					if o.Err != nil {
+						t.Errorf("produce: %v", o.Err)
 					}
-					ptx.finish(TxResult{Receipt: r, Err: err})
+					ptx.finish(TxResult{Receipt: o.Receipt, Err: o.Err})
 				}
 				p.markDone(batch)
 				mu.Lock()
@@ -266,11 +287,7 @@ func TestNonceGapRefill(t *testing.T) {
 	if len(batch) != 2 || batch[0].tx.Nonce != 0 || batch[1].tx.Nonce != 1 {
 		t.Fatalf("pop across gap returned %d txs, want the [0 1] run", len(batch))
 	}
-	for _, ptx := range batch {
-		if _, err := c.Submit(ptx.tx); err != nil {
-			t.Fatal(err)
-		}
-	}
+	mustProduce(t, c, bodyOf(batch)...)
 	p.markDone(batch)
 
 	// Still gapped: nothing executable, and the pool still holds 3 and 4.
@@ -293,10 +310,8 @@ func TestNonceGapRefill(t *testing.T) {
 		if want := uint64(2 + i); ptx.tx.Nonce != want {
 			t.Fatalf("refilled run position %d has nonce %d, want %d", i, ptx.tx.Nonce, want)
 		}
-		if _, err := c.Submit(ptx.tx); err != nil {
-			t.Fatal(err)
-		}
 	}
+	mustProduce(t, c, bodyOf(batch)...)
 	p.markDone(batch)
 	if got := p.Len(); got != 0 {
 		t.Fatalf("pool not empty after refill drain: %d", got)
@@ -346,12 +361,7 @@ func TestImportedBlockReplacesPooledNonce(t *testing.T) {
 		{From: alice, To: bob, Value: 1, Nonce: 1},
 		includedTx,
 	}
-	for _, tx := range remoteTxs {
-		if _, err := producer.Submit(tx); err != nil {
-			t.Fatal(err)
-		}
-	}
-	block := producer.SealBlock()
+	block := mustProduce(t, producer, remoteTxs...)
 	// Import the normalized (gas-default applied) body so tx hashes match
 	// the header, exactly as a syncing peer would receive it.
 	body, ok := producer.BlockBody(block.Number)

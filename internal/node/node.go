@@ -8,7 +8,6 @@ package node
 
 import (
 	"context"
-	"errors"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -141,8 +140,9 @@ func New(c *chain.Chain, cfg Config) *Node {
 		kick:  make(chan struct{}, 1),
 		quit:  make(chan struct{}),
 	}
-	// The bus republishes every sealed block — whether this node's
-	// producer sealed it or someone called chain.SealBlock directly.
+	// The bus republishes every block the chain seals or imports — whether
+	// this node's producer, an importer or another caller of the chain put
+	// it there.
 	c.OnSeal(n.bus.publish)
 	if cfg.SealVerifier != nil {
 		c.SetBlockVerifier(cfg.SealVerifier)
@@ -260,20 +260,8 @@ func (n *Node) produce() (chain.Block, int) {
 	for i, ptx := range batch {
 		txs[i] = ptx.tx
 	}
-	res, err := n.chain.ProduceBlock(txs)
-	if errors.Is(err, chain.ErrPendingTxs) {
-		// Someone executed eagerly on this chain (chain.Submit beside the
-		// producer): seal their work as its own block, then ours.
-		n.chain.SealBlock()
-		res, err = n.chain.ProduceBlock(txs)
-	}
+	res := n.chain.ProduceBlock(txs)
 	n.pool.markDone(batch)
-	if err != nil {
-		for _, ptx := range batch {
-			ptx.finish(TxResult{Err: err})
-		}
-		return chain.Block{}, len(batch)
-	}
 	now := time.Now()
 	n.mu.Lock()
 	if res.Block.Number != 0 {

@@ -129,14 +129,16 @@ func TestClusterAgreesOnFoldedGas(t *testing.T) {
 	if len(b.TxHashes) != 2 || b.Fold != 2 {
 		t.Fatalf("settlement block holds %d transactions at fold %d, want 2 and 2", len(b.TxHashes), b.Fold)
 	}
-	// The same four transactions executed eagerly, one by one, on a
-	// reference chain: each settlement verifies alone there.
+	// The same four transactions, each a block of its own, on a reference
+	// chain: each settlement folds at width one there, the price of a lone
+	// verification.
 	ref, _ := foldGenesis(t, sys)
 	want := make(map[chain.Hash]uint64)
 	for _, tx := range append(append([]chain.Transaction{}, opens...), settles...) {
-		r, err := ref.Submit(tx)
-		if err != nil || r.Err != nil {
-			t.Fatalf("reference %s: %v %+v", tx.Method, err, r)
+		o := ref.ProduceBlock([]chain.Transaction{tx}).Outcomes[0]
+		r := o.Receipt
+		if o.Err != nil || r.Err != nil {
+			t.Fatalf("reference %s: %v %+v", tx.Method, o.Err, r)
 		}
 		if tx.Method == "settle" {
 			want[r.TxHash] = r.GasUsed - contracts.VerificationGas(3) + contracts.BatchVerifiedGas(int(b.Fold), 3)

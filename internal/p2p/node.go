@@ -157,7 +157,8 @@ type NetStats struct {
 // transactions, serves data, and routes responses to waiting channels).
 // Anything that awaits a response — sync, NetStore fetches — runs on its
 // own goroutine. chainMu serializes this node's seal and import paths so
-// the chain's pending-transaction invariant holds.
+// the leader check and the seal it licenses see the same head: no import
+// can slip a block in between and make this node seal out of turn.
 type Node struct {
 	cfg     Config
 	inner   *node.Node

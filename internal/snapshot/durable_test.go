@@ -92,40 +92,30 @@ func openNode(t *testing.T, dir string, opts Options) (*node, *RecoveryReport) {
 	return &node{c: c, d: d, bs: bs}, rep
 }
 
-// seal submits one inc and seals a block, returning the tx hash.
-func (n *node) seal(t *testing.T) chain.Hash {
+// seal produces a block of one call of method, returning the tx hash.
+func (n *node) seal(t *testing.T, method string) chain.Hash {
 	t.Helper()
-	r, err := n.c.Submit(chain.Transaction{
-		From: testAlice, Contract: "counter", Method: "inc", Nonce: n.c.NonceOf(testAlice),
-	})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
+	o := n.c.ProduceBlock([]chain.Transaction{{
+		From: testAlice, Contract: "counter", Method: method, Nonce: n.c.NonceOf(testAlice),
+	}}).Outcomes[0]
+	if o.Err != nil {
+		t.Fatalf("produce: %v", o.Err)
 	}
-	n.c.SealBlock()
-	return r.TxHash
+	return o.Receipt.TxHash
 }
 
 func TestCodecRoundTrip(t *testing.T) {
 	n, _ := openNode(t, t.TempDir(), Options{})
 	defer n.d.Close()
 	for i := 0; i < 3; i++ {
-		n.seal(t)
+		n.seal(t, "inc")
 	}
-	// A reverted tx exercises the error-string flattening.
-	if _, err := n.c.Submit(chain.Transaction{
-		From: testAlice, Contract: "counter", Method: "fail", Nonce: n.c.NonceOf(testAlice),
-	}); err != nil {
-		t.Fatal(err)
-	}
-	n.c.SealBlock()
+	n.seal(t, "fail") // a reverted tx exercises the error-string flattening
 	if _, err := n.bs.Put("alice", []byte("dataset-1")); err != nil {
 		t.Fatal(err)
 	}
 
-	exp, err := n.c.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp := n.c.ExportState()
 	data := Encode(&Snapshot{Manifest: Manifest{Role: Full}, State: exp, Blobs: n.bs.Local().Export()})
 	// Deterministic: encoding the same state twice is byte-identical.
 	if data2 := Encode(&Snapshot{Manifest: Manifest{Role: Full}, State: exp, Blobs: n.bs.Local().Export()}); string(data) != string(data2) {
@@ -162,16 +152,13 @@ func TestCodecRoundTrip(t *testing.T) {
 // decoded in full and failed at the state-root check.
 func TestDecodeRefusesOldVersion(t *testing.T) {
 	c := genesis(t)
-	c.SealBlock()
-	exp, err := c.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	c.ProduceBlock(nil)
+	exp := c.ExportState()
 	for _, old := range []uint32{1, 2} {
 		data := Encode(&Snapshot{State: exp})
 		binary.LittleEndian.PutUint32(data[len(snapMagic):], old)
 		binary.LittleEndian.PutUint32(data[len(data)-4:], crc32.Checksum(data[:len(data)-4], crcTable))
-		_, err = Decode(data)
+		_, err := Decode(data)
 		if want := fmt.Sprintf("unsupported version %d", old); !errors.Is(err, ErrBadSnapshot) || !strings.Contains(err.Error(), want) {
 			t.Fatalf("Decode of a version-%d snapshot = %v, want ErrBadSnapshot: %s", old, err, want)
 		}
@@ -186,7 +173,7 @@ func TestCrashRecoverFromWALOnly(t *testing.T) {
 	}
 	var hashes []chain.Hash
 	for i := 0; i < 5; i++ {
-		hashes = append(hashes, n.seal(t))
+		hashes = append(hashes, n.seal(t, "inc"))
 	}
 	uri, err := n.bs.Put("alice", []byte("durable-blob"))
 	if err != nil {
@@ -216,7 +203,7 @@ func TestCrashRecoverFromWALOnly(t *testing.T) {
 		t.Fatalf("blob after recovery: %q, %v", got, err)
 	}
 	// The recovered node keeps sealing on top.
-	n2.seal(t)
+	n2.seal(t, "inc")
 	if n2.c.Height() != 6 {
 		t.Fatalf("height after post-recovery seal = %d", n2.c.Height())
 	}
@@ -226,7 +213,7 @@ func TestCheckpointThenCrashReplaysOnlyTail(t *testing.T) {
 	dir := t.TempDir()
 	n, _ := openNode(t, dir, Options{CheckpointEvery: 4})
 	for i := 0; i < 10; i++ {
-		n.seal(t)
+		n.seal(t, "inc")
 	}
 	n.d.checkpointWG.Wait() // let background checkpoints land
 	if cp := n.d.LastCheckpoint(); cp < 4 {
@@ -259,13 +246,13 @@ func TestRecoverFallsBackWhenNewestSnapshotCorrupt(t *testing.T) {
 	// attempts, which would make file counts racy).
 	n, _ := openNode(t, dir, Options{CheckpointEvery: 1 << 20})
 	for i := 0; i < 4; i++ {
-		n.seal(t)
+		n.seal(t, "inc")
 	}
 	if err := n.d.Checkpoint(); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
-		n.seal(t)
+		n.seal(t, "inc")
 	}
 	if err := n.d.Checkpoint(); err != nil {
 		t.Fatal(err)
@@ -305,7 +292,7 @@ func TestFullRolePrunesBodiesButRecoversHead(t *testing.T) {
 	n, _ := openNode(t, dir, Options{Role: Full, CheckpointEvery: 4})
 	var hashes []chain.Hash
 	for i := 0; i < 9; i++ {
-		hashes = append(hashes, n.seal(t))
+		hashes = append(hashes, n.seal(t, "inc"))
 	}
 	n.d.checkpointWG.Wait()
 	if n.d.Stats().PrunedTxs == 0 {
@@ -337,7 +324,7 @@ func TestRecoverFailsOnWrongGenesis(t *testing.T) {
 	dir := t.TempDir()
 	n, _ := openNode(t, dir, Options{CheckpointEvery: 2})
 	for i := 0; i < 4; i++ {
-		n.seal(t)
+		n.seal(t, "inc")
 	}
 	n.d.checkpointWG.Wait()
 	n.d.Crash()
@@ -376,7 +363,7 @@ func TestWALPruningRetainsFallbackCoverage(t *testing.T) {
 	dir := t.TempDir()
 	n, _ := openNode(t, dir, Options{CheckpointEvery: 1 << 20, WAL: wal.Options{SegmentBytes: 1 << 10}})
 	for i := 0; i < 20; i++ {
-		n.seal(t)
+		n.seal(t, "inc")
 		if i%5 == 4 {
 			if err := n.d.Checkpoint(); err != nil {
 				t.Fatal(err)
@@ -413,12 +400,9 @@ func TestSnapshotCorruptionProperty(t *testing.T) {
 	n, _ := openNode(t, t.TempDir(), Options{})
 	defer n.d.Close()
 	for i := 0; i < 4; i++ {
-		n.seal(t)
+		n.seal(t, "inc")
 	}
-	exp, err := n.c.ExportState()
-	if err != nil {
-		t.Fatal(err)
-	}
+	exp := n.c.ExportState()
 	clean := Encode(&Snapshot{State: exp, Blobs: nil})
 	wantHead := n.c.HeadHash()
 
@@ -466,11 +450,8 @@ func FuzzSnapshotDecode(f *testing.F) {
 	if _, err := c.Deploy("counter", counter{}, 100); err != nil {
 		f.Fatal(err)
 	}
-	c.SealBlock()
-	exp, err := c.ExportState()
-	if err != nil {
-		f.Fatal(err)
-	}
+	c.ProduceBlock(nil)
+	exp := c.ExportState()
 	f.Add(Encode(&Snapshot{State: exp}))
 	f.Add([]byte(snapMagic))
 	f.Add([]byte{})
