@@ -31,11 +31,11 @@ build:
 	$(GO) build ./...
 
 # lint first fails if gofmt would reformat any file (the nested benchmark
-# module included). zkdet-lint is the repo-specific analyzer suite
+# module included). zkdet-lint is the repo-specific suite of eight analyzers
 # (cryptocompare, errcompare, secretscope, gaspurity, lockguard, panicfree,
-# detreplay), stdlib-only, defined in cmd/zkdet-lint. Non-zero exit on any
-# finding; suppressions require a written justification (see DESIGN.md §9,
-# §16).
+# detreplay, testonly), stdlib-only, defined in cmd/zkdet-lint. Non-zero exit
+# on any finding; suppressions require a written justification (see
+# DESIGN.md §9, §16).
 lint:
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then \
 		echo "gofmt -l: these files need gofmt -w:"; echo "$$unformatted"; exit 1; fi
@@ -99,32 +99,24 @@ bench-module:
 race:
 	$(GO) test -race -timeout=30m $(RACE_PKGS)
 
-# Native Go fuzzing, smoke-length: 10s per target over the byte-level
-# attack surfaces (field-element decoding, transcript challenge
-# derivation, the FFT on a random size of either family (2^k, 3·2^k)
-# against Horner, the MSM bucket kernel on colliding points — its buckets
-# filled by batch-affine rounds and by XYZZ mixed additions alone, against
-# the naive sum and each other — and the
-# state-trie op stream against its from-scratch rebuild, and zkdet-node's
-# JSON-RPC request bodies against one in-process daemon) and
-# the three field-multiplication kernels against big.Int (skipped, saying
-# so, on a host without ADX). CI runs this; `go test -fuzz` with a longer
-# -fuzztime digs deeper locally.
+# Native Go fuzzing, smoke-length: every `func Fuzz*` target of the
+# module's _test.go files (testdata, hidden directories and the nested
+# benchmark module aside) runs for 10s, so a new target is smoke-tested with
+# no edit here. They cover the byte-level attack surfaces: field-element
+# decoding, transcript challenge derivation, the FFT against Horner, the MSM
+# bucket kernel on colliding points, the state-trie op stream, WAL and
+# snapshot decoding, proof and π_ct decoding, zkdet-node's JSON-RPC request
+# bodies, and the three field-multiplication kernels against big.Int
+# (FuzzFieldMul skips, saying so, on a host without ADX). CI runs this;
+# `go test -fuzz` with a longer -fuzztime digs deeper locally.
 fuzz-smoke:
-	$(GO) test -run='^$$' -fuzz='^FuzzFieldMul$$' -fuzztime=10s ./internal/ff/
-	$(GO) test -run='^$$' -fuzz='^FuzzFromBytesRoundTrip$$' -fuzztime=10s ./internal/fr/
-	$(GO) test -run='^$$' -fuzz='^FuzzSetBytesCanonical$$' -fuzztime=10s ./internal/fr/
-	$(GO) test -run='^$$' -fuzz='^FuzzTranscriptChallenge$$' -fuzztime=10s ./internal/transcript/
-	$(GO) test -run='^$$' -fuzz='^FuzzFFT$$' -fuzztime=10s ./internal/poly/
-	$(GO) test -run='^$$' -fuzz='^FuzzG1MSM$$' -fuzztime=10s ./internal/bn254/
-	$(GO) test -run='^$$' -fuzz='^FuzzTornReplay$$' -fuzztime=10s ./internal/wal/
-	$(GO) test -run='^$$' -fuzz='^FuzzSnapshotDecode$$' -fuzztime=10s ./internal/snapshot/
-	$(GO) test -run='^$$' -fuzz='^FuzzProofFromBytes$$' -fuzztime=10s ./internal/plonk/
-	$(GO) test -run='^$$' -fuzz='^FuzzLogUpWitness$$' -fuzztime=10s ./internal/plonk/
-	$(GO) test -run='^$$' -fuzz='^FuzzCommitmentDecode$$' -fuzztime=10s ./internal/ct/
-	$(GO) test -run='^$$' -fuzz='^FuzzCTProofDecode$$' -fuzztime=10s ./internal/ct/
-	$(GO) test -run='^$$' -fuzz='^FuzzStateTrieOps$$' -fuzztime=10s ./internal/chain/
-	$(GO) test -run='^$$' -fuzz='^FuzzGatewayRequest$$' -fuzztime=10s ./cmd/zkdet-node/
+	@find . \( -path './.*' -o -name testdata -o -path ./benchmark \) -prune -o -name '*_test.go' -print | sort | \
+	while read -r file; do \
+		for target in $$(sed -n 's/^func \(Fuzz[A-Za-z0-9_]*\)(.*/\1/p' "$$file"); do \
+			echo "fuzz-smoke: $$target in $$(dirname "$$file")"; \
+			$(GO) test -run='^$$' -fuzz="^$$target\$$" -fuzztime=10s "$$(dirname "$$file")/" || exit 1; \
+		done; \
+	done
 
 # Package-level prover-stack benchmarks (the field multiplication as
 # latency, throughput and per kernel; Domain.FFT and G1MSM at 2^9..2^16 with
@@ -153,7 +145,7 @@ bench-p2p:
 		./internal/bench/
 
 # Execution-layer benchmark: sealed tx/s of the journaled executor at
-# 100/1k/10k clients on a DataNFT transfer workload, then SealBlock and
+# 100/1k/10k clients on a DataNFT transfer workload, then ProduceBlock and
 # ImportBlock of one 256-tx block on a DataNFT store pre-filled to
 # 1k/10k/100k slots (ns/op flat across sizes is the commitment's O(block)
 # claim); see EXPERIMENTS.md §Execution layer for recorded numbers.

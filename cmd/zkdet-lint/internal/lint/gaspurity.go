@@ -29,7 +29,6 @@ var meteredOps = []struct{ typeName, method string }{
 	{"Storage", "Set"},
 	{"Storage", "Delete"},
 	{"GasMeter", "Charge"},
-	{"CallContext", "Emit"},
 	{"CallContext", "EmitIndexed"},
 }
 

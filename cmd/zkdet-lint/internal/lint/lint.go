@@ -4,8 +4,9 @@
 //
 // It mirrors the shape of golang.org/x/tools/go/analysis at a fraction of
 // the surface: an Analyzer is a named Run function over a type-checked
-// package; the driver loads packages, fans analyzers out in parallel, and
-// renders "file:line: analyzer: message" diagnostics.
+// package, which may also read the whole module's packages; the driver
+// loads packages, fans analyzers out in parallel, and renders
+// "file:line: analyzer: message" diagnostics.
 //
 // Suppressions use the conventional staticcheck syntax:
 //
@@ -42,6 +43,7 @@ func All() []*Analyzer {
 		LockGuard,
 		PanicFree,
 		DetReplay,
+		TestOnly,
 	}
 }
 
@@ -62,8 +64,20 @@ type Pass struct {
 	Pkg      *Package
 	Fset     *token.FileSet
 
-	mu    *sync.Mutex
-	diags *[]Diagnostic
+	run *run
+}
+
+// run is the state the passes of one RunAnalyzers call share: the module
+// every pass may read, the findings, and the module-wide facts computed
+// once on first use.
+type run struct {
+	module []*Package
+
+	mu    sync.Mutex
+	diags []Diagnostic
+
+	usesOnce sync.Once
+	uses     *moduleUses
 }
 
 // Reportf records a diagnostic at pos.
@@ -73,9 +87,9 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 		Analyzer: p.Analyzer.Name,
 		Message:  fmt.Sprintf(format, args...),
 	}
-	p.mu.Lock()
-	*p.diags = append(*p.diags, d)
-	p.mu.Unlock()
+	p.run.mu.Lock()
+	p.run.diags = append(p.run.diags, d)
+	p.run.mu.Unlock()
 }
 
 // TypeOf returns the type of e, or nil.
@@ -91,21 +105,22 @@ func (p *Pass) TypeOf(e ast.Expr) types.Type {
 	return nil
 }
 
-// RunAnalyzers fans the analyzers out over the packages (one goroutine per
+// RunAnalyzers fans the analyzers out over pkgs (one goroutine per
 // package × analyzer), then filters suppressed findings and returns the
-// survivors sorted by position. Suppression directives with an empty reason
-// are converted into diagnostics themselves, so every silenced finding
-// carries a written justification.
-func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	var mu sync.Mutex
-	var diags []Diagnostic
+// survivors sorted by position. module is every non-test package of the
+// module, pkgs among them: findings are reported on pkgs only, but a
+// module-wide analyzer (testonly) reads all of module. Suppression
+// directives with an empty reason are converted into diagnostics
+// themselves, so every silenced finding carries a written justification.
+func RunAnalyzers(module, pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
+	r := &run{module: module}
 	var wg sync.WaitGroup
 	for _, pkg := range pkgs {
 		for _, a := range analyzers {
 			wg.Add(1)
 			go func(pkg *Package, a *Analyzer) {
 				defer wg.Done()
-				a.Run(&Pass{Analyzer: a, Pkg: pkg, Fset: pkg.Fset, mu: &mu, diags: &diags})
+				a.Run(&Pass{Analyzer: a, Pkg: pkg, Fset: pkg.Fset, run: r})
 			}(pkg, a)
 		}
 	}
@@ -113,7 +128,7 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
 
 	ignores, bad := collectIgnores(pkgs)
 	out := bad
-	for _, d := range diags {
+	for _, d := range r.diags {
 		if ignores.matches(d) {
 			continue
 		}

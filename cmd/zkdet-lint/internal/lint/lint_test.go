@@ -91,8 +91,13 @@ func runFixture(t *testing.T, analyzer *Analyzer, fixture string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{analyzer})
+	checkWants(t, dir, RunAnalyzers([]*Package{pkg}, []*Package{pkg}, []*Analyzer{analyzer}))
+}
 
+// checkWants checks diags exactly match the // want expectations of the
+// Go files in dir.
+func checkWants(t *testing.T, dir string, diags []Diagnostic) {
+	t.Helper()
 	want := wantedDiags(t, dir)
 	matched := map[string]int{}
 	for _, d := range diags {
@@ -125,6 +130,48 @@ func TestLockGuardFixture(t *testing.T)     { runFixture(t, LockGuard, "lockguar
 func TestPanicFreeFixture(t *testing.T)     { runFixture(t, PanicFree, "panicfree") }
 func TestDetReplayFixture(t *testing.T)     { runFixture(t, DetReplay, "detreplay") }
 
+// TestTestOnlyFixture runs testonly on one internal package of a fixture
+// module (testdata/src/testonly has its own go.mod). The other packages are
+// not reported on, but their references count: lib's declarations that
+// user reaches stay silent, while the one the user package's tests would
+// need is kept by its directive.
+func TestTestOnlyFixture(t *testing.T) {
+	loader, err := NewLoader(fixtureDir(t, "testonly"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	module, err := loader.LoadModule()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lib *Package
+	for _, pkg := range module {
+		if pkg.Path == "fixture/testonly/internal/lib" {
+			lib = pkg
+		}
+	}
+	if lib == nil || len(module) != 3 {
+		t.Fatalf("loaded %d packages without internal/lib; want lib, other and user", len(module))
+	}
+	checkWants(t, lib.Dir, RunAnalyzers(module, []*Package{lib}, []*Analyzer{TestOnly}))
+}
+
+// TestTestOnlyOtherArchitecture loads buildsplit as an internal package:
+// plain is called only from add_other.go, which an amd64 build leaves out,
+// and must not be flagged there.
+func TestTestOnlyOtherArchitecture(t *testing.T) {
+	dir := fixtureDir(t, "buildsplit")
+	loader, err := NewLoader(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkg, err := loader.LoadDir(dir, "fixture/internal/buildsplit")
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkWants(t, dir, RunAnalyzers([]*Package{pkg}, []*Package{pkg}, []*Analyzer{TestOnly}))
+}
+
 // TestLoadHonoursBuildConstraints loads a package whose add is declared
 // once per architecture (add_amd64.go, body-less and backed by assembly, and
 // add_other.go behind //go:build !amd64). The loader must select files as
@@ -146,7 +193,7 @@ func TestLoadHonoursBuildConstraints(t *testing.T) {
 	if pkg.Types.Scope().Lookup("add") == nil || pkg.Types.Scope().Lookup("kernel") == nil {
 		t.Error("neither architecture's add/kernel was loaded")
 	}
-	for _, d := range RunAnalyzers([]*Package{pkg}, All()) {
+	for _, d := range RunAnalyzers([]*Package{pkg}, []*Package{pkg}, All()) {
 		t.Errorf("unexpected diagnostic: %s", d)
 	}
 }
@@ -163,7 +210,7 @@ func TestSuppression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags := RunAnalyzers([]*Package{pkg}, []*Analyzer{PanicFree})
+	diags := RunAnalyzers([]*Package{pkg}, []*Package{pkg}, []*Analyzer{PanicFree})
 	var got []string
 	for _, d := range diags {
 		got = append(got, d.Analyzer)
@@ -193,19 +240,11 @@ func TestRepoIsClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dirs, err := loader.Expand([]string{"./..."})
+	module, err := loader.LoadModule()
 	if err != nil {
 		t.Fatal(err)
 	}
-	var pkgs []*Package
-	for _, dir := range dirs {
-		pkg, err := loader.LoadDir(dir, "")
-		if err != nil {
-			t.Fatalf("loading %s: %v", dir, err)
-		}
-		pkgs = append(pkgs, pkg)
-	}
-	for _, d := range RunAnalyzers(pkgs, All()) {
+	for _, d := range RunAnalyzers(module, module, All()) {
 		t.Errorf("%s", d)
 	}
 }

@@ -137,7 +137,7 @@ func (l *Loader) Expand(patterns []string) ([]string, error) {
 }
 
 func hasGoFiles(dir string) bool {
-	names, err := goFiles(dir)
+	names, _, err := goFiles(dir)
 	return err == nil && len(names) > 0
 }
 
@@ -145,13 +145,13 @@ func hasGoFiles(dir string) bool {
 // compile for the current GOOS/GOARCH: go/build applies the file-name
 // suffixes (_amd64.go, _linux.go) and the //go:build lines, so a package
 // split into per-architecture twins loads as the one package the compiler
-// sees rather than as a set of redeclarations.
-func goFiles(dir string) ([]string, error) {
+// sees rather than as a set of redeclarations. The non-test files it leaves
+// out (the twins for other platforms) are returned as others.
+func goFiles(dir string) (names, others []string, err error) {
 	ents, err := os.ReadDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	var names []string
 	for _, e := range ents {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
@@ -159,13 +159,33 @@ func goFiles(dir string) ([]string, error) {
 		}
 		match, err := build.Default.MatchFile(dir, name)
 		if err != nil {
-			return nil, fmt.Errorf("lint: build constraints of %s: %w", filepath.Join(dir, name), err)
+			return nil, nil, fmt.Errorf("lint: build constraints of %s: %w", filepath.Join(dir, name), err)
 		}
 		if match {
 			names = append(names, name)
+		} else {
+			others = append(others, name)
 		}
 	}
-	return names, nil
+	return names, others, nil
+}
+
+// LoadModule loads every package of the module (./... from its root),
+// the set module-wide analyzers read whatever subset is being linted.
+func (l *Loader) LoadModule() ([]*Package, error) {
+	dirs, err := l.Expand([]string{"./..."})
+	if err != nil {
+		return nil, err
+	}
+	pkgs := make([]*Package, 0, len(dirs))
+	for _, dir := range dirs {
+		pkg, err := l.LoadDir(dir, "")
+		if err != nil {
+			return nil, err
+		}
+		pkgs = append(pkgs, pkg)
+	}
+	return pkgs, nil
 }
 
 // importPathFor maps a module directory to its import path.
@@ -199,7 +219,7 @@ func (l *Loader) LoadDir(dir, path string) (*Package, error) {
 	if pkg, ok := l.loaded[path]; ok {
 		return pkg, nil
 	}
-	names, err := goFiles(dir)
+	names, _, err := goFiles(dir)
 	if err != nil {
 		return nil, err
 	}

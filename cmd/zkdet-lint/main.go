@@ -1,16 +1,19 @@
-// Command zkdet-lint runs the repo's static-analysis suite: seven analyzers
+// Command zkdet-lint runs the repo's static-analysis suite: eight analyzers
 // enforcing invariants the type system cannot see — canonical crypto
-// comparisons, ceremony-secret hygiene, gas-metered state writes, annotated
-// lock discipline, panic-free library code, and consensus-replay
-// determinism — plus the circuit soundness auditor over every registered
-// application circuit. See DESIGN.md §9 and §16.
+// comparisons, error comparison, ceremony-secret hygiene, gas-metered state
+// writes, annotated lock discipline, panic-free library code,
+// consensus-replay determinism, and internal code that only tests reach —
+// plus the circuit soundness auditor over every registered application
+// circuit. See DESIGN.md §9 and §16.
 //
 // Usage:
 //
 //	zkdet-lint [-only analyzer[,analyzer]] [-json] [packages]
 //	zkdet-lint -audit [-json]
 //
-// Packages default to ./... relative to the enclosing module. With -audit
+// Packages default to ./... relative to the enclosing module; whatever they
+// name, the whole module is loaded, since testonly counts references from
+// every package and reports on the requested ones. With -audit
 // the source analyzers are skipped and every circuit in the audit registry
 // is built and audited instead; findings are positioned as
 // "circuit:<name>".
@@ -27,6 +30,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -48,6 +52,7 @@ var exitCodes = map[string]int{
 	"detreplay":     9,
 	"audit":         10,
 	"lint":          11, // malformed //lint:ignore directives
+	"testonly":      12,
 }
 
 // jsonDiag is the machine-readable rendering of one finding.
@@ -68,11 +73,7 @@ func main() {
 
 	analyzers := lint.All()
 	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-14s exit %-2d %s\n", a.Name, exitCodes[a.Name], a.Doc)
-		}
-		fmt.Printf("%-14s exit %-2d %s\n", "audit", exitCodes["audit"],
-			"circuit soundness auditor over the registered application circuits (-audit)")
+		printList(os.Stdout, analyzers)
 		return
 	}
 
@@ -85,6 +86,16 @@ func main() {
 
 	render(diags, *asJSON)
 	os.Exit(exitStatus(diags))
+}
+
+// printList prints each analyzer with its exit code and doc, then the
+// circuit auditor's.
+func printList(w io.Writer, analyzers []*lint.Analyzer) {
+	for _, a := range analyzers {
+		fmt.Fprintf(w, "%-14s exit %-2d %s\n", a.Name, exitCodes[a.Name], a.Doc)
+	}
+	fmt.Fprintf(w, "%-14s exit %-2d %s\n", "audit", exitCodes["audit"],
+		"circuit soundness auditor over the registered application circuits (-audit)")
 }
 
 // lintPackages runs the source analyzers over the requested packages.
@@ -118,6 +129,12 @@ func lintPackages(analyzers []*lint.Analyzer, only string, patterns []string) []
 	if err != nil {
 		fatalf("zkdet-lint: %v", err)
 	}
+	// The whole module is loaded whatever the patterns name: testonly
+	// reads every package's references, and reports on the requested ones.
+	module, err := loader.LoadModule()
+	if err != nil {
+		fatalf("zkdet-lint: %v", err)
+	}
 	dirs, err := loader.Expand(patterns)
 	if err != nil {
 		fatalf("zkdet-lint: %v", err)
@@ -132,7 +149,7 @@ func lintPackages(analyzers []*lint.Analyzer, only string, patterns []string) []
 	}
 
 	var out []jsonDiag
-	for _, d := range lint.RunAnalyzers(pkgs, analyzers) {
+	for _, d := range lint.RunAnalyzers(module, pkgs, analyzers) {
 		out = append(out, jsonDiag{
 			File:     d.Pos.Filename,
 			Line:     d.Pos.Line,

@@ -4,4 +4,4 @@ package buildsplit
 
 const kernel = "go"
 
-func add(a, b uint64) uint64 { return a + b }
+func add(a, b uint64) uint64 { return plain(a, b) }

@@ -42,7 +42,7 @@ func properSet(ctx *chain.CallContext) error {
 	if err := ctx.Store.Set("slot", []byte{1}); err != nil {
 		return err
 	}
-	return ctx.Emit("Stored", nil)
+	return ctx.EmitIndexed("Stored", nil, nil)
 }
 
 // readsAreFine ignores a read result only for the value, not the error.

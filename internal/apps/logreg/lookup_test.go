@@ -32,7 +32,7 @@ func TestTrainerLookupGadgetSatisfiable(t *testing.T) {
 		if err != nil {
 			return 0, err
 		}
-		return cs.NbConstraints(), cs.IsSatisfied(w)
+		return cs.NbGates(), cs.IsSatisfied(w)
 	}
 
 	classic, err := build(false)

@@ -126,21 +126,6 @@ func (c Config) EncodeSequence(seq [][]float64) (core.Dataset, error) {
 	return out, nil
 }
 
-// DecodeOutput unpacks a SeqLen × DOut output dataset.
-func (c Config) DecodeOutput(d core.Dataset) ([][]float64, error) {
-	if len(d) != c.SeqLen*c.DOut {
-		return nil, fmt.Errorf("transformer: output has %d elements, want %d", len(d), c.SeqLen*c.DOut)
-	}
-	out := make([][]float64, c.SeqLen)
-	for i := range out {
-		out[i] = make([]float64, c.DOut)
-		for j := range out[i] {
-			out[i][j] = circuit.FixedToFloat(d[i*c.DOut+j])
-		}
-	}
-	return out, nil
-}
-
 var (
 	_ core.Processor       = (*Block)(nil)
 	_ core.LookupProcessor = (*Block)(nil)
@@ -299,61 +284,4 @@ func gadgetExpApprox(b *circuit.Builder, z circuit.Variable) circuit.Variable {
 	acc := b.Add(one, z)
 	acc = b.Add(acc, b.FixedMul(z2, halfC))
 	return b.Add(acc, b.FixedMul(z3, sixthC))
-}
-
-// ReferenceForward computes the float forward pass with real softmax — used
-// by tests to bound the approximation error.
-func (bl *Block) ReferenceForward(seq [][]float64) [][]float64 {
-	cfg := bl.Cfg
-	m := cfg.SeqLen
-	vecMat := func(x []float64, w [][]float64, cols int) []float64 {
-		out := make([]float64, cols)
-		for j := 0; j < cols; j++ {
-			for i := range x {
-				out[j] += x[i] * w[i][j]
-			}
-		}
-		return out
-	}
-	qs := make([][]float64, m)
-	ks := make([][]float64, m)
-	vs := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		qs[i] = vecMat(seq[i], bl.Wq, cfg.DK)
-		ks[i] = vecMat(seq[i], bl.Wk, cfg.DK)
-		vs[i] = vecMat(seq[i], bl.Wv, cfg.DK)
-	}
-	out := make([][]float64, m)
-	for i := 0; i < m; i++ {
-		es := make([]float64, m)
-		sum := 0.0
-		for j := 0; j < m; j++ {
-			dot := 0.0
-			for t := 0; t < cfg.DK; t++ {
-				dot += qs[i][t] * ks[j][t]
-			}
-			es[j] = math.Exp(dot / math.Sqrt(float64(cfg.DK)))
-			sum += es[j]
-		}
-		z := make([]float64, cfg.DK)
-		for j := 0; j < m; j++ {
-			a := es[j] / sum
-			for t := 0; t < cfg.DK; t++ {
-				z[t] += a * vs[j][t]
-			}
-		}
-		h := vecMat(z, bl.W1, cfg.DFF)
-		for j := range h {
-			h[j] += bl.B1[j]
-			if h[j] < 0 {
-				h[j] = 0
-			}
-		}
-		d := vecMat(h, bl.W2, cfg.DOut)
-		for j := range d {
-			d[j] += bl.B2[j]
-		}
-		out[i] = d
-	}
-	return out
 }

@@ -124,12 +124,11 @@ func cs0Overhead(int) int { return 2 }
 // (duplication — a pure data comparison, like aggregation/partition) and
 // π_k (constant, data-independent) at a dataset size.
 type Fig6Row struct {
-	Entries     int
-	DataKB      float64
-	PiESeconds  float64
-	PiTSeconds  float64
-	PiKSeconds  float64
-	Constraints int
+	Entries    int
+	DataKB     float64
+	PiESeconds float64
+	PiTSeconds float64
+	PiKSeconds float64
 }
 
 // Fig6ProofGen measures proof generation across dataset sizes.

@@ -115,11 +115,6 @@ func nafDigits(e *big.Int) []int8 {
 	return out
 }
 
-// hardExpNAF caches the NAF of the hard-part exponent (p⁴-p²+1)/r.
-var hardExpNAF = sync.OnceValue(func() []int8 {
-	return nafDigits(hardExponent())
-})
-
 // tNAF caches the NAF digits of the BN parameter t.
 var tNAF = sync.OnceValue(func() []int8 {
 	return nafDigits(new(big.Int).SetUint64(4965661367192848881))

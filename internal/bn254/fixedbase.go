@@ -44,22 +44,6 @@ func NewG1FixedBaseTable(b *G1Affine) *G1FixedBaseTable {
 	return t
 }
 
-// Mul returns [s]B using the precomputed table.
-func (t *G1FixedBaseTable) Mul(s *fr.Element) G1Affine {
-	var acc G1Jac
-	acc.SetInfinity()
-	b := s.Bytes() // big-endian
-	for w := 0; w < len(t.table); w++ {
-		d := int(b[31-w])
-		if d != 0 {
-			acc.AddMixed(&t.table[w][d-1])
-		}
-	}
-	var out G1Affine
-	out.FromJacobian(&acc)
-	return out
-}
-
 // MulMany returns [s_i]B for every scalar, in parallel, with batched
 // affine conversion.
 func (t *G1FixedBaseTable) MulMany(scalars []fr.Element) []G1Affine {

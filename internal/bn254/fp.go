@@ -72,9 +72,6 @@ func (z Fp) String() string { return fpField.ToBig(&z.v).String() }
 // IsZero reports whether z == 0.
 func (z *Fp) IsZero() bool { return fpField.IsZero(&z.v) }
 
-// IsOne reports whether z == 1.
-func (z *Fp) IsOne() bool { return fpField.IsOne(&z.v) }
-
 // Equal reports whether z == x.
 func (z *Fp) Equal(x *Fp) bool { return z.v == x.v }
 

@@ -26,33 +26,6 @@ func (z *Fp12) IsOne() bool {
 // Equal reports whether z == x.
 func (z *Fp12) Equal(x *Fp12) bool { return z.C0.Equal(&x.C0) && z.C1.Equal(&x.C1) }
 
-// Set sets z = x and returns z.
-func (z *Fp12) Set(x *Fp12) *Fp12 { *z = *x; return z }
-
-// SetOne sets z = 1 and returns z.
-func (z *Fp12) SetOne() *Fp12 { *z = fp12One(); return z }
-
-// Add sets z = x + y and returns z.
-func (z *Fp12) Add(x, y *Fp12) *Fp12 {
-	z.C0.Add(&x.C0, &y.C0)
-	z.C1.Add(&x.C1, &y.C1)
-	return z
-}
-
-// Sub sets z = x - y and returns z.
-func (z *Fp12) Sub(x, y *Fp12) *Fp12 {
-	z.C0.Sub(&x.C0, &y.C0)
-	z.C1.Sub(&x.C1, &y.C1)
-	return z
-}
-
-// Neg sets z = -x and returns z.
-func (z *Fp12) Neg(x *Fp12) *Fp12 {
-	z.C0.Neg(&x.C0)
-	z.C1.Neg(&x.C1)
-	return z
-}
-
 // Conjugate sets z = c0 - c1·w (the Fp6-conjugate, which is x^(p⁶))
 // and returns z.
 func (z *Fp12) Conjugate(x *Fp12) *Fp12 {
@@ -110,24 +83,6 @@ func (z *Fp12) Inverse(x *Fp12) *Fp12 {
 	z.C0.Mul(&x.C0, &t0)
 	t0.Neg(&t0)
 	z.C1.Mul(&x.C1, &t0)
-	return z
-}
-
-// Exp sets z = x^e for non-negative e and returns z.
-func (z *Fp12) Exp(x *Fp12, e *big.Int) *Fp12 {
-	if e.Sign() < 0 {
-		//lint:ignore panicfree exponents here are the fixed final-exponentiation constants of the pairing, never attacker input; the chainable *Fp12 API has no error slot
-		panic("bn254: negative exponent")
-	}
-	res := fp12One()
-	base := *x
-	for i := e.BitLen() - 1; i >= 0; i-- {
-		res.Square(&res)
-		if e.Bit(i) == 1 {
-			res.Mul(&res, &base)
-		}
-	}
-	*z = res
 	return z
 }
 

@@ -18,9 +18,6 @@ func MustFp2FromDecimal(a0, a1 string) Fp2 {
 // IsZero reports whether z == 0.
 func (z *Fp2) IsZero() bool { return z.A0.IsZero() && z.A1.IsZero() }
 
-// IsOne reports whether z == 1.
-func (z *Fp2) IsOne() bool { return z.A0.IsOne() && z.A1.IsZero() }
-
 // Equal reports whether z == x.
 func (z *Fp2) Equal(x *Fp2) bool { return z.A0.Equal(&x.A0) && z.A1.Equal(&x.A1) }
 

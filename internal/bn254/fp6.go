@@ -19,9 +19,6 @@ func (z *Fp6) Equal(x *Fp6) bool {
 // Set sets z = x and returns z.
 func (z *Fp6) Set(x *Fp6) *Fp6 { *z = *x; return z }
 
-// SetOne sets z = 1 and returns z.
-func (z *Fp6) SetOne() *Fp6 { *z = fp6One(); return z }
-
 // Add sets z = x + y and returns z.
 func (z *Fp6) Add(x, y *Fp6) *Fp6 {
 	z.B0.Add(&x.B0, &y.B0)

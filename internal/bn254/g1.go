@@ -290,14 +290,6 @@ func (p *G1Jac) AddMixed(q *G1Affine) *G1Jac {
 	return p
 }
 
-// Neg sets p = -q and returns p.
-func (p *G1Jac) Neg(q *G1Jac) *G1Jac {
-	p.X.Set(&q.X)
-	p.Y.Neg(&q.Y)
-	p.Z.Set(&q.Z)
-	return p
-}
-
 // ScalarMul sets p = [s]q and returns p. s is taken mod r.
 func (p *G1Jac) ScalarMul(q *G1Affine, s *fr.Element) *G1Jac {
 	return p.scalarMulBig(q, s.BigInt())

@@ -77,17 +77,6 @@ func (p *G2Affine) IsOnCurve() bool {
 	return lhs.Equal(&rhs)
 }
 
-// IsInSubgroup reports whether p is in the order-r subgroup (by checking
-// [r]p == O; correct albeit not the fastest method).
-func (p *G2Affine) IsInSubgroup() bool {
-	if !p.IsOnCurve() {
-		return false
-	}
-	var j G2Jac
-	j.scalarMulBig(p, fr.Modulus())
-	return j.IsInfinity()
-}
-
 // IsInfinity reports whether p is the point at infinity.
 func (p *G2Jac) IsInfinity() bool { return p.Z.IsZero() }
 
@@ -242,16 +231,5 @@ func G2ScalarMul(q *G2Affine, s *fr.Element) G2Affine {
 	j.ScalarMul(q, s)
 	var out G2Affine
 	out.FromJacobian(&j)
-	return out
-}
-
-// G2Add returns p + q in affine coordinates.
-func G2Add(p, q *G2Affine) G2Affine {
-	var jp, jq G2Jac
-	jp.FromAffine(p)
-	jq.FromAffine(q)
-	jp.AddAssign(&jq)
-	var out G2Affine
-	out.FromJacobian(&jp)
 	return out
 }

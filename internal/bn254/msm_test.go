@@ -256,13 +256,14 @@ func msmEdgeScalars(c int) []fr.Element {
 		return fr.FromBig(new(big.Int).Lsh(v, uint(window*c)))
 	}
 	halfLess := new(big.Int).Sub(half, big.NewInt(1))
+	wide, _ := new(big.Int).SetString("8711490012043620347520491173648392718299283749201948572039485720394857203948", 10)
 	out := []fr.Element{
 		fr.Zero(), fr.One(), fr.NewFromInt64(-1),
 		at(half, 0),     // recodes to digit -2^(c-1) plus a carry
 		at(halfLess, 0), // the largest positive digit
 		at(half, 3),
 		at(halfLess, 3),
-		fr.MustFromDecimal("8711490012043620347520491173648392718299283749201948572039485720394857203948"),
+		fr.FromBig(wide),
 	}
 	var neg fr.Element
 	neg.Neg(&out[3]) // r - 2^(c-1)

@@ -29,23 +29,6 @@ var loopCounter = sync.OnceValue(func() *big.Int {
 	return s.Add(s, big.NewInt(2))
 })
 
-// hardExponent returns (p⁴ - p² + 1)/r, the "hard part" exponent of the
-// final exponentiation.
-var hardExponent = sync.OnceValue(func() *big.Int {
-	p := FpModulus()
-	p2 := new(big.Int).Mul(p, p)
-	p4 := new(big.Int).Mul(p2, p2)
-	h := new(big.Int).Sub(p4, p2)
-	h.Add(h, big.NewInt(1))
-	h.Div(h, frModulusBig())
-	return h
-})
-
-func frModulusBig() *big.Int {
-	r, _ := new(big.Int).SetString("21888242871839275222246405745257275088548364400416034343698204186575808495617", 10)
-	return r
-}
-
 // easyPart raises f to (p⁶-1)(p²+1), landing in the cyclotomic subgroup.
 func easyPart(f *Fp12) Fp12 {
 	var r, inv Fp12

@@ -195,11 +195,6 @@ type CallContext struct {
 	logs   []Event
 }
 
-// Emit records an event, charging log gas.
-func (ctx *CallContext) Emit(name string, data []byte) error {
-	return ctx.EmitIndexed(name, nil, data)
-}
-
 // EmitIndexed records an event with an indexed topic (the EVM's topic1,
 // e.g. a token id), charging log gas; the event name is topic0 and is
 // always charged, an explicit topic charges one more.

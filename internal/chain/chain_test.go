@@ -30,7 +30,7 @@ func (c *counter) Call(ctx *CallContext, method string, args []byte) ([]byte, er
 		if err := ctx.Store.Set("count", buf); err != nil {
 			return nil, err
 		}
-		if err := ctx.Emit("Incremented", buf); err != nil {
+		if err := ctx.EmitIndexed("Incremented", nil, buf); err != nil {
 			return nil, err
 		}
 		return buf, nil
@@ -329,8 +329,8 @@ func TestGasMeterExhaustion(t *testing.T) {
 	if err := g.Charge(50); !errors.Is(err, ErrOutOfGas) {
 		t.Fatal("over-limit charge accepted")
 	}
-	if g.Remaining() != 0 {
-		t.Fatalf("remaining = %d after exhaustion", g.Remaining())
+	if g.Used() != 100 {
+		t.Fatalf("used = %d after exhaustion, want the whole limit", g.Used())
 	}
 }
 

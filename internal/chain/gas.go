@@ -66,6 +66,3 @@ func (g *GasMeter) Charge(amount uint64) error {
 
 // Used returns the gas consumed so far.
 func (g *GasMeter) Used() uint64 { return g.used }
-
-// Remaining returns the gas left.
-func (g *GasMeter) Remaining() uint64 { return g.limit - g.used }

@@ -12,6 +12,8 @@ import (
 // prover-side constraint-deletion attack leaves behind). Range spans
 // containing idx shrink by one row. The mutation tests drive the auditor
 // over these mutants; a sound auditor must flag every one.
+//
+//lint:ignore testonly the registry package's mutation_test drives every registered circuit's mutants through it
 func DropGate(info *circuit.AuditInfo, idx int) *circuit.AuditInfo {
 	out := cloneInfo(info)
 	if idx < 0 || idx >= len(out.Gates) {

@@ -67,7 +67,6 @@ type Builder struct {
 	customGates bool
 	mds         [3][3]fr.Element
 	mdsSet      bool
-	rangeGates  int // gates spent on range/comparison checks, for Stats
 
 	// Audit ledger: gadgets record their proof obligations (which wires
 	// must be boolean, which spans of gates realize a range check, which
@@ -85,8 +84,8 @@ type Builder struct {
 }
 
 // Fail records a deferred circuit-construction error. The first error
-// wins; Compile reports it. Gadgets (including external ones, e.g. the
-// merkle package) call this instead of panicking on malformed shapes.
+// wins; Compile reports it. Gadgets (including those of other packages,
+// e.g. mimc and poseidon) call this instead of panicking on malformed shapes.
 func (b *Builder) Fail(format string, args ...any) {
 	if b.err == nil {
 		b.err = fmt.Errorf(format, args...)
@@ -104,8 +103,6 @@ func NewBuilder() *Builder {
 // Gate kinds, re-exported so gadget packages (mimc, poseidon) can emit
 // custom rows without importing the backend.
 const (
-	KindArith           = plonk.KindArith
-	KindLookup          = plonk.KindLookup
 	KindMiMC            = plonk.KindMiMC
 	KindPoseidonFull    = plonk.KindPoseidonFull
 	KindPoseidonPartial = plonk.KindPoseidonPartial
@@ -126,9 +123,6 @@ func (b *Builder) EnableLookups(bits int) {
 	}
 	b.lookupBits = bits
 }
-
-// LookupBits returns the enabled range-table width, 0 if lookups are off.
-func (b *Builder) LookupBits() int { return b.lookupBits }
 
 // EnableCustomGates lets hash gadgets (Poseidon, MiMC) emit one custom
 // gate per round instead of the generic arithmetic lowering.
@@ -172,39 +166,9 @@ func (b *Builder) NoOpRow(x, y, z Variable) {
 	b.gates = append(b.gates, gateTmpl{a: x.id, b: y.id, c: z.id})
 }
 
-// Stats summarizes the recorded gates by constraint family — the data
-// behind zkdet-bench's constraint report.
-type Stats struct {
-	Total  int // all recorded gates (excluding public exposure rows)
-	Arith  int
-	Lookup int
-	Custom int // hash-round custom gates
-	Range  int // subset of gates attributable to range/comparison checks
-}
-
-// Stats returns the current per-family gate counts.
-func (b *Builder) Stats() Stats {
-	st := Stats{Total: len(b.gates), Range: b.rangeGates}
-	for i := range b.gates {
-		switch b.gates[i].kind {
-		case plonk.KindLookup:
-			st.Lookup++
-		case plonk.KindArith:
-			st.Arith++
-		default:
-			st.Custom++
-		}
-	}
-	return st
-}
-
 // NbGates returns the number of gates recorded so far (excluding the
 // public-input gates added at compile time).
 func (b *Builder) NbGates() int { return len(b.gates) }
-
-// NbConstraints returns the total constraint count the compiled circuit
-// will have, the paper's cost metric.
-func (b *Builder) NbConstraints() int { return len(b.gates) + len(b.public) }
 
 func (b *Builder) newVar(val fr.Element) Variable {
 	b.values = append(b.values, val)
@@ -284,11 +248,8 @@ func (b *Builder) Constant(c fr.Element) Variable {
 	return v
 }
 
-// Zero returns the constant 0 and One the constant 1.
+// Zero returns the constant 0.
 func (b *Builder) Zero() Variable { return b.Constant(fr.Zero()) }
-
-// One returns the constant 1.
-func (b *Builder) One() Variable { return b.Constant(fr.One()) }
 
 var frOne = fr.One()
 
@@ -356,12 +317,6 @@ func (b *Builder) MulConst(x Variable, c fr.Element) Variable {
 	return out
 }
 
-// MulAdd returns x·y + z in a single gate pair.
-func (b *Builder) MulAdd(x, y, z Variable) Variable {
-	m := b.Mul(x, y)
-	return b.Add(m, z)
-}
-
 // Lc2 returns c1·x + c2·y in one gate.
 func (b *Builder) Lc2(x Variable, c1 fr.Element, y Variable, c2 fr.Element) Variable {
 	var val, t fr.Element
@@ -382,18 +337,6 @@ func (b *Builder) Inverse(x Variable) Variable {
 	out := b.newVar(val)
 	// x·out - 1 = 0
 	b.gates = append(b.gates, gateTmpl{qM: frOne, qC: frNeg(frOne), a: x.id, b: out.id, c: out.id})
-	return out
-}
-
-// Div returns x / y, constraining y·out = x (hence y ≠ 0).
-func (b *Builder) Div(x, y Variable) Variable {
-	var val, inv fr.Element
-	vx, vy := b.values[x.id], b.values[y.id]
-	inv.Inverse(&vy)
-	val.Mul(&vx, &inv)
-	out := b.newVar(val)
-	// y·out - x = 0
-	b.gates = append(b.gates, gateTmpl{qM: frOne, qO: frNeg(frOne), a: y.id, b: out.id, c: x.id})
 	return out
 }
 

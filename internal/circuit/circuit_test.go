@@ -82,9 +82,9 @@ func TestInverseAndDiv(t *testing.T) {
 		t.Fatal("x * x^-1 != 1")
 	}
 	y := b.Secret(fr.NewElement(6))
-	q := b.Div(x, y)
+	q := b.Mul(x, b.Inverse(y))
 	if v := b.Value(q); v.String() != "7" {
-		t.Fatalf("div value = %s", v.String())
+		t.Fatalf("x * y^-1 = %s", v.String())
 	}
 	checkSatisfied(t, b)
 }
@@ -225,41 +225,6 @@ func TestAssertLessCatchesViolation(t *testing.T) {
 	if err := cs.IsSatisfied(witness); err == nil {
 		t.Fatal("9 < 5 accepted")
 	}
-}
-
-func TestExpGadget(t *testing.T) {
-	b := NewBuilder()
-	x := b.Secret(fr.NewElement(3))
-	for _, e := range []uint64{0, 1, 2, 7, 16, 31} {
-		got := b.Value(b.Exp(x, e))
-		base := fr.NewElement(3)
-		var want fr.Element
-		want.ExpUint64(&base, e)
-		if !got.Equal(&want) {
-			t.Fatalf("3^%d = %s, want %s", e, got.String(), want.String())
-		}
-	}
-	checkSatisfied(t, b)
-}
-
-func TestInnerProductAndMatVec(t *testing.T) {
-	b := NewBuilder()
-	xs := []Variable{b.Secret(fr.NewElement(1)), b.Secret(fr.NewElement(2)), b.Secret(fr.NewElement(3))}
-	ys := []Variable{b.Secret(fr.NewElement(4)), b.Secret(fr.NewElement(5)), b.Secret(fr.NewElement(6))}
-	ip := b.Value(b.InnerProduct(xs, ys))
-	if ip.String() != "32" {
-		t.Fatalf("inner product = %s", ip.String())
-	}
-	m := [][]Variable{xs, ys}
-	v := []Variable{b.Secret(fr.NewElement(1)), b.Secret(fr.NewElement(1)), b.Secret(fr.NewElement(1))}
-	out := b.MatVecMul(m, v)
-	if got := b.Value(out[0]); got.String() != "6" {
-		t.Fatalf("matvec[0] = %s", got.String())
-	}
-	if got := b.Value(out[1]); got.String() != "15" {
-		t.Fatalf("matvec[1] = %s", got.String())
-	}
-	checkSatisfied(t, b)
 }
 
 func TestFixedPoint(t *testing.T) {

@@ -148,13 +148,11 @@ func (b *Builder) FromBits(bits []Variable) Variable {
 // into ⌈n/k⌉ k-bit limbs, each checked by one range-table lookup row;
 // classically it bit-decomposes (one boolean gate per bit).
 func (b *Builder) AssertRange(x Variable, n int) {
-	before := len(b.gates)
 	if b.lookupBits == 0 {
 		b.ToBits(x, n)
 	} else {
 		b.assertRangeLookup(x, n)
 	}
-	b.rangeGates += len(b.gates) - before
 }
 
 // assertRangeLookup is the lookup lowering of AssertRange. The final limb
@@ -220,7 +218,6 @@ func (b *Builder) topBit(x Variable, n int) Variable {
 	if b.lookupBits == 0 {
 		return b.ToBits(x, n+1)[n]
 	}
-	before := len(b.gates)
 	val := b.values[x.id].BigInt()
 	highVal := new(big.Int).Rsh(val, uint(n))
 	lowVal := new(big.Int).Sub(val, new(big.Int).Lsh(highVal, uint(n)))
@@ -233,7 +230,6 @@ func (b *Builder) topBit(x Variable, n int) Variable {
 	recon := b.Lc2(high, pow, low, frOne)
 	b.AssertEqual(recon, x)
 	b.assertRangeLookup(low, n)
-	b.rangeGates += len(b.gates) - before
 	return high
 }
 
@@ -264,27 +260,6 @@ func (b *Builder) AssertLessOrEqual(x, y Variable, n int) {
 	b.AssertConst(le, frOne)
 }
 
-// Exp returns x^e for a fixed public exponent via square-and-multiply
-// (log2(e) squarings).
-func (b *Builder) Exp(x Variable, e uint64) Variable {
-	if e == 0 {
-		return b.One()
-	}
-	// Find the highest bit.
-	hi := 63
-	for hi > 0 && (e>>uint(hi))&1 == 0 {
-		hi--
-	}
-	acc := x
-	for i := hi - 1; i >= 0; i-- {
-		acc = b.Square(acc)
-		if (e>>uint(i))&1 == 1 {
-			acc = b.Mul(acc, x)
-		}
-	}
-	return acc
-}
-
 // Sum returns Σ xs.
 func (b *Builder) Sum(xs []Variable) Variable {
 	if len(xs) == 0 {
@@ -295,31 +270,6 @@ func (b *Builder) Sum(xs []Variable) Variable {
 		acc = b.Add(acc, x)
 	}
 	return acc
-}
-
-// InnerProduct returns Σ xs[i]·ys[i]; the core of the matrix and ML gadgets.
-func (b *Builder) InnerProduct(xs, ys []Variable) Variable {
-	if len(xs) != len(ys) {
-		b.Fail("circuit: inner product length mismatch (%d vs %d)", len(xs), len(ys))
-		return b.Zero()
-	}
-	if len(xs) == 0 {
-		return b.Zero()
-	}
-	acc := b.Mul(xs[0], ys[0])
-	for i := 1; i < len(xs); i++ {
-		acc = b.MulAdd(xs[i], ys[i], acc)
-	}
-	return acc
-}
-
-// MatVecMul returns M·v for an r×c matrix (row-major slices of Variables).
-func (b *Builder) MatVecMul(m [][]Variable, v []Variable) []Variable {
-	out := make([]Variable, len(m))
-	for i, row := range m {
-		out[i] = b.InnerProduct(row, v)
-	}
-	return out
 }
 
 // Fixed-point arithmetic: values are integers scaled by 2^FixedShift,

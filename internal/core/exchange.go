@@ -81,10 +81,6 @@ type KeyStatement struct {
 	HV            fr.Element // h_v = H(k_v), the buyer's challenge hash
 }
 
-func (st *KeyStatement) publics() []fr.Element {
-	return []fr.Element{st.KC, st.KeyCommitment, st.HV}
-}
-
 // KeyWitness is the private side of π_k.
 type KeyWitness struct {
 	K          fr.Element // the data key

@@ -48,7 +48,7 @@ func TestTraceViaIndexer(t *testing.T) {
 	m.Chain.Faucet(alice, 1<<40)
 
 	a := mustID(t, nftCall(t, m, alice, "mint", contracts.EncodeArgs([]byte("u1"), []byte("c1"))))
-	if _, err := ix.Token(a); err != nil {
+	if _, err := ix.Lineage(a); err != nil {
 		t.Fatalf("token %d not indexed when its mint returned: %v", a, err)
 	}
 	b := mustID(t, nftCall(t, m, alice, "mint", contracts.EncodeArgs([]byte("u2"), []byte("c2"))))

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 
 	"github.com/zkdet/zkdet/internal/chain"
@@ -125,9 +124,6 @@ type Asset struct {
 	DataBlinder fr.Element
 	KeyBlinder  fr.Element
 }
-
-// ErrNotAssetOwner reports a marketplace call by a non-owner.
-var ErrNotAssetOwner = errors.New("core: caller does not own the asset")
 
 func (m *Marketplace) submit(from chain.Address, contract, method string, value uint64, args []byte) (*chain.Receipt, error) {
 	tx := chain.Transaction{

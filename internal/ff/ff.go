@@ -97,17 +97,8 @@ func MustNewField(decimal string) *Field {
 // Modulus returns a copy of the field modulus.
 func (f *Field) Modulus() *big.Int { return new(big.Int).Set(f.modBig) }
 
-// BitLen returns the bit length of the modulus.
-func (f *Field) BitLen() int { return f.bitLen }
-
-// ByteLen returns the minimal byte length that holds a canonical element.
-func (f *Field) ByteLen() int { return f.byteLen }
-
 // One returns the multiplicative identity.
 func (f *Field) One() Element { return f.r }
-
-// Zero returns the additive identity.
-func (f *Field) Zero() Element { return Element{} }
 
 // IsZero reports whether x is the additive identity.
 func (f *Field) IsZero(x *Element) bool {
@@ -118,12 +109,6 @@ func (f *Field) IsZero(x *Element) bool {
 func (f *Field) IsOne(x *Element) bool {
 	return *x == f.r
 }
-
-// Equal reports whether x == y.
-func (f *Field) Equal(x, y *Element) bool { return *x == *y }
-
-// Set copies x into z.
-func (f *Field) Set(z, x *Element) { *z = *x }
 
 // Add sets z = x + y mod p.
 func (f *Field) Add(z, x, y *Element) {

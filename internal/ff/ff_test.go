@@ -137,7 +137,7 @@ func TestEdgeValues(t *testing.T) {
 func TestNeg(t *testing.T) {
 	for name, f := range testFields() {
 		t.Run(name, func(t *testing.T) {
-			zero := f.Zero()
+			zero := Element{}
 			var negZero Element
 			f.Neg(&negZero, &zero)
 			if !f.IsZero(&negZero) {
@@ -160,7 +160,7 @@ func TestNeg(t *testing.T) {
 func TestInverse(t *testing.T) {
 	for name, f := range testFields() {
 		t.Run(name, func(t *testing.T) {
-			zero := f.Zero()
+			zero := Element{}
 			var invZero Element
 			f.Inverse(&invZero, &zero)
 			if !f.IsZero(&invZero) {
@@ -203,9 +203,9 @@ func TestExp(t *testing.T) {
 	// x^0 == 1, including 0^0 == 1 by the square-and-multiply convention.
 	one := f.One()
 	var res Element
-	zero := f.Zero()
+	zero := Element{}
 	f.Exp(&res, &zero, big.NewInt(0))
-	if !f.Equal(&res, &one) {
+	if res != one {
 		t.Fatal("0^0 != 1")
 	}
 }
@@ -237,7 +237,7 @@ func TestBatchInverse(t *testing.T) {
 	want := make([]Element, 64)
 	for i := range xs {
 		if i%7 == 3 {
-			xs[i] = f.Zero() // sprinkle zeros
+			xs[i] = Element{} // sprinkle zeros
 		} else {
 			xs[i] = f.FromUint64(uint64(i + 1))
 		}
@@ -245,7 +245,7 @@ func TestBatchInverse(t *testing.T) {
 	}
 	f.BatchInverse(xs, make([]Element, len(xs)))
 	for i := range xs {
-		if !f.Equal(&xs[i], &want[i]) {
+		if xs[i] != want[i] {
 			t.Fatalf("batch inverse mismatch at %d", i)
 		}
 	}
@@ -261,7 +261,7 @@ func bytesViaBig(f *Field, x *Element) []byte {
 
 func TestBytesRoundTrip(t *testing.T) {
 	for name, f := range testFields() {
-		pad := 8*Limbs - f.ByteLen()
+		pad := 8*Limbs - f.byteLen
 		edge := []*big.Int{big.NewInt(0), big.NewInt(1), new(big.Int).Sub(f.Modulus(), big.NewInt(1))}
 		for i := 0; i < 50+len(edge); i++ {
 			v := randomBig(t, f)
@@ -280,14 +280,14 @@ func TestBytesRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s: FromBytesCanonical: %v", name, err)
 			}
-			if !f.Equal(&back, &e) {
+			if back != e {
 				t.Fatalf("%s: bytes round trip mismatch", name)
 			}
 		}
 	}
 	f := testFp
 	// Non-canonical: the modulus itself must be rejected.
-	modBytes := make([]byte, f.ByteLen())
+	modBytes := make([]byte, f.byteLen)
 	f.Modulus().FillBytes(modBytes)
 	if _, err := f.FromBytesCanonical(modBytes); err == nil {
 		t.Fatal("FromBytesCanonical accepted the modulus")
@@ -318,7 +318,7 @@ func TestQuickCommutativity(t *testing.T) {
 		f.Add(&s2, &y, &x)
 		f.Mul(&p1, &x, &y)
 		f.Mul(&p2, &y, &x)
-		return f.Equal(&s1, &s2) && f.Equal(&p1, &p2)
+		return s1 == s2 && p1 == p2
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -338,7 +338,7 @@ func TestQuickDistributivity(t *testing.T) {
 		f.Mul(&t1, &x, &y)
 		f.Mul(&t2, &x, &z)
 		f.Add(&r, &t1, &t2)
-		return f.Equal(&l, &r)
+		return l == r
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -356,7 +356,7 @@ func TestQuickAssociativity(t *testing.T) {
 		f.Mul(&l, &l, &z)
 		f.Mul(&r, &y, &z)
 		f.Mul(&r, &x, &r)
-		return f.Equal(&l, &r)
+		return l == r
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -370,7 +370,7 @@ func TestQuickSquareMatchesMul(t *testing.T) {
 		var sq, mul Element
 		f.Square(&sq, &x)
 		f.Mul(&mul, &x, &x)
-		return f.Equal(&sq, &mul)
+		return sq == mul
 	}
 	if err := quick.Check(prop, nil); err != nil {
 		t.Fatal(err)
@@ -425,7 +425,7 @@ func TestUnrolledMatchesGeneric(t *testing.T) {
 				var viaUnrolled, viaGeneric Element
 				f.mulUnrolled(&viaUnrolled, &ea, &eb)
 				f.mulGeneric(&viaGeneric, &ea, &eb)
-				if !f.Equal(&viaUnrolled, &viaGeneric) {
+				if viaUnrolled != viaGeneric {
 					t.Fatalf("paths disagree for %s * %s", a, b)
 				}
 			}
@@ -437,7 +437,7 @@ func TestUnrolledMatchesGeneric(t *testing.T) {
 					var u, g Element
 					f.mulUnrolled(&u, &ea, &eb)
 					f.mulGeneric(&g, &ea, &eb)
-					if !f.Equal(&u, &g) {
+					if u != g {
 						t.Fatalf("paths disagree for %s * %s", a, b)
 					}
 				}

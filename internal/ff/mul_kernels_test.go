@@ -228,7 +228,7 @@ func TestConstructorsReturnReduced(t *testing.T) {
 					t.Errorf("%s returned unreduced limbs %x", what, x)
 				}
 			}
-			check("Zero", f.Zero())
+			check("Zero", Element{})
 			check("One", f.One())
 			for _, v := range []uint64{0, 1, 96, 97, 98, 1 << 63, ^uint64(0)} {
 				x := f.FromUint64(v)
@@ -247,8 +247,8 @@ func TestConstructorsReturnReduced(t *testing.T) {
 			for _, b := range [][]byte{nil, {0}, ff32, bytes.Repeat([]byte{0xff}, 64), p.Bytes()} {
 				check("FromBytes", f.FromBytes(b))
 			}
-			canon := make([]byte, f.ByteLen())
-			for _, b := range []*big.Int{big.NewInt(0), new(big.Int).Sub(p, big.NewInt(1)), p, new(big.Int).Lsh(big.NewInt(1), uint(8*f.ByteLen())-1)} {
+			canon := make([]byte, f.byteLen)
+			for _, b := range []*big.Int{big.NewInt(0), new(big.Int).Sub(p, big.NewInt(1)), p, new(big.Int).Lsh(big.NewInt(1), uint(8*f.byteLen)-1)} {
 				x, err := f.FromBytesCanonical(b.FillBytes(canon))
 				if (err == nil) != (b.Cmp(p) < 0) {
 					t.Errorf("FromBytesCanonical(%s): err = %v", b, err)

@@ -66,16 +66,6 @@ func NewFromInt64(v int64) Element {
 // FromBig returns b mod r.
 func FromBig(b *big.Int) Element { return Element{v: field.FromBig(b)} }
 
-// MustFromDecimal parses a base-10 literal; it panics on malformed input and
-// is intended for compile-time constants.
-func MustFromDecimal(s string) Element {
-	b, ok := new(big.Int).SetString(s, 10)
-	if !ok {
-		panic("fr: invalid decimal literal " + s)
-	}
-	return FromBig(b)
-}
-
 // FromBytes interprets b as a big-endian integer and reduces it mod r.
 func FromBytes(b []byte) Element { return Element{v: field.FromBytes(b)} }
 
@@ -133,6 +123,8 @@ func (z *Element) Uint64() (uint64, bool) {
 func (z *Element) IsZero() bool { return field.IsZero(&z.v) }
 
 // IsOne reports whether z == 1.
+//
+//lint:ignore testonly the circuit and plonk tests check products and vanishing values against one
 func (z *Element) IsOne() bool { return field.IsOne(&z.v) }
 
 // Equal reports whether z == x.
@@ -147,9 +139,6 @@ func (z *Element) SetZero() *Element { z.v = ff.Element{}; return z }
 // SetOne sets z = 1 and returns z.
 func (z *Element) SetOne() *Element { z.v = field.One(); return z }
 
-// SetUint64 sets z to the element representing v and returns z.
-func (z *Element) SetUint64(v uint64) *Element { z.v = field.FromUint64(v); return z }
-
 // Add sets z = x + y and returns z.
 func (z *Element) Add(x, y *Element) *Element { field.Add(&z.v, &x.v, &y.v); return z }
 
@@ -161,9 +150,6 @@ func (z *Element) Mul(x, y *Element) *Element { field.Mul(&z.v, &x.v, &y.v); ret
 
 // Square sets z = x^2 and returns z.
 func (z *Element) Square(x *Element) *Element { field.Square(&z.v, &x.v); return z }
-
-// Double sets z = 2x and returns z.
-func (z *Element) Double(x *Element) *Element { field.Double(&z.v, &x.v); return z }
 
 // Neg sets z = -x and returns z.
 func (z *Element) Neg(x *Element) *Element { field.Neg(&z.v, &x.v); return z }

@@ -190,18 +190,6 @@ func (ix *Indexer) Stats() Stats {
 // not seen a mint event for.
 var ErrUnknownToken = errors.New("indexer: unknown token")
 
-// Token returns the folded record of one token.
-func (ix *Indexer) Token(id uint64) (*TokenRecord, error) {
-	ix.mu.RLock()
-	defer ix.mu.RUnlock()
-	rec, ok := ix.prov.tokens[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %d", ErrUnknownToken, id)
-	}
-	cp := rec.clone()
-	return cp, nil
-}
-
 // Lineage returns the full provenance DAG reachable from a token: every
 // ancestor's record plus the parent→child edge list, in BFS order.
 func (ix *Indexer) Lineage(id uint64) (*Lineage, error) {

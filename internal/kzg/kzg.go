@@ -12,7 +12,6 @@ import (
 	"crypto/rand"
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/zkdet/zkdet/internal/bn254"
 	"github.com/zkdet/zkdet/internal/fr"
@@ -23,7 +22,6 @@ import (
 var (
 	ErrPolynomialTooLarge = errors.New("kzg: polynomial degree exceeds SRS size")
 	ErrInvalidSRS         = errors.New("kzg: invalid SRS")
-	ErrVerifyFailed       = errors.New("kzg: proof verification failed")
 )
 
 // SRS is a structured reference string: powers of a secret τ in G1 plus
@@ -33,28 +31,6 @@ type SRS struct {
 	G1 []bn254.G1Affine
 	// G2 holds [1]G2 and [τ]G2.
 	G2 [2]bn254.G2Affine
-
-	// Verifier caches, built once on first Verify: Miller-loop line tables
-	// for the two fixed G2 points and a fixed-base table for the G1
-	// generator. Unexported so serialization round-trips stay unchanged.
-	verifyOnce sync.Once
-	g2Lines    [2]*bn254.G2LinePrecomp
-	g1Table    *bn254.G1FixedBaseTable
-}
-
-// verifierCache returns the fixed-point tables for Verify, building them
-// on first use. The G2 points of an SRS never change, so every subsequent
-// pairing check skips all G2 arithmetic.
-func (s *SRS) verifierCache() ([2]*bn254.G2LinePrecomp, *bn254.G1FixedBaseTable) {
-	s.verifyOnce.Do(func() {
-		s.g2Lines[0] = bn254.NewG2LinePrecomp(&s.G2[0])
-		s.g2Lines[1] = bn254.NewG2LinePrecomp(&s.G2[1])
-		if s.g1Table == nil {
-			g1 := bn254.G1Generator()
-			s.g1Table = bn254.NewG1FixedBaseTable(&g1)
-		}
-	})
-	return s.g2Lines, s.g1Table
 }
 
 // MaxDegree returns the largest polynomial degree this SRS can commit to.
@@ -70,9 +46,7 @@ func NewSRSFromSecret(size int, tau *fr.Element) (*SRS, error) {
 	scalars := fr.Powers(tau, size)
 	g1 := bn254.G1Generator()
 	table := bn254.NewG1FixedBaseTable(&g1)
-	// The table is keyed to the generator, exactly what Verify's [y]G1
-	// computation needs — seed the verifier cache with it.
-	srs := &SRS{G1: table.MulMany(scalars), g1Table: table}
+	srs := &SRS{G1: table.MulMany(scalars)}
 	g2 := bn254.G2Generator()
 	srs.G2[0] = g2
 	srs.G2[1] = bn254.G2ScalarMul(&g2, tau)
@@ -123,41 +97,4 @@ func Open(srs *SRS, p poly.Polynomial, z *fr.Element) (OpeningProof, error) {
 		return OpeningProof{}, fmt.Errorf("kzg: committing quotient: %w", err)
 	}
 	return OpeningProof{Quotient: c, ClaimedValue: y}, nil
-}
-
-// Verify checks an opening proof: e(C - [y]G1 + z·π, G2) · e(-π, [τ]G2) == 1.
-//
-// All fixed-point work is cached on the SRS after the first call: [y]G1
-// goes through the generator's fixed-base table, the combination
-// C - [y]G1 + z·π is a single three-term MSM, and the two G2 arguments
-// use precomputed Miller-loop line tables.
-func Verify(srs *SRS, c *Commitment, z *fr.Element, proof *OpeningProof) error {
-	lines, table := srs.verifierCache()
-	yG1 := table.Mul(&proof.ClaimedValue)
-
-	one := fr.One()
-	var negOne fr.Element
-	negOne.Neg(&one)
-	f, err := bn254.G1MSM(
-		[]bn254.G1Affine{*c, yG1, proof.Quotient},
-		[]fr.Element{one, negOne, *z},
-	)
-	if err != nil {
-		return fmt.Errorf("kzg: %w", err)
-	}
-
-	var negPi bn254.G1Affine
-	negPi.Neg(&proof.Quotient)
-
-	ok, err := bn254.PairingCheckPrecomp(
-		[]bn254.G1Affine{f, negPi},
-		lines[:],
-	)
-	if err != nil {
-		return fmt.Errorf("kzg: %w", err)
-	}
-	if !ok {
-		return ErrVerifyFailed
-	}
-	return nil
 }

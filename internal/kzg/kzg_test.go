@@ -122,7 +122,11 @@ func TestCommitmentHomomorphism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpq, err := Commit(srs, poly.Add(p, q))
+	pq := append(poly.Polynomial(nil), q...) // q is the longer
+	for i := range p {
+		pq[i].Add(&pq[i], &p[i])
+	}
+	cpq, err := Commit(srs, pq)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,7 +14,6 @@ package mimc
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"fmt"
 
 	"github.com/zkdet/zkdet/internal/circuit"
 	"github.com/zkdet/zkdet/internal/fr"
@@ -22,9 +21,6 @@ import (
 
 // Rounds is the number of MiMC rounds (paper §VI-A: r = 91).
 const Rounds = 91
-
-// Degree is the S-box exponent (paper §VI-A: d = 7).
-const Degree = 7
 
 // roundConstants holds the nothing-up-my-sleeve constants c_0 = 0,
 // c_i = SHA-256("zkdet/mimc" ‖ i) mod r.
@@ -87,34 +83,6 @@ func DecryptCTR(k, nonce fr.Element, ct []fr.Element) []fr.Element {
 		ctr.Add(&ctr, &one)
 	}
 	return pt
-}
-
-// Hash computes a Miyaguchi–Preneel hash over field elements:
-// h ← E_h(m) + h + m, starting from h = 0.
-func Hash(msg []fr.Element) fr.Element {
-	var h fr.Element
-	for i := range msg {
-		e := Encrypt(h, msg[i])
-		h.Add(&h, &e)
-		h.Add(&h, &msg[i])
-	}
-	return h
-}
-
-// HashBytes hashes arbitrary bytes by packing them into field elements
-// (31 bytes per element to stay canonical) and applying Hash.
-func HashBytes(data []byte) fr.Element {
-	const chunk = 31
-	var msg []fr.Element
-	for off := 0; off < len(data); off += chunk {
-		end := off + chunk
-		if end > len(data) {
-			end = len(data)
-		}
-		msg = append(msg, fr.FromBytes(data[off:end]))
-	}
-	msg = append(msg, fr.NewElement(uint64(len(data)))) // length padding
-	return Hash(msg)
 }
 
 // GadgetEncrypt emits the MiMC permutation as circuit constraints,
@@ -195,9 +163,4 @@ func ConstraintsPerBlock() int {
 	before := b.NbGates()
 	GadgetEncrypt(b, k, x)
 	return b.NbGates() - before
-}
-
-// String describes the instantiation.
-func String() string {
-	return fmt.Sprintf("MiMC-p/p over BN254 Fr, %d rounds, x^%d S-box, CTR mode", Rounds, Degree)
 }

@@ -260,7 +260,7 @@ func TestDemotionOnInvalidTxPush(t *testing.T) {
 			{From: victim, Nonce: uint64(i), Args: []byte("BAD"), GasLimit: chain.DefaultGasLimit},
 		}})
 	}
-	waitFor(t, 5*time.Second, func() bool { return n0.Demoted(evil) })
+	waitFor(t, 5*time.Second, func() bool { return n0.isDemoted(evil) })
 	if got := n0.Inner().Stats().PoolSize; got != 0 {
 		t.Fatalf("invalid transactions entered the pool: %d", got)
 	}
@@ -338,10 +338,10 @@ func TestNetStoreCrossNodeFetch(t *testing.T) {
 	if !bytes.Equal(got, data) {
 		t.Fatal("fetched bytes differ")
 	}
-	if !ns2.Local().Has(uri) {
+	if !ns2.local.Has(uri) {
 		t.Fatal("fetched blob not cached locally")
 	}
-	if owner, _ := ns2.Local().Owner(uri); owner != "alice" {
+	if owner, _ := ns2.local.Owner(uri); owner != "alice" {
 		t.Fatalf("cached owner %q, want alice", owner)
 	}
 
@@ -372,7 +372,7 @@ func TestNetStoreCrossNodeFetch(t *testing.T) {
 	if err := ns2.Remove("alice", uri); err != nil {
 		t.Fatalf("owner remove: %v", err)
 	}
-	if ns2.Local().Has(uri) {
+	if ns2.local.Has(uri) {
 		t.Fatal("owner remove kept the local copy")
 	}
 	time.Sleep(50 * time.Millisecond) // hundreds of link latencies
@@ -419,4 +419,14 @@ func TestLeaderRotation(t *testing.T) {
 		t.Fatalf("%d blocks sealed across members for height %d — a height was sealed twice",
 			total, cl.Nodes[0].Head().Number)
 	}
+}
+
+// PeerScore returns the tracked score of a peer, for the scoring tests.
+func (n *Node) PeerScore(id NodeID) int {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	if ps, ok := n.peers[id]; ok {
+		return ps.score
+	}
+	return 0
 }

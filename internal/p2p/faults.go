@@ -47,13 +47,6 @@ func (p *FaultPlan) SetDefault(def LinkProfile) {
 	p.mu.Unlock()
 }
 
-// SetLink overrides the profile of one directed link.
-func (p *FaultPlan) SetLink(from, to NodeID, prof LinkProfile) {
-	p.mu.Lock()
-	p.links[linkKey{from, to}] = prof
-	p.mu.Unlock()
-}
-
 // Partition splits the cluster: messages cross group boundaries only as
 // drops. Nodes not listed in any group form an implicit extra group
 // together. Calling Partition replaces any previous partition.

@@ -81,9 +81,6 @@ func (s *NetStore) Remove(owner string, uri storage.URI) error {
 	return s.local.Remove(owner, uri)
 }
 
-// Local exposes the node-local half (for tests and direct inspection).
-func (s *NetStore) Local() storage.LocalStore { return s.local }
-
 // fetchCandidates lists non-demoted peers in deterministic order.
 func (n *Node) fetchCandidates() []NodeID {
 	n.mu.Lock()

@@ -261,21 +261,6 @@ func (n *Node) Stats() NetStats {
 	return n.stats
 }
 
-// PeerScore returns the tracked score of a peer.
-func (n *Node) PeerScore(id NodeID) int {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if ps, ok := n.peers[id]; ok {
-		return ps.score
-	}
-	return 0
-}
-
-// Demoted reports whether a peer has crossed the demotion threshold.
-func (n *Node) Demoted(id NodeID) bool {
-	return n.PeerScore(id) <= n.cfg.DemoteBelow
-}
-
 // SubmitAndWait admits a transaction locally (screening its proof when a
 // validator is configured, assigning the next account nonce when
 // autoNonce), gossips the exact pooled bytes to the cluster, and blocks

@@ -168,3 +168,10 @@ func TestSeenCacheEviction(t *testing.T) {
 		t.Fatal("hash 3 should still be cached")
 	}
 }
+
+// SetLink overrides the profile of one directed link.
+func (p *FaultPlan) SetLink(from, to NodeID, prof LinkProfile) {
+	p.mu.Lock()
+	p.links[linkKey{from, to}] = prof
+	p.mu.Unlock()
+}

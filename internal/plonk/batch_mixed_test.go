@@ -69,7 +69,7 @@ func mixedBatchFixtures(t testing.TB) []batchFixture {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out = append(out, batchFixture{vk, p, w[:cs.NbPublic()]})
+		out = append(out, batchFixture{vk, p, w[:cs.nbPublic]})
 	}
 	return out
 }

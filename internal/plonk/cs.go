@@ -114,24 +114,13 @@ func NewConstraintSystem(nbPublic int) *ConstraintSystem {
 	return cs
 }
 
-// NbPublic returns the number of public-input variables.
-func (cs *ConstraintSystem) NbPublic() int { return cs.nbPublic }
-
 // NbVariables returns the total number of variables.
 func (cs *ConstraintSystem) NbVariables() int { return cs.nbVariables }
 
 // NbGates returns the number of gates (including public-input gates).
+//
+//lint:ignore testonly the apps/logreg lookup test compares the classic and lookup constraint counts
 func (cs *ConstraintSystem) NbGates() int { return len(cs.gates) }
-
-// Gates returns a copy of the gate list (including the public-input
-// exposure gates at the front). The soundness auditor walks this to run
-// its structural checks against the compiled system rather than the
-// builder's pre-compilation view.
-func (cs *ConstraintSystem) Gates() []Gate { return append([]Gate(nil), cs.gates...) }
-
-// NbConstraints is an alias for NbGates, the paper's "number of
-// constraints" metric.
-func (cs *ConstraintSystem) NbConstraints() int { return len(cs.gates) }
 
 // NewVariable allocates a fresh variable index.
 func (cs *ConstraintSystem) NewVariable() int {
@@ -156,6 +145,8 @@ func (cs *ConstraintSystem) UseRangeTable(bits int) error {
 }
 
 // RangeTableBits returns the declared range-table width, 0 if none.
+//
+//lint:ignore testonly the circuit package's tests pin that a classic build declares no range table
 func (cs *ConstraintSystem) RangeTableBits() int { return cs.tableBits }
 
 // SetPoseidonMDS installs the MDS matrix the Poseidon custom gates
@@ -166,10 +157,14 @@ func (cs *ConstraintSystem) SetPoseidonMDS(m [3][3]fr.Element) {
 }
 
 // HasLookup reports whether any gate row is a lookup.
+//
+//lint:ignore testonly the circuit package's tests pin which builds emit lookup rows
 func (cs *ConstraintSystem) HasLookup() bool { return cs.hasLookup }
 
 // HasCustomGates reports whether any gate row uses a custom (next-row)
 // constraint family.
+//
+//lint:ignore testonly the circuit, mimc and poseidon tests pin which builds emit custom rows
 func (cs *ConstraintSystem) HasCustomGates() bool { return cs.hasCustom }
 
 // AddGate appends a gate. Wire indices must reference existing variables.

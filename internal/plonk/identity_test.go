@@ -89,7 +89,7 @@ func TestClassicProverBitIdentity(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if err := Verify(vk, proof, witness[:cs.NbPublic()]); err != nil {
+			if err := Verify(vk, proof, witness[:cs.nbPublic]); err != nil {
 				t.Fatalf("pinned proof rejected: %v", err)
 			}
 			if got := hex.EncodeToString(digestProofForTest(proof)); got != want.proof {

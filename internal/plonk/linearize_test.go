@@ -85,7 +85,7 @@ func TestOpeningMSMWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, _, err := openingMSM(vk, proof, witness[:cs.NbPublic()])
+		m, _, err := openingMSM(vk, proof, witness[:cs.nbPublic])
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -302,7 +302,7 @@ func TestProveConcurrentSharedKey(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					if err := Verify(vk, proof, witness[:cs.NbPublic()]); err != nil {
+					if err := Verify(vk, proof, witness[:cs.nbPublic]); err != nil {
 						t.Error(err)
 					}
 				}()

@@ -85,7 +85,7 @@ func TestExtendedProofSerializationRoundTrip(t *testing.T) {
 			if !bytes.Equal(back.Bytes(), data) {
 				t.Fatal("decoded proof re-encodes differently")
 			}
-			if err := Verify(vk, back, witness[:cs.NbPublic()]); err != nil {
+			if err := Verify(vk, back, witness[:cs.nbPublic]); err != nil {
 				t.Fatalf("decoded proof rejected: %v", err)
 			}
 			for f := 0; f < 256; f++ {
@@ -217,7 +217,7 @@ func TestExtendedSerializationTamperRejected(t *testing.T) {
 			if err != nil {
 				continue // caught at decode
 			}
-			if err := Verify(vk, back, witness[:cs.NbPublic()]); err == nil {
+			if err := Verify(vk, back, witness[:cs.nbPublic]); err == nil {
 				t.Fatalf("%s: tampered byte at offset %d accepted", name, off)
 			}
 		}

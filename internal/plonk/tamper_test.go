@@ -107,7 +107,7 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr := proven{shape: shape, cs: cs, vk: vk, good: proof.Bytes(), public: witness[:cs.NbPublic()]}
+		pr := proven{shape: shape, cs: cs, vk: vk, good: proof.Bytes(), public: witness[:cs.nbPublic]}
 		if err := Verify(vk, proof, pr.public); err != nil {
 			t.Fatalf("%s: honest proof rejected: %v", shape, err)
 		}

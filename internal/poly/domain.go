@@ -128,13 +128,6 @@ func (d *Domain) Elements() []fr.Element {
 	return d.elems
 }
 
-// ElementsInv returns ω^0, ω⁻¹, …, ω^-(N-1) in order. Like Elements, the
-// returned slice is cached and must be treated as read-only.
-func (d *Domain) ElementsInv() []fr.Element {
-	d.buildElements()
-	return d.elemsInv
-}
-
 // twiddles returns the cached twiddle tables (ω^j and ω⁻ʲ for j < N/2); the
 // butterfly at stage s, index j reads entry j·(N>>s). A 3·2^k domain keeps
 // j < 2N/3: its radix-3 pass also reads ω^j and ω^2j for j < N/3, and the

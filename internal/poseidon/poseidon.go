@@ -17,8 +17,6 @@ package poseidon
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"errors"
-	"fmt"
 
 	"github.com/zkdet/zkdet/internal/circuit"
 	"github.com/zkdet/zkdet/internal/fr"
@@ -123,19 +121,9 @@ func Hash(msg []fr.Element) fr.Element {
 	return state[0]
 }
 
-// Compress is the 2-to-1 compression used by Merkle trees.
-func Compress(l, r fr.Element) fr.Element {
-	state := Permute([Width]fr.Element{l, r, fr.NewElement(2)})
-	return state[0]
-}
-
 // Commitment scheme (Definition 2.1 of the paper): c = H(o ‖ m) with a
 // uniformly random opening o. Binding follows from collision resistance,
 // hiding from the blinder.
-
-// ErrOpenFailed reports a commitment that does not open to the claimed
-// message.
-var ErrOpenFailed = errors.New("poseidon: commitment opening failed")
 
 // Commit commits to msg with a fresh random blinder, returning (c, o).
 func Commit(msg []fr.Element) (c, o fr.Element) {
@@ -150,12 +138,6 @@ func CommitWith(msg []fr.Element, o fr.Element) fr.Element {
 	buf = append(buf, o)
 	buf = append(buf, msg...)
 	return Hash(buf)
-}
-
-// Open verifies that c is a commitment to msg under blinder o.
-func Open(msg []fr.Element, c, o fr.Element) bool {
-	want := CommitWith(msg, o)
-	return want.Equal(&c)
 }
 
 // GadgetPermute emits the Poseidon permutation as circuit constraints.
@@ -256,15 +238,6 @@ func GadgetHash(b *circuit.Builder, msg []circuit.Variable) circuit.Variable {
 	return state[0]
 }
 
-// GadgetCompress emits the 2-to-1 compression as constraints.
-func GadgetCompress(b *circuit.Builder, l, r circuit.Variable) circuit.Variable {
-	state := [Width]circuit.Variable{l, r, b.Constant(fr.NewElement(2))}
-	out := GadgetPermute(b, state)
-	b.MarkDiscard(out[1])
-	b.MarkDiscard(out[2])
-	return out[0]
-}
-
 // GadgetCommit emits the commitment computation as constraints: the
 // returned wire carries CommitWith(msg, o).
 func GadgetCommit(b *circuit.Builder, msg []circuit.Variable, o circuit.Variable) circuit.Variable {
@@ -284,9 +257,4 @@ func ConstraintsPerPermutation() int {
 	before := b.NbGates()
 	GadgetPermute(b, s)
 	return b.NbGates() - before
-}
-
-// String describes the instantiation.
-func String() string {
-	return fmt.Sprintf("x^5-Poseidon-128 over BN254 Fr, t=%d, R_F=%d, R_P=%d", Width, FullRounds, PartialRounds)
 }

@@ -46,19 +46,6 @@ func TestHashBasics(t *testing.T) {
 	}
 }
 
-func TestCompress(t *testing.T) {
-	a, b := fr.NewElement(11), fr.NewElement(22)
-	c1 := Compress(a, b)
-	c2 := Compress(b, a)
-	if c1.Equal(&c2) {
-		t.Fatal("compression is symmetric; it must not be")
-	}
-	c3 := Compress(a, b)
-	if !c1.Equal(&c3) {
-		t.Fatal("compression not deterministic")
-	}
-}
-
 func TestCommitOpen(t *testing.T) {
 	msg := []fr.Element{fr.NewElement(5), fr.NewElement(6)}
 	c, o := Commit(msg)
@@ -143,17 +130,6 @@ func TestGadgetCommitMatchesNative(t *testing.T) {
 	checkCompiles(t, b)
 }
 
-func TestGadgetCompressMatchesNative(t *testing.T) {
-	b := circuit.NewBuilder()
-	lv, rv := fr.NewElement(1), fr.NewElement(2)
-	c := GadgetCompress(b, b.Secret(lv), b.Secret(rv))
-	want := Compress(lv, rv)
-	if got := b.Value(c); !got.Equal(&want) {
-		t.Fatal("gadget compress mismatch")
-	}
-	checkCompiles(t, b)
-}
-
 func checkCompiles(t *testing.T, b *circuit.Builder) {
 	t.Helper()
 	cs, w, err := b.Compile()
@@ -189,12 +165,6 @@ func TestQuickCommitBinding(t *testing.T) {
 	}
 }
 
-func TestString(t *testing.T) {
-	if String() == "" {
-		t.Fatal("empty description")
-	}
-}
-
 func BenchmarkPermute(b *testing.B) {
 	s := [Width]fr.Element{fr.NewElement(1), fr.NewElement(2), fr.NewElement(3)}
 	b.ResetTimer()
@@ -212,4 +182,11 @@ func BenchmarkHash(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Hash(msg)
 	}
+}
+
+// Open verifies that c is a commitment to msg under blinder o: the check
+// the commitment tests hold Commit and CommitWith to.
+func Open(msg []fr.Element, c, o fr.Element) bool {
+	want := CommitWith(msg, o)
+	return want.Equal(&c)
 }

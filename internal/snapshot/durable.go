@@ -732,6 +732,3 @@ func (s *DurableBlobs) Has(uri storage.URI) bool { return s.inner.Has(uri) }
 
 // Len reports the number of stored blobs.
 func (s *DurableBlobs) Len() int { return s.inner.Len() }
-
-// Local exposes the wrapped store (tests, direct inspection).
-func (s *DurableBlobs) Local() *storage.Store { return s.inner }

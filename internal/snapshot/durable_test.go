@@ -36,7 +36,7 @@ func (counter) Call(ctx *chain.CallContext, method string, args []byte) ([]byte,
 		if err := ctx.Store.Set("count", buf); err != nil {
 			return nil, err
 		}
-		if err := ctx.Emit("Incremented", buf); err != nil {
+		if err := ctx.EmitIndexed("Incremented", nil, buf); err != nil {
 			return nil, err
 		}
 		return buf, nil
@@ -116,9 +116,9 @@ func TestCodecRoundTrip(t *testing.T) {
 	}
 
 	exp := n.c.ExportState()
-	data := Encode(&Snapshot{Manifest: Manifest{Role: Full}, State: exp, Blobs: n.bs.Local().Export()})
+	data := Encode(&Snapshot{Manifest: Manifest{Role: Full}, State: exp, Blobs: n.bs.inner.Export()})
 	// Deterministic: encoding the same state twice is byte-identical.
-	if data2 := Encode(&Snapshot{Manifest: Manifest{Role: Full}, State: exp, Blobs: n.bs.Local().Export()}); string(data) != string(data2) {
+	if data2 := Encode(&Snapshot{Manifest: Manifest{Role: Full}, State: exp, Blobs: n.bs.inner.Export()}); string(data) != string(data2) {
 		t.Fatal("encoding is not deterministic")
 	}
 

@@ -154,6 +154,8 @@ func (s *Store) Export() []BlobExport {
 }
 
 // Corrupt flips a byte of a stored blob — test hook for tamper evidence.
+//
+//lint:ignore testonly the p2p and core tests corrupt a replica to check that reads refuse it
 func (s *Store) Corrupt(uri URI) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -345,14 +345,6 @@ func (l *Log) WaitDurable(seq uint64) error {
 	return ErrClosed
 }
 
-// Sync forces an immediate flush + fsync of everything appended so far.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	target := l.written
-	l.mu.Unlock()
-	return l.syncTo(target)
-}
-
 // syncTo makes all records up to target durable, sharing the work with the
 // group committer where possible.
 func (l *Log) syncTo(target uint64) error {
