@@ -20,7 +20,7 @@ RACE_PKGS = ./internal/ff/... ./internal/fr/... \
 	./internal/storage/... ./internal/core/... ./internal/p2p/... ./cmd/zkdet-node/... \
 	./internal/wal/... ./internal/snapshot/... ./internal/ct/...
 
-.PHONY: check vet build lint audit identity-names test test-fallback bench-module race fuzz-smoke bench bench-verify bench-p2p bench-exec bench-wal node-demo cluster-demo cluster-demo-durable
+.PHONY: check vet build lint audit identity-names test test-fallback bench-module race fuzz-smoke bench bench-verify bench-p2p node-demo cluster-demo cluster-demo-durable
 
 check: vet build lint audit identity-names test test-fallback bench-module race
 
@@ -125,10 +125,14 @@ fuzz-smoke:
 # plonk.Prove at 2^10..2^16, including 2^13, the π_e domain of the repo
 # benchmark's probes), with -benchmem: bytes per MSM and per proof are
 # bounded by the repo benchmark (alloc_mb_per_op, 3 %), so every recorded
-# trajectory carries them; see EXPERIMENTS.md.
+# trajectory carries them; see EXPERIMENTS.md. Then ProduceBlock and
+# ImportBlock of one 256-tx block on a DataNFT store pre-filled to
+# 1k/10k/100k slots: ns/op flat across sizes is the state commitment's
+# O(block) claim (DESIGN.md §11).
 bench:
 	$(GO) test -run='^$$' -bench='BenchmarkMul$$|BenchmarkMulThroughput$$|BenchmarkMulKernels$$|BenchmarkFFT$$|BenchmarkG1MSM$$|BenchmarkCommit$$|BenchmarkProve$$' -benchmem \
 		./internal/ff/ ./internal/poly/ ./internal/bn254/ ./internal/kzg/ ./internal/plonk/
+	$(GO) test -run='^$$' -bench='BenchmarkProduceBlock$$|BenchmarkImportBlock$$' -benchtime=20x ./internal/contracts/
 
 # Verification-engine benchmarks: the pairing check naive/sparse/precomp,
 # single-proof plonk.Verify, and BatchVerify at N = 1, 4, 16, 64 (watch
@@ -143,25 +147,6 @@ bench-verify:
 bench-p2p:
 	$(GO) test -run='^$$' -bench='BenchmarkGossipPropagation$$|BenchmarkChainSync$$' -benchtime=10x \
 		./internal/bench/
-
-# Execution-layer benchmark: sealed tx/s of the journaled executor at
-# 100/1k/10k clients on a DataNFT transfer workload, then ProduceBlock and
-# ImportBlock of one 256-tx block on a DataNFT store pre-filled to
-# 1k/10k/100k slots (ns/op flat across sizes is the commitment's O(block)
-# claim); see EXPERIMENTS.md §Execution layer for recorded numbers.
-# `go run ./cmd/zkdet-bench -exec` prints the sweep as a table.
-bench-exec:
-	$(GO) test -run='^$$' -bench='BenchmarkExecThroughput$$' -benchtime=1x ./internal/bench/
-	$(GO) test -run='^$$' -bench='BenchmarkProduceBlock$$|BenchmarkImportBlock$$' -benchtime=20x ./internal/bench/
-
-# Durability benchmarks: raw WAL append throughput by sync policy, durable
-# vs in-memory sealed tx/s (the ≤2x acceptance criterion at the default
-# group commit), and crash-recovery time vs chain length; see EXPERIMENTS.md
-# §Durability layer for recorded numbers. `go run ./cmd/zkdet-bench -wal`
-# prints the same experiments as tables.
-bench-wal:
-	$(GO) test -run='^$$' -bench='BenchmarkWALAppend$$|BenchmarkDurableExec$$|BenchmarkRecovery$$' \
-		-benchtime=1x ./internal/bench/
 
 # Boot the node daemon in-process and drive 100 concurrent clients through
 # full exchange lifecycles over HTTP JSON-RPC; prints tx/s and p50/p99.

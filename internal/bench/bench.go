@@ -1,18 +1,25 @@
-// Package bench implements the measurement harness behind every table and
-// figure of the paper's evaluation (§VI). Each experiment is a function
-// returning structured rows, consumed both by the root bench_test.go
-// (testing.B integration) and by cmd/zkdet-bench (human-readable report).
+// Package bench is the paper's evaluation (§VI) as one list of artifacts:
+// Figs. 5–7, Tables I–II, the §VI-B3 proof size, the constraint report, the
+// three design ablations of §IV-B/C and the network layer. cmd/zkdet-bench
+// prints each as the Markdown tables EXPERIMENTS.md holds; the package test
+// runs every one at the small scale and checks the paper's shape on it.
 //
-// Sizes are scaled down from the paper's testbed (a from-scratch big-int
-// Plonk prover on shared CI hardware versus Snarkjs on an i9-11900K); the
-// quantities that must reproduce are the *shapes*: linear proving time,
+// Sizes are scaled down from the paper's testbed (a from-scratch Go Plonk
+// prover on shared hardware versus Snarkjs on an i9-11900K); the quantities
+// that must reproduce are the *shapes*: growing setup and proving time,
 // constant π_k cost, constant proof size, flat ZKDET verification versus
 // growing ZKCP verification, and Table II's gas magnitudes.
 package bench
 
 import (
+	"bufio"
 	"fmt"
+	"math"
+	"os"
 	"runtime"
+	"runtime/debug"
+	"strings"
+	"sync"
 	"time"
 
 	"github.com/zkdet/zkdet/internal/apps/logreg"
@@ -22,504 +29,387 @@ import (
 	"github.com/zkdet/zkdet/internal/contracts"
 	"github.com/zkdet/zkdet/internal/core"
 	"github.com/zkdet/zkdet/internal/fr"
-	"github.com/zkdet/zkdet/internal/kzg"
-	"github.com/zkdet/zkdet/internal/mimc"
 	"github.com/zkdet/zkdet/internal/plonk"
-	"github.com/zkdet/zkdet/internal/poseidon"
 )
 
-// Environment describes the machine a report was measured on. The prover
-// hot paths fan out across a GOMAXPROCS-bounded worker pool (see DESIGN.md
-// "Parallelism model"), so recorded times are only comparable alongside
-// the core count they were measured with.
+// Scale is one size of every artifact's workload.
+type Scale struct {
+	System       int   // gates the shared proving system's SRS carries
+	Fig5         []int // circuit sizes, in gates
+	Fig6         []int // dataset entries
+	Fig7         []int // dataset entries, hence π_e public inputs
+	ZKCP         []int // further ZKCP verifier inputs ℓ, past Fig7's
+	LogReg       []int // Table I training samples
+	Transformers []transformer.Config
+	ProofSize    []int // dataset entries
+	Decouple     int   // dataset entries of the decoupling chain
+	GossipNodes  int
+	Fanouts      []int
+	GossipTxs    int
+	SyncLengths  []int // blocks
+	SyncTxs      int   // transactions per block
+}
+
+// Scales holds the two sizes: small, the driver's default and what the
+// package test runs, and medium, what EXPERIMENTS.md records.
+var Scales = map[string]Scale{
+	"small": {
+		System:       1 << 14,
+		Fig5:         []int{1 << 8, 1 << 9, 1 << 10, 1 << 11, 1 << 12},
+		Fig6:         []int{2, 4, 8, 16},
+		Fig7:         []int{2, 4, 8, 16},
+		ZKCP:         []int{64, 512},
+		LogReg:       []int{4, 8},
+		ProofSize:    []int{2, 16},
+		Decouple:     4,
+		GossipNodes:  5,
+		Fanouts:      []int{1, 4},
+		GossipTxs:    2,
+		SyncLengths:  []int{4, 16},
+		SyncTxs:      2,
+		Transformers: []transformer.Config{{SeqLen: 2, DModel: 2, DK: 2, DFF: 2, DOut: 2}},
+	},
+	"medium": {
+		System:      1 << 17,
+		Fig5:        []int{1 << 10, 1 << 12, 1 << 14, 1 << 16},
+		Fig6:        []int{2, 4, 8, 16, 32, 64},
+		Fig7:        []int{4, 16, 64},
+		ZKCP:        []int{256, 1024, 4096},
+		LogReg:      []int{8, 16, 32},
+		ProofSize:   []int{2, 16, 64},
+		Decouple:    8,
+		GossipNodes: 7,
+		Fanouts:     []int{1, 2, 3, 6},
+		GossipTxs:   10,
+		SyncLengths: []int{8, 32, 128},
+		SyncTxs:     4,
+		Transformers: []transformer.Config{
+			{SeqLen: 3, DModel: 4, DK: 4, DFF: 8, DOut: 4},
+			{SeqLen: 4, DModel: 8, DK: 4, DFF: 16, DOut: 8},
+		},
+	},
+}
+
+// Table is one Markdown table of an artifact. A cell is a time.Duration
+// (printed by FormatSeconds), an int or uint64, a float64 (one decimal) or
+// a string.
+type Table struct {
+	Caption string // optional line above the table
+	Header  []string
+	Rows    [][]any
+}
+
+// Artifact is one table or figure of the evaluation.
+type Artifact struct {
+	Name  string // the driver's argument
+	Title string
+	Paper string // what the paper reports; empty if the paper has no such artifact
+	Run   func(*Session) ([]Table, error)
+}
+
+// Artifacts is the evaluation, in the paper's order.
+var Artifacts = []Artifact{
+	{"fig5", "Figure 5 — circuit setup time vs constraints",
+		"setup grows with the number of constraints; < 2 min at 2²⁰ constraints on an i9-11900K.", fig5},
+	{"fig6", "Figure 6 — proof generation time vs data size",
+		"π_e/π_p linear in data size (~3 min at 5 MB); π_t for aggregation/partition/duplication ~10 s at 5 MB; π_k constant, ~120 ms.", fig6},
+	{"fig7", "Figure 7 — ZKDET vs ZKCP running time (verification)",
+		"ZKDET verification < 0.1 s and flat (2 pairings + 18 exponentiations); ZKCP's verifier grows with its ℓ public inputs (3 pairings + ℓ exponentiations).", fig7},
+	{"table1", "Table I — processing proofs (logistic regression, transformer)",
+		"LR 495 entries → 3.11 s, 1,963 → 21.73 s, 10,210 → 131.44 s; transformer 201k params → 1m29s, 1M → 8m12s; all proofs ~2.4 KB.", table1},
+	{"table2", "Table II — gas consumption of smart contracts",
+		"the gas of each operation under the EVM schedule (the paper column), directly comparable with ours.", table2},
+	{"proofsize", "§VI-B3 — proof size",
+		"a proof is 9 G1 + 6 field elements at every circuit size.", proofSize},
+	{"constraints", "Constraint report — classic vs lookup/custom-gate lowering (DESIGN.md §15)",
+		"", constraintReport},
+	{"cipher", "Ablation — cipher in-circuit (§IV-C1)",
+		"MiMC rather than AES/SHA-class ciphers, whose boolean circuits cost orders of magnitude more constraints.", ablationCipher},
+	{"commitment", "Ablation — commitment in-circuit (§IV-C2)",
+		"Poseidon rather than Pedersen commitments, ~8x fewer constraints.", ablationCommitment},
+	{"decouple", "Ablation — decoupled π_e/π_t vs monolithic π_f (§IV-B)",
+		"decoupling the proof of encryption from the proof of transformation halves proof generation along a transformation chain.", ablationDecouple},
+	{"p2p", "Network layer — gossip propagation and chain sync (SimNet)",
+		"", p2pLayer},
+}
+
+// Session runs artifacts at one scale. The artifacts that prove share one
+// proving system, built on first use, whose circuit keys stay cached.
+type Session struct {
+	Scale  Scale
+	system func() (*core.System, error)
+}
+
+// NewSession starts a session at the given scale.
+func NewSession(s Scale) *Session {
+	return &Session{Scale: s, system: sync.OnceValues(func() (*core.System, error) {
+		return core.NewTestSystem(s.System)
+	})}
+}
+
+// Environment names the commit and the host a report was measured on. The
+// prover fans out across a GOMAXPROCS-bounded worker pool (DESIGN.md
+// "Parallelism model"), so times compare only at the same core count.
 func Environment() string {
-	return fmt.Sprintf("%s %s/%s, %d CPU(s), GOMAXPROCS=%d",
-		runtime.Version(), runtime.GOOS, runtime.GOARCH,
-		runtime.NumCPU(), runtime.GOMAXPROCS(0))
-}
-
-// newSRS builds a deterministic SRS able to carry circuits of n gates.
-func newSRS(maxConstraints int) (*kzg.SRS, error) {
-	n := 64
-	for n < maxConstraints {
-		n <<= 1
+	commit := "unknown (not built from a git checkout by go build)"
+	if info, ok := debug.ReadBuildInfo(); ok {
+		var rev, dirty string
+		for _, s := range info.Settings {
+			switch {
+			case s.Key == "vcs.revision":
+				rev = s.Value[:min(len(s.Value), 12)]
+			case s.Key == "vcs.modified" && s.Value == "true":
+				dirty = " with local changes"
+			}
+		}
+		if rev != "" {
+			commit = rev + dirty
+		}
 	}
-	tau := fr.NewElement(0xbe_c4)
-	return kzg.NewSRSFromSecret(4*n+16, &tau)
+	return fmt.Sprintf("commit %s; host %s, %d CPU(s), GOMAXPROCS=%d, %s %s/%s",
+		commit, cpuModel(), runtime.NumCPU(), runtime.GOMAXPROCS(0),
+		runtime.Version(), runtime.GOOS, runtime.GOARCH)
 }
 
-// NewSystem builds a deterministic core.System for the experiments.
-func NewSystem(maxConstraints int) (*core.System, error) {
-	return core.NewTestSystem(maxConstraints)
+// cpuModel reads the processor's name where the OS says it (Linux).
+func cpuModel() string {
+	if f, err := os.Open("/proc/cpuinfo"); err == nil {
+		defer f.Close()
+		for sc := bufio.NewScanner(f); sc.Scan(); {
+			if k, v, ok := strings.Cut(sc.Text(), ":"); ok && strings.TrimSpace(k) == "model name" {
+				return strings.TrimSpace(v)
+			}
+		}
+	}
+	return "an unnamed " + runtime.GOARCH + " CPU"
+}
+
+// FormatSeconds renders a duration in the style of the paper's tables. It
+// rounds once, to the precision of the unit it then prints in, so a value
+// just under a unit's boundary prints in the next unit (0.9996 s is 1.00s,
+// 119.6 s is 2min00s).
+func FormatSeconds(s float64) string {
+	switch {
+	case math.Round(s*1e5) < 1000:
+		return fmt.Sprintf("%.2fms", s*1000)
+	case math.Round(s*1e3) < 1000:
+		return fmt.Sprintf("%.0fms", s*1000)
+	case math.Round(s*100) < 6000:
+		return fmt.Sprintf("%.2fs", s)
+	default:
+		whole := int(math.Round(s))
+		return fmt.Sprintf("%dmin%02ds", whole/60, whole%60)
+	}
+}
+
+// dataset is the experiments' data: entries 1..n.
+func dataset(n int) core.Dataset {
+	data := make(core.Dataset, n)
+	for i := range data {
+		data[i] = fr.NewElement(uint64(i + 1))
+	}
+	return data
+}
+
+// warmTimed runs f once, which builds and caches any circuit key it needs,
+// then times a second run: the paper's tables report proving, not setup.
+func warmTimed(f func() error) (time.Duration, error) {
+	if err := f(); err != nil {
+		return 0, err
+	}
+	start := time.Now()
+	err := f()
+	return time.Since(start), err
+}
+
+// sinceOf times f.
+func sinceOf(f func()) time.Duration {
+	start := time.Now()
+	f()
+	return time.Since(start)
 }
 
 // --- Figure 5: circuit setup time vs number of constraints ---
 
-// Fig5Row is one point of Figure 5.
-type Fig5Row struct {
-	Constraints       int
-	SRSSeconds        float64
-	PreprocessSeconds float64
-	TotalSeconds      float64
-}
-
-// powerCircuit builds an n-gate squaring chain (a representative circuit
-// whose size is exactly controllable).
-func powerCircuit(n int) (*plonk.ConstraintSystem, []fr.Element) {
+// powerCircuit is a squaring chain of n gates plus the public-input and
+// final equality gates: a circuit whose size is exactly controllable.
+func powerCircuit(n int) *plonk.ConstraintSystem {
 	cs := plonk.NewConstraintSystem(1)
-	x := cs.NewVariable()
-	val := fr.NewElement(3)
-	witness := []fr.Element{fr.Zero(), val}
-	cur := x
-	curVal := val
+	cur := cs.NewVariable()
 	minusOne := fr.NewFromInt64(-1)
 	for i := 0; i < n; i++ {
 		sq := cs.NewVariable()
-		var sqVal fr.Element
-		sqVal.Square(&curVal)
-		witness = append(witness, sqVal)
 		cs.MustAddGate(plonk.Gate{QM: fr.One(), QO: minusOne, A: cur, B: cur, C: sq})
-		cur, curVal = sq, sqVal
+		cur = sq
 	}
 	cs.MustAddGate(plonk.Gate{QL: fr.One(), QO: minusOne, A: cur, B: cur, C: 0})
-	witness[0] = curVal
-	return cs, witness
+	return cs
 }
 
-// Fig5Setup measures universal SRS generation plus circuit preprocessing
-// for each constraint count.
-func Fig5Setup(sizes []int) ([]Fig5Row, error) {
-	rows := make([]Fig5Row, 0, len(sizes))
-	for _, n := range sizes {
-		start := time.Now()
-		srs, err := newSRS(n)
+// fig5 times universal SRS generation plus circuit preprocessing.
+func fig5(s *Session) ([]Table, error) {
+	t := Table{Header: []string{"constraints", "SRS", "preprocess", "total"}}
+	for _, n := range s.Scale.Fig5 {
+		var sys *core.System
+		var err error
+		srs := sinceOf(func() { sys, err = core.NewTestSystem(n) })
 		if err != nil {
 			return nil, err
 		}
-		srsDur := time.Since(start)
-
-		cs, _ := powerCircuit(n - cs0Overhead(n))
-		start = time.Now()
-		if _, _, err := plonk.Setup(cs, srs); err != nil {
+		cs := powerCircuit(n - 2)
+		pre := sinceOf(func() { _, _, err = plonk.Setup(cs, sys.SRS()) })
+		if err != nil {
 			return nil, err
 		}
-		preDur := time.Since(start)
-		rows = append(rows, Fig5Row{
-			Constraints:       n,
-			SRSSeconds:        srsDur.Seconds(),
-			PreprocessSeconds: preDur.Seconds(),
-			TotalSeconds:      (srsDur + preDur).Seconds(),
-		})
+		t.Rows = append(t.Rows, []any{n, srs, pre, srs + pre})
 	}
-	return rows, nil
+	return []Table{t}, nil
 }
-
-// cs0Overhead keeps the generated circuit at ~n constraints including the
-// public-input and final equality gates.
-func cs0Overhead(int) int { return 2 }
 
 // --- Figure 6: proof generation time vs data size ---
 
-// Fig6Row is one point of Figure 6: proving time for π_e (≈ π_p), π_t
-// (duplication — a pure data comparison, like aggregation/partition) and
-// π_k (constant, data-independent) at a dataset size.
-type Fig6Row struct {
-	Entries    int
-	DataKB     float64
-	PiESeconds float64
-	PiTSeconds float64
-	PiKSeconds float64
-}
-
-// Fig6ProofGen measures proof generation across dataset sizes.
-func Fig6ProofGen(sys *core.System, sizes []int) ([]Fig6Row, error) {
-	rows := make([]Fig6Row, 0, len(sizes))
-	for _, n := range sizes {
-		data := make(core.Dataset, n)
-		for i := range data {
-			data[i] = fr.NewElement(uint64(i + 1))
-		}
-		k := fr.NewElement(12345)
-
-		// π_e: encryption + commitments (warm up setup first so the
-		// measurement isolates proving, as the paper's does).
-		if _, _, _, _, err := sys.EncryptAndProve(data, k); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		_, _, _, _, err := sys.EncryptAndProve(data, k)
+// fig6 times π_e (≈ π_p), π_t for a duplication (a pure data comparison,
+// like aggregation and partition) and π_k (data-independent).
+func fig6(s *Session) ([]Table, error) {
+	sys, err := s.system()
+	if err != nil {
+		return nil, err
+	}
+	t := Table{Header: []string{"entries", "data", "π_e", "π_t(dup)", "π_k"}}
+	for _, n := range s.Scale.Fig6 {
+		data, k := dataset(n), fr.NewElement(12345)
+		piE, err := warmTimed(func() error {
+			_, _, _, _, err := sys.EncryptAndProve(data, k)
+			return err
+		})
 		if err != nil {
 			return nil, err
 		}
-		piE := time.Since(start)
-
-		// π_t: duplication (data comparison under commitments).
 		cs, os := data.Commit()
-		if _, _, err := sys.ProveDuplication(data, cs, os); err != nil {
+		piT, err := warmTimed(func() error {
+			_, _, err := sys.ProveDuplication(data, cs, os)
+			return err
+		})
+		if err != nil {
 			return nil, err
 		}
-		start = time.Now()
-		if _, _, err := sys.ProveDuplication(data, cs, os); err != nil {
-			return nil, err
-		}
-		piT := time.Since(start)
-
-		// π_k: key negotiation — constant size.
 		seller, err := core.NewSeller(sys, data, k, core.TruePredicate{})
 		if err != nil {
 			return nil, err
 		}
 		kv := fr.NewElement(777)
 		hv := core.HashChallenge(kv)
-		if _, _, err := seller.NegotiateKey(kv, hv); err != nil {
-			return nil, err
-		}
-		start = time.Now()
-		if _, _, err := seller.NegotiateKey(kv, hv); err != nil {
-			return nil, err
-		}
-		piK := time.Since(start)
-
-		rows = append(rows, Fig6Row{
-			Entries:    n,
-			DataKB:     float64(n*32) / 1024,
-			PiESeconds: piE.Seconds(),
-			PiTSeconds: piT.Seconds(),
-			PiKSeconds: piK.Seconds(),
+		piK, err := warmTimed(func() error {
+			_, _, err := seller.NegotiateKey(kv, hv)
+			return err
 		})
+		if err != nil {
+			return nil, err
+		}
+		t.Rows = append(t.Rows, []any{n, fmt.Sprintf("%.2fKB", float64(n*32)/1024), piE, piT, piK})
 	}
-	return rows, nil
+	return []Table{t}, nil
 }
 
 // --- Figure 7: ZKDET vs ZKCP running time (verification) ---
 
-// Fig7Row compares verification time at a public-input size.
-type Fig7Row struct {
-	Inputs       int
-	ZKDETSeconds float64
-	ZKCPSeconds  float64
-}
-
-// Fig7Verify measures ZKDET's Plonk verification (flat in the input size)
-// against the ZKCP baseline's Groth16-style verifier (3 pairings + ℓ G1
-// exponentiations, §VI-B3).
-func Fig7Verify(sys *core.System, sizes []int) ([]Fig7Row, error) {
-	rows := make([]Fig7Row, 0, len(sizes))
-	for _, n := range sizes {
-		data := make(core.Dataset, n)
-		for i := range data {
-			data[i] = fr.NewElement(uint64(i + 1))
-		}
-		k := fr.NewElement(999)
-		st, _, _, proof, err := sys.EncryptAndProve(data, k)
+// fig7 times ZKDET's Plonk verification of π_e against the ZKCP baseline's
+// Groth16-style verifier (3 pairings + ℓ G1 exponentiations, §VI-B3). The
+// ZKCP verifier needs no SRS, so its rows go on past the π_e sizes.
+func fig7(s *Session) ([]Table, error) {
+	sys, err := s.system()
+	if err != nil {
+		return nil, err
+	}
+	zkcp := func(n int) time.Duration { return sinceOf(func() { core.ZKCPVerifierCost(n) }) }
+	t := Table{Header: []string{"inputs", "ZKDET verify", "ZKCP verify"}}
+	for _, n := range s.Scale.Fig7 {
+		st, _, _, proof, err := sys.EncryptAndProve(dataset(n), fr.NewElement(999))
 		if err != nil {
 			return nil, err
 		}
-		// Warm the verifying key cache.
-		if err := sys.VerifyEncryption(st, proof); err != nil {
+		verify, err := warmTimed(func() error { return sys.VerifyEncryption(st, proof) })
+		if err != nil {
 			return nil, err
 		}
-		start := time.Now()
-		if err := sys.VerifyEncryption(st, proof); err != nil {
-			return nil, err
-		}
-		zkdet := time.Since(start)
-
-		start = time.Now()
-		core.ZKCPVerifierCost(n)
-		zkcp := time.Since(start)
-
-		rows = append(rows, Fig7Row{
-			Inputs:       n,
-			ZKDETSeconds: zkdet.Seconds(),
-			ZKCPSeconds:  zkcp.Seconds(),
-		})
+		t.Rows = append(t.Rows, []any{n, verify, zkcp(n)})
 	}
-	return rows, nil
+	for _, n := range s.Scale.ZKCP {
+		t.Rows = append(t.Rows, []any{n, "—", zkcp(n)})
+	}
+	return []Table{t}, nil
 }
 
 // --- Table I: proofs of transformation for data processing ---
 
-// Table1Row is one row of Table I.
-type Table1Row struct {
-	Task         string
-	Size         int // entries (logreg) or parameters (transformer)
-	ProveSeconds float64
-	ProofBytes   int
-}
-
-// Table2Row is one row of Table II.
-type Table2Row struct {
-	Operation string
-	PaperGas  uint64
-	Gas       uint64
-}
-
-// Table2Gas deploys the contract suite and measures every operation of
-// Table II on the simulated chain.
-func Table2Gas(sys *core.System) ([]Table2Row, error) {
-	m, deployGas, err := core.NewMarketplace(sys)
+// table1 proves each row's statement on the classic circuit and on its /lk
+// lowering (range-table lookups and custom hash gates, DESIGN.md §15).
+func table1(s *Session) ([]Table, error) {
+	sys, err := s.system()
 	if err != nil {
 		return nil, err
 	}
-	alice := chain.AddressFromString("alice")
-	bob := chain.AddressFromString("bob")
-	m.Chain.Faucet(alice, 1_000_000)
-	m.Chain.Faucet(bob, 1_000_000)
-
-	submit := func(from chain.Address, method string, args []byte) (*chain.Receipt, error) {
-		o := m.Chain.ProduceBlock([]chain.Transaction{{
-			From: from, Contract: contracts.DataNFTName, Method: method,
-			Args: args, Nonce: m.Chain.NonceOf(from),
-		}}).Outcomes[0]
-		if o.Err != nil {
-			return nil, o.Err
-		}
-		if o.Receipt.Err != nil {
-			return nil, o.Receipt.Err
-		}
-		return o.Receipt, nil
-	}
-	uri := make([]byte, 32)
-	commit := make([]byte, 64)
-	for i := range uri {
-		uri[i] = byte(i)
-	}
-
-	mint1, err := submit(alice, "mint", contracts.EncodeArgs(uri, commit))
-	if err != nil {
-		return nil, err
-	}
-	id1, _ := contracts.DecU64(mint1.Return)
-	mint2, err := submit(alice, "mint", contracts.EncodeArgs(uri, commit))
-	if err != nil {
-		return nil, err
-	}
-	id2, _ := contracts.DecU64(mint2.Return)
-	// Warm bob's balance slot so transfer is measured steady-state.
-	if _, err := submit(bob, "mint", contracts.EncodeArgs(uri, commit)); err != nil {
-		return nil, err
-	}
-
-	transfer, err := submit(alice, "transfer", contracts.EncodeArgs(contracts.U64(id2), bob[:]))
-	if err != nil {
-		return nil, err
-	}
-	burn, err := submit(bob, "burn", contracts.EncodeArgs(contracts.U64(id2)))
-	if err != nil {
-		return nil, err
-	}
-	mint3, err := submit(alice, "mint", contracts.EncodeArgs(uri, commit))
-	if err != nil {
-		return nil, err
-	}
-	id3, _ := contracts.DecU64(mint3.Return)
-	agg, err := submit(alice, "aggregate", contracts.EncodeArgs(
-		contracts.U64List([]uint64{id1, id3}), uri, commit))
-	if err != nil {
-		return nil, err
-	}
-	aggID, _ := contracts.DecU64(agg.Return)
-	part, err := submit(alice, "partition", contracts.EncodeArgs(
-		contracts.U64(aggID), uri, commit, uri, commit))
-	if err != nil {
-		return nil, err
-	}
-	// Our partition mints every child token in one transaction; the paper
-	// reports per-invocation gas on a contract that amortizes child
-	// bookkeeping. Report per derived token for comparability (see
-	// EXPERIMENTS.md).
-	partPerChild := part.GasUsed / 2
-	dup, err := submit(alice, "duplicate", contracts.EncodeArgs(contracts.U64(id1), uri, commit))
-	if err != nil {
-		return nil, err
-	}
-
-	return []Table2Row{
-		{Operation: "ZKDET Contract Deployment", PaperGas: 1020954, Gas: deployGas.DataNFT},
-		{Operation: "Verifier Contract Deployment", PaperGas: 1644969, Gas: deployGas.Verifier},
-		{Operation: "Token Minting", PaperGas: 106048, Gas: mint1.GasUsed},
-		{Operation: "Token Transferring", PaperGas: 36574, Gas: transfer.GasUsed},
-		{Operation: "Token Burning", PaperGas: 50084, Gas: burn.GasUsed},
-		{Operation: "Aggregation", PaperGas: 96780, Gas: agg.GasUsed},
-		{Operation: "Partition (per derived token)", PaperGas: 83124, Gas: partPerChild},
-		{Operation: "Duplication", PaperGas: 94012, Gas: dup.GasUsed},
-	}, nil
-}
-
-// --- Ablations (§IV-C design choices) ---
-
-// AblationRow compares constraint counts of design alternatives.
-type AblationRow struct {
-	Scheme      string
-	Constraints int
-	Note        string
-}
-
-// AblationCipher quantifies §IV-C1: MiMC's per-block circuit cost versus a
-// boolean ARX cipher round function (the AES/SHA-style alternative),
-// measured by actually building both circuits.
-func AblationCipher() []AblationRow {
-	mimcCost := mimc.ConstraintsPerBlock()
-
-	// A single 16-round boolean ARX permutation on two 32-bit words: each
-	// round costs two 32-bit decompositions, a modular add and xors — the
-	// structure AES/SHA-class ciphers are made of.
-	b := circuit.NewBuilder()
-	x := b.Secret(fr.NewElement(0x12345678))
-	y := b.Secret(fr.NewElement(0x9abcdef0))
-	before := b.NbGates()
-	for r := 0; r < 16; r++ {
-		sum := b.Add(x, y)
-		sumBits := b.ToBits(sum, 33) // mod 2^32 via bit truncation
-		x = b.FromBits(sumBits[:32])
-		yBits := b.ToBits(y, 32)
-		xBits := b.ToBits(x, 32)
-		z := make([]circuit.Variable, 32)
-		for i := range z {
-			z[i] = b.Xor(xBits[i], yBits[(i+7)%32])
-		}
-		y = b.FromBits(z)
-	}
-	arxCost := b.NbGates() - before
-
-	return []AblationRow{
-		{Scheme: "MiMC-p/p (91 rounds, x^7)", Constraints: mimcCost, Note: "per field element (~31 bytes)"},
-		{Scheme: "boolean ARX (16 rounds, 64-bit state)", Constraints: arxCost, Note: "per 8 bytes — ~4x more state blocks needed per element"},
-		{Scheme: "AES-128 (literature, [12])", Constraints: 160000, Note: "per 16-byte block, optimized boolean circuit"},
-	}
-}
-
-// AblationCommitment quantifies §IV-C2: Poseidon versus hashing the same
-// data through MiMC (Miyaguchi–Preneel) and through bit-level hashing.
-func AblationCommitment() []AblationRow {
-	poseidonCost := poseidon.ConstraintsPerPermutation()
-
-	b := circuit.NewBuilder()
-	k := b.Secret(fr.NewElement(1))
-	x := b.Secret(fr.NewElement(2))
-	before := b.NbGates()
-	_ = mimc.GadgetEncrypt(b, k, x)
-	mimcCost := b.NbGates() - before
-
-	return []AblationRow{
-		{Scheme: "Poseidon permutation (t=3, rate 2)", Constraints: poseidonCost, Note: "absorbs 2 elements"},
-		{Scheme: "MiMC Miyaguchi–Preneel step", Constraints: mimcCost, Note: "absorbs 1 element"},
-		{Scheme: "Pedersen commitment (literature, [8])", Constraints: poseidonCost * 8, Note: "~8x Poseidon per the paper"},
-	}
-}
-
-// DecoupleRow compares the monolithic π_f strategy of §III-B against the
-// decoupled π_e/π_t strategy of §IV-B over a two-step transformation chain.
-type DecoupleRow struct {
-	Strategy     string
-	Proofs       int
-	TotalSeconds float64
-}
-
-// AblationDecouple measures both strategies for S → D1 → D2 (duplications),
-// demonstrating the "halves the cost of proof generation" claim: the
-// monolithic strategy proves each ciphertext's encryption twice.
-func AblationDecouple(sys *core.System, entries int) ([]DecoupleRow, error) {
-	data := make(core.Dataset, entries)
-	for i := range data {
-		data[i] = fr.NewElement(uint64(i + 1))
-	}
-
-	// Warm up both circuit setups so the comparison isolates proving.
-	if _, _, _, _, err := sys.EncryptAndProve(data, fr.NewElement(1)); err != nil {
-		return nil, err
-	}
-	if _, err := sys.ProveMonolithicDuplication(data, fr.NewElement(2), fr.NewElement(3)); err != nil {
-		return nil, err
-	}
-	{
-		cs, os := data.Commit()
-		if _, _, err := sys.ProveDuplication(data, cs, os); err != nil {
-			return nil, err
-		}
-	}
-
-	// Decoupled (§IV-B): 3 proofs of encryption (S, D1, D2 — each computed
-	// once) + 2 proofs of transformation.
-	start := time.Now()
-	for i := 0; i < 3; i++ {
-		if _, _, _, _, err := sys.EncryptAndProve(data, fr.NewElement(uint64(1001+i))); err != nil {
-			return nil, err
-		}
-	}
-	cS, oS := data.Commit()
-	tp1, oD1, err := sys.ProveDuplication(data, cS, oS)
-	if err != nil {
-		return nil, err
-	}
-	if _, _, err := sys.ProveDuplication(data, tp1.Derived[0], oD1); err != nil {
-		return nil, err
-	}
-	decoupled := time.Since(start)
-
-	// Monolithic (§III-B strawman): each transformation proof embeds
-	// proofs of encryption for both its source and derived ciphertexts, so
-	// the chain S→D1→D2 proves 4 encryptions (D1's twice) plus the two
-	// transformations inside 2 big circuits.
-	start = time.Now()
-	for i := 0; i < 2; i++ {
-		if _, err := sys.ProveMonolithicDuplication(data,
-			fr.NewElement(uint64(2000+i)), fr.NewElement(uint64(3000+i))); err != nil {
-			return nil, err
-		}
-	}
-	monolithic := time.Since(start)
-
-	return []DecoupleRow{
-		{Strategy: "decoupled π_e + π_t (§IV-B)", Proofs: 5, TotalSeconds: decoupled.Seconds()},
-		{Strategy: "monolithic π_f (§III-B strawman)", Proofs: 2, TotalSeconds: monolithic.Seconds()},
-	}, nil
-}
-
-// FormatSeconds renders a duration in the style of the paper's tables.
-func FormatSeconds(s float64) string {
-	switch {
-	case s < 1:
-		return fmt.Sprintf("%.0fms", s*1000)
-	case s < 60:
-		return fmt.Sprintf("%.2fs", s)
-	default:
-		return fmt.Sprintf("%dmin%02.0fs", int(s)/60, s-float64(int(s)/60*60))
-	}
-}
-
-// Table1LogReg measures logistic-regression convergence proofs at several
-// training-set sizes (the paper's 495/1,963/10,210-entry rows, scaled).
-func Table1LogReg(sys *core.System, sampleCounts []int) ([]Table1Row, error) {
-	rows := make([]Table1Row, 0, len(sampleCounts))
-	for _, n := range sampleCounts {
-		data, trainer, err := logregWorkload(n)
+	t := Table{Header: []string{"task", "entries/params", "classic prove", "classic proof (B)", "/lk prove", "/lk proof (B)"}}
+	for _, n := range s.Scale.LogReg {
+		data, classic, err := logregWorkload(n)
 		if err != nil {
 			return nil, err
 		}
-		cs, os := data.Commit()
-		// Warm the circuit setup, then time proving.
-		if _, _, _, err := sys.ProveProcessing(trainer, data, cs, os); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		tp, _, _, err := sys.ProveProcessing(trainer, data, cs, os)
+		lk := *classic
+		lk.UseLookups = true
+		cells, err := proveBoth(sys, data, classic, &lk)
 		if err != nil {
 			return nil, err
 		}
-		dur := time.Since(start)
-		rows = append(rows, Table1Row{
-			Task:         "Logistic Regression",
-			Size:         n,
-			ProveSeconds: dur.Seconds(),
-			ProofBytes:   len(tp.Proof.Bytes()),
+		t.Rows = append(t.Rows, append([]any{"Logistic regression", n}, cells...))
+	}
+	for i, cfg := range s.Scale.Transformers {
+		classic, err := transformer.NewBlock(cfg, int64(40+i))
+		if err != nil {
+			return nil, err
+		}
+		seq := make([][]float64, cfg.SeqLen)
+		for r := range seq {
+			seq[r] = make([]float64, cfg.DModel)
+			for c := range seq[r] {
+				seq[r][c] = 0.3 * float64((r+c)%3-1)
+			}
+		}
+		data, err := cfg.EncodeSequence(seq)
+		if err != nil {
+			return nil, err
+		}
+		lk := *classic
+		lk.UseLookups = true
+		cells, err := proveBoth(sys, data, classic, &lk)
+		if err != nil {
+			return nil, err
+		}
+		t.Rows = append(t.Rows, append([]any{"Transformer", cfg.ParamCount()}, cells...))
+	}
+	return []Table{t}, nil
+}
+
+// proveBoth returns the proving time and proof size of the processing π_t
+// of each lowering of one statement.
+func proveBoth(sys *core.System, data core.Dataset, lowerings ...core.Processor) ([]any, error) {
+	cs, os := data.Commit()
+	var cells []any
+	for _, p := range lowerings {
+		var tp *core.TransformProof
+		d, err := warmTimed(func() (err error) {
+			tp, _, _, err = sys.ProveProcessing(p, data, cs, os)
+			return err
 		})
+		if err != nil {
+			return nil, err
+		}
+		cells = append(cells, d, len(tp.Proof.Bytes()))
 	}
-	return rows, nil
+	return cells, nil
 }
 
-// logregWorkload builds a synthetic separable training set of n samples and
+// logregWorkload is a synthetic separable training set of n samples and
 // its Trainer.
 func logregWorkload(n int) (core.Dataset, *logreg.Trainer, error) {
 	samples := make([]logreg.Sample, n)
@@ -535,56 +425,91 @@ func logregWorkload(n int) (core.Dataset, *logreg.Trainer, error) {
 		samples[i] = logreg.Sample{X: []float64{a, b}, Y: y}
 	}
 	data, err := logreg.EncodeSamples(samples)
+	return data, &logreg.Trainer{N: n, K: 2, Step: 0.5, Lambda: 0.05, MaxIters: 8000, Epsilon: 0.03}, err
+}
+
+// --- Table II: gas consumption of smart contracts ---
+
+// table2 deploys the contract suite and measures every operation of
+// Table II on the simulated chain.
+func table2(s *Session) ([]Table, error) {
+	sys, err := s.system()
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	trainer := &logreg.Trainer{
-		N: n, K: 2, Step: 0.5, Lambda: 0.05, MaxIters: 8000, Epsilon: 0.03,
+	m, deployGas, err := core.NewMarketplace(sys)
+	if err != nil {
+		return nil, err
 	}
-	return data, trainer, nil
+	alice := chain.AddressFromString("alice")
+	bob := chain.AddressFromString("bob")
+	m.Chain.Faucet(alice, 1_000_000)
+	m.Chain.Faucet(bob, 1_000_000)
+
+	// submit runs one DataNFT call in its own block. The first failure
+	// sticks, and every later call is skipped.
+	var failed error
+	submit := func(from chain.Address, method string, args ...[]byte) (gas, ret uint64) {
+		if failed != nil {
+			return 0, 0
+		}
+		o := m.Chain.ProduceBlock([]chain.Transaction{{
+			From: from, Contract: contracts.DataNFTName, Method: method,
+			Args: contracts.EncodeArgs(args...), Nonce: m.Chain.NonceOf(from),
+		}}).Outcomes[0]
+		if o.Err == nil {
+			o.Err = o.Receipt.Err
+		}
+		if o.Err != nil {
+			failed = fmt.Errorf("%s: %w", method, o.Err)
+			return 0, 0
+		}
+		ret, _ = contracts.DecU64(o.Receipt.Return)
+		return o.Receipt.GasUsed, ret
+	}
+	uri, commit := make([]byte, 32), make([]byte, 64)
+	for i := range uri {
+		uri[i] = byte(i)
+	}
+
+	mint, id1 := submit(alice, "mint", uri, commit)
+	_, id2 := submit(alice, "mint", uri, commit)
+	submit(bob, "mint", uri, commit) // warms bob's balance slot: transfer is steady-state
+	transfer, _ := submit(alice, "transfer", contracts.U64(id2), bob[:])
+	burn, _ := submit(bob, "burn", contracts.U64(id2))
+	_, id3 := submit(alice, "mint", uri, commit)
+	agg, aggID := submit(alice, "aggregate", contracts.U64List([]uint64{id1, id3}), uri, commit)
+	part, _ := submit(alice, "partition", contracts.U64(aggID), uri, commit, uri, commit)
+	dup, _ := submit(alice, "duplicate", contracts.U64(id1), uri, commit)
+	if failed != nil {
+		return nil, failed
+	}
+
+	t := Table{Header: []string{"operation", "paper", "measured", "ratio"}}
+	for _, r := range []struct {
+		op         string
+		paper, gas uint64
+	}{
+		{"ZKDET contract deployment", 1020954, deployGas.DataNFT},
+		{"Verifier contract deployment", 1644969, deployGas.Verifier},
+		{"Token minting", 106048, mint},
+		{"Token transferring", 36574, transfer},
+		{"Token burning", 50084, burn},
+		{"Aggregation", 96780, agg},
+		// Our partition mints every child token in one transaction; the
+		// paper reports per-invocation gas on a contract that amortizes
+		// child bookkeeping, so report it per derived token.
+		{"Partition (per derived token)", 83124, part / 2},
+		{"Duplication", 94012, dup},
+	} {
+		t.Rows = append(t.Rows, []any{r.op, r.paper, r.gas, fmt.Sprintf("%.2fx", float64(r.gas)/float64(r.paper))})
+	}
+	return []Table{t}, nil
 }
 
-// Table1Transformer measures transformer forward-pass proofs at two model
-// sizes (the paper's 201k/1M-parameter rows, scaled).
-func Table1Transformer(sys *core.System, cfgs []transformer.Config) ([]Table1Row, error) {
-	rows := make([]Table1Row, 0, len(cfgs))
-	for i, cfg := range cfgs {
-		bl, err := transformer.NewBlock(cfg, int64(40+i))
-		if err != nil {
-			return nil, err
-		}
-		seq := make([][]float64, cfg.SeqLen)
-		for r := range seq {
-			seq[r] = make([]float64, cfg.DModel)
-			for c := range seq[r] {
-				seq[r][c] = 0.3 * float64((r+c)%3-1)
-			}
-		}
-		data, err := cfg.EncodeSequence(seq)
-		if err != nil {
-			return nil, err
-		}
-		cs, os := data.Commit()
-		if _, _, _, err := sys.ProveProcessing(bl, data, cs, os); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		tp, _, _, err := sys.ProveProcessing(bl, data, cs, os)
-		if err != nil {
-			return nil, err
-		}
-		dur := time.Since(start)
-		rows = append(rows, Table1Row{
-			Task:         "Transformer",
-			Size:         cfg.ParamCount(),
-			ProveSeconds: dur.Seconds(),
-			ProofBytes:   len(tp.Proof.Bytes()),
-		})
-	}
-	return rows, nil
-}
+// --- §VI-B3: proof size ---
 
-// Task labels of ProofSizeConstant's rows, with each shape's field list.
+// Task labels of the proof-size rows, with each shape's field list.
 const (
 	ProofSizeClassicTask = "π_t sum (classic: 9 G1 + 6 Fr)"
 	ProofSizeCustomTask  = "π_e (custom gates: 12 G1 + 12 Fr)"
@@ -613,18 +538,17 @@ func (sumProcessor) Gadget(b *circuit.Builder, src []circuit.Variable) []circuit
 	return []circuit.Variable{s}
 }
 
-// ProofSizeConstant returns serialized proof sizes across circuit scales —
-// the §VI-B3 claim that a proof's length does not depend on the relation's
-// size — for two proofs over n entries each: a classic π_t (774 bytes at
-// every n, the paper's shape) and π_e, which proves on the custom-gate shape
-// without a lookup argument (1 158 bytes at every n).
-func ProofSizeConstant(sys *core.System, sizes []int) ([]Table1Row, error) {
-	rows := make([]Table1Row, 0, 2*len(sizes))
-	for _, n := range sizes {
-		data := make(core.Dataset, n)
-		for i := range data {
-			data[i] = fr.NewElement(uint64(i + 1))
-		}
+// proofSize serializes two proofs over n entries for each size: a classic
+// π_t (774 bytes at every n, the paper's shape) and π_e, which proves on the
+// custom-gate shape without a lookup argument (1 158 bytes at every n).
+func proofSize(s *Session) ([]Table, error) {
+	sys, err := s.system()
+	if err != nil {
+		return nil, err
+	}
+	t := Table{Header: []string{"proof (6 B header + fields)", "entries", "bytes"}}
+	for _, n := range s.Scale.ProofSize {
+		data := dataset(n)
 		cs, os := data.Commit()
 		tp, _, _, err := sys.ProveProcessing(sumProcessor{}, data, cs, os)
 		if err != nil {
@@ -634,9 +558,59 @@ func ProofSizeConstant(sys *core.System, sizes []int) ([]Table1Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		rows = append(rows,
-			Table1Row{Task: ProofSizeClassicTask, Size: n, ProofBytes: len(tp.Proof.Bytes())},
-			Table1Row{Task: ProofSizeCustomTask, Size: n, ProofBytes: len(proof.Bytes())})
+		t.Rows = append(t.Rows,
+			[]any{ProofSizeClassicTask, n, len(tp.Proof.Bytes())},
+			[]any{ProofSizeCustomTask, n, len(proof.Bytes())})
 	}
-	return rows, nil
+	return []Table{t}, nil
+}
+
+// --- Ablation: decoupled π_e/π_t vs monolithic π_f (§IV-B) ---
+
+// ablationDecouple times both strategies over the chain S → D1 → D2 of two
+// duplications. Decoupled proves 3 encryptions (S, D1, D2, each once) and 2
+// transformations; monolithic embeds both ciphertexts' encryption in each
+// of its 2 transformation proofs, so D1's encryption is proven twice.
+func ablationDecouple(s *Session) ([]Table, error) {
+	sys, err := s.system()
+	if err != nil {
+		return nil, err
+	}
+	data := dataset(s.Scale.Decouple)
+	cS, oS := data.Commit()
+	decoupled, err := warmTimed(func() error {
+		for i := range 3 {
+			if _, _, _, _, err := sys.EncryptAndProve(data, fr.NewElement(uint64(1001+i))); err != nil {
+				return err
+			}
+		}
+		tp, oD1, err := sys.ProveDuplication(data, cS, oS)
+		if err != nil {
+			return err
+		}
+		_, _, err = sys.ProveDuplication(data, tp.Derived[0], oD1)
+		return err
+	})
+	if err != nil {
+		return nil, err
+	}
+	monolithic, err := warmTimed(func() error {
+		for i := range 2 {
+			if _, err := sys.ProveMonolithicDuplication(data,
+				fr.NewElement(uint64(2000+i)), fr.NewElement(uint64(3000+i))); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	return []Table{{
+		Header: []string{"strategy", "proofs", "encryptions proven", "total"},
+		Rows: [][]any{
+			{"decoupled π_e + π_t (§IV-B)", 5, 3, decoupled},
+			{"monolithic π_f (§III-B strawman)", 2, 4, monolithic},
+		},
+	}}, nil
 }

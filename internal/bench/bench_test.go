@@ -1,207 +1,202 @@
 package bench
 
 import (
-	"sync"
+	"slices"
 	"testing"
 	"time"
 
-	"github.com/zkdet/zkdet/internal/apps/transformer"
-	"github.com/zkdet/zkdet/internal/core"
 	"github.com/zkdet/zkdet/internal/plonk"
 )
 
-func timeNow() time.Time                  { return time.Now() }
-func timeSince(t time.Time) time.Duration { return time.Since(t) }
-
-// One small system shared by the experiment smoke tests.
-var benchSys = sync.OnceValue(func() *core.System {
-	s, err := NewSystem(1 << 13)
-	if err != nil {
-		panic(err)
-	}
-	return s
-})
-
-// TestFig5SetupShape checks that setup time grows with the constraint
-// count (the Figure 5 shape) at tiny scales.
-func TestFig5SetupShape(t *testing.T) {
+// TestArtifacts runs every artifact at the small scale, the driver's
+// default, and checks on its tables the shape the paper claims.
+func TestArtifacts(t *testing.T) {
 	if testing.Short() {
-		t.Skip("experiment smoke test skipped in -short mode")
+		t.Skip("proves every artifact's workload; skipped in -short mode")
 	}
-	rows, err := Fig5Setup([]int{1 << 8, 1 << 10})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows: %d", len(rows))
-	}
-	if rows[1].TotalSeconds <= rows[0].TotalSeconds {
-		t.Fatalf("setup time did not grow: %v then %v", rows[0].TotalSeconds, rows[1].TotalSeconds)
+	s := NewSession(Scales["small"])
+	for _, a := range Artifacts {
+		t.Run(a.Name, func(t *testing.T) {
+			check, ok := shapes[a.Name]
+			if !ok {
+				t.Fatalf("artifact %q has no shape check", a.Name)
+			}
+			tables, err := a.Run(s)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, tab := range tables {
+				for _, row := range tab.Rows {
+					if len(row) != len(tab.Header) {
+						t.Fatalf("row %v does not fit header %v", row, tab.Header)
+					}
+				}
+			}
+			check(t, tables)
+		})
 	}
 }
 
-func TestFig6ProofGenShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test skipped in -short mode")
-	}
-	sys := benchSys()
-	rows, err := Fig6ProofGen(sys, []int{2, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// π_e grows with data size; π_k does not (it is a fixed circuit).
-	if rows[1].PiESeconds <= rows[0].PiESeconds {
-		t.Fatalf("π_e time did not grow: %v then %v", rows[0].PiESeconds, rows[1].PiESeconds)
-	}
-	ratio := rows[1].PiKSeconds / rows[0].PiKSeconds
-	if ratio > 3 || ratio < 1.0/3 {
-		t.Fatalf("π_k time should be flat; ratio %v", ratio)
-	}
+// shapes holds, per artifact, the checks its tables must pass.
+var shapes = map[string]func(t *testing.T, tabs []Table){
+	"fig5": func(t *testing.T, tabs []Table) {
+		total := column[time.Duration](t, tabs[0], "total")
+		if total[len(total)-1] <= total[0] {
+			t.Errorf("setup time did not grow: %v", total)
+		}
+	},
+	"fig6": func(t *testing.T, tabs []Table) {
+		piE := column[time.Duration](t, tabs[0], "π_e")
+		if piE[len(piE)-1] <= piE[0] {
+			t.Errorf("π_e time did not grow: %v", piE)
+		}
+		// π_k is one fixed circuit whatever the data size.
+		piK := column[time.Duration](t, tabs[0], "π_k")
+		if lo, hi := slices.Min(piK), slices.Max(piK); hi > 3*lo {
+			t.Errorf("π_k time is not flat within 3x: %v", piK)
+		}
+	},
+	"fig7": func(t *testing.T, tabs []Table) {
+		for _, d := range column[time.Duration](t, tabs[0], "ZKDET verify") {
+			if d > 500*time.Millisecond {
+				t.Errorf("ZKDET verification took %v", d)
+			}
+		}
+		zkcp := column[time.Duration](t, tabs[0], "ZKCP verify")
+		if zkcp[len(zkcp)-1] <= zkcp[0] {
+			t.Errorf("ZKCP verification did not grow with ℓ: %v", zkcp)
+		}
+	},
+	"table1": func(t *testing.T, tabs []Table) {
+		for _, d := range append(column[time.Duration](t, tabs[0], "classic prove"),
+			column[time.Duration](t, tabs[0], "/lk prove")...) {
+			if d <= 0 {
+				t.Errorf("non-positive proving time %v", d)
+			}
+		}
+		for _, n := range column[int](t, tabs[0], "classic proof (B)") {
+			if n != plonk.ProofSize {
+				t.Errorf("classic proof of %d bytes, want %d", n, plonk.ProofSize)
+			}
+		}
+	},
+	"table2": func(t *testing.T, tabs []Table) {
+		paper := column[uint64](t, tabs[0], "paper")
+		gas := column[uint64](t, tabs[0], "measured")
+		if len(gas) != 8 || len(paper) != 8 {
+			t.Fatalf("Table II has %d rows", len(gas))
+		}
+		for i := range gas {
+			if gas[i] < paper[i]/2 || gas[i] > paper[i]*2 {
+				t.Errorf("row %d: measured %d vs paper %d (beyond 2x)", i, gas[i], paper[i])
+			}
+		}
+	},
+	"proofsize": func(t *testing.T, tabs []Table) {
+		want := map[string]int{ProofSizeClassicTask: plonk.ProofSize, ProofSizeCustomTask: 1158}
+		for _, row := range tabs[0].Rows {
+			if row[2] != want[row[0].(string)] {
+				t.Errorf("%s at %d entries: %d bytes, want %d", row[0], row[1], row[2], want[row[0].(string)])
+			}
+		}
+		if len(tabs[0].Rows) != 2*len(Scales["small"].ProofSize) {
+			t.Errorf("%d rows, want a classic and a custom-gate row per size", len(tabs[0].Rows))
+		}
+	},
+	"constraints": func(t *testing.T, tabs []Table) {
+		classic := column[int](t, tabs[0], "classic")
+		lowered := column[int](t, tabs[0], "lookup/custom")
+		for i := range classic {
+			if lowered[i] <= 0 || lowered[i] >= classic[i] {
+				t.Errorf("row %d: lowering %d gates against %d classic", i, lowered[i], classic[i])
+			}
+		}
+	},
+	"cipher": func(t *testing.T, tabs []Table) {
+		// MiMC's block covers a field element; the ARX row covers 8 bytes,
+		// ~1/4 of one.
+		for _, col := range []string{"classic", "lookup/custom"} {
+			gates := column[int](t, tabs[0], col)
+			if gates[0] >= 4*gates[1] {
+				t.Errorf("%s: MiMC (%d) does not beat boolean ARX (%d per 8 bytes)", col, gates[0], gates[1])
+			}
+		}
+	},
+	"commitment": func(t *testing.T, tabs []Table) {
+		// Per absorbed element, Poseidon (rate 2) is cheaper than MiMC (rate 1).
+		for _, col := range []string{"classic", "lookup/custom"} {
+			gates := column[int](t, tabs[0], col)
+			if gates[0] <= 0 || gates[0] >= 2*gates[1] {
+				t.Errorf("%s: Poseidon %d gates per 2 elements, MiMC %d per element", col, gates[0], gates[1])
+			}
+		}
+	},
+	"decouple": func(t *testing.T, tabs []Table) {
+		for _, d := range column[time.Duration](t, tabs[0], "total") {
+			if d <= 0 {
+				t.Errorf("no timing recorded: %v", d)
+			}
+		}
+	},
+	"p2p": func(t *testing.T, tabs []Table) {
+		for _, d := range column[time.Duration](t, tabs[0], "propagation") {
+			if d <= 0 {
+				t.Errorf("non-positive propagation %v", d)
+			}
+		}
+		// Wider fanout must not cost fewer messages: each accepting hop
+		// forwards to more peers.
+		msgs := column[float64](t, tabs[0], "msgs/tx")
+		if msgs[len(msgs)-1] < msgs[0] {
+			t.Errorf("messages per tx fell as fanout grew: %v", msgs)
+		}
+		for _, d := range column[time.Duration](t, tabs[1], "sync time") {
+			if d <= 0 {
+				t.Errorf("non-positive sync time %v", d)
+			}
+		}
+		for _, r := range column[float64](t, tabs[1], "blocks/s") {
+			if r <= 0 {
+				t.Errorf("non-positive sync rate %v", r)
+			}
+		}
+	},
 }
 
-func TestFig7VerifyShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test skipped in -short mode")
+// column returns the cells of tab's column named name that hold a T;
+// others, such as a "—" placeholder, are skipped.
+func column[T any](t *testing.T, tab Table, name string) []T {
+	t.Helper()
+	i := slices.Index(tab.Header, name)
+	if i < 0 {
+		t.Fatalf("no column %q in %v", name, tab.Header)
 	}
-	sys := benchSys()
-	rows, err := Fig7Verify(sys, []int{2, 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// ZKDET verification stays under the paper's 0.1s-scale bound.
-	for _, r := range rows {
-		if r.ZKDETSeconds > 0.5 {
-			t.Fatalf("zkdet verification %vs at %d inputs", r.ZKDETSeconds, r.Inputs)
+	var cells []T
+	for _, row := range tab.Rows {
+		if v, ok := row[i].(T); ok {
+			cells = append(cells, v)
 		}
 	}
-	// The ZKCP cost model's growth is easiest to see at a wider spread:
-	// ℓ G1 exponentiations dominate once ℓ is large.
-	start := timeNow()
-	core.ZKCPVerifierCost(8)
-	small := timeSince(start)
-	start = timeNow()
-	core.ZKCPVerifierCost(512)
-	big := timeSince(start)
-	if big <= small {
-		t.Fatalf("zkcp cost did not grow: %v then %v", small, big)
+	if len(cells) == 0 {
+		t.Fatalf("column %q holds no %T", name, *new(T))
 	}
-}
-
-func TestTable2GasMagnitudes(t *testing.T) {
-	sys := benchSys()
-	rows, err := Table2Gas(sys)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 8 {
-		t.Fatalf("Table II has %d rows", len(rows))
-	}
-	for _, r := range rows {
-		if r.Gas == 0 {
-			t.Fatalf("%s: no gas measured", r.Operation)
-		}
-		// Within 2x of the paper in both directions.
-		if r.Gas < r.PaperGas/2 || r.Gas > r.PaperGas*2 {
-			t.Fatalf("%s: measured %d vs paper %d (beyond 2x)", r.Operation, r.Gas, r.PaperGas)
-		}
-	}
-}
-
-func TestTable1LogRegSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test skipped in -short mode")
-	}
-	sys := benchSys()
-	rows, err := Table1LogReg(sys, []int{4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0].ProveSeconds <= 0 || rows[0].ProofBytes != plonk.ProofSize {
-		t.Fatalf("row: %+v", rows[0])
-	}
-}
-
-func TestTable1TransformerSmoke(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test skipped in -short mode")
-	}
-	sys := benchSys()
-	cfg := transformer.Config{SeqLen: 2, DModel: 2, DK: 2, DFF: 2, DOut: 2}
-	rows, err := Table1Transformer(sys, []transformer.Config{cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0].Size != cfg.ParamCount() || rows[0].ProofBytes != plonk.ProofSize {
-		t.Fatalf("row: %+v", rows[0])
-	}
-}
-
-func TestProofSizeConstantAcrossScales(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test skipped in -short mode")
-	}
-	sys := benchSys()
-	rows, err := ProofSizeConstant(sys, []int{2, 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := map[string]int{ProofSizeClassicTask: plonk.ProofSize, ProofSizeCustomTask: 1158}
-	if len(rows) != 4 {
-		t.Fatalf("%d rows, want a classic and a custom-gate row per scale", len(rows))
-	}
-	for _, r := range rows {
-		if r.ProofBytes != want[r.Task] {
-			t.Fatalf("%s at %d entries: %d bytes, want %d", r.Task, r.Size, r.ProofBytes, want[r.Task])
-		}
-	}
-}
-
-func TestAblations(t *testing.T) {
-	cipher := AblationCipher()
-	if len(cipher) < 2 {
-		t.Fatal("cipher ablation empty")
-	}
-	// MiMC per-element cost beats the boolean alternative per-element
-	// (the ARX row covers only 8 bytes, ~1/4 of an element).
-	if cipher[0].Constraints >= cipher[1].Constraints*4 {
-		t.Fatalf("MiMC (%d) should beat boolean ARX (%d per 8 bytes)",
-			cipher[0].Constraints, cipher[1].Constraints)
-	}
-	commit := AblationCommitment()
-	if len(commit) < 2 || commit[0].Constraints == 0 {
-		t.Fatal("commitment ablation empty")
-	}
-}
-
-func TestAblationDecouple(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment smoke test skipped in -short mode")
-	}
-	sys := benchSys()
-	rows, err := AblationDecouple(sys, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 2 {
-		t.Fatalf("rows: %d", len(rows))
-	}
-	// The claim is about marginal cost per additional transformation; at
-	// chain length 2 the decoupled strategy should already not be slower
-	// by much, and the monolithic circuits each re-prove two encryptions.
-	if rows[0].TotalSeconds <= 0 || rows[1].TotalSeconds <= 0 {
-		t.Fatal("no timing recorded")
-	}
+	return cells
 }
 
 func TestFormatSeconds(t *testing.T) {
 	cases := map[float64]string{
-		0.12:  "120ms",
-		3.11:  "3.11s",
-		131.4: "2min11s",
+		0.0025: "2.50ms",
+		0.12:   "120ms",
+		0.9996: "1.00s",
+		3.11:   "3.11s",
+		59.999: "1min00s",
+		119.6:  "2min00s",
+		131.4:  "2min11s",
+		179.7:  "3min00s",
 	}
 	for in, want := range cases {
 		if got := FormatSeconds(in); got != want {
-			t.Fatalf("FormatSeconds(%v) = %q, want %q", in, got, want)
+			t.Errorf("FormatSeconds(%v) = %q, want %q", in, got, want)
 		}
 	}
 }

@@ -2,34 +2,14 @@ package bench
 
 import (
 	"fmt"
-	"time"
 
 	"github.com/zkdet/zkdet/internal/apps/logreg"
 	"github.com/zkdet/zkdet/internal/apps/transformer"
 	"github.com/zkdet/zkdet/internal/circuit"
-	"github.com/zkdet/zkdet/internal/core"
 	"github.com/zkdet/zkdet/internal/fr"
 	"github.com/zkdet/zkdet/internal/mimc"
 	"github.com/zkdet/zkdet/internal/poseidon"
 )
-
-// ConstraintRow compares one gadget's constraint count under the classic
-// compilation and under the plookup/custom-gate lowering (DESIGN.md §15).
-type ConstraintRow struct {
-	Gadget  string
-	Classic int
-	Lookup  int
-	// Note highlights what the lowering replaces.
-	Note string
-}
-
-// Ratio is the constraint reduction factor.
-func (r ConstraintRow) Ratio() float64 {
-	if r.Lookup == 0 {
-		return 0
-	}
-	return float64(r.Classic) / float64(r.Lookup)
-}
 
 // countGates runs build against a fresh builder and returns the number of
 // gates it appended. With lookups true the builder has the range table and
@@ -45,135 +25,120 @@ func countGates(lookups bool, build func(b *circuit.Builder)) int {
 	return b.NbGates() - before
 }
 
-// compareGadget measures one gadget both ways.
-func compareGadget(name, note string, build func(b *circuit.Builder)) ConstraintRow {
-	return ConstraintRow{
-		Gadget:  name,
-		Classic: countGates(false, build),
-		Lookup:  countGates(true, build),
-		Note:    note,
-	}
+// gadget is one row of a constraint table: build counted under the classic
+// compilation and under the lookup/custom-gate lowering (DESIGN.md §15).
+type gadget struct {
+	name  string
+	build func(b *circuit.Builder)
+	note  string
 }
 
-// ConstraintReport measures the per-gadget constraint counts behind the
-// lookup-argument evaluation: range checks and comparisons (lookup rows vs
-// bit decomposition), hash rounds (custom gates vs arithmetic lowering),
-// and the ML predicates that compose them.
-func ConstraintReport() []ConstraintRow {
-	rows := []ConstraintRow{
-		compareGadget("AssertRange 16-bit", "2 lookups vs 16 booleans", func(b *circuit.Builder) {
-			b.AssertRange(b.Secret(fr.NewElement(1234)), 16)
-		}),
-		compareGadget("AssertRange 85-bit", "fixed-point rescale bound", func(b *circuit.Builder) {
-			b.AssertRange(b.Secret(fr.NewElement(1234)), 85)
-		}),
-		compareGadget("IsLess 32-bit", "top-bit probe vs full decomposition", func(b *circuit.Builder) {
-			x := b.Secret(fr.NewElement(5))
-			y := b.Secret(fr.NewElement(9))
-			b.IsLess(x, y, 32)
-		}),
-		compareGadget("FixedMul (rescale)", "two range checks per product", func(b *circuit.Builder) {
-			x := b.Secret(circuit.FixedFromFloat(1.5))
-			y := b.Secret(circuit.FixedFromFloat(2.5))
-			b.FixedMul(x, y)
-		}),
-		compareGadget("ReLU 20-bit", "sign probe + select", func(b *circuit.Builder) {
-			b.ReLU(b.Secret(circuit.FixedFromFloat(-1.0)), 20)
-		}),
-		compareGadget("MiMC block (91 rounds)", "1 custom row per round", func(b *circuit.Builder) {
-			k := b.Secret(fr.NewElement(1))
-			x := b.Secret(fr.NewElement(2))
-			mimc.GadgetEncrypt(b, k, x)
-		}),
-		compareGadget("Poseidon permutation", "1 custom row per round", func(b *circuit.Builder) {
-			s := [3]circuit.Variable{
-				b.Secret(fr.NewElement(1)), b.Secret(fr.NewElement(2)), b.Secret(fr.NewElement(3)),
-			}
-			poseidon.GadgetPermute(b, s)
-		}),
+// gateTable counts every gadget both ways.
+func gateTable(gadgets ...gadget) Table {
+	t := Table{Header: []string{"gadget", "classic", "lookup/custom", "ratio", "note"}}
+	for _, g := range gadgets {
+		classic, lowered := countGates(false, g.build), countGates(true, g.build)
+		t.Rows = append(t.Rows, []any{g.name, classic, lowered, fmt.Sprintf("%.1fx", float64(classic)/float64(lowered)), g.note})
 	}
+	return t
+}
 
-	// Application predicates: the logreg convergence bound and a tiny
-	// transformer block, both range-check-dominated.
+// mimcBlock is one bare MiMC block encryption, GadgetEncrypt: the cipher of
+// π_e, and the step of the Miyaguchi–Preneel hash before its two additions.
+func mimcBlock(b *circuit.Builder) {
+	mimc.GadgetEncrypt(b, b.Secret(fr.NewElement(1)), b.Secret(fr.NewElement(2)))
+}
+
+// poseidonPermutation is one permutation of the commitment's sponge
+// (width 3, rate 2).
+func poseidonPermutation(b *circuit.Builder) {
+	poseidon.GadgetPermute(b, [3]circuit.Variable{
+		b.Secret(fr.NewElement(1)), b.Secret(fr.NewElement(2)), b.Secret(fr.NewElement(3)),
+	})
+}
+
+// constraintReport counts the gadgets behind the lookup-argument
+// evaluation: range checks and comparisons (lookup rows vs bit
+// decomposition), hash rounds (custom gates vs arithmetic lowering), and
+// the ML predicates that compose them.
+func constraintReport(*Session) ([]Table, error) {
 	trainer := &logreg.Trainer{N: 6, K: 2, Step: 0.5, Lambda: 0.05, MaxIters: 50, Epsilon: 0.05}
-	rows = append(rows, compareGadget(
-		fmt.Sprintf("LogReg convergence (%dx%d)", trainer.N, trainer.K),
-		"gradient bound per feature",
-		func(b *circuit.Builder) {
-			wires := make([]circuit.Variable, 2+trainer.N*(trainer.K+1))
-			for i := range wires {
-				wires[i] = b.Secret(fr.Element{})
-			}
-			wires[0] = b.Secret(fr.NewElement(uint64(trainer.N)))
-			wires[1] = b.Secret(fr.NewElement(uint64(trainer.K)))
-			trainer.Gadget(b, wires)
-		}))
-
 	cfgT := transformer.Config{SeqLen: 2, DModel: 2, DK: 2, DFF: 2, DOut: 2}
-	if bl, err := transformer.NewBlock(cfgT, 7); err == nil {
-		rows = append(rows, compareGadget(
-			fmt.Sprintf("Transformer block (m=%d,d=%d)", cfgT.SeqLen, cfgT.DModel),
-			"attention normalizations + ReLUs",
-			func(b *circuit.Builder) {
-				wires := make([]circuit.Variable, cfgT.SeqLen*cfgT.DModel)
-				for i := range wires {
-					wires[i] = b.Secret(fr.Element{})
-				}
-				bl.Gadget(b, wires)
-			}))
-	}
-	return rows
-}
-
-// LookupProveRow is one timed π_t proving run of a logreg training proof,
-// classic vs lookup-lowered.
-type LookupProveRow struct {
-	Task         string
-	Variant      string // "classic" or "lookup"
-	Constraints  int
-	ProveSeconds float64
-}
-
-// LookupProveCompare times the full π_t pipeline (commit, prove) for the
-// logreg convergence predicate with and without the lookup lowering: fewer
-// constraints mean a smaller domain, hence fewer FFTs and smaller MSMs.
-// The circuit setup is warmed before timing.
-func LookupProveCompare(sys *core.System, samples int) ([]LookupProveRow, error) {
-	data, trainer, err := logregWorkload(samples)
+	block, err := transformer.NewBlock(cfgT, 7)
 	if err != nil {
 		return nil, err
 	}
-	cs, os := data.Commit()
-
-	var rows []LookupProveRow
-	for _, useLookups := range []bool{false, true} {
-		tr := *trainer
-		tr.UseLookups = useLookups
-		variant := "classic"
-		if useLookups {
-			variant = "lookup"
+	secrets := func(b *circuit.Builder, n int) []circuit.Variable {
+		wires := make([]circuit.Variable, n)
+		for i := range wires {
+			wires[i] = b.Secret(fr.Element{})
 		}
-		// Constraint count via a direct build (mirrors the proved circuit).
-		nb := countGates(useLookups, func(b *circuit.Builder) {
-			wires := make([]circuit.Variable, len(data))
-			for i := range data {
-				wires[i] = b.Secret(data[i])
-			}
-			tr.Gadget(b, wires)
-		})
-		if _, _, _, err := sys.ProveProcessing(&tr, data, cs, os); err != nil {
-			return nil, err
-		}
-		start := time.Now()
-		if _, _, _, err := sys.ProveProcessing(&tr, data, cs, os); err != nil {
-			return nil, err
-		}
-		rows = append(rows, LookupProveRow{
-			Task:         fmt.Sprintf("LogReg π_t (%d samples)", samples),
-			Variant:      variant,
-			Constraints:  nb,
-			ProveSeconds: time.Since(start).Seconds(),
-		})
+		return wires
 	}
-	return rows, nil
+	t := gateTable(
+		gadget{"AssertRange 16-bit", func(b *circuit.Builder) {
+			b.AssertRange(b.Secret(fr.NewElement(1234)), 16)
+		}, "2 lookups vs 16 booleans"},
+		gadget{"AssertRange 85-bit", func(b *circuit.Builder) {
+			b.AssertRange(b.Secret(fr.NewElement(1234)), 85)
+		}, "fixed-point rescale bound"},
+		gadget{"IsLess 32-bit", func(b *circuit.Builder) {
+			b.IsLess(b.Secret(fr.NewElement(5)), b.Secret(fr.NewElement(9)), 32)
+		}, "top-bit probe vs full decomposition"},
+		gadget{"FixedMul (rescale)", func(b *circuit.Builder) {
+			b.FixedMul(b.Secret(circuit.FixedFromFloat(1.5)), b.Secret(circuit.FixedFromFloat(2.5)))
+		}, "two range checks per product"},
+		gadget{"ReLU 20-bit", func(b *circuit.Builder) {
+			b.ReLU(b.Secret(circuit.FixedFromFloat(-1.0)), 20)
+		}, "sign probe + select"},
+		gadget{"MiMC block (91 rounds)", mimcBlock, "1 custom row per round"},
+		gadget{"Poseidon permutation", poseidonPermutation, "1 custom row per round"},
+		gadget{fmt.Sprintf("LogReg convergence (%dx%d)", trainer.N, trainer.K), func(b *circuit.Builder) {
+			wires := secrets(b, 2+trainer.N*(trainer.K+1))
+			wires[0] = b.Secret(fr.NewElement(uint64(trainer.N)))
+			wires[1] = b.Secret(fr.NewElement(uint64(trainer.K)))
+			trainer.Gadget(b, wires)
+		}, "gradient bound per feature"},
+		gadget{fmt.Sprintf("Transformer block (m=%d,d=%d)", cfgT.SeqLen, cfgT.DModel), func(b *circuit.Builder) {
+			block.Gadget(b, secrets(b, cfgT.SeqLen*cfgT.DModel))
+		}, "attention normalizations + ReLUs"},
+	)
+	t.Caption = "The lookup lowering checks ranges against a 12-bit table, one lookup row per limb, and runs each hash round as one custom-gate row."
+	return []Table{t}, nil
+}
+
+// ablationCipher quantifies §IV-C1: MiMC's per-block circuit cost against a
+// boolean ARX permutation (the structure AES/SHA-class ciphers are made
+// of), both built and counted.
+func ablationCipher(*Session) ([]Table, error) {
+	// 16 rounds on two 32-bit words: each round two 32-bit decompositions,
+	// a modular add and xors.
+	arx := func(b *circuit.Builder) {
+		x := b.Secret(fr.NewElement(0x12345678))
+		y := b.Secret(fr.NewElement(0x9abcdef0))
+		for range 16 {
+			x = b.FromBits(b.ToBits(b.Add(x, y), 33)[:32]) // mod 2^32 by truncation
+			yBits, xBits := b.ToBits(y, 32), b.ToBits(x, 32)
+			z := make([]circuit.Variable, 32)
+			for i := range z {
+				z[i] = b.Xor(xBits[i], yBits[(i+7)%32])
+			}
+			y = b.FromBits(z)
+		}
+	}
+	t := gateTable(
+		gadget{"MiMC-p/p (91 rounds, x^7)", mimcBlock, "per field element (~31 bytes)"},
+		gadget{"boolean ARX (16 rounds, 64-bit state)", arx, "per 8 bytes: ~4 blocks per element"})
+	t.Rows = append(t.Rows, []any{"AES-128 (literature, [12])", 160000, "—", "—", "per 16-byte block, optimized boolean circuit"})
+	return []Table{t}, nil
+}
+
+// ablationCommitment quantifies §IV-C2: a Poseidon permutation against the
+// bare MiMC block a rate-1 hash pays per element, and against Pedersen.
+func ablationCommitment(*Session) ([]Table, error) {
+	t := gateTable(
+		gadget{"Poseidon permutation (t=3, rate 2)", poseidonPermutation, "absorbs 2 elements"},
+		gadget{"MiMC block (GadgetEncrypt, rate 1)", mimcBlock, "absorbs 1 element; Miyaguchi–Preneel adds 2 additions"})
+	t.Rows = append(t.Rows, []any{"Pedersen commitment (literature, [8])", 8 * t.Rows[0][1].(int), "—", "—", "~8x Poseidon per the paper"})
+	return []Table{t}, nil
 }

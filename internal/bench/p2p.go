@@ -28,6 +28,35 @@ var benchLink = p2p.LinkProfile{
 	Jitter:  100 * time.Microsecond,
 }
 
+// p2pLayer is the network artifact: propagation against fanout, then sync
+// time against chain length.
+func p2pLayer(s *Session) ([]Table, error) {
+	sc := s.Scale
+	grows, err := GossipPropagation(sc.GossipNodes, sc.Fanouts, sc.GossipTxs)
+	if err != nil {
+		return nil, err
+	}
+	srows, err := ChainSync(sc.SyncLengths, sc.SyncTxs)
+	if err != nil {
+		return nil, err
+	}
+	gossip := Table{
+		Caption: "Gossip propagation against fanout. Low fanout leans on the periodic pooled-tx rebroadcast to finish coverage; full fanout floods in one hop and pays for it in messages.",
+		Header:  []string{"fanout", "nodes", "propagation", "msgs/tx"},
+	}
+	for _, r := range grows {
+		gossip.Rows = append(gossip.Rows, []any{r.Fanout, r.Nodes, r.Propagation, r.Messages})
+	}
+	sync := Table{
+		Caption: "Headers-first sync of a fresh node against chain length. Throughput rises with length as the cluster's start-up and the first status round-trip amortize over more 64-header batches.",
+		Header:  []string{"blocks", "txs/block", "sync time", "blocks/s"},
+	}
+	for _, r := range srows {
+		sync.Rows = append(sync.Rows, []any{r.Blocks, r.TxsPerBlock, r.SyncTime, r.BlocksPerS})
+	}
+	return []Table{gossip, sync}, nil
+}
+
 // GossipRow is one point of the propagation experiment.
 type GossipRow struct {
 	Fanout      int

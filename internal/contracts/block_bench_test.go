@@ -1,4 +1,4 @@
-package bench
+package contracts_test
 
 import (
 	"fmt"
@@ -8,37 +8,9 @@ import (
 	"github.com/zkdet/zkdet/internal/contracts"
 )
 
-// TestExecThroughputShape checks the experiment at a size CI can afford:
-// every pair's transfer lands in every round. The Benchmark* variant is the
-// `make bench-exec` entry point at full scale.
-func TestExecThroughputShape(t *testing.T) {
-	row, err := ExecThroughput(20, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if row.Txs != 30 {
-		t.Fatalf("moved %d transactions, want 30", row.Txs)
-	}
-	if row.TxPerSec <= 0 {
-		t.Fatalf("non-positive throughput: %f", row.TxPerSec)
-	}
-}
-
-// BenchmarkExecThroughput reports sealed tx/s per client population; see
-// EXPERIMENTS.md §Execution layer for recorded numbers.
-func BenchmarkExecThroughput(b *testing.B) {
-	for _, clients := range []int{100, 1000, 10000} {
-		b.Run(fmt.Sprintf("clients=%d", clients), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				row, err := ExecThroughput(clients, execRounds(clients))
-				if err != nil {
-					b.Fatal(err)
-				}
-				b.ReportMetric(row.TxPerSec, "tx/s")
-			}
-		})
-	}
-}
+// The timed half of the O(block) state-commitment claim (DESIGN.md §11):
+// TestStateTrieSealCostIndependentOfStateSize counts the node hashes a seal
+// recomputes, these time whole blocks. `make bench` runs them.
 
 // sealFixture is a producer whose DataNFT store holds about `slots` slots
 // (a mint writes four), and a follower that has imported the same blocks,

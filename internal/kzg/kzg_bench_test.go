@@ -30,3 +30,17 @@ func BenchmarkCommit(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCeremonyContribution measures one Powers-of-Tau contribution.
+func BenchmarkCeremonyContribution(b *testing.B) {
+	cer, err := NewCeremony(64)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cer.Contribute([]byte{byte(i)}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

@@ -153,14 +153,3 @@ func GadgetHash(b *circuit.Builder, msg []circuit.Variable) circuit.Variable {
 	}
 	return h
 }
-
-// ConstraintsPerBlock reports the number of gates one block encryption
-// costs — the figure behind the paper's MiMC-vs-AES argument (§IV-C1).
-func ConstraintsPerBlock() int {
-	b := circuit.NewBuilder()
-	k := b.Secret(fr.NewElement(1))
-	x := b.Secret(fr.NewElement(2))
-	before := b.NbGates()
-	GadgetEncrypt(b, k, x)
-	return b.NbGates() - before
-}

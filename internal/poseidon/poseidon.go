@@ -246,15 +246,3 @@ func GadgetCommit(b *circuit.Builder, msg []circuit.Variable, o circuit.Variable
 	buf = append(buf, msg...)
 	return GadgetHash(b, buf)
 }
-
-// ConstraintsPerPermutation reports the gate cost of one permutation,
-// quantifying the §IV-C2 comparison against Pedersen commitments.
-func ConstraintsPerPermutation() int {
-	b := circuit.NewBuilder()
-	s := [Width]circuit.Variable{
-		b.Secret(fr.NewElement(1)), b.Secret(fr.NewElement(2)), b.Secret(fr.NewElement(3)),
-	}
-	before := b.NbGates()
-	GadgetPermute(b, s)
-	return b.NbGates() - before
-}

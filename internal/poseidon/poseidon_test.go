@@ -190,3 +190,15 @@ func Open(msg []fr.Element, c, o fr.Element) bool {
 	want := CommitWith(msg, o)
 	return want.Equal(&c)
 }
+
+// ConstraintsPerPermutation reports the gate cost of one permutation,
+// quantifying the §IV-C2 comparison against Pedersen commitments.
+func ConstraintsPerPermutation() int {
+	b := circuit.NewBuilder()
+	s := [Width]circuit.Variable{
+		b.Secret(fr.NewElement(1)), b.Secret(fr.NewElement(2)), b.Secret(fr.NewElement(3)),
+	}
+	before := b.NbGates()
+	GadgetPermute(b, s)
+	return b.NbGates() - before
+}

@@ -61,9 +61,6 @@ type Options struct {
 	// (default 2ms). Zero keeps the default; negative syncs every append
 	// (no batching window).
 	GroupCommit time.Duration
-	// NoSync skips fsync entirely — page-cache durability only, for
-	// benchmarks isolating the framing cost. Never use it for real state.
-	NoSync bool
 	// CacheSegments bounds the sealed-segment read cache used by Replay
 	// (default 4). The hot tail of the log is re-read on every recovery
 	// and by the snapshot engine's receipt cross-check; caching whole
@@ -269,12 +266,10 @@ func (l *Log) rotateLocked() error {
 	if err := l.w.Flush(); err != nil {
 		return err
 	}
-	if !l.opts.NoSync {
-		if err := l.f.Sync(); err != nil {
-			return err
-		}
-		l.stats.Syncs++
+	if err := l.f.Sync(); err != nil {
+		return err
 	}
+	l.stats.Syncs++
 	if err := l.f.Close(); err != nil {
 		return err
 	}
@@ -372,10 +367,7 @@ func (l *Log) syncTo(target uint64) error {
 	// the disk write completes. The fsync covers at least every byte
 	// flushed above; rotation fsyncs synchronously under mu, so f cannot
 	// have been swapped with unflushed data attributed to it.
-	var serr error
-	if !l.opts.NoSync {
-		serr = f.Sync()
-	}
+	serr := f.Sync()
 
 	l.mu.Lock()
 	defer l.mu.Unlock()
@@ -392,9 +384,7 @@ func (l *Log) syncTo(target uint64) error {
 		l.synced.Broadcast()
 		return l.err
 	}
-	if !l.opts.NoSync {
-		l.stats.Syncs++ // counts real fsyncs, so NoSync runs report zero
-	}
+	l.stats.Syncs++
 	if flushed > l.durable {
 		l.durable = flushed
 	}
