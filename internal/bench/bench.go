@@ -511,8 +511,8 @@ func table2(s *Session) ([]Table, error) {
 
 // Task labels of the proof-size rows, with each shape's field list.
 const (
-	ProofSizeClassicTask = "π_t sum (classic: 9 G1 + 6 Fr)"
-	ProofSizeCustomTask  = "π_e (custom gates: 12 G1 + 12 Fr)"
+	proofSizeClassic = "π_t sum (classic: 9 G1 + 6 Fr)"
+	proofSizeCustom  = "π_e (custom gates: 12 G1 + 12 Fr)"
 )
 
 // sumProcessor is the smallest classic processing transform, D = (Σ S): it
@@ -559,8 +559,8 @@ func proofSize(s *Session) ([]Table, error) {
 			return nil, err
 		}
 		t.Rows = append(t.Rows,
-			[]any{ProofSizeClassicTask, n, len(tp.Proof.Bytes())},
-			[]any{ProofSizeCustomTask, n, len(proof.Bytes())})
+			[]any{proofSizeClassic, n, len(tp.Proof.Bytes())},
+			[]any{proofSizeCustom, n, len(proof.Bytes())})
 	}
 	return []Table{t}, nil
 }

@@ -93,7 +93,7 @@ var shapes = map[string]func(t *testing.T, tabs []Table){
 		}
 	},
 	"proofsize": func(t *testing.T, tabs []Table) {
-		want := map[string]int{ProofSizeClassicTask: plonk.ProofSize, ProofSizeCustomTask: 1158}
+		want := map[string]int{proofSizeClassic: plonk.ProofSize, proofSizeCustom: 1158}
 		for _, row := range tabs[0].Rows {
 			if row[2] != want[row[0].(string)] {
 				t.Errorf("%s at %d entries: %d bytes, want %d", row[0], row[1], row[2], want[row[0].(string)])
