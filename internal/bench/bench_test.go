@@ -2,11 +2,17 @@ package bench
 
 import (
 	"slices"
+	"sync"
 	"testing"
 	"time"
 
+	"github.com/zkdet/zkdet/internal/apps/transformer"
 	"github.com/zkdet/zkdet/internal/plonk"
 )
+
+// smallSession is the small-scale session the tests share, so the proving
+// system is built once per test binary.
+var smallSession = sync.OnceValue(func() *Session { return NewSession(Scales["small"]) })
 
 // TestArtifacts runs every artifact at the small scale, the driver's
 // default, and checks on its tables the shape the paper claims.
@@ -14,7 +20,7 @@ func TestArtifacts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("proves every artifact's workload; skipped in -short mode")
 	}
-	s := NewSession(Scales["small"])
+	s := smallSession()
 	for _, a := range Artifacts {
 		t.Run(a.Name, func(t *testing.T) {
 			check, ok := shapes[a.Name]
@@ -181,6 +187,51 @@ func column[T any](t *testing.T, tab Table, name string) []T {
 		t.Fatalf("column %q holds no %T", name, *new(T))
 	}
 	return cells
+}
+
+// table1Row runs Table I at the small scale restricted to the given rows
+// and returns its one row.
+func table1Row(t *testing.T, logreg []int, transformers []transformer.Config) []any {
+	t.Helper()
+	s := *smallSession()
+	s.Scale.LogReg, s.Scale.Transformers = logreg, transformers
+	tabs, err := table1(&s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tabs[0].Rows) != 1 {
+		t.Fatalf("rows: %d, want 1", len(tabs[0].Rows))
+	}
+	return tabs[0].Rows[0]
+}
+
+// checkTable1Row checks one Table I row: positive proving times and a
+// classic proof of the fixed size.
+func checkTable1Row(t *testing.T, row []any) {
+	t.Helper()
+	classic, lk := row[2].(time.Duration), row[4].(time.Duration)
+	if classic <= 0 || lk <= 0 || row[3] != plonk.ProofSize {
+		t.Fatalf("row: %v", row)
+	}
+}
+
+func TestTable1LogRegSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment smoke test skipped in -short mode")
+	}
+	checkTable1Row(t, table1Row(t, []int{4}, nil))
+}
+
+func TestTable1TransformerSmoke(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment smoke test skipped in -short mode")
+	}
+	cfg := transformer.Config{SeqLen: 2, DModel: 2, DK: 2, DFF: 2, DOut: 2}
+	row := table1Row(t, nil, []transformer.Config{cfg})
+	if row[1] != cfg.ParamCount() {
+		t.Fatalf("row: %v, want %d params", row, cfg.ParamCount())
+	}
+	checkTable1Row(t, row)
 }
 
 func TestFormatSeconds(t *testing.T) {
