@@ -14,11 +14,12 @@ GO ?= go
 # cache, and the JSON-RPC daemon all serve concurrent callers.
 # internal/ff and internal/fr are here for the multiplication dispatch:
 # NewField writes the kernel choice once, every prover goroutine reads it.
+# internal/obs is here for the histogram: Observe runs beside Quantile.
 RACE_PKGS = ./internal/ff/... ./internal/fr/... \
 	./internal/poly/... ./internal/bn254/... ./internal/plonk/... ./internal/kzg/... \
 	./internal/chain/... ./internal/node/... ./internal/indexer/... ./internal/contracts/... \
 	./internal/storage/... ./internal/core/... ./internal/p2p/... ./cmd/zkdet-node/... \
-	./internal/wal/... ./internal/snapshot/... ./internal/ct/...
+	./internal/wal/... ./internal/snapshot/... ./internal/ct/... ./internal/obs/...
 
 .PHONY: check vet build lint audit identity-names test test-fallback bench-module race fuzz-smoke bench bench-verify bench-p2p node-demo cluster-demo cluster-demo-durable
 

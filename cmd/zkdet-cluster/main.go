@@ -390,9 +390,9 @@ func run(cfg clusterConfig) error {
 	fmt.Println("   auditor key opens the hidden price (7500) identically on every node that holds the record")
 
 	printHeights(cl, "-- final state:")
-	sent, delivered, dropped, bytes := cl.Net.Stats()
-	fmt.Printf("-- transport: %d sent, %d delivered, %d dropped (%.1f%%), %.1f MiB offered\n",
-		sent, delivered, dropped, 100*float64(dropped)/float64(sent), float64(bytes)/(1<<20))
+	m := cl.Net.Metrics()
+	fmt.Printf("-- transport: %.0f sent, %.0f delivered, %.0f dropped (%.1f%%), %.1f MiB offered\n", m["simnet.sent"],
+		m["simnet.delivered"], m["simnet.dropped"], 100*m["simnet.dropped"]/m["simnet.sent"], m["simnet.bytes"]/(1<<20))
 	fmt.Println("== ok ==")
 	return nil
 }
@@ -460,9 +460,8 @@ func crashPhase(
 func printHeights(cl *p2p.Cluster, label string) {
 	fmt.Println(label)
 	for i, n := range cl.Nodes {
-		s := n.Stats()
-		ns := n.Inner().Stats()
-		fmt.Printf("   node %d: height %-3d sealed %-2d imported %-3d pool %-2d gossip-in %d\n",
-			i, n.Head().Number, s.BlocksSealed, ns.BlocksImported, ns.PoolSize, s.TxsAccepted)
+		m, nm := n.Metrics(), n.Inner().Metrics()
+		fmt.Printf("   node %d: height %-3d sealed %-2.0f imported %-3.0f pool %-2.0f gossip-in %.0f\n",
+			i, n.Head().Number, m["p2p.blocksSealed"], nm["node.blocksImported"], nm["node.poolSize"], m["p2p.txsAccepted"])
 	}
 }

@@ -177,24 +177,19 @@ func TestE2EHundredClients(t *testing.T) {
 		t.Fatalf("latency percentiles: p50=%s p99=%s", report.P50, report.P99)
 	}
 
-	s := srv.node.Stats()
-	if s.TxsIncluded != clients*txPerClient {
-		t.Fatalf("node included %d txs, want %d", s.TxsIncluded, clients*txPerClient)
-	}
-	if s.PoolSize != 0 {
-		t.Fatalf("pool not drained: %d", s.PoolSize)
-	}
 	// Every settle's π_k went through the seal-time batch verifier; none
 	// were evicted.
-	if s.ProofsPreverified != clients {
-		t.Fatalf("ProofsPreverified = %d, want %d", s.ProofsPreverified, clients)
+	m := srv.node.Metrics()
+	for name, want := range map[string]float64{
+		"node.txsIncluded": clients * txPerClient, "node.poolSize": 0,
+		"node.proofsPreverified": clients, "node.proofsEvicted": 0,
+	} {
+		if m[name] != want {
+			t.Fatalf("%s = %v, want %v", name, m[name], want)
+		}
 	}
-	if s.ProofsEvicted != 0 {
-		t.Fatalf("ProofsEvicted = %d, want 0", s.ProofsEvicted)
-	}
-	ixs := srv.ix.Stats()
-	if ixs.Tokens != clients*2 {
-		t.Fatalf("indexer tracked %d tokens, want %d", ixs.Tokens, clients*2)
+	if got := srv.ix.Metrics()["indexer.tokens"]; got != clients*2 {
+		t.Fatalf("indexer tracked %v tokens, want %d", got, clients*2)
 	}
 	t.Logf("e2e: %s", report)
 }

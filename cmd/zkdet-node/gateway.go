@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strings"
 
 	"github.com/zkdet/zkdet/internal/chain"
 	"github.com/zkdet/zkdet/internal/contracts"
@@ -444,32 +445,22 @@ func (g *gateway) exchange(_ context.Context, p idParams) (any, error) {
 	}, nil
 }
 
+// stats renders every component's metric layer.name as out[layer][name].
 func (g *gateway) stats() any {
-	ns := g.srv.node.Stats()
-	is := g.srv.ix.Stats()
-	out := map[string]any{
-		"height": g.srv.mkt.Chain.Height(),
-		"node": map[string]any{
-			"poolSize": ns.PoolSize, "admitted": ns.Admitted,
-			"rejected": ns.Rejected, "evicted": ns.Evicted,
-			"blocksSealed": ns.BlocksSealed, "txsIncluded": ns.TxsIncluded,
-			"proofsPreverified": ns.ProofsPreverified, "proofsEvicted": ns.ProofsEvicted,
-			"latencyP50Ms": float64(ns.LatencyP50.Microseconds()) / 1000,
-			"latencyP99Ms": float64(ns.LatencyP99.Microseconds()) / 1000,
-		},
-		"indexer": map[string]any{
-			"blocks": is.Blocks, "events": is.Events, "txs": is.Txs,
-			"tokens": is.Tokens, "keys": is.Keys,
-		},
-	}
+	metrics := []map[string]float64{g.srv.node.Metrics(), g.srv.ix.Metrics()}
 	if d := g.srv.durable; d != nil {
-		ds := d.Stats()
-		out["durable"] = map[string]any{
-			"blocksLogged": ds.BlocksLogged, "blobsLogged": ds.BlobsLogged,
-			"checkpoints": ds.Checkpoints, "lastCheckpoint": d.LastCheckpoint(),
-			"prunedTxs":  ds.PrunedTxs,
-			"walAppends": ds.WAL.Appends, "walSyncs": ds.WAL.Syncs,
-			"walSegments": ds.WAL.Segments, "walPrunedSegments": ds.WAL.PrunedSegments,
+		metrics = append(metrics, d.Metrics())
+	}
+	out := map[string]any{"height": g.srv.mkt.Chain.Height()}
+	for _, m := range metrics {
+		for k, v := range m {
+			layer, name, _ := strings.Cut(k, ".")
+			sub, _ := out[layer].(map[string]float64)
+			if sub == nil {
+				sub = map[string]float64{}
+				out[layer] = sub
+			}
+			sub[name] = v
 		}
 	}
 	return out

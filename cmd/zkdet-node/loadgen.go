@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
-	"sort"
 	"sync"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	"github.com/zkdet/zkdet/internal/contracts"
 	"github.com/zkdet/zkdet/internal/core"
 	"github.com/zkdet/zkdet/internal/fr"
+	"github.com/zkdet/zkdet/internal/obs"
 )
 
 // rpcClient is a minimal JSON-RPC 2.0 client over HTTP.
@@ -141,7 +141,7 @@ type provenanceOut struct {
 // (real on-chain π_k verification) → NFT transfer → provenance check.
 // It returns the tx hashes it waited on plus whether the lineage the
 // indexer reports matches what the client actually did.
-func runClient(c *rpcClient, id int, fx *exchangeFixture, latencies *[]time.Duration, mu *sync.Mutex) (int, bool, error) {
+func runClient(c *rpcClient, id int, fx *exchangeFixture, latency *obs.Histogram) (int, bool, error) {
 	sellerLabel := fmt.Sprintf("seller-%03d", id)
 	buyerLabel := fmt.Sprintf("buyer-%03d", id)
 	const price = 5000
@@ -169,9 +169,7 @@ func runClient(c *rpcClient, id int, fx *exchangeFixture, latencies *[]time.Dura
 		if err != nil {
 			return nil, err
 		}
-		mu.Lock()
-		*latencies = append(*latencies, time.Since(start))
-		mu.Unlock()
+		latency.Observe(time.Since(start))
 		txs++
 		return res, nil
 	}
@@ -258,7 +256,7 @@ func runClient(c *rpcClient, id int, fx *exchangeFixture, latencies *[]time.Dura
 // plain value transfers to the client's own payee. No proofs, no contract
 // state — pure admission/execution/sealing throughput, cheap enough per
 // client to push the population toward 10k.
-func runTransferClient(c *rpcClient, id, txPerClient int, latencies *[]time.Duration, mu *sync.Mutex) (int, error) {
+func runTransferClient(c *rpcClient, id, txPerClient int, latency *obs.Histogram) (int, error) {
 	payer := fmt.Sprintf("payer-%05d", id)
 	payee := fmt.Sprintf("payee-%05d", id)
 	if err := c.call(rpcFaucet, faucetParams{Address: payer, Amount: 1 << 20}, nil); err != nil {
@@ -270,77 +268,35 @@ func runTransferClient(c *rpcClient, id, txPerClient int, latencies *[]time.Dura
 		if _, err := c.sendWait(txParams{From: payer, To: payee, Value: 1}); err != nil {
 			return txs, fmt.Errorf("transfer %d: %w", i, err)
 		}
-		mu.Lock()
-		*latencies = append(*latencies, time.Since(start))
-		mu.Unlock()
+		latency.Observe(time.Since(start))
 		txs++
 	}
 	return txs, nil
 }
 
-// runTransferLoad fans clients concurrent plain-transfer streams at the
-// gateway; the report's provenance count is not applicable and stays at
-// Clients so the caller's check passes.
-func runTransferLoad(url string, clients, txPerClient int) (*loadReport, error) {
+// fanOut runs clients concurrent copies of run against the gateway and
+// reports throughput, latency percentiles and how many clients' lineage
+// checks passed.
+func fanOut(url string, clients int, run func(c *rpcClient, id int, latency *obs.Histogram) (int, bool, error)) (*loadReport, error) {
 	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		wg        sync.WaitGroup
-		errs      = make([]error, clients)
-		txCounts  = make([]int, clients)
+		latency  obs.Histogram
+		wg       sync.WaitGroup
+		errs     = make([]error, clients)
+		txCounts = make([]int, clients)
+		verified = make([]bool, clients)
 	)
 	start := time.Now()
 	for i := 0; i < clients; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			c := newRPCClient(url)
-			txCounts[i], errs[i] = runTransferClient(c, i, txPerClient, &latencies, &mu)
+			txCounts[i], verified[i], errs[i] = run(newRPCClient(url), i, &latency)
 		}(i)
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
 
-	report := &loadReport{Clients: clients, Elapsed: elapsed, Provenance: clients}
-	for i := 0; i < clients; i++ {
-		if errs[i] != nil {
-			return nil, fmt.Errorf("client %d: %w", i, errs[i])
-		}
-		report.Txs += txCounts[i]
-	}
-	report.TPS = float64(report.Txs) / elapsed.Seconds()
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	if len(latencies) > 0 {
-		report.P50 = latencies[len(latencies)/2]
-		report.P99 = latencies[len(latencies)*99/100]
-	}
-	return report, nil
-}
-
-// runLoad fans clients concurrent exchange flows at the gateway and reports
-// throughput and latency percentiles.
-func runLoad(url string, fx *exchangeFixture, clients int) (*loadReport, error) {
-	var (
-		mu        sync.Mutex
-		latencies []time.Duration
-		wg        sync.WaitGroup
-		errs      = make([]error, clients)
-		txCounts  = make([]int, clients)
-		verified  = make([]bool, clients)
-	)
-	start := time.Now()
-	for i := 0; i < clients; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			c := newRPCClient(url)
-			txCounts[i], verified[i], errs[i] = runClient(c, i, fx, &latencies, &mu)
-		}(i)
-	}
-	wg.Wait()
-	elapsed := time.Since(start)
-
-	report := &loadReport{Clients: clients, Elapsed: elapsed}
+	report := &loadReport{Clients: clients, Elapsed: elapsed, P50: latency.Quantile(0.5), P99: latency.Quantile(0.99)}
 	for i := 0; i < clients; i++ {
 		if errs[i] != nil {
 			return nil, fmt.Errorf("client %d: %w", i, errs[i])
@@ -351,10 +307,22 @@ func runLoad(url string, fx *exchangeFixture, clients int) (*loadReport, error) 
 		}
 	}
 	report.TPS = float64(report.Txs) / elapsed.Seconds()
-	sort.Slice(latencies, func(i, j int) bool { return latencies[i] < latencies[j] })
-	if len(latencies) > 0 {
-		report.P50 = latencies[len(latencies)/2]
-		report.P99 = latencies[len(latencies)*99/100]
-	}
 	return report, nil
+}
+
+// runTransferLoad fans clients concurrent plain-transfer streams at the
+// gateway. A transfer client has no lineage to check and counts as
+// verified, so the caller's provenance check passes.
+func runTransferLoad(url string, clients, txPerClient int) (*loadReport, error) {
+	return fanOut(url, clients, func(c *rpcClient, id int, latency *obs.Histogram) (int, bool, error) {
+		txs, err := runTransferClient(c, id, txPerClient, latency)
+		return txs, true, err
+	})
+}
+
+// runLoad fans clients concurrent exchange flows at the gateway.
+func runLoad(url string, fx *exchangeFixture, clients int) (*loadReport, error) {
+	return fanOut(url, clients, func(c *rpcClient, id int, latency *obs.Histogram) (int, bool, error) {
+		return runClient(c, id, fx, latency)
+	})
 }

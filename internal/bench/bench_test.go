@@ -152,7 +152,7 @@ var shapes = map[string]func(t *testing.T, tabs []Table){
 		}
 		// Wider fanout must not cost fewer messages: each accepting hop
 		// forwards to more peers.
-		msgs := column[float64](t, tabs[0], "msgs/tx")
+		msgs := column[float64](t, tabs[0], "forwards/tx")
 		if msgs[len(msgs)-1] < msgs[0] {
 			t.Errorf("messages per tx fell as fanout grew: %v", msgs)
 		}

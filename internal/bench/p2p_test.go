@@ -55,7 +55,7 @@ func BenchmarkGossipPropagation(b *testing.B) {
 				b.Fatal(err)
 			}
 			b.ReportMetric(float64(rows[0].Propagation.Nanoseconds()), "ns/propagation")
-			b.ReportMetric(rows[0].Messages, "msgs/tx")
+			b.ReportMetric(rows[0].Messages, "forwards/tx")
 		})
 	}
 }

@@ -40,16 +40,6 @@ type Filter struct {
 	Limit     int
 }
 
-// Stats summarizes what the indexer holds.
-type Stats struct {
-	Blocks  uint64 // blocks processed
-	Events  uint64 // events indexed
-	Txs     uint64 // transactions mapped
-	Tokens  int    // tokens known to the provenance service
-	Keys    int    // distinct (contract, name[, topic]) index keys
-	Skipped uint64 // always zero: no read skips blocks (kept for the benchmark's indexer.bloom_skipped)
-}
-
 // Config names the contracts whose events the provenance service folds.
 // Zero values disable provenance folding for that contract.
 type Config struct {
@@ -171,17 +161,32 @@ func (ix *Indexer) Query(f Filter) ([]Entry, int, error) {
 	return out, total, nil
 }
 
-// Stats snapshots index counters.
-func (ix *Indexer) Stats() Stats {
+// Metrics reports what the indexer holds under constant indexer.* names:
+// blocks processed, events indexed, transactions mapped, tokens known to
+// the provenance service and distinct (contract, name[, topic]) keys.
+func (ix *Indexer) Metrics() map[string]float64 {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	return Stats{
-		Blocks: ix.blocks,
-		Events: ix.events,
-		Txs:    uint64(len(ix.txBlock)),
-		Tokens: len(ix.prov.tokens),
-		Keys:   len(ix.byKey),
+	return map[string]float64{
+		"indexer.blocks": float64(ix.blocks), "indexer.events": float64(ix.events),
+		"indexer.txs": float64(len(ix.txBlock)), "indexer.tokens": float64(len(ix.prov.tokens)),
+		"indexer.keys": float64(len(ix.byKey)),
 	}
+}
+
+// Stats is the part of Metrics that benchmark/layers.go reads. Skipped is
+// always zero: no read skips blocks.
+// benchmark shim: item 1 deletes
+type Stats struct {
+	Events, Skipped uint64
+	Tokens          int
+}
+
+// Stats reads the shim's fields out of Metrics.
+// benchmark shim: item 1 deletes
+func (ix *Indexer) Stats() Stats {
+	m := ix.Metrics()
+	return Stats{Events: uint64(m["indexer.events"]), Tokens: int(m["indexer.tokens"])}
 }
 
 // --- provenance accessors (implementation in provenance.go) ---

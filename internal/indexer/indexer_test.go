@@ -98,8 +98,8 @@ func TestQueryFilterAndPagination(t *testing.T) {
 		t.Fatalf("offset past end: %v entries, total %d, err %v", empty, total, err)
 	}
 
-	if s := ix.Stats(); s.Blocks != 5 || s.Events != 10 || s.Skipped != 0 {
-		t.Fatalf("stats: %+v", s)
+	if m := ix.Metrics(); m["indexer.blocks"] != 5 || m["indexer.events"] != 10 {
+		t.Fatalf("metrics: %v", m)
 	}
 }
 
@@ -256,8 +256,8 @@ func TestIndexerTracksRealReceipts(t *testing.T) {
 			t.Fatalf("entry references unknown block %d", e.Block)
 		}
 	}
-	if s := ix.Stats(); s.Tokens != 4 || s.Blocks == 0 {
-		t.Fatalf("stats: %+v", s)
+	if m := ix.Metrics(); m["indexer.tokens"] != 4 || m["indexer.blocks"] == 0 {
+		t.Fatalf("metrics: %v", m)
 	}
 }
 

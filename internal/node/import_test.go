@@ -56,14 +56,14 @@ func TestImportPurgesIncludedFromPool(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("waiter not released by import")
 	}
-	if got := follower.Stats().PoolSize; got != 0 {
-		t.Fatalf("pool size after import: %d", got)
+	if got := follower.Metrics()["node.poolSize"]; got != 0 {
+		t.Fatalf("pool size after import: %v", got)
 	}
 	if _, ok := follower.SealNow(); ok {
 		t.Fatal("imported transaction re-sealed")
 	}
-	if got := follower.Stats().BlocksImported; got != 1 {
-		t.Fatalf("BlocksImported = %d", got)
+	if got := follower.Metrics()["node.blocksImported"]; got != 1 {
+		t.Fatalf("node.blocksImported = %v", got)
 	}
 }
 
@@ -93,8 +93,8 @@ func TestImportEvictsReplacedNonces(t *testing.T) {
 	case <-time.After(time.Second):
 		t.Fatal("stale tx waiter not released")
 	}
-	if got := follower.Stats().PoolSize; got != 0 {
-		t.Fatalf("pool size after eviction: %d", got)
+	if got := follower.Metrics()["node.poolSize"]; got != 0 {
+		t.Fatalf("pool size after eviction: %v", got)
 	}
 }
 

@@ -8,12 +8,12 @@ package node
 
 import (
 	"context"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"github.com/zkdet/zkdet/internal/chain"
+	"github.com/zkdet/zkdet/internal/obs"
 )
 
 // Config tunes the mempool and block producer.
@@ -77,29 +77,6 @@ func (c *Config) sanitize() {
 	}
 }
 
-// Stats is a point-in-time snapshot of node counters.
-type Stats struct {
-	PoolSize     int
-	Admitted     uint64
-	Rejected     uint64
-	Evicted      uint64
-	BlocksSealed uint64
-	// BlocksImported counts remotely sealed blocks replayed through
-	// ImportBlock (zero outside cluster deployments).
-	BlocksImported uint64
-	TxsIncluded    uint64
-	// Seal-time proof folding counters (zero over a chain with no block
-	// verifier): included transactions whose proofs were validated in
-	// their block's fold, and transactions evicted for carrying invalid
-	// proofs.
-	ProofsPreverified uint64
-	ProofsEvicted     uint64
-	// Inclusion latency (admission → sealed block) percentiles over the
-	// most recent window of included transactions.
-	LatencyP50 time.Duration
-	LatencyP99 time.Duration
-}
-
 // Node runs the mempool + block producer over a chain and publishes sealed
 // blocks on its Bus.
 type Node struct {
@@ -116,18 +93,16 @@ type Node struct {
 	// it back gathers no fuller block (see run).
 	waiting atomic.Int32
 
-	mu                sync.Mutex
-	running           bool            // guarded by mu
-	blocksSealed      uint64          // guarded by mu
-	blocksImported    uint64          // guarded by mu
-	txsIncluded       uint64          // guarded by mu
-	proofsPreverified uint64          // guarded by mu
-	proofsEvicted     uint64          // guarded by mu
-	latencies         []time.Duration // guarded by mu; ring buffer of recent inclusion latencies
-	latPos            int             // guarded by mu
-}
+	mu      sync.Mutex
+	running bool // guarded by mu
 
-const latencyWindow = 4096
+	blocksSealed      atomic.Uint64
+	blocksImported    atomic.Uint64 // remotely sealed blocks replayed through ImportBlock
+	txsIncluded       atomic.Uint64
+	proofsPreverified atomic.Uint64 // included with the proof checked by its block's seal-time fold
+	proofsEvicted     atomic.Uint64 // evicted at seal time for an invalid proof
+	latency           obs.Histogram // admission → sealed block
+}
 
 // New creates a node over the chain. Call Start to begin producing blocks.
 func New(c *chain.Chain, cfg Config) *Node {
@@ -263,24 +238,18 @@ func (n *Node) produce() (chain.Block, int) {
 	res := n.chain.ProduceBlock(txs)
 	n.pool.markDone(batch)
 	now := time.Now()
-	n.mu.Lock()
 	if res.Block.Number != 0 {
-		n.blocksSealed++
+		n.blocksSealed.Add(1)
 	}
-	n.txsIncluded += uint64(len(res.Block.TxHashes))
-	n.proofsPreverified += uint64(res.ProofsVerified)
-	n.proofsEvicted += uint64(res.ProofsEvicted)
-	for i, ptx := range batch {
-		if res.Outcomes[i].Err == nil {
-			n.recordLatencyLocked(now.Sub(ptx.added))
-		}
-	}
-	n.mu.Unlock()
+	n.txsIncluded.Add(uint64(len(res.Block.TxHashes)))
+	n.proofsPreverified.Add(uint64(res.ProofsVerified))
+	n.proofsEvicted.Add(uint64(res.ProofsEvicted))
 	for i, ptx := range batch {
 		if err := res.Outcomes[i].Err; err != nil {
 			ptx.finish(TxResult{Err: err})
 			continue
 		}
+		n.latency.Observe(now.Sub(ptx.added))
 		ptx.finish(TxResult{Receipt: res.Outcomes[i].Receipt, BlockNumber: res.Block.Number})
 	}
 	return res.Block, len(batch)
@@ -357,46 +326,46 @@ func (n *Node) ImportBlock(b chain.Block, txs []chain.Transaction) ([]*chain.Rec
 	if err != nil {
 		return nil, err
 	}
-	n.mu.Lock()
-	n.blocksImported++
-	n.mu.Unlock()
+	n.blocksImported.Add(1)
 	n.pool.removeIncluded(txs, receipts, b.Number)
 	return receipts, nil
 }
 
-func (n *Node) recordLatencyLocked(d time.Duration) {
-	if len(n.latencies) < latencyWindow {
-		n.latencies = append(n.latencies, d)
-		return
+// Metrics reports the node's counters under constant node.* names. The
+// inclusion latency percentiles (admission → sealed block, over the node's
+// lifetime) are histogram bucket upper edges, at most 1/8 above the exact
+// reading.
+func (n *Node) Metrics() map[string]float64 {
+	p50, p99 := n.latency.Quantile(0.5), n.latency.Quantile(0.99)
+	p := n.pool
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return map[string]float64{
+		"node.poolSize": float64(p.size), "node.admitted": float64(p.admitted),
+		"node.rejected": float64(p.rejected), "node.evicted": float64(p.evictions),
+		"node.blocksSealed": float64(n.blocksSealed.Load()), "node.blocksImported": float64(n.blocksImported.Load()),
+		"node.txsIncluded": float64(n.txsIncluded.Load()), "node.proofsPreverified": float64(n.proofsPreverified.Load()),
+		"node.proofsEvicted": float64(n.proofsEvicted.Load()), "node.latencyP50Ms": float64(p50) / 1e6,
+		"node.latencyP99Ms": float64(p99) / 1e6,
 	}
-	n.latencies[n.latPos] = d
-	n.latPos = (n.latPos + 1) % latencyWindow
 }
 
-// Stats snapshots the node counters.
-func (n *Node) Stats() Stats {
-	pool := n.pool
-	pool.mu.Lock()
-	s := Stats{
-		PoolSize: pool.size,
-		Admitted: pool.admitted,
-		Rejected: pool.rejected,
-		Evicted:  pool.evictions,
-	}
-	pool.mu.Unlock()
+// Stats is the part of Metrics that benchmark/layers.go reads.
+// benchmark shim: item 1 deletes
+type Stats struct {
+	Rejected, Evicted, BlocksSealed, TxsIncluded, ProofsPreverified, ProofsEvicted uint64
 
-	n.mu.Lock()
-	s.BlocksSealed = n.blocksSealed
-	s.BlocksImported = n.blocksImported
-	s.TxsIncluded = n.txsIncluded
-	s.ProofsPreverified = n.proofsPreverified
-	s.ProofsEvicted = n.proofsEvicted
-	lats := append([]time.Duration(nil), n.latencies...)
-	n.mu.Unlock()
-	if len(lats) > 0 {
-		sort.Slice(lats, func(i, j int) bool { return lats[i] < lats[j] })
-		s.LatencyP50 = lats[len(lats)/2]
-		s.LatencyP99 = lats[len(lats)*99/100]
+	LatencyP50, LatencyP99 time.Duration
+}
+
+// Stats reads the shim's fields out of Metrics.
+// benchmark shim: item 1 deletes
+func (n *Node) Stats() Stats {
+	m := n.Metrics()
+	return Stats{
+		Rejected: uint64(m["node.rejected"]), Evicted: uint64(m["node.evicted"]),
+		BlocksSealed: uint64(m["node.blocksSealed"]), TxsIncluded: uint64(m["node.txsIncluded"]),
+		ProofsPreverified: uint64(m["node.proofsPreverified"]), ProofsEvicted: uint64(m["node.proofsEvicted"]),
+		LatencyP50: n.latency.Quantile(0.5), LatencyP99: n.latency.Quantile(0.99),
 	}
-	return s
 }

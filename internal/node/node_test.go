@@ -98,15 +98,15 @@ func TestConcurrentClientsAllIncluded(t *testing.T) {
 	}
 	wg.Wait()
 
-	s := n.Stats()
-	if s.TxsIncluded != clients*perClient {
-		t.Fatalf("included %d, want %d", s.TxsIncluded, clients*perClient)
+	m := n.Metrics()
+	if got := m["node.txsIncluded"]; got != clients*perClient {
+		t.Fatalf("included %v, want %d", got, clients*perClient)
 	}
-	if s.PoolSize != 0 {
-		t.Fatalf("pool size %d after drain", s.PoolSize)
+	if got := m["node.poolSize"]; got != 0 {
+		t.Fatalf("pool size %v after drain", got)
 	}
-	if s.LatencyP50 == 0 || s.LatencyP99 < s.LatencyP50 {
-		t.Fatalf("latency stats p50=%v p99=%v", s.LatencyP50, s.LatencyP99)
+	if p50, p99 := m["node.latencyP50Ms"], m["node.latencyP99Ms"]; p50 == 0 || p99 < p50 {
+		t.Fatalf("latency p50=%vms p99=%vms", p50, p99)
 	}
 }
 

@@ -125,14 +125,10 @@ func TestSealVerifierEvictsFlaggedTxs(t *testing.T) {
 		t.Fatalf("sealed headers record a fold of %d items, want 2", folded)
 	}
 
-	s := n.Stats()
-	if s.ProofsPreverified != 2 {
-		t.Fatalf("ProofsPreverified = %d, want 2", s.ProofsPreverified)
-	}
-	if s.ProofsEvicted != 1 {
-		t.Fatalf("ProofsEvicted = %d, want 1", s.ProofsEvicted)
-	}
-	if s.TxsIncluded != 2 {
-		t.Fatalf("TxsIncluded = %d, want 2", s.TxsIncluded)
+	m := n.Metrics()
+	for name, want := range map[string]float64{"node.proofsPreverified": 2, "node.proofsEvicted": 1, "node.txsIncluded": 2} {
+		if m[name] != want {
+			t.Fatalf("%s = %v, want %v", name, m[name], want)
+		}
 	}
 }

@@ -72,8 +72,8 @@ func waitSettled(t *testing.T, cl *Cluster, sink chain.Address, want uint64, tim
 	}
 	for i, n := range cl.Nodes {
 		h := n.Head()
-		t.Logf("node %d: height=%d head=%s sink=%d pool=%d", i, h.Number, h.Hash(),
-			n.Inner().Chain().BalanceOf(sink), n.Inner().Stats().PoolSize)
+		t.Logf("node %d: height=%d head=%s sink=%d pool=%v", i, h.Number, h.Hash(),
+			n.Inner().Chain().BalanceOf(sink), n.Inner().Metrics()["node.poolSize"])
 	}
 	t.Fatal("cluster did not settle")
 }
@@ -122,8 +122,8 @@ func TestClusterConvergence(t *testing.T) {
 			waitSettled(t, cl, sink, uint64(size*perNode), 30*time.Second)
 			assertIdenticalState(t, cl)
 			for i, n := range cl.Nodes {
-				if got := n.Inner().Stats().PoolSize; got != 0 {
-					t.Fatalf("node %d pool not drained: %d", i, got)
+				if got := n.Inner().Metrics()["node.poolSize"]; got != 0 {
+					t.Fatalf("node %d pool not drained: %v", i, got)
 				}
 			}
 		})
@@ -261,11 +261,11 @@ func TestDemotionOnInvalidTxPush(t *testing.T) {
 		}})
 	}
 	waitFor(t, 5*time.Second, func() bool { return n0.isDemoted(evil) })
-	if got := n0.Inner().Stats().PoolSize; got != 0 {
-		t.Fatalf("invalid transactions entered the pool: %d", got)
+	if got := n0.Inner().Metrics()["node.poolSize"]; got != 0 {
+		t.Fatalf("invalid transactions entered the pool: %v", got)
 	}
-	if got := n0.Stats().TxsInvalid; got != 2 {
-		t.Fatalf("TxsInvalid = %d, want 2", got)
+	if got := n0.Metrics()["p2p.txsInvalid"]; got != 2 {
+		t.Fatalf("p2p.txsInvalid = %v, want 2", got)
 	}
 	for _, target := range n0.gossipTargets("") {
 		if target == evil {
@@ -277,8 +277,8 @@ func TestDemotionOnInvalidTxPush(t *testing.T) {
 		{From: victim, Nonce: 9, GasLimit: chain.DefaultGasLimit},
 	}})
 	time.Sleep(50 * time.Millisecond)
-	if got := n0.Inner().Stats().PoolSize; got != 0 {
-		t.Fatalf("demoted peer's push admitted: %d", got)
+	if got := n0.Inner().Metrics()["node.poolSize"]; got != 0 {
+		t.Fatalf("demoted peer's push admitted: %v", got)
 	}
 }
 
@@ -406,11 +406,11 @@ func TestLeaderRotation(t *testing.T) {
 	sealers := 0
 	var total uint64
 	for _, n := range cl.Nodes {
-		s := n.Stats()
-		if s.BlocksSealed > 0 {
+		sealed := uint64(n.Metrics()["p2p.blocksSealed"])
+		if sealed > 0 {
 			sealers++
 		}
-		total += s.BlocksSealed
+		total += sealed
 	}
 	if sealers < 2 {
 		t.Fatalf("only %d member(s) ever sealed — rotation not happening", sealers)

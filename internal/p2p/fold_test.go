@@ -165,8 +165,9 @@ func TestClusterAgreesOnFoldedGas(t *testing.T) {
 	}
 	sealed, imported := uint64(0), uint64(0)
 	for _, n := range cl.Nodes {
-		sealed += n.Inner().Stats().BlocksSealed
-		imported += n.Inner().Stats().BlocksImported
+		m := n.Inner().Metrics()
+		sealed += uint64(m["node.blocksSealed"])
+		imported += uint64(m["node.blocksImported"])
 	}
 	if sealed != res.BlockNumber || imported != 2*res.BlockNumber {
 		t.Fatalf("%d blocks sealed and %d imported across the cluster for height %d", sealed, imported, res.BlockNumber)
@@ -258,7 +259,7 @@ func TestFollowerRefusesFoldedBlockWithBadProof(t *testing.T) {
 	if after := snap(); !reflect.DeepEqual(before, after) {
 		t.Fatalf("refused block left a trace:\n before %+v\n after  %+v", before, after)
 	}
-	if n0.Stats().SyncImports != 0 {
+	if n0.Metrics()["p2p.syncImports"] != 0 {
 		t.Fatal("the block was imported")
 	}
 	// And it was the proof that sank it, at the chain's own check.

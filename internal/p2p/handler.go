@@ -105,9 +105,7 @@ func (n *Node) handleTxPush(from NodeID, msg Message) {
 		}
 		if invalid > 0 {
 			n.demote(from, scoreInvalidTx*invalid)
-			n.mu.Lock()
-			n.stats.TxsInvalid += uint64(invalid)
-			n.mu.Unlock()
+			n.txsInvalid.Add(uint64(invalid))
 		}
 		fresh = valid
 	}
@@ -120,10 +118,10 @@ func (n *Node) handleTxPush(from NodeID, msg Message) {
 			admitted++
 		}
 	}
-	n.mu.Lock()
-	n.stats.TxsAccepted += uint64(admitted)
-	n.mu.Unlock()
-	n.pushTxs(fresh, from)
+	// Forwards are counted before the acceptance: a reader that sees every
+	// member accept a transaction sees every forward it triggered.
+	n.pushTxs(fresh, from, &n.txsForwarded)
+	n.txsAccepted.Add(uint64(admitted))
 }
 
 // serveHeaders answers a headers-range request from the local chain.

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"github.com/zkdet/zkdet/internal/chain"
@@ -128,17 +129,6 @@ type peerState struct {
 	head   chain.Hash // last advertised head hash
 }
 
-// NetStats is a snapshot of a node's networking counters.
-type NetStats struct {
-	TxsAccepted  uint64 // fresh gossip transactions admitted
-	TxsForwarded uint64 // transactions re-pushed to peers
-	TxsInvalid   uint64 // gossip transactions dropped by proof screening
-	BlocksSealed uint64 // blocks sealed as leader
-	SyncImports  uint64 // blocks imported through sync
-	Timeouts     uint64 // request attempts that timed out
-	Demotions    uint64 // peers crossing the demotion threshold
-}
-
 // Node is one cluster member: it ties a node.Node (mempool + chain) to a
 // Transport and runs the gossip, sync, and leader-rotation protocols.
 //
@@ -176,7 +166,15 @@ type Node struct {
 	reqs       map[uint64]chan Message // guarded by mu
 	rrOffset   int                     // guarded by mu; rotates gossip target selection
 	started    bool                    // guarded by mu
-	stats      NetStats                // guarded by mu
+
+	txsAccepted    atomic.Uint64 // fresh gossip transactions admitted
+	txsForwarded   atomic.Uint64 // tx pushes of a local submission or a fresh gossip acceptance
+	txsRebroadcast atomic.Uint64 // tx pushes of the periodic pooled-tx rebroadcast
+	txsInvalid     atomic.Uint64 // gossip transactions dropped by proof screening
+	blocksSealed   atomic.Uint64 // blocks sealed as leader
+	syncImports    atomic.Uint64 // blocks imported through sync
+	timeouts       atomic.Uint64 // request attempts that timed out
+	demotions      atomic.Uint64 // peers crossing the demotion threshold
 
 	syncWake chan struct{}
 	quit     chan struct{}
@@ -254,11 +252,15 @@ func (n *Node) Stop() {
 // Head returns the local chain head.
 func (n *Node) Head() chain.Block { return n.inner.Chain().Head() }
 
-// Stats snapshots the networking counters.
-func (n *Node) Stats() NetStats {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.stats
+// Metrics reports the networking counters under constant p2p.* names. A
+// tx push counts once per transaction per peer it is sent to.
+func (n *Node) Metrics() map[string]float64 {
+	return map[string]float64{
+		"p2p.txsAccepted": float64(n.txsAccepted.Load()), "p2p.txsForwarded": float64(n.txsForwarded.Load()),
+		"p2p.txsRebroadcast": float64(n.txsRebroadcast.Load()), "p2p.txsInvalid": float64(n.txsInvalid.Load()),
+		"p2p.blocksSealed": float64(n.blocksSealed.Load()), "p2p.syncImports": float64(n.syncImports.Load()),
+		"p2p.timeouts": float64(n.timeouts.Load()), "p2p.demotions": float64(n.demotions.Load()),
+	}
 }
 
 // SubmitAndWait admits a transaction locally (screening its proof when a
@@ -277,7 +279,7 @@ func (n *Node) SubmitAndWait(ctx context.Context, tx chain.Transaction, autoNonc
 		return node.TxResult{}, err
 	}
 	n.markTxSeen(pooled.Hash())
-	n.pushTxs([]chain.Transaction{pooled}, "")
+	n.pushTxs([]chain.Transaction{pooled}, "", &n.txsForwarded)
 	select {
 	case res := <-done:
 		return res, res.Err
@@ -299,7 +301,7 @@ func (n *Node) Submit(tx chain.Transaction, autoNonce bool) (chain.Hash, error) 
 	}
 	h := pooled.Hash()
 	n.markTxSeen(h)
-	n.pushTxs([]chain.Transaction{pooled}, "")
+	n.pushTxs([]chain.Transaction{pooled}, "", &n.txsForwarded)
 	return h, nil
 }
 
@@ -327,7 +329,7 @@ func (n *Node) tickLoop() {
 			n.broadcastStatus()
 		case <-rebroadcast.C:
 			if txs := n.inner.PendingSample(16); len(txs) > 0 {
-				n.pushTxs(txs, "")
+				n.pushTxs(txs, "", &n.txsRebroadcast)
 			}
 		}
 	}
@@ -348,9 +350,7 @@ func (n *Node) maybeSeal() {
 		return
 	}
 	n.markBlockSeen(blk.Hash())
-	n.mu.Lock()
-	n.stats.BlocksSealed++
-	n.mu.Unlock()
+	n.blocksSealed.Add(1)
 	n.announce(blk, "")
 	n.broadcastStatus()
 }
@@ -378,8 +378,8 @@ func (n *Node) broadcastStatus() {
 }
 
 // pushTxs gossips transactions to a fanout of peers, excluding the one
-// they came from.
-func (n *Node) pushTxs(txs []chain.Transaction, exclude NodeID) {
+// they came from, and adds the pushes to count.
+func (n *Node) pushTxs(txs []chain.Transaction, exclude NodeID, count *atomic.Uint64) {
 	targets := n.gossipTargets(exclude)
 	if len(targets) == 0 {
 		return
@@ -388,9 +388,7 @@ func (n *Node) pushTxs(txs []chain.Transaction, exclude NodeID) {
 	for _, id := range targets {
 		n.net.Send(n.cfg.ID, id, msg) //nolint:errcheck // unreliable by contract
 	}
-	n.mu.Lock()
-	n.stats.TxsForwarded += uint64(len(txs) * len(targets))
-	n.mu.Unlock()
+	count.Add(uint64(len(txs) * len(targets)))
 }
 
 // gossipTargets picks up to Fanout non-demoted peers, rotating the start
@@ -432,7 +430,7 @@ func (n *Node) demote(id NodeID, delta int) {
 	was := ps.score
 	ps.score += delta
 	if was > n.cfg.DemoteBelow && ps.score <= n.cfg.DemoteBelow {
-		n.stats.Demotions++
+		n.demotions.Add(1)
 	}
 }
 

@@ -164,12 +164,16 @@ func (n *SimNet) Send(from, to NodeID, msg Message) error {
 	return nil
 }
 
-// Stats returns cumulative traffic counters: messages sent, delivered,
-// dropped, and bytes offered to the network.
-func (n *SimNet) Stats() (sent, delivered, dropped, bytes uint64) {
+// Metrics reports cumulative traffic counters under constant simnet.*
+// names: messages sent, delivered and dropped, and bytes offered to the
+// network.
+func (n *SimNet) Metrics() map[string]float64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	return n.sent, n.delivered, n.dropped, n.bytesSent
+	return map[string]float64{
+		"simnet.sent": float64(n.sent), "simnet.delivered": float64(n.delivered),
+		"simnet.dropped": float64(n.dropped), "simnet.bytes": float64(n.bytesSent),
+	}
 }
 
 // Close detaches every endpoint and rejects further sends. Deliveries

@@ -79,9 +79,8 @@ func TestSimNetPartitionAndHeal(t *testing.T) {
 	if c.count() != 0 {
 		t.Fatal("message crossed a partition")
 	}
-	_, _, dropped, _ := net.Stats()
-	if dropped != 1 {
-		t.Fatalf("dropped = %d, want 1", dropped)
+	if dropped := net.Metrics()["simnet.dropped"]; dropped != 1 {
+		t.Fatalf("dropped = %v, want 1", dropped)
 	}
 
 	plan.Heal()
@@ -99,8 +98,7 @@ func TestSimNetDeterministicDrops(t *testing.T) {
 		for i := 0; i < 200; i++ {
 			net.Send("a", "b", Message{Kind: MsgStatus})
 		}
-		_, _, dropped, _ := net.Stats()
-		return dropped
+		return uint64(net.Metrics()["simnet.dropped"])
 	}
 	d1, d2 := run(42), run(42)
 	if d1 != d2 {

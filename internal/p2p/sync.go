@@ -45,9 +45,7 @@ func (n *Node) request(to NodeID, msg Message) (Message, error) {
 		case <-timer.C:
 			n.dropReq(id)
 			n.demote(to, scoreTimeout)
-			n.mu.Lock()
-			n.stats.Timeouts++
-			n.mu.Unlock()
+			n.timeouts.Add(1)
 		case <-n.quit:
 			timer.Stop()
 			n.dropReq(id)
@@ -204,8 +202,6 @@ func (n *Node) importFetched(peer NodeID, h chain.Block, txs []chain.Transaction
 	}
 	n.markBlockSeen(h.Hash())
 	n.credit(peer, scoreGood)
-	n.mu.Lock()
-	n.stats.SyncImports++
-	n.mu.Unlock()
+	n.syncImports.Add(1)
 	return true
 }

@@ -7,6 +7,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -92,16 +93,6 @@ func (o *Options) fill() {
 	o.WAL.Dir = filepath.Join(o.Dir, "wal")
 }
 
-// Stats are the engine's cumulative counters.
-type Stats struct {
-	BlocksLogged   uint64
-	BlobsLogged    uint64
-	Checkpoints    uint64
-	CheckpointSkip uint64 // checkpoint attempts skipped (one already in flight)
-	PrunedTxs      uint64 // bodies dropped by full-role pruning
-	WAL            wal.Stats
-}
-
 // RecoveryReport describes what Recover did.
 type RecoveryReport struct {
 	SnapshotPath     string   // the snapshot that restored, "" if none
@@ -146,8 +137,13 @@ type DurableStore struct {
 	lastCheckpoint uint64   // guarded by mu; height of the newest durable snapshot
 	checkpointing  bool     // guarded by mu; one checkpoint in flight at a time
 	pruneMarks     []uint64 // guarded by mu; WAL marks of recent checkpoints, oldest first
-	stats          Stats    // guarded by mu
 	failed         error    // guarded by mu; sticky logging failure
+
+	blocksLogged    atomic.Uint64
+	blobsLogged     atomic.Uint64
+	checkpoints     atomic.Uint64
+	checkpointSkips atomic.Uint64 // attempts skipped, one already in flight
+	prunedTxs       atomic.Uint64 // bodies dropped by full-role pruning
 
 	checkpointWG sync.WaitGroup
 }
@@ -205,8 +201,8 @@ func (d *DurableStore) onSeal(b chain.Block, receipts []*chain.Receipt) {
 		d.fail(fmt.Errorf("snapshot: logging block %d: %w", b.Number, err))
 		return
 	}
+	d.blocksLogged.Add(1)
 	d.mu.Lock()
-	d.stats.BlocksLogged++
 	due := b.Number >= d.lastCheckpoint+d.opts.CheckpointEvery
 	d.mu.Unlock()
 	if due {
@@ -222,7 +218,7 @@ func (d *DurableStore) onSeal(b chain.Block, receipts []*chain.Receipt) {
 func (d *DurableStore) maybeCheckpoint() {
 	d.mu.Lock()
 	if d.checkpointing {
-		d.stats.CheckpointSkip++
+		d.checkpointSkips.Add(1)
 		d.mu.Unlock()
 		return
 	}
@@ -261,7 +257,7 @@ func (d *DurableStore) Checkpoint() error {
 func (d *DurableStore) exportForCheckpoint() (uint64, *chain.StateExport, []storage.BlobExport) {
 	d.markMu.Lock()
 	defer d.markMu.Unlock()
-	walMark := d.log.Stats().NextSeq
+	walMark := d.log.NextSeq()
 	exp := d.c.ExportState()
 	var blobs []storage.BlobExport
 	if d.blobs != nil {
@@ -323,7 +319,7 @@ func (d *DurableStore) writeCheckpoint(exp *chain.StateExport, blobs []storage.B
 	if height > d.lastCheckpoint {
 		d.lastCheckpoint = height
 	}
-	d.stats.Checkpoints++
+	d.checkpoints.Add(1)
 	// Pruning lags the snapshots by keepSnapshots: the WAL retains enough
 	// log to recover from the OLDEST retained snapshot, so damage to the
 	// newest file can always fall back without hitting a gap.
@@ -342,10 +338,7 @@ func (d *DurableStore) writeCheckpoint(exp *chain.StateExport, blobs []storage.B
 	}
 	d.pruneSnapshots()
 	if d.opts.Role == Full {
-		dropped := d.c.PruneBodies(height)
-		d.mu.Lock()
-		d.stats.PrunedTxs += uint64(dropped)
-		d.mu.Unlock()
+		d.prunedTxs.Add(uint64(d.c.PruneBodies(height)))
 	}
 	return nil
 }
@@ -470,7 +463,7 @@ func (d *DurableStore) Recover(c *chain.Chain) (*RecoveryReport, error) {
 	if err := d.replayWAL(rep); err != nil {
 		return nil, err
 	}
-	rep.TornBytes = d.log.Stats().TornBytes
+	rep.TornBytes = d.log.TornBytes()
 	rep.Head = c.Height()
 	d.mu.Lock()
 	d.lastCheckpoint = rep.SnapshotHeight
@@ -607,19 +600,38 @@ func (d *DurableStore) Err() error {
 	return d.failed
 }
 
-// LastCheckpoint returns the height of the newest durable snapshot.
-func (d *DurableStore) LastCheckpoint() uint64 {
+// Metrics reports the engine's counters under constant durable.* names,
+// its WAL's among them: the log's wal.appends reads as durable.walAppends.
+func (d *DurableStore) Metrics() map[string]float64 {
 	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.lastCheckpoint
+	last := d.lastCheckpoint
+	d.mu.Unlock()
+	m := map[string]float64{
+		"durable.blocksLogged": float64(d.blocksLogged.Load()), "durable.blobsLogged": float64(d.blobsLogged.Load()),
+		"durable.checkpoints": float64(d.checkpoints.Load()), "durable.checkpointSkips": float64(d.checkpointSkips.Load()),
+		"durable.prunedTxs": float64(d.prunedTxs.Load()), "durable.lastCheckpoint": float64(last),
+	}
+	for k, v := range d.log.Metrics() {
+		name := strings.TrimPrefix(k, "wal.")
+		m["durable.wal"+strings.ToUpper(name[:1])+name[1:]] = v
+	}
+	return m
 }
 
-// Stats returns a copy of the engine counters.
+// Stats is the part of Metrics that benchmark/layers.go reads.
+// benchmark shim: item 1 deletes
+type Stats struct {
+	Checkpoints, CheckpointSkip uint64
+	WAL                         struct{ Appends, Syncs, PrunedSegments uint64 }
+}
+
+// Stats reads the shim's fields out of Metrics.
+// benchmark shim: item 1 deletes
 func (d *DurableStore) Stats() Stats {
-	d.mu.Lock()
-	s := d.stats
-	d.mu.Unlock()
-	s.WAL = d.log.Stats()
+	m := d.Metrics()
+	s := Stats{Checkpoints: uint64(m["durable.checkpoints"]), CheckpointSkip: uint64(m["durable.checkpointSkips"])}
+	s.WAL.Appends, s.WAL.Syncs = uint64(m["durable.walAppends"]), uint64(m["durable.walSyncs"])
+	s.WAL.PrunedSegments = uint64(m["durable.walPrunedSegments"])
 	return s
 }
 
@@ -701,9 +713,7 @@ func (s *DurableBlobs) Put(owner string, data []byte) (storage.URI, error) {
 	if _, err := s.d.log.AppendSync(recBlob, e.b); err != nil {
 		return storage.URI{}, fmt.Errorf("snapshot: logging blob put: %w", err)
 	}
-	s.d.mu.Lock()
-	s.d.stats.BlobsLogged++
-	s.d.mu.Unlock()
+	s.d.blobsLogged.Add(1)
 	return uri, nil
 }
 

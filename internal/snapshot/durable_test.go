@@ -216,12 +216,11 @@ func TestCheckpointThenCrashReplaysOnlyTail(t *testing.T) {
 		n.seal(t, "inc")
 	}
 	n.d.checkpointWG.Wait() // let background checkpoints land
-	if cp := n.d.LastCheckpoint(); cp < 4 {
-		t.Fatalf("no checkpoint landed by height 10 (last=%d)", cp)
+	if cp := n.d.Metrics()["durable.lastCheckpoint"]; cp < 4 {
+		t.Fatalf("no checkpoint landed by height 10 (last=%v)", cp)
 	}
-	st := n.d.Stats()
-	if st.Checkpoints == 0 {
-		t.Fatalf("stats %+v", st)
+	if m := n.d.Metrics(); m["durable.checkpoints"] == 0 {
+		t.Fatalf("metrics %v", m)
 	}
 	wantHead := n.c.HeadHash()
 	n.d.Crash()
@@ -295,7 +294,7 @@ func TestFullRolePrunesBodiesButRecoversHead(t *testing.T) {
 		hashes = append(hashes, n.seal(t, "inc"))
 	}
 	n.d.checkpointWG.Wait()
-	if n.d.Stats().PrunedTxs == 0 {
+	if n.d.Metrics()["durable.prunedTxs"] == 0 {
 		t.Fatal("full role pruned nothing")
 	}
 	// Deep history is gone on the live node...
@@ -370,7 +369,7 @@ func TestWALPruningRetainsFallbackCoverage(t *testing.T) {
 			}
 		}
 	}
-	if n.d.Stats().WAL.PrunedSegments == 0 {
+	if n.d.Metrics()["durable.walPrunedSegments"] == 0 {
 		t.Fatal("pruning never ran despite 4 checkpoints over tiny segments")
 	}
 	n.d.Crash()

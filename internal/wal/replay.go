@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 )
 
 // writeFrame frames one record: u32 length | u8 type | payload | u32 CRC.
@@ -152,8 +153,8 @@ type segCache struct {
 	cap    int
 	data   map[string][]byte // guarded by mu
 	order  []string          // guarded by mu; LRU, most recent last
-	hits   uint64            // guarded by mu
-	misses uint64            // guarded by mu
+	hits   atomic.Uint64
+	misses atomic.Uint64
 }
 
 func newSegCache(capacity int) *segCache {
@@ -165,10 +166,10 @@ func (c *segCache) get(path string) ([]byte, bool) {
 	defer c.mu.Unlock()
 	data, ok := c.data[path]
 	if !ok {
-		c.misses++
+		c.misses.Add(1)
 		return nil, false
 	}
-	c.hits++
+	c.hits.Add(1)
 	c.touchLocked(path)
 	return data, true
 }
@@ -211,11 +212,4 @@ func (c *segCache) touchLocked(path string) {
 			return
 		}
 	}
-}
-
-// counters returns the cache hit/miss counts.
-func (c *segCache) counters() (hits, misses uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
 }

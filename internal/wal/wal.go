@@ -89,19 +89,6 @@ type segment struct {
 	first uint64 // seq of the segment's first record
 }
 
-// Stats are the log's cumulative counters.
-type Stats struct {
-	Appends        uint64 // records appended
-	Syncs          uint64 // fsync calls issued by the group committer
-	Rotations      uint64 // segment files sealed
-	PrunedSegments uint64 // segment files deleted by PruneTo
-	TornBytes      int64  // bytes truncated from the tail at Open
-	CacheHits      uint64 // sealed-segment cache hits during reads
-	CacheMisses    uint64
-	Segments       int    // current segment file count
-	NextSeq        uint64 // seq the next append will get
-}
-
 // Log is an append-only segmented record log. Safe for concurrent use.
 type Log struct {
 	opts Options
@@ -121,10 +108,15 @@ type Log struct {
 	wake   *sync.Cond // signals the group committer that work is pending
 	synced *sync.Cond // broadcast when durable advances
 
+	appends        uint64 // guarded by mu
+	syncs          uint64 // guarded by mu; fsyncs issued
+	rotations      uint64 // guarded by mu; segment files sealed
+	prunedSegments uint64 // guarded by mu; segment files deleted by PruneTo
+
+	tornBytes int64 // truncated from the tail at Open; fixed once Open returns
+
 	syncerWG sync.WaitGroup
 	pruneWG  sync.WaitGroup
-
-	stats Stats
 
 	cache *segCache
 }
@@ -133,7 +125,7 @@ type Log struct {
 // segment: a short or CRC-failing frame at the very tail is truncated (a
 // torn write from a crash — those records were never acknowledged), while
 // a bad frame anywhere earlier returns ErrCorrupt. The truncated byte
-// count is reported in Stats().TornBytes.
+// count is reported by TornBytes.
 func Open(opts Options) (*Log, error) {
 	opts.fill()
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
@@ -180,7 +172,7 @@ func (l *Log) scanExisting() error {
 			if !last {
 				return fmt.Errorf("%w: %s has %d unreadable bytes mid-log", ErrCorrupt, filepath.Base(seg.path), bad)
 			}
-			l.stats.TornBytes += bad
+			l.tornBytes += bad
 			if keep < int64(len(segMagic)) {
 				// The tail segment's own header is unreadable — it holds no
 				// recoverable record. Drop the file; Open starts a fresh
@@ -269,13 +261,13 @@ func (l *Log) rotateLocked() error {
 	if err := l.f.Sync(); err != nil {
 		return err
 	}
-	l.stats.Syncs++
+	l.syncs++
 	if err := l.f.Close(); err != nil {
 		return err
 	}
 	l.durable = l.written
 	l.synced.Broadcast()
-	l.stats.Rotations++
+	l.rotations++
 	return l.openSegmentLocked(l.nextSeq)
 }
 
@@ -309,7 +301,7 @@ func (l *Log) Append(typ byte, payload []byte) (uint64, error) {
 	l.nextSeq++
 	l.written = seq
 	l.segSize += frameOverhead + len(payload)
-	l.stats.Appends++
+	l.appends++
 	l.wake.Signal()
 	return seq, nil
 }
@@ -384,7 +376,7 @@ func (l *Log) syncTo(target uint64) error {
 		l.synced.Broadcast()
 		return l.err
 	}
-	l.stats.Syncs++
+	l.syncs++
 	if flushed > l.durable {
 		l.durable = flushed
 	}
@@ -440,7 +432,7 @@ func (l *Log) PruneTo(keep uint64) {
 		victims = append(victims, l.segments[0])
 		l.segments = l.segments[1:]
 	}
-	l.stats.PrunedSegments += uint64(len(victims))
+	l.prunedSegments += uint64(len(victims))
 	l.mu.Unlock()
 	if len(victims) == 0 {
 		return
@@ -455,17 +447,27 @@ func (l *Log) PruneTo(keep uint64) {
 	}()
 }
 
-// Stats returns a copy of the cumulative counters.
-func (l *Log) Stats() Stats {
+// Metrics reports the log's cumulative counters under constant wal.* names.
+func (l *Log) Metrics() map[string]float64 {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	s := l.stats
-	s.Segments = len(l.segments)
-	s.NextSeq = l.nextSeq
-	h, m := l.cache.counters()
-	s.CacheHits, s.CacheMisses = h, m
-	return s
+	return map[string]float64{
+		"wal.appends": float64(l.appends), "wal.syncs": float64(l.syncs),
+		"wal.rotations": float64(l.rotations), "wal.prunedSegments": float64(l.prunedSegments),
+		"wal.tornBytes": float64(l.tornBytes), "wal.segments": float64(len(l.segments)),
+		"wal.cacheHits": float64(l.cache.hits.Load()), "wal.cacheMisses": float64(l.cache.misses.Load()),
+	}
 }
+
+// NextSeq returns the seq the next append will get.
+func (l *Log) NextSeq() uint64 {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.nextSeq
+}
+
+// TornBytes returns how many bytes Open truncated from a torn tail.
+func (l *Log) TornBytes() int64 { return l.tornBytes }
 
 // Close flushes and fsyncs the tail, stops the group committer, and waits
 // for background pruning.

@@ -96,9 +96,9 @@ func TestSegmentRotationAndPrune(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	st := l.Stats()
-	if st.Rotations == 0 || st.Segments < 2 {
-		t.Fatalf("expected multiple segments, got stats %+v", st)
+	m := l.Metrics()
+	if m["wal.rotations"] == 0 || m["wal.segments"] < 2 {
+		t.Fatalf("expected multiple segments, got metrics %v", m)
 	}
 	if got := collect(t, l); len(got) != n {
 		t.Fatalf("replayed %d, want %d", len(got), n)
@@ -108,9 +108,9 @@ func TestSegmentRotationAndPrune(t *testing.T) {
 	// replay starts at a retained seq, retained records survive.
 	l.PruneTo(uint64(n - 2))
 	l.pruneWG.Wait()
-	st = l.Stats()
-	if st.PrunedSegments == 0 {
-		t.Fatalf("expected pruned segments, got stats %+v", st)
+	m = l.Metrics()
+	if m["wal.prunedSegments"] == 0 {
+		t.Fatalf("expected pruned segments, got metrics %v", m)
 	}
 	got := collect(t, l)
 	if len(got) == 0 || got[len(got)-1].seq != uint64(n) {
@@ -160,13 +160,13 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
-	st := l.Stats()
-	if st.Appends != writers*each {
-		t.Fatalf("appends = %d, want %d", st.Appends, writers*each)
+	m := l.Metrics()
+	if m["wal.appends"] != writers*each {
+		t.Fatalf("appends = %v, want %d", m["wal.appends"], writers*each)
 	}
 	// The whole point of group commit: far fewer fsyncs than appends.
-	if st.Syncs >= st.Appends {
-		t.Fatalf("group commit did not batch: %d syncs for %d appends", st.Syncs, st.Appends)
+	if m["wal.syncs"] >= m["wal.appends"] {
+		t.Fatalf("group commit did not batch: %v syncs for %v appends", m["wal.syncs"], m["wal.appends"])
 	}
 	if got := collect(t, l); len(got) != writers*each {
 		t.Fatalf("replayed %d, want %d", len(got), writers*each)
@@ -254,9 +254,8 @@ func TestSegmentCacheServesSealedReads(t *testing.T) {
 	}
 	collect(t, l)
 	collect(t, l)
-	st := l.Stats()
-	if st.CacheHits == 0 {
-		t.Fatalf("second replay produced no cache hits: %+v", st)
+	if m := l.Metrics(); m["wal.cacheHits"] == 0 {
+		t.Fatalf("second replay produced no cache hits: %v", m)
 	}
 }
 
