@@ -14,10 +14,13 @@ import (
 	"github.com/zkdet/zkdet/internal/storage"
 )
 
+// srsSize is the proof system's SRS size: large enough for the π_k circuit
+// the escrow verifier checks.
+const srsSize = 1 << 12
+
 // serverConfig tunes one daemon instance.
 type serverConfig struct {
-	srsSize int
-	node    node.Config
+	node node.Config
 	// dataDir, when set, makes the node durable: blocks, receipts, and blob
 	// puts are write-ahead logged and periodically checkpointed there, and
 	// a restart recovers from the directory instead of starting fresh.
@@ -32,10 +35,8 @@ type serverConfig struct {
 
 func defaultServerConfig() serverConfig {
 	return serverConfig{
-		// Large enough for the π_k circuit the escrow verifier checks.
-		srsSize: 1 << 12,
-		node:    node.DefaultConfig(),
-		role:    "archive",
+		node: node.DefaultConfig(),
+		role: "archive",
 	}
 }
 
@@ -62,7 +63,7 @@ type server struct {
 // previous process persisted — latest verified snapshot plus WAL tail — and
 // only then starts sealing, so a SIGKILL'd daemon restarts where it left off.
 func newServer(cfg serverConfig) (*server, error) {
-	sys, err := core.NewTestSystem(cfg.srsSize)
+	sys, err := core.NewTestSystem(srsSize)
 	if err != nil {
 		return nil, fmt.Errorf("proof system setup: %w", err)
 	}

@@ -94,7 +94,7 @@ func NewMarketplaceWith(sys *System, c *chain.Chain, store storage.BlobStore) (*
 	checker.Add(PiKVerifierName, verifier)
 	checker.Add(contracts.EscrowName, escrow)
 	c.SetBlockVerifier(checker)
-	ix := indexer.New(indexer.Config{NFTContract: contracts.DataNFTName, EscrowContract: contracts.EscrowName})
+	ix := indexer.New()
 	ix.Attach(c)
 	return &Marketplace{Sys: sys, Chain: c, Store: store, ix: ix, checker: checker}, gas, nil
 }

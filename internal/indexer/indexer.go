@@ -40,18 +40,10 @@ type Filter struct {
 	Limit     int
 }
 
-// Config names the contracts whose events the provenance service folds.
-// Zero values disable provenance folding for that contract.
-type Config struct {
-	NFTContract    string
-	EscrowContract string
-}
-
 // Indexer is the off-chain index. Feed it sealed blocks via Attach (the
 // chain's OnSeal hook) or ProcessBlock directly; query it concurrently.
 type Indexer struct {
-	mu  sync.RWMutex
-	cfg Config
+	mu sync.RWMutex
 
 	head    uint64                // guarded by mu
 	byKey   map[string][]Entry    // guarded by mu
@@ -63,12 +55,11 @@ type Indexer struct {
 }
 
 // New returns an empty indexer.
-func New(cfg Config) *Indexer {
+func New() *Indexer {
 	return &Indexer{
-		cfg:     cfg,
 		byKey:   make(map[string][]Entry),
 		txBlock: make(map[chain.Hash]uint64),
-		prov:    newProvenance(cfg),
+		prov:    newProvenance(),
 	}
 }
 

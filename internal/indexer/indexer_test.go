@@ -24,7 +24,7 @@ func synthBlock(ix *Indexer, number uint64, events ...chain.Event) chain.Hash {
 }
 
 func TestQueryFilterAndPagination(t *testing.T) {
-	ix := New(Config{})
+	ix := New()
 	// Blocks 1..5: "box"/"Put" everywhere, topic alternating A/B; one
 	// unrelated event to prove isolation.
 	for n := uint64(1); n <= 5; n++ {
@@ -112,7 +112,7 @@ func chainFixture(t *testing.T) (*chain.Chain, *Indexer, chain.Address, []uint64
 	if _, err := c.Deploy(contracts.DataNFTName, &contracts.DataNFT{}, contracts.DataNFTCodeSize); err != nil {
 		t.Fatal(err)
 	}
-	ix := New(Config{NFTContract: contracts.DataNFTName, EscrowContract: contracts.EscrowName})
+	ix := New()
 	ix.Attach(c)
 
 	alice := chain.AddressFromString("alice")
@@ -262,7 +262,7 @@ func TestIndexerTracksRealReceipts(t *testing.T) {
 }
 
 func TestProvenanceEscrowFold(t *testing.T) {
-	ix := New(Config{EscrowContract: contracts.EscrowName})
+	ix := New()
 	seller := chain.AddressFromString("seller")
 	open := func(block, id, value uint64) {
 		synthBlock(ix, block, chain.Event{
@@ -307,7 +307,7 @@ func TestProvenanceEscrowFold(t *testing.T) {
 func TestQuerySnapshotIsolation(t *testing.T) {
 	// Results must be copies: appending more blocks after a query must not
 	// mutate the slice a caller holds.
-	ix := New(Config{})
+	ix := New()
 	synthBlock(ix, 1, chain.Event{Contract: "box", Name: "Put", Data: []byte{1}})
 	first, _, err := ix.Query(Filter{Contract: "box", Name: "Put"})
 	if err != nil {

@@ -74,14 +74,12 @@ type Lineage struct {
 // provenance folds DataNFT and escrow events into per-token and
 // per-exchange records. All methods run under the owning Indexer's lock.
 type provenance struct {
-	cfg       Config
 	tokens    map[uint64]*TokenRecord
 	exchanges map[uint64]*ExchangeRecord
 }
 
-func newProvenance(cfg Config) *provenance {
+func newProvenance() *provenance {
 	return &provenance{
-		cfg:       cfg,
 		tokens:    make(map[uint64]*TokenRecord),
 		exchanges: make(map[uint64]*ExchangeRecord),
 	}
@@ -89,14 +87,10 @@ func newProvenance(cfg Config) *provenance {
 
 func (p *provenance) fold(block uint64, txHash chain.Hash, ev chain.Event) {
 	switch ev.Contract {
-	case p.cfg.NFTContract:
-		if p.cfg.NFTContract != "" {
-			p.foldNFT(block, txHash, ev)
-		}
-	case p.cfg.EscrowContract:
-		if p.cfg.EscrowContract != "" {
-			p.foldEscrow(block, txHash, ev)
-		}
+	case contracts.DataNFTName:
+		p.foldNFT(block, txHash, ev)
+	case contracts.EscrowName:
+		p.foldEscrow(block, txHash, ev)
 	}
 }
 

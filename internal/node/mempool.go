@@ -26,6 +26,10 @@ var (
 	ErrReplaced = errors.New("node: nonce consumed by an imported block")
 )
 
+// maxNonceGap bounds how far ahead of the next executable nonce an explicit
+// transaction nonce may run.
+const maxNonceGap = 64
+
 // TxResult is the terminal outcome of a pooled transaction: either a
 // receipt with the block that included it, or the error that ended it
 // (eviction, execution-time rejection, node shutdown).
@@ -119,14 +123,13 @@ func (p *mempool) add(tx chain.Transaction, autoNonce bool, wait bool) (*poolTx,
 	defer p.mu.Unlock()
 
 	// Normalize before hashing so the pool's tx hash matches the one the
-	// chain assigns at execution (which applies the same default); the node
-	// additionally clamps the default to its own ceiling.
+	// chain assigns at execution (which applies the same default).
 	if tx.GasLimit == 0 {
-		tx.GasLimit = min(chain.DefaultGasLimit, p.cfg.MaxGasLimit)
+		tx.GasLimit = chain.DefaultGasLimit
 	}
-	if tx.GasLimit > p.cfg.MaxGasLimit {
+	if tx.GasLimit > chain.DefaultGasLimit {
 		p.rejected++
-		return nil, fmt.Errorf("%w: %d > %d", ErrGasTooHigh, tx.GasLimit, p.cfg.MaxGasLimit)
+		return nil, fmt.Errorf("%w: %d > %d", ErrGasTooHigh, tx.GasLimit, chain.DefaultGasLimit)
 	}
 	q := p.queue(tx.From)
 	chainNonce := p.chain.NonceOf(tx.From)
@@ -146,10 +149,10 @@ func (p *mempool) add(tx chain.Transaction, autoNonce bool, wait bool) (*poolTx,
 			p.rejected++
 			return nil, fmt.Errorf("%w: nonce %d executing", ErrKnownTx, tx.Nonce)
 		}
-		if tx.Nonce > next+p.cfg.MaxNonceGap {
+		if tx.Nonce > next+maxNonceGap {
 			p.rejected++
 			return nil, fmt.Errorf("%w: nonce %d, next executable %d, gap limit %d",
-				ErrNonceGap, tx.Nonce, next, p.cfg.MaxNonceGap)
+				ErrNonceGap, tx.Nonce, next, maxNonceGap)
 		}
 	}
 	if tx.Value > 0 {

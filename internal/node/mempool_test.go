@@ -46,7 +46,7 @@ func fund(c *chain.Chain, label string, amount uint64) chain.Address {
 }
 
 func TestAdmissionNonceChecks(t *testing.T) {
-	p, c := testPool(t, Config{MaxNonceGap: 4})
+	p, c := testPool(t, Config{})
 	alice := fund(c, "alice", 1000)
 
 	// Consume nonce 0 on chain directly.
@@ -62,17 +62,17 @@ func TestAdmissionNonceChecks(t *testing.T) {
 	if _, err := p.add(chain.Transaction{From: alice, Nonce: 1}, false, false); !errors.Is(err, ErrKnownTx) {
 		t.Fatalf("duplicate nonce: %v, want ErrKnownTx", err)
 	}
-	// Next executable is 2; gap limit 4 allows up to 6.
-	if _, err := p.add(chain.Transaction{From: alice, Nonce: 6}, false, false); err != nil {
-		t.Fatalf("nonce 6 within gap: %v", err)
+	// Next executable is 2; the gap limit allows up to 2+maxNonceGap.
+	if _, err := p.add(chain.Transaction{From: alice, Nonce: 2 + maxNonceGap}, false, false); err != nil {
+		t.Fatalf("nonce 2+maxNonceGap within gap: %v", err)
 	}
-	if _, err := p.add(chain.Transaction{From: alice, Nonce: 8}, false, false); !errors.Is(err, ErrNonceGap) {
-		t.Fatalf("nonce 8: %v, want ErrNonceGap", err)
+	if _, err := p.add(chain.Transaction{From: alice, Nonce: 3 + maxNonceGap}, false, false); !errors.Is(err, ErrNonceGap) {
+		t.Fatalf("nonce 3+maxNonceGap: %v, want ErrNonceGap", err)
 	}
 }
 
 func TestAdmissionBalanceAndGas(t *testing.T) {
-	p, c := testPool(t, Config{MaxGasLimit: 100_000})
+	p, c := testPool(t, Config{})
 	alice := fund(c, "alice", 500)
 	bob := chain.AddressFromString("bob")
 
@@ -86,7 +86,7 @@ func TestAdmissionBalanceAndGas(t *testing.T) {
 	if _, err := p.add(chain.Transaction{From: alice, To: bob, Value: 100, Nonce: 1}, false, false); err != nil {
 		t.Fatalf("affordable second transfer: %v", err)
 	}
-	if _, err := p.add(chain.Transaction{From: alice, GasLimit: 200_000, Nonce: 2}, false, false); !errors.Is(err, ErrGasTooHigh) {
+	if _, err := p.add(chain.Transaction{From: alice, GasLimit: chain.DefaultGasLimit + 1, Nonce: 2}, false, false); !errors.Is(err, ErrGasTooHigh) {
 		t.Fatalf("gas cap: %v, want ErrGasTooHigh", err)
 	}
 }
@@ -114,7 +114,7 @@ func TestAutoNonceAssignment(t *testing.T) {
 }
 
 func TestCapacityEviction(t *testing.T) {
-	p, c := testPool(t, Config{MaxPoolTxs: 4, MaxNonceGap: 16})
+	p, c := testPool(t, Config{MaxPoolTxs: 4})
 	alice := fund(c, "alice", 1000)
 	bob := fund(c, "bob", 1000)
 
@@ -274,7 +274,7 @@ func TestParallelProducersAndSubmitters(t *testing.T) {
 // contiguous run, and the moment the missing nonce arrives the whole run —
 // parked tail included — becomes executable in one pop.
 func TestNonceGapRefill(t *testing.T) {
-	p, c := testPool(t, Config{MaxNonceGap: 8})
+	p, c := testPool(t, Config{})
 	alice := fund(c, "alice", 1000)
 
 	// Nonces 0, 1, then a hole at 2, then 3 and 4 parked behind it.

@@ -30,11 +30,6 @@ type Config struct {
 	// SubmitAndWait transaction reaching a node that has been idle for
 	// longer is sealed at once.
 	BlockInterval time.Duration
-	// MaxGasLimit rejects transactions asking for more gas at admission.
-	MaxGasLimit uint64
-	// MaxNonceGap bounds how far ahead of the account nonce an explicit
-	// transaction nonce may run.
-	MaxNonceGap uint64
 	// SealVerifier, when set, is installed on the chain as its block
 	// verifier: proof-carrying transactions are folded at seal time, valid
 	// proofs execute with their pairing check already done (amortised over
@@ -53,8 +48,6 @@ func DefaultConfig() Config {
 		MaxPoolTxs:    8192,
 		MaxBlockTxs:   256,
 		BlockInterval: 25 * time.Millisecond,
-		MaxGasLimit:   chain.DefaultGasLimit,
-		MaxNonceGap:   64,
 	}
 }
 
@@ -68,12 +61,6 @@ func (c *Config) sanitize() {
 	}
 	if c.BlockInterval <= 0 {
 		c.BlockInterval = d.BlockInterval
-	}
-	if c.MaxGasLimit == 0 {
-		c.MaxGasLimit = d.MaxGasLimit
-	}
-	if c.MaxNonceGap == 0 {
-		c.MaxNonceGap = d.MaxNonceGap
 	}
 }
 

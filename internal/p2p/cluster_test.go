@@ -18,8 +18,6 @@ func tuneFast(_ int, cfg *Config) {
 	cfg.SealInterval = 2 * time.Millisecond
 	cfg.StatusInterval = 10 * time.Millisecond
 	cfg.RebroadcastInterval = 25 * time.Millisecond
-	cfg.RequestTimeout = 100 * time.Millisecond
-	cfg.RetryBackoff = 10 * time.Millisecond
 }
 
 // transferCluster builds a cluster whose members share a genesis funding
@@ -223,12 +221,12 @@ func evilMember(t *testing.T, net *SimNet, id NodeID) {
 }
 
 // honestNode builds and starts one protocol-following member with the stub
-// validator and a tight demotion threshold.
+// validator.
 func honestNode(t *testing.T, net *SimNet, id NodeID, members []NodeID) *Node {
 	t.Helper()
 	c := chain.New()
 	c.Faucet(chain.AddressFromString("victim"), 1000)
-	cfg := Config{ID: id, Members: members, Validator: stubValidator{}, DemoteBelow: -40}
+	cfg := Config{ID: id, Members: members, Validator: stubValidator{}}
 	tuneFast(0, &cfg)
 	n, err := NewNode(cfg, node.New(c, node.Config{}), net)
 	if err != nil {
@@ -254,8 +252,8 @@ func TestDemotionOnInvalidTxPush(t *testing.T) {
 	evilMember(t, net, evil)
 
 	victim := chain.AddressFromString("victim")
-	// Two pushes of 1 invalid tx each: 2 × -25 crosses the -40 threshold.
-	for i := 0; i < 2; i++ {
+	// Four pushes of 1 invalid tx each: 4 × scoreInvalidTx reaches demoteBelow.
+	for i := 0; i < 4; i++ {
 		net.Send(evil, members[0], Message{Kind: MsgTxPush, Txs: []chain.Transaction{
 			{From: victim, Nonce: uint64(i), Args: []byte("BAD"), GasLimit: chain.DefaultGasLimit},
 		}})
@@ -264,8 +262,8 @@ func TestDemotionOnInvalidTxPush(t *testing.T) {
 	if got := n0.Inner().Metrics()["node.poolSize"]; got != 0 {
 		t.Fatalf("invalid transactions entered the pool: %v", got)
 	}
-	if got := n0.Metrics()["p2p.txsInvalid"]; got != 2 {
-		t.Fatalf("p2p.txsInvalid = %v, want 2", got)
+	if got := n0.Metrics()["p2p.txsInvalid"]; got != 4 {
+		t.Fatalf("p2p.txsInvalid = %v, want 4", got)
 	}
 	for _, target := range n0.gossipTargets("") {
 		if target == evil {
@@ -303,54 +301,82 @@ func TestDemotionOnBogusSync(t *testing.T) {
 	}
 	// Advertise a fake height to trigger sync.
 	net.Send(evil, members[0], Message{Kind: MsgStatus, Height: 100, Head: chain.Hash{1}})
-	waitFor(t, 5*time.Second, func() bool { return n0.PeerScore(evil) <= -40 })
+	waitFor(t, 5*time.Second, func() bool { return n0.isDemoted(evil) })
 	if n0.Head().Number != 0 {
 		t.Fatal("bogus sync advanced the chain")
 	}
 }
 
 // TestNetStoreCrossNodeFetch: a blob stored on one member resolves from
-// another over the transport, lands in the local cache, and honest peers
-// with tampered copies are skipped.
+// another over the transport, lands in the local cache, and peers with
+// tampered copies are skipped. Four members with replicate = 2 leave one
+// non-writer without a replica, and that member's reads go remote.
 func TestNetStoreCrossNodeFetch(t *testing.T) {
-	cl, _, _ := transferCluster(t, 3, 21, LinkProfile{Latency: 100 * time.Microsecond})
-	// Replicate nothing: force every read on other members to go remote.
-	for i := range cl.Nodes {
-		cl.Nodes[i].cfg.Replicate = 1
-	}
+	cl, _, _ := transferCluster(t, 4, 21, LinkProfile{Latency: 100 * time.Microsecond})
 	if err := cl.Start(); err != nil {
 		t.Fatal(err)
 	}
 	defer cl.Stop()
 
 	data := []byte("ciphertext-of-a-dataset")
-	ns0 := cl.Nodes[0].NetStore()
-	uri, err := ns0.Put("alice", data)
+	uri, err := cl.Nodes[0].NetStore().Put("alice", data)
 	if err != nil {
 		t.Fatal(err)
 	}
+	holders := func() (have []int, lack []int) {
+		for i := 1; i < len(cl.Nodes); i++ {
+			if cl.Nodes[i].cfg.Store.Has(uri) {
+				have = append(have, i)
+			} else {
+				lack = append(lack, i)
+			}
+		}
+		return have, lack
+	}
+	waitFor(t, 5*time.Second, func() bool { have, _ := holders(); return len(have) == replicate })
+	replicas, lack := holders()
+	if len(lack) != 1 {
+		t.Fatalf("members without a replica: %v, want exactly one", lack)
+	}
+	far := cl.Nodes[lack[0]].NetStore()
 
-	ns2 := cl.Nodes[2].NetStore()
-	got, err := ns2.Get(uri)
+	got, err := far.Get(uri)
 	if err != nil {
 		t.Fatalf("cross-node fetch: %v", err)
 	}
 	if !bytes.Equal(got, data) {
 		t.Fatal("fetched bytes differ")
 	}
-	if !ns2.local.Has(uri) {
+	if !far.local.Has(uri) {
 		t.Fatal("fetched blob not cached locally")
 	}
-	if owner, _ := ns2.local.Owner(uri); owner != "alice" {
+	if owner, _ := far.local.Owner(uri); owner != "alice" {
 		t.Fatalf("cached owner %q, want alice", owner)
 	}
 
-	// Tamper node 1's replica (if any) and node 0's original: node 2 can
-	// still serve from its own cache, and a fresh member's fetch falls
-	// through tampered peers to the good copy on node 2.
+	// Removal is local: only the owner may remove, and only its own copy.
+	// The owner label is public (MsgGetBlob serves it), so it cannot
+	// authorize erasing another member's replica.
+	if err := far.Remove("mallory", uri); !errors.Is(err, storage.ErrNotOwner) {
+		t.Fatalf("non-owner remove: %v, want ErrNotOwner", err)
+	}
+	if err := far.Remove("alice", uri); err != nil {
+		t.Fatalf("owner remove: %v", err)
+	}
+	if far.local.Has(uri) {
+		t.Fatal("owner remove kept the local copy")
+	}
+	time.Sleep(50 * time.Millisecond) // hundreds of link latencies
+	for _, i := range replicas {
+		if !cl.Nodes[i].cfg.Store.Has(uri) {
+			t.Fatalf("an owner remove on member %d erased member %d's replica", lack[0], i)
+		}
+	}
+
+	// Tamper the writer's original: the next remote fetch falls through it
+	// to a good replica.
 	cl.Nodes[0].cfg.Store.(*storage.Store).Corrupt(uri)
-	ns1 := cl.Nodes[1].NetStore()
-	got, err = ns1.Get(uri)
+	got, err = far.Get(uri)
 	if err != nil {
 		t.Fatalf("fetch around tampered copy: %v", err)
 	}
@@ -359,29 +385,8 @@ func TestNetStoreCrossNodeFetch(t *testing.T) {
 	}
 
 	// Unknown URIs miss cluster-wide with a typed error.
-	if _, err := ns1.Get(storage.URIOf([]byte("never stored"))); !errors.Is(err, storage.ErrNotFound) {
+	if _, err := far.Get(storage.URIOf([]byte("never stored"))); !errors.Is(err, storage.ErrNotFound) {
 		t.Fatalf("cluster-wide miss: %v, want ErrNotFound", err)
-	}
-
-	// Removal is local: only the owner may remove, and only its own copy.
-	// The owner label is public (MsgGetBlob serves it), so it cannot
-	// authorize erasing another member's replica.
-	if err := ns2.Remove("mallory", uri); !errors.Is(err, storage.ErrNotOwner) {
-		t.Fatalf("non-owner remove: %v, want ErrNotOwner", err)
-	}
-	if err := ns2.Remove("alice", uri); err != nil {
-		t.Fatalf("owner remove: %v", err)
-	}
-	if ns2.local.Has(uri) {
-		t.Fatal("owner remove kept the local copy")
-	}
-	time.Sleep(50 * time.Millisecond) // hundreds of link latencies
-	if !cl.Nodes[1].cfg.Store.Has(uri) {
-		t.Fatal("member 2's remove erased member 1's replica")
-	}
-	got, err = ns2.Get(uri)
-	if err != nil || !bytes.Equal(got, data) {
-		t.Fatalf("member 1 no longer serves the blob: %v", err)
 	}
 }
 

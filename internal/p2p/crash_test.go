@@ -56,7 +56,6 @@ func TestClusterKillAndRestartConverges(t *testing.T) {
 	// the initial build and the post-crash restart — that is the point.
 	buildStack := func(i int) (NodeSetup, *snapshot.RecoveryReport, error) {
 		opts := snapshot.Options{Dir: dirs[i], CheckpointEvery: 2}
-		opts.WAL.GroupCommit = -1 // immediate fsync: no ack-loss window in the test
 		d, err := snapshot.Open(opts)
 		if err != nil {
 			return NodeSetup{}, nil, err

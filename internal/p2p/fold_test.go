@@ -189,7 +189,7 @@ func TestFollowerRefusesFoldedBlockWithBadProof(t *testing.T) {
 	net := NewSimNet(nil, 13)
 	defer net.Close()
 	c, m := foldGenesis(t, sys)
-	cfg := Config{ID: members[0], Members: members, Validator: m.ProofChecker(), DemoteBelow: -40}
+	cfg := Config{ID: members[0], Members: members, Validator: m.ProofChecker()}
 	tuneFast(0, &cfg)
 	n0, err := NewNode(cfg, node.New(c, node.Config{}), net)
 	if err != nil {

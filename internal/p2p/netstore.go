@@ -9,7 +9,7 @@ import (
 
 // NetStore is the cluster's blob store: a node's local storage.Store
 // fronted by peer fetch over the transport. Put stores locally and
-// replicates to Config.Replicate peers; Get serves local hits immediately
+// replicates to replicate peers; Get serves local hits immediately
 // and resolves misses from peers, verifying the content address before
 // caching — a peer returning bytes that do not hash to the URI is demoted
 // and the next peer is tried. It implements storage.BlobStore, so a
@@ -38,8 +38,8 @@ func (s *NetStore) Put(owner string, data []byte) (storage.URI, error) {
 	}
 	msg := Message{Kind: MsgBlobPush, URI: uri, Owner: owner, Blob: data}
 	targets := s.node.gossipTargets("")
-	if len(targets) > s.node.cfg.Replicate {
-		targets = targets[:s.node.cfg.Replicate]
+	if len(targets) > replicate {
+		targets = targets[:replicate]
 	}
 	for _, id := range targets {
 		s.node.net.Send(s.node.cfg.ID, id, msg) //nolint:errcheck // unreliable by contract
@@ -87,7 +87,7 @@ func (n *Node) fetchCandidates() []NodeID {
 	defer n.mu.Unlock()
 	out := make([]NodeID, 0, len(n.others))
 	for _, id := range n.others {
-		if ps := n.peers[id]; ps != nil && ps.score <= n.cfg.DemoteBelow {
+		if ps := n.peers[id]; ps != nil && ps.score <= demoteBelow {
 			continue
 		}
 		out = append(out, id)

@@ -26,9 +26,9 @@ type TxValidator interface {
 	GossipCheck(txs []*chain.Transaction) (verified int, errs []error)
 }
 
-// Peer-scoring deltas. A peer whose score falls to or below
-// Config.DemoteBelow is demoted: its pushes are ignored, it receives no
-// gossip, and sync never selects it.
+// Peer-scoring deltas. A peer whose score falls to or below demoteBelow
+// is demoted: its pushes are ignored, it receives no gossip, and sync never
+// selects it.
 const (
 	scoreInvalidTx    = -25 // pushed a transaction with an invalid proof
 	scoreInvalidBlock = -50 // served a block that fails validation or replay
@@ -38,9 +38,13 @@ const (
 
 // Protocol bounds no deployment tunes.
 const (
-	requestRetries = 4       // attempts after the first before a request fails
-	headersBatch   = 64      // headers per sync request
-	seenCap        = 1 << 16 // entries in each of the tx/block seen-caches
+	requestRetries = 4                      // attempts after the first before a request fails
+	requestTimeout = 150 * time.Millisecond // bounds one request attempt
+	retryBackoff   = 25 * time.Millisecond  // wait before the first retry, doubling after each
+	demoteBelow    = -100                   // score at or below which a peer is demoted
+	replicate      = 2                      // peers that receive a copy of each locally stored blob
+	headersBatch   = 64                     // headers per sync request
+	seenCap        = 1 << 16                // entries in each of the tx/block seen-caches
 )
 
 // Config tunes one cluster member.
@@ -63,14 +67,6 @@ type Config struct {
 	// RebroadcastInterval paces re-gossip of pooled transactions, covering
 	// pushes lost to drops or partitions. Default 100ms.
 	RebroadcastInterval time.Duration
-	// RequestTimeout bounds one request attempt; requestRetries more
-	// attempts follow with RetryBackoff doubling between them.
-	// Defaults 150ms / 25ms.
-	RequestTimeout time.Duration
-	RetryBackoff   time.Duration
-	// DemoteBelow is the score at or below which a peer is demoted.
-	// Default -100.
-	DemoteBelow int
 	// Validator, when set, screens proof-carrying transactions at gossip
 	// ingress and local submission (blocks are checked by the chain itself
 	// when they are imported).
@@ -80,9 +76,6 @@ type Config struct {
 	// storage.LocalStore works — a plain *storage.Store, or the durable
 	// engine's write-ahead-logged wrapper.
 	Store storage.LocalStore
-	// Replicate is how many peers receive a copy of each locally stored
-	// blob (see NetStore). Default 2.
-	Replicate int
 }
 
 func (c *Config) sanitize() error {
@@ -106,18 +99,6 @@ func (c *Config) sanitize() error {
 	}
 	if c.RebroadcastInterval <= 0 {
 		c.RebroadcastInterval = 100 * time.Millisecond
-	}
-	if c.RequestTimeout <= 0 {
-		c.RequestTimeout = 150 * time.Millisecond
-	}
-	if c.RetryBackoff <= 0 {
-		c.RetryBackoff = 25 * time.Millisecond
-	}
-	if c.DemoteBelow == 0 {
-		c.DemoteBelow = -100
-	}
-	if c.Replicate <= 0 {
-		c.Replicate = 2
 	}
 	return nil
 }
@@ -401,7 +382,7 @@ func (n *Node) gossipTargets(exclude NodeID) []NodeID {
 		if id == exclude {
 			continue
 		}
-		if ps := n.peers[id]; ps != nil && ps.score <= n.cfg.DemoteBelow {
+		if ps := n.peers[id]; ps != nil && ps.score <= demoteBelow {
 			continue
 		}
 		cands = append(cands, id)
@@ -429,7 +410,7 @@ func (n *Node) demote(id NodeID, delta int) {
 	}
 	was := ps.score
 	ps.score += delta
-	if was > n.cfg.DemoteBelow && ps.score <= n.cfg.DemoteBelow {
+	if was > demoteBelow && ps.score <= demoteBelow {
 		n.demotions.Add(1)
 	}
 }
@@ -451,7 +432,7 @@ func (n *Node) isDemoted(id NodeID) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	ps, ok := n.peers[id]
-	return ok && ps.score <= n.cfg.DemoteBelow
+	return ok && ps.score <= demoteBelow
 }
 
 // markTxSeen records a tx hash; true means it was fresh.

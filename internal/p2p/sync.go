@@ -14,7 +14,7 @@ import (
 // the data) and is returned without retrying. The successful response's
 // piggybacked head refreshes peer tracking.
 func (n *Node) request(to NodeID, msg Message) (Message, error) {
-	backoff := n.cfg.RetryBackoff
+	backoff := retryBackoff
 	for attempt := 0; attempt <= requestRetries; attempt++ {
 		if attempt > 0 {
 			select {
@@ -36,7 +36,7 @@ func (n *Node) request(to NodeID, msg Message) (Message, error) {
 			n.dropReq(id)
 			return Message{}, err
 		}
-		timer := time.NewTimer(n.cfg.RequestTimeout)
+		timer := time.NewTimer(requestTimeout)
 		select {
 		case resp := <-ch:
 			timer.Stop()
@@ -109,7 +109,7 @@ func (n *Node) bestPeer(above uint64) (NodeID, uint64) {
 	var bestHeight uint64
 	for _, id := range n.others {
 		ps := n.peers[id]
-		if ps == nil || ps.score <= n.cfg.DemoteBelow {
+		if ps == nil || ps.score <= demoteBelow {
 			continue
 		}
 		if ps.height > above && ps.height > bestHeight {

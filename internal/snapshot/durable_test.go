@@ -75,7 +75,6 @@ type node struct {
 func openNode(t *testing.T, dir string, opts Options) (*node, *RecoveryReport) {
 	t.Helper()
 	opts.Dir = dir
-	opts.WAL.GroupCommit = -1 // immediate fsync keeps tests deterministic
 	d, err := Open(opts)
 	if err != nil {
 		t.Fatalf("Open: %v", err)
@@ -332,7 +331,6 @@ func TestRecoverFailsOnWrongGenesis(t *testing.T) {
 	// snapshot (storage for an undeployed contract) AND the WAL (the
 	// transactions cannot replay) — never silently produce a hybrid chain.
 	opts := Options{Dir: dir, CheckpointEvery: 2}
-	opts.WAL.GroupCommit = -1
 	d, err := Open(opts)
 	if err != nil {
 		t.Fatal(err)

@@ -52,7 +52,6 @@ func TestRecoverReplaysFoldedBlocksFromWALTail(t *testing.T) {
 	boot := func() (*chain.Chain, *DurableStore, *RecoveryReport) {
 		t.Helper()
 		opts := Options{Dir: dir, CheckpointEvery: 1 << 20}
-		opts.WAL.GroupCommit = -1
 		d, err := Open(opts)
 		if err != nil {
 			t.Fatal(err)

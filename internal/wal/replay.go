@@ -7,8 +7,6 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 )
 
 // writeFrame frames one record: u32 length | u8 type | payload | u32 CRC.
@@ -103,9 +101,9 @@ func (l *Log) Replay(fn func(seq uint64, typ byte, payload []byte) error) error 
 
 	for i, seg := range segs {
 		sealed := i < len(segs)-1
-		data, err := l.readSegment(seg.path, sealed)
+		data, err := os.ReadFile(seg.path)
 		if err != nil {
-			return err
+			return fmt.Errorf("wal: %w", err)
 		}
 		seq := seg.first
 		n, _, bad, err := parseFrames(data, func(typ byte, payload []byte) error {
@@ -125,91 +123,4 @@ func (l *Log) Replay(fn func(seq uint64, typ byte, payload []byte) error) error 
 		}
 	}
 	return nil
-}
-
-// readSegment loads a segment's bytes, serving sealed (immutable) segments
-// from the in-memory cache.
-func (l *Log) readSegment(path string, sealed bool) ([]byte, error) {
-	if sealed {
-		if data, ok := l.cache.get(path); ok {
-			return data, nil
-		}
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, fmt.Errorf("wal: %w", err)
-	}
-	if sealed {
-		l.cache.put(path, data)
-	}
-	return data, nil
-}
-
-// segCache is a small LRU over sealed segment contents — the "page cache of
-// hot segments". Sealed segments are immutable, so entries never go stale;
-// pruning drops them explicitly.
-type segCache struct {
-	mu     sync.Mutex
-	cap    int
-	data   map[string][]byte // guarded by mu
-	order  []string          // guarded by mu; LRU, most recent last
-	hits   atomic.Uint64
-	misses atomic.Uint64
-}
-
-func newSegCache(capacity int) *segCache {
-	return &segCache{cap: capacity, data: make(map[string][]byte)}
-}
-
-func (c *segCache) get(path string) ([]byte, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	data, ok := c.data[path]
-	if !ok {
-		c.misses.Add(1)
-		return nil, false
-	}
-	c.hits.Add(1)
-	c.touchLocked(path)
-	return data, true
-}
-
-func (c *segCache) put(path string, data []byte) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.data[path]; ok {
-		c.touchLocked(path)
-		return
-	}
-	c.data[path] = data
-	c.order = append(c.order, path)
-	for len(c.order) > c.cap {
-		delete(c.data, c.order[0])
-		c.order = c.order[1:]
-	}
-}
-
-func (c *segCache) drop(path string) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, ok := c.data[path]; !ok {
-		return
-	}
-	delete(c.data, path)
-	for i, p := range c.order {
-		if p == path {
-			c.order = append(c.order[:i], c.order[i+1:]...)
-			break
-		}
-	}
-}
-
-// touchLocked moves path to the most-recent slot; caller holds c.mu.
-func (c *segCache) touchLocked(path string) {
-	for i, p := range c.order {
-		if p == path {
-			c.order = append(append(c.order[:i], c.order[i+1:]...), path)
-			return
-		}
-	}
 }

@@ -26,7 +26,7 @@ func buildLog(t testing.TB, dir string, n, segmentBytes int) [][]byte {
 	payloads := make([][]byte, n)
 	for i := range payloads {
 		payloads[i] = []byte(fmt.Sprintf("payload-%04d-%s", i, string(bytes.Repeat([]byte{byte(i)}, i%40))))
-		if _, err := l.Append(byte(i%5+1), payloads[i]); err != nil {
+		if _, err := l.append(byte(i%5+1), payloads[i]); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -3,13 +3,13 @@
 // group-committed fsync batching so many concurrent appenders share one
 // disk flush.
 //
-// Durability contract: a record is durable once AppendSync returns (or once
-// Sync returns after a plain Append). The log never acknowledges a record
-// before it is framed, flushed, and fsynced — the invariant the chain layer
-// relies on to acknowledge sealed blocks and blob puts. A crash can lose
-// only unacknowledged tail records; Open detects the torn tail (short or
-// CRC-failing frames) and truncates it, while corruption anywhere before
-// the tail fails loudly with ErrCorrupt rather than replaying bad state.
+// Durability contract: a record is durable once AppendSync returns. The log
+// never acknowledges a record before it is framed, flushed, and fsynced —
+// the invariant the chain layer relies on to acknowledge sealed blocks and
+// blob puts. A crash can lose only unacknowledged tail records; Open
+// detects the torn tail (short or CRC-failing frames) and truncates it,
+// while corruption anywhere before the tail fails loudly with ErrCorrupt
+// rather than replaying bad state.
 package wal
 
 import (
@@ -21,7 +21,6 @@ import (
 	"path/filepath"
 	"sort"
 	"sync"
-	"time"
 )
 
 // Errors returned by the log.
@@ -40,8 +39,6 @@ const (
 	maxFrame = 64 << 20
 
 	defaultSegmentBytes = 4 << 20
-	defaultGroupCommit  = 2 * time.Millisecond
-	defaultCacheSegs    = 4
 )
 
 // crcTable is Castagnoli, the polynomial with hardware support on amd64 and
@@ -54,32 +51,13 @@ type Options struct {
 	Dir string
 	// SegmentBytes is the rotation threshold (default 4 MiB). Rotation
 	// syncs and seals the active segment; sealed segments are the unit of
-	// pruning and of the read cache.
+	// pruning.
 	SegmentBytes int
-	// GroupCommit is the maximum time an AppendSync waits for its fsync;
-	// every append that lands inside the window shares the same flush
-	// (default 2ms). Zero keeps the default; negative syncs every append
-	// (no batching window).
-	GroupCommit time.Duration
-	// CacheSegments bounds the sealed-segment read cache used by Replay
-	// (default 4). The hot tail of the log is re-read on every recovery
-	// and by the snapshot engine's receipt cross-check; caching whole
-	// sealed segments keeps those reads off the disk.
-	CacheSegments int
 }
 
 func (o *Options) fill() {
 	if o.SegmentBytes <= 0 {
 		o.SegmentBytes = defaultSegmentBytes
-	}
-	if o.GroupCommit == 0 {
-		o.GroupCommit = defaultGroupCommit
-	}
-	if o.GroupCommit < 0 {
-		o.GroupCommit = 0
-	}
-	if o.CacheSegments <= 0 {
-		o.CacheSegments = defaultCacheSegs
 	}
 }
 
@@ -117,8 +95,6 @@ type Log struct {
 
 	syncerWG sync.WaitGroup
 	pruneWG  sync.WaitGroup
-
-	cache *segCache
 }
 
 // Open creates or reopens a log in opts.Dir. Reopening scans every
@@ -131,7 +107,7 @@ func Open(opts Options) (*Log, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
-	l := &Log{opts: opts, nextSeq: 1, cache: newSegCache(opts.CacheSegments)}
+	l := &Log{opts: opts, nextSeq: 1}
 	l.wake = sync.NewCond(&l.mu)
 	l.synced = sync.NewCond(&l.mu)
 
@@ -271,11 +247,10 @@ func (l *Log) rotateLocked() error {
 	return l.openSegmentLocked(l.nextSeq)
 }
 
-// Append frames a record into the log and returns its sequence number. The
-// record is NOT durable yet — it becomes durable at the next group commit
-// (or Sync call). Use AppendSync when the caller must not acknowledge
-// anything before the record is on disk.
-func (l *Log) Append(typ byte, payload []byte) (uint64, error) {
+// append frames a record into the log and returns its sequence number. The
+// record is NOT durable yet: it becomes durable at the group committer's
+// next fsync, which AppendSync waits for.
+func (l *Log) append(typ byte, payload []byte) (uint64, error) {
 	if len(payload)+frameOverhead > maxFrame {
 		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
 	}
@@ -309,15 +284,15 @@ func (l *Log) Append(typ byte, payload []byte) (uint64, error) {
 // AppendSync appends a record and blocks until the group commit covering
 // it has fsynced — the durable-before-acknowledge primitive.
 func (l *Log) AppendSync(typ byte, payload []byte) (uint64, error) {
-	seq, err := l.Append(typ, payload)
+	seq, err := l.append(typ, payload)
 	if err != nil {
 		return 0, err
 	}
-	return seq, l.WaitDurable(seq)
+	return seq, l.waitDurable(seq)
 }
 
-// WaitDurable blocks until the record with the given seq is fsynced.
-func (l *Log) WaitDurable(seq uint64) error {
+// waitDurable blocks until the record with the given seq is fsynced.
+func (l *Log) waitDurable(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	for l.durable < seq && l.err == nil && !l.closed {
@@ -384,9 +359,10 @@ func (l *Log) syncTo(target uint64) error {
 	return l.err
 }
 
-// syncLoop is the group committer: it wakes when appends are pending,
-// sleeps the GroupCommit window so concurrent appenders pile into the same
-// flush, then issues one fsync for the whole batch.
+// syncLoop is the group committer: it wakes when appends are pending and
+// issues one fsync for everything written since the last one. It does not
+// wait for more writers: appends that land while an fsync runs share the
+// next one.
 func (l *Log) syncLoop() {
 	defer l.syncerWG.Done()
 	for {
@@ -400,19 +376,6 @@ func (l *Log) syncLoop() {
 			return
 		}
 		target := l.written
-		l.mu.Unlock()
-
-		if d := l.opts.GroupCommit; d > 0 {
-			time.Sleep(d)
-		}
-		// Sync whatever accumulated during the window, not just target.
-		l.mu.Lock()
-		if l.closed || l.err != nil {
-			l.synced.Broadcast()
-			l.mu.Unlock()
-			return
-		}
-		target = l.written
 		l.mu.Unlock()
 		if err := l.syncTo(target); err != nil {
 			return
@@ -441,7 +404,6 @@ func (l *Log) PruneTo(keep uint64) {
 	go func() {
 		defer l.pruneWG.Done()
 		for _, seg := range victims {
-			l.cache.drop(seg.path)
 			os.Remove(seg.path) //nolint:errcheck // best-effort; re-pruned next checkpoint
 		}
 	}()
@@ -455,7 +417,6 @@ func (l *Log) Metrics() map[string]float64 {
 		"wal.appends": float64(l.appends), "wal.syncs": float64(l.syncs),
 		"wal.rotations": float64(l.rotations), "wal.prunedSegments": float64(l.prunedSegments),
 		"wal.tornBytes": float64(l.tornBytes), "wal.segments": float64(len(l.segments)),
-		"wal.cacheHits": float64(l.cache.hits.Load()), "wal.cacheMisses": float64(l.cache.misses.Load()),
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"path/filepath"
 	"sync"
 	"testing"
-	"time"
 )
 
 // collect replays the log into a slice of (typ, payload) pairs.
@@ -140,7 +139,7 @@ func TestSegmentRotationAndPrune(t *testing.T) {
 
 func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, GroupCommit: 5 * time.Millisecond})
+	l, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,7 +184,7 @@ func TestCrashLosesOnlyUnacknowledged(t *testing.T) {
 		}
 	}
 	// Buffered but never synced: allowed to vanish.
-	if _, err := l.Append(1, []byte("unacked")); err != nil {
+	if _, err := l.append(1, []byte("unacked")); err != nil {
 		t.Fatal(err)
 	}
 	l.Crash()
@@ -239,26 +238,6 @@ func TestCorruptionMidLogFailsLoudly(t *testing.T) {
 	}
 }
 
-func TestSegmentCacheServesSealedReads(t *testing.T) {
-	dir := t.TempDir()
-	l, err := Open(Options{Dir: dir, SegmentBytes: 256, CacheSegments: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer l.Close()
-	payload := bytes.Repeat([]byte("z"), 100)
-	for i := 0; i < 20; i++ {
-		if _, err := l.AppendSync(1, payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	collect(t, l)
-	collect(t, l)
-	if m := l.Metrics(); m["wal.cacheHits"] == 0 {
-		t.Fatalf("second replay produced no cache hits: %v", m)
-	}
-}
-
 func TestCloseIsIdempotentAndRejectsAppends(t *testing.T) {
 	l, err := Open(Options{Dir: t.TempDir()})
 	if err != nil {
@@ -270,7 +249,7 @@ func TestCloseIsIdempotentAndRejectsAppends(t *testing.T) {
 	if err := l.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
-	if _, err := l.Append(1, []byte("nope")); !errors.Is(err, ErrClosed) {
+	if _, err := l.append(1, []byte("nope")); !errors.Is(err, ErrClosed) {
 		t.Fatalf("append after close = %v, want ErrClosed", err)
 	}
 }
