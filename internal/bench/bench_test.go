@@ -126,6 +126,11 @@ var shapes = map[string]func(t *testing.T, tabs []Table){
 			if gates[0] >= 4*gates[1] {
 				t.Errorf("%s: MiMC (%d) does not beat boolean ARX (%d per 8 bytes)", col, gates[0], gates[1])
 			}
+			// The keystream block covers two elements and must cost less
+			// per element than a MiMC block: why π_e encrypts with it.
+			if gates[2] >= 2*gates[0] {
+				t.Errorf("%s: Poseidon keystream %d rows per 2 elements, MiMC %d per element", col, gates[2], gates[0])
+			}
 		}
 	},
 	"commitment": func(t *testing.T, tabs []Table) {

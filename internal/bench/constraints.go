@@ -43,8 +43,9 @@ func gateTable(gadgets ...gadget) Table {
 	return t
 }
 
-// mimcBlock is one bare MiMC block encryption, GadgetEncrypt: the cipher of
-// π_e, and the step of the Miyaguchi–Preneel hash before its two additions.
+// mimcBlock is one bare MiMC block encryption, GadgetEncrypt: the paper's
+// cipher (§IV-C1), and the step of the Miyaguchi–Preneel hash before its two
+// additions.
 func mimcBlock(b *circuit.Builder) {
 	mimc.GadgetEncrypt(b, b.Secret(fr.NewElement(1)), b.Secret(fr.NewElement(2)))
 }
@@ -55,6 +56,13 @@ func poseidonPermutation(b *circuit.Builder) {
 	poseidon.GadgetPermute(b, [3]circuit.Variable{
 		b.Secret(fr.NewElement(1)), b.Secret(fr.NewElement(2)), b.Secret(fr.NewElement(3)),
 	})
+}
+
+// poseidonKeystreamBlock encrypts two elements with one keystream block of
+// GadgetEncryptCTR: the cipher of π_e and π_p.
+func poseidonKeystreamBlock(b *circuit.Builder) {
+	pt := []circuit.Variable{b.Secret(fr.NewElement(3)), b.Secret(fr.NewElement(4))}
+	poseidon.GadgetEncryptCTR(b, b.Secret(fr.NewElement(1)), b.Secret(fr.NewElement(2)), pt)
 }
 
 // constraintReport counts the gadgets behind the lookup-argument
@@ -109,7 +117,8 @@ func constraintReport(*Session) ([]Table, error) {
 
 // ablationCipher quantifies §IV-C1: MiMC's per-block circuit cost against a
 // boolean ARX permutation (the structure AES/SHA-class ciphers are made
-// of), both built and counted.
+// of), both built and counted, and against the Poseidon keystream that
+// replaces MiMC-CTR here (DESIGN.md §1).
 func ablationCipher(*Session) ([]Table, error) {
 	// 16 rounds on two 32-bit words: each round two 32-bit decompositions,
 	// a modular add and xors.
@@ -128,7 +137,10 @@ func ablationCipher(*Session) ([]Table, error) {
 	}
 	t := gateTable(
 		gadget{"MiMC-p/p (91 rounds, x^7)", mimcBlock, "per field element (~31 bytes)"},
-		gadget{"boolean ARX (16 rounds, 64-bit state)", arx, "per 8 bytes: ~4 blocks per element"})
+		gadget{"boolean ARX (16 rounds, 64-bit state)", arx, "per 8 bytes: ~4 blocks per element"},
+		gadget{"Poseidon keystream (rate 2)", poseidonKeystreamBlock, ""})
+	ks := t.Rows[2]
+	ks[4] = fmt.Sprintf("per 2 field elements: %d classic, %d custom rows per element", ks[1].(int)/2, ks[2].(int)/2)
 	t.Rows = append(t.Rows, []any{"AES-128 (literature, [12])", 160000, "—", "—", "per 16-byte block, optimized boolean circuit"})
 	return []Table{t}, nil
 }

@@ -1,9 +1,10 @@
 // Package registry names every application circuit the soundness auditor
 // covers: raw gadget compositions (range checks, comparisons, fixed-point
-// arithmetic, boolean logic), the hash gadgets in both classic and
-// custom-gate lowering, the core π-family (encryption, transformation,
-// validation, key negotiation), and the ML processors (logistic
-// regression, transformer) in both classic and /lk variants.
+// arithmetic, boolean logic), the hash gadgets and the Poseidon keystream
+// cipher in both classic and custom-gate lowering, the core π-family
+// (encryption, transformation, validation, key negotiation), and the ML
+// processors (logistic regression, transformer) in both classic and /lk
+// variants.
 //
 // `zkdet-lint -audit` and `make audit` run the auditor over every entry;
 // the mutation tests in this package delete single gates from each entry
@@ -140,6 +141,27 @@ func Entries() []Entry {
 			// the transfer proof's response and nonce commitment.
 			return snapshot("ct/pi_ct", ct.AuditRangeCircuit())
 		}},
+	}
+
+	for _, custom := range []bool{false, true} {
+		name := "cipher/poseidon-ctr-classic"
+		if custom {
+			name = "cipher/poseidon-ctr-custom"
+		}
+		entries = append(entries, Entry{Name: name, Build: func() (*circuit.AuditInfo, error) {
+			// Three elements: one full keystream block and an odd tail
+			// that discards lane 1 of its block.
+			b := circuit.NewBuilder()
+			if custom {
+				b.EnableCustomGates()
+			}
+			k, nonce := b.Secret(fr.NewElement(11)), b.Public(fr.NewElement(12))
+			pt := []circuit.Variable{b.Secret(fr.NewElement(1)), b.Secret(fr.NewElement(2)), b.Secret(fr.NewElement(3))}
+			for _, c := range poseidon.GadgetEncryptCTR(b, k, nonce, pt) {
+				exposed(b, c)
+			}
+			return snapshot(name, b)
+		}})
 	}
 
 	for _, ac := range core.AuditCircuits() {

@@ -3,26 +3,29 @@ package core
 import (
 	"math"
 	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"github.com/zkdet/zkdet/internal/fr"
 )
 
 // encryptAndProveBytes is what one warm EncryptAndProve of a four-entry
-// dataset allocated when π_e, a custom-gate proof without lookups, stopped
-// carrying the idle LogUp columns M, H, S (measured at PR 25 on a 2-vCPU
-// host, 3 050 216–3 111 784; 3 940 000 before, when the 768-row domain and
-// 6 144-point coset arrived in PR 24; 4 810 000 before that, and 24 748 256
-// for the classic 5 667-gate circuit on its 8 192-row domain). The 3·2^k
-// transform is not in place; its buffer comes from the domain's pool, and
-// one allocated per call would add about 2 MB here.
-const encryptAndProveBytes = 3_060_000
+// dataset allocated once π_e encrypted with the Poseidon keystream and its
+// 443 rows fit a 512-row domain (1 718 728–1 761 984 on a 2-vCPU host;
+// 3 060 000 on 768 rows with MiMC-CTR). The quotient's 6n = 3 072 =
+// 3·2^10-point coset is not transformed in place; its buffer comes from the
+// domain's pool, and one allocated per call would add about 0.6 MB here.
+const encryptAndProveBytes = 1_720_000
 
 // TestEncryptAndProveSteadyStateAllocation is TestProveSteadyStateAllocation
 // (internal/plonk) on the shape an exchange now proves: the repository
 // benchmark bounds alloc_mb_per_op to 3 %, and three of the four proofs of a
-// public exchange are this size. The quietest of three proofs is checked,
-// because a garbage collection may empty the MSM's pool under any single one.
+// public exchange are this size. Garbage collection is off while it runs: a
+// collection drops the pools' idle scratch, and how much of it a later proof
+// must allocate again depends on scheduling, not on the code under test
+// (allocation is counted with or without collections). The quietest of seven
+// warm proofs is checked, because the MSMs' scratch reaches its full size
+// over the first few.
 func TestEncryptAndProveSteadyStateAllocation(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")
@@ -31,11 +34,12 @@ func TestEncryptAndProveSteadyStateAllocation(t *testing.T) {
 	// grow with the width (4.77 MB at 1, 5.51 MB at 8): hold the width the
 	// figure was taken at.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	sys := testSys()
 	data, key := smallData(4), fr.NewElement(7)
 	least := uint64(math.MaxUint64)
 	var before, after runtime.MemStats
-	for i := 0; i < 4; i++ {
+	for i := 0; i < 8; i++ {
 		runtime.ReadMemStats(&before)
 		if _, _, _, _, err := sys.EncryptAndProve(data, key); err != nil {
 			t.Fatal(err)

@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"github.com/zkdet/zkdet/internal/fr"
-	"github.com/zkdet/zkdet/internal/mimc"
 	"github.com/zkdet/zkdet/internal/poseidon"
 )
 
@@ -80,15 +79,16 @@ type Ciphertext struct {
 }
 
 // Encrypt encrypts the dataset under key k with a fresh random nonce
-// (MiMC-CTR, §IV-C1).
+// (Poseidon-CTR, two elements per permutation; DESIGN.md §1 has why it
+// replaces the paper's MiMC-CTR of §IV-C1).
 func (d Dataset) Encrypt(k fr.Element) Ciphertext {
 	nonce := fr.MustRandom()
-	return Ciphertext{Nonce: nonce, Blocks: mimc.EncryptCTR(k, nonce, d)}
+	return Ciphertext{Nonce: nonce, Blocks: poseidon.EncryptCTR(k, nonce, d)}
 }
 
 // Decrypt recovers the dataset from a ciphertext.
 func (ct *Ciphertext) Decrypt(k fr.Element) Dataset {
-	return mimc.DecryptCTR(k, ct.Nonce, ct.Blocks)
+	return poseidon.DecryptCTR(k, ct.Nonce, ct.Blocks)
 }
 
 // Bytes serializes the ciphertext (nonce ‖ blocks) for storage.

@@ -2,7 +2,7 @@
 // protocol (§IV-B) with its decoupled proofs of encryption π_e and
 // transformation π_t, the transformation predicates of §IV-D, the
 // key-secure two-phase exchange protocol of §IV-F, and the ZKCP baseline
-// (§III-C) it is evaluated against — all over the Plonk/KZG/MiMC/Poseidon
+// (§III-C) it is evaluated against — all over the Plonk/KZG/Poseidon
 // stack in the sibling packages.
 package core
 
@@ -59,12 +59,12 @@ func (s *System) SRS() *kzg.SRS { return s.srs }
 
 // newHashCircuit returns the builder of every circuit in this package whose
 // gates are hashing plus wiring (π_e, π_p, the structural π_t, and the ZKCP
-// and monolithic baselines): MiMC and Poseidon rounds compile to one
-// custom-gate row each (DESIGN.md §15.3). Lookups stay off on purpose: only
-// π_p has range checks to look up, and the 2^12 table would pin it to a
-// 4 096-row domain to save 112 of its 730 rows — these circuits fit in
-// 1 024. buildKeyCircuit and buildTransformCircuit given a Processor are the
-// two that do not start here; each says why.
+// and monolithic baselines): Poseidon rounds compile to one custom-gate row
+// each (DESIGN.md §15.3). Lookups stay off on purpose: only π_p has range
+// checks to look up, and the 2^12 table would pin it to a 4 096-row domain
+// to save 112 of its 501 rows — at n = 4 these circuits fit in 512.
+// buildKeyCircuit and buildTransformCircuit given a Processor are the two
+// that do not start here; each says why.
 func newHashCircuit() *circuit.Builder {
 	b := circuit.NewBuilder()
 	b.EnableCustomGates()

@@ -5,7 +5,6 @@ import (
 
 	"github.com/zkdet/zkdet/internal/circuit"
 	"github.com/zkdet/zkdet/internal/fr"
-	"github.com/zkdet/zkdet/internal/mimc"
 	"github.com/zkdet/zkdet/internal/plonk"
 	"github.com/zkdet/zkdet/internal/poseidon"
 )
@@ -46,7 +45,7 @@ func (st *EncryptionStatement) commitmentField() []byte {
 
 // buildEncryptionCircuit emits the π_e relation:
 //
-//	ĉ_i = d_i + MiMC(k, nonce+i)  for all i
+//	(ĉ_{2j}, ĉ_{2j+1}) = (d_{2j}, d_{2j+1}) + Poseidon(k, nonce, T+j)[0:2]  for all j
 //	c_d = PoseidonCommit(D, o_d)
 //	c_k = PoseidonCommit(k, o_k)
 func buildEncryptionCircuit(st *EncryptionStatement, w *EncryptionWitness) *circuit.Builder {
@@ -67,7 +66,7 @@ func buildEncryptionCircuit(st *EncryptionStatement, w *EncryptionWitness) *circ
 		data[i] = b.Secret(w.Data[i])
 	}
 
-	enc := mimc.GadgetEncryptCTR(b, key, nonce, data)
+	enc := poseidon.GadgetEncryptCTR(b, key, nonce, data)
 	for i := range enc {
 		b.AssertEqual(enc[i], cts[i])
 	}

@@ -6,7 +6,6 @@ import (
 
 	"github.com/zkdet/zkdet/internal/circuit"
 	"github.com/zkdet/zkdet/internal/fr"
-	"github.com/zkdet/zkdet/internal/mimc"
 	"github.com/zkdet/zkdet/internal/plonk"
 	"github.com/zkdet/zkdet/internal/poseidon"
 )
@@ -58,7 +57,7 @@ func buildValidationCircuit(pred Predicate, st *ValidationStatement, w *Encrypti
 	for i := range w.Data {
 		data[i] = b.Secret(w.Data[i])
 	}
-	enc := mimc.GadgetEncryptCTR(b, key, nonce, data)
+	enc := poseidon.GadgetEncryptCTR(b, key, nonce, data)
 	for i := range enc {
 		b.AssertEqual(enc[i], cts[i])
 	}

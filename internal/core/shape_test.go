@@ -19,11 +19,10 @@ const settleGas = 322_917
 // TestHashCircuitsOnCustomShape pins which circuit is on which prover shape
 // (DESIGN.md §15.3). The five hash-only circuits prove on custom gates with
 // no lookup argument (1 158-byte proofs), each on the smallest domain that
-// holds its rows (π_e's 671 and π_p's 730 on 768 = 3·2^8, the n = 4
-// transformations on 512), and a
-// verifier that never proved rebuilds the same key from a zero witness; π_k
-// (1 738 rows on 2 048) and a Processor that does not ask for the lookup
-// lowering stay classic.
+// holds its rows (at n = 4 all on 512, π_e's 443 rows and π_p's 501
+// among them), and a verifier that never proved rebuilds the same key from
+// a zero witness; π_k (1 738 rows on 2 048) and a Processor that does not
+// ask for the lookup lowering stay classic.
 func TestHashCircuitsOnCustomShape(t *testing.T) {
 	prover := testSys()
 	// A second System over the same SRS: its keys come from vkFor alone.
@@ -54,7 +53,7 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err := verifier.VerifyEncryption(st, piE); err != nil {
 			t.Fatal(err)
 		}
-		wantCustom(t, encryptionKey(n), piE, 768)
+		wantCustom(t, encryptionKey(n), piE, 512)
 	})
 
 	t.Run("pi_p", func(t *testing.T) {
@@ -70,7 +69,7 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err := NewBuyer(verifier, seller.Listing(1), pred).VerifyData(piP); err != nil {
 			t.Fatal(err)
 		}
-		wantCustom(t, validationKey(pred, n), piP, 768)
+		wantCustom(t, validationKey(pred, n), piP, 512)
 	})
 
 	t.Run("pi_t/dup", func(t *testing.T) {

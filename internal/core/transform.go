@@ -7,7 +7,6 @@ import (
 
 	"github.com/zkdet/zkdet/internal/circuit"
 	"github.com/zkdet/zkdet/internal/fr"
-	"github.com/zkdet/zkdet/internal/mimc"
 	"github.com/zkdet/zkdet/internal/plonk"
 	"github.com/zkdet/zkdet/internal/poseidon"
 )
@@ -467,8 +466,8 @@ func buildMonolithicDuplication(st *MonolithicStatement, data Dataset, kS, kD fr
 		}
 		vals[i] = b.Secret(v)
 	}
-	encS := mimc.GadgetEncryptCTR(b, keyS, nS, vals)
-	encD := mimc.GadgetEncryptCTR(b, keyD, nD, vals) // same vals: D == S by wiring
+	encS := poseidon.GadgetEncryptCTR(b, keyS, nS, vals)
+	encD := poseidon.GadgetEncryptCTR(b, keyD, nD, vals) // same vals: D == S by wiring
 	for i := 0; i < n; i++ {
 		b.AssertEqual(encS[i], ctS[i])
 		b.AssertEqual(encD[i], ctD[i])

@@ -2,13 +2,17 @@
 // ASIACRYPT 2016) over the BN254 scalar field, with the parameters the
 // paper selects in §VI-A: 91 rounds and a degree-7 non-linear permutation.
 //
-// MiMC is the encryption primitive of ZKDET because its circuit is tiny:
-// proving one block costs ~4 multiplication gates per round instead of the
-// thousands a boolean cipher like AES would need (§IV-C1).
+// The paper picks MiMC-CTR as ZKDET's cipher (§IV-C1) because on classic
+// gates it needs the fewest constraints per encrypted element. On this
+// repository's custom gates a Poseidon permutation is cheaper and yields two
+// keystream elements, so the system encrypts with poseidon.EncryptCTR
+// (DESIGN.md §1) and nothing here is on a production path.
 //
-// The package provides the keyed permutation, CTR-mode vector encryption
-// (the paper's construction ĉ_i = d_i + MiMC(k, nonce+i)), a
-// Miyaguchi–Preneel hash mode, and the matching circuit gadget.
+// What is left serves the §IV-C1 ablation rows of zkdet-bench and the two
+// hash entries of the circuit-audit registry: the keyed permutation's gadget
+// GadgetEncrypt (one KindMiMC custom row per round) and the
+// Miyaguchi–Preneel hash gadget GadgetHash. Their native references,
+// Encrypt and Hash, live beside the tests that hold the gadgets to them.
 package mimc
 
 import (
@@ -35,20 +39,6 @@ var roundConstants = func() [Rounds]fr.Element {
 	return cs
 }()
 
-// Encrypt applies the keyed MiMC permutation E_k to one block:
-// t ← (t + k + c_i)^7 for each round, then t + k.
-func Encrypt(k, x fr.Element) fr.Element {
-	t := x
-	for i := 0; i < Rounds; i++ {
-		var u fr.Element
-		u.Add(&t, &k)
-		u.Add(&u, &roundConstants[i])
-		t = pow7(u)
-	}
-	t.Add(&t, &k)
-	return t
-}
-
 func pow7(x fr.Element) fr.Element {
 	var x2, x4, x6, x7 fr.Element
 	x2.Square(&x)
@@ -56,33 +46,6 @@ func pow7(x fr.Element) fr.Element {
 	x6.Mul(&x4, &x2)
 	x7.Mul(&x6, &x)
 	return x7
-}
-
-// EncryptCTR encrypts a vector of field elements in counter mode:
-// ct[i] = pt[i] + E_k(nonce + i).
-func EncryptCTR(k, nonce fr.Element, pt []fr.Element) []fr.Element {
-	ct := make([]fr.Element, len(pt))
-	ctr := nonce
-	one := fr.One()
-	for i := range pt {
-		ks := Encrypt(k, ctr)
-		ct[i].Add(&pt[i], &ks)
-		ctr.Add(&ctr, &one)
-	}
-	return ct
-}
-
-// DecryptCTR inverts EncryptCTR.
-func DecryptCTR(k, nonce fr.Element, ct []fr.Element) []fr.Element {
-	pt := make([]fr.Element, len(ct))
-	ctr := nonce
-	one := fr.One()
-	for i := range ct {
-		ks := Encrypt(k, ctr)
-		pt[i].Sub(&ct[i], &ks)
-		ctr.Add(&ctr, &one)
-	}
-	return pt
 }
 
 // GadgetEncrypt emits the MiMC permutation as circuit constraints,
@@ -126,21 +89,6 @@ func gadgetEncryptCustom(b *circuit.Builder, k, x circuit.Variable) circuit.Vari
 	}
 	b.NoOpRow(t, t, t)
 	return b.Add(t, k)
-}
-
-// GadgetEncryptCTR emits CTR-mode encryption constraints for a vector,
-// returning the ciphertext wires.
-func GadgetEncryptCTR(b *circuit.Builder, k, nonce circuit.Variable, pt []circuit.Variable) []circuit.Variable {
-	ct := make([]circuit.Variable, len(pt))
-	ctr := nonce
-	for i := range pt {
-		ks := GadgetEncrypt(b, k, ctr)
-		ct[i] = b.Add(pt[i], ks)
-		if i != len(pt)-1 {
-			ctr = b.AddConst(ctr, fr.One())
-		}
-	}
-	return ct
 }
 
 // GadgetHash emits the Miyaguchi–Preneel hash as constraints.

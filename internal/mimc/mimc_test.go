@@ -2,7 +2,6 @@ package mimc
 
 import (
 	"testing"
-	"testing/quick"
 
 	"github.com/zkdet/zkdet/internal/circuit"
 	"github.com/zkdet/zkdet/internal/fr"
@@ -29,52 +28,6 @@ func TestEncryptKeyDependence(t *testing.T) {
 	c2 := Encrypt(fr.NewElement(2), x)
 	if c1.Equal(&c2) {
 		t.Fatal("ciphertext independent of key")
-	}
-}
-
-func TestCTRRoundTrip(t *testing.T) {
-	k := fr.MustRandom()
-	nonce := fr.MustRandom()
-	pt := make([]fr.Element, 33)
-	for i := range pt {
-		pt[i] = fr.MustRandom()
-	}
-	ct := EncryptCTR(k, nonce, pt)
-	back := DecryptCTR(k, nonce, ct)
-	for i := range pt {
-		if !back[i].Equal(&pt[i]) {
-			t.Fatalf("round trip mismatch at %d", i)
-		}
-		if ct[i].Equal(&pt[i]) {
-			t.Fatalf("ciphertext equals plaintext at %d", i)
-		}
-	}
-	// Wrong key must not decrypt.
-	wrongK := fr.MustRandom()
-	bad := DecryptCTR(wrongK, nonce, ct)
-	same := 0
-	for i := range pt {
-		if bad[i].Equal(&pt[i]) {
-			same++
-		}
-	}
-	if same != 0 {
-		t.Fatalf("%d blocks decrypted under wrong key", same)
-	}
-	// Wrong nonce must not decrypt either.
-	var nonce2 fr.Element
-	one := fr.One()
-	nonce2.Add(&nonce, &one)
-	bad = DecryptCTR(k, nonce2, ct)
-	if bad[0].Equal(&pt[0]) {
-		t.Fatal("decrypted under wrong nonce")
-	}
-}
-
-func TestCTREmpty(t *testing.T) {
-	k := fr.NewElement(1)
-	if got := EncryptCTR(k, fr.Zero(), nil); len(got) != 0 {
-		t.Fatal("empty encryption not empty")
 	}
 }
 
@@ -108,33 +61,6 @@ func TestGadgetMatchesNative(t *testing.T) {
 	}
 	if err := cs.IsSatisfied(w); err != nil {
 		t.Fatalf("gadget constraints unsatisfied: %v", err)
-	}
-}
-
-func TestGadgetCTRMatchesNative(t *testing.T) {
-	b := circuit.NewBuilder()
-	kVal := fr.NewElement(5)
-	nonceVal := fr.NewElement(1000)
-	ptVals := []fr.Element{fr.NewElement(10), fr.NewElement(20), fr.NewElement(30)}
-	k := b.Secret(kVal)
-	nonce := b.Secret(nonceVal)
-	pt := make([]circuit.Variable, len(ptVals))
-	for i := range ptVals {
-		pt[i] = b.Secret(ptVals[i])
-	}
-	ct := GadgetEncryptCTR(b, k, nonce, pt)
-	want := EncryptCTR(kVal, nonceVal, ptVals)
-	for i := range want {
-		if got := b.Value(ct[i]); !got.Equal(&want[i]) {
-			t.Fatalf("gadget CTR mismatch at %d", i)
-		}
-	}
-	cs, w, err := b.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := cs.IsSatisfied(w); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -173,19 +99,6 @@ func TestConstraintsPerBlock(t *testing.T) {
 	}
 }
 
-func TestQuickCTRRoundTrip(t *testing.T) {
-	prop := func(k, nonce, m uint64) bool {
-		key := fr.NewElement(k)
-		nc := fr.NewElement(nonce)
-		pt := []fr.Element{fr.NewElement(m)}
-		back := DecryptCTR(key, nc, EncryptCTR(key, nc, pt))
-		return back[0].Equal(&pt[0])
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func BenchmarkEncrypt(b *testing.B) {
 	k := fr.NewElement(1)
 	x := fr.NewElement(2)
@@ -193,6 +106,21 @@ func BenchmarkEncrypt(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		Encrypt(k, x)
 	}
+}
+
+// Encrypt applies the keyed MiMC permutation E_k to one block:
+// t ← (t + k + c_i)^7 for each round, then t + k — the native reference the
+// GadgetEncrypt tests compare against.
+func Encrypt(k, x fr.Element) fr.Element {
+	t := x
+	for i := 0; i < Rounds; i++ {
+		var u fr.Element
+		u.Add(&t, &k)
+		u.Add(&u, &roundConstants[i])
+		t = pow7(u)
+	}
+	t.Add(&t, &k)
+	return t
 }
 
 // Hash computes a Miyaguchi–Preneel hash over field elements:

@@ -253,9 +253,12 @@ func decodeBlock(d *dec) chain.Block {
 
 // Encode serializes a snapshot: magic, manifest, sections, then a CRC over
 // everything before it. Map-backed sections are emitted in sorted order so
-// encoding is deterministic.
+// encoding is deterministic. The buffer is allocated once at the file's
+// exact size (encodedSize): grown by append, a checkpoint would allocate
+// the doubling chain below its final capacity, and whether the last
+// doubling happens would hinge on a few transactions more or less.
 func Encode(s *Snapshot) []byte {
-	e := &enc{b: make([]byte, 0, 1<<16)}
+	e := &enc{b: make([]byte, 0, encodedSize(s))}
 	e.b = append(e.b, snapMagic...)
 
 	exp := s.State
@@ -345,6 +348,47 @@ func Encode(s *Snapshot) []byte {
 
 	e.u32(crc32.Checksum(e.b, crcTable))
 	return e.b
+}
+
+// encodedSize is len(Encode(s)), summed over the same fields in map order
+// (the size does not depend on the sorted order Encode writes them in).
+func encodedSize(s *Snapshot) int {
+	exp := s.State
+	bytesLen := func(n int) int { return 4 + n }
+	n := len(snapMagic) + 4 + 1 + 8 + 32 + 8 // magic, manifest
+	n += 5*4 + 4                             // five section counts, CRC
+	for i := range exp.Blocks {
+		n += 8 + 32 + 8 + 4 + 32*len(exp.Blocks[i].TxHashes) + 32 + 4
+	}
+	for _, bd := range exp.Bodies {
+		n += 8 + 4
+		for i := range bd.Txs {
+			tx := &bd.Txs[i]
+			n += 20 + 20 + bytesLen(len(tx.Contract)) + bytesLen(len(tx.Method)) + bytesLen(len(tx.Args)) + 3*8 + 1
+			r := bd.Receipts[i]
+			if r == nil {
+				continue
+			}
+			n += 32 + 8 + bytesLen(len(r.Return)) + 4 + bytesLen(0) // the error string's length word
+			for _, ev := range r.Logs {
+				n += bytesLen(len(ev.Contract)) + bytesLen(len(ev.Name)) + bytesLen(len(ev.Topic)) + bytesLen(len(ev.Data))
+			}
+			if r.Err != nil {
+				n += len(r.Err.Error())
+			}
+		}
+	}
+	n += len(exp.Accounts) * (20 + 8 + 8)
+	for name, slots := range exp.Storages {
+		n += bytesLen(len(name)) + 4
+		for k, v := range slots {
+			n += bytesLen(len(k)) + bytesLen(len(v))
+		}
+	}
+	for i := range s.Blobs {
+		n += bytesLen(len(s.Blobs[i].Owner)) + bytesLen(len(s.Blobs[i].Data))
+	}
+	return n
 }
 
 // Decode parses and integrity-checks a snapshot file. Any structural

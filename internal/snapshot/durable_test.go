@@ -120,6 +120,10 @@ func TestCodecRoundTrip(t *testing.T) {
 	if data2 := Encode(&Snapshot{Manifest: Manifest{Role: Full}, State: exp, Blobs: n.bs.inner.Export()}); string(data) != string(data2) {
 		t.Fatal("encoding is not deterministic")
 	}
+	// One allocation at the exact size: encodedSize walks every field.
+	if cap(data) != len(data) {
+		t.Fatalf("Encode allocated %d bytes for a %d-byte snapshot", cap(data), len(data))
+	}
 
 	snap, err := Decode(data)
 	if err != nil {

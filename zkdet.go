@@ -6,8 +6,8 @@
 // from scratch on the Go standard library:
 //
 //   - a Plonk zkSNARK over BN254 with KZG commitments (internal/plonk,
-//     internal/kzg, internal/bn254) using the circuit-friendly MiMC cipher
-//     and Poseidon hash (internal/mimc, internal/poseidon);
+//     internal/kzg, internal/bn254) using the circuit-friendly Poseidon
+//     hash, commitments and keystream cipher (internal/poseidon);
 //   - a blockchain substrate with EVM-calibrated gas metering and the
 //     DataNFT / clock-auction / escrow / verifier contracts
 //     (internal/chain, internal/contracts);
