@@ -251,7 +251,10 @@ func (b *Builder) Constant(c fr.Element) Variable {
 // Zero returns the constant 0.
 func (b *Builder) Zero() Variable { return b.Constant(fr.Zero()) }
 
-var frOne = fr.One()
+var (
+	frOne  = fr.One()
+	frZero fr.Element
+)
 
 func frNeg(x fr.Element) fr.Element {
 	var out fr.Element
@@ -259,34 +262,38 @@ func frNeg(x fr.Element) fr.Element {
 	return out
 }
 
+// Gate returns qL·x + qR·y + qM·x·y + qC in one gate (qO = −1): the
+// general arithmetic row. Add, Sub, Mul, AddConst, MulConst and Lc2 are
+// instances of it; a gadget that folds a constant into a product or a sum
+// (the classic Poseidon S-box and MDS gates) calls it directly.
+func (b *Builder) Gate(x, y Variable, qL, qR, qM, qC fr.Element) Variable {
+	vx, vy := b.values[x.id], b.values[y.id]
+	var val, t fr.Element
+	val.Mul(&vx, &vy)
+	val.Mul(&val, &qM)
+	t.Mul(&vx, &qL)
+	val.Add(&val, &t)
+	t.Mul(&vy, &qR)
+	val.Add(&val, &t)
+	val.Add(&val, &qC)
+	out := b.newVar(val)
+	b.gates = append(b.gates, gateTmpl{qL: qL, qR: qR, qO: frNeg(frOne), qM: qM, qC: qC, a: x.id, b: y.id, c: out.id})
+	return out
+}
+
 // Add returns x + y.
 func (b *Builder) Add(x, y Variable) Variable {
-	var val fr.Element
-	vx, vy := b.values[x.id], b.values[y.id]
-	val.Add(&vx, &vy)
-	out := b.newVar(val)
-	b.gates = append(b.gates, gateTmpl{qL: frOne, qR: frOne, qO: frNeg(frOne), a: x.id, b: y.id, c: out.id})
-	return out
+	return b.Gate(x, y, frOne, frOne, frZero, frZero)
 }
 
 // Sub returns x - y.
 func (b *Builder) Sub(x, y Variable) Variable {
-	var val fr.Element
-	vx, vy := b.values[x.id], b.values[y.id]
-	val.Sub(&vx, &vy)
-	out := b.newVar(val)
-	b.gates = append(b.gates, gateTmpl{qL: frOne, qR: frNeg(frOne), qO: frNeg(frOne), a: x.id, b: y.id, c: out.id})
-	return out
+	return b.Gate(x, y, frOne, frNeg(frOne), frZero, frZero)
 }
 
 // Mul returns x · y.
 func (b *Builder) Mul(x, y Variable) Variable {
-	var val fr.Element
-	vx, vy := b.values[x.id], b.values[y.id]
-	val.Mul(&vx, &vy)
-	out := b.newVar(val)
-	b.gates = append(b.gates, gateTmpl{qM: frOne, qO: frNeg(frOne), a: x.id, b: y.id, c: out.id})
-	return out
+	return b.Gate(x, y, frZero, frZero, frOne, frZero)
 }
 
 // Square returns x².
@@ -299,34 +306,17 @@ func (b *Builder) Neg(x Variable) Variable {
 
 // AddConst returns x + c.
 func (b *Builder) AddConst(x Variable, c fr.Element) Variable {
-	var val fr.Element
-	vx := b.values[x.id]
-	val.Add(&vx, &c)
-	out := b.newVar(val)
-	b.gates = append(b.gates, gateTmpl{qL: frOne, qC: c, qO: frNeg(frOne), a: x.id, b: x.id, c: out.id})
-	return out
+	return b.Gate(x, x, frOne, frZero, frZero, c)
 }
 
 // MulConst returns c · x.
 func (b *Builder) MulConst(x Variable, c fr.Element) Variable {
-	var val fr.Element
-	vx := b.values[x.id]
-	val.Mul(&vx, &c)
-	out := b.newVar(val)
-	b.gates = append(b.gates, gateTmpl{qL: c, qO: frNeg(frOne), a: x.id, b: x.id, c: out.id})
-	return out
+	return b.Gate(x, x, c, frZero, frZero, frZero)
 }
 
 // Lc2 returns c1·x + c2·y in one gate.
 func (b *Builder) Lc2(x Variable, c1 fr.Element, y Variable, c2 fr.Element) Variable {
-	var val, t fr.Element
-	vx, vy := b.values[x.id], b.values[y.id]
-	val.Mul(&vx, &c1)
-	t.Mul(&vy, &c2)
-	val.Add(&val, &t)
-	out := b.newVar(val)
-	b.gates = append(b.gates, gateTmpl{qL: c1, qR: c2, qO: frNeg(frOne), a: x.id, b: y.id, c: out.id})
-	return out
+	return b.Gate(x, y, c1, c2, frZero, frZero)
 }
 
 // Inverse returns x⁻¹, constraining x·out = 1 (hence also x ≠ 0).

@@ -88,11 +88,11 @@ type KeyWitness struct {
 }
 
 // buildKeyCircuit stays on the classic lowering, deliberately: π_k is the one
-// proof that rides in calldata. On the custom-gate shape it would prove in a
-// third of the time (148 rows for 1 738), but a custom-gate proof, even with
-// no lookup argument, is 1 158 − 774 = 384 bytes longer = +4 608 gas per
-// settlement = +0.58 % of an exchange's 793 122 gas, almost three times the
-// benchmark's 0.2 % gas bound. Moving it is a gas decision, not a default;
+// proof that rides in calldata. On the custom-gate shape it would take 148
+// rows instead of 1 330, but a custom-gate proof, even with no lookup
+// argument, is 1 158 − 774 = 384 bytes longer = +4 608 gas per settlement =
+// +0.66 % of an exchange's 694 906 gas, over three times the benchmark's
+// 0.2 % gas bound. Moving it is a gas decision, not a default;
 // TestHashCircuitsOnCustomShape pins the 322 917-gas settlement.
 func buildKeyCircuit(st *KeyStatement, w *KeyWitness) *circuit.Builder {
 	b := circuit.NewBuilder()

@@ -21,7 +21,7 @@ const settleGas = 322_917
 // no lookup argument (1 158-byte proofs), each on the smallest domain that
 // holds its rows (at n = 4 all on 512, π_e's 443 rows and π_p's 501
 // among them), and a verifier that never proved rebuilds the same key from
-// a zero witness; π_k (1 738 rows on 2 048) and a Processor that does not
+// a zero witness; π_k (1 330 rows on 1 536) and a Processor that does not
 // ask for the lookup lowering stay classic.
 func TestHashCircuitsOnCustomShape(t *testing.T) {
 	prover := testSys()
@@ -133,8 +133,8 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vk.Lookup || vk.Custom || vk.N != 2048 {
-			t.Fatalf("π_k key: lookup=%v custom=%v N=%d, want classic on 2048 rows: its proof rides in calldata, see buildKeyCircuit", vk.Lookup, vk.Custom, vk.N)
+		if vk.Lookup || vk.Custom || vk.N != 1536 {
+			t.Fatalf("π_k key: lookup=%v custom=%v N=%d, want classic on 1536 rows: its proof rides in calldata, see buildKeyCircuit", vk.Lookup, vk.Custom, vk.N)
 		}
 		m, _ := newTestMarketplace(t)
 		alice, bob := chain.AddressFromString("alice"), chain.AddressFromString("bob")

@@ -53,7 +53,10 @@ func vkFingerprint(vk *plonk.VerifyingKey) string {
 // per-kind builders became one — over testSys's deterministic SRS. Two were
 // re-captured when plonk.Setup began taking 3·2^k domains, with the circuits
 // untouched: pi_t/dup/3 (512 → 384 rows) and pi_t/proc/doubler/4 (8 192 →
-// 6 144); a key's domain size is part of its fingerprint. Each key is
+// 6 144); a key's domain size is part of its fingerprint. pi_t/proc/doubler/4
+// moved once more (6 144 → 4 096 rows) when the classic Poseidon lowering
+// folded its round constants into the S-box and MDS gates: a classic
+// processing π_t commits with classic Poseidon. Each key is
 // built twice: by a prover from a real witness, and by a verifier that never
 // proved, from a zero witness. A change to which gates a transformation
 // circuit emits, or in which order, moves a fingerprint; re-capturing one is a
@@ -100,7 +103,7 @@ func TestTransformKeysUnchanged(t *testing.T) {
 			tp, _, _, err := s.transform(TransformPartition, []Dataset{smallData(5)}, cs, os, []int{2, 3}, nil)
 			return tp, err
 		}},
-		{key: "pi_t/proc/doubler/4", want: "defbf01ab41bc2141b7f1740", proc: doubler{}, prove: process(doubler{})},
+		{key: "pi_t/proc/doubler/4", want: "4cbb9e3db8e508b39d4a6180", proc: doubler{}, prove: process(doubler{})},
 		{key: "pi_t/proc/range-doubler/4", want: "9fa0eb179bb65dd4e28bb6d1", proc: rangeDoubler{}, prove: process(rangeDoubler{})},
 	}
 	for _, tc := range cases {

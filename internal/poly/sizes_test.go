@@ -38,7 +38,7 @@ func mustDomain(t testing.TB, n uint64) *Domain {
 func TestNewDomainTakesNextSize(t *testing.T) {
 	for _, tc := range []struct{ n, want uint64 }{
 		{1, 1}, {2, 2}, {3, 3}, {4, 4}, {5, 6}, {6, 6}, {7, 8}, {9, 12}, {13, 16},
-		{671, 768}, {730, 768}, {769, 1024}, {1025, 1536}, {1738, 2048},
+		{671, 768}, {730, 768}, {769, 1024}, {1025, 1536}, {1330, 1536}, {1738, 2048},
 		{4097, 6144}, {6145, 8192}, {5*1024 + 6, 6144},
 		{1<<28 - 1, 1 << 28}, {3<<26 - 1, 3 << 26}, {3<<26 + 1, 1 << 28},
 	} {

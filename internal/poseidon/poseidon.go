@@ -143,24 +143,50 @@ func CommitWith(msg []fr.Element, o fr.Element) fr.Element {
 // GadgetPermute emits the Poseidon permutation as circuit constraints.
 // With custom gates enabled each round is a single KindPoseidonFull or
 // KindPoseidonPartial row (plus one closing row for the whole
-// permutation); classically a round costs ~12 gates.
+// permutation). Classically each round constant rides in a gate that
+// already reads its lane: an S-box is three gates, (x+c)², its square,
+// and x⁴·(x+c); a lane a partial round does not S-box carries its
+// constant into the constant term of the MDS gates. A full round costs 15
+// gates (three S-boxes, six MDS gates), a partial round 9, a permutation
+// 660.
 func GadgetPermute(b *circuit.Builder, state [Width]circuit.Variable) [Width]circuit.Variable {
 	if b.CustomGatesEnabled() {
 		return gadgetPermuteCustom(b, state)
 	}
+	var zero fr.Element
+	one := fr.One()
 	half := FullRounds / 2
 	for r := 0; r < totalRounds; r++ {
-		for i := 0; i < Width; i++ {
-			state[i] = b.AddConst(state[i], roundConstants[r][i])
+		c := &roundConstants[r]
+		sboxed := Width
+		if r >= half && r < half+PartialRounds {
+			sboxed = 1
 		}
-		if r < half || r >= half+PartialRounds {
-			for i := 0; i < Width; i++ {
-				state[i] = gadgetSbox(b, state[i])
+		for i := 0; i < sboxed; i++ {
+			// (x+c)⁵ = ((x+c)²)²·(x+c): qL = 2c and qC = c² on the
+			// first gate, qL = c on the x⁴ wire of the last.
+			var twoC, cc fr.Element
+			twoC.Add(&c[i], &c[i])
+			cc.Square(&c[i])
+			x2 := b.Gate(state[i], state[i], twoC, zero, one, cc)
+			x4 := b.Square(x2)
+			state[i] = b.Gate(x4, state[i], c[i], zero, one, zero)
+		}
+		// kc[k] = Σ_j M_kj·c_j over the lanes left un-S-boxed.
+		var kc [Width]fr.Element
+		for k := 0; k < Width; k++ {
+			for j := sboxed; j < Width; j++ {
+				var t fr.Element
+				t.Mul(&mdsMatrix[k][j], &c[j])
+				kc[k].Add(&kc[k], &t)
 			}
-		} else {
-			state[0] = gadgetSbox(b, state[0])
 		}
-		state = gadgetMDS(b, state)
+		var out [Width]circuit.Variable
+		for k := 0; k < Width; k++ {
+			acc := b.Gate(state[0], state[1], mdsMatrix[k][0], mdsMatrix[k][1], zero, kc[k])
+			out[k] = b.Lc2(acc, one, state[2], mdsMatrix[k][2])
+		}
+		state = out
 	}
 	return state
 }
@@ -199,21 +225,6 @@ func gadgetPermuteCustom(b *circuit.Builder, state [Width]circuit.Variable) [Wid
 	}
 	b.NoOpRow(state[0], state[1], state[2])
 	return state
-}
-
-func gadgetSbox(b *circuit.Builder, x circuit.Variable) circuit.Variable {
-	x2 := b.Square(x)
-	x4 := b.Square(x2)
-	return b.Mul(x4, x)
-}
-
-func gadgetMDS(b *circuit.Builder, state [Width]circuit.Variable) [Width]circuit.Variable {
-	var out [Width]circuit.Variable
-	for i := 0; i < Width; i++ {
-		acc := b.Lc2(state[0], mdsMatrix[i][0], state[1], mdsMatrix[i][1])
-		out[i] = b.Lc2(acc, fr.One(), state[2], mdsMatrix[i][2])
-	}
-	return out
 }
 
 // GadgetHash emits the sponge hash as constraints, mirroring Hash.

@@ -141,11 +141,16 @@ func checkCompiles(t *testing.T, b *circuit.Builder) {
 	}
 }
 
+// TestConstraintsPerPermutation pins the row count of each lowering: a
+// classic full round is three 3-gate S-boxes and six MDS gates (15), a
+// partial round one S-box and six MDS gates (9), so 4·15 + 60·9 + 4·15 =
+// 660; the custom lowering is one row per round plus the closing row.
 func TestConstraintsPerPermutation(t *testing.T) {
-	n := ConstraintsPerPermutation()
-	// Expect several hundred gates — the §IV-C2 point versus Pedersen.
-	if n < 200 || n > 2000 {
-		t.Fatalf("Poseidon permutation costs %d constraints", n)
+	if n := ConstraintsPerPermutation(false); n != 660 {
+		t.Fatalf("classic Poseidon permutation costs %d gates, want 660", n)
+	}
+	if n := ConstraintsPerPermutation(true); n != totalRounds+1 {
+		t.Fatalf("custom Poseidon permutation costs %d gates, want %d", n, totalRounds+1)
 	}
 }
 
@@ -191,10 +196,14 @@ func Open(msg []fr.Element, c, o fr.Element) bool {
 	return want.Equal(&c)
 }
 
-// ConstraintsPerPermutation reports the gate cost of one permutation,
-// quantifying the §IV-C2 comparison against Pedersen commitments.
-func ConstraintsPerPermutation() int {
+// ConstraintsPerPermutation reports the gate cost of one permutation on the
+// custom or the classic lowering, quantifying the §IV-C2 comparison against
+// Pedersen commitments.
+func ConstraintsPerPermutation(custom bool) int {
 	b := circuit.NewBuilder()
+	if custom {
+		b.EnableCustomGates()
+	}
 	s := [Width]circuit.Variable{
 		b.Secret(fr.NewElement(1)), b.Secret(fr.NewElement(2)), b.Secret(fr.NewElement(3)),
 	}
