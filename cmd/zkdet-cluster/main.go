@@ -5,7 +5,8 @@
 // The script exercises the whole networking subsystem:
 //
 //  1. mint and transform data assets through one node — transactions
-//     gossip to the rotation leader, blocks replicate back by sync;
+//     gossip to the rotation leader, which seals at a lone node's block
+//     interval, and blocks replicate back by sync;
 //
 //  2. degrade every link (latency, jitter, drops) and keep going;
 //
@@ -177,7 +178,6 @@ func run(cfg clusterConfig) error {
 		}, rep, nil
 	}
 	tune := func(i int, nc *p2p.Config) {
-		nc.SealInterval = 5 * time.Millisecond
 		nc.StatusInterval = 25 * time.Millisecond
 		nc.RebroadcastInterval = 50 * time.Millisecond
 	}
@@ -462,6 +462,6 @@ func printHeights(cl *p2p.Cluster, label string) {
 	for i, n := range cl.Nodes {
 		m, nm := n.Metrics(), n.Inner().Metrics()
 		fmt.Printf("   node %d: height %-3d sealed %-2.0f imported %-3.0f pool %-2.0f gossip-in %.0f\n",
-			i, n.Head().Number, m["p2p.blocksSealed"], nm["node.blocksImported"], nm["node.poolSize"], m["p2p.txsAccepted"])
+			i, n.Head().Number, nm["node.blocksSealed"], nm["node.blocksImported"], nm["node.poolSize"], m["p2p.txsAccepted"])
 	}
 }

@@ -76,11 +76,11 @@ func gossipCluster(nodes, fanout int, sender chain.Address) (*p2p.Cluster, error
 		Build: func(i int, id p2p.NodeID) (p2p.NodeSetup, error) {
 			c := chain.New()
 			c.Faucet(sender, 1_000_000)
-			return p2p.NodeSetup{Inner: node.New(c, node.Config{})}, nil
+			// An hour's interval: no sealing, so gossip is isolated.
+			return p2p.NodeSetup{Inner: node.New(c, node.Config{BlockInterval: time.Hour})}, nil
 		},
 		Tune: func(i int, cfg *p2p.Config) {
 			cfg.Fanout = fanout
-			cfg.SealInterval = time.Hour // no sealing: isolate gossip
 			cfg.RebroadcastInterval = 10 * time.Millisecond
 		},
 	})
@@ -210,18 +210,16 @@ func ChainSync(lengths []int, txsPerBlock int) ([]SyncRow, error) {
 func grownNode(sender chain.Address, length, txsPerBlock int) (*node.Node, error) {
 	c := chain.New()
 	c.Faucet(sender, 10_000_000)
-	n := node.New(c, node.Config{})
 	nonce := uint64(0)
 	for b := 0; b < length; b++ {
-		for t := 0; t < txsPerBlock; t++ {
-			if _, err := n.Submit(chain.Transaction{From: sender, Nonce: nonce}); err != nil {
-				return nil, err
-			}
+		txs := make([]chain.Transaction, txsPerBlock)
+		for t := range txs {
+			txs[t] = chain.Transaction{From: sender, Nonce: nonce}
 			nonce++
 		}
-		if _, ok := n.SealNow(); !ok {
-			return nil, fmt.Errorf("seal %d produced no block", b)
+		if res := c.ProduceBlock(txs); len(res.Block.TxHashes) != txsPerBlock {
+			return nil, fmt.Errorf("block %d holds %d of %d transactions", b, len(res.Block.TxHashes), txsPerBlock)
 		}
 	}
-	return n, nil
+	return node.New(c, node.Config{}), nil
 }

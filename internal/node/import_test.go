@@ -8,19 +8,30 @@ import (
 	"github.com/zkdet/zkdet/internal/chain"
 )
 
-// sealerAndFollower builds two externally driven nodes over identically
-// funded chains.
-func sealerAndFollower(t *testing.T) (*Node, *Node, chain.Address, chain.Address) {
+// sealerAndFollower builds a sealing chain and a follower node, not
+// started, over identical genesis funding.
+func sealerAndFollower(t *testing.T) (*chain.Chain, *Node, chain.Address, chain.Address) {
 	t.Helper()
 	alice := chain.AddressFromString("alice")
 	bob := chain.AddressFromString("bob")
-	mk := func() *Node {
+	mk := func() *chain.Chain {
 		c := chain.New()
 		c.Faucet(alice, 1_000_000)
 		c.Faucet(bob, 1_000_000)
-		return New(c, Config{})
+		return c
 	}
-	return mk(), mk(), alice, bob
+	return mk(), New(mk(), Config{}), alice, bob
+}
+
+// sealOne seals txs on the sealer and returns the block with its body.
+func sealOne(t *testing.T, sealer *chain.Chain, txs ...chain.Transaction) (chain.Block, []chain.Transaction) {
+	t.Helper()
+	blk := sealer.ProduceBlock(txs).Block
+	if blk.Number == 0 {
+		t.Fatal("sealer had nothing to seal")
+	}
+	body, _ := sealer.BlockBody(blk.Number)
+	return blk, body
 }
 
 func TestImportPurgesIncludedFromPool(t *testing.T) {
@@ -33,15 +44,7 @@ func TestImportPurgesIncludedFromPool(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sealer.Submit(pooled); err != nil {
-		t.Fatal(err)
-	}
-
-	blk, ok := sealer.SealNow()
-	if !ok {
-		t.Fatal("sealer had nothing to seal")
-	}
-	txs, _ := sealer.Chain().BlockBody(blk.Number)
+	blk, txs := sealOne(t, sealer, pooled)
 	if _, err := follower.ImportBlock(blk, txs); err != nil {
 		t.Fatalf("import: %v", err)
 	}
@@ -59,8 +62,10 @@ func TestImportPurgesIncludedFromPool(t *testing.T) {
 	if got := follower.Metrics()["node.poolSize"]; got != 0 {
 		t.Fatalf("pool size after import: %v", got)
 	}
-	if _, ok := follower.SealNow(); ok {
-		t.Fatal("imported transaction re-sealed")
+	follower.Start()
+	follower.Stop() // drains the pool into a final block, if anything is left
+	if h := follower.Chain().Height(); h != blk.Number {
+		t.Fatalf("follower at height %d after Stop, want %d: the imported transaction was re-sealed", h, blk.Number)
 	}
 	if got := follower.Metrics()["node.blocksImported"]; got != 1 {
 		t.Fatalf("node.blocksImported = %v", got)
@@ -77,11 +82,7 @@ func TestImportEvictsReplacedNonces(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := sealer.Submit(chain.Transaction{From: alice, To: bob, Value: 99, Nonce: 0}); err != nil {
-		t.Fatal(err)
-	}
-	blk, _ := sealer.SealNow()
-	txs, _ := sealer.Chain().BlockBody(blk.Number)
+	blk, txs := sealOne(t, sealer, chain.Transaction{From: alice, To: bob, Value: 99, Nonce: 0, GasLimit: chain.DefaultGasLimit})
 	if _, err := follower.ImportBlock(blk, txs); err != nil {
 		t.Fatalf("import: %v", err)
 	}

@@ -26,9 +26,9 @@ type Config struct {
 	MaxBlockTxs int
 	// BlockInterval is the minimum spacing between partial blocks: one is
 	// produced from whatever is executable once that long has passed since
-	// the last block, bounding inclusion latency under light traffic. A
-	// SubmitAndWait transaction reaching a node that has been idle for
-	// longer is sealed at once.
+	// the last block, sealed here or imported, bounding inclusion latency
+	// under light traffic. A SubmitAndWait transaction reaching a node that
+	// has been idle for longer is sealed at once.
 	BlockInterval time.Duration
 	// SealVerifier, when set, is installed on the chain as its block
 	// verifier: proof-carrying transactions are folded at seal time, valid
@@ -72,9 +72,10 @@ type Node struct {
 	pool  *mempool
 	bus   *Bus
 
-	kick chan struct{}
-	quit chan struct{}
-	wg   sync.WaitGroup
+	kick     chan struct{}
+	imported chan struct{} // an import landed: the interval restarts
+	quit     chan struct{}
+	wg       sync.WaitGroup
 	// waiting counts SubmitAndWait callers blocked on inclusion: clients
 	// that send nothing more until their transaction is sealed, so holding
 	// it back gathers no fuller block (see run).
@@ -82,6 +83,13 @@ type Node struct {
 
 	mu      sync.Mutex
 	running bool // guarded by mu
+
+	// headMu serializes producing with ImportBlock, so the leadership check
+	// and the block it licenses see the same head: no import can slip a
+	// block in between and make this node seal out of turn.
+	headMu     sync.Mutex
+	importedAt time.Time                // guarded by headMu; when the last import landed
+	leads      func(height uint64) bool // set before Start; nil leads every height
 
 	blocksSealed      atomic.Uint64
 	blocksImported    atomic.Uint64 // remotely sealed blocks replayed through ImportBlock
@@ -95,12 +103,13 @@ type Node struct {
 func New(c *chain.Chain, cfg Config) *Node {
 	cfg.sanitize()
 	n := &Node{
-		cfg:   cfg,
-		chain: c,
-		pool:  newMempool(cfg, c),
-		bus:   NewBus(),
-		kick:  make(chan struct{}, 1),
-		quit:  make(chan struct{}),
+		cfg:      cfg,
+		chain:    c,
+		pool:     newMempool(cfg, c),
+		bus:      NewBus(),
+		kick:     make(chan struct{}, 1),
+		imported: make(chan struct{}, 1),
+		quit:     make(chan struct{}),
 	}
 	// The bus republishes every block the chain seals or imports — whether
 	// this node's producer, an importer or another caller of the chain put
@@ -118,6 +127,11 @@ func (n *Node) Bus() *Bus { return n.bus }
 // Chain returns the underlying chain.
 func (n *Node) Chain() *chain.Chain { return n.chain }
 
+// SetLeader installs the leadership predicate, before Start: the producer
+// seals height h only if leads(h), on Stop too. Nil, the default, leads
+// every height; a cluster member imports the heights it does not lead.
+func (n *Node) SetLeader(leads func(height uint64) bool) { n.leads = leads }
+
 // Start launches the block producer.
 func (n *Node) Start() {
 	n.mu.Lock()
@@ -131,7 +145,8 @@ func (n *Node) Start() {
 	go n.run()
 }
 
-// Stop drains the pool into a final block and stops the producer.
+// Stop drains the pool into final blocks at the heights this node leads,
+// stops the producer and fails what is left pooled with ErrNodeStopped.
 func (n *Node) Stop() {
 	n.mu.Lock()
 	if !n.running {
@@ -151,7 +166,7 @@ func (n *Node) Submit(tx chain.Transaction) (chain.Hash, error) {
 	if err != nil {
 		return chain.Hash{}, err
 	}
-	n.wake()
+	poke(n.kick)
 	return ptx.hash, nil
 }
 
@@ -166,7 +181,7 @@ func (n *Node) SubmitForResult(tx chain.Transaction, autoNonce bool) (chain.Tran
 	if err != nil {
 		return chain.Transaction{}, nil, err
 	}
-	n.wake()
+	poke(n.kick)
 	return ptx.tx, ptx.done, nil
 }
 
@@ -180,7 +195,7 @@ func (n *Node) SubmitAndWait(ctx context.Context, tx chain.Transaction, autoNonc
 	}
 	n.waiting.Add(1)
 	defer n.waiting.Add(-1)
-	n.wake()
+	poke(n.kick)
 	select {
 	case res := <-ptx.done:
 		return res, res.Err
@@ -199,24 +214,33 @@ func (n *Node) PendingSample(max int) []chain.Transaction {
 	return n.pool.pendingSample(max)
 }
 
-func (n *Node) wake() {
+// poke signals a 1-buffered wake-up channel without blocking.
+func poke(ch chan struct{}) {
 	select {
-	case n.kick <- struct{}{}:
+	case ch <- struct{}{}:
 	default:
 	}
 }
 
-// produce is the block producer's one step, shared by the free-running
-// loop and SealNow: pop up to a block's worth of executable transactions,
-// hand them to the chain's atomic apply-and-seal (chain.ProduceBlock: the
-// proofs are folded once, over the block, and execution happens at seal),
-// release the pool reservations and deliver every result. It returns the
-// sealed block — zero when no transaction made it in — and how many were
-// popped.
-func (n *Node) produce() (chain.Block, int) {
+// produce is the block producer's one step: pop up to a block's worth of
+// executable transactions, hand them to the chain's atomic apply-and-seal
+// (chain.ProduceBlock: the proofs are folded once, over the block, and
+// execution happens at seal), release the pool reservations and deliver
+// every result. It pops nothing if this node does not lead the next height,
+// or if spaced and the last import is younger than BlockInterval (it landed
+// after the loop decided to seal). It returns how many it popped.
+func (n *Node) produce(spaced bool) int {
+	n.headMu.Lock()
+	defer n.headMu.Unlock()
+	if n.leads != nil && !n.leads(n.chain.Head().Number+1) {
+		return 0
+	}
+	if spaced && time.Since(n.importedAt) < n.cfg.BlockInterval {
+		return 0
+	}
 	batch := n.pool.pop(n.cfg.MaxBlockTxs)
 	if len(batch) == 0 {
-		return chain.Block{}, 0
+		return 0
 	}
 	txs := make([]chain.Transaction, len(batch))
 	for i, ptx := range batch {
@@ -239,14 +263,14 @@ func (n *Node) produce() (chain.Block, int) {
 		n.latency.Observe(now.Sub(ptx.added))
 		ptx.finish(TxResult{Receipt: res.Outcomes[i].Receipt, BlockNumber: res.Block.Number})
 	}
-	return res.Block, len(batch)
+	return len(batch)
 }
 
-// run is the free-running block producer: a block is produced whenever a
-// full one is pooled, and from whatever is executable once BlockInterval has
-// passed since the last block — at the tick when transactions were waiting
-// for it, on arrival when the node was idle and a client is blocked on the
-// result.
+// run is the block producer: at a height this node leads, a block is
+// produced whenever a full one is pooled, and from whatever is executable
+// once BlockInterval has passed since the last block, sealed or imported —
+// at the tick when transactions were waiting for it, on arrival when the
+// node was idle and a client is blocked on the result.
 func (n *Node) run() {
 	defer n.wg.Done()
 	ticker := time.NewTicker(n.cfg.BlockInterval)
@@ -263,7 +287,7 @@ func (n *Node) run() {
 	// block short.
 	drain := func(partial bool) {
 		for partial || n.pool.Len() >= n.cfg.MaxBlockTxs {
-			_, popped := n.produce()
+			popped := n.produce(partial)
 			ticker.Reset(n.cfg.BlockInterval)
 			idle = popped == 0
 			if popped < n.cfg.MaxBlockTxs {
@@ -276,29 +300,18 @@ func (n *Node) run() {
 		select {
 		case <-n.kick:
 			drain(idle && n.waiting.Load() > 0)
+		case <-n.imported:
+			ticker.Reset(n.cfg.BlockInterval)
+			idle = false
 		case <-ticker.C:
 			drain(true)
 		case <-n.quit:
-			for {
-				if _, popped := n.produce(); popped == 0 {
-					break
-				}
+			for n.produce(false) > 0 {
 			}
 			n.pool.drainAll(ErrNodeStopped)
 			return
 		}
 	}
-}
-
-// SealNow synchronously produces one block from up to a block's worth of
-// executable transactions — the entry point for external block producers
-// (a p2p cluster's leader rotation drives this instead of Start's
-// free-running loop). ok is false when no transaction made it into a
-// block, in which case none is sealed. Do not mix with Start: a node is
-// either self-sealing or externally driven.
-func (n *Node) SealNow() (chain.Block, bool) {
-	b, _ := n.produce()
-	return b, b.Number != 0
 }
 
 // ImportBlock applies a remotely sealed block to the local chain (the same
@@ -307,14 +320,19 @@ func (n *Node) SealNow() (chain.Block, bool) {
 // purged from the pool (delivering their receipts to any local waiters),
 // and transactions made unexecutable by the imported nonces are evicted.
 // The chain's OnSeal hooks (bus, indexer) run exactly as for a locally
-// sealed block, so every node indexes imported blocks identically.
+// sealed block, so every node indexes imported blocks identically. Like a
+// local seal, an import restarts the producer's interval.
 func (n *Node) ImportBlock(b chain.Block, txs []chain.Transaction) ([]*chain.Receipt, error) {
+	n.headMu.Lock()
+	defer n.headMu.Unlock()
 	receipts, err := n.chain.ImportBlock(b, txs)
 	if err != nil {
 		return nil, err
 	}
+	n.importedAt = time.Now()
 	n.blocksImported.Add(1)
 	n.pool.removeIncluded(txs, receipts, b.Number)
+	poke(n.imported)
 	return receipts, nil
 }
 

@@ -13,39 +13,47 @@ import (
 	"github.com/zkdet/zkdet/internal/storage"
 )
 
-// tuneFast shrinks every interval so cluster tests settle in milliseconds.
+// tuneFast shrinks the gossip intervals so cluster tests settle in
+// milliseconds.
 func tuneFast(_ int, cfg *Config) {
-	cfg.SealInterval = 2 * time.Millisecond
 	cfg.StatusInterval = 10 * time.Millisecond
 	cfg.RebroadcastInterval = 25 * time.Millisecond
 }
 
 // transferCluster builds a cluster whose members share a genesis funding
-// one sender account per member plus a common sink.
+// one sender account per member plus a common sink, and seal at a 2 ms
+// block interval.
 func transferCluster(t *testing.T, size int, seed int64, link LinkProfile) (*Cluster, []chain.Address, chain.Address) {
 	t.Helper()
 	senders := make([]chain.Address, size)
 	for i := range senders {
 		senders[i] = chain.AddressFromString(fmt.Sprintf("sender-%02d", i))
 	}
-	sink := chain.AddressFromString("sink")
+	cl := fundedCluster(t, size, seed, link, senders, node.Config{BlockInterval: 2 * time.Millisecond})
+	return cl, senders, chain.AddressFromString("sink")
+}
+
+// fundedCluster builds a cluster whose members fund the given accounts at
+// genesis and run their inner nodes with cfg.
+func fundedCluster(t *testing.T, size int, seed int64, link LinkProfile, accounts []chain.Address, cfg node.Config) *Cluster {
+	t.Helper()
 	cl, err := NewCluster(ClusterSpec{
 		Size: size,
 		Seed: seed,
 		Link: link,
-		Build: func(i int, id NodeID) (NodeSetup, error) {
+		Build: func(int, NodeID) (NodeSetup, error) {
 			c := chain.New()
-			for _, s := range senders {
-				c.Faucet(s, 1_000_000)
+			for _, a := range accounts {
+				c.Faucet(a, 1_000_000)
 			}
-			return NodeSetup{Inner: node.New(c, node.Config{}), Store: storage.NewStore()}, nil
+			return NodeSetup{Inner: node.New(c, cfg), Store: storage.NewStore()}, nil
 		},
 		Tune: tuneFast,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cl, senders, sink
+	return cl
 }
 
 // waitSettled polls until every member converged on one head whose state
@@ -411,7 +419,7 @@ func TestLeaderRotation(t *testing.T) {
 	sealers := 0
 	var total uint64
 	for _, n := range cl.Nodes {
-		sealed := uint64(n.Metrics()["p2p.blocksSealed"])
+		sealed := uint64(n.Inner().Metrics()["node.blocksSealed"])
 		if sealed > 0 {
 			sealers++
 		}

@@ -57,9 +57,6 @@ type Config struct {
 	// Fanout bounds how many peers receive each gossip push or block
 	// announcement. Default 3.
 	Fanout int
-	// SealInterval is how often the node checks whether it is the due
-	// leader with executable transactions. Default 5ms.
-	SealInterval time.Duration
 	// StatusInterval paces head advertisements to all peers — the
 	// catch-all that lets stragglers and healed partitions discover they
 	// are behind. Default 50ms.
@@ -91,9 +88,6 @@ func (c *Config) sanitize() error {
 	if c.Fanout <= 0 {
 		c.Fanout = 3
 	}
-	if c.SealInterval <= 0 {
-		c.SealInterval = 5 * time.Millisecond
-	}
 	if c.StatusInterval <= 0 {
 		c.StatusInterval = 50 * time.Millisecond
 	}
@@ -115,29 +109,26 @@ type peerState struct {
 //
 // Block production uses strict round-robin rotation: the leader for height
 // h is members[h mod n], and a node seals only when it is the leader for
-// its own head+1. Because every sealed block's height named exactly one
-// possible sealer, two honest nodes can never seal competing blocks at the
-// same height — the chain cannot fork, and sync reduces to prefix
-// catch-up. The cost is liveness, not safety: while the due leader is
-// unreachable the chain stalls, and production resumes when the partition
-// heals (crash-fault tolerance; Byzantine sealers are detected by replay
-// and demoted, but can stall their own slots).
+// its own head+1: the rotation is the inner node's leadership predicate.
+// Because every sealed block's height named exactly one possible sealer,
+// two honest nodes can never seal competing blocks at the same height —
+// the chain cannot fork, and sync reduces to prefix catch-up. The cost is
+// liveness, not safety: while the due leader is unreachable the chain
+// stalls, and production resumes when the partition heals (crash-fault
+// tolerance; Byzantine sealers are detected by replay and demoted, but can
+// stall their own slots).
 //
 // Concurrency layout: the transport dispatcher invokes handle serially;
 // handle never blocks on a response (it only records state, admits
 // transactions, serves data, and routes responses to waiting channels).
 // Anything that awaits a response — sync, NetStore fetches — runs on its
-// own goroutine. chainMu serializes this node's seal and import paths so
-// the leader check and the seal it licenses see the same head: no import
-// can slip a block in between and make this node seal out of turn.
+// own goroutine.
 type Node struct {
 	cfg     Config
 	inner   *node.Node
 	net     Transport
 	members []NodeID // sorted; immutable
 	others  []NodeID // members minus self; immutable
-
-	chainMu sync.Mutex // serializes SealNow vs ImportBlock on the local chain
 
 	mu         sync.Mutex
 	peers      map[NodeID]*peerState   // guarded by mu
@@ -152,7 +143,6 @@ type Node struct {
 	txsForwarded   atomic.Uint64 // tx pushes of a local submission or a fresh gossip acceptance
 	txsRebroadcast atomic.Uint64 // tx pushes of the periodic pooled-tx rebroadcast
 	txsInvalid     atomic.Uint64 // gossip transactions dropped by proof screening
-	blocksSealed   atomic.Uint64 // blocks sealed as leader
 	syncImports    atomic.Uint64 // blocks imported through sync
 	timeouts       atomic.Uint64 // request attempts that timed out
 	demotions      atomic.Uint64 // peers crossing the demotion threshold
@@ -162,9 +152,9 @@ type Node struct {
 	wg       sync.WaitGroup
 }
 
-// NewNode wraps a node.Node as a cluster member. The inner node must be
-// externally driven — never call its Start; the p2p layer seals via SealNow
-// when leader rotation says so.
+// NewNode wraps a node.Node as a cluster member and installs the leader
+// rotation as its leadership predicate. The member starts and stops the
+// inner node; do not call its Start or Stop.
 func NewNode(cfg Config, inner *node.Node, t Transport) (*Node, error) {
 	if err := cfg.sanitize(); err != nil {
 		return nil, err
@@ -189,6 +179,7 @@ func NewNode(cfg Config, inner *node.Node, t Transport) (*Node, error) {
 			n.peers[m] = &peerState{}
 		}
 	}
+	inner.SetLeader(func(height uint64) bool { return n.leaderFor(height) == cfg.ID })
 	return n, nil
 }
 
@@ -198,7 +189,8 @@ func (n *Node) Inner() *node.Node { return n.inner }
 // ID returns this node's transport identity.
 func (n *Node) ID() NodeID { return n.cfg.ID }
 
-// Start attaches to the transport and launches the protocol loops.
+// Start attaches to the transport, launches the protocol loops and starts
+// the inner node's producer.
 func (n *Node) Start() error {
 	n.mu.Lock()
 	if n.started {
@@ -210,13 +202,16 @@ func (n *Node) Start() error {
 	if err := n.net.Attach(n.cfg.ID, n.handle); err != nil {
 		return err
 	}
+	sealed := n.inner.Bus().SubscribeBlocks()
 	n.wg.Add(2)
-	go n.tickLoop()
+	go n.tickLoop(sealed)
 	go n.syncLoop()
+	n.inner.Start()
 	return nil
 }
 
-// Stop halts the loops and detaches from the transport.
+// Stop stops the inner node (its pooled waiters get node.ErrNodeStopped),
+// then halts the loops and detaches from the transport.
 func (n *Node) Stop() {
 	n.mu.Lock()
 	if !n.started {
@@ -225,6 +220,7 @@ func (n *Node) Stop() {
 	}
 	n.started = false
 	n.mu.Unlock()
+	n.inner.Stop()
 	close(n.quit)
 	n.wg.Wait()
 	n.net.Detach(n.cfg.ID)
@@ -239,51 +235,50 @@ func (n *Node) Metrics() map[string]float64 {
 	return map[string]float64{
 		"p2p.txsAccepted": float64(n.txsAccepted.Load()), "p2p.txsForwarded": float64(n.txsForwarded.Load()),
 		"p2p.txsRebroadcast": float64(n.txsRebroadcast.Load()), "p2p.txsInvalid": float64(n.txsInvalid.Load()),
-		"p2p.blocksSealed": float64(n.blocksSealed.Load()), "p2p.syncImports": float64(n.syncImports.Load()),
-		"p2p.timeouts": float64(n.timeouts.Load()), "p2p.demotions": float64(n.demotions.Load()),
+		"p2p.syncImports": float64(n.syncImports.Load()), "p2p.timeouts": float64(n.timeouts.Load()),
+		"p2p.demotions": float64(n.demotions.Load()),
 	}
 }
 
-// SubmitAndWait admits a transaction locally (screening its proof when a
-// validator is configured, assigning the next account nonce when
-// autoNonce), gossips the exact pooled bytes to the cluster, and blocks
-// until the transaction lands in a block — sealed here or imported from
-// the leader that included it.
+// SubmitAndWait admits and gossips a transaction like Submit, and blocks
+// until it lands in a block — sealed here or imported from the leader that
+// included it. A wait the context cuts short still reports the hash the
+// transaction was pooled and gossiped under.
 func (n *Node) SubmitAndWait(ctx context.Context, tx chain.Transaction, autoNonce bool) (node.TxResult, error) {
-	if v := n.cfg.Validator; v != nil {
-		if _, errs := v.GossipCheck([]*chain.Transaction{&tx}); errs[0] != nil {
-			return node.TxResult{}, errs[0]
-		}
-	}
-	pooled, done, err := n.inner.SubmitForResult(tx, autoNonce)
+	h, done, err := n.submit(tx, autoNonce)
 	if err != nil {
 		return node.TxResult{}, err
 	}
-	n.markTxSeen(pooled.Hash())
-	n.pushTxs([]chain.Transaction{pooled}, "", &n.txsForwarded)
 	select {
 	case res := <-done:
 		return res, res.Err
 	case <-ctx.Done():
-		return node.TxResult{Err: node.ErrWaitCanceled}, node.ErrWaitCanceled
+		return node.TxResult{TxHash: h, Err: node.ErrWaitCanceled}, node.ErrWaitCanceled
 	}
 }
 
 // Submit admits and gossips a transaction fire-and-forget.
 func (n *Node) Submit(tx chain.Transaction, autoNonce bool) (chain.Hash, error) {
+	h, _, err := n.submit(tx, autoNonce)
+	return h, err
+}
+
+// submit screens (with a validator) and pools a transaction, assigning the
+// next nonce when autoNonce, and gossips the exact pooled bytes.
+func (n *Node) submit(tx chain.Transaction, autoNonce bool) (chain.Hash, <-chan node.TxResult, error) {
 	if v := n.cfg.Validator; v != nil {
 		if _, errs := v.GossipCheck([]*chain.Transaction{&tx}); errs[0] != nil {
-			return chain.Hash{}, errs[0]
+			return chain.Hash{}, nil, errs[0]
 		}
 	}
-	pooled, _, err := n.inner.SubmitForResult(tx, autoNonce)
+	pooled, done, err := n.inner.SubmitForResult(tx, autoNonce)
 	if err != nil {
-		return chain.Hash{}, err
+		return chain.Hash{}, nil, err
 	}
 	h := pooled.Hash()
 	n.markTxSeen(h)
 	n.pushTxs([]chain.Transaction{pooled}, "", &n.txsForwarded)
-	return h, nil
+	return h, done, nil
 }
 
 // leaderFor returns the member allowed to seal the given height.
@@ -291,21 +286,26 @@ func (n *Node) leaderFor(height uint64) NodeID {
 	return n.members[int(height%uint64(len(n.members)))]
 }
 
-// tickLoop drives leader sealing, status broadcast, and tx rebroadcast.
-func (n *Node) tickLoop() {
+// tickLoop drives status broadcast and tx rebroadcast, and announces each
+// block the inner node seals — one at a height this member leads that no
+// peer has shown it — so peers hear of it at once instead of at the next
+// status round.
+func (n *Node) tickLoop(sealed *node.Subscription[node.BlockNotification]) {
 	defer n.wg.Done()
-	seal := time.NewTicker(n.cfg.SealInterval)
+	defer n.inner.Bus().UnsubscribeBlocks(sealed)
 	status := time.NewTicker(n.cfg.StatusInterval)
 	rebroadcast := time.NewTicker(n.cfg.RebroadcastInterval)
-	defer seal.Stop()
 	defer status.Stop()
 	defer rebroadcast.Stop()
 	for {
 		select {
 		case <-n.quit:
 			return
-		case <-seal.C:
-			n.maybeSeal()
+		case bn := <-sealed.C:
+			if n.leaderFor(bn.Block.Number) == n.cfg.ID && n.markBlockSeen(bn.Block.Hash()) {
+				n.announce(bn.Block, "")
+				n.broadcastStatus()
+			}
 		case <-status.C:
 			n.broadcastStatus()
 		case <-rebroadcast.C:
@@ -314,26 +314,6 @@ func (n *Node) tickLoop() {
 			}
 		}
 	}
-}
-
-// maybeSeal seals one block if this node is the due leader and has
-// executable transactions, then announces it.
-func (n *Node) maybeSeal() {
-	n.chainMu.Lock()
-	head := n.inner.Chain().Head()
-	if n.leaderFor(head.Number+1) != n.cfg.ID {
-		n.chainMu.Unlock()
-		return
-	}
-	blk, ok := n.inner.SealNow()
-	n.chainMu.Unlock()
-	if !ok {
-		return
-	}
-	n.markBlockSeen(blk.Hash())
-	n.blocksSealed.Add(1)
-	n.announce(blk, "")
-	n.broadcastStatus()
 }
 
 // announce pushes a freshly extended head header to a fanout of peers.

@@ -188,10 +188,10 @@ func (n *Node) importFetched(peer NodeID, h chain.Block, txs []chain.Transaction
 			return false
 		}
 	}
-	n.chainMu.Lock()
-	_, err := n.inner.ImportBlock(h, txs)
-	n.chainMu.Unlock()
-	if err != nil {
+	// Marked before the import publishes it, so the announcer does not
+	// take it for a block sealed here.
+	n.markBlockSeen(h.Hash())
+	if _, err := n.inner.ImportBlock(h, txs); err != nil {
 		// Racing our own seal or a concurrent import is not the peer's
 		// fault; everything else (bad proof, lying fold, bad replay, state
 		// mismatch) is.
@@ -200,7 +200,6 @@ func (n *Node) importFetched(peer NodeID, h chain.Block, txs []chain.Transaction
 		}
 		return false
 	}
-	n.markBlockSeen(h.Hash())
 	n.credit(peer, scoreGood)
 	n.syncImports.Add(1)
 	return true
