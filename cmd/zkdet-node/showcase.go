@@ -11,8 +11,8 @@ import (
 // JSON-RPC gateway after the load run: enable the subsystem with a demo
 // auditor key, mint a hidden-amount note, split it with a π_ct transfer,
 // show that the public view carries only the commitment, and finally open
-// the amount with the auditor key. It is a single pass — π_ct proving costs
-// ~1.5s per output note, so this is a demo, not part of the load loop.
+// the amount with the auditor key. It is a single pass, a demo, not part of
+// the load loop.
 func runConfidentialShowcase(url string) error {
 	c := newRPCClient(url)
 	for _, who := range []string{"ct-issuer", "ct-alice", "ct-bob"} {

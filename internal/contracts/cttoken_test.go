@@ -14,8 +14,8 @@ import (
 	"github.com/zkdet/zkdet/internal/plonk"
 )
 
-// ctSystem builds the expensive pieces once: the range-table SRS, the
-// π_ct prover, and the auditor key pair.
+// ctSystem builds the expensive pieces once: an SRS covering π_ct's
+// 512-row domain, the π_ct prover, and the auditor key pair.
 var ctSystem = sync.OnceValue(func() (out struct {
 	params *ct.Params
 	prover *ct.RangeProver
@@ -24,7 +24,7 @@ var ctSystem = sync.OnceValue(func() (out struct {
 	pub    bn254.G1Affine
 }) {
 	tau := fr.NewElement(0x5eed2025)
-	srs, err := kzg.NewSRSFromSecret(4*4096+16, &tau)
+	srs, err := kzg.NewSRSFromSecret(512+9, &tau)
 	if err != nil {
 		panic(err)
 	}

@@ -11,8 +11,8 @@ import (
 	"github.com/zkdet/zkdet/internal/poseidon"
 )
 
-// testSRS is shared across tests: π_ct needs the 2^12-row range-table
-// domain, so the SRS covers 4·4096+16 points.
+// testSRS is shared across tests: π_ct proves on a 512-row domain and
+// plonk.Setup asks for degree N+8, so the SRS covers 512+9 points.
 var (
 	srsOnce sync.Once
 	srsInst *kzg.SRS
@@ -23,7 +23,7 @@ func testSRS(t testing.TB) *kzg.SRS {
 	t.Helper()
 	srsOnce.Do(func() {
 		tau := fr.NewElement(0x5eed2025)
-		srsInst, srsErr = kzg.NewSRSFromSecret(4*4096+16, &tau)
+		srsInst, srsErr = kzg.NewSRSFromSecret(512+9, &tau)
 	})
 	if srsErr != nil {
 		t.Fatalf("building SRS: %v", srsErr)
@@ -242,14 +242,42 @@ func TestRangeProofRejectsOutOfRange(t *testing.T) {
 	if _, err := Prove(p, rp, &pub, st, nil, outs, nil); !errors.Is(err, ErrOutOfRange) {
 		t.Fatalf("want ErrOutOfRange, got %v", err)
 	}
-	// A directly forged witness fails inside the circuit.
+	// A directly forged witness fails inside the circuit: just past the
+	// bound, one further, and a field-negative amount (r − 1 = −1), each
+	// with a z_v and P_t consistent with it, in every slot position.
 	e := fr.NewElement(7)
-	slot := RangeSlot{V: fr.NewElement(1 << RangeBits), TV: fr.NewElement(5), ST: fr.NewElement(6)}
-	slot.ZV.Mul(&e, &slot.V)
-	slot.ZV.Add(&slot.ZV, &slot.TV)
-	slot.PT = poseidon.CommitWith([]fr.Element{slot.TV}, slot.ST)
-	if _, err := rp.Prove(e, []RangeSlot{slot}); err == nil {
-		t.Fatalf("out-of-range witness proved")
+	var minusOne fr.Element
+	minusOne.SetOne()
+	minusOne.Neg(&minusOne)
+	for name, v := range map[string]fr.Element{
+		"2^24":     fr.NewElement(1 << RangeBits),
+		"2^24 + 1": fr.NewElement(1<<RangeBits + 1),
+		"r - 1":    minusOne,
+	} {
+		for pos := 0; pos < RangeSlots; pos++ {
+			slots := make([]RangeSlot, pos+1)
+			for i := range slots {
+				s := &slots[i]
+				s.V = fr.NewElement(uint64(1000 + i))
+				if i == pos {
+					s.V = v
+				}
+				s.TV, s.ST = fr.NewElement(uint64(5+i)), fr.NewElement(uint64(60+i))
+				s.ZV.Mul(&e, &s.V)
+				s.ZV.Add(&s.ZV, &s.TV)
+				s.PT = poseidon.CommitWith([]fr.Element{s.TV}, s.ST)
+			}
+			cs, witness, err := BuildRangeCircuit(e, slots).Compile()
+			if err != nil {
+				t.Fatalf("v = %s in slot %d: compile: %v", name, pos, err)
+			}
+			if err := cs.IsSatisfied(witness); err == nil {
+				t.Errorf("v = %s in slot %d: circuit satisfied", name, pos)
+			}
+			if _, err := rp.Prove(e, slots); err == nil {
+				t.Errorf("v = %s in slot %d: out-of-range witness proved", name, pos)
+			}
+		}
 	}
 }
 

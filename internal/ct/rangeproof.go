@@ -11,21 +11,22 @@ import (
 	"github.com/zkdet/zkdet/internal/poseidon"
 )
 
-// RangeBits bounds every confidential amount: v < 2^24. Two limbs of the
-// k=12 lookup range table cover it exactly, and sums of up to MaxParties
-// amounts stay far below the field modulus, so the sigma protocol's
-// balance equation cannot wrap.
+// RangeBits bounds every confidential amount: v < 2^24. π_ct checks it by
+// bit decomposition (24 boolean gates and their recomposition), and sums
+// of up to MaxParties amounts stay far below the field modulus, so the
+// sigma protocol's balance equation cannot wrap.
 const RangeBits = 24
 
 // MaxParties caps the inputs and outputs of one transfer; with 24-bit
 // amounts and ≤16 outputs the total value stays below 2^28.
 const MaxParties = 16
 
-// RangeSlots is the number of outputs one π_ct covers. The k=12 range
-// table fixes the proof's domain at 2^12 rows whatever the circuit holds,
-// and one output's three constraints take 876 of them, so ⌊4096/879⌋ = 4
-// outputs share the rows a single one already pays for. It is a property
-// of the circuit, not a knob: there is one shape, one key, one verifier.
+// RangeSlots is the number of outputs one π_ct covers. On custom gates one
+// output's three constraints take 124 rows (49 for the range check, 72 for
+// the Poseidon commitment, 3 for the response), so four outputs and the
+// nine public inputs fill 507 rows of a 512-row domain; a fifth would
+// double it. It is a property of the circuit, not a knob: there is one
+// shape, one key, one verifier.
 const RangeSlots = 4
 
 // RangeSlot is one output's place in π_ct: the public pair the verifier
@@ -47,7 +48,7 @@ var dummyPT = poseidon.CommitWith([]fr.Element{{}}, fr.Element{})
 // the sigma nonce t_v. Secrets per slot: the amount v, the nonce t_v, and
 // the Poseidon blinder s_t. Constraints, per slot under the one e:
 //
-//	v < 2^RangeBits            (lookup range gadget, k=12 limbs)
+//	v < 2^RangeBits            (bit decomposition)
 //	z_v = t_v + e·v            (the sigma response equation)
 //	P_t = PoseidonCommit(t_v; s_t)
 //
@@ -60,10 +61,11 @@ var dummyPT = poseidon.CommitWith([]fr.Element{{}}, fr.Element{})
 // Poseidon binding break — or must predict e, so cheating succeeds with
 // probability ≈ 2^RangeBits/|Fr| per transcript. The slots share nothing
 // but e, so the argument holds slot by slot. Slots past len(live) hold the
-// dummy pair.
+// dummy pair. The circuit proves on the custom-gate shape: Poseidon takes
+// one row per round and no lookup table pads the domain.
 func BuildRangeCircuit(e fr.Element, live []RangeSlot) *circuit.Builder {
 	b := circuit.NewBuilder()
-	b.EnableLookups(circuit.DefaultRangeTableBits)
+	b.EnableCustomGates()
 	eV := b.Public(e)
 	for i := 0; i < RangeSlots; i++ {
 		s := RangeSlot{PT: dummyPT}
@@ -112,9 +114,9 @@ type RangeProver struct {
 	vk *plonk.VerifyingKey // guarded by mu
 }
 
-// NewRangeProver wraps an SRS. The SRS must cover the k=12 range table's
-// 2^12-row domain (NewTestSystem(1<<12) or larger); Setup reports an
-// undersized SRS on first use.
+// NewRangeProver wraps an SRS. The SRS must cover π_ct's 512-row domain
+// (plonk.Setup asks for degree N+8); Setup reports an undersized SRS on
+// first use.
 func NewRangeProver(srs *kzg.SRS) *RangeProver {
 	return &RangeProver{srs: srs, setup: plonk.Setup}
 }
