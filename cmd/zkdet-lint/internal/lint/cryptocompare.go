@@ -8,8 +8,8 @@ import (
 
 // CryptoCompare flags raw ==, != and reflect.DeepEqual comparisons on the
 // field-arithmetic and curve types (fr.Element, ff.Element, the bn254 tower
-// and point types — these are also the repo's digest types: Poseidon and
-// MiMC digests are fr.Elements). Raw comparison bakes in the current memory
+// and point types — these are also the repo's digest types: Poseidon
+// digests are fr.Elements). Raw comparison bakes in the current memory
 // representation (Montgomery form, affine coordinates); the canonical
 // .Equal methods are the supported comparison path and keep call sites
 // robust to representation changes. The fr/ff/bn254 packages themselves are

@@ -112,7 +112,7 @@ func (r *Report) add(rule string, v, g int, format string, args ...any) {
 }
 
 func isCustom(k plonk.GateKind) bool {
-	return k == plonk.KindMiMC || k == plonk.KindPoseidonFull || k == plonk.KindPoseidonPartial
+	return k == plonk.KindPoseidonFull || k == plonk.KindPoseidonPartial
 }
 
 // liveSlots reports which of a gate's three wire slots the constraint
@@ -418,19 +418,13 @@ func auditDeterminedness(r *Report, info *circuit.AuditInfo, occurrences []int) 
 		case g.Kind == plonk.KindLookup:
 			continue
 		case isCustom(g.Kind):
-			// Custom rows determine their outputs from the round inputs:
-			// MiMC pins c (=u²) and the next row's a-wire; Poseidon pins
-			// the whole next-row state.
+			// A Poseidon round row determines the whole next-row state
+			// from its own.
 			if i+1 >= len(info.Gates) {
 				continue
 			}
 			ng := info.Gates[i+1]
-			if g.Kind == plonk.KindMiMC {
-				if det[g.A] && det[g.B] {
-					setDet(det, g.C)
-					setDet(det, ng.A)
-				}
-			} else if det[g.A] && det[g.B] && det[g.C] {
+			if det[g.A] && det[g.B] && det[g.C] {
 				setDet(det, ng.A)
 				setDet(det, ng.B)
 				setDet(det, ng.C)
@@ -680,47 +674,32 @@ func auditSatisfaction(r *Report, info *circuit.AuditInfo) {
 }
 
 // customRowHolds mirrors the backend's checkCustomGate reference
-// semantics (internal/plonk/cs.go) on concrete values.
+// semantics (internal/plonk/cs.go) on concrete values: the next row's wires
+// must equal MDS·(w+K)^5, with only lane a S-boxed on a partial round.
 func customRowHolds(g circuit.AuditGate, mds [3][3]fr.Element, a, b, c, na, nb, nc fr.Element) bool {
-	switch g.Kind {
-	case plonk.KindMiMC:
-		var u, u2, t fr.Element
-		u.Add(&a, &b)
-		u.Add(&u, &g.K[0])
-		u2.Square(&u)
-		if !u2.Equal(&c) {
+	w := [3]fr.Element{a, b, c}
+	next := [3]fr.Element{na, nb, nc}
+	var sb [3]fr.Element
+	for j := 0; j < 3; j++ {
+		var t fr.Element
+		t.Add(&w[j], &g.K[j])
+		if g.Kind == plonk.KindPoseidonFull || j == 0 {
+			var t2 fr.Element
+			t2.Square(&t)
+			t2.Square(&t2)
+			t.Mul(&t2, &t)
+		}
+		sb[j] = t
+	}
+	for l := 0; l < 3; l++ {
+		var acc, t fr.Element
+		for j := 0; j < 3; j++ {
+			t.Mul(&mds[l][j], &sb[j])
+			acc.Add(&acc, &t)
+		}
+		if !acc.Equal(&next[l]) {
 			return false
 		}
-		t.Square(&c)
-		t.Mul(&t, &c)
-		t.Mul(&t, &u)
-		return t.Equal(&na)
-	case plonk.KindPoseidonFull, plonk.KindPoseidonPartial:
-		w := [3]fr.Element{a, b, c}
-		next := [3]fr.Element{na, nb, nc}
-		var sb [3]fr.Element
-		for j := 0; j < 3; j++ {
-			var t fr.Element
-			t.Add(&w[j], &g.K[j])
-			if g.Kind == plonk.KindPoseidonFull || j == 0 {
-				var t2 fr.Element
-				t2.Square(&t)
-				t2.Square(&t2)
-				t.Mul(&t2, &t)
-			}
-			sb[j] = t
-		}
-		for l := 0; l < 3; l++ {
-			var acc, t fr.Element
-			for j := 0; j < 3; j++ {
-				t.Mul(&mds[l][j], &sb[j])
-				acc.Add(&acc, &t)
-			}
-			if !acc.Equal(&next[l]) {
-				return false
-			}
-		}
-		return true
 	}
 	return true
 }

@@ -115,13 +115,6 @@ func Entries() []Entry {
 			exposed(b, mimc.GadgetHash(b, msg))
 			return snapshot("hash/mimc-classic", b)
 		}},
-		{Name: "hash/mimc-custom", Build: func() (*circuit.AuditInfo, error) {
-			b := circuit.NewBuilder()
-			b.EnableCustomGates()
-			msg := []circuit.Variable{b.Secret(fr.NewElement(5)), b.Secret(fr.NewElement(6))}
-			exposed(b, mimc.GadgetHash(b, msg))
-			return snapshot("hash/mimc-custom", b)
-		}},
 		{Name: "hash/poseidon-classic", Build: func() (*circuit.AuditInfo, error) {
 			b := circuit.NewBuilder()
 			msg := []circuit.Variable{b.Secret(fr.NewElement(7)), b.Secret(fr.NewElement(8)), b.Secret(fr.NewElement(9))}

@@ -100,10 +100,9 @@ func NewBuilder() *Builder {
 	return &Builder{constants: make(map[string]Variable)}
 }
 
-// Gate kinds, re-exported so gadget packages (mimc, poseidon) can emit
-// custom rows without importing the backend.
+// Gate kinds, re-exported so the poseidon gadgets can emit custom rows
+// without importing the backend.
 const (
-	KindMiMC            = plonk.KindMiMC
 	KindPoseidonFull    = plonk.KindPoseidonFull
 	KindPoseidonPartial = plonk.KindPoseidonPartial
 )
@@ -124,8 +123,8 @@ func (b *Builder) EnableLookups(bits int) {
 	b.lookupBits = bits
 }
 
-// EnableCustomGates lets hash gadgets (Poseidon, MiMC) emit one custom
-// gate per round instead of the generic arithmetic lowering.
+// EnableCustomGates lets the Poseidon gadgets emit one custom gate per
+// round instead of the generic arithmetic lowering.
 func (b *Builder) EnableCustomGates() { b.customGates = true }
 
 // CustomGatesEnabled reports whether hash gadgets should use custom rows.
@@ -147,8 +146,8 @@ func (b *Builder) Lookup(x Variable) {
 	b.gates = append(b.gates, gateTmpl{kind: plonk.KindLookup, a: x.id, b: x.id, c: x.id})
 }
 
-// CustomGate emits one custom-gate row (a Poseidon or MiMC round). The
-// row's constraint reads the NEXT emitted row's wires, so callers must
+// CustomGate emits one custom-gate row (a Poseidon full or partial round).
+// The row's constraint reads the NEXT emitted row's wires, so callers must
 // emit round rows back-to-back and close the sequence with NoOpRow
 // carrying the final state.
 func (b *Builder) CustomGate(kind plonk.GateKind, x, y, z Variable, k [3]fr.Element) {

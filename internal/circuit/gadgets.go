@@ -8,7 +8,7 @@ import (
 
 // This file implements the gadget library of §IV-D: the "fundamental
 // cryptographic and mathematical gadgets" predicates are composed from.
-// Cryptographic gadgets (MiMC, Poseidon, Merkle) live next to their native
+// Cryptographic gadgets (MiMC, Poseidon) live next to their native
 // implementations and build on these primitives.
 
 // IsZero returns a boolean variable that is 1 iff x == 0.

@@ -206,7 +206,7 @@ func TestLookupMisuseDeferred(t *testing.T) {
 
 	b3 := NewBuilder()
 	y := b3.Secret(fr.NewElement(1))
-	b3.CustomGate(KindMiMC, y, y, y, [3]fr.Element{})
+	b3.CustomGate(KindPoseidonFull, y, y, y, [3]fr.Element{})
 	if _, _, err := b3.Compile(); err == nil {
 		t.Fatal("CustomGate without EnableCustomGates compiled")
 	}

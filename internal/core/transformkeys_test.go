@@ -31,17 +31,27 @@ func (r rangeDoubler) Gadget(b *circuit.Builder, src []circuit.Variable) []circu
 }
 
 // vkFingerprint hashes everything of a verifying key that the circuit decides:
-// the domain, the public-input count, the shape flags and all sixteen
-// preprocessed commitments. The first flag is Lookup || Custom, the single
-// "extended" bit keys carried when these were captured, so they still hold;
-// the QLk and Tbl commitments tell a lookup key from a custom-only one.
+// the domain, the public-input count, the shape flags and the preprocessed
+// commitments the key's shape commits, in the order the transcript binds
+// them (the eight classic ones, then QLk and Tbl with lookups, then the
+// Poseidon selectors and round-constant columns with custom gates),
+// zero-padded to the sixteen every key committed when these were first
+// captured. The first flag is Lookup || Custom, the single "extended" bit
+// keys carried then, so a classic key's fingerprint still holds.
 func vkFingerprint(vk *plonk.VerifyingKey) string {
 	h := sha256.New()
 	fmt.Fprintf(h, "%d/%d/%v/%v/%d", vk.N, vk.NbPublic, vk.Lookup || vk.Custom, vk.Custom, vk.TableBits)
-	for _, c := range []*kzg.Commitment{
-		&vk.QL, &vk.QR, &vk.QO, &vk.QM, &vk.QC, &vk.S1, &vk.S2, &vk.S3,
-		&vk.QLk, &vk.Tbl, &vk.QMimc, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2,
-	} {
+	cols := []*kzg.Commitment{&vk.QL, &vk.QR, &vk.QO, &vk.QM, &vk.QC, &vk.S1, &vk.S2, &vk.S3}
+	if vk.Lookup {
+		cols = append(cols, &vk.QLk, &vk.Tbl)
+	}
+	if vk.Custom {
+		cols = append(cols, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2)
+	}
+	for len(cols) < 16 {
+		cols = append(cols, &kzg.Commitment{})
+	}
+	for _, c := range cols {
 		raw := c.Bytes()
 		h.Write(raw[:])
 	}
@@ -56,7 +66,10 @@ func vkFingerprint(vk *plonk.VerifyingKey) string {
 // 6 144); a key's domain size is part of its fingerprint. pi_t/proc/doubler/4
 // moved once more (6 144 → 4 096 rows) when the classic Poseidon lowering
 // folded its round constants into the S-box and MDS gates: a classic
-// processing π_t commits with classic Poseidon. Each key is
+// processing π_t commits with classic Poseidon. Every custom-gate key (the
+// four structural ones and pi_t/proc/range-doubler/4) was re-captured when
+// keys came to commit only the extension columns their shape reads: the
+// MiMC selector left every custom key and its transcript. Each key is
 // built twice: by a prover from a real witness, and by a verifier that never
 // proved, from a zero witness. A change to which gates a transformation
 // circuit emits, or in which order, moves a fingerprint; re-capturing one is a
@@ -90,21 +103,21 @@ func TestTransformKeysUnchanged(t *testing.T) {
 		proc  Processor
 		prove func(*System) (*TransformProof, error)
 	}{
-		{key: "pi_t/dup/3", want: "842ca177536c007295986c9d", prove: dup(3)},
-		{key: "pi_t/dup/4", want: "14cb9e8be5a19545baf1ec2c", prove: dup(4)},
-		{key: "pi_t/agg/[2 3]", want: "1ed4535690b9fd69e25f8ee2", prove: func(s *System) (*TransformProof, error) {
+		{key: "pi_t/dup/3", want: "aa5d04a16a86d2c54ba55e7c", prove: dup(3)},
+		{key: "pi_t/dup/4", want: "e8ad8981ea9b7e781dd37cc1", prove: dup(4)},
+		{key: "pi_t/agg/[2 3]", want: "ea268b47ce23097a673741bb", prove: func(s *System) (*TransformProof, error) {
 			srcs := []Dataset{smallData(2), smallData(3)}
 			cs, os := commitAll(srcs...)
 			tp, _, _, err := s.transform(TransformAggregation, srcs, cs, os, nil, nil)
 			return tp, err
 		}},
-		{key: "pi_t/part/[2 3]", want: "9129f8424f94cd90deeb130b", prove: func(s *System) (*TransformProof, error) {
+		{key: "pi_t/part/[2 3]", want: "2f20d8360996e9cd67cff145", prove: func(s *System) (*TransformProof, error) {
 			cs, os := commitAll(smallData(5))
 			tp, _, _, err := s.transform(TransformPartition, []Dataset{smallData(5)}, cs, os, []int{2, 3}, nil)
 			return tp, err
 		}},
 		{key: "pi_t/proc/doubler/4", want: "4cbb9e3db8e508b39d4a6180", proc: doubler{}, prove: process(doubler{})},
-		{key: "pi_t/proc/range-doubler/4", want: "9fa0eb179bb65dd4e28bb6d1", proc: rangeDoubler{}, prove: process(rangeDoubler{})},
+		{key: "pi_t/proc/range-doubler/4", want: "5feefb1a3f8de8a6d06e4fc2", proc: rangeDoubler{}, prove: process(rangeDoubler{})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.key, func(t *testing.T) {

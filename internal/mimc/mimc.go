@@ -8,11 +8,12 @@
 // keystream elements, so the system encrypts with poseidon.EncryptCTR
 // (DESIGN.md §1) and nothing here is on a production path.
 //
-// What is left serves the §IV-C1 ablation rows of zkdet-bench and the two
-// hash entries of the circuit-audit registry: the keyed permutation's gadget
-// GadgetEncrypt (one KindMiMC custom row per round) and the
-// Miyaguchi–Preneel hash gadget GadgetHash. Their native references,
-// Encrypt and Hash, live beside the tests that hold the gadgets to them.
+// What is left serves the §IV-C1 ablation rows of zkdet-bench and the
+// hash/mimc-classic entry of the circuit-audit registry: the keyed
+// permutation's gadget GadgetEncrypt and the Miyaguchi–Preneel hash gadget
+// GadgetHash, both on classic gates only — the proof system has no MiMC
+// custom gate. Their native references, Encrypt and Hash, live beside the
+// tests that hold the gadgets to them.
 package mimc
 
 import (
@@ -39,23 +40,11 @@ var roundConstants = func() [Rounds]fr.Element {
 	return cs
 }()
 
-func pow7(x fr.Element) fr.Element {
-	var x2, x4, x6, x7 fr.Element
-	x2.Square(&x)
-	x4.Square(&x2)
-	x6.Mul(&x4, &x2)
-	x7.Mul(&x6, &x)
-	return x7
-}
-
 // GadgetEncrypt emits the MiMC permutation as circuit constraints,
-// returning the ciphertext wire. It mirrors Encrypt exactly. With custom
-// gates enabled each round is a single KindMiMC row (plus one closing
-// row); classically a round costs ~6 multiplication gates.
+// returning the ciphertext wire. It mirrors Encrypt exactly. A round costs
+// six gates — two additions, two squarings, two multiplications — on any
+// builder.
 func GadgetEncrypt(b *circuit.Builder, k, x circuit.Variable) circuit.Variable {
-	if b.CustomGatesEnabled() {
-		return gadgetEncryptCustom(b, k, x)
-	}
 	t := x
 	for i := 0; i < Rounds; i++ {
 		u := b.Add(t, k)
@@ -66,28 +55,6 @@ func GadgetEncrypt(b *circuit.Builder, k, x circuit.Variable) circuit.Variable {
 		u6 := b.Mul(u4, u2)
 		t = b.Mul(u6, u)
 	}
-	return b.Add(t, k)
-}
-
-// gadgetEncryptCustom lowers the permutation to one KindMiMC row per
-// round: row wires (t, k, u²) with u = t + k + c_i, the gate constraining
-// c = u² and nextrow.a = c³·u = u⁷. Rounds chain through the a-wire, so
-// the rows are emitted back-to-back and closed with a no-op row carrying
-// the final state.
-func gadgetEncryptCustom(b *circuit.Builder, k, x circuit.Variable) circuit.Variable {
-	t := x
-	for i := 0; i < Rounds; i++ {
-		var u fr.Element
-		tv, kv := b.Value(t), b.Value(k)
-		u.Add(&tv, &kv)
-		u.Add(&u, &roundConstants[i])
-		var u2 fr.Element
-		u2.Square(&u)
-		sq := b.Secret(u2)
-		b.CustomGate(circuit.KindMiMC, t, k, sq, [3]fr.Element{roundConstants[i]})
-		t = b.Secret(pow7(u))
-	}
-	b.NoOpRow(t, t, t)
 	return b.Add(t, k)
 }
 

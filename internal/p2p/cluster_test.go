@@ -57,7 +57,10 @@ func fundedCluster(t *testing.T, size int, seed int64, link LinkProfile, account
 }
 
 // waitSettled polls until every member converged on one head whose state
-// credits the sink with want transfers.
+// credits the sink with want transfers and every member's pool is empty.
+// The pool is a condition of its own: node.Node.ImportBlock publishes the
+// imported state before it removes the block's transactions from the pool,
+// so a member can show the sink's balance while its pool still holds them.
 func waitSettled(t *testing.T, cl *Cluster, sink chain.Address, want uint64, timeout time.Duration) {
 	t.Helper()
 	deadline := time.Now().Add(timeout)
@@ -65,7 +68,7 @@ func waitSettled(t *testing.T, cl *Cluster, sink chain.Address, want uint64, tim
 		if _, _, ok := cl.Converged(); ok {
 			all := true
 			for _, n := range cl.Nodes {
-				if n.Inner().Chain().BalanceOf(sink) != want {
+				if n.Inner().Chain().BalanceOf(sink) != want || n.Inner().Metrics()["node.poolSize"] != 0 {
 					all = false
 					break
 				}

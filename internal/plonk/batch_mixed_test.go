@@ -45,7 +45,7 @@ func mixedBatchFixtures(t testing.TB) []batchFixture {
 	}
 	out = append(out, batchFixture{vkL, pL, wL[:1]})
 
-	csM, wM := buildMiMCCustomCircuit(5)
+	csM, wM := buildPoseidonCustomCircuit(4)
 	pkM, vkM, err := Setup(csM, testSRSOnce())
 	if err != nil {
 		t.Fatal(err)

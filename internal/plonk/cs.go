@@ -53,10 +53,6 @@ const (
 	// table (i.e. 0 ≤ a < 2^TableBits), via the log-derivative lookup
 	// argument instead of a bit decomposition.
 	KindLookup
-	// KindMiMC packs one MiMC round t' = (t+k+rc)^7 into a single row:
-	// wires (a,b,c) = (t, k, u²) with u = a+b+K0, constraining c = u² and
-	// nextrow.a = c³·u. The round constant rides in K[0].
-	KindMiMC
 	// KindPoseidonFull packs one full Poseidon round: wires carry the
 	// state, K the round constants, and the next row's wires must equal
 	// MDS·(w+K)^5 lane-wise.
@@ -67,7 +63,7 @@ const (
 
 // isCustom reports whether the kind reads the next row's wires.
 func (k GateKind) isCustom() bool {
-	return k == KindMiMC || k == KindPoseidonFull || k == KindPoseidonPartial
+	return k == KindPoseidonFull || k == KindPoseidonPartial
 }
 
 // Gate is one Plonk gate row: for KindArith the constraint
@@ -164,7 +160,7 @@ func (cs *ConstraintSystem) HasLookup() bool { return cs.hasLookup }
 // HasCustomGates reports whether any gate row uses a custom (next-row)
 // constraint family.
 //
-//lint:ignore testonly the circuit, mimc and poseidon tests pin which builds emit custom rows
+//lint:ignore testonly the circuit and poseidon tests pin which builds emit custom rows
 func (cs *ConstraintSystem) HasCustomGates() bool { return cs.hasCustom }
 
 // AddGate appends a gate. Wire indices must reference existing variables.
@@ -174,18 +170,16 @@ func (cs *ConstraintSystem) AddGate(g Gate) error {
 			return fmt.Errorf("plonk: gate references unknown variable %d (have %d)", w, cs.nbVariables)
 		}
 	}
-	switch {
-	case g.Kind == KindLookup:
+	switch g.Kind {
+	case KindLookup:
 		if cs.tableBits == 0 {
 			return ErrNoRangeTable
 		}
 		cs.hasLookup = true
-	case g.Kind == KindPoseidonFull || g.Kind == KindPoseidonPartial:
+	case KindPoseidonFull, KindPoseidonPartial:
 		if !cs.mdsSet {
 			return ErrNoMDS
 		}
-		cs.hasCustom = true
-	case g.Kind == KindMiMC:
 		cs.hasCustom = true
 	}
 	cs.gates = append(cs.gates, g)
@@ -233,7 +227,7 @@ func (cs *ConstraintSystem) IsSatisfied(witness []fr.Element) error {
 			if v, ok := a.Uint64(); !ok || v >= uint64(1)<<cs.tableBits {
 				return fmt.Errorf("%w: gate %d", ErrLookupRange, i)
 			}
-		case KindMiMC, KindPoseidonFull, KindPoseidonPartial:
+		case KindPoseidonFull, KindPoseidonPartial:
 			// Custom gates read the following row's wires; past the last
 			// gate the prover pads with rows wired to variable 0, matching
 			// the polynomial identity on the padded domain.
@@ -250,50 +244,33 @@ func (cs *ConstraintSystem) IsSatisfied(witness []fr.Element) error {
 	return nil
 }
 
-// checkCustomGate evaluates one custom-gate family on concrete wire values;
-// it is the reference semantics mirrored by the prover's quotient and the
-// verifier's evaluation at ζ.
+// checkCustomGate evaluates one Poseidon round row on concrete wire values:
+// the next row's wires must equal MDS·(w+K)^5, with only lane a S-boxed on a
+// partial round. It is the reference semantics mirrored by the prover's
+// quotient and the verifier's evaluation at ζ.
 func checkCustomGate(g Gate, mds [3][3]fr.Element, a, b, c, na, nb, nc fr.Element) error {
-	switch g.Kind {
-	case KindMiMC:
-		// u = a + b + K0; constraints c = u² and na = c³·u  (⇒ na = u⁷).
-		var u, u2, t fr.Element
-		u.Add(&a, &b)
-		u.Add(&u, &g.K[0])
-		u2.Square(&u)
-		if !u2.Equal(&c) {
-			return ErrUnsatisfied
+	w := [3]fr.Element{a, b, c}
+	next := [3]fr.Element{na, nb, nc}
+	var sb [3]fr.Element
+	for j := 0; j < 3; j++ {
+		var t fr.Element
+		t.Add(&w[j], &g.K[j])
+		if g.Kind == KindPoseidonFull || j == 0 {
+			var t2 fr.Element
+			t2.Square(&t)
+			t2.Square(&t2)
+			t.Mul(&t2, &t)
 		}
-		t.Square(&c)
-		t.Mul(&t, &c)
-		t.Mul(&t, &u)
-		if !t.Equal(&na) {
-			return ErrUnsatisfied
-		}
-	case KindPoseidonFull, KindPoseidonPartial:
-		w := [3]fr.Element{a, b, c}
-		next := [3]fr.Element{na, nb, nc}
-		var sb [3]fr.Element
+		sb[j] = t
+	}
+	for l := 0; l < 3; l++ {
+		var acc, t fr.Element
 		for j := 0; j < 3; j++ {
-			var t fr.Element
-			t.Add(&w[j], &g.K[j])
-			if g.Kind == KindPoseidonFull || j == 0 {
-				var t2 fr.Element
-				t2.Square(&t)
-				t2.Square(&t2)
-				t.Mul(&t2, &t)
-			}
-			sb[j] = t
+			t.Mul(&mds[l][j], &sb[j])
+			acc.Add(&acc, &t)
 		}
-		for l := 0; l < 3; l++ {
-			var acc, t fr.Element
-			for j := 0; j < 3; j++ {
-				t.Mul(&mds[l][j], &sb[j])
-				acc.Add(&acc, &t)
-			}
-			if !acc.Equal(&next[l]) {
-				return ErrUnsatisfied
-			}
+		if !acc.Equal(&next[l]) {
+			return ErrUnsatisfied
 		}
 	}
 	return nil

@@ -33,7 +33,7 @@ const (
 	// columns M, H, S and the quotient adds C3–C5.
 	shapeLookup shape = 1 << 0
 	// shapeCustom: the circuit has next-row custom gates, so the quotient
-	// adds C6–C13 and splits into six pieces instead of three.
+	// adds C6–C11 and splits into six pieces instead of three.
 	shapeCustom shape = 1 << 1
 )
 
@@ -70,16 +70,16 @@ type ProvingKey struct {
 	// Permutation polynomials sσ1, sσ2, sσ3 in coefficient form.
 	S1, S2, S3 poly.Polynomial
 
-	// Lookup/custom-gate preprocessing (nil for classic circuits, all eight
-	// present on any other shape, zero polynomials for the feature it lacks).
-	// QLk is the lookup selector, Tbl the range-table polynomial,
-	// QMimc/QPosF/QPosP the custom-gate selectors and KC0..KC2 the per-row
-	// round-constant columns.
-	QLk, Tbl, QMimc, QPosF, QPosP poly.Polynomial
-	KC0, KC1, KC2                 poly.Polynomial
-	shape                         shape
-	tableBits                     int
-	mds                           [3][3]fr.Element
+	// Lookup/custom-gate preprocessing, present only on a key whose shape
+	// reads it (see columns): QLk is the lookup selector and Tbl the
+	// range-table polynomial; QPosF/QPosP are the Poseidon round selectors
+	// and KC0..KC2 the per-row round-constant columns.
+	QLk, Tbl      poly.Polynomial
+	QPosF, QPosP  poly.Polynomial
+	KC0, KC1, KC2 poly.Polynomial
+	shape         shape
+	tableBits     int
+	mds           [3][3]fr.Element
 
 	// sigma maps each of the 3n wire slots to its permuted slot's field
 	// label; used when building the grand-product polynomial z.
@@ -90,10 +90,9 @@ type ProvingKey struct {
 	// nothing writes them afterwards: a key is shared between concurrently
 	// proving goroutines (the marketplace caches one per circuit shape), so
 	// they must never be filled lazily. fixedCoset holds the coset
-	// evaluations of the preprocessed polynomials the quotient reads, in
-	// quotientColumns() order, cosetX the points x_i, cosetL1 the values
-	// L1(x_i) and zhInv the inverses of Z_H(x_i), which repeat with period
-	// |quotient|/n.
+	// evaluations of the preprocessed polynomials, in columns() order,
+	// cosetX the points x_i, cosetL1 the values L1(x_i) and zhInv the
+	// inverses of Z_H(x_i), which repeat with period |quotient|/n.
 	fixedCoset [][]fr.Element
 	cosetX     []fr.Element
 	cosetL1    []fr.Element
@@ -120,17 +119,20 @@ type VerifyingKey struct {
 	// LogUp polynomials M, H, S and the two LogUp openings. Custom is set when
 	// next-row custom gates are present: the quotient gains the custom-gate
 	// identities and splits into 6 pieces instead of 3. Either one makes the
-	// key extended — sixteen preprocessed commitments instead of eight.
+	// key extended: it commits the extension columns its shape reads as
+	// well, 10, 13 or 15 preprocessed commitments instead of 8.
 	Lookup    bool
 	Custom    bool
 	TableBits int
 	// MDS is the Poseidon matrix the custom rounds multiply by; the
 	// verifier evaluates the round constraint at ζ and needs it.
 	MDS [3][3]fr.Element
-	// Commitments to the extension's preprocessed polynomials (the point
-	// at infinity when the corresponding feature is unused).
-	QLk, Tbl, QMimc, QPosF, QPosP kzg.Commitment
-	KC0, KC1, KC2                 kzg.Commitment
+	// Commitments to the extension's preprocessed polynomials; a column
+	// the key's shape does not read stays the zero Commitment and is never
+	// absorbed or read.
+	QLk, Tbl      kzg.Commitment
+	QPosF, QPosP  kzg.Commitment
+	KC0, KC1, KC2 kzg.Commitment
 
 	// G2 points of the SRS needed for pairing checks.
 	G2 [2]bn254.G2Affine
@@ -175,30 +177,36 @@ func (vk *VerifyingKey) verifierCache() (*poly.Domain, []fr.Element, [2]*bn254.G
 // shape returns the key's two feature bits.
 func (vk *VerifyingKey) shape() shape { return newShape(vk.Lookup, vk.Custom) }
 
-// preprocessed lists the key's selector and permutation polynomials — 8,
-// or 16 on an extended key — in the order of the verifying key's
-// commitments.
-func (pk *ProvingKey) preprocessed() []poly.Polynomial {
-	ps := []poly.Polynomial{pk.QL, pk.QR, pk.QO, pk.QM, pk.QC, pk.S1, pk.S2, pk.S3}
-	if pk.shape != 0 {
-		ps = append(ps, pk.QLk, pk.Tbl, pk.QMimc, pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2)
-	}
-	return ps
-}
-
-// quotientColumns lists the preprocessed polynomials the quotient reads, in
-// the order of fixedCoset and the prover's column indices: the eight classic
-// columns, then QLk and Tbl on a lookup key, then the three custom-gate
-// selectors and the round-constant columns on a custom key.
-func (pk *ProvingKey) quotientColumns() []poly.Polynomial {
+// columns lists the key's preprocessed polynomials, which are exactly the
+// ones its shape's identities read: the eight classic selector and
+// permutation columns, then QLk and Tbl on a lookup key, then the two
+// Poseidon round selectors and the three round-constant columns on a
+// custom-gate key — 8, 10, 13 or 15. It is the order of Setup's
+// interpolation, of fixedCoset and the prover's column indices, and of
+// VerifyingKey.columns, its mirror.
+func (pk *ProvingKey) columns() []poly.Polynomial {
 	ps := []poly.Polynomial{pk.QL, pk.QR, pk.QO, pk.QM, pk.QC, pk.S1, pk.S2, pk.S3}
 	if pk.shape.lookup() {
 		ps = append(ps, pk.QLk, pk.Tbl)
 	}
 	if pk.shape.custom() {
-		ps = append(ps, pk.QMimc, pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2)
+		ps = append(ps, pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2)
 	}
 	return ps
+}
+
+// columns lists the key's preprocessed commitments in ProvingKey.columns
+// order: Setup's commitment targets and, after the eight classic ones, the
+// transcript's "vk-ext" absorbs.
+func (vk *VerifyingKey) columns() []*kzg.Commitment {
+	cs := []*kzg.Commitment{&vk.QL, &vk.QR, &vk.QO, &vk.QM, &vk.QC, &vk.S1, &vk.S2, &vk.S3}
+	if vk.Lookup {
+		cs = append(cs, &vk.QLk, &vk.Tbl)
+	}
+	if vk.Custom {
+		cs = append(cs, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2)
+	}
+	return cs
 }
 
 // exactDomain returns the domain of exactly n points. poly.NewDomain rounds
@@ -268,7 +276,7 @@ func cosetEvals(d *poly.Domain, ps []poly.Polynomial) ([][]fr.Element, error) {
 func (pk *ProvingKey) buildQuotientTables() error {
 	domainE, _ := pk.quotientDomain()
 	var err error
-	if pk.fixedCoset, err = cosetEvals(domainE, pk.quotientColumns()); err != nil {
+	if pk.fixedCoset, err = cosetEvals(domainE, pk.columns()); err != nil {
 		return err
 	}
 	n, big := pk.Domain.N, domainE.N
@@ -351,47 +359,37 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 	}
 
 	// Selector evaluation vectors over the domain (zero-padded rows are
-	// no-op gates).
-	qL := make([]fr.Element, n)
-	qR := make([]fr.Element, n)
-	qO := make([]fr.Element, n)
-	qM := make([]fr.Element, n)
-	qC := make([]fr.Element, n)
-	for i, g := range cs.gates {
-		qL[i], qR[i], qO[i], qM[i], qC[i] = g.QL, g.QR, g.QO, g.QM, g.QC
+	// no-op gates), then the extension columns the shape reads: the lookup
+	// selector and the range table t_i = min(i, max) with lookups, the
+	// Poseidon round selectors and round-constant columns with custom gates.
+	col := func() []fr.Element { return make([]fr.Element, n) }
+	pk := &ProvingKey{
+		Domain: domain, quotient: quotient, SRS: srs,
+		QL: col(), QR: col(), QO: col(), QM: col(), QC: col(),
+		shape: sh, tableBits: cs.tableBits, mds: cs.mds,
+		gates:    append([]Gate(nil), cs.gates...),
+		nbPublic: cs.nbPublic,
+		nbVars:   cs.nbVariables,
 	}
-
-	// Extension selectors: lookup selector, range table t_i = min(i, max),
-	// custom-gate selectors and the round-constant columns. Every extended
-	// key commits all eight, whichever feature it uses.
-	var qLk, tbl, qMimc, qPosF, qPosP, kc0, kc1, kc2 []fr.Element
-	if sh != 0 {
-		qLk = make([]fr.Element, n)
-		tbl = make([]fr.Element, n)
-		qMimc = make([]fr.Element, n)
-		qPosF = make([]fr.Element, n)
-		qPosP = make([]fr.Element, n)
-		kc0 = make([]fr.Element, n)
-		kc1 = make([]fr.Element, n)
-		kc2 = make([]fr.Element, n)
-		if cs.hasLookup {
-			copy(tbl, rangeTableValues(cs.tableBits, n))
+	if sh.lookup() {
+		pk.QLk, pk.Tbl = col(), rangeTableValues(cs.tableBits, n)
+	}
+	if sh.custom() {
+		pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2 = col(), col(), col(), col(), col()
+	}
+	one := fr.One()
+	for i, g := range cs.gates {
+		pk.QL[i], pk.QR[i], pk.QO[i], pk.QM[i], pk.QC[i] = g.QL, g.QR, g.QO, g.QM, g.QC
+		switch g.Kind {
+		case KindLookup:
+			pk.QLk[i] = one
+		case KindPoseidonFull:
+			pk.QPosF[i] = one
+		case KindPoseidonPartial:
+			pk.QPosP[i] = one
 		}
-		one := fr.One()
-		for i, g := range cs.gates {
-			switch g.Kind {
-			case KindLookup:
-				qLk[i] = one
-			case KindMiMC:
-				qMimc[i] = one
-			case KindPoseidonFull:
-				qPosF[i] = one
-			case KindPoseidonPartial:
-				qPosP[i] = one
-			}
-			if g.Kind.isCustom() {
-				kc0[i], kc1[i], kc2[i] = g.K[0], g.K[1], g.K[2]
-			}
+		if g.Kind.isCustom() {
+			pk.KC0[i], pk.KC1[i], pk.KC2[i] = g.K[0], g.K[1], g.K[2]
 		}
 	}
 
@@ -441,61 +439,20 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 		}
 		return l
 	}
-	s1 := make([]fr.Element, n)
-	s2 := make([]fr.Element, n)
-	s3 := make([]fr.Element, n)
-	sigmaLabel := make([][3]fr.Element, n)
+	pk.S1, pk.S2, pk.S3 = col(), col(), col()
+	pk.sigmaLabel = make([][3]fr.Element, n)
 	for r := 0; r < int(n); r++ {
-		s1[r] = label(sigma[r])
-		s2[r] = label(sigma[int(n)+r])
-		s3[r] = label(sigma[2*int(n)+r])
-		sigmaLabel[r] = [3]fr.Element{s1[r], s2[r], s3[r]}
+		pk.S1[r] = label(sigma[r])
+		pk.S2[r] = label(sigma[int(n)+r])
+		pk.S3[r] = label(sigma[2*int(n)+r])
+		pk.sigmaLabel[r] = [3]fr.Element{pk.S1[r], pk.S2[r], pk.S3[r]}
 	}
 
-	// Interpolate everything to coefficient form. Every input has length n
-	// by construction; the first IFFT error (impossible unless that
-	// invariant breaks) is surfaced after the key is assembled.
-	var ifftErr error
-	toPoly := func(evals []fr.Element) poly.Polynomial {
-		c := make([]fr.Element, n)
-		copy(c, evals)
-		if err := domain.IFFT(c); err != nil && ifftErr == nil {
-			ifftErr = err
+	// Interpolate every column to coefficient form, in place.
+	for _, c := range pk.columns() {
+		if err := domain.IFFT(c); err != nil {
+			return nil, nil, err
 		}
-		return c
-	}
-	pk := &ProvingKey{
-		Domain:     domain,
-		quotient:   quotient,
-		SRS:        srs,
-		QL:         toPoly(qL),
-		QR:         toPoly(qR),
-		QO:         toPoly(qO),
-		QM:         toPoly(qM),
-		QC:         toPoly(qC),
-		S1:         toPoly(s1),
-		S2:         toPoly(s2),
-		S3:         toPoly(s3),
-		sigmaLabel: sigmaLabel,
-		gates:      append([]Gate(nil), cs.gates...),
-		nbPublic:   cs.nbPublic,
-		nbVars:     cs.nbVariables,
-	}
-	if sh != 0 {
-		pk.shape = sh
-		pk.tableBits = cs.tableBits
-		pk.mds = cs.mds
-		pk.QLk = toPoly(qLk)
-		pk.Tbl = toPoly(tbl)
-		pk.QMimc = toPoly(qMimc)
-		pk.QPosF = toPoly(qPosF)
-		pk.QPosP = toPoly(qPosP)
-		pk.KC0 = toPoly(kc0)
-		pk.KC1 = toPoly(kc1)
-		pk.KC2 = toPoly(kc2)
-	}
-	if ifftErr != nil {
-		return nil, nil, ifftErr
 	}
 	if err := pk.buildQuotientTables(); err != nil {
 		return nil, nil, err
@@ -513,11 +470,7 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 		MDS:       cs.mds,
 	}
 	// The preprocessed commitments are independent MSMs.
-	cms := []*kzg.Commitment{&vk.QL, &vk.QR, &vk.QO, &vk.QM, &vk.QC, &vk.S1, &vk.S2, &vk.S3}
-	if sh != 0 {
-		cms = append(cms, &vk.QLk, &vk.Tbl, &vk.QMimc, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2)
-	}
-	if err := commitParallel(srs, pk.preprocessed(), cms); err != nil {
+	if err := commitParallel(srs, pk.columns(), vk.columns()); err != nil {
 		return nil, nil, err
 	}
 	pk.VK = vk

@@ -12,7 +12,7 @@ func randomPoint() pointVals {
 	for _, e := range []*fr.Element{
 		&p.x, &p.a, &p.b, &p.c, &p.z, &p.zw, &p.ql, &p.qr, &p.qo, &p.qm, &p.qc, &p.pi,
 		&p.s1, &p.s2, &p.s3, &p.l1, &p.aw, &p.bw, &p.cw, &p.m, &p.h, &p.s, &p.sw,
-		&p.qlk, &p.tbl, &p.qmimc, &p.qposf, &p.qposp, &p.k0, &p.k1c, &p.k2c,
+		&p.qlk, &p.tbl, &p.qposf, &p.qposp, &p.k0, &p.k1c, &p.k2c,
 	} {
 		*e = fr.MustRandom()
 	}
@@ -70,11 +70,11 @@ func TestLinearizationIsAffine(t *testing.T) {
 // openings, W_ζ, W_ζω and G1, with [z] shared by the linearization and the
 // ζω opening — are the paper's 18 exponentiations, which
 // contracts.VerificationGas charges. A lookup key adds [M], [H], [S], [q_Lk]
-// and [T] (23); a custom-gate key the three custom selectors, three quotient
-// pieces and [K0]–[K2] (27); both, 32.
+// and [T] (23); a custom-gate key the two Poseidon round selectors, three
+// quotient pieces and [K0]–[K2] (26); both, 31.
 func TestOpeningMSMWidth(t *testing.T) {
 	for name, want := range map[string]int{
-		"muladd": 18, "power20": 18, "lookup": 23, "mimc": 27, "poseidon": 27, "mixed": 32,
+		"muladd": 18, "power20": 18, "lookup": 23, "mimc": 26, "poseidon": 26, "mixed": 31,
 	} {
 		cs, witness := goldenCircuit(t, name)
 		pk, vk, err := Setup(cs, testSRSOnce())

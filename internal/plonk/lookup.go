@@ -12,7 +12,7 @@ import (
 // linearization, at ζ in both), and the LogUp witness builder.
 //
 // Every circuit carries C0–C2 (gate, permutation, L_1 boundary); a key with
-// lookups adds C3–C5, one with custom gates C6–C13.
+// lookups adds C3–C5, one with custom gates C6–C11.
 //
 // The lookup argument is the log-derivative ("LogUp") formulation: for the
 // range table T and the a-wire column a, with qLk the lookup selector and
@@ -27,14 +27,14 @@ import (
 //	C5: L_1(x)·S(x) = 0
 //
 // β_L is derived by the transcript after [M] is committed. Custom gates
-// (Poseidon/MiMC rounds) add constraints C6–C13 reading the next row's
-// wires through the ω-shift; their round constants live in the
+// (Poseidon full and partial rounds) add constraints C6–C11 reading the next
+// row's wires through the ω-shift; their round constants live in the
 // preprocessed K columns and the Poseidon MDS matrix in the verifying key.
 
 // nbAlphaPowers is the number of α powers folding the constraint stack:
 // C0 gate, C1 perm, C2 L1 boundary, C3–C5 LogUp, C6–C8 Poseidon full
-// lanes, C9–C11 Poseidon partial lanes, C12–C13 MiMC.
-const nbAlphaPowers = 14
+// lanes, C9–C11 Poseidon partial lanes.
+const nbAlphaPowers = 12
 
 // pointVals carries every polynomial's value at one evaluation point. The
 // fields from aw down to k2c belong to the extension: the LogUp ones are
@@ -49,7 +49,7 @@ type pointVals struct {
 	aw, bw, cw             fr.Element // wires at ω·x (next row)
 	m, h, s, sw            fr.Element // LogUp columns; sw = S(ω·x)
 	qlk, tbl               fr.Element
-	qmimc, qposf, qposp    fr.Element
+	qposf, qposp           fr.Element
 	k0, k1c, k2c           fr.Element // per-row round constants
 }
 
@@ -58,7 +58,7 @@ type pointVals struct {
 // custom gates.
 type challenges struct {
 	beta, gamma, betaL fr.Element
-	alphaPow           []fr.Element // α^0 … α^13
+	alphaPow           []fr.Element // α^0 … α^11
 	k1, k2             fr.Element   // permutation coset multipliers
 	mds                [3][3]fr.Element
 }
@@ -93,7 +93,7 @@ func poseidonFamily(in *[3]fr.Element, nw [3]*fr.Element, mds *[3][3]fr.Element,
 // quotientNumerator evaluates the aggregated constraint numerator
 // Σ_k α^k·C_k at one point. The prover divides this by Z_H on the coset;
 // at ζ, linearize splits it into the linearization both sides fold. sh is
-// the key's shape: the stack adds C3–C5 only with lookups and C6–C13 only
+// the key's shape: the stack adds C3–C5 only with lookups and C6–C11 only
 // with custom gates.
 func quotientNumerator(p *pointVals, ch *challenges, sh shape) fr.Element {
 	var acc, t, t2 fr.Element
@@ -205,31 +205,14 @@ func quotientNumerator(p *pointVals, ch *challenges, sh shape) fr.Element {
 	pb[2].Add(&p.c, &p.k2c)
 	t = poseidonFamily(&pb, nw, &ch.mds, ch.alphaPow[9:12], &p.qposp)
 	acc.Add(&acc, &t)
-
-	// C12: qMimc·(c − (a+b+K0)²);  C13: qMimc·(a(ωx) − c³·(a+b+K0)).
-	var u fr.Element
-	u.Add(&p.a, &p.b)
-	u.Add(&u, &p.k0)
-	t.Square(&u)
-	t.Sub(&p.c, &t)
-	t.Mul(&t, &ch.alphaPow[12])
-	t2.Square(&p.c)
-	t2.Mul(&t2, &p.c)
-	t2.Mul(&t2, &u)
-	t2.Sub(&p.aw, &t2)
-	t2.Mul(&t2, &ch.alphaPow[13])
-	t.Add(&t, &t2)
-	t.Mul(&t, &p.qmimc)
-	acc.Add(&acc, &t)
-
 	return acc
 }
 
 // linearColumns lists the fields of p that quotientNumerator reads only
-// linearly for shape sh — no product of two of them occurs in C0–C13 — so a
+// linearly for shape sh — no product of two of them occurs in C0–C11 — so a
 // proof folds them into its linearization instead of opening them: the five
 // gate selectors, σ3 and z, then M, H, S and the lookup selector on a lookup
-// key, then the three custom-gate selectors on a custom-gate key. The
+// key, then the two Poseidon round selectors on a custom-gate key. The
 // prover's polynomials and the verifier's commitments follow this order.
 func (p *pointVals) linearColumns(sh shape) []*fr.Element {
 	cols := []*fr.Element{&p.ql, &p.qr, &p.qo, &p.qm, &p.qc, &p.s3, &p.z}
@@ -237,7 +220,7 @@ func (p *pointVals) linearColumns(sh shape) []*fr.Element {
 		cols = append(cols, &p.m, &p.h, &p.s, &p.qlk)
 	}
 	if sh.custom() {
-		cols = append(cols, &p.qmimc, &p.qposf, &p.qposp)
+		cols = append(cols, &p.qposf, &p.qposp)
 	}
 	return cols
 }
@@ -246,7 +229,7 @@ func (p *pointVals) linearColumns(sh shape) []*fr.Element {
 // scalar per linear column: with the other fields of p fixed, the numerator
 // is c0 + Σ_j scalars[j]·col_j. The split is read off quotientNumerator
 // itself — c0 with every linear column at zero, scalars[j] from column j
-// alone at one — so C0–C13 stay written once; TestLinearizationIsAffine
+// alone at one — so C0–C11 stay written once; TestLinearizationIsAffine
 // checks the joint affinity that makes it exact. p's linear columns are
 // ignored.
 func linearize(p pointVals, ch *challenges, sh shape) (c0 fr.Element, scalars []fr.Element) {

@@ -68,99 +68,6 @@ func TestLookupOutOfTable(t *testing.T) {
 	}
 }
 
-// mimcPow7 computes (t+k+rc)^7 like the MiMC round function.
-func mimcPow7(t, k, rc fr.Element) fr.Element {
-	var u, u2, u4, out fr.Element
-	u.Add(&t, &k)
-	u.Add(&u, &rc)
-	u2.Square(&u)
-	u4.Square(&u2)
-	out.Mul(&u4, &u2)
-	out.Mul(&out, &u)
-	return out
-}
-
-// buildMiMCCustomCircuit chains `rounds` MiMC rounds t ← (t+k+rc)^7 as one
-// custom gate per round, closing with an arithmetic gate pinning the final
-// state to the public input.
-func buildMiMCCustomCircuit(rounds int) (*ConstraintSystem, []fr.Element) {
-	var tv, k fr.Element
-	tv = fr.NewElement(13)
-	k = fr.NewElement(77)
-
-	// First compute the expected chain to expose the result publicly.
-	state := tv
-	rcs := make([]fr.Element, rounds)
-	for r := 0; r < rounds; r++ {
-		rcs[r] = fr.NewElement(uint64(1000 + r))
-		state = mimcPow7(state, k, rcs[r])
-	}
-
-	cs := NewConstraintSystem(1)
-	witness := []fr.Element{state} // public: final state
-	newVar := func(v fr.Element) int {
-		idx := cs.NewVariable()
-		witness = append(witness, v)
-		return idx
-	}
-	tIdx := newVar(tv)
-	kIdx := newVar(k)
-	cur := tv
-	for r := 0; r < rounds; r++ {
-		var u, sq fr.Element
-		u.Add(&cur, &k)
-		u.Add(&u, &rcs[r])
-		sq.Square(&u)
-		sqIdx := newVar(sq)
-		cs.MustAddGate(Gate{Kind: KindMiMC, K: [3]fr.Element{rcs[r]}, A: tIdx, B: kIdx, C: sqIdx})
-		cur = mimcPow7(cur, k, rcs[r])
-		tIdx = newVar(cur)
-	}
-	// Closing row: the last round's next-row read lands here (only the
-	// a-wire matters to MiMC), and the arithmetic constraint pins the
-	// chain output to the public input.
-	one := fr.One()
-	var negOne fr.Element
-	negOne.Neg(&one)
-	cs.MustAddGate(Gate{QL: one, QR: negOne, A: tIdx, B: 0, C: tIdx})
-	return cs, witness
-}
-
-func TestMiMCCustomGateProveVerify(t *testing.T) {
-	cs, witness := buildMiMCCustomCircuit(5)
-	if err := cs.IsSatisfied(witness); err != nil {
-		t.Fatal(err)
-	}
-	pk, vk, err := Setup(cs, testSRSOnce())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !vk.Custom {
-		t.Fatal("want custom-gate key")
-	}
-	proof, err := Prove(pk, witness)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(proof.TExtra) != 3 {
-		t.Fatalf("custom-gate proof must carry 6 quotient pieces, got %d extra", len(proof.TExtra))
-	}
-	if err := Verify(vk, proof, witness[:1]); err != nil {
-		t.Fatal(err)
-	}
-
-	// A corrupted chain value must be caught by both the reference
-	// semantics and the prover.
-	bad := append([]fr.Element(nil), witness...)
-	bad[4].Add(&bad[4], &bad[0]) // an intermediate u² value
-	if err := cs.IsSatisfied(bad); err == nil {
-		t.Fatal("corrupted witness satisfied reference semantics")
-	}
-	if _, err := Prove(pk, bad); !errors.Is(err, ErrUnsatisfied) {
-		t.Fatalf("Prove on corrupted witness: got %v, want ErrUnsatisfied", err)
-	}
-}
-
 // testMDS is an arbitrary invertible matrix: gate semantics don't care
 // which MDS is used as long as prover, verifier and reference agree.
 func testMDS() [3][3]fr.Element {
@@ -267,7 +174,7 @@ func TestPoseidonCustomGateProveVerify(t *testing.T) {
 // buildMixedCircuit combines arithmetic, lookup and custom-gate rows in
 // one circuit — the shape the ML apps compile to.
 func buildMixedCircuit() (*ConstraintSystem, []fr.Element) {
-	cs, witness := buildMiMCCustomCircuit(3)
+	cs, witness := buildPoseidonCustomCircuit(3)
 	if err := cs.UseRangeTable(6); err != nil {
 		panic(err)
 	}

@@ -2,12 +2,15 @@ package plonk
 
 import (
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 
+	"github.com/zkdet/zkdet/internal/bn254"
 	"github.com/zkdet/zkdet/internal/fr"
 	"github.com/zkdet/zkdet/internal/kzg"
 	"github.com/zkdet/zkdet/internal/poly"
+	"github.com/zkdet/zkdet/internal/transcript"
 )
 
 // Shared SRS for all tests: big enough for every test circuit.
@@ -316,14 +319,16 @@ func TestProveConcurrentSharedKey(t *testing.T) {
 // round 3 against its definition, for every key shape (4n, 6n and 8n cosets):
 // the key holds coset columns for exactly the preprocessed polynomials its
 // shape's identities read — none of the lookup pair on a custom-only key,
-// none of the six custom-gate columns on a lookup-only one — each the coset
+// none of the five custom-gate columns on a lookup-only one — each the coset
 // FFT of the key's coefficient polynomial, in the order the prover indexes
 // them; the coset points are g·ω_Eⁱ, L1 and 1/Z_H on them match the domain's
-// own evaluators.
+// own evaluators. The verifying key commits exactly the same columns, 8, 10,
+// 13 or 15, in the same order; each column its shape does not read is the
+// zero commitment, and the transcript binds exactly the committed columns.
 func TestKeyResidentQuotientTables(t *testing.T) {
 	classic := []string{"QL", "QR", "QO", "QM", "QC", "S1", "S2", "S3"}
 	lookup := []string{"QLk", "Tbl"}
-	custom := []string{"QMimc", "QPosF", "QPosP", "KC0", "KC1", "KC2"}
+	custom := []string{"QPosF", "QPosP", "KC0", "KC1", "KC2"}
 	join := func(parts ...[]string) []string {
 		var out []string
 		for _, p := range parts {
@@ -340,10 +345,11 @@ func TestKeyResidentQuotientTables(t *testing.T) {
 	for _, tc := range goldenShapes {
 		t.Run(tc.name, func(t *testing.T) {
 			cs, _ := tc.build()
-			pk, _, err := Setup(cs, testSRSOnce())
+			pk, vk, err := Setup(cs, testSRSOnce())
 			if err != nil {
 				t.Fatal(err)
 			}
+			checkCommittedColumns(t, pk, vk, wantCols[tc.name])
 			domainE, _ := pk.quotientDomain()
 			n, big := pk.Domain.N, domainE.N
 			names := wantCols[tc.name]
@@ -357,7 +363,7 @@ func TestKeyResidentQuotientTables(t *testing.T) {
 			byName := map[string]poly.Polynomial{
 				"QL": pk.QL, "QR": pk.QR, "QO": pk.QO, "QM": pk.QM, "QC": pk.QC,
 				"S1": pk.S1, "S2": pk.S2, "S3": pk.S3, "QLk": pk.QLk, "Tbl": pk.Tbl,
-				"QMimc": pk.QMimc, "QPosF": pk.QPosF, "QPosP": pk.QPosP,
+				"QPosF": pk.QPosF, "QPosP": pk.QPosP,
 				"KC0": pk.KC0, "KC1": pk.KC1, "KC2": pk.KC2,
 			}
 			for k, name := range names {
@@ -394,6 +400,59 @@ func TestKeyResidentQuotientTables(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// checkCommittedColumns holds vk to the columns names lists: it commits
+// exactly those, in that order, each the commitment of pk's polynomial of
+// that name; every other column is the zero commitment, and moving it leaves
+// the transcript's challenges alone while moving a committed one changes
+// them.
+func checkCommittedColumns(t *testing.T, pk *ProvingKey, vk *VerifyingKey, names []string) {
+	t.Helper()
+	all := []string{"QL", "QR", "QO", "QM", "QC", "S1", "S2", "S3", "QLk", "Tbl", "QPosF", "QPosP", "KC0", "KC1", "KC2"}
+	vkCols := []*kzg.Commitment{
+		&vk.QL, &vk.QR, &vk.QO, &vk.QM, &vk.QC, &vk.S1, &vk.S2, &vk.S3,
+		&vk.QLk, &vk.Tbl, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2,
+	}
+	pkCols := []poly.Polynomial{
+		pk.QL, pk.QR, pk.QO, pk.QM, pk.QC, pk.S1, pk.S2, pk.S3,
+		pk.QLk, pk.Tbl, pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2,
+	}
+	committed := vk.columns()
+	if len(committed) != len(names) || len(pk.columns()) != len(names) {
+		t.Fatalf("keys commit %d and preprocess %d columns, want %d: %v", len(committed), len(pk.columns()), len(names), names)
+	}
+	challenge := func() fr.Element {
+		tr := transcript.New("zkdet/plonk")
+		bindTranscript(tr, vk, make([]fr.Element, vk.NbPublic))
+		return tr.ChallengeScalar("c")
+	}
+	base := challenge()
+	g := bn254.G1Generator()
+	for i, name := range all {
+		k := slices.Index(names, name)
+		if k >= 0 {
+			want, err := kzg.Commit(testSRSOnce(), pkCols[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if committed[k] != vkCols[i] || !vkCols[i].Equal(&want) {
+				t.Fatalf("commitment %d is not [%s]", k, name)
+			}
+		} else if !vkCols[i].IsInfinity() || pkCols[i] != nil {
+			t.Fatalf("%s is not read by the shape but is preprocessed", name)
+		}
+		saved := *vkCols[i]
+		var j bn254.G1Jac
+		j.FromAffine(vkCols[i])
+		j.AddMixed(&g)
+		vkCols[i].FromJacobian(&j)
+		moved := challenge()
+		*vkCols[i] = saved
+		if bound := !moved.Equal(&base); bound != (k >= 0) {
+			t.Fatalf("%s: transcript bound = %v, committed = %v", name, bound, k >= 0)
+		}
 	}
 }
 

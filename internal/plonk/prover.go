@@ -170,16 +170,17 @@ func values(ps []*fr.Element) []fr.Element {
 
 // bindTranscript absorbs the verifying key and public inputs so challenges
 // are bound to the exact statement being proved. Extended keys absorb the
-// extension data after the classic fields, so classic transcripts are
+// extension data after the classic fields — the extension columns their
+// shape commits, in VerifyingKey.columns order — so classic transcripts are
 // byte-identical to the pre-lookup prover.
 func bindTranscript(t *transcript.Transcript, vk *VerifyingKey, public []fr.Element) {
 	n := fr.NewElement(vk.N)
 	t.AppendScalar("domain-size", &n)
 	np := fr.NewElement(uint64(vk.NbPublic))
 	t.AppendScalar("nb-public", &np)
-	for _, c := range []kzg.Commitment{vk.QL, vk.QR, vk.QO, vk.QM, vk.QC, vk.S1, vk.S2, vk.S3} {
-		cc := c
-		t.AppendPoint("vk", &cc)
+	cols := vk.columns()
+	for _, c := range cols[:8] {
+		t.AppendPoint("vk", c)
 	}
 	t.AppendScalars("public-inputs", public)
 	if sh := vk.shape(); sh != 0 {
@@ -187,9 +188,8 @@ func bindTranscript(t *transcript.Transcript, vk *VerifyingKey, public []fr.Elem
 		t.AppendScalar("ext-flags", &fl)
 		tb := fr.NewElement(uint64(vk.TableBits))
 		t.AppendScalar("table-bits", &tb)
-		for _, c := range []kzg.Commitment{vk.QLk, vk.Tbl, vk.QMimc, vk.QPosF, vk.QPosP, vk.KC0, vk.KC1, vk.KC2} {
-			cc := c
-			t.AppendPoint("vk-ext", &cc)
+		for _, c := range cols[8:] {
+			t.AppendPoint("vk-ext", c)
 		}
 		for l := 0; l < 3; l++ {
 			t.AppendScalars("mds", vk.MDS[l][:])
@@ -291,7 +291,7 @@ func foldPolys(ps []poly.Polynomial, coeffs []fr.Element) poly.Polynomial {
 // lookup key adds the multiplicity commitment [M] before β/γ (so the lookup
 // challenge β_L can respond to it), the LogUp columns [H], [S] alongside
 // [z], their coset columns and identities C3–C5 and the ζω opening of S; a
-// custom-gate key adds the next-row identities C6–C13, evaluates the
+// custom-gate key adds the next-row identities C6–C11, evaluates the
 // quotient on a 6n (or 8n) coset and splits it into 6 pieces instead of 3.
 // A lookup key opens the table at ζ, a custom-gate key the round constants
 // at ζ and the ζω wires; every column the identities read linearly enters
@@ -496,7 +496,7 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	if err != nil {
 		return nil, err
 	}
-	// fixed follows quotientColumns: the custom columns start after the
+	// fixed follows ProvingKey.columns: the custom columns start after the
 	// lookup pair when the key has both.
 	fixed := pk.fixedCoset
 	cu := 8
@@ -524,8 +524,8 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 			}
 			if custom {
 				pv.aw, pv.bw, pv.cw = wire[0][j], wire[1][j], wire[2][j]
-				pv.qmimc, pv.qposf, pv.qposp = fixed[cu][i], fixed[cu+1][i], fixed[cu+2][i]
-				pv.k0, pv.k1c, pv.k2c = fixed[cu+3][i], fixed[cu+4][i], fixed[cu+5][i]
+				pv.qposf, pv.qposp = fixed[cu][i], fixed[cu+1][i]
+				pv.k0, pv.k1c, pv.k2c = fixed[cu+2][i], fixed[cu+3][i], fixed[cu+4][i]
 			}
 			num := quotientNumerator(&pv, ch, pk.shape)
 			tPoly[i].Mul(&num, &pk.zhInv[i%factor])
@@ -602,7 +602,7 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 		linear = append(linear, mPoly, hPoly, sPoly, pk.QLk)
 	}
 	if custom {
-		linear = append(linear, pk.QMimc, pk.QPosF, pk.QPosP)
+		linear = append(linear, pk.QPosF, pk.QPosP)
 	}
 	l1 := pk.Domain.LagrangeEval(0, &zeta)
 	var noPI fr.Element

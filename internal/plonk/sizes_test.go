@@ -84,9 +84,9 @@ func TestCustomGateQuotientCoset(t *testing.T) {
 		rounds  int
 		n, mult uint64
 	}{
-		{5, 8, 6}, {50, 64, 6}, {40, 48, 8}, {250, 256, 6}, {300, 384, 8},
+		{4, 8, 6}, {50, 64, 6}, {40, 48, 8}, {250, 256, 6}, {300, 384, 8},
 	} {
-		cs, witness := buildMiMCCustomCircuit(tc.rounds)
+		cs, witness := buildPoseidonCustomCircuit(tc.rounds)
 		pk, vk, err := Setup(cs, testSRSOnce())
 		if err != nil {
 			t.Fatal(err)
@@ -104,7 +104,7 @@ func TestCustomGateQuotientCoset(t *testing.T) {
 			t.Fatalf("%d rounds: %v", tc.rounds, err)
 		}
 		bad := append([]fr.Element(nil), witness...)
-		bad[4].Add(&bad[4], &bad[0]) // an intermediate u² value
+		bad[4].Add(&bad[4], &bad[0]) // lane a of the state after the first round
 		if _, err := Prove(pk, bad); !errors.Is(err, ErrUnsatisfied) {
 			t.Fatalf("%d rounds: Prove on a corrupted witness returned %v, want ErrUnsatisfied", tc.rounds, err)
 		}

@@ -12,13 +12,15 @@ import (
 // proofField names one commitment (pt) or one opening (ev) the verifier
 // reads. unused marks a field of a feature the proof's shape lacks: no
 // encoding has room for it and nothing binds it. key marks a commitment of
-// the verifying key rather than of the proof.
+// the verifying key rather than of the proof; unread marks a key column the
+// key's shape does not commit, which nothing absorbs or reads.
 type proofField struct {
 	name   string
 	pt     *bn254.G1Affine
 	ev     *fr.Element
 	unused bool
 	key    bool
+	unread bool
 }
 
 // proofFields lists, for a proof p against key vk, every commitment and
@@ -63,10 +65,9 @@ func proofFields(p *Proof, vk *VerifyingKey) []proofField {
 			{name: "M eval", pt: &p.M, unused: !lookup},
 			{name: "H eval", pt: &p.H, unused: !lookup},
 			{name: "S eval", pt: &p.S, unused: !lookup},
-			{name: "lookup selector eval", pt: &vk.QLk, key: true},
-			{name: "QMimc eval", pt: &vk.QMimc, key: true},
-			{name: "QPosF eval", pt: &vk.QPosF, key: true},
-			{name: "QPosP eval", pt: &vk.QPosP, key: true},
+			{name: "lookup selector eval", pt: &vk.QLk, key: true, unread: !vk.Lookup},
+			{name: "QPosF eval", pt: &vk.QPosF, key: true, unread: !vk.Custom},
+			{name: "QPosP eval", pt: &vk.QPosP, key: true, unread: !vk.Custom},
 		}...)
 	}
 	for i := range p.TExtra {
@@ -84,7 +85,9 @@ func proofFields(p *Proof, vk *VerifyingKey) []proofField {
 // pass AddFor and fail Check). A field a proof's shape does not carry is set
 // in memory instead, and must be refused as ErrProofShape rather than
 // ignored. A linearized column's entry corrupts the commitment its scalar
-// multiplies; a key commitment is corrupted on a fresh key from Setup.
+// multiplies; a key commitment is corrupted on a fresh key from Setup. A key
+// column the shape does not commit is corrupted too and must change nothing:
+// the honest proof still verifies.
 // Subtests run field first, then every shape whose proofs have the field.
 func rejectEveryCorruption(t *testing.T, shapes ...string) {
 	type proven struct {
@@ -136,7 +139,7 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 							t.Fatal(err)
 						}
 					}
-					unused := false
+					unused, unread := false, false
 					for _, f := range proofFields(bad, vk) {
 						switch {
 						case f.name != name:
@@ -145,20 +148,23 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 							j.FromAffine(f.pt)
 							j.AddMixed(&g)
 							f.pt.FromJacobian(&j)
-							unused = f.unused
+							unused, unread = f.unused, f.unread
 						default:
 							f.ev.Add(f.ev, &one)
 							unused = f.unused
 						}
 					}
 					refused := func(err error) bool {
-						if unused {
+						switch {
+						case unread:
+							return err == nil
+						case unused:
 							return errors.Is(err, ErrProofShape)
 						}
 						return err != nil
 					}
 					if err := Verify(vk, bad, pr.public); !refused(err) {
-						t.Errorf("Verify returned %v for the corrupted proof (unused field: %v)", err, unused)
+						t.Errorf("Verify returned %v for the corrupted proof (unused field: %v, unread key column: %v)", err, unused, unread)
 					}
 					b := NewBatch(vk)
 					err = b.AddFor(vk, bad, pr.public)
@@ -166,7 +172,7 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 						err = b.Check()
 					}
 					if !refused(err) {
-						t.Errorf("Batch.AddFor + Check returned %v for the corrupted proof (unused field: %v)", err, unused)
+						t.Errorf("Batch.AddFor + Check returned %v for the corrupted proof (unused field: %v, unread key column: %v)", err, unused, unread)
 					}
 				})
 			}
@@ -181,7 +187,8 @@ func TestVerifyRejectsEveryCorruption(t *testing.T) {
 }
 
 // TestExtendedProofTamperRejected covers the three extended shapes — lookup
-// only, custom only (mimc, and poseidon on a 3·2^k domain) and both (mixed):
+// only, custom only (the Poseidon round chains mimc, on a power-of-two
+// domain, and poseidon, on a 3·2^k one) and both (mixed):
 // forged multiplicities, helper columns, running sums, table and next-row
 // openings, round constants and extra quotient pieces. A custom-only proof
 // carries 12 points and 12 openings; its [M], [H], [S] and two LogUp

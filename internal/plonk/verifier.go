@@ -97,7 +97,7 @@ func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms,
 // (s_j from linearize, opened to −c0: Σ_j s_j·col_j(ζ) = numerator(ζ) − c0
 // and Z_H(ζ)·t(ζ) = numerator(ζ)) with the ζ openings at v, v², …; Fω folds
 // the ζω openings at 1, v, …; E = (valζ + u·valω)·G1. A classic key's MSM
-// has 18 points, lookup 23, custom 27, both 32 (TestOpeningMSMWidth). The key's
+// has 18 points, lookup 23, custom 26, both 31 (TestOpeningMSMWidth). The key's
 // shape fixes what the proof must carry; a proof carrying any other set of
 // fields is refused with ErrProofShape.
 func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (*msmTerms, fr.Element, error) {
@@ -165,7 +165,7 @@ func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (*msmTerms,
 		linear = append(linear, &proof.M, &proof.H, &proof.S, &vk.QLk)
 	}
 	if vk.Custom {
-		linear = append(linear, &vk.QMimc, &vk.QPosF, &vk.QPosP)
+		linear = append(linear, &vk.QPosF, &vk.QPosP)
 	}
 	m := &msmTerms{}
 	for j := range linear {
