@@ -201,29 +201,14 @@ type Trainer struct {
 	MaxIters int
 	// Epsilon is the ε of the convergence predicate.
 	Epsilon float64
-	// UseLookups compiles the π_t circuit with the range-table lookup
-	// lowering and custom hash gates, cutting the constraint count of the
-	// range-check-dominated gradient bound by multiples (DESIGN.md §15).
-	UseLookups bool
 }
 
-var (
-	_ core.Processor       = (*Trainer)(nil)
-	_ core.LookupProcessor = (*Trainer)(nil)
-)
+var _ core.Processor = (*Trainer)(nil)
 
-// Name implements core.Processor. The lookup flag changes the circuit
-// shape, so it is part of the key.
+// Name implements core.Processor.
 func (t *Trainer) Name() string {
-	suffix := ""
-	if t.UseLookups {
-		suffix = "/lk"
-	}
-	return fmt.Sprintf("logreg/n%d/k%d/l%g/eps%g%s", t.N, t.K, t.Lambda, t.Epsilon, suffix)
+	return fmt.Sprintf("logreg/n%d/k%d/l%g/eps%g", t.N, t.K, t.Lambda, t.Epsilon)
 }
-
-// WantsLookupCircuit implements core.LookupProcessor.
-func (t *Trainer) WantsLookupCircuit() bool { return t.UseLookups }
 
 // Apply implements core.Processor: native training.
 func (t *Trainer) Apply(src core.Dataset) (core.Dataset, error) {

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/zkdet/zkdet/internal/circuit"
+	"github.com/zkdet/zkdet/internal/plonk"
 )
 
 // TestTrainerLookupGadgetSatisfiable compiles the convergence predicate
@@ -15,13 +16,12 @@ func TestTrainerLookupGadgetSatisfiable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainer := &Trainer{N: len(samples), K: 2, Step: 0.5, Lambda: 0.05, MaxIters: 5000, Epsilon: 0.02, UseLookups: true}
+	trainer := &Trainer{N: len(samples), K: 2, Step: 0.5, Lambda: 0.05, MaxIters: 5000, Epsilon: 0.02}
 
 	build := func(lookups bool) (int, error) {
 		b := circuit.NewBuilder()
 		if lookups {
-			b.EnableLookups(circuit.DefaultRangeTableBits)
-			b.EnableCustomGates()
+			b.EnableLookups()
 		}
 		wires := make([]circuit.Variable, len(data))
 		for i := range data {
@@ -49,9 +49,10 @@ func TestTrainerLookupGadgetSatisfiable(t *testing.T) {
 	t.Logf("convergence predicate: %d classic vs %d lookup constraints", classic, lookup)
 }
 
-// TestTrainerLookupEndToEndProof runs the full π_t pipeline with
-// UseLookups set: prove, verify, and cross-check that the lookup trainer
-// does not verify under the classic trainer's key (different relation).
+// TestTrainerLookupEndToEndProof runs the full π_t pipeline and checks the
+// proof is on the range table plus custom gates (the 1 414-byte shape), and
+// that it does not verify under a trainer with another ε: a different
+// relation, and a different key.
 func TestTrainerLookupEndToEndProof(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SNARK proof skipped in -short mode")
@@ -62,7 +63,7 @@ func TestTrainerLookupEndToEndProof(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	trainer := &Trainer{N: len(samples), K: 2, Step: 0.5, Lambda: 0.05, MaxIters: 5000, Epsilon: 0.02, UseLookups: true}
+	trainer := &Trainer{N: len(samples), K: 2, Step: 0.5, Lambda: 0.05, MaxIters: 5000, Epsilon: 0.02}
 	cs, os := data.Commit()
 	tp, modelEnc, _, err := sys.ProveProcessing(trainer, data, cs, os)
 	if err != nil {
@@ -70,6 +71,9 @@ func TestTrainerLookupEndToEndProof(t *testing.T) {
 	}
 	if err := sys.VerifyTransform(tp, trainer); err != nil {
 		t.Fatalf("lookup model-training proof rejected: %v", err)
+	}
+	if got := len(tp.Proof.Bytes()); got != plonk.MaxProofSize {
+		t.Fatalf("model-training proof is %d bytes, want the %d-byte lookup + custom shape", got, plonk.MaxProofSize)
 	}
 	model, err := DecodeModel(modelEnc)
 	if err != nil {
@@ -79,8 +83,9 @@ func TestTrainerLookupEndToEndProof(t *testing.T) {
 		t.Fatalf("proved model misclassifies: %v", p)
 	}
 
-	classicTrainer := &Trainer{N: trainer.N, K: trainer.K, Step: trainer.Step, Lambda: trainer.Lambda, MaxIters: trainer.MaxIters, Epsilon: trainer.Epsilon}
-	if err := sys.VerifyTransform(tp, classicTrainer); err == nil {
-		t.Fatal("lookup proof verified under classic trainer key")
+	looser := *trainer
+	looser.Epsilon = 0.04
+	if err := sys.VerifyTransform(tp, &looser); err == nil {
+		t.Fatal("proof verified under a trainer with another ε")
 	}
 }

@@ -2,11 +2,15 @@ package transformer
 
 import (
 	"testing"
+
+	"github.com/zkdet/zkdet/internal/fr"
+	"github.com/zkdet/zkdet/internal/plonk"
 )
 
-// TestForwardProofLookupEndToEnd runs the inference proof with the lookup
-// lowering enabled on the block and checks it verifies only under the
-// lookup-enabled relation.
+// TestForwardProofLookupEndToEnd checks the inference proof is on the range
+// table plus custom gates — the attention normalizations and ReLUs are
+// range checks — and that it binds the output: the proof verifies, is a
+// lookup + custom proof, and is refused once its derived commitment moves.
 func TestForwardProofLookupEndToEnd(t *testing.T) {
 	if testing.Short() {
 		t.Skip("SNARK proof skipped in -short mode")
@@ -17,7 +21,6 @@ func TestForwardProofLookupEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bl.UseLookups = true
 	data, err := cfg.EncodeSequence(tinySequence())
 	if err != nil {
 		t.Fatal(err)
@@ -33,12 +36,12 @@ func TestForwardProofLookupEndToEnd(t *testing.T) {
 	if len(out) != cfg.SeqLen*cfg.DOut {
 		t.Fatalf("derived output has %d elements", len(out))
 	}
-	// The same weights without lookups are a different relation.
-	classic, err := NewBlock(cfg, 99)
-	if err != nil {
-		t.Fatal(err)
+	if got := len(tp.Proof.Bytes()); got != plonk.MaxProofSize {
+		t.Fatalf("inference proof is %d bytes, want the %d-byte lookup + custom shape", got, plonk.MaxProofSize)
 	}
-	if err := sys.VerifyTransform(tp, classic); err == nil {
-		t.Fatal("lookup proof verified under classic block key")
+	one := fr.One()
+	tp.Derived[0].Add(&tp.Derived[0], &one)
+	if err := sys.VerifyTransform(tp, bl); err == nil {
+		t.Fatal("proof verified for another output commitment")
 	}
 }

@@ -62,10 +62,6 @@ type Block struct {
 	B1         []float64   // DFF
 	W2         [][]float64 // DFF × DOut
 	B2         []float64   // DOut
-	// UseLookups compiles the π_t circuit with the range-table lookup
-	// lowering and custom hash gates (DESIGN.md §15); the attention
-	// normalizations and ReLUs are range-check-dominated.
-	UseLookups bool
 }
 
 // NewBlock builds a block with small deterministic pseudo-random weights
@@ -126,13 +122,7 @@ func (c Config) EncodeSequence(seq [][]float64) (core.Dataset, error) {
 	return out, nil
 }
 
-var (
-	_ core.Processor       = (*Block)(nil)
-	_ core.LookupProcessor = (*Block)(nil)
-)
-
-// WantsLookupCircuit implements core.LookupProcessor.
-func (bl *Block) WantsLookupCircuit() bool { return bl.UseLookups }
+var _ core.Processor = (*Block)(nil)
 
 // Name implements core.Processor. It includes a digest of the weights:
 // two blocks with equal dimensions but different parameters are different
@@ -154,22 +144,22 @@ func (bl *Block) Name() string {
 	writeMat(bl.W2)
 	_ = binary.Write(h, binary.BigEndian, bl.B1)
 	_ = binary.Write(h, binary.BigEndian, bl.B2)
-	suffix := ""
-	if bl.UseLookups {
-		suffix = "/lk"
-	}
-	return fmt.Sprintf("transformer/m%d/d%d/k%d/f%d/o%d/w%x%s",
-		c.SeqLen, c.DModel, c.DK, c.DFF, c.DOut, h.Sum64(), suffix)
+	return fmt.Sprintf("transformer/m%d/d%d/k%d/f%d/o%d/w%x",
+		c.SeqLen, c.DModel, c.DK, c.DFF, c.DOut, h.Sum64())
 }
 
 // Apply implements core.Processor by running the gadget on a scratch
-// circuit, guaranteeing exact agreement with the proved computation.
+// circuit, guaranteeing exact agreement with the proved computation. The
+// scratch circuit takes the lowering a processing π_t proves on, the range
+// table, which emits about a seventh of the classic rows; only its wire
+// values are read.
 func (bl *Block) Apply(src core.Dataset) (core.Dataset, error) {
 	if len(src) != bl.Cfg.SeqLen*bl.Cfg.DModel {
 		return nil, fmt.Errorf("transformer: input has %d elements, want %d",
 			len(src), bl.Cfg.SeqLen*bl.Cfg.DModel)
 	}
 	b := circuit.NewBuilder()
+	b.EnableLookups()
 	wires := make([]circuit.Variable, len(src))
 	for i := range src {
 		wires[i] = b.Secret(src[i])

@@ -80,7 +80,8 @@ func TestApplyMatchesGadget(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Rebuild the gadget directly and compare wire values.
+	// Rebuild the gadget on the classic lowering and compare wire values:
+	// Apply runs it on the range table, and both must compute the same.
 	b := circuit.NewBuilder()
 	wires := make([]circuit.Variable, len(data))
 	for i := range data {

@@ -25,7 +25,6 @@ import (
 	"github.com/zkdet/zkdet/internal/apps/logreg"
 	"github.com/zkdet/zkdet/internal/apps/transformer"
 	"github.com/zkdet/zkdet/internal/chain"
-	"github.com/zkdet/zkdet/internal/circuit"
 	"github.com/zkdet/zkdet/internal/contracts"
 	"github.com/zkdet/zkdet/internal/core"
 	"github.com/zkdet/zkdet/internal/fr"
@@ -342,29 +341,27 @@ func fig7(s *Session) ([]Table, error) {
 
 // --- Table I: proofs of transformation for data processing ---
 
-// table1 proves each row's statement on the classic circuit and on its /lk
-// lowering (range-table lookups and custom hash gates, DESIGN.md §15).
+// table1 proves each row's statement: a processing π_t, on the range table
+// plus custom gates like every processing proof (DESIGN.md §15.3).
 func table1(s *Session) ([]Table, error) {
 	sys, err := s.system()
 	if err != nil {
 		return nil, err
 	}
-	t := Table{Header: []string{"task", "entries/params", "classic prove", "classic proof (B)", "/lk prove", "/lk proof (B)"}}
+	t := Table{Header: []string{"task", "entries/params", "prove", "proof (B)"}}
 	for _, n := range s.Scale.LogReg {
-		data, classic, err := logregWorkload(n)
+		data, trainer, err := logregWorkload(n)
 		if err != nil {
 			return nil, err
 		}
-		lk := *classic
-		lk.UseLookups = true
-		cells, err := proveBoth(sys, data, classic, &lk)
+		cells, err := proveProcessing(sys, data, trainer)
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows, append([]any{"Logistic regression", n}, cells...))
 	}
 	for i, cfg := range s.Scale.Transformers {
-		classic, err := transformer.NewBlock(cfg, int64(40+i))
+		bl, err := transformer.NewBlock(cfg, int64(40+i))
 		if err != nil {
 			return nil, err
 		}
@@ -379,9 +376,7 @@ func table1(s *Session) ([]Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		lk := *classic
-		lk.UseLookups = true
-		cells, err := proveBoth(sys, data, classic, &lk)
+		cells, err := proveProcessing(sys, data, bl)
 		if err != nil {
 			return nil, err
 		}
@@ -390,23 +385,19 @@ func table1(s *Session) ([]Table, error) {
 	return []Table{t}, nil
 }
 
-// proveBoth returns the proving time and proof size of the processing π_t
-// of each lowering of one statement.
-func proveBoth(sys *core.System, data core.Dataset, lowerings ...core.Processor) ([]any, error) {
+// proveProcessing returns the proving time and proof size of the processing
+// π_t of one statement.
+func proveProcessing(sys *core.System, data core.Dataset, p core.Processor) ([]any, error) {
 	cs, os := data.Commit()
-	var cells []any
-	for _, p := range lowerings {
-		var tp *core.TransformProof
-		d, err := warmTimed(func() (err error) {
-			tp, _, _, err = sys.ProveProcessing(p, data, cs, os)
-			return err
-		})
-		if err != nil {
-			return nil, err
-		}
-		cells = append(cells, d, len(tp.Proof.Bytes()))
+	var tp *core.TransformProof
+	d, err := warmTimed(func() (err error) {
+		tp, _, _, err = sys.ProveProcessing(p, data, cs, os)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
-	return cells, nil
+	return []any{d, len(tp.Proof.Bytes())}, nil
 }
 
 // logregWorkload is a synthetic separable training set of n samples and
@@ -511,35 +502,13 @@ func table2(s *Session) ([]Table, error) {
 
 // Task labels of the proof-size rows, with each shape's field list.
 const (
-	proofSizeClassic = "π_t sum (classic: 9 G1 + 6 Fr)"
+	proofSizeClassic = "π_k (classic: 9 G1 + 6 Fr)"
 	proofSizeCustom  = "π_e (custom gates: 12 G1 + 12 Fr)"
 )
 
-// sumProcessor is the smallest classic processing transform, D = (Σ S): it
-// does not ask for the lookup lowering, so its π_t proves on the classic
-// shape, the paper's 9 G1 + 6 Fr proof.
-type sumProcessor struct{}
-
-func (sumProcessor) Name() string { return "bench/sum" }
-
-func (sumProcessor) Apply(src core.Dataset) (core.Dataset, error) {
-	var s fr.Element
-	for i := range src {
-		s.Add(&s, &src[i])
-	}
-	return core.Dataset{s}, nil
-}
-
-func (sumProcessor) Gadget(b *circuit.Builder, src []circuit.Variable) []circuit.Variable {
-	s := src[0]
-	for _, v := range src[1:] {
-		s = b.Add(s, v)
-	}
-	return []circuit.Variable{s}
-}
-
-// proofSize serializes two proofs over n entries for each size: a classic
-// π_t (774 bytes at every n, the paper's shape) and π_e, which proves on the
+// proofSize serializes two proofs for each size n: π_k, the classic proof
+// an escrow settlement carries (774 bytes, the paper's shape; its circuit
+// does not grow with the data), and π_e over n entries, which proves on the
 // custom-gate shape without a lookup argument (1 158 bytes at every n).
 func proofSize(s *Session) ([]Table, error) {
 	sys, err := s.system()
@@ -548,19 +517,23 @@ func proofSize(s *Session) ([]Table, error) {
 	}
 	t := Table{Header: []string{"proof (6 B header + fields)", "entries", "bytes"}}
 	for _, n := range s.Scale.ProofSize {
-		data := dataset(n)
-		cs, os := data.Commit()
-		tp, _, _, err := sys.ProveProcessing(sumProcessor{}, data, cs, os)
+		data, k := dataset(n), fr.NewElement(7)
+		seller, err := core.NewSeller(sys, data, k, core.TruePredicate{})
 		if err != nil {
 			return nil, err
 		}
-		_, _, _, proof, err := sys.EncryptAndProve(data, fr.NewElement(7))
+		kv := fr.NewElement(777)
+		_, piK, err := seller.NegotiateKey(kv, core.HashChallenge(kv))
+		if err != nil {
+			return nil, err
+		}
+		_, _, _, piE, err := sys.EncryptAndProve(data, k)
 		if err != nil {
 			return nil, err
 		}
 		t.Rows = append(t.Rows,
-			[]any{proofSizeClassic, n, len(tp.Proof.Bytes())},
-			[]any{proofSizeCustom, n, len(proof.Bytes())})
+			[]any{proofSizeClassic, n, len(piK.Bytes())},
+			[]any{proofSizeCustom, n, len(piE.Bytes())})
 	}
 	return []Table{t}, nil
 }

@@ -74,15 +74,14 @@ var shapes = map[string]func(t *testing.T, tabs []Table){
 		}
 	},
 	"table1": func(t *testing.T, tabs []Table) {
-		for _, d := range append(column[time.Duration](t, tabs[0], "classic prove"),
-			column[time.Duration](t, tabs[0], "/lk prove")...) {
+		for _, d := range column[time.Duration](t, tabs[0], "prove") {
 			if d <= 0 {
 				t.Errorf("non-positive proving time %v", d)
 			}
 		}
-		for _, n := range column[int](t, tabs[0], "classic proof (B)") {
-			if n != plonk.ProofSize {
-				t.Errorf("classic proof of %d bytes, want %d", n, plonk.ProofSize)
+		for _, n := range column[int](t, tabs[0], "proof (B)") {
+			if n != plonk.MaxProofSize {
+				t.Errorf("processing proof of %d bytes, want the %d-byte table + custom shape", n, plonk.MaxProofSize)
 			}
 		}
 	},
@@ -210,12 +209,11 @@ func table1Row(t *testing.T, logreg []int, transformers []transformer.Config) []
 	return tabs[0].Rows[0]
 }
 
-// checkTable1Row checks one Table I row: positive proving times and a
-// classic proof of the fixed size.
+// checkTable1Row checks one Table I row: a positive proving time and a
+// proof of the table + custom shape's fixed size.
 func checkTable1Row(t *testing.T, row []any) {
 	t.Helper()
-	classic, lk := row[2].(time.Duration), row[4].(time.Duration)
-	if classic <= 0 || lk <= 0 || row[3] != plonk.ProofSize {
+	if d := row[2].(time.Duration); d <= 0 || row[3] != plonk.MaxProofSize {
 		t.Fatalf("row: %v", row)
 	}
 }

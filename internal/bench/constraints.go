@@ -17,8 +17,7 @@ import (
 func countGates(lookups bool, build func(b *circuit.Builder)) int {
 	b := circuit.NewBuilder()
 	if lookups {
-		b.EnableLookups(circuit.DefaultRangeTableBits)
-		b.EnableCustomGates()
+		b.EnableLookups()
 	}
 	before := b.NbGates()
 	build(b)

@@ -147,7 +147,7 @@ func TestRangeBrokenClassic(t *testing.T) {
 
 func TestRangeBrokenLookup(t *testing.T) {
 	b := circuit.NewBuilder()
-	b.EnableLookups(8)
+	b.EnableLookups()
 	x := b.Secret(fr.NewElement(60000))
 	b.AssertRange(x, 16)
 	expose(b, x)

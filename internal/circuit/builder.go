@@ -61,8 +61,9 @@ type Builder struct {
 	err       error // first deferred gadget error, reported by Compile
 
 	// Lookup/custom-gate configuration (see EnableLookups and
-	// EnableCustomGates). Zero values keep the classic compilation, which
-	// produces bit-identical circuits to the pre-lookup builder.
+	// EnableCustomGates); lookupBits is 0 or DefaultRangeTableBits. Zero
+	// values keep the classic compilation, which produces bit-identical
+	// circuits to the pre-lookup builder.
 	lookupBits  int
 	customGates bool
 	mds         [3][3]fr.Element
@@ -107,20 +108,20 @@ const (
 	KindPoseidonPartial = plonk.KindPoseidonPartial
 )
 
-// DefaultRangeTableBits is the range-table width circuits opt into by
-// default: 2^12 = 4096 table rows, so a 16-bit range check costs 2
-// lookups and an 85-bit one costs 8, versus one gate per bit classically.
+// DefaultRangeTableBits is the range-table width: 2^12 = 4096 table rows,
+// so a 16-bit range check costs 2 lookups and an 85-bit one costs 8,
+// versus one gate per bit classically.
 const DefaultRangeTableBits = 12
 
 // EnableLookups switches AssertRange and the comparison gadgets to the
-// k-bit range-table lookup lowering. The domain (and hence the SRS) must
-// cover 2^bits rows; call before emitting any range checks.
-func (b *Builder) EnableLookups(bits int) {
-	if bits < 1 || bits > plonk.MaxTableBits {
-		b.Fail("circuit: lookup table bits %d out of range", bits)
-		return
-	}
-	b.lookupBits = bits
+// DefaultRangeTableBits range-table lookup lowering and turns on custom
+// gates: the proof system takes lookups only beside custom gates, so the
+// table always comes with them. The table is declared only if a lookup row
+// is emitted; its 2^12 rows then set the floor of the domain (and of the
+// SRS). Call before emitting any range checks.
+func (b *Builder) EnableLookups() {
+	b.lookupBits = DefaultRangeTableBits
+	b.customGates = true
 }
 
 // EnableCustomGates lets the Poseidon gadgets emit one custom gate per

@@ -1,6 +1,7 @@
 package circuit
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/zkdet/zkdet/internal/fr"
@@ -28,7 +29,7 @@ func TestAssertRangeLookupMatchesClassic(t *testing.T) {
 	}
 	for _, tc := range cases {
 		b := NewBuilder()
-		b.EnableLookups(DefaultRangeTableBits)
+		b.EnableLookups()
 		x := b.Secret(fr.NewElement(tc.value))
 		b.AssertRange(x, tc.bits)
 		cs, witness, err := b.Compile()
@@ -55,7 +56,7 @@ func TestAssertRangeLookupCheaper(t *testing.T) {
 	x := classic.Secret(fr.NewElement(7))
 	classic.AssertRange(x, 85)
 	lk := NewBuilder()
-	lk.EnableLookups(DefaultRangeTableBits)
+	lk.EnableLookups()
 	y := lk.Secret(fr.NewElement(7))
 	lk.AssertRange(y, 85)
 	if lk.NbGates()*3 > classic.NbGates() {
@@ -64,6 +65,17 @@ func TestAssertRangeLookupCheaper(t *testing.T) {
 	if lookup, _ := gateKinds(lk); lookup == 0 {
 		t.Fatal("lookup range check emitted no lookup rows")
 	}
+}
+
+// withCustomRow closes b with one Poseidon round on zero wires under a zero
+// MDS matrix, whose identity holds trivially, and the row its next-row read
+// lands on. plonk.Setup takes lookup rows only beside a custom gate, so a
+// test circuit of range checks alone needs one to prove.
+func withCustomRow(b *Builder) {
+	b.SetPoseidonMDS([3][3]fr.Element{})
+	z := b.Secret(fr.Element{})
+	b.CustomGate(KindPoseidonFull, z, z, z, [3]fr.Element{})
+	b.NoOpRow(z, z, z)
 }
 
 // gateKinds counts the recorded lookup and custom (hash-round) rows.
@@ -84,7 +96,7 @@ func gateKinds(b *Builder) (lookup, custom int) {
 // lookup lowering: the gadgets must compute the same booleans.
 func TestComparisonGadgetsWithLookups(t *testing.T) {
 	b := NewBuilder()
-	b.EnableLookups(DefaultRangeTableBits)
+	b.EnableLookups()
 	x := b.Secret(fr.NewElement(100))
 	y := b.Secret(fr.NewElement(250))
 	lt := b.IsLess(x, y, 16)
@@ -114,7 +126,7 @@ func TestComparisonGadgetsWithLookups(t *testing.T) {
 // checks dominate ML circuits) under the lookup lowering, end to end.
 func TestFixedPointWithLookups(t *testing.T) {
 	b := NewBuilder()
-	b.EnableLookups(DefaultRangeTableBits)
+	b.EnableLookups()
 	x := b.Secret(FixedFromFloat(1.5))
 	y := b.Secret(FixedFromFloat(-2.25))
 	p := b.FixedMul(x, y)
@@ -129,6 +141,7 @@ func TestFixedPointWithLookups(t *testing.T) {
 		t.Fatalf("FixedDivPos under lookups: got %v, want 1.5", gq)
 	}
 	b.AbsDiffLessOrEqual(x, x, FixedFromFloat(0.01), 40)
+	withCustomRow(b)
 
 	cs, witness, err := b.Compile()
 	if err != nil {
@@ -141,8 +154,8 @@ func TestFixedPointWithLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vk.Lookup {
-		t.Fatal("lookup circuit compiled to a key without lookups")
+	if !vk.Lookup || !vk.Custom || vk.N != 1<<DefaultRangeTableBits {
+		t.Fatalf("lookup=%v custom=%v N=%d, want the lookup + custom shape on the 2^12 table", vk.Lookup, vk.Custom, vk.N)
 	}
 	proof, err := plonk.Prove(pk, witness)
 	if err != nil {
@@ -155,10 +168,11 @@ func TestFixedPointWithLookups(t *testing.T) {
 
 // TestEndToEndSNARKWithLookups is TestEndToEndSNARK's statement compiled
 // with the lookup lowering, proving the full pipeline handles the extended
-// proof shape.
+// proof shape. Its range check alone does not prove: Setup refuses lookup
+// rows without a custom gate, and takes them beside one.
 func TestEndToEndSNARKWithLookups(t *testing.T) {
 	b := NewBuilder()
-	b.EnableLookups(DefaultRangeTableBits)
+	b.EnableLookups()
 	x := b.Secret(fr.NewElement(123))
 	sq := b.Square(x)
 	three := b.MulConst(x, fr.NewElement(3))
@@ -168,6 +182,14 @@ func TestEndToEndSNARKWithLookups(t *testing.T) {
 	b.AssertEqual(pub, s)
 	b.AssertRange(x, 10)
 
+	cs, _, err := b.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := plonk.Setup(cs, testSRSOnce()); !errors.Is(err, plonk.ErrLookupWithoutCustom) {
+		t.Fatalf("lookup rows without a custom gate: Setup returned %v, want ErrLookupWithoutCustom", err)
+	}
+	withCustomRow(b)
 	cs, witness, err := b.Compile()
 	if err != nil {
 		t.Fatal(err)
@@ -199,15 +221,9 @@ func TestLookupMisuseDeferred(t *testing.T) {
 	}
 
 	b2 := NewBuilder()
-	b2.EnableLookups(plonk.MaxTableBits + 1)
+	y := b2.Secret(fr.NewElement(1))
+	b2.CustomGate(KindPoseidonFull, y, y, y, [3]fr.Element{})
 	if _, _, err := b2.Compile(); err == nil {
-		t.Fatal("oversized table compiled")
-	}
-
-	b3 := NewBuilder()
-	y := b3.Secret(fr.NewElement(1))
-	b3.CustomGate(KindPoseidonFull, y, y, y, [3]fr.Element{})
-	if _, _, err := b3.Compile(); err == nil {
 		t.Fatal("CustomGate without EnableCustomGates compiled")
 	}
 }

@@ -86,8 +86,7 @@ func auditTransform(kind TransformKindName, srcs []Dataset, sizes []int, p Proce
 }
 
 // AuditProcessingCircuit builds the production π_t processing circuit for
-// a Processor over src (with the lookup/custom-gate lowering if the
-// processor opts in).
+// a Processor over src, on the range table plus custom gates.
 func AuditProcessingCircuit(p Processor, src Dataset) (*circuit.Builder, error) {
 	return auditTransform(TransformProcessing, []Dataset{src}, nil, p)
 }

@@ -58,12 +58,13 @@ func NewTestSystem(maxConstraints int) (*System, error) {
 func (s *System) SRS() *kzg.SRS { return s.srs }
 
 // newHashCircuit returns the builder of every circuit in this package whose
-// gates are hashing plus wiring (π_e, π_p, the structural π_t, and the ZKCP
-// and monolithic baselines): Poseidon rounds compile to one custom-gate row
-// each (DESIGN.md §15.3). Lookups stay off on purpose: only π_p has range
-// checks to look up, and the 2^12 table would pin it to a 4 096-row domain
-// to save 112 of its 501 rows — at n = 4 these circuits fit in 512.
-// buildKeyCircuit and buildTransformCircuit given a Processor are the two
+// gates are hashing plus wiring (π_e, π_p, and the ZKCP and monolithic
+// baselines): Poseidon rounds compile to one custom-gate row each (DESIGN.md
+// §15.3). Lookups stay off on purpose: only π_p has range checks to look
+// up, and the 2^12 table would pin it to a 4 096-row domain to save 112 of
+// its 501 rows — at n = 4 these circuits fit in 512. buildKeyCircuit
+// (classic) and buildTransformCircuit (lookups on, which a structural π_t,
+// having no range check, compiles exactly as it would here) are the two
 // that do not start here; each says why.
 func newHashCircuit() *circuit.Builder {
 	b := circuit.NewBuilder()

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"github.com/zkdet/zkdet/internal/chain"
+	"github.com/zkdet/zkdet/internal/circuit"
 	"github.com/zkdet/zkdet/internal/contracts"
 	"github.com/zkdet/zkdet/internal/fr"
 	"github.com/zkdet/zkdet/internal/plonk"
@@ -21,8 +22,9 @@ const settleGas = 322_917
 // no lookup argument (1 158-byte proofs), each on the smallest domain that
 // holds its rows (at n = 4 all on 512, π_e's 443 rows and π_p's 501
 // among them), and a verifier that never proved rebuilds the same key from
-// a zero witness; π_k (1 330 rows on 1 536) and a Processor that does not
-// ask for the lookup lowering stay classic.
+// a zero witness. A processing π_t takes the range table beside custom
+// gates only if its Processor emits range checks (N ≥ 4 096, 1 414-byte
+// proofs); π_k (1 330 rows on 1 536) stays classic.
 func TestHashCircuitsOnCustomShape(t *testing.T) {
 	prover := testSys()
 	// A second System over the same SRS: its keys come from vkFor alone.
@@ -111,20 +113,32 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		wantCustom(t, "pi_t/part/[2 2]", tp.Proof, 512)
 	})
 
-	t.Run("processor without LookupProcessor stays classic", func(t *testing.T) {
-		tp, _, _, err := prover.ProveProcessing(doubler{}, data, st.DataCommitment, w.DataBlinder)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := verifier.VerifyTransform(tp, doubler{}); err != nil {
-			t.Fatal(err)
-		}
-		vk, err := verifier.vkFor("pi_t/proc/doubler/4", nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if vk.Lookup || vk.Custom || len(tp.Proof.Bytes()) != plonk.ProofSize {
-			t.Fatalf("lookup=%v custom=%v, %d-byte proof: want the classic shape", vk.Lookup, vk.Custom, len(tp.Proof.Bytes()))
+	t.Run("processor shape follows its rows", func(t *testing.T) {
+		for _, tc := range []struct {
+			proc      Processor
+			lookup    bool
+			tableBits int
+			n         uint64
+			size      int
+		}{
+			{proc: doubler{}, n: 512, size: 1158},
+			{proc: rangeDoubler{}, lookup: true, tableBits: circuit.DefaultRangeTableBits, n: 4096, size: plonk.MaxProofSize},
+		} {
+			tp, _, _, err := prover.ProveProcessing(tc.proc, data, st.DataCommitment, w.DataBlinder)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := verifier.VerifyTransform(tp, tc.proc); err != nil {
+				t.Fatal(err)
+			}
+			vk, err := verifier.vkFor("pi_t/proc/"+tc.proc.Name()+"/4", nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !vk.Custom || vk.Lookup != tc.lookup || vk.TableBits != tc.tableBits || vk.N != tc.n || len(tp.Proof.Bytes()) != tc.size {
+				t.Fatalf("%s: custom=%v lookup=%v tableBits=%d N=%d, %d-byte proof; want custom gates, lookup=%v tableBits=%d N=%d, %d bytes",
+					tc.proc.Name(), vk.Custom, vk.Lookup, vk.TableBits, vk.N, len(tp.Proof.Bytes()), tc.lookup, tc.tableBits, tc.n, tc.size)
+			}
 		}
 	})
 

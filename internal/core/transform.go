@@ -61,16 +61,6 @@ type Processor interface {
 	Gadget(b *circuit.Builder, src []circuit.Variable) []circuit.Variable
 }
 
-// LookupProcessor is an optional Processor extension: a processor whose
-// WantsLookupCircuit returns true has its π_t circuit compiled with the
-// range-table lookup lowering and custom hash gates (DESIGN.md §15),
-// cutting the constraint count of range-check-heavy gadgets by multiples.
-// Prover and verifier rebuild the circuit from the same Processor, so the
-// flag is part of the circuit shape and needs no extra statement data.
-type LookupProcessor interface {
-	WantsLookupCircuit() bool
-}
-
 // transformShape names one π_t circuit: how many elements each source and
 // each derived piece holds, and f (nil is the identity). kind is a label — it
 // picks the cache key and the TransformProof.Shape encoding, not the gates.
@@ -179,24 +169,19 @@ type transformWitness struct {
 // construction: the pieces are non-empty consecutive sub-vectors covering
 // every position once.
 //
-// A structural shape (f the identity) is hashing plus wiring and compiles to
-// custom gates. A processing circuit is its gadget, not its two commitments,
-// so its lowering is left to the Processor (classic unless it implements
-// LookupProcessor), deliberately: forcing custom gates alone onto
-// range-check-dominated processors made them slower — same row count, but
-// the 8n coset and 15 commitments of the custom shape: the transformer smoke
-// row went 1.2–1.5 s → 2.3–3.0 s, logreg was flat (EXPERIMENTS.md §PR 22).
+// Every shape compiles on one lowering: Poseidon on custom gates and, for
+// range checks, the 2^12 range table (DESIGN.md §15.3). A circuit takes the
+// table only if it emits a lookup row, so a structural shape (f the
+// identity, hashing plus wiring) and a Processor without range checks prove
+// on custom gates alone, and a range-checking Processor — logistic
+// regression, the transformer — on the table plus custom gates, at least
+// 4 096 rows. The table is what makes a processor fast: custom gates alone
+// leave a range-check-dominated gadget at its classic row count on a larger
+// coset, while with the table every Table I row proves several times faster
+// than on classic gates (EXPERIMENTS.md, Table I).
 func buildTransformCircuit(sh transformShape, w transformWitness) *circuit.Builder {
-	var b *circuit.Builder
-	if sh.proc == nil {
-		b = newHashCircuit()
-	} else {
-		b = circuit.NewBuilder()
-		if lp, ok := sh.proc.(LookupProcessor); ok && lp.WantsLookupCircuit() {
-			b.EnableLookups(circuit.DefaultRangeTableBits)
-			b.EnableCustomGates()
-		}
-	}
+	b := circuit.NewBuilder()
+	b.EnableLookups()
 	at := func(list []fr.Element, i int) (v fr.Element) {
 		if i < len(list) {
 			v = list[i]

@@ -16,13 +16,12 @@ import (
 	"github.com/zkdet/zkdet/internal/plonk"
 )
 
-// rangeDoubler is doubler behind a 16-bit range check on every input, and it
-// asks for the lookup lowering: the one processing circuit of this package's
-// tests that compiles with the range table and custom gates.
+// rangeDoubler is doubler behind a 16-bit range check on every input: the
+// one processing circuit of this package's tests that emits lookup rows, so
+// it compiles with the range table beside custom gates.
 type rangeDoubler struct{ doubler }
 
-func (rangeDoubler) Name() string             { return "range-doubler" }
-func (rangeDoubler) WantsLookupCircuit() bool { return true }
+func (rangeDoubler) Name() string { return "range-doubler" }
 func (r rangeDoubler) Gadget(b *circuit.Builder, src []circuit.Variable) []circuit.Variable {
 	for _, v := range src {
 		b.AssertRange(v, 16)
@@ -64,16 +63,19 @@ func vkFingerprint(vk *plonk.VerifyingKey) string {
 // re-captured when plonk.Setup began taking 3·2^k domains, with the circuits
 // untouched: pi_t/dup/3 (512 → 384 rows) and pi_t/proc/doubler/4 (8 192 →
 // 6 144); a key's domain size is part of its fingerprint. pi_t/proc/doubler/4
-// moved once more (6 144 → 4 096 rows) when the classic Poseidon lowering
-// folded its round constants into the S-box and MDS gates: a classic
-// processing π_t commits with classic Poseidon. Every custom-gate key (the
-// four structural ones and pi_t/proc/range-doubler/4) was re-captured when
-// keys came to commit only the extension columns their shape reads: the
-// MiMC selector left every custom key and its transcript. Each key is
-// built twice: by a prover from a real witness, and by a verifier that never
-// proved, from a zero witness. A change to which gates a transformation
-// circuit emits, or in which order, moves a fingerprint; re-capturing one is a
-// decision to invalidate every published π_t of that shape.
+// moved again (6 144 → 4 096 rows) when the classic Poseidon lowering folded
+// its round constants into the S-box and MDS gates. Every custom-gate key
+// (the four structural ones and pi_t/proc/range-doubler/4) was re-captured
+// when keys came to commit only the extension columns their shape reads: the
+// MiMC selector left every custom key and its transcript. pi_t/proc/doubler/4
+// moved a last time (classic on 4 096 rows → custom gates on 512) when every
+// processing π_t came to compile on one lowering, the range table plus custom
+// gates; pi_t/proc/range-doubler/4, which had opted into that lowering, held
+// to the digit. Each key is built twice: by a prover from a real witness, and
+// by a verifier that never proved, from a zero witness. A change to which
+// gates a transformation circuit emits, or in which order, moves a
+// fingerprint; re-capturing one is a decision to invalidate every published
+// π_t of that shape.
 func TestTransformKeysUnchanged(t *testing.T) {
 	srs := testSys().SRS()
 	commitAll := func(ds ...Dataset) (cs, os []fr.Element) {
@@ -116,7 +118,7 @@ func TestTransformKeysUnchanged(t *testing.T) {
 			tp, _, _, err := s.transform(TransformPartition, []Dataset{smallData(5)}, cs, os, []int{2, 3}, nil)
 			return tp, err
 		}},
-		{key: "pi_t/proc/doubler/4", want: "4cbb9e3db8e508b39d4a6180", proc: doubler{}, prove: process(doubler{})},
+		{key: "pi_t/proc/doubler/4", want: "48f97500d85c17b5d107a1a2", proc: doubler{}, prove: process(doubler{})},
 		{key: "pi_t/proc/range-doubler/4", want: "5feefb1a3f8de8a6d06e4fc2", proc: rangeDoubler{}, prove: process(rangeDoubler{})},
 	}
 	for _, tc := range cases {

@@ -13,13 +13,14 @@ var (
 	ProveSigma       = proveSigma
 )
 
-// LookupRangeCircuit is π_ct's relation on the lowering it proved on before
-// it moved to custom gates: AssertRange on the 2^12 range table, Poseidon
-// on classic gates, 2 691 rows padded to a 4 096-row domain. It is kept
-// frozen so tests can make the proofs a key of that shape produced.
+// LookupRangeCircuit is π_ct's relation on the lowering a processing π_t
+// proves on: AssertRange on the 2^12 range table and Poseidon on custom
+// gates, padded to the table's 4 096-row domain. The deployed π_ct key is
+// custom gates alone on 512 rows, so a key of this shape makes honest
+// proofs of π_ct's statement that the range verifier must refuse.
 func LookupRangeCircuit(e fr.Element, live []RangeSlot) *circuit.Builder {
 	b := circuit.NewBuilder()
-	b.EnableLookups(circuit.DefaultRangeTableBits)
+	b.EnableLookups()
 	eV := b.Public(e)
 	for i := 0; i < RangeSlots; i++ {
 		s := RangeSlot{PT: dummyPT}

@@ -140,9 +140,9 @@ func TestRangeCircuitOnCustomShape(t *testing.T) {
 }
 
 // TestRangeVerifierRefusesLookupShape feeds the deployed range verifier an
-// honest π_ct made on the lookup shape π_ct proved on before: ct.Verify
-// refuses it with plonk.ErrProofShape, and so do the confidential token
-// and the block checker, without a panic.
+// honest π_ct made on the lookup + custom shape, the range table beside
+// custom gates: ct.Verify refuses it with plonk.ErrProofShape, and so do the
+// confidential token and the block checker, without a panic.
 func TestRangeVerifierRefusesLookupShape(t *testing.T) {
 	tau := fr.NewElement(0x5eed2025)
 	bigSRS, err := kzg.NewSRSFromSecret(4*4096+16, &tau)
@@ -153,12 +153,12 @@ func TestRangeVerifierRefusesLookupShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	oldPK, oldVK, err := plonk.Setup(cs, bigSRS)
+	lkPK, lkVK, err := plonk.Setup(cs, bigSRS)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !oldVK.Lookup || oldVK.Custom || oldVK.N != 4096 {
-		t.Fatalf("old key: lookup=%v custom=%v N=%d, want the lookup-only 4 096-row shape", oldVK.Lookup, oldVK.Custom, oldVK.N)
+	if !lkVK.Lookup || !lkVK.Custom || lkVK.N != 4096 {
+		t.Fatalf("lookup + custom key: lookup=%v custom=%v N=%d, want the lookup + custom 4 096-row shape", lkVK.Lookup, lkVK.Custom, lkVK.N)
 	}
 	vk, err := ct.SharedTestProver(t).VK()
 	if err != nil {
@@ -178,15 +178,15 @@ func TestRangeVerifierRefusesLookupShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	old, err := plonk.Prove(oldPK, witness)
+	lk, err := plonk.Prove(lkPK, witness)
 	if err != nil {
 		t.Fatal(err)
 	}
-	proof.Ranges = []*plonk.Proof{old}
-	if got := len(old.Bytes()); got != 1030 {
-		t.Fatalf("lookup-shape π_ct is %d bytes, want 1030", got)
+	proof.Ranges = []*plonk.Proof{lk}
+	if got := len(lk.Bytes()); got != plonk.MaxProofSize {
+		t.Fatalf("lookup-shape π_ct is %d bytes, want %d", got, plonk.MaxProofSize)
 	}
-	if err := ct.Verify(p, oldVK, &pub, st, proof); err != nil {
+	if err := ct.Verify(p, lkVK, &pub, st, proof); err != nil {
 		t.Fatalf("the lookup-shape proof does not verify under its own key: %v", err)
 	}
 	if err := ct.Verify(p, vk, &pub, st, proof); !errors.Is(err, ct.ErrProofInvalid) || !errors.Is(err, plonk.ErrProofShape) {

@@ -9,7 +9,7 @@ import (
 	"github.com/zkdet/zkdet/internal/kzg"
 )
 
-// mixedBatchFixtures sets up one classic, one lookup-enabled and one
+// mixedBatchFixtures sets up one classic, one lookup + custom and one
 // custom-gate circuit over the shared test SRS, then a classic and a
 // custom-gate one whose keys sit on 3·2^k domains, returning per-kind
 // (vk, proof, public) triples.
@@ -34,7 +34,7 @@ func mixedBatchFixtures(t testing.TB) []batchFixture {
 	}
 	out = append(out, batchFixture{vkC, pC, wC[:2]})
 
-	csL, wL := buildLookupCircuit(8, []uint64{0, 42, 255, 17})
+	csL, wL := buildLookupCircuit(1, 8, []uint64{0, 42, 255, 17})
 	pkL, vkL, err := Setup(csL, testSRSOnce())
 	if err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func mixedBatchFixtures(t testing.TB) []batchFixture {
 	return out
 }
 
-// TestBatchMixedKinds folds classic, lookup and custom-gate proofs —
+// TestBatchMixedKinds folds classic, lookup + custom and custom-gate proofs —
 // five different verifying keys on both domain-size families over one SRS —
 // into a single pairing check via AddFor.
 func TestBatchMixedKinds(t *testing.T) {

@@ -34,6 +34,9 @@ var (
 	ErrProofShape    = errors.New("plonk: proof shape does not match verifying key")
 	ErrTableTooLarge = errors.New("plonk: range table bits out of range")
 	ErrDomainSize    = errors.New("plonk: not a supported evaluation-domain size")
+	// ErrLookupWithoutCustom refuses a constraint system with lookup rows
+	// and no custom gate: there is no lookup-only proof shape.
+	ErrLookupWithoutCustom = errors.New("plonk: lookup rows without custom gates")
 	// ErrProofVersion refuses a proof encoding of another format version,
 	// such as a version-1 proof, which opened every committed polynomial.
 	ErrProofVersion = errors.New("plonk: unsupported proof format version")

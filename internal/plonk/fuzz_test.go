@@ -11,8 +11,9 @@ import (
 // blobs. The decoder must never panic, and any blob it accepts must
 // re-encode to the same bytes (the encoding is canonical).
 func FuzzProofFromBytes(f *testing.F) {
-	// Seed with a real encoding of each of the four proof shapes (flags
-	// 0x00–0x03) so the fuzzer starts from deep inside the accepting region.
+	// Seed with a real encoding of each of the three proof shapes (flags
+	// 0x00, 0x02 and, from lookup and mixed, 0x03) so the fuzzer starts from
+	// deep inside the accepting region.
 	var classic []byte
 	for _, name := range []string{"muladd", "lookup", "mimc", "mixed"} {
 		cs, w := goldenCircuit(f, name)

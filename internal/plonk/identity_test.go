@@ -34,7 +34,10 @@ var classicGoldens = map[string]struct{ vk, proof string }{
 	// Extended shapes: the key digest also covers the extension
 	// commitments the shape reads, table size and MDS, the proof digest the
 	// extension's commitments and openings.
-	"lookup": {"0f66a8695722bf0924d7c03f7792a263f541f30f2ac5d61c8040b66e438e1218", "7e18f227d034c3340cfc4f8b7ba4dbbc8d2bec22e41d4e85bafa448b66ddda6a"},
+	// lookup was re-captured when the lookup-only shape went and the row
+	// gained its Poseidon round (key 0f66a869… → 8fdb69fe…, proof
+	// 7e18f227… → 5d69053a…).
+	"lookup": {"8fdb69feae2c84cc6e92c42101449c4c23c66e023975e250e7901b6a945992d9", "5d69053a9aeabdebedc16f6fd6c2a3ade47158451f5100dc11a489c2b33416f6"},
 	"mimc":   {"bfdfdbdef44ec16544e8ee7aa50a3fd266c4bea20fd7d5a0bb649f2c5ae65829", "e741cc81f64682d47c92f922babd15affaf76750a30eb49a8210530dfb45838a"},
 	// poseidon's 9 rows sit on a 12-point domain (a 3·2^k custom-gate key,
 	// 8n coset).
@@ -43,11 +46,12 @@ var classicGoldens = map[string]struct{ vk, proof string }{
 }
 
 // goldenShapes builds one circuit per pinned row: four classic sizes (power20
-// on a 3·2^k domain) and the four extended shapes (lookup-only, two
-// custom-only Poseidon round chains — mimc on a power-of-two domain with a 6n
-// coset, poseidon on a 3·2^k one with an 8n coset — and lookup plus custom).
-// The mimc row keeps the name it had when it chained MiMC custom rounds, so
-// the test IDs under it carry over.
+// on a 3·2^k domain), two custom-only Poseidon round chains — mimc on a
+// power-of-two domain with a 6n coset, poseidon on a 3·2^k one with an 8n
+// coset — and two lookup + custom circuits: lookup, seven lookups beside one
+// round on the 256-row domain of its 2^8 table, and mixed. The mimc row keeps
+// the name it had when it chained MiMC custom rounds, and the lookup row the
+// name it had when it was lookup-only, so the test IDs under them carry over.
 var goldenShapes = []struct {
 	name  string
 	build func() (*ConstraintSystem, []fr.Element)
@@ -57,7 +61,7 @@ var goldenShapes = []struct {
 	{"power50", func() (*ConstraintSystem, []fr.Element) { return buildPowerCircuit(50) }},
 	{"power20", func() (*ConstraintSystem, []fr.Element) { return buildPowerCircuit(20) }},
 	{"lookup", func() (*ConstraintSystem, []fr.Element) {
-		return buildLookupCircuit(8, []uint64{0, 1, 42, 42, 255, 128, 42})
+		return buildLookupCircuit(1, 8, []uint64{0, 1, 42, 42, 255, 128, 42})
 	}},
 	{"mimc", func() (*ConstraintSystem, []fr.Element) { return buildPoseidonCustomCircuit(4) }},
 	{"poseidon", func() (*ConstraintSystem, []fr.Element) { return buildPoseidonCustomCircuit(6) }},

@@ -23,9 +23,12 @@ const (
 	permK2 = 25
 )
 
-// shape is the pair of independent feature bits that decides which columns
-// a key preprocesses and a proof commits, opens and encodes. Its value is the
-// proof encoding's flags byte; zero is the classic shape.
+// shape is the pair of feature bits that decides which columns a key
+// preprocesses and a proof commits, opens and encodes. Its value is the proof
+// encoding's flags byte; zero is the classic shape. Three of the four values
+// exist: classic, custom, and lookup + custom. Setup refuses lookups without
+// custom gates (ErrLookupWithoutCustom), and ProofFromBytes refuses flags
+// 0x01 (ErrProofShape).
 type shape byte
 
 const (
@@ -181,7 +184,7 @@ func (vk *VerifyingKey) shape() shape { return newShape(vk.Lookup, vk.Custom) }
 // ones its shape's identities read: the eight classic selector and
 // permutation columns, then QLk and Tbl on a lookup key, then the two
 // Poseidon round selectors and the three round-constant columns on a
-// custom-gate key — 8, 10, 13 or 15. It is the order of Setup's
+// custom-gate key — 8, 13 or 15. It is the order of Setup's
 // interpolation, of fixedCoset and the prover's column indices, and of
 // VerifyingKey.columns, its mirror.
 func (pk *ProvingKey) columns() []poly.Polynomial {
@@ -327,6 +330,9 @@ func (pk *ProvingKey) buildQuotientTables() error {
 func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, error) {
 	if cs.nbVariables == 0 {
 		return nil, nil, ErrEmptyCircuit
+	}
+	if cs.hasLookup && !cs.hasCustom {
+		return nil, nil, ErrLookupWithoutCustom
 	}
 	// The domain is the smallest supported size that holds every row and,
 	// with lookups, the range table, which lives on the domain itself: one

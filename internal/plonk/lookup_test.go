@@ -7,14 +7,16 @@ import (
 	"github.com/zkdet/zkdet/internal/fr"
 )
 
-// buildLookupCircuit returns a circuit asserting each of vals lies in
-// [0, 2^bits) via one lookup row per value, with one public input.
-func buildLookupCircuit(bits int, vals []uint64) (*ConstraintSystem, []fr.Element) {
-	cs := NewConstraintSystem(1)
+// buildLookupCircuit returns a lookup + custom circuit: the given number of
+// Poseidon round rows, pinned to the one public input
+// (buildPoseidonCustomCircuit), then one lookup row per value of vals against
+// the range table [0, 2^bits). Setup takes lookup rows only beside custom
+// gates, so every lookup circuit here carries a round.
+func buildLookupCircuit(rounds, bits int, vals []uint64) (*ConstraintSystem, []fr.Element) {
+	cs, witness := buildPoseidonCustomCircuit(rounds)
 	if err := cs.UseRangeTable(bits); err != nil {
 		panic(err)
 	}
-	witness := []fr.Element{fr.NewElement(7)}
 	for _, v := range vals {
 		idx := cs.NewVariable()
 		witness = append(witness, fr.NewElement(v))
@@ -23,8 +25,12 @@ func buildLookupCircuit(bits int, vals []uint64) (*ConstraintSystem, []fr.Elemen
 	return cs, witness
 }
 
+// TestLookupProveVerify proves a circuit of seven lookups beside one
+// Poseidon round: the key is lookup + custom, its domain covers the 2^8
+// table, the proof carries the custom shape's six quotient pieces, and a
+// wrong public input fails.
 func TestLookupProveVerify(t *testing.T) {
-	cs, witness := buildLookupCircuit(8, []uint64{0, 1, 42, 42, 255, 128, 42})
+	cs, witness := buildLookupCircuit(1, 8, []uint64{0, 1, 42, 42, 255, 128, 42})
 	if err := cs.IsSatisfied(witness); err != nil {
 		t.Fatal(err)
 	}
@@ -32,8 +38,8 @@ func TestLookupProveVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vk.Lookup || vk.Custom {
-		t.Fatalf("want lookup-only key, got lookup=%v custom=%v", vk.Lookup, vk.Custom)
+	if !vk.Lookup || !vk.Custom {
+		t.Fatalf("want a lookup + custom key, got lookup=%v custom=%v", vk.Lookup, vk.Custom)
 	}
 	if vk.N != 256 {
 		t.Fatalf("domain must cover the table: n=%d", vk.N)
@@ -42,8 +48,8 @@ func TestLookupProveVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(proof.TExtra) != 0 {
-		t.Fatalf("lookup-only proof must keep 3 quotient pieces, got %d extra", len(proof.TExtra))
+	if len(proof.TExtra) != 3 {
+		t.Fatalf("lookup + custom proof must carry 6 quotient pieces, got %d extra", len(proof.TExtra))
 	}
 	if err := Verify(vk, proof, witness[:1]); err != nil {
 		t.Fatal(err)
@@ -55,7 +61,7 @@ func TestLookupProveVerify(t *testing.T) {
 }
 
 func TestLookupOutOfTable(t *testing.T) {
-	cs, witness := buildLookupCircuit(8, []uint64{3, 256})
+	cs, witness := buildLookupCircuit(1, 8, []uint64{3, 256})
 	if err := cs.IsSatisfied(witness); !errors.Is(err, ErrLookupRange) {
 		t.Fatalf("IsSatisfied: got %v, want ErrLookupRange", err)
 	}
@@ -65,6 +71,33 @@ func TestLookupOutOfTable(t *testing.T) {
 	}
 	if _, err := Prove(pk, witness); !errors.Is(err, ErrLookupRange) {
 		t.Fatalf("Prove: got %v, want ErrLookupRange", err)
+	}
+}
+
+// TestLookupOnlyShapeRefused: there is no lookup-only shape. Setup refuses a
+// constraint system of lookup rows without a custom gate with
+// ErrLookupWithoutCustom, and the decoder refuses flags 0x01 with
+// ErrProofShape, whatever the blob's length — each without a panic.
+func TestLookupOnlyShapeRefused(t *testing.T) {
+	cs := NewConstraintSystem(1)
+	if err := cs.UseRangeTable(8); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		idx := cs.NewVariable()
+		cs.MustAddGate(Gate{Kind: KindLookup, A: idx, B: idx, C: idx})
+	}
+	if pk, vk, err := Setup(cs, testSRSOnce()); !errors.Is(err, ErrLookupWithoutCustom) || pk != nil || vk != nil {
+		t.Fatalf("Setup of a lookup-only system: %v, want ErrLookupWithoutCustom and no keys", err)
+	}
+
+	header := append(append([]byte{}, proofMagic[:]...), proofVersion, byte(shapeLookup))
+	for _, size := range []int{headerSize, ProofSize, ProofSize + lookupSize, MaxProofSize} {
+		blob := make([]byte, size)
+		copy(blob, header)
+		if _, err := ProofFromBytes(blob); !errors.Is(err, ErrProofShape) {
+			t.Fatalf("%d-byte blob with flags 0x01: %v, want ErrProofShape", size, err)
+		}
 	}
 }
 
@@ -174,16 +207,7 @@ func TestPoseidonCustomGateProveVerify(t *testing.T) {
 // buildMixedCircuit combines arithmetic, lookup and custom-gate rows in
 // one circuit — the shape the ML apps compile to.
 func buildMixedCircuit() (*ConstraintSystem, []fr.Element) {
-	cs, witness := buildPoseidonCustomCircuit(3)
-	if err := cs.UseRangeTable(6); err != nil {
-		panic(err)
-	}
-	for _, v := range []uint64{0, 63, 17, 17} {
-		idx := cs.NewVariable()
-		witness = append(witness, fr.NewElement(v))
-		cs.MustAddGate(Gate{Kind: KindLookup, A: idx, B: idx, C: idx})
-	}
-	return cs, witness
+	return buildLookupCircuit(3, 6, []uint64{0, 63, 17, 17})
 }
 
 func TestMixedLookupCustomProveVerify(t *testing.T) {
@@ -205,11 +229,11 @@ func TestMixedLookupCustomProveVerify(t *testing.T) {
 }
 
 // TestProofShapeMismatch: a proof verifies only against a key of its own
-// shape — each of the four is refused by the other three keys with
+// shape — each of the three is refused by the other two keys with
 // ErrProofShape, a lookup + custom proof by a custom-only key among them.
 // (LogUp fields set on a proof without lookups: rejectEveryCorruption.)
 func TestProofShapeMismatch(t *testing.T) {
-	shapes := []string{"muladd", "lookup", "mimc", "mixed"}
+	shapes := []string{"muladd", "mimc", "mixed"}
 	vks := make([]*VerifyingKey, len(shapes))
 	proofs := make([]*Proof, len(shapes))
 	for i, name := range shapes {

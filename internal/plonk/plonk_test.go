@@ -282,8 +282,8 @@ func TestZeroKnowledgeBlinding(t *testing.T) {
 }
 
 // TestProveConcurrentSharedKey proves against one *ProvingKey from eight
-// goroutines at once, as the marketplace key cache does, for a classic, a
-// lookup and a custom-gate (6n coset) key, then a classic and a custom-gate
+// goroutines at once, as the marketplace key cache does, for a classic and
+// two lookup + custom (6n coset) keys, then a classic and a custom-gate
 // key on 3·2^k domains (whose transforms share the domain's scratch pool);
 // the race detector watches the shared key and its round-3 tables, which
 // only Setup may write.
@@ -318,12 +318,12 @@ func TestProveConcurrentSharedKey(t *testing.T) {
 // TestKeyResidentQuotientTables checks what Setup stores on the key for
 // round 3 against its definition, for every key shape (4n, 6n and 8n cosets):
 // the key holds coset columns for exactly the preprocessed polynomials its
-// shape's identities read — none of the lookup pair on a custom-only key,
-// none of the five custom-gate columns on a lookup-only one — each the coset
+// shape's identities read — none of the lookup pair on a custom-only key —
+// each the coset
 // FFT of the key's coefficient polynomial, in the order the prover indexes
 // them; the coset points are g·ω_Eⁱ, L1 and 1/Z_H on them match the domain's
-// own evaluators. The verifying key commits exactly the same columns, 8, 10,
-// 13 or 15, in the same order; each column its shape does not read is the
+// own evaluators. The verifying key commits exactly the same columns, 8, 13
+// or 15, in the same order; each column its shape does not read is the
 // zero commitment, and the transcript binds exactly the committed columns.
 func TestKeyResidentQuotientTables(t *testing.T) {
 	classic := []string{"QL", "QR", "QO", "QM", "QC", "S1", "S2", "S3"}
@@ -338,9 +338,8 @@ func TestKeyResidentQuotientTables(t *testing.T) {
 	}
 	wantCols := map[string][]string{
 		"muladd": classic, "power5": classic, "power50": classic, "power20": classic,
-		"lookup": join(classic, lookup),
-		"mimc":   join(classic, custom), "poseidon": join(classic, custom),
-		"mixed": join(classic, lookup, custom),
+		"mimc": join(classic, custom), "poseidon": join(classic, custom),
+		"lookup": join(classic, lookup, custom), "mixed": join(classic, lookup, custom),
 	}
 	for _, tc := range goldenShapes {
 		t.Run(tc.name, func(t *testing.T) {
@@ -354,8 +353,8 @@ func TestKeyResidentQuotientTables(t *testing.T) {
 			n, big := pk.Domain.N, domainE.N
 			names := wantCols[tc.name]
 			wantBig := map[string]uint64{
-				"muladd": 4 * 8, "power5": 4 * 8, "power50": 4 * 64, "power20": 4 * 24, "lookup": 4 * 256,
-				"mimc": 6 * 8, "poseidon": 8 * 12, "mixed": 6 * 64,
+				"muladd": 4 * 8, "power5": 4 * 8, "power50": 4 * 64, "power20": 4 * 24,
+				"mimc": 6 * 8, "poseidon": 8 * 12, "lookup": 6 * 256, "mixed": 6 * 64,
 			}[tc.name]
 			if len(pk.fixedCoset) != len(names) || big != wantBig {
 				t.Fatalf("key holds %d columns on a %d-point coset of a %d-point domain, want %v on %d", len(pk.fixedCoset), big, n, names, wantBig)

@@ -20,12 +20,14 @@ import (
 // custom-gate proof. The openings follow Proof.openings: a, b, c, σ1, σ2 at
 // ζ, then T (lookup) and K0–K2 (custom); z at ζω, then S (lookup) and a, b,
 // c (custom). The flags byte is the proof's shape — bit 0 lookup, bit 1
-// custom — so there are four sizes:
+// custom — and there are three, each of its own size:
 //
 //	0x00 classic            774 B   9 G1 +  6 Fr
-//	0x01 lookup           1 030 B  12 G1 +  8 Fr
 //	0x02 custom           1 158 B  12 G1 + 12 Fr
 //	0x03 lookup + custom  1 414 B  15 G1 + 14 Fr
+//
+// A lookup argument comes only beside custom gates (Setup refuses lookup
+// rows without them), so flags 0x01 are refused with ErrProofShape.
 //
 // Version 1 opened every committed polynomial instead of a linearization
 // (1 094 B classic); its blobs are refused with ErrProofVersion. A blob
@@ -131,6 +133,9 @@ func ProofFromBytes(data []byte) (*Proof, error) {
 	f := shape(data[5])
 	if f&^(shapeLookup|shapeCustom) != 0 {
 		return nil, fmt.Errorf("plonk: unknown proof flags %#02x", byte(f))
+	}
+	if f == shapeLookup {
+		return nil, fmt.Errorf("%w: flags %#02x, a lookup argument without custom gates", ErrProofShape, byte(f))
 	}
 	if want := encodedSize(f); len(data) != want {
 		return nil, fmt.Errorf("plonk: proof with flags %#02x must be %d bytes, got %d", byte(f), want, len(data))

@@ -34,12 +34,12 @@ func openingNames(p *Proof) []string {
 	return out
 }
 
-// TestExtendedProofSerializationRoundTrip round-trips one proof of each of
-// the four shapes through the versioned encoding at its exact size, field
-// counts, opening list and flags byte, verifies the decoded proof, and
-// checks that no other flags byte is read on the same bytes: an unknown bit
-// is refused, and so is another shape's flags (every shape has its own
-// length).
+// TestExtendedProofSerializationRoundTrip round-trips proofs of each of
+// the three shapes (two of lookup + custom) through the versioned encoding at
+// its exact size, field counts, opening list and flags byte, verifies the
+// decoded proof, and checks that no other flags byte is read on the same
+// bytes: an unknown bit is refused, and so is another shape's flags (every
+// shape has its own length) and the lookup-only flags 0x01.
 func TestExtendedProofSerializationRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		shape    string
@@ -49,8 +49,8 @@ func TestExtendedProofSerializationRoundTrip(t *testing.T) {
 		openings string
 	}{
 		{"muladd", 0x00, 774, 9, 6, "a b c σ1 σ2 z(ζω)"},
-		{"lookup", 0x01, 1030, 12, 8, "a b c σ1 σ2 T z(ζω) S(ζω)"},
 		{"mimc", 0x02, 1158, 12, 12, "a b c σ1 σ2 K0 K1 K2 z(ζω) a(ζω) b(ζω) c(ζω)"},
+		{"lookup", 0x03, 1414, 15, 14, "a b c σ1 σ2 T K0 K1 K2 z(ζω) S(ζω) a(ζω) b(ζω) c(ζω)"},
 		{"mixed", 0x03, 1414, 15, 14, "a b c σ1 σ2 T K0 K1 K2 z(ζω) S(ζω) a(ζω) b(ζω) c(ζω)"},
 	} {
 		t.Run(tc.shape, func(t *testing.T) {
@@ -103,8 +103,9 @@ func TestExtendedProofSerializationRoundTrip(t *testing.T) {
 }
 
 // v1Proofs reads the version-1 encodings of the four shapes in testdata/v1:
-// seeded proofs of the muladd, lookup, mimc and mixed golden circuits,
-// captured from the last prover that opened every committed polynomial.
+// seeded proofs of the muladd, lookup, mimc and mixed golden circuits as they
+// were then (lookup was lookup-only), captured from the last prover that
+// opened every committed polynomial.
 func v1Proofs(t testing.TB) map[string][]byte {
 	out := map[string][]byte{}
 	for _, name := range []string{"muladd", "lookup", "mimc", "mixed"} {

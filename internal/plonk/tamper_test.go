@@ -186,14 +186,13 @@ func TestVerifyRejectsEveryCorruption(t *testing.T) {
 	rejectEveryCorruption(t, "muladd", "power20")
 }
 
-// TestExtendedProofTamperRejected covers the three extended shapes — lookup
-// only, custom only (the Poseidon round chains mimc, on a power-of-two
-// domain, and poseidon, on a 3·2^k one) and both (mixed):
-// forged multiplicities, helper columns, running sums, table and next-row
-// openings, round constants and extra quotient pieces. A custom-only proof
-// carries 12 points and 12 openings; its [M], [H], [S] and two LogUp
-// openings are refused as ErrProofShape, as are a lookup-only proof's six
-// custom-gate openings.
+// TestExtendedProofTamperRejected covers the two extended shapes — custom
+// only (the Poseidon round chains mimc, on a power-of-two domain, and
+// poseidon, on a 3·2^k one) and lookup + custom (lookup, on its table's
+// 256-row domain, and mixed): forged multiplicities, helper columns, running
+// sums, table and next-row openings, round constants and extra quotient
+// pieces. A custom-only proof carries 12 points and 12 openings; its [M],
+// [H], [S] and two LogUp openings are refused as ErrProofShape.
 func TestExtendedProofTamperRejected(t *testing.T) {
 	rejectEveryCorruption(t, "lookup", "mimc", "poseidon", "mixed")
 }

@@ -97,8 +97,8 @@ func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms,
 // (s_j from linearize, opened to −c0: Σ_j s_j·col_j(ζ) = numerator(ζ) − c0
 // and Z_H(ζ)·t(ζ) = numerator(ζ)) with the ζ openings at v, v², …; Fω folds
 // the ζω openings at 1, v, …; E = (valζ + u·valω)·G1. A classic key's MSM
-// has 18 points, lookup 23, custom 26, both 31 (TestOpeningMSMWidth). The key's
-// shape fixes what the proof must carry; a proof carrying any other set of
+// has 18 points, a custom one 26, a lookup + custom one 31
+// (TestOpeningMSMWidth). The key's shape fixes what the proof must carry; a proof carrying any other set of
 // fields is refused with ErrProofShape.
 func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (*msmTerms, fr.Element, error) {
 	var u fr.Element

@@ -15,8 +15,8 @@ import (
 func TestCustomGadgetMatchesNative(t *testing.T) { permuteRoundTrip(t, true) }
 
 // TestClassicGadgetMatchesNative checks the classic lowering, round
-// constants folded into the S-box and MDS gates, the same way: π_k and a
-// classic processing π_t commit with it.
+// constants folded into the S-box and MDS gates, the same way: π_k, the one
+// classic circuit the system proves, hashes with it.
 func TestClassicGadgetMatchesNative(t *testing.T) { permuteRoundTrip(t, false) }
 
 // permuteCircuit compiles one permutation of (1, 2, 3) on the custom or the
