@@ -28,8 +28,9 @@ const msmMinBatch = 128
 // the bucket count per window) and a two-dimensional parallel split: the
 // point vector is chunked so the task count is numWindows × numChunks,
 // which saturates any core count instead of capping at the ~20–30 windows
-// of a 254-bit scalar. It is the workhorse behind every KZG commitment in
-// the repo.
+// of a 254-bit scalar. It is the MSM over bases that are not a fixed
+// prefix of an SRS — verifier and seal-time fold MSMs, VerifySRS — and
+// over the SRS prefixes G1MSMTable does not serve.
 func G1MSM(points []G1Affine, scalars []fr.Element) (G1Affine, error) {
 	if len(points) != len(scalars) {
 		return G1Affine{}, fmt.Errorf("bn254: msm length mismatch: %d points, %d scalars", len(points), len(scalars))
@@ -60,9 +61,9 @@ const scalarBits = 254
 
 // msmCallScratch is the memory one msmWithWindow call needs whatever its
 // worker count; msmTaskScratch is what one worker's bucket accumulations
-// need. Both are pooled: a prover runs hundreds of MSMs of a few sizes,
-// several at a time (plonk.commitParallel), and a Get hands each live call
-// and each live worker its own value.
+// need. Both are pooled: verifiers, and provers on domains G1MSMTable does
+// not serve, run MSMs of a few sizes, several at a time, and a Get hands
+// each live call and each live worker its own value.
 type msmCallScratch struct {
 	digits  []int16 // signed digits, window-major
 	partial []G1Jac // one sum per (window, chunk) task
@@ -116,20 +117,7 @@ func msmWithWindow(points []G1Affine, scalars []fr.Element, c, minBatch int) G1A
 				continue
 			}
 			l := scalars[i].Limbs()
-			bl := limbsBitLen(&l)
-			if bl > top {
-				top = bl
-			}
-			carry := 0
-			for w := 0; w*c < bl || carry != 0; w++ {
-				d := limbWindow(&l, w*c, c) + carry
-				carry = 0
-				if d >= 1<<(c-1) {
-					d -= 1 << c
-					carry = 1
-				}
-				digits[w*n+i] = int16(d)
-			}
+			top = max(top, recodeSigned(&l, c, digits[i:], n))
 		}
 		mu.Lock()
 		if top > maxBits {
@@ -221,8 +209,10 @@ func (s *msmTaskScratch) bucketAccumulate(numBuckets int, points []G1Affine, dig
 	for b := 2; b < len(off); b++ {
 		off[b] += off[b-1]
 	}
-	s.pts = grow(s.pts, int(off[numBuckets+1]))
-	pts := s.pts
+	// The scratch is sized by the chunk, not by this call's non-zero digits
+	// or pairs, so a reused scratch grows once per chunk length.
+	s.pts = grow(s.pts, len(digit))
+	pts := s.pts[:off[numBuckets+1]]
 	for i, d := range digit {
 		if d == 0 {
 			continue
@@ -249,9 +239,8 @@ func (s *msmTaskScratch) bucketAccumulate(numBuckets int, points []G1Affine, dig
 		if pairs < max(minBatch, 1) {
 			break
 		}
-		// The first round is the largest, so these grow once per call.
-		s.den, s.prod = grow(s.den, pairs), grow(s.prod, pairs)
-		den := s.den
+		s.den, s.prod = grow(s.den, len(digit)/2), grow(s.prod, len(digit)/2)
+		den, prod := s.den[:pairs], s.prod[:pairs]
 		d, k := 0, 0
 		for _, m := range cnt {
 			for j := uint32(0); j+1 < m; j += 2 {
@@ -260,7 +249,7 @@ func (s *msmTaskScratch) bucketAccumulate(numBuckets int, points []G1Affine, dig
 			}
 			k += int(m & 1)
 		}
-		fpBatchInverse(den, s.prod)
+		fpBatchInverse(den, prod)
 		// Pack the sums, and each bucket's odd point out, to the front of
 		// pts: a pair is two reads for at most one write, so the write
 		// position never passes the read position.
@@ -334,6 +323,26 @@ func (r *G1Affine) addAffine(p, q *G1Affine, dInv *Fp) {
 	y3.Mul(&y3, &l)
 	y3.Sub(&y3, &p.Y)
 	r.X, r.Y = x3, y3
+}
+
+// recodeSigned writes the signed c-bit digits of the canonical scalar l,
+// each in [-2^(c-1), 2^(c-1)-1], to out[0], out[stride], out[2·stride], …
+// with carry propagation, so ∑ out[w·stride]·2^(c·w) = l, and returns the
+// bit length of l. Digits above the last non-zero one are not written; the
+// caller zeroes them.
+func recodeSigned(l *[4]uint64, c int, out []int16, stride int) int {
+	bl := limbsBitLen(l)
+	carry := 0
+	for w := 0; w*c < bl || carry != 0; w++ {
+		d := limbWindow(l, w*c, c) + carry
+		carry = 0
+		if d >= 1<<(c-1) {
+			d -= 1 << c
+			carry = 1
+		}
+		out[w*stride] = int16(d)
+	}
+	return bl
 }
 
 // limbsBitLen returns the bit length of a little-endian 256-bit integer.

@@ -102,3 +102,64 @@ func BenchmarkMSMBatchThreshold(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkMSMTableWidth sweeps G1MSMTable's digit width over c = 8…12 at
+// the lengths the prover commits to (π_e and π_ct at N = 512, π_k at
+// N = 1 536, a 3 072-row key), with G1MSM beside them, all taking turns on
+// warm tables; msmTableWidth is read off its output.
+func BenchmarkMSMTableWidth(b *testing.B) {
+	const maxN = 3075
+	points := msmTestPoints(maxN)
+	scalars := make([]fr.Element, maxN)
+	for i := range scalars {
+		scalars[i] = fr.MustRandom()
+	}
+	widths := tableWidths
+	names := []string{"G1MSM"}
+	for _, c := range widths {
+		names = append(names, fmt.Sprintf("c=%d", c))
+	}
+	for _, n := range []int{515, 1539, 3075} {
+		tables := make([]G1MSMTable, len(widths))
+		for k := range tables {
+			tables[k].extend(points[:n], widths[k])
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchTakingTurns(b, names, func(k int) {
+				if k == 0 {
+					msmWithWindow(points[:n], scalars[:n], windowSize(n), msmMinBatch)
+					return
+				}
+				tables[k-1].msm(scalars[:n], widths[k-1])
+			})
+		})
+	}
+}
+
+// BenchmarkMSMTableCrossover times G1MSM against the table pass at
+// msmTableWidth at both ends of the lengths the table serves, the two
+// taking turns on a warm table: msmTableMinLen and msmTableMaxLen are read
+// off its output.
+func BenchmarkMSMTableCrossover(b *testing.B) {
+	const maxN = 1 << 14
+	points := msmTestPoints(maxN)
+	scalars := make([]fr.Element, maxN)
+	for i := range scalars {
+		scalars[i] = fr.MustRandom()
+	}
+	var table G1MSMTable
+	table.extend(points, msmTableWidth)
+	for _, n := range []int{2, 3, 4, 6, 8, 12, 16, 32, 4096, 6147, 8195, 12291, 1 << 14} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchTakingTurns(b, []string{"G1MSM", "table"}, func(k int) {
+				if k == 0 {
+					if _, err := G1MSM(points[:n], scalars[:n]); err != nil {
+						b.Fatal(err)
+					}
+					return
+				}
+				table.msm(scalars[:n], msmTableWidth)
+			})
+		})
+	}
+}

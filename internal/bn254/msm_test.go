@@ -360,9 +360,9 @@ func TestG1MSMDuplicateAndOppositePoints(t *testing.T) {
 }
 
 // TestG1MSMConcurrent runs MSMs of different sizes from many goroutines at
-// once, as plonk.commitParallel and concurrent provers do: each live call
-// and each of its workers must hold scratch of its own, or the sums (and
-// the race detector) say so.
+// once, as concurrent verifiers and provers past G1MSMTable's bounds do:
+// each live call and each of its workers must hold scratch of its own, or
+// the sums (and the race detector) say so.
 func TestG1MSMConcurrent(t *testing.T) {
 	sizes := []int{300, 700, 1100, 2500}
 	rng := rand.New(rand.NewSource(46))

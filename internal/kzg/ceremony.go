@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"slices"
 
 	"github.com/zkdet/zkdet/internal/bn254"
 	"github.com/zkdet/zkdet/internal/fr"
@@ -113,15 +114,18 @@ func (c *Ceremony) Contributions() []Contribution {
 }
 
 // SRS finalizes the ceremony, verifying internal consistency of the result
-// before releasing it.
+// before releasing it. The released SRS is a copy: a later Contribute
+// rewrites the ceremony's powers in place, and must not move an SRS that
+// keys and commitments were made against.
 func (c *Ceremony) SRS() (*SRS, error) {
 	if len(c.contributions) == 0 {
 		return nil, fmt.Errorf("%w: no contributions", ErrCeremonyInvalid)
 	}
-	if err := VerifySRS(c.srs); err != nil {
+	srs := &SRS{G1: slices.Clone(c.srs.G1), G2: c.srs.G2}
+	if err := VerifySRS(srs); err != nil {
 		return nil, err
 	}
-	return c.srs, nil
+	return srs, nil
 }
 
 // VerifyChain checks the public contribution chain: each update's secret

@@ -26,11 +26,17 @@ var (
 
 // SRS is a structured reference string: powers of a secret τ in G1 plus
 // [1]G2 and [τ]G2. The secret itself is "toxic waste" and is never stored.
+// An SRS must not be copied once Commit has used it.
 type SRS struct {
-	// G1 holds [τ^i]G1 for i = 0 … size-1.
+	// G1 holds [τ^i]G1 for i = 0 … size-1. It is read-only once committed
+	// against: Commit keeps window multiples of the prefix it has used.
 	G1 []bn254.G1Affine
 	// G2 holds [1]G2 and [τ]G2.
 	G2 [2]bn254.G2Affine
+
+	// table holds fixed-base window multiples of the G1 prefix Commit has
+	// used, built once this SRS has made a few commitments.
+	table bn254.G1MSMTable
 }
 
 // MaxDegree returns the largest polynomial degree this SRS can commit to.
@@ -80,13 +86,14 @@ type OpeningProof struct {
 	ClaimedValue fr.Element
 }
 
-// Commit returns the commitment [p(τ)]G1.
+// Commit returns the commitment [p(τ)]G1: one MSM over the SRS's window
+// table (bn254.G1MSMTable says when it is built and extended).
 func Commit(srs *SRS, p poly.Polynomial) (Commitment, error) {
 	p = p.Trim()
 	if len(p) > len(srs.G1) {
 		return Commitment{}, fmt.Errorf("%w: degree %d > %d", ErrPolynomialTooLarge, len(p)-1, srs.MaxDegree())
 	}
-	return bn254.G1MSM(srs.G1[:len(p)], p)
+	return srs.table.MSM(srs.G1, p)
 }
 
 // Open produces an opening proof for p at point z.
