@@ -59,6 +59,12 @@ func G1MSM(points []G1Affine, scalars []fr.Element) (G1Affine, error) {
 // scalarBits bounds the bit length of a canonical scalar (r < 2^254).
 const scalarBits = 254
 
+// msmWindows is the number of c-bit signed digits a scalar below 2^bits
+// needs, for both MSM paths. With c·W ≥ bits+2 the top window holds at most
+// c-2 bits of the scalar: its digit plus the carry from below stays under
+// 2^(c-1) and never carries out, so no window past those is ever non-zero.
+func msmWindows(bits, c int) int { return (bits + 1 + c) / c }
+
 // msmCallScratch is the memory one msmWithWindow call needs whatever its
 // worker count; msmTaskScratch is what one worker's bucket accumulations
 // need. Both are pooled: verifiers, and provers on domains G1MSMTable does
@@ -100,11 +106,10 @@ func msmWithWindow(points []G1Affine, scalars []fr.Element, c, minBatch int) G1A
 	// One pass per scalar: leave Montgomery form into canonical limbs, note
 	// the bit length, and recode into signed windowed digits in
 	// [-2^(c-1), 2^(c-1)-1] with carry propagation, so each window needs
-	// only 2^(c-1) buckets (a negative digit subtracts the point). One extra
-	// window absorbs the final carry (its digit is 0 or 1). The matrix is
-	// window-major so a bucket pass reads its digits sequentially. A point
+	// only 2^(c-1) buckets (a negative digit subtracts the point). The matrix
+	// is window-major so a bucket pass reads its digits sequentially. A point
 	// at infinity keeps all-zero digits, so no bucket ever sees one.
-	maxWindows := (scalarBits+c-1)/c + 1
+	maxWindows := msmWindows(scalarBits, c)
 	call.digits = grow(call.digits, maxWindows*n)
 	digits := call.digits
 	clear(digits)
@@ -126,10 +131,10 @@ func msmWithWindow(points []G1Affine, scalars []fr.Element, c, minBatch int) G1A
 		mu.Unlock()
 	})
 	// Bound the window count by the largest scalar: windows above its top
-	// bit hold all-zero digits, so walking them would only add empty bucket
-	// reductions and c doublings each. Commitments to low-degree or
-	// small-coefficient polynomials hit this path hard.
-	numWindows := (maxBits+c-1)/c + 1
+	// bit and carry hold all-zero digits, so walking them would only add
+	// empty bucket reductions and c doublings each. Commitments to
+	// low-degree or small-coefficient polynomials hit this path hard.
+	numWindows := msmWindows(maxBits, c)
 
 	// Two-dimensional task grid: windows × point chunks. Chunking only
 	// helps when the per-chunk ranges stay large enough to amortise the

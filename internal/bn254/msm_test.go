@@ -163,7 +163,10 @@ func TestG1MSMMatchesNaive(t *testing.T) {
 // the windowSize breakpoints can select (including the 11- to 14-bit
 // windows normally reserved for 2^14+ points) and the int16 digit bound,
 // so each bucket layout is exercised without a quarter-million-point naive
-// reference.
+// reference. A second input set gives three points the all-ones scalar
+// 2^b − 1, which carries through every window, for each b within a bit of
+// a window boundary: the window count msmWindows derives from the largest
+// bit length must still hold the final carry.
 func TestMSMEveryWindowWidth(t *testing.T) {
 	const n = 300
 	rng := rand.New(rand.NewSource(43))
@@ -175,6 +178,29 @@ func TestMSMEveryWindowWidth(t *testing.T) {
 		got := msmWithWindow(points, scalars, c, msmMinBatch)
 		if !got.Equal(&want) {
 			t.Fatalf("window=%d: msmWithWindow differs from naive sum", c)
+		}
+	}
+
+	three := points[:3]
+	one := fr.One()
+	sum := msmNaive(three, []fr.Element{one, one, one})
+	ones := make([]fr.Element, scalarBits) // ones[b] = 2^b − 1
+	wants := make([]G1Affine, scalarBits)  // wants[b] = ones[b]·sum
+	for b := 1; b < scalarBits; b++ {
+		v := new(big.Int).Lsh(big.NewInt(1), uint(b))
+		ones[b] = fr.FromBig(v.Sub(v, big.NewInt(1)))
+		var j G1Jac
+		j.ScalarMul(&sum, &ones[b])
+		wants[b].FromJacobian(&j)
+	}
+	for _, c := range msmTestWindows {
+		for k := 1; k*c-2 < scalarBits; k++ {
+			for b := max(k*c-2, 1); b <= k*c+1 && b < scalarBits; b++ {
+				s := ones[b]
+				if got := msmWithWindow(three, []fr.Element{s, s, s}, c, msmMinBatch); !got.Equal(&wants[b]) {
+					t.Fatalf("window=%d: all-ones scalar of %d bits", c, b)
+				}
+			}
 		}
 	}
 }

@@ -47,12 +47,6 @@ const msmTableGrowAfter = 16
 // once.
 const msmTableStep = 64
 
-// msmTableWindows is the number of c-bit signed digits a canonical scalar
-// needs. A scalar is below r < 2^254, so with c·W ≥ 256 the top window
-// holds at most c-2 bits of it: its digit plus the carry from below stays
-// under 2^(c-1) and never carries out, and no extra window is needed.
-func msmTableWindows(c int) int { return (scalarBits + 1 + c) / c }
-
 // G1MSMTable is a fixed-base window table over a prefix of one base vector
 // B (an SRS's powers of τ), which turns an MSM over that prefix into one
 // bucket pass without doublings. Entry T[i·W+w] is 2^(c·w)·B[i], so with
@@ -120,7 +114,7 @@ func (t *G1MSMTable) MSM(bases []G1Affine, scalars []fr.Element) (G1Affine, erro
 // on MSMs outside MSM's bounds. A table must be used at one width only. The
 // caller holds t.mu.
 func (t *G1MSMTable) msm(scalars []fr.Element, c int) G1Affine {
-	n, W := len(scalars), msmTableWindows(c)
+	n, W := len(scalars), msmWindows(scalarBits, c)
 	pts, digits, tasks, sums := t.pts[:n*W], t.digits[:n*W], t.tasks, t.sums
 	chunks := len(tasks)
 
@@ -159,7 +153,7 @@ func (t *G1MSMTable) msm(scalars []fr.Element, c int) G1Affine {
 // the prefix it covers already, and sizes the scratch to match. The
 // caller holds t.mu.
 func (t *G1MSMTable) extend(bases []G1Affine, c int) {
-	old, n, W := t.n, len(bases), msmTableWindows(c)
+	old, n, W := t.n, len(bases), msmWindows(scalarBits, c)
 	t.pts = slices.Grow(t.pts, (n-old)*W)[:n*W]
 	pts := t.pts
 	parallel.Execute(n-old, func(start, end int) {

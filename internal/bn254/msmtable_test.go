@@ -16,17 +16,17 @@ var tableWidths = []int{8, 9, 10, 11, 12}
 // is all ones at width c: each recodes to -1 and carries, and the last
 // carry lands in the top window.
 func msmTableTopCarry(c int) fr.Element {
-	v := new(big.Int).Lsh(big.NewInt(1), uint(c*(msmTableWindows(c)-1)))
+	v := new(big.Int).Lsh(big.NewInt(1), uint(c*(msmWindows(scalarBits, c)-1)))
 	return fr.FromBig(v.Sub(v, big.NewInt(1)))
 }
 
-// TestMSMTableWindowsHoldEveryScalar checks msmTableWindows at every width
+// TestMSMTableWindowsHoldEveryScalar checks msmWindows at every width
 // msmWithWindow supports: the signed digits of r-1, of the top-carry scalar
 // and of random scalars fit in that many windows (a longer recoding would
 // index past the slice) and sum back to the scalar.
 func TestMSMTableWindowsHoldEveryScalar(t *testing.T) {
 	for _, c := range msmTestWindows {
-		W := msmTableWindows(c)
+		W := msmWindows(scalarBits, c)
 		scalars := []fr.Element{fr.NewFromInt64(-1), msmTableTopCarry(c), fr.MustRandom(), fr.MustRandom()}
 		for _, s := range scalars {
 			d := make([]int16, W)

@@ -8,7 +8,7 @@
 // The analyses, in the order they run:
 //
 //   - configuration: lookup rows without a range table, Poseidon rows
-//     without an MDS matrix, table bits outside the backend's bound;
+//     without an MDS matrix;
 //   - occurrence/liveness: wires appearing in zero constraints, counting
 //     only selector-live slots (a q-coefficient of zero makes a wired
 //     slot dead);
@@ -28,9 +28,9 @@
 //     emitting gates (this wire is used as a boolean, this span realizes
 //     an n-bit range check, this constant is pinned); the auditor checks
 //     the surviving gates actually discharge each obligation;
-//   - satisfaction: the reference gate semantics (including custom-gate
-//     next-row reads and lookup table bounds) evaluated on the builder's
-//     eager witness.
+//   - satisfaction: plonk.CheckRow, the backend's own row check
+//     (including custom-gate next-row reads and lookup table bounds),
+//     evaluated on the builder's eager witness.
 //
 // All registered application circuits must audit clean; the mutation
 // tests in the registry package validate the auditor by deleting single
@@ -38,6 +38,7 @@
 package audit
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 
@@ -111,19 +112,15 @@ func (r *Report) add(rule string, v, g int, format string, args ...any) {
 	r.Findings = append(r.Findings, Finding{Rule: rule, Var: v, Gate: g, Msg: fmt.Sprintf(format, args...)})
 }
 
-func isCustom(k plonk.GateKind) bool {
-	return k == plonk.KindPoseidonFull || k == plonk.KindPoseidonPartial
-}
-
 // liveSlots reports which of a gate's three wire slots the constraint
 // actually reads. An arith gate with qL=qM=0 never looks at its a-wire no
 // matter what is wired there; lookup rows read only a; custom rows read
 // all three.
-func liveSlots(g circuit.AuditGate) (a, b, c bool) {
+func liveSlots(g plonk.Gate) (a, b, c bool) {
 	switch {
 	case g.Kind == plonk.KindLookup:
 		return true, false, false
-	case isCustom(g.Kind):
+	case g.Kind.IsCustom():
 		return true, true, true
 	default:
 		a = !g.QL.IsZero() || !g.QM.IsZero()
@@ -134,17 +131,17 @@ func liveSlots(g circuit.AuditGate) (a, b, c bool) {
 }
 
 // zeroRow reports an arith gate with every selector zero — constraint-free.
-func zeroRow(g circuit.AuditGate) bool {
+func zeroRow(g plonk.Gate) bool {
 	return g.Kind == plonk.KindArith &&
 		g.QL.IsZero() && g.QR.IsZero() && g.QO.IsZero() && g.QM.IsZero() && g.QC.IsZero()
 }
 
 // liveVars collects the distinct wire ids in live slots of gate i,
 // including the next-row wires a custom gate at i-1 reads.
-func liveVars(gates []circuit.AuditGate, i int, withNextRow bool) []int {
+func liveVars(gates []plonk.Gate, i int, withNextRow bool) []int {
 	g := gates[i]
 	la, lb, lc := liveSlots(g)
-	if withNextRow && i > 0 && isCustom(gates[i-1].Kind) {
+	if withNextRow && i > 0 && gates[i-1].Kind.IsCustom() {
 		// The previous custom gate reads all of this row's wires.
 		la, lb, lc = true, true, true
 	}
@@ -187,12 +184,8 @@ func Circuit(info *circuit.AuditInfo) *Report {
 	hasLookupRows := false
 	hasPoseidonRows := false
 	for i, g := range info.Gates {
-		if g.Kind == plonk.KindLookup {
-			hasLookupRows = true
-		}
-		if g.Kind == plonk.KindPoseidonFull || g.Kind == plonk.KindPoseidonPartial {
-			hasPoseidonRows = true
-		}
+		hasLookupRows = hasLookupRows || g.Kind == plonk.KindLookup
+		hasPoseidonRows = hasPoseidonRows || g.Kind.IsCustom()
 		for _, w := range []int{g.A, g.B, g.C} {
 			if w < 0 || w >= info.NbVars {
 				r.add(RuleWiring, w, i, "gate references unknown wire (have %d)", info.NbVars)
@@ -200,11 +193,8 @@ func Circuit(info *circuit.AuditInfo) *Report {
 			}
 		}
 	}
-	if hasLookupRows && info.LookupBits == 0 {
+	if hasLookupRows && !info.Lookups {
 		r.add(RuleConfig, -1, -1, "lookup rows present but no range table enabled")
-	}
-	if info.LookupBits > plonk.MaxTableBits {
-		r.add(RuleConfig, -1, -1, "table bits %d exceed backend maximum %d", info.LookupBits, plonk.MaxTableBits)
 	}
 	if hasPoseidonRows && !info.MDSSet {
 		r.add(RuleConfig, -1, -1, "Poseidon custom rows present but no MDS matrix set")
@@ -250,13 +240,13 @@ func kindName(kinds []circuit.AuditVarKind, v int) string {
 }
 
 // auditGateHygiene flags dead rows, exact duplicates, and open custom runs.
-func auditGateHygiene(r *Report, gates []circuit.AuditGate) {
+func auditGateHygiene(r *Report, gates []plonk.Gate) {
 	seen := make(map[string]int)
 	for i, g := range gates {
 		if zeroRow(g) {
 			// The only sanctioned all-zero row is the NoOpRow closing a
 			// custom-gate run (the last round's next-row read lands here).
-			if i == 0 || !isCustom(gates[i-1].Kind) {
+			if i == 0 || !gates[i-1].Kind.IsCustom() {
 				r.add(RuleDeadGate, -1, i, "all-zero row is not a custom-run closer")
 			}
 			continue
@@ -269,7 +259,7 @@ func auditGateHygiene(r *Report, gates []circuit.AuditGate) {
 		}
 	}
 	for i, g := range gates {
-		if !isCustom(g.Kind) {
+		if !g.Kind.IsCustom() {
 			continue
 		}
 		// Each custom row reads the NEXT row's wires, so a run must end
@@ -277,14 +267,14 @@ func auditGateHygiene(r *Report, gates []circuit.AuditGate) {
 		// into an arbitrary arith/lookup row, and never end the circuit.
 		if i+1 >= len(gates) {
 			r.add(RuleCustomOpen, -1, i, "custom-gate run not closed by a NoOpRow")
-		} else if ng := gates[i+1]; !isCustom(ng.Kind) && !zeroRow(ng) {
+		} else if ng := gates[i+1]; !ng.Kind.IsCustom() && !zeroRow(ng) {
 			r.add(RuleCustomOpen, -1, i,
 				"custom row falls through into an active row instead of a NoOpRow closer")
 		}
 	}
 }
 
-func gateKey(g circuit.AuditGate) string {
+func gateKey(g plonk.Gate) string {
 	return fmt.Sprintf("%d|%s|%s|%s|%s|%s|%s|%s|%s|%d|%d|%d",
 		g.Kind, g.QL.String(), g.QR.String(), g.QO.String(), g.QM.String(), g.QC.String(),
 		g.K[0].String(), g.K[1].String(), g.K[2].String(), g.A, g.B, g.C)
@@ -417,7 +407,7 @@ func auditDeterminedness(r *Report, info *circuit.AuditInfo, occurrences []int) 
 		switch {
 		case g.Kind == plonk.KindLookup:
 			continue
-		case isCustom(g.Kind):
+		case g.Kind.IsCustom():
 			// A Poseidon round row determines the whole next-row state
 			// from its own.
 			if i+1 >= len(info.Gates) {
@@ -458,7 +448,7 @@ func setDet(det []bool, v int) bool {
 // exactly one live wire is unknown and its coefficient is nonzero, the
 // gate solves for it. A wire occupying both multiplicative slots (x²=x)
 // has two roots and determines nothing.
-func arithDetermines(info *circuit.AuditInfo, det []bool, g circuit.AuditGate) bool {
+func arithDetermines(info *circuit.AuditInfo, det []bool, g plonk.Gate) bool {
 	la, lb, lc := liveSlots(g)
 	unknown := -1
 	slotA, slotB, slotC := false, false, false
@@ -612,14 +602,10 @@ func auditAnnotations(r *Report, info *circuit.AuditInfo) {
 				"%d-bit classic range check has %d boolean rows, want %d", ra.Bits, bools, ra.Booleans)
 		}
 		if ra.Lookups > 0 {
-			want := ra.Lookups
-			if info.LookupBits > 0 {
-				// Independently recompute the limb count the asserted width
-				// requires; a recorded-but-wrong expectation is itself a bug.
-				if need := (ra.Bits + info.LookupBits - 1) / info.LookupBits; need > want {
-					want = need
-				}
-			}
+			// Independently recompute the limb count the asserted width
+			// requires; a recorded-but-wrong expectation is itself a bug.
+			const k = circuit.DefaultRangeTableBits
+			want := max(ra.Lookups, (ra.Bits+k-1)/k)
 			if lookups != want {
 				r.add(RuleRangeBroken, ra.Var, -1,
 					"%d-bit lookup range check has %d table rows, want %d", ra.Bits, lookups, want)
@@ -628,78 +614,27 @@ func auditAnnotations(r *Report, info *circuit.AuditInfo) {
 	}
 }
 
-// auditSatisfaction evaluates the reference gate semantics on the
-// builder's eager witness — the builder-level mirror of
-// plonk.ConstraintSystem.IsSatisfied (including custom-gate next-row
-// reads and lookup table bounds). Structural mutations that survive the
-// other passes (shifting a custom run off its closer, mangling a
-// selector) surface here as arithmetic violations.
+// auditSatisfaction evaluates plonk.CheckRow, the reference row semantics
+// plonk.ConstraintSystem.IsSatisfied loops over, on every builder row with
+// the builder's eager witness: the arithmetic identity, the lookup bound of
+// the DefaultRangeTableBits table and the custom rounds' next-row reads.
+// Structural mutations that survive the other passes (shifting a custom
+// run off its closer, mangling a selector) surface here as violations.
 func auditSatisfaction(r *Report, info *circuit.AuditInfo) {
-	for i, g := range info.Gates {
-		a, b, c := info.Values[g.A], info.Values[g.B], info.Values[g.C]
-		var acc, t fr.Element
-		t.Mul(&g.QL, &a)
-		acc.Add(&acc, &t)
-		t.Mul(&g.QR, &b)
-		acc.Add(&acc, &t)
-		t.Mul(&g.QO, &c)
-		acc.Add(&acc, &t)
-		t.Mul(&a, &b)
-		t.Mul(&t, &g.QM)
-		acc.Add(&acc, &t)
-		acc.Add(&acc, &g.QC)
-		if !acc.IsZero() {
-			r.add(RuleUnsatisfied, -1, i, "gate equation does not hold on the builder witness")
-			continue
+	for i := range info.Gates {
+		g := &info.Gates[i]
+		if g.Kind.IsCustom() && i+1 >= len(info.Gates) {
+			continue // open run, reported by gate hygiene
 		}
+		err := plonk.CheckRow(info.Gates, i, info.Values, 0, circuit.DefaultRangeTableBits, &info.MDS)
 		switch {
-		case g.Kind == plonk.KindLookup:
-			if info.LookupBits <= 0 {
-				continue // reported by the config pass
-			}
-			if v, ok := a.Uint64(); !ok || v >= uint64(1)<<info.LookupBits {
-				r.add(RuleUnsatisfied, g.A, i, "lookup wire value outside the %d-bit table", info.LookupBits)
-			}
-		case isCustom(g.Kind):
-			if i+1 >= len(info.Gates) {
-				continue // open run, reported by gate hygiene
-			}
-			ng := info.Gates[i+1]
-			na, nb, nc := info.Values[ng.A], info.Values[ng.B], info.Values[ng.C]
-			if !customRowHolds(g, info.MDS, a, b, c, na, nb, nc) {
-				r.add(RuleUnsatisfied, -1, i, "custom round constraint does not hold against the next row")
-			}
+		case err == nil:
+		case errors.Is(err, plonk.ErrLookupRange):
+			r.add(RuleUnsatisfied, g.A, i, "lookup wire value outside the %d-bit table", circuit.DefaultRangeTableBits)
+		case g.Kind.IsCustom():
+			r.add(RuleUnsatisfied, -1, i, "custom round constraint does not hold against the next row")
+		default:
+			r.add(RuleUnsatisfied, -1, i, "gate equation does not hold on the builder witness")
 		}
 	}
-}
-
-// customRowHolds mirrors the backend's checkCustomGate reference
-// semantics (internal/plonk/cs.go) on concrete values: the next row's wires
-// must equal MDS·(w+K)^5, with only lane a S-boxed on a partial round.
-func customRowHolds(g circuit.AuditGate, mds [3][3]fr.Element, a, b, c, na, nb, nc fr.Element) bool {
-	w := [3]fr.Element{a, b, c}
-	next := [3]fr.Element{na, nb, nc}
-	var sb [3]fr.Element
-	for j := 0; j < 3; j++ {
-		var t fr.Element
-		t.Add(&w[j], &g.K[j])
-		if g.Kind == plonk.KindPoseidonFull || j == 0 {
-			var t2 fr.Element
-			t2.Square(&t)
-			t2.Square(&t2)
-			t.Mul(&t2, &t)
-		}
-		sb[j] = t
-	}
-	for l := 0; l < 3; l++ {
-		var acc, t fr.Element
-		for j := 0; j < 3; j++ {
-			t.Mul(&mds[l][j], &sb[j])
-			acc.Add(&acc, &t)
-		}
-		if !acc.Equal(&next[l]) {
-			return false
-		}
-	}
-	return true
 }

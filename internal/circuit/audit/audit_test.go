@@ -1,6 +1,7 @@
 package audit
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/zkdet/zkdet/internal/circuit"
@@ -180,7 +181,7 @@ func TestRangeBrokenLookup(t *testing.T) {
 
 func TestDeadGate(t *testing.T) {
 	info := tinyInfo(t)
-	info.Gates = append(info.Gates, circuit.AuditGate{Kind: plonk.KindArith})
+	info.Gates = append(info.Gates, plonk.Gate{Kind: plonk.KindArith})
 	hasRule(t, Circuit(info), RuleDeadGate)
 }
 
@@ -190,16 +191,33 @@ func TestDuplicateGate(t *testing.T) {
 	hasRule(t, Circuit(info), RuleDuplicate)
 }
 
-func TestBadConfigTableBits(t *testing.T) {
+func TestBadConfigLookupWithoutTable(t *testing.T) {
 	info := tinyInfo(t)
-	info.LookupBits = plonk.MaxTableBits + 1
+	info.Gates = append(info.Gates, plonk.Gate{Kind: plonk.KindLookup})
 	hasRule(t, Circuit(info), RuleConfig)
 }
 
-func TestBadConfigLookupWithoutTable(t *testing.T) {
-	info := tinyInfo(t)
-	info.Gates = append(info.Gates, circuit.AuditGate{Kind: plonk.KindLookup})
-	hasRule(t, Circuit(info), RuleConfig)
+// TestLookupOutOfTable checks the lookup bound from both sides of the one
+// row check: a lookup wire holding 2^12, one past the table, is reported by
+// the auditor and refused by the compiled system.
+func TestLookupOutOfTable(t *testing.T) {
+	b := circuit.NewBuilder()
+	b.EnableLookups()
+	b.Lookup(b.Secret(fr.NewElement(1 << circuit.DefaultRangeTableBits)))
+	// A Poseidon round on zero wires under a zero MDS matrix holds
+	// trivially; it makes this the lookup + custom shape a key takes.
+	b.SetPoseidonMDS([3][3]fr.Element{})
+	z := b.Secret(fr.Zero())
+	b.CustomGate(plonk.KindPoseidonFull, z, z, z, [3]fr.Element{})
+	b.NoOpRow(z, z, z)
+	hasRule(t, Circuit(b.AuditInfo()), RuleUnsatisfied)
+	cs, w, err := b.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.IsSatisfied(w); !errors.Is(err, plonk.ErrLookupRange) {
+		t.Fatalf("IsSatisfied = %v, want %v", err, plonk.ErrLookupRange)
+	}
 }
 
 func TestBuilderErrorSurfaces(t *testing.T) {
@@ -222,8 +240,6 @@ func TestInverseOfZeroUnsatisfied(t *testing.T) {
 }
 
 func TestCustomRunMutations(t *testing.T) {
-	b := circuit.NewBuilder()
-	b.EnableCustomGates()
 	var mds [3][3]fr.Element
 	for i := range mds {
 		for j := range mds[i] {
@@ -232,40 +248,46 @@ func TestCustomRunMutations(t *testing.T) {
 			mds[i][j].Inverse(&s)
 		}
 	}
-	b.SetPoseidonMDS(mds)
-	x := b.Secret(fr.NewElement(11))
-	y := b.Secret(fr.NewElement(22))
-	z := b.Secret(fr.NewElement(33))
 	var k [3]fr.Element
 	k[0] = fr.NewElement(5)
 	k[1] = fr.NewElement(6)
 	k[2] = fr.NewElement(7)
-	b.CustomGate(plonk.KindPoseidonFull, x, y, z, k)
-	// Compute the expected next state exactly as the reference semantics.
-	w := [3]fr.Element{b.Value(x), b.Value(y), b.Value(z)}
-	var sb [3]fr.Element
-	for j := 0; j < 3; j++ {
-		var t5, t2 fr.Element
-		t5.Add(&w[j], &k[j])
-		t2.Square(&t5)
-		t2.Square(&t2)
-		t5.Mul(&t2, &t5)
-		sb[j] = t5
-	}
-	var next [3]circuit.Variable
-	for l := 0; l < 3; l++ {
-		var acc, tt fr.Element
+	// build emits one full round carrying the constants rowK, closed by the
+	// next state the reference semantics compute under k.
+	build := func(rowK [3]fr.Element) *circuit.Builder {
+		b := circuit.NewBuilder()
+		b.EnableCustomGates()
+		b.SetPoseidonMDS(mds)
+		x := b.Secret(fr.NewElement(11))
+		y := b.Secret(fr.NewElement(22))
+		z := b.Secret(fr.NewElement(33))
+		b.CustomGate(plonk.KindPoseidonFull, x, y, z, rowK)
+		w := [3]fr.Element{b.Value(x), b.Value(y), b.Value(z)}
+		var sb [3]fr.Element
 		for j := 0; j < 3; j++ {
-			tt.Mul(&mds[l][j], &sb[j])
-			acc.Add(&acc, &tt)
+			var t5, t2 fr.Element
+			t5.Add(&w[j], &k[j])
+			t2.Square(&t5)
+			t2.Square(&t2)
+			t5.Mul(&t2, &t5)
+			sb[j] = t5
 		}
-		next[l] = b.Secret(acc)
+		var next [3]circuit.Variable
+		for l := 0; l < 3; l++ {
+			var acc, tt fr.Element
+			for j := 0; j < 3; j++ {
+				tt.Mul(&mds[l][j], &sb[j])
+				acc.Add(&acc, &tt)
+			}
+			next[l] = b.Secret(acc)
+		}
+		b.NoOpRow(next[0], next[1], next[2])
+		expose(b, next[0])
+		b.MarkDiscard(next[1])
+		b.MarkDiscard(next[2])
+		return b
 	}
-	b.NoOpRow(next[0], next[1], next[2])
-	expose(b, next[0])
-	b.MarkDiscard(next[1])
-	b.MarkDiscard(next[2])
-	info := b.AuditInfo()
+	info := build(k).AuditInfo()
 	if rep := Circuit(info); !rep.Clean() {
 		t.Fatalf("baseline not clean:\n%s", rep)
 	}
@@ -283,10 +305,19 @@ func TestCustomRunMutations(t *testing.T) {
 	}
 	hasRule(t, Circuit(DropGate(info, closerIdx)), RuleCustomOpen)
 
-	// Mangling a round constant breaks the reference round equation.
-	mut := DropGate(info, len(info.Gates)) // deep copy, no deletion
-	mut.Gates[customIdx].K[0] = fr.NewElement(999)
-	hasRule(t, Circuit(mut), RuleUnsatisfied)
+	// Mangling a round constant breaks the reference round equation, for
+	// the auditor and for the compiled system alike.
+	mangled := k
+	mangled[0] = fr.NewElement(999)
+	mb := build(mangled)
+	hasRule(t, Circuit(mb.AuditInfo()), RuleUnsatisfied)
+	cs, wit, err := mb.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.IsSatisfied(wit); !errors.Is(err, plonk.ErrUnsatisfied) {
+		t.Fatalf("IsSatisfied = %v, want %v", err, plonk.ErrUnsatisfied)
+	}
 
 	// Dropping the MDS matrix is a configuration error.
 	mut2 := DropGate(info, len(info.Gates))

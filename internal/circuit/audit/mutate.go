@@ -3,6 +3,7 @@ package audit
 import (
 	"github.com/zkdet/zkdet/internal/circuit"
 	"github.com/zkdet/zkdet/internal/fr"
+	"github.com/zkdet/zkdet/internal/plonk"
 )
 
 // DropGate returns a deep copy of the snapshot with gate idx deleted and
@@ -59,7 +60,7 @@ func cloneInfo(info *circuit.AuditInfo) *circuit.AuditInfo {
 	out := *info
 	out.Values = append([]fr.Element(nil), info.Values...)
 	out.Kinds = append([]circuit.AuditVarKind(nil), info.Kinds...)
-	out.Gates = append([]circuit.AuditGate(nil), info.Gates...)
+	out.Gates = append([]plonk.Gate(nil), info.Gates...)
 	out.BoolCons = append([]circuit.AuditBoolCon(nil), info.BoolCons...)
 	out.BoolUses = append([]circuit.AuditBoolUse(nil), info.BoolUses...)
 	out.BoolDerived = append([]int(nil), info.BoolDerived...)

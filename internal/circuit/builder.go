@@ -13,6 +13,7 @@ package circuit
 
 import (
 	"fmt"
+	"slices"
 
 	"github.com/zkdet/zkdet/internal/fr"
 	"github.com/zkdet/zkdet/internal/plonk"
@@ -22,13 +23,6 @@ import (
 // Variables from a Builder.
 type Variable struct {
 	id int
-}
-
-type gateTmpl struct {
-	qL, qR, qO, qM, qC fr.Element
-	kind               plonk.GateKind
-	k                  [3]fr.Element
-	a, b, c            int
 }
 
 // AuditVarKind classifies how a wire came into existence — the soundness
@@ -55,16 +49,15 @@ const (
 // staying panic-free (the usual SNARK front-end contract).
 type Builder struct {
 	values    []fr.Element
-	public    []int // variable ids designated public, in order
-	gates     []gateTmpl
+	public    []int        // variable ids designated public, in order
+	gates     []plonk.Gate // builder wire numbering; Compile remaps the wires
 	constants map[string]Variable
 	err       error // first deferred gadget error, reported by Compile
 
 	// Lookup/custom-gate configuration (see EnableLookups and
-	// EnableCustomGates); lookupBits is 0 or DefaultRangeTableBits. Zero
-	// values keep the classic compilation, which produces bit-identical
-	// circuits to the pre-lookup builder.
-	lookupBits  int
+	// EnableCustomGates). Zero values keep the classic compilation, which
+	// produces bit-identical circuits to the pre-lookup builder.
+	lookups     bool
 	customGates bool
 	mds         [3][3]fr.Element
 	mdsSet      bool
@@ -110,7 +103,9 @@ const (
 
 // DefaultRangeTableBits is the range-table width: 2^12 = 4096 table rows,
 // so a 16-bit range check costs 2 lookups and an 85-bit one costs 8,
-// versus one gate per bit classically.
+// versus one gate per bit classically. It is the one width: Compile
+// declares it, and the auditor reads it for its limb count and its lookup
+// bound.
 const DefaultRangeTableBits = 12
 
 // EnableLookups switches AssertRange and the comparison gadgets to the
@@ -120,7 +115,7 @@ const DefaultRangeTableBits = 12
 // is emitted; its 2^12 rows then set the floor of the domain (and of the
 // SRS). Call before emitting any range checks.
 func (b *Builder) EnableLookups() {
-	b.lookupBits = DefaultRangeTableBits
+	b.lookups = true
 	b.customGates = true
 }
 
@@ -138,13 +133,13 @@ func (b *Builder) SetPoseidonMDS(m [3][3]fr.Element) {
 	b.mdsSet = true
 }
 
-// Lookup emits one lookup row asserting x ∈ [0, 2^LookupBits).
+// Lookup emits one lookup row asserting x ∈ [0, 2^DefaultRangeTableBits).
 func (b *Builder) Lookup(x Variable) {
-	if b.lookupBits == 0 {
+	if !b.lookups {
 		b.Fail("circuit: Lookup without EnableLookups")
 		return
 	}
-	b.gates = append(b.gates, gateTmpl{kind: plonk.KindLookup, a: x.id, b: x.id, c: x.id})
+	b.gates = append(b.gates, plonk.Gate{Kind: plonk.KindLookup, A: x.id, B: x.id, C: x.id})
 }
 
 // CustomGate emits one custom-gate row (a Poseidon full or partial round).
@@ -156,14 +151,14 @@ func (b *Builder) CustomGate(kind plonk.GateKind, x, y, z Variable, k [3]fr.Elem
 		b.Fail("circuit: CustomGate without EnableCustomGates")
 		return
 	}
-	b.gates = append(b.gates, gateTmpl{kind: kind, k: k, a: x.id, b: y.id, c: z.id})
+	b.gates = append(b.gates, plonk.Gate{Kind: kind, K: k, A: x.id, B: y.id, C: z.id})
 }
 
 // NoOpRow emits a constraint-free row wiring (x, y, z), terminating a
 // custom-gate sequence so the last round's next-row read lands on the
 // final state.
 func (b *Builder) NoOpRow(x, y, z Variable) {
-	b.gates = append(b.gates, gateTmpl{a: x.id, b: y.id, c: z.id})
+	b.gates = append(b.gates, plonk.Gate{A: x.id, B: y.id, C: z.id})
 }
 
 // NbGates returns the number of gates recorded so far (excluding the
@@ -242,7 +237,7 @@ func (b *Builder) Constant(c fr.Element) Variable {
 	var negC fr.Element
 	negC.Neg(&c)
 	// v - c = 0
-	b.gates = append(b.gates, gateTmpl{qL: fr.One(), qC: negC, a: v.id, b: v.id, c: v.id})
+	b.gates = append(b.gates, plonk.Gate{QL: fr.One(), QC: negC, A: v.id, B: v.id, C: v.id})
 	b.auditConstPins = append(b.auditConstPins, AuditConstPin{Var: v.id, Gate: len(b.gates) - 1})
 	b.constants[key] = v
 	return v
@@ -277,7 +272,7 @@ func (b *Builder) Gate(x, y Variable, qL, qR, qM, qC fr.Element) Variable {
 	val.Add(&val, &t)
 	val.Add(&val, &qC)
 	out := b.newVar(val)
-	b.gates = append(b.gates, gateTmpl{qL: qL, qR: qR, qO: frNeg(frOne), qM: qM, qC: qC, a: x.id, b: y.id, c: out.id})
+	b.gates = append(b.gates, plonk.Gate{QL: qL, QR: qR, QO: frNeg(frOne), QM: qM, QC: qC, A: x.id, B: y.id, C: out.id})
 	return out
 }
 
@@ -326,24 +321,24 @@ func (b *Builder) Inverse(x Variable) Variable {
 	val.Inverse(&vx)
 	out := b.newVar(val)
 	// x·out - 1 = 0
-	b.gates = append(b.gates, gateTmpl{qM: frOne, qC: frNeg(frOne), a: x.id, b: out.id, c: out.id})
+	b.gates = append(b.gates, plonk.Gate{QM: frOne, QC: frNeg(frOne), A: x.id, B: out.id, C: out.id})
 	return out
 }
 
 // AssertEqual constrains x == y.
 func (b *Builder) AssertEqual(x, y Variable) {
-	b.gates = append(b.gates, gateTmpl{qL: frOne, qR: frNeg(frOne), a: x.id, b: y.id, c: x.id})
+	b.gates = append(b.gates, plonk.Gate{QL: frOne, QR: frNeg(frOne), A: x.id, B: y.id, C: x.id})
 }
 
 // AssertConst constrains x == c.
 func (b *Builder) AssertConst(x Variable, c fr.Element) {
-	b.gates = append(b.gates, gateTmpl{qL: frOne, qC: frNeg(c), a: x.id, b: x.id, c: x.id})
+	b.gates = append(b.gates, plonk.Gate{QL: frOne, QC: frNeg(c), A: x.id, B: x.id, C: x.id})
 }
 
 // AssertBoolean constrains x ∈ {0, 1} via x² = x.
 func (b *Builder) AssertBoolean(x Variable) {
 	// x·x - x = 0
-	b.gates = append(b.gates, gateTmpl{qM: frOne, qL: frNeg(frOne), a: x.id, b: x.id, c: x.id})
+	b.gates = append(b.gates, plonk.Gate{QM: frOne, QL: frNeg(frOne), A: x.id, B: x.id, C: x.id})
 	b.auditBoolCons = append(b.auditBoolCons, AuditBoolCon{Var: x.id, Gate: len(b.gates) - 1})
 }
 
@@ -380,15 +375,8 @@ func (b *Builder) Compile() (*plonk.ConstraintSystem, []fr.Element, error) {
 	for next > cs.NbVariables() {
 		cs.NewVariable()
 	}
-	hasLookupRows := false
-	for i := range b.gates {
-		if b.gates[i].kind == plonk.KindLookup {
-			hasLookupRows = true
-			break
-		}
-	}
-	if hasLookupRows {
-		if err := cs.UseRangeTable(b.lookupBits); err != nil {
+	if slices.ContainsFunc(b.gates, func(g plonk.Gate) bool { return g.Kind == plonk.KindLookup }) {
+		if err := cs.UseRangeTable(DefaultRangeTableBits); err != nil {
 			return nil, nil, fmt.Errorf("circuit: %w", err)
 		}
 	}
@@ -400,11 +388,8 @@ func (b *Builder) Compile() (*plonk.ConstraintSystem, []fr.Element, error) {
 		witness[remap[old]] = val
 	}
 	for _, g := range b.gates {
-		if err := cs.AddGate(plonk.Gate{
-			QL: g.qL, QR: g.qR, QO: g.qO, QM: g.qM, QC: g.qC,
-			Kind: g.kind, K: g.k,
-			A: remap[g.a], B: remap[g.b], C: remap[g.c],
-		}); err != nil {
+		g.A, g.B, g.C = remap[g.A], remap[g.B], remap[g.C]
+		if err := cs.AddGate(g); err != nil {
 			return nil, nil, fmt.Errorf("circuit: %w", err)
 		}
 	}

@@ -12,15 +12,6 @@ import (
 // mutation tests can copy and perturb the snapshot without touching
 // builder internals.
 
-// AuditGate is one recorded gate row in builder numbering (before the
-// public-input renumbering Compile performs).
-type AuditGate struct {
-	QL, QR, QO, QM, QC fr.Element
-	Kind               plonk.GateKind
-	K                  [3]fr.Element
-	A, B, C            int
-}
-
 // AuditBoolCon records an x²=x gate emitted for Var.
 type AuditBoolCon struct {
 	Var  int
@@ -68,12 +59,11 @@ type AuditInfo struct {
 	NbVars int
 	Values []fr.Element   // eager wire values (the witness, builder order)
 	Kinds  []AuditVarKind // wire origin classification
-	Gates  []AuditGate
+	Gates  []plonk.Gate   // builder wire numbering, before Compile's renumbering
 
-	LookupBits  int
-	CustomGates bool
-	MDS         [3][3]fr.Element
-	MDSSet      bool
+	Lookups bool // EnableLookups was called: lookup rows read the DefaultRangeTableBits table
+	MDS     [3][3]fr.Element
+	MDSSet  bool
 
 	BoolCons    []AuditBoolCon
 	BoolUses    []AuditBoolUse
@@ -93,9 +83,8 @@ func (b *Builder) AuditInfo() *AuditInfo {
 		NbVars:      len(b.values),
 		Values:      append([]fr.Element(nil), b.values...),
 		Kinds:       append([]AuditVarKind(nil), b.kinds...),
-		Gates:       make([]AuditGate, len(b.gates)),
-		LookupBits:  b.lookupBits,
-		CustomGates: b.customGates,
+		Gates:       append([]plonk.Gate(nil), b.gates...),
+		Lookups:     b.lookups,
 		MDS:         b.mds,
 		MDSSet:      b.mdsSet,
 		BoolCons:    append([]AuditBoolCon(nil), b.auditBoolCons...),
@@ -105,12 +94,6 @@ func (b *Builder) AuditInfo() *AuditInfo {
 		ConstPins:   append([]AuditConstPin(nil), b.auditConstPins...),
 		Discards:    append([]int(nil), b.auditDiscards...),
 		Err:         b.err,
-	}
-	for i, g := range b.gates {
-		info.Gates[i] = AuditGate{
-			QL: g.qL, QR: g.qR, QO: g.qO, QM: g.qM, QC: g.qC,
-			Kind: g.kind, K: g.k, A: g.a, B: g.b, C: g.c,
-		}
 	}
 	info.StructBools = make([]AuditStructBool, len(b.auditStructBools))
 	for i, sb := range b.auditStructBools {

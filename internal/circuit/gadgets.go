@@ -4,6 +4,7 @@ import (
 	"math/big"
 
 	"github.com/zkdet/zkdet/internal/fr"
+	"github.com/zkdet/zkdet/internal/plonk"
 )
 
 // This file implements the gadget library of §IV-D: the "fundamental
@@ -28,9 +29,9 @@ func (b *Builder) IsZero(x Variable) Variable {
 	b.markHint(y)
 	b.markHint(m)
 	// y·x = 0
-	b.gates = append(b.gates, gateTmpl{qM: frOne, a: y.id, b: x.id, c: y.id})
+	b.gates = append(b.gates, plonk.Gate{QM: frOne, A: y.id, B: x.id, C: y.id})
 	// m·x + y - 1 = 0
-	b.gates = append(b.gates, gateTmpl{qM: frOne, qO: frOne, qC: frNeg(frOne), a: m.id, b: x.id, c: y.id})
+	b.gates = append(b.gates, plonk.Gate{QM: frOne, QO: frOne, QC: frNeg(frOne), A: m.id, B: x.id, C: y.id})
 	// y is boolean by the two-gate structural argument (y·x=0 forces y=0
 	// whenever x≠0; m·x+y=1 forces y=1 when x=0); both gates must survive.
 	b.auditStructBools = append(b.auditStructBools, AuditStructBool{
@@ -148,7 +149,7 @@ func (b *Builder) FromBits(bits []Variable) Variable {
 // into ⌈n/k⌉ k-bit limbs, each checked by one range-table lookup row;
 // classically it bit-decomposes (one boolean gate per bit).
 func (b *Builder) AssertRange(x Variable, n int) {
-	if b.lookupBits == 0 {
+	if !b.lookups {
 		b.ToBits(x, n)
 	} else {
 		b.assertRangeLookup(x, n)
@@ -164,7 +165,7 @@ func (b *Builder) assertRangeLookup(x Variable, n int) {
 		return
 	}
 	before := len(b.gates)
-	k := b.lookupBits
+	k := DefaultRangeTableBits
 	lookupLimb := func(limb Variable, width int) {
 		if width == k {
 			b.Lookup(limb)
@@ -215,7 +216,7 @@ func (b *Builder) assertRangeLookup(x Variable, n int) {
 // x = high·2^n + low, high boolean and low range-checked by lookups,
 // instead of a full bit decomposition.
 func (b *Builder) topBit(x Variable, n int) Variable {
-	if b.lookupBits == 0 {
+	if !b.lookups {
 		return b.ToBits(x, n+1)[n]
 	}
 	val := b.values[x.id].BigInt()

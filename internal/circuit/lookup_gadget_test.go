@@ -81,7 +81,7 @@ func withCustomRow(b *Builder) {
 // gateKinds counts the recorded lookup and custom (hash-round) rows.
 func gateKinds(b *Builder) (lookup, custom int) {
 	for i := range b.gates {
-		switch b.gates[i].kind {
+		switch b.gates[i].Kind {
 		case plonk.KindLookup:
 			lookup++
 		case plonk.KindArith:

@@ -41,6 +41,9 @@ func NewSystem(srs *kzg.SRS) *System {
 
 // NewTestSystem builds a System with a deterministic (insecure) SRS big
 // enough for circuits of maxConstraints gates; for tests and benchmarks.
+// Its τ is the public constant 0x5eed2025, so anyone can open any
+// commitment against this SRS to any value and forge any proof for any
+// statement. zkdet-node and zkdet-cluster still prove over it today.
 func NewTestSystem(maxConstraints int) (*System, error) {
 	n := 64
 	for n < maxConstraints {

@@ -64,12 +64,13 @@ const (
 	KindPoseidonPartial
 )
 
-// isCustom reports whether the kind reads the next row's wires.
-func (k GateKind) isCustom() bool {
+// IsCustom reports whether the kind reads the next row's wires.
+func (k GateKind) IsCustom() bool {
 	return k == KindPoseidonFull || k == KindPoseidonPartial
 }
 
-// Gate is one Plonk gate row: for KindArith the constraint
+// Gate is one Plonk gate row, as circuit.Builder records it and its auditor
+// reads it; CheckRow defines when it holds. For KindArith the constraint
 //
 //	qL·a + qR·b + qO·c + qM·a·b + qC + PI = 0
 //
@@ -205,75 +206,74 @@ func (cs *ConstraintSystem) IsSatisfied(witness []fr.Element) error {
 	if len(witness) != cs.nbVariables {
 		return fmt.Errorf("%w: got %d, want %d", ErrWitnessLength, len(witness), cs.nbVariables)
 	}
-	for i, g := range cs.gates {
-		a, b, c := witness[g.A], witness[g.B], witness[g.C]
-		var acc, t fr.Element
-		t.Mul(&g.QL, &a)
-		acc.Add(&acc, &t)
-		t.Mul(&g.QR, &b)
-		acc.Add(&acc, &t)
-		t.Mul(&g.QO, &c)
-		acc.Add(&acc, &t)
-		t.Mul(&a, &b)
-		t.Mul(&t, &g.QM)
-		acc.Add(&acc, &t)
-		acc.Add(&acc, &g.QC)
-		if i < cs.nbPublic {
-			// PI(ω^i) = -x_i.
-			acc.Sub(&acc, &witness[i])
-		}
-		if !acc.IsZero() {
-			return fmt.Errorf("%w: gate %d", ErrUnsatisfied, i)
-		}
-		switch g.Kind {
-		case KindLookup:
-			if v, ok := a.Uint64(); !ok || v >= uint64(1)<<cs.tableBits {
-				return fmt.Errorf("%w: gate %d", ErrLookupRange, i)
-			}
-		case KindPoseidonFull, KindPoseidonPartial:
-			// Custom gates read the following row's wires; past the last
-			// gate the prover pads with rows wired to variable 0, matching
-			// the polynomial identity on the padded domain.
-			na, nb, nc := witness[0], witness[0], witness[0]
-			if i+1 < len(cs.gates) {
-				ng := cs.gates[i+1]
-				na, nb, nc = witness[ng.A], witness[ng.B], witness[ng.C]
-			}
-			if err := checkCustomGate(g, cs.mds, a, b, c, na, nb, nc); err != nil {
-				return fmt.Errorf("%w: gate %d", err, i)
-			}
+	for i := range cs.gates {
+		if err := CheckRow(cs.gates, i, witness, cs.nbPublic, cs.tableBits, &cs.mds); err != nil {
+			return fmt.Errorf("%w: gate %d", err, i)
 		}
 	}
 	return nil
 }
 
-// checkCustomGate evaluates one Poseidon round row on concrete wire values:
-// the next row's wires must equal MDS·(w+K)^5, with only lane a S-boxed on a
-// partial round. It is the reference semantics mirrored by the prover's
-// quotient and the verifier's evaluation at ζ.
-func checkCustomGate(g Gate, mds [3][3]fr.Element, a, b, c, na, nb, nc fr.Element) error {
-	w := [3]fr.Element{a, b, c}
-	next := [3]fr.Element{na, nb, nc}
-	var sb [3]fr.Element
-	for j := 0; j < 3; j++ {
-		var t fr.Element
-		t.Add(&w[j], &g.K[j])
-		if g.Kind == KindPoseidonFull || j == 0 {
-			var t2 fr.Element
-			t2.Square(&t)
-			t2.Square(&t2)
-			t.Mul(&t2, &t)
-		}
-		sb[j] = t
+// CheckRow is the definition of when row i of gates holds on the wire
+// values w (indexed by the rows' A, B, C): the arithmetic identity
+// qL·a + qR·b + qO·c + qM·a·b + qC + PI = 0, where PI(ω^i) = −w[i] on the
+// first nbPublic rows and 0 elsewhere; on a lookup row the bound
+// 0 ≤ a < 2^tableBits (ErrLookupRange); and on a Poseidon row the round
+// against row i+1's wires, which must equal MDS·(w+K)^5 with only lane a
+// S-boxed on a partial round. Past the last row a round reads w[0] three
+// times, as the prover pads with rows wired to variable 0. IsSatisfied
+// loops over it, the circuit auditor calls it on builder rows, and the
+// prover's quotient and the verifier's evaluation at ζ mirror it. It
+// allocates nothing.
+func CheckRow(gates []Gate, i int, w []fr.Element, nbPublic, tableBits int, mds *[3][3]fr.Element) error {
+	g := &gates[i]
+	a, b, c := &w[g.A], &w[g.B], &w[g.C]
+	var acc, t fr.Element
+	t.Mul(&g.QL, a)
+	acc.Add(&acc, &t)
+	t.Mul(&g.QR, b)
+	acc.Add(&acc, &t)
+	t.Mul(&g.QO, c)
+	acc.Add(&acc, &t)
+	t.Mul(a, b)
+	t.Mul(&t, &g.QM)
+	acc.Add(&acc, &t)
+	acc.Add(&acc, &g.QC)
+	if i < nbPublic {
+		acc.Sub(&acc, &w[i])
 	}
-	for l := 0; l < 3; l++ {
-		var acc, t fr.Element
-		for j := 0; j < 3; j++ {
-			t.Mul(&mds[l][j], &sb[j])
-			acc.Add(&acc, &t)
+	if !acc.IsZero() {
+		return ErrUnsatisfied
+	}
+	switch g.Kind {
+	case KindLookup:
+		if v, ok := a.Uint64(); !ok || v >= uint64(1)<<tableBits {
+			return ErrLookupRange
 		}
-		if !acc.Equal(&next[l]) {
-			return ErrUnsatisfied
+	case KindPoseidonFull, KindPoseidonPartial:
+		lanes, next := [3]*fr.Element{a, b, c}, [3]*fr.Element{&w[0], &w[0], &w[0]}
+		if i+1 < len(gates) {
+			ng := &gates[i+1]
+			next = [3]*fr.Element{&w[ng.A], &w[ng.B], &w[ng.C]}
+		}
+		var sb [3]fr.Element
+		for j := range sb {
+			sb[j].Add(lanes[j], &g.K[j])
+			if g.Kind == KindPoseidonFull || j == 0 {
+				t.Square(&sb[j])
+				t.Square(&t)
+				sb[j].Mul(&t, &sb[j])
+			}
+		}
+		for l := range next {
+			acc.SetZero()
+			for j := range sb {
+				t.Mul(&mds[l][j], &sb[j])
+				acc.Add(&acc, &t)
+			}
+			if !acc.Equal(next[l]) {
+				return ErrUnsatisfied
+			}
 		}
 	}
 	return nil

@@ -394,7 +394,7 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 		case KindPoseidonPartial:
 			pk.QPosP[i] = one
 		}
-		if g.Kind.isCustom() {
+		if g.Kind.IsCustom() {
 			pk.KC0[i], pk.KC1[i], pk.KC2[i] = g.K[0], g.K[1], g.K[2]
 		}
 	}
