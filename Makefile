@@ -79,10 +79,14 @@ test:
 # no build tag of our own: the field, FFT and curve suites, then the eight
 # prover goldens — that they pass under both kernels is the cross-kernel
 # bit-identity proof — and the four proof shapes' encoding, shape-refusal and
-# tamper tests. arm64 cannot run here; it must at least build and vet.
+# tamper tests. The same 32-bit build then runs the SRS, snapshot and WAL
+# decoders over their fuzz seeds, where a length field near 2^32 read as an
+# int would wrap; each must be refused with the package's typed error. arm64
+# cannot run here; it must at least build and vet.
 test-fallback:
 	GOARCH=386 $(GO) test ./internal/ff/ ./internal/fr/ ./internal/poly/ ./internal/bn254/
 	GOARCH=386 $(GO) test -run 'TestClassicProverBitIdentity|TestExtendedProofSerializationRoundTrip|TestProofShapeMismatch|TestExtendedProofTamperRejected|TestLinearizationIsAffine|TestOpeningMSMWidth' ./internal/plonk/
+	GOARCH=386 $(GO) test -run 'FuzzSRSFromBytes|TestSRSFromBytesRejectsTampering|FuzzSnapshotDecode|TestDecodeRefusesWrappedLengths|FuzzTornReplay|TestOpenTruncatesWrappedLength' ./internal/kzg/ ./internal/snapshot/ ./internal/wal/
 	GOARCH=arm64 $(GO) build ./...
 	GOARCH=arm64 $(GO) vet ./internal/ff/
 

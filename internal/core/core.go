@@ -45,16 +45,23 @@ func NewSystem(srs *kzg.SRS) *System {
 // commitment against this SRS to any value and forge any proof for any
 // statement. zkdet-node and zkdet-cluster still prove over it today.
 func NewTestSystem(maxConstraints int) (*System, error) {
-	n := 64
-	for n < maxConstraints {
-		n <<= 1
-	}
 	tau := fr.NewElement(0x5eed2025)
-	srs, err := kzg.NewSRSFromSecret(4*n+16, &tau)
+	srs, err := kzg.NewSRSFromSecret(SRSPowers(maxConstraints), &tau)
 	if err != nil {
 		return nil, err
 	}
 	return NewSystem(srs), nil
+}
+
+// SRSPowers is the number of G1 powers every SRS this repository builds
+// holds for circuits of up to maxConstraints gates: 4n + 16, where n is
+// maxConstraints rounded up to a power of two of at least 64.
+func SRSPowers(maxConstraints int) int {
+	n := 64
+	for n < maxConstraints {
+		n <<= 1
+	}
+	return 4*n + 16
 }
 
 // SRS exposes the system's reference string.

@@ -25,6 +25,18 @@ var testSys = sync.OnceValue(func() *System {
 	return s
 })
 
+// TestSRSPowers pins the one sizing rule both system constructors use:
+// 4n + 16 powers for n the gate bound rounded up to a power of two ≥ 64.
+func TestSRSPowers(t *testing.T) {
+	for _, tc := range []struct{ gates, want int }{
+		{0, 272}, {64, 272}, {65, 528}, {1 << 12, 16400}, {1<<13 + 1, 65552},
+	} {
+		if got := SRSPowers(tc.gates); got != tc.want {
+			t.Fatalf("SRSPowers(%d) = %d, want %d", tc.gates, got, tc.want)
+		}
+	}
+}
+
 func smallData(n int) Dataset {
 	d := make(Dataset, n)
 	for i := range d {

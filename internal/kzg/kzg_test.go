@@ -1,6 +1,9 @@
 package kzg
 
 import (
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"testing"
 
 	"github.com/zkdet/zkdet/internal/bn254"
@@ -8,7 +11,7 @@ import (
 	"github.com/zkdet/zkdet/internal/poly"
 )
 
-func testSRS(t *testing.T, size int) *SRS {
+func testSRS(t testing.TB, size int) *SRS {
 	t.Helper()
 	tau := fr.NewElement(0xbeef1234)
 	srs, err := NewSRSFromSecret(size, &tau)
@@ -326,4 +329,33 @@ func TestSRSFromBytesRejectsTampering(t *testing.T) {
 	if _, err := SRSFromBytes(bad); err == nil {
 		t.Fatal("swapped powers accepted")
 	}
+	// A declared size whose byte count wraps a 32-bit int.
+	if _, err := SRSFromBytes(wrappedSizeSRS()); !errors.Is(err, ErrInvalidSRS) {
+		t.Fatalf("SRSFromBytes of a file declaring 2^26 powers = %v, want ErrInvalidSRS", err)
+	}
+}
+
+// wrappedSizeSRS is a 280-byte SRS file declaring 2^26 G1 powers and holding
+// only the two G2 points. On a 32-bit build 2^26·64 wraps to 0 as an int, so
+// a length check in int arithmetic would pass it on to a 4 GiB allocation.
+func wrappedSizeSRS() []byte {
+	b := binary.BigEndian.AppendUint64([]byte(srsMagic), 1<<26)
+	return append(b, make([]byte, 2*g2ByteLen)...)
+}
+
+// FuzzSRSFromBytes feeds arbitrary bytes as an SRS file: decoding must never
+// panic, and a file it accepts must re-encode to exactly its input.
+func FuzzSRSFromBytes(f *testing.F) {
+	f.Add(testSRS(f, 8).Bytes())
+	f.Add(wrappedSizeSRS())
+	f.Add([]byte(srsMagic))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		srs, err := SRSFromBytes(data)
+		if err != nil {
+			return
+		}
+		if !bytes.Equal(srs.Bytes(), data) {
+			t.Fatalf("accepted SRS does not re-encode to its %d input bytes", len(data))
+		}
+	})
 }

@@ -87,8 +87,9 @@ func SRSFromBytes(data []byte) (*SRS, error) {
 	if n < 2 || n > 1<<30 {
 		return nil, fmt.Errorf("%w: implausible size %d", ErrInvalidSRS, n)
 	}
-	want := int(n)*64 + 2*g2ByteLen
-	if len(data) != want {
+	// In uint64: on a 32-bit build int(n)*64 wraps for n ≥ 2^25.
+	want := n*64 + 2*g2ByteLen
+	if uint64(len(data)) != want {
 		return nil, fmt.Errorf("%w: body is %d bytes, want %d", ErrInvalidSRS, len(data), want)
 	}
 	srs := &SRS{G1: make([]bn254.G1Affine, n)}

@@ -88,7 +88,7 @@ func (d *dec) take(n int) []byte {
 	if d.err != nil {
 		return nil
 	}
-	if d.off+n > len(d.b) || n < 0 {
+	if n < 0 || n > len(d.b)-d.off {
 		d.err = fmt.Errorf("%w: truncated at offset %d", ErrBadSnapshot, d.off)
 		return nil
 	}
@@ -142,17 +142,18 @@ func (d *dec) str() string { return string(d.bytes()) }
 
 // count reads a section length and bounds it by the remaining bytes (each
 // entry needs at least min bytes), so a corrupt count cannot drive a huge
-// allocation.
+// allocation. The bound is checked before the count becomes an int, which
+// on a 32-bit build would turn a count above 2^31 negative.
 func (d *dec) count(min int) int {
-	n := int(d.u32())
+	n := d.u32()
 	if d.err != nil {
 		return 0
 	}
-	if min > 0 && n > (len(d.b)-d.off)/min+1 {
+	if min > 0 && uint64(n) > uint64((len(d.b)-d.off)/min+1) {
 		d.err = fmt.Errorf("%w: implausible count %d at offset %d", ErrBadSnapshot, n, d.off)
 		return 0
 	}
-	return n
+	return int(n)
 }
 
 func encodeTx(e *enc, tx *chain.Transaction) {

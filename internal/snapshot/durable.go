@@ -109,8 +109,8 @@ type RecoveryReport struct {
 
 // DurableStore composes the write-ahead log and snapshot checkpoints
 // behind the in-memory chain: an OnSeal hook logs every sealed block
-// (group-commit fsynced before ProduceBlock returns, i.e. before any waiter
-// is acknowledged), a blob wrapper logs every put, and a background
+// (fsynced before ProduceBlock returns, i.e. before any waiter is
+// acknowledged), a blob wrapper logs every put, and a background
 // checkpointer periodically snapshots the whole state and prunes the log.
 //
 // Lifecycle: Open → [Blobs] → deploy genesis → Recover → Attach → serve;
@@ -187,9 +187,10 @@ func (d *DurableStore) Attach(c *chain.Chain) error {
 }
 
 // onSeal is the durability hook: it logs the sealed block (header, bodies,
-// receipts) and blocks on the group commit, so by the time ProduceBlock (or
-// ImportBlock) returns — and the node acknowledges any submitter — the block
-// is on disk. Runs under the chain's sealMu in strict height order.
+// receipts) and blocks until an fsync covers it, so by the time
+// ProduceBlock (or ImportBlock) returns — and the node acknowledges any
+// submitter — the block is on disk. Runs under the chain's sealMu in
+// strict height order.
 func (d *DurableStore) onSeal(b chain.Block, receipts []*chain.Receipt) {
 	txs, ok := d.c.BlockBody(b.Number)
 	if !ok {
@@ -689,9 +690,9 @@ func decodeBlockRecord(payload []byte) (chain.Block, []chain.Transaction, []*cha
 }
 
 // DurableBlobs is the write-ahead-logged blob store: every Put and Remove
-// is in the WAL before the call returns (group-commit fsynced), so an
-// acknowledged blob survives a crash. It implements storage.LocalStore,
-// plugging into core.Marketplace and the p2p layer's Config.Store alike.
+// is in the WAL, fsynced, before the call returns, so an acknowledged blob
+// survives a crash. It implements storage.LocalStore, plugging into
+// core.Marketplace and the p2p layer's Config.Store alike.
 type DurableBlobs struct {
 	d     *DurableStore
 	inner *storage.Store

@@ -212,6 +212,27 @@ func TestCrashRecoverFromWALOnly(t *testing.T) {
 	}
 }
 
+// TestDurableFailureLatches: a WAL that fails under an attached engine
+// latches the failure. The block sealed after it is not on disk, so Err
+// wraps wal.ErrClosed, Close returns that error, and a later blob put
+// fails. (The seal itself still returns its receipt: onSeal cannot veto a
+// block.)
+func TestDurableFailureLatches(t *testing.T) {
+	n, _ := openNode(t, t.TempDir(), Options{})
+	n.d.log.Crash()
+	n.seal(t, "inc")
+	err := n.d.Err()
+	if !errors.Is(err, wal.ErrClosed) {
+		t.Fatalf("Err after a seal on a crashed WAL = %v, want wal.ErrClosed", err)
+	}
+	if cerr := n.d.Close(); !errors.Is(cerr, err) {
+		t.Fatalf("Close = %v, want the latched %v", cerr, err)
+	}
+	if _, perr := n.bs.Put("alice", []byte("after the failure")); perr == nil {
+		t.Fatal("blob put acknowledged after a durability failure")
+	}
+}
+
 func TestCheckpointThenCrashReplaysOnlyTail(t *testing.T) {
 	dir := t.TempDir()
 	n, _ := openNode(t, dir, Options{CheckpointEvery: 4})
@@ -431,6 +452,37 @@ func TestSnapshotCorruptionProperty(t *testing.T) {
 	}
 }
 
+// wrappedLengthSnapshots are sealed snapshots with an empty manifest whose
+// length fields sit at the top of the u32 range: a block count of 0xFFFFFFFF,
+// which a 32-bit int reads as −1, and one storage whose name length
+// 0x7FFFFFFF overflows a 32-bit offset + length. Both must be bounded before
+// they become ints.
+func wrappedLengthSnapshots() [][]byte {
+	var out [][]byte
+	for _, fields := range [][]uint32{{0xFFFFFFFF}, {0, 0, 0, 1, 0x7FFFFFFF}} {
+		e := &enc{b: []byte(snapMagic)}
+		e.u32(snapVersion)
+		e.u8(byte(Archive))
+		e.u64(0)
+		e.hash(chain.Hash{})
+		e.u64(0)
+		for _, v := range fields {
+			e.u32(v)
+		}
+		e.u32(crc32.Checksum(e.b, crcTable))
+		out = append(out, e.b)
+	}
+	return out
+}
+
+func TestDecodeRefusesWrappedLengths(t *testing.T) {
+	for i, data := range wrappedLengthSnapshots() {
+		if _, err := Decode(data); !errors.Is(err, ErrBadSnapshot) {
+			t.Fatalf("crafted snapshot %d: Decode = %v, want ErrBadSnapshot", i, err)
+		}
+	}
+}
+
 // newRNG is a tiny xorshift for deterministic corruption trials.
 type rng struct{ s uint64 }
 
@@ -456,6 +508,9 @@ func FuzzSnapshotDecode(f *testing.F) {
 	f.Add(Encode(&Snapshot{State: exp}))
 	f.Add([]byte(snapMagic))
 	f.Add([]byte{})
+	for _, data := range wrappedLengthSnapshots() {
+		f.Add(data)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		snap, err := Decode(data)
 		if err != nil {

@@ -47,10 +47,13 @@ func parseFrames(data []byte, fn func(typ byte, payload []byte) error) (n int, k
 		if len(rest) < frameOverhead {
 			return n, int64(off), int64(len(rest)), nil
 		}
-		plen := int(binary.LittleEndian.Uint32(rest[:4]))
-		if plen+frameOverhead > maxFrame || len(rest) < frameOverhead+plen {
+		// Bound the length field before it becomes an int, which on a
+		// 32-bit build would turn a length above 2^31 negative.
+		u := binary.LittleEndian.Uint32(rest[:4])
+		if u > maxFrame-frameOverhead || len(rest) < frameOverhead+int(u) {
 			return n, int64(off), int64(len(rest)), nil
 		}
+		plen := int(u)
 		typ := rest[4]
 		payload := rest[5 : 5+plen]
 		want := binary.LittleEndian.Uint32(rest[5+plen : frameOverhead+plen])

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 )
 
@@ -167,6 +168,35 @@ func TestBitFlipSealedSegmentFailsLoudly(t *testing.T) {
 	}
 }
 
+// wrappedLengthSegment is a segment holding one record, then a frame whose
+// length field reads 0xFFFFFFF7: a 32-bit int reads it as −9, which would
+// pass an int bound and slice the payload backwards.
+func wrappedLengthSegment() []byte {
+	var buf bytes.Buffer
+	buf.WriteString(segMagic)
+	writeFrame(&buf, 1, []byte("kept")) //nolint:errcheck // bytes.Buffer cannot fail
+	buf.Write([]byte{0xf7, 0xff, 0xff, 0xff, 1, 0, 0, 0, 0})
+	return buf.Bytes()
+}
+
+func TestOpenTruncatesWrappedLength(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, segName(1)), wrappedLengthSegment(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	l, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatalf("Open on a wrapped length field: %v", err)
+	}
+	defer l.Close()
+	if got := l.TornBytes(); got != 9 {
+		t.Fatalf("TornBytes = %d, want the 9-byte wrapped frame", got)
+	}
+	if got := collect(t, l); len(got) != 1 || string(got[0].payload) != "kept" {
+		t.Fatalf("replayed %d records, want the one before the torn tail", len(got))
+	}
+}
+
 // FuzzTornReplay feeds arbitrary bytes as a segment file: parsing must
 // never panic, and every frame it accepts must carry a valid CRC (checked
 // implicitly by re-framing and comparing).
@@ -180,6 +210,7 @@ func FuzzTornReplay(f *testing.F) {
 	f.Add(buf.Bytes())
 	f.Add([]byte(segMagic))
 	f.Add([]byte{})
+	f.Add(wrappedLengthSegment())
 	f.Fuzz(func(t *testing.T, data []byte) {
 		n, keep, bad, err := parseFrames(data, func(typ byte, payload []byte) error { return nil })
 		if err != nil {

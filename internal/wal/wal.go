@@ -1,7 +1,8 @@
 // Package wal implements the append-only write-ahead log under ZKDET's
-// durable state engine: CRC-framed records in rotating segment files, with
-// group-committed fsync batching so many concurrent appenders share one
-// disk flush.
+// durable state engine: CRC-framed records in rotating segment files.
+// Concurrent appenders share fsyncs among themselves: one runs at a time,
+// and the records framed while it runs share the next. The log starts no
+// goroutine of its own.
 //
 // Durability contract: a record is durable once AppendSync returns. The log
 // never acknowledges a record before it is framed, flushed, and fsynced —
@@ -19,6 +20,7 @@ import (
 	"hash/crc32"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"sync"
 )
@@ -81,10 +83,9 @@ type Log struct {
 	durable  uint64        // guarded by mu; highest seq covered by an fsync
 	err      error         // guarded by mu; sticky I/O error
 	closed   bool          // guarded by mu
-	crashed  bool          // guarded by mu; Crash() dropped the buffers
+	syncing  bool          // guarded by mu; an fsync is running outside mu
 
-	wake   *sync.Cond // signals the group committer that work is pending
-	synced *sync.Cond // broadcast when durable advances
+	synced *sync.Cond // broadcast when an fsync ends or rotation advances durable
 
 	appends        uint64 // guarded by mu
 	syncs          uint64 // guarded by mu; fsyncs issued
@@ -92,9 +93,6 @@ type Log struct {
 	prunedSegments uint64 // guarded by mu; segment files deleted by PruneTo
 
 	tornBytes int64 // truncated from the tail at Open; fixed once Open returns
-
-	syncerWG sync.WaitGroup
-	pruneWG  sync.WaitGroup
 }
 
 // Open creates or reopens a log in opts.Dir. Reopening scans every
@@ -108,7 +106,6 @@ func Open(opts Options) (*Log, error) {
 		return nil, fmt.Errorf("wal: %w", err)
 	}
 	l := &Log{opts: opts, nextSeq: 1}
-	l.wake = sync.NewCond(&l.mu)
 	l.synced = sync.NewCond(&l.mu)
 
 	if err := l.scanExisting(); err != nil {
@@ -121,15 +118,12 @@ func Open(opts Options) (*Log, error) {
 	}
 	l.written = l.nextSeq - 1
 	l.durable = l.written
-
-	l.syncerWG.Add(1)
-	go l.syncLoop()
 	return l, nil
 }
 
 // scanExisting loads the segment list, verifies frames, truncates a torn
-// tail, and opens the last segment for append. Called before the syncer
-// starts; the lock is held for the duration anyway so the guarded-field
+// tail, and opens the last segment for append. Called before Open returns
+// the log; the lock is held for the duration anyway so the guarded-field
 // discipline stays uniform.
 func (l *Log) scanExisting() error {
 	l.mu.Lock()
@@ -208,7 +202,7 @@ func listSegments(dir string) ([]segment, error) {
 }
 
 // openSegmentLocked creates a fresh segment whose first record will be seq;
-// caller holds l.mu (or runs before the syncer exists).
+// caller holds l.mu (or runs before Open returns the log).
 func (l *Log) openSegmentLocked(seq uint64) error {
 	path := filepath.Join(l.opts.Dir, segName(seq))
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
@@ -228,8 +222,8 @@ func (l *Log) openSegmentLocked(seq uint64) error {
 
 // rotateLocked seals the active segment (flush + fsync + close) and opens
 // the next one; caller holds l.mu. Everything framed so far becomes
-// durable, which keeps the group committer's single-file bookkeeping
-// correct across the boundary.
+// durable, so an fsync still running on the sealed file owes nothing to the
+// records framed into its successor.
 func (l *Log) rotateLocked() error {
 	if err := l.w.Flush(); err != nil {
 		return err
@@ -248,8 +242,8 @@ func (l *Log) rotateLocked() error {
 }
 
 // append frames a record into the log and returns its sequence number. The
-// record is NOT durable yet: it becomes durable at the group committer's
-// next fsync, which AppendSync waits for.
+// record is NOT durable yet: it becomes durable at the next fsync that
+// covers it, which AppendSync runs or waits for.
 func (l *Log) append(typ byte, payload []byte) (uint64, error) {
 	if len(payload)+frameOverhead > maxFrame {
 		return 0, fmt.Errorf("%w: %d bytes", ErrTooLarge, len(payload))
@@ -277,116 +271,78 @@ func (l *Log) append(typ byte, payload []byte) (uint64, error) {
 	l.written = seq
 	l.segSize += frameOverhead + len(payload)
 	l.appends++
-	l.wake.Signal()
 	return seq, nil
 }
 
-// AppendSync appends a record and blocks until the group commit covering
-// it has fsynced — the durable-before-acknowledge primitive.
+// AppendSync appends a record and blocks until an fsync covers it — the
+// durable-before-acknowledge primitive.
 func (l *Log) AppendSync(typ byte, payload []byte) (uint64, error) {
 	seq, err := l.append(typ, payload)
 	if err != nil {
 		return 0, err
 	}
-	return seq, l.waitDurable(seq)
+	return seq, l.syncTo(seq)
 }
 
-// waitDurable blocks until the record with the given seq is fsynced.
-func (l *Log) waitDurable(seq uint64) error {
+// syncTo blocks until an fsync covers every record up to seq. One fsync
+// runs at a time, outside mu, and covers everything written when it began.
+// A caller that finds one running waits for it, and runs the next itself if
+// that one did not cover seq: appends that land during an fsync share the
+// next one.
+func (l *Log) syncTo(seq uint64) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.durable < seq && l.err == nil && !l.closed {
-		l.synced.Wait()
-	}
-	if l.durable >= seq {
-		return nil
-	}
-	if l.err != nil {
-		return l.err
-	}
-	return ErrClosed
-}
-
-// syncTo makes all records up to target durable, sharing the work with the
-// group committer where possible.
-func (l *Log) syncTo(target uint64) error {
-	l.mu.Lock()
-	if l.durable >= target {
-		err := l.err
+	yielded := false
+	for l.durable < seq {
+		switch {
+		case l.err != nil:
+			return l.err
+		case l.closed:
+			return ErrClosed
+		case l.syncing:
+			l.synced.Wait()
+			continue
+		case !yielded:
+			// Yield once before running an fsync, so appenders that are
+			// already runnable frame their records into it. An fsync that
+			// returns before the scheduler hands its P away lets nothing
+			// else run, so on one P no fsync would ever be shared.
+			yielded = true
+			l.mu.Unlock()
+			runtime.Gosched()
+			l.mu.Lock()
+			continue
+		}
+		if err := l.w.Flush(); err != nil {
+			l.err = fmt.Errorf("wal: flush: %w", err)
+			return l.err
+		}
+		f, flushed := l.f, l.written
+		l.syncing = true
 		l.mu.Unlock()
-		return err
-	}
-	if l.closed {
-		l.mu.Unlock()
-		return ErrClosed
-	}
-	if err := l.w.Flush(); err != nil {
-		werr := fmt.Errorf("wal: flush: %w", err)
-		l.err = werr
-		l.mu.Unlock()
-		return werr
-	}
-	f := l.f
-	flushed := l.written
-	l.mu.Unlock()
-
-	// fsync outside the lock: appenders keep framing into the buffer while
-	// the disk write completes. The fsync covers at least every byte
-	// flushed above; rotation fsyncs synchronously under mu, so f cannot
-	// have been swapped with unflushed data attributed to it.
-	serr := f.Sync()
-
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if serr != nil {
-		if f != l.f {
+		serr := f.Sync()
+		l.mu.Lock()
+		l.syncing = false
+		l.synced.Broadcast()
+		switch {
+		case serr == nil:
+			l.syncs++
+			l.durable = max(l.durable, flushed)
+		case f != l.f:
 			// Lost the race with rotation: rotation flushed, fsynced and
 			// closed this very file under mu and advanced durable past
 			// flushed, so the fsync-on-closed-file error is benign.
-			return l.err
-		}
-		if l.err == nil {
+		case l.err == nil:
 			l.err = fmt.Errorf("wal: fsync: %w", serr)
 		}
-		l.synced.Broadcast()
-		return l.err
 	}
-	l.syncs++
-	if flushed > l.durable {
-		l.durable = flushed
-	}
-	l.synced.Broadcast()
-	return l.err
+	return nil
 }
 
-// syncLoop is the group committer: it wakes when appends are pending and
-// issues one fsync for everything written since the last one. It does not
-// wait for more writers: appends that land while an fsync runs share the
-// next one.
-func (l *Log) syncLoop() {
-	defer l.syncerWG.Done()
-	for {
-		l.mu.Lock()
-		for l.written == l.durable && !l.closed && l.err == nil {
-			l.wake.Wait()
-		}
-		if l.closed || l.err != nil {
-			l.synced.Broadcast()
-			l.mu.Unlock()
-			return
-		}
-		target := l.written
-		l.mu.Unlock()
-		if err := l.syncTo(target); err != nil {
-			return
-		}
-	}
-}
-
-// PruneTo asynchronously deletes sealed segments every record of which has
-// seq < keep — background compaction after a snapshot checkpoint makes the
-// prefix redundant. The active segment is never deleted. Deletion runs on
-// a background goroutine; Close waits for it.
+// PruneTo deletes sealed segments every record of which has seq < keep —
+// compaction after a snapshot checkpoint makes the prefix redundant. The
+// active segment is never deleted. The files are removed after mu is
+// released, so appenders do not wait on the unlinks.
 func (l *Log) PruneTo(keep uint64) {
 	l.mu.Lock()
 	var victims []segment
@@ -397,16 +353,9 @@ func (l *Log) PruneTo(keep uint64) {
 	}
 	l.prunedSegments += uint64(len(victims))
 	l.mu.Unlock()
-	if len(victims) == 0 {
-		return
+	for _, seg := range victims {
+		os.Remove(seg.path) //nolint:errcheck // best-effort; re-pruned next checkpoint
 	}
-	l.pruneWG.Add(1)
-	go func() {
-		defer l.pruneWG.Done()
-		for _, seg := range victims {
-			os.Remove(seg.path) //nolint:errcheck // best-effort; re-pruned next checkpoint
-		}
-	}()
 }
 
 // Metrics reports the log's cumulative counters under constant wal.* names.
@@ -430,28 +379,15 @@ func (l *Log) NextSeq() uint64 {
 // TornBytes returns how many bytes Open truncated from a torn tail.
 func (l *Log) TornBytes() int64 { return l.tornBytes }
 
-// Close flushes and fsyncs the tail, stops the group committer, and waits
-// for background pruning.
+// Close fsyncs every record framed before it was called, waits for an
+// fsync in flight, and closes the active segment. It returns the sticky I/O
+// error if the log has one; closing a closed log returns nil.
 func (l *Log) Close() error {
 	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return nil
-	}
 	target := l.written
 	l.mu.Unlock()
 	serr := l.syncTo(target)
-
-	l.mu.Lock()
-	l.closed = true
-	l.wake.Broadcast()
-	l.synced.Broadcast()
-	f := l.f
-	l.mu.Unlock()
-
-	l.syncerWG.Wait()
-	l.pruneWG.Wait()
-	cerr := f.Close()
+	cerr := l.shut()
 	if serr != nil && !errors.Is(serr, ErrClosed) {
 		return serr
 	}
@@ -463,18 +399,26 @@ func (l *Log) Close() error {
 // flushing and closing the file descriptor mid-state. The directory can
 // then be reopened to exercise recovery.
 func (l *Log) Crash() {
+	l.shut() //nolint:errcheck // crash semantics: buffered data is deliberately lost
+}
+
+// shut waits for an fsync in flight, marks the log closed and closes the
+// active segment without flushing it. It returns the sticky I/O error, else
+// the file's close error; a log already closed returns nil.
+func (l *Log) shut() error {
 	l.mu.Lock()
+	for l.syncing {
+		l.synced.Wait()
+	}
 	if l.closed {
 		l.mu.Unlock()
-		return
+		return nil
 	}
 	l.closed = true
-	l.crashed = true
-	l.wake.Broadcast()
-	l.synced.Broadcast()
-	f := l.f
+	f, err := l.f, l.err
 	l.mu.Unlock()
-	l.syncerWG.Wait()
-	l.pruneWG.Wait()
-	f.Close() //nolint:errcheck // crash semantics: buffered data is deliberately lost
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }

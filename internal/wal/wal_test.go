@@ -106,7 +106,6 @@ func TestSegmentRotationAndPrune(t *testing.T) {
 	// Prune everything below the last few records: older segments go away,
 	// replay starts at a retained seq, retained records survive.
 	l.PruneTo(uint64(n - 2))
-	l.pruneWG.Wait()
 	m = l.Metrics()
 	if m["wal.prunedSegments"] == 0 {
 		t.Fatalf("expected pruned segments, got metrics %v", m)
@@ -170,6 +169,58 @@ func TestGroupCommitBatchesFsyncs(t *testing.T) {
 	if got := collect(t, l); len(got) != writers*each {
 		t.Fatalf("replayed %d, want %d", len(got), writers*each)
 	}
+
+	// The same sharing across rotation: 128-byte segments seal every few
+	// records, so rotation's own fsync on the sealed file races the fsyncs
+	// the appenders share.
+	t.Run("rotation", func(t *testing.T) {
+		l, err := Open(Options{Dir: t.TempDir(), SegmentBytes: 128})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer l.Close()
+		acked := make([][]rec, writers)
+		var wg sync.WaitGroup
+		for w := 0; w < writers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for i := 0; i < each; i++ {
+					payload := []byte(fmt.Sprintf("w%d-%d", w, i))
+					seq, err := l.AppendSync(1, payload)
+					if err != nil {
+						t.Errorf("append: %v", err)
+						return
+					}
+					acked[w] = append(acked[w], rec{seq, 1, payload})
+				}
+			}(w)
+		}
+		wg.Wait()
+		m := l.Metrics()
+		if m["wal.rotations"] == 0 {
+			t.Fatalf("no rotation: metrics %v", m)
+		}
+		if m["wal.syncs"] >= m["wal.appends"] {
+			t.Fatalf("fsyncs not shared across rotation: %v syncs for %v appends", m["wal.syncs"], m["wal.appends"])
+		}
+		got := collect(t, l)
+		if len(got) != writers*each {
+			t.Fatalf("replayed %d, want %d", len(got), writers*each)
+		}
+		for i, r := range got {
+			if r.seq != uint64(i+1) {
+				t.Fatalf("record %d replayed with seq %d", i, r.seq)
+			}
+		}
+		for w := range acked {
+			for _, a := range acked[w] {
+				if r := got[a.seq-1]; !bytes.Equal(r.payload, a.payload) {
+					t.Fatalf("seq %d replayed %q, acknowledged %q", a.seq, r.payload, a.payload)
+				}
+			}
+		}
+	})
 }
 
 func TestCrashLosesOnlyUnacknowledged(t *testing.T) {

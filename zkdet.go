@@ -99,11 +99,7 @@ type (
 // up to maxConstraints gates. The setup secret is sampled from
 // crypto/rand and discarded (see kzg.Ceremony for the multi-party variant).
 func NewSystem(maxConstraints int) (*System, error) {
-	n := 64
-	for n < maxConstraints {
-		n <<= 1
-	}
-	srs, err := kzg.Setup(4*n + 16)
+	srs, err := kzg.Setup(core.SRSPowers(maxConstraints))
 	if err != nil {
 		return nil, fmt.Errorf("zkdet: %w", err)
 	}
