@@ -514,6 +514,8 @@ func TestStatsKeyPaths(t *testing.T) {
 		// Added once every component reported a Metrics map.
 		"durable.checkpointSkips", "durable.walRotations", "durable.walTornBytes",
 		"node.blocksImported",
+		// The seal-time proof fold's cost per sealed block.
+		"node.foldP50Ms", "node.foldP99Ms",
 	}
 	sort.Strings(want)
 	if !slices.Equal(got, want) {

@@ -290,7 +290,7 @@ type Chain struct {
 	// but can never deadlock them, and hooks may freely call back into chain
 	// reads. The one re-entrancy hooks must avoid is producing and importing
 	// blocks themselves (sealMu is not reentrant).
-	sealHooks []func(Block, []*Receipt) // guarded by sealMu
+	sealHooks []func(Block, []*Receipt) error // guarded by sealMu
 	sealMu    sync.Mutex
 
 	// jrnl is the open undo scope, nil when none is: applyBlock opens one
@@ -350,7 +350,14 @@ func NewWithClock(clock func() time.Time) *Chain {
 // wait on sealMu) but cannot deadlock them. Hooks must not call
 // ProduceBlock or ImportBlock. Off-chain consumers (block buses, indexers)
 // attach here.
-func (c *Chain) OnSeal(fn func(Block, []*Receipt)) {
+//
+// A hook that cannot keep the block (the durable store, when its log has
+// failed) returns an error. The block stays sealed and every other hook
+// still sees it; ProduceBlock reports the first such error in
+// Produced.SealErr, so the producer acknowledges none of the block's
+// transactions. ImportBlock and RestoreState acknowledge no submitter and
+// leave a failing hook to latch its own failure.
+func (c *Chain) OnSeal(fn func(Block, []*Receipt) error) {
 	c.sealMu.Lock()
 	defer c.sealMu.Unlock()
 	c.sealHooks = append(c.sealHooks, fn)

@@ -69,7 +69,7 @@ func TestSealHooksDeliverBlocksInOrder(t *testing.T) {
 
 	var gotBlocks []uint64
 	var gotReceipts int
-	c.OnSeal(func(b Block, rs []*Receipt) {
+	c.OnSeal(func(b Block, rs []*Receipt) error {
 		gotBlocks = append(gotBlocks, b.Number)
 		gotReceipts += len(rs)
 		for _, r := range rs {
@@ -77,6 +77,7 @@ func TestSealHooksDeliverBlocksInOrder(t *testing.T) {
 				t.Error("nil receipt in seal hook")
 			}
 		}
+		return nil
 	})
 
 	inc := func(n uint64) Transaction {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"time"
 )
 
 // Errors returned by the block import path.
@@ -120,13 +121,23 @@ func (c *Chain) SetBlockVerifier(v BlockVerifier) {
 // Produced reports what ProduceBlock did with its candidates: the sealed
 // block (zero when candidates were given and none made it), one outcome per
 // candidate — the receipt, or the error that kept it out, in which case it
-// left no trace in state — and how many transactions the block's fold
-// validated and rejected.
+// left no trace in state — how many transactions the block's fold
+// validated and rejected, what the fold cost and whether every seal hook
+// kept the block.
 type Produced struct {
 	Block          Block
 	Outcomes       []TxOutcome
 	ProofsVerified int
 	ProofsEvicted  int
+	// FoldTime is how long the block's proof check ran, summed over every
+	// run (a producer re-runs it after evicting a candidate); zero without a
+	// verifier. It is a measurement for metrics: nothing consensus reads.
+	FoldTime time.Duration
+	// SealErr is the first error an OnSeal hook returned for the sealed
+	// block. The block is sealed and the receipts are in state, but a hook
+	// — the durable store's — could not keep it, so it must not be
+	// acknowledged.
+	SealErr error
 }
 
 // ProduceBlock is the one way a transaction executes: the candidates'
@@ -134,7 +145,8 @@ type Produced struct {
 // and exactly the executed ones are sealed into the next block, whose header
 // records the fold. No candidates seal an empty block; candidates of which
 // none can be included seal nothing. The OnSeal hooks are dispatched
-// before it returns. A candidate that cannot be included is reported in its
+// before it returns, and the first error one returns is reported in
+// SealErr. A candidate that cannot be included is reported in its
 // outcome, so producing a block as such never fails.
 func (c *Chain) ProduceBlock(txs []Transaction) Produced {
 	p, _ := c.applyBlock(nil, txs) // only a sealed header can be refused
@@ -228,7 +240,10 @@ func (c *Chain) applyBlock(hdr *Block, txs []Transaction) (Produced, error) {
 				ptrs[k] = &body[k]
 			}
 			var errs []error
+			//lint:ignore detreplay the start of a duration kept only for metrics (Produced.FoldTime); it reaches no state, receipt or header
+			start := time.Now()
 			marks, errs = verifier.CheckBlock(ptrs)
+			p.FoldTime += time.Since(start)
 			evicted, err := drop(func(k int) error { return errs[k] })
 			if err != nil {
 				return Produced{}, err
@@ -257,7 +272,9 @@ func (c *Chain) applyBlock(hdr *Block, txs []Transaction) (Produced, error) {
 		}
 		p.Block, p.ProofsVerified = b, marks.Txs
 		for _, fn := range c.sealHooks {
-			fn(b, receipts)
+			if err := fn(b, receipts); err != nil && p.SealErr == nil {
+				p.SealErr = err
+			}
 		}
 		break
 	}

@@ -147,7 +147,10 @@ func TestImportBlockDispatchesSealHooks(t *testing.T) {
 	blk, txs := sealTransfers(t, a, alice, bob, 2)
 
 	var hooked []Block
-	b.OnSeal(func(blk Block, _ []*Receipt) { hooked = append(hooked, blk) })
+	b.OnSeal(func(blk Block, _ []*Receipt) error {
+		hooked = append(hooked, blk)
+		return nil
+	})
 	if _, err := b.ImportBlock(blk, txs); err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +204,10 @@ func (forgeAll) CheckBlock(txs []*Transaction) (ProofMarks, []error) {
 func TestProduceBlockEmpty(t *testing.T) {
 	c, alice := newTestChain(t)
 	var hooked []uint64
-	c.OnSeal(func(b Block, _ []*Receipt) { hooked = append(hooked, b.Number) })
+	c.OnSeal(func(b Block, _ []*Receipt) error {
+		hooked = append(hooked, b.Number)
+		return nil
+	})
 
 	p := c.ProduceBlock(nil)
 	if p.Block.Number != 1 || len(p.Block.TxHashes) != 0 || len(p.Outcomes) != 0 {

@@ -192,9 +192,10 @@ func (c *Chain) RestoreState(exp *StateExport) error {
 	hooks := c.sealHooks
 	c.mu.Unlock()
 
+	// The state is installed whatever a hook returns (see OnSeal).
 	for _, d := range dispatches {
 		for _, fn := range hooks {
-			fn(d.b, d.receipts)
+			_ = fn(d.b, d.receipts)
 		}
 	}
 	return nil

@@ -50,7 +50,10 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 
 	dst := freshGenesis(t)
 	var hookBlocks []uint64
-	dst.OnSeal(func(b Block, _ []*Receipt) { hookBlocks = append(hookBlocks, b.Number) })
+	dst.OnSeal(func(b Block, _ []*Receipt) error {
+		hookBlocks = append(hookBlocks, b.Number)
+		return nil
+	})
 	if err := dst.RestoreState(exp); err != nil {
 		t.Fatalf("RestoreState: %v", err)
 	}

@@ -34,7 +34,7 @@ func TestSlowSealHookCannotDeadlock(t *testing.T) {
 	f.Faucet(alice, 1_000_000)
 	var hookMu sync.Mutex
 	var heights []uint64
-	f.OnSeal(func(b Block, rs []*Receipt) {
+	f.OnSeal(func(b Block, rs []*Receipt) error {
 		// Re-enter chain reads: these take mu, which the dispatch path
 		// must have released. A regression that dispatched hooks under
 		// mu deadlocks right here and trips the watchdog.
@@ -47,6 +47,7 @@ func TestSlowSealHookCannotDeadlock(t *testing.T) {
 		hookMu.Lock()
 		heights = append(heights, b.Number)
 		hookMu.Unlock()
+		return nil
 	})
 
 	done := make(chan struct{})

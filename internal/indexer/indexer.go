@@ -66,7 +66,10 @@ func New() *Indexer {
 // Attach registers the indexer on the chain's seal hook so every sealed
 // block is processed synchronously, in height order.
 func (ix *Indexer) Attach(c *chain.Chain) {
-	c.OnSeal(ix.ProcessBlock)
+	c.OnSeal(func(b chain.Block, rs []*chain.Receipt) error {
+		ix.ProcessBlock(b, rs)
+		return nil
+	})
 }
 
 func indexKey(contract, name string, topic []byte) string {

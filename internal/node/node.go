@@ -8,6 +8,7 @@ package node
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -97,6 +98,7 @@ type Node struct {
 	proofsPreverified atomic.Uint64 // included with the proof checked by its block's seal-time fold
 	proofsEvicted     atomic.Uint64 // evicted at seal time for an invalid proof
 	latency           obs.Histogram // admission → sealed block
+	foldTime          obs.Histogram // a sealed block's proof check (chain.Produced.FoldTime)
 }
 
 // New creates a node over the chain. Call Start to begin producing blocks.
@@ -114,7 +116,10 @@ func New(c *chain.Chain, cfg Config) *Node {
 	// The bus republishes every block the chain seals or imports — whether
 	// this node's producer, an importer or another caller of the chain put
 	// it there.
-	c.OnSeal(n.bus.publish)
+	c.OnSeal(func(b chain.Block, rs []*chain.Receipt) error {
+		n.bus.publish(b, rs)
+		return nil
+	})
 	if cfg.SealVerifier != nil {
 		c.SetBlockVerifier(cfg.SealVerifier)
 	}
@@ -226,9 +231,11 @@ func poke(ch chan struct{}) {
 // executable transactions, hand them to the chain's atomic apply-and-seal
 // (chain.ProduceBlock: the proofs are folded once, over the block, and
 // execution happens at seal), release the pool reservations and deliver
-// every result. It pops nothing if this node does not lead the next height,
-// or if spaced and the last import is younger than BlockInterval (it landed
-// after the loop decided to seal). It returns how many it popped.
+// every result: a block that a seal hook did not keep
+// (chain.Produced.SealErr) acknowledges none of its transactions. It pops
+// nothing if this node does not lead the next height, or if spaced and the
+// last import is younger than BlockInterval (it landed after the loop
+// decided to seal). It returns how many it popped.
 func (n *Node) produce(spaced bool) int {
 	n.headMu.Lock()
 	defer n.headMu.Unlock()
@@ -255,8 +262,17 @@ func (n *Node) produce(spaced bool) int {
 	n.txsIncluded.Add(uint64(len(res.Block.TxHashes)))
 	n.proofsPreverified.Add(uint64(res.ProofsVerified))
 	n.proofsEvicted.Add(uint64(res.ProofsEvicted))
+	if res.FoldTime > 0 {
+		n.foldTime.Observe(res.FoldTime)
+	}
 	for i, ptx := range batch {
-		if err := res.Outcomes[i].Err; err != nil {
+		err := res.Outcomes[i].Err
+		if err == nil && res.SealErr != nil {
+			// Sealed, but a seal hook (the durable store) did not keep
+			// the block: acknowledging it could lose it in a crash.
+			err = fmt.Errorf("node: block %d was not kept: %w", res.Block.Number, res.SealErr)
+		}
+		if err != nil {
 			ptx.finish(TxResult{Err: err})
 			continue
 		}
@@ -337,11 +353,13 @@ func (n *Node) ImportBlock(b chain.Block, txs []chain.Transaction) ([]*chain.Rec
 }
 
 // Metrics reports the node's counters under constant node.* names. The
-// inclusion latency percentiles (admission → sealed block, over the node's
-// lifetime) are histogram bucket upper edges, at most 1/8 above the exact
-// reading.
+// inclusion latency percentiles (admission → sealed block) and the fold
+// percentiles (the proof check of each block this node sealed), over the
+// node's lifetime, are histogram bucket upper edges, at most 1/8 above the
+// exact reading.
 func (n *Node) Metrics() map[string]float64 {
 	p50, p99 := n.latency.Quantile(0.5), n.latency.Quantile(0.99)
+	f50, f99 := n.foldTime.Quantile(0.5), n.foldTime.Quantile(0.99)
 	p := n.pool
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -351,7 +369,8 @@ func (n *Node) Metrics() map[string]float64 {
 		"node.blocksSealed": float64(n.blocksSealed.Load()), "node.blocksImported": float64(n.blocksImported.Load()),
 		"node.txsIncluded": float64(n.txsIncluded.Load()), "node.proofsPreverified": float64(n.proofsPreverified.Load()),
 		"node.proofsEvicted": float64(n.proofsEvicted.Load()), "node.latencyP50Ms": float64(p50) / 1e6,
-		"node.latencyP99Ms": float64(p99) / 1e6,
+		"node.latencyP99Ms": float64(p99) / 1e6, "node.foldP50Ms": float64(f50) / 1e6,
+		"node.foldP99Ms": float64(f99) / 1e6,
 	}
 }
 

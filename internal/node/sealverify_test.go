@@ -132,3 +132,39 @@ func TestSealVerifierEvictsFlaggedTxs(t *testing.T) {
 		}
 	}
 }
+
+// slowSealVerifier is stubSealVerifier taking at least foldFloor per check.
+type slowSealVerifier struct{ stubSealVerifier }
+
+const foldFloor = 2 * time.Millisecond
+
+func (v slowSealVerifier) CheckBlock(txs []*chain.Transaction) (chain.ProofMarks, []error) {
+	time.Sleep(foldFloor)
+	return v.stubSealVerifier.CheckBlock(txs)
+}
+
+// TestFoldTimeReachesMetrics: the seal-time fold's duration, timed by the
+// chain around its block verifier, reaches node.foldP50Ms and
+// node.foldP99Ms.
+func TestFoldTimeReachesMetrics(t *testing.T) {
+	n, c := testNode(t, Config{
+		MaxBlockTxs:   8,
+		BlockInterval: 5 * time.Millisecond,
+		SealVerifier:  slowSealVerifier{},
+	})
+	if m := n.Metrics(); m["node.foldP50Ms"] != 0 || m["node.foldP99Ms"] != 0 {
+		t.Fatalf("fold percentiles before any block: %v, %v", m["node.foldP50Ms"], m["node.foldP99Ms"])
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if _, err := n.SubmitAndWait(ctx, chain.Transaction{
+		From: fund(c, "alice", 1_000_000), Contract: "logbox", Method: "put",
+	}, true); err != nil {
+		t.Fatal(err)
+	}
+	m := n.Metrics()
+	floor := float64(foldFloor) / 1e6
+	if m["node.foldP50Ms"] < floor || m["node.foldP99Ms"] < m["node.foldP50Ms"] {
+		t.Fatalf("fold percentiles %v, %v ms; want p50 ≥ %v ms and p99 ≥ p50", m["node.foldP50Ms"], m["node.foldP99Ms"], floor)
+	}
+}

@@ -9,22 +9,30 @@ import (
 	"github.com/zkdet/zkdet/internal/transcript"
 )
 
-// Batch accumulates the pairing statements of many proofs against one
-// verifying key and checks them all with a single two-pair pairing. Each
-// proof's transcript replay and MSM still run individually (in Add), but the
-// expensive pairing work is shared: the N
-// deferred statements e(Lᵢ, G2)·e(-Wᵢ, τG2) == 1 are folded with powers of
-// a transcript-derived challenge ρ into one statement, so the marginal
-// pairing cost of an extra proof is two G1 scalar multiplications instead
-// of a Miller loop and final exponentiation.
+// Batch accumulates the pairing statements of many proofs and checks them
+// all with two MSMs and a single two-pair pairing. Add runs each proof's
+// transcript replay and linearization and keeps the statement as the terms
+// of its left-hand point (an opening); no group operation runs until Check.
+// Check folds the N deferred statements e(Lᵢ, G2)·e(−Wᵢ, τG2) == 1 with
+// powers of a challenge ρ into one,
+//
+//	e(Σ ρⁱ·Lᵢ, G2) · e(−Σ ρⁱ·Wᵢ, τG2) == 1,
+//
+// and evaluates Σ ρⁱ·Lᵢ as one MSM over every statement's proof points, each
+// distinct key's columns once and the generator once (their scalars summed
+// across the statements that share them), and Σ ρⁱ·Wᵢ = Σ ρⁱ·Wζᵢ + ρⁱuᵢ·Wζωᵢ
+// as one MSM over 2N points. An extra proof costs its points' share of the
+// two MSMs, not an MSM and a scalar multiplication of its own.
 //
 // Soundness: if any single statement is false, the folded statement holds
 // for at most N-1 choices of ρ out of |Fr|, so a cheating batch passes with
-// probability ≤ (N-1)/r. ρ is bound to every Lᵢ and Wᵢ, so it cannot be
-// chosen before the proofs are fixed.
+// probability ≤ (N-1)/r. ρ is bound to each statement's uᵢ, the last
+// challenge of its proof's own transcript, which binds the verifying key,
+// the public inputs and every commitment and opening Lᵢ and Wᵢ are computed
+// from — so ρ cannot be chosen before the proofs are fixed.
 type Batch struct {
 	vk    *VerifyingKey
-	terms []pairingTerms
+	stmts []opening
 }
 
 // NewBatch returns an empty batch for the given verifying key.
@@ -33,18 +41,13 @@ func NewBatch(vk *VerifyingKey) *Batch {
 }
 
 // Add runs the per-proof verification work (shape checks, transcript
-// replay, the linearized commitment fold) and defers the pairing statement
-// into the batch. Add refuses only a proof of the wrong shape or
-// public-input count, with the error Verify would return; any other false
-// proof enters the batch and fails Check, since the constraint identities
-// are checked inside the pairing.
+// replay, the linearization) and defers the pairing statement into the
+// batch. Add refuses only a proof of the wrong shape or public-input count,
+// with the error Verify would return; any other false proof enters the
+// batch and fails Check, since the constraint identities are checked inside
+// the pairing.
 func (b *Batch) Add(proof *Proof, public []fr.Element) error {
-	terms, err := prepare(b.vk, proof, public)
-	if err != nil {
-		return err
-	}
-	b.terms = append(b.terms, terms)
-	return nil
+	return b.AddFor(b.vk, proof, public)
 }
 
 // AddFor runs Add's per-proof verification against a DIFFERENT verifying
@@ -57,22 +60,22 @@ func (b *Batch) AddFor(vk *VerifyingKey, proof *Proof, public []fr.Element) erro
 	if !vk.G2[0].Equal(&b.vk.G2[0]) || !vk.G2[1].Equal(&b.vk.G2[1]) {
 		return fmt.Errorf("plonk: batch AddFor: verifying key from a different SRS")
 	}
-	terms, err := prepare(vk, proof, public)
+	o, err := openingMSM(vk, proof, public)
 	if err != nil {
 		return err
 	}
-	b.terms = append(b.terms, terms)
+	b.stmts = append(b.stmts, o)
 	return nil
 }
 
 // Len returns the number of statements accumulated so far.
-func (b *Batch) Len() int { return len(b.terms) }
+func (b *Batch) Len() int { return len(b.stmts) }
 
 // Check verifies every accumulated statement with one pairing check. An
 // empty batch passes vacuously. On failure at least one statement in the
 // batch is invalid; use Bisect to isolate which.
 func (b *Batch) Check() error {
-	idxs := make([]int, len(b.terms))
+	idxs := make([]int, len(b.stmts))
 	for i := range idxs {
 		idxs[i] = i
 	}
@@ -81,43 +84,93 @@ func (b *Batch) Check() error {
 		return err
 	}
 	if !ok {
-		return fmt.Errorf("%w: batch pairing check (%d proofs)", ErrProofInvalid, len(b.terms))
+		return fmt.Errorf("%w: pairing check (%d proofs)", ErrProofInvalid, len(b.stmts))
 	}
 	return nil
 }
 
-// checkSubset folds the statements at the given indices and runs one
-// pairing check. The folding challenge is derived from a fresh transcript
-// binding the subset size, each statement's index, and its L/W points, so
-// every subset gets an independent challenge.
+// batchRho derives the folding challenge of the statements at idxs from a
+// fresh transcript binding the subset size, each statement's index and its
+// u, so every subset gets an independent challenge.
+func (b *Batch) batchRho(idxs []int) fr.Element {
+	tr := transcript.New("zkdet/plonk/batch")
+	count := fr.NewElement(uint64(len(idxs)))
+	tr.AppendScalar("count", &count)
+	for _, i := range idxs {
+		iv := fr.NewElement(uint64(i))
+		tr.AppendScalar("index", &iv)
+		tr.AppendScalar("u", &b.stmts[i].u)
+	}
+	return tr.ChallengeScalar("rho")
+}
+
+// checkSubset folds the statements at the given indices with powers of
+// their ρ and runs one pairing check.
 func (b *Batch) checkSubset(idxs []int) (bool, error) {
 	n := len(idxs)
 	if n == 0 {
 		return true, nil
 	}
-	tr := transcript.New("zkdet/plonk/batch")
-	count := fr.NewElement(uint64(n))
-	tr.AppendScalar("count", &count)
-	for _, i := range idxs {
-		iv := fr.NewElement(uint64(i))
-		tr.AppendScalar("index", &iv)
-		tr.AppendPoint("L", &b.terms[i].L)
-		tr.AppendPoint("W", &b.terms[i].W)
-	}
-	rho := tr.ChallengeScalar("rho")
+	rho := b.batchRho(idxs)
 	rhoPowers := fr.Powers(&rho, n)
 
-	ls := make([]bn254.G1Affine, n)
-	ws := make([]bn254.G1Affine, n)
+	// Size the L fold: the proof points, then each distinct key's columns
+	// (keys holds the first statement of each key, keyScs its columns'
+	// summed scalars, keyOf a statement's key slot), then the generator.
+	var keys []*opening
+	var keyScs [][]fr.Element
+	keyOf := make([]int, n)
+	nbL := 1
 	for j, i := range idxs {
-		ls[j] = b.terms[i].L
-		ws[j] = b.terms[i].W
+		o := &b.stmts[i]
+		nbL += len(o.pts)
+		k := 0
+		for k < len(keys) && keys[k].vk != o.vk {
+			k++
+		}
+		if k == len(keys) {
+			keys = append(keys, o)
+			keyScs = append(keyScs, make([]fr.Element, len(o.key)))
+			nbL += len(o.key)
+		}
+		keyOf[j] = k
 	}
-	foldL, err := bn254.G1MSM(ls, rhoPowers)
+	pts := make([]bn254.G1Affine, 0, nbL)
+	scs := make([]fr.Element, nbL)
+	ws := make([]bn254.G1Affine, 0, 2*n)
+	wScs := make([]fr.Element, 0, 2*n)
+	var g1, t fr.Element
+	for j, i := range idxs {
+		o, r := &b.stmts[i], &rhoPowers[j]
+		for k, p := range o.pts {
+			scs[len(pts)].Mul(&o.scs[k], r)
+			pts = append(pts, *p)
+		}
+		ks := keyScs[keyOf[j]]
+		for c := range o.key {
+			t.Mul(&o.key[c], r)
+			ks[c].Add(&ks[c], &t)
+		}
+		t.Mul(&o.g1, r)
+		g1.Add(&g1, &t)
+		t.Mul(&o.u, r)
+		ws = append(ws, o.wZeta, o.wZetaOmega)
+		wScs = append(wScs, *r, t)
+	}
+	for k, first := range keys {
+		for c, col := range first.cols {
+			scs[len(pts)] = keyScs[k][c]
+			pts = append(pts, *col)
+		}
+	}
+	scs[len(pts)] = g1
+	pts = append(pts, bn254.G1Generator())
+
+	foldL, err := bn254.G1MSM(pts, scs)
 	if err != nil {
 		return false, fmt.Errorf("plonk: %w", err)
 	}
-	foldW, err := bn254.G1MSM(ws, rhoPowers)
+	foldW, err := bn254.G1MSM(ws, wScs)
 	if err != nil {
 		return false, fmt.Errorf("plonk: %w", err)
 	}
@@ -128,10 +181,14 @@ func (b *Batch) checkSubset(idxs []int) (bool, error) {
 	}
 	var negW bn254.G1Affine
 	negW.Neg(&foldW)
-	return bn254.PairingCheckPrecomp(
+	ok, err := bn254.PairingCheckPrecomp(
 		[]bn254.G1Affine{foldL, negW},
 		lines[:],
 	)
+	if err != nil {
+		return false, fmt.Errorf("plonk: %w", err)
+	}
+	return ok, nil
 }
 
 // Bisect isolates the invalid statements after a failed Check by recursive
@@ -142,7 +199,7 @@ func (b *Batch) checkSubset(idxs []int) (bool, error) {
 // statements whose individual pairing checks fail; an empty result means
 // the whole batch passes.
 func (b *Batch) Bisect() ([]int, error) {
-	idxs := make([]int, len(b.terms))
+	idxs := make([]int, len(b.stmts))
 	for i := range idxs {
 		idxs[i] = i
 	}

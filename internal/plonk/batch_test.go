@@ -211,11 +211,34 @@ func BenchmarkBatchVerify(b *testing.B) {
 	}
 }
 
+// BenchmarkBatchFold is the seal-time path: Add for each proof, then one
+// Check, reported per proof.
+func BenchmarkBatchFold(b *testing.B) {
+	for _, n := range []int{1, 3, 16, 64} {
+		vk, proofs, publics := proveN(b, n)
+		b.Run("n="+itoa(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				batch := NewBatch(vk)
+				for j := range proofs {
+					if err := batch.Add(proofs[j], publics[j]); err != nil {
+						b.Fatal(err)
+					}
+				}
+				if err := batch.Check(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/proof")
+		})
+	}
+}
+
 // BatchVerify is the reference batch verifier the Batch accumulator is
 // tested and benchmarked through: it checks N proofs against one verifying
 // key with a single pairing check. Per-proof preparation (transcript replay
-// and the linearized MSM) runs across all cores; the deferred pairing statements are
-// then folded and checked at once. On a batch failure the offending
+// and the linearization) runs across all cores; the deferred pairing
+// statements are then folded and checked at once. On a batch failure the offending
 // proofs are isolated by bisection and reported by index.
 //
 // It is semantically equivalent to calling Verify on each proof — any
@@ -235,11 +258,11 @@ func BatchVerify(vk *VerifyingKey, proofs []*Proof, publics [][]fr.Element) erro
 		return err
 	}
 
-	terms := make([]pairingTerms, n)
+	stmts := make([]opening, n)
 	errs := make([]error, n)
 	parallel.Execute(n, func(start, end int) {
 		for i := start; i < end; i++ {
-			terms[i], errs[i] = prepare(vk, proofs[i], publics[i])
+			stmts[i], errs[i] = openingMSM(vk, proofs[i], publics[i])
 		}
 	})
 	for i, err := range errs {
@@ -248,7 +271,7 @@ func BatchVerify(vk *VerifyingKey, proofs []*Proof, publics [][]fr.Element) erro
 		}
 	}
 
-	b := &Batch{vk: vk, terms: terms}
+	b := &Batch{vk: vk, stmts: stmts}
 	if err := b.Check(); err == nil {
 		return nil
 	}

@@ -85,12 +85,13 @@ func TestOpeningMSMWidth(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		m, _, err := openingMSM(vk, proof, witness[:cs.nbPublic])
+		o, err := openingMSM(vk, proof, witness[:cs.nbPublic])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(m.pts) != want {
-			t.Errorf("%s: the verifier's MSM has %d points, want %d", name, len(m.pts), want)
+		// The proof's points, the key's columns and the generator.
+		if got := len(o.pts) + len(o.key) + 1; got != want {
+			t.Errorf("%s: the verifier's MSM has %d points, want %d", name, got, want)
 		}
 	}
 }

@@ -9,15 +9,6 @@ import (
 	"github.com/zkdet/zkdet/internal/transcript"
 )
 
-// pairingTerms is the deferred pairing statement of one verified proof:
-// the proof is valid iff e(L, G2[0]) · e(-W, [τ]G2) == 1. prepare derives
-// the terms; Verify checks one statement, Batch folds many into a single
-// multi-pairing.
-type pairingTerms struct {
-	L bn254.G1Affine
-	W bn254.G1Affine
-}
-
 // lagrangePrefix evaluates L_0(ζ) … L_{len(omega)-1}(ζ) with one batched
 // inversion: L_i(ζ) = ω^i · Z_H(ζ) / (N · (ζ - ω^i)).
 func lagrangePrefix(omega []fr.Element, n uint64, zeta, zh *fr.Element) []fr.Element {
@@ -36,57 +27,50 @@ func lagrangePrefix(omega []fr.Element, n uint64, zeta, zh *fr.Element) []fr.Ele
 	return out
 }
 
-// msmTerms is the verifier's one MSM, built term by term. A commitment that
-// enters more than once — [z] is linearized and opened at ζω, [S] likewise
-// on a lookup key, the wires are opened at ζ and, on a custom-gate key, at
-// ζω — is one point whose scalars add.
-type msmTerms struct {
-	pts []*kzg.Commitment
-	scs []fr.Element
+// opening is one proof's deferred pairing statement
+//
+//	e(L, G2) · e(−(Wζ + u·Wζω), τG2) == 1
+//
+// kept as the terms of L's MSM rather than as the point: one scalar per key
+// column, the proof's own points with theirs, and the generator's. Batch
+// weights many openings into one MSM for L and one for W, in which each
+// key's columns and the generator enter once. A commitment that enters more
+// than once — [z] is linearized and opened at ζω, [S] likewise on a lookup
+// key, the wires are opened at ζ and, on a custom-gate key, at ζω — is one
+// term whose scalars add.
+type opening struct {
+	vk   *VerifyingKey
+	cols []*kzg.Commitment // vk.columns()
+	key  []fr.Element      // one scalar per cols entry
+	pts  []*kzg.Commitment // the proof's points, each once
+	scs  []fr.Element      // their scalars
+	g1   fr.Element        // the generator's scalar, −E's
+	// Wζ, Wζω and u, the last challenge of the proof's transcript, which
+	// binds everything above.
+	wZeta, wZetaOmega bn254.G1Affine
+	u                 fr.Element
 }
 
-func (m *msmTerms) add(pt *kzg.Commitment, s *fr.Element) {
-	for i, q := range m.pts {
-		if q == pt {
-			m.scs[i].Add(&m.scs[i], s)
+func (o *opening) add(pt *kzg.Commitment, s *fr.Element) {
+	for j, c := range o.cols {
+		if c == pt {
+			o.key[j].Add(&o.key[j], s)
 			return
 		}
 	}
-	m.pts = append(m.pts, pt)
-	m.scs = append(m.scs, *s)
-}
-
-// prepare replays the transcript and reduces the proof to a single pairing
-// statement: the two KZG opening checks, combined with u, whose left-hand
-// point is one MSM (openingMSM). It is everything Verify does except the
-// pairing itself, so batch verification can run it per proof and fold the
-// statements. prepare refuses a proof of the wrong shape or public-input
-// count; every other false proof is refused by the pairing, since the
-// constraint identities are checked there, through the linearization.
-func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms, error) {
-	m, u, err := openingMSM(vk, proof, public)
-	if err != nil {
-		return pairingTerms{}, err
+	for i, q := range o.pts {
+		if q == pt {
+			o.scs[i].Add(&o.scs[i], s)
+			return
+		}
 	}
-	pts := make([]bn254.G1Affine, len(m.pts))
-	for i, p := range m.pts {
-		pts[i] = *p
-	}
-	var terms pairingTerms
-	if terms.L, err = bn254.G1MSM(pts, m.scs); err != nil {
-		return pairingTerms{}, fmt.Errorf("plonk: %w", err)
-	}
-	var wJ, tj bn254.G1Jac
-	wJ.FromAffine(&proof.WZeta)
-	tj.ScalarMul(&proof.WZetaOmega, &u)
-	wJ.AddAssign(&tj)
-	terms.W.FromJacobian(&wJ)
-	return terms, nil
+	o.pts = append(o.pts, pt)
+	o.scs = append(o.scs, *s)
 }
 
 // openingMSM checks the proof's shape against the key, replays the
-// transcript and returns the MSM of the pairing statement's left-hand point
-// together with the challenge u:
+// transcript and returns the terms of the pairing statement's left-hand
+// point together with the challenge u:
 //
 //	e(F + ζ·Wζ + u·(Fω + ζω·Wζω) − E, G2) · e(−(Wζ + u·Wζω), τG2) == 1
 //
@@ -96,18 +80,18 @@ func prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (pairingTerms,
 //
 // (s_j from linearize, opened to −c0: Σ_j s_j·col_j(ζ) = numerator(ζ) − c0
 // and Z_H(ζ)·t(ζ) = numerator(ζ)) with the ζ openings at v, v², …; Fω folds
-// the ζω openings at 1, v, …; E = (valζ + u·valω)·G1. A classic key's MSM
-// has 18 points, a custom one 26, a lookup + custom one 31
-// (TestOpeningMSMWidth). The key's shape fixes what the proof must carry; a proof carrying any other set of
-// fields is refused with ErrProofShape.
-func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (*msmTerms, fr.Element, error) {
-	var u fr.Element
+// the ζω openings at 1, v, …; E = (valζ + u·valω)·G1. A classic proof's
+// terms are 18 points, a custom one's 26, a lookup + custom one's 31
+// (TestOpeningMSMWidth). It runs no group operation. The key's shape fixes
+// what the proof must carry; a proof carrying any other set of fields is
+// refused with ErrProofShape.
+func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (opening, error) {
 	if len(public) != vk.NbPublic {
-		return nil, u, fmt.Errorf("%w: got %d, want %d", ErrWrongPublic, len(public), vk.NbPublic)
+		return opening{}, fmt.Errorf("%w: got %d, want %d", ErrWrongPublic, len(public), vk.NbPublic)
 	}
 	sh := vk.shape()
 	if got, ext := proof.shape(), proof.Evals.Ext != nil; got != sh || ext != (sh != 0) {
-		return nil, u, fmt.Errorf("%w: proof shape %#02x (extended=%v), key shape %#02x",
+		return opening{}, fmt.Errorf("%w: proof shape %#02x (extended=%v), key shape %#02x",
 			ErrProofShape, byte(got), ext, byte(sh))
 	}
 	nbExtra := 0
@@ -115,11 +99,11 @@ func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (*msmTerms,
 		nbExtra = 3
 	}
 	if len(proof.TExtra) != nbExtra {
-		return nil, u, fmt.Errorf("%w: %d extra quotient pieces, want %d",
+		return opening{}, fmt.Errorf("%w: %d extra quotient pieces, want %d",
 			ErrProofShape, len(proof.TExtra), nbExtra)
 	}
 	if proof.strayFields(sh) {
-		return nil, u, fmt.Errorf("%w: fields set that a %#02x proof does not carry", ErrProofShape, byte(sh))
+		return opening{}, fmt.Errorf("%w: fields set that a %#02x proof does not carry", ErrProofShape, byte(sh))
 	}
 
 	// Reconstruct the challenges.
@@ -132,11 +116,11 @@ func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (*msmTerms,
 	v := proof.absorbRound4(tr)
 	tr.AppendPoint("w_zeta", &proof.WZeta)
 	tr.AppendPoint("w_zeta_omega", &proof.WZetaOmega)
-	u = tr.ChallengeScalar("u")
+	u := tr.ChallengeScalar("u")
 
 	domain, lagOmega, _, err := vk.verifierCache()
 	if err != nil {
-		return nil, u, err
+		return opening{}, err
 	}
 
 	// Z_H(ζ), then L_0(ζ) … L_{ℓ-1}(ζ) in one batched inversion.
@@ -148,7 +132,7 @@ func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (*msmTerms,
 	if zh.IsZero() {
 		// ζ landed inside the domain (probability ~ N/r): reject rather
 		// than divide by zero.
-		return nil, u, ErrProofInvalid
+		return opening{}, ErrProofInvalid
 	}
 	lag := lagrangePrefix(lagOmega, vk.N, &zeta, &zh)
 	var pi fr.Element
@@ -167,21 +151,10 @@ func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (*msmTerms,
 	if vk.Custom {
 		linear = append(linear, &vk.QPosF, &vk.QPosP)
 	}
-	m := &msmTerms{}
-	for j := range linear {
-		m.add(linear[j], &scalars[j])
-	}
 	pieces := []*kzg.Commitment{&proof.TLo, &proof.TMid, &proof.THi}
 	for i := range proof.TExtra {
 		pieces = append(pieces, &proof.TExtra[i])
 	}
-	var w fr.Element
-	w.Neg(&zh)
-	for _, t := range pieces {
-		m.add(t, &w)
-		w.Mul(&w, &zetaN)
-	}
-
 	// The openings, in Proof.openings order: at ζ after [r] with v, v², …,
 	// at ζω with 1, v, … inside the u-weighted term.
 	openZeta := []*kzg.Commitment{&proof.A, &proof.B, &proof.C, &vk.S1, &vk.S2}
@@ -194,61 +167,68 @@ func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (*msmTerms,
 		openZeta = append(openZeta, &vk.KC0, &vk.KC1, &vk.KC2)
 		openOmega = append(openOmega, &proof.A, &proof.B, &proof.C)
 	}
+
+	cols := vk.columns()
+	nb := len(linear) + len(pieces) + len(openZeta) + len(openOmega) + 2 - len(cols)
+	o := opening{
+		vk: vk, cols: cols, key: make([]fr.Element, len(cols)),
+		pts: make([]*kzg.Commitment, 0, nb), scs: make([]fr.Element, 0, nb),
+		wZeta: proof.WZeta, wZetaOmega: proof.WZetaOmega, u: u,
+	}
+	for j := range linear {
+		o.add(linear[j], &scalars[j])
+	}
+	var w fr.Element
+	w.Neg(&zh)
+	for _, t := range pieces {
+		o.add(t, &w)
+		w.Mul(&w, &zetaN)
+	}
 	atZeta, atOmega := proof.openings()
 	vPowers := fr.Powers(&v, len(openZeta)+1)
 	var valZeta, valOmega, t fr.Element
 	valZeta.Neg(&c0)
 	for i, c := range openZeta {
-		m.add(c, &vPowers[i+1])
+		o.add(c, &vPowers[i+1])
 		t.Mul(atZeta[i], &vPowers[i+1])
 		valZeta.Add(&valZeta, &t)
 	}
 	for i, c := range openOmega {
 		t.Mul(&u, &vPowers[i])
-		m.add(c, &t)
+		o.add(c, &t)
 		t.Mul(atOmega[i], &vPowers[i])
 		valOmega.Add(&valOmega, &t)
 	}
 
 	// ζ·Wζ, u·ζω·Wζω and −E.
-	m.add(&proof.WZeta, &zeta)
+	o.add(&proof.WZeta, &zeta)
 	var zetaOmega fr.Element
 	zetaOmega.Mul(&zeta, &domain.Gen)
 	t.Mul(&u, &zetaOmega)
-	m.add(&proof.WZetaOmega, &t)
-	g1 := bn254.G1Generator()
-	t.Mul(&u, &valOmega)
-	t.Add(&t, &valZeta)
-	t.Neg(&t)
-	m.add(&g1, &t)
-	return m, u, nil
+	o.add(&proof.WZetaOmega, &t)
+	o.g1.Mul(&u, &valOmega)
+	o.g1.Add(&o.g1, &valZeta)
+	o.g1.Neg(&o.g1)
+	// Point at copies, so a caller that reuses the Proof after Add does
+	// not change what the batch checks.
+	own := make([]kzg.Commitment, len(o.pts))
+	for i, p := range o.pts {
+		own[i] = *p
+		o.pts[i] = &own[i]
+	}
+	return o, nil
 }
 
-// Verify checks a proof against the verifying key and public inputs. Its
-// cost is one two-pair pairing check (against precomputed G2 line tables
-// cached on the verifying key) plus a handful of scalar multiplications —
-// independent of the circuit size except for the O(ℓ) public-input
-// Lagrange terms, which share a single batched inversion.
+// Verify checks a proof against the verifying key and public inputs: it is
+// the Batch fold of one. Its cost is one two-pair pairing check (against
+// precomputed G2 line tables cached on the verifying key), the 18- to
+// 31-point MSM of the left-hand point and u·Wζω — independent of the
+// circuit size except for the O(ℓ) public-input Lagrange terms, which share
+// a single batched inversion.
 func Verify(vk *VerifyingKey, proof *Proof, public []fr.Element) error {
-	terms, err := prepare(vk, proof, public)
-	if err != nil {
+	b := NewBatch(vk)
+	if err := b.Add(proof, public); err != nil {
 		return err
 	}
-	_, _, lines, err := vk.verifierCache()
-	if err != nil {
-		return err
-	}
-	var negW bn254.G1Affine
-	negW.Neg(&terms.W)
-	ok, err := bn254.PairingCheckPrecomp(
-		[]bn254.G1Affine{terms.L, negW},
-		lines[:],
-	)
-	if err != nil {
-		return fmt.Errorf("plonk: %w", err)
-	}
-	if !ok {
-		return fmt.Errorf("%w: pairing check", ErrProofInvalid)
-	}
-	return nil
+	return b.Check()
 }

@@ -189,18 +189,22 @@ func (d *DurableStore) Attach(c *chain.Chain) error {
 // onSeal is the durability hook: it logs the sealed block (header, bodies,
 // receipts) and blocks until an fsync covers it, so by the time
 // ProduceBlock (or ImportBlock) returns — and the node acknowledges any
-// submitter — the block is on disk. Runs under the chain's sealMu in
-// strict height order.
-func (d *DurableStore) onSeal(b chain.Block, receipts []*chain.Receipt) {
+// submitter — the block is on disk. A block it cannot log latches the
+// failure and is returned as an error, which ProduceBlock reports in
+// Produced.SealErr so the producer acknowledges none of its transactions.
+// Runs under the chain's sealMu in strict height order.
+func (d *DurableStore) onSeal(b chain.Block, receipts []*chain.Receipt) error {
 	txs, ok := d.c.BlockBody(b.Number)
 	if !ok {
-		d.fail(fmt.Errorf("snapshot: sealed block %d has no body", b.Number))
-		return
+		err := fmt.Errorf("snapshot: sealed block %d has no body", b.Number)
+		d.fail(err)
+		return err
 	}
 	payload := encodeBlockRecord(&b, txs, receipts)
 	if _, err := d.log.AppendSync(recBlock, payload); err != nil {
-		d.fail(fmt.Errorf("snapshot: logging block %d: %w", b.Number, err))
-		return
+		err = fmt.Errorf("snapshot: logging block %d: %w", b.Number, err)
+		d.fail(err)
+		return err
 	}
 	d.blocksLogged.Add(1)
 	d.mu.Lock()
@@ -209,6 +213,7 @@ func (d *DurableStore) onSeal(b chain.Block, receipts []*chain.Receipt) {
 	if due {
 		d.maybeCheckpoint()
 	}
+	return nil
 }
 
 // maybeCheckpoint exports the state synchronously (cheap deep copy under

@@ -1,6 +1,7 @@
 package snapshot
 
 import (
+	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -8,8 +9,10 @@ import (
 	"os"
 	"strings"
 	"testing"
+	"time"
 
 	"github.com/zkdet/zkdet/internal/chain"
+	zknode "github.com/zkdet/zkdet/internal/node"
 	"github.com/zkdet/zkdet/internal/storage"
 	"github.com/zkdet/zkdet/internal/wal"
 )
@@ -213,18 +216,35 @@ func TestCrashRecoverFromWALOnly(t *testing.T) {
 }
 
 // TestDurableFailureLatches: a WAL that fails under an attached engine
-// latches the failure. The block sealed after it is not on disk, so Err
-// wraps wal.ErrClosed, Close returns that error, and a later blob put
-// fails. (The seal itself still returns its receipt: onSeal cannot veto a
-// block.)
+// latches the failure, and no block sealed after it is acknowledged. The
+// seal hook returns the failure: ProduceBlock reports it in SealErr, and a
+// node.Node finishes the block's transaction with an error wrapping
+// wal.ErrClosed instead of a receipt. Err wraps wal.ErrClosed, Close returns
+// that error, and a later blob put fails.
 func TestDurableFailureLatches(t *testing.T) {
 	n, _ := openNode(t, t.TempDir(), Options{})
 	n.d.log.Crash()
-	n.seal(t, "inc")
+	p := n.c.ProduceBlock([]chain.Transaction{{
+		From: testAlice, Contract: "counter", Method: "inc", Nonce: n.c.NonceOf(testAlice),
+	}})
+	if p.Block.Number == 0 || !errors.Is(p.SealErr, wal.ErrClosed) {
+		t.Fatalf("a seal on a crashed WAL: block %d, SealErr %v; want a sealed block and wal.ErrClosed", p.Block.Number, p.SealErr)
+	}
 	err := n.d.Err()
 	if !errors.Is(err, wal.ErrClosed) {
 		t.Fatalf("Err after a seal on a crashed WAL = %v, want wal.ErrClosed", err)
 	}
+
+	nd := zknode.New(n.c, zknode.DefaultConfig())
+	nd.Start()
+	defer nd.Stop()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	res, serr := nd.SubmitAndWait(ctx, chain.Transaction{From: testAlice, Contract: "counter", Method: "inc"}, true)
+	if !errors.Is(serr, wal.ErrClosed) || res.Receipt != nil {
+		t.Fatalf("a node over a crashed WAL answered %v with receipt %v, want wal.ErrClosed and no receipt", serr, res.Receipt)
+	}
+
 	if cerr := n.d.Close(); !errors.Is(cerr, err) {
 		t.Fatalf("Close = %v, want the latched %v", cerr, err)
 	}
