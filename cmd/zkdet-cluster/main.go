@@ -171,11 +171,7 @@ func run(cfg clusterConfig) error {
 		}
 		durables[i] = d
 		mkts[i] = m
-		return p2p.NodeSetup{
-			Inner:     node.New(c, node.Config{}),
-			Validator: m.ProofChecker(), // batch proof screen at every gossip hop
-			Store:     bs,
-		}, rep, nil
+		return p2p.NodeSetup{Inner: node.New(c, node.Config{}), Store: bs}, rep, nil
 	}
 	tune := func(i int, nc *p2p.Config) {
 		nc.StatusInterval = 25 * time.Millisecond
@@ -434,7 +430,7 @@ func crashPhase(
 		time.Since(start).Round(time.Millisecond),
 		rep.SnapshotHeight, rep.BlocksReplayed, rep.BlobsReplayed, rep.Head)
 
-	nc := p2p.Config{ID: victimID, Members: p2p.MemberIDs(cfg.size), Validator: setup.Validator, Store: setup.Store}
+	nc := p2p.Config{ID: victimID, Members: p2p.MemberIDs(cfg.size), Store: setup.Store}
 	tune(victim, &nc)
 	reborn, err := p2p.NewNode(nc, setup.Inner, cl.Net)
 	if err != nil {

@@ -118,6 +118,22 @@ func (c *Chain) SetBlockVerifier(v BlockVerifier) {
 	c.verifier = v
 }
 
+// CheckTxs runs the installed block verifier over transactions that are
+// not in a block yet — the screen a gossip layer applies before it pools or
+// forwards them — and returns its per-transaction errors, all nil when no
+// verifier is installed. What a transaction later pays is decided by the
+// block it is sealed in, never by this screen.
+func (c *Chain) CheckTxs(txs []*Transaction) []error {
+	c.mu.Lock()
+	v := c.verifier
+	c.mu.Unlock()
+	if v == nil {
+		return make([]error, len(txs))
+	}
+	_, errs := v.CheckBlock(txs)
+	return errs
+}
+
 // Produced reports what ProduceBlock did with its candidates: the sealed
 // block (zero when candidates were given and none made it), one outcome per
 // candidate — the receipt, or the error that kept it out, in which case it

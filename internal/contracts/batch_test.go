@@ -55,6 +55,14 @@ func mintProofs(t testing.TB, n int) ([]*plonk.Proof, [][]fr.Element) {
 	return proofs, publics
 }
 
+// mustAdd registers c with bc, failing the test on a refusal.
+func mustAdd(t testing.TB, bc *BlockProofChecker, name string, c chain.Contract) {
+	t.Helper()
+	if err := bc.Add(name, c); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // breakProof swaps the ζ-opening commitment for an unrelated point: the
 // proof still deserialises and passes the transcript/quotient checks, but
 // its pairing check fails — the exact shape batch folding must catch.
@@ -118,7 +126,7 @@ func proofChain(t testing.TB, vk *plonk.VerifyingKey) *chain.Chain {
 		t.Fatal(err)
 	}
 	bc := NewBlockProofChecker()
-	bc.Add("verifier", v)
+	mustAdd(t, bc, "verifier", v)
 	c.SetBlockVerifier(bc)
 	return c
 }
@@ -140,6 +148,29 @@ func sameReceipts(t testing.TB, what string, got, want []*chain.Receipt) {
 
 func intrinsicGas(args []byte) uint64 {
 	return uint64(chain.GasTxBase) + uint64(len(args))*chain.GasCalldataByte
+}
+
+// TestFoldedVerifyOutOfGas: a folded verify call still pays its amortised
+// schedule out of the transaction's gas. A limit one short of the intrinsic
+// gas plus BatchVerifiedGas reverts out of gas; the exact limit succeeds.
+func TestFoldedVerifyOutOfGas(t *testing.T) {
+	ps := batchProofSystem()
+	proofs, publics := mintProofs(t, 1)
+	c := proofChain(t, ps.vk)
+	from := chain.AddressFromString("sender")
+	args := VerifyArgs(proofs[0], publics[0])
+	need := intrinsicGas(args) + BatchVerifiedGas(1, 1)
+	for _, limit := range []uint64{need - 1, need} {
+		res := c.ProduceBlock([]chain.Transaction{{From: from, Contract: "verifier", Method: "verify",
+			Args: args, GasLimit: limit, Nonce: c.NonceOf(from)}})
+		o := res.Outcomes[0]
+		if o.Err != nil || res.Block.Fold != 1 {
+			t.Fatalf("limit %d: %v, fold %d; want the call sealed and folded", limit, o.Err, res.Block.Fold)
+		}
+		if limit < need && !errors.Is(o.Receipt.Err, chain.ErrOutOfGas) || limit == need && o.Receipt.Err != nil {
+			t.Fatalf("limit %d of %d needed: receipt error %v", limit, need, o.Receipt.Err)
+		}
+	}
 }
 
 // TestBlockProofCheckerMarksAndEvicts drives the producer flow over a mix
@@ -234,8 +265,8 @@ func escrowFixture(t *testing.T, n int) (*chain.Chain, []chain.Transaction) {
 		t.Fatal(err)
 	}
 	bc := NewBlockProofChecker()
-	bc.Add("pik-verifier", verifier)
-	bc.Add(EscrowName, escrow)
+	mustAdd(t, bc, "pik-verifier", verifier)
+	mustAdd(t, bc, EscrowName, escrow)
 	c.SetBlockVerifier(bc)
 
 	buyer := chain.AddressFromString("buyer")

@@ -1,6 +1,7 @@
 package contracts
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 
@@ -8,26 +9,28 @@ import (
 	"github.com/zkdet/zkdet/internal/plonk"
 )
 
+// ErrForeignSRS is returned by BlockProofChecker.Add for a verifier whose
+// key was set up over another SRS than the verifiers the checker already
+// holds: a block's proofs fold into one pairing check, which needs one SRS.
+var ErrForeignSRS = errors.New("contracts: verifier key is from another SRS than the checker's")
+
 // BlockProofChecker batch-verifies the Plonk proofs carried by a block's
 // transactions before they execute. It is the chain's block verifier
 // (chain.BlockVerifier): applyBlock hands it every body it is about to
 // apply — produced, imported or replayed — and it recognises the
 // proof-carrying transactions (direct verifier calls, exchange settlements
 // on the escrow or the confidential token, confidential-token transfers),
-// folds their proofs into as few pairing checks as possible, and returns
-// the table of validated verify calls with the width of the fold each was
-// part of; execution then charges those calls the amortised gas schedule
-// and skips the pairing. Invalid proofs
-// are reported by transaction index — a producer leaves them out, an
+// folds their proofs into one pairing check, and returns the table of
+// validated verify calls with the width of the fold; execution then charges
+// those calls the amortised gas schedule and skips the pairing. Invalid
+// proofs are reported by transaction index — a producer leaves them out, an
 // importer refuses the block — and plonk.Batch's bisection isolates
 // offenders in O(k·log n) pairing checks.
 //
 // A transaction can carry several proofs (a confidential transfer has one
-// π_ct per ct.RangeSlots outputs); proofs under verifying keys that share
-// an SRS (equal G2 tail) fold into a single pairing via
-// plonk.Batch.AddFor, so π_k settlements and π_ct range proofs in the same
-// block cost one pairing check total when their keys came from the same
-// ceremony.
+// π_ct per ct.RangeSlots outputs). Every registered verifier's key is on
+// one SRS (Add refuses any other), so π_k settlements and π_ct range proofs
+// in the same block fold into one plonk.Batch and cost one pairing check.
 //
 // The check is a pure function of the registered contracts' configuration
 // and the calldata: it reads no chain state and writes nothing, which lets
@@ -35,6 +38,7 @@ import (
 // reproduce it.
 type BlockProofChecker struct {
 	mu        sync.RWMutex                  // registration (genesis, the devnet's ctEnable) vs checks
+	base      *plonk.VerifyingKey           // the first registered verifier's key: the batch's; guarded by mu
 	verifiers map[string]*Verifier          // guarded by mu
 	exchanges map[string]*exchange          // guarded by mu
 	cts       map[string]*ConfidentialToken // guarded by mu
@@ -63,12 +67,18 @@ func NewBlockProofChecker() *BlockProofChecker {
 //     needed), then their π_ct range proofs against its range verifier.
 //
 // A proof joins the fold only once the verifier it targets is registered
-// too.
-func (bc *BlockProofChecker) Add(name string, c chain.Contract) {
+// too. The first Verifier fixes the checker's SRS; a later one whose key
+// has other G2 points is refused with ErrForeignSRS.
+func (bc *BlockProofChecker) Add(name string, c chain.Contract) error {
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
 	switch c := c.(type) {
 	case *Verifier:
+		if bc.base == nil {
+			bc.base = c.vk
+		} else if !c.vk.SameSRS(bc.base) {
+			return fmt.Errorf("%w: verifier %q", ErrForeignSRS, name)
+		}
 		bc.verifiers[name] = c
 	case *Escrow:
 		bc.exchanges[name] = &c.exchange
@@ -76,11 +86,13 @@ func (bc *BlockProofChecker) Add(name string, c chain.Contract) {
 		bc.exchanges[name] = &c.exchange
 		bc.cts[name] = c
 	}
+	return nil
 }
 
 // proofItem is one Plonk proof riding in a transaction, targeted at a
 // registered verifier contract.
 type proofItem struct {
+	tx   int    // index of the carrying transaction; set by CheckBlock
 	name string // the verifier's deployment name
 	v    *Verifier
 	args []byte // verify calldata; chain.ProofKey(name, args) is its table key
@@ -136,135 +148,88 @@ func (bc *BlockProofChecker) extractAll(tx *chain.Transaction) ([]proofItem, err
 }
 
 // GossipCheck is CheckBlock's view for the network boundary: the number of
-// transactions whose proofs all verified and the per-transaction errors. A
-// gossip layer screens payloads with it before re-propagating them.
+// transactions whose proofs all verified and the per-transaction errors.
+// Gossip screens through chain.Chain.CheckTxs instead.
+// benchmark shim: item 1 deletes
 func (bc *BlockProofChecker) GossipCheck(txs []*chain.Transaction) (int, []error) {
 	marks, errs := bc.CheckBlock(txs)
 	return marks.Txs, errs
 }
 
 // CheckBlock implements chain.BlockVerifier: it folds the proofs carried
-// by txs and returns the table of validated verify calls, each with its
-// fold's width. errs[i] != nil means transaction i carries a proof that
-// fails verification and does not belong in a block. Transactions that
-// carry no recognisable proof are left alone (nil error, not counted).
+// by txs in one batch and returns the table of validated verify calls, each
+// with the fold's width. errs[i] != nil means transaction i carries a proof
+// that fails verification and does not belong in a block. Transactions
+// that carry no recognisable proof are left alone (nil error, not counted).
 func (bc *BlockProofChecker) CheckBlock(txs []*chain.Transaction) (chain.ProofMarks, []error) {
 	errs := make([]error, len(txs))
 
 	// Collect every proof item in transaction order.
-	type taggedItem struct {
-		txIndex int
-		proofItem
-	}
-	var items []taggedItem
-	proofTx := make([]int, len(txs)) // item count per transaction
+	var items []proofItem
+	carries := make([]bool, len(txs)) // transaction i carries a proof
 	bc.mu.RLock()
+	base := bc.base
 	for i, tx := range txs {
 		txItems, err := bc.extractAll(tx)
 		if err != nil {
 			errs[i] = err
 			continue
 		}
-		proofTx[i] = len(txItems)
+		carries[i] = len(txItems) > 0
 		for _, it := range txItems {
-			items = append(items, taggedItem{txIndex: i, proofItem: it})
+			it.tx = i
+			items = append(items, it)
 		}
 	}
 	bc.mu.RUnlock()
 
-	// Fold items into batches grouped by SRS: verifying keys with an equal
-	// G2 tail share one pairing check via AddFor, so π_k and π_ct proofs
-	// from the same ceremony cost one fold. Groups form in item order, so
-	// the construction is deterministic across replicas.
-	type g2group struct {
-		base    *Verifier
-		batch   *plonk.Batch
-		members []int // item indices, in batch position order
-		failed  bool  // folding itself failed (not a proof problem)
-	}
-	var groups []*g2group
-	sameSRS := func(a, b *plonk.VerifyingKey) bool {
-		return a.G2[0].Equal(&b.G2[0]) && a.G2[1].Equal(&b.G2[1])
-	}
+	// Fold the items in item order, so the batch is the same on every
+	// replica, and check the fold; bisect to isolate offenders on failure.
+	batch := plonk.NewBatch(base)
+	var folded []int // item indices, in batch position order
 	for idx := range items {
 		it := &items[idx]
-		if errs[it.txIndex] != nil {
+		if errs[it.tx] != nil {
 			continue // sibling item already failed this tx
 		}
 		proof, public, err := decodeVerifyArgs(it.args)
-		if err != nil {
-			errs[it.txIndex] = fmt.Errorf("%w: %w", ErrProofRejected, err)
-			continue
-		}
-		var g *g2group
-		for _, cand := range groups {
-			if sameSRS(cand.base.vk, it.v.vk) {
-				g = cand
-				break
-			}
-		}
-		if g == nil {
-			g = &g2group{base: it.v, batch: plonk.NewBatch(it.v.vk)}
-			groups = append(groups, g)
-		}
-		if it.v == g.base {
-			err = g.batch.Add(proof, public)
-		} else {
-			err = g.batch.AddFor(it.v.vk, proof, public)
+		if err == nil {
+			err = batch.AddFor(it.v.vk, proof, public)
 		}
 		if err != nil {
-			errs[it.txIndex] = fmt.Errorf("%w: %w", ErrProofRejected, err)
+			errs[it.tx] = fmt.Errorf("%w: %w", ErrProofRejected, err)
 			continue
 		}
-		g.members = append(g.members, idx)
+		folded = append(folded, idx)
 	}
-
-	// Check each fold; bisect to isolate offenders on failure.
-	for _, g := range groups {
-		if g.batch.Len() == 0 {
-			continue
+	if err := batch.Check(); err != nil {
+		offenders, err := batch.Bisect()
+		if err != nil {
+			// Enter nothing in the table; execution verifies each proof
+			// alone.
+			return chain.ProofMarks{}, errs
 		}
-		if err := g.batch.Check(); err != nil {
-			offenders, berr := g.batch.Bisect()
-			if berr != nil {
-				// Leave the group out of the table; execution verifies each
-				// of its proofs alone.
-				g.failed = true
-				continue
-			}
-			for _, pos := range offenders {
-				idx := g.members[pos]
-				errs[items[idx].txIndex] = fmt.Errorf("%w: seal-time batch check", ErrProofRejected)
-			}
+		for _, pos := range offenders {
+			errs[items[folded[pos]].tx] = fmt.Errorf("%w: seal-time batch check", ErrProofRejected)
 		}
 	}
 
-	// Enter the surviving items in the table, each at the width of its own
-	// fold's survivor count. A transaction with a rejected sibling item gets
-	// nothing: it is not going into the block.
-	marks := chain.ProofMarks{Width: make(map[chain.ProofID]int, len(items))}
-	marked := make([]int, len(txs)) // items entered per transaction
-	for _, g := range groups {
-		if g.failed {
-			continue
-		}
-		survivors := 0
-		for _, idx := range g.members {
-			if errs[items[idx].txIndex] == nil {
-				survivors++
-			}
-		}
-		for _, idx := range g.members {
-			it := &items[idx]
-			if errs[it.txIndex] == nil {
-				marks.Width[chain.ProofKey(it.name, it.args)] = survivors
-				marks.Items++
-				marked[it.txIndex]++
-			}
+	// Enter the surviving items in the table at the survivor count's width.
+	// A transaction with a rejected sibling item gets nothing: it is not
+	// going into the block. Every item of a transaction left without an
+	// error survived, so the transaction counts as validated.
+	kept := folded[:0]
+	for _, idx := range folded {
+		if errs[items[idx].tx] == nil {
+			kept = append(kept, idx)
 		}
 	}
-	for i, n := range proofTx {
-		if n > 0 && errs[i] == nil && marked[i] == n {
+	marks := chain.ProofMarks{Width: make(map[chain.ProofID]int, len(kept)), Items: len(kept)}
+	for _, idx := range kept {
+		marks.Width[chain.ProofKey(items[idx].name, items[idx].args)] = len(kept)
+	}
+	for i, c := range carries {
+		if c && errs[i] == nil {
 			marks.Txs++
 		}
 	}

@@ -630,10 +630,13 @@ func TestVerifierUnknownMethodAndArity(t *testing.T) {
 		t.Fatal(err)
 	}
 	alice := chain.AddressFromString("alice")
-	r := call(t, c, alice, "verifier", "nope", 0, nil)
+	// Calldata that verify accepts is refused under any other method.
+	valid := VerifyArgs(ps.proof, ps.public)
+	r := call(t, c, alice, "verifier", "nope", 0, valid)
 	if r.Err == nil {
 		t.Fatal("unknown verifier method accepted")
 	}
+	mustSucceed(t, call(t, c, alice, "verifier", "verify", 0, valid))
 	r = call(t, c, alice, "verifier", "verify", 0, EncodeArgs())
 	if r.Err == nil {
 		t.Fatal("verify without proof accepted")

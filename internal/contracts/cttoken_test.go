@@ -23,7 +23,7 @@ var ctSystem = sync.OnceValue(func() (out struct {
 	ak     *ct.AuditorKey
 	pub    bn254.G1Affine
 }) {
-	tau := fr.NewElement(0x5eed2025)
+	tau := fr.NewElement(0xfade) // escrowProofSystem's τ: ctSettleFixture folds π_k and π_ct in one batch
 	srs, err := kzg.NewSRSFromSecret(512+9, &tau)
 	if err != nil {
 		panic(err)
@@ -368,8 +368,8 @@ func TestBlockProofCheckerConfidential(t *testing.T) {
 	alice := chain.AddressFromString("alice")
 	tok := NewConfidentialToken(issuer, cs.pub, testPiCTVerifier, "pik-verifier", 10)
 	bc := NewBlockProofChecker()
-	bc.Add(testPiCTVerifier, NewVerifier(cs.vk))
-	bc.Add(ConfidentialTokenName, tok)
+	mustAdd(t, bc, testPiCTVerifier, NewVerifier(cs.vk))
+	mustAdd(t, bc, ConfidentialTokenName, tok)
 
 	recipients := []chain.Address{alice, alice, alice, alice, alice}
 	secrets := make([]ct.OutputSecret, len(recipients))
@@ -427,23 +427,32 @@ func TestBlockProofCheckerConfidential(t *testing.T) {
 	}
 }
 
-// TestCheckerFoldsAcrossVerifiersOnSharedSRS registers two distinct
-// verifier contracts whose keys come from the same SRS and confirms one
-// batch validates proofs against both (the AddFor path), while a verifier
-// on a different SRS still verifies in its own group.
+// TestCheckerFoldsAcrossVerifiersOnSharedSRS registers two verifier
+// contracts for two different circuits set up over one SRS and confirms one
+// batch validates proofs against both (each at the fold's width), while
+// a verifier set up over another SRS is refused at registration.
 func TestCheckerFoldsAcrossVerifiersOnSharedSRS(t *testing.T) {
-	tau := fr.NewElement(0xfeed)
-	srs, err := kzg.NewSRSFromSecret(64, &tau)
-	if err != nil {
-		t.Fatal(err)
+	newSRS := func(secret uint64) *kzg.SRS {
+		tau := fr.NewElement(secret)
+		srs, err := kzg.NewSRSFromSecret(64, &tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return srs
 	}
-	build := func(pub uint64) (*plonk.VerifyingKey, *plonk.Proof, []fr.Element) {
+	// build proves out = x·y (mul) or out = x + y over srs, out public.
+	build := func(srs *kzg.SRS, mul bool, pub uint64) (*plonk.VerifyingKey, *plonk.Proof, []fr.Element) {
 		sys := plonk.NewConstraintSystem(1)
 		x := sys.NewVariable()
 		y := sys.NewVariable()
 		minusOne := fr.NewFromInt64(-1)
-		sys.MustAddGate(plonk.Gate{QM: fr.One(), QO: minusOne, A: x, B: y, C: 0})
-		w := []fr.Element{fr.NewElement(pub), fr.NewElement(pub), fr.NewElement(1)}
+		g := plonk.Gate{QL: fr.One(), QR: fr.One(), QO: minusOne, A: x, B: y, C: 0}
+		w := []fr.Element{fr.NewElement(pub), fr.NewElement(pub - 1), fr.NewElement(1)}
+		if mul {
+			g = plonk.Gate{QM: fr.One(), QO: minusOne, A: x, B: y, C: 0}
+			w[1] = fr.NewElement(pub)
+		}
+		sys.MustAddGate(g)
 		pk, vk, err := plonk.Setup(sys, srs)
 		if err != nil {
 			t.Fatal(err)
@@ -454,32 +463,47 @@ func TestCheckerFoldsAcrossVerifiersOnSharedSRS(t *testing.T) {
 		}
 		return vk, proof, w[:1]
 	}
-	vkA, proofA, pubA := build(17)
-	vkB, proofB, pubB := build(23)
+	srs := newSRS(0xfeed)
+	vkA, proofA, pubA := build(srs, true, 17)
+	vkB, proofB, pubB := build(srs, false, 23)
+	if vkA.QM == vkB.QM || vkA.QL == vkB.QL {
+		t.Fatal("the two circuits share selector commitments")
+	}
+	vkC, proofC, pubC := build(newSRS(0xf00d), true, 17)
 
 	bc := NewBlockProofChecker()
-	bc.Add("va", NewVerifier(vkA))
-	bc.Add("vb", NewVerifier(vkB))
-	// A third verifier on a different SRS.
-	tau2 := fr.NewElement(0xf00d)
-	srs2, err := kzg.NewSRSFromSecret(64, &tau2)
-	if err != nil {
-		t.Fatal(err)
+	for _, r := range []struct {
+		name string
+		vk   *plonk.VerifyingKey
+		want error
+	}{{"va", vkA, nil}, {"vb", vkB, nil}, {"vc", vkC, ErrForeignSRS}} {
+		if err := bc.Add(r.name, NewVerifier(r.vk)); !errors.Is(err, r.want) {
+			t.Fatalf("Add(%s): %v, want %v", r.name, err, r.want)
+		}
 	}
-	_ = srs2
 	txs := []*chain.Transaction{
 		{Contract: "va", Method: "verify", Args: VerifyArgs(proofA, pubA)},
 		{Contract: "vb", Method: "verify", Args: VerifyArgs(proofB, pubB)},
 		{Contract: "vb", Method: "verify", Args: VerifyArgs(breakProof(proofB), pubB)},
+		{Contract: "vc", Method: "verify", Args: VerifyArgs(proofC, pubC)},
 	}
-	n, errs := bc.GossipCheck(txs)
-	if n != 2 {
-		t.Fatalf("verified %d txs, want 2", n)
+	marks, errs := bc.CheckBlock(txs)
+	if marks.Txs != 2 || marks.Items != 2 {
+		t.Fatalf("validated %d txs and %d items, want 2 and 2", marks.Txs, marks.Items)
 	}
 	if errs[0] != nil || errs[1] != nil {
 		t.Fatalf("valid cross-verifier proofs rejected: %v", errs)
 	}
+	for i, name := range []string{"va", "vb"} {
+		if w := marks.Width[chain.ProofKey(name, txs[i].Args)]; w != 2 {
+			t.Fatalf("%s's proof in the table at width %d, want 2", name, w)
+		}
+	}
 	if errs[2] == nil {
 		t.Fatal("broken proof survived the shared fold")
+	}
+	// The refused verifier is not registered: its call is left to execute.
+	if errs[3] != nil || marks.Width[chain.ProofKey("vc", txs[3].Args)] != 0 {
+		t.Fatalf("the foreign-SRS verifier's proof was screened: %v", errs[3])
 	}
 }

@@ -179,7 +179,7 @@ func ctSettleFixture(t *testing.T) (*chain.Chain, *BlockProofChecker, chain.Tran
 		if _, err := c.Deploy(d.name, d.ct, d.size); err != nil {
 			t.Fatal(err)
 		}
-		bc.Add(d.name, d.ct)
+		mustAdd(t, bc, d.name, d.ct)
 	}
 	c.SetBlockVerifier(bc)
 	for _, a := range []chain.Address{issuer, alice, bob} {

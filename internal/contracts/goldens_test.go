@@ -109,8 +109,8 @@ func goldenGenesis(t *testing.T, vk *plonk.VerifyingKey) (*chain.Chain, []chain.
 		}
 	}
 	bc := NewBlockProofChecker()
-	bc.Add("pik-verifier", verifier)
-	bc.Add(EscrowName, escrow)
+	mustAdd(t, bc, "pik-verifier", verifier)
+	mustAdd(t, bc, EscrowName, escrow)
 	c.SetBlockVerifier(bc)
 	traders := make([]chain.Address, goldenTraders)
 	for i := range traders {

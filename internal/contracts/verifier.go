@@ -103,18 +103,22 @@ func decodeVerifyArgs(args []byte) (*plonk.Proof, []fr.Element, error) {
 }
 
 func (v *Verifier) verify(ctx *chain.CallContext, args []byte) ([]byte, error) {
-	proof, public, err := decodeVerifyArgs(args)
-	if err != nil {
-		return nil, err
-	}
 	if n, ok := ctx.ProofFold(args); ok {
-		// The block's proof check already ran this exact calldata through
-		// a pairing check folded over n proofs; charge the amortised
-		// schedule and skip the pairing entirely.
-		if err := ctx.Gas.Charge(BatchVerifiedGas(n, len(public))); err != nil {
+		// The block's proof check already decoded this exact calldata and
+		// ran it through a pairing check folded over n proofs: charge the
+		// amortised schedule for its public-input count, and decode nothing.
+		parts, err := DecodeArgsVariadic(args)
+		if err != nil {
+			return nil, err
+		}
+		if err := ctx.Gas.Charge(BatchVerifiedGas(n, len(parts)-1)); err != nil {
 			return nil, err
 		}
 		return []byte{1}, nil
+	}
+	proof, public, err := decodeVerifyArgs(args)
+	if err != nil {
+		return nil, err
 	}
 	if err := ctx.Gas.Charge(VerificationGas(len(public))); err != nil {
 		return nil, err

@@ -63,8 +63,12 @@ func (m *Marketplace) EnableConfidential(issuer chain.Address, auditorPub bn254.
 	if d.TokenGas, err = m.Chain.Deploy(contracts.ConfidentialTokenName, d.Token, contracts.ConfidentialTokenCodeSize); err != nil {
 		return nil, err
 	}
-	m.checker.Add(PiCTVerifierName, verifier)
-	m.checker.Add(contracts.ConfidentialTokenName, d.Token)
+	if err := m.checker.Add(PiCTVerifierName, verifier); err != nil {
+		return nil, err
+	}
+	if err := m.checker.Add(contracts.ConfidentialTokenName, d.Token); err != nil {
+		return nil, err
+	}
 	m.ctd = d
 	return d, nil
 }

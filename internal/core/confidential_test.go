@@ -279,3 +279,52 @@ func TestConfidentialProofCheckerIntegration(t *testing.T) {
 		t.Fatalf("forged error %v", errs[1])
 	}
 }
+
+// TestSaleOpensWithTheTokensKeyCommitment: a sale lists the token it
+// sells, not a fresh encryption of its data. The arbiter is opened with
+// the c_k half of the token's on-chain commitment field, on the escrow
+// (the indexer's ExchangeRecord) and on the confidential token (its
+// storage) alike.
+func TestSaleOpensWithTheTokensKeyCommitment(t *testing.T) {
+	m, _, _ := newConfidentialMarketplace(t)
+	ix := m.AttachIndexer()
+	alice := chain.AddressFromString("alice") // seller
+	bob := chain.AddressFromString("bob")     // buyer
+	mint := func() (*Asset, []byte) {
+		a, err := m.MintAsset(alice, "alice", smallData(3), fr.MustRandom())
+		if err != nil {
+			t.Fatal(err)
+		}
+		lin, err := m.Trace(a.TokenID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a, lin[0].Commitment[32:]
+	}
+
+	asset, ck := mint()
+	if _, err := m.SellViaEscrow(1, alice, bob, asset, RangePredicate{Bits: 16}, 5000); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := ix.Exchange(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(rec.C, ck) {
+		t.Fatalf("escrow opened with c_k %x, the token commits to %x", rec.C, ck)
+	}
+
+	asset, ck = mint()
+	notes, err := m.ConfidentialMint([]ConfPayment{{Value: 5000, To: bob}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := m.SellConfidential(2, alice, bob, asset, RangePredicate{Bits: 16}, notes[0]); err != nil {
+		t.Fatal(err)
+	}
+	// The confidential token keeps the exchange machine's slots under
+	// "ctex/<id>/"; CTOpened carries the note, not c.
+	if c := m.Chain.ReadStorage(contracts.ConfidentialTokenName, "ctex/2/c"); !bytes.Equal(c, ck) {
+		t.Fatalf("confidential exchange opened with c_k %x, the token commits to %x", c, ck)
+	}
+}

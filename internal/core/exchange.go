@@ -149,19 +149,43 @@ type Seller struct {
 }
 
 // NewSeller initializes S with (D, k, D̂, φ): encrypts the dataset and
-// commits to it and to the key.
+// commits to it and to the key. It is for a seller that holds no token; a
+// minted asset is sold by assetSeller.
 func NewSeller(sys *System, data Dataset, key fr.Element, pred Predicate) (*Seller, error) {
+	s, err := newSeller(sys, data, key, pred)
+	if err != nil {
+		return nil, err
+	}
+	s.ct = data.Encrypt(key)
+	s.cd, s.od = data.Commit()
+	s.ck, s.ok = KeyCommit(key)
+	return s, nil
+}
+
+// assetSeller is the seller of a minted asset: it lists the token's own
+// ciphertext, c_d and c_k with their blinders, so π_p proves the blob the
+// token points at and the arbiter is opened with the token's c_k.
+func assetSeller(sys *System, a *Asset, pred Predicate) (*Seller, error) {
+	s, err := newSeller(sys, a.Data, a.Key, pred)
+	if err != nil {
+		return nil, err
+	}
+	st := a.Statement
+	s.ct = Ciphertext{Nonce: st.Nonce, Blocks: st.Ciphertext}
+	s.cd, s.od = st.DataCommitment, a.DataBlinder
+	s.ck, s.ok = st.KeyCommitment, a.KeyBlinder
+	return s, nil
+}
+
+// newSeller checks that S can honestly list D under φ.
+func newSeller(sys *System, data Dataset, key fr.Element, pred Predicate) (*Seller, error) {
 	if len(data) == 0 {
 		return nil, ErrDatasetEmpty
 	}
 	if !pred.Check(data) {
 		return nil, fmt.Errorf("%w: cannot honestly list", ErrPredicateFailed)
 	}
-	s := &Seller{sys: sys, pred: pred, data: data.Clone(), key: key}
-	s.ct = data.Encrypt(key)
-	s.cd, s.od = data.Commit()
-	s.ck, s.ok = KeyCommit(key)
-	return s, nil
+	return &Seller{sys: sys, pred: pred, data: data.Clone(), key: key}, nil
 }
 
 // Listing returns the public listing.

@@ -91,8 +91,12 @@ func NewMarketplaceWith(sys *System, c *chain.Chain, store storage.BlobStore) (*
 		return nil, gas, err
 	}
 	checker := contracts.NewBlockProofChecker()
-	checker.Add(PiKVerifierName, verifier)
-	checker.Add(contracts.EscrowName, escrow)
+	if err := checker.Add(PiKVerifierName, verifier); err != nil {
+		return nil, gas, err
+	}
+	if err := checker.Add(contracts.EscrowName, escrow); err != nil {
+		return nil, gas, err
+	}
 	c.SetBlockVerifier(checker)
 	ix := indexer.New()
 	ix.Attach(c)
@@ -102,9 +106,9 @@ func NewMarketplaceWith(sys *System, c *chain.Chain, store storage.BlobStore) (*
 // ProofChecker returns the deployment's block verifier, covering its
 // proof-carrying transactions: direct π_k verifications, escrow
 // settlements and — once EnableConfidential ran — confidential transfers
-// and settlements.
-// The chain already applies every block through it; a gossip layer screens
-// payloads with its GossipCheck.
+// and settlements. The chain applies every block through it and screens
+// gossip with it (chain.Chain.CheckTxs).
+// benchmark shim: item 1 deletes
 func (m *Marketplace) ProofChecker() *contracts.BlockProofChecker { return m.checker }
 
 // Asset is an owner's handle to a minted data asset: the on-chain token,
@@ -280,7 +284,7 @@ func (m *Marketplace) Process(owner chain.Address, ownerLabel string, src *Asset
 // for (h_v, c_k). It returns the decrypted dataset as received by the buyer.
 func (m *Marketplace) sell(arbiter string, exchangeID uint64, sellerAddr, buyerAddr chain.Address, asset *Asset, pred Predicate, price uint64,
 	lock func(hv, ck []byte) error) (Dataset, error) {
-	seller, err := NewSeller(m.Sys, asset.Data, asset.Key, pred)
+	seller, err := assetSeller(m.Sys, asset, pred)
 	if err != nil {
 		return nil, err
 	}

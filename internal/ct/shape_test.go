@@ -199,9 +199,13 @@ func TestRangeVerifierRefusesLookupShape(t *testing.T) {
 		t.Fatalf("contract: got %v, want ErrCTProofRejected wrapping plonk.ErrProofShape", r.Err)
 	}
 	bc := contracts.NewBlockProofChecker()
-	bc.Add(rangeVerifierName, contracts.NewVerifier(vk))
-	bc.Add(contracts.ConfidentialTokenName, contracts.NewConfidentialToken(
-		chain.AddressFromString("issuer"), pub, rangeVerifierName, "pik-verifier", 10))
+	if err := bc.Add(rangeVerifierName, contracts.NewVerifier(vk)); err != nil {
+		t.Fatal(err)
+	}
+	if err := bc.Add(contracts.ConfidentialTokenName, contracts.NewConfidentialToken(
+		chain.AddressFromString("issuer"), pub, rangeVerifierName, "pik-verifier", 10)); err != nil {
+		t.Fatal(err)
+	}
 	tx := &chain.Transaction{From: alice, Contract: contracts.ConfidentialTokenName, Method: "transfer", Args: args}
 	if n, errs := bc.GossipCheck([]*chain.Transaction{tx}); n != 0 || !errors.Is(errs[0], plonk.ErrProofShape) {
 		t.Fatalf("block checker: %d verified, err %v; want 0 and plonk.ErrProofShape", n, errs[0])

@@ -31,12 +31,10 @@ type Config struct {
 	// under light traffic. A SubmitAndWait transaction reaching a node that
 	// has been idle for longer is sealed at once.
 	BlockInterval time.Duration
-	// SealVerifier, when set, is installed on the chain as its block
-	// verifier: proof-carrying transactions are folded at seal time, valid
-	// proofs execute with their pairing check already done (amortised over
-	// the block), invalid ones are evicted before they waste block space.
-	// A marketplace genesis installs contracts.BlockProofChecker on the
-	// chain itself; setting it here is only needed over a chain without one.
+	// SealVerifier is ignored: the chain's own block verifier
+	// (chain.Chain.SetBlockVerifier, installed by a marketplace genesis)
+	// folds a block's proofs at seal time.
+	// benchmark shim: item 1 deletes
 	SealVerifier chain.BlockVerifier
 	// ExecWorkers was the speculative engine's width. It is ignored, and
 	// retained only because benchmark/ (env.go) still assigns it.
@@ -120,9 +118,6 @@ func New(c *chain.Chain, cfg Config) *Node {
 		n.bus.publish(b, rs)
 		return nil
 	})
-	if cfg.SealVerifier != nil {
-		c.SetBlockVerifier(cfg.SealVerifier)
-	}
 	return n
 }
 

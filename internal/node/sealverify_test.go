@@ -14,7 +14,8 @@ var errStubProof = errors.New("stub: invalid proof")
 // stubSealVerifier flags any transaction whose method is "bad" and enters
 // every other one in the block's table as one validated proof item,
 // standing in for contracts.BlockProofChecker (whose real pairing path is
-// covered in internal/contracts).
+// covered in internal/contracts). Tests install it on the chain, as a
+// marketplace genesis installs the real one.
 type stubSealVerifier struct{}
 
 func (stubSealVerifier) CheckBlock(txs []*chain.Transaction) (chain.ProofMarks, []error) {
@@ -36,11 +37,8 @@ func (stubSealVerifier) CheckBlock(txs []*chain.Transaction) (chain.ProofMarks, 
 // transactions never execute or enter a block, their waiters get the
 // verifier's error, and the remaining transactions seal normally.
 func TestSealVerifierEvictsFlaggedTxs(t *testing.T) {
-	n, c := testNode(t, Config{
-		MaxBlockTxs:   8,
-		BlockInterval: 5 * time.Millisecond,
-		SealVerifier:  stubSealVerifier{},
-	})
+	n, c := testNode(t, Config{MaxBlockTxs: 8, BlockInterval: 5 * time.Millisecond})
+	c.SetBlockVerifier(stubSealVerifier{})
 	// Distinct senders: evicting a transaction skips its execution, so a
 	// same-sender follow-up would hit the resulting nonce gap — that cost
 	// lands on whoever submitted the invalid proof, not on these senders.
@@ -147,11 +145,8 @@ func (v slowSealVerifier) CheckBlock(txs []*chain.Transaction) (chain.ProofMarks
 // chain around its block verifier, reaches node.foldP50Ms and
 // node.foldP99Ms.
 func TestFoldTimeReachesMetrics(t *testing.T) {
-	n, c := testNode(t, Config{
-		MaxBlockTxs:   8,
-		BlockInterval: 5 * time.Millisecond,
-		SealVerifier:  slowSealVerifier{},
-	})
+	n, c := testNode(t, Config{MaxBlockTxs: 8, BlockInterval: 5 * time.Millisecond})
+	c.SetBlockVerifier(slowSealVerifier{})
 	if m := n.Metrics(); m["node.foldP50Ms"] != 0 || m["node.foldP99Ms"] != 0 {
 		t.Fatalf("fold percentiles before any block: %v, %v", m["node.foldP50Ms"], m["node.foldP99Ms"])
 	}

@@ -12,12 +12,11 @@ import (
 
 // NodeSetup is one member's application stack, built by the caller so the
 // cluster harness stays agnostic of contracts: the inner node over its own
-// chain replica, an optional proof validator, and an optional local blob
-// store.
+// chain replica, whose block verifier also screens gossip, and an optional
+// local blob store.
 type NodeSetup struct {
-	Inner     *node.Node
-	Validator TxValidator
-	Store     storage.LocalStore
+	Inner *node.Node
+	Store storage.LocalStore
 }
 
 // ClusterSpec describes a simulated cluster.
@@ -76,12 +75,7 @@ func NewCluster(spec ClusterSpec) (*Cluster, error) {
 		if err != nil {
 			return nil, fmt.Errorf("p2p: build member %d: %w", i, err)
 		}
-		cfg := Config{
-			ID:        id,
-			Members:   members,
-			Validator: setup.Validator,
-			Store:     setup.Store,
-		}
+		cfg := Config{ID: id, Members: members, Store: setup.Store}
 		if spec.Tune != nil {
 			spec.Tune(i, &cfg)
 		}

@@ -205,21 +205,19 @@ func TestPartitionHeal(t *testing.T) {
 	assertIdenticalState(t, cl)
 }
 
-// stubValidator flags transactions whose Args spell BAD — a stand-in for
-// the contracts package's batch proof check in transport-level tests.
-type stubValidator struct{}
+// stubBlockVerifier flags transactions whose Args spell BAD — a stand-in
+// for the contracts package's batch proof check in transport-level tests,
+// installed as the chain's block verifier like the real one.
+type stubBlockVerifier struct{}
 
-func (stubValidator) GossipCheck(txs []*chain.Transaction) (int, []error) {
+func (stubBlockVerifier) CheckBlock(txs []*chain.Transaction) (chain.ProofMarks, []error) {
 	errs := make([]error, len(txs))
-	ok := 0
 	for i, tx := range txs {
 		if bytes.Equal(tx.Args, []byte("BAD")) {
 			errs[i] = errors.New("stub: invalid proof")
-		} else {
-			ok++
 		}
 	}
-	return ok, errs
+	return chain.ProofMarks{}, errs
 }
 
 // evilMember joins the membership but speaks raw messages instead of
@@ -231,13 +229,14 @@ func evilMember(t *testing.T, net *SimNet, id NodeID) {
 	}
 }
 
-// honestNode builds and starts one protocol-following member with the stub
-// validator.
+// honestNode builds and starts one protocol-following member whose chain
+// runs the stub block verifier.
 func honestNode(t *testing.T, net *SimNet, id NodeID, members []NodeID) *Node {
 	t.Helper()
 	c := chain.New()
 	c.Faucet(chain.AddressFromString("victim"), 1000)
-	cfg := Config{ID: id, Members: members, Validator: stubValidator{}}
+	c.SetBlockVerifier(stubBlockVerifier{})
+	cfg := Config{ID: id, Members: members}
 	tuneFast(0, &cfg)
 	n, err := NewNode(cfg, node.New(c, node.Config{}), net)
 	if err != nil {

@@ -77,11 +77,7 @@ func TestClusterKillAndRestartConverges(t *testing.T) {
 		}
 		mkts[i] = m
 		durables[i] = d
-		return NodeSetup{
-			Inner:     node.New(c, node.Config{}),
-			Validator: m.ProofChecker(),
-			Store:     bs,
-		}, rep, nil
+		return NodeSetup{Inner: node.New(c, node.Config{}), Store: bs}, rep, nil
 	}
 
 	cl, err := NewCluster(ClusterSpec{
@@ -165,7 +161,7 @@ func TestClusterKillAndRestartConverges(t *testing.T) {
 	if rep.Head < preCrashHead.Number {
 		t.Fatalf("victim recovered to %d, pre-crash head was %d", rep.Head, preCrashHead.Number)
 	}
-	cfg := Config{ID: victimID, Members: MemberIDs(size), Validator: setup.Validator, Store: setup.Store}
+	cfg := Config{ID: victimID, Members: MemberIDs(size), Store: setup.Store}
 	tuneFast(victim, &cfg)
 	reborn, err := NewNode(cfg, setup.Inner, cl.Net)
 	if err != nil {

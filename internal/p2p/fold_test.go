@@ -80,8 +80,8 @@ func TestClusterAgreesOnFoldedGas(t *testing.T) {
 		Seed: 7,
 		Link: LinkProfile{Latency: 100 * time.Microsecond},
 		Build: func(i int, id NodeID) (NodeSetup, error) {
-			c, m := foldGenesis(t, sys)
-			return NodeSetup{Inner: node.New(c, node.Config{}), Validator: m.ProofChecker(), Store: storage.NewStore()}, nil
+			c, _ := foldGenesis(t, sys)
+			return NodeSetup{Inner: node.New(c, node.Config{}), Store: storage.NewStore()}, nil
 		},
 		Tune: tuneFast,
 	})
@@ -188,8 +188,8 @@ func TestFollowerRefusesFoldedBlockWithBadProof(t *testing.T) {
 	members := MemberIDs(2)
 	net := NewSimNet(nil, 13)
 	defer net.Close()
-	c, m := foldGenesis(t, sys)
-	cfg := Config{ID: members[0], Members: members, Validator: m.ProofChecker()}
+	c, _ := foldGenesis(t, sys)
+	cfg := Config{ID: members[0], Members: members}
 	tuneFast(0, &cfg)
 	n0, err := NewNode(cfg, node.New(c, node.Config{}), net)
 	if err != nil {
@@ -266,5 +266,66 @@ func TestFollowerRefusesFoldedBlockWithBadProof(t *testing.T) {
 	if _, err := c.ImportBlock(bad, body); !errors.Is(err, chain.ErrImportFailed) ||
 		!strings.Contains(err.Error(), "tx 1: "+contracts.ErrProofRejected.Error()) {
 		t.Fatalf("chain refused the block with %v, want transaction 1's proof rejected", err)
+	}
+}
+
+// TestMarketplaceChainScreensForgedSettle: a member whose chain has a
+// marketplace genesis, and nothing else wired, screens gossip through that
+// chain's block verifier. A peer pushing escrow settlements whose π_k fails
+// its pairing is counted under p2p.txsInvalid and demoted, and none of its
+// transactions reaches the pool.
+func TestMarketplaceChainScreensForgedSettle(t *testing.T) {
+	sys, err := core.NewTestSystem(1 << 12)
+	if err != nil {
+		t.Fatal(err)
+	}
+	members := MemberIDs(2)
+	net := NewSimNet(nil, 17)
+	defer net.Close()
+	c, _ := foldGenesis(t, sys)
+	c.Faucet(foldSeller, 1_000_000)
+	cfg := Config{ID: members[0], Members: members}
+	tuneFast(0, &cfg)
+	n0, err := NewNode(cfg, node.New(c, node.Config{}), net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := n0.Start(); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(n0.Stop)
+	evil := members[1]
+	evilMember(t, net, evil)
+
+	_, settle := settlement(t, sys, 1)
+	parts, err := contracts.DecodeArgsVariadic(settle.Args)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := plonk.ProofFromBytes(parts[2])
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, g := fr.NewElement(0xbad), bn254.G1Generator()
+	p.WZeta = bn254.G1ScalarMul(&g, &s)
+	parts[2] = p.Bytes()
+	settle.Args = contracts.EncodeArgs(parts...)
+	settle.GasLimit = chain.DefaultGasLimit
+	// Four forged settlements: 4 × scoreInvalidTx reaches demoteBelow.
+	forged := make([]chain.Transaction, 4)
+	for i := range forged {
+		forged[i] = settle
+		forged[i].Nonce = uint64(i)
+	}
+	net.Send(evil, members[0], Message{Kind: MsgTxPush, Txs: forged})
+	waitFor(t, 10*time.Second, func() bool { return n0.isDemoted(evil) })
+	if got := n0.Metrics()["p2p.txsInvalid"]; got != 4 {
+		t.Fatalf("p2p.txsInvalid = %v, want 4", got)
+	}
+	if got := n0.Inner().Metrics()["node.poolSize"]; got != 0 {
+		t.Fatalf("forged settlements entered the pool: %v", got)
+	}
+	if got := n0.Metrics()["p2p.txsAccepted"]; got != 0 {
+		t.Fatalf("p2p.txsAccepted = %v, want 0", got)
 	}
 }

@@ -70,8 +70,8 @@ func (n *Node) handleAnnounce(from NodeID, msg Message) {
 }
 
 // handleTxPush admits gossiped transactions: unseen ones are screened by
-// the validator (an invalid proof demotes the pusher and drops the
-// transaction), admitted to the local pool, and re-pushed to a fanout of
+// the chain's block verifier (an invalid proof demotes the pusher and drops
+// the transaction), admitted to the local pool, and re-pushed to a fanout of
 // other peers. Admission rejections (duplicate nonce, underfunded sender)
 // are not the pusher's fault and are ignored; the seen-cache already
 // stops the echo.
@@ -88,27 +88,22 @@ func (n *Node) handleTxPush(from NodeID, msg Message) {
 	if len(fresh) == 0 {
 		return
 	}
-	if v := n.cfg.Validator; v != nil {
-		ptrs := make([]*chain.Transaction, len(fresh))
-		for i := range fresh {
-			ptrs[i] = &fresh[i]
-		}
-		_, errs := v.GossipCheck(ptrs)
-		valid := make([]chain.Transaction, 0, len(fresh))
-		invalid := 0
-		for i := range fresh {
-			if errs[i] != nil {
-				invalid++
-				continue
-			}
+	ptrs := make([]*chain.Transaction, len(fresh))
+	for i := range fresh {
+		ptrs[i] = &fresh[i]
+	}
+	errs := n.inner.Chain().CheckTxs(ptrs)
+	valid := fresh[:0]
+	for i := range fresh {
+		if errs[i] == nil {
 			valid = append(valid, fresh[i])
 		}
-		if invalid > 0 {
-			n.demote(from, scoreInvalidTx*invalid)
-			n.txsInvalid.Add(uint64(invalid))
-		}
-		fresh = valid
 	}
+	if invalid := len(fresh) - len(valid); invalid > 0 {
+		n.demote(from, scoreInvalidTx*invalid)
+		n.txsInvalid.Add(uint64(invalid))
+	}
+	fresh = valid
 	if len(fresh) == 0 {
 		return
 	}

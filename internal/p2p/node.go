@@ -17,15 +17,6 @@ import (
 // ErrStopped reports an operation cut short by Node.Stop.
 var ErrStopped = errors.New("p2p: node stopped")
 
-// TxValidator screens proof-carrying transactions at the network boundary.
-// contracts.BlockProofChecker.GossipCheck implements it structurally — the
-// dependency points from the application layer down, never the reverse.
-// Screening has no effect on what a transaction later pays: that is decided
-// by the block it is sealed in (chain.Block.Fold), on every node alike.
-type TxValidator interface {
-	GossipCheck(txs []*chain.Transaction) (verified int, errs []error)
-}
-
 // Peer-scoring deltas. A peer whose score falls to or below demoteBelow
 // is demoted: its pushes are ignored, it receives no gossip, and sync never
 // selects it.
@@ -64,10 +55,6 @@ type Config struct {
 	// RebroadcastInterval paces re-gossip of pooled transactions, covering
 	// pushes lost to drops or partitions. Default 100ms.
 	RebroadcastInterval time.Duration
-	// Validator, when set, screens proof-carrying transactions at gossip
-	// ingress and local submission (blocks are checked by the chain itself
-	// when they are imported).
-	Validator TxValidator
 	// Store, when set, is this node's local blob store: the node serves
 	// MsgGetBlob from it and accepts MsgBlobPush replicas into it. Any
 	// storage.LocalStore works — a plain *storage.Store, or the durable
@@ -263,13 +250,12 @@ func (n *Node) Submit(tx chain.Transaction, autoNonce bool) (chain.Hash, error) 
 	return h, err
 }
 
-// submit screens (with a validator) and pools a transaction, assigning the
-// next nonce when autoNonce, and gossips the exact pooled bytes.
+// submit screens a transaction through the chain's block verifier, pools
+// it, assigning the next nonce when autoNonce, and gossips the exact pooled
+// bytes.
 func (n *Node) submit(tx chain.Transaction, autoNonce bool) (chain.Hash, <-chan node.TxResult, error) {
-	if v := n.cfg.Validator; v != nil {
-		if _, errs := v.GossipCheck([]*chain.Transaction{&tx}); errs[0] != nil {
-			return chain.Hash{}, nil, errs[0]
-		}
+	if err := n.inner.Chain().CheckTxs([]*chain.Transaction{&tx})[0]; err != nil {
+		return chain.Hash{}, nil, err
 	}
 	pooled, done, err := n.inner.SubmitForResult(tx, autoNonce)
 	if err != nil {

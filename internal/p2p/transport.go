@@ -22,9 +22,11 @@
 //     over the same transport, so storage URIs minted on one node resolve
 //     on every node.
 //
-// Proof-carrying transactions are screened with the batch verifier
-// (contracts.BlockProofChecker.GossipCheck, one plonk.Batch fold) at both
-// gossip ingress and block import, before they are re-propagated.
+// Proof-carrying transactions are screened by the block verifier of the
+// chain a member serves (chain.Chain.CheckTxs; on a marketplace genesis
+// contracts.BlockProofChecker, one plonk.Batch fold) at local submission
+// and gossip ingress, before they are pooled or re-propagated; a block's
+// proofs are checked by the chain itself when it is imported.
 package p2p
 
 import (

@@ -57,7 +57,7 @@ func (b *Batch) Add(proof *Proof, public []fr.Element) error {
 // depends on the SRS, so any key sharing the batch key's G2 points can
 // contribute. Keys from a different SRS are rejected.
 func (b *Batch) AddFor(vk *VerifyingKey, proof *Proof, public []fr.Element) error {
-	if !vk.G2[0].Equal(&b.vk.G2[0]) || !vk.G2[1].Equal(&b.vk.G2[1]) {
+	if !vk.SameSRS(b.vk) {
 		return fmt.Errorf("plonk: batch AddFor: verifying key from a different SRS")
 	}
 	o, err := openingMSM(vk, proof, public)

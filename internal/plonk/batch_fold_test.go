@@ -238,11 +238,14 @@ func TestBatchRhoBindsEveryU(t *testing.T) {
 // Before the fold became one MSM, a warm Add + Check at n = 64 on the
 // mul-add circuit allocated 143.6–153.9 times and 12.6–12.7 KB per proof (two
 // measurements on a 2-vCPU host): an 18-point MSM and a u·W_ζω scalar
-// multiplication per proof. The guard holds the lower figure. The repository
-// benchmark bounds alloc_mb_per_op to 3 %, and every block fold runs this.
+// multiplication per proof. One MSM per fold brought it to 126.0 allocations
+// and 10 884 bytes; a transcript that hashes out of one reused preimage
+// buffer to 43.5–43.9 and 8 026–8 034 (five runs, same host). The guard sits
+// just above that reading. The repository benchmark bounds alloc_mb_per_op to
+// 3 %, and every block fold runs this.
 const (
-	batchParentAllocsPerProof = 143.6
-	batchParentBytesPerProof  = 12_700
+	batchAllocsPerProof = 46
+	batchBytesPerProof  = 8_400
 )
 
 // TestBatchSteadyStateAllocation guards the fold's allocation per proof:
@@ -278,10 +281,10 @@ func TestBatchSteadyStateAllocation(t *testing.T) {
 		}
 	}
 	allocs, bytes := float64(leastAllocs)/n, float64(leastBytes)/n
-	if allocs > batchParentAllocsPerProof || bytes > batchParentBytesPerProof {
-		t.Fatalf("a warm fold of %d proofs allocated %.1f times and %.0f bytes per proof, more than the %.1f and %d of one MSM per proof",
-			n, allocs, bytes, batchParentAllocsPerProof, batchParentBytesPerProof)
+	if allocs > batchAllocsPerProof || bytes > batchBytesPerProof {
+		t.Fatalf("a warm fold of %d proofs allocated %.1f times and %.0f bytes per proof, more than the %d and %d guarded",
+			n, allocs, bytes, batchAllocsPerProof, batchBytesPerProof)
 	}
-	t.Logf("warm fold of %d proofs: %.1f allocations, %.0f bytes per proof (one MSM per proof: %.1f, %d)",
-		n, allocs, bytes, batchParentAllocsPerProof, batchParentBytesPerProof)
+	t.Logf("warm fold of %d proofs: %.1f allocations, %.0f bytes per proof (guard: %d, %d)",
+		n, allocs, bytes, batchAllocsPerProof, batchBytesPerProof)
 }

@@ -180,6 +180,12 @@ func (vk *VerifyingKey) verifierCache() (*poly.Domain, []fr.Element, [2]*bn254.G
 // shape returns the key's two feature bits.
 func (vk *VerifyingKey) shape() shape { return newShape(vk.Lookup, vk.Custom) }
 
+// SameSRS reports whether two keys were set up over one SRS (equal G2
+// points): only then can their proofs share a pairing check.
+func (vk *VerifyingKey) SameSRS(o *VerifyingKey) bool {
+	return vk.G2[0].Equal(&o.G2[0]) && vk.G2[1].Equal(&o.G2[1])
+}
+
 // columns lists the key's preprocessed polynomials, which are exactly the
 // ones its shape's identities read: the eight classic selector and
 // permutation columns, then QLk and Tbl on a lookup key, then the two

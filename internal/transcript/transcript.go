@@ -16,31 +16,32 @@ import (
 // absorbing identical messages. Not safe for concurrent use.
 type Transcript struct {
 	state [32]byte
+	buf   []byte // absorb's preimage, state ‖ len ‖ data, reused across calls
 }
 
 // New returns a transcript seeded with a protocol label, which provides
 // domain separation between protocols sharing the same primitives.
 func New(label string) *Transcript {
 	t := &Transcript{}
-	t.absorb([]byte("zkdet/transcript/v1"))
-	t.absorb([]byte(label))
+	absorb(t, "zkdet/transcript/v1")
+	absorb(t, label)
 	return t
 }
 
-func (t *Transcript) absorb(data []byte) {
-	h := sha256.New()
-	h.Write(t.state[:])
-	var lenBuf [8]byte
-	binary.BigEndian.PutUint64(lenBuf[:], uint64(len(data)))
-	h.Write(lenBuf[:])
-	h.Write(data)
-	copy(t.state[:], h.Sum(nil))
+// absorb sets state = SHA-256(state ‖ len(data) ‖ data), len as 8 bytes
+// big-endian. Labels go in as strings and messages as byte slices; the
+// bytes hashed are the same either way.
+func absorb[T string | []byte](t *Transcript, data T) {
+	t.buf = append(t.buf[:0], t.state[:]...)
+	t.buf = binary.BigEndian.AppendUint64(t.buf, uint64(len(data)))
+	t.buf = append(t.buf, data...)
+	t.state = sha256.Sum256(t.buf)
 }
 
 // AppendBytes absorbs a labelled byte string.
 func (t *Transcript) AppendBytes(label string, data []byte) {
-	t.absorb([]byte(label))
-	t.absorb(data)
+	absorb(t, label)
+	absorb(t, data)
 }
 
 // AppendScalar absorbs a labelled field element.
@@ -51,10 +52,10 @@ func (t *Transcript) AppendScalar(label string, s *fr.Element) {
 
 // AppendScalars absorbs a labelled list of field elements.
 func (t *Transcript) AppendScalars(label string, ss []fr.Element) {
-	t.absorb([]byte(label))
+	absorb(t, label)
 	for i := range ss {
 		b := ss[i].Bytes()
-		t.absorb(b[:])
+		absorb(t, b[:])
 	}
 }
 
@@ -67,17 +68,21 @@ func (t *Transcript) AppendPoint(label string, p *bn254.G1Affine) {
 // ChallengeScalar derives a labelled challenge in the scalar field and
 // absorbs it back into the transcript so later challenges depend on it.
 func (t *Transcript) ChallengeScalar(label string) fr.Element {
-	t.absorb([]byte(label))
-	t.absorb([]byte("challenge"))
-	// Two squeezes widen the sample to 512 bits so the mod-r bias is
-	// negligible (< 2^-256).
-	h1 := sha256.Sum256(append(t.state[:], 0x01))
-	h2 := sha256.Sum256(append(t.state[:], 0x02))
+	absorb(t, label)
+	absorb(t, "challenge")
+	// Two squeezes, SHA-256(state ‖ 0x01) and SHA-256(state ‖ 0x02), widen
+	// the sample to 512 bits so the mod-r bias is negligible (< 2^-256).
+	var squeeze [33]byte
+	copy(squeeze[:], t.state[:])
 	var wide [64]byte
-	copy(wide[:32], h1[:])
-	copy(wide[32:], h2[:])
+	squeeze[32] = 0x01
+	h := sha256.Sum256(squeeze[:])
+	copy(wide[:32], h[:])
+	squeeze[32] = 0x02
+	h = sha256.Sum256(squeeze[:])
+	copy(wide[32:], h[:])
 	c := fr.FromBytes(wide[:])
 	b := c.Bytes()
-	t.absorb(b[:])
+	absorb(t, b[:])
 	return c
 }

@@ -111,3 +111,14 @@ func TestChallengeDistribution(t *testing.T) {
 		seen[key] = true
 	}
 }
+
+// TestAppendScalarAllocatesNothing: once the preimage buffer has grown, a
+// scalar absorb allocates nothing.
+func TestAppendScalarAllocatesNothing(t *testing.T) {
+	tr := New("p")
+	s := fr.NewElement(7)
+	tr.AppendScalar("s", &s)
+	if n := testing.AllocsPerRun(100, func() { tr.AppendScalar("s", &s) }); n != 0 {
+		t.Fatalf("warm AppendScalar allocated %v times, want 0", n)
+	}
+}
