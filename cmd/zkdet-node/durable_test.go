@@ -447,8 +447,9 @@ func TestDurableRefusesDataDirWrittenByOverlayEngine(t *testing.T) {
 // term, so its logged receipts no longer match what this build computes
 // (snapshot.ErrReplayDrift). Since proofs moved to the linearized version-2
 // encoding, an earlier check fires first: each π_ct is a 1 766-byte
-// version-1 proof, over the 1 414-byte cap on an embedded range proof, so
-// the mint's calldata no longer decodes. The directory must be refused, by
+// version-1 proof, over the cap on an embedded range proof (1 414 bytes
+// then, 998 since version 3, plonk.MaxProofSize), so the mint's calldata
+// no longer decodes. The directory must be refused, by
 // type and at block 1, rather than recovered to some other history.
 func TestDurableRefusesConfidentialDataDirFoldedAtWidthOne(t *testing.T) {
 	raw, err := os.ReadFile(filepath.Join("testdata/pr21-datadir", walSegment))

@@ -50,7 +50,7 @@ func TestTrainerLookupGadgetSatisfiable(t *testing.T) {
 }
 
 // TestTrainerLookupEndToEndProof runs the full π_t pipeline and checks the
-// proof is on the range table plus custom gates (the 1 414-byte shape), and
+// proof is on the range table plus custom gates (the 998-byte shape), and
 // that it does not verify under a trainer with another ε: a different
 // relation, and a different key.
 func TestTrainerLookupEndToEndProof(t *testing.T) {

@@ -98,14 +98,14 @@ var shapes = map[string]func(t *testing.T, tabs []Table){
 		}
 	},
 	"proofsize": func(t *testing.T, tabs []Table) {
-		want := map[string]int{proofSizeClassic: plonk.ProofSize, proofSizeCustom: 1158}
+		want := map[string]int{proofSizeKey: 742, proofSizeCustom: 742}
 		for _, row := range tabs[0].Rows {
 			if row[2] != want[row[0].(string)] {
 				t.Errorf("%s at %d entries: %d bytes, want %d", row[0], row[1], row[2], want[row[0].(string)])
 			}
 		}
 		if len(tabs[0].Rows) != 2*len(Scales["small"].ProofSize) {
-			t.Errorf("%d rows, want a classic and a custom-gate row per size", len(tabs[0].Rows))
+			t.Errorf("%d rows, want a π_k and a π_e row per size", len(tabs[0].Rows))
 		}
 	},
 	"constraints": func(t *testing.T, tabs []Table) {

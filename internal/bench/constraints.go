@@ -99,7 +99,7 @@ func constraintReport(*Session) ([]Table, error) {
 		gadget{"ReLU 20-bit", func(b *circuit.Builder) {
 			b.ReLU(b.Secret(circuit.FixedFromFloat(-1.0)), 20)
 		}, "sign probe + select"},
-		gadget{"Poseidon permutation", poseidonPermutation, "1 custom row per round"},
+		gadget{"Poseidon permutation", poseidonPermutation, "1 custom row per round, 3 gates for round 0's constants"},
 		gadget{fmt.Sprintf("LogReg convergence (%dx%d)", trainer.N, trainer.K), func(b *circuit.Builder) {
 			wires := secrets(b, 2+trainer.N*(trainer.K+1))
 			wires[0] = b.Secret(fr.NewElement(uint64(trainer.N)))

@@ -253,7 +253,7 @@ func TestCustomRunMutations(t *testing.T) {
 	k[1] = fr.NewElement(6)
 	k[2] = fr.NewElement(7)
 	// build emits one full round carrying the constants rowK, closed by the
-	// next state the reference semantics compute under k.
+	// next state the reference semantics compute under k: MDS·w^5 + k.
 	build := func(rowK [3]fr.Element) *circuit.Builder {
 		b := circuit.NewBuilder()
 		b.EnableCustomGates()
@@ -266,7 +266,7 @@ func TestCustomRunMutations(t *testing.T) {
 		var sb [3]fr.Element
 		for j := 0; j < 3; j++ {
 			var t5, t2 fr.Element
-			t5.Add(&w[j], &k[j])
+			t5 = w[j]
 			t2.Square(&t5)
 			t2.Square(&t2)
 			t5.Mul(&t2, &t5)
@@ -274,7 +274,8 @@ func TestCustomRunMutations(t *testing.T) {
 		}
 		var next [3]circuit.Variable
 		for l := 0; l < 3; l++ {
-			var acc, tt fr.Element
+			acc := k[l]
+			var tt fr.Element
 			for j := 0; j < 3; j++ {
 				tt.Mul(&mds[l][j], &sb[j])
 				acc.Add(&acc, &tt)
@@ -323,4 +324,81 @@ func TestCustomRunMutations(t *testing.T) {
 	mut2 := DropGate(info, len(info.Gates))
 	mut2.MDSSet = false
 	hasRule(t, Circuit(mut2), RuleConfig)
+}
+
+// TestCustomRunOtherRowRules: a Poseidon row whose next state was computed
+// on another rule than MDS·w^5 + K — its constants added before the S-box,
+// as rounds were written before the constants moved after the MDS, or
+// dropped — is reported unsatisfied by the auditor and refused by the
+// compiled system; the same row on the rule itself is clean.
+func TestCustomRunOtherRowRules(t *testing.T) {
+	var mds [3][3]fr.Element
+	for i := range mds {
+		for j := range mds[i] {
+			s := fr.NewElement(uint64(i + j + 3))
+			mds[i][j].Inverse(&s)
+		}
+	}
+	k := [3]fr.Element{fr.NewElement(5), fr.NewElement(6), fr.NewElement(7)}
+	pow5 := func(x fr.Element) fr.Element {
+		var x4 fr.Element
+		x4.Square(&x)
+		x4.Square(&x4)
+		return *x4.Mul(&x4, &x)
+	}
+	// next returns MDS·(w+pre)^5 + post.
+	next := func(w, pre, post [3]fr.Element) [3]fr.Element {
+		out := post
+		for l := range out {
+			for j := range w {
+				var s fr.Element
+				s.Add(&w[j], &pre[j])
+				s = pow5(s)
+				s.Mul(&s, &mds[l][j])
+				out[l].Add(&out[l], &s)
+			}
+		}
+		return out
+	}
+	var zero [3]fr.Element
+	for _, tc := range []struct {
+		name      string
+		pre, post [3]fr.Element
+		clean     bool
+	}{
+		{"the row rule", zero, k, true},
+		{"own round's constants", k, zero, false},
+		{"no constants", zero, zero, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := circuit.NewBuilder()
+			b.EnableCustomGates()
+			b.SetPoseidonMDS(mds)
+			w := [3]fr.Element{fr.NewElement(11), fr.NewElement(22), fr.NewElement(33)}
+			x, y, z := b.Secret(w[0]), b.Secret(w[1]), b.Secret(w[2])
+			b.CustomGate(plonk.KindPoseidonFull, x, y, z, k)
+			nv := next(w, tc.pre, tc.post)
+			n0, n1, n2 := b.Secret(nv[0]), b.Secret(nv[1]), b.Secret(nv[2])
+			b.NoOpRow(n0, n1, n2)
+			expose(b, n0)
+			b.MarkDiscard(n1)
+			b.MarkDiscard(n2)
+			rep := Circuit(b.AuditInfo())
+			cs, wit, err := b.Compile()
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = cs.IsSatisfied(wit)
+			if tc.clean {
+				if !rep.Clean() || err != nil {
+					t.Fatalf("the row rule: audit\n%s\nIsSatisfied = %v", rep, err)
+				}
+				return
+			}
+			hasRule(t, rep, RuleUnsatisfied)
+			if !errors.Is(err, plonk.ErrUnsatisfied) {
+				t.Fatalf("IsSatisfied = %v, want %v", err, plonk.ErrUnsatisfied)
+			}
+		})
+	}
 }

@@ -12,7 +12,7 @@ import (
 
 var testSRSOnce = sync.OnceValue(func() *kzg.SRS {
 	tau := fr.NewElement(0x7e57)
-	srs, err := kzg.NewSRSFromSecret(1<<13, &tau)
+	srs, err := kzg.NewSRSFromSecret(3<<12+6, &tau)
 	if err != nil {
 		panic(err)
 	}

@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"github.com/zkdet/zkdet/internal/chain"
+	"github.com/zkdet/zkdet/internal/parallel"
 	"github.com/zkdet/zkdet/internal/plonk"
 )
 
@@ -183,23 +184,34 @@ func (bc *BlockProofChecker) CheckBlock(txs []*chain.Transaction) (chain.ProofMa
 	}
 	bc.mu.RUnlock()
 
-	// Fold the items in item order, so the batch is the same on every
-	// replica, and check the fold; bisect to isolate offenders on failure.
+	// Decode every item and replay its transcript on the worker pool —
+	// the items are independent — then fold them in item order, so the
+	// batch, its ρ and every error are those of one pass in item order and
+	// the same on every replica. Check the fold; bisect to isolate
+	// offenders on failure.
 	batch := plonk.NewBatch(base)
+	prepared := make([]plonk.Prepared, len(items))
+	prepErrs := make([]error, len(items))
+	parallel.Execute(len(items), func(start, end int) {
+		for idx := start; idx < end; idx++ {
+			proof, public, err := decodeVerifyArgs(items[idx].args)
+			if err == nil {
+				prepared[idx], err = batch.Prepare(items[idx].v.vk, proof, public)
+			}
+			prepErrs[idx] = err
+		}
+	})
 	var folded []int // item indices, in batch position order
 	for idx := range items {
 		it := &items[idx]
 		if errs[it.tx] != nil {
 			continue // sibling item already failed this tx
 		}
-		proof, public, err := decodeVerifyArgs(it.args)
-		if err == nil {
-			err = batch.AddFor(it.v.vk, proof, public)
-		}
-		if err != nil {
+		if err := prepErrs[idx]; err != nil {
 			errs[it.tx] = fmt.Errorf("%w: %w", ErrProofRejected, err)
 			continue
 		}
+		batch.AddPrepared(prepared[idx])
 		folded = append(folded, idx)
 	}
 	if err := batch.Check(); err != nil {

@@ -24,7 +24,7 @@ var ctSystem = sync.OnceValue(func() (out struct {
 	pub    bn254.G1Affine
 }) {
 	tau := fr.NewElement(0xfade) // escrowProofSystem's τ: ctSettleFixture folds π_k and π_ct in one batch
-	srs, err := kzg.NewSRSFromSecret(512+9, &tau)
+	srs, err := kzg.NewSRSFromSecret(3*512+6, &tau)
 	if err != nil {
 		panic(err)
 	}

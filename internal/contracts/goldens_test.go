@@ -31,10 +31,14 @@ import (
 // block came to be produced through the one fold: block 4's lone settlement
 // went from Fold 0 to Fold 1 at the same gas (with its Fold counted as 0 the
 // new chain reproduces the old receipts digest); every state root and the
-// rejects digest held.
+// rejects digest held. The head and the receipts digest were re-captured
+// once more when proofs moved to version 3, testdata/golden_pik.hex re-proved
+// as a 646-byte classic proof (head 0x76c0a085… → 0x3f97fc82…, receipts
+// 0d1af68f… → 2df8299a…: new transaction hashes, 128 calldata bytes fewer
+// per settlement); every state root and the rejects digest held.
 const (
-	goldenHead     = "0x76c0a085f937fea064db4a5890172cbedbb7591cf68fab0777a642ace752fa7f"
-	goldenReceipts = "0d1af68fddbe5194a1052712361220c37374ed1af851c07f1c5ec9b7935b2639"
+	goldenHead     = "0x3f97fc82105a88b0fecf476194512f368de418882ec54177b5142659259c90ec"
+	goldenReceipts = "2df8299adac84421d299802d860ea16bdc608600939a66346d9f2bd565c886c8"
 	goldenRejects  = "9dde9ca93dbea9d5c853346fee3c3dd9256531f0beb30f26ed299e7efed83ca9"
 )
 

@@ -337,13 +337,13 @@ func TestAuditBatchAuditorMode(t *testing.T) {
 // (no lookup argument) carries.
 func proofSlots(p *plonk.Proof) (pts []*kzg.Commitment, evs []*fr.Element) {
 	ev := &p.Evals
-	pts = []*kzg.Commitment{&p.A, &p.B, &p.C, &p.Z, &p.TLo, &p.TMid, &p.THi, &p.WZeta, &p.WZetaOmega}
+	pts = []*kzg.Commitment{&p.A, &p.B, &p.C, &p.Z, &p.WZeta, &p.WZetaOmega}
+	for i := range p.T {
+		pts = append(pts, &p.T[i])
+	}
 	evs = []*fr.Element{&ev.A, &ev.B, &ev.C, &ev.S1, &ev.S2, &ev.ZOmega}
 	if ex := ev.Ext; ex != nil {
-		evs = append(evs, &ex.AOmega, &ex.BOmega, &ex.COmega, &ex.K0, &ex.K1, &ex.K2)
-	}
-	for i := range p.TExtra {
-		pts = append(pts, &p.TExtra[i])
+		evs = append(evs, &ex.Y)
 	}
 	return pts, evs
 }
@@ -362,8 +362,8 @@ func TestAuditRejectsEveryCorruption(t *testing.T) {
 	honest.PublishAsset(asset)
 
 	pts, evs := proofSlots(asset.EncProof)
-	if asset.EncProof.Evals.Ext == nil || asset.EncProof.Lookup || len(pts) != 12 || len(evs) != 12 {
-		t.Fatalf("π_e carries %d commitments and %d openings, want the custom shape's 12 and 12", len(pts), len(evs))
+	if asset.EncProof.Evals.Ext == nil || asset.EncProof.Lookup || len(pts) != 8 || len(evs) != 7 {
+		t.Fatalf("π_e carries %d commitments and %d openings, want the custom shape's 8 and 7", len(pts), len(evs))
 	}
 	slots := len(pts) + len(evs)
 	g := bn254.G1Generator()

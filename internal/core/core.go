@@ -55,7 +55,10 @@ func NewTestSystem(maxConstraints int) (*System, error) {
 
 // SRSPowers is the number of G1 powers every SRS this repository builds
 // holds for circuits of up to maxConstraints gates: 4n + 16, where n is
-// maxConstraints rounded up to a power of two of at least 64.
+// maxConstraints rounded up to a power of two of at least 64. plonk.Setup
+// asks for 3N + 6 powers on an N-row domain, so it covers every key whose
+// domain holds at most n rows — all but a custom-gate circuit of exactly n
+// rows, whose padding row takes it to 3n/2.
 func SRSPowers(maxConstraints int) int {
 	n := 64
 	for n < maxConstraints {
@@ -68,14 +71,14 @@ func SRSPowers(maxConstraints int) int {
 func (s *System) SRS() *kzg.SRS { return s.srs }
 
 // newHashCircuit returns the builder of every circuit in this package whose
-// gates are hashing plus wiring (π_e, π_p, and the ZKCP and monolithic
+// gates are hashing plus wiring (π_e, π_p, π_k, and the ZKCP and monolithic
 // baselines): Poseidon rounds compile to one custom-gate row each (DESIGN.md
 // §15.3). Lookups stay off on purpose: only π_p has range checks to look
 // up, and the 2^12 table would pin it to a 4 096-row domain to save 112 of
-// its 501 rows — at n = 4 these circuits fit in 512. buildKeyCircuit
-// (classic) and buildTransformCircuit (lookups on, which a structural π_t,
-// having no range check, compiles exactly as it would here) are the two
-// that do not start here; each says why.
+// its 502 rows — at n = 4 these circuits fit in 512. buildTransformCircuit
+// (lookups on, which a structural π_t, having no range check, compiles
+// exactly as it would here) is the one that does not start here; it says
+// why.
 func newHashCircuit() *circuit.Builder {
 	b := circuit.NewBuilder()
 	b.EnableCustomGates()

@@ -87,15 +87,14 @@ type KeyWitness struct {
 	KeyBlinder fr.Element // o_k
 }
 
-// buildKeyCircuit stays on the classic lowering, deliberately: π_k is the one
-// proof that rides in calldata. On the custom-gate shape it would take 148
-// rows instead of 1 330, but a custom-gate proof, even with no lookup
-// argument, is 1 158 − 774 = 384 bytes longer = +4 608 gas per settlement =
-// +0.66 % of an exchange's 694 906 gas, over three times the benchmark's
-// 0.2 % gas bound. Moving it is a gas decision, not a default;
-// TestHashCircuitsOnCustomShape pins the 322 917-gas settlement.
+// buildKeyCircuit compiles π_k on custom gates like every hash circuit: 148
+// rows on a 256-row domain, against 1 330 on 1 536 on the classic lowering.
+// π_k is the one proof that rides in calldata, and a custom-gate proof is
+// 742 bytes, 32 fewer than the 774-byte classic π_k of the version-2
+// encoding, so a settlement costs 384 gas less than it did then;
+// TestHashCircuitsOnCustomShape pins the 322 533-gas settlement.
 func buildKeyCircuit(st *KeyStatement, w *KeyWitness) *circuit.Builder {
-	b := circuit.NewBuilder()
+	b := newHashCircuit()
 	kc := b.Public(st.KC)
 	ck := b.Public(st.KeyCommitment)
 	hv := b.Public(st.HV)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 
 	"github.com/zkdet/zkdet/internal/chain"
@@ -278,10 +279,46 @@ func (m *Marketplace) Process(owner chain.Address, ownerLabel string, src *Asset
 	return m.transform(owner, ownerLabel, TransformProcessing, []*Asset{src}, nil, proc)
 }
 
+// ErrListingNotToken refuses a sale whose listing is not the token's: its
+// c_d ‖ c_k and the content address of its ciphertext do not reproduce the
+// record the token stores on-chain.
+var ErrListingNotToken = errors.New("core: listing does not match the token's on-chain record")
+
+// checkListing is the buyer's check that a listing offers token id: the
+// token stores the digest of its kind, ciphertext URI, commitment field and
+// parents, and the listing's c_d ‖ c_k and the URI of its ciphertext must
+// reproduce it with the kind and parents the indexer recorded — which the
+// digest binds as well, as in Trace.
+func (m *Marketplace) checkListing(id uint64, l *Listing) error {
+	tok, err := contracts.ReadToken(m.Chain, id)
+	if err != nil {
+		return err
+	}
+	lin, err := m.ix.Lineage(id)
+	if err != nil {
+		return err
+	}
+	for _, rec := range lin.Tokens {
+		if rec.ID != id {
+			continue
+		}
+		st := &l.Statement
+		ct := Ciphertext{Nonce: st.Nonce, Blocks: st.Ciphertext}
+		uri := storage.URIOf(ct.Bytes())
+		cd, ck := st.DataCommitment.Bytes(), l.KeyCommitment.Bytes()
+		if tok.Record == contracts.RecordDigest(rec.Kind, uri[:], append(cd[:], ck[:]...), rec.Parents) {
+			return nil
+		}
+	}
+	return fmt.Errorf("%w: token #%d", ErrListingNotToken, id)
+}
+
 // sell runs the complete key-secure exchange (§IV-F) between a seller's asset
 // and a buyer address with the named contract — either one carrying the
 // exchange machine — as the arbiter 𝒥: lock submits the buyer's locking call
-// for (h_v, c_k). It returns the decrypted dataset as received by the buyer.
+// for (h_v, c_k). Before it locks anything the buyer checks that the listing
+// is the token's (ErrListingNotToken otherwise). It returns the decrypted
+// dataset as received by the buyer.
 func (m *Marketplace) sell(arbiter string, exchangeID uint64, sellerAddr, buyerAddr chain.Address, asset *Asset, pred Predicate, price uint64,
 	lock func(hv, ck []byte) error) (Dataset, error) {
 	seller, err := assetSeller(m.Sys, asset, pred)
@@ -289,6 +326,9 @@ func (m *Marketplace) sell(arbiter string, exchangeID uint64, sellerAddr, buyerA
 		return nil, err
 	}
 	listing := seller.Listing(price)
+	if err := m.checkListing(asset.TokenID, &listing); err != nil {
+		return nil, err
+	}
 
 	// Phase 1 — data validation: seller proves π_p, buyer verifies.
 	piP, err := seller.ProveData()

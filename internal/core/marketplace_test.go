@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"testing"
 
 	"github.com/zkdet/zkdet/internal/chain"
@@ -185,5 +186,44 @@ func TestMarketplaceSellViaEscrow(t *testing.T) {
 	keyB := asset.Key.Bytes()
 	if string(kcB) == string(keyB[:]) {
 		t.Fatal("raw key published on-chain")
+	}
+}
+
+// TestSaleRefusesAnotherAssetsListing: a seller who lists another asset's
+// ciphertext and commitments under a token — here both alice's, the listing
+// of the second under the first's id — is refused by the buyer with
+// ErrListingNotToken before anything is locked: no exchange is opened, the
+// buyer's balance and the token's owner are unchanged. The token's own
+// listing then sells.
+func TestSaleRefusesAnotherAssetsListing(t *testing.T) {
+	m, _ := newTestMarketplace(t)
+	ix := m.AttachIndexer()
+	alice, bob := chain.AddressFromString("alice"), chain.AddressFromString("bob")
+	m.Chain.Faucet(bob, 1_000_000)
+	sold, err := m.MintAsset(alice, "alice", smallData(3), fr.MustRandom())
+	if err != nil {
+		t.Fatal(err)
+	}
+	other, err := m.MintAsset(alice, "alice", smallData(3), fr.MustRandom())
+	if err != nil {
+		t.Fatal(err)
+	}
+	forged := *other
+	forged.TokenID = sold.TokenID
+	before := m.Chain.BalanceOf(bob)
+	if _, err := m.SellViaEscrow(1, alice, bob, &forged, RangePredicate{Bits: 16}, 5000); !errors.Is(err, ErrListingNotToken) {
+		t.Fatalf("sale of token #%d under another asset's listing: %v, want ErrListingNotToken", sold.TokenID, err)
+	}
+	if _, err := ix.Exchange(1); err == nil {
+		t.Fatal("an exchange was opened for the refused sale")
+	}
+	if got := m.Chain.BalanceOf(bob); got != before {
+		t.Fatalf("buyer balance %d after the refused sale, was %d", got, before)
+	}
+	if tok, err := contracts.ReadToken(m.Chain, sold.TokenID); err != nil || tok.Owner != alice {
+		t.Fatalf("token #%d after the refused sale: %+v, %v; want alice's", sold.TokenID, tok, err)
+	}
+	if _, err := m.SellViaEscrow(1, alice, bob, sold, RangePredicate{Bits: 16}, 5000); err != nil {
+		t.Fatalf("the token's own listing: %v", err)
 	}
 }

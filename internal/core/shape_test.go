@@ -10,21 +10,26 @@ import (
 	"github.com/zkdet/zkdet/internal/plonk"
 )
 
-// settleGas is what a settled public escrow costs: the verification of a
-// classic π_k with three public inputs plus 12 gas per calldata byte of a
-// plonk.ProofSize-byte (774) proof. A custom-gate π_k would be 384 bytes
-// longer (1 158 − 774), so this figure is the guard that π_k does not change
-// shape without a gas decision.
-const settleGas = 322_917
+// settleGas is what a settled public escrow costs: the verification of π_k
+// with three public inputs plus 12 gas per calldata byte of its 742-byte
+// custom-gate proof. It was 322 917 when π_k was a 774-byte classic proof
+// of the version-2 encoding; the 32 bytes it shed are 384 gas. Any other
+// change to π_k's size moves it, so this figure is the guard that π_k does
+// not change shape without a gas decision.
+const settleGas = 322_533
+
+// customProofSize is the length of a proof on custom gates without a lookup
+// argument: 8 G1 points and 7 openings behind the 6-byte header.
+const customProofSize = 742
 
 // TestHashCircuitsOnCustomShape pins which circuit is on which prover shape
-// (DESIGN.md §15.3). The five hash-only circuits prove on custom gates with
-// no lookup argument (1 158-byte proofs), each on the smallest domain that
-// holds its rows (at n = 4 all on 512, π_e's 443 rows and π_p's 501
-// among them), and a verifier that never proved rebuilds the same key from
-// a zero witness. A processing π_t takes the range table beside custom
-// gates only if its Processor emits range checks (N ≥ 4 096, 1 414-byte
-// proofs); π_k (1 330 rows on 1 536) stays classic.
+// (DESIGN.md §15.3). The six hash-only circuits prove on custom gates with
+// no lookup argument (742-byte proofs), each on the smallest domain that
+// holds its rows (at n = 4 five on 512, π_e's 444 rows and π_p's 502 among
+// them, and π_k's 148 rows on 192), and a verifier that never proved
+// rebuilds the same key from a zero witness. A processing π_t takes the
+// range table beside custom gates only if its Processor emits range checks
+// (N ≥ 4 096, 998-byte proofs). No circuit proves on the classic shape.
 func TestHashCircuitsOnCustomShape(t *testing.T) {
 	prover := testSys()
 	// A second System over the same SRS: its keys come from vkFor alone.
@@ -42,8 +47,8 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 			t.Fatalf("%s: custom=%v lookup=%v tableBits=%d N=%d, want custom gates, no lookups, N = %d",
 				key, vk.Custom, vk.Lookup, vk.TableBits, vk.N, wantN)
 		}
-		if got := len(proof.Bytes()); got != 1158 {
-			t.Fatalf("%s: proof is %d bytes, want 1158", key, got)
+		if got := len(proof.Bytes()); got != customProofSize {
+			t.Fatalf("%s: proof is %d bytes, want %d", key, got, customProofSize)
 		}
 	}
 
@@ -121,7 +126,7 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 			n         uint64
 			size      int
 		}{
-			{proc: doubler{}, n: 512, size: 1158},
+			{proc: doubler{}, n: 512, size: customProofSize},
 			{proc: rangeDoubler{}, lookup: true, tableBits: circuit.DefaultRangeTableBits, n: 4096, size: plonk.MaxProofSize},
 		} {
 			tp, _, _, err := prover.ProveProcessing(tc.proc, data, st.DataCommitment, w.DataBlinder)
@@ -142,13 +147,13 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		}
 	})
 
-	t.Run("pi_k stays classic and a settlement costs the same gas", func(t *testing.T) {
+	t.Run("pi_k on custom gates", func(t *testing.T) {
 		vk, err := verifier.KeyCircuitVK()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vk.Lookup || vk.Custom || vk.N != 1536 {
-			t.Fatalf("π_k key: lookup=%v custom=%v N=%d, want classic on 1536 rows: its proof rides in calldata, see buildKeyCircuit", vk.Lookup, vk.Custom, vk.N)
+		if vk.Lookup || !vk.Custom || vk.N != 192 {
+			t.Fatalf("π_k key: lookup=%v custom=%v N=%d, want custom gates without lookups on 192 rows: its proof rides in calldata, see buildKeyCircuit", vk.Lookup, vk.Custom, vk.N)
 		}
 		m, _ := newTestMarketplace(t)
 		alice, bob := chain.AddressFromString("alice"), chain.AddressFromString("bob")
@@ -161,8 +166,8 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 				settled = r.GasUsed
 				// args: exchange id, k_c, π_k, then the three public inputs.
 				args, derr := contracts.DecodeArgs(tx.Args, 6)
-				if derr != nil || len(args[2]) != plonk.ProofSize {
-					t.Errorf("settle calldata: %v, want six args with a %d-byte π_k third", derr, plonk.ProofSize)
+				if derr != nil || len(args[2]) != customProofSize {
+					t.Errorf("settle calldata: %v, want six args with a %d-byte π_k third", derr, customProofSize)
 				}
 			}
 			return r, err

@@ -71,7 +71,15 @@ func vkFingerprint(vk *plonk.VerifyingKey) string {
 // moved a last time (classic on 4 096 rows → custom gates on 512) when every
 // processing π_t came to compile on one lowering, the range table plus custom
 // gates; pi_t/proc/range-doubler/4, which had opted into that lowering, held
-// to the digit. Each key is built twice: by a prover from a real witness, and
+// to the digit. All six moved once more when Poseidon rounds came to add
+// their constants after the MDS (version-3 proofs): a custom row's K columns
+// hold the next round's constants, and round 0's ride in the gates feeding
+// each permutation — two more per Poseidon-CTR call, for k and the nonce
+// (pi_t/dup/3 aa5d04a1… → 3e2240ba…, pi_t/dup/4 e8ad8981… → 79759aae…,
+// pi_t/agg/[2 3] ea268b47… → 5d4c6059…, pi_t/part/[2 3] 2f20d836… →
+// 349a4599…, pi_t/proc/doubler/4 48f97500… → 5f3f89c1…,
+// pi_t/proc/range-doubler/4 5feefb1a… → 36845e0e…). Each key is built twice:
+// by a prover from a real witness, and
 // by a verifier that never proved, from a zero witness. A change to which
 // gates a transformation circuit emits, or in which order, moves a
 // fingerprint; re-capturing one is a decision to invalidate every published
@@ -105,21 +113,21 @@ func TestTransformKeysUnchanged(t *testing.T) {
 		proc  Processor
 		prove func(*System) (*TransformProof, error)
 	}{
-		{key: "pi_t/dup/3", want: "aa5d04a16a86d2c54ba55e7c", prove: dup(3)},
-		{key: "pi_t/dup/4", want: "e8ad8981ea9b7e781dd37cc1", prove: dup(4)},
-		{key: "pi_t/agg/[2 3]", want: "ea268b47ce23097a673741bb", prove: func(s *System) (*TransformProof, error) {
+		{key: "pi_t/dup/3", want: "3e2240ba83e9d545254bbd7c", prove: dup(3)},
+		{key: "pi_t/dup/4", want: "79759aae08ef2c7806e59f31", prove: dup(4)},
+		{key: "pi_t/agg/[2 3]", want: "5d4c60591fc015b751289fe2", prove: func(s *System) (*TransformProof, error) {
 			srcs := []Dataset{smallData(2), smallData(3)}
 			cs, os := commitAll(srcs...)
 			tp, _, _, err := s.transform(TransformAggregation, srcs, cs, os, nil, nil)
 			return tp, err
 		}},
-		{key: "pi_t/part/[2 3]", want: "2f20d8360996e9cd67cff145", prove: func(s *System) (*TransformProof, error) {
+		{key: "pi_t/part/[2 3]", want: "349a459942644d71e960ebdc", prove: func(s *System) (*TransformProof, error) {
 			cs, os := commitAll(smallData(5))
 			tp, _, _, err := s.transform(TransformPartition, []Dataset{smallData(5)}, cs, os, []int{2, 3}, nil)
 			return tp, err
 		}},
-		{key: "pi_t/proc/doubler/4", want: "48f97500d85c17b5d107a1a2", proc: doubler{}, prove: process(doubler{})},
-		{key: "pi_t/proc/range-doubler/4", want: "5feefb1a3f8de8a6d06e4fc2", proc: rangeDoubler{}, prove: process(rangeDoubler{})},
+		{key: "pi_t/proc/doubler/4", want: "5f3f89c18ce75213ecd90351", proc: doubler{}, prove: process(doubler{})},
+		{key: "pi_t/proc/range-doubler/4", want: "36845e0e21ced5c6eaf89be3", proc: rangeDoubler{}, prove: process(rangeDoubler{})},
 	}
 	for _, tc := range cases {
 		t.Run(tc.key, func(t *testing.T) {

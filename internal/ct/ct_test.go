@@ -12,7 +12,7 @@ import (
 )
 
 // testSRS is shared across tests: π_ct proves on a 512-row domain and
-// plonk.Setup asks for degree N+8, so the SRS covers 512+9 points.
+// plonk.Setup asks for 3N+6 powers, so the SRS covers 3·512+6 points.
 var (
 	srsOnce sync.Once
 	srsInst *kzg.SRS
@@ -23,7 +23,7 @@ func testSRS(t testing.TB) *kzg.SRS {
 	t.Helper()
 	srsOnce.Do(func() {
 		tau := fr.NewElement(0x5eed2025)
-		srsInst, srsErr = kzg.NewSRSFromSecret(512+9, &tau)
+		srsInst, srsErr = kzg.NewSRSFromSecret(3*512+6, &tau)
 	})
 	if srsErr != nil {
 		t.Fatalf("building SRS: %v", srsErr)

@@ -24,7 +24,7 @@ const MaxParties = 16
 // RangeSlots is the number of outputs one π_ct covers. On custom gates one
 // output's three constraints take 124 rows (49 for the range check, 72 for
 // the Poseidon commitment, 3 for the response), so four outputs and the
-// nine public inputs fill 507 rows of a 512-row domain; a fifth would
+// nine public inputs fill 506 rows of a 512-row domain; a fifth would
 // double it. It is a property of the circuit, not a knob: there is one
 // shape, one key, one verifier.
 const RangeSlots = 4

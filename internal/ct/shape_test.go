@@ -90,8 +90,8 @@ func split(pub *bn254.G1Affine, alice chain.Address, note uint64, in ct.Opening)
 }
 
 // TestRangeCircuitOnCustomShape pins π_ct's shape: custom gates and no
-// lookup argument, four slots in 507 rows of a 512-row domain, nine public
-// inputs, a 1 158-byte proof, and what a 1→2 confidential transfer pays.
+// lookup argument, four slots in 506 rows of a 512-row domain, nine public
+// inputs, a 742-byte proof, and what a 1→2 confidential transfer pays.
 func TestRangeCircuitOnCustomShape(t *testing.T) {
 	rp := ct.SharedTestProver(t)
 	vk, err := rp.VK()
@@ -109,8 +109,8 @@ func TestRangeCircuitOnCustomShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.NbGates() != 507 {
-		t.Fatalf("%d rows, want 507", cs.NbGates())
+	if cs.NbGates() != 506 {
+		t.Fatalf("%d rows, want 506", cs.NbGates())
 	}
 
 	ak := ct.AuditorKeyFromSecret(fr.NewElement(0x5ba9e))
@@ -124,16 +124,17 @@ func TestRangeCircuitOnCustomShape(t *testing.T) {
 	if len(proof.Ranges) != 1 {
 		t.Fatalf("%d range proofs for two outputs, want 1", len(proof.Ranges))
 	}
-	if got := len(proof.Ranges[0].Bytes()); got != 1158 {
-		t.Fatalf("π_ct is %d bytes, want 1158", got)
+	if got := len(proof.Ranges[0].Bytes()); got != 742 {
+		t.Fatalf("π_ct is %d bytes, want 742", got)
 	}
 	r := ctCall(t, c, alice, "transfer", contracts.CTTransferArgs([]uint64{note}, st.Inputs, st.Outputs, recips, proof))
 	if r.Err != nil {
 		t.Fatalf("transfer: %v", r.Err)
 	}
 	// 786 953 → 788 489 when π_ct left the lookup shape: its proof grew
-	// 1 030 → 1 158 bytes, 128 calldata bytes at 12 gas each.
-	const wantGas = 788_489
+	// 1 030 → 1 158 bytes, 128 calldata bytes at 12 gas each. 788 489 →
+	// 783 497 with version-3 proofs: 1 158 → 742 bytes, 416 bytes fewer.
+	const wantGas = 783_497
 	if r.GasUsed != wantGas {
 		t.Fatalf("1→2 transfer used %d gas, want %d", r.GasUsed, wantGas)
 	}

@@ -35,8 +35,13 @@ type Field struct {
 	bitLen    int
 	byteLen   int
 	modMinus1 [Limbs]uint64 // p-1 in plain form, used for Neg bound checks in tests
-	unrolled  bool          // use the no-carry unrolled CIOS multiplication
-	adx       bool          // unrolled, and this CPU runs the assembly form of it
+	// limbR2[i] = 2^(64·i)·R² mod p: Mul by it takes a one-limb value at
+	// limb i of a wider integer straight to Montgomery form. r512 = 2^512·R
+	// mod p is 2^512 in Montgomery form, the step between 64-byte chunks.
+	limbR2   [2 * Limbs]Element
+	r512     Element
+	unrolled bool // use the no-carry unrolled CIOS multiplication
+	adx      bool // unrolled, and this CPU runs the assembly form of it
 }
 
 // ErrNotInField reports a value that is not a canonical field element.
@@ -68,6 +73,12 @@ func NewField(modulus *big.Int) (*Field, error) {
 	r2Big := new(big.Int).Mul(rBig, rBig)
 	r2Big.Mod(r2Big, modulus)
 	bigToLimbs(r2Big, (*[Limbs]uint64)(&f.r2))
+	for i := range f.limbR2 {
+		k := new(big.Int).Lsh(r2Big, uint(64*i))
+		bigToLimbs(k.Mod(k, modulus), (*[Limbs]uint64)(&f.limbR2[i]))
+	}
+	r512 := new(big.Int).Lsh(rBig, 512)
+	bigToLimbs(r512.Mod(r512, modulus), (*[Limbs]uint64)(&f.r512))
 
 	// inv = -p^{-1} mod 2^64, via Newton iteration on the low limb.
 	p0 := f.modulus[0]
@@ -346,22 +357,62 @@ func (f *Field) Bytes(x *Element) [8 * Limbs]byte {
 	return out
 }
 
-// FromBytes interprets b as a big-endian integer and reduces it mod p.
+// FromBytes interprets b as a big-endian integer and reduces it mod p. It
+// allocates nothing: the value is split into 64-byte chunks, most
+// significant first, each chunk into limbs, and limb i of a chunk enters
+// Montgomery form as Mul(limb, 2^(64·i)·R²); between chunks the sum so far
+// is multiplied by 2^512.
 func (f *Field) FromBytes(b []byte) Element {
-	return f.FromBig(new(big.Int).SetBytes(b))
+	var acc Element
+	for first := true; len(b) > 0; first = false {
+		n := len(b) % 64
+		if n == 0 {
+			n = 64
+		}
+		chunk := b[:n]
+		b = b[n:]
+		if !first {
+			f.Mul(&acc, &acc, &f.r512)
+		}
+		for i := 0; len(chunk) > 0; i++ {
+			m := min(8, len(chunk))
+			var t, d Element
+			t[0] = beUintN(chunk[len(chunk)-m:])
+			chunk = chunk[:len(chunk)-m]
+			if f.bitLen <= 64 {
+				t[0] %= f.modulus[0] // Mul takes reduced operands
+			}
+			f.Mul(&d, &t, &f.limbR2[i])
+			f.Add(&acc, &acc, &d)
+		}
+	}
+	return acc
 }
 
 // FromBytesCanonical interprets b as a big-endian integer and rejects values
-// that are not already reduced (>= p) or of the wrong length.
+// that are not already reduced (>= p) or of the wrong length. It compares
+// and converts on limbs, so a valid encoding allocates nothing.
 func (f *Field) FromBytesCanonical(b []byte) (Element, error) {
 	if len(b) != f.byteLen {
 		return Element{}, fmt.Errorf("ff: want %d bytes, got %d: %w", f.byteLen, len(b), ErrNotInField)
 	}
-	v := new(big.Int).SetBytes(b)
-	if v.Cmp(f.modBig) >= 0 {
-		return Element{}, ErrNotInField
+	var t Element
+	for i := 0; len(b) > 0; i++ {
+		m := min(8, len(b))
+		t[i] = beUintN(b[len(b)-m:])
+		b = b[:len(b)-m]
 	}
-	return f.FromBig(v), nil
+	for i := Limbs - 1; i >= 0; i-- {
+		if t[i] != f.modulus[i] {
+			if t[i] > f.modulus[i] {
+				return Element{}, ErrNotInField
+			}
+			var z Element
+			f.Mul(&z, &t, &f.r2)
+			return z, nil
+		}
+	}
+	return Element{}, ErrNotInField // t == p
 }
 
 func bigToLimbs(b *big.Int, limbs *[Limbs]uint64) {
@@ -383,6 +434,18 @@ func limbsToBig(limbs *[Limbs]uint64) *big.Int {
 func beUint64(b []byte) uint64 {
 	return uint64(b[7]) | uint64(b[6])<<8 | uint64(b[5])<<16 | uint64(b[4])<<24 |
 		uint64(b[3])<<32 | uint64(b[2])<<40 | uint64(b[1])<<48 | uint64(b[0])<<56
+}
+
+// beUintN reads a big-endian integer of at most 8 bytes.
+func beUintN(b []byte) uint64 {
+	if len(b) == 8 {
+		return beUint64(b)
+	}
+	var v uint64
+	for _, c := range b {
+		v = v<<8 | uint64(c)
+	}
+	return v
 }
 
 func putBEUint64(b []byte, v uint64) {

@@ -3,6 +3,7 @@ package ff
 import (
 	"bytes"
 	"crypto/rand"
+	"errors"
 	"math/big"
 	"testing"
 	"testing/quick"
@@ -444,4 +445,79 @@ func TestUnrolledMatchesGeneric(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestFromBytesMatchesBig holds FromBytes and FromBytesCanonical to
+// math/big on every test field: FromBytes reduces any length mod p, at the
+// edges 0, p−1, p, p+1 and 2^256−1, on random 32-, 33- and 64-byte inputs
+// (the transcript squeezes 64) and on a 100-byte one (two chunks);
+// FromBytesCanonical takes exactly the values below p and refuses p, p+1 and
+// 2^256−1 with ErrNotInField. Neither allocates.
+func TestFromBytesMatchesBig(t *testing.T) {
+	for name, f := range testFields() {
+		p := f.Modulus()
+		one := big.NewInt(1)
+		all := new(big.Int).Sub(new(big.Int).Lsh(one, 256), one)
+		vals := []*big.Int{big.NewInt(0), new(big.Int).Sub(p, one), new(big.Int).Set(p), new(big.Int).Add(p, one), all}
+		lens := []int{32, 32, 32, 32, 32}
+		for _, n := range []int{32, 33, 64, 100} {
+			for i := 0; i < 20; i++ {
+				buf := make([]byte, n)
+				if _, err := rand.Read(buf); err != nil {
+					t.Fatal(err)
+				}
+				vals = append(vals, new(big.Int).SetBytes(buf))
+				lens = append(lens, n)
+			}
+		}
+		for i, v := range vals {
+			b := make([]byte, lens[i])
+			v.FillBytes(b)
+			want := f.FromBig(v)
+			if got := f.FromBytes(b); got != want {
+				t.Fatalf("%s: FromBytes(%d bytes of %s) = %s, want %s", name, len(b), v, f.ToBig(&got), f.ToBig(&want))
+			}
+			if len(b) < f.byteLen || new(big.Int).SetBytes(b[:len(b)-f.byteLen]).Sign() != 0 {
+				continue
+			}
+			got, err := f.FromBytesCanonical(b[len(b)-f.byteLen:])
+			switch {
+			case v.Cmp(p) < 0 && (err != nil || got != want):
+				t.Fatalf("%s: FromBytesCanonical(%s) = %v, %v; want %s", name, v, f.ToBig(&got), err, v)
+			case v.Cmp(p) >= 0 && !errors.Is(err, ErrNotInField):
+				t.Fatalf("%s: FromBytesCanonical(%s) = %v, want ErrNotInField", name, v, err)
+			}
+		}
+		wide := make([]byte, 64)
+		canon := make([]byte, f.byteLen)
+		new(big.Int).Sub(p, one).FillBytes(canon)
+		if n := testing.AllocsPerRun(100, func() { _ = f.FromBytes(wide) }); n != 0 {
+			t.Fatalf("%s: FromBytes allocates %v times per call, want 0", name, n)
+		}
+		if n := testing.AllocsPerRun(100, func() { _, _ = f.FromBytesCanonical(canon) }); n != 0 {
+			t.Fatalf("%s: FromBytesCanonical allocates %v times per call, want 0", name, n)
+		}
+	}
+}
+
+// sinkElement keeps BenchmarkFromBytes's results alive.
+var sinkElement Element
+
+func BenchmarkFromBytes(b *testing.B) {
+	wide := make([]byte, 64)
+	canon := make([]byte, 32)
+	for i := range wide {
+		wide[i] = byte(i*37 + 11)
+	}
+	copy(canon[1:], wide[:31])
+	b.Run("canonical32", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkElement, _ = testFr.FromBytesCanonical(canon)
+		}
+	})
+	b.Run("reduce64", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sinkElement = testFr.FromBytes(wide)
+		}
+	})
 }

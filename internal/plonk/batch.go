@@ -57,16 +57,33 @@ func (b *Batch) Add(proof *Proof, public []fr.Element) error {
 // depends on the SRS, so any key sharing the batch key's G2 points can
 // contribute. Keys from a different SRS are rejected.
 func (b *Batch) AddFor(vk *VerifyingKey, proof *Proof, public []fr.Element) error {
+	p, err := b.Prepare(vk, proof, public)
+	if err == nil {
+		b.AddPrepared(p)
+	}
+	return err
+}
+
+// Prepared is one proof's per-proof verification work, done by Prepare
+// and deferred into a batch by AddPrepared.
+type Prepared struct{ o opening }
+
+// Prepare runs AddFor's per-proof work — the SRS and shape checks, the
+// transcript replay, the linearization — and returns the statement instead
+// of deferring it, with the error AddFor would return. It reads the batch
+// and changes nothing, so a caller may prepare many proofs on several
+// goroutines at once and then add them in a fixed order: the batch, its ρ
+// and Bisect's positions are those of AddFor calls in that order.
+func (b *Batch) Prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (Prepared, error) {
 	if !vk.SameSRS(b.vk) {
-		return fmt.Errorf("plonk: batch AddFor: verifying key from a different SRS")
+		return Prepared{}, fmt.Errorf("plonk: batch AddFor: verifying key from a different SRS")
 	}
 	o, err := openingMSM(vk, proof, public)
-	if err != nil {
-		return err
-	}
-	b.stmts = append(b.stmts, o)
-	return nil
+	return Prepared{o: o}, err
 }
+
+// AddPrepared defers a statement Prepare returned into the batch.
+func (b *Batch) AddPrepared(p Prepared) { b.stmts = append(b.stmts, p.o) }
 
 // Len returns the number of statements accumulated so far.
 func (b *Batch) Len() int { return len(b.stmts) }

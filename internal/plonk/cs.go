@@ -7,10 +7,11 @@
 // linearization: the prover opens at the evaluation challenge ζ only the
 // polynomials the constraint identities read non-linearly, and every column
 // they read linearly — the selectors, σ3, z and the quotient pieces — enters
-// one linearization commitment the verifier forms inside its MSM. A classic
-// proof is the paper's 9 G1 points — [a], [b], [c], [z], [t_lo], [t_mid],
-// [t_hi], [W_ζ], [W_ζω] — and 6 field elements (a, b, c, σ1, σ2 at ζ and z
-// at ζω), checked with 2 pairings and an 18-point MSM (§VI-B3).
+// one linearization commitment the verifier forms inside its MSM. The
+// quotient is committed in pieces of 3n coefficients, the last taking the
+// remainder, so a classic proof is 7 G1 points — [a], [b], [c], [z], [t],
+// [W_ζ], [W_ζω] — and 6 field elements (a, b, c, σ1, σ2 at ζ and z at ζω),
+// checked with 2 pairings and a 16-point MSM (§VI-B3).
 package plonk
 
 import (
@@ -57,8 +58,9 @@ const (
 	// argument instead of a bit decomposition.
 	KindLookup
 	// KindPoseidonFull packs one full Poseidon round: wires carry the
-	// state, K the round constants, and the next row's wires must equal
-	// MDS·(w+K)^5 lane-wise.
+	// state with the round's constants already added, and the next row's
+	// wires must equal MDS·w^5 + K lane-wise, K being the constants of the
+	// round after it.
 	KindPoseidonFull
 	// KindPoseidonPartial is the partial round: only lane a is S-boxed.
 	KindPoseidonPartial
@@ -82,8 +84,10 @@ type Gate struct {
 	QL, QR, QO, QM, QC fr.Element
 	// Kind selects the constraint family (zero value: arithmetic).
 	Kind GateKind
-	// K carries per-row custom-gate constants (round constants); unused
-	// for arithmetic and lookup rows.
+	// K carries the constants a Poseidon row adds after its MDS: the next
+	// round's round constants, or the first round's of the permutation it
+	// feeds, or zero. Setup reads it only on custom rows, so it is zero in
+	// the key's K columns on every other row.
 	K [3]fr.Element
 	// A, B, C are variable indices wired into this gate's three slots.
 	A, B, C int
@@ -219,12 +223,13 @@ func (cs *ConstraintSystem) IsSatisfied(witness []fr.Element) error {
 // qL·a + qR·b + qO·c + qM·a·b + qC + PI = 0, where PI(ω^i) = −w[i] on the
 // first nbPublic rows and 0 elsewhere; on a lookup row the bound
 // 0 ≤ a < 2^tableBits (ErrLookupRange); and on a Poseidon row the round
-// against row i+1's wires, which must equal MDS·(w+K)^5 with only lane a
-// S-boxed on a partial round. Past the last row a round reads w[0] three
-// times, as the prover pads with rows wired to variable 0. IsSatisfied
-// loops over it, the circuit auditor calls it on builder rows, and the
-// prover's quotient and the verifier's evaluation at ζ mirror it. It
-// allocates nothing.
+// against row i+1's wires, which must equal MDS·w^5 + K with only lane a
+// S-boxed on a partial round: the wires carry the state after the round's
+// constants, and K adds the next round's. Past the last row a round reads
+// w[0] three times, as the prover pads with rows wired to variable 0.
+// IsSatisfied loops over it, the circuit auditor calls it on builder rows,
+// and the prover's quotient and the verifier's evaluation at ζ mirror it.
+// It allocates nothing.
 func CheckRow(gates []Gate, i int, w []fr.Element, nbPublic, tableBits int, mds *[3][3]fr.Element) error {
 	g := &gates[i]
 	a, b, c := &w[g.A], &w[g.B], &w[g.C]
@@ -251,22 +256,19 @@ func CheckRow(gates []Gate, i int, w []fr.Element, nbPublic, tableBits int, mds 
 			return ErrLookupRange
 		}
 	case KindPoseidonFull, KindPoseidonPartial:
-		lanes, next := [3]*fr.Element{a, b, c}, [3]*fr.Element{&w[0], &w[0], &w[0]}
+		next := [3]*fr.Element{&w[0], &w[0], &w[0]}
 		if i+1 < len(gates) {
 			ng := &gates[i+1]
 			next = [3]*fr.Element{&w[ng.A], &w[ng.B], &w[ng.C]}
 		}
-		var sb [3]fr.Element
+		sb := [3]fr.Element{*a, *b, *c}
 		for j := range sb {
-			sb[j].Add(lanes[j], &g.K[j])
 			if g.Kind == KindPoseidonFull || j == 0 {
-				t.Square(&sb[j])
-				t.Square(&t)
-				sb[j].Mul(&t, &sb[j])
+				pow5(&sb[j], &sb[j])
 			}
 		}
 		for l := range next {
-			acc.SetZero()
+			acc = g.K[l]
 			for j := range sb {
 				t.Mul(&mds[l][j], &sb[j])
 				acc.Add(&acc, &t)

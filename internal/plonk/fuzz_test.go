@@ -36,6 +36,9 @@ func FuzzProofFromBytes(f *testing.F) {
 	for _, blob := range v1Proofs(f) {
 		f.Add(blob) // version 1: must be rejected
 	}
+	for _, blob := range v2Proofs(f) {
+		f.Add(blob) // version 2: must be rejected
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		p, err := ProofFromBytes(data)

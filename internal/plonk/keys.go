@@ -36,12 +36,23 @@ const (
 	// columns M, H, S and the quotient adds C3–C5.
 	shapeLookup shape = 1 << 0
 	// shapeCustom: the circuit has next-row custom gates, so the quotient
-	// adds C6–C11 and splits into six pieces instead of three.
+	// adds C6–C8 and is committed in two pieces instead of one.
 	shapeCustom shape = 1 << 1
 )
 
 func (s shape) lookup() bool { return s&shapeLookup != 0 }
 func (s shape) custom() bool { return s&shapeCustom != 0 }
+
+// quotientPieces returns how many pieces a proof of shape sh commits its
+// quotient in: pieces of 3n coefficients, the last taking the remainder,
+// so a classic quotient (3n+6 coefficients) is one piece and a custom-gate
+// one (5n+6) two.
+func (s shape) quotientPieces() int {
+	if s.custom() {
+		return 2
+	}
+	return 1
+}
 
 func newShape(lookup, custom bool) shape {
 	var s shape
@@ -76,7 +87,7 @@ type ProvingKey struct {
 	// Lookup/custom-gate preprocessing, present only on a key whose shape
 	// reads it (see columns): QLk is the lookup selector and Tbl the
 	// range-table polynomial; QPosF/QPosP are the Poseidon round selectors
-	// and KC0..KC2 the per-row round-constant columns.
+	// and KC0..KC2 the per-row constants a round adds after its MDS.
 	QLk, Tbl      poly.Polynomial
 	QPosF, QPosP  poly.Polynomial
 	KC0, KC1, KC2 poly.Polynomial
@@ -121,14 +132,14 @@ type VerifyingKey struct {
 	// Lookup is set when the circuit has lookup rows: its proofs carry the
 	// LogUp polynomials M, H, S and the two LogUp openings. Custom is set when
 	// next-row custom gates are present: the quotient gains the custom-gate
-	// identities and splits into 6 pieces instead of 3. Either one makes the
-	// key extended: it commits the extension columns its shape reads as
-	// well, 10, 13 or 15 preprocessed commitments instead of 8.
+	// identities and is committed in 2 pieces instead of 1. Either one makes
+	// the key extended: it commits the extension columns its shape reads as
+	// well, 13 or 15 preprocessed commitments instead of 8.
 	Lookup    bool
 	Custom    bool
 	TableBits int
 	// MDS is the Poseidon matrix the custom rounds multiply by; the
-	// verifier evaluates the round constraint at ζ and needs it.
+	// verifier linearizes the round constraint at ζ and needs it.
 	MDS [3][3]fr.Element
 	// Commitments to the extension's preprocessed polynomials; a column
 	// the key's shape does not read stays the zero Commitment and is never
@@ -250,14 +261,16 @@ func quotientMultiple(n uint64, custom bool) uint64 {
 }
 
 // quotientDomain returns the coset domain round 3 evaluates the quotient
-// on and the number of degree-n pieces the quotient splits into: 3, or 6
-// with custom gates.
+// on and the number of pieces the quotient is committed in: 1, or 2 with
+// custom gates.
 func (pk *ProvingKey) quotientDomain() (*poly.Domain, int) {
-	if pk.shape.custom() {
-		return pk.quotient, 6
-	}
-	return pk.quotient, 3
+	return pk.quotient, pk.shape.quotientPieces()
 }
+
+// srsPowers is how many SRS powers a key on an n-row domain commits with:
+// its longest polynomial is a classic quotient of 3n+6 coefficients (a
+// custom-gate quotient's first piece is 3n; the rest are shorter).
+func srsPowers(n uint64) int { return 3*int(n) + 6 }
 
 // cosetEvals evaluates each polynomial over the coset of d: independent
 // FFTs, run on the bounded worker pool.
@@ -365,9 +378,9 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 	if err != nil {
 		return nil, nil, err
 	}
-	if srs.MaxDegree() < int(n)+8 {
-		return nil, nil, fmt.Errorf("%w: srs supports degree %d, circuit needs %d",
-			ErrSRSTooSmall, srs.MaxDegree(), n+8)
+	if len(srs.G1) < srsPowers(n) {
+		return nil, nil, fmt.Errorf("%w: srs has %d powers, circuit needs %d",
+			ErrSRSTooSmall, len(srs.G1), srsPowers(n))
 	}
 
 	// Selector evaluation vectors over the domain (zero-padded rows are

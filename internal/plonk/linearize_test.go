@@ -11,7 +11,7 @@ func randomPoint() pointVals {
 	var p pointVals
 	for _, e := range []*fr.Element{
 		&p.x, &p.a, &p.b, &p.c, &p.z, &p.zw, &p.ql, &p.qr, &p.qo, &p.qm, &p.qc, &p.pi,
-		&p.s1, &p.s2, &p.s3, &p.l1, &p.aw, &p.bw, &p.cw, &p.m, &p.h, &p.s, &p.sw,
+		&p.s1, &p.s2, &p.s3, &p.l1, &p.y, &p.m, &p.h, &p.s, &p.sw,
 		&p.qlk, &p.tbl, &p.qposf, &p.qposp, &p.k0, &p.k1c, &p.k2c,
 	} {
 		*e = fr.MustRandom()
@@ -25,23 +25,24 @@ func randomChallenges() *challenges {
 		beta: fr.MustRandom(), gamma: fr.MustRandom(), betaL: fr.MustRandom(),
 		k1: fr.MustRandom(), k2: fr.MustRandom(),
 	}
-	for i := 0; i < nbAlphaPowers; i++ {
-		ch.alphaPow = append(ch.alphaPow, fr.MustRandom())
-	}
 	for l := range ch.mds {
 		for j := range ch.mds[l] {
 			ch.mds[l][j] = fr.MustRandom()
 		}
 	}
+	alpha := fr.MustRandom()
+	ch.setAlpha(&alpha)
 	return ch
 }
 
 // TestLinearizationIsAffine: for each shape, at random point values and
 // challenges, quotientNumerator equals linearize's constant term plus
-// Σ scalar·value over the linear columns. linearize reads each scalar off
-// one unit vector, so this holds at random values only if the numerator is
-// jointly affine in those columns — no product of two of them — which is
-// what lets a proof fold them into one commitment instead of opening them.
+// Σ scalar·value over the linear columns — on a custom-gate key the two
+// round selectors and the round-constant columns K0–K2 among them.
+// linearize reads each scalar off one unit vector, so this holds at random
+// values only if the numerator is jointly affine in those columns — no
+// product of two of them — which is what lets a proof fold them into one
+// commitment instead of opening them.
 func TestLinearizationIsAffine(t *testing.T) {
 	for _, sh := range []shape{0, shapeCustom, shapeLookup | shapeCustom} {
 		for trial := 0; trial < 20; trial++ {
@@ -50,6 +51,11 @@ func TestLinearizationIsAffine(t *testing.T) {
 			cols := p.linearColumns(sh)
 			if len(scalars) != len(cols) {
 				t.Fatalf("shape %#02x: %d scalars for %d linear columns", byte(sh), len(scalars), len(cols))
+			}
+			if sh.custom() {
+				if tail := cols[len(cols)-3:]; tail[0] != &p.k0 || tail[1] != &p.k1c || tail[2] != &p.k2c {
+					t.Fatalf("shape %#02x: the round-constant columns are not the last linear columns", byte(sh))
+				}
 			}
 			want := quotientNumerator(&p, ch, sh)
 			got := c0
@@ -66,15 +72,16 @@ func TestLinearizationIsAffine(t *testing.T) {
 }
 
 // TestOpeningMSMWidth counts the points of the verifier's one MSM per shape.
-// A classic key's 18 — 7 linearized columns, 3 quotient pieces, 5 ζ
+// A classic key's 16 — 7 linearized columns, 1 quotient piece, 5 ζ
 // openings, W_ζ, W_ζω and G1, with [z] shared by the linearization and the
-// ζω opening — are the paper's 18 exponentiations, which
-// contracts.VerificationGas charges. A custom-gate key adds the two Poseidon
-// round selectors, three quotient pieces and [K0]–[K2] (26); a lookup +
-// custom key [M], [H], [S], [q_Lk] and [T] on top (31).
+// ζω opening — are two fewer than the paper's 18 exponentiations, which
+// contracts.VerificationGas still charges. A custom-gate key adds the two
+// Poseidon round selectors, [K0]–[K2] and a second quotient piece (22): Y's
+// commitment is the wires', which the MSM already holds; a lookup + custom
+// key [M], [H], [S], [q_Lk] and [T] on top (27).
 func TestOpeningMSMWidth(t *testing.T) {
 	for name, want := range map[string]int{
-		"muladd": 18, "power20": 18, "mimc": 26, "poseidon": 26, "lookup": 31, "mixed": 31,
+		"muladd": 16, "power20": 16, "mimc": 22, "poseidon": 22, "lookup": 27, "mixed": 27,
 	} {
 		cs, witness := goldenCircuit(t, name)
 		pk, vk, err := Setup(cs, testSRSOnce())

@@ -12,7 +12,7 @@ import (
 // linearization, at ζ in both), and the LogUp witness builder.
 //
 // Every circuit carries C0–C2 (gate, permutation, L_1 boundary); a key with
-// lookups adds C3–C5, one with custom gates C6–C11.
+// lookups adds C3–C5, one with custom gates C6–C8.
 //
 // The lookup argument is the log-derivative ("LogUp") formulation: for the
 // range table T and the a-wire column a, with qLk the lookup selector and
@@ -27,17 +27,23 @@ import (
 //	C5: L_1(x)·S(x) = 0
 //
 // β_L is derived by the transcript after [M] is committed. Custom gates
-// (Poseidon full and partial rounds) add constraints C6–C11 reading the next
-// row's wires through the ω-shift; their round constants live in the
-// preprocessed K columns and the Poseidon MDS matrix in the verifying key.
+// (Poseidon full and partial rounds) add the lane constraints C6–C8, one per
+// lane l, which both round kinds share:
+//
+//	C6+l: qPosF·(Σ_j M_lj·w_j^5 − w_l(ωx)) + qPosP·(M_l0·a^5 + M_l1·b + M_l2·c − w_l(ωx)) + K_l
+//
+// The wires carry the state after the round's constants, K_l adds the next
+// round's (zero on every row that is not a round, so it needs no selector),
+// and the Poseidon MDS matrix M lives in the verifying key. Weighted by
+// α^{6+l}, the next-row wires enter only as y = Σ_l α^{6+l}·w_l(ωx), which a
+// proof opens once at ζω; the selectors and K_l are linear.
 
 // nbAlphaPowers is the number of α powers folding the constraint stack:
-// C0 gate, C1 perm, C2 L1 boundary, C3–C5 LogUp, C6–C8 Poseidon full
-// lanes, C9–C11 Poseidon partial lanes.
-const nbAlphaPowers = 12
+// C0 gate, C1 perm, C2 L1 boundary, C3–C5 LogUp, C6–C8 Poseidon lanes.
+const nbAlphaPowers = 9
 
 // pointVals carries every polynomial's value at one evaluation point. The
-// fields from aw down to k2c belong to the extension: the LogUp ones are
+// fields from y down to k2c belong to the extension: the LogUp ones are
 // read only for a lookup key, the rest only for a custom-gate key.
 type pointVals struct {
 	x                      fr.Element // the point itself
@@ -46,21 +52,48 @@ type pointVals struct {
 	ql, qr, qo, qm, qc, pi fr.Element
 	s1, s2, s3             fr.Element
 	l1                     fr.Element // L_1(x)
-	aw, bw, cw             fr.Element // wires at ω·x (next row)
+	y                      fr.Element // Σ_l α^{6+l}·w_l(ω·x), the next row's wires
 	m, h, s, sw            fr.Element // LogUp columns; sw = S(ω·x)
 	qlk, tbl               fr.Element
 	qposf, qposp           fr.Element
-	k0, k1c, k2c           fr.Element // per-row round constants
+	k0, k1c, k2c           fr.Element // constants a round adds after its MDS
 }
 
 // challenges bundles the transcript challenges and fixed key data the
-// constraint evaluation needs; β_L is used only with lookups, mds only with
-// custom gates.
+// constraint evaluation needs; β_L is used only with lookups, mds and
+// mdsAlpha only with custom gates.
 type challenges struct {
 	beta, gamma, betaL fr.Element
-	alphaPow           []fr.Element // α^0 … α^11
+	alphaPow           []fr.Element // α^0 … α^8
 	k1, k2             fr.Element   // permutation coset multipliers
 	mds                [3][3]fr.Element
+	// mdsAlpha[j] = Σ_l α^{6+l}·mds[l][j]: the MDS columns under the lane
+	// weights, so C6–C8 read each S-box output once.
+	mdsAlpha [3]fr.Element
+}
+
+// setAlpha fills the α powers and, from them and mds, mdsAlpha.
+func (ch *challenges) setAlpha(alpha *fr.Element) {
+	ch.alphaPow = fr.Powers(alpha, nbAlphaPowers)
+	var t fr.Element
+	for j := range ch.mdsAlpha {
+		ch.mdsAlpha[j].SetZero()
+		for l := 0; l < 3; l++ {
+			t.Mul(&ch.mds[l][j], &ch.alphaPow[6+l])
+			ch.mdsAlpha[j].Add(&ch.mdsAlpha[j], &t)
+		}
+	}
+}
+
+// nextRow returns y = Σ_l α^{6+l}·w_l for the next row's wires w.
+func (ch *challenges) nextRow(a, b, c *fr.Element) fr.Element {
+	var y, t fr.Element
+	y.Mul(&ch.alphaPow[6], a)
+	t.Mul(&ch.alphaPow[7], b)
+	y.Add(&y, &t)
+	t.Mul(&ch.alphaPow[8], c)
+	y.Add(&y, &t)
+	return y
 }
 
 // pow5 sets out = t^5.
@@ -71,29 +104,10 @@ func pow5(out, t *fr.Element) {
 	out.Mul(&t2, t)
 }
 
-// poseidonFamily returns sel·Σ_l α_l·(Σ_j mds[l][j]·in_j − nw_l): the three
-// lane identities of one Poseidon round kind, α-weighted, then switched by
-// the kind's selector with a single multiplication.
-func poseidonFamily(in *[3]fr.Element, nw [3]*fr.Element, mds *[3][3]fr.Element, alpha []fr.Element, sel *fr.Element) fr.Element {
-	var sum, t fr.Element
-	for l := 0; l < 3; l++ {
-		var lane fr.Element
-		for j := 0; j < 3; j++ {
-			t.Mul(&mds[l][j], &in[j])
-			lane.Add(&lane, &t)
-		}
-		lane.Sub(&lane, nw[l])
-		lane.Mul(&lane, &alpha[l])
-		sum.Add(&sum, &lane)
-	}
-	sum.Mul(&sum, sel)
-	return sum
-}
-
 // quotientNumerator evaluates the aggregated constraint numerator
 // Σ_k α^k·C_k at one point. The prover divides this by Z_H on the coset;
 // at ζ, linearize splits it into the linearization both sides fold. sh is
-// the key's shape: the stack adds C3–C5 only with lookups and C6–C11 only
+// the key's shape: the stack adds C3–C5 only with lookups and C6–C8 only
 // with custom gates.
 func quotientNumerator(p *pointVals, ch *challenges, sh shape) fr.Element {
 	var acc, t, t2 fr.Element
@@ -183,44 +197,46 @@ func quotientNumerator(p *pointVals, ch *challenges, sh shape) fr.Element {
 		return acc
 	}
 
-	// Custom gates. Wires and next-row wires as lanes.
-	w := [3]*fr.Element{&p.a, &p.b, &p.c}
-	nw := [3]*fr.Element{&p.aw, &p.bw, &p.cw}
-	k := [3]*fr.Element{&p.k0, &p.k1c, &p.k2c}
-
-	// C6–C8: Poseidon full round, lane l:
-	// qPosF·(Σ_j mds[l][j]·(w_j+K_j)^5 − w_l(ωx)).
-	var sb [3]fr.Element
-	for j := 0; j < 3; j++ {
-		t.Add(w[j], k[j])
-		pow5(&sb[j], &t)
-	}
-	t = poseidonFamily(&sb, nw, &ch.mds, ch.alphaPow[6:9], &p.qposf)
-	acc.Add(&acc, &t)
-
-	// C9–C11: Poseidon partial round — only lane 0 is S-boxed, by the same
-	// S-box as the full round's lane 0.
-	pb := [3]fr.Element{sb[0]}
-	pb[1].Add(&p.b, &p.k1c)
-	pb[2].Add(&p.c, &p.k2c)
-	t = poseidonFamily(&pb, nw, &ch.mds, ch.alphaPow[9:12], &p.qposp)
+	// C6–C8, α^{6+l}-weighted and summed over the lanes: a full round is
+	// Σ_j mdsAlpha_j·w_j^5 − y, a partial one mdsAlpha_0·a^5 + mdsAlpha_1·b +
+	// mdsAlpha_2·c − y, each under its selector, plus Σ_l α^{6+l}·K_l.
+	var a5, full, part fr.Element
+	pow5(&a5, &p.a)
+	t.Mul(&ch.mdsAlpha[0], &a5)
+	full.Sub(&t, &p.y)
+	part = full
+	pow5(&t2, &p.b)
+	t2.Mul(&t2, &ch.mdsAlpha[1])
+	full.Add(&full, &t2)
+	pow5(&t2, &p.c)
+	t2.Mul(&t2, &ch.mdsAlpha[2])
+	full.Add(&full, &t2)
+	full.Mul(&full, &p.qposf)
+	acc.Add(&acc, &full)
+	t.Mul(&ch.mdsAlpha[1], &p.b)
+	part.Add(&part, &t)
+	t.Mul(&ch.mdsAlpha[2], &p.c)
+	part.Add(&part, &t)
+	part.Mul(&part, &p.qposp)
+	acc.Add(&acc, &part)
+	t = ch.nextRow(&p.k0, &p.k1c, &p.k2c)
 	acc.Add(&acc, &t)
 	return acc
 }
 
 // linearColumns lists the fields of p that quotientNumerator reads only
-// linearly for shape sh — no product of two of them occurs in C0–C11 — so a
+// linearly for shape sh — no product of two of them occurs in C0–C8 — so a
 // proof folds them into its linearization instead of opening them: the five
 // gate selectors, σ3 and z, then M, H, S and the lookup selector on a lookup
-// key, then the two Poseidon round selectors on a custom-gate key. The
-// prover's polynomials and the verifier's commitments follow this order.
+// key, then the two Poseidon round selectors and K0–K2 on a custom-gate key.
+// The prover's polynomials and the verifier's commitments follow this order.
 func (p *pointVals) linearColumns(sh shape) []*fr.Element {
 	cols := []*fr.Element{&p.ql, &p.qr, &p.qo, &p.qm, &p.qc, &p.s3, &p.z}
 	if sh.lookup() {
 		cols = append(cols, &p.m, &p.h, &p.s, &p.qlk)
 	}
 	if sh.custom() {
-		cols = append(cols, &p.qposf, &p.qposp)
+		cols = append(cols, &p.qposf, &p.qposp, &p.k0, &p.k1c, &p.k2c)
 	}
 	return cols
 }
@@ -229,7 +245,7 @@ func (p *pointVals) linearColumns(sh shape) []*fr.Element {
 // scalar per linear column: with the other fields of p fixed, the numerator
 // is c0 + Σ_j scalars[j]·col_j. The split is read off quotientNumerator
 // itself — c0 with every linear column at zero, scalars[j] from column j
-// alone at one — so C0–C11 stay written once; TestLinearizationIsAffine
+// alone at one — so C0–C8 stay written once; TestLinearizationIsAffine
 // checks the joint affinity that makes it exact. p's linear columns are
 // ignored.
 func linearize(p pointVals, ch *challenges, sh shape) (c0 fr.Element, scalars []fr.Element) {

@@ -34,7 +34,7 @@ func BenchmarkProve(b *testing.B) {
 	for _, logN := range []int{10, 12, 13, 14} {
 		cs, witness := benchSquareChain(logN)
 		tau := fr.NewElement(0xbeef)
-		srs, err := kzg.NewSRSFromSecret((1<<logN)+9, &tau)
+		srs, err := kzg.NewSRSFromSecret(3*(1<<logN)+6, &tau)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -74,7 +74,7 @@ func TestProveSteadyStateAllocation(t *testing.T) {
 	const logN = 13
 	cs, witness := benchSquareChain(logN)
 	tau := fr.NewElement(0xbeef)
-	srs, err := kzg.NewSRSFromSecret((1<<logN)+9, &tau)
+	srs, err := kzg.NewSRSFromSecret(3*(1<<logN)+6, &tau)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func BenchmarkSetup(b *testing.B) {
 	for _, logN := range []int{10, 12} {
 		cs, _ := benchSquareChain(logN)
 		tau := fr.NewElement(0xbeef)
-		srs, err := kzg.NewSRSFromSecret((1<<logN)+9, &tau)
+		srs, err := kzg.NewSRSFromSecret(3*(1<<logN)+6, &tau)
 		if err != nil {
 			b.Fatal(err)
 		}

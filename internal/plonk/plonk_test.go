@@ -196,9 +196,10 @@ func TestCopyConstraints(t *testing.T) {
 
 func TestProofSizeConstant(t *testing.T) {
 	// Paper §VI-B3: proof length is independent of the relation, and a
-	// classic proof is 9 G1 + 6 Fr behind the 6-byte header.
-	if ProofSize != 774 {
-		t.Fatalf("ProofSize = %d, want 774", ProofSize)
+	// classic proof is 7 G1 + 6 Fr behind the 6-byte header (the paper's
+	// 9 G1 + 6 Fr with the quotient in one piece instead of three).
+	if ProofSize != 646 {
+		t.Fatalf("ProofSize = %d, want 646", ProofSize)
 	}
 	sizes := map[string]int{}
 	for _, k := range []int{4, 64, 400} {

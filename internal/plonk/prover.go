@@ -15,6 +15,12 @@ import (
 // source; production code never reassigns it.
 var randScalar = fr.MustRandom
 
+// checkDegree makes Prove refuse a witness whose quotient does not divide
+// by Z_H (ErrUnsatisfied). It is a variable so the identity tests can play
+// a cheating prover that commits the truncated quotient anyway, to show the
+// verifier refuses it; production code never reassigns it.
+var checkDegree = true
+
 // commitParallel runs independent KZG commitments concurrently, writing
 // each result through its output pointer. The fan-out is bounded by the
 // repo-wide worker pool (GOMAXPROCS) like every other prover hot loop, so
@@ -39,38 +45,38 @@ func commitParallel(srs *kzg.SRS, ps []poly.Polynomial, outs []*kzg.Commitment) 
 	return nil
 }
 
-// Proof is a Plonk proof: 9 G1 points and the openings the constraint
+// Proof is a Plonk proof: 7 G1 points and the openings the constraint
 // identities read non-linearly — a, b, c, σ1, σ2 at the challenge ζ and z
 // at ζω; everything they read linearly is folded into the linearization.
 // Its size is independent of the circuit. A proof for a lookup circuit
 // additionally carries the three LogUp polynomials M (multiplicities), H
 // (per-row log-derivative helper) and S (running sum); one for a custom-gate
-// circuit three extra quotient pieces. Either one carries the extension's
+// circuit a second quotient piece. Either one carries the extension's
 // openings (Evals.Ext).
 type Proof struct {
-	A, B, C           kzg.Commitment
-	Z                 kzg.Commitment
-	TLo, TMid, THi    kzg.Commitment
+	A, B, C kzg.Commitment
+	Z       kzg.Commitment
+	// T holds the quotient in pieces of 3n coefficients, the last taking
+	// the remainder: one piece on a classic key, two on a custom-gate key
+	// (shape.quotientPieces).
+	T                 []kzg.Commitment
 	WZeta, WZetaOmega kzg.Commitment
 	// Lookup marks a proof carrying the LogUp argument: [M], [H], [S] and
 	// the LogUp openings. Without it those fields stay zero (infinity), and
 	// a verifier refuses the proof if they are not.
 	Lookup  bool
 	M, H, S kzg.Commitment
-	// TExtra holds quotient pieces 4–6 when custom gates push the
-	// quotient degree past 3n.
-	TExtra []kzg.Commitment
-	Evals  ProofEvals
+	Evals   ProofEvals
 }
 
 // shape returns the feature bits the proof's contents claim: none without
 // extension openings, else lookup when it carries the LogUp argument and
-// custom when it carries extra quotient pieces.
+// custom when it carries a second quotient piece.
 func (p *Proof) shape() shape {
 	if p.Evals.Ext == nil {
 		return 0
 	}
-	return newShape(p.Lookup, len(p.TExtra) > 0)
+	return newShape(p.Lookup, len(p.T) > 1)
 }
 
 // strayFields reports whether p sets a field that shape sh does not carry:
@@ -105,28 +111,25 @@ type ProofEvals struct {
 
 // ExtEvals are the extra openings an extended proof carries. A lookup proof
 // opens the table at ζ (C3 multiplies it by H) and the running sum at ζω; a
-// custom-gate proof the next-row wires at ζω and the round constants at ζ,
-// which sit inside the S-boxes. A proof of one feature leaves the other's
+// custom-gate proof the next-row wires at ζω, once, as
+// Y = Σ_l α^{6+l}·w_l(ζω): the combination C6–C8 read, which the verifier
+// binds to Σ_l α^{6+l}·[w_l]. A proof of one feature leaves the other's
 // openings zero.
 type ExtEvals struct {
-	Tbl, SOmega            fr.Element
-	AOmega, BOmega, COmega fr.Element
-	K0, K1, K2             fr.Element
+	Tbl, SOmega fr.Element
+	Y           fr.Element
 }
 
 // lookupEvals lists the two openings only a lookup proof carries.
 func (x *ExtEvals) lookupEvals() []*fr.Element { return []*fr.Element{&x.Tbl, &x.SOmega} }
 
-// customEvals lists the six openings only a custom-gate proof carries.
-func (x *ExtEvals) customEvals() []*fr.Element {
-	return []*fr.Element{&x.AOmega, &x.BOmega, &x.COmega, &x.K0, &x.K1, &x.K2}
-}
+// customEvals lists the one opening only a custom-gate proof carries.
+func (x *ExtEvals) customEvals() []*fr.Element { return []*fr.Element{&x.Y} }
 
 // openings returns the evaluations the proof carries, split by point: at ζ
-// a, b, c, σ1, σ2, then T on a lookup proof and K0–K2 on a custom-gate one;
-// at ζω z, then S (lookup) and a, b, c (custom). This is the one order of
-// the transcript, the wire encoding, the prover's round-4 evaluations and
-// both v-folds.
+// a, b, c, σ1, σ2, then T on a lookup proof; at ζω z, then S (lookup) and Y
+// (custom). This is the one order of the transcript, the wire encoding, the
+// prover's round-4 evaluations and both v-folds.
 func (p *Proof) openings() (atZeta, atOmega []*fr.Element) {
 	ev := &p.Evals
 	atZeta = []*fr.Element{&ev.A, &ev.B, &ev.C, &ev.S1, &ev.S2}
@@ -137,8 +140,7 @@ func (p *Proof) openings() (atZeta, atOmega []*fr.Element) {
 		atOmega = append(atOmega, &ev.Ext.SOmega)
 	}
 	if sh.custom() {
-		atZeta = append(atZeta, &ev.Ext.K0, &ev.Ext.K1, &ev.Ext.K2)
-		atOmega = append(atOmega, &ev.Ext.AOmega, &ev.Ext.BOmega, &ev.Ext.COmega)
+		atOmega = append(atOmega, &ev.Ext.Y)
 	}
 	return atZeta, atOmega
 }
@@ -152,9 +154,7 @@ func (p *Proof) zetaPoint(zeta, l1, pi *fr.Element) pointVals {
 		a: ev.A, b: ev.B, c: ev.C, s1: ev.S1, s2: ev.S2, zw: ev.ZOmega,
 	}
 	if x := ev.Ext; x != nil {
-		pv.tbl, pv.sw = x.Tbl, x.SOmega
-		pv.aw, pv.bw, pv.cw = x.AOmega, x.BOmega, x.COmega
-		pv.k0, pv.k1c, pv.k2c = x.K0, x.K1, x.K2
+		pv.tbl, pv.sw, pv.y = x.Tbl, x.SOmega, x.Y
 	}
 	return pv
 }
@@ -201,7 +201,7 @@ func bindTranscript(t *transcript.Transcript, vk *VerifyingKey, public []fr.Elem
 // transcript, written once for the prover (which calls each as soon as the
 // round's commitments exist) and the verifier (which replays them in
 // order). A lookup proof inserts "m" and β_L into round 1 and "h" and "s"
-// into round 2, a custom-gate proof the extra quotient pieces into round 3,
+// into round 2, a custom-gate proof its second quotient piece into round 3,
 // and either one the extension's openings into round 4; a classic proof's
 // label sequence is untouched by them.
 
@@ -223,7 +223,8 @@ func (p *Proof) absorbRound1(tr *transcript.Transcript) *challenges {
 	return ch
 }
 
-// absorbRound2 absorbs [z] (and [H], [S]) and squeezes α.
+// absorbRound2 absorbs [z] (and [H], [S]) and squeezes α; ch.mds must be
+// set.
 func (p *Proof) absorbRound2(tr *transcript.Transcript, ch *challenges) {
 	tr.AppendPoint("z", &p.Z)
 	if p.Lookup {
@@ -231,16 +232,18 @@ func (p *Proof) absorbRound2(tr *transcript.Transcript, ch *challenges) {
 		tr.AppendPoint("s", &p.S)
 	}
 	alpha := tr.ChallengeScalar("alpha")
-	ch.alphaPow = fr.Powers(&alpha, nbAlphaPowers)
+	ch.setAlpha(&alpha)
 }
+
+// pieceLabels are the transcript labels of the quotient pieces; a proof
+// carries at most two (shape.quotientPieces), which the verifier checks
+// before it replays the transcript.
+var pieceLabels = [...]string{"t_0", "t_1"}
 
 // absorbRound3 absorbs the quotient pieces and squeezes ζ.
 func (p *Proof) absorbRound3(tr *transcript.Transcript) fr.Element {
-	tr.AppendPoint("t_lo", &p.TLo)
-	tr.AppendPoint("t_mid", &p.TMid)
-	tr.AppendPoint("t_hi", &p.THi)
-	for i := range p.TExtra {
-		tr.AppendPoint(fmt.Sprintf("t_%d", 3+i), &p.TExtra[i])
+	for i := range p.T {
+		tr.AppendPoint(pieceLabels[i], &p.T[i])
 	}
 	return tr.ChallengeScalar("zeta")
 }
@@ -291,12 +294,13 @@ func foldPolys(ps []poly.Polynomial, coeffs []fr.Element) poly.Polynomial {
 // lookup key adds the multiplicity commitment [M] before β/γ (so the lookup
 // challenge β_L can respond to it), the LogUp columns [H], [S] alongside
 // [z], their coset columns and identities C3–C5 and the ζω opening of S; a
-// custom-gate key adds the next-row identities C6–C11, evaluates the
-// quotient on a 6n (or 8n) coset and splits it into 6 pieces instead of 3.
-// A lookup key opens the table at ζ, a custom-gate key the round constants
-// at ζ and the ζω wires; every column the identities read linearly enters
-// round 5's linearization instead. A classic key adds none of these, and
-// its proofs are pinned byte-for-byte by TestClassicProverBitIdentity.
+// custom-gate key adds the next-row identities C6–C8, evaluates the
+// quotient on a 6n (or 8n) coset and commits it in 2 pieces instead of 1.
+// A lookup key opens the table at ζ, a custom-gate key the α-weighted
+// next-row wires Y at ζω; every column the identities read linearly — the
+// round constants among them — enters round 5's linearization instead.
+// Every shape's proofs are pinned byte-for-byte by
+// TestClassicProverBitIdentity.
 //
 // Every O(n) and O(big) loop below is range-split across the bounded worker
 // pool; the only serial remainders are the grand-product prefix scan, the
@@ -523,7 +527,7 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 				pv.qlk, pv.tbl = fixed[8][i], fixed[9][i]
 			}
 			if custom {
-				pv.aw, pv.bw, pv.cw = wire[0][j], wire[1][j], wire[2][j]
+				pv.y = ch.nextRow(&wire[0][j], &wire[1][j], &wire[2][j])
 				pv.qposf, pv.qposp = fixed[cu][i], fixed[cu+1][i]
 				pv.k0, pv.k1c, pv.k2c = fixed[cu+2][i], fixed[cu+3][i], fixed[cu+4][i]
 			}
@@ -535,28 +539,29 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 		return nil, err
 	}
 
-	// A satisfied circuit yields deg(t) ≤ 3n+5 (5n+5 with custom gates, whose
-	// sixth piece is those last six coefficients); anything above signals an
-	// unsatisfied witness (the division by Z_H was not exact).
+	// A satisfied circuit yields deg(t) ≤ 3n+5 (5n+5 with custom gates);
+	// anything above signals an unsatisfied witness (the division by Z_H
+	// was not exact). The quotient is committed in pieces of 3n
+	// coefficients, the last taking the remainder.
 	maxLen := 3*n + 6
 	if custom {
 		maxLen = 5*n + 6
 	}
-	for i := maxLen; i < big; i++ {
+	for i := maxLen; i < big && checkDegree; i++ {
 		if !tPoly[i].IsZero() {
 			return nil, ErrUnsatisfied
 		}
 	}
 	pieces := make([]poly.Polynomial, nbPieces)
-	for p := 0; p < nbPieces-1; p++ {
-		pieces[p] = poly.Polynomial(tPoly[uint64(p)*n : uint64(p+1)*n])
-	}
-	pieces[nbPieces-1] = poly.Polynomial(tPoly[uint64(nbPieces-1)*n : maxLen])
-
-	proof.TExtra = make([]kzg.Commitment, nbPieces-3)
-	pieceCms := []*kzg.Commitment{&proof.TLo, &proof.TMid, &proof.THi}
-	for p := range proof.TExtra {
-		pieceCms = append(pieceCms, &proof.TExtra[p])
+	proof.T = make([]kzg.Commitment, nbPieces)
+	pieceCms := make([]*kzg.Commitment, nbPieces)
+	for p := range pieces {
+		hi := uint64(p+1) * 3 * n
+		if p == nbPieces-1 {
+			hi = maxLen
+		}
+		pieces[p] = poly.Polynomial(tPoly[uint64(p)*3*n : hi])
+		pieceCms[p] = &proof.T[p]
 	}
 	if err = commitParallel(pk.SRS, pieces, pieceCms); err != nil {
 		return nil, err
@@ -565,8 +570,8 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 
 	// Round 4: the openings, in Proof.openings order — independent Horner
 	// walks, run on the worker pool. A lookup key adds the table at ζ and S
-	// at ζω (the running sum's next row), a custom-gate key the round
-	// constants at ζ and the next-row wires at ζω.
+	// at ζω (the running sum's next row), a custom-gate key the next-row
+	// wires at ζω, as the one polynomial Σ_l α^{6+l}·w_l that Y opens.
 	var zetaOmega fr.Element
 	zetaOmega.Mul(&zeta, &pk.Domain.Gen)
 	openZeta := []poly.Polynomial{aPoly, bPoly, cPoly, pk.S1, pk.S2}
@@ -576,8 +581,7 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 		openOmega = append(openOmega, sPoly)
 	}
 	if custom {
-		openZeta = append(openZeta, pk.KC0, pk.KC1, pk.KC2)
-		openOmega = append(openOmega, aPoly, bPoly, cPoly)
+		openOmega = append(openOmega, foldPolys([]poly.Polynomial{aPoly, bPoly, cPoly}, ch.alphaPow[6:9]))
 	}
 	atZeta, atOmega := proof.openings()
 	parallel.Execute(len(openZeta)+len(openOmega), func(start, end int) {
@@ -592,7 +596,7 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 	v := proof.absorbRound4(tr)
 
 	// Round 5: one fold at ζ of the linearization
-	//   r(X) = Σ_j s_j·col_j(X) − Z_H(ζ)·Σ_p ζ^{p·n}·t_p(X),
+	//   r(X) = Σ_j s_j·col_j(X) − Z_H(ζ)·Σ_p ζ^{3n·p}·t_p(X),
 	// whose value there the verifier computes itself, and the v-weighted
 	// openings; and a v-folded opening at ζω. The linear columns follow
 	// pointVals.linearColumns; PI(ζ) enters only linearize's constant term,
@@ -602,18 +606,19 @@ func Prove(pk *ProvingKey, witness []fr.Element) (*Proof, error) {
 		linear = append(linear, mPoly, hPoly, sPoly, pk.QLk)
 	}
 	if custom {
-		linear = append(linear, pk.QPosF, pk.QPosP)
+		linear = append(linear, pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2)
 	}
 	l1 := pk.Domain.LagrangeEval(0, &zeta)
 	var noPI fr.Element
 	_, coeffs := linearize(proof.zetaPoint(&zeta, &l1, &noPI), ch, pk.shape)
-	var zetaN, w fr.Element
-	zetaN.ExpUint64(&zeta, n)
+	var zeta3N, w fr.Element
+	w.ExpUint64(&zeta, n)
+	zeta3N.ExpUint64(&w, 3)
 	one := fr.One()
-	w.Sub(&one, &zetaN) // −Z_H(ζ)
+	w.Sub(&one, &w) // −Z_H(ζ)
 	for range pieces {
 		coeffs = append(coeffs, w)
-		w.Mul(&w, &zetaN)
+		w.Mul(&w, &zeta3N)
 	}
 	vPowers := fr.Powers(&v, len(openZeta)+1)
 	coeffs = append(coeffs, vPowers[1:]...)

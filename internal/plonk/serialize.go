@@ -13,38 +13,39 @@ import (
 // flags byte describing the proof shape, followed by the fixed classic
 // payload and (for lookup/custom-gate proofs) the extension payload.
 //
-//	"ZKPF" | version=2 | flags | commitments | openings at ζ | openings at ζω
+//	"ZKPF" | version=3 | flags | commitments | openings at ζ | openings at ζω
 //
-// The commitments are [a], [b], [c], [z], [t_lo], [t_mid], [t_hi], [W_ζ],
-// [W_ζω], then [M], [H], [S] on a lookup proof and [t_3]–[t_5] on a
-// custom-gate proof. The openings follow Proof.openings: a, b, c, σ1, σ2 at
-// ζ, then T (lookup) and K0–K2 (custom); z at ζω, then S (lookup) and a, b,
-// c (custom). The flags byte is the proof's shape — bit 0 lookup, bit 1
-// custom — and there are three, each of its own size:
+// The commitments are [a], [b], [c], [z], the quotient pieces [t_0] (and
+// [t_1] on a custom-gate proof), [W_ζ], [W_ζω], then [M], [H], [S] on a
+// lookup proof. The openings follow Proof.openings: a, b, c, σ1, σ2 at ζ,
+// then T (lookup); z at ζω, then S (lookup) and Y (custom). The flags byte
+// is the proof's shape — bit 0 lookup, bit 1 custom — and there are three,
+// each of its own size:
 //
-//	0x00 classic            774 B   9 G1 +  6 Fr
-//	0x02 custom           1 158 B  12 G1 + 12 Fr
-//	0x03 lookup + custom  1 414 B  15 G1 + 14 Fr
+//	0x00 classic            646 B   7 G1 + 6 Fr
+//	0x02 custom             742 B   8 G1 + 7 Fr
+//	0x03 lookup + custom    998 B  11 G1 + 9 Fr
 //
 // A lookup argument comes only beside custom gates (Setup refuses lookup
 // rows without them), so flags 0x01 are refused with ErrProofShape.
 //
 // Version 1 opened every committed polynomial instead of a linearization
-// (1 094 B classic); its blobs are refused with ErrProofVersion. A blob
-// without the header is rejected.
+// (1 094 B classic); version 2 committed the quotient in n-coefficient
+// pieces and opened the next-row wires and round constants of a custom
+// proof one by one (774, 1 158 and 1 414 B). Their blobs are refused with
+// ErrProofVersion. A blob without the header is rejected.
 const (
-	proofVersion = 2
+	proofVersion = 3
 
 	headerSize = 6
 
-	// classicPayloadSize is 9 uncompressed G1 points + 6 field elements.
-	classicPayloadSize = 9*64 + 6*32
+	// classicPayloadSize is 7 uncompressed G1 points + 6 field elements.
+	classicPayloadSize = 7*64 + 6*32
 	// lookupSize is the LogUp commitments [M], [H], [S] and the two LogUp
 	// openings: the table at ζ and S at ζω.
 	lookupSize = 3*64 + 2*32
-	// customSize is the three extra quotient pieces and the six custom-gate
-	// openings: a, b, c at ζω and the round constants at ζ.
-	customSize = 3*64 + 6*32
+	// customSize is the second quotient piece and the next-row opening Y.
+	customSize = 64 + 32
 )
 
 // proofMagic stamps every versioned proof encoding.
@@ -76,16 +77,18 @@ func encodedSize(f shape) int {
 // for each 64-byte commitment and scalar for each 32-byte opening. Encoder
 // and decoder share it, so the layout is written once.
 func (p *Proof) eachWireField(point func(*bn254.G1Affine), scalar func(*fr.Element)) {
-	for _, pt := range [...]*bn254.G1Affine{&p.A, &p.B, &p.C, &p.Z, &p.TLo, &p.TMid, &p.THi, &p.WZeta, &p.WZetaOmega} {
+	for _, pt := range [...]*bn254.G1Affine{&p.A, &p.B, &p.C, &p.Z} {
 		point(pt)
 	}
+	for i := range p.T {
+		point(&p.T[i])
+	}
+	point(&p.WZeta)
+	point(&p.WZetaOmega)
 	if p.shape().lookup() {
 		point(&p.M)
 		point(&p.H)
 		point(&p.S)
-	}
-	for i := range p.TExtra {
-		point(&p.TExtra[i])
 	}
 	atZeta, atOmega := p.openings()
 	for _, s := range append(atZeta, atOmega...) {
@@ -145,9 +148,7 @@ func ProofFromBytes(data []byte) (*Proof, error) {
 	if f != 0 {
 		p.Evals.Ext = &ExtEvals{}
 	}
-	if f.custom() {
-		p.TExtra = make([]bn254.G1Affine, 3)
-	}
+	p.T = make([]bn254.G1Affine, f.quotientPieces())
 	off := headerSize
 	var err error
 	p.eachWireField(func(pt *bn254.G1Affine) {

@@ -19,10 +19,7 @@ func openingNames(p *Proof) []string {
 		&ev.A: "a", &ev.B: "b", &ev.C: "c", &ev.S1: "σ1", &ev.S2: "σ2", &ev.ZOmega: "z(ζω)",
 	}
 	if x := ev.Ext; x != nil {
-		for e, n := range map[*fr.Element]string{
-			&x.Tbl: "T", &x.SOmega: "S(ζω)", &x.AOmega: "a(ζω)", &x.BOmega: "b(ζω)", &x.COmega: "c(ζω)",
-			&x.K0: "K0", &x.K1: "K1", &x.K2: "K2",
-		} {
+		for e, n := range map[*fr.Element]string{&x.Tbl: "T", &x.SOmega: "S(ζω)", &x.Y: "Y"} {
 			names[e] = n
 		}
 	}
@@ -48,10 +45,10 @@ func TestExtendedProofSerializationRoundTrip(t *testing.T) {
 		g1, fr   int
 		openings string
 	}{
-		{"muladd", 0x00, 774, 9, 6, "a b c σ1 σ2 z(ζω)"},
-		{"mimc", 0x02, 1158, 12, 12, "a b c σ1 σ2 K0 K1 K2 z(ζω) a(ζω) b(ζω) c(ζω)"},
-		{"lookup", 0x03, 1414, 15, 14, "a b c σ1 σ2 T K0 K1 K2 z(ζω) S(ζω) a(ζω) b(ζω) c(ζω)"},
-		{"mixed", 0x03, 1414, 15, 14, "a b c σ1 σ2 T K0 K1 K2 z(ζω) S(ζω) a(ζω) b(ζω) c(ζω)"},
+		{"muladd", 0x00, 646, 7, 6, "a b c σ1 σ2 z(ζω)"},
+		{"mimc", 0x02, 742, 8, 7, "a b c σ1 σ2 z(ζω) Y"},
+		{"lookup", 0x03, 998, 11, 9, "a b c σ1 σ2 T z(ζω) S(ζω) Y"},
+		{"mixed", 0x03, 998, 11, 9, "a b c σ1 σ2 T z(ζω) S(ζω) Y"},
 	} {
 		t.Run(tc.shape, func(t *testing.T) {
 			cs, witness := goldenCircuit(t, tc.shape)
@@ -106,10 +103,18 @@ func TestExtendedProofSerializationRoundTrip(t *testing.T) {
 // seeded proofs of the muladd, lookup, mimc and mixed golden circuits as they
 // were then (lookup was lookup-only), captured from the last prover that
 // opened every committed polynomial.
-func v1Proofs(t testing.TB) map[string][]byte {
+func v1Proofs(t testing.TB) map[string][]byte { return oldProofs(t, "v1") }
+
+// v2Proofs reads the version-2 encodings of the same four circuits in
+// testdata/v2, captured from the last prover that committed the quotient in
+// n-coefficient pieces and opened a custom proof's next-row wires and round
+// constants one by one.
+func v2Proofs(t testing.TB) map[string][]byte { return oldProofs(t, "v2") }
+
+func oldProofs(t testing.TB, dir string) map[string][]byte {
 	out := map[string][]byte{}
 	for _, name := range []string{"muladd", "lookup", "mimc", "mixed"} {
-		raw, err := os.ReadFile("testdata/v1/" + name + ".hex")
+		raw, err := os.ReadFile("testdata/" + dir + "/" + name + ".hex")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,6 +136,35 @@ func TestProofVersion1Refused(t *testing.T) {
 		}
 		if _, err := ProofFromBytes(blob); !errors.Is(err, ErrProofVersion) {
 			t.Fatalf("%s: version-1 blob decoded with %v, want ErrProofVersion", name, err)
+		}
+	}
+}
+
+// TestProofVersion2Refused: a version-2 proof of each shape (774, 1 414,
+// 1 158 and 1 414 bytes) is refused by type, before its flags or length are
+// read — and so is a version-3 proof relabelled as version 2.
+func TestProofVersion2Refused(t *testing.T) {
+	sizes := map[string]int{"muladd": 774, "lookup": 1414, "mimc": 1158, "mixed": 1414}
+	for name, blob := range v2Proofs(t) {
+		if len(blob) != sizes[name] || blob[4] != 2 {
+			t.Fatalf("%s: %d bytes of version %d, want a %d-byte version-2 blob", name, len(blob), blob[4], sizes[name])
+		}
+		if _, err := ProofFromBytes(blob); !errors.Is(err, ErrProofVersion) {
+			t.Fatalf("%s: version-2 blob decoded with %v, want ErrProofVersion", name, err)
+		}
+		cs, witness := goldenCircuit(t, name)
+		pk, _, err := Setup(cs, testSRSOnce())
+		if err != nil {
+			t.Fatal(err)
+		}
+		proof, err := Prove(pk, witness)
+		if err != nil {
+			t.Fatal(err)
+		}
+		relabelled := proof.Bytes()
+		relabelled[4] = 2
+		if _, err := ProofFromBytes(relabelled); !errors.Is(err, ErrProofVersion) {
+			t.Fatalf("%s: version-3 proof labelled version 2 decoded with %v, want ErrProofVersion", name, err)
 		}
 	}
 }
@@ -184,10 +218,9 @@ func TestProofHeaderValidation(t *testing.T) {
 }
 
 // TestExtendedSerializationTamperRejected flips one byte in every section
-// of an extended encoding — the classic points, the extension's points
-// (LogUp commitments and extra quotient pieces, or the pieces alone on a
-// custom-only proof), the openings at ζ and at ζω — and checks decode or
-// verify rejects it.
+// of an extended encoding — the wire points, the second quotient piece, the
+// last point (W_ζω, or [S] on a lookup proof), the openings at ζ and, last,
+// Y at ζω — and checks decode or verify rejects it.
 func TestExtendedSerializationTamperRejected(t *testing.T) {
 	for _, name := range []string{"mimc", "mixed"} {
 		cs, witness := goldenCircuit(t, name)
@@ -200,13 +233,13 @@ func TestExtendedSerializationTamperRejected(t *testing.T) {
 			t.Fatal(err)
 		}
 		good := proof.Bytes()
-		openings := headerSize + 64*(9+len(proof.TExtra))
+		openings := headerSize + 64*(6+len(proof.T))
 		if proof.Lookup {
 			openings += 3 * 64
 		}
 		offsets := []int{
 			headerSize + 10,
-			headerSize + 9*64 + 7,
+			headerSize + 5*64 + 7,
 			openings - 64 + 3,
 			openings + 9,
 			len(good) - 5,

@@ -92,8 +92,8 @@ func TestCustomGateQuotientCoset(t *testing.T) {
 			t.Fatal(err)
 		}
 		domainE, pieces := pk.quotientDomain()
-		if vk.N != tc.n || domainE.N != tc.mult*tc.n || pieces != 6 {
-			t.Fatalf("%d rounds: %d-point domain, %d-point coset, %d pieces; want %d, %d, 6",
+		if vk.N != tc.n || domainE.N != tc.mult*tc.n || pieces != 2 {
+			t.Fatalf("%d rounds: %d-point domain, %d-point coset, %d pieces; want %d, %d, 2",
 				tc.rounds, vk.N, domainE.N, pieces, tc.n, tc.mult*tc.n)
 		}
 		proof, err := Prove(pk, witness)

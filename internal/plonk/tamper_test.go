@@ -2,40 +2,57 @@ package plonk
 
 import (
 	"errors"
-	"fmt"
 	"testing"
 
 	"github.com/zkdet/zkdet/internal/bn254"
 	"github.com/zkdet/zkdet/internal/fr"
+	"github.com/zkdet/zkdet/internal/transcript"
 )
 
 // proofField names one commitment (pt) or one opening (ev) the verifier
 // reads. unused marks a field of a feature the proof's shape lacks: no
 // encoding has room for it and nothing binds it. key marks a commitment of
 // the verifying key rather than of the proof; unread marks a key column the
-// key's shape does not commit, which nothing absorbs or reads.
+// key's shape does not commit, which nothing absorbs or reads. The
+// corruption moves pt by G1 and ev by one, or by byPt or byEv when set.
 type proofField struct {
 	name   string
 	pt     *bn254.G1Affine
 	ev     *fr.Element
+	byPt   bn254.G1Affine
+	byEv   fr.Element
 	unused bool
 	key    bool
 	unread bool
 }
 
-// proofFields lists, for a proof p against key vk, every commitment and
-// opening p carries, the fields of a feature its shape lacks (unused), and
-// one entry per column its linearization folds. Such a column is named after
-// the opening proofs carried before the linearization; its entry is the
-// commitment the verifier multiplies by the column's scalar — the key's for
-// a selector or σ3, the proof's own for z, the LogUp columns and the
-// quotient pieces.
-func proofFields(p *Proof, vk *VerifyingKey) []proofField {
+// proofFields lists, for a proof p of public inputs public against key vk,
+// every commitment and opening p carries, the fields of a feature its shape
+// lacks (unused), and one entry per column its linearization folds. Such a
+// column is named after the opening proofs carried before the
+// linearization; its entry is the commitment the verifier multiplies by the
+// column's scalar — the key's for a selector, σ3 or a round-constant column
+// K0–K2, the proof's own for z, the LogUp columns and the quotient pieces.
+//
+// The quotient's n-coefficient ranges keep the names of the pieces that
+// held them when each was a commitment of its own — TLo, TMid and THi (and,
+// linearized, evalT, evalTMid and evalTHi), then T3–T5 on a custom-gate
+// proof: each is corrupted by adding [τ^k]G1 to the 3n-coefficient piece
+// that now holds it, k the range's first coefficient there. Likewise the
+// next-row wires keep their names: a lie about lane a, b or c at ζω moves Y
+// by that lane's weight α^6, α^7 or α^8.
+func proofFields(p *Proof, vk *VerifyingKey, public []fr.Element) []proofField {
 	ev := &p.Evals
 	lookup, custom := p.shape().lookup(), p.shape().custom()
+	g := bn254.G1Generator()
+	n := int(vk.N)
+	srs := testSRSOnce()
+	piece := func(name string, i, k int) proofField {
+		return proofField{name: name, pt: &p.T[i], byPt: srs.G1[k]}
+	}
 	fs := []proofField{
 		{name: "A", pt: &p.A}, {name: "B", pt: &p.B}, {name: "C", pt: &p.C}, {name: "Z", pt: &p.Z},
-		{name: "TLo", pt: &p.TLo}, {name: "TMid", pt: &p.TMid}, {name: "THi", pt: &p.THi},
+		piece("TLo", 0, 0), piece("TMid", 0, n), piece("THi", 0, 2*n),
 		{name: "WZeta", pt: &p.WZeta}, {name: "WOmega", pt: &p.WZetaOmega},
 		{name: "evalA", ev: &ev.A}, {name: "evalB", ev: &ev.B}, {name: "evalC", ev: &ev.C},
 		{name: "evalS1", ev: &ev.S1}, {name: "evalS2", ev: &ev.S2}, {name: "zomega", ev: &ev.ZOmega},
@@ -48,18 +65,23 @@ func proofFields(p *Proof, vk *VerifyingKey) []proofField {
 		{name: "evalQL", pt: &vk.QL, key: true}, {name: "evalQR", pt: &vk.QR, key: true},
 		{name: "evalQO", pt: &vk.QO, key: true}, {name: "evalQM", pt: &vk.QM, key: true},
 		{name: "evalQC", pt: &vk.QC, key: true}, {name: "evalS3", pt: &vk.S3, key: true},
-		{name: "evalT", pt: &p.TLo}, {name: "evalTMid", pt: &p.TMid}, {name: "evalTHi", pt: &p.THi},
+		piece("evalT", 0, 0), piece("evalTMid", 0, n), piece("evalTHi", 0, 2*n),
 	}
 	if ex := ev.Ext; ex != nil {
+		// The lane weights are α^6…α^8 of p's own transcript; Y enters it
+		// only after α.
+		tr := transcript.New("zkdet/plonk")
+		bindTranscript(tr, vk, public)
+		ch := p.absorbRound1(tr)
+		ch.mds = vk.MDS
+		p.absorbRound2(tr, ch)
 		fs = append(fs, []proofField{
 			{name: "table eval", ev: &ex.Tbl, unused: !lookup},
 			{name: "SOmega eval", ev: &ex.SOmega, unused: !lookup},
-			{name: "AOmega eval", ev: &ex.AOmega, unused: !custom},
-			{name: "BOmega eval", ev: &ex.BOmega, unused: !custom},
-			{name: "COmega eval", ev: &ex.COmega, unused: !custom},
-			{name: "K0 eval", ev: &ex.K0, unused: !custom},
-			{name: "K1 eval", ev: &ex.K1, unused: !custom},
-			{name: "K2 eval", ev: &ex.K2, unused: !custom},
+			{name: "Y eval", ev: &ex.Y, unused: !custom},
+			{name: "AOmega eval", ev: &ex.Y, byEv: ch.alphaPow[6], unused: !custom},
+			{name: "BOmega eval", ev: &ex.Y, byEv: ch.alphaPow[7], unused: !custom},
+			{name: "COmega eval", ev: &ex.Y, byEv: ch.alphaPow[8], unused: !custom},
 		}...)
 		linear = append(linear, []proofField{
 			{name: "M eval", pt: &p.M, unused: !lookup},
@@ -68,11 +90,27 @@ func proofFields(p *Proof, vk *VerifyingKey) []proofField {
 			{name: "lookup selector eval", pt: &vk.QLk, key: true, unread: !vk.Lookup},
 			{name: "QPosF eval", pt: &vk.QPosF, key: true, unread: !vk.Custom},
 			{name: "QPosP eval", pt: &vk.QPosP, key: true, unread: !vk.Custom},
+			{name: "K0 eval", pt: &vk.KC0, key: true, unread: !vk.Custom},
+			{name: "K1 eval", pt: &vk.KC1, key: true, unread: !vk.Custom},
+			{name: "K2 eval", pt: &vk.KC2, key: true, unread: !vk.Custom},
 		}...)
 	}
-	for i := range p.TExtra {
-		fs = append(fs, proofField{name: fmt.Sprintf("T%d commitment", 3+i), pt: &p.TExtra[i]})
-		linear = append(linear, proofField{name: fmt.Sprintf("T%d eval", 3+i), pt: &p.TExtra[i]})
+	if custom {
+		fs = append(fs, piece("T3 commitment", 1, 0), piece("T4 commitment", 1, n), piece("T5 commitment", 1, 2*n))
+		linear = append(linear, piece("T3 eval", 1, 0), piece("T4 eval", 1, n), piece("T5 eval", 1, 2*n))
+	}
+	for i := range fs {
+		if fs[i].pt != nil && fs[i].byPt.IsInfinity() {
+			fs[i].byPt = g
+		}
+		if fs[i].ev != nil && fs[i].byEv.IsZero() {
+			fs[i].byEv = fr.One()
+		}
+	}
+	for i := range linear {
+		if linear[i].byPt.IsInfinity() {
+			linear[i].byPt = g
+		}
 	}
 	return append(fs, linear...)
 }
@@ -114,7 +152,7 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 		if err := Verify(vk, proof, pr.public); err != nil {
 			t.Fatalf("%s: honest proof rejected: %v", shape, err)
 		}
-		for _, f := range proofFields(proof, vk) {
+		for _, f := range proofFields(proof, vk, pr.public) {
 			if _, seen := byField[f.name]; !seen {
 				order = append(order, f.name)
 			}
@@ -123,8 +161,6 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 		}
 	}
 
-	g := bn254.G1Generator()
-	one := fr.One()
 	for _, name := range order {
 		t.Run(name, func(t *testing.T) {
 			for _, pr := range byField[name] {
@@ -140,17 +176,17 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 						}
 					}
 					unused, unread := false, false
-					for _, f := range proofFields(bad, vk) {
+					for _, f := range proofFields(bad, vk, pr.public) {
 						switch {
 						case f.name != name:
 						case f.pt != nil:
 							var j bn254.G1Jac
 							j.FromAffine(f.pt)
-							j.AddMixed(&g)
+							j.AddMixed(&f.byPt)
 							f.pt.FromJacobian(&j)
 							unused, unread = f.unused, f.unread
 						default:
-							f.ev.Add(f.ev, &one)
+							f.ev.Add(f.ev, &f.byEv)
 							unused = f.unused
 						}
 					}
@@ -181,7 +217,8 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 }
 
 // TestVerifyRejectsEveryCorruption covers the classic proof shape, on a
-// power-of-two and on a 3·2^k domain; its unused fields are [M], [H], [S].
+// power-of-two and on a 3·2^k domain: its one quotient piece in each of the
+// three ranges it holds; its unused fields are [M], [H], [S].
 func TestVerifyRejectsEveryCorruption(t *testing.T) {
 	rejectEveryCorruption(t, "muladd", "power20")
 }
@@ -190,9 +227,10 @@ func TestVerifyRejectsEveryCorruption(t *testing.T) {
 // only (the Poseidon round chains mimc, on a power-of-two domain, and
 // poseidon, on a 3·2^k one) and lookup + custom (lookup, on its table's
 // 256-row domain, and mixed): forged multiplicities, helper columns, running
-// sums, table and next-row openings, round constants and extra quotient
-// pieces. A custom-only proof carries 12 points and 12 openings; its [M],
-// [H], [S] and two LogUp openings are refused as ErrProofShape.
+// sums, the table opening, Y and each lane inside it, the linearized round
+// constants and both quotient pieces in every range they hold. A
+// custom-only proof carries 8 points and 7 openings; its [M], [H], [S] and
+// two LogUp openings are refused as ErrProofShape.
 func TestExtendedProofTamperRejected(t *testing.T) {
 	rejectEveryCorruption(t, "lookup", "mimc", "poseidon", "mixed")
 }

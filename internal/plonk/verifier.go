@@ -36,8 +36,8 @@ func lagrangePrefix(omega []fr.Element, n uint64, zeta, zh *fr.Element) []fr.Ele
 // weights many openings into one MSM for L and one for W, in which each
 // key's columns and the generator enter once. A commitment that enters more
 // than once — [z] is linearized and opened at ζω, [S] likewise on a lookup
-// key, the wires are opened at ζ and, on a custom-gate key, at ζω — is one
-// term whose scalars add.
+// key, the wires are opened at ζ and, on a custom-gate key, inside Y at
+// ζω — is one term whose scalars add.
 type opening struct {
 	vk   *VerifyingKey
 	cols []*kzg.Commitment // vk.columns()
@@ -76,15 +76,16 @@ func (o *opening) add(pt *kzg.Commitment, s *fr.Element) {
 //
 // F folds the linearization commitment
 //
-//	[r] = Σ_j s_j·[col_j] − Z_H(ζ)·Σ_p ζ^{p·n}·[t_p]
+//	[r] = Σ_j s_j·[col_j] − Z_H(ζ)·Σ_p ζ^{3n·p}·[t_p]
 //
 // (s_j from linearize, opened to −c0: Σ_j s_j·col_j(ζ) = numerator(ζ) − c0
 // and Z_H(ζ)·t(ζ) = numerator(ζ)) with the ζ openings at v, v², …; Fω folds
-// the ζω openings at 1, v, …; E = (valζ + u·valω)·G1. A classic proof's
-// terms are 18 points, a custom one's 26, a lookup + custom one's 31
-// (TestOpeningMSMWidth). It runs no group operation. The key's shape fixes
-// what the proof must carry; a proof carrying any other set of fields is
-// refused with ErrProofShape.
+// the ζω openings at 1, v, …, Y's commitment being Σ_l α^{6+l}·[w_l], built
+// from the wire commitments the proof already carries; E = (valζ +
+// u·valω)·G1. A classic proof's terms are 16 points, a custom one's 22, a
+// lookup + custom one's 27 (TestOpeningMSMWidth). It runs no group
+// operation. The key's shape fixes what the proof must carry; a proof
+// carrying any other set of fields is refused with ErrProofShape.
 func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (opening, error) {
 	if len(public) != vk.NbPublic {
 		return opening{}, fmt.Errorf("%w: got %d, want %d", ErrWrongPublic, len(public), vk.NbPublic)
@@ -94,13 +95,9 @@ func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (opening, e
 		return opening{}, fmt.Errorf("%w: proof shape %#02x (extended=%v), key shape %#02x",
 			ErrProofShape, byte(got), ext, byte(sh))
 	}
-	nbExtra := 0
-	if vk.Custom {
-		nbExtra = 3
-	}
-	if len(proof.TExtra) != nbExtra {
-		return opening{}, fmt.Errorf("%w: %d extra quotient pieces, want %d",
-			ErrProofShape, len(proof.TExtra), nbExtra)
+	if len(proof.T) != sh.quotientPieces() {
+		return opening{}, fmt.Errorf("%w: %d quotient pieces, want %d",
+			ErrProofShape, len(proof.T), sh.quotientPieces())
 	}
 	if proof.strayFields(sh) {
 		return opening{}, fmt.Errorf("%w: fields set that a %#02x proof does not carry", ErrProofShape, byte(sh))
@@ -149,27 +146,20 @@ func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (opening, e
 		linear = append(linear, &proof.M, &proof.H, &proof.S, &vk.QLk)
 	}
 	if vk.Custom {
-		linear = append(linear, &vk.QPosF, &vk.QPosP)
-	}
-	pieces := []*kzg.Commitment{&proof.TLo, &proof.TMid, &proof.THi}
-	for i := range proof.TExtra {
-		pieces = append(pieces, &proof.TExtra[i])
+		linear = append(linear, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2)
 	}
 	// The openings, in Proof.openings order: at ζ after [r] with v, v², …,
-	// at ζω with 1, v, … inside the u-weighted term.
+	// at ζω with 1, v, … inside the u-weighted term; Y's commitment is the
+	// wires' under the lane weights.
 	openZeta := []*kzg.Commitment{&proof.A, &proof.B, &proof.C, &vk.S1, &vk.S2}
 	openOmega := []*kzg.Commitment{&proof.Z}
 	if vk.Lookup {
 		openZeta = append(openZeta, &vk.Tbl)
 		openOmega = append(openOmega, &proof.S)
 	}
-	if vk.Custom {
-		openZeta = append(openZeta, &vk.KC0, &vk.KC1, &vk.KC2)
-		openOmega = append(openOmega, &proof.A, &proof.B, &proof.C)
-	}
 
 	cols := vk.columns()
-	nb := len(linear) + len(pieces) + len(openZeta) + len(openOmega) + 2 - len(cols)
+	nb := len(linear) + len(proof.T) + len(openZeta) + len(openOmega) + 2 - len(cols)
 	o := opening{
 		vk: vk, cols: cols, key: make([]fr.Element, len(cols)),
 		pts: make([]*kzg.Commitment, 0, nb), scs: make([]fr.Element, 0, nb),
@@ -178,11 +168,12 @@ func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (opening, e
 	for j := range linear {
 		o.add(linear[j], &scalars[j])
 	}
-	var w fr.Element
+	var w, zeta3N fr.Element
 	w.Neg(&zh)
-	for _, t := range pieces {
-		o.add(t, &w)
-		w.Mul(&w, &zetaN)
+	zeta3N.ExpUint64(&zetaN, 3)
+	for i := range proof.T {
+		o.add(&proof.T[i], &w)
+		w.Mul(&w, &zeta3N)
 	}
 	atZeta, atOmega := proof.openings()
 	vPowers := fr.Powers(&v, len(openZeta)+1)
@@ -197,6 +188,17 @@ func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (opening, e
 		t.Mul(&u, &vPowers[i])
 		o.add(c, &t)
 		t.Mul(atOmega[i], &vPowers[i])
+		valOmega.Add(&valOmega, &t)
+	}
+	if vk.Custom {
+		k := len(openOmega)
+		var uv fr.Element
+		uv.Mul(&u, &vPowers[k])
+		for l, c := range []*kzg.Commitment{&proof.A, &proof.B, &proof.C} {
+			t.Mul(&uv, &ch.alphaPow[6+l])
+			o.add(c, &t)
+		}
+		t.Mul(atOmega[k], &vPowers[k])
 		valOmega.Add(&valOmega, &t)
 	}
 
@@ -221,8 +223,8 @@ func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (opening, e
 
 // Verify checks a proof against the verifying key and public inputs: it is
 // the Batch fold of one. Its cost is one two-pair pairing check (against
-// precomputed G2 line tables cached on the verifying key), the 18- to
-// 31-point MSM of the left-hand point and u·Wζω — independent of the
+// precomputed G2 line tables cached on the verifying key), the 16- to
+// 27-point MSM of the left-hand point and u·Wζω — independent of the
 // circuit size except for the O(ℓ) public-input Lagrange terms, which share
 // a single batched inversion.
 func Verify(vk *VerifyingKey, proof *Proof, public []fr.Element) error {

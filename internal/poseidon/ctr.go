@@ -65,11 +65,25 @@ func DecryptCTR(k, nonce fr.Element, ct []fr.Element) []fr.Element {
 
 // GadgetEncryptCTR emits EncryptCTR as constraints and returns the
 // ciphertext wires. A block costs one permutation (69 rows on custom gates),
-// the pinned counter constant and one addition per element it masks.
+// the pinned counter constant and one addition per element it masks. On
+// custom gates round 0's constants ride in the counter pin and in one gate
+// each for k and the nonce, which every block shares.
 func GadgetEncryptCTR(b *circuit.Builder, k, nonce circuit.Variable, pt []circuit.Variable) []circuit.Variable {
+	permute := func(j int) [Width]circuit.Variable {
+		return GadgetPermute(b, [Width]circuit.Variable{k, nonce, b.Constant(keystreamCounter(j))})
+	}
+	if b.CustomGatesEnabled() && len(pt) > 0 {
+		c0 := &roundConstants[0]
+		kc, nc := b.AddConst(k, c0[0]), b.AddConst(nonce, c0[1])
+		permute = func(j int) [Width]circuit.Variable {
+			ctr := keystreamCounter(j)
+			ctr.Add(&ctr, &c0[2])
+			return permuteRows(b, [Width]circuit.Variable{kc, nc, b.Constant(ctr)}, &[Width]fr.Element{})
+		}
+	}
 	ct := make([]circuit.Variable, len(pt))
 	for off := 0; off < len(pt); off += Rate {
-		s := GadgetPermute(b, [Width]circuit.Variable{k, nonce, b.Constant(keystreamCounter(off / Rate))})
+		s := permute(off / Rate)
 		// The capacity lane is never released, and an odd tail leaves s₁
 		// unused (tell the soundness auditor both are deliberate).
 		b.MarkDiscard(s[Rate])

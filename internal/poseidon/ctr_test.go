@@ -53,8 +53,9 @@ func TestGadgetCTRMatchesNative(t *testing.T) {
 			b := ctrCircuit(custom, k, nonce, pt, EncryptCTR(k, nonce, pt))
 			// On custom gates a block is its permutation (69 rows) and
 			// counter constant; each element adds its masking addition and
-			// the circuit's equality row.
-			if want := (n+1)/2*70 + 2*n; custom && b.NbGates() != want {
+			// the circuit's equality row, and k and the nonce one gate each
+			// for round 0's constants.
+			if want := (n+1)/2*70 + 2*n + 2; custom && b.NbGates() != want {
 				t.Fatalf("n=%d: %d custom rows, want %d", n, b.NbGates(), want)
 			}
 			checkCompiles(t, b)

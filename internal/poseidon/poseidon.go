@@ -143,15 +143,19 @@ func CommitWith(msg []fr.Element, o fr.Element) fr.Element {
 // GadgetPermute emits the Poseidon permutation as circuit constraints.
 // With custom gates enabled each round is a single KindPoseidonFull or
 // KindPoseidonPartial row (plus one closing row for the whole
-// permutation). Classically each round constant rides in a gate that
-// already reads its lane: an S-box is three gates, (x+c)², its square,
-// and x⁴·(x+c); a lane a partial round does not S-box carries its
-// constant into the constant term of the MDS gates. A full round costs 15
-// gates (three S-boxes, six MDS gates), a partial round 9, a permutation
-// 660.
+// permutation), and round 0's constants enter in one gate per lane
+// (permuteRows says why; GadgetHash and GadgetEncryptCTR fold them into
+// gates they emit anyway). Classically each round constant rides in a gate
+// that already reads its lane: an S-box is three gates, (x+c)², its square,
+// and x⁴·(x+c); a lane a partial round does not S-box carries its constant
+// into the constant term of the MDS gates. A full round costs 15 gates
+// (three S-boxes, six MDS gates), a partial round 9, a permutation 660.
 func GadgetPermute(b *circuit.Builder, state [Width]circuit.Variable) [Width]circuit.Variable {
 	if b.CustomGatesEnabled() {
-		return gadgetPermuteCustom(b, state)
+		for i := range state {
+			state[i] = b.AddConst(state[i], roundConstants[0][i])
+		}
+		return permuteRows(b, state, &[Width]fr.Element{})
 	}
 	var zero fr.Element
 	one := fr.One()
@@ -191,26 +195,31 @@ func GadgetPermute(b *circuit.Builder, state [Width]circuit.Variable) [Width]cir
 	return state
 }
 
-// gadgetPermuteCustom lowers the permutation to one custom row per round:
-// the row wires the current state, carries the round constants in K, and
-// the gate constrains the NEXT row's wires to MDS·sbox(state + K) (all
-// lanes S-boxed in full rounds, lane 0 only in partial rounds). The next
-// state is allocated as witness variables wired into the following row,
-// and a no-op row closes the sequence with the final state.
-func gadgetPermuteCustom(b *circuit.Builder, state [Width]circuit.Variable) [Width]circuit.Variable {
+// permuteRows lowers the permutation to one custom row per round. A row
+// wires the state after its round's constants, and its gate constrains the
+// NEXT row's wires to MDS·sbox(state) plus the next round's constants (all
+// lanes S-boxed in full rounds, lane 0 only in partial rounds): a round's
+// constants are added after the MDS of the round before, so they sit in
+// the linear part of the row rule. u must therefore carry round 0's
+// constants already, and the last round adds next — round 0's constants
+// when the result feeds another permutation, zero when it is the output.
+// Each next state is allocated as witness variables wired into the
+// following row, and a no-op row closes the sequence with the last one.
+func permuteRows(b *circuit.Builder, u [Width]circuit.Variable, next *[Width]fr.Element) [Width]circuit.Variable {
 	b.SetPoseidonMDS(mdsMatrix)
 	half := FullRounds / 2
-	vals := [Width]fr.Element{b.Value(state[0]), b.Value(state[1]), b.Value(state[2])}
+	vals := [Width]fr.Element{b.Value(u[0]), b.Value(u[1]), b.Value(u[2])}
 	for r := 0; r < totalRounds; r++ {
 		kind := circuit.KindPoseidonPartial
 		full := r < half || r >= half+PartialRounds
 		if full {
 			kind = circuit.KindPoseidonFull
 		}
-		b.CustomGate(kind, state[0], state[1], state[2], roundConstants[r])
-		for i := 0; i < Width; i++ {
-			vals[i].Add(&vals[i], &roundConstants[r][i])
+		k := next
+		if r+1 < totalRounds {
+			k = &roundConstants[r+1]
 		}
+		b.CustomGate(kind, u[0], u[1], u[2], *k)
 		if full {
 			for i := 0; i < Width; i++ {
 				vals[i] = sbox(vals[i])
@@ -220,15 +229,22 @@ func gadgetPermuteCustom(b *circuit.Builder, state [Width]circuit.Variable) [Wid
 		}
 		vals = mdsMul(vals)
 		for i := 0; i < Width; i++ {
-			state[i] = b.Secret(vals[i])
+			vals[i].Add(&vals[i], &k[i])
+			u[i] = b.Secret(vals[i])
 		}
 	}
-	b.NoOpRow(state[0], state[1], state[2])
-	return state
+	b.NoOpRow(u[0], u[1], u[2])
+	return u
 }
 
-// GadgetHash emits the sponge hash as constraints, mirroring Hash.
+// GadgetHash emits the sponge hash as constraints, mirroring Hash. On
+// custom gates round 0's constants ride in the gates that feed each
+// permutation: the first one's absorb gates and constant pins, and the
+// last row of the one before for every later one.
 func GadgetHash(b *circuit.Builder, msg []circuit.Variable) circuit.Variable {
+	if b.CustomGatesEnabled() {
+		return gadgetHashCustom(b, msg)
+	}
 	state := [Width]circuit.Variable{
 		b.Zero(), b.Zero(), b.Constant(fr.NewElement(uint64(len(msg)))),
 	}
@@ -244,6 +260,41 @@ func GadgetHash(b *circuit.Builder, msg []circuit.Variable) circuit.Variable {
 	// The squeeze reads only lane 0; the capacity lanes of the final
 	// permutation are discarded by design (tell the soundness auditor so
 	// it does not report them as forgotten outputs).
+	b.MarkDiscard(state[1])
+	b.MarkDiscard(state[2])
+	return state[0]
+}
+
+// gadgetHashCustom is GadgetHash on custom rows. The first permutation
+// reads (m₀ + c₀, m₁ + c₁, len + c₂), each rate lane one absorb gate (or a
+// pinned constant c_i when the message is shorter), the capacity lane a
+// pinned constant; a later one reads the state its predecessor's last row
+// left with c already added, plus the absorbed pair.
+func gadgetHashCustom(b *circuit.Builder, msg []circuit.Variable) circuit.Variable {
+	c0 := &roundConstants[0]
+	var state [Width]circuit.Variable
+	capacity := fr.NewElement(uint64(len(msg)))
+	capacity.Add(&capacity, &c0[Rate])
+	state[Rate] = b.Constant(capacity)
+	perms := max(1, (len(msg)+Rate-1)/Rate)
+	for p := 0; p < perms; p++ {
+		for i := 0; i < Rate; i++ {
+			j := p*Rate + i
+			switch {
+			case p == 0 && j < len(msg):
+				state[i] = b.AddConst(msg[j], c0[i])
+			case p == 0:
+				state[i] = b.Constant(c0[i])
+			case j < len(msg):
+				state[i] = b.Add(state[i], msg[j])
+			}
+		}
+		next := &[Width]fr.Element{}
+		if p+1 < perms {
+			next = c0
+		}
+		state = permuteRows(b, state, next)
+	}
 	b.MarkDiscard(state[1])
 	b.MarkDiscard(state[2])
 	return state[0]

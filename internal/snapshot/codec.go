@@ -238,6 +238,26 @@ func encodeBlock(e *enc, b *chain.Block) {
 	e.u32(b.Fold)
 }
 
+// blockSize, txSize and receiptSize are the lengths encodeBlock, encodeTx
+// and encodeReceipt write, which Encode and encodeBlockRecord size their
+// buffers from.
+func blockSize(b *chain.Block) int { return 8 + 32 + 8 + 4 + 32*len(b.TxHashes) + 32 + 4 }
+
+func txSize(tx *chain.Transaction) int {
+	return 20 + 20 + 4 + len(tx.Contract) + 4 + len(tx.Method) + 4 + len(tx.Args) + 3*8
+}
+
+func receiptSize(r *chain.Receipt) int {
+	n := 32 + 8 + 4 + len(r.Return) + 4 + 4 // the log count, the error's length word
+	for _, ev := range r.Logs {
+		n += 4*4 + len(ev.Contract) + len(ev.Name) + len(ev.Topic) + len(ev.Data)
+	}
+	if r.Err != nil {
+		n += len(r.Err.Error())
+	}
+	return n
+}
+
 func decodeBlock(d *dec) chain.Block {
 	b := chain.Block{Number: d.u64(), Parent: d.hash()}
 	b.Time = time.Unix(0, int64(d.u64()))
@@ -359,23 +379,14 @@ func encodedSize(s *Snapshot) int {
 	n := len(snapMagic) + 4 + 1 + 8 + 32 + 8 // magic, manifest
 	n += 5*4 + 4                             // five section counts, CRC
 	for i := range exp.Blocks {
-		n += 8 + 32 + 8 + 4 + 32*len(exp.Blocks[i].TxHashes) + 32 + 4
+		n += blockSize(&exp.Blocks[i])
 	}
 	for _, bd := range exp.Bodies {
 		n += 8 + 4
 		for i := range bd.Txs {
-			tx := &bd.Txs[i]
-			n += 20 + 20 + bytesLen(len(tx.Contract)) + bytesLen(len(tx.Method)) + bytesLen(len(tx.Args)) + 3*8 + 1
-			r := bd.Receipts[i]
-			if r == nil {
-				continue
-			}
-			n += 32 + 8 + bytesLen(len(r.Return)) + 4 + bytesLen(0) // the error string's length word
-			for _, ev := range r.Logs {
-				n += bytesLen(len(ev.Contract)) + bytesLen(len(ev.Name)) + bytesLen(len(ev.Topic)) + bytesLen(len(ev.Data))
-			}
-			if r.Err != nil {
-				n += len(r.Err.Error())
+			n += txSize(&bd.Txs[i]) + 1
+			if r := bd.Receipts[i]; r != nil {
+				n += receiptSize(r)
 			}
 		}
 	}

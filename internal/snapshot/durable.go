@@ -658,9 +658,17 @@ func (d *DurableStore) Crash() {
 	d.log.Crash()
 }
 
-// encodeBlockRecord frames one sealed block for the WAL.
+// encodeBlockRecord frames one sealed block for the WAL, in a buffer
+// allocated once at the record's exact size.
 func encodeBlockRecord(b *chain.Block, txs []chain.Transaction, receipts []*chain.Receipt) []byte {
-	e := &enc{}
+	n := blockSize(b) + 4
+	for i := range txs {
+		n += txSize(&txs[i]) + 1
+		if i < len(receipts) && receipts[i] != nil {
+			n += receiptSize(receipts[i])
+		}
+	}
+	e := &enc{b: make([]byte, 0, n)}
 	encodeBlock(e, b)
 	e.u32(uint32(len(txs)))
 	for i := range txs {
