@@ -518,6 +518,19 @@ func TestStatsKeyPaths(t *testing.T) {
 		// The seal-time proof fold's cost per sealed block.
 		"node.foldP50Ms", "node.foldP99Ms",
 	}
+	// The proof system's phase medians: plonk.Setup's and plonk.Prove's
+	// phases and the steps before Prove, for every circuit family.
+	for _, family := range []string{"pi_e", "pi_p", "pi_k", "pi_t", "pi_f"} {
+		for _, phase := range []string{
+			"witness", "commit", "permutation", "quotient", "open", "fold",
+			"setupInterpolate", "setupCosets", "setupCommit",
+		} {
+			want = append(want, "plonk."+family+"."+phase+"P50Ms")
+		}
+		for _, phase := range []string{"build", "compile", "satisfy"} {
+			want = append(want, "core."+family+"."+phase+"P50Ms")
+		}
+	}
 	sort.Strings(want)
 	if !slices.Equal(got, want) {
 		t.Fatalf("zkdet_stats key paths\n got %q\nwant %q", got, want)

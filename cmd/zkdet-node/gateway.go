@@ -445,9 +445,11 @@ func (g *gateway) exchange(_ context.Context, p idParams) (any, error) {
 	}, nil
 }
 
-// stats renders every component's metric layer.name as out[layer][name].
+// stats renders every component's metric layer.name as out[layer][name];
+// the proof system's plonk.<family>.<phase> keys render as
+// out["plonk"]["<family>.<phase>"].
 func (g *gateway) stats() any {
-	metrics := []map[string]float64{g.srv.node.Metrics(), g.srv.ix.Metrics()}
+	metrics := []map[string]float64{g.srv.node.Metrics(), g.srv.ix.Metrics(), g.srv.mkt.Sys.Metrics()}
 	if d := g.srv.durable; d != nil {
 		metrics = append(metrics, d.Metrics())
 	}

@@ -371,10 +371,7 @@ func (b *Builder) Compile() (*plonk.ConstraintSystem, []fr.Element, error) {
 			next++
 		}
 	}
-	cs := plonk.NewConstraintSystem(len(b.public))
-	for next > cs.NbVariables() {
-		cs.NewVariable()
-	}
+	cs := plonk.NewSizedConstraintSystem(len(b.public), next, len(b.public)+len(b.gates))
 	if slices.ContainsFunc(b.gates, func(g plonk.Gate) bool { return g.Kind == plonk.KindLookup }) {
 		if err := cs.UseRangeTable(DefaultRangeTableBits); err != nil {
 			return nil, nil, fmt.Errorf("circuit: %w", err)

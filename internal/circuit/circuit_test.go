@@ -478,3 +478,30 @@ func itoa(n int) string {
 	}
 	return string(buf[i:])
 }
+
+// TestCompileSizesOnce pins that Compile sizes the constraint system from
+// the builder's final counts: a build of hundreds of gates compiles in four
+// allocations (the variable remap, the system, its gate slice and the
+// witness), so no gate append grows a slice.
+func TestCompileSizesOnce(t *testing.T) {
+	b := NewBuilder()
+	x := b.Public(fr.NewElement(3))
+	acc := b.Secret(fr.NewElement(5))
+	for i := 0; i < 300; i++ {
+		acc = b.Mul(acc, x)
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		if _, _, err := b.Compile(); err != nil {
+			t.Fatal(err)
+		}
+	}); a != 4 {
+		t.Fatalf("Compile of %d gates allocates %v times, want 4", len(b.gates), a)
+	}
+	cs, witness, err := b.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cs.IsSatisfied(witness); err != nil {
+		t.Fatal(err)
+	}
+}

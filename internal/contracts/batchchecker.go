@@ -68,13 +68,19 @@ func NewBlockProofChecker() *BlockProofChecker {
 //     needed), then their π_ct range proofs against its range verifier.
 //
 // A proof joins the fold only once the verifier it targets is registered
-// too. The first Verifier fixes the checker's SRS; a later one whose key
-// has other G2 points is refused with ErrForeignSRS.
+// too. A Verifier whose key's N is not a supported domain size is refused
+// with an error wrapping plonk.ErrDomainSize: no proof verifies against
+// it, and as the batch key it would fail every fold. The first Verifier
+// fixes the checker's SRS; a later one whose key has other G2 points is
+// refused with ErrForeignSRS.
 func (bc *BlockProofChecker) Add(name string, c chain.Contract) error {
 	bc.mu.Lock()
 	defer bc.mu.Unlock()
 	switch c := c.(type) {
 	case *Verifier:
+		if err := c.vk.CheckDomain(); err != nil {
+			return fmt.Errorf("contracts: verifier %q: %w", name, err)
+		}
 		if bc.base == nil {
 			bc.base = c.vk
 		} else if !c.vk.SameSRS(bc.base) {

@@ -427,6 +427,53 @@ func TestBlockProofCheckerConfidential(t *testing.T) {
 	}
 }
 
+// TestCheckerRefusesVerifierWithoutDomain: Add refuses a verifier whose
+// key's N is not a supported domain size with plonk.ErrDomainSize, so such
+// a key never becomes the batch key whose verifier cache would fail every
+// fold (the one way Batch.Check and Bisect can return an error). A valid
+// verifier added after it fixes the SRS and folds its proof as usual; the
+// refused one's transactions carry no recognised proof.
+func TestCheckerRefusesVerifierWithoutDomain(t *testing.T) {
+	tau := fr.NewElement(0xfeed)
+	srs, err := kzg.NewSRSFromSecret(64, &tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := plonk.NewConstraintSystem(1)
+	x, y := sys.NewVariable(), sys.NewVariable()
+	sys.MustAddGate(plonk.Gate{QM: fr.One(), QO: fr.NewFromInt64(-1), A: x, B: y, C: 0})
+	w := []fr.Element{fr.NewElement(6), fr.NewElement(2), fr.NewElement(3)}
+	pk, vk, err := plonk.Setup(sys, srs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	proof, err := plonk.Prove(pk, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := &plonk.VerifyingKey{N: 1000, NbPublic: 1, G2: vk.G2}
+	bc := NewBlockProofChecker()
+	if err := bc.Add("bad", NewVerifier(bad)); !errors.Is(err, plonk.ErrDomainSize) {
+		t.Fatalf("Add of a key on 1 000 rows: %v, want %v", err, plonk.ErrDomainSize)
+	}
+	if err := bc.Add("v", NewVerifier(vk)); err != nil {
+		t.Fatal(err)
+	}
+	args := VerifyArgs(proof, w[:1])
+	marks, errs := bc.CheckBlock([]*chain.Transaction{
+		{Contract: "v", Method: "verify", Args: args},
+		{Contract: "bad", Method: "verify", Args: args},
+	})
+	if marks.Txs != 1 || marks.Items != 1 {
+		t.Fatalf("validated %d txs and %d items, want 1 and 1", marks.Txs, marks.Items)
+	}
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("tx %d: %v", i, err)
+		}
+	}
+}
+
 // TestCheckerFoldsAcrossVerifiersOnSharedSRS registers two verifier
 // contracts for two different circuits set up over one SRS and confirms one
 // batch validates proofs against both (each at the fold's width), while

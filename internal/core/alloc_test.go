@@ -10,12 +10,16 @@ import (
 )
 
 // encryptAndProveBytes is what one warm EncryptAndProve of a four-entry
-// dataset allocated once π_e encrypted with the Poseidon keystream and its
-// 443 rows fit a 512-row domain (1 718 728–1 761 984 on a 2-vCPU host;
-// 3 060 000 on 768 rows with MiMC-CTR). The quotient's 6n = 3 072 =
-// 3·2^10-point coset is not transformed in place; its buffer comes from the
-// domain's pool, and one allocated per call would add about 0.6 MB here.
-const encryptAndProveBytes = 1_720_000
+// dataset allocates once plonk.Prove runs on buffers its key owns and
+// circuit.Builder.Compile sizes the constraint system once (647 408–647 792
+// B on a 2-vCPU host): the circuit build, the compiled system and witness,
+// and the proof. It read 1 789 088 B when each proof allocated its own
+// wire, coset and fold buffers (0.99 MB of it in Prove) and the gate slice
+// grew by append, and 3 060 000 B on 768 rows with MiMC-CTR. The quotient's
+// 6n = 3 072 = 3·2^10-point coset is not transformed in place; its buffer
+// comes from the domain's pool, and one allocated per call would add about
+// 0.6 MB here.
+const encryptAndProveBytes = 647_600
 
 // TestEncryptAndProveSteadyStateAllocation is TestProveSteadyStateAllocation
 // (internal/plonk) on the shape an exchange now proves: the repository

@@ -97,7 +97,7 @@ func (s *System) EncryptAndProve(data Dataset, key fr.Element) (*EncryptionState
 		Ciphertext:     ct.Blocks,
 	}
 	w := &EncryptionWitness{Data: data, Key: key, DataBlinder: od, KeyBlinder: ok}
-	proof, _, err := s.prove(encryptionKey(len(data)), buildEncryptionCircuit(st, w))
+	proof, err := s.prove(encryptionKey(len(data)), func() *circuit.Builder { return buildEncryptionCircuit(st, w) })
 	if err != nil {
 		return nil, nil, Ciphertext{}, nil, err
 	}

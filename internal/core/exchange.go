@@ -208,8 +208,7 @@ func (s *Seller) Ciphertext() Ciphertext { return s.ct }
 func (s *Seller) ProveData() (*plonk.Proof, error) {
 	st := s.Listing(0).Statement
 	w := &EncryptionWitness{Data: s.data, Key: s.key, DataBlinder: s.od}
-	proof, _, err := s.sys.prove(validationKey(s.pred, len(s.data)), buildValidationCircuit(s.pred, &st, w))
-	return proof, err
+	return s.sys.prove(validationKey(s.pred, len(s.data)), func() *circuit.Builder { return buildValidationCircuit(s.pred, &st, w) })
 }
 
 // NegotiateKey runs the seller's half of the key negotiation phase: given
@@ -224,7 +223,7 @@ func (s *Seller) NegotiateKey(kv, hv fr.Element) (KeyStatement, *plonk.Proof, er
 	kc.Add(&s.key, &kv)
 	st := KeyStatement{KC: kc, KeyCommitment: s.ck, HV: hv}
 	w := &KeyWitness{K: s.key, KV: kv, KeyBlinder: s.ok}
-	proof, _, err := s.sys.prove(keyCircuitShape, buildKeyCircuit(&st, w))
+	proof, err := s.sys.prove(keyCircuitShape, func() *circuit.Builder { return buildKeyCircuit(&st, w) })
 	if err != nil {
 		return KeyStatement{}, nil, err
 	}

@@ -87,7 +87,7 @@ func (s *ZKCPSeller) Deliver() (ZKCPStatement, *plonk.Proof, error) {
 		PredicateName: s.pred.Name(),
 	}
 	w := &EncryptionWitness{Data: s.data, Key: s.key}
-	proof, _, err := s.sys.prove(zkcpKeyFor(s.pred, len(s.data)), buildZKCPCircuit(s.pred, &st, w))
+	proof, err := s.sys.prove(zkcpKeyFor(s.pred, len(s.data)), func() *circuit.Builder { return buildZKCPCircuit(s.pred, &st, w) })
 	if err != nil {
 		return ZKCPStatement{}, nil, err
 	}

@@ -182,21 +182,29 @@ const batchInvertParallelThreshold = 1 << 12
 // BatchInvert inverts every non-zero element of xs in place with one field
 // inversion per worker chunk (Montgomery's trick). Zero entries stay zero.
 // Results are exact inverses, so the output is independent of worker count.
-func BatchInvert(xs []Element) {
+func BatchInvert(xs []Element) { BatchInvertWith(xs, make([]Element, len(xs))) }
+
+// BatchInvertWith is BatchInvert on caller-owned scratch of at least
+// len(xs) elements, which it overwrites: a caller that inverts batches of
+// one size over and over allocates nothing here.
+func BatchInvertWith(xs, scratch []Element) {
 	if len(xs) >= batchInvertParallelThreshold && parallel.Workers() > 1 {
 		parallel.Execute(len(xs), func(start, end int) {
-			batchInvertSerial(xs[start:end])
+			batchInvertSerial(xs[start:end], scratch[start:end])
 		})
 		return
 	}
-	batchInvertSerial(xs)
+	batchInvertSerial(xs, scratch[:len(xs)])
 }
 
-func batchInvertSerial(xs []Element) {
+func batchInvertSerial(xs, scratch []Element) {
 	// An Element is a struct of one ff.Element and nothing else, so the
-	// slice can be handed to the field as it is.
-	raw := unsafe.Slice((*ff.Element)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs))
-	field.BatchInverse(raw, make([]ff.Element, len(xs)))
+	// slices can be handed to the field as they are.
+	field.BatchInverse(ffSlice(xs), ffSlice(scratch))
+}
+
+func ffSlice(xs []Element) []ff.Element {
+	return unsafe.Slice((*ff.Element)(unsafe.Pointer(unsafe.SliceData(xs))), len(xs))
 }
 
 // Powers returns [1, base, base², …, base^(n-1)]. Large requests are split

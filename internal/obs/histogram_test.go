@@ -81,3 +81,30 @@ func TestHistogramConcurrent(t *testing.T) {
 		t.Fatalf("max reads %v after 4000 observations up to 3999ns", got)
 	}
 }
+
+// TestHistogramMerge checks that a merged histogram reads what one
+// histogram fed every observation reads, and that Merge allocates nothing.
+func TestHistogramMerge(t *testing.T) {
+	rng := rand.New(rand.NewPCG(3, 4))
+	var a, b, all, merged Histogram
+	for i := 0; i < 500; i++ {
+		d := time.Duration(rng.Int64N(1 << 24))
+		if i%3 == 0 {
+			a.Observe(d)
+		} else {
+			b.Observe(d)
+		}
+		all.Observe(d)
+	}
+	merged.Merge(&a)
+	merged.Merge(&b)
+	for _, q := range []float64{0, 0.25, 0.5, 0.99, 1} {
+		if got, want := merged.Quantile(q), all.Quantile(q); got != want {
+			t.Fatalf("q=%v: merged reads %v, one histogram %v", q, got, want)
+		}
+	}
+	var sink Histogram
+	if n := testing.AllocsPerRun(100, func() { sink.Merge(&a) }); n != 0 {
+		t.Fatalf("Merge allocates %v times per call", n)
+	}
+}

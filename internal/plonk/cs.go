@@ -111,15 +111,24 @@ type ConstraintSystem struct {
 // NewConstraintSystem creates a system with nbPublic public-input
 // variables (variables 0 … nbPublic-1) and their exposure gates.
 func NewConstraintSystem(nbPublic int) *ConstraintSystem {
-	cs := &ConstraintSystem{nbPublic: nbPublic, nbVariables: nbPublic}
-	for i := 0; i < nbPublic; i++ {
-		cs.gates = append(cs.gates, Gate{QL: fr.One(), A: i, B: i, C: i})
+	return NewSizedConstraintSystem(nbPublic, nbPublic, nbPublic)
+}
+
+// NewSizedConstraintSystem is NewConstraintSystem for a system whose final
+// size is known: its nbVariables variables exist from the start, and its
+// gate slice holds nbGates gates, the exposure gates among them, without
+// growing.
+func NewSizedConstraintSystem(nbPublic, nbVariables, nbGates int) *ConstraintSystem {
+	cs := &ConstraintSystem{
+		nbPublic:    nbPublic,
+		nbVariables: max(nbPublic, nbVariables),
+		gates:       make([]Gate, nbPublic, max(nbPublic, nbGates)),
+	}
+	for i := range cs.gates {
+		cs.gates[i] = Gate{QL: fr.One(), A: i, B: i, C: i}
 	}
 	return cs
 }
-
-// NbVariables returns the total number of variables.
-func (cs *ConstraintSystem) NbVariables() int { return cs.nbVariables }
 
 // NbGates returns the number of gates (including public-input gates).
 //

@@ -88,8 +88,8 @@ func FuzzLogUpWitness(f *testing.F) {
 			}
 		}
 
-		mV, err := buildMultiplicities(gates, witness, tableBits, n)
-		if err != nil {
+		mV := make([]fr.Element, n)
+		if err := buildMultiplicities(mV, make([]uint64, n), gates, witness, tableBits); err != nil {
 			// Out-of-table witness: the prover must refuse to build the
 			// columns at all.
 			return
@@ -107,7 +107,8 @@ func FuzzLogUpWitness(f *testing.F) {
 		}
 
 		betaL := fr.NewElement(0xbe7a_1234)
-		hV, sV := buildLogUpColumns(gates, aV, mV, tblV, betaL)
+		hV, sV := make([]fr.Element, n), make([]fr.Element, n)
+		buildLogUpColumns(hV, sV, make([]fr.Element, n), make([]fr.Element, n), gates, aV, mV, tblV, betaL)
 
 		// The telescoping invariant: S_{n-1} + H_{n-1} = Σ H_i = 0.
 		var sum fr.Element

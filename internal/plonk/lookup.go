@@ -265,28 +265,30 @@ func linearize(p pointVals, ch *challenges, sh shape) (c0 fr.Element, scalars []
 }
 
 // buildMultiplicities counts, for each range-table value, how many lookup
-// rows carry it, returning the multiplicity column over the domain (table
-// value v lives on row v). Witness values outside the table are rejected —
-// this is the prover-side half of lookup soundness (the verifier-side half
-// is the C3/C4/C5 identity, which an out-of-table value cannot satisfy for
-// a random β_L).
-func buildMultiplicities(gates []Gate, witness []fr.Element, tableBits int, n uint64) ([]fr.Element, error) {
-	mV := make([]fr.Element, n)
+// rows carry it, writing the multiplicity column over the domain into mV
+// (table value v lives on row v; every row is written) with counts, one
+// slot per table value, as its tally. Witness values outside the table are
+// rejected — this is the prover-side half of lookup soundness (the
+// verifier-side half is the C3/C4/C5 identity, which an out-of-table value
+// cannot satisfy for a random β_L).
+func buildMultiplicities(mV []fr.Element, counts []uint64, gates []Gate, witness []fr.Element, tableBits int) error {
+	clear(mV)
 	if tableBits == 0 {
-		return mV, nil
+		return nil
 	}
 	size := uint64(1) << tableBits
-	if size > n {
-		return nil, fmt.Errorf("%w: 2^%d table exceeds domain size %d", ErrTableTooLarge, tableBits, n)
+	if size > uint64(len(mV)) {
+		return fmt.Errorf("%w: 2^%d table exceeds domain size %d", ErrTableTooLarge, tableBits, len(mV))
 	}
-	counts := make([]uint64, size)
+	counts = counts[:size]
+	clear(counts)
 	for i, g := range gates {
 		if g.Kind != KindLookup {
 			continue
 		}
 		v, ok := witness[g.A].Uint64()
 		if !ok || v >= size {
-			return nil, fmt.Errorf("%w: gate %d", ErrLookupRange, i)
+			return fmt.Errorf("%w: gate %d", ErrLookupRange, i)
 		}
 		counts[v]++
 	}
@@ -295,37 +297,37 @@ func buildMultiplicities(gates []Gate, witness []fr.Element, tableBits int, n ui
 			mV[v] = fr.NewElement(c)
 		}
 	}
-	return mV, nil
+	return nil
 }
 
-// buildLogUpColumns computes the H and S evaluation vectors from the wire
-// column, multiplicities, table and lookup-selector rows, given β_L:
+// buildLogUpColumns writes the H and S evaluation vectors into hV and sV
+// from the wire column, multiplicities, table and lookup-selector rows,
+// given β_L:
 //
 //	H_i = qLk_i/(β_L+a_i) − M_i/(β_L+T_i),  S_0 = 0, S_{i+1} = S_i + H_i.
 //
-// The two inversion batches dominate; everything else is linear.
-func buildLogUpColumns(gates []Gate, aV, mV, tblV []fr.Element, betaL fr.Element) (hV, sV []fr.Element) {
+// la and lt are scratch of the same length, and hV and sV are the two
+// inversions' scratch before they are written. The two inversion batches
+// dominate; everything else is linear.
+func buildLogUpColumns(hV, sV, la, lt []fr.Element, gates []Gate, aV, mV, tblV []fr.Element, betaL fr.Element) {
 	n := len(aV)
-	la := make([]fr.Element, n)
-	lt := make([]fr.Element, n)
 	for i := 0; i < n; i++ {
 		la[i].Add(&betaL, &aV[i])
 		lt[i].Add(&betaL, &tblV[i])
 	}
-	fr.BatchInvert(la)
-	fr.BatchInvert(lt)
-	hV = make([]fr.Element, n)
+	fr.BatchInvertWith(la, hV)
+	fr.BatchInvertWith(lt, sV)
 	for i := 0; i < n; i++ {
 		var t fr.Element
+		hV[i].SetZero()
 		if i < len(gates) && gates[i].Kind == KindLookup {
 			hV[i] = la[i]
 		}
 		t.Mul(&mV[i], &lt[i])
 		hV[i].Sub(&hV[i], &t)
 	}
-	sV = make([]fr.Element, n)
+	sV[0].SetZero()
 	for i := 0; i < n-1; i++ {
 		sV[i+1].Add(&sV[i], &hV[i])
 	}
-	return hV, sV
 }

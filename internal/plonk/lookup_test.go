@@ -149,8 +149,13 @@ func buildPoseidonCustomCircuit(rounds int) (*ConstraintSystem, []fr.Element) {
 // buildPoseidonChain is buildPoseidonCustomCircuit with its witness's next
 // states computed by round instead of by the row rule.
 func buildPoseidonChain(rounds int, round func(mds [3][3]fr.Element, w, k [3]fr.Element, full bool) [3]fr.Element) (*ConstraintSystem, []fr.Element) {
+	return buildPoseidonChainFrom([3]fr.Element{fr.NewElement(3), fr.NewElement(4), fr.NewElement(5)}, rounds, round)
+}
+
+// buildPoseidonChainFrom is buildPoseidonChain from the given start state:
+// every start state yields the same gates and another witness.
+func buildPoseidonChainFrom(state [3]fr.Element, rounds int, round func(mds [3][3]fr.Element, w, k [3]fr.Element, full bool) [3]fr.Element) (*ConstraintSystem, []fr.Element) {
 	mds := testMDS()
-	state := [3]fr.Element{fr.NewElement(3), fr.NewElement(4), fr.NewElement(5)}
 	keys := make([][3]fr.Element, rounds)
 	kinds := make([]GateKind, rounds)
 	states := make([][3]fr.Element, rounds+1)

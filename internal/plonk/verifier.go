@@ -221,6 +221,14 @@ func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (opening, e
 	return o, nil
 }
 
+// CheckDomain reports whether proofs can be checked against vk at all: it
+// returns an error wrapping ErrDomainSize when vk.N is not a supported
+// evaluation-domain size, and otherwise builds the verifier's caches.
+func (vk *VerifyingKey) CheckDomain() error {
+	_, _, _, err := vk.verifierCache()
+	return err
+}
+
 // Verify checks a proof against the verifying key and public inputs: it is
 // the Batch fold of one. Its cost is one two-pair pairing check (against
 // precomputed G2 line tables cached on the verifying key), the 16- to

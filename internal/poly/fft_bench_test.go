@@ -11,8 +11,9 @@ import (
 
 // benchFFTSizes are the domain sizes the BENCH trajectories track: the
 // powers of two, and the 3·2^k sizes the prover's keys (768, 1 536) and
-// custom-gate quotient cosets (6 144) now take, each between its neighbours.
-var benchFFTSizes = []uint64{1 << 9, 3 << 8, 1 << 10, 3 << 9, 1 << 11, 1 << 12, 3 << 11, 1 << 13, 1 << 14, 1 << 16}
+// custom-gate quotient cosets (3 072 for π_e and π_p at four entries,
+// 6 144) now take, each between its neighbours.
+var benchFFTSizes = []uint64{1 << 9, 3 << 8, 1 << 10, 3 << 9, 1 << 11, 3 << 10, 1 << 12, 3 << 11, 1 << 13, 1 << 14, 1 << 16}
 
 // sizeName prints a domain size as the benchmarks name their rows.
 func sizeName(n uint64) string {

@@ -46,15 +46,24 @@ func DivideByLinear(p Polynomial, z *fr.Element) (Polynomial, fr.Element) {
 	if len(p) == 0 {
 		return Polynomial{}, fr.Zero()
 	}
-	q := make(Polynomial, len(p)-1)
+	q := DivideByLinearInPlace(append(Polynomial(nil), p...), z)
+	var rem fr.Element
+	if len(q) > 0 {
+		rem.Mul(&q[0], z)
+	}
+	rem.Add(&rem, &p[0])
+	return q, rem
+}
+
+// DivideByLinearInPlace is DivideByLinear without an output buffer: it
+// overwrites p[1:] with the quotient by (X − z), whose coefficients it
+// returns, and leaves p[0] as it was. p must not be empty.
+func DivideByLinearInPlace(p Polynomial, z *fr.Element) Polynomial {
 	var acc fr.Element
 	for i := len(p) - 1; i >= 1; i-- {
 		acc.Mul(&acc, z)
 		acc.Add(&acc, &p[i])
-		q[i-1] = acc
+		p[i] = acc
 	}
-	var rem fr.Element
-	rem.Mul(&acc, z)
-	rem.Add(&rem, &p[0])
-	return q, rem
+	return p[1:]
 }
