@@ -1,7 +1,6 @@
 package circuit
 
 import (
-	"errors"
 	"testing"
 
 	"github.com/zkdet/zkdet/internal/fr"
@@ -154,8 +153,8 @@ func TestFixedPointWithLookups(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vk.Lookup || !vk.Custom || vk.N != 1<<DefaultRangeTableBits {
-		t.Fatalf("lookup=%v custom=%v N=%d, want the lookup + custom shape on the 2^12 table", vk.Lookup, vk.Custom, vk.N)
+	if !vk.Lookup || vk.N != 1<<DefaultRangeTableBits {
+		t.Fatalf("lookup=%v N=%d, want the lookup + custom shape on the 2^12 table", vk.Lookup, vk.N)
 	}
 	proof, err := plonk.Prove(pk, witness)
 	if err != nil {
@@ -167,9 +166,10 @@ func TestFixedPointWithLookups(t *testing.T) {
 }
 
 // TestEndToEndSNARKWithLookups is TestEndToEndSNARK's statement compiled
-// with the lookup lowering, proving the full pipeline handles the extended
-// proof shape. Its range check alone does not prove: Setup refuses lookup
-// rows without a custom gate, and takes them beside one.
+// with the lookup lowering, proving the full pipeline handles the lookup +
+// custom proof shape: its range check alone, without a custom gate, sets up
+// on that shape (zero Poseidon selectors beside the lookups) and its proof
+// verifies, as does the same circuit beside a Poseidon row.
 func TestEndToEndSNARKWithLookups(t *testing.T) {
 	b := NewBuilder()
 	b.EnableLookups()
@@ -182,31 +182,31 @@ func TestEndToEndSNARKWithLookups(t *testing.T) {
 	b.AssertEqual(pub, s)
 	b.AssertRange(x, 10)
 
-	cs, _, err := b.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, _, err := plonk.Setup(cs, testSRSOnce()); !errors.Is(err, plonk.ErrLookupWithoutCustom) {
-		t.Fatalf("lookup rows without a custom gate: Setup returned %v, want ErrLookupWithoutCustom", err)
-	}
-	withCustomRow(b)
-	cs, witness, err := b.Compile()
-	if err != nil {
-		t.Fatal(err)
-	}
-	pk, vk, err := plonk.Setup(cs, testSRSOnce())
-	if err != nil {
-		t.Fatal(err)
-	}
-	proof, err := plonk.Prove(pk, witness)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := plonk.Verify(vk, proof, b.PublicValues()); err != nil {
-		t.Fatalf("valid proof rejected: %v", err)
-	}
-	if err := plonk.Verify(vk, proof, []fr.Element{fr.NewElement(15506)}); err == nil {
-		t.Fatal("wrong public accepted")
+	for _, custom := range []bool{false, true} {
+		if custom {
+			withCustomRow(b)
+		}
+		cs, witness, err := b.Compile()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk, vk, err := plonk.Setup(cs, testSRSOnce())
+		if err != nil {
+			t.Fatalf("custom row %v: %v", custom, err)
+		}
+		if !vk.Lookup {
+			t.Fatalf("custom row %v: the key has no lookup argument", custom)
+		}
+		proof, err := plonk.Prove(pk, witness)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := plonk.Verify(vk, proof, b.PublicValues()); err != nil {
+			t.Fatalf("custom row %v: valid proof rejected: %v", custom, err)
+		}
+		if err := plonk.Verify(vk, proof, []fr.Element{fr.NewElement(15506)}); err == nil {
+			t.Fatalf("custom row %v: wrong public accepted", custom)
+		}
 	}
 }
 
@@ -240,7 +240,7 @@ func TestClassicCompilationUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cs.HasLookup() || cs.HasCustomGates() || cs.RangeTableBits() != 0 {
+	if cs.HasLookup() || cs.RangeTableBits() != 0 {
 		t.Fatal("classic compilation emitted extended gates")
 	}
 	if lookup, custom := gateKinds(b); lookup != 0 || custom != 0 {

@@ -35,10 +35,17 @@ import (
 // once more when proofs moved to version 3, testdata/golden_pik.hex re-proved
 // as a 646-byte classic proof (head 0x76c0a085… → 0x3f97fc82…, receipts
 // 0d1af68f… → 2df8299a…: new transaction hashes, 128 calldata bytes fewer
-// per settlement); every state root and the rejects digest held.
+// per settlement); every state root and the rejects digest held. The head
+// and the receipts digest were re-captured once more when the classic proof
+// shape was deleted, testdata/golden_pik.hex re-proved as a 742-byte
+// custom-shape proof, the only shape a deployed escrow receives (head
+// 0x3f97fc82… → 0x1d93ff7b…, receipts 2df8299a… → 8b411f62…: new
+// transaction hashes, 96 calldata bytes and 1 152 gas more per settlement,
+// block 4's lone one 321 381 → 322 533); every state root and the rejects
+// digest held.
 const (
-	goldenHead     = "0x3f97fc82105a88b0fecf476194512f368de418882ec54177b5142659259c90ec"
-	goldenReceipts = "2df8299adac84421d299802d860ea16bdc608600939a66346d9f2bd565c886c8"
+	goldenHead     = "0x1d93ff7bf4f18cdcc7a6adf6094d92072362a711474ca4fe3680ea748714afcb"
+	goldenReceipts = "8b411f6280bdd4b550da1ea6770c5df0fa6e37984304ff4474700836f17ac7a5"
 	goldenRejects  = "9dde9ca93dbea9d5c853346fee3c3dd9256531f0beb30f26ed299e7efed83ca9"
 )
 

@@ -43,8 +43,8 @@ func NewVerifier(vk *plonk.VerifyingKey) *Verifier { return &Verifier{vk: vk} }
 // VerificationGas is the gas charged for one standalone proof verification:
 // 2 pairings + ~18+ℓ G1 scalar multiplications + folding additions. 18 is
 // the paper's count of the verifier's exponentiations; the MSM of a proof
-// of any shape (16 points classic, 22 custom, 27 lookup + custom) is
-// charged the same.
+// of either shape (22 points custom, 27 lookup + custom) is charged the
+// same.
 func VerificationGas(nbPublic int) uint64 {
 	return chain.GasPairingBase +
 		2*chain.GasPairingPerPair +

@@ -341,10 +341,7 @@ func proofSlots(p *plonk.Proof) (pts []*kzg.Commitment, evs []*fr.Element) {
 	for i := range p.T {
 		pts = append(pts, &p.T[i])
 	}
-	evs = []*fr.Element{&ev.A, &ev.B, &ev.C, &ev.S1, &ev.S2, &ev.ZOmega}
-	if ex := ev.Ext; ex != nil {
-		evs = append(evs, &ex.Y)
-	}
+	evs = []*fr.Element{&ev.A, &ev.B, &ev.C, &ev.S1, &ev.S2, &ev.ZOmega, &ev.Y}
 	return pts, evs
 }
 
@@ -362,7 +359,7 @@ func TestAuditRejectsEveryCorruption(t *testing.T) {
 	honest.PublishAsset(asset)
 
 	pts, evs := proofSlots(asset.EncProof)
-	if asset.EncProof.Evals.Ext == nil || asset.EncProof.Lookup || len(pts) != 8 || len(evs) != 7 {
+	if asset.EncProof.Lookup || len(pts) != 8 || len(evs) != 7 {
 		t.Fatalf("π_e carries %d commitments and %d openings, want the custom shape's 8 and 7", len(pts), len(evs))
 	}
 	slots := len(pts) + len(evs)

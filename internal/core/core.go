@@ -136,9 +136,9 @@ func NewTestSystem(maxConstraints int) (*System, error) {
 // SRSPowers is the number of G1 powers every SRS this repository builds
 // holds for circuits of up to maxConstraints gates: 4n + 16, where n is
 // maxConstraints rounded up to a power of two of at least 64. plonk.Setup
-// asks for 3N + 6 powers on an N-row domain, so it covers every key whose
-// domain holds at most n rows — all but a custom-gate circuit of exactly n
-// rows, whose padding row takes it to 3n/2.
+// asks for 3N powers on an N-row domain, so it covers every key whose
+// domain holds at most n rows — all but a circuit of exactly n gates, whose
+// padding row takes it to 3n/2.
 func SRSPowers(maxConstraints int) int {
 	n := 64
 	for n < maxConstraints {

@@ -29,7 +29,7 @@ const customProofSize = 742
 // them, and π_k's 148 rows on 192), and a verifier that never proved
 // rebuilds the same key from a zero witness. A processing π_t takes the
 // range table beside custom gates only if its Processor emits range checks
-// (N ≥ 4 096, 998-byte proofs). No circuit proves on the classic shape.
+// (N ≥ 4 096, 998-byte proofs). There is no third shape.
 func TestHashCircuitsOnCustomShape(t *testing.T) {
 	prover := testSys()
 	// A second System over the same SRS: its keys come from vkFor alone.
@@ -43,9 +43,9 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !vk.Custom || vk.Lookup || vk.TableBits != 0 || vk.N != wantN {
-			t.Fatalf("%s: custom=%v lookup=%v tableBits=%d N=%d, want custom gates, no lookups, N = %d",
-				key, vk.Custom, vk.Lookup, vk.TableBits, vk.N, wantN)
+		if vk.Lookup || vk.TableBits != 0 || vk.N != wantN {
+			t.Fatalf("%s: lookup=%v tableBits=%d N=%d, want no lookups, N = %d",
+				key, vk.Lookup, vk.TableBits, vk.N, wantN)
 		}
 		if got := len(proof.Bytes()); got != customProofSize {
 			t.Fatalf("%s: proof is %d bytes, want %d", key, got, customProofSize)
@@ -140,9 +140,9 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !vk.Custom || vk.Lookup != tc.lookup || vk.TableBits != tc.tableBits || vk.N != tc.n || len(tp.Proof.Bytes()) != tc.size {
-				t.Fatalf("%s: custom=%v lookup=%v tableBits=%d N=%d, %d-byte proof; want custom gates, lookup=%v tableBits=%d N=%d, %d bytes",
-					tc.proc.Name(), vk.Custom, vk.Lookup, vk.TableBits, vk.N, len(tp.Proof.Bytes()), tc.lookup, tc.tableBits, tc.n, tc.size)
+			if vk.Lookup != tc.lookup || vk.TableBits != tc.tableBits || vk.N != tc.n || len(tp.Proof.Bytes()) != tc.size {
+				t.Fatalf("%s: lookup=%v tableBits=%d N=%d, %d-byte proof; want lookup=%v tableBits=%d N=%d, %d bytes",
+					tc.proc.Name(), vk.Lookup, vk.TableBits, vk.N, len(tp.Proof.Bytes()), tc.lookup, tc.tableBits, tc.n, tc.size)
 			}
 		}
 	})
@@ -152,8 +152,8 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if vk.Lookup || !vk.Custom || vk.N != 192 {
-			t.Fatalf("π_k key: lookup=%v custom=%v N=%d, want custom gates without lookups on 192 rows: its proof rides in calldata, see buildKeyCircuit", vk.Lookup, vk.Custom, vk.N)
+		if vk.Lookup || vk.N != 192 {
+			t.Fatalf("π_k key: lookup=%v N=%d, want custom gates without lookups on 192 rows: its proof rides in calldata, see buildKeyCircuit", vk.Lookup, vk.N)
 		}
 		m, _ := newTestMarketplace(t)
 		alice, bob := chain.AddressFromString("alice"), chain.AddressFromString("bob")

@@ -32,21 +32,20 @@ func (r rangeDoubler) Gadget(b *circuit.Builder, src []circuit.Variable) []circu
 // vkFingerprint hashes everything of a verifying key that the circuit decides:
 // the domain, the public-input count, the shape flags and the preprocessed
 // commitments the key's shape commits, in the order the transcript binds
-// them (the eight classic ones, then QLk and Tbl with lookups, then the
-// Poseidon selectors and round-constant columns with custom gates),
+// them (the eight selector and permutation ones, then QLk and Tbl with
+// lookups, then the Poseidon selectors and round-constant columns),
 // zero-padded to the sixteen every key committed when these were first
-// captured. The first flag is Lookup || Custom, the single "extended" bit
-// keys carried then, so a classic key's fingerprint still holds.
+// captured. The two flags were Lookup || Custom, the single "extended" bit
+// keys carried then, and Custom; every key has custom gates since the
+// classic shape was deleted, so both are the literal true.
 func vkFingerprint(vk *plonk.VerifyingKey) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "%d/%d/%v/%v/%d", vk.N, vk.NbPublic, vk.Lookup || vk.Custom, vk.Custom, vk.TableBits)
+	fmt.Fprintf(h, "%d/%d/%v/%v/%d", vk.N, vk.NbPublic, true, true, vk.TableBits)
 	cols := []*kzg.Commitment{&vk.QL, &vk.QR, &vk.QO, &vk.QM, &vk.QC, &vk.S1, &vk.S2, &vk.S3}
 	if vk.Lookup {
 		cols = append(cols, &vk.QLk, &vk.Tbl)
 	}
-	if vk.Custom {
-		cols = append(cols, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2)
-	}
+	cols = append(cols, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2)
 	for len(cols) < 16 {
 		cols = append(cols, &kzg.Commitment{})
 	}
@@ -146,8 +145,8 @@ func TestTransformKeysUnchanged(t *testing.T) {
 					t.Fatal(err)
 				}
 				if got := vkFingerprint(vk); got != tc.want {
-					t.Errorf("%s: key fingerprint %s, want %s (N=%d lookup=%v custom=%v tableBits=%d)",
-						name, got, tc.want, vk.N, vk.Lookup, vk.Custom, vk.TableBits)
+					t.Errorf("%s: key fingerprint %s, want %s (N=%d lookup=%v tableBits=%d)",
+						name, got, tc.want, vk.N, vk.Lookup, vk.TableBits)
 				}
 			}
 		})

@@ -12,7 +12,7 @@ import (
 )
 
 // testSRS is shared across tests: π_ct proves on a 512-row domain and
-// plonk.Setup asks for 3N+6 powers, so the SRS covers 3·512+6 points.
+// plonk.Setup asks for 3N powers, so an SRS of 3·512+6 points covers it.
 var (
 	srsOnce sync.Once
 	srsInst *kzg.SRS

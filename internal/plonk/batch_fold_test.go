@@ -12,7 +12,7 @@ import (
 )
 
 // buildAddMulCircuit is buildMulAddCircuit with its two gates swapped
-// (x + y = pub0, x·y = pub1): a different classic key with the same shape and
+// (x + y = pub0, x·y = pub1): a different key with the same shape and
 // public-input count, so its proofs pass every check Add makes against the
 // mul-add key and only the pairing can refuse them.
 func buildAddMulCircuit() (*ConstraintSystem, []fr.Element) {
@@ -154,7 +154,8 @@ func TestBatchFoldDuplicates(t *testing.T) {
 }
 
 // TestBatchFoldMatchesVerify is the differential test of the fold against
-// Verify: over folds that mix classic, custom-gate and lookup + custom keys,
+// Verify: over folds that mix arithmetic-only, round-chain and lookup +
+// custom keys,
 // with a random set of statements corrupted (W_ζ, a public input or an
 // opening), the positions Bisect names are exactly those Verify refuses one
 // by one.
@@ -255,10 +256,11 @@ const (
 // TestBatchSteadyStateAllocation guards the fold's allocation per proof:
 // a warm key, 64 proofs, Add for each and one Check. The quietest of a few
 // folds is checked, because a garbage collection may empty the MSM's
-// scratch pool under any single one. A custom-gate key — the shape π_k and
-// every hash circuit prove on, here the mimc Poseidon round chain — is held
-// to the classic key's bound: its proof carries one point and one opening
-// more, and its linearization five columns more.
+// scratch pool under any single one. Both keys are on the custom shape every
+// key proves on: the mul-add circuit, without Poseidon rows (the subtest
+// keeps the name "classic" from when it was a classic key, whose proof
+// carried one point and one opening fewer and its linearization five
+// columns fewer), and the mimc Poseidon round chain.
 func TestBatchSteadyStateAllocation(t *testing.T) {
 	if testing.Short() || raceEnabled {
 		t.Skip("sync.Pool drops Puts under the race detector")

@@ -9,10 +9,10 @@ import (
 	"github.com/zkdet/zkdet/internal/kzg"
 )
 
-// mixedBatchFixtures sets up one classic, one lookup + custom and one
-// custom-gate circuit over the shared test SRS, then a classic and a
-// custom-gate one whose keys sit on 3·2^k domains, returning per-kind
-// (vk, proof, public) triples.
+// mixedBatchFixtures sets up one arithmetic-only, one lookup + custom and
+// one Poseidon round-chain circuit over the shared test SRS, then an
+// arithmetic-only and a round-chain one whose keys sit on 3·2^k domains,
+// returning per-kind (vk, proof, public) triples.
 type batchFixture struct {
 	vk     *VerifyingKey
 	proof  *Proof
@@ -74,9 +74,9 @@ func mixedBatchFixtures(t testing.TB) []batchFixture {
 	return out
 }
 
-// TestBatchMixedKinds folds classic, lookup + custom and custom-gate proofs —
-// five different verifying keys on both domain-size families over one SRS —
-// into a single pairing check via AddFor.
+// TestBatchMixedKinds folds custom and lookup + custom proofs — five
+// different verifying keys on both domain-size families over one SRS — into
+// a single pairing check via AddFor.
 func TestBatchMixedKinds(t *testing.T) {
 	fx := mixedBatchFixtures(t)
 	b := NewBatch(fx[0].vk)
@@ -133,7 +133,7 @@ func TestBatchMixedRejectsTamperedLookupEvals(t *testing.T) {
 	fx := mixedBatchFixtures(t)
 	lk := fx[1]
 	one := fr.One()
-	for _, field := range lk.proof.Evals.Ext.lookupEvals() {
+	for _, field := range lk.proof.Evals.lookupEvals() {
 		field.Add(field, &one)
 		b := NewBatch(fx[0].vk)
 		for _, f := range fx {

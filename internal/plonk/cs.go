@@ -8,10 +8,12 @@
 // polynomials the constraint identities read non-linearly, and every column
 // they read linearly — the selectors, σ3, z and the quotient pieces — enters
 // one linearization commitment the verifier forms inside its MSM. The
-// quotient is committed in pieces of 3n coefficients, the last taking the
-// remainder, so a classic proof is 7 G1 points — [a], [b], [c], [z], [t],
-// [W_ζ], [W_ζω] — and 6 field elements (a, b, c, σ1, σ2 at ζ and z at ζω),
-// checked with 2 pairings and a 16-point MSM (§VI-B3).
+// quotient is committed in two pieces of 3n coefficients, the last taking
+// the remainder, so a proof is 8 G1 points — [a], [b], [c], [z], [t_0],
+// [t_1], [W_ζ], [W_ζω] — and 7 field elements (a, b, c, σ1, σ2 at ζ, z and
+// the next-row wires Y at ζω), checked with 2 pairings and a 22-point MSM
+// (§VI-B3); a lookup proof adds the LogUp argument. Every key carries the
+// Poseidon custom gates, zero selectors on a circuit without them.
 package plonk
 
 import (
@@ -35,9 +37,6 @@ var (
 	ErrProofShape    = errors.New("plonk: proof shape does not match verifying key")
 	ErrTableTooLarge = errors.New("plonk: range table bits out of range")
 	ErrDomainSize    = errors.New("plonk: not a supported evaluation-domain size")
-	// ErrLookupWithoutCustom refuses a constraint system with lookup rows
-	// and no custom gate: there is no lookup-only proof shape.
-	ErrLookupWithoutCustom = errors.New("plonk: lookup rows without custom gates")
 	// ErrProofVersion refuses a proof encoding of another format version,
 	// such as a version-1 proof, which opened every committed polynomial.
 	ErrProofVersion = errors.New("plonk: unsupported proof format version")
@@ -105,7 +104,6 @@ type ConstraintSystem struct {
 	mds       [3][3]fr.Element // Poseidon MDS matrix for the custom rounds
 	mdsSet    bool
 	hasLookup bool
-	hasCustom bool
 }
 
 // NewConstraintSystem creates a system with nbPublic public-input
@@ -174,12 +172,6 @@ func (cs *ConstraintSystem) SetPoseidonMDS(m [3][3]fr.Element) {
 //lint:ignore testonly the circuit package's tests pin which builds emit lookup rows
 func (cs *ConstraintSystem) HasLookup() bool { return cs.hasLookup }
 
-// HasCustomGates reports whether any gate row uses a custom (next-row)
-// constraint family.
-//
-//lint:ignore testonly the circuit and poseidon tests pin which builds emit custom rows
-func (cs *ConstraintSystem) HasCustomGates() bool { return cs.hasCustom }
-
 // AddGate appends a gate. Wire indices must reference existing variables.
 func (cs *ConstraintSystem) AddGate(g Gate) error {
 	for _, w := range []int{g.A, g.B, g.C} {
@@ -197,7 +189,6 @@ func (cs *ConstraintSystem) AddGate(g Gate) error {
 		if !cs.mdsSet {
 			return ErrNoMDS
 		}
-		cs.hasCustom = true
 	}
 	cs.gates = append(cs.gates, g)
 	return nil

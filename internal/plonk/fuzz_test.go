@@ -11,10 +11,10 @@ import (
 // blobs. The decoder must never panic, and any blob it accepts must
 // re-encode to the same bytes (the encoding is canonical).
 func FuzzProofFromBytes(f *testing.F) {
-	// Seed with a real encoding of each of the three proof shapes (flags
-	// 0x00, 0x02 and, from lookup and mixed, 0x03) so the fuzzer starts from
-	// deep inside the accepting region.
-	var classic []byte
+	// Seed with real encodings of both proof shapes (flags 0x02 from muladd
+	// and mimc, 0x03 from lookup and mixed) so the fuzzer starts from deep
+	// inside the accepting region.
+	var first []byte
 	for _, name := range []string{"muladd", "lookup", "mimc", "mixed"} {
 		cs, w := goldenCircuit(f, name)
 		pk, _, err := Setup(cs, testSRSOnce())
@@ -25,14 +25,14 @@ func FuzzProofFromBytes(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		if classic == nil {
-			classic = p.Bytes()
+		if first == nil {
+			first = p.Bytes()
 		}
 		f.Add(p.Bytes())
 	}
 
 	f.Add([]byte("ZKPF"))
-	f.Add(classic[headerSize:]) // headerless payload: must be rejected
+	f.Add(first[headerSize:]) // headerless payload: must be rejected
 	for _, blob := range v1Proofs(f) {
 		f.Add(blob) // version 1: must be rejected
 	}

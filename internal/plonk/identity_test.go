@@ -10,13 +10,18 @@ import (
 	"github.com/zkdet/zkdet/internal/kzg"
 )
 
-// One prover serves every key shape, and each shape's output is pinned byte
-// for byte: same preprocessed commitments, same proof points and openings,
-// and hence the same verifier transcript. The key digests were captured
-// from the pre-lookup prover (commit 396cf92) for the classic rows and at
-// commit 4713881 for the extended ones, and have not moved since: circuits
-// that use neither lookups nor custom gates are still preprocessed exactly
-// as before those features existed. Every proof digest was re-captured once
+// One prover serves both key shapes, and each circuit's output is pinned
+// byte for byte: same preprocessed commitments, same proof points and
+// openings, and hence the same verifier transcript. The key digests of the
+// extended rows were captured at commit 4713881 and have not moved since.
+// The four arithmetic-only rows (muladd, power5, power50, power20) were
+// classic keys, pinned from the pre-lookup prover (commit 396cf92), until
+// the classic shape was deleted: then their key and proof digests were
+// re-captured once, on the custom shape with zero Poseidon selectors and
+// one padding row: keys muladd d2f0d33c… → b62f8a8d…, power5 fcc7edf6… →
+// 20acce4a…, power50 a21bae10… → 0617fc27…, power20 91565bbe… → d33e376c…;
+// proofs 863525f0… → c48fcdd1…, 1309c22b… → 373973f9…, 0ce74066… →
+// a18a118f…, 6dc77aee… → 750c97cf…. Every proof digest was re-captured once
 // when proofs moved to the linearized version-2 format (openings only of
 // what the identities read non-linearly), and the extended rows' key and
 // proof digests once more when each key came to commit only the extension
@@ -29,15 +34,15 @@ import (
 // transcript, the blinding order, the linearization or the opening fold
 // fails here. CI runs this as the lookup-identity job.
 var classicGoldens = map[string]struct{ vk, proof string }{
-	"muladd":  {"d2f0d33c2c329fee79d96db83a69d0896fcc2aa10f2eed1781ade3ff482cacbd", "863525f054928dfcbdd6ee4bd4fbd624e762c2ccf292a74a155cd8bab6c68c5f"},
-	"power5":  {"fcc7edf635b09124458e96b2ec89160226e288e0c51aea3f6f78fcf2ffe5d670", "1309c22b3cffadf9feb9ca7b9727758d7353583e570111cb2cc6638654843a6c"},
-	"power50": {"a21bae105b9940e8c5417c9a6c22e654140f15f17a626afa44bdf2c0e807a402", "0ce74066af903e27091874719113ab49ce7ce8132a3757c1a9a5f7426994e98b"},
-	// A classic key on a 3·2^k domain (21 rows on 24, a 96-point coset),
-	// captured when that size family arrived.
-	"power20": {"91565bbefe4a266cab0f5b2b2d7e4d714a9558af81681aac4bb9787ae6e8b222", "6dc77aee26a38993c0d9d35c60bd5320c7c361b89748a77ab35380803e8ebe27"},
-	// Extended shapes: the key digest also covers the extension
-	// commitments the shape reads, table size and MDS, the proof digest the
-	// extension's commitments and openings.
+	"muladd":  {"b62f8a8db1d3c09bee3cb90f9d5d8b17cceb071fa1fc852afe998e010e27dd49", "c48fcdd194387c019ce71554a807ce72e71967b7e11bff77cb2218fabafece58"},
+	"power5":  {"20acce4a351da96d83fa54c33547f0bfc38e16c863d791972945e1a9d025c881", "373973f9ef7041d3684e3dae6a4210ced8f665a2f682625ea667531f1042a89b"},
+	"power50": {"0617fc27a2daa807dcd3964563644767d999981248213b2d3b42dc921211d72a", "a18a118fc09983b2e80dd66fd93d105a51b99a8e7049e4cae61bd24422db48aa"},
+	// A 3·2^k domain (22 gates and the padding row on 24, a 192-point
+	// coset), captured when that size family arrived.
+	"power20": {"d33e376c7aa8733ea96a98016a940447e0b43dbe3182fc0eb3f222283822df90", "750c97cfe647f0d843495491fe529be6f4d9fd2eaadf58e5f65398fb076f6691"},
+	// The rows with Poseidon rounds or lookups. Every key digest covers the
+	// lookup and custom-gate commitments the key commits, the table size and
+	// the MDS; every proof digest the LogUp commitments and all openings.
 	// lookup was re-captured when the lookup-only shape went and the row
 	// gained its Poseidon round (key 0f66a869… → 8fdb69fe…, proof
 	// 7e18f227… → 5d69053a…).
@@ -49,8 +54,8 @@ var classicGoldens = map[string]struct{ vk, proof string }{
 	"mixed":    {"720ac7c5df1f048cadbb2607d04583432a3b919e46da8c9484b1fa24abec07a6", "77da42313b00da5a01ca0841197fc14cb7b1119c23ed3edb2bb0c3bec8dbc1a9"},
 }
 
-// goldenShapes builds one circuit per pinned row: four classic sizes (power20
-// on a 3·2^k domain), two custom-only Poseidon round chains — mimc on a
+// goldenShapes builds one circuit per pinned row: four arithmetic-only sizes
+// (power20 on a 3·2^k domain), two custom-only Poseidon round chains — mimc on a
 // power-of-two domain with a 6n coset, poseidon on a 3·2^k one with an 8n
 // coset — and two lookup + custom circuits: lookup, seven lookups beside one
 // round on the 256-row domain of its 2^8 table, and mixed. The mimc row keeps
@@ -145,14 +150,7 @@ func digestVKForTest(vk *VerifyingKey) []byte {
 	k2 := vk.K2.Bytes()
 	h.Write(k1[:])
 	h.Write(k2[:])
-	if vk.shape() == 0 {
-		return h.Sum(nil)
-	}
-	if vk.Custom {
-		h.Write([]byte{1})
-	} else {
-		h.Write([]byte{0})
-	}
+	h.Write([]byte{1}) // the custom-gate bit, set on every key
 	binary.BigEndian.PutUint64(u[:], uint64(vk.TableBits))
 	h.Write(u[:])
 	for _, c := range cols[8:] {

@@ -25,47 +25,34 @@ const (
 	permK2 = 25
 )
 
-// shape is the pair of feature bits that decides which columns a key
-// preprocesses and a proof commits, opens and encodes. Its value is the proof
-// encoding's flags byte; zero is the classic shape. Three of the four values
-// exist: classic, custom, and lookup + custom. Setup refuses lookups without
-// custom gates (ErrLookupWithoutCustom), and ProofFromBytes refuses flags
-// 0x01 (ErrProofShape).
+// shape is the proof encoding's flags byte. Every key proves on the
+// custom-gate layout, so bit 1 is always set and the one feature bit is bit
+// 0, lookups: there are two shapes, custom (0x02) and lookup + custom
+// (0x03). ProofFromBytes refuses flags 0x00 and 0x01 (ErrProofShape).
 type shape byte
 
 const (
 	// shapeLookup: the circuit has lookup rows, so proofs carry the LogUp
 	// columns M, H, S and the quotient adds C3–C5.
 	shapeLookup shape = 1 << 0
-	// shapeCustom: the circuit has next-row custom gates, so the quotient
-	// adds C6–C8 and is committed in two pieces instead of one.
+	// shapeCustom: the next-row custom-gate identities C6–C8, which every
+	// key carries; a circuit without Poseidon rows has zero selectors there.
 	shapeCustom shape = 1 << 1
 )
 
 func (s shape) lookup() bool { return s&shapeLookup != 0 }
-func (s shape) custom() bool { return s&shapeCustom != 0 }
 
-// quotientPieces returns how many pieces a proof of shape sh commits its
-// quotient in: pieces of 3n coefficients, the last taking the remainder,
-// so a classic quotient (3n+6 coefficients) is one piece and a custom-gate
-// one (5n+6) two.
-func (s shape) quotientPieces() int {
-	if s.custom() {
-		return 2
-	}
-	return 1
-}
-
-func newShape(lookup, custom bool) shape {
-	var s shape
+func newShape(lookup bool) shape {
 	if lookup {
-		s |= shapeLookup
+		return shapeCustom | shapeLookup
 	}
-	if custom {
-		s |= shapeCustom
-	}
-	return s
+	return shapeCustom
 }
+
+// quotientPieces is how many pieces a proof commits its quotient in: pieces
+// of 3n coefficients, the last taking the remainder of the 5n+6 the degree-5
+// S-boxes give it.
+const quotientPieces = 2
 
 // ProvingKey holds everything the prover needs: the preprocessed selector
 // and permutation polynomials (coefficient form), the evaluation domain,
@@ -86,10 +73,11 @@ type ProvingKey struct {
 	// Permutation polynomials sσ1, sσ2, sσ3 in coefficient form.
 	S1, S2, S3 poly.Polynomial
 
-	// Lookup/custom-gate preprocessing, present only on a key whose shape
-	// reads it (see columns): QLk is the lookup selector and Tbl the
-	// range-table polynomial; QPosF/QPosP are the Poseidon round selectors
-	// and KC0..KC2 the per-row constants a round adds after its MDS.
+	// Lookup and custom-gate preprocessing (see columns): QLk is the lookup
+	// selector and Tbl the range-table polynomial, present only on a lookup
+	// key; QPosF/QPosP are the Poseidon round selectors and KC0..KC2 the
+	// per-row constants a round adds after its MDS, zero on a circuit
+	// without Poseidon rows.
 	QLk, Tbl      poly.Polynomial
 	QPosF, QPosP  poly.Polynomial
 	KC0, KC1, KC2 poly.Polynomial
@@ -143,20 +131,16 @@ type VerifyingKey struct {
 	S1, S2, S3         kzg.Commitment
 
 	// Lookup is set when the circuit has lookup rows: its proofs carry the
-	// LogUp polynomials M, H, S and the two LogUp openings. Custom is set when
-	// next-row custom gates are present: the quotient gains the custom-gate
-	// identities and is committed in 2 pieces instead of 1. Either one makes
-	// the key extended: it commits the extension columns its shape reads as
-	// well, 13 or 15 preprocessed commitments instead of 8.
+	// LogUp polynomials M, H, S and the two LogUp openings, and the key
+	// commits 15 preprocessed columns instead of 13.
 	Lookup    bool
-	Custom    bool
 	TableBits int
 	// MDS is the Poseidon matrix the custom rounds multiply by; the
 	// verifier linearizes the round constraint at ζ and needs it.
 	MDS [3][3]fr.Element
-	// Commitments to the extension's preprocessed polynomials; a column
-	// the key's shape does not read stays the zero Commitment and is never
-	// absorbed or read.
+	// Commitments to the lookup and custom-gate columns; QLk and Tbl stay
+	// the zero Commitment on a key without lookups and are never absorbed or
+	// read.
 	QLk, Tbl      kzg.Commitment
 	QPosF, QPosP  kzg.Commitment
 	KC0, KC1, KC2 kzg.Commitment
@@ -201,8 +185,8 @@ func (vk *VerifyingKey) verifierCache() (*poly.Domain, []fr.Element, [2]*bn254.G
 	return vk.domain, vk.lagOmega, vk.g2Lines, vk.domainErr
 }
 
-// shape returns the key's two feature bits.
-func (vk *VerifyingKey) shape() shape { return newShape(vk.Lookup, vk.Custom) }
+// shape returns the key's flags byte.
+func (vk *VerifyingKey) shape() shape { return newShape(vk.Lookup) }
 
 // SameSRS reports whether two keys were set up over one SRS (equal G2
 // points): only then can their proofs share a pairing check.
@@ -211,35 +195,28 @@ func (vk *VerifyingKey) SameSRS(o *VerifyingKey) bool {
 }
 
 // columns lists the key's preprocessed polynomials, which are exactly the
-// ones its shape's identities read: the eight classic selector and
-// permutation columns, then QLk and Tbl on a lookup key, then the two
-// Poseidon round selectors and the three round-constant columns on a
-// custom-gate key — 8, 13 or 15. It is the order of Setup's
-// interpolation, of fixedCoset and the prover's column indices, and of
-// VerifyingKey.columns, its mirror.
+// ones its shape's identities read: the eight selector and permutation
+// columns, then QLk and Tbl on a lookup key, then the two Poseidon round
+// selectors and the three round-constant columns — 13 or 15. It is the
+// order of Setup's interpolation, of fixedCoset and the prover's column
+// indices, and of VerifyingKey.columns, its mirror.
 func (pk *ProvingKey) columns() []poly.Polynomial {
 	ps := []poly.Polynomial{pk.QL, pk.QR, pk.QO, pk.QM, pk.QC, pk.S1, pk.S2, pk.S3}
 	if pk.shape.lookup() {
 		ps = append(ps, pk.QLk, pk.Tbl)
 	}
-	if pk.shape.custom() {
-		ps = append(ps, pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2)
-	}
-	return ps
+	return append(ps, pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2)
 }
 
 // columns lists the key's preprocessed commitments in ProvingKey.columns
-// order: Setup's commitment targets and, after the eight classic ones, the
+// order: Setup's commitment targets and, after the first eight, the
 // transcript's "vk-ext" absorbs.
 func (vk *VerifyingKey) columns() []*kzg.Commitment {
 	cs := []*kzg.Commitment{&vk.QL, &vk.QR, &vk.QO, &vk.QM, &vk.QC, &vk.S1, &vk.S2, &vk.S3}
 	if vk.Lookup {
 		cs = append(cs, &vk.QLk, &vk.Tbl)
 	}
-	if vk.Custom {
-		cs = append(cs, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2)
-	}
-	return cs
+	return append(cs, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2)
 }
 
 // exactDomain returns the domain of exactly n points. poly.NewDomain rounds
@@ -257,33 +234,22 @@ func exactDomain(n uint64) (*poly.Domain, error) {
 }
 
 // quotientMultiple returns how many times larger than the n-point domain
-// the quotient coset is. With every witness column blinded to degree ≤ n+2
-// the classic quotient has degree ≤ 3n+5 and fits 4n points. Custom gates
-// carry degree-5 S-boxes, which push it to 5n+5: 6n points when 6n is a
-// supported size (n a power of two), 8n when it is not (n = 3·2^k, where 6n
-// and 7n are neither 2^j nor 3·2^j).
-func quotientMultiple(n uint64, custom bool) uint64 {
-	switch {
-	case !custom:
-		return 4
-	case n&(n-1) == 0:
+// the quotient coset is. With every witness column blinded to degree ≤ n+2,
+// the degree-5 S-boxes of the custom gates give the quotient degree ≤ 5n+5:
+// 6n points when 6n is a supported size (n a power of two), 8n when it is
+// not (n = 3·2^k, where 6n and 7n are neither 2^j nor 3·2^j).
+func quotientMultiple(n uint64) uint64 {
+	if n&(n-1) == 0 {
 		return 6
-	default:
-		return 8
 	}
-}
-
-// quotientDomain returns the coset domain round 3 evaluates the quotient
-// on and the number of pieces the quotient is committed in: 1, or 2 with
-// custom gates.
-func (pk *ProvingKey) quotientDomain() (*poly.Domain, int) {
-	return pk.quotient, pk.shape.quotientPieces()
+	return 8
 }
 
 // srsPowers is how many SRS powers a key on an n-row domain commits with:
-// its longest polynomial is a classic quotient of 3n+6 coefficients (a
-// custom-gate quotient's first piece is 3n; the rest are shorter).
-func srsPowers(n uint64) int { return 3*int(n) + 6 }
+// its longest polynomials are the quotient's first piece and round 5's fold
+// at ζ, 3n coefficients each. The second piece is 2n+6, shorter on every
+// domain (n ≥ 8); the blinded wires are n+2 and z and S n+3.
+func srsPowers(n uint64) int { return 3 * int(n) }
 
 // cosetEvals writes into cols[i], of d.N elements, the evaluations of ps[i]
 // over the coset of d: independent FFTs, run on the bounded worker pool.
@@ -302,7 +268,7 @@ func cosetEvals(d *poly.Domain, cols [][]fr.Element, ps []poly.Polynomial) error
 // buildQuotientTables fills the key-resident round-3 tables; Setup calls it
 // once, before the key is published.
 func (pk *ProvingKey) buildQuotientTables() error {
-	domainE, _ := pk.quotientDomain()
+	domainE := pk.quotient
 	cols := pk.columns()
 	pk.fixedCoset = make([][]fr.Element, len(cols))
 	for i := range cols {
@@ -360,22 +326,13 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 	if cs.nbVariables == 0 {
 		return nil, nil, ErrEmptyCircuit
 	}
-	if cs.hasLookup && !cs.hasCustom {
-		return nil, nil, ErrLookupWithoutCustom
-	}
 	// The domain is the smallest supported size that holds every row and,
 	// with lookups, the range table, which lives on the domain itself: one
 	// row per value. A custom gate on the last domain row would read row 0
-	// through the ω-shift, so custom-gate circuits keep at least one padding
-	// row for the next-row read to land on.
-	rows := uint64(len(cs.gates))
-	if cs.hasCustom {
-		rows++
-	}
-	if rows < 8 {
-		rows = 8
-	}
-	sh := newShape(cs.hasLookup, cs.hasCustom)
+	// through the ω-shift, so every circuit keeps at least one padding row
+	// for the next-row read to land on.
+	rows := max(uint64(len(cs.gates))+1, 8)
+	sh := newShape(cs.hasLookup)
 	if cs.hasLookup && rows < uint64(1)<<cs.tableBits {
 		rows = uint64(1) << cs.tableBits
 	}
@@ -384,7 +341,7 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 		return nil, nil, fmt.Errorf("plonk: %w", err)
 	}
 	n := domain.N
-	quotient, err := exactDomain(quotientMultiple(n, cs.hasCustom) * n)
+	quotient, err := exactDomain(quotientMultiple(n) * n)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -394,13 +351,14 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 	}
 
 	// Selector evaluation vectors over the domain (zero-padded rows are
-	// no-op gates), then the extension columns the shape reads: the lookup
-	// selector and the range table t_i = min(i, max) with lookups, the
-	// Poseidon round selectors and round-constant columns with custom gates.
+	// no-op gates): the arithmetic selectors, the Poseidon round selectors
+	// and round-constant columns, and with lookups the lookup selector and
+	// the range table t_i = min(i, max).
 	col := func() []fr.Element { return make([]fr.Element, n) }
 	pk := &ProvingKey{
 		Domain: domain, quotient: quotient, SRS: srs,
 		QL: col(), QR: col(), QO: col(), QM: col(), QC: col(),
+		QPosF: col(), QPosP: col(), KC0: col(), KC1: col(), KC2: col(),
 		shape: sh, tableBits: cs.tableBits, mds: cs.mds,
 		gates:    append([]Gate(nil), cs.gates...),
 		nbPublic: cs.nbPublic,
@@ -410,9 +368,6 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 	if sh.lookup() {
 		pk.tblValues = rangeTableValues(cs.tableBits, n)
 		pk.QLk, pk.Tbl = col(), append(poly.Polynomial(nil), pk.tblValues...)
-	}
-	if sh.custom() {
-		pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2 = col(), col(), col(), col(), col()
 	}
 	one := fr.One()
 	for i, g := range cs.gates {
@@ -505,7 +460,6 @@ func Setup(cs *ConstraintSystem, srs *kzg.SRS) (*ProvingKey, *VerifyingKey, erro
 		K1:        k1,
 		K2:        k2,
 		Lookup:    cs.hasLookup,
-		Custom:    cs.hasCustom,
 		TableBits: cs.tableBits,
 		MDS:       cs.mds,
 	}

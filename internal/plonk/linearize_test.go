@@ -37,14 +37,14 @@ func randomChallenges() *challenges {
 
 // TestLinearizationIsAffine: for each shape, at random point values and
 // challenges, quotientNumerator equals linearize's constant term plus
-// Σ scalar·value over the linear columns — on a custom-gate key the two
-// round selectors and the round-constant columns K0–K2 among them.
+// Σ scalar·value over the linear columns — the two round selectors and the
+// round-constant columns K0–K2 among them.
 // linearize reads each scalar off one unit vector, so this holds at random
 // values only if the numerator is jointly affine in those columns — no
 // product of two of them — which is what lets a proof fold them into one
 // commitment instead of opening them.
 func TestLinearizationIsAffine(t *testing.T) {
-	for _, sh := range []shape{0, shapeCustom, shapeLookup | shapeCustom} {
+	for _, sh := range []shape{shapeCustom, shapeLookup | shapeCustom} {
 		for trial := 0; trial < 20; trial++ {
 			p, ch := randomPoint(), randomChallenges()
 			c0, scalars := linearize(p, ch, sh)
@@ -52,10 +52,8 @@ func TestLinearizationIsAffine(t *testing.T) {
 			if len(scalars) != len(cols) {
 				t.Fatalf("shape %#02x: %d scalars for %d linear columns", byte(sh), len(scalars), len(cols))
 			}
-			if sh.custom() {
-				if tail := cols[len(cols)-3:]; tail[0] != &p.k0 || tail[1] != &p.k1c || tail[2] != &p.k2c {
-					t.Fatalf("shape %#02x: the round-constant columns are not the last linear columns", byte(sh))
-				}
+			if tail := cols[len(cols)-3:]; tail[0] != &p.k0 || tail[1] != &p.k1c || tail[2] != &p.k2c {
+				t.Fatalf("shape %#02x: the round-constant columns are not the last linear columns", byte(sh))
 			}
 			want := quotientNumerator(&p, ch, sh)
 			got := c0
@@ -72,16 +70,17 @@ func TestLinearizationIsAffine(t *testing.T) {
 }
 
 // TestOpeningMSMWidth counts the points of the verifier's one MSM per shape.
-// A classic key's 16 — 7 linearized columns, 1 quotient piece, 5 ζ
+// A custom key's 22 — 12 linearized columns (the five selectors, σ3, z, the
+// two Poseidon round selectors and [K0]–[K2]), 2 quotient pieces, 5 ζ
 // openings, W_ζ, W_ζω and G1, with [z] shared by the linearization and the
-// ζω opening — are two fewer than the paper's 18 exponentiations, which
-// contracts.VerificationGas still charges. A custom-gate key adds the two
-// Poseidon round selectors, [K0]–[K2] and a second quotient piece (22): Y's
-// commitment is the wires', which the MSM already holds; a lookup + custom
-// key [M], [H], [S], [q_Lk] and [T] on top (27).
+// ζω opening and Y's commitment the wires', which the MSM already holds —
+// are four more than the paper's 18 exponentiations, which
+// contracts.VerificationGas still charges. A circuit without Poseidon rows
+// (muladd) pays the same 22: its round columns are zero commitments, still
+// in the MSM. A lookup + custom key adds [M], [H], [S], [q_Lk] and [T] (27).
 func TestOpeningMSMWidth(t *testing.T) {
 	for name, want := range map[string]int{
-		"muladd": 16, "power20": 16, "mimc": 22, "poseidon": 22, "lookup": 27, "mixed": 27,
+		"muladd": 22, "mimc": 22, "poseidon": 22, "lookup": 27, "mixed": 27,
 	} {
 		cs, witness := goldenCircuit(t, name)
 		pk, vk, err := Setup(cs, testSRSOnce())

@@ -11,8 +11,8 @@ import (
 // same formula runs on every coset point in the prover and, split into its
 // linearization, at ζ in both), and the LogUp witness builder.
 //
-// Every circuit carries C0–C2 (gate, permutation, L_1 boundary); a key with
-// lookups adds C3–C5, one with custom gates C6–C8.
+// Every circuit carries C0–C2 (gate, permutation, L_1 boundary) and the
+// custom-gate lanes C6–C8; a key with lookups adds C3–C5.
 //
 // The lookup argument is the log-derivative ("LogUp") formulation: for the
 // range table T and the a-wire column a, with qLk the lookup selector and
@@ -43,8 +43,7 @@ import (
 const nbAlphaPowers = 9
 
 // pointVals carries every polynomial's value at one evaluation point. The
-// fields from y down to k2c belong to the extension: the LogUp ones are
-// read only for a lookup key, the rest only for a custom-gate key.
+// LogUp fields, from m down to tbl, are read only for a lookup key.
 type pointVals struct {
 	x                      fr.Element // the point itself
 	a, b, c                fr.Element
@@ -60,8 +59,7 @@ type pointVals struct {
 }
 
 // challenges bundles the transcript challenges and fixed key data the
-// constraint evaluation needs; β_L is used only with lookups, mds and
-// mdsAlpha only with custom gates.
+// constraint evaluation needs; β_L is used only with lookups.
 type challenges struct {
 	beta, gamma, betaL fr.Element
 	alphaPow           []fr.Element // α^0 … α^8
@@ -107,8 +105,7 @@ func pow5(out, t *fr.Element) {
 // quotientNumerator evaluates the aggregated constraint numerator
 // Σ_k α^k·C_k at one point. The prover divides this by Z_H on the coset;
 // at ζ, linearize splits it into the linearization both sides fold. sh is
-// the key's shape: the stack adds C3–C5 only with lookups and C6–C8 only
-// with custom gates.
+// the key's shape: the stack adds C3–C5 only with lookups.
 func quotientNumerator(p *pointVals, ch *challenges, sh shape) fr.Element {
 	var acc, t, t2 fr.Element
 
@@ -193,9 +190,6 @@ func quotientNumerator(p *pointVals, ch *challenges, sh shape) fr.Element {
 		t.Mul(&t, &ch.alphaPow[5])
 		acc.Add(&acc, &t)
 	}
-	if !sh.custom() {
-		return acc
-	}
 
 	// C6–C8, α^{6+l}-weighted and summed over the lanes: a full round is
 	// Σ_j mdsAlpha_j·w_j^5 − y, a partial one mdsAlpha_0·a^5 + mdsAlpha_1·b +
@@ -228,17 +222,14 @@ func quotientNumerator(p *pointVals, ch *challenges, sh shape) fr.Element {
 // linearly for shape sh — no product of two of them occurs in C0–C8 — so a
 // proof folds them into its linearization instead of opening them: the five
 // gate selectors, σ3 and z, then M, H, S and the lookup selector on a lookup
-// key, then the two Poseidon round selectors and K0–K2 on a custom-gate key.
+// key, then the two Poseidon round selectors and K0–K2.
 // The prover's polynomials and the verifier's commitments follow this order.
 func (p *pointVals) linearColumns(sh shape) []*fr.Element {
 	cols := []*fr.Element{&p.ql, &p.qr, &p.qo, &p.qm, &p.qc, &p.s3, &p.z}
 	if sh.lookup() {
 		cols = append(cols, &p.m, &p.h, &p.s, &p.qlk)
 	}
-	if sh.custom() {
-		cols = append(cols, &p.qposf, &p.qposp, &p.k0, &p.k1c, &p.k2c)
-	}
-	return cols
+	return append(cols, &p.qposf, &p.qposp, &p.k0, &p.k1c, &p.k2c)
 }
 
 // linearize splits quotientNumerator at p into its constant term and one

@@ -7,11 +7,9 @@ import (
 	"github.com/zkdet/zkdet/internal/fr"
 )
 
-// buildLookupCircuit returns a lookup + custom circuit: the given number of
-// Poseidon round rows, pinned to the one public input
-// (buildPoseidonCustomCircuit), then one lookup row per value of vals against
-// the range table [0, 2^bits). Setup takes lookup rows only beside custom
-// gates, so every lookup circuit here carries a round.
+// buildLookupCircuit returns a lookup circuit: the given number of Poseidon
+// round rows, pinned to the one public input (buildPoseidonCustomCircuit),
+// then one lookup row per value of vals against the range table [0, 2^bits).
 func buildLookupCircuit(rounds, bits int, vals []uint64) (*ConstraintSystem, []fr.Element) {
 	cs, witness := buildPoseidonCustomCircuit(rounds)
 	if err := cs.UseRangeTable(bits); err != nil {
@@ -38,8 +36,8 @@ func TestLookupProveVerify(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !vk.Lookup || !vk.Custom {
-		t.Fatalf("want a lookup + custom key, got lookup=%v custom=%v", vk.Lookup, vk.Custom)
+	if vk.shape() != shapeLookup|shapeCustom {
+		t.Fatalf("want a lookup + custom key, got flags %#02x", byte(vk.shape()))
 	}
 	if vk.N != 256 {
 		t.Fatalf("domain must cover the table: n=%d", vk.N)
@@ -74,29 +72,50 @@ func TestLookupOutOfTable(t *testing.T) {
 	}
 }
 
-// TestLookupOnlyShapeRefused: there is no lookup-only shape. Setup refuses a
-// constraint system of lookup rows without a custom gate with
-// ErrLookupWithoutCustom, and the decoder refuses flags 0x01 with
-// ErrProofShape, whatever the blob's length — each without a panic.
+// TestLookupOnlyShapeRefused: there is no lookup-only shape and no classic
+// one. A constraint system of lookup rows without a custom gate sets up on
+// the lookup + custom shape, zero Poseidon selectors beside its lookups, and
+// its 998-byte proof verifies. The decoder refuses flags 0x01 (lookup
+// without custom gates) and 0x00 (classic) with ErrProofShape, whatever the
+// blob's length — the classic 646 bytes among them — each without a panic.
 func TestLookupOnlyShapeRefused(t *testing.T) {
 	cs := NewConstraintSystem(1)
 	if err := cs.UseRangeTable(8); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 3; i++ {
+	witness := []fr.Element{fr.NewElement(9)}
+	for _, v := range []uint64{0, 200, 255} {
 		idx := cs.NewVariable()
+		witness = append(witness, fr.NewElement(v))
 		cs.MustAddGate(Gate{Kind: KindLookup, A: idx, B: idx, C: idx})
 	}
-	if pk, vk, err := Setup(cs, testSRSOnce()); !errors.Is(err, ErrLookupWithoutCustom) || pk != nil || vk != nil {
-		t.Fatalf("Setup of a lookup-only system: %v, want ErrLookupWithoutCustom and no keys", err)
+	pk, vk, err := Setup(cs, testSRSOnce())
+	if err != nil {
+		t.Fatalf("Setup of a lookup-only system: %v", err)
+	}
+	if vk.shape() != shapeLookup|shapeCustom || vk.N != 256 {
+		t.Fatalf("lookup-only system set up with flags %#02x on %d rows, want 0x03 on 256", byte(vk.shape()), vk.N)
+	}
+	proof, err := Prove(pk, witness)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if size := len(proof.Bytes()); size != MaxProofSize {
+		t.Fatalf("lookup-only system's proof is %d bytes, want %d", size, MaxProofSize)
+	}
+	if err := Verify(vk, proof, witness[:1]); err != nil {
+		t.Fatalf("lookup-only system's proof rejected: %v", err)
 	}
 
-	header := append(append([]byte{}, proofMagic[:]...), proofVersion, byte(shapeLookup))
-	for _, size := range []int{headerSize, ProofSize, ProofSize + lookupSize, MaxProofSize} {
-		blob := make([]byte, size)
-		copy(blob, header)
-		if _, err := ProofFromBytes(blob); !errors.Is(err, ErrProofShape) {
-			t.Fatalf("%d-byte blob with flags 0x01: %v, want ErrProofShape", size, err)
+	const classicSize = 646
+	for _, flags := range []shape{shapeLookup, 0} {
+		header := append(append([]byte{}, proofMagic[:]...), proofVersion, byte(flags))
+		for _, size := range []int{headerSize, classicSize, ProofSize, MaxProofSize} {
+			blob := make([]byte, size)
+			copy(blob, header)
+			if _, err := ProofFromBytes(blob); !errors.Is(err, ErrProofShape) {
+				t.Fatalf("%d-byte blob with flags %#02x: %v, want ErrProofShape", size, byte(flags), err)
+			}
 		}
 	}
 }
@@ -242,11 +261,11 @@ func TestMixedLookupCustomProveVerify(t *testing.T) {
 }
 
 // TestProofShapeMismatch: a proof verifies only against a key of its own
-// shape — each of the three is refused by the other two keys with
-// ErrProofShape, a lookup + custom proof by a custom-only key among them.
-// (LogUp fields set on a proof without lookups: rejectEveryCorruption.)
+// shape — a custom proof is refused by a lookup + custom key with
+// ErrProofShape, and a lookup + custom proof by a custom key. (LogUp fields
+// set on a proof without lookups: rejectEveryCorruption.)
 func TestProofShapeMismatch(t *testing.T) {
-	shapes := []string{"muladd", "mimc", "mixed"}
+	shapes := []string{"mimc", "mixed"}
 	vks := make([]*VerifyingKey, len(shapes))
 	proofs := make([]*Proof, len(shapes))
 	for i, name := range shapes {

@@ -11,8 +11,9 @@ import (
 	"github.com/zkdet/zkdet/internal/kzg"
 )
 
-// benchSquareChain builds a circuit with exactly 2^logN gates computing the
-// repeated-squaring chain x_{i+1} = x_i², plus its witness.
+// benchSquareChain builds a circuit with 2^logN − 1 gates computing the
+// repeated-squaring chain x_{i+1} = x_i², plus its witness: with the padding
+// row every key keeps, it fills the 2^logN-row domain exactly.
 func benchSquareChain(logN int) (*ConstraintSystem, []fr.Element) {
 	cs := NewConstraintSystem(1)
 	x := 0
@@ -20,7 +21,7 @@ func benchSquareChain(logN int) (*ConstraintSystem, []fr.Element) {
 	var negOne fr.Element
 	one := fr.One()
 	negOne.Neg(&one)
-	for cs.NbGates() < 1<<logN {
+	for cs.NbGates() < 1<<logN-1 {
 		y := cs.NewVariable()
 		cs.MustAddGate(Gate{QM: one, QO: negOne, A: x, B: x, C: y})
 		var sq fr.Element
@@ -58,15 +59,19 @@ func BenchmarkProve(b *testing.B) {
 	}
 }
 
-// proveBytesPerProof is what one warm Prove at 2^13 gates allocates once
+// proveBytesPerProof is what one warm Prove at 2^13 rows allocates once
 // every buffer a proof fills is the key's (50 440–50 648 B at two workers
 // on a 2-vCPU host): little more than the Proof, the transcript and the
 // worker pool's closures. It read 11 651 816 B when each proof allocated
 // its own wire, coset and fold buffers, and 16 113 870 B before the MSM's
 // scratch was pooled (BenchmarkProve/2^13 -benchmem at PR 18).
+// On the custom shape, which every key has taken since the classic one was
+// deleted, it reads 50 824–50 840 B (2^13 − 1 gates and the padding row, a
+// second quotient piece committed after the first, and round 5's column
+// and coefficient lists in the workspace).
 const proveBytesPerProof = 50_456
 
-// proveParentBytesPerProof is what one warm Prove at 2^13 gates allocated
+// proveParentBytesPerProof is what one warm Prove at 2^13 rows allocated
 // before the MSM's scratch was pooled (BenchmarkProve/2^13 -benchmem at
 // PR 18): the bound at any worker count, where the MSM's pooled scratch
 // may still grow with the width.
@@ -76,14 +81,14 @@ const proveParentBytesPerProof = 16_113_870
 // which the repository benchmark bounds to 3 %. At two workers, with
 // garbage collection off (a collection empties the MSM's pooled scratch,
 // and how much of it a proof must then allocate again depends on
-// scheduling), a warm Prove at 2^13 gates must allocate no more than
+// scheduling), a warm Prove at 2^13 rows must allocate no more than
 // proveBytesPerProof + 10 %: the MSM hands each worker its own scratch, so
 // the figure grows with the width. At the host's own width, with garbage
 // collection on, it must allocate no more than proveParentBytesPerProof.
 // Each check takes the quietest of three proofs.
 func TestProveSteadyStateAllocation(t *testing.T) {
 	if testing.Short() || raceEnabled {
-		t.Skip("proves at 2^13 gates; sync.Pool drops Puts under the race detector")
+		t.Skip("proves at 2^13 rows; sync.Pool drops Puts under the race detector")
 	}
 	const logN = 13
 	cs, witness := benchSquareChain(logN)
@@ -114,19 +119,19 @@ func TestProveSteadyStateAllocation(t *testing.T) {
 
 	native := warmProveBytes()
 	if native > proveParentBytesPerProof {
-		t.Fatalf("a warm Prove at 2^13 gates on %d workers allocated %d bytes, more than the %d before the MSM scratch was pooled",
+		t.Fatalf("a warm Prove at 2^13 rows on %d workers allocated %d bytes, more than the %d before the MSM scratch was pooled",
 			runtime.GOMAXPROCS(0), native, proveParentBytesPerProof)
 	}
-	t.Logf("warm Prove at 2^13 gates on %d workers: %d bytes allocated (before pooling: %d)",
+	t.Logf("warm Prove at 2^13 rows on %d workers: %d bytes allocated (before pooling: %d)",
 		runtime.GOMAXPROCS(0), native, proveParentBytesPerProof)
 
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	two := warmProveBytes()
 	if limit := uint64(proveBytesPerProof + proveBytesPerProof/10); two > limit {
-		t.Fatalf("a warm Prove at 2^13 gates on 2 workers allocated %d bytes, more than %d + 10 %%", two, proveBytesPerProof)
+		t.Fatalf("a warm Prove at 2^13 rows on 2 workers allocated %d bytes, more than %d + 10 %%", two, proveBytesPerProof)
 	}
-	t.Logf("warm Prove at 2^13 gates on 2 workers: %d bytes allocated (recorded: %d)", two, proveBytesPerProof)
+	t.Logf("warm Prove at 2^13 rows on 2 workers: %d bytes allocated (recorded: %d)", two, proveBytesPerProof)
 }
 
 func BenchmarkSetup(b *testing.B) {

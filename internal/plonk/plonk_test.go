@@ -196,10 +196,11 @@ func TestCopyConstraints(t *testing.T) {
 
 func TestProofSizeConstant(t *testing.T) {
 	// Paper §VI-B3: proof length is independent of the relation, and a
-	// classic proof is 7 G1 + 6 Fr behind the 6-byte header (the paper's
-	// 9 G1 + 6 Fr with the quotient in one piece instead of three).
-	if ProofSize != 646 {
-		t.Fatalf("ProofSize = %d, want 646", ProofSize)
+	// proof is 8 G1 + 7 Fr behind the 6-byte header (the paper's 9 G1 +
+	// 6 Fr with the quotient in two pieces instead of three, and the
+	// custom gates' next-row opening Y).
+	if ProofSize != 742 {
+		t.Fatalf("ProofSize = %d, want 742", ProofSize)
 	}
 	sizes := map[string]int{}
 	for _, k := range []int{4, 64, 400} {
@@ -283,9 +284,10 @@ func TestZeroKnowledgeBlinding(t *testing.T) {
 }
 
 // TestProveConcurrentSharedKey proves against one *ProvingKey from eight
-// goroutines at once, as the marketplace key cache does, for a classic and
-// two lookup + custom (6n coset) keys, then a classic and a custom-gate
-// key on 3·2^k domains (whose transforms share the domain's scratch pool);
+// goroutines at once, as the marketplace key cache does, for an
+// arithmetic-only and two lookup + custom keys (6n cosets), then an
+// arithmetic-only and a Poseidon round-chain key on 3·2^k domains (8n
+// cosets, whose transforms share the domain's scratch pool);
 // the race detector watches the shared key and its round-3 tables, which
 // only Setup may write.
 func TestProveConcurrentSharedKey(t *testing.T) {
@@ -317,17 +319,17 @@ func TestProveConcurrentSharedKey(t *testing.T) {
 }
 
 // TestKeyResidentQuotientTables checks what Setup stores on the key for
-// round 3 against its definition, for every key shape (4n, 6n and 8n cosets):
+// round 3 against its definition, for both key shapes (6n and 8n cosets):
 // the key holds coset columns for exactly the preprocessed polynomials its
-// shape's identities read — none of the lookup pair on a custom-only key —
-// each the coset
-// FFT of the key's coefficient polynomial, in the order the prover indexes
-// them; the coset points are g·ω_Eⁱ, L1 and 1/Z_H on them match the domain's
-// own evaluators. The verifying key commits exactly the same columns, 8, 13
-// or 15, in the same order; each column its shape does not read is the
-// zero commitment, and the transcript binds exactly the committed columns.
+// shape's identities read — none of the lookup pair on a custom key, and the
+// Poseidon columns, zero or not, on every key — each the coset FFT of the
+// key's coefficient polynomial, in the order the prover indexes them; the
+// coset points are g·ω_Eⁱ, L1 and 1/Z_H on them match the domain's own
+// evaluators. The verifying key commits exactly the same columns, 13 or 15,
+// in the same order; each column its shape does not read is the zero
+// commitment, and the transcript binds exactly the committed columns.
 func TestKeyResidentQuotientTables(t *testing.T) {
-	classic := []string{"QL", "QR", "QO", "QM", "QC", "S1", "S2", "S3"}
+	base := []string{"QL", "QR", "QO", "QM", "QC", "S1", "S2", "S3"}
 	lookup := []string{"QLk", "Tbl"}
 	custom := []string{"QPosF", "QPosP", "KC0", "KC1", "KC2"}
 	join := func(parts ...[]string) []string {
@@ -338,9 +340,10 @@ func TestKeyResidentQuotientTables(t *testing.T) {
 		return out
 	}
 	wantCols := map[string][]string{
-		"muladd": classic, "power5": classic, "power50": classic, "power20": classic,
-		"mimc": join(classic, custom), "poseidon": join(classic, custom),
-		"lookup": join(classic, lookup, custom), "mixed": join(classic, lookup, custom),
+		"muladd": join(base, custom), "power5": join(base, custom),
+		"power50": join(base, custom), "power20": join(base, custom),
+		"mimc": join(base, custom), "poseidon": join(base, custom),
+		"lookup": join(base, lookup, custom), "mixed": join(base, lookup, custom),
 	}
 	for _, tc := range goldenShapes {
 		t.Run(tc.name, func(t *testing.T) {
@@ -350,11 +353,11 @@ func TestKeyResidentQuotientTables(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkCommittedColumns(t, pk, vk, wantCols[tc.name])
-			domainE, _ := pk.quotientDomain()
+			domainE := pk.quotient
 			n, big := pk.Domain.N, domainE.N
 			names := wantCols[tc.name]
 			wantBig := map[string]uint64{
-				"muladd": 4 * 8, "power5": 4 * 8, "power50": 4 * 64, "power20": 4 * 24,
+				"muladd": 6 * 8, "power5": 6 * 8, "power50": 6 * 64, "power20": 8 * 24,
 				"mimc": 6 * 8, "poseidon": 8 * 12, "lookup": 6 * 256, "mixed": 6 * 64,
 			}[tc.name]
 			if len(pk.fixedCoset) != len(names) || big != wantBig {
@@ -461,15 +464,34 @@ func TestSetupErrors(t *testing.T) {
 	if _, _, err := Setup(empty, testSRSOnce()); !errors.Is(err, ErrEmptyCircuit) {
 		t.Fatalf("want ErrEmptyCircuit, got %v", err)
 	}
-	// SRS too small.
+	// The SRS bound, at its edge: mul-add's four gates and padding row sit
+	// on 8 rows, whose longest commitment — the quotient's first piece and
+	// the fold at ζ — is 3·8 = 24 coefficients. An SRS of exactly 24
+	// powers proves and verifies; one power fewer is refused.
+	cs, witness := buildMulAddCircuit()
 	tau := fr.NewElement(3)
-	small, err := kzg.NewSRSFromSecret(4, &tau)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cs, _ := buildMulAddCircuit()
-	if _, _, err := Setup(cs, small); !errors.Is(err, ErrSRSTooSmall) {
-		t.Fatalf("want ErrSRSTooSmall, got %v", err)
+	for _, powers := range []int{24, 23} {
+		srs, err := kzg.NewSRSFromSecret(powers, &tau)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pk, vk, err := Setup(cs, srs)
+		if powers == 23 {
+			if !errors.Is(err, ErrSRSTooSmall) {
+				t.Fatalf("%d powers: want ErrSRSTooSmall, got %v", powers, err)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%d powers: %v", powers, err)
+		}
+		proof, err := Prove(pk, witness)
+		if err != nil {
+			t.Fatalf("%d powers: %v", powers, err)
+		}
+		if err := Verify(vk, proof, witness[:2]); err != nil {
+			t.Fatalf("%d powers: %v", powers, err)
+		}
 	}
 }
 

@@ -45,20 +45,18 @@ func commitParallel(srs *kzg.SRS, ps []poly.Polynomial, outs []*kzg.Commitment) 
 	return nil
 }
 
-// Proof is a Plonk proof: 7 G1 points and the openings the constraint
-// identities read non-linearly — a, b, c, σ1, σ2 at the challenge ζ and z
-// at ζω; everything they read linearly is folded into the linearization.
-// Its size is independent of the circuit. A proof for a lookup circuit
-// additionally carries the three LogUp polynomials M (multiplicities), H
-// (per-row log-derivative helper) and S (running sum); one for a custom-gate
-// circuit a second quotient piece. Either one carries the extension's
-// openings (Evals.Ext).
+// Proof is a Plonk proof: 8 G1 points and the openings the constraint
+// identities read non-linearly — a, b, c, σ1, σ2 at the challenge ζ, z and
+// the next-row wires Y at ζω; everything they read linearly is folded into
+// the linearization. Its size is independent of the circuit. A proof for a
+// lookup circuit additionally carries the three LogUp polynomials M
+// (multiplicities), H (per-row log-derivative helper) and S (running sum)
+// and their two openings.
 type Proof struct {
 	A, B, C kzg.Commitment
 	Z       kzg.Commitment
-	// T holds the quotient in pieces of 3n coefficients, the last taking
-	// the remainder: one piece on a classic key, two on a custom-gate key
-	// (shape.quotientPieces).
+	// T holds the quotient in its quotientPieces pieces of 3n coefficients,
+	// the last taking the remainder.
 	T                 []kzg.Commitment
 	WZeta, WZetaOmega kzg.Commitment
 	// Lookup marks a proof carrying the LogUp argument: [M], [H], [S] and
@@ -69,94 +67,64 @@ type Proof struct {
 	Evals   ProofEvals
 }
 
-// shape returns the feature bits the proof's contents claim: none without
-// extension openings, else lookup when it carries the LogUp argument and
-// custom when it carries a second quotient piece.
-func (p *Proof) shape() shape {
-	if p.Evals.Ext == nil {
-		return 0
-	}
-	return newShape(p.Lookup, len(p.T) > 1)
-}
+// shape returns the flags byte the proof's contents claim: lookup + custom
+// when it carries the LogUp argument, custom otherwise.
+func (p *Proof) shape() shape { return newShape(p.Lookup) }
 
 // strayFields reports whether p sets a field that shape sh does not carry:
-// [M], [H], [S] or the LogUp openings without lookups, the custom-gate
-// openings without custom gates. No encoding has room for them and no
-// transcript absorb or opening would bind them.
+// [M], [H], [S] or the LogUp openings without lookups. No encoding has room
+// for them and no transcript absorb or opening would bind them.
 func (p *Proof) strayFields(sh shape) bool {
-	var set []*fr.Element
-	if x := p.Evals.Ext; x != nil {
-		if !sh.lookup() {
-			set = append(set, x.lookupEvals()...)
-		}
-		if !sh.custom() {
-			set = append(set, x.customEvals()...)
-		}
+	if sh.lookup() {
+		return false
 	}
-	for _, e := range set {
+	for _, e := range p.Evals.lookupEvals() {
 		if !e.IsZero() {
 			return true
 		}
 	}
-	return !sh.lookup() && !(p.M.IsInfinity() && p.H.IsInfinity() && p.S.IsInfinity())
+	return !(p.M.IsInfinity() && p.H.IsInfinity() && p.S.IsInfinity())
 }
 
-// ProofEvals carries the openings every proof sends: the wires and the
-// first two permutation columns at ζ, z at ζω.
+// ProofEvals carries a proof's openings: the wires and the first two
+// permutation columns at ζ; z at ζω, and the next-row wires there, once, as
+// Y = Σ_l α^{6+l}·w_l(ζω): the combination C6–C8 read, which the verifier
+// binds to Σ_l α^{6+l}·[w_l]. A lookup proof also opens the table at ζ (C3
+// multiplies it by H) and the running sum at ζω; any other proof leaves
+// those two zero.
 type ProofEvals struct {
 	A, B, C, S1, S2, ZOmega fr.Element
-	// Ext carries the extension's openings; nil for classic proofs.
-	Ext *ExtEvals
-}
-
-// ExtEvals are the extra openings an extended proof carries. A lookup proof
-// opens the table at ζ (C3 multiplies it by H) and the running sum at ζω; a
-// custom-gate proof the next-row wires at ζω, once, as
-// Y = Σ_l α^{6+l}·w_l(ζω): the combination C6–C8 read, which the verifier
-// binds to Σ_l α^{6+l}·[w_l]. A proof of one feature leaves the other's
-// openings zero.
-type ExtEvals struct {
-	Tbl, SOmega fr.Element
-	Y           fr.Element
+	Y                       fr.Element
+	Tbl, SOmega             fr.Element
 }
 
 // lookupEvals lists the two openings only a lookup proof carries.
-func (x *ExtEvals) lookupEvals() []*fr.Element { return []*fr.Element{&x.Tbl, &x.SOmega} }
-
-// customEvals lists the one opening only a custom-gate proof carries.
-func (x *ExtEvals) customEvals() []*fr.Element { return []*fr.Element{&x.Y} }
+func (ev *ProofEvals) lookupEvals() []*fr.Element { return []*fr.Element{&ev.Tbl, &ev.SOmega} }
 
 // openings returns the evaluations the proof carries, split by point: at ζ
-// a, b, c, σ1, σ2, then T on a lookup proof; at ζω z, then S (lookup) and Y
-// (custom). This is the one order of the transcript, the wire encoding, the
+// a, b, c, σ1, σ2, then T on a lookup proof; at ζω z, then S (lookup), then
+// Y. This is the one order of the transcript, the wire encoding, the
 // prover's round-4 evaluations and both v-folds.
 func (p *Proof) openings() (atZeta, atOmega []*fr.Element) {
 	ev := &p.Evals
 	atZeta = []*fr.Element{&ev.A, &ev.B, &ev.C, &ev.S1, &ev.S2}
 	atOmega = []*fr.Element{&ev.ZOmega}
-	sh := p.shape()
-	if sh.lookup() {
-		atZeta = append(atZeta, &ev.Ext.Tbl)
-		atOmega = append(atOmega, &ev.Ext.SOmega)
+	if p.Lookup {
+		atZeta = append(atZeta, &ev.Tbl)
+		atOmega = append(atOmega, &ev.SOmega)
 	}
-	if sh.custom() {
-		atOmega = append(atOmega, &ev.Ext.Y)
-	}
-	return atZeta, atOmega
+	return atZeta, append(atOmega, &ev.Y)
 }
 
 // zetaPoint fills the evaluation point ζ with the openings the proof
 // carries, L1(ζ) and PI(ζ); linearize supplies the linear columns.
 func (p *Proof) zetaPoint(zeta, l1, pi *fr.Element) pointVals {
 	ev := &p.Evals
-	pv := pointVals{
+	return pointVals{
 		x: *zeta, l1: *l1, pi: *pi,
 		a: ev.A, b: ev.B, c: ev.C, s1: ev.S1, s2: ev.S2, zw: ev.ZOmega,
+		y: ev.Y, tbl: ev.Tbl, sw: ev.SOmega,
 	}
-	if x := ev.Ext; x != nil {
-		pv.tbl, pv.sw, pv.y = x.Tbl, x.SOmega, x.Y
-	}
-	return pv
 }
 
 // values dereferences a list of openings.
@@ -169,10 +137,10 @@ func values(ps []*fr.Element) []fr.Element {
 }
 
 // bindTranscript absorbs the verifying key and public inputs so challenges
-// are bound to the exact statement being proved. Extended keys absorb the
-// extension data after the classic fields — the extension columns their
-// shape commits, in VerifyingKey.columns order — so classic transcripts are
-// byte-identical to the pre-lookup prover.
+// are bound to the exact statement being proved: the domain, the eight
+// selector and permutation columns and the public inputs, then the flags
+// byte, the table size, the lookup and custom-gate columns the key commits,
+// in VerifyingKey.columns order, and the MDS matrix.
 func bindTranscript(t *transcript.Transcript, vk *VerifyingKey, public []fr.Element) {
 	n := fr.NewElement(vk.N)
 	t.AppendScalar("domain-size", &n)
@@ -183,27 +151,23 @@ func bindTranscript(t *transcript.Transcript, vk *VerifyingKey, public []fr.Elem
 		t.AppendPoint("vk", c)
 	}
 	t.AppendScalars("public-inputs", public)
-	if sh := vk.shape(); sh != 0 {
-		fl := fr.NewElement(uint64(sh))
-		t.AppendScalar("ext-flags", &fl)
-		tb := fr.NewElement(uint64(vk.TableBits))
-		t.AppendScalar("table-bits", &tb)
-		for _, c := range cols[8:] {
-			t.AppendPoint("vk-ext", c)
-		}
-		for l := 0; l < 3; l++ {
-			t.AppendScalars("mds", vk.MDS[l][:])
-		}
+	fl := fr.NewElement(uint64(vk.shape()))
+	t.AppendScalar("ext-flags", &fl)
+	tb := fr.NewElement(uint64(vk.TableBits))
+	t.AppendScalar("table-bits", &tb)
+	for _, c := range cols[8:] {
+		t.AppendPoint("vk-ext", c)
+	}
+	for l := 0; l < 3; l++ {
+		t.AppendScalars("mds", vk.MDS[l][:])
 	}
 }
 
 // The absorbRound methods are the proof's half of the Fiat–Shamir
 // transcript, written once for the prover (which calls each as soon as the
 // round's commitments exist) and the verifier (which replays them in
-// order). A lookup proof inserts "m" and β_L into round 1 and "h" and "s"
-// into round 2, a custom-gate proof its second quotient piece into round 3,
-// and either one the extension's openings into round 4; a classic proof's
-// label sequence is untouched by them.
+// order). A lookup proof inserts "m" and β_L into round 1, "h" and "s" into
+// round 2 and its two LogUp openings into round 4.
 
 // absorbRound1 absorbs the wire commitments and squeezes β, γ and, for a
 // lookup proof, the lookup challenge β_L.
@@ -235,10 +199,10 @@ func (p *Proof) absorbRound2(tr *transcript.Transcript, ch *challenges) {
 	ch.setAlpha(&alpha)
 }
 
-// pieceLabels are the transcript labels of the quotient pieces; a proof
-// carries at most two (shape.quotientPieces), which the verifier checks
-// before it replays the transcript.
-var pieceLabels = [...]string{"t_0", "t_1"}
+// pieceLabels are the transcript labels of the quotient pieces; the verifier
+// checks a proof carries quotientPieces of them before it replays the
+// transcript.
+var pieceLabels = [quotientPieces]string{"t_0", "t_1"}
 
 // absorbRound3 absorbs the quotient pieces and squeezes ζ.
 func (p *Proof) absorbRound3(tr *transcript.Transcript) fr.Element {
@@ -253,9 +217,7 @@ func (p *Proof) absorbRound4(tr *transcript.Transcript) fr.Element {
 	atZeta, atOmega := p.openings()
 	tr.AppendScalars("evals", values(atZeta))
 	tr.AppendScalar("z_omega", atOmega[0])
-	if len(atOmega) > 1 {
-		tr.AppendScalars("evals-omega-ext", values(atOmega[1:]))
-	}
+	tr.AppendScalars("evals-omega-ext", values(atOmega[1:]))
 	return tr.ChallengeScalar("v")
 }
 
@@ -308,17 +270,16 @@ func blind(d *poly.Domain, p poly.Polynomial, evals []fr.Element) error {
 // circuit. The witness assigns every variable; its first NbPublic entries
 // must equal the public inputs passed to Verify.
 //
-// The five rounds are the same for every circuit; the key's two shape bits
-// (set by Setup from the constraint system) only grow the column lists. A
-// lookup key adds the multiplicity commitment [M] before β/γ (so the lookup
-// challenge β_L can respond to it), the LogUp columns [H], [S] alongside
-// [z], their coset columns and identities C3–C5 and the ζω opening of S; a
-// custom-gate key adds the next-row identities C6–C8, evaluates the
-// quotient on a 6n (or 8n) coset and commits it in 2 pieces instead of 1.
-// A lookup key opens the table at ζ, a custom-gate key the α-weighted
-// next-row wires Y at ζω; every column the identities read linearly — the
-// round constants among them — enters round 5's linearization instead.
-// Every shape's proofs are pinned byte-for-byte by
+// The five rounds are the same for every circuit; the key's lookup bit (set
+// by Setup from the constraint system) only grows the column lists. Every
+// key carries the next-row identities C6–C8, evaluates the quotient on a 6n
+// (or 8n) coset, commits it in 2 pieces and opens the α-weighted next-row
+// wires Y at ζω. A lookup key adds the multiplicity commitment [M] before
+// β/γ (so the lookup challenge β_L can respond to it), the LogUp columns
+// [H], [S] alongside [z], their coset columns and identities C3–C5, the
+// table's opening at ζ and S's at ζω. Every column the identities read
+// linearly — the round constants among them — enters round 5's
+// linearization instead. Both shapes' proofs are pinned byte-for-byte by
 // TestClassicProverBitIdentity.
 //
 // Every buffer a proof fills is in a workspace the key owns (see
@@ -386,11 +347,8 @@ func prove(pk *ProvingKey, ws *workspace, witness []fr.Element, sw *stopwatch) (
 	if err := blind(pk.Domain, cPoly, cV); err != nil {
 		return nil, err
 	}
-	lookup, custom := pk.shape.lookup(), pk.shape.custom()
+	lookup := pk.shape.lookup()
 	proof := &Proof{Lookup: lookup}
-	if pk.shape != 0 {
-		proof.Evals.Ext = &ExtEvals{}
-	}
 	round1 := []poly.Polynomial{aPoly, bPoly, cPoly}
 	round1Cms := []*kzg.Commitment{&proof.A, &proof.B, &proof.C}
 	mV, mPoly := ws.mV, ws.m
@@ -503,7 +461,7 @@ func prove(pk *ProvingKey, ws *workspace, witness []fr.Element, sw *stopwatch) (
 	// coset points, L1 and 1/Z_H on them are constants of the key (Setup
 	// built them); only the witness-dependent columns — a, b, c, z, PI and,
 	// for a lookup key, M, H, S — are transformed per proof.
-	domainE, nbPieces := pk.quotientDomain()
+	domainE := pk.quotient
 	if domainE == nil || len(pk.fixedCoset) == 0 {
 		return nil, fmt.Errorf("plonk: proving key missing coset domain")
 	}
@@ -518,13 +476,10 @@ func prove(pk *ProvingKey, ws *workspace, witness []fr.Element, sw *stopwatch) (
 	if err := cosetEvals(domainE, wire, wireInputs); err != nil {
 		return nil, err
 	}
-	// fixed follows ProvingKey.columns: the custom columns start after the
-	// lookup pair when the key has both.
+	// fixed follows ProvingKey.columns, whose last five are the custom
+	// columns.
 	fixed := pk.fixedCoset
-	cu := 8
-	if lookup {
-		cu = 10
-	}
+	cu := len(fixed) - 5
 
 	// The quotient evaluations are independent; range-split them.
 	tPoly := ws.t
@@ -544,11 +499,9 @@ func prove(pk *ProvingKey, ws *workspace, witness []fr.Element, sw *stopwatch) (
 				pv.m, pv.h, pv.s, pv.sw = wire[5][i], wire[6][i], wire[7][i], wire[7][j]
 				pv.qlk, pv.tbl = fixed[8][i], fixed[9][i]
 			}
-			if custom {
-				pv.y = ch.nextRow(&wire[0][j], &wire[1][j], &wire[2][j])
-				pv.qposf, pv.qposp = fixed[cu][i], fixed[cu+1][i]
-				pv.k0, pv.k1c, pv.k2c = fixed[cu+2][i], fixed[cu+3][i], fixed[cu+4][i]
-			}
+			pv.y = ch.nextRow(&wire[0][j], &wire[1][j], &wire[2][j])
+			pv.qposf, pv.qposp = fixed[cu][i], fixed[cu+1][i]
+			pv.k0, pv.k1c, pv.k2c = fixed[cu+2][i], fixed[cu+3][i], fixed[cu+4][i]
 			num := quotientNumerator(&pv, ch, pk.shape)
 			tPoly[i].Mul(&num, &pk.zhInv[i%factor])
 		}
@@ -557,41 +510,44 @@ func prove(pk *ProvingKey, ws *workspace, witness []fr.Element, sw *stopwatch) (
 		return nil, err
 	}
 
-	// A satisfied circuit yields deg(t) ≤ 3n+5 (5n+5 with custom gates);
-	// anything above signals an unsatisfied witness (the division by Z_H
-	// was not exact). The quotient is committed in pieces of 3n
-	// coefficients, the last taking the remainder.
-	maxLen := 3*n + 6
-	if custom {
-		maxLen = 5*n + 6
-	}
+	// A satisfied circuit yields deg(t) ≤ 5n+5; anything above signals an
+	// unsatisfied witness (the division by Z_H was not exact). The quotient
+	// is committed in pieces of 3n coefficients, the last taking the
+	// remainder.
+	maxLen := 5*n + 6
 	for i := maxLen; i < big && checkDegree; i++ {
 		if !tPoly[i].IsZero() {
 			return nil, ErrUnsatisfied
 		}
 	}
 	pieces := ws.pieces
-	proof.T = make([]kzg.Commitment, nbPieces)
-	pieceCms := make([]*kzg.Commitment, nbPieces)
 	for p := range pieces {
 		hi := uint64(p+1) * 3 * n
-		if p == nbPieces-1 {
+		if p == quotientPieces-1 {
 			hi = maxLen
 		}
 		pieces[p] = poly.Polynomial(tPoly[uint64(p)*3*n : hi])
-		pieceCms[p] = &proof.T[p]
 	}
 	sw.lap(PhaseQuotient)
-	if err := commitParallel(pk.SRS, pieces, pieceCms); err != nil {
-		return nil, err
+	// The pieces are committed one after the other, not by commitParallel:
+	// each MSM already spreads over every worker, and two MSMs of different
+	// lengths at once hand their pooled scratch (bn254.G1MSM's, on domains
+	// its window table does not cover) to each other from one proof to the
+	// next, so the longer one grows it again.
+	proof.T = make([]kzg.Commitment, quotientPieces)
+	for p := range pieces {
+		var err error
+		if proof.T[p], err = kzg.Commit(pk.SRS, pieces[p]); err != nil {
+			return nil, err
+		}
 	}
 	sw.lap(PhaseCommit)
 	zeta := proof.absorbRound3(tr)
 
 	// Round 4: the openings, in Proof.openings order — independent Horner
 	// walks, run on the worker pool. A lookup key adds the table at ζ and S
-	// at ζω (the running sum's next row), a custom-gate key the next-row
-	// wires at ζω, as the one polynomial Σ_l α^{6+l}·w_l that Y opens.
+	// at ζω (the running sum's next row); last come the next-row wires at
+	// ζω, as the one polynomial Σ_l α^{6+l}·w_l that Y opens.
 	var zetaOmega fr.Element
 	zetaOmega.Mul(&zeta, &pk.Domain.Gen)
 	openZeta := []poly.Polynomial{aPoly, bPoly, cPoly, pk.S1, pk.S2}
@@ -600,9 +556,7 @@ func prove(pk *ProvingKey, ws *workspace, witness []fr.Element, sw *stopwatch) (
 		openZeta = append(openZeta, pk.Tbl)
 		openOmega = append(openOmega, sPoly)
 	}
-	if custom {
-		openOmega = append(openOmega, foldPolys(ws.y, []poly.Polynomial{aPoly, bPoly, cPoly}, ch.alphaPow[6:9]))
-	}
+	openOmega = append(openOmega, foldPolys(ws.y, []poly.Polynomial{aPoly, bPoly, cPoly}, ch.alphaPow[6:9]))
 	atZeta, atOmega := proof.openings()
 	parallel.Execute(len(openZeta)+len(openOmega), func(start, end int) {
 		for i := start; i < end; i++ {
@@ -620,17 +574,17 @@ func prove(pk *ProvingKey, ws *workspace, witness []fr.Element, sw *stopwatch) (
 	// whose value there the verifier computes itself, and the v-weighted
 	// openings; and a v-folded opening at ζω. The linear columns follow
 	// pointVals.linearColumns; PI(ζ) enters only linearize's constant term,
-	// which the prover does not need.
-	linear := []poly.Polynomial{pk.QL, pk.QR, pk.QO, pk.QM, pk.QC, pk.S3, zPoly}
+	// which the prover does not need. The column and coefficient lists are
+	// the workspace's, like every other buffer of the proof.
+	linear := append(ws.fold[:0], pk.QL, pk.QR, pk.QO, pk.QM, pk.QC, pk.S3, zPoly)
 	if lookup {
 		linear = append(linear, mPoly, hPoly, sPoly, pk.QLk)
 	}
-	if custom {
-		linear = append(linear, pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2)
-	}
+	linear = append(linear, pk.QPosF, pk.QPosP, pk.KC0, pk.KC1, pk.KC2)
 	l1 := pk.Domain.LagrangeEval(0, &zeta)
 	var noPI fr.Element
-	_, coeffs := linearize(proof.zetaPoint(&zeta, &l1, &noPI), ch, pk.shape)
+	_, scalars := linearize(proof.zetaPoint(&zeta, &l1, &noPI), ch, pk.shape)
+	coeffs := append(ws.coeffs[:0], scalars...)
 	var zeta3N, w fr.Element
 	w.ExpUint64(&zeta, n)
 	zeta3N.ExpUint64(&w, 3)

@@ -10,24 +10,23 @@ import (
 
 // Proof wire format. Encodings are version-stamped so the format can
 // evolve with the proof system: a 4-byte magic, a format version and a
-// flags byte describing the proof shape, followed by the fixed classic
-// payload and (for lookup/custom-gate proofs) the extension payload.
+// flags byte describing the proof shape, followed by the payload.
 //
 //	"ZKPF" | version=3 | flags | commitments | openings at ζ | openings at ζω
 //
-// The commitments are [a], [b], [c], [z], the quotient pieces [t_0] (and
-// [t_1] on a custom-gate proof), [W_ζ], [W_ζω], then [M], [H], [S] on a
-// lookup proof. The openings follow Proof.openings: a, b, c, σ1, σ2 at ζ,
-// then T (lookup); z at ζω, then S (lookup) and Y (custom). The flags byte
-// is the proof's shape — bit 0 lookup, bit 1 custom — and there are three,
-// each of its own size:
+// The commitments are [a], [b], [c], [z], the quotient pieces [t_0] and
+// [t_1], [W_ζ], [W_ζω], then [M], [H], [S] on a lookup proof. The openings
+// follow Proof.openings: a, b, c, σ1, σ2 at ζ, then T (lookup); z at ζω,
+// then S (lookup), then Y. The flags byte is the proof's shape — bit 1,
+// custom gates, always set, and bit 0 lookup — and there are two, each of
+// its own size:
 //
-//	0x00 classic            646 B   7 G1 + 6 Fr
 //	0x02 custom             742 B   8 G1 + 7 Fr
 //	0x03 lookup + custom    998 B  11 G1 + 9 Fr
 //
-// A lookup argument comes only beside custom gates (Setup refuses lookup
-// rows without them), so flags 0x01 are refused with ErrProofShape.
+// Flags 0x00 (the classic shape, 646 B, which no key proves on any more)
+// and 0x01 (a lookup argument without custom gates, which never existed)
+// are refused with ErrProofShape.
 //
 // Version 1 opened every committed polynomial instead of a linearization
 // (1 094 B classic); version 2 committed the quotient in n-coefficient
@@ -39,38 +38,30 @@ const (
 
 	headerSize = 6
 
-	// classicPayloadSize is 7 uncompressed G1 points + 6 field elements.
-	classicPayloadSize = 7*64 + 6*32
 	// lookupSize is the LogUp commitments [M], [H], [S] and the two LogUp
 	// openings: the table at ζ and S at ζω.
 	lookupSize = 3*64 + 2*32
-	// customSize is the second quotient piece and the next-row opening Y.
-	customSize = 64 + 32
 )
 
 // proofMagic stamps every versioned proof encoding.
 var proofMagic = [4]byte{'Z', 'K', 'P', 'F'}
 
-// ProofSize is the byte length of a serialized classic proof (header plus
-// the constant classic payload). The other shapes add constant sizes too
-// (see encodedSize), whatever the circuit size.
-const ProofSize = headerSize + classicPayloadSize
+// ProofSize is the byte length of the smallest proof encoding, a custom
+// proof: the header, 8 uncompressed G1 points and 7 field elements. A
+// lookup proof adds lookupSize (see encodedSize), whatever the circuit size.
+const ProofSize = headerSize + 8*64 + 7*32
 
 // MaxProofSize is the byte length of the largest proof encoding there is:
 // a lookup + custom-gate proof. A decoder embedding proofs in its own
 // format caps a length prefix with it.
-const MaxProofSize = ProofSize + lookupSize + customSize
+const MaxProofSize = ProofSize + lookupSize
 
 // encodedSize returns the byte length of a proof of the given shape.
 func encodedSize(f shape) int {
-	size := ProofSize
 	if f.lookup() {
-		size += lookupSize
+		return MaxProofSize
 	}
-	if f.custom() {
-		size += customSize
-	}
-	return size
+	return ProofSize
 }
 
 // eachWireField visits the proof's fields in encoding order, calling point
@@ -85,7 +76,7 @@ func (p *Proof) eachWireField(point func(*bn254.G1Affine), scalar func(*fr.Eleme
 	}
 	point(&p.WZeta)
 	point(&p.WZetaOmega)
-	if p.shape().lookup() {
+	if p.Lookup {
 		point(&p.M)
 		point(&p.H)
 		point(&p.S)
@@ -137,18 +128,14 @@ func ProofFromBytes(data []byte) (*Proof, error) {
 	if f&^(shapeLookup|shapeCustom) != 0 {
 		return nil, fmt.Errorf("plonk: unknown proof flags %#02x", byte(f))
 	}
-	if f == shapeLookup {
-		return nil, fmt.Errorf("%w: flags %#02x, a lookup argument without custom gates", ErrProofShape, byte(f))
+	if f&shapeCustom == 0 {
+		return nil, fmt.Errorf("%w: flags %#02x, a proof without the custom-gate layout", ErrProofShape, byte(f))
 	}
 	if want := encodedSize(f); len(data) != want {
 		return nil, fmt.Errorf("plonk: proof with flags %#02x must be %d bytes, got %d", byte(f), want, len(data))
 	}
 
-	p := &Proof{Lookup: f.lookup()}
-	if f != 0 {
-		p.Evals.Ext = &ExtEvals{}
-	}
-	p.T = make([]bn254.G1Affine, f.quotientPieces())
+	p := &Proof{Lookup: f.lookup(), T: make([]bn254.G1Affine, quotientPieces)}
 	off := headerSize
 	var err error
 	p.eachWireField(func(pt *bn254.G1Affine) {

@@ -18,10 +18,8 @@ func openingNames(p *Proof) []string {
 	names := map[*fr.Element]string{
 		&ev.A: "a", &ev.B: "b", &ev.C: "c", &ev.S1: "σ1", &ev.S2: "σ2", &ev.ZOmega: "z(ζω)",
 	}
-	if x := ev.Ext; x != nil {
-		for e, n := range map[*fr.Element]string{&x.Tbl: "T", &x.SOmega: "S(ζω)", &x.Y: "Y"} {
-			names[e] = n
-		}
+	for e, n := range map[*fr.Element]string{&ev.Tbl: "T", &ev.SOmega: "S(ζω)", &ev.Y: "Y"} {
+		names[e] = n
 	}
 	atZeta, atOmega := p.openings()
 	var out []string
@@ -31,12 +29,13 @@ func openingNames(p *Proof) []string {
 	return out
 }
 
-// TestExtendedProofSerializationRoundTrip round-trips proofs of each of
-// the three shapes (two of lookup + custom) through the versioned encoding at
-// its exact size, field counts, opening list and flags byte, verifies the
-// decoded proof, and checks that no other flags byte is read on the same
-// bytes: an unknown bit is refused, and so is another shape's flags (every
-// shape has its own length) and the lookup-only flags 0x01.
+// TestExtendedProofSerializationRoundTrip round-trips proofs of both shapes
+// (muladd, without Poseidon rows, and mimc on the custom one; two of lookup +
+// custom) through the versioned encoding at its exact size, field counts,
+// opening list and flags byte, verifies the decoded proof, and checks that no
+// other flags byte is read on the same bytes: an unknown bit is refused, and
+// so is the other shape's flags (each shape has its own length), the classic
+// flags 0x00 and the lookup-only flags 0x01.
 func TestExtendedProofSerializationRoundTrip(t *testing.T) {
 	for _, tc := range []struct {
 		shape    string
@@ -45,7 +44,7 @@ func TestExtendedProofSerializationRoundTrip(t *testing.T) {
 		g1, fr   int
 		openings string
 	}{
-		{"muladd", 0x00, 646, 7, 6, "a b c σ1 σ2 z(ζω)"},
+		{"muladd", 0x02, 742, 8, 7, "a b c σ1 σ2 z(ζω) Y"},
 		{"mimc", 0x02, 742, 8, 7, "a b c σ1 σ2 z(ζω) Y"},
 		{"lookup", 0x03, 998, 11, 9, "a b c σ1 σ2 T z(ζω) S(ζω) Y"},
 		{"mixed", 0x03, 998, 11, 9, "a b c σ1 σ2 T z(ζω) S(ζω) Y"},
@@ -201,13 +200,13 @@ func TestProofHeaderValidation(t *testing.T) {
 		t.Fatal("unknown flags accepted")
 	}
 
-	// A known shape's flag on a classic-length blob must fail the length
-	// check.
-	for _, f := range []shape{shapeLookup, shapeCustom, shapeLookup | shapeCustom} {
+	// Any other shape's flags on a custom proof's bytes must be refused:
+	// 0x00 and 0x01 as shapes no key proves on, 0x03 by the length check.
+	for _, f := range []shape{0, shapeLookup, shapeLookup | shapeCustom} {
 		bad = append([]byte{}, good...)
 		bad[5] = byte(f)
 		if _, err := ProofFromBytes(bad); err == nil {
-			t.Fatalf("flags %#02x with classic length accepted", byte(f))
+			t.Fatalf("flags %#02x on a custom proof's bytes accepted", byte(f))
 		}
 	}
 

@@ -91,10 +91,9 @@ func TestCustomGateQuotientCoset(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		domainE, pieces := pk.quotientDomain()
-		if vk.N != tc.n || domainE.N != tc.mult*tc.n || pieces != 2 {
-			t.Fatalf("%d rounds: %d-point domain, %d-point coset, %d pieces; want %d, %d, 2",
-				tc.rounds, vk.N, domainE.N, pieces, tc.n, tc.mult*tc.n)
+		if domainE := pk.quotient; vk.N != tc.n || domainE.N != tc.mult*tc.n {
+			t.Fatalf("%d rounds: %d-point domain, %d-point coset; want %d, %d",
+				tc.rounds, vk.N, domainE.N, tc.n, tc.mult*tc.n)
 		}
 		proof, err := Prove(pk, witness)
 		if err != nil {

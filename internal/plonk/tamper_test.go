@@ -36,14 +36,14 @@ type proofField struct {
 //
 // The quotient's n-coefficient ranges keep the names of the pieces that
 // held them when each was a commitment of its own — TLo, TMid and THi (and,
-// linearized, evalT, evalTMid and evalTHi), then T3–T5 on a custom-gate
-// proof: each is corrupted by adding [τ^k]G1 to the 3n-coefficient piece
-// that now holds it, k the range's first coefficient there. Likewise the
-// next-row wires keep their names: a lie about lane a, b or c at ζω moves Y
-// by that lane's weight α^6, α^7 or α^8.
+// linearized, evalT, evalTMid and evalTHi), then T3–T5: each is corrupted
+// by adding [τ^k]G1 to the 3n-coefficient piece that now holds it, k the
+// range's first coefficient there. Likewise the next-row wires keep their
+// names: a lie about lane a, b or c at ζω moves Y by that lane's weight α^6,
+// α^7 or α^8.
 func proofFields(p *Proof, vk *VerifyingKey, public []fr.Element) []proofField {
 	ev := &p.Evals
-	lookup, custom := p.shape().lookup(), p.shape().custom()
+	lookup := p.Lookup
 	g := bn254.G1Generator()
 	n := int(vk.N)
 	srs := testSRSOnce()
@@ -67,38 +67,34 @@ func proofFields(p *Proof, vk *VerifyingKey, public []fr.Element) []proofField {
 		{name: "evalQC", pt: &vk.QC, key: true}, {name: "evalS3", pt: &vk.S3, key: true},
 		piece("evalT", 0, 0), piece("evalTMid", 0, n), piece("evalTHi", 0, 2*n),
 	}
-	if ex := ev.Ext; ex != nil {
-		// The lane weights are α^6…α^8 of p's own transcript; Y enters it
-		// only after α.
-		tr := transcript.New("zkdet/plonk")
-		bindTranscript(tr, vk, public)
-		ch := p.absorbRound1(tr)
-		ch.mds = vk.MDS
-		p.absorbRound2(tr, ch)
-		fs = append(fs, []proofField{
-			{name: "table eval", ev: &ex.Tbl, unused: !lookup},
-			{name: "SOmega eval", ev: &ex.SOmega, unused: !lookup},
-			{name: "Y eval", ev: &ex.Y, unused: !custom},
-			{name: "AOmega eval", ev: &ex.Y, byEv: ch.alphaPow[6], unused: !custom},
-			{name: "BOmega eval", ev: &ex.Y, byEv: ch.alphaPow[7], unused: !custom},
-			{name: "COmega eval", ev: &ex.Y, byEv: ch.alphaPow[8], unused: !custom},
-		}...)
-		linear = append(linear, []proofField{
-			{name: "M eval", pt: &p.M, unused: !lookup},
-			{name: "H eval", pt: &p.H, unused: !lookup},
-			{name: "S eval", pt: &p.S, unused: !lookup},
-			{name: "lookup selector eval", pt: &vk.QLk, key: true, unread: !vk.Lookup},
-			{name: "QPosF eval", pt: &vk.QPosF, key: true, unread: !vk.Custom},
-			{name: "QPosP eval", pt: &vk.QPosP, key: true, unread: !vk.Custom},
-			{name: "K0 eval", pt: &vk.KC0, key: true, unread: !vk.Custom},
-			{name: "K1 eval", pt: &vk.KC1, key: true, unread: !vk.Custom},
-			{name: "K2 eval", pt: &vk.KC2, key: true, unread: !vk.Custom},
-		}...)
-	}
-	if custom {
-		fs = append(fs, piece("T3 commitment", 1, 0), piece("T4 commitment", 1, n), piece("T5 commitment", 1, 2*n))
-		linear = append(linear, piece("T3 eval", 1, 0), piece("T4 eval", 1, n), piece("T5 eval", 1, 2*n))
-	}
+	// The lane weights are α^6…α^8 of p's own transcript; Y enters it only
+	// after α.
+	tr := transcript.New("zkdet/plonk")
+	bindTranscript(tr, vk, public)
+	ch := p.absorbRound1(tr)
+	ch.mds = vk.MDS
+	p.absorbRound2(tr, ch)
+	fs = append(fs, []proofField{
+		{name: "table eval", ev: &ev.Tbl, unused: !lookup},
+		{name: "SOmega eval", ev: &ev.SOmega, unused: !lookup},
+		{name: "Y eval", ev: &ev.Y},
+		{name: "AOmega eval", ev: &ev.Y, byEv: ch.alphaPow[6]},
+		{name: "BOmega eval", ev: &ev.Y, byEv: ch.alphaPow[7]},
+		{name: "COmega eval", ev: &ev.Y, byEv: ch.alphaPow[8]},
+		piece("T3 commitment", 1, 0), piece("T4 commitment", 1, n), piece("T5 commitment", 1, 2*n),
+	}...)
+	linear = append(linear, []proofField{
+		{name: "M eval", pt: &p.M, unused: !lookup},
+		{name: "H eval", pt: &p.H, unused: !lookup},
+		{name: "S eval", pt: &p.S, unused: !lookup},
+		{name: "lookup selector eval", pt: &vk.QLk, key: true, unread: !vk.Lookup},
+		{name: "QPosF eval", pt: &vk.QPosF, key: true},
+		{name: "QPosP eval", pt: &vk.QPosP, key: true},
+		{name: "K0 eval", pt: &vk.KC0, key: true},
+		{name: "K1 eval", pt: &vk.KC1, key: true},
+		{name: "K2 eval", pt: &vk.KC2, key: true},
+		piece("T3 eval", 1, 0), piece("T4 eval", 1, n), piece("T5 eval", 1, 2*n),
+	}...)
 	for i := range fs {
 		if fs[i].pt != nil && fs[i].byPt.IsInfinity() {
 			fs[i].byPt = g
@@ -216,9 +212,12 @@ func rejectEveryCorruption(t *testing.T, shapes ...string) {
 	}
 }
 
-// TestVerifyRejectsEveryCorruption covers the classic proof shape, on a
-// power-of-two and on a 3·2^k domain: its one quotient piece in each of the
-// three ranges it holds; its unused fields are [M], [H], [S].
+// TestVerifyRejectsEveryCorruption covers circuits without Poseidon rows,
+// which were on the classic shape until it was deleted and now prove on the
+// custom one, on a power-of-two and on a 3·2^k domain: both quotient pieces
+// in every range they hold, Y and each lane inside it, and the zero Poseidon
+// columns, which the key commits and the transcript binds; the unused
+// fields are [M], [H], [S] and the two LogUp openings.
 func TestVerifyRejectsEveryCorruption(t *testing.T) {
 	rejectEveryCorruption(t, "muladd", "power20")
 }

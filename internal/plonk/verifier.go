@@ -36,8 +36,8 @@ func lagrangePrefix(omega []fr.Element, n uint64, zeta, zh *fr.Element) []fr.Ele
 // weights many openings into one MSM for L and one for W, in which each
 // key's columns and the generator enter once. A commitment that enters more
 // than once — [z] is linearized and opened at ζω, [S] likewise on a lookup
-// key, the wires are opened at ζ and, on a custom-gate key, inside Y at
-// ζω — is one term whose scalars add.
+// key, the wires are opened at ζ and inside Y at ζω — is one term whose
+// scalars add.
 type opening struct {
 	vk   *VerifyingKey
 	cols []*kzg.Commitment // vk.columns()
@@ -82,22 +82,21 @@ func (o *opening) add(pt *kzg.Commitment, s *fr.Element) {
 // and Z_H(ζ)·t(ζ) = numerator(ζ)) with the ζ openings at v, v², …; Fω folds
 // the ζω openings at 1, v, …, Y's commitment being Σ_l α^{6+l}·[w_l], built
 // from the wire commitments the proof already carries; E = (valζ +
-// u·valω)·G1. A classic proof's terms are 16 points, a custom one's 22, a
-// lookup + custom one's 27 (TestOpeningMSMWidth). It runs no group
-// operation. The key's shape fixes what the proof must carry; a proof
-// carrying any other set of fields is refused with ErrProofShape.
+// u·valω)·G1. A custom proof's terms are 22 points, a lookup + custom one's
+// 27 (TestOpeningMSMWidth). It runs no group operation. The key's lookup bit
+// fixes what the proof must carry; a proof carrying any other set of fields,
+// or other than quotientPieces quotient pieces, is refused with
+// ErrProofShape.
 func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (opening, error) {
 	if len(public) != vk.NbPublic {
 		return opening{}, fmt.Errorf("%w: got %d, want %d", ErrWrongPublic, len(public), vk.NbPublic)
 	}
 	sh := vk.shape()
-	if got, ext := proof.shape(), proof.Evals.Ext != nil; got != sh || ext != (sh != 0) {
-		return opening{}, fmt.Errorf("%w: proof shape %#02x (extended=%v), key shape %#02x",
-			ErrProofShape, byte(got), ext, byte(sh))
+	if got := proof.shape(); got != sh {
+		return opening{}, fmt.Errorf("%w: proof shape %#02x, key shape %#02x", ErrProofShape, byte(got), byte(sh))
 	}
-	if len(proof.T) != sh.quotientPieces() {
-		return opening{}, fmt.Errorf("%w: %d quotient pieces, want %d",
-			ErrProofShape, len(proof.T), sh.quotientPieces())
+	if len(proof.T) != quotientPieces {
+		return opening{}, fmt.Errorf("%w: %d quotient pieces, want %d", ErrProofShape, len(proof.T), quotientPieces)
 	}
 	if proof.strayFields(sh) {
 		return opening{}, fmt.Errorf("%w: fields set that a %#02x proof does not carry", ErrProofShape, byte(sh))
@@ -145,12 +144,10 @@ func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (opening, e
 	if vk.Lookup {
 		linear = append(linear, &proof.M, &proof.H, &proof.S, &vk.QLk)
 	}
-	if vk.Custom {
-		linear = append(linear, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2)
-	}
+	linear = append(linear, &vk.QPosF, &vk.QPosP, &vk.KC0, &vk.KC1, &vk.KC2)
 	// The openings, in Proof.openings order: at ζ after [r] with v, v², …,
-	// at ζω with 1, v, … inside the u-weighted term; Y's commitment is the
-	// wires' under the lane weights.
+	// at ζω with 1, v, … inside the u-weighted term; Y, the last, has the
+	// wires' commitments under the lane weights.
 	openZeta := []*kzg.Commitment{&proof.A, &proof.B, &proof.C, &vk.S1, &vk.S2}
 	openOmega := []*kzg.Commitment{&proof.Z}
 	if vk.Lookup {
@@ -190,17 +187,15 @@ func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (opening, e
 		t.Mul(atOmega[i], &vPowers[i])
 		valOmega.Add(&valOmega, &t)
 	}
-	if vk.Custom {
-		k := len(openOmega)
-		var uv fr.Element
-		uv.Mul(&u, &vPowers[k])
-		for l, c := range []*kzg.Commitment{&proof.A, &proof.B, &proof.C} {
-			t.Mul(&uv, &ch.alphaPow[6+l])
-			o.add(c, &t)
-		}
-		t.Mul(atOmega[k], &vPowers[k])
-		valOmega.Add(&valOmega, &t)
+	k := len(openOmega)
+	var uv fr.Element
+	uv.Mul(&u, &vPowers[k])
+	for l, c := range []*kzg.Commitment{&proof.A, &proof.B, &proof.C} {
+		t.Mul(&uv, &ch.alphaPow[6+l])
+		o.add(c, &t)
 	}
+	t.Mul(atOmega[k], &vPowers[k])
+	valOmega.Add(&valOmega, &t)
 
 	// ζ·Wζ, u·ζω·Wζω and −E.
 	o.add(&proof.WZeta, &zeta)
@@ -231,7 +226,7 @@ func (vk *VerifyingKey) CheckDomain() error {
 
 // Verify checks a proof against the verifying key and public inputs: it is
 // the Batch fold of one. Its cost is one two-pair pairing check (against
-// precomputed G2 line tables cached on the verifying key), the 16- to
+// precomputed G2 line tables cached on the verifying key), the 22- or
 // 27-point MSM of the left-hand point and u·Wζω — independent of the
 // circuit size except for the O(ℓ) public-input Lagrange terms, which share
 // a single batched inversion.

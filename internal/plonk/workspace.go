@@ -11,7 +11,8 @@ import (
 // workspace holds every buffer one proof fills, sized for one key: the
 // wire values and their blinded polynomials, the permutation numerators,
 // denominators and z, the LogUp columns of a lookup key, the coset columns
-// and quotient of round 3, and both round-5 folds, whose quotients by
+// and quotient of round 3, the next-row fold Y opens, and both round-5
+// folds, whose quotients by
 // (X − ζ) and (X − ζω) are taken in place. Prove overwrites or clears
 // every buffer before it reads it, so a proof on a used workspace is
 // byte-identical to one on a fresh workspace.
@@ -25,12 +26,14 @@ type workspace struct {
 	mV, hV, sV []fr.Element      // lookup: LogUp columns over the rows, n
 	counts     []uint64          // lookup: one tally per table value
 	m, h, s    poly.Polynomial   // lookup: blinded M, H (n + 2) and S (n + 3)
-	y          poly.Polynomial   // custom: Σ_l α^{6+l}·w_l, n + 2
+	y          poly.Polynomial   // Σ_l α^{6+l}·w_l, n + 2
 	wire       [][]fr.Element    // coset columns of a, b, c, z, PI (and M, H, S)
 	t          poly.Polynomial   // the quotient over the coset, then its coefficients
-	foldZeta   poly.Polynomial   // round 5's fold at ζ, up to 3n + 6
+	foldZeta   poly.Polynomial   // round 5's fold at ζ, 3n (srsPowers)
 	foldOmega  poly.Polynomial   // round 5's fold at ζω, n + 3
 	pieces     []poly.Polynomial // the quotient's pieces, views into t
+	fold       []poly.Polynomial // the polynomials round 5 folds at ζ
+	coeffs     []fr.Element      // and their coefficients
 }
 
 // newWorkspace allocates a workspace for pk's domain and shape.
@@ -41,10 +44,14 @@ func (pk *ProvingKey) newWorkspace() *workspace {
 		aV: vec(n), bV: vec(n), cV: vec(n),
 		pi: vec(n), a: vec(n + 2), b: vec(n + 2), c: vec(n + 2),
 		nums: vec(n), dens: vec(n), zV: vec(n), z: vec(n + 3),
+		y:         vec(n + 2),
 		t:         vec(int(pk.quotient.N)),
-		foldZeta:  vec(3*n + 6),
+		foldZeta:  vec(srsPowers(uint64(n))),
 		foldOmega: vec(n + 3),
-		pieces:    make([]poly.Polynomial, pk.shape.quotientPieces()),
+		pieces:    make([]poly.Polynomial, quotientPieces),
+		// At most 16 linear columns, the pieces and 6 openings at ζ.
+		fold:   make([]poly.Polynomial, 0, 16+quotientPieces+6),
+		coeffs: make([]fr.Element, 0, 16+quotientPieces+6),
 	}
 	nbWire := 5
 	if pk.shape.lookup() {
@@ -52,9 +59,6 @@ func (pk *ProvingKey) newWorkspace() *workspace {
 		ws.counts = make([]uint64, 1<<pk.tableBits)
 		ws.m, ws.h, ws.s = vec(n+2), vec(n+2), vec(n+3)
 		nbWire = 8
-	}
-	if pk.shape.custom() {
-		ws.y = vec(n + 2)
 	}
 	ws.wire = make([][]fr.Element, nbWire)
 	for i := range ws.wire {

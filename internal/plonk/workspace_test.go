@@ -22,10 +22,11 @@ func proveSeeded(t *testing.T, pk *ProvingKey, witness []fr.Element) *Proof {
 }
 
 // TestProveOnUsedWorkspace pins that a key's workspace carries nothing from
-// one proof into the next: for a classic, a custom and a lookup + custom
-// key, a proof made after the key has proved another witness of its circuit
-// is byte-identical, under the seeded blinding stream, to the proof a
-// freshly set-up key makes of the same witness.
+// one proof into the next: for an arithmetic-only key (the subtest keeps the
+// name it had when that was the classic shape), a Poseidon round chain and a
+// lookup + custom key, a proof made after the key has proved another witness
+// of its circuit is byte-identical, under the seeded blinding stream, to the
+// proof a freshly set-up key makes of the same witness.
 func TestProveOnUsedWorkspace(t *testing.T) {
 	cases := []struct {
 		name         string
