@@ -321,6 +321,90 @@ func TestDurableCrashRecoversProofsFromWALTail(t *testing.T) {
 	}
 }
 
+// TestCTAuditByTokenSurvivesRecovery covers zkdet_ctAudit's payment list:
+// after a confidential sale the auditor's secret lists exactly that payment
+// with its value under the sold token's id and nothing under another
+// token's, and an archive-role durable daemon killed before any checkpoint
+// gives the same answers once it has replayed its WAL — the list is the
+// indexer's, refolded from the recovered blocks.
+func TestCTAuditByTokenSurvivesRecovery(t *testing.T) {
+	cfg := confidentialCfg(t, nil)
+	cfg.role = "archive"
+	srv, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(srv.handler())
+	c := newRPCClient(ts.URL)
+	for _, who := range []string{"issuer", "alice", "bob"} {
+		if err := c.call("zkdet_faucet", map[string]any{"address": who, "amount": 10_000_000}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	alice, bob := mustAddr(t, "alice"), mustAddr(t, "bob")
+	data := core.Dataset{fr.NewElement(7), fr.NewElement(8), fr.NewElement(9)}
+	sold, err := srv.mkt.MintAsset(alice, "alice", data, fr.NewElement(0x50d))
+	if err != nil {
+		t.Fatal(err)
+	}
+	unsold, err := srv.mkt.MintAsset(alice, "alice", data, fr.NewElement(0x7e7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	notes, err := srv.mkt.ConfidentialMint([]core.ConfPayment{{Value: 5000, To: bob}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.mkt.SellConfidential(3, alice, bob, sold, core.RangePredicate{Bits: 16}, notes[0]); err != nil {
+		t.Fatal(err)
+	}
+
+	type payment struct {
+		ExchangeID uint64 `json:"exchangeId"`
+		TokenID    uint64 `json:"tokenId"`
+		NoteID     uint64 `json:"noteId"`
+		Value      uint64 `json:"value"`
+	}
+	sk := fr.NewElement(0x5ec7)
+	skB := sk.Bytes()
+	check := func(c *rpcClient, when string) {
+		t.Helper()
+		for _, tc := range []struct {
+			token uint64
+			want  []payment
+		}{
+			{sold.TokenID, []payment{{ExchangeID: 3, TokenID: sold.TokenID, NoteID: notes[0].ID, Value: 5000}}},
+			{unsold.TokenID, []payment{}},
+		} {
+			var got struct {
+				Payments []payment `json:"payments"`
+			}
+			if err := c.call("zkdet_ctAudit", map[string]any{"auditorSecret": hexBytes(skB[:]), "tokenId": tc.token}, &got); err != nil {
+				t.Fatalf("%s: auditing token #%d: %v", when, tc.token, err)
+			}
+			if !slices.Equal(got.Payments, tc.want) {
+				t.Fatalf("%s: token #%d lists payments %+v, want %+v", when, tc.token, got.Payments, tc.want)
+			}
+		}
+	}
+	check(c, "before the crash")
+	crashDaemon(t, srv, ts)
+
+	srv2, err := newServer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts2 := httptest.NewServer(srv2.handler())
+	t.Cleanup(func() {
+		ts2.Close()
+		srv2.close()
+	})
+	if rep := srv2.recovery; rep.SnapshotPath != "" || rep.BlocksReplayed == 0 {
+		t.Fatalf("recovery %+v, want the blocks replayed from the WAL alone", rep)
+	}
+	check(newRPCClient(ts2.URL), "after recovery")
+}
+
 // TestDurableRecoversAfterUnknownContractTx: one transaction naming a
 // contract that does not exist used to advance its sender's nonce without
 // entering any block, so the sender's next, perfectly valid transaction was

@@ -660,9 +660,10 @@ func (g *gateway) ctNote(_ context.Context, p idParams) (any, error) {
 }
 
 // ctAudit opens hidden amounts with the designated auditor's secret key.
-// With noteId it opens one note; otherwise it enumerates the contract's
-// settled exchanges (optionally filtered by tokenId) and opens each
-// payment note — the designated-auditor view of AuditLineage.
+// With noteId it opens one note; otherwise it enumerates the settled
+// confidential exchanges the indexer holds (optionally filtered by tokenId)
+// and opens each payment note — the designated-auditor view of
+// AuditLineage.
 func (g *gateway) ctAudit(_ context.Context, p ctAuditParams) (any, error) {
 	d, err := g.ctDeployment()
 	if err != nil {
@@ -701,10 +702,6 @@ func (g *gateway) ctAudit(_ context.Context, p ctAuditParams) (any, error) {
 		}
 		return map[string]any{"notes": []ctNoteOut{view}}, nil
 	}
-	settlements, err := contracts.ReadCTSettlements(g.srv.mkt.Chain, contracts.ConfidentialTokenName)
-	if err != nil {
-		return nil, err
-	}
 	type paymentOut struct {
 		ExchangeID uint64 `json:"exchangeId"`
 		TokenID    uint64 `json:"tokenId"`
@@ -712,17 +709,17 @@ func (g *gateway) ctAudit(_ context.Context, p ctAuditParams) (any, error) {
 		Value      uint64 `json:"value"`
 	}
 	payments := []paymentOut{}
-	for _, s := range settlements {
-		if !s.Settled || (p.TokenID != 0 && s.TokenID != p.TokenID) {
+	for _, x := range g.srv.ix.Exchanges(contracts.ConfidentialTokenName) {
+		if x.Status != indexer.ExchangeSettled || (p.TokenID != 0 && x.Token != p.TokenID) {
 			continue
 		}
-		view, err := openNote(s.NoteID)
+		view, err := openNote(x.Note)
 		if err != nil {
 			return nil, err
 		}
 		payments = append(payments, paymentOut{
-			ExchangeID: s.ExchangeID, TokenID: s.TokenID,
-			NoteID: s.NoteID, Value: view.Value,
+			ExchangeID: x.ID, TokenID: x.Token,
+			NoteID: x.Note, Value: view.Value,
 		})
 	}
 	return map[string]any{"payments": payments}, nil

@@ -77,7 +77,7 @@ var _ chain.Contract = (*ConfidentialToken)(nil)
 // genesis parameters every replica shares.
 func NewConfidentialToken(issuer chain.Address, auditorPub bn254.G1Affine, rangeVerifierName, pikVerifierName string, timeoutBlocks uint64) *ConfidentialToken {
 	return &ConfidentialToken{
-		exchange:          exchange{space: ctSpace, events: "CT", verifierName: pikVerifierName, timeoutBlocks: timeoutBlocks, pay: lockedNote{}},
+		exchange:          exchange{space: ctSpace, verifierName: pikVerifierName, timeoutBlocks: timeoutBlocks, pay: lockedNote{}},
 		issuer:            issuer,
 		auditor:           auditorPub,
 		params:            ct.DefaultParams(),
@@ -391,7 +391,7 @@ func (c *ConfidentialToken) mintOrTransfer(ctx *chain.CallContext, args []byte, 
 // owner on settle or refund.
 type lockedNote struct{}
 
-func (lockedNote) lock(ctx *chain.CallContext, x *exchange, id uint64, seller, _, _ []byte, t lockTerms) ([]byte, error) {
+func (lockedNote) lock(ctx *chain.CallContext, x *exchange, id uint64, t lockTerms) ([][]byte, error) {
 	owner, status, err := loadNote(ctx, t.note)
 	if err != nil {
 		return nil, err
@@ -408,50 +408,32 @@ func (lockedNote) lock(ctx *chain.CallContext, x *exchange, id uint64, seller, _
 	if err := ctx.Store.Set(x.key(id, "note"), U64(t.note)); err != nil {
 		return nil, err
 	}
-	if err := ctx.Store.Set(x.key(id, "token"), U64(t.token)); err != nil {
-		return nil, err
-	}
-	// The exchange index makes confidential settlements enumerable for the
-	// auditor without an event indexer.
-	idxRaw, err := ctx.Store.Get("ctex/index")
-	if err != nil {
-		return nil, err
-	}
-	ids, _ := DecU64List(idxRaw)
-	if err := ctx.Store.Set("ctex/index", U64List(append(ids, id))); err != nil {
-		return nil, err
-	}
 	comm, err := ctx.Store.Get(noteKey(t.note, "comm"))
 	if err != nil {
 		return nil, err
 	}
-	return EncodeArgs(U64(id), U64(t.token), U64(t.note), seller, comm), nil
+	return [][]byte{U64(t.token), U64(t.note), comm}, nil
 }
 
-func (lockedNote) settle(ctx *chain.CallContext, x *exchange, id uint64, seller chain.Address, kc []byte) ([]byte, error) {
+// moveNote re-owns an exchange's locked note, unspent, and returns the
+// payment's event part: the note id.
+func moveNote(ctx *chain.CallContext, x *exchange, id uint64, to chain.Address) ([][]byte, error) {
 	noteID, err := x.getU64(ctx, id, "note")
 	if err != nil {
 		return nil, err
 	}
-	if err := setNoteOwner(ctx, noteID, seller, noteUnspent); err != nil {
+	if err := setNoteOwner(ctx, noteID, to, noteUnspent); err != nil {
 		return nil, err
 	}
-	tokenID, err := x.getU64(ctx, id, "token")
-	if err != nil {
-		return nil, err
-	}
-	return EncodeArgs(U64(id), U64(tokenID), U64(noteID), kc), nil
+	return [][]byte{U64(noteID)}, nil
 }
 
-func (lockedNote) refund(ctx *chain.CallContext, x *exchange, id uint64, buyer chain.Address) ([]byte, error) {
-	noteID, err := x.getU64(ctx, id, "note")
-	if err != nil {
-		return nil, err
-	}
-	if err := setNoteOwner(ctx, noteID, buyer, noteUnspent); err != nil {
-		return nil, err
-	}
-	return EncodeArgs(U64(id), U64(noteID)), nil
+func (lockedNote) settle(ctx *chain.CallContext, x *exchange, id uint64, seller chain.Address) ([][]byte, error) {
+	return moveNote(ctx, x, id, seller)
+}
+
+func (lockedNote) refund(ctx *chain.CallContext, x *exchange, id uint64, buyer chain.Address) ([][]byte, error) {
+	return moveNote(ctx, x, id, buyer)
 }
 
 // ReadCTNote decodes a note's public record from chain storage without
@@ -471,39 +453,4 @@ func ReadCTNote(c *chain.Chain, contractName string, id uint64) (*CTNote, error)
 		return nil, fmt.Errorf("contracts: note %d: %w", id, err)
 	}
 	return n, nil
-}
-
-// CTSettlement is one settled (or still open) confidential exchange, as
-// enumerated for the auditor.
-type CTSettlement struct {
-	ExchangeID uint64
-	TokenID    uint64
-	NoteID     uint64
-	Settled    bool
-}
-
-// ReadCTSettlements enumerates every confidential exchange recorded by
-// the contract, in lock order (off-chain view; the auditor joins these
-// against a token's lineage).
-func ReadCTSettlements(c *chain.Chain, contractName string) ([]CTSettlement, error) {
-	ids, err := DecU64List(c.ReadStorage(contractName, "ctex/index"))
-	if err != nil {
-		return nil, fmt.Errorf("contracts: exchange index: %w", err)
-	}
-	out := make([]CTSettlement, 0, len(ids))
-	for _, exID := range ids {
-		status := c.ReadStorage(contractName, exchangeKey(ctSpace, exID, "status"))
-		if len(status) == 0 {
-			continue
-		}
-		tokenID, _ := DecU64(c.ReadStorage(contractName, exchangeKey(ctSpace, exID, "token")))
-		noteID, _ := DecU64(c.ReadStorage(contractName, exchangeKey(ctSpace, exID, "note")))
-		out = append(out, CTSettlement{
-			ExchangeID: exID,
-			TokenID:    tokenID,
-			NoteID:     noteID,
-			Settled:    status[0] == statusSettled,
-		})
-	}
-	return out, nil
 }

@@ -279,7 +279,7 @@ func TestConfidentialEscrowSettle(t *testing.T) {
 	}
 
 	// The seller settles with a valid π_k.
-	mustSucceed(t, call(t, c, seller, ConfidentialTokenName, "settle", 0,
+	settled := mustSucceed(t, call(t, c, seller, ConfidentialTokenName, "settle", 0,
 		EncodeArgs(U64(1), parts[1], parts[0], parts[1], parts[2], parts[3])))
 
 	// The note now belongs to the seller, spendable again.
@@ -291,15 +291,44 @@ func TestConfidentialEscrowSettle(t *testing.T) {
 		t.Fatalf("settled note owner=%x status=%d", note.Owner, note.Status)
 	}
 
-	// Settlement is enumerable for the auditor.
-	settlements, err := ReadCTSettlements(c, ConfidentialTokenName)
-	if err != nil {
-		t.Fatal(err)
+	// The settlement is public: the machine's Settled event names the
+	// exchange, its k_c and the note that moved.
+	ev := settled.Logs[len(settled.Logs)-1]
+	if want := EncodeArgs(U64(1), parts[1], U64(ids[0])); ev.Name != "Settled" || !bytes.Equal(ev.Data, want) {
+		t.Fatalf("settle logged %s %x, want Settled %x", ev.Name, ev.Data, want)
 	}
-	if len(settlements) != 1 || !settlements[0].Settled ||
-		settlements[0].TokenID != 7 || settlements[0].NoteID != ids[0] {
-		t.Fatalf("settlements %+v", settlements)
+}
+
+// TestConfidentialLockGasFlat: a confidential lock pays for its own
+// exchange only. Forty exchanges opened on one chain, each locking its own
+// note, must each cost what the first one did.
+func TestConfidentialLockGasFlat(t *testing.T) {
+	c, issuer, alice, seller := ctEnv(t)
+	parts := deployToyPiK(t, c)
+	var ids []uint64 // four mints of ten notes: a transfer names at most 16 parties
+	for m := uint64(0); m < 4; m++ {
+		secrets := make([]ct.OutputSecret, 10)
+		recipients := make([]chain.Address, len(secrets))
+		for i := range secrets {
+			k := 2 * (10*m + uint64(i))
+			secrets[i] = ct.OutputSecret{V: 100 + k, R: fr.NewElement(301 + k), Rho: fr.NewElement(302 + k)}
+			recipients[i] = alice
+		}
+		r := mustSucceed(t, call(t, c, issuer, ConfidentialTokenName, "mint", 0, ctProve(t, issuer, true, nil, nil, secrets, recipients)))
+		minted, _ := DecU64List(r.Return)
+		ids = append(ids, minted...)
 	}
+	var first uint64
+	for i, note := range ids {
+		lock := mustSucceed(t, call(t, c, alice, ConfidentialTokenName, "lock", 0,
+			EncodeArgs(U64(uint64(i+1)), U64(note), seller[:], parts[3], parts[2], U64(7))))
+		if i == 0 {
+			first = lock.GasUsed
+		} else if lock.GasUsed != first {
+			t.Fatalf("exchange %d: lock cost %d gas, the first %d", i+1, lock.GasUsed, first)
+		}
+	}
+	t.Logf("every lock cost %d gas", first)
 }
 
 func TestConfidentialEscrowRefund(t *testing.T) {

@@ -58,25 +58,22 @@ func (e *Escrow) Call(ctx *chain.CallContext, method string, args []byte) ([]byt
 // the contract and moved with ctx.Transfer.
 type nativeValue struct{}
 
-func (nativeValue) lock(ctx *chain.CallContext, x *exchange, id uint64, seller, hv, c []byte, _ lockTerms) ([]byte, error) {
+func (nativeValue) lock(ctx *chain.CallContext, x *exchange, id uint64, _ lockTerms) ([][]byte, error) {
 	if err := ctx.Store.Set(x.key(id, "amount"), U64(ctx.Value)); err != nil {
 		return nil, err
 	}
-	return EncodeArgs(U64(id), seller, hv, c, U64(ctx.Value)), nil
+	return [][]byte{U64(ctx.Value)}, nil
 }
 
-func (nativeValue) settle(ctx *chain.CallContext, x *exchange, id uint64, seller chain.Address, kc []byte) ([]byte, error) {
+func (nativeValue) settle(ctx *chain.CallContext, x *exchange, id uint64, seller chain.Address) ([][]byte, error) {
 	amount, err := x.getU64(ctx, id, "amount")
 	if err != nil {
 		return nil, err
 	}
-	if err := ctx.Transfer(seller, amount); err != nil {
-		return nil, err
-	}
-	return EncodeArgs(U64(id), kc), nil
+	return nil, ctx.Transfer(seller, amount)
 }
 
-func (nativeValue) refund(ctx *chain.CallContext, x *exchange, id uint64, buyer chain.Address) ([]byte, error) {
+func (nativeValue) refund(ctx *chain.CallContext, x *exchange, id uint64, buyer chain.Address) ([][]byte, error) {
 	amount, err := x.getU64(ctx, id, "amount")
 	if err != nil {
 		return nil, err
@@ -84,5 +81,5 @@ func (nativeValue) refund(ctx *chain.CallContext, x *exchange, id uint64, buyer 
 	if err := ctx.Transfer(buyer, amount); err != nil {
 		return nil, err
 	}
-	return EncodeArgs(U64(id), U64(amount)), nil
+	return [][]byte{U64(amount)}, nil
 }

@@ -51,11 +51,15 @@ func exchangeKey(space string, id uint64, field string) string {
 // the blinded k_c = k + k_v is published, which is useless without the
 // buyer's secret k_v (this is the paper's fix to ZKCP's key-disclosure flaw).
 //
-// The payment is the only part that differs between contracts (payment);
-// storage keys, event names and revert texts are each contract's own.
+// The payment is the only part that differs between contracts (payment).
+// Storage keys and revert texts are each contract's own; the events are the
+// machine's, one layout for both payments:
+//
+//	Opened   (id, seller, h_v, c, payment part…)
+//	Settled  (id, k_c, payment part…)
+//	Refunded (id, payment part…)
 type exchange struct {
 	space         string // storage namespace (escrowSpace, ctSpace)
-	events        string // event-name prefix: Opened, Settled, Refunded follow it
 	verifierName  string // the deployed π_k verifier
 	timeoutBlocks uint64 // the refund deadline, in blocks after the open
 	pay           payment
@@ -63,17 +67,23 @@ type exchange struct {
 
 // payment is what an exchange locks and releases: native value moved with
 // ctx.Transfer (nativeValue), or a confidential note locked and re-owned
-// (lockedNote). Each hook returns the payload of the event the machine emits
-// for its step.
+// (lockedNote). Each hook returns its payment's part of the event the
+// machine emits for its step.
 type payment interface {
 	// lock takes the buyer's payment into custody. It runs after the open
 	// checks and before the machine writes anything, so a refused payment
 	// reverts where it always has.
-	lock(ctx *chain.CallContext, x *exchange, id uint64, seller, hv, c []byte, terms lockTerms) ([]byte, error)
-	// settle releases the payment to the seller; kc is the published key.
-	settle(ctx *chain.CallContext, x *exchange, id uint64, seller chain.Address, kc []byte) ([]byte, error)
+	lock(ctx *chain.CallContext, x *exchange, id uint64, terms lockTerms) ([][]byte, error)
+	// settle releases the payment to the seller.
+	settle(ctx *chain.CallContext, x *exchange, id uint64, seller chain.Address) ([][]byte, error)
 	// refund returns the payment to the buyer.
-	refund(ctx *chain.CallContext, x *exchange, id uint64, buyer chain.Address) ([]byte, error)
+	refund(ctx *chain.CallContext, x *exchange, id uint64, buyer chain.Address) ([][]byte, error)
+}
+
+// emitExchange logs one of the machine's events: the exchange id, as the
+// topic and the first field, then the fields.
+func emitExchange(ctx *chain.CallContext, name string, id uint64, fields ...[]byte) error {
+	return ctx.EmitIndexed(name, U64(id), EncodeArgs(append([][]byte{U64(id)}, fields...)...))
 }
 
 // lockTerms are the payment arguments of an opening call beyond its value:
@@ -103,7 +113,7 @@ func (x *exchange) open(ctx *chain.CallContext, id uint64, seller, hv, c []byte,
 	if len(seller) != 20 {
 		return fmt.Errorf("%w: bad seller address", ErrBadArgs)
 	}
-	event, err := x.pay.lock(ctx, x, id, seller, hv, c, terms)
+	part, err := x.pay.lock(ctx, x, id, terms)
 	if err != nil {
 		return err
 	}
@@ -122,7 +132,7 @@ func (x *exchange) open(ctx *chain.CallContext, id uint64, seller, hv, c []byte,
 			return err
 		}
 	}
-	return ctx.EmitIndexed(x.events+"Opened", U64(id), event)
+	return emitExchange(ctx, "Opened", id, append([][]byte{seller, hv, c}, part...)...)
 }
 
 // pending loads an open exchange for a step only the stored party (seller
@@ -207,11 +217,11 @@ func (x *exchange) settle(ctx *chain.CallContext, args []byte) error {
 	}
 	// The buyer reads k_c from this event (or ReadSettledKc) and derives
 	// k = k_c - k_v.
-	event, err := x.pay.settle(ctx, x, id, ctx.Sender, kc)
+	part, err := x.pay.settle(ctx, x, id, ctx.Sender)
 	if err != nil {
 		return err
 	}
-	return ctx.EmitIndexed(x.events+"Settled", U64(id), event)
+	return emitExchange(ctx, "Settled", id, append([][]byte{kc}, part...)...)
 }
 
 // refund(id) returns the payment of an exchange still open after its
@@ -235,11 +245,11 @@ func (x *exchange) refund(ctx *chain.CallContext, args []byte) error {
 	if err := ctx.Store.Set(x.key(id, "status"), []byte{statusRefunded}); err != nil {
 		return err
 	}
-	event, err := x.pay.refund(ctx, x, id, ctx.Sender)
+	part, err := x.pay.refund(ctx, x, id, ctx.Sender)
 	if err != nil {
 		return err
 	}
-	return ctx.EmitIndexed(x.events+"Refunded", U64(id), event)
+	return emitExchange(ctx, "Refunded", id, part...)
 }
 
 // ReadSettledKc returns the blinded key k_c published by a settled exchange

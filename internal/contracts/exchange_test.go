@@ -1,160 +1,13 @@
 package contracts
 
 import (
-	"bytes"
 	"errors"
-	"strings"
 	"testing"
 
 	"github.com/zkdet/zkdet/internal/chain"
 	"github.com/zkdet/zkdet/internal/ct"
 	"github.com/zkdet/zkdet/internal/fr"
 )
-
-// machineUnderTest is one contract carrying the exchange machine, driven
-// through its own opening call (escrow open, confidential lock) and the
-// settle/refund calldata both share.
-type machineUnderTest struct {
-	name string
-	open func(id uint64, seller []byte) error
-}
-
-// TestExchangeStateMachine runs every refusal of the exchange machine
-// against both contracts that carry it: each case must revert with the same
-// typed error and the same text after the contract's own prefix. It then
-// reads the settled k_c back through the one reader, from both.
-func TestExchangeStateMachine(t *testing.T) {
-	c, issuer, buyer, seller := ctEnv(t)
-	parts := deployToyPiK(t, c)
-	if _, err := c.Deploy(EscrowName, NewEscrow("pik-verifier", 10), EscrowCodeSize); err != nil {
-		t.Fatal(err)
-	}
-	proof, kc, cc, hv := parts[0], parts[1], parts[2], parts[3]
-
-	// The confidential buyer locks one fresh note per exchange it opens.
-	secrets := make([]ct.OutputSecret, 8)
-	recipients := make([]chain.Address, len(secrets))
-	for i := range secrets {
-		secrets[i] = ct.OutputSecret{V: uint64(10 + i), R: fr.NewElement(uint64(81 + 2*i)), Rho: fr.NewElement(uint64(82 + 2*i))}
-		recipients[i] = buyer
-	}
-	r := mustSucceed(t, call(t, c, issuer, ConfidentialTokenName, "mint", 0, ctProve(t, issuer, true, nil, nil, secrets, recipients)))
-	notes, err := DecU64List(r.Return)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	machines := []machineUnderTest{
-		{EscrowName, func(id uint64, s []byte) error {
-			return call(t, c, buyer, EscrowName, "open", 100, EncodeArgs(U64(id), s, hv, cc)).Err
-		}},
-		{ConfidentialTokenName, func(id uint64, s []byte) error {
-			err := call(t, c, buyer, ConfidentialTokenName, "lock", 0, EncodeArgs(U64(id), U64(notes[0]), s, hv, cc, U64(7))).Err
-			if err == nil {
-				notes = notes[1:]
-			}
-			return err
-		}},
-	}
-	settle := func(x machineUnderTest, from chain.Address, id uint64, hv []byte) error {
-		return call(t, c, from, x.name, "settle", 0, EncodeArgs(U64(id), kc, proof, kc, cc, hv)).Err
-	}
-	refund := func(x machineUnderTest, from chain.Address, id uint64) error {
-		return call(t, c, from, x.name, "refund", 0, EncodeArgs(U64(id))).Err
-	}
-	expire := func() {
-		for i := 0; i < 11; i++ {
-			c.ProduceBlock(nil)
-		}
-	}
-	must := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	wrongHvEl := fr.NewElement(21)
-	wrongHv := wrongHvEl.Bytes()
-
-	cases := []struct {
-		name string
-		run  func(x machineUnderTest, id uint64) error
-		want error
-	}{
-		{"unknown id", func(x machineUnderTest, id uint64) error {
-			return settle(x, seller, id, hv)
-		}, ErrUnknownExchange},
-		{"duplicate open", func(x machineUnderTest, id uint64) error {
-			must(x.open(id, seller[:]))
-			return x.open(id, seller[:])
-		}, ErrExchangeExists},
-		{"bad seller address", func(x machineUnderTest, id uint64) error {
-			return x.open(id, []byte{1, 2})
-		}, ErrBadArgs},
-		{"wrong seller", func(x machineUnderTest, id uint64) error {
-			must(x.open(id, seller[:]))
-			return settle(x, buyer, id, hv)
-		}, ErrNotSeller},
-		{"mismatched publics", func(x machineUnderTest, id uint64) error {
-			must(x.open(id, seller[:]))
-			return settle(x, seller, id, wrongHv[:])
-		}, ErrBadArgs},
-		{"settle after the deadline", func(x machineUnderTest, id uint64) error {
-			must(x.open(id, seller[:]))
-			expire()
-			return settle(x, seller, id, hv)
-		}, ErrDeadlinePassed},
-		{"double settle", func(x machineUnderTest, id uint64) error {
-			must(x.open(id, seller[:]))
-			must(settle(x, seller, id, hv))
-			return settle(x, seller, id, hv)
-		}, ErrExchangeSettled},
-		{"refund before the deadline", func(x machineUnderTest, id uint64) error {
-			must(x.open(id, seller[:]))
-			return refund(x, buyer, id)
-		}, ErrDeadlineNotReached},
-		{"wrong buyer", func(x machineUnderTest, id uint64) error {
-			must(x.open(id, seller[:]))
-			expire()
-			return refund(x, seller, id)
-		}, ErrNotBuyer},
-		{"refund after settle", func(x machineUnderTest, id uint64) error {
-			must(x.open(id, seller[:]))
-			must(settle(x, seller, id, hv))
-			return refund(x, buyer, id)
-		}, ErrExchangeSettled},
-	}
-	idOf := make(map[string]uint64, len(cases))
-	for i, tc := range cases {
-		id := uint64(100 + i)
-		idOf[tc.name] = id
-		var texts []string
-		for _, x := range machines {
-			err := tc.run(x, id)
-			if !errors.Is(err, chain.ErrReverted) || !errors.Is(err, tc.want) {
-				t.Fatalf("%s on %s: %v, want a revert with %v", tc.name, x.name, err, tc.want)
-			}
-			texts = append(texts, err.Error()[strings.Index(err.Error(), "contracts: "):])
-		}
-		if texts[0] != texts[1] {
-			t.Fatalf("%s: the contracts revert differently: %q vs %q", tc.name, texts[0], texts[1])
-		}
-	}
-
-	// The one settled-k_c reader, on both contracts: an unknown exchange, one
-	// still open, one settled.
-	for _, x := range machines {
-		if _, err := ReadSettledKc(c, x.name, 404); !errors.Is(err, ErrUnknownExchange) {
-			t.Fatalf("%s: k_c of an unknown exchange: %v", x.name, err)
-		}
-		if _, err := ReadSettledKc(c, x.name, idOf["wrong seller"]); !errors.Is(err, ErrExchangeNotSettled) {
-			t.Fatalf("%s: k_c of an open exchange: %v", x.name, err)
-		}
-		if got, err := ReadSettledKc(c, x.name, idOf["double settle"]); err != nil || !bytes.Equal(got, kc) {
-			t.Fatalf("%s: settled k_c %x, %v; want %x", x.name, got, err, kc)
-		}
-	}
-}
 
 // ctSettleFixture is a chain holding one open confidential exchange (id 1,
 // a minted note locked by alice for bob), with the block proof checker over

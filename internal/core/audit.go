@@ -236,32 +236,24 @@ func (m *Marketplace) AuditLineage(reg *ProofRegistry, tokenID uint64, opts ...A
 	}
 
 	// Auditor mode: open the confidential settlements touching this
-	// lineage. Exchanges are enumerated from the contract's own index, so
-	// this works without an event indexer attached.
+	// lineage, enumerated from the indexer's exchange records.
 	if cfg.auditorKey != nil && m.ctd != nil {
-		settlements, err := contracts.ReadCTSettlements(m.Chain, contracts.ConfidentialTokenName)
-		if err != nil {
-			return nil, err
-		}
-		for _, s := range settlements {
-			if !s.Settled {
+		for _, x := range m.ix.Exchanges(contracts.ConfidentialTokenName) {
+			if _, inLineage := byID[x.Token]; !inLineage || x.Status != indexer.ExchangeSettled {
 				continue
 			}
-			if _, inLineage := byID[s.TokenID]; !inLineage {
-				continue
-			}
-			note, err := contracts.ReadCTNote(m.Chain, contracts.ConfidentialTokenName, s.NoteID)
+			note, err := contracts.ReadCTNote(m.Chain, contracts.ConfidentialTokenName, x.Note)
 			if err != nil {
-				return nil, fmt.Errorf("core: auditing exchange %d: %w", s.ExchangeID, err)
+				return nil, fmt.Errorf("core: auditing exchange %d: %w", x.ID, err)
 			}
 			opening, err := cfg.auditorKey.Open(m.ctd.params, note.Comm, &note.Audit)
 			if err != nil {
-				return nil, fmt.Errorf("core: opening note %d: %w", s.NoteID, err)
+				return nil, fmt.Errorf("core: opening note %d: %w", x.Note, err)
 			}
 			report.ConfidentialPayments = append(report.ConfidentialPayments, ConfidentialPayment{
-				TokenID:    s.TokenID,
-				ExchangeID: s.ExchangeID,
-				NoteID:     s.NoteID,
+				TokenID:    x.Token,
+				ExchangeID: x.ID,
+				NoteID:     x.Note,
 				Value:      opening.V,
 			})
 		}

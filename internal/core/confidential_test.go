@@ -170,10 +170,12 @@ func TestSellConfidentialAndAuditorLineage(t *testing.T) {
 // TestIndexerConfidentialFold pins §17.4 on the raw logs: a confidential
 // mint, a 1→2 transfer and a confidential sale leave only public data in
 // the confidential token's events — CTNote is id ‖ 20-byte recipient ‖
-// 32-byte commitment digest, CTOpened carries the 64-byte commitment, and no
-// payload holds an amount's U64 bytes or a blinder's 32 bytes — and the
-// indexer's posting lists hold exactly those events, so zkdet_events serves
-// them. Confidential state itself is read from contract storage.
+// 32-byte commitment digest; the exchange machine's Opened is (id, seller,
+// h_v, c_k, token, note, 64-byte note commitment) and its Settled (id, k_c,
+// note), the escrow's layout with a note for the value; and no payload holds
+// an amount's U64 bytes or a blinder's 32 bytes — and the indexer's posting
+// lists hold exactly those events, so zkdet_events serves them, and fold
+// the sale into one exchange record.
 func TestIndexerConfidentialFold(t *testing.T) {
 	m, _, _ := newConfidentialMarketplace(t)
 	ix := m.AttachIndexer()
@@ -220,9 +222,14 @@ func TestIndexerConfidentialFold(t *testing.T) {
 					if len(parts) != 3 || len(parts[0]) != 8 || len(parts[1]) != 20 || len(parts[2]) != 32 {
 						t.Fatalf("CTNote layout %x", ev.Data)
 					}
-				case "CTOpened":
-					if len(parts) != 5 || len(parts[4]) != 64 {
-						t.Fatalf("CTOpened layout %x", ev.Data)
+				case "Opened":
+					if len(parts) != 7 || len(parts[1]) != 20 || len(parts[2]) != 32 || len(parts[3]) != 32 ||
+						len(parts[4]) != 8 || len(parts[5]) != 8 || len(parts[6]) != 64 {
+						t.Fatalf("Opened layout %x", ev.Data)
+					}
+				case "Settled":
+					if len(parts) != 3 || len(parts[1]) != 32 || len(parts[2]) != 8 {
+						t.Fatalf("Settled layout %x", ev.Data)
 					}
 				}
 				for _, sec := range secrets {
@@ -233,7 +240,7 @@ func TestIndexerConfidentialFold(t *testing.T) {
 			}
 		}
 	}
-	want := map[string]int{"CTNote": 4, "CTMint": 1, "CTTransfer": 1, "CTOpened": 1, "CTSettled": 1}
+	want := map[string]int{"CTNote": 4, "CTMint": 1, "CTTransfer": 1, "Opened": 1, "Settled": 1}
 	for name, n := range want {
 		if counts[name] != n {
 			t.Fatalf("%d %s events, want %d (all: %v)", counts[name], name, n, counts)
@@ -241,6 +248,11 @@ func TestIndexerConfidentialFold(t *testing.T) {
 		if _, total, err := ix.Query(indexer.Filter{Contract: contracts.ConfidentialTokenName, Name: name}); err != nil || total != n {
 			t.Fatalf("indexer holds %d %s events, want %d (%v)", total, name, n, err)
 		}
+	}
+	recs := ix.Exchanges(contracts.ConfidentialTokenName)
+	if len(recs) != 1 || recs[0].ID != 1 || recs[0].Status != indexer.ExchangeSettled ||
+		recs[0].Seller != alice || recs[0].Token != asset.TokenID || recs[0].Note != minted[1].ID {
+		t.Fatalf("confidential exchange records %+v", recs)
 	}
 }
 
@@ -282,9 +294,9 @@ func TestConfidentialProofCheckerIntegration(t *testing.T) {
 
 // TestSaleOpensWithTheTokensKeyCommitment: a sale lists the token it
 // sells, not a fresh encryption of its data. The arbiter is opened with
-// the c_k half of the token's on-chain commitment field, on the escrow
-// (the indexer's ExchangeRecord) and on the confidential token (its
-// storage) alike.
+// the c_k half of the token's on-chain commitment field, on the escrow and
+// on the confidential token alike: each exchange's indexer record carries
+// it.
 func TestSaleOpensWithTheTokensKeyCommitment(t *testing.T) {
 	m, _, _ := newConfidentialMarketplace(t)
 	ix := m.AttachIndexer()
@@ -322,9 +334,11 @@ func TestSaleOpensWithTheTokensKeyCommitment(t *testing.T) {
 	if _, err := m.SellConfidential(2, alice, bob, asset, RangePredicate{Bits: 16}, notes[0]); err != nil {
 		t.Fatal(err)
 	}
-	// The confidential token keeps the exchange machine's slots under
-	// "ctex/<id>/"; CTOpened carries the note, not c.
-	if c := m.Chain.ReadStorage(contracts.ConfidentialTokenName, "ctex/2/c"); !bytes.Equal(c, ck) {
-		t.Fatalf("confidential exchange opened with c_k %x, the token commits to %x", c, ck)
+	recs := ix.Exchanges(contracts.ConfidentialTokenName)
+	if len(recs) != 1 || recs[0].ID != 2 || recs[0].Token != asset.TokenID {
+		t.Fatalf("confidential exchange records %+v, want exchange 2 selling token #%d", recs, asset.TokenID)
+	}
+	if !bytes.Equal(recs[0].C, ck) {
+		t.Fatalf("confidential exchange opened with c_k %x, the token commits to %x", recs[0].C, ck)
 	}
 }

@@ -1,11 +1,13 @@
 // Package indexer is ZKDET's off-chain query layer: it consumes sealed
 // blocks (via chain.OnSeal) and keeps one posting list per (contract, event
 // name[, topic]) key, answered by binary search with paginated range
-// queries. A provenance service folds DataNFT and escrow events into
-// per-token lineage DAGs — the paper's traceability property (§III-B,
-// Figure 2) exposed as a query API instead of a storage walk.
-// Confidential-token events land in the posting lists like any other;
-// confidential state is read from contract storage (contracts.ReadCTNote).
+// queries. A provenance service folds DataNFT events into per-token lineage
+// DAGs — the paper's traceability property (§III-B, Figure 2) exposed as a
+// query API instead of a storage walk — and the exchange machine's events,
+// from the escrow and the confidential token alike, into one record per
+// exchange. Those events carry ids, hashes and commitments only: a note's
+// amount is read from contract storage (contracts.ReadCTNote) and opened by
+// the auditor's key alone.
 package indexer
 
 import (
@@ -15,6 +17,7 @@ import (
 	"sync"
 
 	"github.com/zkdet/zkdet/internal/chain"
+	"github.com/zkdet/zkdet/internal/contracts"
 )
 
 // Entry is one indexed event occurrence.
@@ -201,10 +204,26 @@ func (ix *Indexer) Lineage(id uint64) (*Lineage, error) {
 func (ix *Indexer) Exchange(id uint64) (*ExchangeRecord, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	rec, ok := ix.prov.exchanges[id]
+	rec, ok := ix.prov.exchanges[contracts.EscrowName].byID[id]
 	if !ok {
 		return nil, fmt.Errorf("indexer: unknown exchange %d", id)
 	}
 	cp := *rec
 	return &cp, nil
+}
+
+// Exchanges returns the folded record of every exchange opened on one
+// contract, in open order: every exchange whose blocks this indexer saw.
+func (ix *Indexer) Exchanges(contract string) []ExchangeRecord {
+	ix.mu.RLock()
+	defer ix.mu.RUnlock()
+	book := ix.prov.exchanges[contract]
+	if book == nil {
+		return nil
+	}
+	out := make([]ExchangeRecord, len(book.opened))
+	for i, rec := range book.opened {
+		out[i] = *rec
+	}
+	return out
 }

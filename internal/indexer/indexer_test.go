@@ -280,6 +280,17 @@ func TestProvenanceEscrowFold(t *testing.T) {
 		Contract: contracts.EscrowName, Name: "Refunded", Topic: contracts.U64(8),
 		Data: contracts.EncodeArgs(contracts.U64(8), contracts.U64(250)),
 	})
+	// The confidential token runs the same machine, with ids of its own: its
+	// exchange 7 is another record, whose payment is a note.
+	synthBlock(ix, 5, chain.Event{
+		Contract: contracts.ConfidentialTokenName, Name: "Opened", Topic: contracts.U64(7),
+		Data: contracts.EncodeArgs(contracts.U64(7), seller[:], []byte("hv2"), []byte("c2"),
+			contracts.U64(3), contracts.U64(11), []byte("note commitment")),
+	})
+	synthBlock(ix, 6, chain.Event{
+		Contract: contracts.ConfidentialTokenName, Name: "Settled", Topic: contracts.U64(7),
+		Data: contracts.EncodeArgs(contracts.U64(7), []byte("kc2"), contracts.U64(11)),
+	})
 
 	settled, err := ix.Exchange(7)
 	if err != nil {
@@ -301,6 +312,18 @@ func TestProvenanceEscrowFold(t *testing.T) {
 	}
 	if _, err := ix.Exchange(99); err == nil {
 		t.Fatal("unknown exchange did not error")
+	}
+	cts := ix.Exchanges(contracts.ConfidentialTokenName)
+	if len(cts) != 1 || cts[0].ID != 7 || cts[0].Status != ExchangeSettled || cts[0].Token != 3 || cts[0].Note != 11 ||
+		string(cts[0].HV) != "hv2" || string(cts[0].C) != "c2" || string(cts[0].KC) != "kc2" || cts[0].Value != 0 {
+		t.Fatalf("confidential exchanges: %+v", cts)
+	}
+	if escrows := ix.Exchanges(contracts.EscrowName); len(escrows) != 2 || escrows[0].ID != 7 || escrows[1].ID != 8 {
+		t.Fatalf("escrow exchanges in open order: %+v", escrows)
+	}
+	if again, _ := ix.Exchange(7); again.Contract != contracts.EscrowName || string(again.KC) != "kc-bytes" ||
+		again.Value != 500 || len(again.History) != 2 {
+		t.Fatalf("the confidential exchange 7 changed the escrow's: %+v", again)
 	}
 }
 

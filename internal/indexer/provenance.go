@@ -45,16 +45,22 @@ const (
 	ExchangeRefunded = "refunded"
 )
 
-// ExchangeRecord is the folded view of one escrow exchange.
+// ExchangeRecord is the folded view of one exchange on either contract that
+// carries the exchange machine (contracts.EscrowName,
+// contracts.ConfidentialTokenName). Each contract's callers choose its ids,
+// so a record is named by its contract and id together.
 type ExchangeRecord struct {
-	ID      uint64
-	Seller  chain.Address
-	HV      []byte
-	C       []byte
-	Value   uint64
-	Status  string
-	KC      []byte // blinded key k_c, present once settled
-	History []HistoryEntry
+	Contract string
+	ID       uint64
+	Seller   chain.Address
+	HV       []byte
+	C        []byte
+	Value    uint64 // the escrow's locked value
+	Token    uint64 // the data token a confidential exchange sells
+	Note     uint64 // the note a confidential exchange locks
+	Status   string
+	KC       []byte // blinded key k_c, present once settled
+	History  []HistoryEntry
 }
 
 // Edge is one parent→child derivation in a lineage DAG.
@@ -71,17 +77,26 @@ type Lineage struct {
 	Edges  []Edge
 }
 
-// provenance folds DataNFT and escrow events into per-token and
+// provenance folds DataNFT and exchange events into per-token and
 // per-exchange records. All methods run under the owning Indexer's lock.
 type provenance struct {
 	tokens    map[uint64]*TokenRecord
-	exchanges map[uint64]*ExchangeRecord
+	exchanges map[string]*exchangeBook // the escrow's and the confidential token's
+}
+
+// exchangeBook is one contract's exchanges, by id and in open order.
+type exchangeBook struct {
+	byID   map[uint64]*ExchangeRecord
+	opened []*ExchangeRecord
 }
 
 func newProvenance() *provenance {
 	return &provenance{
-		tokens:    make(map[uint64]*TokenRecord),
-		exchanges: make(map[uint64]*ExchangeRecord),
+		tokens: make(map[uint64]*TokenRecord),
+		exchanges: map[string]*exchangeBook{
+			contracts.EscrowName:            {byID: make(map[uint64]*ExchangeRecord)},
+			contracts.ConfidentialTokenName: {byID: make(map[uint64]*ExchangeRecord)},
+		},
 	}
 }
 
@@ -89,8 +104,8 @@ func (p *provenance) fold(block uint64, txHash chain.Hash, ev chain.Event) {
 	switch ev.Contract {
 	case contracts.DataNFTName:
 		p.foldNFT(block, txHash, ev)
-	case contracts.EscrowName:
-		p.foldEscrow(block, txHash, ev)
+	case contracts.EscrowName, contracts.ConfidentialTokenName:
+		p.foldExchange(block, txHash, ev)
 	}
 }
 
@@ -153,7 +168,12 @@ func (p *provenance) foldNFT(block uint64, txHash chain.Hash, ev chain.Event) {
 	}
 }
 
-func (p *provenance) foldEscrow(block uint64, txHash chain.Hash, ev chain.Event) {
+// foldExchange folds one event of the exchange machine, on whichever
+// contract carries it: Opened (id, seller, h_v, c, part…), Settled (id, k_c,
+// part…) and Refunded (id, part…). Only Opened's payment part is read: the
+// escrow's is the value, the confidential token's (token, note, note
+// commitment). The record's byte fields stay slices of the event's data.
+func (p *provenance) foldExchange(block uint64, txHash chain.Hash, ev chain.Event) {
 	parts, err := contracts.DecodeArgsVariadic(ev.Data)
 	if err != nil || len(parts) == 0 {
 		return
@@ -162,32 +182,37 @@ func (p *provenance) foldEscrow(block uint64, txHash chain.Hash, ev chain.Event)
 	if err != nil {
 		return
 	}
+	book := p.exchanges[ev.Contract]
+	rec, known := book.byID[id]
 	h := HistoryEntry{Block: block, TxHash: txHash, Name: ev.Name}
 	switch ev.Name {
 	case "Opened":
-		// EncodeArgs(id, seller, hv, c, value).
-		if len(parts) != 5 || len(parts[1]) != 20 {
+		if len(parts) < 4 || len(parts[1]) != 20 {
 			return
 		}
-		rec := &ExchangeRecord{ID: id, Status: ExchangeOpen}
+		rec = &ExchangeRecord{Contract: ev.Contract, ID: id, HV: parts[2], C: parts[3], Status: ExchangeOpen}
 		copy(rec.Seller[:], parts[1])
-		rec.HV = append([]byte(nil), parts[2]...)
-		rec.C = append([]byte(nil), parts[3]...)
-		rec.Value, _ = contracts.DecU64(parts[4])
+		switch part := parts[4:]; {
+		case ev.Contract == contracts.EscrowName && len(part) == 1:
+			rec.Value, _ = contracts.DecU64(part[0])
+		case ev.Contract == contracts.ConfidentialTokenName && len(part) == 3:
+			rec.Token, _ = contracts.DecU64(part[0])
+			rec.Note, _ = contracts.DecU64(part[1])
+		default:
+			return
+		}
 		rec.History = append(rec.History, h)
-		p.exchanges[id] = rec
+		book.byID[id] = rec
+		book.opened = append(book.opened, rec)
 	case "Settled":
-		// EncodeArgs(id, kc).
-		rec, ok := p.exchanges[id]
-		if !ok || len(parts) != 2 {
+		if !known || len(parts) < 2 {
 			return
 		}
 		rec.Status = ExchangeSettled
-		rec.KC = append([]byte(nil), parts[1]...)
+		rec.KC = parts[1]
 		rec.History = append(rec.History, h)
 	case "Refunded":
-		rec, ok := p.exchanges[id]
-		if !ok {
+		if !known {
 			return
 		}
 		rec.Status = ExchangeRefunded
