@@ -1,8 +1,9 @@
 // Command marketplace runs the paper's full data-exchange story (§IV-F):
-// a seller lists an encrypted dataset with a predicate proof, a buyer
-// validates it with zero knowledge, payment is locked in the on-chain
-// escrow, and the key-secure two-phase protocol settles the trade without
-// ever publishing the encryption key.
+// a seller lists an encrypted dataset with the token's proof of encryption
+// and a predicate proof, a buyer validates both with zero knowledge in one
+// pairing, payment is locked in the on-chain escrow, and the key-secure
+// two-phase protocol settles the trade without ever publishing the
+// encryption key.
 package main
 
 import (
@@ -45,10 +46,12 @@ func main() {
 
 	fmt.Printf("  balances: alice=%d bob=%d\n", m.Chain.BalanceOf(alice), m.Chain.BalanceOf(bob))
 
-	// The whole §IV-F protocol: π_p validation, escrow lock with h_v,
-	// π_k settlement, buyer-side decryption.
+	// The whole §IV-F protocol: validation of the token's π_e beside π_p
+	// (π_e ties the ciphertext and the key c_k commits to to c_d, π_p proves
+	// the predicate of c_d's data), escrow lock with h_v, π_k settlement,
+	// buyer-side decryption.
 	pred := zkdet.RangePredicate{Bits: 16}
-	fmt.Println("• running the key-secure exchange (π_p validation → escrow lock → π_k settlement)…")
+	fmt.Println("• running the key-secure exchange (π_e + π_p validation → escrow lock → π_k settlement)…")
 	got, err := m.SellViaEscrow(1, alice, bob, asset, pred, 25_000)
 	if err != nil {
 		log.Fatalf("exchange: %v", err)

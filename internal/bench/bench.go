@@ -269,8 +269,8 @@ func fig5(s *Session) ([]Table, error) {
 
 // --- Figure 6: proof generation time vs data size ---
 
-// fig6 times π_e (≈ π_p), π_t for a duplication (a pure data comparison,
-// like aggregation and partition) and π_k (data-independent).
+// fig6 times π_e, π_t for a duplication (two openings of one digest, flat in
+// the data size) and π_k (data-independent).
 func fig6(s *Session) ([]Table, error) {
 	sys, err := s.system()
 	if err != nil {

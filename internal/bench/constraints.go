@@ -59,7 +59,7 @@ func poseidonPermutation(b *circuit.Builder) {
 }
 
 // poseidonKeystreamBlock encrypts two elements with one keystream block of
-// GadgetEncryptCTR: the cipher of π_e and π_p.
+// GadgetEncryptCTR: the cipher π_e proves.
 func poseidonKeystreamBlock(b *circuit.Builder) {
 	pt := []circuit.Variable{b.Secret(fr.NewElement(3)), b.Secret(fr.NewElement(4))}
 	poseidon.GadgetEncryptCTR(b, b.Secret(fr.NewElement(1)), b.Secret(fr.NewElement(2)), pt)

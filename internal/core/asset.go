@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 
+	"github.com/zkdet/zkdet/internal/circuit"
 	"github.com/zkdet/zkdet/internal/fr"
 	"github.com/zkdet/zkdet/internal/poseidon"
 )
@@ -66,9 +67,34 @@ func (d Dataset) Clone() Dataset {
 	return out
 }
 
-// Commit returns a Poseidon commitment to the dataset with a fresh blinder.
+// Commit returns a commitment to the dataset with a fresh blinder: the
+// commitment to its digest, commitData.
 func (d Dataset) Commit() (c, o fr.Element) {
-	return poseidon.Commit(d)
+	o = fr.MustRandom()
+	return commitData(d, o), o
+}
+
+// commitData is every data commitment of the system, c_d =
+// PoseidonCommit(Hash(D), o_d): a Poseidon commitment to the dataset's
+// digest, not to the dataset. Hashing D is the part of a commitment that
+// grows with the data, so a circuit that holds two commitments to one
+// dataset hashes it once (a duplication π_t holds only the digest), and the
+// opening is one permutation whatever the size. gadgetCommitData is its
+// circuit.
+func commitData(d Dataset, o fr.Element) fr.Element {
+	return poseidon.CommitWith([]fr.Element{poseidon.Hash(d)}, o)
+}
+
+// gadgetCommitData emits commitData: the returned wire carries the
+// commitment to the data wires under the blinder wire o.
+func gadgetCommitData(b *circuit.Builder, data []circuit.Variable, o circuit.Variable) circuit.Variable {
+	return gadgetCommitDigest(b, poseidon.GadgetHash(b, data), o)
+}
+
+// gadgetCommitDigest is the opening half of gadgetCommitData: the
+// commitment to a digest wire under the blinder wire o, one permutation.
+func gadgetCommitDigest(b *circuit.Builder, digest, o circuit.Variable) circuit.Variable {
+	return poseidon.GadgetCommit(b, []circuit.Variable{digest}, o)
 }
 
 // Ciphertext is an encrypted dataset together with its CTR nonce; this is

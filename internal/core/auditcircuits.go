@@ -54,12 +54,9 @@ func AuditCircuits() []AuditCircuit {
 		}},
 		{Name: "core/pi_p/range", Build: func() (*circuit.Builder, error) {
 			data := auditDataset(4)
-			key := fr.NewElement(99)
-			ct := data.Encrypt(key)
 			cd, od := data.Commit()
-			st := &ValidationStatement{Nonce: ct.Nonce, DataCommitment: cd, Ciphertext: ct.Blocks}
-			w := &EncryptionWitness{Data: data, Key: key, DataBlinder: od}
-			return buildValidationCircuit(RangePredicate{Bits: 8}, st, w), nil
+			st := &ValidationStatement{DataCommitment: cd}
+			return buildValidationCircuit(RangePredicate{Bits: 8}, st, data, od), nil
 		}},
 		{Name: "core/pi_k", Build: func() (*circuit.Builder, error) {
 			k := fr.NewElement(1234)

@@ -155,10 +155,10 @@ func (s *System) SRS() *kzg.SRS { return s.srs }
 // baselines): Poseidon rounds compile to one custom-gate row each (DESIGN.md
 // §15.3). Lookups stay off on purpose: only π_p has range checks to look
 // up, and the 2^12 table would pin it to a 4 096-row domain to save 112 of
-// its 502 rows — at n = 4 these circuits fit in 512. buildTransformCircuit
-// (lookups on, which a structural π_t, having no range check, compiles
-// exactly as it would here) is the one that does not start here; it says
-// why.
+// its 349 rows — at n = 4 these circuits fit in 512 or fewer.
+// buildTransformCircuit (lookups on, which a structural π_t, having no range
+// check, compiles exactly as it would here) is the one that does not start
+// here; it says why.
 func newHashCircuit() *circuit.Builder {
 	b := circuit.NewBuilder()
 	b.EnableCustomGates()

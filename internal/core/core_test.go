@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -344,13 +345,17 @@ func TestKeySecureExchangeHonestFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	listing := seller.Listing(1000)
+	// A seller without a token has no π_e to list before its first π_p.
+	if err := NewBuyer(sys, seller.Listing(1000), pred).VerifyData(nil); !errors.Is(err, ErrListingUnproven) {
+		t.Fatalf("listing before ProveData: %v, want ErrListingUnproven", err)
+	}
 
 	// Phase 1: buyer validates the data.
 	piP, err := seller.ProveData()
 	if err != nil {
 		t.Fatal(err)
 	}
+	listing := seller.Listing(1000)
 	buyer := NewBuyer(sys, listing, pred)
 	if err := buyer.VerifyData(piP); err != nil {
 		t.Fatalf("π_p rejected: %v", err)
@@ -396,8 +401,7 @@ func TestKeySecureExchangeHonestFlow(t *testing.T) {
 
 	// Key secrecy: kc alone does not reveal k — a third party decrypting
 	// with kc gets garbage.
-	ct := Ciphertext{Nonce: listing.Statement.Nonce, Blocks: listing.Statement.Ciphertext}
-	eavesdrop := ct.Decrypt(kc)
+	eavesdrop := listing.Ciphertext.Decrypt(kc)
 	if eavesdrop[0].Equal(&data[0]) {
 		t.Fatal("kc decrypts the ciphertext: key leaked")
 	}
@@ -622,7 +626,7 @@ func TestKeysForSetsUpOncePerShape(t *testing.T) {
 		t.Fatalf("plonk.Setup ran %d times for one shape, want 1", n)
 	}
 	dup4 := transformShape{kind: TransformDuplication, sources: []int{4}, derived: []int{4}}
-	if _, _, _, err := sys.keysFor("pi_t/dup/4", buildTransformCircuit(dup4, transformWitness{})); err != nil {
+	if _, _, _, err := sys.keysFor("pi_t/dup", buildTransformCircuit(dup4, transformWitness{})); err != nil {
 		t.Fatal(err)
 	}
 	if n := setups.Load(); n != 2 {
@@ -677,8 +681,15 @@ func TestSystemMetricsPhases(t *testing.T) {
 
 // TestShapeKeysHaveFamily builds a shape key with every key function of
 // this package and checks that each falls in a family Metrics reports, and
-// that every family has a key function.
+// that every family has a key function. A duplication's key is size-free:
+// pi_t/dup at every n.
 func TestShapeKeysHaveFamily(t *testing.T) {
+	for _, n := range []int{1, 3, 4, 64} {
+		sh := transformShape{kind: TransformDuplication, sources: []int{n}, derived: []int{n}}
+		if key, sizes := sh.encode(); key != "pi_t/dup" || !slices.Equal(sizes, []int{n}) {
+			t.Errorf("duplication of %d elements: key %q, shape %v; want pi_t/dup, [%d]", n, key, sizes, n)
+		}
+	}
 	keys := []string{encryptionKey(4), keyCircuitShape, monolithicKey(4)}
 	for _, pred := range []Predicate{TruePredicate{}, RangePredicate{Bits: 16}, SumPredicate{Total: fr.NewElement(9)}, NonZeroPredicate{}} {
 		keys = append(keys, validationKey(pred, 4))

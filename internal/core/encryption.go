@@ -46,8 +46,11 @@ func (st *EncryptionStatement) commitmentField() []byte {
 // buildEncryptionCircuit emits the π_e relation:
 //
 //	(ĉ_{2j}, ĉ_{2j+1}) = (d_{2j}, d_{2j+1}) + Poseidon(k, nonce, T+j)[0:2]  for all j
-//	c_d = PoseidonCommit(D, o_d)
+//	c_d = PoseidonCommit(Hash(D), o_d)
 //	c_k = PoseidonCommit(k, o_k)
+//
+// It is the one proof that ties the ciphertext, and so the key that
+// decrypts it, to c_d and c_k: π_p and every π_t state D only through c_d.
 func buildEncryptionCircuit(st *EncryptionStatement, w *EncryptionWitness) *circuit.Builder {
 	b := newHashCircuit()
 	nonce := b.Public(st.Nonce)
@@ -70,8 +73,7 @@ func buildEncryptionCircuit(st *EncryptionStatement, w *EncryptionWitness) *circ
 	for i := range enc {
 		b.AssertEqual(enc[i], cts[i])
 	}
-	cdGot := poseidon.GadgetCommit(b, data, od)
-	b.AssertEqual(cdGot, cd)
+	b.AssertEqual(gadgetCommitData(b, data, od), cd)
 	ckGot := poseidon.GadgetCommit(b, []circuit.Variable{key}, ok)
 	b.AssertEqual(ckGot, ck)
 	return b
@@ -97,11 +99,17 @@ func (s *System) EncryptAndProve(data Dataset, key fr.Element) (*EncryptionState
 		Ciphertext:     ct.Blocks,
 	}
 	w := &EncryptionWitness{Data: data, Key: key, DataBlinder: od, KeyBlinder: ok}
-	proof, err := s.prove(encryptionKey(len(data)), func() *circuit.Builder { return buildEncryptionCircuit(st, w) })
+	proof, err := s.proveEncryption(st, w)
 	if err != nil {
 		return nil, nil, Ciphertext{}, nil, err
 	}
 	return st, w, ct, proof, nil
+}
+
+// proveEncryption proves π_e for a statement whose ciphertext and
+// commitments are already fixed.
+func (s *System) proveEncryption(st *EncryptionStatement, w *EncryptionWitness) (*plonk.Proof, error) {
+	return s.prove(encryptionKey(len(w.Data)), func() *circuit.Builder { return buildEncryptionCircuit(st, w) })
 }
 
 // encryptionCheck pairs a π_e with the key and public inputs of its statement.

@@ -22,52 +22,55 @@ var (
 	ErrPredicateFailed = errors.New("core: dataset violates the predicate")
 	ErrKeyMismatch     = errors.New("core: recovered key does not decrypt")
 	ErrChallengeHash   = errors.New("core: buyer challenge hash mismatch")
+	// ErrListingUnproven refuses a listing that carries no π_e: nothing else
+	// ties the key that c_k commits to, which the arbiter settles against, to
+	// the key that decrypts the listed ciphertext.
+	ErrListingUnproven = errors.New("core: listing carries no proof of encryption")
 )
 
 // --- π_p: data validation (phase 1) ---
 
 // ValidationStatement is the public statement of π_p:
-// φ(D)=1 ∧ D̂=Enc(k,D) ∧ Open(D, c_d, o_d)=1.
+// φ(D)=1 ∧ Open(D, c_d, o_d)=1. It says nothing of the ciphertext: the
+// listing's π_e proves that D̂ encrypts the D of the same c_d under the key
+// of c_k, so the buyer checks the two together (Buyer.VerifyData).
 type ValidationStatement struct {
-	Nonce          fr.Element
 	DataCommitment fr.Element
-	Ciphertext     []fr.Element
 	// PredicateName pins φ (part of the circuit, not an input wire).
 	PredicateName string
 }
 
 func (st *ValidationStatement) publics() []fr.Element {
-	out := make([]fr.Element, 0, len(st.Ciphertext)+2)
-	out = append(out, st.Nonce, st.DataCommitment)
-	out = append(out, st.Ciphertext...)
-	return out
+	return []fr.Element{st.DataCommitment}
 }
 
-func buildValidationCircuit(pred Predicate, st *ValidationStatement, w *EncryptionWitness) *circuit.Builder {
+func buildValidationCircuit(pred Predicate, st *ValidationStatement, data Dataset, od fr.Element) *circuit.Builder {
 	b := newHashCircuit()
-	nonce := b.Public(st.Nonce)
 	cd := b.Public(st.DataCommitment)
-	cts := make([]circuit.Variable, len(st.Ciphertext))
-	for i := range st.Ciphertext {
-		cts[i] = b.Public(st.Ciphertext[i])
+	o := b.Secret(od)
+	vals := make([]circuit.Variable, len(data))
+	for i := range data {
+		vals[i] = b.Secret(data[i])
 	}
-	key := b.Secret(w.Key)
-	od := b.Secret(w.DataBlinder)
-	data := make([]circuit.Variable, len(w.Data))
-	for i := range w.Data {
-		data[i] = b.Secret(w.Data[i])
-	}
-	enc := poseidon.GadgetEncryptCTR(b, key, nonce, data)
-	for i := range enc {
-		b.AssertEqual(enc[i], cts[i])
-	}
-	b.AssertEqual(poseidon.GadgetCommit(b, data, od), cd)
-	pred.Gadget(b, data)
+	b.AssertEqual(gadgetCommitData(b, vals, o), cd)
+	pred.Gadget(b, vals)
 	return b
 }
 
 func validationKey(pred Predicate, n int) string {
 	return fmt.Sprintf("pi_p/%s/%d", pred.Name(), n)
+}
+
+// validationCheck pairs a π_p of φ over n elements with its key and the
+// public input of its statement.
+func (s *System) validationCheck(pred Predicate, n int, st *ValidationStatement, proof *plonk.Proof) (proofCheck, error) {
+	vk, err := s.vkFor(validationKey(pred, n), func() *circuit.Builder {
+		return buildValidationCircuit(pred, &ValidationStatement{}, make(Dataset, n), fr.Element{})
+	})
+	if err != nil {
+		return proofCheck{}, err
+	}
+	return proofCheck{label: "π_p", vk: vk, proof: proof, public: st.publics()}, nil
 }
 
 // --- π_k: key negotiation (phase 2) ---
@@ -88,7 +91,7 @@ type KeyWitness struct {
 }
 
 // buildKeyCircuit compiles π_k on custom gates like every hash circuit: 148
-// rows on a 256-row domain, against 1 330 on 1 536 on the classic lowering.
+// rows on N = 192, against 1 330 on 1 536 on the classic lowering.
 // π_k is the one proof that rides in calldata, and a custom-gate proof is
 // 742 bytes, 32 fewer than the 774-byte classic π_k of the version-2
 // encoding, so a settlement costs 384 gas less than it did then;
@@ -131,7 +134,24 @@ type Listing struct {
 	// KeyCommitment is c_k: the commitment to k the arbiter is initialized
 	// with.
 	KeyCommitment fr.Element
-	Price         uint64
+	// Ciphertext is D̂ with its nonce, as published in storage.
+	Ciphertext Ciphertext
+	// EncryptionProof is π_e over (nonce, c_d, c_k, D̂): the token's own for
+	// a minted asset. It is nil until a seller without a token has run
+	// ProveData, and a buyer refuses a listing without it
+	// (ErrListingUnproven).
+	EncryptionProof *plonk.Proof
+	Price           uint64
+}
+
+// encryption returns the π_e statement the listing's fields make.
+func (l *Listing) encryption() *EncryptionStatement {
+	return &EncryptionStatement{
+		Nonce:          l.Ciphertext.Nonce,
+		DataCommitment: l.Statement.DataCommitment,
+		KeyCommitment:  l.KeyCommitment,
+		Ciphertext:     l.Ciphertext.Blocks,
+	}
 }
 
 // Seller holds the private state of the data seller S.
@@ -145,11 +165,17 @@ type Seller struct {
 
 	cd, od fr.Element
 	ck, ok fr.Element
+
+	// piE is π_e over (ct, cd, ck): the token's for an asset's seller. A
+	// tokenless seller (NewSeller) proves its own on the first ProveData.
+	piE       *plonk.Proof
+	tokenless bool
 }
 
 // NewSeller initializes S with (D, k, D̂, φ): encrypts the dataset and
 // commits to it and to the key. It is for a seller that holds no token; a
-// minted asset is sold by assetSeller.
+// minted asset is sold by assetSeller. Its π_e is proved by the first
+// ProveData, so a seller that only negotiates a key never proves one.
 func NewSeller(sys *System, data Dataset, key fr.Element, pred Predicate) (*Seller, error) {
 	s, err := newSeller(sys, data, key, pred)
 	if err != nil {
@@ -158,12 +184,14 @@ func NewSeller(sys *System, data Dataset, key fr.Element, pred Predicate) (*Sell
 	s.ct = data.Encrypt(key)
 	s.cd, s.od = data.Commit()
 	s.ck, s.ok = KeyCommit(key)
+	s.tokenless = true
 	return s, nil
 }
 
 // assetSeller is the seller of a minted asset: it lists the token's own
-// ciphertext, c_d and c_k with their blinders, so π_p proves the blob the
-// token points at and the arbiter is opened with the token's c_k.
+// ciphertext, c_d and c_k with their blinders and π_e, so the buyer checks
+// the blob the token points at and the arbiter is opened with the token's
+// c_k.
 func assetSeller(sys *System, a *Asset, pred Predicate) (*Seller, error) {
 	s, err := newSeller(sys, a.Data, a.Key, pred)
 	if err != nil {
@@ -173,6 +201,7 @@ func assetSeller(sys *System, a *Asset, pred Predicate) (*Seller, error) {
 	s.ct = Ciphertext{Nonce: st.Nonce, Blocks: st.Ciphertext}
 	s.cd, s.od = st.DataCommitment, a.DataBlinder
 	s.ck, s.ok = st.KeyCommitment, a.KeyBlinder
+	s.piE = a.EncProof
 	return s, nil
 }
 
@@ -191,24 +220,36 @@ func newSeller(sys *System, data Dataset, key fr.Element, pred Predicate) (*Sell
 func (s *Seller) Listing(price uint64) Listing {
 	return Listing{
 		Statement: ValidationStatement{
-			Nonce:          s.ct.Nonce,
 			DataCommitment: s.cd,
-			Ciphertext:     append([]fr.Element{}, s.ct.Blocks...),
 			PredicateName:  s.pred.Name(),
 		},
-		KeyCommitment: s.ck,
-		Price:         price,
+		KeyCommitment:   s.ck,
+		Ciphertext:      Ciphertext{Nonce: s.ct.Nonce, Blocks: append([]fr.Element{}, s.ct.Blocks...)},
+		EncryptionProof: s.piE,
+		Price:           price,
 	}
 }
 
 // Ciphertext returns D̂ for publication to content-addressed storage.
 func (s *Seller) Ciphertext() Ciphertext { return s.ct }
 
-// ProveData produces π_p (data validation phase).
+// ProveData produces π_p (data validation phase). A seller without a token
+// proves its π_e first, once, for its listing to carry; an asset's seller
+// lists the token's π_e as it is.
 func (s *Seller) ProveData() (*plonk.Proof, error) {
-	st := s.Listing(0).Statement
-	w := &EncryptionWitness{Data: s.data, Key: s.key, DataBlinder: s.od}
-	return s.sys.prove(validationKey(s.pred, len(s.data)), func() *circuit.Builder { return buildValidationCircuit(s.pred, &st, w) })
+	if s.tokenless && s.piE == nil {
+		l := s.Listing(0)
+		w := &EncryptionWitness{Data: s.data, Key: s.key, DataBlinder: s.od, KeyBlinder: s.ok}
+		piE, err := s.sys.proveEncryption(l.encryption(), w)
+		if err != nil {
+			return nil, err
+		}
+		s.piE = piE
+	}
+	st := ValidationStatement{DataCommitment: s.cd, PredicateName: s.pred.Name()}
+	return s.sys.prove(validationKey(s.pred, len(s.data)), func() *circuit.Builder {
+		return buildValidationCircuit(s.pred, &st, s.data, s.od)
+	})
 }
 
 // NegotiateKey runs the seller's half of the key negotiation phase: given
@@ -244,21 +285,24 @@ func NewBuyer(sys *System, listing Listing, pred Predicate) *Buyer {
 	return &Buyer{sys: sys, listing: listing, pred: pred}
 }
 
-// VerifyData checks π_p against the listing (data validation phase).
+// VerifyData checks π_p against the listing (data validation phase),
+// together with the listing's π_e in one fold: π_e ties the ciphertext and
+// the key c_k commits to to the c_d whose data π_p proves φ of. A listing
+// without a π_e is refused with ErrListingUnproven.
 func (b *Buyer) VerifyData(proof *plonk.Proof) error {
-	st := b.listing.Statement
-	n := len(st.Ciphertext)
-	vk, err := b.sys.vkFor(validationKey(b.pred, n), func() *circuit.Builder {
-		dummy := &ValidationStatement{Ciphertext: make([]fr.Element, n)}
-		return buildValidationCircuit(b.pred, dummy, &EncryptionWitness{Data: make(Dataset, n)})
-	})
+	l := &b.listing
+	if l.EncryptionProof == nil {
+		return ErrListingUnproven
+	}
+	e, err := b.sys.encryptionCheck(l.encryption(), l.EncryptionProof)
 	if err != nil {
 		return err
 	}
-	if err := plonk.Verify(vk, proof, st.publics()); err != nil {
-		return fmt.Errorf("core: π_p: %w", err)
+	p, err := b.sys.validationCheck(b.pred, len(l.Ciphertext.Blocks), &l.Statement, proof)
+	if err != nil {
+		return err
 	}
-	return nil
+	return verifyAll([]proofCheck{e, p})
 }
 
 // Challenge draws a fresh secret k_v and returns it with h_v = H(k_v);
@@ -278,11 +322,10 @@ func (b *Buyer) RecoverKey(kc fr.Element) fr.Element {
 // Decrypt recovers and validates the purchased dataset from k_c.
 func (b *Buyer) Decrypt(kc fr.Element) (Dataset, error) {
 	k := b.RecoverKey(kc)
-	ct := Ciphertext{Nonce: b.listing.Statement.Nonce, Blocks: b.listing.Statement.Ciphertext}
-	data := ct.Decrypt(k)
-	// The commitment in the listing binds the plaintext: recompute it?
-	// The buyer cannot (no blinder) — instead the predicate plus π_p
-	// soundness guarantee correctness; check φ locally as a sanity net.
+	data := b.listing.Ciphertext.Decrypt(k)
+	// VerifyData checked π_e, which encrypts the D of c_d under the key of
+	// c_k, and π_k opened that key into k_c, so k decrypts the committed
+	// data π_p proved φ of. φ is checked again here only as a local net.
 	if !b.pred.Check(data) {
 		return nil, ErrKeyMismatch
 	}

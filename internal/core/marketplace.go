@@ -302,10 +302,8 @@ func (m *Marketplace) checkListing(id uint64, l *Listing) error {
 		if rec.ID != id {
 			continue
 		}
-		st := &l.Statement
-		ct := Ciphertext{Nonce: st.Nonce, Blocks: st.Ciphertext}
-		uri := storage.URIOf(ct.Bytes())
-		cd, ck := st.DataCommitment.Bytes(), l.KeyCommitment.Bytes()
+		uri := storage.URIOf(l.Ciphertext.Bytes())
+		cd, ck := l.Statement.DataCommitment.Bytes(), l.KeyCommitment.Bytes()
 		if tok.Record == contracts.RecordDigest(rec.Kind, uri[:], append(cd[:], ck[:]...), rec.Parents) {
 			return nil
 		}
@@ -317,8 +315,9 @@ func (m *Marketplace) checkListing(id uint64, l *Listing) error {
 // and a buyer address with the named contract — either one carrying the
 // exchange machine — as the arbiter 𝒥: lock submits the buyer's locking call
 // for (h_v, c_k). Before it locks anything the buyer checks that the listing
-// is the token's (ErrListingNotToken otherwise). It returns the decrypted
-// dataset as received by the buyer.
+// is the token's (ErrListingNotToken otherwise), and the token's π_e with
+// π_p (Buyer.VerifyData). It returns the decrypted dataset as received by
+// the buyer.
 func (m *Marketplace) sell(arbiter string, exchangeID uint64, sellerAddr, buyerAddr chain.Address, asset *Asset, pred Predicate, price uint64,
 	lock func(hv, ck []byte) error) (Dataset, error) {
 	seller, err := assetSeller(m.Sys, asset, pred)
@@ -330,7 +329,8 @@ func (m *Marketplace) sell(arbiter string, exchangeID uint64, sellerAddr, buyerA
 		return nil, err
 	}
 
-	// Phase 1 — data validation: seller proves π_p, buyer verifies.
+	// Phase 1 — data validation: seller proves π_p, buyer verifies it with
+	// the listing's π_e.
 	piP, err := seller.ProveData()
 	if err != nil {
 		return nil, err

@@ -1,13 +1,17 @@
 package core
 
 import (
+	"slices"
+	"sync/atomic"
 	"testing"
 
 	"github.com/zkdet/zkdet/internal/chain"
 	"github.com/zkdet/zkdet/internal/circuit"
 	"github.com/zkdet/zkdet/internal/contracts"
 	"github.com/zkdet/zkdet/internal/fr"
+	"github.com/zkdet/zkdet/internal/kzg"
 	"github.com/zkdet/zkdet/internal/plonk"
+	"github.com/zkdet/zkdet/internal/poly"
 )
 
 // settleGas is what a settled public escrow costs: the verification of π_k
@@ -25,9 +29,10 @@ const customProofSize = 742
 // TestHashCircuitsOnCustomShape pins which circuit is on which prover shape
 // (DESIGN.md §15.3). The six hash-only circuits prove on custom gates with
 // no lookup argument (742-byte proofs), each on the smallest domain that
-// holds its rows (at n = 4 five on 512, π_e's 444 rows and π_p's 502 among
-// them, and π_k's 148 rows on 192), and a verifier that never proved
-// rebuilds the same key from a zero witness. A processing π_t takes the
+// holds its rows (at n = 4 π_e's 445 rows and the aggregation's and
+// partition's on 512, π_p's 349 on 384, and the duplication's 147 and π_k's
+// 148 on 192), and a verifier that never proved rebuilds the same key from a
+// zero witness. A processing π_t takes the
 // range table beside custom gates only if its Processor emits range checks
 // (N ≥ 4 096, 998-byte proofs). There is no third shape.
 func TestHashCircuitsOnCustomShape(t *testing.T) {
@@ -76,7 +81,7 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err := NewBuyer(verifier, seller.Listing(1), pred).VerifyData(piP); err != nil {
 			t.Fatal(err)
 		}
-		wantCustom(t, validationKey(pred, n), piP, 512)
+		wantCustom(t, validationKey(pred, n), piP, 384)
 	})
 
 	t.Run("pi_t/dup", func(t *testing.T) {
@@ -87,7 +92,7 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 		if err := verifier.VerifyTransform(tp, nil); err != nil {
 			t.Fatal(err)
 		}
-		wantCustom(t, "pi_t/dup/4", tp.Proof, 512)
+		wantCustom(t, "pi_t/dup", tp.Proof, 192)
 	})
 
 	t.Run("pi_t/agg", func(t *testing.T) {
@@ -183,4 +188,80 @@ func TestHashCircuitsOnCustomShape(t *testing.T) {
 			t.Fatalf("settlement cost %d gas, want %d", settled, settleGas)
 		}
 	})
+}
+
+// rowsOf compiles a builder and returns its row count and the domain size
+// plonk.Setup gives it (one padding row past the last).
+func rowsOf(t *testing.T, b *circuit.Builder) (rows int, n uint64) {
+	t.Helper()
+	cs, _, err := b.Compile()
+	if err != nil {
+		t.Fatal(err)
+	}
+	d, err := poly.NewDomain(uint64(cs.NbGates() + 1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cs.NbGates(), d.N
+}
+
+// TestDecoupledProofRows pins what an exchange proves per data row. π_e is
+// the one proof of a dataset's encryption, on N = 512, 1 536 and 6 144 at
+// n = 4, 16 and 64. π_p states φ(D) and the opening of c_d only: 349 rows on
+// N = 384 at n = 4 with a 16-bit range φ, where it re-proved π_e's keystream
+// on 502 rows and N = 512 before. A duplication π_t proves two openings of
+// one digest: 147 rows on N = 192 at every size, under the one key pi_t/dup,
+// which a verifier System sets up once for all four sizes.
+func TestDecoupledProofRows(t *testing.T) {
+	for _, tc := range []struct {
+		n    int
+		rows int
+		N    uint64
+	}{{4, 445, 512}, {16, 1327, 1536}, {64, 4855, 6144}} {
+		data := smallData(tc.n)
+		key := fr.NewElement(7)
+		ct := data.Encrypt(key)
+		cd, od := data.Commit()
+		ck, ok := KeyCommit(key)
+		st := &EncryptionStatement{Nonce: ct.Nonce, DataCommitment: cd, KeyCommitment: ck, Ciphertext: ct.Blocks}
+		rows, N := rowsOf(t, buildEncryptionCircuit(st, &EncryptionWitness{Data: data, Key: key, DataBlinder: od, KeyBlinder: ok}))
+		if rows != tc.rows || N != tc.N {
+			t.Errorf("π_e at n = %d: %d rows on N = %d, want %d on %d", tc.n, rows, N, tc.rows, tc.N)
+		}
+	}
+
+	data := smallData(4)
+	cd, od := data.Commit()
+	if rows, N := rowsOf(t, buildValidationCircuit(RangePredicate{Bits: 16}, &ValidationStatement{DataCommitment: cd}, data, od)); rows != 349 || N != 384 {
+		t.Errorf("π_p at n = 4: %d rows on N = %d, want 349 on 384", rows, N)
+	}
+
+	prover := testSys()
+	verifier := NewSystem(prover.SRS())
+	var setups atomic.Int32
+	verifier.setup = func(cs *plonk.ConstraintSystem, srs *kzg.SRS) (*plonk.ProvingKey, *plonk.VerifyingKey, error) {
+		setups.Add(1)
+		return plonk.Setup(cs, srs)
+	}
+	for _, n := range []int{3, 4, 16, 64} {
+		data := smallData(n)
+		cs, os := data.Commit()
+		sh := transformShape{kind: TransformDuplication, sources: []int{n}, derived: []int{n}}
+		if rows, N := rowsOf(t, buildTransformCircuit(sh, transformWitness{})); rows != 147 || N != 192 {
+			t.Errorf("duplication π_t at n = %d: %d rows on N = %d, want 147 on 192", n, rows, N)
+		}
+		tp, _, err := prover.ProveDuplication(data, cs, os)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := verifier.VerifyTransform(tp, nil); err != nil {
+			t.Fatalf("duplication π_t at n = %d: %v", n, err)
+		}
+		if !slices.Equal(tp.Shape, []int{n}) {
+			t.Errorf("duplication π_t at n = %d states shape %v", n, tp.Shape)
+		}
+	}
+	if n := setups.Load(); n != 1 {
+		t.Fatalf("verifying duplications of four sizes set up %d keys, want the one pi_t/dup", n)
+	}
 }

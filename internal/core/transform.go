@@ -19,7 +19,11 @@ import (
 // Processor) — so one builder, one prover and one decoder serve all four.
 // Transformation proofs π_t compose with the decoupled proofs of encryption
 // π_e through the shared commitments (the commit-and-prove composition of the
-// paper's CP-NIZK).
+// paper's CP-NIZK). A commitment is to the dataset's digest (commitData), so
+// a π_t hashes each source and each derived piece once, and a duplication,
+// whose source and copy share their digest, hashes no data at all: it proves
+// two openings of one digest, one permutation each, at every size. Only π_e
+// proves a dataset's encryption; no π_t re-proves it.
 
 // TransformKindName labels the §III-B formulae.
 type TransformKindName string
@@ -109,7 +113,7 @@ func (sh transformShape) check(room int) error {
 func (sh transformShape) encode() (key string, sizes []int) {
 	switch sh.kind {
 	case TransformDuplication:
-		return fmt.Sprintf("pi_t/dup/%d", sh.sources[0]), sh.sources
+		return "pi_t/dup", sh.sources // one circuit at every size
 	case TransformAggregation:
 		return fmt.Sprintf("pi_t/agg/%v", sh.sources), sh.sources
 	case TransformPartition:
@@ -179,6 +183,10 @@ type transformWitness struct {
 // leave a range-check-dominated gadget at its classic row count on a larger
 // coset, while with the table every Table I row proves several times faster
 // than on classic gates (EXPERIMENTS.md, Table I).
+//
+// A duplication states D = S, and a commitment binds its dataset through the
+// digest alone, so its witness is the one digest both commitments open: two
+// one-permutation openings and no data wires, whatever the size.
 func buildTransformCircuit(sh transformShape, w transformWitness) *circuit.Builder {
 	b := circuit.NewBuilder()
 	b.EnableLookups()
@@ -196,6 +204,16 @@ func buildTransformCircuit(sh transformShape, w transformWitness) *circuit.Build
 	for k := range cdPub {
 		cdPub[k] = b.Public(at(w.cd, k))
 	}
+	if sh.kind == TransformDuplication {
+		var h fr.Element
+		if len(w.srcs) > 0 {
+			h = poseidon.Hash(w.srcs[0])
+		}
+		digest := b.Secret(h)
+		b.AssertEqual(gadgetCommitDigest(b, digest, b.Secret(at(w.os, 0))), csPub[0])
+		b.AssertEqual(gadgetCommitDigest(b, digest, b.Secret(at(w.od, 0))), cdPub[0])
+		return b
+	}
 	var all []circuit.Variable
 	for i, n := range sh.sources {
 		var src Dataset
@@ -207,7 +225,7 @@ func buildTransformCircuit(sh transformShape, w transformWitness) *circuit.Build
 		for j := range vals {
 			vals[j] = b.Secret(at(src, j))
 		}
-		b.AssertEqual(poseidon.GadgetCommit(b, vals, os), csPub[i])
+		b.AssertEqual(gadgetCommitData(b, vals, os), csPub[i])
 		all = append(all, vals...)
 	}
 	out := all
@@ -225,7 +243,7 @@ func buildTransformCircuit(sh transformShape, w transformWitness) *circuit.Build
 	off := 0
 	for k, n := range sh.derived {
 		od := b.Secret(at(w.od, k))
-		b.AssertEqual(poseidon.GadgetCommit(b, out[off:off+n], od), cdPub[k])
+		b.AssertEqual(gadgetCommitData(b, out[off:off+n], od), cdPub[k])
 		off += n
 	}
 	return b
@@ -321,7 +339,7 @@ func commitAll(ds []Dataset) (commitments, blinders []fr.Element) {
 
 // ProveDuplication produces π_t for a duplication (§IV-D1): the same plaintext
 // under two independent commitments (c_s with blinder o_s, c_d with fresh
-// o_d).
+// o_d), proved as one digest under the two blinders.
 func (s *System) ProveDuplication(data Dataset, cs, os fr.Element) (*TransformProof, fr.Element, error) {
 	tp, _, od, err := s.transform(TransformDuplication, []Dataset{data}, []fr.Element{cs}, []fr.Element{os}, nil, nil)
 	if err != nil {

@@ -77,7 +77,16 @@ func vkFingerprint(vk *plonk.VerifyingKey) string {
 // (pi_t/dup/3 aa5d04a1… → 3e2240ba…, pi_t/dup/4 e8ad8981… → 79759aae…,
 // pi_t/agg/[2 3] ea268b47… → 5d4c6059…, pi_t/part/[2 3] 2f20d836… →
 // 349a4599…, pi_t/proc/doubler/4 48f97500… → 5f3f89c1…,
-// pi_t/proc/range-doubler/4 5feefb1a… → 36845e0e…). Each key is built twice:
+// pi_t/proc/range-doubler/4 5feefb1a… → 36845e0e…). All six moved again when
+// a data commitment became the commitment to the data's digest: the two
+// duplications became the one size-free key pi_t/dup, which proves two
+// openings of one digest on N = 192 (pi_t/dup/3 3e2240ba… on 384 and
+// pi_t/dup/4 79759aae… on 512 → 9ac02961…), and the odd sizes of the
+// aggregation and the partition pay one more permutation each (pi_t/agg/[2 3]
+// 5d4c6059… → 1e4b4b89… and pi_t/part/[2 3] 349a4599… → cccc6e54…, both
+// 512 → 768 rows; pi_t/proc/doubler/4 5f3f89c1… → 2671bcca…,
+// pi_t/proc/range-doubler/4 36845e0e… → 601f2c34…, each on its domain of
+// before). The subtests keep the duplications' old names. Each key is built twice:
 // by a prover from a real witness, and
 // by a verifier that never proved, from a zero witness. A change to which
 // gates a transformation circuit emits, or in which order, moves a
@@ -107,29 +116,33 @@ func TestTransformKeysUnchanged(t *testing.T) {
 		}
 	}
 	cases := []struct {
+		name  string // the key's, but for the duplications: one key, two sizes
 		key   string
 		want  string
 		proc  Processor
 		prove func(*System) (*TransformProof, error)
 	}{
-		{key: "pi_t/dup/3", want: "3e2240ba83e9d545254bbd7c", prove: dup(3)},
-		{key: "pi_t/dup/4", want: "79759aae08ef2c7806e59f31", prove: dup(4)},
-		{key: "pi_t/agg/[2 3]", want: "5d4c60591fc015b751289fe2", prove: func(s *System) (*TransformProof, error) {
+		{name: "pi_t/dup/3", key: "pi_t/dup", want: "9ac0296175a6550cecdfa43c", prove: dup(3)},
+		{name: "pi_t/dup/4", key: "pi_t/dup", want: "9ac0296175a6550cecdfa43c", prove: dup(4)},
+		{key: "pi_t/agg/[2 3]", want: "1e4b4b89a7379b6d4f9a3978", prove: func(s *System) (*TransformProof, error) {
 			srcs := []Dataset{smallData(2), smallData(3)}
 			cs, os := commitAll(srcs...)
 			tp, _, _, err := s.transform(TransformAggregation, srcs, cs, os, nil, nil)
 			return tp, err
 		}},
-		{key: "pi_t/part/[2 3]", want: "349a459942644d71e960ebdc", prove: func(s *System) (*TransformProof, error) {
+		{key: "pi_t/part/[2 3]", want: "cccc6e54c3f4020abba8efe2", prove: func(s *System) (*TransformProof, error) {
 			cs, os := commitAll(smallData(5))
 			tp, _, _, err := s.transform(TransformPartition, []Dataset{smallData(5)}, cs, os, []int{2, 3}, nil)
 			return tp, err
 		}},
-		{key: "pi_t/proc/doubler/4", want: "5f3f89c18ce75213ecd90351", proc: doubler{}, prove: process(doubler{})},
-		{key: "pi_t/proc/range-doubler/4", want: "36845e0e21ced5c6eaf89be3", proc: rangeDoubler{}, prove: process(rangeDoubler{})},
+		{key: "pi_t/proc/doubler/4", want: "2671bcca2caabb92cf6a39fa", proc: doubler{}, prove: process(doubler{})},
+		{key: "pi_t/proc/range-doubler/4", want: "601f2c34becbf21b628ee872", proc: rangeDoubler{}, prove: process(rangeDoubler{})},
 	}
 	for _, tc := range cases {
-		t.Run(tc.key, func(t *testing.T) {
+		if tc.name == "" {
+			tc.name = tc.key
+		}
+		t.Run(tc.name, func(t *testing.T) {
 			// Fresh Systems, so neither key is one another test cached.
 			prover, verifier := NewSystem(srs), NewSystem(srs)
 			tp, err := tc.prove(prover)
