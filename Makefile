@@ -135,7 +135,7 @@ fuzz-smoke:
 # 1k/10k/100k slots: ns/op flat across sizes is the state commitment's
 # O(block) claim (DESIGN.md §11).
 bench:
-	$(GO) test -run='^$$' -bench='BenchmarkMul$$|BenchmarkMulThroughput$$|BenchmarkMulKernels$$|BenchmarkFFT$$|BenchmarkG1MSM$$|BenchmarkCommit$$|BenchmarkProve$$' -benchmem \
+	$(GO) test -run='^$$' -bench='BenchmarkMul$$|BenchmarkMulThroughput$$|BenchmarkMulKernels$$|BenchmarkFFT$$|BenchmarkG1MSM$$|BenchmarkCommit$$|BenchmarkNewSRSFromSecret$$|BenchmarkProve$$' -benchmem \
 		./internal/ff/ ./internal/poly/ ./internal/bn254/ ./internal/kzg/ ./internal/plonk/
 	$(GO) test -run='^$$' -bench='BenchmarkProduceBlock$$|BenchmarkImportBlock$$' -benchtime=20x ./internal/contracts/
 

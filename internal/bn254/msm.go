@@ -65,26 +65,71 @@ const scalarBits = 254
 // 2^(c-1) and never carries out, so no window past those is ever non-zero.
 func msmWindows(bits, c int) int { return (bits + 1 + c) / c }
 
-// msmCallScratch is the memory one msmWithWindow call needs whatever its
-// worker count; msmTaskScratch is what one worker's bucket accumulations
-// need. Both are pooled: verifiers, and provers on domains G1MSMTable does
-// not serve, run MSMs of a few sizes, several at a time, and a Get hands
-// each live call and each live worker its own value.
-type msmCallScratch struct {
-	digits  []int16 // signed digits, window-major
-	partial []G1Jac // one sum per (window, chunk) task
+// msmScratch is the memory one msmWithWindow call needs: the signed
+// digits, one sum per task, and one bucket scratch per worker.
+type msmScratch struct {
+	points  int              // the longest MSM this scratch has served
+	digits  []int16          // signed digits, window-major
+	partial []G1Jac          // one sum per (window, chunk) task
+	tasks   []msmTaskScratch // one per worker, each reused by the worker's tasks
 }
 
+// msmTaskScratch is what one worker's bucket accumulations need.
 type msmTaskScratch struct {
 	off       []uint32   // counting-sort offsets, one per bucket plus two
 	pts       []G1Affine // the chunk's points sorted by bucket, then each round's sums
 	den, prod []Fp       // a round's slope denominators, and fpBatchInverse's scratch
 }
 
-var (
-	msmCallPool = sync.Pool{New: func() any { return new(msmCallScratch) }}
-	msmTaskPool = sync.Pool{New: func() any { return new(msmTaskScratch) }}
-)
+// msmIdle holds the scratch of every G1MSM call that is not running.
+// Verifiers, and provers on domains G1MSMTable does not serve, run MSMs of
+// a few sizes, several at a time; each live call takes a scratch of its
+// own, the smallest that has served an MSM as long as its own, so that two
+// calls of different lengths at once do not trade scratch sized for the
+// other. It is a free list rather than a sync.Pool: a pool keeps an object
+// on the P that put it, where a call on another P does not find it, so the
+// more Ps the more scratch a warm call allocated again; and a garbage
+// collection empties a pool. The idle scratch is the longest MSM's memory
+// times the most calls that ever ran at once.
+var msmIdle struct {
+	mu   sync.Mutex
+	free []*msmScratch // guarded by mu
+}
+
+// takeMSMScratch returns an idle scratch for an MSM of n points, or a new
+// one. The caller gives it back with releaseMSMScratch.
+func takeMSMScratch(n int) *msmScratch {
+	msmIdle.mu.Lock()
+	defer msmIdle.mu.Unlock()
+	free := msmIdle.free
+	if len(free) == 0 {
+		return new(msmScratch)
+	}
+	// The smallest that fits, else the largest.
+	best := 0
+	for i, s := range free {
+		fits, bestFits := s.points >= n, free[best].points >= n
+		switch {
+		case fits && (!bestFits || s.points < free[best].points):
+			best = i
+		case !fits && !bestFits && s.points > free[best].points:
+			best = i
+		}
+	}
+	s := free[best]
+	free[best] = free[len(free)-1]
+	msmIdle.free = free[:len(free)-1]
+	return s
+}
+
+// releaseMSMScratch returns s, which served an MSM of n points, to the idle
+// list.
+func releaseMSMScratch(s *msmScratch, n int) {
+	s.points = max(s.points, n)
+	msmIdle.mu.Lock()
+	defer msmIdle.mu.Unlock()
+	msmIdle.free = append(msmIdle.free, s)
+}
 
 // grow returns s resized to n elements, reallocating only when its
 // capacity is short; the contents are unspecified.
@@ -101,8 +146,8 @@ func grow[T any](s []T, n int) []T {
 // bucket addition on small inputs.
 func msmWithWindow(points []G1Affine, scalars []fr.Element, c, minBatch int) G1Affine {
 	n := len(scalars)
-	call := msmCallPool.Get().(*msmCallScratch)
-	defer msmCallPool.Put(call)
+	call := takeMSMScratch(n)
+	defer releaseMSMScratch(call, n)
 	// One pass per scalar: leave Montgomery form into canonical limbs, note
 	// the bit length, and recode into signed windowed digits in
 	// [-2^(c-1), 2^(c-1)-1] with carry propagation, so each window needs
@@ -148,21 +193,25 @@ func msmWithWindow(points []G1Affine, scalars []fr.Element, c, minBatch int) G1A
 	}
 	chunkLen := (n + numChunks - 1) / numChunks
 
-	call.partial = grow(call.partial, numWindows*numChunks)
+	numTasks := numWindows * numChunks
+	call.partial = grow(call.partial, numTasks)
 	partial := call.partial
-	parallel.Execute(numWindows*numChunks, func(start, end int) {
-		// One scratch per worker range, reused by every task in it.
-		s := msmTaskPool.Get().(*msmTaskScratch)
-		defer msmTaskPool.Put(s)
-		for task := start; task < end; task++ {
-			w := task / numChunks
-			lo := (task % numChunks) * chunkLen
-			hi := lo + chunkLen
-			if hi > n {
-				hi = n
+	// Worker k runs tasks [k·numTasks/workers, (k+1)·numTasks/workers) on
+	// scratch k.
+	workers := min(parallel.Workers(), numTasks)
+	for len(call.tasks) < workers {
+		call.tasks = append(call.tasks, msmTaskScratch{})
+	}
+	parallel.ExecuteWorkers(workers, workers, func(first, last int) {
+		for k := first; k < last; k++ {
+			s := &call.tasks[k]
+			for task := k * numTasks / workers; task < (k+1)*numTasks/workers; task++ {
+				w := task / numChunks
+				lo := (task % numChunks) * chunkLen
+				hi := min(lo+chunkLen, n)
+				sum := s.bucketAccumulate(1<<(c-1), points[lo:hi], digits[w*n+lo:w*n+hi], minBatch)
+				sum.toJacobian(&partial[task])
 			}
-			sum := s.bucketAccumulate(1<<(c-1), points[lo:hi], digits[w*n+lo:w*n+hi], minBatch)
-			sum.toJacobian(&partial[task])
 		}
 	})
 

@@ -136,6 +136,31 @@ func BenchmarkMSMTableWidth(b *testing.B) {
 	}
 }
 
+// fixedBaseWidths are the digit widths BenchmarkFixedBaseWidth sweeps,
+// fixedBaseWidth among them.
+var fixedBaseWidths = []int{8, 9, 10, 11, 12, 13}
+
+// BenchmarkFixedBaseWidth sweeps G1FixedBaseMul's digit width over
+// c = 8…13 on the powers of one τ at the SRS sizes of zkdet-node (16 400)
+// and of the benchmark and cluster (32 784), table build included, the
+// widths taking turns; fixedBaseWidth is read off its output.
+func BenchmarkFixedBaseWidth(b *testing.B) {
+	g := G1Generator()
+	tau := fr.NewElement(0x5eed2025)
+	for _, n := range []int{16400, 32784} {
+		scalars := fr.Powers(&tau, n)
+		var names []string
+		for _, c := range fixedBaseWidths {
+			names = append(names, fmt.Sprintf("c=%d", c))
+		}
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchTakingTurns(b, names, func(k int) {
+				fixedBaseMul(&g, scalars, fixedBaseWidths[k])
+			})
+		})
+	}
+}
+
 // BenchmarkMSMTableCrossover times G1MSM against the table pass at
 // msmTableWidth at both ends of the lengths the table serves, the two
 // taking turns on a warm table: msmTableMinLen and msmTableMaxLen are read

@@ -43,16 +43,19 @@ type SRS struct {
 func (s *SRS) MaxDegree() int { return len(s.G1) - 1 }
 
 // NewSRSFromSecret derives an SRS of the given size directly from a known
-// secret τ. Exposed for tests and as the ceremony's building block; real
-// deployments must use Setup or a Ceremony so τ is never known to anyone.
+// secret τ: the powers τ^i, then [τ^i]G1 on bn254.G1FixedBaseMul's
+// fixed-base table, then [τ]G2. The powers are cleared before it returns,
+// as the kernel clears their digits; τ itself is the caller's to clear.
+// Exposed for tests and as the ceremony's building block; real deployments
+// must use Setup or a Ceremony so τ is never known to anyone.
 func NewSRSFromSecret(size int, tau *fr.Element) (*SRS, error) {
 	if size < 2 {
 		return nil, fmt.Errorf("kzg: srs size must be at least 2, got %d", size)
 	}
-	scalars := fr.Powers(tau, size)
+	scalars := fr.Powers(tau, size) // toxic: scalars[1] is τ
+	defer zeroizeScalars(scalars)
 	g1 := bn254.G1Generator()
-	table := bn254.NewG1FixedBaseTable(&g1)
-	srs := &SRS{G1: table.MulMany(scalars)}
+	srs := &SRS{G1: bn254.G1FixedBaseMul(&g1, scalars)}
 	g2 := bn254.G2Generator()
 	srs.G2[0] = g2
 	srs.G2[1] = bn254.G2ScalarMul(&g2, tau)

@@ -54,6 +54,21 @@ func BenchmarkCommit(b *testing.B) {
 	}
 }
 
+// BenchmarkNewSRSFromSecret times SRS generation at the sizes of
+// zkdet-node (16 400 powers) and of the benchmark and cluster (32 784).
+func BenchmarkNewSRSFromSecret(b *testing.B) {
+	for _, size := range []int{16400, 32784} {
+		b.Run(fmt.Sprintf("size=%d", size), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				tau := fr.NewElement(0x5eed2025)
+				if _, err := NewSRSFromSecret(size, &tau); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCeremonyContribution measures one Powers-of-Tau contribution.
 func BenchmarkCeremonyContribution(b *testing.B) {
 	cer, err := NewCeremony(64)

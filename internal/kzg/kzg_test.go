@@ -2,7 +2,9 @@ package kzg
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"testing"
 
@@ -358,4 +360,22 @@ func FuzzSRSFromBytes(f *testing.F) {
 			t.Fatalf("accepted SRS does not re-encode to its %d input bytes", len(data))
 		}
 	})
+}
+
+// TestNewSRSFromSecretPinned pins the serialized 32 784-power SRS of
+// τ = 0x5eed2025, the benchmark's size, byte for byte as the Jacobian
+// fixed-base table computed it before G1FixedBaseMul replaced it.
+func TestNewSRSFromSecretPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("32 784 powers")
+	}
+	const want = "571d2d7fd0a60ec2dc317e4b1e95486eecfd506a3433866f00c274c998e6d694"
+	tau := fr.NewElement(0x5eed2025)
+	srs, err := NewSRSFromSecret(32784, &tau)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sha256.Sum256(srs.Bytes()); hex.EncodeToString(got[:]) != want {
+		t.Fatalf("SRS digest %x, want %s", got, want)
+	}
 }

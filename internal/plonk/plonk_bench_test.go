@@ -79,12 +79,14 @@ const proveParentBytesPerProof = 16_113_870
 
 // TestProveSteadyStateAllocation guards the prover's allocation per proof,
 // which the repository benchmark bounds to 3 %. At two workers, with
-// garbage collection off (a collection empties the MSM's pooled scratch,
-// and how much of it a proof must then allocate again depends on
-// scheduling), a warm Prove at 2^13 rows must allocate no more than
-// proveBytesPerProof + 10 %: the MSM hands each worker its own scratch, so
-// the figure grows with the width. At the host's own width, with garbage
-// collection on, it must allocate no more than proveParentBytesPerProof.
+// garbage collection off (a collection empties the domains' pooled
+// buffers, and how much of them a proof must then allocate again depends
+// on scheduling), a warm Prove at 2^13 rows must allocate no more than
+// proveBytesPerProof + 10 %; at four and eight workers, no more than that
+// per two workers. Before G1MSM's scratch left its sync.Pool, a warm proof
+// read 2.4 MB at four workers and 7.9 MB at eight. At the host's own width,
+// with garbage collection on, it must allocate no more than
+// proveParentBytesPerProof.
 // Each check takes the quietest of three proofs.
 func TestProveSteadyStateAllocation(t *testing.T) {
 	if testing.Short() || raceEnabled {
@@ -132,6 +134,18 @@ func TestProveSteadyStateAllocation(t *testing.T) {
 		t.Fatalf("a warm Prove at 2^13 rows on 2 workers allocated %d bytes, more than %d + 10 %%", two, proveBytesPerProof)
 	}
 	t.Logf("warm Prove at 2^13 rows on 2 workers: %d bytes allocated (recorded: %d)", two, proveBytesPerProof)
+
+	// Wider, the MSM scratch must not grow: only the fan-out's goroutines
+	// and closures do, so the bound is the two-worker figure per two
+	// workers, + 10 %.
+	for _, workers := range []int{4, 8} {
+		runtime.GOMAXPROCS(workers)
+		got := warmProveBytes()
+		if limit := uint64(workers/2) * (proveBytesPerProof + proveBytesPerProof/10); got > limit {
+			t.Fatalf("a warm Prove at 2^13 rows on %d workers allocated %d bytes, more than %d", workers, got, limit)
+		}
+		t.Logf("warm Prove at 2^13 rows on %d workers: %d bytes allocated", workers, got)
+	}
 }
 
 func BenchmarkSetup(b *testing.B) {
