@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"github.com/zkdet/zkdet/internal/chain"
-	"github.com/zkdet/zkdet/internal/parallel"
 	"github.com/zkdet/zkdet/internal/plonk"
 )
 
@@ -25,8 +24,8 @@ var ErrForeignSRS = errors.New("contracts: verifier key is from another SRS than
 // validated verify calls with the width of the fold; execution then charges
 // those calls the amortised gas schedule and skips the pairing. Invalid
 // proofs are reported by transaction index — a producer leaves them out, an
-// importer refuses the block — and plonk.Batch's bisection isolates
-// offenders in O(k·log n) pairing checks.
+// importer refuses the block — and plonk.Batch.Check names the offenders,
+// isolated in O(k·log n) pairing checks.
 //
 // A transaction can carry several proofs (a confidential transfer has one
 // π_ct per ct.RangeSlots outputs). Every registered verifier's key is on
@@ -190,44 +189,35 @@ func (bc *BlockProofChecker) CheckBlock(txs []*chain.Transaction) (chain.ProofMa
 	}
 	bc.mu.RUnlock()
 
-	// Decode every item and replay its transcript on the worker pool —
-	// the items are independent — then fold them in item order, so the
-	// batch, its ρ and every error are those of one pass in item order and
-	// the same on every replica. Check the fold; bisect to isolate
-	// offenders on failure.
+	// Decode every item and add it in item order, so the batch, its ρ and
+	// every error are those of one pass in that order and the same on every
+	// replica; Check prepares the items on the worker pool and names the
+	// offenders of a failed fold.
 	batch := plonk.NewBatch(base)
-	prepared := make([]plonk.Prepared, len(items))
-	prepErrs := make([]error, len(items))
-	parallel.Execute(len(items), func(start, end int) {
-		for idx := start; idx < end; idx++ {
-			proof, public, err := decodeVerifyArgs(items[idx].args)
-			if err == nil {
-				prepared[idx], err = batch.Prepare(items[idx].v.vk, proof, public)
-			}
-			prepErrs[idx] = err
-		}
-	})
 	var folded []int // item indices, in batch position order
 	for idx := range items {
 		it := &items[idx]
 		if errs[it.tx] != nil {
 			continue // sibling item already failed this tx
 		}
-		if err := prepErrs[idx]; err != nil {
+		proof, public, err := decodeVerifyArgs(it.args)
+		if err == nil {
+			err = batch.AddFor(it.v.vk, proof, public)
+		}
+		if err != nil {
 			errs[it.tx] = fmt.Errorf("%w: %w", ErrProofRejected, err)
 			continue
 		}
-		batch.AddPrepared(prepared[idx])
 		folded = append(folded, idx)
 	}
 	if err := batch.Check(); err != nil {
-		offenders, err := batch.Bisect()
-		if err != nil {
+		var refused *plonk.BatchError
+		if !errors.As(err, &refused) {
 			// Enter nothing in the table; execution verifies each proof
 			// alone.
 			return chain.ProofMarks{}, errs
 		}
-		for _, pos := range offenders {
+		for _, pos := range refused.Offenders {
 			errs[items[folded[pos]].tx] = fmt.Errorf("%w: seal-time batch check", ErrProofRejected)
 		}
 	}

@@ -1,6 +1,7 @@
 package contracts
 
 import (
+	"errors"
 	"fmt"
 	"runtime"
 	"testing"
@@ -9,54 +10,42 @@ import (
 	"github.com/zkdet/zkdet/internal/plonk"
 )
 
-// serialCheckBlock is the block check as one pass in transaction order —
-// decode, AddFor, then Check and Bisect — over direct verify calls only:
-// the reference CheckBlock's worker-pool preparation must reproduce.
+// serialCheckBlock is the block check with no fold, over direct verify
+// calls only: each proof is decoded and verified alone with plonk.Verify, in
+// transaction order. It is the reference CheckBlock's one batch must
+// reproduce: a proof the pairing refuses is a seal-time rejection, any
+// other refusal is reported with its cause, and every proof that verifies
+// enters the table at the count of those that do.
 func serialCheckBlock(vk *plonk.VerifyingKey, txs []*chain.Transaction) (chain.ProofMarks, []error) {
 	errs := make([]error, len(txs))
-	batch := plonk.NewBatch(vk)
-	var folded []int // transaction indices, in batch position order
+	var valid []int // transaction indices
 	for i, tx := range txs {
 		if tx.Contract != "verifier" || tx.Method != "verify" {
 			continue
 		}
 		proof, public, err := decodeVerifyArgs(tx.Args)
 		if err == nil {
-			err = batch.AddFor(vk, proof, public)
+			err = plonk.Verify(vk, proof, public)
 		}
-		if err != nil {
+		switch {
+		case errors.Is(err, plonk.ErrProofInvalid):
+			errs[i] = fmt.Errorf("%w: seal-time batch check", ErrProofRejected)
+		case err != nil:
 			errs[i] = fmt.Errorf("%w: %w", ErrProofRejected, err)
-			continue
-		}
-		folded = append(folded, i)
-	}
-	if batch.Check() != nil {
-		offenders, err := batch.Bisect()
-		if err != nil {
-			return chain.ProofMarks{}, errs
-		}
-		for _, pos := range offenders {
-			errs[folded[pos]] = fmt.Errorf("%w: seal-time batch check", ErrProofRejected)
+		default:
+			valid = append(valid, i)
 		}
 	}
-	marks := chain.ProofMarks{Width: map[chain.ProofID]int{}}
-	for _, i := range folded {
-		if errs[i] == nil {
-			marks.Items++
-			marks.Txs++
-		}
-	}
-	for _, i := range folded {
-		if errs[i] == nil {
-			marks.Width[chain.ProofKey("verifier", txs[i].Args)] = marks.Items
-		}
+	marks := chain.ProofMarks{Width: map[chain.ProofID]int{}, Items: len(valid), Txs: len(valid)}
+	for _, i := range valid {
+		marks.Width[chain.ProofKey("verifier", txs[i].Args)] = len(valid)
 	}
 	return marks, errs
 }
 
-// TestCheckBlockMatchesSerialFold: CheckBlock decodes and prepares a
-// block's proofs on the worker pool, yet gives the marks and errors of one
-// pass in transaction order — on blocks whose bad proofs (a failing
+// TestCheckBlockMatchesSerialFold: CheckBlock folds a block's proofs in one
+// batch, prepared on the worker pool, yet gives the marks and errors of
+// verifying each proof alone in transaction order — on blocks whose bad proofs (a failing
 // pairing, calldata that does not decode) sit first, in the middle, last
 // and side by side, beside a transaction that carries no proof. Run under
 // -race with four workers to exercise the fan-out on any host.

@@ -31,13 +31,17 @@ type machineUnderTest struct {
 // is attached throughout: after every block, each contract's exchange
 // records must agree with its storage (exchangeRecordsAgree), and the two
 // contracts open the same ids, which must stay two records.
-func TestExchangeStateMachine(t *testing.T) {
+// machineEnv deploys a toy π_k verifier, the escrow and the confidential
+// token on a fresh chain, mints the confidential buyer eight notes to lock,
+// and returns the chain, the buyer, the seller, the π_k verify calldata
+// (proof, k_c, c, h_v) and both contracts as machines under test.
+func machineEnv(t *testing.T) (*chain.Chain, chain.Address, chain.Address, [][]byte, []machineUnderTest) {
 	c, issuer, buyer, seller := contracts.CTEnv(t)
 	parts := contracts.DeployToyPiK(t, c)
 	if _, err := c.Deploy(contracts.EscrowName, contracts.NewEscrow("pik-verifier", 10), contracts.EscrowCodeSize); err != nil {
 		t.Fatal(err)
 	}
-	proof, kc, cc, hv := parts[0], parts[1], parts[2], parts[3]
+	cc, hv := parts[2], parts[3]
 
 	// The confidential buyer locks one fresh note per exchange it opens.
 	secrets := make([]ct.OutputSecret, 8)
@@ -64,6 +68,13 @@ func TestExchangeStateMachine(t *testing.T) {
 			return err
 		}},
 	}
+	return c, buyer, seller, parts, machines
+}
+
+func TestExchangeStateMachine(t *testing.T) {
+	c, buyer, seller, parts, machines := machineEnv(t)
+	proof, kc, cc, hv := parts[0], parts[1], parts[2], parts[3]
+
 	settle := func(x machineUnderTest, from chain.Address, id uint64, hv []byte) error {
 		return contracts.Call(t, c, from, x.name, "settle", 0, contracts.EncodeArgs(contracts.U64(id), kc, proof, kc, cc, hv)).Err
 	}
@@ -228,4 +239,44 @@ func exchangeRecordsAgree(c *chain.Chain, ix *indexer.Indexer, x machineUnderTes
 		return fmt.Errorf("%s: records %v are of no exchange in storage", x.name, recs)
 	}
 	return nil
+}
+
+// TestExchangeSettleRefusesMalformedCalldata: settle reads its calldata by
+// position, and the calldata is the sender's. On both contracts, settle with
+// fewer than its three parts (id, k_c, the verify parts) or with other than
+// four verify parts (proof, k_c, c, h_v) reverts with ErrBadArgs, before any
+// part past what was sent is read, and leaves storage as it was.
+func TestExchangeSettleRefusesMalformedCalldata(t *testing.T) {
+	c, _, seller, parts, machines := machineEnv(t)
+	proof, kc, cc, hv := parts[0], parts[1], parts[2], parts[3]
+	const id = 1
+	short, arity := "settle wants id, kc, proof…", "settle proof wants (proof, kc, c, hv)"
+	cases := []struct {
+		name string
+		args [][]byte
+		msg  string
+	}{
+		{"one part", [][]byte{contracts.U64(id)}, short},
+		{"two parts", [][]byte{contracts.U64(id), kc}, short},
+		{"three verify parts", [][]byte{contracts.U64(id), kc, proof, kc, cc}, arity},
+		{"five verify parts", [][]byte{contracts.U64(id), kc, proof, kc, cc, hv, hv}, arity},
+	}
+	for _, x := range machines {
+		if err := x.open(id, seller[:]); err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range cases {
+			before := c.Head().StateRoot
+			err := contracts.Call(t, c, seller, x.name, "settle", 0, contracts.EncodeArgs(tc.args...)).Err
+			if !errors.Is(err, chain.ErrReverted) || !errors.Is(err, contracts.ErrBadArgs) || !strings.Contains(err.Error(), tc.msg) {
+				t.Fatalf("%s, %s: %v, want a revert with ErrBadArgs: %s", x.name, tc.name, err, tc.msg)
+			}
+			if after := c.Head().StateRoot; after != before {
+				t.Fatalf("%s, %s: the refused settle changed storage", x.name, tc.name)
+			}
+		}
+		if got := c.ReadStorage(x.name, fmt.Sprintf("%s/%d/status", x.space, id)); len(got) != 1 || got[0] != 1 {
+			t.Fatalf("%s: exchange status %x after the refused settles, want open (01)", x.name, got)
+		}
+	}
 }

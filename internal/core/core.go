@@ -7,6 +7,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"sync"
@@ -125,26 +126,28 @@ func NewSystem(srs *kzg.SRS) *System {
 // commitment against this SRS to any value and forge any proof for any
 // statement. zkdet-node and zkdet-cluster still prove over it today.
 func NewTestSystem(maxConstraints int) (*System, error) {
+	powers, err := SRSPowers(maxConstraints)
+	if err != nil {
+		return nil, err
+	}
 	tau := fr.NewElement(0x5eed2025)
-	srs, err := kzg.NewSRSFromSecret(SRSPowers(maxConstraints), &tau)
+	srs, err := kzg.NewSRSFromSecret(powers, &tau)
 	if err != nil {
 		return nil, err
 	}
 	return NewSystem(srs), nil
 }
 
-// SRSPowers is the number of G1 powers every SRS this repository builds
-// holds for circuits of up to maxConstraints gates: 4n + 16, where n is
-// maxConstraints rounded up to a power of two of at least 64. plonk.Setup
-// asks for 3N powers on an N-row domain, so it covers every key whose
-// domain holds at most n rows — all but a circuit of exactly n gates, whose
-// padding row takes it to 3n/2.
-func SRSPowers(maxConstraints int) int {
+// SRSPowers is the SRS size for circuits of up to maxConstraints gates:
+// plonk.SRSPowers(n) = 3n, n the bound rounded up to a power of two ≥ 64,
+// which covers every key whose domain holds at most n rows. A circuit of
+// exactly n gates plus its padding row needs a bound of 2n.
+func SRSPowers(maxConstraints int) (int, error) {
 	n := 64
 	for n < maxConstraints {
 		n <<= 1
 	}
-	return 4*n + 16
+	return plonk.SRSPowers(n)
 }
 
 // SRS exposes the system's reference string.
@@ -266,12 +269,12 @@ type proofCheck struct {
 	public []fr.Element
 }
 
-// verifyAll checks every proof and pays one pairing for all of them: each is
-// prepared into one plonk.Batch (the keys differ per circuit, the SRS is the
-// System's, so every statement folds), and only a failed fold is bisected.
-// The error names the first refused proof by its label and wraps the plonk
-// error; VerifyEncryption and VerifyTransform are the one-proof case,
-// AuditLineage the many-proof one.
+// verifyAll checks every proof and pays one pairing for all of them: each
+// is added to one plonk.Batch (the keys differ per circuit, the SRS is the
+// System's, so every statement folds), which prepares them on the worker
+// pool and names the refused ones. The error names the first refused proof
+// by its label and wraps the plonk error; VerifyEncryption and
+// VerifyTransform are the one-proof case, AuditLineage the many-proof one.
 func verifyAll(checks []proofCheck) error {
 	if len(checks) == 0 {
 		return nil
@@ -282,17 +285,13 @@ func verifyAll(checks []proofCheck) error {
 			return fmt.Errorf("core: %s: %w", c.label, err)
 		}
 	}
-	if batch.Check() == nil {
-		return nil
+	err := batch.Check()
+	var refused *plonk.BatchError
+	if errors.As(err, &refused) && len(refused.Offenders) > 0 {
+		return fmt.Errorf("core: %s: %w: pairing check", checks[refused.Offenders[0]].label, plonk.ErrProofInvalid)
 	}
-	bad, err := batch.Bisect()
 	if err != nil {
 		return fmt.Errorf("core: %w", err)
 	}
-	if len(bad) == 0 {
-		// The fold failed yet every statement passes alone: a ρ collision,
-		// astronomically unlikely, but not a pass.
-		return fmt.Errorf("core: %w: batch fold rejected but no single proof failed", plonk.ErrProofInvalid)
-	}
-	return fmt.Errorf("core: %s: %w: pairing check", checks[bad[0]].label, plonk.ErrProofInvalid)
+	return nil
 }

@@ -27,13 +27,13 @@ var testSys = sync.OnceValue(func() *System {
 })
 
 // TestSRSPowers pins the one sizing rule both system constructors use:
-// 4n + 16 powers for n the gate bound rounded up to a power of two ≥ 64.
+// plonk's 3n powers for n the gate bound rounded up to a power of two ≥ 64.
 func TestSRSPowers(t *testing.T) {
 	for _, tc := range []struct{ gates, want int }{
-		{0, 272}, {64, 272}, {65, 528}, {1 << 12, 16400}, {1<<13 + 1, 65552},
+		{0, 192}, {64, 192}, {65, 384}, {1 << 12, 12288}, {1<<13 + 1, 49152},
 	} {
-		if got := SRSPowers(tc.gates); got != tc.want {
-			t.Fatalf("SRSPowers(%d) = %d, want %d", tc.gates, got, tc.want)
+		if got, err := SRSPowers(tc.gates); err != nil || got != tc.want {
+			t.Fatalf("SRSPowers(%d) = %d, %v; want %d", tc.gates, got, err, tc.want)
 		}
 	}
 }

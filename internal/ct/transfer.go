@@ -379,7 +379,7 @@ func verifySigma(params *Params, auditor *bn254.G1Affine, st *Statement, p *Proo
 
 // RangeInstances checks the sigma part of a transfer proof and returns
 // what is left to verify: every range proof with its public inputs under
-// the challenge the sigma check replayed. Verify checks them one by one;
+// the challenge the sigma check replayed. Verify folds them in one batch;
 // the token contract sends each to the deployed verifier and the block
 // proof check folds them.
 func (p *Proof) RangeInstances(params *Params, auditor *bn254.G1Affine, st *Statement) ([]RangeInstance, error) {
@@ -391,16 +391,21 @@ func (p *Proof) RangeInstances(params *Params, auditor *bn254.G1Affine, st *Stat
 }
 
 // Verify checks a transfer proof completely: the sigma equations plus
-// every π_ct range proof against the shared challenge.
+// every π_ct range proof against the shared challenge, folded into one
+// pairing check.
 func Verify(params *Params, vk *plonk.VerifyingKey, auditor *bn254.G1Affine, st *Statement, p *Proof) error {
 	ris, err := p.RangeInstances(params, auditor, st)
 	if err != nil {
 		return err
 	}
+	batch := plonk.NewBatch(vk)
 	for g, ri := range ris {
-		if err := plonk.Verify(vk, ri.Proof, ri.Public); err != nil {
+		if err := batch.Add(ri.Proof, ri.Public); err != nil {
 			return fmt.Errorf("%w: range proof %d: %w", ErrProofInvalid, g, err)
 		}
+	}
+	if err := batch.Check(); err != nil {
+		return fmt.Errorf("%w: range proofs: %w", ErrProofInvalid, err)
 	}
 	return nil
 }

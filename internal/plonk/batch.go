@@ -2,19 +2,22 @@ package plonk
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/zkdet/zkdet/internal/bn254"
 	"github.com/zkdet/zkdet/internal/fr"
+	"github.com/zkdet/zkdet/internal/parallel"
 	"github.com/zkdet/zkdet/internal/transcript"
 )
 
 // Batch accumulates the pairing statements of many proofs and checks them
-// all with two MSMs and a single two-pair pairing. Add runs each proof's
-// transcript replay and linearization and keeps the statement as the terms
-// of its left-hand point (an opening); no group operation runs until Check.
-// Check folds the N deferred statements e(Lᵢ, G2)·e(−Wᵢ, τG2) == 1 with
-// powers of a challenge ρ into one,
+// all with two MSMs and a single two-pair pairing. Add refuses what can be
+// refused without a group operation or a transcript (a foreign SRS, the
+// proof's shape, the public-input count, the key's domain) and keeps the
+// rest by reference; Check runs every statement's transcript replay and
+// linearization on the worker pool, keeping each as the terms of its
+// left-hand point (an opening), then folds the N statements
+// e(Lᵢ, G2)·e(−Wᵢ, τG2) == 1 with powers of a challenge ρ into one,
 //
 //	e(Σ ρⁱ·Lᵢ, G2) · e(−Σ ρⁱ·Wᵢ, τG2) == 1,
 //
@@ -22,7 +25,9 @@ import (
 // distinct key's columns once and the generator once (their scalars summed
 // across the statements that share them), and Σ ρⁱ·Wᵢ = Σ ρⁱ·Wζᵢ + ρⁱuᵢ·Wζωᵢ
 // as one MSM over 2N points. An extra proof costs its points' share of the
-// two MSMs, not an MSM and a scalar multiplication of its own.
+// two MSMs, not an MSM and a scalar multiplication of its own. The fold's
+// positions, ρ and every error are those of the Add calls in order,
+// whatever the number of workers.
 //
 // Soundness: if any single statement is false, the folded statement holds
 // for at most N-1 choices of ρ out of |Fr|, so a cheating batch passes with
@@ -32,7 +37,27 @@ import (
 // from — so ρ cannot be chosen before the proofs are fixed.
 type Batch struct {
 	vk    *VerifyingKey
-	stmts []opening
+	items []statement // what AddFor took, in Add order
+	stmts []opening   // items, prepared by Check
+	folds int         // pairing checks the last Check ran
+}
+
+// statement is what AddFor took; the batch reads it until Check returns.
+type statement struct {
+	vk     *VerifyingKey
+	proof  *Proof
+	public []fr.Element
+}
+
+// BatchError is Check's refusal of a fold, which Check returns wrapped
+// with ErrProofInvalid: the positions, in Add order and ascending, of the
+// statements that fail on their own. Offenders is empty only if the fold
+// failed while every statement passes alone — a collision of ρ,
+// astronomically unlikely, and not a pass.
+type BatchError struct{ Offenders []int }
+
+func (e *BatchError) Error() string {
+	return fmt.Sprintf("pairing check refuses statements %v", e.Offenders)
 }
 
 // NewBatch returns an empty batch for the given verifying key.
@@ -40,70 +65,80 @@ func NewBatch(vk *VerifyingKey) *Batch {
 	return &Batch{vk: vk}
 }
 
-// Add runs the per-proof verification work (shape checks, transcript
-// replay, the linearization) and defers the pairing statement into the
-// batch. Add refuses only a proof of the wrong shape or public-input count,
-// with the error Verify would return; any other false proof enters the
-// batch and fails Check, since the constraint identities are checked inside
-// the pairing.
+// Add defers a proof against the batch key into the batch. Add refuses only
+// a proof of the wrong shape or public-input count, with the error Verify
+// would return; any other false proof enters the batch and fails Check,
+// since the constraint identities are checked inside the pairing. The batch
+// reads proof and public until Check returns: change neither before then.
 func (b *Batch) Add(proof *Proof, public []fr.Element) error {
 	return b.AddFor(b.vk, proof, public)
 }
 
-// AddFor runs Add's per-proof verification against a DIFFERENT verifying
-// key, deferring the pairing statement into this batch. This folds proofs
-// of different circuits — custom-gate and lookup + custom — into one
-// pairing check: the deferred statement e(L, G2)·e(−W, τG2) == 1 only
-// depends on the SRS, so any key sharing the batch key's G2 points can
-// contribute. Keys from a different SRS are rejected.
+// AddFor is Add against a DIFFERENT verifying key. This folds proofs of
+// different circuits — custom-gate and lookup + custom — into one pairing
+// check: the deferred statement e(L, G2)·e(−W, τG2) == 1 only depends on
+// the SRS, so any key sharing the batch key's G2 points can contribute.
+// Keys from a different SRS are refused, and so is a key whose N is not a
+// supported domain size (ErrDomainSize).
 func (b *Batch) AddFor(vk *VerifyingKey, proof *Proof, public []fr.Element) error {
-	p, err := b.Prepare(vk, proof, public)
-	if err == nil {
-		b.AddPrepared(p)
-	}
-	return err
-}
-
-// Prepared is one proof's per-proof verification work, done by Prepare
-// and deferred into a batch by AddPrepared.
-type Prepared struct{ o opening }
-
-// Prepare runs AddFor's per-proof work — the SRS and shape checks, the
-// transcript replay, the linearization — and returns the statement instead
-// of deferring it, with the error AddFor would return. It reads the batch
-// and changes nothing, so a caller may prepare many proofs on several
-// goroutines at once and then add them in a fixed order: the batch, its ρ
-// and Bisect's positions are those of AddFor calls in that order.
-func (b *Batch) Prepare(vk *VerifyingKey, proof *Proof, public []fr.Element) (Prepared, error) {
 	if !vk.SameSRS(b.vk) {
-		return Prepared{}, fmt.Errorf("plonk: batch AddFor: verifying key from a different SRS")
+		return fmt.Errorf("plonk: batch AddFor: verifying key from a different SRS")
 	}
-	o, err := openingMSM(vk, proof, public)
-	return Prepared{o: o}, err
+	if err := checkStatement(vk, proof, public); err != nil {
+		return err
+	}
+	if err := vk.CheckDomain(); err != nil {
+		return err
+	}
+	b.items = append(b.items, statement{vk: vk, proof: proof, public: public})
+	return nil
 }
-
-// AddPrepared defers a statement Prepare returned into the batch.
-func (b *Batch) AddPrepared(p Prepared) { b.stmts = append(b.stmts, p.o) }
-
-// Len returns the number of statements accumulated so far.
-func (b *Batch) Len() int { return len(b.stmts) }
 
 // Check verifies every accumulated statement with one pairing check. An
-// empty batch passes vacuously. On failure at least one statement in the
-// batch is invalid; use Bisect to isolate which.
+// empty batch passes vacuously. A failed fold is bisected: each half is
+// folded on its own, a half that passes is cleared as a whole and a failing
+// one split again until single statements remain, so k invalid statements
+// among n cost O(k·log n) pairing checks to isolate. The refusal wraps
+// ErrProofInvalid and a *BatchError naming them; any other error (an MSM or
+// pairing failure) says nothing about the statements.
 func (b *Batch) Check() error {
-	idxs := make([]int, len(b.stmts))
-	for i := range idxs {
-		idxs[i] = i
+	n := len(b.items)
+	b.folds = 0
+	b.stmts = make([]opening, n)
+	refused := make([]bool, n)
+	parallel.Execute(n, func(start, end int) {
+		for i := start; i < end; i++ {
+			it := &b.items[i]
+			var err error
+			b.stmts[i], err = openingMSM(it.vk, it.proof, it.public)
+			refused[i] = err != nil
+		}
+	})
+	idxs := make([]int, 0, n)
+	var bad []int // a statement whose ζ falls inside its domain: refused alone
+	for i, r := range refused {
+		if r {
+			bad = append(bad, i)
+			continue
+		}
+		idxs = append(idxs, i)
 	}
 	ok, err := b.checkSubset(idxs)
 	if err != nil {
 		return err
 	}
 	if !ok {
-		return fmt.Errorf("%w: pairing check (%d proofs)", ErrProofInvalid, len(b.stmts))
+		named, err := b.offenders(idxs)
+		if err != nil {
+			return err
+		}
+		bad = append(bad, named...)
+		slices.Sort(bad)
 	}
-	return nil
+	if ok && len(bad) == 0 {
+		return nil
+	}
+	return fmt.Errorf("%w: %w", ErrProofInvalid, &BatchError{Offenders: bad})
 }
 
 // batchRho derives the folding challenge of the statements at idxs from a
@@ -128,6 +163,7 @@ func (b *Batch) checkSubset(idxs []int) (bool, error) {
 	if n == 0 {
 		return true, nil
 	}
+	b.folds++
 	rho := b.batchRho(idxs)
 	rhoPowers := fr.Powers(&rho, n)
 
@@ -208,48 +244,26 @@ func (b *Batch) checkSubset(idxs []int) (bool, error) {
 	return ok, nil
 }
 
-// Bisect isolates the invalid statements after a failed Check by recursive
-// subset splitting: a subset that passes its folded check is cleared as a
-// whole, a failing subset is split in half until single statements remain.
-// For k invalid proofs among n it costs O(k·log n) pairing checks instead
-// of n. The returned indices (positions in Add order, ascending) are the
-// statements whose individual pairing checks fail; an empty result means
-// the whole batch passes.
-func (b *Batch) Bisect() ([]int, error) {
-	idxs := make([]int, len(b.stmts))
-	for i := range idxs {
-		idxs[i] = i
-	}
-	bad, err := b.bisect(idxs)
-	if err != nil {
-		return nil, err
-	}
-	sort.Ints(bad)
-	return bad, nil
-}
-
-func (b *Batch) bisect(idxs []int) ([]int, error) {
-	if len(idxs) == 0 {
-		return nil, nil
-	}
-	ok, err := b.checkSubset(idxs)
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		return nil, nil
-	}
+// offenders returns the statements at idxs, whose fold failed, that fail
+// alone, ascending: it folds each half and splits a failing half again.
+func (b *Batch) offenders(idxs []int) ([]int, error) {
 	if len(idxs) == 1 {
 		return idxs, nil
 	}
+	var bad []int
 	mid := len(idxs) / 2
-	left, err := b.bisect(idxs[:mid])
-	if err != nil {
-		return nil, err
+	for _, half := range [][]int{idxs[:mid], idxs[mid:]} {
+		ok, err := b.checkSubset(half)
+		if err != nil {
+			return nil, err
+		}
+		if !ok {
+			named, err := b.offenders(half)
+			if err != nil {
+				return nil, err
+			}
+			bad = append(bad, named...)
+		}
 	}
-	right, err := b.bisect(idxs[mid:])
-	if err != nil {
-		return nil, err
-	}
-	return append(left, right...), nil
+	return bad, nil
 }

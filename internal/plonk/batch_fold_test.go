@@ -1,7 +1,6 @@
 package plonk
 
 import (
-	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -26,29 +25,14 @@ func buildAddMulCircuit() (*ConstraintSystem, []fr.Element) {
 	return cs, witness
 }
 
-// statementOf returns the deferred statement Add (or, for a key other than
-// the batch key, AddFor) keeps for one proof.
-func statementOf(t *testing.T, batchVK, vk *VerifyingKey, proof *Proof, public []fr.Element) opening {
-	t.Helper()
-	b := NewBatch(batchVK)
-	if err := b.AddFor(vk, proof, public); err != nil {
-		t.Fatal(err)
-	}
-	return b.stmts[0]
-}
-
 // TestBatchFoldNamesEachBadPosition is the fold's soundness at every width
 // the seal meets: with one bad statement at each position of a fold of n,
-// Check refuses the fold and Bisect names exactly that position. The bad
+// Check refuses the fold and names exactly that position. The bad
 // statements are a corrupted W_ζ, a flipped public input and a proof of a
 // different key (same SRS, shape and public-input count) entered via AddFor.
 func TestBatchFoldNamesEachBadPosition(t *testing.T) {
 	const distinct = 8
 	vk, proofs, publics := proveN(t, distinct)
-	good := make([]opening, distinct)
-	for i := range good {
-		good[i] = statementOf(t, vk, vk, proofs[i], publics[i])
-	}
 
 	corrupt := *proofs[0]
 	corruptOpening(&corrupt)
@@ -68,12 +52,26 @@ func TestBatchFoldNamesEachBadPosition(t *testing.T) {
 		t.Fatalf("the foreign proof is not valid for its own key: %v", err)
 	}
 	bads := []struct {
-		name string
-		stmt opening
+		name   string
+		proof  *Proof
+		public []fr.Element
 	}{
-		{"corrupted W_ζ", statementOf(t, vk, vk, &corrupt, publics[0])},
-		{"flipped public input", statementOf(t, vk, vk, proofs[0], flipped)},
-		{"foreign key via AddFor", statementOf(t, vk, vk, foreign, wF[:2])},
+		{"corrupted W_ζ", &corrupt, publics[0]},
+		{"flipped public input", proofs[0], flipped},
+		{"foreign key via AddFor", foreign, wF[:2]},
+	}
+	fold := func(n, pos int, proof *Proof, public []fr.Element) error {
+		b := NewBatch(vk)
+		for i := 0; i < n; i++ {
+			p, pub := proofs[i%distinct], publics[i%distinct]
+			if i == pos {
+				p, pub = proof, public
+			}
+			if err := b.AddFor(vk, p, pub); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return b.Check()
 	}
 
 	for _, n := range []int{1, 2, 3, 8, 64} {
@@ -87,28 +85,12 @@ func TestBatchFoldNamesEachBadPosition(t *testing.T) {
 				if positions < n {
 					pos = []int{0, n/2 - 1, n / 2, n - 1}[k]
 				}
-				b := &Batch{vk: vk, stmts: make([]opening, n)}
-				for i := range b.stmts {
-					b.stmts[i] = good[i%distinct]
-				}
-				b.stmts[pos] = bad.stmt
-				if err := b.Check(); !errors.Is(err, ErrProofInvalid) {
-					t.Fatalf("n = %d, %s at %d: Check = %v, want ErrProofInvalid", n, bad.name, pos, err)
-				}
-				named, err := b.Bisect()
-				if err != nil {
-					t.Fatal(err)
-				}
-				if len(named) != 1 || named[0] != pos {
-					t.Fatalf("n = %d, %s at %d: Bisect = %v", n, bad.name, pos, named)
+				if named := offendersOf(t, fold(n, pos, bad.proof, bad.public)); len(named) != 1 || named[0] != pos {
+					t.Fatalf("n = %d, %s at %d: Check names %v", n, bad.name, pos, named)
 				}
 			}
 		}
-		b := &Batch{vk: vk, stmts: make([]opening, n)}
-		for i := range b.stmts {
-			b.stmts[i] = good[i%distinct]
-		}
-		if err := b.Check(); err != nil {
+		if err := fold(n, -1, nil, nil); err != nil {
 			t.Fatalf("n = %d: a fold of valid statements refused: %v", n, err)
 		}
 	}
@@ -116,7 +98,7 @@ func TestBatchFoldNamesEachBadPosition(t *testing.T) {
 
 // TestBatchFoldDuplicates: the seal folds the same proof more than once (the
 // settle load cycles 16 fixtures). A valid proof added many times passes; a
-// corrupted one added twice is refused, and Bisect names both positions.
+// corrupted one added twice is refused, and Check names both positions.
 func TestBatchFoldDuplicates(t *testing.T) {
 	vk, proofs, publics := proveN(t, 2)
 	b := NewBatch(vk)
@@ -141,15 +123,8 @@ func TestBatchFoldDuplicates(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := b.Check(); !errors.Is(err, ErrProofInvalid) {
-		t.Fatalf("a corrupted proof folded twice: Check = %v, want ErrProofInvalid", err)
-	}
-	named, err := b.Bisect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !slices.Equal(named, []int{2, 5}) {
-		t.Fatalf("Bisect = %v, want [2 5]", named)
+	if named := offendersOf(t, b.Check()); !slices.Equal(named, []int{2, 5}) {
+		t.Fatalf("Check names %v, want [2 5]", named)
 	}
 }
 
@@ -157,7 +132,7 @@ func TestBatchFoldDuplicates(t *testing.T) {
 // Verify: over folds that mix arithmetic-only, round-chain and lookup +
 // custom keys,
 // with a random set of statements corrupted (W_ζ, a public input or an
-// opening), the positions Bisect names are exactly those Verify refuses one
+// opening), the positions Check names are exactly those Verify refuses one
 // by one.
 func TestBatchFoldMatchesVerify(t *testing.T) {
 	fx := mixedBatchFixtures(t)
@@ -193,15 +168,115 @@ func TestBatchFoldMatchesVerify(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		got, err := b.Bisect()
-		if err != nil {
-			t.Fatal(err)
+		err := b.Check()
+		if len(want) == 0 {
+			if err != nil {
+				t.Fatalf("trial %d: Check = %v with no bad statement", trial, err)
+			}
+			continue
 		}
-		if !slices.Equal(got, want) {
-			t.Fatalf("trial %d: Bisect = %v, Verify refuses %v", trial, got, want)
+		if got := offendersOf(t, err); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: Check names %v, Verify refuses %v", trial, got, want)
 		}
-		if err := b.Check(); (err == nil) != (len(want) == 0) {
-			t.Fatalf("trial %d: Check = %v with %d bad statements", trial, err, len(want))
+	}
+}
+
+// TestBatchCheckBisectsFromTheHalves counts the pairing checks of a failed
+// fold: with one invalid statement among n = 2^k, Check folds the batch
+// once, then each half of every failing subset down to single statements —
+// 1 + 2k folds, never the refused batch a second time. A valid batch is
+// folded once.
+func TestBatchCheckBisectsFromTheHalves(t *testing.T) {
+	vk, proofs, publics := proveN(t, 4)
+	bad := *proofs[0]
+	corruptOpening(&bad)
+	for k := 0; k <= 6; k++ {
+		n := 1 << k
+		for _, pos := range []int{-1, 0, n / 3, n - 1} {
+			b := NewBatch(vk)
+			for i := 0; i < n; i++ {
+				p := proofs[i%len(proofs)]
+				if i == pos {
+					p = &bad
+				}
+				if err := b.Add(p, publics[0]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			err := b.Check()
+			want := 1
+			if pos >= 0 {
+				if named := offendersOf(t, err); !slices.Equal(named, []int{pos}) {
+					t.Fatalf("n = %d: Check names %v, want [%d]", n, named, pos)
+				}
+				want = 1 + 2*k
+			} else if err != nil {
+				t.Fatalf("n = %d: a valid batch refused: %v", n, err)
+			}
+			if b.folds != want {
+				t.Fatalf("n = %d, bad at %d: %d pairing checks, want %d", n, pos, b.folds, want)
+			}
+		}
+	}
+}
+
+// TestBatchCheckMatchesVerifyAtEveryWidth: at every width from 1 to 64,
+// over statements drawn from valid proofs and three corruptions of them (W_ζ,
+// a public input, an opening), the positions Check names are exactly those
+// Verify refuses one by one, and Check passes when Verify refuses none.
+func TestBatchCheckMatchesVerifyAtEveryWidth(t *testing.T) {
+	vk, proofs, publics := proveN(t, 4)
+	type candidate struct {
+		proof  *Proof
+		public []fr.Element
+		valid  bool // Verify's verdict on it alone
+	}
+	one := fr.One()
+	var pool []candidate
+	for i := range proofs {
+		w := *proofs[i]
+		corruptOpening(&w)
+		e := *proofs[i]
+		e.Evals.B.Add(&e.Evals.B, &one)
+		flipped := slices.Clone(publics[i])
+		flipped[1].Add(&flipped[1], &one)
+		pool = append(pool,
+			candidate{proof: proofs[i], public: publics[i]},
+			candidate{proof: &w, public: publics[i]},
+			candidate{proof: &e, public: publics[i]},
+			candidate{proof: proofs[i], public: flipped})
+	}
+	for i := range pool {
+		pool[i].valid = Verify(vk, pool[i].proof, pool[i].public) == nil
+	}
+	rng := rand.New(rand.NewSource(60))
+	for n := 1; n <= 64; n++ {
+		if testing.Short() && n > 8 && n&(n-1) != 0 {
+			continue
+		}
+		b := NewBatch(vk)
+		var want []int
+		for i := 0; i < n; i++ {
+			c := pool[4*rng.Intn(len(proofs))] // a valid proof, mostly
+			if rng.Intn(6) == 0 {
+				c = pool[rng.Intn(len(pool))]
+			}
+			if !c.valid {
+				want = append(want, i)
+			}
+			if err := b.Add(c.proof, c.public); err != nil {
+				t.Fatal(err)
+			}
+		}
+		err := b.Check()
+		if len(want) == 0 {
+			if err != nil {
+				t.Fatalf("n = %d: Check = %v, Verify refuses none", n, err)
+			}
+			continue
+		}
+		if got := offendersOf(t, err); !slices.Equal(got, want) {
+			t.Fatalf("n = %d: Check names %v, Verify refuses %v", n, got, want)
 		}
 	}
 }
@@ -216,6 +291,9 @@ func TestBatchRhoBindsEveryU(t *testing.T) {
 		if err := b.Add(proofs[i], publics[i]); err != nil {
 			t.Fatal(err)
 		}
+	}
+	if err := b.Check(); err != nil { // prepares b.stmts
+		t.Fatal(err)
 	}
 	idxs := []int{0, 1, 2, 3}
 	rho := b.batchRho(idxs)

@@ -8,7 +8,6 @@ import (
 
 	"github.com/zkdet/zkdet/internal/bn254"
 	"github.com/zkdet/zkdet/internal/fr"
-	"github.com/zkdet/zkdet/internal/parallel"
 )
 
 // proveN makes N distinct proofs of the same circuit (Prove is randomised
@@ -61,6 +60,17 @@ func TestBatchVerifyEmptyAndMismatch(t *testing.T) {
 	}
 }
 
+// offendersOf returns the positions a *BatchError names, failing the test on
+// any other error, nil included.
+func offendersOf(t *testing.T, err error) []int {
+	t.Helper()
+	var be *BatchError
+	if !errors.As(err, &be) || !errors.Is(err, ErrProofInvalid) {
+		t.Fatalf("Check = %v, want a *BatchError wrapping ErrProofInvalid", err)
+	}
+	return be.Offenders
+}
+
 // TestBatchVerifyRejectsCorrupted is the acceptance property: one corrupted
 // proof in a batch of N is rejected, bisection names exactly that proof,
 // and the other N-1 still verify individually.
@@ -84,18 +94,11 @@ func TestBatchVerifyRejectsCorrupted(t *testing.T) {
 			t.Fatalf("Add(%d): %v", i, err)
 		}
 	}
-	if b.Len() != n {
-		t.Fatalf("Len = %d, want %d", b.Len(), n)
+	if len(b.items) != n {
+		t.Fatalf("Len = %d, want %d", len(b.items), n)
 	}
-	if err := b.Check(); !errors.Is(err, ErrProofInvalid) {
-		t.Fatalf("Check on corrupted batch: %v", err)
-	}
-	offenders, err := b.Bisect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(offenders) != 1 || offenders[0] != bad {
-		t.Fatalf("Bisect = %v, want [%d]", offenders, bad)
+	if offenders := offendersOf(t, b.Check()); len(offenders) != 1 || offenders[0] != bad {
+		t.Fatalf("Check names %v, want [%d]", offenders, bad)
 	}
 
 	// Every other proof still passes on its own.
@@ -129,16 +132,13 @@ func TestBatchBisectAllCorrupt(t *testing.T) {
 			t.Fatalf("Add(%d): %v", i, err)
 		}
 	}
-	offenders, err := b.Bisect()
-	if err != nil {
-		t.Fatal(err)
-	}
+	offenders := offendersOf(t, b.Check())
 	if len(offenders) != n {
-		t.Fatalf("Bisect found %d offenders, want all %d: %v", len(offenders), n, offenders)
+		t.Fatalf("Check found %d offenders, want all %d: %v", len(offenders), n, offenders)
 	}
 	for i, off := range offenders {
 		if off != i {
-			t.Fatalf("Bisect = %v, want [0..%d] in order", offenders, n-1)
+			t.Fatalf("Check names %v, want [0..%d] in order", offenders, n-1)
 		}
 	}
 }
@@ -155,12 +155,8 @@ func TestBatchBisectMultipleOffenders(t *testing.T) {
 			t.Fatalf("Add(%d): %v", i, err)
 		}
 	}
-	offenders, err := b.Bisect()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(offenders) != 2 || offenders[0] != 1 || offenders[1] != 6 {
-		t.Fatalf("Bisect = %v, want [1 6]", offenders)
+	if offenders := offendersOf(t, b.Check()); len(offenders) != 2 || offenders[0] != 1 || offenders[1] != 6 {
+		t.Fatalf("Check names %v, want [1 6]", offenders)
 	}
 }
 
@@ -174,8 +170,8 @@ func TestBatchAddRejectsEarly(t *testing.T) {
 	if err := b.Add(proofs[0], publics[0][:1]); !errors.Is(err, ErrWrongPublic) {
 		t.Fatalf("Add with one public input: %v", err)
 	}
-	if b.Len() != 0 {
-		t.Fatalf("rejected proof entered the batch, Len = %d", b.Len())
+	if len(b.items) != 0 {
+		t.Fatalf("rejected proof entered the batch, Len = %d", len(b.items))
 	}
 	wrong := []fr.Element{fr.NewElement(36), fr.NewElement(12)}
 	if err := b.Add(proofs[0], wrong); err != nil {
@@ -234,55 +230,21 @@ func BenchmarkBatchFold(b *testing.B) {
 	}
 }
 
-// BatchVerify is the reference batch verifier the Batch accumulator is
-// tested and benchmarked through: it checks N proofs against one verifying
-// key with a single pairing check. Per-proof preparation (transcript replay
-// and the linearization) runs across all cores; the deferred pairing
-// statements are then folded and checked at once. On a batch failure the offending
-// proofs are isolated by bisection and reported by index.
-//
-// It is semantically equivalent to calling Verify on each proof — any
-// error that Verify would return surfaces here, attributed to the proof's
-// index — but the pairing cost is amortised to near-O(1) per proof.
+// BatchVerify is the batch verifier the Batch accumulator is benchmarked
+// through: it checks N proofs against one verifying key with a single
+// pairing check, naming the offending proofs by index on a failure. It
+// refuses what Verify refuses — any error Verify would return surfaces
+// here, attributed to the proof's index — but the pairing cost is amortised
+// to near-O(1) per proof.
 func BatchVerify(vk *VerifyingKey, proofs []*Proof, publics [][]fr.Element) error {
 	if len(proofs) != len(publics) {
 		return fmt.Errorf("plonk: batch verify: %d proofs, %d public input sets", len(proofs), len(publics))
 	}
-	n := len(proofs)
-	if n == 0 {
-		return nil
-	}
-	// Build the verifier caches once before fanning out, so the workers
-	// don't all stall on the same sync.Once.
-	if _, _, _, err := vk.verifierCache(); err != nil {
-		return err
-	}
-
-	stmts := make([]opening, n)
-	errs := make([]error, n)
-	parallel.Execute(n, func(start, end int) {
-		for i := start; i < end; i++ {
-			stmts[i], errs[i] = openingMSM(vk, proofs[i], publics[i])
-		}
-	})
-	for i, err := range errs {
-		if err != nil {
+	b := NewBatch(vk)
+	for i := range proofs {
+		if err := b.Add(proofs[i], publics[i]); err != nil {
 			return fmt.Errorf("plonk: batch proof %d: %w", i, err)
 		}
 	}
-
-	b := &Batch{vk: vk, stmts: stmts}
-	if err := b.Check(); err == nil {
-		return nil
-	}
-	bad, err := b.Bisect()
-	if err != nil {
-		return err
-	}
-	if len(bad) == 0 {
-		// The folded check failed but every individual statement passes:
-		// astronomically unlikely (a ρ collision), but report honestly.
-		return fmt.Errorf("%w: batch fold rejected but no single proof failed", ErrProofInvalid)
-	}
-	return fmt.Errorf("%w: batch proofs %v failed pairing check", ErrProofInvalid, bad)
+	return b.Check()
 }

@@ -251,6 +251,16 @@ func quotientMultiple(n uint64) uint64 {
 // domain (n ≥ 8); the blinded wires are n+2 and z and S n+3.
 func srsPowers(n uint64) int { return 3 * int(n) }
 
+// SRSPowers is how many SRS powers Setup asks of a circuit whose domain
+// must hold rows rows: 3N, N the smallest supported domain size ≥ rows.
+func SRSPowers(rows int) (int, error) {
+	d, err := poly.NewDomain(uint64(max(rows, 1)))
+	if err != nil {
+		return 0, fmt.Errorf("plonk: %w", err)
+	}
+	return srsPowers(d.N), nil
+}
+
 // cosetEvals writes into cols[i], of d.N elements, the evaluations of ps[i]
 // over the coset of d: independent FFTs, run on the bounded worker pool.
 func cosetEvals(d *poly.Domain, cols [][]fr.Element, ps []poly.Polynomial) error {

@@ -32,24 +32,32 @@ func benchSquareChain(logN int) (*ConstraintSystem, []fr.Element) {
 	return cs, witness
 }
 
+// BenchmarkProve times a warm Prove at each size. A size sets up its key
+// inside its own sub-benchmark, once, so -bench 'BenchmarkProve/2\^13$' sets
+// up only 2^13.
 func BenchmarkProve(b *testing.B) {
 	for _, logN := range []int{10, 12, 13, 14} {
-		cs, witness := benchSquareChain(logN)
-		tau := fr.NewElement(0xbeef)
-		srs, err := kzg.NewSRSFromSecret(3*(1<<logN)+6, &tau)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pk, _, err := Setup(cs, srs)
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Warm the proving key's lazy domain caches so the benchmark
-		// measures steady-state proving.
-		if _, err := Prove(pk, witness); err != nil {
-			b.Fatal(err)
-		}
+		var pk *ProvingKey
+		var witness []fr.Element
 		b.Run(fmt.Sprintf("2^%d", logN), func(b *testing.B) {
+			if pk == nil {
+				var cs *ConstraintSystem
+				cs, witness = benchSquareChain(logN)
+				tau := fr.NewElement(0xbeef)
+				srs, err := kzg.NewSRSFromSecret(3*(1<<logN)+6, &tau)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if pk, _, err = Setup(cs, srs); err != nil {
+					b.Fatal(err)
+				}
+				// Warm the proving key's lazy domain caches so the
+				// benchmark measures steady-state proving.
+				if _, err := Prove(pk, witness); err != nil {
+					b.Fatal(err)
+				}
+				b.ResetTimer()
+			}
 			for i := 0; i < b.N; i++ {
 				if _, err := Prove(pk, witness); err != nil {
 					b.Fatal(err)

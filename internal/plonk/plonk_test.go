@@ -506,6 +506,48 @@ func TestProveWitnessLength(t *testing.T) {
 	}
 }
 
+// TestSRSPowersIsSetupsBound: SRSPowers(rows) is exactly the bound Setup
+// checks, on both domain-size families — a circuit of g gates and its
+// padding row sets up on SRSPowers(g + 1) powers, 3N for its domain of N
+// rows, and is refused with one power fewer.
+func TestSRSPowersIsSetupsBound(t *testing.T) {
+	tau := fr.NewElement(5)
+	one := fr.One()
+	var negOne fr.Element
+	negOne.Neg(&one)
+	for _, gates := range []int{7, 8, 31, 47, 48, 127} {
+		cs := NewConstraintSystem(1)
+		for x := 0; cs.NbGates() < gates; {
+			y := cs.NewVariable()
+			cs.MustAddGate(Gate{QM: one, QO: negOne, A: x, B: x, C: y})
+			x = y
+		}
+		powers, err := SRSPowers(gates + 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, p := range []int{powers, powers - 1} {
+			srs, err := kzg.NewSRSFromSecret(p, &tau)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, vk, err := Setup(cs, srs)
+			if p < powers {
+				if !errors.Is(err, ErrSRSTooSmall) {
+					t.Fatalf("%d gates on %d powers: %v, want ErrSRSTooSmall", gates, p, err)
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatalf("%d gates on %d powers: %v", gates, p, err)
+			}
+			if 3*int(vk.N) != powers {
+				t.Fatalf("%d gates: SRSPowers = %d, domain of %d rows", gates, powers, vk.N)
+			}
+		}
+	}
+}
+
 func BenchmarkVerify(b *testing.B) {
 	cs, witness := buildPowerCircuit(1000)
 	pk, vk, err := Setup(cs, testSRSOnce())

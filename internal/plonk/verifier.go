@@ -83,25 +83,11 @@ func (o *opening) add(pt *kzg.Commitment, s *fr.Element) {
 // the ζω openings at 1, v, …, Y's commitment being Σ_l α^{6+l}·[w_l], built
 // from the wire commitments the proof already carries; E = (valζ +
 // u·valω)·G1. A custom proof's terms are 22 points, a lookup + custom one's
-// 27 (TestOpeningMSMWidth). It runs no group operation. The key's lookup bit
-// fixes what the proof must carry; a proof carrying any other set of fields,
-// or other than quotientPieces quotient pieces, is refused with
-// ErrProofShape.
+// 27 (TestOpeningMSMWidth). It runs no group operation, and it takes a
+// statement checkStatement passed, on a key whose domain is legal. The
+// opening points into proof: it is read until the batch's Check returns.
 func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (opening, error) {
-	if len(public) != vk.NbPublic {
-		return opening{}, fmt.Errorf("%w: got %d, want %d", ErrWrongPublic, len(public), vk.NbPublic)
-	}
 	sh := vk.shape()
-	if got := proof.shape(); got != sh {
-		return opening{}, fmt.Errorf("%w: proof shape %#02x, key shape %#02x", ErrProofShape, byte(got), byte(sh))
-	}
-	if len(proof.T) != quotientPieces {
-		return opening{}, fmt.Errorf("%w: %d quotient pieces, want %d", ErrProofShape, len(proof.T), quotientPieces)
-	}
-	if proof.strayFields(sh) {
-		return opening{}, fmt.Errorf("%w: fields set that a %#02x proof does not carry", ErrProofShape, byte(sh))
-	}
-
 	// Reconstruct the challenges.
 	tr := transcript.New("zkdet/plonk")
 	bindTranscript(tr, vk, public)
@@ -206,14 +192,27 @@ func openingMSM(vk *VerifyingKey, proof *Proof, public []fr.Element) (opening, e
 	o.g1.Mul(&u, &valOmega)
 	o.g1.Add(&o.g1, &valZeta)
 	o.g1.Neg(&o.g1)
-	// Point at copies, so a caller that reuses the Proof after Add does
-	// not change what the batch checks.
-	own := make([]kzg.Commitment, len(o.pts))
-	for i, p := range o.pts {
-		own[i] = *p
-		o.pts[i] = &own[i]
-	}
 	return o, nil
+}
+
+// checkStatement refuses a public-input count other than the key's
+// (ErrWrongPublic) and a proof whose fields or quotient pieces are not
+// what the key's lookup bit fixes (ErrProofShape).
+func checkStatement(vk *VerifyingKey, proof *Proof, public []fr.Element) error {
+	if len(public) != vk.NbPublic {
+		return fmt.Errorf("%w: got %d, want %d", ErrWrongPublic, len(public), vk.NbPublic)
+	}
+	sh := vk.shape()
+	if got := proof.shape(); got != sh {
+		return fmt.Errorf("%w: proof shape %#02x, key shape %#02x", ErrProofShape, byte(got), byte(sh))
+	}
+	if len(proof.T) != quotientPieces {
+		return fmt.Errorf("%w: %d quotient pieces, want %d", ErrProofShape, len(proof.T), quotientPieces)
+	}
+	if proof.strayFields(sh) {
+		return fmt.Errorf("%w: fields set that a %#02x proof does not carry", ErrProofShape, byte(sh))
+	}
+	return nil
 }
 
 // CheckDomain reports whether proofs can be checked against vk at all: it

@@ -750,9 +750,3 @@ func (s *DurableBlobs) Remove(owner string, uri storage.URI) error {
 
 // Owner returns the recorded owner of a blob.
 func (s *DurableBlobs) Owner(uri storage.URI) (string, bool) { return s.inner.Owner(uri) }
-
-// Has reports whether the store holds a blob.
-func (s *DurableBlobs) Has(uri storage.URI) bool { return s.inner.Has(uri) }
-
-// Len reports the number of stored blobs.
-func (s *DurableBlobs) Len() int { return s.inner.Len() }

@@ -26,8 +26,8 @@ type BlobStore interface {
 }
 
 // LocalStore is the interface of one node's local blob store: BlobStore
-// plus the inspection methods the p2p layer needs to serve peers (ownership
-// lookups for replication, existence checks). Store implements it directly;
+// plus the ownership lookup the p2p layer needs to serve peers and
+// replicate. Store implements it directly;
 // the durable engine's logging wrapper (internal/snapshot.DurableBlobs)
 // implements it by delegation, which is what lets a cluster member persist
 // its blob half without the p2p layer knowing.
@@ -35,10 +35,6 @@ type LocalStore interface {
 	BlobStore
 	// Owner returns the recorded owner of a blob; ok is false on a miss.
 	Owner(uri URI) (string, bool)
-	// Has reports whether the store holds a blob.
-	Has(uri URI) bool
-	// Len reports the number of stored blobs.
-	Len() int
 }
 
 // Interface conformance.
@@ -111,21 +107,6 @@ func (s *Store) Remove(owner string, uri URI) error {
 	delete(s.blobs, uri)
 	delete(s.owners, uri)
 	return nil
-}
-
-// Has reports whether the store holds a blob.
-func (s *Store) Has(uri URI) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.blobs[uri]
-	return ok
-}
-
-// Len reports the number of stored blobs.
-func (s *Store) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.blobs)
 }
 
 // BlobExport is one exported blob: its content address, recorded owner,

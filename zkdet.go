@@ -99,7 +99,11 @@ type (
 // up to maxConstraints gates. The setup secret is sampled from
 // crypto/rand and discarded (see kzg.Ceremony for the multi-party variant).
 func NewSystem(maxConstraints int) (*System, error) {
-	srs, err := kzg.Setup(core.SRSPowers(maxConstraints))
+	powers, err := core.SRSPowers(maxConstraints)
+	if err != nil {
+		return nil, fmt.Errorf("zkdet: %w", err)
+	}
+	srs, err := kzg.Setup(powers)
 	if err != nil {
 		return nil, fmt.Errorf("zkdet: %w", err)
 	}
